@@ -458,8 +458,7 @@ func BenchmarkOrderByFiltered(b *testing.B) {
 // The headline pair for the typed Result API on the same 100k-row filtered
 // scan: BenchmarkResultBatches100k consumes the result through zero-copy
 // batch views and typed slab accessors (what QueryCtx callers do), while
-// BenchmarkResultStrings100k reproduces the legacy [][]string pipeline
-// (what the deprecated Platform.Query / Answer.Rows shims do: materialize
+// BenchmarkResultStrings100k runs the [][]string pipeline (materialize
 // the output table, then box and stringify every cell). bytes/op and
 // allocs/op are the signal: the batch path must not allocate per row or
 // per cell. The Scattered pair repeats the comparison with a dense-form

@@ -5,7 +5,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -19,24 +18,10 @@ import (
 func main() {
 	scale := flag.Float64("scale", 1.0, "fraction of full workload sizes (0,1]")
 	seed := flag.String("seed", "datalab-v1", "experiment seed")
-	only := flag.String("only", "", "run a single experiment: table1|figure6|knowgen|table2|table3|figure7|table4|engine|plancache|ingest|server|wal|macro")
-	all := flag.Bool("all", false, "run every BENCH-emitting workload family (plancache, ingest, server, wal, macro) and write their snapshots")
-	plancacheOut := flag.String("plancache-out", "BENCH_plancache.json", "output path for the plan-cache workload snapshot")
-	ingestOut := flag.String("ingest-out", "BENCH_ingest.json", "output path for the streaming-ingest workload snapshot")
-	serverOut := flag.String("server-out", "BENCH_server.json", "output path for the wire-protocol workload snapshot")
-	walOut := flag.String("wal-out", "BENCH_wal.json", "output path for the durability workload snapshot")
-	macroOut := flag.String("macro-out", "BENCH_macro.json", "output path for the generator macro-workload snapshot")
+	only := flag.String("only", "", "run a single experiment: table1|figure6|knowgen|table2|table3|figure7|table4|engine")
 	flag.Parse()
 
-	// benchFamilies are the workloads that persist BENCH_*.json snapshots;
-	// -all runs exactly these (skipping the paper-table experiments).
-	benchFamilies := map[string]bool{"plancache": true, "ingest": true, "server": true, "wal": true, "macro": true}
-	run := func(name string) bool {
-		if *all {
-			return benchFamilies[name]
-		}
-		return *only == "" || *only == name
-	}
+	run := func(name string) bool { return *only == "" || *only == name }
 
 	if run("table1") {
 		fmt.Println("== Table I: end-to-end performance on research benchmarks ==")
@@ -114,45 +99,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if run("plancache") {
-		fmt.Println("== Plan cache: fingerprint + bound-parameter workloads ==")
-		if err := planCacheBench(int(100_000**scale), *plancacheOut); err != nil {
-			fmt.Fprintln(os.Stderr, "plancache:", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-	if run("ingest") {
-		fmt.Println("== Streaming ingest: append/publish + query-during-ingest workloads ==")
-		if err := ingestBench(int(500_000**scale), *ingestOut); err != nil {
-			fmt.Fprintln(os.Stderr, "ingest:", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-	if run("server") {
-		fmt.Println("== Query server: HTTP + JSONL wire-protocol workloads ==")
-		if err := serverBench(int(100_000**scale), *serverOut); err != nil {
-			fmt.Fprintln(os.Stderr, "server:", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-	if run("wal") {
-		fmt.Println("== Durability: WAL fsync policies + crash-recovery replay ==")
-		if err := walBench(int(100_000**scale), *walOut); err != nil {
-			fmt.Fprintln(os.Stderr, "wal:", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-	if run("macro") {
-		fmt.Println("== Macro: benchgen workloads end to end through QueryCtx ==")
-		if err := macroBench(*scale, *seed, *macroOut); err != nil {
-			fmt.Fprintln(os.Stderr, "macro:", err)
-			os.Exit(1)
-		}
-	}
 }
 
 // engineDemo contrasts the typed Result/Batch API against the legacy
@@ -200,7 +146,7 @@ func engineDemo(rows int) error {
 		res.NumRows(), nbatches, sum, typed)
 
 	// The legacy pipeline, end to end: execute into a materialized table,
-	// then box and stringify every cell (what Platform.Query used to do).
+	// then box and stringify every cell.
 	start = time.Now()
 	tbl, err := cat.Query(q)
 	if err != nil {
@@ -233,250 +179,5 @@ func engineDemo(rows int) error {
 	st := cat.PlanCacheStats()
 	fmt.Printf("prepared stmt:   %d executions, %v/exec, zero re-parses\n", reps, perExec)
 	fmt.Printf("plan cache:      %d hits, %d misses, %d entries\n", st.Hits, st.Misses, st.Size)
-	return nil
-}
-
-// planCacheSnapshot is the BENCH_plancache.json schema: one record per
-// workload, capturing throughput and plan-cache effectiveness so the
-// perf trajectory is tracked as data, not prose.
-type planCacheSnapshot struct {
-	Workload   string  `json:"workload"`
-	Queries    int     `json:"queries"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	Hits       int64   `json:"hits"`
-	Misses     int64   `json:"misses"`
-	HitRate    float64 `json:"hit_rate"`
-	ParseCalls int64   `json:"parse_calls"`
-}
-
-// planCacheBench drives the literal-varying template workload the plan
-// cache exists for: one SQL shape, thousands of distinct literals, issued
-// both as inlined text (fingerprint path) and through Prepared.Exec with
-// bound parameters. It writes BENCH_plancache.json and fails when the
-// steady-state hit rate falls below 99%.
-func planCacheBench(rows int, outPath string) error {
-	if rows < 1000 {
-		rows = 1000
-	}
-	t := table.MustNew("events",
-		[]string{"id", "kind", "value"},
-		[]table.Kind{table.KindInt, table.KindString, table.KindFloat})
-	kinds := []string{"view", "click", "buy"}
-	for i := 0; i < rows; i++ {
-		t.MustAppendRow(
-			table.Int(int64(i)),
-			table.Str(kinds[i%len(kinds)]),
-			table.Float(float64((i*7919)%10000)/100),
-		)
-	}
-	cat := sqlengine.NewCatalog()
-	cat.Register(t)
-	ctx := context.Background()
-	queries := rows / 10
-	if queries < 1000 {
-		queries = 1000
-	}
-
-	var snaps []planCacheSnapshot
-
-	// Inlined literals: every text is distinct, but all normalize to one
-	// template, so everything after the first query hits the cache.
-	parse0 := sqlengine.ParseCalls()
-	start := time.Now()
-	for i := 0; i < queries; i++ {
-		if _, err := cat.QueryCtx(ctx, fmt.Sprintf("SELECT COUNT(*) FROM events WHERE id < %d AND kind = '%s'", i%rows, kinds[i%len(kinds)])); err != nil {
-			return err
-		}
-	}
-	elapsed := time.Since(start)
-	st := cat.PlanCacheStats()
-	snaps = append(snaps, planCacheSnapshot{
-		Workload:   "query_inlined_literals",
-		Queries:    queries,
-		NsPerOp:    float64(elapsed.Nanoseconds()) / float64(queries),
-		Hits:       st.Hits,
-		Misses:     st.Misses,
-		HitRate:    st.HitRate(),
-		ParseCalls: sqlengine.ParseCalls() - parse0,
-	})
-	fmt.Printf("fingerprinted:   %d distinct texts -> %d parse(s), hit rate %.4f  (%v/query)\n",
-		queries, sqlengine.ParseCalls()-parse0, st.HitRate(), elapsed/time.Duration(queries))
-
-	// Prepared + bound parameters: the explicit-placeholder fast path.
-	stmt, err := cat.Prepare("SELECT COUNT(*) FROM events WHERE id < ? AND kind = ?")
-	if err != nil {
-		return err
-	}
-	parse1 := sqlengine.ParseCalls()
-	start = time.Now()
-	for i := 0; i < queries; i++ {
-		if _, err := stmt.Exec(ctx, i%rows, kinds[i%len(kinds)]); err != nil {
-			return err
-		}
-	}
-	elapsed = time.Since(start)
-	st2 := cat.PlanCacheStats()
-	snaps = append(snaps, planCacheSnapshot{
-		Workload:   "prepared_bound_params",
-		Queries:    queries,
-		NsPerOp:    float64(elapsed.Nanoseconds()) / float64(queries),
-		Hits:       st2.Hits - st.Hits,
-		Misses:     st2.Misses - st.Misses,
-		HitRate:    1, // Exec never consults the cache: the plan is pinned
-		ParseCalls: sqlengine.ParseCalls() - parse1,
-	})
-	fmt.Printf("prepared+bind:   %d executions -> %d re-parse(s)  (%v/query)\n",
-		queries, sqlengine.ParseCalls()-parse1, elapsed/time.Duration(queries))
-
-	data, err := json.MarshalIndent(snaps, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("snapshot:        %s\n", outPath)
-
-	if hr := snaps[0].HitRate; hr < 0.99 {
-		return fmt.Errorf("plan-cache hit rate %.4f below the 0.99 floor on the template workload", hr)
-	}
-	return nil
-}
-
-// ingestSnapshot is the BENCH_ingest.json schema: one record per workload,
-// capturing append throughput and reader latency under live ingest.
-type ingestSnapshot struct {
-	Workload  string  `json:"workload"`
-	Rows      int     `json:"rows"`
-	Queries   int     `json:"queries"`
-	NsPerOp   float64 `json:"ns_per_op"`
-	Snapshots uint64  `json:"snapshots_published"`
-	Chunks    int     `json:"chunks"`
-}
-
-// countSum runs `SELECT COUNT(*), SUM(v) FROM stream` and returns both.
-func countSum(cat *sqlengine.Catalog) (int64, float64, error) {
-	res, err := cat.QueryCtx(context.Background(), "SELECT COUNT(*), SUM(v) FROM stream")
-	if err != nil {
-		return 0, 0, err
-	}
-	b := res.Next()
-	if b == nil || b.NumRows() == 0 {
-		return 0, 0, fmt.Errorf("empty aggregate result")
-	}
-	cnt, _ := b.Int64(0, 0)
-	sum, _ := b.Float64(1, 0)
-	return cnt, sum, nil
-}
-
-// ingestBench drives the streaming-ingest substrate: the append/publish
-// writer hot path, then reader queries racing a live background ingester.
-// Every observed result must be internally consistent with exactly one
-// published snapshot (counts land on batch boundaries, sums match the
-// closed form), so the bench doubles as a correctness check. It writes
-// BENCH_ingest.json.
-func ingestBench(rows int, outPath string) error {
-	if rows < 10_000 {
-		rows = 10_000
-	}
-	const batch = 1024
-	cat := sqlengine.NewCatalog()
-	cat.Register(table.MustNew("stream",
-		[]string{"v", "p"}, []table.Kind{table.KindInt, table.KindInt}))
-	app, _ := cat.Appender("stream")
-
-	// Workload 1: the writer hot path — stage rows, publish per batch.
-	start := time.Now()
-	for i := 0; i < rows; i++ {
-		if err := app.Append([]table.Value{table.Int(int64(i)), table.Int(int64(i & 1))}); err != nil {
-			return err
-		}
-		if i%batch == batch-1 {
-			app.Publish()
-		}
-	}
-	snap := app.Publish()
-	elapsed := time.Since(start)
-	cnt, sum, err := countSum(cat)
-	if err != nil {
-		return err
-	}
-	if cnt != int64(rows) || sum != float64(rows)*float64(rows-1)/2 {
-		return fmt.Errorf("post-ingest aggregate mismatch: count=%d sum=%.0f for %d rows", cnt, sum, rows)
-	}
-	snaps := []ingestSnapshot{{
-		Workload:  "append_publish",
-		Rows:      rows,
-		NsPerOp:   float64(elapsed.Nanoseconds()) / float64(rows),
-		Snapshots: snap.Version(),
-		Chunks:    snap.NumChunks(),
-	}}
-	fmt.Printf("append+publish:  %d rows -> %d chunks across %d snapshots  (%v/row)\n",
-		rows, snap.NumChunks(), snap.Version(), elapsed/time.Duration(rows))
-
-	// Workload 2: readers racing a live ingester. The single writer only
-	// publishes at batch boundaries past the phase-1 baseline, so every
-	// consistent snapshot has a row count of baseline + k*batch and a sum
-	// matching the closed form — anything else means a reader saw a blend.
-	queries := rows / 100
-	if queries < 100 {
-		queries = 100
-	}
-	// The ingester streams one more `rows` worth of data (in batch-sized
-	// publishes) and stops — bounding the table at 2x so reader latency
-	// stays comparable across the run — or earlier if the readers finish.
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := rows; i < 2*rows; {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for k := 0; k < batch; k++ {
-				_ = app.Append([]table.Value{table.Int(int64(i)), table.Int(int64(i & 1))})
-				i++
-			}
-			app.Publish()
-		}
-	}()
-	start = time.Now()
-	for q := 0; q < queries; q++ {
-		cnt, sum, err := countSum(cat)
-		if err != nil {
-			return err
-		}
-		if cnt < int64(rows) || (cnt-int64(rows))%batch != 0 {
-			return fmt.Errorf("query %d observed a torn snapshot: count=%d not baseline+k*%d", q, cnt, batch)
-		}
-		if want := float64(cnt) * float64(cnt-1) / 2; sum != want {
-			return fmt.Errorf("query %d observed an inconsistent snapshot: count=%d sum=%.0f want %.0f", q, cnt, sum, want)
-		}
-	}
-	elapsed = time.Since(start)
-	close(stop)
-	<-done
-	final := app.Snapshot()
-	snaps = append(snaps, ingestSnapshot{
-		Workload:  "query_during_ingest",
-		Rows:      final.NumRows() - rows,
-		Queries:   queries,
-		NsPerOp:   float64(elapsed.Nanoseconds()) / float64(queries),
-		Snapshots: final.Version(),
-		Chunks:    final.NumChunks(),
-	})
-	fmt.Printf("query+ingest:    %d consistent reads while %d rows streamed in  (%v/query)\n",
-		queries, final.NumRows()-rows, elapsed/time.Duration(queries))
-
-	data, err := json.MarshalIndent(snaps, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("snapshot:        %s\n", outPath)
 	return nil
 }

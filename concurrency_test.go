@@ -52,8 +52,8 @@ func TestConcurrentAskAndQuery(t *testing.T) {
 						return
 					}
 				} else {
-					if _, _, err := p.Query(sqls[(g+i)%len(sqls)]); err != nil {
-						t.Errorf("Query: %v", err)
+					if _, err := p.QueryCtx(context.Background(), sqls[(g+i)%len(sqls)]); err != nil {
+						t.Errorf("QueryCtx: %v", err)
 						return
 					}
 				}

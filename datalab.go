@@ -37,7 +37,7 @@ func WithSeed(seed string) Option {
 
 // Platform is one DataLab deployment: catalog + knowledge + agents.
 //
-// A Platform is safe for concurrent use: Ask and Query may be called from
+// A Platform is safe for concurrent use: Ask and QueryCtx may be called from
 // many goroutines at once (the catalog serializes registrations against
 // readers, and the SQL engine runs scan/aggregate partitions on a bounded
 // worker pool shared across queries). LearnKnowledge and AddGlossary are
@@ -152,7 +152,7 @@ func (p *Platform) AppendRecords(name string, rows [][]string) error {
 
 // Ingestor is a streaming append handle for one registered table. Appended
 // rows are batched into a pending chunk that no query can observe until
-// Publish atomically swaps in a snapshot that includes them — so a burst
+// PublishErr atomically swaps in a snapshot that includes them — so a burst
 // of appends becomes one visible version, not many. An Ingestor is safe
 // for concurrent use with queries; concurrent Appends on the same table
 // serialize on the table's appender.
@@ -170,7 +170,7 @@ func (p *Platform) Ingest(name string) (*Ingestor, error) {
 }
 
 // Append stages one row from string cells; types are inferred per cell and
-// coerced to the table's schema. The row is invisible until Publish.
+// coerced to the table's schema. The row is invisible until PublishErr.
 func (in *Ingestor) Append(cells ...string) error {
 	vals := make([]table.Value, len(in.app.Kinds()))
 	for c := range vals {
@@ -181,19 +181,15 @@ func (in *Ingestor) Append(cells ...string) error {
 	return in.app.Append(vals)
 }
 
-// Pending reports how many staged rows await Publish.
+// Pending reports how many staged rows await PublishErr.
 func (in *Ingestor) Pending() int { return in.app.Pending() }
 
-// Publish seals the staged rows into a new immutable chunk and atomically
-// publishes the snapshot that includes them, returning the total row count
-// now visible to new queries. On a durable platform a log failure leaves
-// the rows staged; use PublishErr to observe it.
-func (in *Ingestor) Publish() int { return in.app.Publish().NumRows() }
-
-// PublishErr is Publish with the durability error surfaced: on a durable
-// platform the staged chunk is journaled and (under the "always" policy)
-// fsynced before any query can observe it, and a log failure keeps the
-// rows staged and invisible rather than half-applying them.
+// PublishErr seals the staged rows into a new immutable chunk and
+// atomically publishes the snapshot that includes them, returning the
+// total row count now visible to new queries. On a durable platform the
+// staged chunk is journaled and (under the "always" policy) fsynced before
+// any query can observe it, and a log failure is returned with the rows
+// kept staged and invisible rather than half-applied.
 func (in *Ingestor) PublishErr() (int, error) {
 	s, err := in.app.PublishErr()
 	return s.NumRows(), err
@@ -315,13 +311,6 @@ type Answer struct {
 	Err error
 	// Columns carries the SQL result's column names.
 	Columns []string
-	// Rows is the stringly materialization of the result set.
-	//
-	// Deprecated: Rows boxes and stringifies every cell. Use the typed
-	// surface instead — iterate Answer.Result (or Platform.QueryCtx)
-	// batches with the typed accessors. Rows remains populated for
-	// compatibility.
-	Rows [][]string
 	// ChartJSON is the Vega-Lite-style chart spec, when a chart was asked.
 	ChartJSON string
 	// Insights carries analysis-agent findings (anomalies, associations,
@@ -359,7 +348,7 @@ func (p *Platform) Ask(query, tableName string) (*Answer, error) {
 		switch u.Kind {
 		case comm.KindSQL:
 			ans.SQL = sqlFromContent(u.Content)
-			p.fillRows(ans)
+			p.fillResult(ans)
 		case comm.KindChart:
 			ans.ChartJSON = u.Content
 		case comm.KindText:
@@ -399,23 +388,10 @@ func (p *Platform) PlanCacheStats() PlanCacheStats {
 	return p.catalog.PlanCacheStats()
 }
 
-// Query executes raw SQL and materializes the full result as strings.
-//
-// Deprecated: Query stringifies every cell of every row. Use
-// Platform.QueryCtx and iterate the Result's batches with the typed
-// accessors; this shim remains for callers that want the old shape.
-func (p *Platform) Query(sql string) (columns []string, rows [][]string, err error) {
-	res, err := p.catalog.QueryCtx(context.Background(), sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Columns(), res.Strings(), nil
-}
-
-// fillRows executes the answer's SQL and attaches the typed Result plus
-// the deprecated stringly projection. Execution failures land in
-// Answer.Err instead of being silently swallowed.
-func (p *Platform) fillRows(ans *Answer) {
+// fillResult executes the answer's SQL and attaches the typed Result.
+// Execution failures land in Answer.Err instead of being silently
+// swallowed.
+func (p *Platform) fillResult(ans *Answer) {
 	if ans.SQL == "" {
 		return
 	}
@@ -426,7 +402,6 @@ func (p *Platform) fillRows(ans *Answer) {
 	}
 	ans.Result = res
 	ans.Columns = res.Columns()
-	ans.Rows = res.Strings()
 }
 
 // sqlFromContent extracts the SQL statement from a SQL agent's unit. The

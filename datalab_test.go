@@ -39,12 +39,16 @@ func TestLoadCSVAndQuery(t *testing.T) {
 	if err := p.LoadCSV("t", strings.NewReader(csv)); err != nil {
 		t.Fatal(err)
 	}
-	cols, rows, err := p.Query("SELECT a FROM t WHERE b = 'y'")
+	res, err := p.QueryCtx(context.Background(), "SELECT a FROM t WHERE b = 'y'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cols) != 1 || len(rows) != 1 || rows[0][0] != "2" {
-		t.Errorf("result = %v %v", cols, rows)
+	b := res.Next()
+	if res.NumCols() != 1 || res.NumRows() != 1 || b == nil {
+		t.Fatalf("result = %v, %d rows", res.Columns(), res.NumRows())
+	}
+	if a, ok := b.Int64(0, 0); !ok || a != 2 {
+		t.Errorf("a = %d (typed %v), want 2", a, ok)
 	}
 	if len(p.Tables()) != 1 {
 		t.Errorf("tables = %v", p.Tables())
@@ -76,14 +80,6 @@ func TestQueryCtxTypedResult(t *testing.T) {
 	}
 	if total != 100.5+250.0+300.0+120.0+900.0 {
 		t.Fatalf("total = %v", total)
-	}
-	// The deprecated shim returns the same rows as strings.
-	cols, rows, err := p.Query("SELECT revenue, region FROM sales WHERE revenue > 100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cols) != 2 || len(rows) != 5 {
-		t.Fatalf("shim = %v, %d rows", cols, len(rows))
 	}
 }
 
@@ -118,25 +114,25 @@ func TestPlatformPrepare(t *testing.T) {
 
 func TestAnswerErrSurfacesSQLFailure(t *testing.T) {
 	p := demoPlatform(t)
-	// Drive fillRows directly with SQL that fails at execution: before the
+	// Drive fillResult directly with SQL that fails at execution: before the
 	// redesign the failure was silently swallowed, yielding an Answer with
 	// no rows and no error.
 	ans := &Answer{SQL: "SELECT nope FROM missing_table"}
-	p.fillRows(ans)
+	p.fillResult(ans)
 	if ans.Err == nil {
 		t.Fatal("failing SQL left Answer.Err nil")
 	}
 	if !strings.Contains(ans.Err.Error(), "missing_table") {
 		t.Errorf("Err = %v", ans.Err)
 	}
-	if ans.Result != nil || ans.Rows != nil {
+	if ans.Result != nil || ans.Columns != nil {
 		t.Errorf("failed execution still attached results: %+v", ans)
 	}
 
 	ok := &Answer{SQL: "SELECT region FROM sales"}
-	p.fillRows(ok)
-	if ok.Err != nil || ok.Result == nil || len(ok.Rows) != 6 {
-		t.Errorf("good SQL: Err=%v Result=%v rows=%d", ok.Err, ok.Result != nil, len(ok.Rows))
+	p.fillResult(ok)
+	if ok.Err != nil || ok.Result == nil || ok.Result.NumRows() != 6 {
+		t.Errorf("good SQL: Err=%v Result=%v", ok.Err, ok.Result)
 	}
 }
 
@@ -163,8 +159,14 @@ func TestAskAttachesTypedResult(t *testing.T) {
 	if ans.Result == nil {
 		t.Fatal("Answer.Result is nil")
 	}
-	if got := ans.Result.Strings(); len(got) != len(ans.Rows) {
-		t.Fatalf("Result has %d rows, Rows shim has %d", len(got), len(ans.Rows))
+	// The cursor arrives unconsumed: Ask hands over the Result without
+	// iterating or stringifying it.
+	b := ans.Result.Next()
+	if b == nil || b.NumRows() != ans.Result.NumRows() || b.NumRows() != 3 {
+		t.Fatalf("first batch = %v, NumRows = %d, want 3 regions", b, ans.Result.NumRows())
+	}
+	if got := ans.Result.Columns(); len(got) != len(ans.Columns) || got[0] != ans.Columns[0] {
+		t.Fatalf("Result columns %v, Answer.Columns %v", got, ans.Columns)
 	}
 }
 
@@ -203,8 +205,8 @@ func TestAskSimpleAggregation(t *testing.T) {
 	if !strings.Contains(ans.SQL, "SELECT") {
 		t.Errorf("missing SQL: %+v", ans)
 	}
-	if len(ans.Rows) != 3 {
-		t.Errorf("rows = %d, want 3 regions", len(ans.Rows))
+	if ans.Result == nil || ans.Result.NumRows() != 3 {
+		t.Errorf("result = %v, want 3 regions", ans.Result)
 	}
 	if len(ans.AgentTrace) == 0 {
 		t.Error("empty agent trace")

@@ -122,6 +122,36 @@ func TestOpenDurableCheckpoint(t *testing.T) {
 	}
 }
 
+// TestPublishSurfacesWALError pins the Ingestor's only publish call on a
+// durable platform whose log can no longer be written: the error reaches
+// the caller, and the rows stay staged and invisible rather than being
+// dropped or half-applied.
+func TestPublishSurfacesWALError(t *testing.T) {
+	p := durable(t, t.TempDir())
+	if err := p.LoadRecords("kv", []string{"k", "v"}, [][]string{{"x", "1"}}); err != nil {
+		t.Fatal(err)
+	}
+	in, err := p.Ingest("kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Append("y", "2"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := in.PublishErr(); err == nil {
+		t.Fatalf("PublishErr on a closed log returned %d rows and no error", n)
+	}
+	if in.Pending() != 1 {
+		t.Fatalf("Pending = %d after a failed publish, want the row still staged", in.Pending())
+	}
+	if got := queryStrings(t, p, "SELECT COUNT(*) FROM kv"); got[0][0] != "1" {
+		t.Fatalf("unjournaled row became visible: count = %v", got[0][0])
+	}
+}
+
 // TestMemoryOnlyPlatformUnchanged pins the memory-only surface: stats
 // zeroed, Close/Checkpoint no-ops.
 func TestMemoryOnlyPlatformUnchanged(t *testing.T) {

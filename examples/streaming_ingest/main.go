@@ -1,6 +1,6 @@
 // Streaming ingest: appending to a live table while queries run. Shows
 // the three guarantees of the snapshot storage: staged rows are invisible
-// until Publish, a publish is one atomic snapshot swap visible to the
+// until PublishErr, a publish is one atomic snapshot swap visible to the
 // next query, and a Result opened earlier keeps reading the snapshot it
 // started on — no reader ever blocks on ingest.
 package main
@@ -47,7 +47,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. Stream new orders in. Appends stage invisibly; Publish makes
+	// 2. Stream new orders in. Appends stage invisibly; PublishErr makes
 	// the whole batch visible in one atomic snapshot swap.
 	in, err := p.Ingest("orders")
 	if err != nil {
@@ -59,7 +59,10 @@ func main() {
 		}
 	}
 	fmt.Printf("staged %d rows; queries still see %d\n", in.Pending(), count())
-	visible := in.Publish()
+	visible, err := in.PublishErr()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("published: queries now see %d rows (total %d)\n", count(), visible)
 
 	// Bulk convenience: AppendRecords stages and publishes in one call.

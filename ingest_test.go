@@ -22,10 +22,7 @@ func TestAppendRecordsVisibleToNewQueries(t *testing.T) {
 	if err := p.AppendRecords("events", [][]string{{"4", "40"}, {"5", "50"}}); err != nil {
 		t.Fatal(err)
 	}
-	_, rows, err := p.Query("SELECT COUNT(*), SUM(amount) FROM events")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := queryStrings(t, p, "SELECT COUNT(*), SUM(amount) FROM events")
 	if rows[0][0] != "5" || rows[0][1] != "150" {
 		t.Fatalf("after append: %v", rows)
 	}
@@ -53,10 +50,7 @@ func TestAppendDoesNotDisturbOpenResult(t *testing.T) {
 	if seen != 3 {
 		t.Fatalf("open cursor saw %d rows, want the 3 from its snapshot", seen)
 	}
-	_, rows, err := p.Query("SELECT COUNT(*) FROM events")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := queryStrings(t, p, "SELECT COUNT(*) FROM events")
 	if rows[0][0] != "5" {
 		t.Fatalf("fresh query count = %v, want 5", rows[0][0])
 	}
@@ -77,20 +71,14 @@ func TestIngestorBatchesUntilPublish(t *testing.T) {
 	if got := in.Pending(); got != 2 {
 		t.Fatalf("Pending = %d, want 2", got)
 	}
-	_, rows, err := p.Query("SELECT COUNT(*) FROM events")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := queryStrings(t, p, "SELECT COUNT(*) FROM events")
 	if rows[0][0] != "3" {
 		t.Fatalf("staged rows leaked into a query: count = %v", rows[0][0])
 	}
-	if total := in.Publish(); total != 5 {
-		t.Fatalf("Publish total = %d, want 5", total)
+	if total, err := in.PublishErr(); err != nil || total != 5 {
+		t.Fatalf("PublishErr = %d, %v, want 5 rows", total, err)
 	}
-	_, rows, err = p.Query("SELECT COUNT(*), SUM(amount) FROM events WHERE amount IS NOT NULL")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows = queryStrings(t, p, "SELECT COUNT(*), SUM(amount) FROM events WHERE amount IS NOT NULL")
 	if rows[0][0] != "4" || rows[0][1] != "120" {
 		t.Fatalf("after publish: %v", rows)
 	}

@@ -1,11 +1,14 @@
 package benchgen
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"datalab/internal/notebook"
 	"datalab/internal/sqlengine"
+	"datalab/internal/table"
 )
 
 func TestSuitesCalibrationOrdering(t *testing.T) {
@@ -46,9 +49,27 @@ func TestGenerateSuiteDeterministic(t *testing.T) {
 	}
 }
 
+// mustDrain executes one generated statement through QueryCtx, iterates
+// the whole Result, and returns its row count. Every statement a
+// generator emits must run: this is the generator-to-engine gate.
+func mustDrain(t *testing.T, cat *sqlengine.Catalog, id, sql string) int {
+	t.Helper()
+	res, err := cat.QueryCtx(context.Background(), sql)
+	if err != nil {
+		t.Fatalf("%s: %v\n%s", id, err, sql)
+	}
+	rows := 0
+	for b := res.Next(); b != nil; b = res.Next() {
+		rows += b.NumRows()
+	}
+	if rows != res.NumRows() {
+		t.Fatalf("%s: drained %d rows, NumRows %d\n%s", id, rows, res.NumRows(), sql)
+	}
+	return rows
+}
+
 func TestGeneratedGoldSQLExecutes(t *testing.T) {
-	for _, name := range []string{"Spider", "BIRD", "nvBench"} {
-		s, _ := SuiteByName(name)
+	for _, s := range Suites() {
 		s.N = 25
 		for _, task := range GenerateSuite(s, "exec-test") {
 			if task.GoldSQL == "" {
@@ -56,14 +77,97 @@ func TestGeneratedGoldSQLExecutes(t *testing.T) {
 			}
 			cat := sqlengine.NewCatalog()
 			cat.Register(task.Table)
-			res, err := cat.Query(task.GoldSQL)
-			if err != nil {
-				t.Fatalf("%s: gold SQL fails: %v\n%s", task.ID, err, task.GoldSQL)
-			}
-			if res == nil {
-				t.Fatalf("%s: nil result", task.ID)
-			}
+			mustDrain(t, cat, task.ID, task.GoldSQL)
 		}
+	}
+}
+
+// enterpriseRollups synthesizes the reporting mix for one warehouse table
+// from its schema alone: a grouped rollup, ranking and running-sum
+// windows, a searched-CASE banding, and a scalar-subquery filter against
+// the table's own average. Table names are digit-leading
+// (`20_business_tab_00`), legal only backtick-quoted.
+func enterpriseRollups(et EnterpriseTable) []string {
+	var dims, nums []string
+	for _, c := range et.Schema.Columns {
+		switch c.Type {
+		case "string":
+			dims = append(dims, c.Name)
+		case "double":
+			// A double leads the measures: they are synthesized in
+			// [100, 10000), so the 5000 banding threshold splits them.
+			nums = append([]string{c.Name}, nums...)
+		case "bigint":
+			nums = append(nums, c.Name)
+		}
+	}
+	if len(dims) == 0 || len(nums) == 0 {
+		return nil
+	}
+	t, d, m := "`"+et.Schema.Name+"`", dims[0], nums[0]
+	qs := []string{
+		fmt.Sprintf("SELECT %s, COUNT(*) AS n, SUM(%s) FROM %s GROUP BY %s ORDER BY n DESC", d, m, t, d),
+		fmt.Sprintf("SELECT %s, %s, RANK() OVER (PARTITION BY %s ORDER BY %s DESC) FROM %s", d, m, d, m, t),
+		fmt.Sprintf("SELECT %s, CASE WHEN %s > 5000.0 THEN 'high' ELSE 'low' END FROM %s", d, m, t),
+		fmt.Sprintf("SELECT %s FROM %s WHERE %s > (SELECT AVG(%s) FROM %s)", d, t, m, m, t),
+	}
+	if len(dims) > 1 {
+		qs = append(qs, fmt.Sprintf(
+			"SELECT %s, %s, SUM(%s) OVER (PARTITION BY %s ORDER BY %s) FROM %s",
+			dims[1], d, m, dims[1], m, t))
+	}
+	return qs
+}
+
+func TestEnterpriseRollupsExecute(t *testing.T) {
+	tables := GenerateEnterprise("exec-test", 8)
+	cat := sqlengine.NewCatalog()
+	for _, et := range tables {
+		cat.Register(et.Data)
+	}
+	queries, rows := 0, 0
+	for _, et := range tables {
+		for _, q := range enterpriseRollups(et) {
+			rows += mustDrain(t, cat, et.Schema.Name, q)
+			queries++
+		}
+	}
+	if queries < 4*len(tables) || rows == 0 {
+		t.Fatalf("%d rollups over %d tables returned %d rows", queries, len(tables), rows)
+	}
+}
+
+// TestNotebookSQLCellsExecute runs the generated notebook's extraction
+// cells against seeded topic tables, then the window-refined extraction
+// its queries ask for ("refining the %s extraction") on each topic.
+func TestNotebookSQLCellsExecute(t *testing.T) {
+	gnb, err := GenerateNotebook("exec-test", 140)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topics := []string{"sales", "orders", "traffic", "billing", "retention"}
+	regions := []string{"east", "west", "north", "south"}
+	cat := sqlengine.NewCatalog()
+	for ti, topic := range topics {
+		tb := table.MustNew(topic, []string{"region", "amount"}, []table.Kind{table.KindString, table.KindFloat})
+		for r := 0; r < 400; r++ {
+			tb.MustAppendRow(table.Str(regions[(r+ti)%len(regions)]), table.Float(float64((r*7919+ti*131)%20000)/100))
+		}
+		cat.Register(tb)
+	}
+	sqlCells := 0
+	for _, c := range gnb.Notebook.Cells() {
+		if c.Type == notebook.CellSQL {
+			mustDrain(t, cat, c.ID, c.Source)
+			sqlCells++
+		}
+	}
+	if sqlCells < 2 {
+		t.Fatalf("generated notebook carried only %d SQL cells", sqlCells)
+	}
+	for _, topic := range topics {
+		mustDrain(t, cat, topic, fmt.Sprintf(
+			"SELECT region, amount, ROW_NUMBER() OVER (PARTITION BY region ORDER BY amount DESC) AS rn FROM %s", topic))
 	}
 }
 

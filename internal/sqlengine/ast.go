@@ -392,3 +392,192 @@ func (s *SelectStmt) SQL() string {
 	}
 	return sb.String()
 }
+
+// eachExpr calls fn with a pointer to every expression slot of the
+// statement in clause order: select items, JOIN ON, WHERE, GROUP BY,
+// HAVING, ORDER BY (absent WHERE/HAVING are skipped). Analyses read
+// through the pointer; only a caller holding a private copy of the
+// statement and its clause slices may assign through it.
+func (s *SelectStmt) eachExpr(fn func(*Expr)) {
+	for i := range s.Items {
+		fn(&s.Items[i].Expr)
+	}
+	for i := range s.Joins {
+		fn(&s.Joins[i].On)
+	}
+	if s.Where != nil {
+		fn(&s.Where)
+	}
+	for i := range s.GroupBy {
+		fn(&s.GroupBy[i])
+	}
+	if s.Having != nil {
+		fn(&s.Having)
+	}
+	for i := range s.OrderBy {
+		fn(&s.OrderBy[i].Expr)
+	}
+}
+
+// walkExpr is the engine's one read-only traversal: it calls visit on e
+// and, when visit returns true, on every child expression in source
+// order — including a window call's PARTITION BY and ORDER BY keys, so an
+// analysis leaves a child out by returning false at its parent, never by
+// omission. A nested SELECT (Subquery.Stmt, In.Sub) is a scope of its
+// own — its columns, aggregates and windows resolve against its own FROM
+// — so the node holding it is visited and the statement inside is not.
+func walkExpr(e Expr, visit func(Expr) bool) {
+	if !visit(e) {
+		return
+	}
+	switch x := e.(type) {
+	case *Binary:
+		walkExpr(x.L, visit)
+		walkExpr(x.R, visit)
+	case *Unary:
+		walkExpr(x.X, visit)
+	case *FuncCall:
+		for _, a := range x.Args {
+			walkExpr(a, visit)
+		}
+		if x.Over != nil {
+			for _, p := range x.Over.PartitionBy {
+				walkExpr(p, visit)
+			}
+			for _, o := range x.Over.OrderBy {
+				walkExpr(o.Expr, visit)
+			}
+		}
+	case *In:
+		walkExpr(x.X, visit)
+		for _, v := range x.Values {
+			walkExpr(v, visit)
+		}
+	case *Between:
+		walkExpr(x.X, visit)
+		walkExpr(x.Lo, visit)
+		walkExpr(x.Hi, visit)
+	case *IsNull:
+		walkExpr(x.X, visit)
+	case *CaseExpr:
+		for _, w := range x.Whens {
+			walkExpr(w.Cond, visit)
+			walkExpr(w.Result, visit)
+		}
+		if x.Else != nil {
+			walkExpr(x.Else, visit)
+		}
+	}
+}
+
+// anyExpr reports whether match holds for any node of e, walking as
+// walkExpr does and stopping at the first hit. match returns whether the
+// node is a hit and, when it is not, whether to look under it. The answer
+// latches: once true, no later sibling is consulted.
+func anyExpr(e Expr, match func(Expr) (hit, descend bool)) bool {
+	found := false
+	walkExpr(e, func(e Expr) bool {
+		if found {
+			return false
+		}
+		var descend bool
+		found, descend = match(e)
+		return descend && !found
+	})
+	return found
+}
+
+// rewriteExpr is the engine's one rewriting traversal, over the same
+// children as walkExpr. f sees each node before its children and returns
+// the node to use in its place and whether to go on into that node's
+// children. Nothing is mutated: a parent is copied only when a child
+// under it changed, so an untouched subtree — and an untouched whole —
+// comes back pointer-identical. Cached statements are shared across
+// concurrent executions and window calls are map keys by node pointer;
+// both rely on that.
+func rewriteExpr(e Expr, f func(Expr) (Expr, bool)) Expr {
+	e, descend := f(e)
+	if !descend {
+		return e
+	}
+	switch x := e.(type) {
+	case *Binary:
+		if l, r := rewriteExpr(x.L, f), rewriteExpr(x.R, f); l != x.L || r != x.R {
+			return &Binary{Op: x.Op, L: l, R: r}
+		}
+	case *Unary:
+		if nx := rewriteExpr(x.X, f); nx != x.X {
+			return &Unary{Op: x.Op, X: nx}
+		}
+	case *FuncCall:
+		args, argsChanged := rewriteExprs(x.Args, f)
+		over := x.Over
+		if over != nil {
+			part, partChanged := rewriteExprs(over.PartitionBy, f)
+			order, orderChanged := over.OrderBy, false
+			for i, o := range over.OrderBy {
+				if ne := rewriteExpr(o.Expr, f); ne != o.Expr {
+					if !orderChanged {
+						order, orderChanged = append([]OrderItem(nil), over.OrderBy...), true
+					}
+					order[i].Expr = ne
+				}
+			}
+			if partChanged || orderChanged {
+				over = &WindowSpec{PartitionBy: part, OrderBy: order, Frame: over.Frame}
+			}
+		}
+		if argsChanged || over != x.Over {
+			return &FuncCall{Name: x.Name, Args: args, Distinct: x.Distinct, IsStar: x.IsStar, Over: over}
+		}
+	case *In:
+		nx := rewriteExpr(x.X, f)
+		vals, valsChanged := rewriteExprs(x.Values, f)
+		if nx != x.X || valsChanged {
+			return &In{X: nx, Values: vals, Sub: x.Sub, Not: x.Not}
+		}
+	case *Between:
+		nx, lo, hi := rewriteExpr(x.X, f), rewriteExpr(x.Lo, f), rewriteExpr(x.Hi, f)
+		if nx != x.X || lo != x.Lo || hi != x.Hi {
+			return &Between{X: nx, Lo: lo, Hi: hi, Not: x.Not}
+		}
+	case *IsNull:
+		if nx := rewriteExpr(x.X, f); nx != x.X {
+			return &IsNull{X: nx, Not: x.Not}
+		}
+	case *CaseExpr:
+		whens, changed := x.Whens, false
+		for i, w := range x.Whens {
+			cond, res := rewriteExpr(w.Cond, f), rewriteExpr(w.Result, f)
+			if cond != w.Cond || res != w.Result {
+				if !changed {
+					whens, changed = append([]WhenClause(nil), x.Whens...), true
+				}
+				whens[i] = WhenClause{Cond: cond, Result: res}
+			}
+		}
+		els := x.Else
+		if els != nil {
+			els = rewriteExpr(els, f)
+		}
+		if changed || els != x.Else {
+			return &CaseExpr{Whens: whens, Else: els}
+		}
+	}
+	return e
+}
+
+// rewriteExprs applies rewriteExpr to each element, copying the slice on
+// the first element that changes.
+func rewriteExprs(list []Expr, f func(Expr) (Expr, bool)) ([]Expr, bool) {
+	out, changed := list, false
+	for i, e := range list {
+		if ne := rewriteExpr(e, f); ne != e {
+			if !changed {
+				out, changed = append([]Expr(nil), list...), true
+			}
+			out[i] = ne
+		}
+	}
+	return out, changed
+}

@@ -313,31 +313,41 @@ func vrelFromSnapshot(s *table.Snapshot, qual string) *vrel {
 // Execute runs a parsed statement against the catalog with the vectorized
 // engine: columnar scans, selection-vector filtering, hash joins for
 // equi-join conditions and hash aggregation, parallelized over row and
-// group partitions through the bounded worker pool.
+// group partitions through the bounded worker pool. Statements with
+// placeholders must execute through Prepared.Exec/Bind (or Query, which
+// binds its own extracted literals); here they fail with an
+// unbound-parameter error.
 func (c *Catalog) Execute(stmt *SelectStmt) (*table.Table, error) {
-	return c.ExecuteCtx(context.Background(), stmt)
+	return c.executeCtxBound(context.Background(), stmt, nil)
 }
 
-// ExecuteCtx is Execute with cancellation: ctx is observed between pipeline
-// stages and between worker-pool chunks, so a cancelled context stops a
-// large scan, sort, or aggregation within one chunk's worth of work and
-// returns ctx.Err(). Statements with placeholders must execute through
-// Prepared.Exec/Bind (or Query, which binds its own extracted literals);
-// here they fail with an unbound-parameter error.
-func (c *Catalog) ExecuteCtx(ctx context.Context, stmt *SelectStmt) (*table.Table, error) {
-	return c.executeCtxBound(ctx, stmt, nil)
-}
-
-// executeCtxBound is ExecuteCtx with the execution's parameter bindings.
+// executeCtxBound is Execute with cancellation and the execution's
+// parameter bindings: ctx is observed between pipeline stages and between
+// worker-pool chunks, so a cancelled context stops a large scan, sort, or
+// aggregation within one chunk's worth of work and returns ctx.Err().
 func (c *Catalog) executeCtxBound(ctx context.Context, stmt *SelectStmt, binds []table.Value) (*table.Table, error) {
+	stmt, err := c.resolveInline(ctx, stmt, binds, false)
+	if err != nil {
+		return nil, err
+	}
+	return c.executeVecStmt(ctx, stmt, binds)
+}
+
+// resolveInline is the prologue every top-level execution shares: check
+// and resolve the bindings into the statement, then inline its subqueries
+// with the engine (scalar or vectorized) that runs the outer statement.
+func (c *Catalog) resolveInline(ctx context.Context, stmt *SelectStmt, binds []table.Value, scalar bool) (*SelectStmt, error) {
 	stmt, err := resolveBinds(stmt, binds)
 	if err != nil {
 		return nil, err
 	}
-	stmt, err = c.inlineSubqueries(ctx, stmt, binds, false)
-	if err != nil {
-		return nil, err
-	}
+	return c.inlineSubqueries(ctx, stmt, binds, scalar)
+}
+
+// executeVecStmt is the vectorized execution body after bind resolution
+// and subquery inlining — shared with subquery execution, like its scalar
+// counterpart executeScalarStmt.
+func (c *Catalog) executeVecStmt(ctx context.Context, stmt *SelectStmt, binds []table.Value) (*table.Table, error) {
 	rel, sel, grouped, err := c.scanFilter(ctx, stmt, binds)
 	if err != nil {
 		return nil, err
@@ -375,11 +385,7 @@ func (c *Catalog) ExecuteResult(ctx context.Context, stmt *SelectStmt) (*Result,
 // bindings: the shared execution core behind QueryCtx, Prepared.Exec and
 // Bound.Exec.
 func (c *Catalog) executeResultBound(ctx context.Context, stmt *SelectStmt, binds []table.Value) (*Result, error) {
-	stmt, err := resolveBinds(stmt, binds)
-	if err != nil {
-		return nil, err
-	}
-	stmt, err = c.inlineSubqueries(ctx, stmt, binds, false)
+	stmt, err := c.resolveInline(ctx, stmt, binds, false)
 	if err != nil {
 		return nil, err
 	}
@@ -660,62 +666,21 @@ func orderExprs(stmt *SelectStmt, items []SelectItem) []OrderItem {
 // aliases, and references inside aggregate arguments are left alone —
 // they resolve against the group's rows.
 func resolveHavingAliases(e Expr, items []SelectItem, s *relSchema) Expr {
-	switch x := e.(type) {
-	case *ColumnRef:
-		if x.Table == "" && s.findColumn(x) < 0 {
-			for _, it := range items {
-				if strings.EqualFold(it.OutputName(), x.Name) {
-					return it.Expr
+	return rewriteExpr(e, func(e Expr) (Expr, bool) {
+		switch x := e.(type) {
+		case *ColumnRef:
+			if x.Table == "" && s.findColumn(x) < 0 {
+				for _, it := range items {
+					if strings.EqualFold(it.OutputName(), x.Name) {
+						return it.Expr, false
+					}
 				}
 			}
+		case *FuncCall:
+			return e, !isAgg2(x.Name)
 		}
-		return x
-	case *FuncCall:
-		if isAgg2(x.Name) {
-			return x
-		}
-		nf := &FuncCall{Name: x.Name, Distinct: x.Distinct, IsStar: x.IsStar, Over: x.Over}
-		nf.Args = make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			nf.Args[i] = resolveHavingAliases(a, items, s)
-		}
-		return nf
-	case *Binary:
-		return &Binary{
-			Op: x.Op,
-			L:  resolveHavingAliases(x.L, items, s),
-			R:  resolveHavingAliases(x.R, items, s),
-		}
-	case *Unary:
-		return &Unary{Op: x.Op, X: resolveHavingAliases(x.X, items, s)}
-	case *Between:
-		return &Between{
-			X:   resolveHavingAliases(x.X, items, s),
-			Lo:  resolveHavingAliases(x.Lo, items, s),
-			Hi:  resolveHavingAliases(x.Hi, items, s),
-			Not: x.Not,
-		}
-	case *IsNull:
-		return &IsNull{X: resolveHavingAliases(x.X, items, s), Not: x.Not}
-	case *In:
-		ni := &In{X: resolveHavingAliases(x.X, items, s), Not: x.Not}
-		ni.Values = make([]Expr, len(x.Values))
-		for i, v := range x.Values {
-			ni.Values[i] = resolveHavingAliases(v, items, s)
-		}
-		return ni
-	case *CaseExpr:
-		nc := &CaseExpr{Whens: make([]WhenClause, len(x.Whens))}
-		for i, w := range x.Whens {
-			nc.Whens[i].Cond = resolveHavingAliases(w.Cond, items, s)
-			nc.Whens[i].Result = resolveHavingAliases(w.Result, items, s)
-		}
-		if x.Else != nil {
-			nc.Else = resolveHavingAliases(x.Else, items, s)
-		}
-		return nc
-	}
-	return e
+		return e, true
+	})
 }
 
 func selectHasAggregate(stmt *SelectStmt) bool {
@@ -728,49 +693,15 @@ func selectHasAggregate(stmt *SelectStmt) bool {
 }
 
 func exprHasAggregate(e Expr) bool {
-	switch x := e.(type) {
-	case *FuncCall:
-		if x.Over != nil {
-			// A window call is not a grouping aggregate, and its arguments
-			// cannot contain one (rejected at parse time).
-			return false
+	return anyExpr(e, func(e Expr) (bool, bool) {
+		fn, ok := e.(*FuncCall)
+		if !ok {
+			return false, true
 		}
-		if isAgg2(x.Name) {
-			return true
-		}
-		for _, a := range x.Args {
-			if exprHasAggregate(a) {
-				return true
-			}
-		}
-	case *Binary:
-		return exprHasAggregate(x.L) || exprHasAggregate(x.R)
-	case *Unary:
-		return exprHasAggregate(x.X)
-	case *In:
-		if exprHasAggregate(x.X) {
-			return true
-		}
-		for _, v := range x.Values {
-			if exprHasAggregate(v) {
-				return true
-			}
-		}
-	case *Between:
-		return exprHasAggregate(x.X) || exprHasAggregate(x.Lo) || exprHasAggregate(x.Hi)
-	case *IsNull:
-		return exprHasAggregate(x.X)
-	case *CaseExpr:
-		for _, w := range x.Whens {
-			if exprHasAggregate(w.Cond) || exprHasAggregate(w.Result) {
-				return true
-			}
-		}
-		if x.Else != nil {
-			return exprHasAggregate(x.Else)
-		}
-	}
-	return false
+		// A window call is not a grouping aggregate, and its arguments
+		// and spec cannot contain one (rejected at parse time).
+		return fn.Over == nil && isAgg2(fn.Name), fn.Over == nil
+	})
 }
 
 // executePlainVec projects the selected rows column-at-a-time.
@@ -782,7 +713,7 @@ func executePlainVec(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *tabl
 	// Window columns are computed once over the full selection before any
 	// item evaluation; item and ORDER BY expressions then read them via
 	// rel.win (evalVec's FuncCall case and vecRowEnv.resolveWindow).
-	if wins := statementWindows(stmt, items, order); len(wins) > 0 {
+	if wins := statementWindows(items, order); len(wins) > 0 {
 		win, err := computeWindowsVec(wins, rel, sel)
 		if err != nil {
 			return nil, err

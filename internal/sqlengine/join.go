@@ -137,75 +137,21 @@ func (k *joinKeepSet) keeps(qual, name string) bool {
 // resolve to select items, which are walked already.
 func referencedOutputColumns(stmt *SelectStmt) *joinKeepSet {
 	k := &joinKeepSet{quals: map[string]bool{}, names: map[string]bool{}}
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case Star:
-			k.all = true
-		case *ColumnRef:
-			if x.Name == "*" {
-				k.quals[strings.ToLower(x.Table)] = true
-				return
-			}
-			k.names[strings.ToLower(x.Name)] = true
-		case *Binary:
-			walk(x.L)
-			walk(x.R)
-		case *Unary:
-			walk(x.X)
-		case *FuncCall:
-			for _, a := range x.Args {
-				walk(a)
-			}
-			if x.Over != nil {
-				// Window partition and sort keys read the joined relation
-				// even when they appear nowhere else in the statement.
-				for _, p := range x.Over.PartitionBy {
-					walk(p)
-				}
-				for _, o := range x.Over.OrderBy {
-					walk(o.Expr)
+	stmt.eachExpr(func(p *Expr) {
+		walkExpr(*p, func(e Expr) bool {
+			switch x := e.(type) {
+			case Star:
+				k.all = true
+			case *ColumnRef:
+				if x.Name == "*" {
+					k.quals[strings.ToLower(x.Table)] = true
+				} else {
+					k.names[strings.ToLower(x.Name)] = true
 				}
 			}
-		case *In:
-			walk(x.X)
-			for _, v := range x.Values {
-				walk(v)
-			}
-		case *Between:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *IsNull:
-			walk(x.X)
-		case *CaseExpr:
-			for _, w := range x.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			if x.Else != nil {
-				walk(x.Else)
-			}
-		}
-	}
-	for _, it := range stmt.Items {
-		walk(it.Expr)
-	}
-	for _, j := range stmt.Joins {
-		walk(j.On)
-	}
-	if stmt.Where != nil {
-		walk(stmt.Where)
-	}
-	for _, g := range stmt.GroupBy {
-		walk(g)
-	}
-	if stmt.Having != nil {
-		walk(stmt.Having)
-	}
-	for _, o := range stmt.OrderBy {
-		walk(o.Expr)
-	}
+			return true
+		})
+	})
 	if k.all {
 		return nil
 	}
@@ -481,7 +427,7 @@ func residualMask(residual []Expr, left, right *vrel, schema *relSchema, lidx, r
 		}
 		rel := &vrel{relSchema: *schema, nrows: m, binds: left.binds}
 		rel.cols = make([]table.Column, len(schema.names))
-		for _, ci := range referencedColumns([]Expr{cj}, schema) {
+		for _, ci := range referencedColumns(cj, schema) {
 			if ci < nl {
 				rel.cols[ci] = left.cols[ci].Gather(curL)
 			} else {
@@ -512,54 +458,22 @@ func residualMask(residual []Expr, left, right *vrel, schema *relSchema, lidx, r
 	return pass, nil
 }
 
-// referencedColumns resolves every column reference in the expressions to
-// its index in the schema, deduplicated; unresolvable references are
-// skipped (evaluation reports them as unknown-column errors, identically
-// to the scalar path).
-func referencedColumns(exprs []Expr, schema *relSchema) []int {
+// referencedColumns resolves every column reference in e to its index in
+// the schema, deduplicated; unresolvable references are skipped
+// (evaluation reports them as unknown-column errors, identically to the
+// scalar path).
+func referencedColumns(e Expr, schema *relSchema) []int {
 	seen := make(map[int]bool)
 	var out []int
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case *ColumnRef:
+	walkExpr(e, func(e Expr) bool {
+		if x, ok := e.(*ColumnRef); ok {
 			if ci := schema.findColumn(x); ci >= 0 && !seen[ci] {
 				seen[ci] = true
 				out = append(out, ci)
 			}
-		case *Binary:
-			walk(x.L)
-			walk(x.R)
-		case *Unary:
-			walk(x.X)
-		case *FuncCall:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *In:
-			walk(x.X)
-			for _, v := range x.Values {
-				walk(v)
-			}
-		case *Between:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *IsNull:
-			walk(x.X)
-		case *CaseExpr:
-			for _, w := range x.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			if x.Else != nil {
-				walk(x.Else)
-			}
 		}
-	}
-	for _, e := range exprs {
-		walk(e)
-	}
+		return true
+	})
 	return out
 }
 

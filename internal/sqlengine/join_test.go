@@ -93,6 +93,37 @@ func TestJoinFullOuterSQL(t *testing.T) {
 	}
 }
 
+// TestJoinNullKeysNeverMatchSQL pins NULL = NULL as not-a-match on both
+// typed hash paths (string keys, int keys) and in the scalar reference: a
+// NULL-keyed row never pairs with the other side's NULL-keyed row, and
+// only outer padding carries it through.
+func TestJoinNullKeysNeverMatchSQL(t *testing.T) {
+	c := NewCatalog()
+	for _, name := range []string{"l", "r"} {
+		tb := table.MustNew(name, []string{"s", "n", "tag"}, []table.Kind{table.KindString, table.KindInt, table.KindString})
+		tb.MustAppendRow(table.Null(), table.Null(), table.Str(name+"_nullkey"))
+		tb.MustAppendRow(table.Str("a"), table.Int(1), table.Str(name+"_a"))
+		c.Register(tb)
+	}
+	for _, key := range []string{"s", "n"} {
+		for _, tc := range []struct {
+			join string
+			rows int
+		}{{"JOIN", 1}, {"LEFT JOIN", 2}, {"RIGHT JOIN", 2}, {"FULL OUTER JOIN", 3}} {
+			q := fmt.Sprintf("SELECT l.tag, r.tag FROM l %s r ON l.%s = r.%s", tc.join, key, key)
+			res := queryBoth(t, c, q)
+			if res.NumRows() != tc.rows {
+				t.Errorf("%s: rows = %d, want %d\n%s", q, res.NumRows(), tc.rows, dumpTable(res))
+			}
+			for i := 0; i < res.NumRows(); i++ {
+				if row := res.Row(i); row[0].S == "l_nullkey" && row[1].S == "r_nullkey" {
+					t.Errorf("%s: NULL keys matched each other", q)
+				}
+			}
+		}
+	}
+}
+
 func TestJoinMultiMatchResidual(t *testing.T) {
 	c := joinTestCatalog(8)
 	// Each probe row has 3 fanout candidates; the residual keeps those

@@ -302,13 +302,7 @@ func validateSelect(stmt *SelectStmt) error {
 	if stmt.Having != nil && exprHasWindow(stmt.Having) {
 		return fmt.Errorf("sql: window functions are not allowed in HAVING")
 	}
-	var wins []*FuncCall
-	for _, it := range stmt.Items {
-		wins = collectWindowCalls(it.Expr, wins)
-	}
-	for _, o := range stmt.OrderBy {
-		wins = collectWindowCalls(o.Expr, wins)
-	}
+	wins := statementWindows(stmt.Items, stmt.OrderBy)
 	if len(wins) == 0 {
 		return nil
 	}

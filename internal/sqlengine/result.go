@@ -146,11 +146,6 @@ func (r *Result) Rewind() error {
 	return nil
 }
 
-// Reset rewinds the cursor so the result can be iterated again. It is a
-// no-op on a closed Result; callers that need to observe that condition
-// should use Rewind.
-func (r *Result) Reset() { _ = r.Rewind() }
-
 // Close releases the cursor's references to its column storage and
 // selection — for lazy results, the pin on the catalog snapshot they were
 // executed against. After Close, Next returns nil, Err and Rewind return

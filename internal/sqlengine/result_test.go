@@ -102,9 +102,11 @@ func TestResultMatchesTableExecutor(t *testing.T) {
 			if got := dumpResult(res); got != want {
 				t.Errorf("rows=%d query %q: batch iteration mismatch\n-- result --\n%s\n-- table --\n%s", rows, q, got, want)
 			}
-			res.Reset()
+			if err := res.Rewind(); err != nil {
+				t.Fatalf("rows=%d query %q: Rewind: %v", rows, q, err)
+			}
 			if got := dumpResult(res); got != want {
-				t.Errorf("rows=%d query %q: mismatch after Reset", rows, q)
+				t.Errorf("rows=%d query %q: mismatch after Rewind", rows, q)
 			}
 			strs := res.Strings()
 			if len(strs) != tbl.NumRows() {

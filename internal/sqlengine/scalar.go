@@ -220,11 +220,7 @@ func (c *Catalog) ExecuteScalar(stmt *SelectStmt) (*table.Table, error) {
 // ExecuteScalarBound is ExecuteScalar with the execution's parameter
 // bindings — the scalar half of the bind-vs-inline differential harness.
 func (c *Catalog) ExecuteScalarBound(stmt *SelectStmt, binds []table.Value) (*table.Table, error) {
-	stmt, err := resolveBinds(stmt, binds)
-	if err != nil {
-		return nil, err
-	}
-	stmt, err = c.inlineSubqueries(context.Background(), stmt, binds, true)
+	stmt, err := c.resolveInline(context.Background(), stmt, binds, true)
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +425,7 @@ func outputNames(items []SelectItem) []string {
 func executePlainScalar(stmt *SelectStmt, rel *srel) (*table.Table, error) {
 	items := expandItems(stmt, &rel.relSchema)
 	order := orderExprs(stmt, items)
-	win, err := computeWindowsScalar(rel, statementWindows(stmt, items, order))
+	win, err := computeWindowsScalar(rel, statementWindows(items, order))
 	if err != nil {
 		return nil, err
 	}

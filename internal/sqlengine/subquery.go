@@ -10,12 +10,12 @@ import (
 // Subquery execution by inlining. Uncorrelated subqueries — scalar
 // `(SELECT ...)` expressions and `IN (SELECT ...)` membership — execute
 // once per statement execution, before the outer scan, and their results
-// replace the subquery node in a copy-on-write rewrite of the statement:
-// a scalar subquery becomes a Literal (NULL over zero rows; an error over
-// more than one), an IN subquery becomes its literal value list. The
-// rewrite copies only the spine above a subquery, so shared cached
-// statements are never mutated and window-call node pointers (used as
-// map keys during execution) survive untouched.
+// replace the subquery node in a copy-on-write rewrite of the statement
+// (rewriteExpr): a scalar subquery becomes a Literal (NULL over zero rows;
+// an error over more than one), an IN subquery becomes its literal value
+// list. The rewrite copies only the spine above a subquery, so shared
+// cached statements are never mutated and window-call node pointers (used
+// as map keys during execution) survive untouched.
 //
 // Each engine inlines with itself (the scalar reference executes
 // subqueries through the scalar path, the vectorized engine through the
@@ -26,269 +26,106 @@ import (
 // newer snapshot than the outer scan — callers needing a fixed view run
 // against a frozen catalog, as the differential tests do.
 
-// exprHasSubquery reports whether e contains a subquery. Window specs
-// cannot contain subqueries (rejected at parse time), so they are not
-// walked.
+// exprHasSubquery reports whether e contains a subquery of either form.
 func exprHasSubquery(e Expr) bool {
-	switch x := e.(type) {
-	case *Subquery:
-		return true
-	case *In:
-		if x.Sub != nil {
-			return true
+	return anyExpr(e, func(e Expr) (bool, bool) {
+		switch x := e.(type) {
+		case *Subquery:
+			return true, false
+		case *In:
+			return x.Sub != nil, true
 		}
-		if exprHasSubquery(x.X) {
-			return true
-		}
-		for _, v := range x.Values {
-			if exprHasSubquery(v) {
-				return true
-			}
-		}
-	case *Binary:
-		return exprHasSubquery(x.L) || exprHasSubquery(x.R)
-	case *Unary:
-		return exprHasSubquery(x.X)
-	case *Between:
-		return exprHasSubquery(x.X) || exprHasSubquery(x.Lo) || exprHasSubquery(x.Hi)
-	case *IsNull:
-		return exprHasSubquery(x.X)
-	case *CaseExpr:
-		for _, w := range x.Whens {
-			if exprHasSubquery(w.Cond) || exprHasSubquery(w.Result) {
-				return true
-			}
-		}
-		if x.Else != nil {
-			return exprHasSubquery(x.Else)
-		}
-	case *FuncCall:
-		for _, a := range x.Args {
-			if exprHasSubquery(a) {
-				return true
-			}
-		}
-	}
-	return false
+		return false, true
+	})
 }
 
 func stmtHasSubquery(stmt *SelectStmt) bool {
-	for _, it := range stmt.Items {
-		if exprHasSubquery(it.Expr) {
-			return true
-		}
-	}
-	for _, j := range stmt.Joins {
-		if exprHasSubquery(j.On) {
-			return true
-		}
-	}
-	if stmt.Where != nil && exprHasSubquery(stmt.Where) {
-		return true
-	}
-	for _, g := range stmt.GroupBy {
-		if exprHasSubquery(g) {
-			return true
-		}
-	}
-	if stmt.Having != nil && exprHasSubquery(stmt.Having) {
-		return true
-	}
-	for _, o := range stmt.OrderBy {
-		if exprHasSubquery(o.Expr) {
-			return true
-		}
-	}
-	return false
+	found := false
+	stmt.eachExpr(func(p *Expr) { found = found || exprHasSubquery(*p) })
+	return found
 }
 
 // inlineSubqueries executes every subquery of the statement and returns a
-// copy with their results substituted; statements without subqueries come
-// back unchanged (same pointer). scalar selects which engine executes the
-// subqueries.
+// copy with their results substituted — a scalar subquery by a Literal, an
+// IN subquery by its literal value list; statements without subqueries
+// come back unchanged (same pointer). Execution stops at the first error.
+// scalar selects which engine executes the subqueries.
 func (c *Catalog) inlineSubqueries(ctx context.Context, stmt *SelectStmt, binds []table.Value, scalar bool) (*SelectStmt, error) {
 	if !stmtHasSubquery(stmt) {
 		return stmt, nil
 	}
-	rw := func(e Expr) (Expr, error) { return c.rewriteSubqueries(ctx, e, binds, scalar) }
-	cp := *stmt
-	cp.Items = append([]SelectItem(nil), stmt.Items...)
-	for i := range cp.Items {
-		ne, err := rw(cp.Items[i].Expr)
+	var err error
+	var inline func(Expr) (Expr, bool)
+	inline = func(e Expr) (Expr, bool) {
 		if err != nil {
-			return nil, err
+			return e, false
 		}
-		cp.Items[i].Expr = ne
-	}
-	if len(stmt.Joins) > 0 {
-		cp.Joins = append([]JoinClause(nil), stmt.Joins...)
-		for i := range cp.Joins {
-			ne, err := rw(cp.Joins[i].On)
-			if err != nil {
-				return nil, err
+		switch x := e.(type) {
+		case *Subquery:
+			var vals []table.Value
+			if vals, err = c.execSubquery(ctx, x.Stmt, binds, scalar); err != nil {
+				return e, false
 			}
-			cp.Joins[i].On = ne
-		}
-	}
-	if stmt.Where != nil {
-		ne, err := rw(stmt.Where)
-		if err != nil {
-			return nil, err
-		}
-		cp.Where = ne
-	}
-	if len(stmt.GroupBy) > 0 {
-		cp.GroupBy = append([]Expr(nil), stmt.GroupBy...)
-		for i := range cp.GroupBy {
-			ne, err := rw(cp.GroupBy[i])
-			if err != nil {
-				return nil, err
+			if len(vals) > 1 {
+				err = fmt.Errorf("sql: scalar subquery returned %d rows, want at most 1", len(vals))
+				return e, false
 			}
-			cp.GroupBy[i] = ne
-		}
-	}
-	if stmt.Having != nil {
-		ne, err := rw(stmt.Having)
-		if err != nil {
-			return nil, err
-		}
-		cp.Having = ne
-	}
-	if len(stmt.OrderBy) > 0 {
-		cp.OrderBy = append([]OrderItem(nil), stmt.OrderBy...)
-		for i := range cp.OrderBy {
-			ne, err := rw(cp.OrderBy[i].Expr)
-			if err != nil {
-				return nil, err
+			v := table.Null()
+			if len(vals) == 1 {
+				v = vals[0]
 			}
-			cp.OrderBy[i].Expr = ne
-		}
-	}
-	return &cp, nil
-}
-
-// rewriteSubqueries replaces every subquery under e with its executed
-// result, copying only nodes on the path to a subquery — subtrees without
-// one keep their identity.
-func (c *Catalog) rewriteSubqueries(ctx context.Context, e Expr, binds []table.Value, scalar bool) (Expr, error) {
-	if !exprHasSubquery(e) {
-		return e, nil
-	}
-	rw := func(e Expr) (Expr, error) { return c.rewriteSubqueries(ctx, e, binds, scalar) }
-	switch x := e.(type) {
-	case *Subquery:
-		vals, err := c.execSubquery(ctx, x.Stmt, binds, scalar)
-		if err != nil {
-			return nil, err
-		}
-		if len(vals) > 1 {
-			return nil, fmt.Errorf("sql: scalar subquery returned %d rows, want at most 1", len(vals))
-		}
-		v := table.Null()
-		if len(vals) == 1 {
-			v = vals[0]
-		}
-		return &Literal{Value: v}, nil
-	case *In:
-		nx, err := rw(x.X)
-		if err != nil {
-			return nil, err
-		}
-		if x.Sub != nil {
-			vals, err := c.execSubquery(ctx, x.Sub, binds, scalar)
+			return &Literal{Value: v}, false
+		case *In:
+			if x.Sub == nil {
+				return e, true
+			}
+			// Left operand first, then the list: evaluation order.
+			nx := rewriteExpr(x.X, inline)
 			if err != nil {
-				return nil, err
+				return e, false
+			}
+			var vals []table.Value
+			if vals, err = c.execSubquery(ctx, x.Sub, binds, scalar); err != nil {
+				return e, false
 			}
 			lits := make([]Expr, len(vals))
 			for i, v := range vals {
 				lits[i] = &Literal{Value: v}
 			}
-			return &In{X: nx, Values: lits, Not: x.Not}, nil
+			return &In{X: nx, Values: lits, Not: x.Not}, false
 		}
-		nvals := make([]Expr, len(x.Values))
-		for i, v := range x.Values {
-			if nvals[i], err = rw(v); err != nil {
-				return nil, err
-			}
-		}
-		return &In{X: nx, Values: nvals, Not: x.Not}, nil
-	case *Binary:
-		nl, err := rw(x.L)
-		if err != nil {
-			return nil, err
-		}
-		nr, err := rw(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &Binary{Op: x.Op, L: nl, R: nr}, nil
-	case *Unary:
-		nx, err := rw(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: x.Op, X: nx}, nil
-	case *Between:
-		nx, err := rw(x.X)
-		if err != nil {
-			return nil, err
-		}
-		nlo, err := rw(x.Lo)
-		if err != nil {
-			return nil, err
-		}
-		nhi, err := rw(x.Hi)
-		if err != nil {
-			return nil, err
-		}
-		return &Between{X: nx, Lo: nlo, Hi: nhi, Not: x.Not}, nil
-	case *IsNull:
-		nx, err := rw(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNull{X: nx, Not: x.Not}, nil
-	case *CaseExpr:
-		nc := &CaseExpr{Whens: make([]WhenClause, len(x.Whens))}
-		for i, w := range x.Whens {
-			var err error
-			if nc.Whens[i].Cond, err = rw(w.Cond); err != nil {
-				return nil, err
-			}
-			if nc.Whens[i].Result, err = rw(w.Result); err != nil {
-				return nil, err
-			}
-		}
-		if x.Else != nil {
-			var err error
-			if nc.Else, err = rw(x.Else); err != nil {
-				return nil, err
-			}
-		}
-		return nc, nil
-	case *FuncCall:
-		nf := &FuncCall{Name: x.Name, Distinct: x.Distinct, IsStar: x.IsStar, Over: x.Over}
-		nf.Args = make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			var err error
-			if nf.Args[i], err = rw(a); err != nil {
-				return nil, err
-			}
-		}
-		return nf, nil
+		return e, true
 	}
-	return e, nil
+	cp := *stmt
+	cp.Items = append([]SelectItem(nil), stmt.Items...)
+	cp.Joins = append([]JoinClause(nil), stmt.Joins...)
+	cp.GroupBy = append([]Expr(nil), stmt.GroupBy...)
+	cp.OrderBy = append([]OrderItem(nil), stmt.OrderBy...)
+	cp.eachExpr(func(p *Expr) { *p = rewriteExpr(*p, inline) })
+	if err != nil {
+		return nil, err
+	}
+	return &cp, nil
 }
 
 // execSubquery runs one subquery through the selected engine and returns
-// its single output column as values, in result row order.
+// its single output column as values, in result row order. The outer
+// binding slice passes through unchecked (the subquery declares no slots
+// of its own), and nested subqueries inline recursively.
 func (c *Catalog) execSubquery(ctx context.Context, sub *SelectStmt, binds []table.Value, scalar bool) ([]table.Value, error) {
+	sub, err := resolveBindsLoose(sub, binds)
+	if err != nil {
+		return nil, err
+	}
+	sub, err = c.inlineSubqueries(ctx, sub, binds, scalar)
+	if err != nil {
+		return nil, err
+	}
 	var out *table.Table
-	var err error
 	if scalar {
-		out, err = c.executeScalarSub(ctx, sub, binds)
+		out, err = c.executeScalarStmt(sub, binds)
 	} else {
-		out, err = c.executeVecSub(ctx, sub, binds)
+		out, err = c.executeVecStmt(ctx, sub, binds)
 	}
 	if err != nil {
 		return nil, err
@@ -302,36 +139,4 @@ func (c *Catalog) execSubquery(ctx context.Context, sub *SelectStmt, binds []tab
 		vals[i] = col.Value(i)
 	}
 	return vals, nil
-}
-
-// executeVecSub executes a subquery statement with the vectorized engine.
-// The outer binding slice passes through unchecked (the subquery declares
-// no slots of its own), and nested subqueries inline recursively.
-func (c *Catalog) executeVecSub(ctx context.Context, sub *SelectStmt, binds []table.Value) (*table.Table, error) {
-	sub, err := resolveBindsLoose(sub, binds)
-	if err != nil {
-		return nil, err
-	}
-	sub, err = c.inlineSubqueries(ctx, sub, binds, false)
-	if err != nil {
-		return nil, err
-	}
-	rel, sel, grouped, err := c.scanFilter(ctx, sub, binds)
-	if err != nil {
-		return nil, err
-	}
-	return executeMaterialized(ctx, sub, rel, sel, grouped)
-}
-
-// executeScalarSub is executeVecSub for the scalar reference engine.
-func (c *Catalog) executeScalarSub(ctx context.Context, sub *SelectStmt, binds []table.Value) (*table.Table, error) {
-	sub, err := resolveBindsLoose(sub, binds)
-	if err != nil {
-		return nil, err
-	}
-	sub, err = c.inlineSubqueries(ctx, sub, binds, true)
-	if err != nil {
-		return nil, err
-	}
-	return c.executeScalarStmt(sub, binds)
 }

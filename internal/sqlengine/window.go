@@ -28,71 +28,41 @@ import (
 // parse time) nor into subqueries (their windows belong to the inner
 // statement).
 func collectWindowCalls(e Expr, dst []*FuncCall) []*FuncCall {
-	switch x := e.(type) {
-	case *FuncCall:
-		if x.Over != nil {
-			for _, f := range dst {
-				if f == x {
-					return dst
-				}
+	walkExpr(e, func(e Expr) bool {
+		fn, ok := e.(*FuncCall)
+		if !ok || fn.Over == nil {
+			return true
+		}
+		for _, f := range dst {
+			if f == fn {
+				return false
 			}
-			return append(dst, x)
 		}
-		for _, a := range x.Args {
-			dst = collectWindowCalls(a, dst)
-		}
-	case *Binary:
-		dst = collectWindowCalls(x.L, dst)
-		dst = collectWindowCalls(x.R, dst)
-	case *Unary:
-		dst = collectWindowCalls(x.X, dst)
-	case *In:
-		dst = collectWindowCalls(x.X, dst)
-		for _, v := range x.Values {
-			dst = collectWindowCalls(v, dst)
-		}
-	case *Between:
-		dst = collectWindowCalls(x.X, dst)
-		dst = collectWindowCalls(x.Lo, dst)
-		dst = collectWindowCalls(x.Hi, dst)
-	case *IsNull:
-		dst = collectWindowCalls(x.X, dst)
-	case *CaseExpr:
-		for _, w := range x.Whens {
-			dst = collectWindowCalls(w.Cond, dst)
-			dst = collectWindowCalls(w.Result, dst)
-		}
-		if x.Else != nil {
-			dst = collectWindowCalls(x.Else, dst)
-		}
-	}
+		dst = append(dst, fn)
+		return false
+	})
 	return dst
 }
 
 // exprHasWindow reports whether e contains a window function call.
 func exprHasWindow(e Expr) bool {
-	return len(collectWindowCalls(e, nil)) > 0
+	return anyExpr(e, func(e Expr) (bool, bool) {
+		fn, ok := e.(*FuncCall)
+		return ok && fn.Over != nil, true
+	})
 }
 
 // selectHasWindow reports whether the statement computes any window
-// function (select list or ORDER BY).
+// function (parsing admits them in the select list and ORDER BY only).
 func selectHasWindow(stmt *SelectStmt) bool {
-	for _, it := range stmt.Items {
-		if exprHasWindow(it.Expr) {
-			return true
-		}
-	}
-	for _, o := range stmt.OrderBy {
-		if exprHasWindow(o.Expr) {
-			return true
-		}
-	}
-	return false
+	found := false
+	stmt.eachExpr(func(p *Expr) { found = found || exprHasWindow(*p) })
+	return found
 }
 
-// statementWindows returns the window calls of the statement in select-
-// list-then-ORDER-BY order, deduplicated by node pointer.
-func statementWindows(stmt *SelectStmt, items []SelectItem, order []OrderItem) []*FuncCall {
+// statementWindows returns the window calls of a select list and ORDER BY
+// in that order, deduplicated by node pointer.
+func statementWindows(items []SelectItem, order []OrderItem) []*FuncCall {
 	var wins []*FuncCall
 	for _, it := range items {
 		wins = collectWindowCalls(it.Expr, wins)

@@ -1,9 +1,6 @@
 package table
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // JoinKind selects the join semantics.
 type JoinKind uint8
@@ -41,9 +38,8 @@ func (k JoinKind) String() string {
 // parallel per-side row-index lists plus explicit null masks for
 // outer-join padding — never -1 sentinel indices. A nil mask means that
 // side can never be padded by the join's kind (and its index list is a
-// candidate for span-form gathering when strictly ascending). Shared by
-// Table.Join and the SQL engine's parallel join pipeline, so the
-// pair-emission and sweep bookkeeping exist exactly once.
+// candidate for span-form gathering when strictly ascending). The SQL
+// engine's parallel join pipeline builds one per probe chunk.
 type JoinPairs struct {
 	Lidx  []int
 	Ridx  []int
@@ -132,95 +128,12 @@ func (p *JoinPairs) SweepUnmatchedRight(nright int) {
 	}
 }
 
-// Join hash-joins t (left) with right on leftCol = rightCol. Output columns
-// are all left columns followed by all right columns; name collisions on the
-// right are disambiguated with the right table's name as a prefix.
-//
-// The join materializes matched (left, right) row-index pairs and then
-// gathers each output column in one pass over columnar storage, with typed
-// fast paths for int and string keys that avoid boxing and key-string
-// allocation entirely. Outer-join padding is carried as an explicit null
-// mask handed to GatherPairs, not as sentinel indices.
-func (t *Table) Join(right *Table, leftCol, rightCol string, kind JoinKind) (*Table, error) {
-	li := t.ColumnIndex(leftCol)
-	if li < 0 {
-		return nil, fmt.Errorf("join: unknown left column %q on %s", leftCol, t.Name)
-	}
-	ri := right.ColumnIndex(rightCol)
-	if ri < 0 {
-		return nil, fmt.Errorf("join: unknown right column %q on %s", rightCol, right.Name)
-	}
-
-	pairs := hashJoinPairs(&t.Columns[li], &right.Columns[ri], kind)
-
-	out := &Table{Name: t.Name + "_" + right.Name}
-	taken := make(map[string]bool, len(t.Columns)+len(right.Columns))
-	for i := range t.Columns {
-		taken[strings.ToLower(t.Columns[i].Name)] = true
-		out.Columns = append(out.Columns, t.Columns[i].GatherPairs(pairs.Lidx, pairs.Lnull))
-	}
-	for i := range right.Columns {
-		name := right.Columns[i].Name
-		if taken[strings.ToLower(name)] {
-			name = right.Name + "." + right.Columns[i].Name
-		}
-		taken[strings.ToLower(name)] = true
-		col := right.Columns[i].GatherPairs(pairs.Ridx, pairs.Rnull)
-		col.Name = name
-		out.Columns = append(out.Columns, col)
-	}
-	return out, nil
-}
-
-// hashJoinPairs computes the pair list for a single-key equi-join on
-// lc = rc. Inner, left, and full joins probe left rows in order; right
-// joins probe right rows in order, so their output follows the preserved
-// (right) side. Full joins sweep the unmatched right rows after the
-// probe, in ascending right-row order.
-func hashJoinPairs(lc, rc *Column, kind JoinKind) *JoinPairs {
-	pairs := NewJoinPairs(kind)
-
-	if kind == JoinRight {
-		probe := NewHashProbe([]*Column{rc}, []*Column{lc})
-		for r, n := 0, rc.Len(); r < n; r++ {
-			matches := probe(r)
-			if len(matches) == 0 {
-				pairs.PadLeft(r)
-				continue
-			}
-			for _, l := range matches {
-				pairs.Match(l, r)
-			}
-		}
-		return pairs
-	}
-
-	probe := NewHashProbe([]*Column{lc}, []*Column{rc})
-	for l, n := 0, lc.Len(); l < n; l++ {
-		matches := probe(l)
-		if len(matches) == 0 {
-			if kind != JoinInner {
-				pairs.PadRight(l)
-			}
-			continue
-		}
-		for _, r := range matches {
-			pairs.Match(l, r)
-		}
-	}
-	if kind == JoinFull {
-		pairs.SweepUnmatchedRight(rc.Len())
-	}
-	return pairs
-}
-
 // NewHashProbe builds a hash index over the key columns of the right side
 // and returns a probe from a left-row index to the matching right rows.
 // lcols and rcols pair up positionally (lcols[i] = rcols[i]); a NULL in any
 // key column never matches. Single typed int and string keys use typed
 // maps; composite or mixed keys hash concatenated canonical Value keys, so
 // numeric kinds unify (an int column still joins against a float column).
-// Shared by table.Join and the SQL engine's hash equi-join.
 func NewHashProbe(lcols, rcols []*Column) func(leftRow int) []int {
 	if len(lcols) == 1 {
 		left, right := lcols[0], rcols[0]
@@ -286,21 +199,4 @@ func NewHashProbe(lcols, rcols []*Column) func(leftRow int) []int {
 		}
 		return index[k]
 	}
-}
-
-// Concat appends the rows of other to a copy of t. Schemas must match in
-// arity; columns align positionally and values are coerced to t's kinds.
-func (t *Table) Concat(other *Table) (*Table, error) {
-	if t.NumCols() != other.NumCols() {
-		return nil, fmt.Errorf("concat: %d vs %d columns", t.NumCols(), other.NumCols())
-	}
-	out := t.Clone()
-	for i := range out.Columns {
-		src := &other.Columns[i]
-		out.Columns[i].Grow(src.Len())
-		for r, m := 0, src.Len(); r < m; r++ {
-			out.Columns[i].Append(src.Value(r).Coerce(out.Columns[i].Kind))
-		}
-	}
-	return out, nil
 }

@@ -231,102 +231,6 @@ func TestGroupByMedianAndStdDev(t *testing.T) {
 	}
 }
 
-func TestJoinInner(t *testing.T) {
-	left := MustNew("orders", []string{"id", "cust"}, []Kind{KindInt, KindString})
-	left.MustAppendRow(Int(1), Str("alice"))
-	left.MustAppendRow(Int(2), Str("bob"))
-	left.MustAppendRow(Int(3), Str("carol"))
-	right := MustNew("custs", []string{"name", "tier"}, []Kind{KindString, KindString})
-	right.MustAppendRow(Str("alice"), Str("gold"))
-	right.MustAppendRow(Str("bob"), Str("silver"))
-
-	j, err := left.Join(right, "cust", "name", JoinInner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.NumRows() != 2 {
-		t.Fatalf("inner join rows = %d, want 2", j.NumRows())
-	}
-	if j.Get(0, "tier").S != "gold" {
-		t.Errorf("joined tier = %v", j.Get(0, "tier"))
-	}
-}
-
-func TestJoinLeftKeepsUnmatched(t *testing.T) {
-	left := MustNew("l", []string{"k"}, []Kind{KindInt})
-	left.MustAppendRow(Int(1))
-	left.MustAppendRow(Int(9))
-	right := MustNew("r", []string{"k", "v"}, []Kind{KindInt, KindString})
-	right.MustAppendRow(Int(1), Str("hit"))
-
-	j, err := left.Join(right, "k", "k", JoinLeft)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.NumRows() != 2 {
-		t.Fatalf("left join rows = %d, want 2", j.NumRows())
-	}
-	if !j.Get(1, "v").IsNull() {
-		t.Errorf("unmatched right value should be NULL, got %v", j.Get(1, "v"))
-	}
-	// Collided key column gets a prefixed name.
-	if j.ColumnIndex("r.k") < 0 {
-		t.Errorf("expected disambiguated column r.k, have %v", j.ColumnNames())
-	}
-}
-
-func TestJoinRightKeepsUnmatched(t *testing.T) {
-	left := MustNew("l", []string{"k"}, []Kind{KindInt})
-	left.MustAppendRow(Int(1))
-	left.MustAppendRow(Int(1))
-	right := MustNew("r", []string{"k", "v"}, []Kind{KindInt, KindString})
-	right.MustAppendRow(Int(1), Str("hit"))
-	right.MustAppendRow(Int(7), Str("lonely"))
-
-	j, err := left.Join(right, "k", "k", JoinRight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Right-row order: both left rows match right row 0, then the
-	// unmatched right row pads the left side.
-	if j.NumRows() != 3 {
-		t.Fatalf("right join rows = %d, want 3", j.NumRows())
-	}
-	if !j.Get(2, "k").IsNull() {
-		t.Errorf("unmatched left key should be NULL, got %v", j.Get(2, "k"))
-	}
-	if j.Get(2, "v").S != "lonely" {
-		t.Errorf("preserved right value = %v", j.Get(2, "v"))
-	}
-}
-
-func TestJoinFullOuter(t *testing.T) {
-	left := MustNew("l", []string{"k"}, []Kind{KindInt})
-	left.MustAppendRow(Int(1))
-	left.MustAppendRow(Int(9))
-	right := MustNew("r", []string{"k", "v"}, []Kind{KindInt, KindString})
-	right.MustAppendRow(Int(1), Str("hit"))
-	right.MustAppendRow(Int(7), Str("lonely"))
-
-	j, err := left.Join(right, "k", "k", JoinFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Match (1,1), left-pad row for 9, then the unmatched right row.
-	if j.NumRows() != 3 {
-		t.Fatalf("full join rows = %d, want 3", j.NumRows())
-	}
-	if j.Get(0, "v").S != "hit" {
-		t.Errorf("matched value = %v", j.Get(0, "v"))
-	}
-	if !j.Get(1, "v").IsNull() || j.Get(1, "k").I != 9 {
-		t.Errorf("left-preserved row = (%v, %v)", j.Get(1, "k"), j.Get(1, "v"))
-	}
-	if !j.Get(2, "k").IsNull() || j.Get(2, "v").S != "lonely" {
-		t.Errorf("sweep row = (%v, %v)", j.Get(2, "k"), j.Get(2, "v"))
-	}
-}
-
 func TestGatherPairsNullMask(t *testing.T) {
 	c := ColumnFromInts("x", []int64{10, 20, 30}, []bool{false, true, false})
 	out := c.GatherPairs([]int{2, 0, 1, 0}, []bool{false, true, false, false})
@@ -347,38 +251,6 @@ func TestGatherPairsNullMask(t *testing.T) {
 	plain := c.GatherPairs([]int{1, 2}, nil)
 	if !plain.Value(0).IsNull() || plain.Value(1).I != 30 {
 		t.Errorf("nil-mask gather = %v, %v", plain.Value(0), plain.Value(1))
-	}
-}
-
-func TestJoinNullKeysNeverMatch(t *testing.T) {
-	left := MustNew("l", []string{"k"}, []Kind{KindString})
-	left.MustAppendRow(Null())
-	right := MustNew("r", []string{"k"}, []Kind{KindString})
-	right.MustAppendRow(Null())
-	j, err := left.Join(right, "k", "k", JoinInner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.NumRows() != 0 {
-		t.Errorf("NULL keys must not join, got %d rows", j.NumRows())
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := MustNew("a", []string{"x"}, []Kind{KindInt})
-	a.MustAppendRow(Int(1))
-	b := MustNew("b", []string{"x"}, []Kind{KindInt})
-	b.MustAppendRow(Int(2))
-	c, err := a.Concat(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumRows() != 2 {
-		t.Errorf("concat rows = %d", c.NumRows())
-	}
-	bad := MustNew("bad", []string{"x", "y"}, []Kind{KindInt, KindInt})
-	if _, err := a.Concat(bad); err == nil {
-		t.Fatal("expected arity error")
 	}
 }
 
