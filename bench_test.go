@@ -592,7 +592,6 @@ func BenchmarkPreparedExec(b *testing.B) {
 
 func BenchmarkPreparedExecReparse(b *testing.B) {
 	cat := benchBigCatalog(64)
-	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -600,7 +599,7 @@ func BenchmarkPreparedExecReparse(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := cat.ExecuteResult(ctx, stmt); err != nil {
+		if _, err := cat.Execute(stmt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -716,7 +715,9 @@ func BenchmarkAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i%1024 == 1023 {
-			app.Publish()
+			if _, err := app.PublishErr(); err != nil {
+				b.Fatal(err)
+			}
 		}
 		// Bound arena growth on long runs by starting a fresh table.
 		if i%(1<<21) == (1<<21)-1 {
@@ -725,7 +726,9 @@ func BenchmarkAppend(b *testing.B) {
 			b.StartTimer()
 		}
 	}
-	app.Publish()
+	if _, err := app.PublishErr(); err != nil {
+		b.Fatal(err)
+	}
 }
 
 func BenchmarkQueryDuringIngest(b *testing.B) {
@@ -754,7 +757,7 @@ func BenchmarkQueryDuringIngest(b *testing.B) {
 				})
 				i++
 			}
-			if app.Publish().NumRows() >= 2*benchRows {
+			if snap, _ := app.PublishErr(); snap.NumRows() >= 2*benchRows { // memory-only: cannot fail
 				// Re-register at seed size so long runs stay bounded; the
 				// schema is unchanged, so the plan cache survives the swap.
 				cat.Register(benchBigTable(benchRows))

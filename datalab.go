@@ -54,10 +54,9 @@ type Platform struct {
 	wal       *wal.Manager
 	recovered *wal.Recovered
 
-	mu      sync.RWMutex // guards graph, rt, history
-	graph   *knowledge.Graph
-	rt      *agent.Runtime
-	history []string
+	mu    sync.RWMutex // guards graph, rt
+	graph *knowledge.Graph
+	rt    *agent.Runtime
 }
 
 // New creates a platform.
@@ -338,10 +337,6 @@ func (p *Platform) Ask(query, tableName string) (*Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	p.history = append(p.history, query)
-	p.mu.Unlock()
-
 	ans := &Answer{}
 	for _, u := range units {
 		ans.AgentTrace = append(ans.AgentTrace, u.Role)

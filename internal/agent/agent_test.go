@@ -54,61 +54,6 @@ func executeWithRetry(t *testing.T, a comm.Agent, query string, inputs []comm.In
 	return comm.Info{}
 }
 
-func TestWorkflowRunsInOrder(t *testing.T) {
-	w := NewWorkflow()
-	w.AddNode("a", func(in map[string]any) (any, error) { return 1, nil })
-	w.AddNode("b", func(in map[string]any) (any, error) {
-		return in["x"].(int) + 10, nil
-	})
-	w.Connect("a", "b", "x")
-	out, err := w.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out["b"].(int) != 11 {
-		t.Errorf("b = %v", out["b"])
-	}
-}
-
-func TestWorkflowSeedInputs(t *testing.T) {
-	w := NewWorkflow()
-	w.AddNode("n", func(in map[string]any) (any, error) {
-		return in["query"].(string) + "!", nil
-	})
-	out, err := w.Run(map[string]any{"query": "hello"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out["n"].(string) != "hello!" {
-		t.Errorf("n = %v", out["n"])
-	}
-}
-
-func TestWorkflowCycleAndUnknownNode(t *testing.T) {
-	w := NewWorkflow()
-	w.AddNode("a", func(in map[string]any) (any, error) { return nil, nil })
-	w.AddNode("b", func(in map[string]any) (any, error) { return nil, nil })
-	w.Connect("a", "b", "x")
-	w.Connect("b", "a", "y")
-	if _, err := w.Run(nil); err == nil {
-		t.Error("cycle not detected")
-	}
-	w2 := NewWorkflow()
-	w2.AddNode("a", func(in map[string]any) (any, error) { return nil, nil })
-	w2.Connect("ghost", "a", "x")
-	if _, err := w2.Run(nil); err == nil {
-		t.Error("unknown node not detected")
-	}
-}
-
-func TestWorkflowNodeError(t *testing.T) {
-	w := NewWorkflow()
-	w.AddNode("boom", func(in map[string]any) (any, error) { return nil, errors.New("kaput") })
-	if _, err := w.Run(nil); err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("err = %v", err)
-	}
-}
-
 func TestSQLAgentEndToEnd(t *testing.T) {
 	rt := testRuntime(t, "sqlagent")
 	a := NewSQLAgent(rt, "sales")
@@ -202,6 +147,37 @@ func TestImputationAgentFillsNulls(t *testing.T) {
 	}
 	if got := imputed.Get(1, "v").F; got != 15 {
 		t.Errorf("imputed value = %v, want column mean 15", got)
+	}
+}
+
+// TestPrepAgentsSurfaceRegisterFailure pins the durability contract of the
+// two agents that write tables: when the catalog's register hook (the WAL,
+// on a durable platform) rejects the registration, the agent step fails
+// with that error and the catalog keeps serving the previous table.
+func TestPrepAgentsSurfaceRegisterFailure(t *testing.T) {
+	errDisk := errors.New("wal: disk full")
+	for _, tc := range []struct {
+		suffix string
+		agent  func(*Runtime, string) *BIAgent
+	}{
+		{"_clean", NewCleaningAgent},
+		{"_imputed", NewImputationAgent},
+	} {
+		rt := testRuntime(t, "regfail"+tc.suffix)
+		prev := table.MustNew("sales"+tc.suffix, []string{"marker"}, []table.Kind{table.KindInt})
+		prev.MustAppendRow(table.Int(42))
+		rt.Catalog.Register(prev)
+		rt.Catalog.SetRegisterHook(func(*table.Appender) error { return errDisk })
+
+		for attempt := 0; attempt < 5; attempt++ {
+			if _, err := tc.agent(rt, "sales").Execute("prepare the data", nil, attempt); !errors.Is(err, errDisk) {
+				t.Fatalf("%s attempt %d: err = %v, want the register hook's error", tc.suffix, attempt, err)
+			}
+		}
+		got, ok := rt.Catalog.Table(prev.Name)
+		if !ok || got.NumRows() != 1 || got.Get(0, "marker").I != 42 {
+			t.Errorf("%s: previous table no longer served after failed registration", tc.suffix)
+		}
 	}
 }
 

@@ -515,7 +515,9 @@ func NewCleaningAgent(rt *Runtime, tableName string) *BIAgent {
 			})
 			dropped := t.NumRows() - clean.NumRows()
 			clean.Name = t.Name + "_clean"
-			rt.Catalog.Register(clean)
+			if err := rt.Catalog.RegisterErr(clean); err != nil {
+				return "", fmt.Errorf("register %s: %w", clean.Name, err)
+			}
 			return fmt.Sprintf("dropped %d incomplete rows; registered %s", dropped, clean.Name), nil
 		})
 }
@@ -551,7 +553,9 @@ func NewImputationAgent(rt *Runtime, tableName string) *BIAgent {
 					}
 				}
 			}
-			rt.Catalog.Register(imputed)
+			if err := rt.Catalog.RegisterErr(imputed); err != nil {
+				return "", fmt.Errorf("register %s: %w", imputed.Name, err)
+			}
 			return fmt.Sprintf("imputed %d missing numeric cells with column means; registered %s", filled, imputed.Name), nil
 		})
 }

@@ -1,3 +1,8 @@
+// Package agent implements DataLab's LLM-based agent framework (§III): the
+// concrete BI agents for data preparation, analysis, and visualization,
+// the Runtime of shared services they draw on (LLM calls, data tools,
+// retrievers), and the proxy-side planner that maps user queries to FSM
+// execution plans.
 package agent
 
 import (

@@ -25,6 +25,7 @@ type cursor struct {
 	id      string
 	sql     string
 	created time.Time
+	sess    *session // the session it was created under; nil = none
 
 	mu       sync.Mutex
 	res      *sqlengine.Result
@@ -32,8 +33,14 @@ type cursor struct {
 	closed   bool
 }
 
-func newCursor(sql string, res *sqlengine.Result) *cursor {
-	return &cursor{id: newID(), sql: sql, created: time.Now(), res: res}
+func newCursor(sql string, res *sqlengine.Result, sess *session) *cursor {
+	return &cursor{id: newID(), sql: sql, created: time.Now(), res: res, sess: sess}
+}
+
+// orphaned reports whether the cursor's session has closed: a cursor must
+// not outlive the session it was created under.
+func (c *cursor) orphaned() bool {
+	return c.sess != nil && c.sess.ctx.Err() != nil
 }
 
 // page is one cursor read: up to maxRows rows (rounded up to whole result

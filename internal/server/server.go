@@ -84,6 +84,10 @@ type Server struct {
 	mux      *http.ServeMux
 	started  time.Time
 
+	// cursors is the one id → cursor registry: a cursor is in it from
+	// creation until its DELETE, its session's close, or server shutdown,
+	// and whoever removes it closes it — so an entry is never a closed
+	// cursor and a closed Result is never still pinned by an entry.
 	cursorMu sync.Mutex
 	cursors  map[string]*cursor
 
@@ -150,6 +154,7 @@ func (s *Server) sweepLoop() {
 			return
 		case now := <-t.C:
 			if n := s.sessions.sweep(now); n > 0 {
+				s.reapCursors()
 				s.logger.log(CodeOK, line{"event": "session_sweep", "sessions_closed": n})
 			}
 		}
@@ -273,6 +278,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		writeErrorLine(w, http.StatusNotFound, ErrCodeNotFound, fmt.Sprintf("unknown session %q", id))
 		return
 	}
+	s.reapCursors()
 	s.logger.log(CodeOK, line{"event": "session_close", "session_id": id})
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	_ = newLineWriter(w).write(line{"code": CodeOK, "session_id": id, "closed": true})
@@ -605,15 +611,12 @@ func (s *Server) handleCursorCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	release() // execution is done; paging is cheap iteration, not admission-gated
-	cur := newCursor(req.SQL, res)
-	if sess != nil && !sess.addCursor(cur) {
+	cur := newCursor(req.SQL, res, sess)
+	if !s.addCursor(cur) {
 		cur.close()
 		writeErrorLine(w, http.StatusNotFound, ErrCodeClosed, "session closed during cursor creation")
 		return
 	}
-	s.cursorMu.Lock()
-	s.cursors[cur.id] = cur
-	s.cursorMu.Unlock()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	_ = newLineWriter(w).write(line{
 		"code":              CodeOK,
@@ -626,20 +629,39 @@ func (s *Server) handleCursorCreate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// lookupCursor fetches a registered cursor; closed cursors are evicted on
-// access (their session died or they were explicitly deleted).
+// addCursor registers a cursor; it fails when the cursor's session has
+// already closed. A session that closes after the check is handled by
+// reapCursors, which runs after the close and therefore sees the entry.
+func (s *Server) addCursor(c *cursor) bool {
+	s.cursorMu.Lock()
+	defer s.cursorMu.Unlock()
+	if c.orphaned() {
+		return false
+	}
+	s.cursors[c.id] = c
+	return true
+}
+
+// reapCursors removes and closes every cursor whose session has closed.
+// It runs after each session close (explicit delete or idle sweep).
+func (s *Server) reapCursors() {
+	s.cursorMu.Lock()
+	defer s.cursorMu.Unlock()
+	for id, c := range s.cursors {
+		if c.orphaned() {
+			delete(s.cursors, id)
+			c.close()
+		}
+	}
+}
+
+// lookupCursor fetches a registered cursor whose session (if any) is
+// still open.
 func (s *Server) lookupCursor(id string) (*cursor, bool) {
 	s.cursorMu.Lock()
 	defer s.cursorMu.Unlock()
 	c, ok := s.cursors[id]
-	if !ok {
-		return nil, false
-	}
-	if _, _, closed := c.stats(); closed {
-		delete(s.cursors, id)
-		return nil, false
-	}
-	return c, true
+	return c, ok && !c.orphaned()
 }
 
 func (s *Server) handleCursorNext(w http.ResponseWriter, r *http.Request) {

@@ -343,6 +343,72 @@ func TestCursorPaginationAndRewind(t *testing.T) {
 	r.Body.Close()
 }
 
+// TestCursorRegistrySingleOwner pins cursor ownership: Server.cursors is
+// the only id → cursor map, so a DELETE and a session close each remove
+// the entry and close the Result — no closed cursor lingers in the map, no
+// open Result survives its session, and a session-less cursor is untouched.
+func TestCursorRegistrySingleOwner(t *testing.T) {
+	srv, ts, _ := newTestServer(t, 100, Config{})
+	resp := postJSON(t, ts.URL+"/v1/sessions", nil)
+	sess := decodeLines(t, resp.Body)[0]["session_id"].(string)
+	resp.Body.Close()
+
+	create := func(sessionID string) *cursor {
+		t.Helper()
+		r := postJSON(t, ts.URL+"/v1/cursors", map[string]any{"sql": "SELECT id FROM events", "session_id": sessionID})
+		defer r.Body.Close()
+		id := decodeLines(t, r.Body)[0]["cursor_id"].(string)
+		srv.cursorMu.Lock()
+		defer srv.cursorMu.Unlock()
+		return srv.cursors[id]
+	}
+	httpDelete := func(path string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+path, nil)
+		r, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("DELETE %s status = %d", path, r.StatusCode)
+		}
+	}
+
+	const n = 6
+	owned := make([]*cursor, n)
+	for i := range owned {
+		owned[i] = create(sess)
+	}
+	free := create("")
+	for _, c := range owned[:n/2] {
+		httpDelete("/v1/cursors/" + c.id)
+	}
+	httpDelete("/v1/sessions/" + sess)
+
+	srv.cursorMu.Lock()
+	left := len(srv.cursors)
+	_, freeKept := srv.cursors[free.id]
+	srv.cursorMu.Unlock()
+	if left != 1 || !freeKept {
+		t.Fatalf("registry holds %d cursors (session-less kept: %v), want only the session-less one", left, freeKept)
+	}
+	for i, c := range owned {
+		if _, _, closed := c.stats(); !closed || c.res.Err() == nil {
+			t.Errorf("session cursor %d: Result still open after delete/session close", i)
+		}
+	}
+	if _, _, closed := free.stats(); closed {
+		t.Error("session-less cursor closed by another session's close")
+	}
+	// A cursor cannot be created under the closed session.
+	r := postJSON(t, ts.URL+"/v1/cursors", map[string]any{"sql": "SELECT id FROM events", "session_id": sess})
+	r.Body.Close()
+	if r.StatusCode != http.StatusNotFound {
+		t.Fatalf("create under closed session status = %d", r.StatusCode)
+	}
+}
+
 // TestSessionScopedCancellation pins the multi-session contract: closing
 // a session cancels its in-flight query (observed as a cancel log event,
 // not an error) and closes its cursors.

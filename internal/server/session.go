@@ -18,10 +18,12 @@ func newID() string {
 }
 
 // session is one client's context over the shared catalog: queries issued
-// with its id execute under a context that dies with the session, and its
-// server-side cursors are tracked so closing the session (or idling past
-// the TTL) releases every Result pin at once. The catalog itself is
-// shared — sessions scope lifetime and cancellation, not data.
+// with its id execute under a context that dies with the session. Closing
+// a session (explicitly, by idling past the TTL, or at shutdown) is
+// cancelling that context; the server's cursor registry — the one owner of
+// every cursor — then releases the cursors created under it
+// (Server.reapCursors). The catalog itself is shared — sessions scope
+// lifetime and cancellation, not data.
 type session struct {
 	id      string
 	created time.Time
@@ -29,9 +31,7 @@ type session struct {
 	cancel  context.CancelFunc
 
 	mu       sync.Mutex
-	cursors  map[string]*cursor
 	lastUsed time.Time
-	closed   bool
 }
 
 // touch marks the session recently used for idle-TTL accounting.
@@ -39,45 +39,6 @@ func (s *session) touch() {
 	s.mu.Lock()
 	s.lastUsed = time.Now()
 	s.mu.Unlock()
-}
-
-// addCursor registers a cursor with the session; it fails once the
-// session has been closed (the cursor must not outlive the session).
-func (s *session) addCursor(c *cursor) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.cursors[c.id] = c
-	return true
-}
-
-func (s *session) removeCursor(id string) {
-	s.mu.Lock()
-	delete(s.cursors, id)
-	s.mu.Unlock()
-}
-
-// close cancels the session context (aborting in-flight queries issued
-// under it) and closes every registered cursor. Idempotent.
-func (s *session) close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	cursors := make([]*cursor, 0, len(s.cursors))
-	for _, c := range s.cursors {
-		cursors = append(cursors, c)
-	}
-	s.cursors = map[string]*cursor{}
-	s.mu.Unlock()
-	s.cancel()
-	for _, c := range cursors {
-		c.close()
-	}
 }
 
 // sessionRegistry tracks live sessions and sweeps the ones idle past the
@@ -104,7 +65,6 @@ func (r *sessionRegistry) create() *session {
 		created:  time.Now(),
 		ctx:      ctx,
 		cancel:   cancel,
-		cursors:  map[string]*cursor{},
 		lastUsed: time.Now(),
 	}
 	r.mu.Lock()
@@ -123,14 +83,15 @@ func (r *sessionRegistry) get(id string) (*session, bool) {
 	return s, ok
 }
 
-// closeSession closes and removes one session; reports whether it existed.
+// closeSession closes (cancels, aborting its in-flight queries) and
+// removes one session; reports whether it existed.
 func (r *sessionRegistry) closeSession(id string) bool {
 	r.mu.Lock()
 	s, ok := r.byID[id]
 	delete(r.byID, id)
 	r.mu.Unlock()
 	if ok {
-		s.close()
+		s.cancel()
 	}
 	return ok
 }
@@ -159,23 +120,17 @@ func (r *sessionRegistry) sweep(now time.Time) int {
 	}
 	r.mu.Unlock()
 	for _, s := range stale {
-		s.close()
+		s.cancel()
 	}
 	return len(stale)
 }
 
-// closeAll cancels the base context (killing every session-scoped query)
-// and closes every session. Used at server shutdown.
+// closeAll cancels the base context — every session descends from it, so
+// this closes them all and kills every session-scoped query — and forgets
+// them. Used at server shutdown.
 func (r *sessionRegistry) closeAll() {
 	r.stop()
 	r.mu.Lock()
-	sessions := make([]*session, 0, len(r.byID))
-	for _, s := range r.byID {
-		sessions = append(sessions, s)
-	}
 	r.byID = map[string]*session{}
 	r.mu.Unlock()
-	for _, s := range sessions {
-		s.close()
-	}
 }

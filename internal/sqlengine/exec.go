@@ -371,19 +371,14 @@ func executeMaterialized(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *
 	return applyDistinctOffsetLimit(stmt, out), nil
 }
 
-// ExecuteResult executes a parsed statement and returns a typed Result.
-// Plain projections of bare columns (no grouping, ordering, or DISTINCT)
-// stay lazy: the Result holds zero-copy references to the relation's
-// columns plus the WHERE selection, with OFFSET/LIMIT applied as selection
+// executeResultBound is the shared execution core behind QueryCtx,
+// Prepared.Exec and Bound.Exec: it runs a parsed statement with the
+// execution's parameter bindings and returns a typed Result. Plain
+// projections of bare columns (no grouping, ordering, or DISTINCT) stay
+// lazy: the Result holds zero-copy references to the relation's columns
+// plus the WHERE selection, with OFFSET/LIMIT applied as selection
 // arithmetic — no output is materialized at all. Every other shape runs
 // the materializing executor and wraps its output table.
-func (c *Catalog) ExecuteResult(ctx context.Context, stmt *SelectStmt) (*Result, error) {
-	return c.executeResultBound(ctx, stmt, nil)
-}
-
-// executeResultBound is ExecuteResult with the execution's parameter
-// bindings: the shared execution core behind QueryCtx, Prepared.Exec and
-// Bound.Exec.
 func (c *Catalog) executeResultBound(ctx context.Context, stmt *SelectStmt, binds []table.Value) (*Result, error) {
 	stmt, err := c.resolveInline(ctx, stmt, binds, false)
 	if err != nil {
@@ -498,7 +493,7 @@ func lazyResult(stmt *SelectStmt, rel *vrel, sel *table.Selection) (*Result, boo
 		ci := rel.findColumn(ref)
 		if ci < 0 || rel.cols[ci].Kind == table.KindNull {
 			// Unknown columns error on the materializing path; KindNull
-			// columns are rebuilt as TEXT there (buildOutputCols).
+			// columns are rebuilt as TEXT there (orderedOutput).
 			return nil, false
 		}
 		cols[i] = rel.cols[ci]
@@ -708,13 +703,12 @@ func exprHasAggregate(e Expr) bool {
 func executePlainVec(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *table.Selection) (*table.Table, error) {
 	items := expandItems(stmt, &rel.relSchema)
 	order := orderExprs(stmt, items)
-	n := selLen(rel, sel)
 
 	// Window columns are computed once over the full selection before any
 	// item evaluation; item and ORDER BY expressions then read them via
 	// rel.win (evalVec's FuncCall case and vecRowEnv.resolveWindow).
 	if wins := statementWindows(items, order); len(wins) > 0 {
-		win, err := computeWindowsVec(wins, rel, sel)
+		win, err := computeWindowsVec(ctx, wins, rel, sel)
 		if err != nil {
 			return nil, err
 		}
@@ -743,15 +737,26 @@ func executePlainVec(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *tabl
 		outCols[i] = col
 	}
 
-	if len(order) > 0 {
-		keyCols := make([]table.Column, len(order))
-		for k, o := range order {
-			col, err := evalVec(o.Expr, rel, sel)
-			if err != nil {
-				return nil, err
-			}
-			keyCols[k] = col
+	keyCols := make([]table.Column, len(order))
+	for k, o := range order {
+		col, err := evalVec(o.Expr, rel, sel)
+		if err != nil {
+			return nil, err
 		}
+		keyCols[k] = col
+	}
+	return orderedOutput(ctx, stmt, items, outCols, keyCols, order)
+}
+
+// orderedOutput is the vectorized executor's one output tail, shared by the
+// plain and grouped projections: it orders the output columns by the ORDER
+// BY key columns (one key per output row) and names the result. sortPerm
+// and topKPerm choose between the memcmp kernel and the boxed fallback from
+// what the key columns hold; DISTINCT/OFFSET/LIMIT follow in
+// executeMaterialized.
+func orderedOutput(ctx context.Context, stmt *SelectStmt, items []SelectItem, outCols, keyCols []table.Column, order []OrderItem) (*table.Table, error) {
+	if len(order) > 0 {
+		n := keyCols[0].Len()
 		var perm []int
 		if keep, bounded := topKBound(stmt, n); bounded {
 			perm = topKPerm(ctx, keyCols, order, n, keep)
@@ -765,7 +770,20 @@ func executePlainVec(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *tabl
 			outCols[i] = outCols[i].Gather(perm)
 		}
 	}
-	return buildOutputCols(stmt.From, items, outCols), nil
+	names := outputNames(items)
+	out := &table.Table{Name: stmt.From}
+	for i := range outCols {
+		outCols[i].Name = names[i]
+		if outCols[i].Kind == table.KindNull {
+			// All-NULL output columns default to TEXT, like the scalar path.
+			// Rebuild rather than retag: a KindNull column has no typed
+			// storage, so flipping Kind alone would break the storage
+			// invariant and crash later slices.
+			outCols[i] = table.ColumnOf(names[i], table.KindString, outCols[i].Values())
+		}
+		out.Columns = append(out.Columns, outCols[i])
+	}
+	return out, nil
 }
 
 // topKBound reports how many leading rows of the sorted order can reach
@@ -785,149 +803,96 @@ func topKBound(stmt *SelectStmt, n int) (int, bool) {
 	return keep, true
 }
 
-// buildOutputCols assembles the result table from already-computed columns.
-func buildOutputCols(name string, items []SelectItem, cols []table.Column) *table.Table {
-	names := outputNames(items)
-	out := &table.Table{Name: name}
-	for i := range cols {
-		cols[i].Name = names[i]
-		if cols[i].Kind == table.KindNull {
-			// All-NULL output columns default to TEXT, like the scalar path.
-			// Rebuild rather than retag: a KindNull column has no typed
-			// storage, so flipping Kind alone would break the storage
-			// invariant and crash later slices.
-			cols[i] = table.ColumnOf(names[i], table.KindString, cols[i].Values())
-		}
-		out.Columns = append(out.Columns, cols[i])
-	}
-	return out
-}
-
 // --- grouping ---
 
-// grp is one hash-aggregation group: the selection of its absolute rows in
-// the relation. Keyed grouping scatters rows, so groups are dense-form;
-// the global-aggregate group reuses the filter's selection (or a single
-// [0,n) span), keeping unkeyed aggregation zero-copy.
-type grp struct{ sel *table.Selection }
-
-// wrapGroups converts the per-group ascending row lists built by the hash
-// loops into selections in place.
-func wrapGroups(order []*grp, rows [][]int) []*grp {
-	for i := range order {
-		order[i].sel = table.NewIndexSelection(rows[i])
-	}
-	return order
-}
-
-// hashGroups partitions the selected rows by the key columns (which are
-// indexed by selection position). Group order follows first appearance.
-// Single typed int/string keys use typed hash maps; composite or mixed
-// keys fall back to canonical key strings, computed in parallel partitions.
-// With no key columns (global aggregates) the selection itself is the one
-// group and nothing is materialized.
-func hashGroups(ctx context.Context, keyCols []*table.Column, rel *vrel, sel *table.Selection) []*grp {
-	n := selLen(rel, sel)
-	var order []*grp
-	var rows [][]int
-
-	if len(keyCols) == 0 {
-		if n == 0 {
-			return nil
-		}
-		if sel == nil {
-			sel = table.NewSpanSelection(table.Span{Lo: 0, Hi: rel.nrows})
-		}
-		return []*grp{{sel: sel}}
-	}
-
+// partitionRows is the vectorized engine's one row partitioner, behind
+// both GROUP BY and PARTITION BY. keyCols hold one key per position
+// 0..n-1; position i belongs to the i-th row of sel, or to row i when sel
+// is nil. It returns the row lists of the distinct keys in first-appearance
+// order, each ascending; NULL is a key like any other. A single typed
+// int/string key hashes its raw values; every other shape (composite,
+// float, boxed) hashes canonical Value.Key strings, built on the worker
+// pool.
+func partitionRows(ctx context.Context, keyCols []table.Column, sel *table.Selection, n int) ([][]int, error) {
+	it := table.IterSelection(sel, n)
 	if len(keyCols) == 1 {
 		if is, nulls, ok := keyCols[0].Ints(); ok {
-			m := make(map[int64]int, 64)
-			nullG := -1
-			it := table.IterSelection(sel, rel.nrows)
-			for i := 0; i < n; i++ {
-				r, _ := it.Next()
-				if nulls[i] {
-					if nullG < 0 {
-						nullG = len(order)
-						order = append(order, &grp{})
-						rows = append(rows, nil)
-					}
-					rows[nullG] = append(rows[nullG], r)
-					continue
-				}
-				gi, ok := m[is[i]]
-				if !ok {
-					gi = len(order)
-					m[is[i]] = gi
-					order = append(order, &grp{})
-					rows = append(rows, nil)
-				}
-				rows[gi] = append(rows[gi], r)
-			}
-			return wrapGroups(order, rows)
+			return partitionByKey(is, nulls, &it), nil
 		}
 		if ss, nulls, ok := keyCols[0].Strings(); ok {
-			m := make(map[string]int, 64)
-			nullG := -1
-			it := table.IterSelection(sel, rel.nrows)
-			for i := 0; i < n; i++ {
-				r, _ := it.Next()
-				if nulls[i] {
-					if nullG < 0 {
-						nullG = len(order)
-						order = append(order, &grp{})
-						rows = append(rows, nil)
-					}
-					rows[nullG] = append(rows[nullG], r)
-					continue
-				}
-				gi, ok := m[ss[i]]
-				if !ok {
-					gi = len(order)
-					m[ss[i]] = gi
-					order = append(order, &grp{})
-					rows = append(rows, nil)
-				}
-				rows[gi] = append(rows[gi], r)
-			}
-			return wrapGroups(order, rows)
+			return partitionByKey(ss, nulls, &it), nil
 		}
 	}
-
 	keys := make([]string, n)
-	computeKeys := func(lo, hi int) error {
+	err := parallelChunks(ctx, n, parallelMinRows, func(lo, hi int) error {
 		var kb strings.Builder
 		for i := lo; i < hi; i++ {
 			kb.Reset()
-			for _, kc := range keyCols {
-				kb.WriteString(kc.Value(i).Key())
+			for k := range keyCols {
+				kb.WriteString(keyCols[k].Value(i).Key())
 				kb.WriteByte('\x1f')
 			}
 			keys[i] = kb.String()
 		}
 		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if n >= 2*parallelMinRows {
-		parallelChunks(ctx, n, parallelMinRows, computeKeys) //nolint:errcheck // computeKeys cannot fail; a cancelled chunk leaves zero keys, and the caller's ctx check surfaces the cancellation
-	} else {
-		computeKeys(0, n) //nolint:errcheck
-	}
-	m := make(map[string]int, 64)
-	it := table.IterSelection(sel, rel.nrows)
-	for i := 0; i < n; i++ {
+	return partitionByKey(keys, nil, &it), nil
+}
+
+// partitionByKey is partitionRows' hash loop: it assigns the rows it yields
+// to their key's partition. nulls marks the positions whose key is NULL
+// (nil = none); they form one partition of their own.
+func partitionByKey[K comparable](keys []K, nulls []bool, it *table.SelectionIter) [][]int {
+	m := make(map[K]int, 64)
+	nullPart := -1
+	var parts [][]int
+	for i, k := range keys {
 		r, _ := it.Next()
-		gi, ok := m[keys[i]]
-		if !ok {
-			gi = len(order)
-			m[keys[i]] = gi
-			order = append(order, &grp{})
-			rows = append(rows, nil)
+		var pi int
+		if nulls != nil && nulls[i] {
+			if nullPart < 0 {
+				nullPart = len(parts)
+				parts = append(parts, nil)
+			}
+			pi = nullPart
+		} else {
+			var ok bool
+			if pi, ok = m[k]; !ok {
+				pi = len(parts)
+				m[k] = pi
+				parts = append(parts, nil)
+			}
 		}
-		rows[gi] = append(rows[gi], r)
+		parts[pi] = append(parts[pi], r)
 	}
-	return wrapGroups(order, rows)
+	return parts
+}
+
+// hashGroups partitions the selected rows by the GROUP BY key columns
+// (indexed by selection position) into one selection of absolute rows per
+// group, in first-appearance order. Keyed grouping scatters rows, so those
+// groups are dense-form; with no key columns (global aggregates) the filter
+// selection itself — or a single [0,n) span — is the one group, possibly
+// empty, and nothing is materialized.
+func hashGroups(ctx context.Context, keyCols []table.Column, rel *vrel, sel *table.Selection) ([]*table.Selection, error) {
+	if len(keyCols) == 0 {
+		if sel == nil {
+			sel = table.NewSpanSelection(table.Span{Lo: 0, Hi: rel.nrows})
+		}
+		return []*table.Selection{sel}, nil
+	}
+	parts, err := partitionRows(ctx, keyCols, sel, selLen(rel, sel))
+	if err != nil {
+		return nil, err
+	}
+	groups := make([]*table.Selection, len(parts))
+	for i, rows := range parts {
+		groups[i] = table.NewIndexSelection(rows)
+	}
+	return groups, ctx.Err()
 }
 
 // vGroupEnv evaluates expressions against one group of the columnar
@@ -1102,27 +1067,24 @@ func minMaxOverColumn(name string, col *table.Column, rows *table.Selection) tab
 }
 
 // executeGroupedVec groups the selected rows with a hash aggregator and
-// evaluates HAVING and the select list per group, in parallel across group
-// partitions for large inputs.
+// evaluates HAVING, the select list and the ORDER BY keys per group, in
+// parallel across group partitions for large inputs. The per-group values
+// become columns, so ordering runs through the same tail as a plain
+// projection.
 func executeGroupedVec(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *table.Selection) (*table.Table, error) {
 	items := expandItems(stmt, &rel.relSchema)
 	order := orderExprs(stmt, items)
-	n := selLen(rel, sel)
 
-	keyCols := make([]*table.Column, len(stmt.GroupBy))
+	groupCols := make([]table.Column, len(stmt.GroupBy))
 	for i, g := range stmt.GroupBy {
 		col, err := evalVec(g, rel, sel)
 		if err != nil {
 			return nil, err
 		}
-		keyCols[i] = &col
+		groupCols[i] = col
 	}
-	groups := hashGroups(ctx, keyCols, rel, sel)
-	// Global aggregates over zero rows still produce one group.
-	if len(stmt.GroupBy) == 0 && len(groups) == 0 {
-		groups = append(groups, &grp{})
-	}
-	if err := ctx.Err(); err != nil {
+	groups, err := hashGroups(ctx, groupCols, rel, sel)
+	if err != nil {
 		return nil, err
 	}
 
@@ -1130,13 +1092,23 @@ func executeGroupedVec(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *ta
 	if having != nil {
 		having = resolveHavingAliases(having, items, &rel.relSchema)
 	}
-	type groupOut struct {
-		include bool
-		pr      projectedRow
+	// One value vector per output column, then one per ORDER BY key, each
+	// indexed by group: groups write disjoint cells, so the parallel
+	// evaluation needs no synchronization.
+	exprs := make([]Expr, 0, len(items)+len(order))
+	for _, it := range items {
+		exprs = append(exprs, it.Expr)
 	}
-	outs := make([]groupOut, len(groups))
+	for _, o := range order {
+		exprs = append(exprs, o.Expr)
+	}
+	vals := make([][]table.Value, len(exprs))
+	for c := range vals {
+		vals[c] = make([]table.Value, len(groups))
+	}
+	include := make([]bool, len(groups))
 	evalGroup := func(gi int) error {
-		ev := &vGroupEnv{rel: rel, rows: groups[gi].sel}
+		ev := &vGroupEnv{rel: rel, rows: groups[gi]}
 		if having != nil {
 			hv, err := evalExpr(having, ev)
 			if err != nil {
@@ -1146,27 +1118,18 @@ func executeGroupedVec(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *ta
 				return nil
 			}
 		}
-		pr := projectedRow{out: make([]table.Value, len(items)), keys: make([]table.Value, len(order))}
-		for i, it := range items {
-			v, err := evalExpr(it.Expr, ev)
+		for c, e := range exprs {
+			v, err := evalExpr(e, ev)
 			if err != nil {
 				return err
 			}
-			pr.out[i] = v
+			vals[c][gi] = v
 		}
-		for i, o := range order {
-			v, err := evalExpr(o.Expr, ev)
-			if err != nil {
-				return err
-			}
-			pr.keys[i] = v
-		}
-		outs[gi] = groupOut{include: true, pr: pr}
+		include[gi] = true
 		return nil
 	}
 
-	var err error
-	if n >= parallelMinRows && len(groups) > 1 {
+	if selLen(rel, sel) >= parallelMinRows && len(groups) > 1 {
 		err = parallelChunks(ctx, len(groups), 1, func(lo, hi int) error {
 			for gi := lo; gi < hi; gi++ {
 				if err := evalGroup(gi); err != nil {
@@ -1186,11 +1149,18 @@ func executeGroupedVec(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *ta
 		return nil, err
 	}
 
-	rows := make([]projectedRow, 0, len(groups))
-	for _, g := range outs {
-		if g.include {
-			rows = append(rows, g.pr)
+	cols := make([]table.Column, len(exprs))
+	for c, col := range vals {
+		if having != nil {
+			kept := col[:0]
+			for gi, v := range col {
+				if include[gi] {
+					kept = append(kept, v)
+				}
+			}
+			col = kept
 		}
+		cols[c] = columnOfValues(col)
 	}
-	return buildOutput(stmt.From, items, rows, order), nil
+	return orderedOutput(ctx, stmt, items, cols[:len(items)], cols[len(items):], order)
 }

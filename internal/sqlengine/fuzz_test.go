@@ -69,7 +69,7 @@ func diffOneSeed(t *testing.T, seed int64, rows uint16, nqueries uint8) {
 		var raw *table.Table
 		stmt, rawErr := Parse(q)
 		if rawErr == nil {
-			raw, rawErr = c.ExecuteScalar(stmt)
+			raw, rawErr = c.ExecuteScalarBound(stmt, nil)
 		}
 
 		res, resErr := c.QueryCtx(context.Background(), q)
@@ -128,8 +128,11 @@ func diffFrozenSnapshot(t *testing.T, rng *rand.Rand, c, frozen *Catalog, q, dv 
 			t.Fatal(err)
 		}
 	}
-	dataApp.Publish()
-	multiApp.Publish()
+	for _, app := range []*table.Appender{dataApp, multiApp} {
+		if _, err := app.PublishErr(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	after, err := frozen.Query(q)
 	if err != nil {

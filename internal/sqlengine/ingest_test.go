@@ -96,8 +96,12 @@ func TestConcurrentIngestQueryStress(t *testing.T) {
 				}
 				book.total = start + batchN
 				book.published[int64(book.total)] = true
-				stream.Publish()
+				_, err := stream.PublishErr()
 				book.Unlock()
+				if err != nil {
+					errs <- err
+					return
+				}
 			}
 		}()
 	}
@@ -118,7 +122,10 @@ func TestConcurrentIngestQueryStress(t *testing.T) {
 					errs <- err
 					return
 				}
-				side.Publish()
+				if _, err := side.PublishErr(); err != nil {
+					errs <- err
+					return
+				}
 			}
 		}()
 	}
@@ -248,7 +255,10 @@ func TestConcurrentIngestQueryStress(t *testing.T) {
 					return
 				}
 			}
-			dataApp.Publish()
+			if _, err := dataApp.PublishErr(); err != nil {
+				errs <- err
+				return
+			}
 		}
 	}()
 	go func() {
@@ -346,8 +356,12 @@ func TestConcurrentWindowQueryStress(t *testing.T) {
 				}
 				book.total = start + batchN
 				book.published[int64(book.total)] = true
-				stream.Publish()
+				_, err := stream.PublishErr()
 				book.Unlock()
+				if err != nil {
+					errs <- err
+					return
+				}
 			}
 		}()
 	}
@@ -467,7 +481,11 @@ func TestCursorAcrossSnapshots(t *testing.T) {
 	if err := app.Append(streamRows(0, initial)...); err != nil {
 		t.Fatal(err)
 	}
-	startVersion := app.Publish().Version()
+	start, err := app.PublishErr()
+	if err != nil {
+		t.Fatal(err)
+	}
+	startVersion := start.Version()
 
 	res, err := c.QueryCtx(context.Background(), "SELECT v FROM stream")
 	if err != nil {
@@ -479,7 +497,9 @@ func TestCursorAcrossSnapshots(t *testing.T) {
 		if err := app.Append(streamRows(initial+i*growN, growN)...); err != nil {
 			t.Fatal(err)
 		}
-		app.Publish()
+		if _, err := app.PublishErr(); err != nil {
+			t.Fatal(err)
+		}
 		// Interleave cursor progress with publishes.
 		if b != nil {
 			for r := 0; r < b.NumRows(); r++ {

@@ -49,7 +49,7 @@ const defaultBatchRows = BatchRows
 // server's cursor registry depend on every state being pinned:
 //
 //   - exhausted: Next returns nil and keeps returning nil; iterating a
-//     second time requires an explicit Rewind (or the legacy Reset).
+//     second time requires an explicit Rewind.
 //   - Rewind: rewinds to the first batch. A Result is always rewindable —
 //     lazy results view an immutable pinned snapshot and materialized
 //     results own their storage — so no spill is ever needed.
@@ -193,9 +193,9 @@ func (r *Result) fillGather(idx []int) {
 	r.cur.n = len(idx)
 }
 
-// Strings materializes the entire result as display strings — the
-// compatibility path behind the deprecated stringly APIs. NULL cells
-// render as "". It does not move the batch cursor.
+// Strings materializes the entire result as display strings, for callers
+// that want a quick [][]string dump. NULL cells render as "". It does not
+// move the batch cursor.
 func (r *Result) Strings() [][]string {
 	if r.closed {
 		return nil

@@ -210,15 +210,10 @@ func (c *Catalog) QueryScalar(sql string) (*table.Table, error) {
 	return c.ExecuteScalarBound(stmt, binds)
 }
 
-// ExecuteScalar runs a parsed statement with the row-at-a-time reference
-// path. Statements with placeholders must execute through
-// ExecuteScalarBound; here they fail with an unbound-parameter error.
-func (c *Catalog) ExecuteScalar(stmt *SelectStmt) (*table.Table, error) {
-	return c.ExecuteScalarBound(stmt, nil)
-}
-
-// ExecuteScalarBound is ExecuteScalar with the execution's parameter
-// bindings — the scalar half of the bind-vs-inline differential harness.
+// ExecuteScalarBound runs a parsed statement with the row-at-a-time
+// reference path and the execution's parameter bindings (nil for a
+// statement without placeholders) — the scalar half of the bind-vs-inline
+// differential harness.
 func (c *Catalog) ExecuteScalarBound(stmt *SelectStmt, binds []table.Value) (*table.Table, error) {
 	stmt, err := c.resolveInline(context.Background(), stmt, binds, true)
 	if err != nil {

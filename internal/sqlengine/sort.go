@@ -324,48 +324,41 @@ func (h *topKHeap) sortAscending(n int) {
 	}
 }
 
-// boxedRowLess is the reference comparator: row a sorts strictly before
-// row b under the ORDER BY spec, with ascending row position as the final
-// tie-break (which realizes stable-sort semantics). Only meaningful when
-// table.Compare is a total order over the key cells; NaN-bearing keys
-// never reach it (they go through boxedSortPerm's SliceStable, the same
-// algorithm the scalar reference runs).
-func boxedRowLess(keyCols []table.Column, order []OrderItem, a, b int) bool {
+// boxedCompare is the vectorized side's one boxed ORDER BY comparator:
+// negative when position a sorts before position b under the ORDER BY
+// spec, zero when they are peers on every key. It has no position
+// tie-break — stability is the sorting algorithm's job.
+func boxedCompare(keyCols []table.Column, order []OrderItem, a, b int) int {
 	for k := range order {
 		c := table.Compare(keyCols[k].Value(a), keyCols[k].Value(b))
 		if c == 0 {
 			continue
 		}
 		if order[k].Desc {
-			return c > 0
+			return -c
 		}
-		return c < 0
+		return c
 	}
-	return a < b
+	return 0
 }
 
-// boxedSortPerm is the pre-typed-kernel sort, preserved verbatim: a
-// stable permutation sort boxing each key cell per comparison, with no
-// position tie-break. It must stay sort.SliceStable — the scalar
-// reference sorts its rows with the identical comparator and algorithm,
-// so the two paths make the same comparison sequence and agree even when
-// NaN makes the comparator non-transitive (where an unstable sort's
-// result is unspecified and could diverge).
+// boxedSortSegment is the pre-typed-kernel sort: it stable-sorts the
+// positions in seg by boxing each key cell per comparison. It must stay
+// sort.SliceStable over boxedCompare — the scalar reference sorts its rows
+// with the identical comparator and algorithm, so the two paths make the
+// same comparison sequence and agree even when NaN makes the comparator
+// non-transitive (where an unstable sort's result is unspecified and could
+// diverge).
+func boxedSortSegment(keyCols []table.Column, order []OrderItem, seg []int) {
+	sort.SliceStable(seg, func(a, b int) bool {
+		return boxedCompare(keyCols, order, seg[a], seg[b]) < 0
+	})
+}
+
+// boxedSortPerm is the full-input boxed sort: the stable permutation of
+// 0..n-1.
 func boxedSortPerm(keyCols []table.Column, order []OrderItem, n int) []int {
 	perm := iotaInts(n)
-	sort.SliceStable(perm, func(a, b int) bool {
-		ra, rb := perm[a], perm[b]
-		for k := range order {
-			c := table.Compare(keyCols[k].Value(ra), keyCols[k].Value(rb))
-			if c == 0 {
-				continue
-			}
-			if order[k].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
+	boxedSortSegment(keyCols, order, perm)
 	return perm
 }

@@ -58,7 +58,8 @@ func randKeyColumns(rng *rand.Rand, n int, mixed bool) ([]table.Column, []OrderI
 func permIsStableSorted(t *testing.T, cols []table.Column, order []OrderItem, perm []int) {
 	t.Helper()
 	for i := 1; i < len(perm); i++ {
-		if !boxedRowLess(cols, order, perm[i-1], perm[i]) {
+		c := boxedCompare(cols, order, perm[i-1], perm[i])
+		if c > 0 || (c == 0 && perm[i-1] >= perm[i]) {
 			t.Fatalf("perm not in stable order at %d: rows %d, %d", i, perm[i-1], perm[i])
 		}
 	}

@@ -102,7 +102,6 @@ func evalVec(e Expr, rel *vrel, sel *table.Selection) (table.Column, error) {
 func rowFallback(e Expr, rel *vrel, sel *table.Selection) (table.Column, error) {
 	n := selLen(rel, sel)
 	vals := make([]table.Value, n)
-	kind := table.KindNull
 	env := &vecRowEnv{rel: rel}
 	it := table.IterSelection(sel, rel.nrows)
 	for i := 0; i < n; i++ {
@@ -112,12 +111,23 @@ func rowFallback(e Expr, rel *vrel, sel *table.Selection) (table.Column, error) 
 		if err != nil {
 			return table.Column{}, err
 		}
-		if kind == table.KindNull && !v.IsNull() {
-			kind = v.Kind
-		}
 		vals[i] = v
 	}
-	return table.ColumnOf("", kind, vals), nil
+	return columnOfValues(vals), nil
+}
+
+// columnOfValues builds an unnamed column from boxed values, typed by the
+// first non-NULL one: later values of another kind degrade it to boxed
+// storage, and an all-NULL (or empty) vector stays KindNull.
+func columnOfValues(vals []table.Value) table.Column {
+	kind := table.KindNull
+	for _, v := range vals {
+		if !v.IsNull() {
+			kind = v.Kind
+			break
+		}
+	}
+	return table.ColumnOf("", kind, vals)
 }
 
 // vecRowEnv adapts the columnar relation to the scalar evaluator's env.

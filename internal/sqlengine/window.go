@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -379,13 +380,10 @@ func partitionPositions(keys []string, n int) [][]int {
 
 // computeWindowsVec evaluates every window call over the selected rows,
 // returning per-call columns indexed by selection position.
-func computeWindowsVec(wins []*FuncCall, rel *vrel, sel *table.Selection) (map[*FuncCall]table.Column, error) {
-	if len(wins) == 0 {
-		return nil, nil
-	}
+func computeWindowsVec(ctx context.Context, wins []*FuncCall, rel *vrel, sel *table.Selection) (map[*FuncCall]table.Column, error) {
 	out := make(map[*FuncCall]table.Column, len(wins))
 	for _, fn := range wins {
-		col, err := vecWindowColumn(fn, rel, sel)
+		col, err := vecWindowColumn(ctx, fn, rel, sel)
 		if err != nil {
 			return nil, err
 		}
@@ -394,10 +392,10 @@ func computeWindowsVec(wins []*FuncCall, rel *vrel, sel *table.Selection) (map[*
 	return out, nil
 }
 
-func vecWindowColumn(fn *FuncCall, rel *vrel, sel *table.Selection) (table.Column, error) {
+func vecWindowColumn(ctx context.Context, fn *FuncCall, rel *vrel, sel *table.Selection) (table.Column, error) {
 	n := selLen(rel, sel)
 	spec := fn.Over
-	parts, err := windowPartitionsVec(spec.PartitionBy, rel, sel, n)
+	parts, err := windowPartitionsVec(ctx, spec.PartitionBy, rel, sel, n)
 	if err != nil {
 		return table.Column{}, err
 	}
@@ -423,14 +421,14 @@ func vecWindowColumn(fn *FuncCall, rel *vrel, sel *table.Selection) (table.Colum
 		sorted := sortPart(part)
 		computeWindowValues(fn, sorted, peerGroupEnds(sorted, peers), argAt, vals)
 	}
-	return windowOutputColumn(vals), nil
+	return columnOfValues(vals), nil
 }
 
 // windowPartitionsVec partitions selection positions 0..n-1 by the
-// PARTITION BY keys in first-appearance order. Single typed int/string
-// keys use typed maps (with a NULL partition), like hashGroups; composite
-// or boxed keys fall back to canonical key strings.
-func windowPartitionsVec(exprs []Expr, rel *vrel, sel *table.Selection, n int) ([][]int, error) {
+// PARTITION BY keys in first-appearance order. Window columns are
+// positional, so partitionRows runs without a selection: the rows it
+// returns are the positions themselves.
+func windowPartitionsVec(ctx context.Context, exprs []Expr, rel *vrel, sel *table.Selection, n int) ([][]int, error) {
 	if len(exprs) == 0 {
 		if n == 0 {
 			return nil, nil
@@ -445,64 +443,7 @@ func windowPartitionsVec(exprs []Expr, rel *vrel, sel *table.Selection, n int) (
 		}
 		keyCols[i] = col
 	}
-	var parts [][]int
-	if len(keyCols) == 1 {
-		if is, nulls, ok := keyCols[0].Ints(); ok {
-			m := make(map[int64]int, 16)
-			nullG := -1
-			for i := 0; i < n; i++ {
-				if nulls[i] {
-					if nullG < 0 {
-						nullG = len(parts)
-						parts = append(parts, nil)
-					}
-					parts[nullG] = append(parts[nullG], i)
-					continue
-				}
-				gi, ok := m[is[i]]
-				if !ok {
-					gi = len(parts)
-					m[is[i]] = gi
-					parts = append(parts, nil)
-				}
-				parts[gi] = append(parts[gi], i)
-			}
-			return parts, nil
-		}
-		if ss, nulls, ok := keyCols[0].Strings(); ok {
-			m := make(map[string]int, 16)
-			nullG := -1
-			for i := 0; i < n; i++ {
-				if nulls[i] {
-					if nullG < 0 {
-						nullG = len(parts)
-						parts = append(parts, nil)
-					}
-					parts[nullG] = append(parts[nullG], i)
-					continue
-				}
-				gi, ok := m[ss[i]]
-				if !ok {
-					gi = len(parts)
-					m[ss[i]] = gi
-					parts = append(parts, nil)
-				}
-				parts[gi] = append(parts[gi], i)
-			}
-			return parts, nil
-		}
-	}
-	keys := make([]string, n)
-	var kb strings.Builder
-	for i := 0; i < n; i++ {
-		kb.Reset()
-		for k := range keyCols {
-			kb.WriteString(keyCols[k].Value(i).Key())
-			kb.WriteByte('\x1f')
-		}
-		keys[i] = kb.String()
-	}
-	return partitionPositions(keys, n), nil
+	return partitionRows(ctx, keyCols, nil, n)
 }
 
 // windowSorter returns the partition sorter and the peer predicate for
@@ -510,61 +451,23 @@ func windowPartitionsVec(exprs []Expr, rel *vrel, sel *table.Selection, n int) (
 // column has a memcmp encoding, keys for all positions are encoded once
 // and partitions sort through the sort-key kernel's (key, position)
 // comparator — which equals the stable boxed order, since equal values
-// encode to equal bytes. Otherwise the boxed SliceStable path runs, the
-// same algorithm and comparator as the scalar reference.
+// encode to equal bytes. Otherwise the boxed stable sort runs, the same
+// algorithm and comparator as the scalar reference.
 func windowSorter(keyCols []table.Column, order []OrderItem, n int) (func([]int) []int, func(a, b int) bool) {
 	if len(order) == 0 {
 		return func(part []int) []int { return part },
 			func(a, b int) bool { return true }
 	}
+	sortSegment := func(seg []int) { boxedSortSegment(keyCols, order, seg) }
+	peers := func(a, b int) bool { return boxedCompare(keyCols, order, a, b) == 0 }
 	if specs, ok := sortKeySpecs(keyCols, order); ok {
 		ks := buildKeyset(specs, 0, n)
-		return func(part []int) []int {
-				sorted := append([]int(nil), part...)
-				ks.sortSegment(sorted)
-				return sorted
-			}, func(a, b int) bool {
-				return bytes.Equal(ks.key(a), ks.key(b))
-			}
-	}
-	boxedLess := func(ra, rb int) bool {
-		for k := range order {
-			c := table.Compare(keyCols[k].Value(ra), keyCols[k].Value(rb))
-			if c == 0 {
-				continue
-			}
-			if order[k].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
+		sortSegment = ks.sortSegment
+		peers = func(a, b int) bool { return bytes.Equal(ks.key(a), ks.key(b)) }
 	}
 	return func(part []int) []int {
-			sorted := append([]int(nil), part...)
-			sort.SliceStable(sorted, func(a, b int) bool {
-				return boxedLess(sorted[a], sorted[b])
-			})
-			return sorted
-		}, func(a, b int) bool {
-			for k := range order {
-				if table.Compare(keyCols[k].Value(a), keyCols[k].Value(b)) != 0 {
-					return false
-				}
-			}
-			return true
-		}
-}
-
-// windowOutputColumn materializes a window call's values as a column,
-// typed by the first non-NULL value like rowFallback.
-func windowOutputColumn(vals []table.Value) table.Column {
-	kind := table.KindNull
-	for _, v := range vals {
-		if !v.IsNull() {
-			kind = v.Kind
-			break
-		}
-	}
-	return table.ColumnOf("", kind, vals)
+		sorted := append([]int(nil), part...)
+		sortSegment(sorted)
+		return sorted
+	}, peers
 }

@@ -244,24 +244,15 @@ func (a *Appender) AppendTableExact(t *Table) error {
 	return nil
 }
 
-// Publish seals the pending rows into a new chunk and atomically swaps in
-// a snapshot covering every sealed row. With no pending rows it returns
+// PublishErr seals the pending rows into a new chunk and atomically swaps
+// in a snapshot covering every sealed row. With no pending rows it returns
 // the current snapshot unchanged. Publication is O(columns): the new
 // snapshot's columns are prefix views of the arena, not copies.
 //
-// On an appender with a publish hook (a durable table), a hook failure
-// leaves the staged rows pending and returns the unchanged current
-// snapshot; use PublishErr to observe the error.
-func (a *Appender) Publish() *Snapshot {
-	s, _ := a.PublishErr()
-	return s
-}
-
-// PublishErr is Publish with the durability error surfaced: when the
-// publish hook rejects the commit (for example an fsync failure), the
-// pending rows stay staged and invisible, the current snapshot is
-// returned unchanged, and the hook's error is reported. Memory-only
-// appenders never return an error.
+// When the publish hook rejects the commit (a durable table — for example
+// an fsync failure), the pending rows stay staged and invisible, the
+// current snapshot is returned unchanged, and the hook's error is
+// reported. Memory-only appenders never return an error.
 func (a *Appender) PublishErr() (*Snapshot, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -223,7 +223,10 @@ func TestAppenderPropertyVsOracle(t *testing.T) {
 					if got := app.Pending(); got != rows-history[len(history)-1].rows {
 						t.Fatalf("pending = %d, want %d", got, rows-history[len(history)-1].rows)
 					}
-					snap := app.Publish()
+					snap, err := app.PublishErr()
+					if err != nil {
+						t.Fatal(err)
+					}
 					history = append(history, published{snap, rows})
 				}
 				// The live snapshot never shows pending rows.
@@ -239,9 +242,12 @@ func TestAppenderPropertyVsOracle(t *testing.T) {
 				}
 			}
 			// Publishing with nothing pending returns the same snapshot.
-			final := app.Publish()
-			if again := app.Publish(); again != final {
-				t.Fatal("no-op Publish returned a new snapshot")
+			final, err := app.PublishErr()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again, err := app.PublishErr(); err != nil || again != final {
+				t.Fatalf("no-op Publish returned a new snapshot (err %v)", err)
 			}
 		})
 	}
@@ -280,7 +286,7 @@ func TestSnapshotSchema(t *testing.T) {
 	if err := app.Append([]Value{Int(2), Str("y")}); err != nil {
 		t.Fatal(err)
 	}
-	if v := app.Publish().Version(); v != 2 {
-		t.Fatalf("publish version = %d, want 2", v)
+	if s, err := app.PublishErr(); err != nil || s.Version() != 2 {
+		t.Fatalf("publish = v%d, %v; want v2", s.Version(), err)
 	}
 }
