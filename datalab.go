@@ -42,9 +42,10 @@ func WithSeed(seed string) Option {
 // readers, and the SQL engine runs scan/aggregate partitions on a bounded
 // worker pool shared across queries). LearnKnowledge and AddGlossary are
 // safe mid-traffic too: knowledge updates are copy-on-write — each call
-// clones the knowledge graph, mutates the clone, and publishes it with a
-// new runtime under the platform mutex, while an Ask already in flight
-// keeps reading the immutable snapshot its runtime captured.
+// clones the knowledge graph (a map copy that writes nothing to the graph
+// it clones), mutates the clone, and publishes it with a new runtime under
+// the platform mutex, while an Ask already in flight keeps reading the
+// snapshot its runtime captured. A published graph is never written again.
 type Platform struct {
 	client  *llm.Client
 	catalog *sqlengine.Catalog
@@ -273,8 +274,9 @@ func (p *Platform) AddGlossary(entries ...Glossary) {
 // cloneGraphLocked returns a private copy of the current knowledge graph
 // for a writer to mutate. Knowledge updates are copy-on-write: an Ask in
 // flight snapshots p.rt (and through it the graph) under RLock and keeps
-// reading that immutable snapshot, while the writer mutates only its clone
-// and then publishes it with swapGraphLocked. Callers hold p.mu.
+// reading that graph, which nothing writes once it is published —
+// Graph.Clone only reads it — while the writer mutates only its clone and
+// then publishes it with swapGraphLocked. Callers hold p.mu.
 func (p *Platform) cloneGraphLocked() *knowledge.Graph {
 	if p.graph == nil {
 		return knowledge.NewGraph()

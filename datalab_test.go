@@ -341,3 +341,59 @@ func TestNotebookSQLExecutionError(t *testing.T) {
 		t.Errorf("cells = %d", nb.NumCells())
 	}
 }
+
+// TestAskAfterTableReplaced pins the profiling cache to the table snapshot
+// it profiled: with no knowledge graph, re-registering a table under the
+// same name with a different schema must not answer from the old profile.
+func TestAskAfterTableReplaced(t *testing.T) {
+	p := MustNew(WithSeed("facade-test"))
+	if err := p.LoadRecords("sales", []string{"region", "revenue"},
+		[][]string{{"east", "100"}, {"west", "80"}, {"north", "120"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Ask("total revenue by region", "sales"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.LoadRecords("sales", []string{"country", "profit"},
+		[][]string{{"de", "10"}, {"fr", "20"}, {"de", "30"}}); err != nil {
+		t.Fatal(err)
+	}
+	ans, err := p.Ask("total profit by country", "sales")
+	if err != nil {
+		t.Fatalf("Ask over the replaced table: %v", err)
+	}
+	if !strings.Contains(ans.SQL, "profit") || !strings.Contains(ans.SQL, "country") || ans.Result.NumRows() != 2 {
+		t.Errorf("answer does not use the new schema: %s (%d rows)", ans.SQL, ans.Result.NumRows())
+	}
+}
+
+// TestAskSeesAppendedValues: rows appended after a first Ask publish a new
+// snapshot, and the next Ask must link values that only the new rows hold.
+func TestAskSeesAppendedValues(t *testing.T) {
+	p := MustNew(WithSeed("facade-test"))
+	var rows [][]string
+	for i := 0; i < 4; i++ { // 12 rows, 3 regions: few enough to profile as categorical
+		rows = append(rows, []string{"east", "100"}, []string{"west", "80"}, []string{"north", "120"})
+	}
+	if err := p.LoadRecords("sales", []string{"region", "revenue"}, rows); err != nil {
+		t.Fatal(err)
+	}
+	ans, err := p.Ask("total revenue for south", "sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(ans.SQL, "south") {
+		t.Fatalf("value linked before any row holds it: %s", ans.SQL)
+	}
+	south := [][]string{{"south", "55"}, {"south", "45"}, {"south", "5"}, {"south", "15"}}
+	if err := p.AppendRecords("sales", south); err != nil {
+		t.Fatal(err)
+	}
+	ans, err = p.Ask("total revenue for south", "sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ans.SQL, "'south'") || ans.Result.NumRows() != 1 {
+		t.Errorf("appended value not linked: %s (%d rows)", ans.SQL, ans.Result.NumRows())
+	}
+}

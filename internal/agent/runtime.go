@@ -40,7 +40,14 @@ type Runtime struct {
 	Distraction float64
 
 	cacheMu      sync.Mutex
-	profileCache map[string]*knowledge.Bundle
+	profileCache map[string]profiled
+}
+
+// profiled is a profiling bundle and the snapshot view it was computed
+// from; a different view under the same name means the profile is stale.
+type profiled struct {
+	tbl    *table.Table
+	bundle *knowledge.Bundle
 }
 
 // NewRuntime wires a runtime around a client and catalog.
@@ -51,7 +58,7 @@ func NewRuntime(client *llm.Client, catalog *sqlengine.Catalog) *Runtime {
 		Translator:   &knowledge.Translator{Client: client},
 		Profiler:     knowledge.NewProfiler(client),
 		Structured:   true,
-		profileCache: map[string]*knowledge.Bundle{},
+		profileCache: map[string]profiled{},
 	}
 	return rt
 }
@@ -109,15 +116,15 @@ func (rt *Runtime) Candidates(query, tableName string) ([]knowledge.CandidateCol
 	}
 	key := strings.ToLower(tableName)
 	rt.cacheMu.Lock()
-	b, cached := rt.profileCache[key]
+	c := rt.profileCache[key]
 	rt.cacheMu.Unlock()
-	if !cached {
-		b = rt.Profiler.Profile(t)
+	if c.tbl != t {
+		c = profiled{tbl: t, bundle: rt.Profiler.Profile(t)}
 		rt.cacheMu.Lock()
-		rt.profileCache[key] = b
+		rt.profileCache[key] = c
 		rt.cacheMu.Unlock()
 	}
-	return b.Candidates(), b.ValueHints(), nil
+	return c.bundle.Candidates(), c.bundle.ValueHints(), nil
 }
 
 func (rt *Runtime) valueHintsFromGraph() []knowledge.ValueHint {

@@ -1,0 +1,199 @@
+package index
+
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+)
+
+// handle is one index pair under test plus the documents it should hold.
+type handle struct {
+	lex  *Lexical
+	vec  *Vector
+	live map[string]Entry
+}
+
+func newHandle() *handle {
+	return &handle{lex: NewLexical(), vec: NewVector(), live: map[string]Entry{}}
+}
+
+func (h *handle) add(e Entry) {
+	h.lex.Add(e)
+	h.vec.Add(e)
+	h.live[e.ID] = e
+}
+
+func (h *handle) remove(id string) {
+	h.lex.Remove(id)
+	h.vec.Remove(id)
+	delete(h.live, id)
+}
+
+func (h *handle) clone() *handle {
+	return &handle{lex: h.lex.Clone(), vec: h.vec.Clone(), live: maps.Clone(h.live)}
+}
+
+// vocab is small and prefix-heavy so documents share both whole-term and
+// "p3:" posting lists.
+var vocab = []string{
+	"revenue", "revised", "income", "incident", "product", "profit",
+	"region", "regular", "customer", "custom", "order", "orbit",
+}
+
+var cloneQueries = []string{"revenue income", "product region customer", "order profit orbit", "regular revised incident custom"}
+
+// checkAgainstScratch asserts that h answers exactly like indexes built
+// from scratch over h's live documents: Len, and for every query the hit
+// IDs, their order and their scores bit for bit.
+func checkAgainstScratch(t *testing.T, label string, h *handle) {
+	t.Helper()
+	ids := make([]string, 0, len(h.live))
+	for id := range h.live {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	lex, vec := NewLexical(), NewVector()
+	for _, id := range ids {
+		lex.Add(h.live[id])
+		vec.Add(h.live[id])
+	}
+	if h.lex.Len() != len(ids) || h.vec.Len() != len(ids) {
+		t.Fatalf("%s: Len lex=%d vec=%d, want %d", label, h.lex.Len(), h.vec.Len(), len(ids))
+	}
+	for _, q := range cloneQueries {
+		sameHits(t, label+" lexical "+q, h.lex.Search(q, 10), lex.Search(q, 10))
+		sameHits(t, label+" vector "+q, h.vec.Search(q, 10), vec.Search(q, 10))
+	}
+}
+
+func sameHits(t *testing.T, label string, got, want []Hit) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d hits, want %d\n got %v\nwant %v", label, len(got), len(want), got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] { // Hit is {string, float64}: == is bit-exact for non-NaN scores
+			t.Fatalf("%s: hit %d = %v, want %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestIndexCloneIndependence pins the slice-sharing contract: after a
+// clone, appends to posting lists shared between original and clones —
+// on every side — and a reindex on one side stay invisible to the others.
+func TestIndexCloneIndependence(t *testing.T) {
+	orig := newHandle()
+	for i, content := range []string{
+		"revenue income product", "revenue region customer", "income profit order",
+		"product customer order", "revenue revised regular",
+	} {
+		orig.add(Entry{ID: fmt.Sprintf("d%d", i), Name: vocab[i], Content: content, Tag: "column"})
+	}
+	c1, c2 := orig.clone(), orig.clone()
+
+	// Every new document shares terms with existing ones, so each side
+	// appends to posting lists all three handles hold.
+	orig.add(Entry{ID: "o1", Name: "revenue", Content: "income order revenue", Tag: "column"})
+	c1.add(Entry{ID: "c1", Name: "income", Content: "revenue product region", Tag: "column"})
+	c2.add(Entry{ID: "c2", Name: "order", Content: "revenue income customer", Tag: "table"})
+	orig.add(Entry{ID: "o2", Name: "customer", Content: "product profit", Tag: "column"})
+	c1.add(Entry{ID: "c1b", Name: "profit", Content: "customer order", Tag: "column"})
+	// Reindex an ID every handle holds, on one side only.
+	c1.add(Entry{ID: "d0", Name: "orbit", Content: "incident custom", Tag: "jargon"})
+	// A clone of a clone, then both diverge again.
+	c3 := c1.clone()
+	c3.add(Entry{ID: "c3", Name: "revenue", Content: "orbit incident", Tag: "column"})
+	c1.remove("d1")
+
+	for label, h := range map[string]*handle{"orig": orig, "c1": c1, "c2": c2, "c3": c3} {
+		checkAgainstScratch(t, label, h)
+	}
+	if hits := orig.lex.Search("orbit", 10); len(hits) != 0 {
+		t.Errorf("clone's reindexed text visible in the original: %v", hits)
+	}
+}
+
+// TestIndexCloneConcurrent searches the original on several goroutines
+// while clones are taken from it and mutated — what the platform's
+// copy-on-write knowledge swap does to a published graph. Run under -race.
+func TestIndexCloneConcurrent(t *testing.T) {
+	orig := newHandle()
+	for i := 0; i < 30; i++ {
+		orig.add(Entry{ID: fmt.Sprintf("d%02d", i), Name: vocab[i%len(vocab)], Content: vocab[(i+3)%len(vocab)] + " " + vocab[(i+7)%len(vocab)]})
+	}
+	want := make([][]Hit, len(cloneQueries))
+	for i, q := range cloneQueries {
+		want[i] = orig.lex.Search(q, 10)
+	}
+	var wg sync.WaitGroup
+	writers := make([]*handle, 3) // each writer's last clone, checked after the wait
+	for w := range writers {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cur := orig
+			for i := 0; i < 20; i++ {
+				cur = cur.clone()
+				cur.add(Entry{ID: fmt.Sprintf("w%d_%d", w, i), Name: vocab[i%len(vocab)], Content: "revenue income product"})
+				cur.add(Entry{ID: "d00", Name: "orbit", Content: fmt.Sprintf("custom %d", i)})
+			}
+			writers[w] = cur
+		}(w)
+	}
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				q := i % len(cloneQueries)
+				if got := orig.lex.Search(cloneQueries[q], 10); !slices.Equal(got, want[q]) {
+					t.Errorf("original's results changed under clone mutation: %v, want %v", got, want[q])
+					return
+				}
+				orig.vec.Search(cloneQueries[q], 10)
+			}
+		}()
+	}
+	wg.Wait()
+	checkAgainstScratch(t, "orig", orig)
+	for w, h := range writers {
+		checkAgainstScratch(t, fmt.Sprintf("writer %d", w), h)
+	}
+}
+
+// TestIndexCloneRandomSequences drives seeded random Add / re-Add / Remove
+// / Clone sequences over a handful of handles that share history, and
+// after every step holds every handle — not just the one touched — to the
+// from-scratch equality.
+func TestIndexCloneRandomSequences(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		handles := []*handle{newHandle()}
+		for step := 0; step < 200; step++ {
+			h := handles[rng.Intn(len(handles))]
+			switch op := rng.Intn(10); {
+			case op < 6: // Add, or re-Add when the ID is already live
+				content := ""
+				for w := 0; w < 1+rng.Intn(5); w++ {
+					content += vocab[rng.Intn(len(vocab))] + " "
+				}
+				h.add(Entry{ID: fmt.Sprintf("d%d", rng.Intn(16)), Name: vocab[rng.Intn(len(vocab))], Content: content, Tag: "column"})
+			case op < 8:
+				h.remove(fmt.Sprintf("d%d", rng.Intn(16)))
+			default:
+				if cp := h.clone(); len(handles) < 6 {
+					handles = append(handles, cp)
+				} else {
+					handles[rng.Intn(len(handles))] = cp
+				}
+			}
+			for i, h := range handles {
+				checkAgainstScratch(t, fmt.Sprintf("seed %d step %d handle %d", seed, step, i), h)
+			}
+		}
+	}
+}

@@ -4,33 +4,28 @@
 // embeddings (the StarRocks embedding-search role). Both index the same
 // triplet structure {name, content, tag} from §IV-B.
 //
-// Both indexes are layered persistent structures, mirroring the chunked
-// snapshot storage in internal/table: documents live in immutable sealed
-// layers plus one private mutable tail. Clone seals the tail and shares
-// the sealed layers — O(layers), not O(index) — so the knowledge graph's
-// copy-on-write snapshot swap costs per-update work proportional to the
-// update, not the graph. Search computes corpus-global statistics (doc
-// count, document frequency) across layers with newest-definition-wins
-// resolution, so scores are bit-identical to a monolithic rebuild of the
-// same live documents. Layers are folded back into one when a clone
-// accumulates more than maxLayers of them, amortizing compaction across
-// the clones that created the layers.
+// Both indexes are flat maps holding exactly the live documents, so Search
+// reads one structure and scores with plain corpus statistics. Clone copies
+// the maps and shares what they point at — the same prefix sharing
+// internal/table's Appender uses for its arena and chunk list: a posting
+// list is handed over as l[:len:len], so the first append on the clone
+// reallocates while an append on the original writes past the clone's
+// length. The one invariant is that a posting list is never written below
+// its published length: Add only appends, and reindexing or removing a
+// document rebuilds the affected lists into fresh slices. Embedding vectors
+// are immutable and shared by pointer.
 package index
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
 	"datalab/internal/embed"
 	"datalab/internal/textutil"
 )
-
-// maxLayers bounds how many sealed layers a clone may carry before it is
-// compacted into a single layer. Reads walk layers newest-first, so the
-// bound keeps lookup and scoring O(1)-ish in the number of snapshots
-// taken, while compaction cost is paid once per maxLayers clones.
-const maxLayers = 8
 
 // Entry is one indexed document: the triplet the paper's task-aware
 // indexing mechanism stores per knowledge node.
@@ -47,266 +42,155 @@ type Hit struct {
 	Score float64
 }
 
-// lexLayer is one immutable (once sealed) stratum of the lexical index.
-// dead tombstones IDs removed relative to older layers; a layer never
-// both defines and tombstones the same ID.
-type lexLayer struct {
-	postings map[string]map[string]int // token -> docID -> term frequency
+// posting is one document's term frequency in a term's posting list.
+type posting struct {
+	id string
+	tf int
+}
+
+// Lexical is an inverted index with TF-IDF ranking (see the package
+// comment for how clones share posting lists).
+type Lexical struct {
+	mu       sync.RWMutex
+	postings map[string][]posting // term -> one posting per live document
 	docLen   map[string]int
 	entries  map[string]Entry
-	dead     map[string]bool
-}
-
-func newLexLayer() *lexLayer {
-	return &lexLayer{
-		postings: map[string]map[string]int{},
-		docLen:   map[string]int{},
-		entries:  map[string]Entry{},
-		dead:     map[string]bool{},
-	}
-}
-
-// lexTokens expands an entry into its weighted token bag. The name field
-// is weighted 3x: a query term hitting a node's name is a far stronger
-// signal than one hitting its prose content.
-func lexTokens(e Entry) []string {
-	tokens := textutil.Tokenize(e.Name)
-	weighted := make([]string, 0, len(tokens)*3)
-	for i := 0; i < 3; i++ {
-		weighted = append(weighted, tokens...)
-	}
-	weighted = append(weighted, textutil.Tokenize(e.Content)...)
-	weighted = append(weighted, textutil.Tokenize(e.Tag)...)
-	return weighted
-}
-
-// add indexes e into this layer. Subword prefixes approximate the
-// character-n-gram matching of production search engines: "imp_cnt" is
-// findable from "impression count".
-func (l *lexLayer) add(e Entry) {
-	l.entries[e.ID] = e
-	weighted := lexTokens(e)
-	for _, t := range weighted {
-		if textutil.IsStopword(t) {
-			continue
-		}
-		m, ok := l.postings[t]
-		if !ok {
-			m = map[string]int{}
-			l.postings[t] = m
-		}
-		m[e.ID]++
-		if len(t) >= 3 {
-			pt := "p3:" + t[:3]
-			pm, ok := l.postings[pt]
-			if !ok {
-				pm = map[string]int{}
-				l.postings[pt] = pm
-			}
-			pm[e.ID]++
-		}
-	}
-	l.docLen[e.ID] = len(weighted)
-}
-
-// strip removes id's definition from this (mutable tail) layer.
-func (l *lexLayer) strip(id string) {
-	delete(l.entries, id)
-	delete(l.docLen, id)
-	for t, m := range l.postings {
-		delete(m, id)
-		if len(m) == 0 {
-			delete(l.postings, t)
-		}
-	}
-}
-
-// Lexical is an inverted index with TF-IDF ranking, stored as immutable
-// sealed layers plus a mutable tail (see the package comment).
-type Lexical struct {
-	mu     sync.RWMutex
-	layers []*lexLayer
-	sealed int // layers[:sealed] are immutable and may be shared with clones
-	n      int // live (non-shadowed, non-tombstoned) entry count
 }
 
 // NewLexical returns an empty lexical index.
 func NewLexical() *Lexical {
-	return &Lexical{}
+	return &Lexical{postings: map[string][]posting{}, docLen: map[string]int{}, entries: map[string]Entry{}}
 }
 
-// tail returns the mutable tail layer, opening a fresh one when every
-// current layer is sealed (i.e. after a Clone).
-func (ix *Lexical) tail() *lexLayer {
-	if ix.sealed == len(ix.layers) {
-		ix.layers = append(ix.layers, newLexLayer())
-	}
-	return ix.layers[len(ix.layers)-1]
-}
-
-// resolve returns the index of the layer holding id's current definition,
-// or -1 when id is absent or tombstoned. Newest definition wins.
-func (ix *Lexical) resolve(id string) int {
-	for li := len(ix.layers) - 1; li >= 0; li-- {
-		l := ix.layers[li]
-		if _, ok := l.entries[id]; ok {
-			return li
+// lexTerms expands an entry into its sorted index terms (duplicates kept,
+// so a run's length is the term frequency) and its weighted token count.
+// The name field is weighted 3x: a query term hitting a node's name is a
+// far stronger signal than one hitting its prose content. Subword prefixes
+// approximate the character-n-gram matching of production search engines:
+// "imp_cnt" is findable from "impression count".
+func lexTerms(e Entry) (terms []string, docLen int) {
+	name := textutil.Tokenize(e.Name)
+	weighted := slices.Concat(name, name, name, textutil.Tokenize(e.Content), textutil.Tokenize(e.Tag))
+	for _, t := range weighted {
+		if textutil.IsStopword(t) {
+			continue
 		}
-		if l.dead[id] {
-			return -1
+		terms = append(terms, t)
+		if len(t) >= 3 {
+			terms = append(terms, "p3:"+t[:3])
 		}
 	}
-	return -1
+	sort.Strings(terms)
+	return terms, len(weighted)
 }
 
-// resolveBelow is resolve restricted to layers strictly below limit.
-func (ix *Lexical) resolveBelow(id string, limit int) int {
-	for li := limit - 1; li >= 0; li-- {
-		l := ix.layers[li]
-		if _, ok := l.entries[id]; ok {
-			return li
+// eachTerm calls fn once per distinct term of a sorted term list with the
+// term's frequency.
+func eachTerm(terms []string, fn func(term string, tf int)) {
+	for i := 0; i < len(terms); {
+		j := i + 1
+		for j < len(terms) && terms[j] == terms[i] {
+			j++
 		}
-		if l.dead[id] {
-			return -1
-		}
+		fn(terms[i], j-i)
+		i = j
 	}
-	return -1
 }
 
-// Add indexes (or reindexes) an entry: the definition lands in the
-// mutable tail and shadows any older layer's definition of the same ID.
+// Add indexes (or reindexes) an entry, appending one posting per term.
 func (ix *Lexical) Add(e Entry) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	wasLive := ix.resolve(e.ID) >= 0
-	t := ix.tail()
-	if _, ok := t.entries[e.ID]; ok {
-		t.strip(e.ID)
-	}
-	delete(t.dead, e.ID)
-	t.add(e)
-	if !wasLive {
-		ix.n++
-	}
+	ix.strip(e.ID)
+	terms, docLen := lexTerms(e)
+	eachTerm(terms, func(term string, tf int) {
+		ix.postings[term] = append(ix.postings[term], posting{e.ID, tf})
+	})
+	ix.docLen[e.ID] = docLen
+	ix.entries[e.ID] = e
 }
 
-// Clone returns a snapshot sharing every sealed layer with the original:
-// mutations to either side after the clone are invisible to the other,
-// and the cost is O(layers) rather than O(index). It backs the knowledge
+// strip forgets id. Each posting list it appears in is rebuilt into a
+// fresh slice: the old backing array may be shared with clones.
+func (ix *Lexical) strip(id string) {
+	old, ok := ix.entries[id]
+	if !ok {
+		return
+	}
+	terms, _ := lexTerms(old)
+	eachTerm(terms, func(term string, _ int) {
+		l := ix.postings[term]
+		if len(l) == 1 {
+			delete(ix.postings, term)
+			return
+		}
+		fresh := make([]posting, 0, len(l)-1)
+		for _, p := range l {
+			if p.id != id {
+				fresh = append(fresh, p)
+			}
+		}
+		ix.postings[term] = fresh
+	})
+	delete(ix.docLen, id)
+	delete(ix.entries, id)
+}
+
+// Clone returns an independent snapshot: mutations to either side after
+// the clone are invisible to the other. It copies the maps and shares the
+// posting lists, capped at their current length. It backs the knowledge
 // graph's copy-on-write swap, so readers can keep searching the original
 // while a writer builds and mutates the clone.
 func (ix *Lexical) Clone() *Lexical {
-	ix.mu.Lock()
-	ix.sealed = len(ix.layers) // the tail becomes immutable for both sides
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	cp := &Lexical{
-		layers: append([]*lexLayer(nil), ix.layers...),
-		sealed: len(ix.layers),
-		n:      ix.n,
+		postings: make(map[string][]posting, len(ix.postings)),
+		docLen:   maps.Clone(ix.docLen),
+		entries:  maps.Clone(ix.entries),
 	}
-	ix.mu.Unlock()
-	if len(cp.layers) > maxLayers {
-		cp.compact()
+	for term, l := range ix.postings {
+		cp.postings[term] = l[:len(l):len(l)]
 	}
 	return cp
-}
-
-// compact folds every layer into one sealed layer holding exactly the
-// live documents. Only called on a freshly built clone (no concurrent
-// access yet); scores are unchanged because Search already computes
-// global statistics over the live set.
-func (ix *Lexical) compact() {
-	live := map[string]Entry{}
-	for _, l := range ix.layers { // oldest -> newest: later layers win
-		for id := range l.dead {
-			delete(live, id)
-		}
-		for id, e := range l.entries {
-			live[id] = e
-		}
-	}
-	merged := newLexLayer()
-	for _, e := range live {
-		merged.add(e)
-	}
-	ix.layers = []*lexLayer{merged}
-	ix.sealed = 1
-	ix.n = len(live)
 }
 
 // Remove deletes an entry from the index.
 func (ix *Lexical) Remove(id string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	li := ix.resolve(id)
-	if li < 0 {
-		return
-	}
-	ix.n--
-	if li >= ix.sealed { // defined in the mutable tail: strip it
-		ix.layers[li].strip(id)
-		if ix.resolveBelow(id, li) >= 0 {
-			ix.layers[li].dead[id] = true // a sealed definition remains below
-		}
-		return
-	}
-	ix.tail().dead[id] = true
+	ix.strip(id)
 }
 
-// Len returns the number of live entries.
+// Len returns the number of entries.
 func (ix *Lexical) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.n
-}
-
-// Entry returns the stored entry by ID.
-func (ix *Lexical) Entry(id string) (Entry, bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if li := ix.resolve(id); li >= 0 {
-		return ix.layers[li].entries[id], true
-	}
-	return Entry{}, false
+	return len(ix.entries)
 }
 
 // Search returns the top-k entries by TF-IDF score against the query.
-// Document frequency and corpus size are computed across layers over the
-// live document set, so results are identical — scores included — to a
-// monolithic index of the same documents. Deterministic: ties break by ID.
+// Deterministic: ties break by ID.
 func (ix *Lexical) Search(query string, k int) []Hit {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	n := ix.n
+	n := len(ix.entries)
 	if n == 0 || k <= 0 {
 		return nil
 	}
 	scores := map[string]float64{}
-	type post struct {
-		tf, dl int
-	}
 	accumulate := func(term string, weight float64) {
-		// Gather the live postings for term: a document counts only from
-		// its defining layer, so shadowed and tombstoned copies are skipped.
-		live := map[string]post{}
-		for li := len(ix.layers) - 1; li >= 0; li-- {
-			l := ix.layers[li]
-			for id, tf := range l.postings[term] {
-				if ix.resolve(id) != li {
-					continue
-				}
-				live[id] = post{tf: tf, dl: l.docLen[id]}
-			}
-		}
-		if len(live) == 0 {
+		l := ix.postings[term]
+		if len(l) == 0 {
 			return
 		}
-		idf := math.Log(1 + float64(n)/float64(len(live)))
-		for id, p := range live {
-			dl := p.dl
+		idf := math.Log(1 + float64(n)/float64(len(l)))
+		for _, p := range l {
+			dl := ix.docLen[p.id]
 			if dl == 0 {
 				dl = 1
 			}
-			scores[id] += weight * idf * float64(p.tf) / math.Sqrt(float64(dl))
+			scores[p.id] += weight * idf * float64(p.tf) / math.Sqrt(float64(dl))
 		}
 	}
 	for _, t := range textutil.ContentTokens(query) {
@@ -318,137 +202,45 @@ func (ix *Lexical) Search(query string, k int) []Hit {
 	return topK(scores, k)
 }
 
-// vecLayer is one stratum of the vector index (see lexLayer).
-type vecLayer struct {
-	vecs    map[string]embed.Vector
-	entries map[string]Entry
-	dead    map[string]bool
-}
-
-func newVecLayer() *vecLayer {
-	return &vecLayer{vecs: map[string]embed.Vector{}, entries: map[string]Entry{}, dead: map[string]bool{}}
-}
-
-// Vector is a brute-force cosine-similarity index over embeddings, layered
-// like Lexical.
+// Vector is a brute-force cosine-similarity index over embeddings. The
+// vectors are never modified after Add, so clones share them by pointer.
 type Vector struct {
-	mu     sync.RWMutex
-	layers []*vecLayer
-	sealed int
-	n      int
+	mu   sync.RWMutex
+	vecs map[string]*embed.Vector
 }
 
 // NewVector returns an empty vector index.
 func NewVector() *Vector {
-	return &Vector{}
-}
-
-func (ix *Vector) tail() *vecLayer {
-	if ix.sealed == len(ix.layers) {
-		ix.layers = append(ix.layers, newVecLayer())
-	}
-	return ix.layers[len(ix.layers)-1]
-}
-
-func (ix *Vector) resolve(id string) int {
-	for li := len(ix.layers) - 1; li >= 0; li-- {
-		l := ix.layers[li]
-		if _, ok := l.entries[id]; ok {
-			return li
-		}
-		if l.dead[id] {
-			return -1
-		}
-	}
-	return -1
+	return &Vector{vecs: map[string]*embed.Vector{}}
 }
 
 // Add indexes an entry under the embedding of name+content+tag.
 func (ix *Vector) Add(e Entry) {
+	v := embed.Text(e.Name + " " + e.Content + " " + e.Tag)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	wasLive := ix.resolve(e.ID) >= 0
-	t := ix.tail()
-	delete(t.dead, e.ID)
-	t.entries[e.ID] = e
-	t.vecs[e.ID] = embed.Text(e.Name + " " + e.Content + " " + e.Tag)
-	if !wasLive {
-		ix.n++
-	}
+	ix.vecs[e.ID] = &v
 }
 
-// Clone returns a snapshot sharing the sealed layers (see Lexical.Clone).
+// Clone returns an independent snapshot (see Lexical.Clone).
 func (ix *Vector) Clone() *Vector {
-	ix.mu.Lock()
-	ix.sealed = len(ix.layers)
-	cp := &Vector{
-		layers: append([]*vecLayer(nil), ix.layers...),
-		sealed: len(ix.layers),
-		n:      ix.n,
-	}
-	ix.mu.Unlock()
-	if len(cp.layers) > maxLayers {
-		cp.compact()
-	}
-	return cp
-}
-
-func (ix *Vector) compact() {
-	merged := newVecLayer()
-	for _, l := range ix.layers { // oldest -> newest: later layers win
-		for id := range l.dead {
-			delete(merged.entries, id)
-			delete(merged.vecs, id)
-		}
-		for id, e := range l.entries {
-			merged.entries[id] = e
-			merged.vecs[id] = l.vecs[id]
-		}
-	}
-	ix.layers = []*vecLayer{merged}
-	ix.sealed = 1
-	ix.n = len(merged.entries)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return &Vector{vecs: maps.Clone(ix.vecs)}
 }
 
 // Remove deletes an entry.
 func (ix *Vector) Remove(id string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	li := ix.resolve(id)
-	if li < 0 {
-		return
-	}
-	ix.n--
-	if li >= ix.sealed {
-		l := ix.layers[li]
-		delete(l.entries, id)
-		delete(l.vecs, id)
-		if ix.resolveVecBelow(id, li) >= 0 {
-			l.dead[id] = true
-		}
-		return
-	}
-	ix.tail().dead[id] = true
+	delete(ix.vecs, id)
 }
 
-func (ix *Vector) resolveVecBelow(id string, limit int) int {
-	for li := limit - 1; li >= 0; li-- {
-		l := ix.layers[li]
-		if _, ok := l.entries[id]; ok {
-			return li
-		}
-		if l.dead[id] {
-			return -1
-		}
-	}
-	return -1
-}
-
-// Len returns the number of live entries.
+// Len returns the number of entries.
 func (ix *Vector) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.n
+	return len(ix.vecs)
 }
 
 // Search returns the top-k entries by cosine similarity to the query
@@ -456,25 +248,14 @@ func (ix *Vector) Len() int {
 func (ix *Vector) Search(query string, k int) []Hit {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.n == 0 || k <= 0 {
+	if len(ix.vecs) == 0 || k <= 0 {
 		return nil
 	}
 	qv := embed.Text(query)
 	scores := map[string]float64{}
-	seen := map[string]bool{}
-	for li := len(ix.layers) - 1; li >= 0; li-- {
-		l := ix.layers[li]
-		for id := range l.dead {
-			seen[id] = true // tombstone shadows any older definition
-		}
-		for id, v := range l.vecs {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			if s := embed.Cosine(qv, v); s > 0 {
-				scores[id] = s
-			}
+	for id, v := range ix.vecs {
+		if s := embed.Cosine(qv, *v); s > 0 {
+			scores[id] = s
 		}
 	}
 	return topK(scores, k)

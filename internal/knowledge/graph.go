@@ -2,9 +2,9 @@ package knowledge
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"datalab/internal/index"
 )
@@ -43,41 +43,22 @@ func (n *Node) Component(key string) string {
 	return n.Components[key]
 }
 
-// graphSeg is one stratum of the segmented graph: nodes and edges added
-// since the previous snapshot. Sealed segments are immutable and shared
-// between a graph and its clones.
-type graphSeg struct {
-	nodes map[string]*Node
-	// children maps a node to the logical children added in this segment.
-	children map[string][]string
-	// aliases maps a primary node to the alias node IDs added here.
-	aliases map[string][]string
-}
-
-func newGraphSeg() *graphSeg {
-	return &graphSeg{nodes: map[string]*Node{}, children: map[string][]string{}, aliases: map[string][]string{}}
-}
-
-// maxSegs bounds the sealed-segment chain before a clone folds it into a
-// single segment; the same amortization as the retrieval indexes' layer
-// cap (see internal/index).
-const maxSegs = 8
-
-// Graph is the knowledge graph with its two task-aware retrieval indexes.
-// It uses the same layered persistent structure as the chunked table
-// storage: immutable sealed segments plus one private mutable tail, so
-// Clone costs O(segments) instead of O(graph). There is no node removal;
-// re-adding an ID shadows the older definition (newest segment wins).
+// Graph is the knowledge graph with its two task-aware retrieval indexes:
+// flat maps of nodes and parent -> children edges. There is no node
+// removal; re-adding an ID replaces the older definition.
 //
-// Concurrency contract (unchanged from the monolithic graph): any number
-// of readers may use a graph concurrently with Clone, but mutation is
+// Clone copies the maps and shares what they point at: nodes are immutable
+// once added, and each edge list is handed over capped at its length
+// (l[:len:len], as internal/index does for posting lists), so an append on
+// either side never writes into the other's view.
+//
+// Concurrency contract: any number of goroutines may read and Clone a
+// graph concurrently — neither writes to it — but mutation is
 // single-writer and must happen on a private (cloned, not yet published)
-// graph — Platform.LearnKnowledge's swap protocol. sealed is atomic only
-// so concurrent Clones of one shared graph never race with each other.
+// graph — Platform.LearnKnowledge's swap protocol.
 type Graph struct {
-	segs   []*graphSeg
-	sealed atomic.Int32 // segs[:sealed] are immutable and shared with clones
-	nNodes int
+	nodes    map[string]*Node
+	children map[string][]string // logical children, in insertion order
 
 	// Task-aware indexes (§IV-B): the full index concatenates every
 	// component including calculation logic (NL2DSL-style tasks match on
@@ -93,6 +74,8 @@ type Graph struct {
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
 	return &Graph{
+		nodes:    map[string]*Node{},
+		children: map[string][]string{},
 		lex:      index.NewLexical(),
 		vec:      index.NewVector(),
 		lexLight: index.NewLexical(),
@@ -100,136 +83,55 @@ func NewGraph() *Graph {
 	}
 }
 
-// Clone returns a copy-on-write snapshot of the graph: the mutable tail
-// segment is sealed and every sealed segment (and index layer) is shared,
-// so the cost is proportional to the number of snapshots taken since the
-// last fold, not to the graph. Mutating the clone (AddBundle, AddJargon,
-// AddAlias) writes only its own fresh tail segment and leaves the
-// original untouched, so in-flight readers of the original are safe while
-// a writer prepares the next snapshot. See Platform.LearnKnowledge for
-// the swap protocol.
+// Clone returns an independent snapshot of the graph: mutating the clone
+// (AddBundle, AddJargon, AddAlias) leaves the original untouched, so
+// in-flight readers of the original are safe while a writer prepares the
+// next snapshot. See Platform.LearnKnowledge for the swap protocol.
 func (g *Graph) Clone() *Graph {
-	g.sealed.Store(int32(len(g.segs))) // the tail is now immutable for both sides
 	ng := &Graph{
-		segs:     append([]*graphSeg(nil), g.segs...),
-		nNodes:   g.nNodes,
+		nodes:    maps.Clone(g.nodes),
+		children: make(map[string][]string, len(g.children)),
 		lex:      g.lex.Clone(),
 		vec:      g.vec.Clone(),
 		lexLight: g.lexLight.Clone(),
 		vecLight: g.vecLight.Clone(),
 	}
-	ng.sealed.Store(int32(len(ng.segs)))
-	if len(ng.segs) > maxSegs {
-		ng.compact()
+	for id, kids := range g.children {
+		ng.children[id] = kids[:len(kids):len(kids)]
 	}
 	return ng
 }
 
-// compact folds all segments of a freshly built clone (not yet visible to
-// any other goroutine) into one, preserving edge order and the
-// newest-definition-wins node resolution.
-func (g *Graph) compact() {
-	merged := newGraphSeg()
-	for _, s := range g.segs { // oldest -> newest: later definitions win
-		for id, n := range s.nodes {
-			merged.nodes[id] = n
-		}
-		for id, kids := range s.children {
-			merged.children[id] = append(merged.children[id], kids...)
-		}
-		for id, as := range s.aliases {
-			merged.aliases[id] = append(merged.aliases[id], as...)
-		}
-	}
-	g.segs = []*graphSeg{merged}
-	g.sealed.Store(1)
-}
-
-// tail returns the mutable tail segment, opening one when every current
-// segment is sealed (i.e. after a Clone).
-func (g *Graph) tail() *graphSeg {
-	if int(g.sealed.Load()) == len(g.segs) {
-		g.segs = append(g.segs, newGraphSeg())
-	}
-	return g.segs[len(g.segs)-1]
-}
-
 // NumNodes returns the number of distinct node IDs.
-func (g *Graph) NumNodes() int { return g.nNodes }
+func (g *Graph) NumNodes() int { return len(g.nodes) }
 
-// Node returns a node by ID; the newest segment's definition wins.
+// Node returns a node by ID.
 func (g *Graph) Node(id string) (*Node, bool) {
-	for si := len(g.segs) - 1; si >= 0; si-- {
-		if n, ok := g.segs[si].nodes[id]; ok {
-			return n, true
-		}
-	}
-	return nil, false
+	n, ok := g.nodes[id]
+	return n, ok
 }
 
-// NodesOfType returns all node IDs of the given type, sorted. A re-added
-// ID is classified by its newest definition.
+// NodesOfType returns all node IDs of the given type, sorted.
 func (g *Graph) NodesOfType(t NodeType) []string {
-	seen := map[string]bool{}
 	var out []string
-	for si := len(g.segs) - 1; si >= 0; si-- {
-		for id, n := range g.segs[si].nodes {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			if n.Type == t {
-				out = append(out, id)
-			}
+	for id, n := range g.nodes {
+		if n.Type == t {
+			out = append(out, id)
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Children returns the logical children of a node, in insertion order
-// across segments.
-func (g *Graph) Children(id string) []string {
-	var only []string
-	found := 0
-	for _, s := range g.segs {
-		if kids := s.children[id]; len(kids) > 0 {
-			only = kids
-			found++
-		}
-	}
-	if found <= 1 {
-		return only // common case: one segment holds all edges, zero copy
-	}
-	var out []string
-	for _, s := range g.segs {
-		out = append(out, s.children[id]...)
-	}
-	return out
-}
+// Children returns the logical children of a node in insertion order. The
+// slice is the graph's own: callers must not modify it.
+func (g *Graph) Children(id string) []string { return g.children[id] }
 
-// Aliases returns the alias node IDs of a primary node, in insertion
-// order across segments.
-func (g *Graph) Aliases(id string) []string {
-	var out []string
-	for _, s := range g.segs {
-		out = append(out, s.aliases[id]...)
-	}
-	return out
-}
-
-// addNode inserts a node into the tail segment and indexes it.
+// addNode inserts (or replaces) a node and indexes it.
 func (g *Graph) addNode(n *Node) {
-	if _, exists := g.Node(n.ID); !exists {
-		g.nNodes++
-	}
-	t := g.tail()
-	t.nodes[n.ID] = n
+	g.nodes[n.ID] = n
 	if n.Parent != "" {
-		t.children[n.Parent] = append(t.children[n.Parent], n.ID)
-	}
-	if n.Type == NodeAlias {
-		t.aliases[n.Parent] = append(t.aliases[n.Parent], n.ID)
+		g.children[n.Parent] = append(g.children[n.Parent], n.ID)
 	}
 	g.indexNode(n)
 }

@@ -2,6 +2,7 @@ package knowledge
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -20,7 +21,11 @@ func TestGraphCloneIndependence(t *testing.T) {
 	orig := NewGraph()
 	orig.AddBundle(b, LevelFull)
 	origNodes := orig.NumNodes()
-	origKids := len(orig.Children(TableID("sales_db", "23_customer_bg")))
+	tableID := TableID("sales_db", "23_customer_bg")
+	origKids := append([]string(nil), orig.Children(tableID)...)
+	origColumns := orig.NodesOfType(NodeColumn)
+	colID := origKids[0]
+	origCol, _ := orig.Node(colID)
 
 	client := llm.NewClient(llm.GPT4, "clone-test")
 	before := NewRetriever(orig, client).Retrieve("income after tax", 5)
@@ -35,7 +40,22 @@ func TestGraphCloneIndependence(t *testing.T) {
 		Aliases:      []string{"mega revenue"},
 		MapsToColumn: "shouldincome_after",
 	})
-	cl.AddAlias("bg table", TableID("sales_db", "23_customer_bg"))
+	cl.AddAlias("bg table", tableID)
+	// Re-adding an existing ID on the clone replaces it there only.
+	cl.addNode(&Node{ID: colID, Type: NodeJargon, Name: "redefined", Parent: tableID,
+		Components: map[string]string{"definition": "redefined on the clone"}})
+	if n, _ := cl.Node(colID); n.Name != "redefined" {
+		t.Errorf("clone resolves %q to %q, want the new definition", colID, n.Name)
+	}
+	if n, _ := orig.Node(colID); n != origCol {
+		t.Errorf("original resolves %q to %+v, want the old definition", colID, n)
+	}
+	if got := orig.NodesOfType(NodeColumn); !reflect.DeepEqual(got, origColumns) {
+		t.Errorf("original NodesOfType(column) changed: %d ids, want %d", len(got), len(origColumns))
+	}
+	if got := len(cl.NodesOfType(NodeColumn)); got != len(origColumns)-1 {
+		t.Errorf("clone NodesOfType(column) = %d ids, want %d", got, len(origColumns)-1)
+	}
 
 	if orig.NumNodes() != origNodes {
 		t.Errorf("original node count changed after clone mutation: %d != %d", orig.NumNodes(), origNodes)
@@ -43,8 +63,8 @@ func TestGraphCloneIndependence(t *testing.T) {
 	if _, ok := orig.Node("jargon:megarev"); ok {
 		t.Error("clone's jargon node leaked into the original")
 	}
-	if got := len(orig.Children(TableID("sales_db", "23_customer_bg"))); got != origKids {
-		t.Errorf("original children slice changed: %d != %d", got, origKids)
+	if got := orig.Children(tableID); !reflect.DeepEqual(got, origKids) {
+		t.Errorf("original children changed: %v != %v", got, origKids)
 	}
 	if _, ok := cl.Node("jargon:megarev"); !ok {
 		t.Error("clone missing its own jargon node")
@@ -59,6 +79,27 @@ func TestGraphCloneIndependence(t *testing.T) {
 	for i := range before {
 		if before[i].Node.ID != after[i].Node.ID || before[i].Score != after[i].Score {
 			t.Errorf("hit %d changed: %v → %v", i, before[i], after[i])
+		}
+	}
+
+	// Edge lists are shared up to their length at clone time: appends to
+	// the same parent on the original and on two of its clones must each
+	// land in that side's list only. The hazard needs spare capacity
+	// behind the original's list, so pad until there is some.
+	for i := 0; cap(orig.children[tableID]) == len(orig.children[tableID]); i++ {
+		orig.AddAlias(fmt.Sprintf("pad %d", i), tableID)
+	}
+	origKids = append([]string(nil), orig.Children(tableID)...)
+	c1, c2 := orig.Clone(), orig.Clone()
+	sides := map[string]*Graph{"c1": c1, "c2": c2, "orig": orig}
+	for name, side := range sides {
+		side.AddAlias(name+" alias", tableID)
+	}
+	for name, side := range sides {
+		kids := side.Children(tableID)
+		want := append(append([]string(nil), origKids...), "alias:"+name+" alias->"+tableID)
+		if !reflect.DeepEqual(kids, want) {
+			t.Errorf("%s children = %v, want %v", name, kids, want)
 		}
 	}
 }

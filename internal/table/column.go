@@ -222,10 +222,11 @@ func (c *Column) Append(v Value) {
 // AppendNull appends a NULL cell.
 func (c *Column) AppendNull() { c.Append(Value{}) }
 
-// AppendColumn appends every cell of src. When both columns are typed with
-// the same kind the copy is slab-at-a-time on the raw slices; otherwise it
-// falls back to cell-at-a-time Append with coercion to c's kind (so a
-// mismatched src degrades c exactly as the equivalent Append loop would).
+// AppendColumn appends every cell of src, preserving each cell's stored
+// kind. When both columns are typed with the same kind the copy is
+// slab-at-a-time on the raw slices; otherwise it goes cell-at-a-time with
+// the raw cell value, degrading c to boxed storage when kinds differ —
+// exactly reproducing the state src was in.
 func (c *Column) AppendColumn(src *Column) {
 	if c.boxed == nil && src.boxed == nil && c.Kind == src.Kind {
 		c.nulls = append(c.nulls, src.nulls...)
@@ -245,7 +246,7 @@ func (c *Column) AppendColumn(src *Column) {
 		return
 	}
 	for i := 0; i < src.length; i++ {
-		c.Append(src.Value(i).Coerce(c.Kind))
+		c.Append(src.Value(i))
 	}
 }
 

@@ -202,29 +202,11 @@ func (a *Appender) Append(rows ...[]Value) error {
 	return nil
 }
 
-// AppendTable bulk-appends every row of t into the pending chunk.
-// Columns are matched positionally; same-kind typed columns copy
-// slab-at-a-time, everything else goes cell-at-a-time with coercion.
-func (a *Appender) AppendTable(t *Table) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(t.Columns) != len(a.arena) {
-		return fmt.Errorf("table %s: append table with %d columns to %d columns", a.name, len(t.Columns), len(a.arena))
-	}
-	for i := range a.arena {
-		a.arena[i].AppendColumn(&t.Columns[i])
-	}
-	return nil
-}
-
-// AppendTableExact bulk-appends every row of t preserving each cell's
-// stored kind exactly: no coercion to the arena's column kinds. Same-kind
-// typed columns still copy slab-at-a-time; mismatched or boxed columns go
-// cell-at-a-time with the raw cell value, degrading the arena column to
-// boxed storage when kinds differ — exactly reproducing the state the
-// source column was in. WAL replay depends on this: a mixed-kind column
-// logged from a degraded arena must come back byte-for-byte, not coerced
-// into nulls.
+// AppendTableExact bulk-appends every row of t into the pending chunk,
+// columns matched positionally, preserving each cell's stored kind exactly
+// (see Column.AppendColumn): no coercion to the arena's column kinds. WAL
+// replay depends on this: a mixed-kind column logged from a degraded arena
+// must come back byte-for-byte, not coerced into nulls.
 func (a *Appender) AppendTableExact(t *Table) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -232,14 +214,7 @@ func (a *Appender) AppendTableExact(t *Table) error {
 		return fmt.Errorf("table %s: append table with %d columns to %d columns", a.name, len(t.Columns), len(a.arena))
 	}
 	for i := range a.arena {
-		src := &t.Columns[i]
-		if src.IsTyped() && a.arena[i].IsTyped() && src.Kind == a.arena[i].Kind {
-			a.arena[i].AppendColumn(src)
-			continue
-		}
-		for r := 0; r < src.Len(); r++ {
-			a.arena[i].Append(src.Value(r))
-		}
+		a.arena[i].AppendColumn(&t.Columns[i])
 	}
 	return nil
 }

@@ -204,7 +204,7 @@ func TestAppenderPropertyVsOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					rows += k
-				case 2: // bulk table append (typed fast path + coercing slow path)
+				case 2: // bulk table append (typed slab fast path + cell-at-a-time slow path)
 					src := MustNew("src", names, kinds)
 					k := rng.Intn(6)
 					for b := 0; b < k; b++ {
@@ -215,7 +215,7 @@ func TestAppenderPropertyVsOracle(t *testing.T) {
 						src.MustAppendRow(vals...)
 						o.appendRow(vals)
 					}
-					if err := app.AppendTable(src); err != nil {
+					if err := app.AppendTableExact(src); err != nil {
 						t.Fatal(err)
 					}
 					rows += k
@@ -259,7 +259,7 @@ func TestAppenderErrors(t *testing.T) {
 	if err := app.Append([]Value{Int(1)}); err == nil {
 		t.Fatal("short row append succeeded")
 	}
-	if err := app.AppendTable(MustNew("s", []string{"a"}, []Kind{KindInt})); err == nil {
+	if err := app.AppendTableExact(MustNew("s", []string{"a"}, []Kind{KindInt})); err == nil {
 		t.Fatal("column-count-mismatched bulk append succeeded")
 	}
 }

@@ -153,20 +153,6 @@ func (t *Table) SelectRows(idx []int) *Table {
 	return out
 }
 
-// Project returns a new table with only the named columns, in the given
-// order. Unknown columns are an error.
-func (t *Table) Project(names ...string) (*Table, error) {
-	out := &Table{Name: t.Name}
-	for _, n := range names {
-		c := t.Column(n)
-		if c == nil {
-			return nil, fmt.Errorf("table %s: unknown column %q", t.Name, n)
-		}
-		out.Columns = append(out.Columns, c.CloneData())
-	}
-	return out, nil
-}
-
 // Filter returns the rows for which pred returns true.
 func (t *Table) Filter(pred func(row int) bool) *Table {
 	var idx []int
@@ -245,45 +231,6 @@ func (t *Table) rowKey(i int) string {
 		sb.WriteByte('\x1f')
 	}
 	return sb.String()
-}
-
-// AddColumn appends a derived column computed per row. Errors if the name
-// already exists.
-func (t *Table) AddColumn(name string, kind Kind, fn func(row int) Value) error {
-	if t.ColumnIndex(name) >= 0 {
-		return fmt.Errorf("table %s: column %q already exists", t.Name, name)
-	}
-	n := t.NumRows()
-	col := NewColumn(name, kind)
-	col.Grow(n)
-	for i := 0; i < n; i++ {
-		col.Append(fn(i).Coerce(kind))
-	}
-	t.Columns = append(t.Columns, col)
-	return nil
-}
-
-// RenameColumn renames a column in place.
-func (t *Table) RenameColumn(oldName, newName string) error {
-	i := t.ColumnIndex(oldName)
-	if i < 0 {
-		return fmt.Errorf("table %s: unknown column %q", t.Name, oldName)
-	}
-	if j := t.ColumnIndex(newName); j >= 0 && j != i {
-		return fmt.Errorf("table %s: column %q already exists", t.Name, newName)
-	}
-	t.Columns[i].Name = newName
-	return nil
-}
-
-// DropColumn removes a column in place.
-func (t *Table) DropColumn(name string) error {
-	i := t.ColumnIndex(name)
-	if i < 0 {
-		return fmt.Errorf("table %s: unknown column %q", t.Name, name)
-	}
-	t.Columns = append(t.Columns[:i], t.Columns[i+1:]...)
-	return nil
 }
 
 // String renders a compact preview (up to 10 rows) for logs and examples.

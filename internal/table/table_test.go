@@ -96,20 +96,6 @@ func TestSortUnknownColumn(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	tbl := sampleSales(t)
-	p, err := tbl.Project("amount", "region")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p.ColumnNames(), []string{"amount", "region"}) {
-		t.Errorf("projected columns = %v", p.ColumnNames())
-	}
-	if _, err := tbl.Project("missing"); err == nil {
-		t.Fatal("expected error for unknown column")
-	}
-}
-
 func TestDistinct(t *testing.T) {
 	tbl := MustNew("t", []string{"a"}, []Kind{KindInt})
 	for _, v := range []int64{1, 2, 1, 3, 2} {
@@ -118,36 +104,6 @@ func TestDistinct(t *testing.T) {
 	d := tbl.Distinct()
 	if d.NumRows() != 3 {
 		t.Errorf("distinct rows = %d, want 3", d.NumRows())
-	}
-}
-
-func TestAddDropRenameColumn(t *testing.T) {
-	tbl := sampleSales(t)
-	err := tbl.AddColumn("total", KindFloat, func(r int) Value {
-		amt := tbl.Get(r, "amount").F
-		qty := float64(tbl.Get(r, "qty").I)
-		return Float(amt * qty)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tbl.Get(0, "total").F; got != 200 {
-		t.Errorf("derived total = %v, want 200", got)
-	}
-	if err := tbl.AddColumn("total", KindFloat, nil); err == nil {
-		t.Fatal("expected duplicate column error")
-	}
-	if err := tbl.RenameColumn("total", "revenue"); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.ColumnIndex("revenue") < 0 {
-		t.Error("rename did not take effect")
-	}
-	if err := tbl.DropColumn("revenue"); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.ColumnIndex("revenue") >= 0 {
-		t.Error("drop did not take effect")
 	}
 }
 
