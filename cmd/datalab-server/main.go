@@ -42,6 +42,21 @@ import (
 	"datalab/internal/server"
 )
 
+// Connection-level limits of the wire protocol: constants, not flags.
+// There is deliberately no ReadTimeout or WriteTimeout — either would cut
+// a streaming ingest body or a long result stream mid-flight; those are
+// bounded by admission control and client-disconnect cancellation.
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers, so a stalled connection cannot hold a goroutine.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes a keep-alive connection with no request on it.
+	idleTimeout = 2 * time.Minute
+	// shutdownTimeout is how long in-flight streams get to finish after
+	// SIGTERM before every session is cancelled.
+	shutdownTimeout = 10 * time.Second
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	demoRows := flag.Int("demo-rows", 0, "register a demo `events` table with this many rows")
@@ -96,7 +111,12 @@ func main() {
 	}, os.Stdout)
 	defer srv.Close()
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -111,7 +131,7 @@ func main() {
 	}
 	// Graceful drain: stop accepting, give in-flight streams a moment,
 	// then cancel every session so the executors abort.
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	if err := hs.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, `{"code":"error","event":"shutdown","error":%q}`+"\n", err.Error())

@@ -3,10 +3,13 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"datalab/internal/comm"
+	"datalab/internal/knowledge"
 	"datalab/internal/llm"
 	"datalab/internal/sqlengine"
 	"datalab/internal/table"
@@ -331,5 +334,58 @@ func TestFidelityIsStochasticButMostlyTrue(t *testing.T) {
 	}
 	if faithful < succeeded*3/4 {
 		t.Errorf("only %d/%d successful runs faithful", faithful, succeeded)
+	}
+}
+
+// TestConcurrentCandidatesAcrossSnapshots is the agent side of the
+// knowledge swap: a runtime keeps answering Candidates from the graph
+// snapshot it was built on — candidates and value hints unchanged — while
+// the next snapshot is cloned from it, extended and given its own runtime.
+// Run under -race in CI.
+func TestConcurrentCandidatesAcrossSnapshots(t *testing.T) {
+	client := llm.NewClient(llm.GPT4, "candidates")
+	bundle, err := knowledge.NewGenerator(client).Generate(
+		knowledge.TableSchema{Name: "sales", Columns: []knowledge.ColumnSchema{
+			{Name: "region", Type: "string"}, {Name: "product", Type: "string"}, {Name: "revenue", Type: "double"},
+		}},
+		[]knowledge.Script{{ID: "east", Language: knowledge.LangSQL,
+			Text: "SELECT region, SUM(revenue) AS total_revenue FROM sales WHERE region = 'east' AND product = 'widget' GROUP BY region"}},
+		nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph := knowledge.NewGraph()
+	graph.AddBundle(bundle, knowledge.LevelFull)
+	rt := NewRuntime(client, salesCatalog(t)).WithGraph(graph, knowledge.LevelFull)
+
+	const query = "total revenue by region"
+	wantCands, wantHints, err := rt.Candidates(query, "sales")
+	if err != nil || len(wantCands) == 0 || len(wantHints) == 0 {
+		t.Fatalf("Candidates = %d columns, %d hints, err %v; want some of each", len(wantCands), len(wantHints), err)
+	}
+
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				cands, hints, err := rt.Candidates(query, "sales")
+				if err != nil || !reflect.DeepEqual(cands, wantCands) || !reflect.DeepEqual(hints, wantHints) {
+					t.Errorf("the published snapshot answered differently: %d columns, %d hints, err %v", len(cands), len(hints), err)
+					return
+				}
+			}
+		}()
+	}
+	next := graph.Clone()
+	next.AddJargon(knowledge.JargonEntry{Term: "gizmo", Definition: "the widget product", MapsToColumn: "product", MapsToValue: "widget"})
+	rtNext := NewRuntime(client, rt.Catalog).WithGraph(next, knowledge.LevelFull)
+	_, nextHints, err := rtNext.Candidates(query, "sales")
+	wg.Wait()
+
+	want := append(append([]knowledge.ValueHint(nil), wantHints...), knowledge.ValueHint{Term: "gizmo", Column: "product", Value: "widget"})
+	if err != nil || !reflect.DeepEqual(nextHints, want) {
+		t.Errorf("next snapshot's hints = %v, err %v; want %v", nextHints, err, want)
 	}
 }

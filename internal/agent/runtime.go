@@ -107,8 +107,7 @@ func (rt *Runtime) Candidates(query, tableName string) ([]knowledge.CandidateCol
 		for _, h := range rt.Retriever.RetrieveColumnsScoped(query, tableName, 10) {
 			cands = append(cands, knowledge.CandidateFromNode(h.Node))
 		}
-		hints := rt.valueHintsFromGraph()
-		return cands, hints, nil
+		return cands, rt.Graph.ValueHints(), nil
 	}
 	t, ok := rt.Catalog.Table(tableName)
 	if !ok {
@@ -125,36 +124,6 @@ func (rt *Runtime) Candidates(query, tableName string) ([]knowledge.CandidateCol
 		rt.cacheMu.Unlock()
 	}
 	return c.bundle.Candidates(), c.bundle.ValueHints(), nil
-}
-
-func (rt *Runtime) valueHintsFromGraph() []knowledge.ValueHint {
-	var hints []knowledge.ValueHint
-	for _, id := range rt.Graph.NodesOfType(knowledge.NodeValue) {
-		n, _ := rt.Graph.Node(id)
-		if n == nil {
-			continue
-		}
-		parent, _ := rt.Graph.Node(n.Parent)
-		col := ""
-		if parent != nil {
-			col = parent.Name
-		}
-		hints = append(hints, knowledge.ValueHint{Term: n.Name, Column: col, Value: n.Component("value")})
-	}
-	for _, id := range rt.Graph.NodesOfType(knowledge.NodeJargon) {
-		n, _ := rt.Graph.Node(id)
-		if n == nil {
-			continue
-		}
-		if v := n.Component("maps_to_value"); v != "" {
-			hints = append(hints, knowledge.ValueHint{
-				Term:   n.Name,
-				Column: n.Component("maps_to_column"),
-				Value:  v,
-			})
-		}
-	}
-	return hints
 }
 
 // TranslateDSL runs query rewrite + retrieval + DSL translation, the

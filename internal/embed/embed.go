@@ -24,21 +24,26 @@ type Vector [Dim]float64
 
 // Text embeds s. The zero vector is returned for empty/stopword-only input.
 func Text(s string) Vector {
+	return Tokens(textutil.Tokenize(s))
+}
+
+// Tokens embeds a text already split by textutil.Tokenize, for callers
+// that need the tokens anyway: Text(s) == Tokens(textutil.Tokenize(s)).
+func Tokens(tokens []string) Vector {
 	var v Vector
-	tokens := textutil.Tokenize(s)
 	for _, t := range tokens {
-		addFeature(&v, t, 1.0)
+		addFeature(&v, fnv1a(fnvOffset, t), 1.0)
 	}
-	// Bigrams capture short phrases ("gross margin") with lower weight.
-	for _, g := range textutil.NGrams(tokens, 2) {
-		addFeature(&v, g, 0.5)
+	// Bigrams capture short phrases ("gross margin") with lower weight;
+	// the feature is the two tokens joined by a space, hashed in place.
+	for i := 1; i < len(tokens); i++ {
+		addFeature(&v, fnv1a(fnv1a(fnv1a(fnvOffset, tokens[i-1]), " "), tokens[i]), 0.5)
 	}
 	normalize(&v)
 	return v
 }
 
-func addFeature(v *Vector, feature string, weight float64) {
-	h := fnv1a(feature)
+func addFeature(v *Vector, h uint64, weight float64) {
 	idx := int(h % Dim)
 	sign := 1.0
 	if (h>>32)&1 == 1 {
@@ -61,12 +66,11 @@ func normalize(v *Vector) {
 	}
 }
 
-func fnv1a(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+const fnvOffset = 14695981039346656037
+
+// fnv1a continues the FNV-1a hash h over the bytes of s.
+func fnv1a(h uint64, s string) uint64 {
+	const prime = 1099511628211
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= prime

@@ -1,9 +1,12 @@
 package embed
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"datalab/internal/textutil"
 )
 
 func TestTextDeterministic(t *testing.T) {
@@ -77,5 +80,40 @@ func TestCosineSymmetric(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTokensMatchesJoinedBigrams pins Tokens — which hashes a bigram as
+// two tokens and a space without building the string — to the definition:
+// every token with weight 1, then every space-joined bigram with weight
+// 0.5, each hashed whole with FNV-1a. Equality is bit for bit.
+func TestTokensMatchesJoinedBigrams(t *testing.T) {
+	reference := func(s string) Vector {
+		var v Vector
+		add := func(feature string, weight float64) {
+			h := fnv.New64a()
+			h.Write([]byte(feature))
+			addFeature(&v, h.Sum64(), weight)
+		}
+		tokens := textutil.Tokenize(s)
+		for _, tok := range tokens {
+			add(tok, 1.0)
+		}
+		for _, g := range textutil.NGrams(tokens, 2) {
+			add(g, 0.5)
+		}
+		normalize(&v)
+		return v
+	}
+	for _, s := range []string{
+		"", "revenue", "gross margin", "total shouldincome_after by prod_class4_name in 2023",
+		"Größe Über alles 日本語", "a a a a b a",
+	} {
+		if Text(s) != reference(s) {
+			t.Errorf("Text(%q) differs from the joined-bigram definition", s)
+		}
+		if Tokens(textutil.Tokenize(s)) != Text(s) {
+			t.Errorf("Tokens(Tokenize(%q)) != Text", s)
+		}
 	}
 }

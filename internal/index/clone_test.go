@@ -65,8 +65,8 @@ func checkAgainstScratch(t *testing.T, label string, h *handle) {
 		t.Fatalf("%s: Len lex=%d vec=%d, want %d", label, h.lex.Len(), h.vec.Len(), len(ids))
 	}
 	for _, q := range cloneQueries {
-		sameHits(t, label+" lexical "+q, h.lex.Search(q, 10), lex.Search(q, 10))
-		sameHits(t, label+" vector "+q, h.vec.Search(q, 10), vec.Search(q, 10))
+		sameHits(t, label+" lexical "+q, searchLex(h.lex, q, 10), searchLex(lex, q, 10))
+		sameHits(t, label+" vector "+q, searchVec(h.vec, q, 10), searchVec(vec, q, 10))
 	}
 }
 
@@ -91,28 +91,28 @@ func TestIndexCloneIndependence(t *testing.T) {
 		"revenue income product", "revenue region customer", "income profit order",
 		"product customer order", "revenue revised regular",
 	} {
-		orig.add(Entry{ID: fmt.Sprintf("d%d", i), Name: vocab[i], Content: content, Tag: "column"})
+		orig.add(doc(fmt.Sprintf("d%d", i), vocab[i], content, "column"))
 	}
 	c1, c2 := orig.clone(), orig.clone()
 
 	// Every new document shares terms with existing ones, so each side
 	// appends to posting lists all three handles hold.
-	orig.add(Entry{ID: "o1", Name: "revenue", Content: "income order revenue", Tag: "column"})
-	c1.add(Entry{ID: "c1", Name: "income", Content: "revenue product region", Tag: "column"})
-	c2.add(Entry{ID: "c2", Name: "order", Content: "revenue income customer", Tag: "table"})
-	orig.add(Entry{ID: "o2", Name: "customer", Content: "product profit", Tag: "column"})
-	c1.add(Entry{ID: "c1b", Name: "profit", Content: "customer order", Tag: "column"})
+	orig.add(doc("o1", "revenue", "income order revenue", "column"))
+	c1.add(doc("c1", "income", "revenue product region", "column"))
+	c2.add(doc("c2", "order", "revenue income customer", "table"))
+	orig.add(doc("o2", "customer", "product profit", "column"))
+	c1.add(doc("c1b", "profit", "customer order", "column"))
 	// Reindex an ID every handle holds, on one side only.
-	c1.add(Entry{ID: "d0", Name: "orbit", Content: "incident custom", Tag: "jargon"})
+	c1.add(doc("d0", "orbit", "incident custom", "jargon"))
 	// A clone of a clone, then both diverge again.
 	c3 := c1.clone()
-	c3.add(Entry{ID: "c3", Name: "revenue", Content: "orbit incident", Tag: "column"})
+	c3.add(doc("c3", "revenue", "orbit incident", "column"))
 	c1.remove("d1")
 
 	for label, h := range map[string]*handle{"orig": orig, "c1": c1, "c2": c2, "c3": c3} {
 		checkAgainstScratch(t, label, h)
 	}
-	if hits := orig.lex.Search("orbit", 10); len(hits) != 0 {
+	if hits := searchLex(orig.lex, "orbit", 10); len(hits) != 0 {
 		t.Errorf("clone's reindexed text visible in the original: %v", hits)
 	}
 }
@@ -123,11 +123,11 @@ func TestIndexCloneIndependence(t *testing.T) {
 func TestIndexCloneConcurrent(t *testing.T) {
 	orig := newHandle()
 	for i := 0; i < 30; i++ {
-		orig.add(Entry{ID: fmt.Sprintf("d%02d", i), Name: vocab[i%len(vocab)], Content: vocab[(i+3)%len(vocab)] + " " + vocab[(i+7)%len(vocab)]})
+		orig.add(doc(fmt.Sprintf("d%02d", i), vocab[i%len(vocab)], vocab[(i+3)%len(vocab)]+" "+vocab[(i+7)%len(vocab)], ""))
 	}
 	want := make([][]Hit, len(cloneQueries))
 	for i, q := range cloneQueries {
-		want[i] = orig.lex.Search(q, 10)
+		want[i] = searchLex(orig.lex, q, 10)
 	}
 	var wg sync.WaitGroup
 	writers := make([]*handle, 3) // each writer's last clone, checked after the wait
@@ -138,8 +138,8 @@ func TestIndexCloneConcurrent(t *testing.T) {
 			cur := orig
 			for i := 0; i < 20; i++ {
 				cur = cur.clone()
-				cur.add(Entry{ID: fmt.Sprintf("w%d_%d", w, i), Name: vocab[i%len(vocab)], Content: "revenue income product"})
-				cur.add(Entry{ID: "d00", Name: "orbit", Content: fmt.Sprintf("custom %d", i)})
+				cur.add(doc(fmt.Sprintf("w%d_%d", w, i), vocab[i%len(vocab)], "revenue income product", ""))
+				cur.add(doc("d00", "orbit", fmt.Sprintf("custom %d", i), ""))
 			}
 			writers[w] = cur
 		}(w)
@@ -150,11 +150,11 @@ func TestIndexCloneConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				q := i % len(cloneQueries)
-				if got := orig.lex.Search(cloneQueries[q], 10); !slices.Equal(got, want[q]) {
+				if got := searchLex(orig.lex, cloneQueries[q], 10); !slices.Equal(got, want[q]) {
 					t.Errorf("original's results changed under clone mutation: %v, want %v", got, want[q])
 					return
 				}
-				orig.vec.Search(cloneQueries[q], 10)
+				searchVec(orig.vec, cloneQueries[q], 10)
 			}
 		}()
 	}
@@ -181,7 +181,7 @@ func TestIndexCloneRandomSequences(t *testing.T) {
 				for w := 0; w < 1+rng.Intn(5); w++ {
 					content += vocab[rng.Intn(len(vocab))] + " "
 				}
-				h.add(Entry{ID: fmt.Sprintf("d%d", rng.Intn(16)), Name: vocab[rng.Intn(len(vocab))], Content: content, Tag: "column"})
+				h.add(doc(fmt.Sprintf("d%d", rng.Intn(16)), vocab[rng.Intn(len(vocab))], content, "column"))
 			case op < 8:
 				h.remove(fmt.Sprintf("d%d", rng.Intn(16)))
 			default:

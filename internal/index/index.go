@@ -4,6 +4,10 @@
 // embeddings (the StarRocks embedding-search role). Both index the same
 // triplet structure {name, content, tag} from §IV-B.
 //
+// The package never sees text: its one client, the knowledge graph,
+// tokenizes a node's fields once and hands the tokens to all its indexes,
+// and tokenizes and embeds a question once and hands those to every Search.
+//
 // Both indexes are flat maps holding exactly the live documents, so Search
 // reads one structure and scores with plain corpus statistics. Clone copies
 // the maps and shares what they point at — the same prefix sharing
@@ -17,10 +21,10 @@
 package index
 
 import (
+	"cmp"
 	"maps"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"datalab/internal/embed"
@@ -28,12 +32,14 @@ import (
 )
 
 // Entry is one indexed document: the triplet the paper's task-aware
-// indexing mechanism stores per knowledge node.
+// indexing mechanism stores per knowledge node, each field as its
+// textutil.Tokenize tokens. The index keeps the slices and never writes
+// to them.
 type Entry struct {
 	ID      string // unique node identifier
-	Name    string
-	Content string // concatenation of knowledge components, task-specific
-	Tag     string
+	Name    []string
+	Content []string // tokens of the knowledge components, task-specific
+	Tag     []string
 }
 
 // Hit is one retrieval result.
@@ -69,8 +75,7 @@ func NewLexical() *Lexical {
 // approximate the character-n-gram matching of production search engines:
 // "imp_cnt" is findable from "impression count".
 func lexTerms(e Entry) (terms []string, docLen int) {
-	name := textutil.Tokenize(e.Name)
-	weighted := slices.Concat(name, name, name, textutil.Tokenize(e.Content), textutil.Tokenize(e.Tag))
+	weighted := slices.Concat(e.Name, e.Name, e.Name, e.Content, e.Tag)
 	for _, t := range weighted {
 		if textutil.IsStopword(t) {
 			continue
@@ -80,7 +85,7 @@ func lexTerms(e Entry) (terms []string, docLen int) {
 			terms = append(terms, "p3:"+t[:3])
 		}
 	}
-	sort.Strings(terms)
+	slices.Sort(terms)
 	return terms, len(weighted)
 }
 
@@ -169,9 +174,10 @@ func (ix *Lexical) Len() int {
 	return len(ix.entries)
 }
 
-// Search returns the top-k entries by TF-IDF score against the query.
+// Search returns the top-k entries by TF-IDF score against the query's
+// content tokens (textutil.ContentTokens; a repeated token counts again).
 // Deterministic: ties break by ID.
-func (ix *Lexical) Search(query string, k int) []Hit {
+func (ix *Lexical) Search(query []string, k int) []Hit {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	n := len(ix.entries)
@@ -193,13 +199,17 @@ func (ix *Lexical) Search(query string, k int) []Hit {
 			scores[p.id] += weight * idf * float64(p.tf) / math.Sqrt(float64(dl))
 		}
 	}
-	for _, t := range textutil.ContentTokens(query) {
+	for _, t := range query {
 		accumulate(t, 1)
 		if len(t) >= 3 {
 			accumulate("p3:"+t[:3], 0.4)
 		}
 	}
-	return topK(scores, k)
+	hits := make([]Hit, 0, len(scores))
+	for id, s := range scores {
+		hits = append(hits, Hit{ID: id, Score: s})
+	}
+	return topK(hits, k)
 }
 
 // Vector is a brute-force cosine-similarity index over embeddings. The
@@ -216,7 +226,7 @@ func NewVector() *Vector {
 
 // Add indexes an entry under the embedding of name+content+tag.
 func (ix *Vector) Add(e Entry) {
-	v := embed.Text(e.Name + " " + e.Content + " " + e.Tag)
+	v := embed.Tokens(slices.Concat(e.Name, e.Content, e.Tag))
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.vecs[e.ID] = &v
@@ -243,50 +253,33 @@ func (ix *Vector) Len() int {
 	return len(ix.vecs)
 }
 
-// Search returns the top-k entries by cosine similarity to the query
-// embedding. Deterministic: ties break by ID.
-func (ix *Vector) Search(query string, k int) []Hit {
+// Search returns the top-k entries with a positive cosine similarity to
+// the query embedding. Deterministic: ties break by ID.
+func (ix *Vector) Search(query *embed.Vector, k int) []Hit {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if len(ix.vecs) == 0 || k <= 0 {
 		return nil
 	}
-	qv := embed.Text(query)
-	scores := map[string]float64{}
+	hits := make([]Hit, 0, len(ix.vecs))
 	for id, v := range ix.vecs {
-		if s := embed.Cosine(qv, *v); s > 0 {
-			scores[id] = s
+		if s := embed.Cosine(*query, *v); s > 0 {
+			hits = append(hits, Hit{ID: id, Score: s})
 		}
 	}
-	return topK(scores, k)
+	return topK(hits, k)
 }
 
-func topK(scores map[string]float64, k int) []Hit {
-	hits := make([]Hit, 0, len(scores))
-	for id, s := range scores {
-		hits = append(hits, Hit{ID: id, Score: s})
-	}
-	sort.Slice(hits, func(a, b int) bool {
-		if hits[a].Score != hits[b].Score {
-			return hits[a].Score > hits[b].Score
+// topK ranks hits (one per ID) by score, ties by ID, and keeps the first k.
+func topK(hits []Hit, k int) []Hit {
+	slices.SortFunc(hits, func(a, b Hit) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		return hits[a].ID < hits[b].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	if len(hits) > k {
 		hits = hits[:k]
 	}
 	return hits
-}
-
-// Merge unions two hit lists, summing scores for IDs present in both and
-// re-ranking. It implements the coarse-retrieval union of Algorithm 2.
-func Merge(a, b []Hit, k int) []Hit {
-	scores := map[string]float64{}
-	for _, h := range a {
-		scores[h.ID] += h.Score
-	}
-	for _, h := range b {
-		scores[h.ID] += h.Score
-	}
-	return topK(scores, k)
 }

@@ -3,15 +3,34 @@ package index
 import (
 	"fmt"
 	"testing"
+
+	"datalab/internal/embed"
+	"datalab/internal/textutil"
 )
+
+// doc builds an entry from text the way the knowledge graph does: each
+// field tokenized once.
+func doc(id, name, content, tag string) Entry {
+	return Entry{ID: id, Name: textutil.Tokenize(name), Content: textutil.Tokenize(content), Tag: textutil.Tokenize(tag)}
+}
+
+// searchLex and searchVec analyse a question the way the retriever does.
+func searchLex(ix *Lexical, query string, k int) []Hit {
+	return ix.Search(textutil.ContentTokens(query), k)
+}
+
+func searchVec(ix *Vector, query string, k int) []Hit {
+	q := embed.Text(query)
+	return ix.Search(&q, k)
+}
 
 func seedEntries() []Entry {
 	return []Entry{
-		{ID: "col:shouldincome_after", Name: "shouldincome_after", Content: "revenue income after tax for a product line, measured monthly", Tag: "column"},
-		{ID: "col:prod_class4_name", Name: "prod_class4_name", Content: "the product name at classification level four, e.g. TencentBI", Tag: "column"},
-		{ID: "col:ftime", Name: "ftime", Content: "partition date of the record in YYYYMMDD format", Tag: "column"},
-		{ID: "tab:sales_db.orders", Name: "orders", Content: "customer orders with amounts and regions", Tag: "table"},
-		{ID: "jarg:arpu", Name: "ARPU", Content: "average revenue per user, computed as revenue divided by active users", Tag: "jargon"},
+		doc("col:shouldincome_after", "shouldincome_after", "revenue income after tax for a product line, measured monthly", "column"),
+		doc("col:prod_class4_name", "prod_class4_name", "the product name at classification level four, e.g. TencentBI", "column"),
+		doc("col:ftime", "ftime", "partition date of the record in YYYYMMDD format", "column"),
+		doc("tab:sales_db.orders", "orders", "customer orders with amounts and regions", "table"),
+		doc("jarg:arpu", "ARPU", "average revenue per user, computed as revenue divided by active users", "jargon"),
 	}
 }
 
@@ -20,7 +39,7 @@ func TestLexicalSearchRanksNameMatchesFirst(t *testing.T) {
 	for _, e := range seedEntries() {
 		ix.Add(e)
 	}
-	hits := ix.Search("income of the product", 5)
+	hits := searchLex(ix, "income of the product", 5)
 	if len(hits) == 0 {
 		t.Fatal("no hits")
 	}
@@ -31,26 +50,26 @@ func TestLexicalSearchRanksNameMatchesFirst(t *testing.T) {
 
 func TestLexicalSearchEmpty(t *testing.T) {
 	ix := NewLexical()
-	if hits := ix.Search("anything", 5); hits != nil {
+	if hits := searchLex(ix, "anything", 5); hits != nil {
 		t.Errorf("empty index returned hits: %v", hits)
 	}
 	ix.Add(seedEntries()[0])
-	if hits := ix.Search("anything", 0); hits != nil {
+	if hits := searchLex(ix, "anything", 0); hits != nil {
 		t.Errorf("k=0 returned hits: %v", hits)
 	}
 }
 
 func TestLexicalReindexReplaces(t *testing.T) {
 	ix := NewLexical()
-	ix.Add(Entry{ID: "x", Name: "alpha", Content: "old content about turtles"})
-	ix.Add(Entry{ID: "x", Name: "alpha", Content: "new content about revenue"})
+	ix.Add(doc("x", "alpha", "old content about turtles", ""))
+	ix.Add(doc("x", "alpha", "new content about revenue", ""))
 	if ix.Len() != 1 {
 		t.Fatalf("len = %d", ix.Len())
 	}
-	if hits := ix.Search("turtles", 5); len(hits) != 0 {
+	if hits := searchLex(ix, "turtles", 5); len(hits) != 0 {
 		t.Error("stale postings survive reindex")
 	}
-	if hits := ix.Search("revenue", 5); len(hits) != 1 {
+	if hits := searchLex(ix, "revenue", 5); len(hits) != 1 {
 		t.Error("new content not searchable")
 	}
 }
@@ -64,7 +83,7 @@ func TestLexicalRemove(t *testing.T) {
 	if ix.Len() != 4 {
 		t.Errorf("len after remove = %d, want 4", ix.Len())
 	}
-	for _, h := range ix.Search("average revenue per user", 10) {
+	for _, h := range searchLex(ix, "average revenue per user", 10) {
 		if h.ID == "jarg:arpu" {
 			t.Error("removed entry still retrieved")
 		}
@@ -76,7 +95,7 @@ func TestVectorSearchSemantic(t *testing.T) {
 	for _, e := range seedEntries() {
 		ix.Add(e)
 	}
-	hits := ix.Search("average revenue per user metric", 3)
+	hits := searchVec(ix, "average revenue per user metric", 3)
 	if len(hits) == 0 {
 		t.Fatal("no hits")
 	}
@@ -103,19 +122,19 @@ func TestSearchDeterministic(t *testing.T) {
 	lex := NewLexical()
 	vec := NewVector()
 	for i := 0; i < 50; i++ {
-		e := Entry{ID: fmt.Sprintf("e%02d", i), Name: "metric", Content: "identical content for tie-breaking"}
+		e := doc(fmt.Sprintf("e%02d", i), "metric", "identical content for tie-breaking", "")
 		lex.Add(e)
 		vec.Add(e)
 	}
-	l1 := lex.Search("identical content metric", 10)
-	l2 := lex.Search("identical content metric", 10)
+	l1 := searchLex(lex, "identical content metric", 10)
+	l2 := searchLex(lex, "identical content metric", 10)
 	for i := range l1 {
 		if l1[i] != l2[i] {
 			t.Fatal("lexical search not deterministic")
 		}
 	}
-	v1 := vec.Search("identical content metric", 10)
-	v2 := vec.Search("identical content metric", 10)
+	v1 := searchVec(vec, "identical content metric", 10)
+	v2 := searchVec(vec, "identical content metric", 10)
 	for i := range v1 {
 		if v1[i] != v2[i] {
 			t.Fatal("vector search not deterministic")
@@ -129,27 +148,12 @@ func TestSearchDeterministic(t *testing.T) {
 	}
 }
 
-func TestMergeUnionsAndReranks(t *testing.T) {
-	a := []Hit{{ID: "x", Score: 0.5}, {ID: "y", Score: 0.4}}
-	b := []Hit{{ID: "y", Score: 0.4}, {ID: "z", Score: 0.3}}
-	m := Merge(a, b, 10)
-	if len(m) != 3 {
-		t.Fatalf("merged = %d", len(m))
-	}
-	if m[0].ID != "y" {
-		t.Errorf("top merged = %s, want y (0.8 summed)", m[0].ID)
-	}
-	if got := Merge(a, b, 1); len(got) != 1 {
-		t.Errorf("k cap violated: %d", len(got))
-	}
-}
-
 func TestTopKBound(t *testing.T) {
 	ix := NewLexical()
 	for i := 0; i < 20; i++ {
-		ix.Add(Entry{ID: fmt.Sprintf("d%d", i), Name: "revenue", Content: "revenue doc"})
+		ix.Add(doc(fmt.Sprintf("d%d", i), "revenue", "revenue doc", ""))
 	}
-	if got := len(ix.Search("revenue", 7)); got != 7 {
+	if got := len(searchLex(ix, "revenue", 7)); got != 7 {
 		t.Errorf("topK = %d, want 7", got)
 	}
 }

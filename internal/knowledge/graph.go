@@ -3,10 +3,13 @@ package knowledge
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 
+	"datalab/internal/embed"
 	"datalab/internal/index"
+	"datalab/internal/textutil"
 )
 
 // NodeType enumerates the knowledge-graph node types (§IV-B, Figure 4).
@@ -22,7 +25,8 @@ const (
 	NodeAlias    NodeType = "alias"
 )
 
-// Node is one knowledge-graph node: a named bag of components.
+// Node is one knowledge-graph node: a named bag of components. A node is
+// immutable once added to a graph: clones share it by pointer.
 type Node struct {
 	ID   string
 	Type NodeType
@@ -33,6 +37,13 @@ type Node struct {
 	// Parent is the logical parent (column -> table -> database); alias
 	// nodes point at the primary node they denote.
 	Parent string
+
+	// The fine stage's inputs (Retriever.retrieve), which depend on the
+	// node's text and on no question. Graph.addNode computes them before
+	// the node becomes reachable; nothing writes them afterwards.
+	nameTokens    []string            // distinct content tokens of Name
+	contentTokens map[string]struct{} // content tokens of Name+description+usage+definition
+	vec           embed.Vector        // embedding of that text
 }
 
 // Component returns a component value or "".
@@ -52,6 +63,13 @@ func (n *Node) Component(key string) string {
 // (l[:len:len], as internal/index does for posting lists), so an append on
 // either side never writes into the other's view.
 //
+// State derived from the nodes — each node's fine-stage features, the
+// value-hint list, the column-name lookup — is brought up to date by
+// addNode, the only mutation, so it has the lifetime of the node or of the
+// snapshot it describes and is never invalidated: the hint list is
+// replaced by a fresh slice, never edited, so a clone or a caller holding
+// the old one keeps what it had.
+//
 // Concurrency contract: any number of goroutines may read and Clone a
 // graph concurrently — neither writes to it — but mutation is
 // single-writer and must happen on a private (cloned, not yet published)
@@ -59,6 +77,13 @@ func (n *Node) Component(key string) string {
 type Graph struct {
 	nodes    map[string]*Node
 	children map[string][]string // logical children, in insertion order
+
+	// hints is what ValueHints returns: one hint per value node in ID
+	// order, then one per jargon node that maps to a value, in ID order.
+	hints []ValueHint
+	// colByName maps a lower-cased column name to the smallest ID among
+	// the column nodes carrying it.
+	colByName map[string]string
 
 	// Task-aware indexes (§IV-B): the full index concatenates every
 	// component including calculation logic (NL2DSL-style tasks match on
@@ -74,12 +99,13 @@ type Graph struct {
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
 	return &Graph{
-		nodes:    map[string]*Node{},
-		children: map[string][]string{},
-		lex:      index.NewLexical(),
-		vec:      index.NewVector(),
-		lexLight: index.NewLexical(),
-		vecLight: index.NewVector(),
+		nodes:     map[string]*Node{},
+		children:  map[string][]string{},
+		colByName: map[string]string{},
+		lex:       index.NewLexical(),
+		vec:       index.NewVector(),
+		lexLight:  index.NewLexical(),
+		vecLight:  index.NewVector(),
 	}
 }
 
@@ -89,12 +115,14 @@ func NewGraph() *Graph {
 // next snapshot. See Platform.LearnKnowledge for the swap protocol.
 func (g *Graph) Clone() *Graph {
 	ng := &Graph{
-		nodes:    maps.Clone(g.nodes),
-		children: make(map[string][]string, len(g.children)),
-		lex:      g.lex.Clone(),
-		vec:      g.vec.Clone(),
-		lexLight: g.lexLight.Clone(),
-		vecLight: g.vecLight.Clone(),
+		nodes:     maps.Clone(g.nodes),
+		children:  make(map[string][]string, len(g.children)),
+		hints:     g.hints,
+		colByName: maps.Clone(g.colByName),
+		lex:       g.lex.Clone(),
+		vec:       g.vec.Clone(),
+		lexLight:  g.lexLight.Clone(),
+		vecLight:  g.vecLight.Clone(),
 	}
 	for id, kids := range g.children {
 		ng.children[id] = kids[:len(kids):len(kids)]
@@ -127,49 +155,132 @@ func (g *Graph) NodesOfType(t NodeType) []string {
 // slice is the graph's own: callers must not modify it.
 func (g *Graph) Children(id string) []string { return g.children[id] }
 
-// addNode inserts (or replaces) a node and indexes it.
+// ValueHints returns the translator's value hints: every value node as
+// {its name, its parent's name, its value}, in node-ID order, then every
+// jargon node that maps to a value, in node-ID order. The slice is the
+// graph's own: callers must not modify it.
+func (g *Graph) ValueHints() []ValueHint { return g.hints }
+
+// columnNamed returns the column node with the given name, compared
+// case-insensitively; of several, the one with the smallest ID.
+func (g *Graph) columnNamed(name string) (*Node, bool) {
+	id, ok := g.colByName[strings.ToLower(name)]
+	if !ok {
+		return nil, false
+	}
+	return g.nodes[id], true
+}
+
+// addNode inserts (or replaces) a node, indexes it and brings the derived
+// state up to date. It takes ownership of n, which no reader can reach yet.
 func (g *Graph) addNode(n *Node) {
+	old := g.nodes[n.ID]
 	g.nodes[n.ID] = n
 	if n.Parent != "" {
 		g.children[n.Parent] = append(g.children[n.Parent], n.ID)
 	}
 	g.indexNode(n)
+	g.noteColumnName(old, n)
+	g.noteHints(old, n)
 }
 
-// indexNode builds the {name, content, tag} triplet for both indexes.
-// The content field concatenates components; description and usage carry
-// retrieval weight for every task, calculation logic is included so
-// NL2DSL-style tasks can match on formula vocabulary.
+// indexNode tokenizes the node's text once and builds from the tokens the
+// {name, content, tag} triplets of both indexes and the node's fine-stage
+// features. The full content concatenates components; description and
+// usage carry retrieval weight for every task, calculation logic is
+// included so NL2DSL-style tasks can match on formula vocabulary. The
+// light content — description, usage, definition — is also, behind the
+// name, the text the fine stage scores.
 func (g *Graph) indexNode(n *Node) {
-	var parts []string
-	for _, key := range []string{"description", "usage", "calculation_logic", "definition", "value"} {
-		if v := n.Component(key); v != "" {
-			parts = append(parts, v)
-		}
-	}
+	tokens := func(key string) []string { return textutil.Tokenize(n.Component(key)) }
+	name := textutil.Tokenize(n.Name)
+	desc, usage, def := tokens("description"), tokens("usage"), tokens("definition")
+	tag := textutil.Tokenize(string(n.Type) + " " + n.Component("tags"))
+
 	e := index.Entry{
 		ID:      n.ID,
-		Name:    n.Name,
-		Content: strings.Join(parts, " "),
-		Tag:     string(n.Type) + " " + n.Component("tags"),
+		Name:    name,
+		Content: slices.Concat(desc, usage, tokens("calculation_logic"), def, tokens("value")),
+		Tag:     tag,
 	}
 	g.lex.Add(e)
 	g.vec.Add(e)
 
-	var lightParts []string
-	for _, key := range []string{"description", "usage", "definition"} {
-		if v := n.Component(key); v != "" {
-			lightParts = append(lightParts, v)
-		}
-	}
-	light := index.Entry{
-		ID:      n.ID,
-		Name:    n.Name,
-		Content: strings.Join(lightParts, " "),
-		Tag:     e.Tag,
-	}
+	light := index.Entry{ID: n.ID, Name: name, Content: slices.Concat(desc, usage, def), Tag: tag}
 	g.lexLight.Add(light)
 	g.vecLight.Add(light)
+
+	fine := slices.Concat(name, light.Content)
+	n.vec = embed.Tokens(fine)
+	n.contentTokens = make(map[string]struct{}, len(fine))
+	for _, t := range fine {
+		if !textutil.IsStopword(t) {
+			n.contentTokens[t] = struct{}{}
+		}
+	}
+	for _, t := range name {
+		if !textutil.IsStopword(t) && !slices.Contains(n.nameTokens, t) {
+			n.nameTokens = append(n.nameTokens, t)
+		}
+	}
+}
+
+// noteColumnName keeps colByName current after n took old's place (old is
+// nil for a new ID).
+func (g *Graph) noteColumnName(old, n *Node) {
+	newKey := ""
+	if n.Type == NodeColumn {
+		newKey = strings.ToLower(n.Name)
+		if first, ok := g.colByName[newKey]; !ok || n.ID < first {
+			g.colByName[newKey] = n.ID
+		}
+	}
+	if old == nil || old.Type != NodeColumn {
+		return
+	}
+	// The replaced column may have been the first under a name it no
+	// longer carries: the next one in ID order takes over.
+	oldKey := strings.ToLower(old.Name)
+	if oldKey == newKey || g.colByName[oldKey] != old.ID {
+		return
+	}
+	delete(g.colByName, oldKey)
+	for id, m := range g.nodes {
+		if m.Type != NodeColumn || strings.ToLower(m.Name) != oldKey {
+			continue
+		}
+		if first, ok := g.colByName[oldKey]; !ok || id < first {
+			g.colByName[oldKey] = id
+		}
+	}
+}
+
+// noteHints rebuilds the hint list when n taking old's place can have
+// changed it: either is a value or jargon node, or n is the parent column
+// a value node's hint names. The list is a fresh slice every time — clones
+// and earlier callers of ValueHints keep the one they hold.
+func (g *Graph) noteHints(old, n *Node) {
+	hinting := func(m *Node) bool { return m != nil && (m.Type == NodeValue || m.Type == NodeJargon) }
+	if !hinting(old) && !hinting(n) &&
+		!slices.ContainsFunc(g.children[n.ID], func(id string) bool { return g.nodes[id].Type == NodeValue }) {
+		return
+	}
+	var hints []ValueHint
+	for _, id := range g.NodesOfType(NodeValue) {
+		v := g.nodes[id]
+		col := ""
+		if parent, ok := g.nodes[v.Parent]; ok {
+			col = parent.Name
+		}
+		hints = append(hints, ValueHint{Term: v.Name, Column: col, Value: v.Component("value")})
+	}
+	for _, id := range g.NodesOfType(NodeJargon) {
+		j := g.nodes[id]
+		if v := j.Component("maps_to_value"); v != "" {
+			hints = append(hints, ValueHint{Term: j.Name, Column: j.Component("maps_to_column"), Value: v})
+		}
+	}
+	g.hints = hints
 }
 
 // Backtrack resolves an alias node to its primary node; primary nodes

@@ -147,3 +147,90 @@ func TestGraphCloneConcurrentMutation(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestGraphCloneDerivedStateIsolation covers the state the graph derives
+// from its nodes — per-node fine-stage features, the value hints, the
+// column-name lookup — under the swap protocol: while goroutines retrieve
+// on the original, a clone re-adds a column under a new description, adds
+// a column that takes over a name, a value node and a glossary term. The
+// original answers bit for bit as before; the clone sees the new state.
+// Run under -race in CI.
+func TestGraphCloneDerivedStateIsolation(t *testing.T) {
+	g := newTestGenerator(t)
+	b, err := g.Generate(enterpriseSchema(), enterpriseScripts(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := NewGraph()
+	orig.AddBundle(b, LevelFull)
+	// A glossary term that reaches its column by name only.
+	orig.AddJargon(JargonEntry{Term: "yearly", Definition: "income over twelve months", MapsToColumn: "annualized_income"})
+	client := llm.NewClient(llm.GPT4, "derived-isolation")
+	const query = "yearly income after tax by product line"
+
+	type answer struct {
+		full, cols []Scored
+		hints      []ValueHint
+		named      *Node
+	}
+	ask := func(graph *Graph) answer {
+		r := NewRetriever(graph, client)
+		named, _ := graph.columnNamed("ANNUALIZED_INCOME")
+		return answer{r.Retrieve(query, 20), r.RetrieveColumns(query, 20), graph.ValueHints(), named}
+	}
+	want := ask(orig)
+	if want.named == nil || len(want.hints) == 0 || len(want.cols) == 0 {
+		t.Fatal("fixture lacks a derived column, value hints or column hits")
+	}
+	wantHints := append([]ValueHint(nil), want.hints...)
+
+	colID := ColumnID("23_customer_bg", "shouldincome_after")
+	oldCol, _ := orig.Node(colID)
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if got := ask(orig); !reflect.DeepEqual(got, want) {
+					t.Errorf("original answered differently while a clone was mutated")
+					return
+				}
+			}
+		}()
+	}
+	cl := orig.Clone()
+	cl.addNode(&Node{ID: colID, Type: NodeColumn, Name: oldCol.Name, Parent: oldCol.Parent,
+		Components: map[string]string{"type": "double", "description": "yearly bonus pool"}})
+	cl.addNode(&Node{ID: "column:00_first.x#annualized_income", Type: NodeColumn, Name: "Annualized_Income"})
+	cl.addNode(&Node{ID: "value:23_customer_bg.prod_class4_name=aaa", Type: NodeValue, Name: "AAA",
+		Parent: ColumnID("23_customer_bg", "prod_class4_name"), Components: map[string]string{"value": "AAA"}})
+	cl.AddJargon(JargonEntry{Term: "bi suite", Definition: "the BI product", MapsToColumn: "prod_class4_name", MapsToValue: "TencentBI"})
+	wg.Wait()
+
+	if got := ask(orig); !reflect.DeepEqual(got, want) {
+		t.Error("original answers differently after the clone's mutation")
+	}
+	if !reflect.DeepEqual(want.hints, wantHints) {
+		t.Errorf("the hint slice the original handed out was written to: %v, want %v", want.hints, wantHints)
+	}
+
+	got := ask(cl)
+	if got.named == nil || got.named.ID != "column:00_first.x#annualized_income" {
+		t.Errorf("clone resolves the name to %v, want the column added with the smallest ID", got.named)
+	}
+	if len(got.hints) != len(want.hints)+2 || got.hints[0].Term != "AAA" || got.hints[len(got.hints)-1].Term != "bi suite" {
+		t.Errorf("clone hints = %v, want the original's plus AAA first and the glossary term last", got.hints)
+	}
+	score := func(hits []Scored) float64 {
+		for _, s := range hits {
+			if s.Node.ID == colID {
+				return s.Score
+			}
+		}
+		return -1
+	}
+	if before, after := score(want.full), score(got.full); before < 0 || after < 0 || before == after {
+		t.Errorf("re-added column scores %v on the clone and %v on the original, want both present and different", after, before)
+	}
+}

@@ -1,8 +1,9 @@
 package knowledge
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -15,6 +16,10 @@ import (
 
 // Retriever runs Algorithm 2 (coarse-to-fine knowledge retrieval) plus the
 // query-rewrite step that precedes it.
+//
+// Invariant: fine-stage features are per node, computed at insertion
+// (Graph.addNode), and the question is analysed — tokenized, embedded —
+// once per retrieval; scoring a candidate reads both and tokenizes nothing.
 type Retriever struct {
 	Graph  *Graph
 	Client *llm.Client
@@ -135,53 +140,88 @@ func (r *Retriever) RetrieveLight(query string, topK int) []Scored {
 }
 
 func (r *Retriever) retrieve(query string, topK int, light bool) []Scored {
-	lexIx, vecIx := r.Graph.lex, r.Graph.vec
+	g := r.Graph
+	lexIx, vecIx := g.lex, g.vec
 	if light {
-		lexIx, vecIx = r.Graph.lexLight, r.Graph.vecLight
-	}
-	coarseLex := lexIx.Search(query, r.CoarseK)
-	coarseSem := vecIx.Search(query, r.CoarseK)
-	merged := index.Merge(coarseLex, coarseSem, r.CoarseK*2)
-
-	// Backtrack aliases to primaries; deduplicate.
-	seen := map[string]bool{}
-	var candidates []*Node
-	for _, h := range merged {
-		n := r.Graph.Backtrack(h.ID)
-		if n == nil || seen[n.ID] {
-			continue
-		}
-		seen[n.ID] = true
-		candidates = append(candidates, n)
+		lexIx, vecIx = g.lexLight, g.vecLight
 	}
 
-	qTokens := textutil.ContentTokens(query)
-	qVec := embed.Text(query)
-	scored := make([]Scored, 0, len(candidates))
-	for _, n := range candidates {
-		content := n.Name + " " + n.Component("description") + " " + n.Component("usage") + " " + n.Component("definition")
-		lexScore := textutil.OverlapRatio(textutil.ContentTokens(n.Name), qTokens)*0.6 +
-			textutil.OverlapRatio(qTokens, textutil.ContentTokens(content))*0.4
-		semScore := embed.Cosine(qVec, embed.Text(content))
-		if semScore < 0 {
-			semScore = 0
+	// The question's analysis, shared by both coarse searches and every
+	// fine-stage score.
+	qTokens := textutil.Tokenize(query)
+	qVec := embed.Tokens(qTokens)
+	qTokens = slices.DeleteFunc(qTokens, textutil.IsStopword)
+	var qDistinct []string
+	for _, t := range qTokens {
+		if !slices.Contains(qDistinct, t) {
+			qDistinct = append(qDistinct, t)
 		}
-		// The LLM relevance judgment concentrates around the mean of the
-		// two mechanical signals — it mostly agrees, with bounded noise.
-		llmScore := r.Client.Score("rel:"+n.ID+"|"+query, 0, 1, (lexScore+semScore)/2)
-		s := r.LexWeight*lexScore + r.SemWeight*semScore + r.LLMWeight*llmScore
-		scored = append(scored, Scored{Node: n, Score: s})
 	}
-	sort.Slice(scored, func(a, b int) bool {
-		if scored[a].Score != scored[b].Score {
-			return scored[a].Score > scored[b].Score
+
+	// Coarse stage: the union of both searches' top CoarseK, aliases
+	// backtracked to primaries. Only membership matters — the fine stage
+	// rescores and reorders every candidate.
+	coarse := [2][]index.Hit{lexIx.Search(qTokens, r.CoarseK), vecIx.Search(&qVec, r.CoarseK)}
+	seen := make(map[*Node]struct{}, len(coarse[0])+len(coarse[1]))
+	scored := make([]Scored, 0, len(coarse[0])+len(coarse[1]))
+	for _, hits := range coarse {
+		for _, h := range hits {
+			n := g.Backtrack(h.ID)
+			if n == nil {
+				continue
+			}
+			if _, dup := seen[n]; dup {
+				continue
+			}
+			seen[n] = struct{}{}
+			scored = append(scored, Scored{Node: n, Score: r.fineScore(n, query, qDistinct, &qVec)})
 		}
-		return scored[a].Node.ID < scored[b].Node.ID
+	}
+	slices.SortFunc(scored, func(a, b Scored) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
+		}
+		return cmp.Compare(a.Node.ID, b.Node.ID)
 	})
 	if len(scored) > topK {
 		scored = scored[:topK]
 	}
 	return scored
+}
+
+// fineScore is the fine stage's weighted matching score of one candidate:
+// the share of the name's content tokens the question covers and the share
+// of the question's the node's text covers (lexical), the cosine of the two
+// embeddings (semantic), and the LLM's relevance judgment.
+func (r *Retriever) fineScore(n *Node, query string, qDistinct []string, qVec *embed.Vector) float64 {
+	var nameCovered, queryCovered float64
+	if len(n.nameTokens) > 0 {
+		hit := 0
+		for _, t := range n.nameTokens {
+			if slices.Contains(qDistinct, t) {
+				hit++
+			}
+		}
+		nameCovered = float64(hit) / float64(len(n.nameTokens))
+	}
+	if len(qDistinct) > 0 {
+		hit := 0
+		for _, t := range qDistinct {
+			if _, ok := n.contentTokens[t]; ok {
+				hit++
+			}
+		}
+		queryCovered = float64(hit) / float64(len(qDistinct))
+	}
+	lexScore := nameCovered*0.6 + queryCovered*0.4
+	semScore := embed.Cosine(*qVec, n.vec)
+	if semScore < 0 {
+		semScore = 0
+	}
+	// The LLM relevance judgment concentrates around the mean of the
+	// two mechanical signals — it mostly agrees, with bounded noise.
+	llmScore := r.Client.Score("rel:"+n.ID+"|"+query, 0, 1, (lexScore+semScore)/2)
+	return r.LexWeight*lexScore + r.SemWeight*semScore + r.LLMWeight*llmScore
 }
 
 // RetrieveColumnsScoped retrieves column nodes belonging to one table —
@@ -222,12 +262,8 @@ func (r *Retriever) RetrieveColumns(query string, topK int) []Scored {
 					continue
 				}
 				// Derived columns hang off their base column.
-				for _, id := range r.Graph.NodesOfType(NodeColumn) {
-					n, _ := r.Graph.Node(id)
-					if n != nil && strings.EqualFold(n.Name, col) {
-						cols = append(cols, Scored{Node: n, Score: s.Score})
-						break
-					}
+				if n, ok := r.Graph.columnNamed(col); ok {
+					cols = append(cols, Scored{Node: n, Score: s.Score})
 				}
 			}
 		}

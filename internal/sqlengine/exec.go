@@ -758,12 +758,16 @@ func orderedOutput(ctx context.Context, stmt *SelectStmt, items []SelectItem, ou
 	if len(order) > 0 {
 		n := keyCols[0].Len()
 		var perm []int
+		var err error
 		if keep, bounded := topKBound(stmt, n); bounded {
-			perm = topKPerm(ctx, keyCols, order, n, keep)
+			perm, err = topKPerm(ctx, keyCols, order, n, keep)
 		} else {
-			perm = sortPerm(ctx, keyCols, order, n)
+			perm, err = sortPerm(ctx, keyCols, order, n)
 		}
-		if err := ctx.Err(); err != nil {
+		if err == nil {
+			err = ctx.Err()
+		}
+		if err != nil {
 			return nil, err
 		}
 		for i := range outCols {

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 )
@@ -49,6 +50,12 @@ func chunkLayout(n, minChunk int) (size, count int) {
 // chunks already running finish their slice. Callers therefore return
 // promptly — within one chunk's worth of work — after cancellation, and no
 // worker goroutine outlives the call (the WaitGroup is always drained).
+//
+// A panic in fn is contained here, at the pool boundary: it becomes that
+// chunk's error ("sqlengine: internal error: <value>"), the worker still
+// gives its slot back and the call still waits for every chunk, so one
+// statement's bug fails that statement rather than the process. The cost
+// is one deferred call per chunk.
 func parallelChunks(ctx context.Context, n, minChunk int, fn func(lo, hi int) error) error {
 	return parallelChunksIndexed(ctx, n, minChunk, func(_, lo, hi int) error { return fn(lo, hi) })
 }
@@ -61,11 +68,19 @@ func parallelChunksIndexed(ctx context.Context, n, minChunk int, fn func(ci, lo,
 	if count == 0 {
 		return ctx.Err()
 	}
+	run := func(ci, lo, hi int) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("sqlengine: internal error: %v", r)
+			}
+		}()
+		return fn(ci, lo, hi)
+	}
 	if count == 1 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		return fn(0, 0, n)
+		return run(0, 0, n)
 	}
 	var (
 		wg       sync.WaitGroup
@@ -101,10 +116,10 @@ func parallelChunksIndexed(ctx context.Context, n, minChunk int, fn func(ci, lo,
 					record(err)
 					return
 				}
-				record(fn(ci, lo, hi))
+				record(run(ci, lo, hi))
 			}(ci, lo, hi)
 		default:
-			record(fn(ci, lo, hi))
+			record(run(ci, lo, hi))
 		}
 	}
 	wg.Wait()

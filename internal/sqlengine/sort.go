@@ -100,10 +100,10 @@ func (ks *keyset) sortSegment(seg []int) {
 // sortPerm returns the stable row permutation ordering the key columns.
 // ctx is observed by the parallel chunk sort; serial sorts below the
 // parallel threshold run to completion (they are sub-millisecond).
-func sortPerm(ctx context.Context, keyCols []table.Column, order []OrderItem, n int) []int {
+func sortPerm(ctx context.Context, keyCols []table.Column, order []OrderItem, n int) ([]int, error) {
 	specs, ok := sortKeySpecs(keyCols, order)
 	if !ok {
-		return boxedSortPerm(keyCols, order, n)
+		return boxedSortPerm(keyCols, order, n), nil
 	}
 	if n >= 2*parallelMinRows {
 		return parallelSortPerm(ctx, specs, n)
@@ -111,27 +111,25 @@ func sortPerm(ctx context.Context, keyCols []table.Column, order []OrderItem, n 
 	ks := buildKeyset(specs, 0, n)
 	perm := iotaInts(n)
 	ks.sortSegment(perm)
-	return perm
+	return perm, nil
 }
 
 // parallelSortPerm sorts large permutations chunk-at-a-time on the worker
-// pool and k-way merges the sorted chunks. On cancellation the returned
-// permutation is meaningless; callers must check ctx.Err() and discard it
-// (executePlainVec does, right after the sort).
-func parallelSortPerm(ctx context.Context, specs []table.SortKeySpec, n int) []int {
+// pool and k-way merges the sorted chunks. The error is the pool's: a
+// chunk skipped on cancellation, or a panic it contained.
+func parallelSortPerm(ctx context.Context, specs []table.SortKeySpec, n int) ([]int, error) {
 	_, count := chunkLayout(n, parallelMinRows)
 	perm := iotaInts(n)
 	keysets := make([]keyset, count)
 	bounds := make([][2]int, count)
-	//nolint:errcheck // the chunk body cannot fail; a cancelled chunk leaves its bounds zero and is excluded below
-	parallelChunksIndexed(ctx, n, parallelMinRows, func(ci, lo, hi int) error {
+	err := parallelChunksIndexed(ctx, n, parallelMinRows, func(ci, lo, hi int) error {
 		keysets[ci] = buildKeyset(specs, lo, hi)
 		bounds[ci] = [2]int{lo, hi}
 		keysets[ci].sortSegment(perm[lo:hi])
 		return nil
 	})
-	if ctx.Err() != nil {
-		return perm
+	if err != nil {
+		return nil, err
 	}
 
 	// Merge cursors, one per sorted chunk, ordered by (key, position).
@@ -145,7 +143,7 @@ func parallelSortPerm(ctx context.Context, specs []table.SortKeySpec, n int) []i
 		}
 	}
 	if len(cursors) <= 1 {
-		return perm
+		return perm, nil
 	}
 	out := make([]int, 0, n)
 	h := mergeHeap(cursors)
@@ -160,7 +158,7 @@ func parallelSortPerm(ctx context.Context, specs []table.SortKeySpec, n int) []i
 			h.siftDown(0)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // mergeCursor walks one sorted chunk of the permutation. head is the next
@@ -223,16 +221,16 @@ func (h mergeHeap) siftDown(i int) {
 // bounded max-heap (worst retained row at the root) scans the n rows once;
 // each row's key is encoded into a reused scratch buffer and copied only
 // when it displaces the root.
-func topKPerm(ctx context.Context, keyCols []table.Column, order []OrderItem, n, k int) []int {
+func topKPerm(ctx context.Context, keyCols []table.Column, order []OrderItem, n, k int) ([]int, error) {
 	if k <= 0 {
-		return []int{}
+		return []int{}, nil
 	}
 	if k >= n {
 		return sortPerm(ctx, keyCols, order, n)
 	}
 	specs, ok := sortKeySpecs(keyCols, order)
 	if !ok {
-		return boxedTopKPerm(keyCols, order, n, k)
+		return boxedTopKPerm(keyCols, order, n, k), nil
 	}
 	h := topKHeap{rows: make([]int, k), keys: make([][]byte, k)}
 	h.worse = func(a, b int) bool {
@@ -265,7 +263,7 @@ func topKPerm(ctx context.Context, keyCols []table.Column, order []OrderItem, n,
 		h.siftDown(0, k)
 	}
 	h.sortAscending(k)
-	return h.rows
+	return h.rows, nil
 }
 
 // boxedTopKPerm is topKPerm for keys with no memcmp encoding. It takes

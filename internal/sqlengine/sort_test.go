@@ -74,7 +74,10 @@ func TestSortPermMatchesBoxedReference(t *testing.T) {
 		n := rng.Intn(200)
 		mixed := trial%5 == 4
 		cols, order := randKeyColumns(rng, n, mixed)
-		perm := sortPerm(context.Background(), cols, order, n)
+		perm, err := sortPerm(context.Background(), cols, order, n)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(perm) != n {
 			t.Fatalf("perm length %d, want %d", len(perm), n)
 		}
@@ -83,7 +86,10 @@ func TestSortPermMatchesBoxedReference(t *testing.T) {
 			if k < 0 {
 				continue
 			}
-			got := topKPerm(context.Background(), cols, order, n, k)
+			got, err := topKPerm(context.Background(), cols, order, n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
 			want := perm
 			if k < n {
 				want = perm[:k]
@@ -116,7 +122,10 @@ func TestParallelSortPermStable(t *testing.T) {
 	if !ok {
 		t.Fatal("expected encodable key columns")
 	}
-	got := parallelSortPerm(context.Background(), specs, n)
+	got, err := parallelSortPerm(context.Background(), specs, n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != n {
 		t.Fatalf("perm length %d, want %d", len(got), n)
 	}
@@ -129,9 +138,9 @@ func TestParallelSortPermStable(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			perm := parallelSortPerm(context.Background(), specs, n)
-			if len(perm) != n {
-				t.Errorf("concurrent perm length %d, want %d", len(perm), n)
+			perm, err := parallelSortPerm(context.Background(), specs, n)
+			if err != nil || len(perm) != n {
+				t.Errorf("concurrent perm length %d, err %v, want %d", len(perm), err, n)
 			}
 		}()
 	}

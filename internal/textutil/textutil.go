@@ -1,59 +1,73 @@
 // Package textutil provides tokenization, normalization, and string
 // similarity primitives shared by the indexing, knowledge, and simulated-LLM
-// layers. All functions are deterministic and allocation-conscious: they are
-// on the hot path of every retrieval call in the platform.
+// layers. All functions are deterministic. Tokenize and ContentTokens run on
+// every question (the query is tokenized for retrieval, rewrite and
+// translation) and allocate their result plus a copy of each token that has to
+// be lower-cased; text that does not depend on
+// the question — knowledge-node names and descriptions — is tokenized once,
+// when the node is added to the graph, not here per call.
 package textutil
 
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize splits s into lowercase word tokens. Identifier-style input such
 // as "prod_class4_name" or "shouldIncomeAfter" is split on underscores,
 // digits boundaries, and camel-case humps so that schema names and natural
 // language share a token space.
+//
+// A token is a run of the input's own bytes, so it is sliced out of s, and
+// lower-cased only when one of its runes needs it: a text that is already
+// lower-case costs the result slice and nothing else.
 func Tokenize(s string) []string {
-	var tokens []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			tokens = append(tokens, strings.ToLower(cur.String()))
-			cur.Reset()
+	var buf [16]string // most names and questions fit; longer texts grow on the heap
+	tokens := buf[:0]
+	start := -1 // byte offset of the open token, -1 when there is none
+	flush := func(end int) {
+		if start >= 0 {
+			tokens = append(tokens, strings.ToLower(s[start:end]))
+			start = -1
 		}
 	}
-	prevLower := false
-	for _, r := range s {
+	prevLower, prevASCIIDigit := false, false
+	for i := 0; i < len(s); {
+		r, size := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s[i:])
+		}
 		switch {
 		case unicode.IsLetter(r):
 			// Camel-case boundary: "incomeAfter" -> "income", "After".
-			if unicode.IsUpper(r) && prevLower {
-				flush()
+			if prevLower && unicode.IsUpper(r) {
+				flush(i)
 			}
-			cur.WriteRune(r)
-			prevLower = unicode.IsLower(r)
+			if start < 0 {
+				start = i
+			}
+			prevLower, prevASCIIDigit = unicode.IsLower(r), false
 		case unicode.IsDigit(r):
 			// Digits form their own tokens so "class4" -> "class", "4".
-			if cur.Len() > 0 && !isDigitTail(cur.String()) {
-				flush()
+			if !prevASCIIDigit {
+				flush(i)
 			}
-			cur.WriteRune(r)
-			prevLower = false
+			if start < 0 {
+				start = i
+			}
+			prevLower, prevASCIIDigit = false, r < utf8.RuneSelf
 		default:
-			flush()
-			prevLower = false
+			flush(i)
+			prevLower, prevASCIIDigit = false, false
 		}
+		i += size
 	}
-	flush()
-	return tokens
-}
-
-func isDigitTail(s string) bool {
-	if s == "" {
-		return false
+	flush(len(s))
+	if len(tokens) == 0 {
+		return nil
 	}
-	last := s[len(s)-1]
-	return last >= '0' && last <= '9'
+	return append([]string(nil), tokens...)
 }
 
 // Normalize lowercases s and collapses all non-alphanumeric runs to single
@@ -76,7 +90,7 @@ var stopwords = map[string]bool{
 // ContentTokens returns Tokenize(s) with stopwords removed.
 func ContentTokens(s string) []string {
 	raw := Tokenize(s)
-	out := raw[:0:0]
+	out := raw[:0] // raw is this call's own slice: filter it in place
 	for _, t := range raw {
 		if !stopwords[t] {
 			out = append(out, t)

@@ -2,8 +2,10 @@ package textutil
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenizeIdentifiers(t *testing.T) {
@@ -205,5 +207,105 @@ func TestTokenizeProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// tokenizeReference is Tokenize as it was before it sliced tokens out of
+// its input: every token built rune by rune and lower-cased afterwards.
+func tokenizeReference(s string) []string {
+	var tokens []string
+	var cur strings.Builder
+	flush := func() {
+		if cur.Len() > 0 {
+			tokens = append(tokens, strings.ToLower(cur.String()))
+			cur.Reset()
+		}
+	}
+	digitTail := func() bool {
+		b := cur.String()
+		return b != "" && b[len(b)-1] >= '0' && b[len(b)-1] <= '9'
+	}
+	prevLower := false
+	for _, r := range s {
+		switch {
+		case unicode.IsLetter(r):
+			if unicode.IsUpper(r) && prevLower {
+				flush()
+			}
+			cur.WriteRune(r)
+			prevLower = unicode.IsLower(r)
+		case unicode.IsDigit(r):
+			if cur.Len() > 0 && !digitTail() {
+				flush()
+			}
+			cur.WriteRune(r)
+			prevLower = false
+		default:
+			flush()
+			prevLower = false
+		}
+	}
+	flush()
+	return tokens
+}
+
+// TestTokenizeMatchesReference pins the sliced tokenizer to the rune-by-
+// rune one on the boundaries it has to get right — non-ASCII letters and
+// digits, camel case, digit runs, invalid UTF-8 — and on random strings.
+func TestTokenizeMatchesReference(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []string
+	}{
+		{"Größe_Über_alles", []string{"größe", "über", "alles"}},
+		{"straßeNummer12a", []string{"straße", "nummer", "12a"}},
+		{"ÉcoleÉlève", []string{"école", "élève"}},
+		{"日本語 テキスト2024年", []string{"日本語", "テキスト", "2024年"}},
+		{"x٣٤y", []string{"x", "٣", "٤y"}},
+		{"a1٣2", []string{"a", "1٣", "2"}},
+		{"HTTPServer2xx", []string{"httpserver", "2xx"}},
+		{"getHTTPCode", []string{"get", "httpcode"}},
+		{"class4name", []string{"class", "4name"}},
+		{"v2.10-rc3", []string{"v", "2", "10", "rc", "3"}},
+		{"İstanbul", []string{"istanbul"}},
+		{"ab\xffcd\xc3", []string{"ab", "cd"}},
+		{"�x", []string{"x"}},
+		{"  __--  ", nil},
+		{"one two three four five six seven eight nine ten eleven twelve thirteen fourteen fifteen sixteen seventeen",
+			[]string{"one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten", "eleven", "twelve", "thirteen", "fourteen", "fifteen", "sixteen", "seventeen"}},
+	}
+	for _, c := range cases {
+		if got := Tokenize(c.in); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Tokenize(%q) = %q, want %q", c.in, got, c.want)
+		}
+		if ref := tokenizeReference(c.in); !reflect.DeepEqual(ref, c.want) {
+			t.Errorf("reference(%q) = %q, want %q", c.in, ref, c.want)
+		}
+	}
+	same := func(s string) bool { return reflect.DeepEqual(Tokenize(s), tokenizeReference(s)) }
+	if err := quick.Check(same, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	// quick's strings are mostly non-letters; mix an alphabet that keeps
+	// tokens open across the interesting transitions.
+	alphabet := []rune("aZ9 _é٣Éßÿ")
+	mixed := func(picks []uint8) bool {
+		rs := make([]rune, len(picks))
+		for i, p := range picks {
+			rs[i] = alphabet[int(p)%len(alphabet)]
+		}
+		return same(string(rs))
+	}
+	if err := quick.Check(mixed, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTokenizeAllocatesOnlyItsResult backs the package comment: lower-case
+// input costs one allocation, the returned slice.
+func TestTokenizeAllocatesOnlyItsResult(t *testing.T) {
+	const q = "total shouldincome_after by prod_class4_name in 2023"
+	if n := testing.AllocsPerRun(100, func() { Tokenize(q) }); n != 1 {
+		t.Errorf("Tokenize allocated %v times per call, want 1", n)
 	}
 }
