@@ -55,9 +55,8 @@ type Platform struct {
 	wal       *wal.Manager
 	recovered *wal.Recovered
 
-	mu    sync.RWMutex // guards graph, rt
-	graph *knowledge.Graph
-	rt    *agent.Runtime
+	mu sync.RWMutex // guards rt, whose Graph is the published knowledge snapshot
+	rt *agent.Runtime
 }
 
 // New creates a platform.
@@ -98,35 +97,11 @@ func (p *Platform) LoadCSV(name string, r io.Reader) error {
 }
 
 // LoadRecords registers an in-memory dataset: a header row plus string
-// records; column types are inferred.
+// records, typed the way LoadCSV types the same cells.
 func (p *Platform) LoadRecords(name string, columns []string, rows [][]string) error {
-	kinds := make([]table.Kind, len(columns))
-	for i := range kinds {
-		kinds[i] = table.KindString
-	}
-	// Infer kinds from the first non-empty cell per column.
-	for c := range columns {
-		for _, row := range rows {
-			if c < len(row) && strings.TrimSpace(row[c]) != "" {
-				kinds[c] = table.Infer(row[c]).Kind
-				break
-			}
-		}
-	}
-	t, err := table.New(name, columns, kinds)
+	t, err := table.FromRecords(name, columns, rows)
 	if err != nil {
 		return err
-	}
-	for _, row := range rows {
-		vals := make([]table.Value, len(columns))
-		for c := range columns {
-			if c < len(row) {
-				vals[c] = table.Infer(row[c])
-			}
-		}
-		if err := t.AppendRow(vals...); err != nil {
-			return err
-		}
 	}
 	return p.catalog.RegisterErr(t)
 }
@@ -278,10 +253,10 @@ func (p *Platform) AddGlossary(entries ...Glossary) {
 // Graph.Clone only reads it — while the writer mutates only its clone and
 // then publishes it with swapGraphLocked. Callers hold p.mu.
 func (p *Platform) cloneGraphLocked() *knowledge.Graph {
-	if p.graph == nil {
+	if p.rt.Graph == nil {
 		return knowledge.NewGraph()
 	}
-	return p.graph.Clone()
+	return p.rt.Graph.Clone()
 }
 
 // swapGraphLocked publishes a new graph snapshot and the runtime built
@@ -289,10 +264,7 @@ func (p *Platform) cloneGraphLocked() *knowledge.Graph {
 // (LearnKnowledge raises it separately). Callers hold p.mu.
 func (p *Platform) swapGraphLocked(graph *knowledge.Graph) {
 	rt := agent.NewRuntime(p.client, p.catalog).WithGraph(graph, knowledge.LevelFull)
-	if p.rt != nil {
-		rt.Ambiguity = p.rt.Ambiguity
-	}
-	p.graph = graph
+	rt.Ambiguity = p.rt.Ambiguity
 	p.rt = rt
 }
 
@@ -302,13 +274,13 @@ type Answer struct {
 	// SQL is the executed query (empty if no SQL agent ran).
 	SQL string
 	// Result is the typed, batch-iterable columnar result of SQL — the
-	// primary way to consume the result set. It is nil when no SQL ran or
-	// when executing it failed (see Err).
+	// primary way to consume the result set: the SQL agent's one execution
+	// of the statement, unread. It is nil when no SQL agent ran.
 	Result *Result
-	// Err records the execution error of the generated SQL, if any. Ask
-	// itself still returns nil in this case: the plan ran, the answer's
-	// other units (insights, charts) may be valid, and the SQL failure is
-	// part of the answer rather than a failure to answer.
+	// Err is always nil on an Answer that Ask returned: the statement has
+	// already executed by then, and a statement that fails to execute fails
+	// the SQL agent's attempt, so it surfaces as Ask's error once the
+	// retry budget is spent. The field stays for callers that check it.
 	Err error
 	// Columns carries the SQL result's column names.
 	Columns []string
@@ -344,8 +316,8 @@ func (p *Platform) Ask(query, tableName string) (*Answer, error) {
 		ans.AgentTrace = append(ans.AgentTrace, u.Role)
 		switch u.Kind {
 		case comm.KindSQL:
-			ans.SQL = sqlFromContent(u.Content)
-			p.fillResult(ans)
+			up := u.Payload.(agent.SQLPayload)
+			ans.SQL, ans.Result, ans.Columns = up.SQL, up.Result, up.Result.Columns()
 		case comm.KindChart:
 			ans.ChartJSON = u.Content
 		case comm.KindText:
@@ -383,33 +355,6 @@ func (p *Platform) Prepare(sql string) (*Stmt, error) {
 // workload's templates fit the cache and parsing has been amortized away.
 func (p *Platform) PlanCacheStats() PlanCacheStats {
 	return p.catalog.PlanCacheStats()
-}
-
-// fillResult executes the answer's SQL and attaches the typed Result.
-// Execution failures land in Answer.Err instead of being silently
-// swallowed.
-func (p *Platform) fillResult(ans *Answer) {
-	if ans.SQL == "" {
-		return
-	}
-	res, err := p.catalog.QueryCtx(context.Background(), ans.SQL)
-	if err != nil {
-		ans.Err = fmt.Errorf("datalab: executing generated SQL: %w", err)
-		return
-	}
-	ans.Result = res
-	ans.Columns = res.Columns()
-}
-
-// sqlFromContent extracts the SQL statement from a SQL agent's unit. The
-// unit content is the statement followed by a "-- dsl:" annotation line
-// and a result preview; cutting at that marker — rather than at the first
-// newline, which mangled multi-line statements — keeps the whole query.
-func sqlFromContent(s string) string {
-	if i := strings.Index(s, "\n-- dsl:"); i >= 0 {
-		return s[:i]
-	}
-	return strings.TrimRight(s, "\n")
 }
 
 // TokenUsage reports the platform's accumulated simulated token spend.

@@ -2,10 +2,13 @@ package datalab
 
 import (
 	"context"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"datalab/internal/sqlengine"
+	"datalab/internal/table"
 )
 
 func demoPlatform(t *testing.T) *Platform {
@@ -52,6 +55,64 @@ func TestLoadCSVAndQuery(t *testing.T) {
 	}
 	if len(p.Tables()) != 1 {
 		t.Errorf("tables = %v", p.Tables())
+	}
+}
+
+// TestLoadersTypeColumnsAlike: LoadRecords and LoadCSV hand the same cells
+// to one constructor, which types a column from all of its cells — typing
+// it from the first alone truncated 2.5 to 2 under SUM and WHERE.
+func TestLoadersTypeColumnsAlike(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cells []string // one column, top to bottom
+		kind  table.Kind
+	}{
+		{"int then float", []string{"1", "2.5", "3"}, table.KindFloat},
+		{"number then text", []string{"7", "1.5", "n/a"}, table.KindString},
+		{"leading blanks", []string{"", " ", "4", "5.25"}, table.KindFloat},
+		{"all blank", []string{"", "", ""}, table.KindString},
+		{"date then text", []string{"2024-01-05", "soon"}, table.KindString},
+		{"ints", []string{"3", "", "4"}, table.KindInt},
+	} {
+		rows := make([][]string, len(tc.cells))
+		csv := "id,x\n"
+		for i, cell := range tc.cells {
+			id := strconv.Itoa(i)
+			rows[i] = []string{id, cell}
+			csv += id + "," + cell + "\n"
+		}
+		p := MustNew(WithSeed("loaders"))
+		if err := p.LoadRecords("rec", []string{"id", "x"}, rows); err != nil {
+			t.Fatalf("%s: LoadRecords: %v", tc.name, err)
+		}
+		if err := p.LoadCSV("csv", strings.NewReader(csv)); err != nil {
+			t.Fatalf("%s: LoadCSV: %v", tc.name, err)
+		}
+		rec, _ := p.catalog.Table("rec")
+		fromCSV, _ := p.catalog.Table("csv")
+		if got := rec.Column("x").Kind; got != tc.kind || fromCSV.Column("x").Kind != tc.kind {
+			t.Errorf("%s: x is %v from records, %v from CSV, want %v", tc.name, got, fromCSV.Column("x").Kind, tc.kind)
+		}
+		if !table.EqualData(rec, fromCSV) {
+			t.Errorf("%s: loaders disagree:\n%s\n%s", tc.name, rec, fromCSV)
+		}
+	}
+
+	p := MustNew(WithSeed("loaders"))
+	if err := p.LoadRecords("a", []string{"x"}, [][]string{{"1"}, {"2.5"}, {"3"}}); err != nil {
+		t.Fatal(err)
+	}
+	for sql, want := range map[string]string{
+		"SELECT SUM(x) FROM a":               "6.5",
+		"SELECT COUNT(*) FROM a WHERE x > 2": "2",
+	} {
+		res, err := p.QueryCtx(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Strings(); len(got) != 1 || got[0][0] != want {
+			t.Errorf("%s = %v, want %s", sql, got, want)
+		}
 	}
 }
 
@@ -112,38 +173,75 @@ func TestPlatformPrepare(t *testing.T) {
 	}
 }
 
-func TestAnswerErrSurfacesSQLFailure(t *testing.T) {
-	p := demoPlatform(t)
-	// Drive fillResult directly with SQL that fails at execution: before the
-	// redesign the failure was silently swallowed, yielding an Answer with
-	// no rows and no error.
-	ans := &Answer{SQL: "SELECT nope FROM missing_table"}
-	p.fillResult(ans)
-	if ans.Err == nil {
-		t.Fatal("failing SQL left Answer.Err nil")
-	}
-	if !strings.Contains(ans.Err.Error(), "missing_table") {
-		t.Errorf("Err = %v", ans.Err)
-	}
-	if ans.Result != nil || ans.Columns != nil {
-		t.Errorf("failed execution still attached results: %+v", ans)
-	}
+// planLookups counts the statements the platform's catalog has planned.
+func planLookups(p *Platform) int64 {
+	st := p.PlanCacheStats()
+	return st.Hits + st.Misses
+}
 
-	ok := &Answer{SQL: "SELECT region FROM sales"}
-	p.fillResult(ok)
-	if ok.Err != nil || ok.Result == nil || ok.Result.NumRows() != 6 {
-		t.Errorf("good SQL: Err=%v Result=%v", ok.Err, ok.Result)
+// TestAskExecutesGeneratedSQLOnce pins the typed hand-off: the SQL agent's
+// one execution is the only time a question's statement reaches the
+// engine — the chart agent renders from the rows on the upstream unit and
+// Ask returns that same Result. The seeded simulator passes both
+// questions' SQL agent on its first attempt (a retry translates and
+// executes again, legitimately).
+func TestAskExecutesGeneratedSQLOnce(t *testing.T) {
+	p := demoPlatform(t)
+	for _, tc := range []struct {
+		query string
+		trace []string
+	}{
+		{"total revenue by region", []string{"SQL Agent"}},
+		{"draw a bar chart of total revenue by region", []string{"SQL Agent", "Chart Generation Agent"}},
+	} {
+		before := planLookups(p)
+		ans, err := p.Ask(tc.query, "sales")
+		if err != nil {
+			t.Fatalf("%q: %v", tc.query, err)
+		}
+		if got := planLookups(p) - before; got != 1 {
+			t.Errorf("%q: %d plan-cache lookups, want 1", tc.query, got)
+		}
+		if !reflect.DeepEqual(ans.AgentTrace, tc.trace) {
+			t.Errorf("%q: agents %v, want %v", tc.query, ans.AgentTrace, tc.trace)
+		}
+		if ans.Err != nil || ans.Result == nil || ans.Result.NumRows() != 3 || ans.Result.Next() == nil {
+			t.Errorf("%q: Err=%v Result=%v, want an unread 3-row result", tc.query, ans.Err, ans.Result)
+		}
+		if strings.Contains(ans.SQL, "\n") || !strings.HasPrefix(ans.SQL, "SELECT") {
+			t.Errorf("%q: SQL = %q, want the statement alone", tc.query, ans.SQL)
+		}
 	}
 }
 
-func TestSQLFromContent(t *testing.T) {
-	multi := "SELECT region,\n       SUM(revenue)\nFROM sales\nGROUP BY region"
-	content := multi + "\n-- dsl: {\"intent\":\"x\"}\nsales (3 rows)\npreview..."
-	if got := sqlFromContent(content); got != multi {
-		t.Errorf("multi-line SQL mangled: %q", got)
+// TestAskSurfacesSQLExecutionFailure: a statement that fails to execute
+// fails the SQL agent's attempt, so after the retry budget it is Ask's
+// error — there is no Answer whose Err is set.
+func TestAskSurfacesSQLExecutionFailure(t *testing.T) {
+	p := MustNew(WithSeed("exec-failure"))
+	if err := p.LoadRecords("sales", []string{"region"}, [][]string{{"east"}, {"west"}}); err != nil {
+		t.Fatal(err)
 	}
-	if got := sqlFromContent("SELECT 1\n"); got != "SELECT 1" {
-		t.Errorf("no-marker content = %q", got)
+	// Knowledge describing a column the physical table does not have.
+	err := p.LearnKnowledge("shop", "sales", []ColumnSchema{
+		{Name: "region", Type: "string", Comment: "sales region"},
+		{Name: "revenue", Type: "double", Comment: "total revenue of the sale"},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := planLookups(p)
+	ans, err := p.Ask("total revenue by region", "sales")
+	if err == nil {
+		t.Fatalf("Ask answered %q over a table without that column", ans.SQL)
+	}
+	for _, want := range []string{"exhausted 5 calls", "execution failed", "revenue"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %v, want it to mention %q", err, want)
+		}
+	}
+	if got := planLookups(p) - before; got != 5 {
+		t.Errorf("%d plan-cache lookups, want one per attempt (5)", got)
 	}
 }
 

@@ -35,12 +35,9 @@ func main() {
 
 	// Ask before learning: the cryptic schema defeats the query.
 	before, err := p.Ask("total income by product line", "23_customer_bg")
-	switch {
-	case err != nil:
+	if err != nil {
 		fmt.Println("without knowledge, the query fails:", err)
-	case before.Err != nil: // the SQL was generated but failed to execute
-		fmt.Println("without knowledge, generated SQL fails:", before.Err)
-	default:
+	} else {
 		fmt.Println("without knowledge, SQL:", orNone(before.SQL))
 	}
 
@@ -85,9 +82,6 @@ out = df.groupby("prod_class4_name").agg({"shouldincome_after": "sum"})`,
 	after, err := p.Ask("total income by product line in 2024", "23_customer_bg")
 	if err != nil {
 		log.Fatal(err)
-	}
-	if after.Err != nil {
-		log.Fatal("generated SQL failed: ", after.Err)
 	}
 	fmt.Println("\nwith knowledge, SQL:", after.SQL)
 	fmt.Println("\nresult:")

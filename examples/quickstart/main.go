@@ -31,9 +31,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if ans.Err != nil {
-		log.Fatal("generated SQL failed: ", ans.Err)
-	}
 
 	fmt.Println("agents involved:", strings.Join(ans.AgentTrace, " -> "))
 	fmt.Println("\ngenerated SQL:")

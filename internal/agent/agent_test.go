@@ -67,8 +67,18 @@ func TestSQLAgentEndToEnd(t *testing.T) {
 	if !strings.Contains(info.Content, "SELECT") || !strings.Contains(info.Content, "GROUP BY") {
 		t.Errorf("content missing SQL: %s", info.Content)
 	}
-	if !strings.Contains(info.Content, "-- dsl:") {
-		t.Error("content missing embedded DSL")
+	up, ok := info.Payload.(SQLPayload)
+	if !ok || up.Spec == nil || up.Result == nil {
+		t.Fatalf("payload = %#v, want the spec, statement and result", info.Payload)
+	}
+	if up.SQL != info.Content {
+		t.Errorf("Content = %q, want the statement alone (%q)", info.Content, up.SQL)
+	}
+	if sql, err := up.Spec.ToSQL(); err != nil || sql != up.SQL {
+		t.Errorf("payload spec compiles to %q (err %v), statement is %q", sql, err, up.SQL)
+	}
+	if up.Result.NumRows() != 3 || up.Result.Next() == nil {
+		t.Errorf("payload result: %d rows, want 3 regions on an unread cursor", up.Result.NumRows())
 	}
 }
 
@@ -84,20 +94,63 @@ func TestDSCodeAgentEmitsPandas(t *testing.T) {
 	}
 }
 
+// lookups counts the statements the catalog has planned so far.
+func lookups(rt *Runtime) int64 {
+	st := rt.Catalog.PlanCacheStats()
+	return st.Hits + st.Misses
+}
+
 func TestChartAgentConsumesUpstreamDSL(t *testing.T) {
+	const query = "total revenue by region as a chart"
 	rt := testRuntime(t, "chartup")
-	sqlAgent := NewSQLAgent(rt, "sales")
-	sqlInfo := executeWithRetry(t, sqlAgent, "total revenue by region as a bar chart", nil)
-	chart := NewChartAgent(rt, "sales")
-	info := executeWithRetry(t, chart, "total revenue by region as a bar chart", []comm.Info{sqlInfo})
-	if info.Kind != comm.KindChart {
-		t.Errorf("kind = %v", info.Kind)
+	sqlInfo := executeWithRetry(t, NewSQLAgent(rt, "sales"), query, nil)
+	up := sqlInfo.Payload.(SQLPayload)
+	if up.Spec.ChartType != "" {
+		t.Fatalf("upstream spec already names a chart type %q: the default goes unexercised", up.Spec.ChartType)
 	}
-	if !strings.Contains(info.Content, `"mark"`) {
-		t.Errorf("chart content = %s", info.Content)
+
+	before := lookups(rt)
+	chart := NewChartAgent(rt, "sales")
+	info := executeWithRetry(t, chart, query, []comm.Info{sqlInfo})
+	if got := lookups(rt) - before; got != 0 {
+		t.Errorf("chart agent planned %d statements, want 0: the rows are on the upstream unit", got)
+	}
+	if info.Kind != comm.KindChart || !strings.Contains(info.Content, `"mark": "bar"`) {
+		t.Errorf("chart unit = %+v", info)
 	}
 	if !chart.Faithful() {
 		t.Error("grounded chart should be faithful")
+	}
+	if up.Spec.ChartType != "" {
+		t.Errorf("chart agent wrote its default chart type %q into the upstream unit's spec", up.Spec.ChartType)
+	}
+	if up.Result.Next() == nil {
+		t.Error("rendering moved the upstream result's cursor")
+	}
+
+	// Flattened as ablation S2's proxy does, the unit carries no payload:
+	// the chart agent retranslates and fetches the rows itself.
+	plan := comm.NewFSM()
+	plan.AddAgent(NameSQL)
+	plan.AddAgent(NameChart)
+	plan.AddEdge(NameSQL, NameChart)
+	cfg := comm.DefaultProxyConfig()
+	cfg.Structured = false
+	before = lookups(rt)
+	units, stats, err := comm.NewProxy(cfg).Run(plan, map[string]comm.Agent{
+		NameSQL: NewSQLAgent(rt, "sales"), NameChart: NewChartAgent(rt, "sales"),
+	}, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range units {
+		if u.Payload != nil {
+			t.Errorf("flattened unit from %s still carries a payload", u.Role)
+		}
+	}
+	// Every call of either agent executes its own statement.
+	if got := lookups(rt) - before; got != int64(stats.AgentCalls) {
+		t.Errorf("unstructured run planned %d statements over %d agent calls, want one each", got, stats.AgentCalls)
 	}
 }
 

@@ -1,15 +1,15 @@
 package agent
 
 import (
+	"errors"
 	"fmt"
 	"strings"
-
-	"encoding/json"
 
 	"datalab/internal/comm"
 	"datalab/internal/dsl"
 	"datalab/internal/insight"
 	"datalab/internal/llm"
+	"datalab/internal/sqlengine"
 	"datalab/internal/table"
 	"datalab/internal/textutil"
 	"datalab/internal/viz"
@@ -39,10 +39,11 @@ type BIAgent struct {
 	name  string
 	rt    *Runtime
 	table string
-	// skill extracts the relevant capability from the model profile.
-	skill func(llm.Profile) float64
-	// run is the agent's pipeline.
-	run func(a *BIAgent, query string, inputs []comm.Info, attempt int) (comm.Info, bool, error)
+	// skill is the capability the agent draws on, under the runtime's
+	// model profile.
+	skill float64
+	// run is the agent's pipeline up to its product; Execute finishes it.
+	run func(a *BIAgent, query string, inputs []comm.Info, attempt int) (step, error)
 
 	// faithful records whether the last successful execution produced a
 	// semantically correct result. It is evaluation instrumentation: the
@@ -51,34 +52,71 @@ type BIAgent struct {
 	faithful bool
 }
 
+// step is what a pipeline hands Execute: its product and what the
+// simulator needs to decide whether the call succeeded.
+type step struct {
+	// unit carries Action, Description, Content, Kind and Payload;
+	// Execute adds DataSource and Role.
+	unit comm.Info
+	// needed is how many forwarded units the subtask uses (any more are
+	// distraction) and linked how completely its schema was linked.
+	needed int
+	linked float64
+	// coin names the residual-error draw; failure is the error the agent
+	// reports when the draw fails.
+	coin, failure string
+	// faithful is whether the product is semantically correct, where the
+	// pipeline knows; where it cannot (silent), Execute draws it with the
+	// coin's kind and quality.
+	faithful, silent bool
+}
+
+// SQLPayload is the SQL agent's typed hand-off (comm.Info.Payload): the
+// spec it translated, the statement the spec compiled to and that
+// statement's result, executed once. Result is an unread cursor; an agent
+// that needs the rows takes Result.Table, which does not move it.
+type SQLPayload struct {
+	Spec   *dsl.Spec
+	SQL    string
+	Result *sqlengine.Result
+}
+
 // Name implements comm.Agent.
 func (a *BIAgent) Name() string { return a.name }
 
 // Faithful reports whether the last successful execution was correct.
 func (a *BIAgent) Faithful() bool { return a.faithful }
 
-// Execute implements comm.Agent.
+// Execute implements comm.Agent: the agent's pipeline, then the residual-
+// error draw every agent's call is subject to.
 func (a *BIAgent) Execute(query string, inputs []comm.Info, attempt int) (comm.Info, error) {
-	info, faithful, err := a.run(a, query, inputs, attempt)
+	st, err := a.run(a, query, inputs, attempt)
 	if err != nil {
 		return comm.Info{}, err
 	}
-	a.faithful = faithful
-	return info, nil
+	q := a.contextQuality(inputs, st.needed, st.linked)
+	if !a.draw(st.coin, query, attempt, a.skill, q) {
+		return comm.Info{}, errors.New(st.failure)
+	}
+	a.faithful = st.faithful
+	if st.silent {
+		a.faithful = a.faithfulDraw(st.coin, query, a.skill, q)
+	}
+	st.unit.DataSource, st.unit.Role = a.table, a.name
+	return st.unit, nil
 }
 
 // contextQuality derives the distraction/structure features from the
 // units actually forwarded to this agent — this is where the Table III
-// ablations bite mechanically. Retries reuse the same context, so the
-// attempt number does not improve quality.
-func (a *BIAgent) contextQuality(inputs []comm.Info, needed int, attempt int, linked float64) llm.Quality {
-	_ = attempt
+// ablations bite mechanically. Retries reuse the same context, so quality
+// does not improve with the attempt.
+func (a *BIAgent) contextQuality(inputs []comm.Info, needed int, linked float64) llm.Quality {
 	q := a.rt.Quality(linked, 0)
 	if len(inputs) > needed {
 		// Every unit beyond what the subtask needs is pure distraction;
 		// §V's error analysis ties most failures to plans with >3 agents
 		// flooding each other without the FSM.
-		q.Distraction = clamp01(q.Distraction + float64(len(inputs)-needed)/float64(needed+2))
+		q.Distraction = min(1, q.Distraction+float64(len(inputs)-needed)/float64(needed+2))
 	}
 	for _, u := range inputs {
 		if u.Action == "narrative" {
@@ -94,16 +132,6 @@ func (a *BIAgent) contextQuality(inputs []comm.Info, needed int, attempt int, li
 // retry, so those failures burn the whole 5-call budget. The rest is
 // transient sampling noise that retries wash out.
 const stickyFactor = 0.25
-
-func clamp01(f float64) float64 {
-	if f < 0 {
-		return 0
-	}
-	if f > 1 {
-		return 1
-	}
-	return f
-}
 
 // draw is the agent's residual-error coin for one (task, attempt) pair.
 // A slice of the failure mass is sticky (keyed without the attempt, so it
@@ -133,14 +161,6 @@ func (a *BIAgent) faithfulDraw(kind, key string, skill float64, q llm.Quality) b
 	return a.rt.Client.Draw(fmt.Sprintf("faithful|%s|%s|%s", a.name, kind, key), 1-0.35*(1-p))
 }
 
-// dataPreview renders the head of a table for info-unit content.
-func dataPreview(t *table.Table) string {
-	if t == nil {
-		return ""
-	}
-	return t.Limit(5).String()
-}
-
 // findUpstream locates the freshest unit of a given kind among inputs.
 func findUpstream(inputs []comm.Info, kind comm.InfoKind) (comm.Info, bool) {
 	for i := len(inputs) - 1; i >= 0; i-- {
@@ -153,37 +173,38 @@ func findUpstream(inputs []comm.Info, kind comm.InfoKind) (comm.Info, bool) {
 
 // NewSQLAgent builds the NL2SQL specialist: rewrite -> knowledge
 // retrieval -> DSL -> SQL -> execution, with execution feedback retries.
+// Its unit's Content is the statement; spec and result ride as SQLPayload.
 func NewSQLAgent(rt *Runtime, tableName string) *BIAgent {
 	return &BIAgent{
 		name:  NameSQL,
 		rt:    rt,
 		table: tableName,
-		skill: func(p llm.Profile) float64 { return p.SQLGeneration },
-		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (comm.Info, bool, error) {
+		skill: rt.Client.Profile().SQLGeneration,
+		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (step, error) {
 			key := fmt.Sprintf("%s#%d", query, attempt)
-			spec, faithful, err := a.rt.TranslateDSL(query, a.table, key, a.rt.Client.Profile().SQLGeneration, attempt)
+			spec, faithful, err := a.rt.TranslateDSL(query, a.table, key, a.skill, attempt)
 			if err != nil {
-				return comm.Info{}, false, err
+				return step{}, err
 			}
 			if err := spec.Validate(); err != nil {
-				return comm.Info{}, false, fmt.Errorf("sql agent: invalid DSL: %w", err)
+				return step{}, fmt.Errorf("sql agent: invalid DSL: %w", err)
 			}
 			sql, res, err := a.rt.ExecuteSQL(spec)
 			if err != nil {
-				return comm.Info{}, false, fmt.Errorf("sql agent: execution failed: %w", err)
+				return step{}, fmt.Errorf("sql agent: execution failed: %w", err)
 			}
-			q := a.contextQuality(inputs, 0, attempt, 1)
-			if !a.draw("exec", query, attempt, a.rt.Client.Profile().SQLGeneration, q) {
-				return comm.Info{}, false, fmt.Errorf("sql agent: generated query failed sanity checks")
-			}
-			return comm.Info{
-				DataSource:  a.table,
-				Role:        a.name,
-				Action:      "generate_sql_query",
-				Description: "translated the request into SQL and executed it: " + spec.Intent,
-				Content:     sql + "\n-- dsl: " + spec.JSON() + "\n" + dataPreview(res),
-				Kind:        comm.KindSQL,
-			}, faithful, nil
+			return step{
+				unit: comm.Info{
+					Action:      "generate_sql_query",
+					Description: "translated the request into SQL and executed it: " + spec.Intent,
+					Content:     sql,
+					Kind:        comm.KindSQL,
+					Payload:     SQLPayload{Spec: spec, SQL: sql, Result: res},
+				},
+				needed: 0, linked: 1,
+				coin: "exec", failure: "sql agent: generated query failed sanity checks",
+				faithful: faithful,
+			}, nil
 		},
 	}
 }
@@ -196,26 +217,24 @@ func NewDSCodeAgent(rt *Runtime, tableName string) *BIAgent {
 		name:  NameDSCode,
 		rt:    rt,
 		table: tableName,
-		skill: func(p llm.Profile) float64 { return p.CodeGeneration },
-		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (comm.Info, bool, error) {
+		skill: rt.Client.Profile().CodeGeneration,
+		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (step, error) {
 			key := fmt.Sprintf("dscode|%s#%d", query, attempt)
-			spec, faithful, err := a.rt.TranslateDSL(query, a.table, key, a.rt.Client.Profile().CodeGeneration, attempt)
+			spec, faithful, err := a.rt.TranslateDSL(query, a.table, key, a.skill, attempt)
 			if err != nil {
-				return comm.Info{}, false, err
+				return step{}, err
 			}
-			code := pandasProgram(spec)
-			q := a.contextQuality(inputs, 1, attempt, 1)
-			if !a.draw("exec", query, attempt, a.rt.Client.Profile().CodeGeneration, q) {
-				return comm.Info{}, false, fmt.Errorf("dscode agent: generated code raised an exception")
-			}
-			return comm.Info{
-				DataSource:  a.table,
-				Role:        a.name,
-				Action:      "generate_ds_code",
-				Description: "wrote and ran data-science code for: " + spec.Intent,
-				Content:     code,
-				Kind:        comm.KindCode,
-			}, faithful, nil
+			return step{
+				unit: comm.Info{
+					Action:      "generate_ds_code",
+					Description: "wrote and ran data-science code for: " + spec.Intent,
+					Content:     pandasProgram(spec),
+					Kind:        comm.KindCode,
+				},
+				needed: 1, linked: 1,
+				coin: "exec", failure: "dscode agent: generated code raised an exception",
+				faithful: faithful,
+			}, nil
 		},
 	}
 }
@@ -260,89 +279,65 @@ func pandasAgg(a string) string {
 	}
 }
 
-// NewChartAgent builds the NL2VIS specialist: it consumes the upstream
-// SQL agent's DSL, compiles a chart spec, and renders it against the
-// query result.
+// NewChartAgent builds the NL2VIS specialist: it takes the upstream SQL
+// agent's spec and rows off its unit, compiles a chart spec, and renders
+// it against them.
 func NewChartAgent(rt *Runtime, tableName string) *BIAgent {
 	return &BIAgent{
 		name:  NameChart,
 		rt:    rt,
 		table: tableName,
-		skill: func(p llm.Profile) float64 { return p.VisLiteracy },
-		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (comm.Info, bool, error) {
-			upstream, ok := findUpstream(inputs, comm.KindSQL)
-			linked := 1.0
-			faithful := ok // grounded in the upstream DSL when available
+		skill: rt.Client.Profile().VisLiteracy,
+		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (step, error) {
+			upstream, _ := findUpstream(inputs, comm.KindSQL)
+			up, grounded := upstream.Payload.(SQLPayload)
+			linked, faithful := 1.0, true // grounded in the upstream DSL when available
 			var spec *dsl.Spec
-			if ok {
-				if s, perr := parseEmbeddedDSL(upstream.Content); perr == nil {
-					spec = s
-				}
-			}
-			if spec == nil {
+			res := up.Result
+			if grounded {
+				own := *up.Spec // the chart type below is this agent's, not upstream's
+				spec = &own
+			} else {
 				// No structured upstream (ablations): retranslate from
 				// scratch with weaker linkage. The narrative still holds
 				// the needed facts, so fidelity follows the usual silent-
 				// error model rather than hard-failing.
 				linked = 0.9
 				var err error
-				spec, _, err = a.rt.TranslateDSL(query, a.table, fmt.Sprintf("chart|%s#%d", query, attempt),
-					a.rt.Client.Profile().VisLiteracy, 0)
+				spec, _, err = a.rt.TranslateDSL(query, a.table, fmt.Sprintf("chart|%s#%d", query, attempt), a.skill, 0)
 				if err != nil {
-					return comm.Info{}, false, err
+					return step{}, err
 				}
-				faithful = a.faithfulDraw("ground", query, a.rt.Client.Profile().VisLiteracy,
-					a.rt.Quality(linked, 0))
+				faithful = a.faithfulDraw("ground", query, a.skill, a.rt.Quality(linked, 0))
 			}
 			if spec.ChartType == "" {
 				spec.ChartType = "bar"
 			}
 			chart, err := spec.ToChart()
 			if err != nil {
-				return comm.Info{}, false, fmt.Errorf("chart agent: %w", err)
+				return step{}, fmt.Errorf("chart agent: %w", err)
 			}
-			_, res, err := a.rt.ExecuteSQL(spec)
-			if err != nil {
-				return comm.Info{}, false, fmt.Errorf("chart agent: data fetch failed: %w", err)
+			if !grounded {
+				if _, res, err = a.rt.ExecuteSQL(spec); err != nil {
+					return step{}, fmt.Errorf("chart agent: data fetch failed: %w", err)
+				}
 			}
-			rendered, err := viz.Render(chart, res)
-			if err != nil {
-				return comm.Info{}, false, fmt.Errorf("chart agent: render failed: %w", err)
+			if _, err := viz.Render(chart, res.Table(spec.Table)); err != nil {
+				return step{}, fmt.Errorf("chart agent: render failed: %w", err)
 			}
-			q := a.contextQuality(inputs, 1, attempt, linked)
-			if !a.draw("render", query, attempt, a.rt.Client.Profile().VisLiteracy, q) {
-				return comm.Info{}, false, fmt.Errorf("chart agent: produced an illegal specification")
-			}
-			_ = rendered
-			return comm.Info{
-				DataSource:  a.table,
-				Role:        a.name,
-				Action:      "generate_chart",
-				Description: "rendered a " + string(chart.Mark) + " chart for: " + query,
-				Content:     chart.JSON(),
-				Kind:        comm.KindChart,
-			}, faithful, nil
+			return step{
+				unit: comm.Info{
+					Action:      "generate_chart",
+					Description: "rendered a " + string(chart.Mark) + " chart for: " + query,
+					Content:     chart.JSON(),
+					Kind:        comm.KindChart,
+				},
+				needed: 1, linked: linked,
+				coin: "render", failure: "chart agent: produced an illegal specification",
+				faithful: faithful,
+			}, nil
 		},
 	}
-}
-
-// parseEmbeddedDSL recovers the DSL spec a SQL agent embeds in its unit.
-// The unit carries a data preview after the JSON, so decoding stops at
-// the end of the first JSON value.
-func parseEmbeddedDSL(content string) (*dsl.Spec, error) {
-	i := strings.Index(content, "-- dsl: ")
-	if i < 0 {
-		return nil, fmt.Errorf("agent: no embedded DSL")
-	}
-	dec := json.NewDecoder(strings.NewReader(content[i+len("-- dsl: "):]))
-	var s dsl.Spec
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("agent: bad embedded DSL: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
 }
 
 // newAnalysisAgent abstracts the three §VII-D analysis specialists:
@@ -350,38 +345,36 @@ func parseEmbeddedDSL(content string) (*dsl.Spec, error) {
 // upstream data unit and runs its statistical tool over the target table.
 func newAnalysisAgent(rt *Runtime, tableName, name, action string,
 	analyze func(*Runtime, *table.Table, string) (string, error)) *BIAgent {
+	failure := name + ": reasoning went off the rails"
 	return &BIAgent{
 		name:  name,
 		rt:    rt,
 		table: tableName,
-		skill: func(p llm.Profile) float64 { return p.Reasoning },
-		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (comm.Info, bool, error) {
+		skill: rt.Client.Profile().Reasoning,
+		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (step, error) {
 			t, ok := a.rt.Catalog.Table(a.table)
 			if !ok {
-				return comm.Info{}, false, fmt.Errorf("%s: unknown table %q", a.name, a.table)
+				return step{}, fmt.Errorf("%s: unknown table %q", a.name, a.table)
 			}
 			result, err := analyze(a.rt, t, query)
 			if err != nil {
-				return comm.Info{}, false, fmt.Errorf("%s: %w", a.name, err)
+				return step{}, fmt.Errorf("%s: %w", a.name, err)
 			}
-			_, hasUpstream := findUpstream(inputs, comm.KindSQL)
 			linked := 1.0
-			if !hasUpstream && len(inputs) == 0 {
+			if len(inputs) == 0 {
 				linked = 0.85 // missing grounding data context
 			}
-			q := a.contextQuality(inputs, 1, attempt, linked)
-			if !a.draw("analyze", query, attempt, a.rt.Client.Profile().Reasoning, q) {
-				return comm.Info{}, false, fmt.Errorf("%s: reasoning went off the rails", a.name)
-			}
-			faithful := a.faithfulDraw("analyze", query, a.rt.Client.Profile().Reasoning, q)
-			return comm.Info{
-				DataSource:  a.table,
-				Role:        a.name,
-				Action:      action,
-				Description: a.name + " completed for: " + query,
-				Content:     result,
-				Kind:        comm.KindText,
-			}, faithful, nil
+			return step{
+				unit: comm.Info{
+					Action:      action,
+					Description: a.name + " completed for: " + query,
+					Content:     result,
+					Kind:        comm.KindText,
+				},
+				needed: 1, linked: linked,
+				coin: "analyze", failure: failure,
+				silent: true,
+			}, nil
 		},
 	}
 }
@@ -467,8 +460,8 @@ func NewInsightAgent(rt *Runtime, tableName string) *BIAgent {
 		name:  NameInsight,
 		rt:    rt,
 		table: tableName,
-		skill: func(p llm.Profile) float64 { return p.Reasoning },
-		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (comm.Info, bool, error) {
+		skill: rt.Client.Profile().Reasoning,
+		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (step, error) {
 			var parts []string
 			for _, u := range inputs {
 				if u.Content != "" && u.Kind == comm.KindText {
@@ -483,19 +476,17 @@ func NewInsightAgent(rt *Runtime, tableName string) *BIAgent {
 			if len(parts) == 0 {
 				linked = 0.6
 			}
-			q := a.contextQuality(inputs, 2, attempt, linked)
-			if !a.draw("synthesize", query, attempt, a.rt.Client.Profile().Reasoning, q) {
-				return comm.Info{}, false, fmt.Errorf("insight agent: synthesis incoherent")
-			}
-			faithful := a.faithfulDraw("synthesize", query, a.rt.Client.Profile().Reasoning, q)
-			return comm.Info{
-				DataSource:  a.table,
-				Role:        a.name,
-				Action:      "synthesize_insights",
-				Description: "synthesized findings for: " + query,
-				Content:     strings.Join(parts, " "),
-				Kind:        comm.KindText,
-			}, faithful, nil
+			return step{
+				unit: comm.Info{
+					Action:      "synthesize_insights",
+					Description: "synthesized findings for: " + query,
+					Content:     strings.Join(parts, " "),
+					Kind:        comm.KindText,
+				},
+				needed: 2, linked: linked,
+				coin: "synthesize", failure: "insight agent: synthesis incoherent",
+				silent: true,
+			}, nil
 		},
 	}
 }
@@ -566,26 +557,25 @@ func NewReportAgent(rt *Runtime, tableName string) *BIAgent {
 		name:  NameReport,
 		rt:    rt,
 		table: tableName,
-		skill: func(p llm.Profile) float64 { return p.InstructionFollowing },
-		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (comm.Info, bool, error) {
+		skill: rt.Client.Profile().InstructionFollowing,
+		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (step, error) {
 			var sb strings.Builder
 			sb.WriteString("# Analysis Report\n\n")
 			fmt.Fprintf(&sb, "Question: %s\n\n", query)
 			for _, u := range inputs {
 				fmt.Fprintf(&sb, "## %s\n%s\n\n", u.Role, u.Description)
 			}
-			q := a.contextQuality(inputs, len(inputs), attempt, 1)
-			if !a.draw("report", query, attempt, a.rt.Client.Profile().InstructionFollowing, q) {
-				return comm.Info{}, false, fmt.Errorf("report agent: draft failed review")
-			}
-			return comm.Info{
-				DataSource:  a.table,
-				Role:        a.name,
-				Action:      "generate_report",
-				Description: "drafted the final report",
-				Content:     sb.String(),
-				Kind:        comm.KindText,
-			}, true, nil
+			return step{
+				unit: comm.Info{
+					Action:      "generate_report",
+					Description: "drafted the final report",
+					Content:     sb.String(),
+					Kind:        comm.KindText,
+				},
+				needed: len(inputs), linked: 1,
+				coin: "report", failure: "report agent: draft failed review",
+				faithful: true,
+			}, nil
 		},
 	}
 }
@@ -596,29 +586,27 @@ func NewChartQAAgent(rt *Runtime, tableName string) *BIAgent {
 		name:  NameChartQA,
 		rt:    rt,
 		table: tableName,
-		skill: func(p llm.Profile) float64 { return p.VisLiteracy },
-		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (comm.Info, bool, error) {
+		skill: rt.Client.Profile().VisLiteracy,
+		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (step, error) {
 			up, ok := findUpstream(inputs, comm.KindChart)
 			if !ok {
-				return comm.Info{}, false, fmt.Errorf("chart qa agent: no chart in context")
+				return step{}, fmt.Errorf("chart qa agent: no chart in context")
 			}
 			spec, err := viz.ParseSpec(up.Content)
 			if err != nil {
-				return comm.Info{}, false, fmt.Errorf("chart qa agent: unreadable chart: %w", err)
+				return step{}, fmt.Errorf("chart qa agent: unreadable chart: %w", err)
 			}
-			answer := fmt.Sprintf("the chart is a %s mark over %d channels", spec.Mark, len(spec.Encoding))
-			q := a.contextQuality(inputs, 1, attempt, 1)
-			if !a.draw("qa", query, attempt, a.rt.Client.Profile().VisLiteracy, q) {
-				return comm.Info{}, false, fmt.Errorf("chart qa agent: misread the chart")
-			}
-			return comm.Info{
-				DataSource:  a.table,
-				Role:        a.name,
-				Action:      "answer_chart_question",
-				Description: "answered a question about the chart",
-				Content:     answer,
-				Kind:        comm.KindText,
-			}, true, nil
+			return step{
+				unit: comm.Info{
+					Action:      "answer_chart_question",
+					Description: "answered a question about the chart",
+					Content:     fmt.Sprintf("the chart is a %s mark over %d channels", spec.Mark, len(spec.Encoding)),
+					Kind:        comm.KindText,
+				},
+				needed: 1, linked: 1,
+				coin: "qa", failure: "chart qa agent: misread the chart",
+				faithful: true,
+			}, nil
 		},
 	}
 }

@@ -6,6 +6,7 @@
 package agent
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -160,15 +161,12 @@ func (rt *Runtime) TranslateDSL(query, tableName, key string, skill float64, ite
 }
 
 // ExecuteSQL compiles and runs a DSL spec, returning the SQL text and the
-// result table.
-func (rt *Runtime) ExecuteSQL(spec *dsl.Spec) (string, *table.Table, error) {
+// result cursor, unread.
+func (rt *Runtime) ExecuteSQL(spec *dsl.Spec) (string, *sqlengine.Result, error) {
 	sql, err := spec.ToSQL()
 	if err != nil {
 		return "", nil, err
 	}
-	res, err := rt.Catalog.Query(sql)
-	if err != nil {
-		return sql, nil, err
-	}
-	return sql, res, nil
+	res, err := rt.Catalog.QueryCtx(context.TODO(), sql)
+	return sql, res, err
 }

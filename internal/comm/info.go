@@ -19,14 +19,18 @@ const (
 	KindSQL   InfoKind = "sql"
 	KindCode  InfoKind = "code"
 	KindChart InfoKind = "chart"
-	KindData  InfoKind = "data"
 	KindText  InfoKind = "text"
-	KindDSL   InfoKind = "dsl"
 )
 
 // Info is one structured information unit (§V, Information Format
 // Structure). All inter-agent messages take this shape; the Table III
 // ablation S2 replaces it with free-form NL.
+//
+// The six fields and Kind are what a reader sees. Payload is the same
+// product in typed form, for the next agent: whatever the producer built
+// (a spec, rows) travels as the value it is, so no consumer parses Content
+// back into it. It is not rendered — JSON, Unstructured and Tokens ignore
+// it — and the S2 flattening drops it with the other field boundaries.
 type Info struct {
 	DataSource  string   `json:"data_source"` // dataset manipulated, e.g. sales_db/23_customer_bg
 	Role        string   `json:"role"`        // producing agent, e.g. "SQL Agent"
@@ -35,6 +39,7 @@ type Info struct {
 	Content     string   `json:"content"`     // the payload itself
 	Timestamp   int64    `json:"timestamp"`   // logical completion time
 	Kind        InfoKind `json:"kind,omitempty"`
+	Payload     any      `json:"-"`
 }
 
 // Validate checks that the mandatory fields are present.
@@ -183,11 +188,4 @@ func (b *Buffer) ByDataSource(source string) []Info {
 		}
 	}
 	return out
-}
-
-// Clear drops all entries (a new task begins).
-func (b *Buffer) Clear() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.entries = nil
 }

@@ -39,11 +39,10 @@ func DefaultProxyConfig() ProxyConfig {
 
 // RunStats reports what a proxy run consumed and produced.
 type RunStats struct {
-	AgentCalls      int
-	Retries         int
-	ForwardedUnits  int
-	ForwardedTokens int
-	Succeeded       bool
+	AgentCalls     int
+	Retries        int
+	ForwardedUnits int
+	Succeeded      bool
 }
 
 // Proxy is the hub agent that interacts with the user, allocates subtasks,
@@ -77,9 +76,6 @@ func (p *Proxy) Run(plan *FSM, agents map[string]Agent, query string) ([]Info, R
 		agent := agents[name]
 		inputs := p.selectInputs(plan, name)
 		stats.ForwardedUnits += len(inputs)
-		for _, u := range inputs {
-			stats.ForwardedTokens += u.Tokens()
-		}
 		if err := plan.SetState(name, StateExecution); err != nil {
 			return nil, stats, err
 		}
@@ -107,7 +103,8 @@ func (p *Proxy) Run(plan *FSM, agents map[string]Agent, query string) ([]Info, R
 		}
 		if !p.Config.Structured {
 			// Ablation S2: flatten to free-form NL. Downstream consumers
-			// lose the field structure (DataSource/Action become prose).
+			// lose the field structure (DataSource/Action become prose)
+			// and the typed payload with it.
 			produced = Info{
 				Role:        produced.Role,
 				Action:      "narrative",

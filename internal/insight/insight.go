@@ -17,7 +17,6 @@ import (
 type Insight struct {
 	Kind        string // "trend", "outlier", "correlation", "extreme", "distribution", "forecast"
 	Column      string
-	Related     string // second column for pairwise findings
 	Description string
 	Score       float64 // interestingness in [0,1]
 }

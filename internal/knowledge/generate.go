@@ -31,7 +31,6 @@ func NewGenerator(client *llm.Client) *Generator {
 type mapResult struct {
 	scriptID   string
 	tableDesc  []string
-	tableTags  []string
 	colDesc    map[string][]string // column -> description fragments
 	colUsage   map[string][]string
 	colTags    map[string][]string

@@ -38,7 +38,7 @@ type Node struct {
 	// nodes point at the primary node they denote.
 	Parent string
 
-	// The fine stage's inputs (Retriever.retrieve), which depend on the
+	// The fine stage's inputs (Retriever.Retrieve), which depend on the
 	// node's text and on no question. Graph.addNode computes them before
 	// the node becomes reachable; nothing writes them afterwards.
 	nameTokens    []string            // distinct content tokens of Name
@@ -54,9 +54,9 @@ func (n *Node) Component(key string) string {
 	return n.Components[key]
 }
 
-// Graph is the knowledge graph with its two task-aware retrieval indexes:
-// flat maps of nodes and parent -> children edges. There is no node
-// removal; re-adding an ID replaces the older definition.
+// Graph is the knowledge graph with its retrieval index pair: flat maps of
+// nodes and parent -> children edges. There is no node removal; re-adding
+// an ID replaces the older definition.
 //
 // Clone copies the maps and shares what they point at: nodes are immutable
 // once added, and each edge list is handed over capped at its length
@@ -85,15 +85,13 @@ type Graph struct {
 	// the column nodes carrying it.
 	colByName map[string]string
 
-	// Task-aware indexes (§IV-B): the full index concatenates every
-	// component including calculation logic (NL2DSL-style tasks match on
-	// formula vocabulary); the light index holds descriptions/usage only
-	// (schema linking needs precision, and long calculation text dilutes
-	// term statistics).
-	lex      *index.Lexical
-	vec      *index.Vector
-	lexLight *index.Lexical
-	vecLight *index.Vector
+	// The retrieval indexes (§IV-B), one lexical and one semantic, over
+	// each node's name, description, usage and definition: schema linking
+	// needs precision, and long calculation text dilutes term statistics.
+	// A task that matches on formula vocabulary (NL2DSL-style) would bring
+	// its own index over calculation_logic together with its caller.
+	lex *index.Lexical
+	vec *index.Vector
 }
 
 // NewGraph returns an empty graph.
@@ -104,8 +102,6 @@ func NewGraph() *Graph {
 		colByName: map[string]string{},
 		lex:       index.NewLexical(),
 		vec:       index.NewVector(),
-		lexLight:  index.NewLexical(),
-		vecLight:  index.NewVector(),
 	}
 }
 
@@ -121,8 +117,6 @@ func (g *Graph) Clone() *Graph {
 		colByName: maps.Clone(g.colByName),
 		lex:       g.lex.Clone(),
 		vec:       g.vec.Clone(),
-		lexLight:  g.lexLight.Clone(),
-		vecLight:  g.vecLight.Clone(),
 	}
 	for id, kids := range g.children {
 		ng.children[id] = kids[:len(kids):len(kids)]
@@ -185,32 +179,22 @@ func (g *Graph) addNode(n *Node) {
 }
 
 // indexNode tokenizes the node's text once and builds from the tokens the
-// {name, content, tag} triplets of both indexes and the node's fine-stage
-// features. The full content concatenates components; description and
-// usage carry retrieval weight for every task, calculation logic is
-// included so NL2DSL-style tasks can match on formula vocabulary. The
-// light content — description, usage, definition — is also, behind the
-// name, the text the fine stage scores.
+// {name, content, tag} triplet both indexes hold and the node's fine-stage
+// features. The content — description, usage, definition — is also, behind
+// the name, the text the fine stage scores.
 func (g *Graph) indexNode(n *Node) {
 	tokens := func(key string) []string { return textutil.Tokenize(n.Component(key)) }
 	name := textutil.Tokenize(n.Name)
-	desc, usage, def := tokens("description"), tokens("usage"), tokens("definition")
-	tag := textutil.Tokenize(string(n.Type) + " " + n.Component("tags"))
-
 	e := index.Entry{
 		ID:      n.ID,
 		Name:    name,
-		Content: slices.Concat(desc, usage, tokens("calculation_logic"), def, tokens("value")),
-		Tag:     tag,
+		Content: slices.Concat(tokens("description"), tokens("usage"), tokens("definition")),
+		Tag:     textutil.Tokenize(string(n.Type) + " " + n.Component("tags")),
 	}
 	g.lex.Add(e)
 	g.vec.Add(e)
 
-	light := index.Entry{ID: n.ID, Name: name, Content: slices.Concat(desc, usage, def), Tag: tag}
-	g.lexLight.Add(light)
-	g.vecLight.Add(light)
-
-	fine := slices.Concat(name, light.Content)
+	fine := slices.Concat(name, e.Content)
 	n.vec = embed.Tokens(fine)
 	n.contentTokens = make(map[string]struct{}, len(fine))
 	for _, t := range fine {

@@ -129,22 +129,7 @@ type Scored struct {
 // a loose threshold, alias backtracking, fine-grained weighted ordering,
 // and top-K selection.
 func (r *Retriever) Retrieve(query string, topK int) []Scored {
-	return r.retrieve(query, topK, false)
-}
-
-// RetrieveLight retrieves against the task-aware light index (names +
-// descriptions only) — the right index for schema linking, where long
-// calculation-logic text only dilutes term statistics.
-func (r *Retriever) RetrieveLight(query string, topK int) []Scored {
-	return r.retrieve(query, topK, true)
-}
-
-func (r *Retriever) retrieve(query string, topK int, light bool) []Scored {
 	g := r.Graph
-	lexIx, vecIx := g.lex, g.vec
-	if light {
-		lexIx, vecIx = g.lexLight, g.vecLight
-	}
 
 	// The question's analysis, shared by both coarse searches and every
 	// fine-stage score.
@@ -161,7 +146,7 @@ func (r *Retriever) retrieve(query string, topK int, light bool) []Scored {
 	// Coarse stage: the union of both searches' top CoarseK, aliases
 	// backtracked to primaries. Only membership matters — the fine stage
 	// rescores and reorders every candidate.
-	coarse := [2][]index.Hit{lexIx.Search(qTokens, r.CoarseK), vecIx.Search(&qVec, r.CoarseK)}
+	coarse := [2][]index.Hit{g.lex.Search(qTokens, r.CoarseK), g.vec.Search(&qVec, r.CoarseK)}
 	seen := make(map[*Node]struct{}, len(coarse[0])+len(coarse[1]))
 	scored := make([]Scored, 0, len(coarse[0])+len(coarse[1]))
 	for _, hits := range coarse {
@@ -246,7 +231,7 @@ func (r *Retriever) RetrieveColumnsScoped(query, tableName string, topK int) []S
 // RetrieveColumns is a convenience wrapper returning only column nodes
 // (the schema-linking task consumes these).
 func (r *Retriever) RetrieveColumns(query string, topK int) []Scored {
-	all := r.RetrieveLight(query, r.CoarseK)
+	all := r.Retrieve(query, r.CoarseK)
 	var cols []Scored
 	for _, s := range all {
 		if s.Node.Type == NodeColumn {

@@ -71,11 +71,11 @@ func referenceColumnNamed(g *knowledge.Graph, col string) *knowledge.Node {
 	return nil
 }
 
-// referenceColumnsScoped maps a RetrieveLight result to one table's
-// columns the way RetrieveColumnsScoped does, with the walk above.
-func referenceColumnsScoped(g *knowledge.Graph, light []knowledge.Scored, tableName string, topK int) []knowledge.Scored {
+// referenceColumnsScoped maps a Retrieve result to one table's columns
+// the way RetrieveColumnsScoped does, with the walk above.
+func referenceColumnsScoped(g *knowledge.Graph, all []knowledge.Scored, tableName string, topK int) []knowledge.Scored {
 	var cols []knowledge.Scored
-	for _, s := range light {
+	for _, s := range all {
 		switch s.Node.Type {
 		case knowledge.NodeColumn:
 			cols = append(cols, s)
@@ -175,16 +175,14 @@ func TestRetrieveMatchesRawTextReference(t *testing.T) {
 	for _, p := range pairs {
 		query := r.Rewrite(p.Query, nil)
 
-		full := r.Retrieve(query, 10)
-		light := r.RetrieveLight(query, r.CoarseK)
-		if len(full) == 0 || len(light) == 0 {
+		all := r.Retrieve(query, r.CoarseK)
+		if len(all) == 0 {
 			t.Fatalf("%q retrieved nothing", query)
 		}
-		checkAgainstReference(t, "Retrieve", r, query, full)
-		checkAgainstReference(t, "RetrieveLight", r, query, light)
+		checkAgainstReference(t, "Retrieve", r, query, all)
 
 		scoped := r.RetrieveColumnsScoped(query, p.Table, 10)
-		want := referenceColumnsScoped(g, light, p.Table, 10)
+		want := referenceColumnsScoped(g, all, p.Table, 10)
 		if !reflect.DeepEqual(scoped, want) {
 			t.Errorf("RetrieveColumnsScoped(%q, %s) = %v, want %v", query, p.Table, scoped, want)
 		}
@@ -193,19 +191,20 @@ func TestRetrieveMatchesRawTextReference(t *testing.T) {
 				jargonMapped++ // carries the jargon node's score
 			}
 		}
-		record(full)
-		record(light)
+		record(all)
 		record(scoped)
 	}
 	if jargonMapped == 0 {
 		t.Error("no question reached a column through a jargon node: the fallback went unexercised")
 	}
 	// Which candidates the coarse stage admits is not derivable from the
-	// fine-stage formula, so membership is pinned by a digest recorded
-	// with this same test at the commit before features were precomputed.
-	const rawTextDigest = "5083f83f625e4a827f5dd407062abdd380e51a958425b752141f1e831eb74ab2"
-	if got := hex.EncodeToString(digest.Sum(nil)); got != rawTextDigest {
-		t.Errorf("retrieval digest %s, want %s (recorded from the raw-text implementation)", got, rawTextDigest)
+	// fine-stage formula, so membership is pinned by a digest of these 120
+	// lists, recorded with this same test at the commit before the graph
+	// dropped its second (full-text) index pair: there the same lists came
+	// from the light pair, and they equalled the raw-text implementation's.
+	const parentDigest = "e5c514bdf7a91b6321a295d466c5356feb62237855c9e7919632afb82f54a71c"
+	if got := hex.EncodeToString(digest.Sum(nil)); got != parentDigest {
+		t.Errorf("retrieval digest %s, want %s (recorded at the parent commit)", got, parentDigest)
 	}
 }
 
@@ -338,7 +337,7 @@ func TestJargonFallsBackToColumnByName(t *testing.T) {
 			Components: map[string]string{"definition": "profit share", "maps_to_column": tc.mapsTo}})
 		r.Graph = cl
 		var viaJargon *knowledge.Node
-		for _, s := range r.RetrieveLight(tc.term, r.CoarseK) {
+		for _, s := range r.Retrieve(tc.term, r.CoarseK) {
 			if s.Node.Type != knowledge.NodeJargon {
 				continue
 			}

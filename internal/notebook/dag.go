@@ -172,13 +172,6 @@ func (n *Notebook) DependsOn(id string) []string {
 	return out
 }
 
-// Dependents returns the IDs of cells directly referencing the given cell.
-func (n *Notebook) Dependents(id string) []string {
-	out := append([]string(nil), n.reverse[id]...)
-	sort.Strings(out)
-	return out
-}
-
 // Ancestors returns every transitive dependency of a cell, in
 // deterministic order.
 func (n *Notebook) Ancestors(id string) []string {

@@ -21,6 +21,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -176,20 +177,62 @@ func (s *Server) Close() {
 	})
 }
 
-// Handler returns the server's HTTP handler (bearer auth applied when
-// configured).
+// Handler returns the server's HTTP handler: the routes behind bearer auth
+// (when configured) and per-request panic containment. A handler's panic
+// is logged as an error line with event "panic" and becomes that request's
+// failure only: a typed internal error line if the response had not
+// started, an aborted connection if it had — so a client never mistakes a
+// truncated stream for a finished one.
 func (s *Server) Handler() http.Handler {
-	if s.cfg.AuthTokenSecret == "" {
-		return s.mux
-	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/healthz" && r.Header.Get("Authorization") != "Bearer "+s.cfg.AuthTokenSecret {
-			writeErrorLine(w, http.StatusUnauthorized, ErrCodeUnauthorized, "missing or invalid bearer token")
+		tw := &trackedWriter{ResponseWriter: w}
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			s.logger.log(CodeError, line{"event": "panic", "path": r.URL.Path,
+				"error": fmt.Sprint(v), "stack": string(debug.Stack())})
+			if tw.started {
+				panic(http.ErrAbortHandler)
+			}
+			writeErrorLine(tw, http.StatusInternalServerError, ErrCodeInternal, "internal error; see the server log")
+		}()
+		if s.cfg.AuthTokenSecret != "" && r.URL.Path != "/healthz" &&
+			r.Header.Get("Authorization") != "Bearer "+s.cfg.AuthTokenSecret {
+			writeErrorLine(tw, http.StatusUnauthorized, ErrCodeUnauthorized, "missing or invalid bearer token")
 			return
 		}
-		s.mux.ServeHTTP(w, r)
+		s.mux.ServeHTTP(tw, r)
 	})
 }
+
+// trackedWriter notes whether the response has started. It passes on the
+// two optional interfaces the handlers use: Flush (streamed lines) and,
+// through Unwrap, http.ResponseController (full-duplex ingest).
+type trackedWriter struct {
+	http.ResponseWriter
+	started bool
+}
+
+func (t *trackedWriter) WriteHeader(status int) {
+	t.started = true
+	t.ResponseWriter.WriteHeader(status)
+}
+
+func (t *trackedWriter) Write(p []byte) (int, error) {
+	t.started = true
+	return t.ResponseWriter.Write(p)
+}
+
+func (t *trackedWriter) Flush() {
+	t.started = true
+	if f, ok := t.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+func (t *trackedWriter) Unwrap() http.ResponseWriter { return t.ResponseWriter }
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -291,6 +334,25 @@ type queryRequest struct {
 	SessionID string `json:"session_id"`
 }
 
+// readQueryRequest decodes a queryRequest from a body of at most
+// maxRequestBodyBytes. On failure it has answered — 413 for an oversized
+// body, 400 for anything else — and returns false.
+func readQueryRequest(w http.ResponseWriter, r *http.Request) (queryRequest, bool) {
+	var req queryRequest
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBodyBytes)).Decode(&req)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeErrorLine(w, http.StatusRequestEntityTooLarge, ErrCodeRequestTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", maxRequestBodyBytes))
+	case err != nil || req.SQL == "":
+		writeErrorLine(w, http.StatusBadRequest, ErrCodeBadRequest, "body must be JSON with a non-empty \"sql\"")
+	default:
+		return req, true
+	}
+	return req, false
+}
+
 // requestCtx derives the execution context: the HTTP request context
 // (cancelled when the client disconnects), additionally cancelled when the
 // named session closes. The returned stop func releases the linkage.
@@ -340,9 +402,8 @@ func (s *Server) execute(ctx context.Context, req queryRequest) (*sqlengine.Resu
 // event, not an error.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.SQL == "" {
-		writeErrorLine(w, http.StatusBadRequest, ErrCodeBadRequest, "body must be JSON with a non-empty \"sql\"")
+	req, ok := readQueryRequest(w, r)
+	if !ok {
 		return
 	}
 	ctx, stop, _, err := s.requestCtx(r, req.SessionID)
@@ -593,9 +654,8 @@ func cellString(c any) string {
 // cursors die with their session.
 func (s *Server) handleCursorCreate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.SQL == "" {
-		writeErrorLine(w, http.StatusBadRequest, ErrCodeBadRequest, "body must be JSON with a non-empty \"sql\"")
+	req, ok := readQueryRequest(w, r)
+	if !ok {
 		return
 	}
 	ctx, stop, sess, err := s.requestCtx(r, req.SessionID)

@@ -211,6 +211,93 @@ func TestQueryErrorLine(t *testing.T) {
 	}
 }
 
+// TestPanicIsOneRequestsFailure: a handler that panics before answering
+// yields one typed internal error line, one that panics mid-stream an
+// aborted connection, the log names the path both times — and a query
+// stream open on another session throughout runs to its ok line.
+func TestPanicIsOneRequestsFailure(t *testing.T) {
+	const rows = 200_000 // more than the socket buffers hold: the stream is still being written
+	srv, ts, logBuf := newTestServer(t, rows, Config{})
+	srv.mux.HandleFunc("GET /panic", func(http.ResponseWriter, *http.Request) { panic("boom") })
+	srv.mux.HandleFunc("GET /panic-midstream", func(w http.ResponseWriter, _ *http.Request) {
+		_ = newLineWriter(w).write(line{"code": CodeStartup})
+		panic("boom midstream")
+	})
+
+	sess := postJSON(t, ts.URL+"/v1/sessions", map[string]any{})
+	sessionID, _ := decodeLines(t, sess.Body)[0]["session_id"].(string)
+	sess.Body.Close()
+	stream := postJSON(t, ts.URL+"/v1/query", map[string]any{"sql": "SELECT id, kind, value FROM events", "session_id": sessionID})
+	defer stream.Body.Close()
+	dec := json.NewDecoder(stream.Body)
+	var first map[string]any
+	if err := dec.Decode(&first); err != nil || first["code"] != CodeStartup {
+		t.Fatalf("stream opened with %v (err %v), want a startup line", first, err)
+	}
+
+	resp, err := http.Get(ts.URL + "/panic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := decodeLines(t, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || len(lines) != 1 ||
+		lines[0]["code"] != CodeError || lines[0]["error_code"] != ErrCodeInternal {
+		t.Errorf("panicking handler answered %d %v, want 500 and one internal error line", resp.StatusCode, lines)
+	}
+
+	resp, err = http.Get(ts.URL + "/panic-midstream")
+	if err == nil {
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
+	if err == nil {
+		t.Error("a stream cut by a panic ended cleanly: the client cannot tell it from a finished one")
+	}
+
+	for _, path := range []string{"/panic", "/panic-midstream"} {
+		if !strings.Contains(logBuf.String(), `"event":"panic"`) || !strings.Contains(logBuf.String(), `"path":"`+path+`"`) {
+			t.Errorf("log has no panic event for %s:\n%s", path, logBuf.String())
+		}
+	}
+
+	var last map[string]any
+	for {
+		var l map[string]any
+		if err := dec.Decode(&l); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("sibling stream broke: %v", err)
+		}
+		last = l
+	}
+	if last["code"] != CodeOK || last["rows_total"] != float64(rows) {
+		t.Errorf("sibling stream ended with %v, want ok over %d rows", last, rows)
+	}
+}
+
+// TestOversizedBodyIsRefused: the two endpoints that take a JSON statement
+// answer a body past the protocol's bound with a typed 413 line.
+func TestOversizedBodyIsRefused(t *testing.T) {
+	_, ts, _ := newTestServer(t, 10, Config{})
+	big := map[string]any{"sql": "SELECT id FROM events WHERE kind = '" + strings.Repeat("x", 2<<20) + "'"}
+	for _, path := range []string{"/v1/query", "/v1/cursors"} {
+		resp := postJSON(t, ts.URL+path, big)
+		lines := decodeLines(t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || len(lines) != 1 ||
+			lines[0]["code"] != CodeError || lines[0]["error_code"] != ErrCodeRequestTooLarge {
+			t.Errorf("%s answered %d %v, want 413 and one request_too_large line", path, resp.StatusCode, lines)
+		}
+	}
+	// Just under the bound still parses (and fails later, as a query).
+	resp := postJSON(t, ts.URL+"/v1/query", map[string]any{"sql": "SELECT " + strings.Repeat(" ", maxRequestBodyBytes-64) + "nope"})
+	defer resp.Body.Close()
+	if lines := decodeLines(t, resp.Body); resp.StatusCode != http.StatusBadRequest || lines[0]["error_code"] != ErrCodeQuery {
+		t.Errorf("a body under the bound answered %d %v, want a query error", resp.StatusCode, lines)
+	}
+}
+
 // TestIngestThenQuery streams JSONL rows in and verifies they are visible
 // (and only publish-batch granular) to queries.
 func TestIngestThenQuery(t *testing.T) {

@@ -34,6 +34,12 @@ const (
 	CodeCancel = "cancel"
 )
 
+// maxRequestBodyBytes bounds the JSON body of POST /v1/query and POST
+// /v1/cursors: a statement and its bind arguments, not data. A larger body
+// is answered 413 with ErrCodeRequestTooLarge. (Streamed /v1/ingest bodies
+// are unbounded by design and read line by line.)
+const maxRequestBodyBytes = 1 << 20
+
 // Typed error_code values carried on CodeError lines.
 const (
 	// ErrCodeBackpressure: admission control rejected the request — the
@@ -51,8 +57,11 @@ const (
 	ErrCodeClosed = "closed"
 	// ErrCodeInternal: a server-side invariant failed — e.g. the
 	// write-ahead log rejected a publish, leaving the rows staged but
-	// not visible.
+	// not visible — or a handler panicked before answering.
 	ErrCodeInternal = "internal"
+	// ErrCodeRequestTooLarge: the request body exceeded
+	// maxRequestBodyBytes.
+	ErrCodeRequestTooLarge = "request_too_large"
 )
 
 // line is one JSONL wire line: code plus suffix-named fields.

@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 type tokenKind uint8
@@ -52,7 +51,7 @@ func lex(input string) ([]token, error) {
 			for i < n && input[i] != '\n' {
 				i++
 			}
-		case unicode.IsLetter(rune(c)) || c == '_':
+		case isIdentStart(c):
 			start := i
 			for i < n && (isIdentChar(input[i])) {
 				i++
@@ -75,7 +74,7 @@ func lex(input string) ([]token, error) {
 			}
 			// Digit-leading identifiers (warehouse tables like
 			// 23_customer_bg) continue into letters/underscores.
-			if !seenDot && i < n && (input[i] == '_' || unicode.IsLetter(rune(input[i]))) {
+			if !seenDot && i < n && isIdentStart(input[i]) {
 				for i < n && isIdentChar(input[i]) {
 					i++
 				}
@@ -160,7 +159,13 @@ func lex(input string) ([]token, error) {
 	return toks, nil
 }
 
+// isIdentStart and isIdentChar are ASCII on purpose: the lexer walks bytes,
+// and an identifier byte that starts a word must also continue one, or the
+// word loop makes no progress. Other alphabets go in quoted identifiers.
+func isIdentStart(c byte) bool {
+	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
+}
+
 func isIdentChar(c byte) bool {
-	return c == '_' || c >= '0' && c <= '9' ||
-		c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
+	return isIdentStart(c) || c >= '0' && c <= '9'
 }

@@ -4,11 +4,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"strings"
 )
 
-// ReadCSV parses CSV data with a header row into a table, inferring column
-// kinds from the first non-empty cell of each column and coercing the rest.
+// ReadCSV parses CSV data with a header row into a table; see FromRecords
+// for how columns are typed.
 func ReadCSV(name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
@@ -19,42 +18,38 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("csv %s: missing header row", name)
 	}
-	header := records[0]
-	rows := records[1:]
+	return FromRecords(name, records[0], records[1:])
+}
 
-	// Infer each column's kind from all rows, promoting along
-	// Int -> Float -> String when cells disagree (Time/Bool demote to
-	// String on any mismatch).
-	kinds := make([]Kind, len(header))
-	for c := range header {
+// FromRecords builds a table from a header and string records. Each cell
+// is parsed once (Infer). A column's kind is the narrowest that represents
+// all of its non-empty cells — promoting along Int -> Float -> String when
+// cells disagree, Time/Bool demoting to String on any mismatch, an
+// all-blank column being String — and every cell is coerced to it. Rows
+// shorter than the header are padded with NULL.
+func FromRecords(name string, header []string, rows [][]string) (*Table, error) {
+	t, err := New(name, header, make([]Kind, len(header)))
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]Value, len(rows)) // one column's cells, reused per column
+	for c := range t.Columns {
 		kind := KindNull
-		for _, row := range rows {
-			if c >= len(row) || strings.TrimSpace(row[c]) == "" {
-				continue
-			}
-			kind = promote(kind, Infer(row[c]).Kind)
-			if kind == KindString {
-				break
+		for i, row := range rows {
+			cells[i] = Null()
+			if c < len(row) {
+				cells[i] = Infer(row[c])
+				kind = promote(kind, cells[i].Kind)
 			}
 		}
 		if kind == KindNull {
 			kind = KindString
 		}
-		kinds[c] = kind
-	}
-	t, err := New(name, header, kinds)
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		vals := make([]Value, len(header))
-		for c := range header {
-			if c < len(row) {
-				vals[c] = Infer(row[c])
-			}
-		}
-		if err := t.AppendRow(vals...); err != nil {
-			return nil, err
+		col := &t.Columns[c]
+		col.Kind = kind
+		col.Grow(len(rows))
+		for _, v := range cells {
+			col.Append(v.Coerce(kind))
 		}
 	}
 	return t, nil

@@ -286,7 +286,7 @@ func TestReadCSV(t *testing.T) {
 		t.Errorf("when kind = %v, want time", tbl.Column("when").Kind)
 	}
 	if tbl.Get(1, "amount").Kind != KindFloat {
-		t.Errorf("amount should coerce to first-seen kind")
+		t.Errorf("amount should promote to float")
 	}
 }
 
