@@ -1,9 +1,12 @@
-// Notebook session: multi-language cells, the live dependency DAG of
-// Algorithm 3, and cell-based context management — showing how the
-// minimum relevant context keeps token costs down (§VI).
+// Notebook session: a scripted headless session over the backend the
+// paper's JupyterLab frontend would call — multi-language cells, the live
+// dependency DAG of Algorithm 3, a SQL cell re-run through the typed
+// result API, and cell-based context management showing how the minimum
+// relevant context keeps token costs down (§VI).
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -54,12 +57,33 @@ func main() {
 		fmt.Printf("  %s depends on %v\n", id, nb.DependsOn(id))
 	}
 
-	query := "clean the summary dataframe with pandas"
-	ctx := nb.ContextFor(query)
-	fmt.Printf("\nquery: %q\n", query)
-	fmt.Printf("minimum relevant context: cells %s (%d tokens)\n",
-		strings.Join(ctx.CellIDs, ", "), ctx.Tokens)
-	fmt.Printf("full-notebook context would cost %d tokens\n", nb.FullContextTokens())
-	fmt.Printf("token reduction: %.0f%%\n",
-		100*(1-float64(ctx.Tokens)/float64(nb.FullContextTokens())))
+	// Re-run the SQL cell through the typed result API: the source was
+	// plan-cached when the cell was added, so this skips the parser, and
+	// the batches are zero-copy views over the catalog columns.
+	res, err := nb.RunSQL(context.Background(), sqlID)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nSQL cell %s result (%d rows): %s\n", sqlID, res.NumRows(), strings.Join(res.Columns(), " | "))
+	var total float64
+	for b := res.Next(); b != nil; b = res.Next() {
+		for i := 0; i < b.NumRows(); i++ {
+			if v, ok := b.Float64(1, i); ok {
+				total += v
+			}
+		}
+	}
+	fmt.Printf("  sum(amount) via typed batches: %.0f\n", total)
+
+	full := nb.FullContextTokens()
+	for _, query := range []string{
+		"refine the sql that extracts raw",
+		"clean the summary dataframe with pandas",
+		"draw a chart of amounts by region",
+	} {
+		ctx := nb.ContextFor(query)
+		fmt.Printf("\nquery: %q\n", query)
+		fmt.Printf("  minimum relevant context: cells %s (%d of the notebook's %d tokens, %.0f%% less)\n",
+			strings.Join(ctx.CellIDs, ", "), ctx.Tokens, full, 100*(1-float64(ctx.Tokens)/float64(full)))
+	}
 }

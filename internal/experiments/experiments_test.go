@@ -1,14 +1,80 @@
 package experiments
 
-// Shape tests: these lock in the paper's qualitative claims — orderings,
-// gaps, and ablation directions — at reduced workload sizes. They are the
-// regression net for the reproduction; EXPERIMENTS.md records the
-// full-scale numbers.
+// Shape tests lock in the paper's qualitative claims — orderings, gaps,
+// and ablation directions — at reduced workload sizes;
+// TestReproductionLedger pins every full-scale number to the committed
+// testdata/reproduction.json.
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"sort"
 	"strings"
 	"testing"
 )
+
+// flatten lists a decoded JSON document as sorted "path = value" lines.
+func flatten(t *testing.T, doc []byte) []string {
+	var root any
+	if err := json.Unmarshal(doc, &root); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch x := v.(type) {
+		case map[string]any:
+			for k, e := range x {
+				walk(path+"."+k, e)
+			}
+		case []any:
+			for i, e := range x {
+				walk(fmt.Sprintf("%s[%02d]", path, i), e)
+			}
+		default:
+			out = append(out, fmt.Sprintf("%s = %v", path, v))
+		}
+	}
+	walk("report", root)
+	sort.Strings(out)
+	return out
+}
+
+// TestReproductionLedger regenerates Tables I-IV, Figures 6-7 and the
+// knowledge-generation figures at the ledger's seed and scale and
+// byte-compares them with the committed document — twice, because the
+// document must not depend on what ran earlier in the process. After an
+// intended change, regenerate it:
+//
+//	go run ./cmd/datalab-bench -only ledger > internal/experiments/testdata/reproduction.json
+func TestReproductionLedger(t *testing.T) {
+	want, err := os.ReadFile("testdata/reproduction.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run <= 2; run++ {
+		report, err := Run("datalab-v1", 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := report.Ledger()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(got, want) {
+			continue
+		}
+		c, r := flatten(t, want), flatten(t, got)
+		for i := 0; i < len(c) && i < len(r); i++ {
+			if c[i] != r[i] {
+				t.Fatalf("run %d: the reproduction moved: committed %s, regenerated %s", run, c[i], r[i])
+			}
+		}
+		t.Fatalf("run %d: the ledger's layout changed (%d fields committed, %d regenerated)", run, len(c), len(r))
+	}
+}
 
 func cellValue(t *testing.T, rows []Row, benchmark, metric, method string) float64 {
 	t.Helper()

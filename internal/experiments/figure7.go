@@ -13,9 +13,9 @@ import (
 
 // DAGTiming is one Figure 7 data point.
 type DAGTiming struct {
-	Cells        int
-	ConstructMs  float64 // full notebook-open construction
-	UpdateCellMs float64 // single-cell incremental update
+	Cells        int     `json:"cells_total"`
+	ConstructMs  float64 `json:"-"` // full notebook-open construction; wall clock, not in the ledger
+	UpdateCellMs float64 `json:"-"` // single-cell incremental update; likewise
 }
 
 // Figure7 measures DAG construction and per-cell update time over
@@ -67,10 +67,10 @@ func FormatFigure7(points []DAGTiming) string {
 // Table4Result is the Cell-based Context Management ablation (Table IV).
 type Table4Result struct {
 	// S1 = w/o DAG (all cells), S2 = w/ DAG (pruned minimum set).
-	Accuracy   [2]float64
-	TokensPerQ [2]float64
-	Queries    int
-	Reduction  float64 // percent token-cost reduction S1 -> S2
+	Accuracy   [2]float64 `json:"accuracy_pct"`
+	TokensPerQ [2]float64 `json:"tokens_per_query"`
+	Queries    int        `json:"queries_total"`
+	Reduction  float64    `json:"token_reduction_pct"` // token-cost reduction S1 -> S2
 }
 
 // Format renders the ablation lines.

@@ -1,9 +1,9 @@
 // Package experiments contains one harness per table and figure in the
 // paper's evaluation (§VII). Each harness generates its workload,
-// executes every method arm, and returns printable rows; cmd/datalab-bench
-// renders them and bench_test.go wraps them as Go benchmarks. DESIGN.md's
-// per-experiment index maps each harness to the paper artifact it
-// regenerates.
+// executes every method arm, and returns printable rows; Run executes
+// them all at one seed and scale into a Report, which cmd/datalab-bench
+// prints and TestReproductionLedger byte-compares with the committed
+// testdata/reproduction.json.
 package experiments
 
 import (
@@ -18,17 +18,17 @@ import (
 
 // Cell is one method score inside a row.
 type Cell struct {
-	Method string
-	Value  float64
+	Method string  `json:"method"`
+	Value  float64 `json:"value"` // in the unit the row's Metric names
 }
 
 // Row is one benchmark x metric line of Table I.
 type Row struct {
-	Stage     string
-	Task      string
-	Benchmark string
-	Metric    string
-	Cells     []Cell
+	Stage     string `json:"stage"`
+	Task      string `json:"task"`
+	Benchmark string `json:"benchmark"`
+	Metric    string `json:"metric"`
+	Cells     []Cell `json:"cells"`
 }
 
 // Format renders the row like the paper's table.

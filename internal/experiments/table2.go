@@ -15,13 +15,13 @@ import (
 // KnowledgeGenStats reports the §VII-C.1 knowledge-generation evaluation:
 // corpus scale, timing, and quality against expert ground truth.
 type KnowledgeGenStats struct {
-	Tables          int
-	Columns         int
-	SecondsPerTable float64
-	TableSES        float64 // mean sentence-embedding similarity, tables
-	ColumnSES       float64 // mean SES, columns
-	TableSESAbove07 float64 // fraction > 0.7
-	ColSESAbove07   float64
+	Tables          int     `json:"tables_total"`
+	Columns         int     `json:"columns_total"`
+	SecondsPerTable float64 `json:"-"`                         // wall clock: not in the ledger
+	TableSES        float64 `json:"table_ses_mean"`            // mean sentence-embedding similarity, tables
+	ColumnSES       float64 `json:"column_ses_mean"`           // mean SES, columns
+	TableSESAbove07 float64 `json:"table_ses_above_0_7_share"` // fraction > 0.7
+	ColSESAbove07   float64 `json:"column_ses_above_0_7_share"`
 }
 
 // Format renders the stats paragraph.
@@ -70,10 +70,10 @@ func KnowledgeGeneration(seed string, nTables int) KnowledgeGenStats {
 // Table2Result is the knowledge ablation (Table II).
 type Table2Result struct {
 	// Recall@5 for schema linking and accuracy for NL2DSL, per setting.
-	SchemaLinkingRecall [3]float64 // S1, S2, S3 (percent)
-	NL2DSLAccuracy      [3]float64
-	LinkingPairs        int
-	DSLPairs            int
+	SchemaLinkingRecall [3]float64 `json:"schema_linking_recall_at_5_pct"` // S1, S2, S3
+	NL2DSLAccuracy      [3]float64 `json:"nl2dsl_accuracy_pct"`
+	LinkingPairs        int        `json:"linking_pairs_total"`
+	DSLPairs            int        `json:"dsl_pairs_total"`
 }
 
 // Format renders the two ablation lines.

@@ -15,9 +15,9 @@ import (
 // Table3Result is the Inter-Agent Communication ablation (Table III).
 type Table3Result struct {
 	// S1 = w/o FSM, S2 = w/o information formatting, S3 = both on.
-	SuccessRate [3]float64
-	Accuracy    [3]float64
-	Questions   int
+	SuccessRate [3]float64 `json:"success_rate_pct"`
+	Accuracy    [3]float64 `json:"accuracy_pct"`
+	Questions   int        `json:"questions_total"`
 }
 
 // Format renders the two ablation lines.

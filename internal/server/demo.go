@@ -17,7 +17,7 @@ var demoKinds = []string{"view", "click", "buy"}
 // DemoRecords generates n demo event rows as string records (the
 // LoadRecords/AppendRecords shape). Values are deterministic: id counts
 // up from base, kind cycles, value is a pseudo-scattered two-decimal
-// float — the same distribution cmd/datalab-bench uses.
+// float.
 func DemoRecords(base, n int) [][]string {
 	rows := make([][]string, n)
 	for i := 0; i < n; i++ {

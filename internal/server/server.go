@@ -339,7 +339,14 @@ type queryRequest struct {
 // body, 400 for anything else — and returns false.
 func readQueryRequest(w http.ResponseWriter, r *http.Request) (queryRequest, bool) {
 	var req queryRequest
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBodyBytes)).Decode(&req)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBodyBytes))
+	dec.UseNumber()
+	err := dec.Decode(&req)
+	for i := 0; err == nil && i < len(req.Args); i++ {
+		if n, isNumber := req.Args[i].(json.Number); isNumber {
+			req.Args[i], err = wireNumber(n)
+		}
+	}
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):
@@ -351,6 +358,17 @@ func readQueryRequest(w http.ResponseWriter, r *http.Request) (queryRequest, boo
 		return req, true
 	}
 	return req, false
+}
+
+// wireNumber is the one reading of a JSON number off the wire, for bind
+// arguments and ingest cells alike: a literal that parses as an int64 is
+// that exact int64 (a float64 rounds past 2^53, and LIMIT ? wants an
+// integer); any other number is the float64 encoding/json would produce.
+func wireNumber(n json.Number) (any, error) {
+	if i, err := strconv.ParseInt(string(n), 10, 64); err == nil {
+		return i, nil
+	}
+	return n.Float64()
 }
 
 // requestCtx derives the execution context: the HTTP request context
@@ -536,15 +554,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	lw := newLineWriter(w)
 	streamed := false
 	appended, visible := 0, 0
-	fail := func(msg string) {
-		l := line{"code": CodeError, "error": msg, "error_code": ErrCodeBadRequest,
-			"rows_appended_total": appended}
-		if !streamed {
-			w.WriteHeader(http.StatusBadRequest)
-		}
-		_ = lw.write(l)
-	}
-	dec := json.NewDecoder(r.Body)
+	body := &rowCapReader{r: r.Body}
+	dec := json.NewDecoder(body)
+	dec.UseNumber()
 	// On a durable platform Publish journals (and under the "always"
 	// policy fsyncs) the chunk before it becomes visible; a log failure
 	// keeps the rows staged and must surface as an internal error, not
@@ -568,28 +580,48 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		visible = n
 		return nil
 	}
+	// fail ends the stream on a bad row. Rows already staged stay
+	// consistent: publish what we have, then the typed error line.
+	fail := func(status int, errorCode, msg string) {
+		if err := publish(); err != nil {
+			walFail(err)
+			return
+		}
+		if !streamed {
+			// The rest of the body is abandoned unread, so the server
+			// closes the connection; tell the client not to reuse it.
+			w.Header().Set("Connection", "close")
+			w.WriteHeader(status)
+		}
+		_ = lw.write(line{"code": CodeError, "error": msg, "error_code": errorCode,
+			"rows_appended_total": appended})
+	}
+	badLine := func(err error) {
+		fail(http.StatusBadRequest, ErrCodeBadRequest, fmt.Sprintf("ingest line %d: %v", appended+1, err))
+	}
 	for {
 		var cells []any
+		body.limit = dec.InputOffset() + maxIngestLineBytes
 		if err := dec.Decode(&cells); err == io.EOF {
 			break
+		} else if errors.Is(err, errIngestLineTooLarge) {
+			fail(http.StatusRequestEntityTooLarge, ErrCodeRequestTooLarge,
+				fmt.Sprintf("ingest line %d exceeds %d bytes", appended+1, maxIngestLineBytes))
+			return
 		} else if err != nil {
-			if perr := publish(); perr != nil { // rows already staged stay consistent: publish what we have
-				walFail(perr)
-				return
-			}
-			fail(fmt.Sprintf("ingest line %d: %v", appended+1, err))
+			badLine(err)
 			return
 		}
 		strs := make([]string, len(cells))
 		for i, c := range cells {
-			strs[i] = cellString(c)
-		}
-		if err := ing.Append(strs...); err != nil {
-			if perr := publish(); perr != nil {
-				walFail(perr)
+			var err error
+			if strs[i], err = cellString(c); err != nil {
+				badLine(err)
 				return
 			}
-			fail(err.Error())
+		}
+		if err := ing.Append(strs...); err != nil {
+			fail(http.StatusBadRequest, ErrCodeBadRequest, err.Error())
 			return
 		}
 		appended++
@@ -627,24 +659,57 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// cellString renders one JSON ingest cell for type re-inference by the
-// appender. JSON numbers arrive as float64; integral ones print without
-// the decimal point so they infer back to ints.
-func cellString(c any) string {
+var errIngestLineTooLarge = errors.New("ingest line too large")
+
+// rowCapReader is the ingest body with the per-row cap applied: a read
+// fails once limit bytes have been supplied. handleIngest moves limit to
+// maxIngestLineBytes past the start of each row, so the decoder asks for
+// bytes beyond it only when the row it is assembling is over the cap, and
+// never buffers more than one capped row of it.
+type rowCapReader struct {
+	r           io.Reader
+	read, limit int64
+}
+
+func (c *rowCapReader) Read(p []byte) (int, error) {
+	if c.read >= c.limit {
+		return 0, errIngestLineTooLarge
+	}
+	if left := c.limit - c.read; int64(len(p)) > left {
+		p = p[:left]
+	}
+	n, err := c.r.Read(p)
+	c.read += int64(n)
+	return n, err
+}
+
+// cellString renders one JSON ingest cell for type inference by the
+// appender. An integer literal passes through as its own text; any other
+// number prints as the float64 it decodes to, integral ones (1e3, 2.0)
+// without the decimal point so they infer to ints.
+func cellString(c any) (string, error) {
 	switch v := c.(type) {
 	case nil:
-		return ""
+		return "", nil
 	case string:
-		return v
+		return v, nil
 	case bool:
-		return strconv.FormatBool(v)
-	case float64:
-		if v == float64(int64(v)) {
-			return strconv.FormatInt(int64(v), 10)
+		return strconv.FormatBool(v), nil
+	case json.Number:
+		n, err := wireNumber(v)
+		if err != nil {
+			return "", err
 		}
-		return strconv.FormatFloat(v, 'g', -1, 64)
+		f, isFloat := n.(float64)
+		if !isFloat {
+			return string(v), nil
+		}
+		if f == float64(int64(f)) {
+			return strconv.FormatInt(int64(f), 10), nil
+		}
+		return strconv.FormatFloat(f, 'g', -1, 64), nil
 	default:
-		return fmt.Sprint(v)
+		return fmt.Sprint(v), nil
 	}
 }
 

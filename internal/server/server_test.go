@@ -177,22 +177,15 @@ func TestQueryStreamsValidatedJSONL(t *testing.T) {
 // TestQueryWithBoundArgs exercises the Prepare/Exec path over the wire.
 func TestQueryWithBoundArgs(t *testing.T) {
 	_, ts, _ := newTestServer(t, 1000, Config{})
-	resp := postJSON(t, ts.URL+"/v1/query", map[string]any{
-		"sql":  "SELECT COUNT(*) AS n FROM events WHERE id < ? AND kind = ?",
-		"args": []any{500, "view"},
-	})
-	defer resp.Body.Close()
-	lines := decodeLines(t, resp.Body)
-	row := lines[1]["rows"].([]any)[0].([]any)
-	n := int(row[0].(float64))
+	n, _ := wireQuery(t, ts.URL, "SELECT COUNT(*) AS n FROM events WHERE id < ? AND kind = ?", 500, "view")
 	want := 0
 	for i := 0; i < 500; i++ {
 		if i%3 == 0 {
 			want++
 		}
 	}
-	if n != want {
-		t.Fatalf("bound COUNT = %d, want %d", n, want)
+	if int(n) != want {
+		t.Fatalf("bound COUNT = %v, want %d", n, want)
 	}
 }
 
@@ -330,12 +323,84 @@ func TestIngestThenQuery(t *testing.T) {
 	if progress != extra/1000 {
 		t.Fatalf("progress lines = %d, want %d", progress, extra/1000)
 	}
-	resp2 := postJSON(t, ts.URL+"/v1/query", map[string]any{"sql": "SELECT COUNT(*) FROM events"})
-	defer resp2.Body.Close()
-	qlines := decodeLines(t, resp2.Body)
-	row := qlines[1]["rows"].([]any)[0].([]any)
-	if int(row[0].(float64)) != base+extra {
-		t.Fatalf("post-ingest COUNT = %v, want %d", row[0], base+extra)
+	if n, _ := wireQuery(t, ts.URL, "SELECT COUNT(*) FROM events"); int(n) != base+extra {
+		t.Fatalf("post-ingest COUNT = %v, want %d", n, base+extra)
+	}
+}
+
+// wireQuery runs a statement over /v1/query and returns the first cell of
+// its first row and the terminal line's rows_total.
+func wireQuery(t *testing.T, url, sql string, args ...any) (first float64, rows int) {
+	t.Helper()
+	resp := postJSON(t, url+"/v1/query", map[string]any{"sql": sql, "args": args})
+	defer resp.Body.Close()
+	lines := decodeLines(t, resp.Body)
+	last := lines[len(lines)-1]
+	if last["code"] != CodeOK {
+		t.Fatalf("%s %v: %v", sql, args, last)
+	}
+	return lines[1]["rows"].([]any)[0].([]any)[0].(float64), int(last["rows_total"].(float64))
+}
+
+// TestWireNumbersKeepTheirKind: a JSON integer literal is that int64 on
+// both request paths — an ingested id past 2^53 is stored exactly and
+// LIMIT ? accepts a bound 3 — while 1e3, 2.0 and -0 still land as the
+// ints 1000, 2 and 0 and a non-integral argument still binds as a float.
+func TestWireNumbersKeepTheirKind(t *testing.T) {
+	_, ts, _ := newTestServer(t, 1, Config{}) // one row, id 0
+	body := "[9007199254740993, \"view\", 1.5]\n[1e3, \"view\", 1.5]\n[2.0, \"view\", 1.5]\n[-0, \"view\", 1.5]\n"
+	resp, err := http.Post(ts.URL+"/v1/ingest/events", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := decodeLines(t, resp.Body)
+	resp.Body.Close()
+	if last := lines[len(lines)-1]; last["code"] != CodeOK || last["rows_appended_total"] != float64(4) {
+		t.Fatalf("ingest terminal line = %v", last)
+	}
+	for _, c := range []struct {
+		sql         string
+		args        []any
+		first, rows int
+	}{
+		{"SELECT COUNT(*) FROM events WHERE id = 9007199254740993", nil, 1, 1},
+		{"SELECT COUNT(*) FROM events WHERE id = 9007199254740992", nil, 0, 1},
+		{"SELECT COUNT(*) FROM events WHERE id = ?", []any{json.Number("9007199254740993")}, 1, 1},
+		{"SELECT COUNT(*) FROM events WHERE id = 1000", nil, 1, 1},
+		{"SELECT COUNT(*) FROM events WHERE id = 2", nil, 1, 1},
+		{"SELECT COUNT(*) FROM events WHERE id = 0", nil, 2, 1},
+		{"SELECT COUNT(*) FROM events WHERE id < ?", []any{2.5}, 3, 1},
+		{"SELECT id FROM events ORDER BY id LIMIT ?", []any{3}, 0, 3},
+	} {
+		if first, rows := wireQuery(t, ts.URL, c.sql, c.args...); int(first) != c.first || rows != c.rows {
+			t.Errorf("%s %v: first cell %v over %d rows, want %d over %d", c.sql, c.args, first, rows, c.first, c.rows)
+		}
+	}
+}
+
+// TestIngestRowCap: a row past maxIngestLineBytes ends the stream with a
+// typed request_too_large line; the rows before it are published and the
+// server keeps serving.
+func TestIngestRowCap(t *testing.T) {
+	_, ts, _ := newTestServer(t, 5, Config{})
+	var body bytes.Buffer
+	for i := 0; i < 10; i++ {
+		fmt.Fprintf(&body, "[%d, \"view\", 1.5]\n", 100+i)
+	}
+	fmt.Fprintf(&body, "[200, %q, 1.5]\n[201, \"view\", 1.5]\n", strings.Repeat("x", 2*maxIngestLineBytes))
+	resp, err := http.Post(ts.URL+"/v1/ingest/events", "application/x-ndjson", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := decodeLines(t, resp.Body)
+	resp.Body.Close()
+	last := lines[len(lines)-1]
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || last["code"] != CodeError ||
+		last["error_code"] != ErrCodeRequestTooLarge || last["rows_appended_total"] != float64(10) {
+		t.Fatalf("oversized row answered %d %v, want 413 request_too_large after 10 rows", resp.StatusCode, last)
+	}
+	if got, _ := wireQuery(t, ts.URL, "SELECT COUNT(*) FROM events"); got != 15 {
+		t.Errorf("rows visible after the refused row = %v, want 15", got)
 	}
 }
 

@@ -37,8 +37,14 @@ const (
 // maxRequestBodyBytes bounds the JSON body of POST /v1/query and POST
 // /v1/cursors: a statement and its bind arguments, not data. A larger body
 // is answered 413 with ErrCodeRequestTooLarge. (Streamed /v1/ingest bodies
-// are unbounded by design and read line by line.)
+// are unbounded by design and read row by row; maxIngestLineBytes bounds
+// each row.)
 const maxRequestBodyBytes = 1 << 20
+
+// maxIngestLineBytes bounds one row (one JSON array) of a /v1/ingest body.
+// A longer row ends the stream with ErrCodeRequestTooLarge after the rows
+// before it are published.
+const maxIngestLineBytes = 1 << 20
 
 // Typed error_code values carried on CodeError lines.
 const (
@@ -60,7 +66,7 @@ const (
 	// not visible — or a handler panicked before answering.
 	ErrCodeInternal = "internal"
 	// ErrCodeRequestTooLarge: the request body exceeded
-	// maxRequestBodyBytes.
+	// maxRequestBodyBytes, or one ingest row maxIngestLineBytes.
 	ErrCodeRequestTooLarge = "request_too_large"
 )
 

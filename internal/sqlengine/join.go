@@ -26,11 +26,11 @@ import (
 // padding is an explicit per-side null mask handed to GatherPairs — no -1
 // sentinels anywhere.
 
-// SerialJoinProbe is a benchmark/test hook: when set, the join probe runs
-// as a single chunk on the calling goroutine instead of partitioning the
-// probe side across the worker pool. The BenchmarkJoin*Serial family uses
-// it to pin the serial baseline the parallel pipeline is measured against.
-var SerialJoinProbe atomic.Bool
+// serialJoinProbe is a test hook: when set, the join probe runs as a
+// single chunk on the calling goroutine instead of partitioning the probe
+// side across the worker pool. TestJoinLargeParallelDifferential uses it to
+// pin the parallel probe's output to the serial order.
+var serialJoinProbe atomic.Bool
 
 // pairEnv evaluates an ON predicate for one (left row, right row)
 // candidate without materializing the combined row — the boxed fallback
@@ -223,7 +223,7 @@ func joinVRel(ctx context.Context, left, right *vrel, j JoinClause, keep *joinKe
 			out.cols[oi] = src.Gather(idx)
 		}
 	}
-	if out.nrows >= parallelMinRows && ncols > 1 && !SerialJoinProbe.Load() {
+	if out.nrows >= parallelMinRows && ncols > 1 && !serialJoinProbe.Load() {
 		err = parallelChunks(ctx, ncols, 1, func(lo, hi int) error {
 			for oi := lo; oi < hi; oi++ {
 				gatherOne(oi)
@@ -266,11 +266,11 @@ func anyTrue(bs []bool) bool {
 }
 
 // joinProbeChunks partitions [0, n) probe rows across the worker pool
-// (one chunk when SerialJoinProbe is set or n is small) and merges the
+// (one chunk when serialJoinProbe is set or n is small) and merges the
 // chunk-local pair lists in chunk order.
 func joinProbeChunks(ctx context.Context, n int, kind table.JoinKind, fn func(part *table.JoinPairs, lo, hi int) error) (*table.JoinPairs, error) {
 	minChunk := parallelMinRows
-	if SerialJoinProbe.Load() || n < 2*parallelMinRows {
+	if serialJoinProbe.Load() || n < 2*parallelMinRows {
 		minChunk = n
 	}
 	if n == 0 {

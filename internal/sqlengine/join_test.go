@@ -166,9 +166,9 @@ func TestJoinLargeParallelDifferential(t *testing.T) {
 	for _, q := range queries {
 		vec, vecErr := c.Query(q)
 
-		SerialJoinProbe.Store(true)
+		serialJoinProbe.Store(true)
 		serial, serialErr := c.Query(q)
-		SerialJoinProbe.Store(false)
+		serialJoinProbe.Store(false)
 
 		forceDenseSelection.Store(true)
 		dense, denseErr := c.Query(q)

@@ -14,8 +14,7 @@ import (
 // original execution strategy, kept intact behind Catalog.QueryScalar: it
 // materializes row-major relations and walks the expression tree once per
 // row. The vectorized executor in exec.go/vector.go is differentially
-// tested against it (see vector_test.go) and benchmarked against it in the
-// repo root's bench_test.go.
+// tested against it (see vector_test.go); no request reaches it.
 
 // srel is the scalar executor's working representation: shared column
 // metadata plus row-major values. binds carries the execution's parameter

@@ -41,6 +41,14 @@ const (
 	// maxRecord bounds a single frame payload (1 GiB). A length prefix
 	// beyond it is treated as corruption, not an allocation request.
 	maxRecord = 1 << 30
+
+	// maxNullColumnRows bounds the declared length of a typed KindNull
+	// column. Every other column spends at least a bit of the record body
+	// per row, so the body bounds what decoding it allocates; an all-NULL
+	// slab is zero bytes, and only this constant stands between a
+	// ten-byte record and a gigabyte of null mask. The encoder refuses
+	// the same columns, so nothing written is unreadable.
+	maxNullColumnRows = 1 << 24
 )
 
 // Record types.
@@ -96,12 +104,15 @@ func (fw *frameWriter) flush() error { return fw.w.Flush() }
 // offset of the first frame that failed to decode so recovery can
 // truncate a torn tail before reopening the log for append.
 type frameReader struct {
-	r   *bufio.Reader
-	off int64 // offset of the next unread frame
+	r    *bufio.Reader
+	off  int64 // offset of the next unread frame
+	size int64 // length of the whole file
 }
 
-func newFrameReader(r io.Reader, headerLen int64) *frameReader {
-	return &frameReader{r: bufio.NewReaderSize(r, 1<<16), off: headerLen}
+// newFrameReader reads the frames of a file of size bytes from r, which
+// is positioned headerLen bytes in.
+func newFrameReader(r io.Reader, headerLen, size int64) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, 1<<16), off: headerLen, size: size}
 }
 
 // next returns the next record payload. io.EOF means a clean end of
@@ -115,8 +126,10 @@ func (fr *frameReader) next() ([]byte, error) {
 		}
 		return nil, errTorn // partial header
 	}
+	// The prefix is not yet vouched for by the CRC: one that promises more
+	// than the file holds is a frame cut short, not an allocation request.
 	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > maxRecord {
+	if n > maxRecord || int64(n) > fr.size-fr.off-int64(len(hdr)) {
 		return nil, errTorn
 	}
 	payload := make([]byte, n)
@@ -276,6 +289,9 @@ func appendColumn(b []byte, c *table.Column) ([]byte, error) {
 		}
 	case table.KindNull:
 		// A typed null column is nothing but its length.
+		if n > maxNullColumnRows {
+			return nil, fmt.Errorf("wal: encode column %q: %d all-NULL rows exceed the %d a record may declare", c.Name, n, maxNullColumnRows)
+		}
 	default:
 		return nil, fmt.Errorf("wal: encode column %q: unknown kind %d", c.Name, c.Kind)
 	}
@@ -455,6 +471,9 @@ func (d *recordDecoder) column() (table.Column, error) {
 		}
 		return table.ColumnFromTimes(name, vals, nulls), nil
 	case table.KindNull:
+		if n > maxNullColumnRows {
+			return table.Column{}, fmt.Errorf("wal: decode column %q: %d all-NULL rows exceed the %d a record may declare", name, n, maxNullColumnRows)
+		}
 		col := table.NewColumn(name, table.KindNull)
 		for i := 0; i < n; i++ {
 			col.Append(table.Null())
@@ -463,6 +482,28 @@ func (d *recordDecoder) column() (table.Column, error) {
 	default:
 		return table.Column{}, fmt.Errorf("wal: decode column %q: unknown kind %d", name, kind)
 	}
+}
+
+// columns decodes a record's column list: a count, then that many
+// columns, which must agree on their length — the rows of one table.
+func (d *recordDecoder) columns() ([]table.Column, error) {
+	ncols, err := d.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if ncols > 1<<20 {
+		return nil, errShort
+	}
+	cols := make([]table.Column, ncols)
+	for i := range cols {
+		if cols[i], err = d.column(); err != nil {
+			return nil, err
+		}
+		if cols[i].Len() != cols[0].Len() {
+			return nil, fmt.Errorf("wal: decode column %q: %d rows beside a column of %d", cols[i].Name, cols[i].Len(), cols[0].Len())
+		}
+	}
+	return cols, nil
 }
 
 // --- record encoding: register / chunk ---
@@ -519,18 +560,9 @@ func decodeRegister(body []byte) (registerRecord, error) {
 	if err != nil {
 		return registerRecord{}, err
 	}
-	ncols, err := d.uvarint()
+	cols, err := d.columns()
 	if err != nil {
 		return registerRecord{}, err
-	}
-	if ncols > 1<<20 {
-		return registerRecord{}, errShort
-	}
-	cols := make([]table.Column, ncols)
-	for i := range cols {
-		if cols[i], err = d.column(); err != nil {
-			return registerRecord{}, err
-		}
 	}
 	// Built directly rather than via table.New: the record was encoded
 	// from a table that already passed registration validation, and the
@@ -548,18 +580,9 @@ func decodeChunk(body []byte) (chunkRecord, error) {
 	if err != nil {
 		return chunkRecord{}, err
 	}
-	ncols, err := d.uvarint()
+	cols, err := d.columns()
 	if err != nil {
 		return chunkRecord{}, err
-	}
-	if ncols > 1<<20 {
-		return chunkRecord{}, errShort
-	}
-	cols := make([]table.Column, ncols)
-	for i := range cols {
-		if cols[i], err = d.column(); err != nil {
-			return chunkRecord{}, err
-		}
 	}
 	return chunkRecord{name: name, version: version, cols: cols}, nil
 }

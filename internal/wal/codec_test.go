@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -257,10 +259,89 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(clean); i++ {
 		mut := []byte(clean)
 		mut[i] ^= 0x40
-		fr := newFrameReader(strings.NewReader(string(mut)), 0)
+		fr := newFrameReader(strings.NewReader(string(mut)), 0, int64(len(mut)))
 		payload, err := fr.next()
 		if err == nil && string(payload) == clean[8:] {
 			t.Fatalf("byte %d: corruption went undetected", i)
 		}
 	}
+}
+
+// nullSlabRecord is FuzzWALDecode's first finding: a 12-byte chunk body
+// declaring one typed KindNull column of 2^26 rows. A null slab is zero
+// bytes, so nothing tied the length to the body and decoding allocated
+// 375 MB; maxNullColumnRows now refuses it.
+func nullSlabRecord() []byte {
+	b := appendUvarint(appendString(nil, "t"), 1) // table, version
+	b = appendString(appendUvarint(b, 1), "c")    // one column
+	return append(appendUvarint(append(b, byte(table.KindNull)), 1<<26), storageTyped)
+}
+
+// FuzzWALDecode: arbitrary bytes — as a framed log, as one record payload
+// applied to a state that knows a table, and as a bare register or chunk
+// body — never panic the decoder, and every record that does decode has
+// columns of one length. Seeds: a valid log, and nullSlabRecord.
+func FuzzWALDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(4))
+	src := &table.Table{Name: "t", Columns: []table.Column{randomColumn(rng, "a", 5, 0), randomColumn(rng, "b", 5, 0.5)}}
+	register, err := encodeRegister(nil, src)
+	if err != nil {
+		f.Fatal(err)
+	}
+	chunk, err := encodeChunk(nil, "t", 2, table.NewAppender(src).Snapshot().Chunk(0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var log bytes.Buffer
+	fw := newFrameWriter(&log)
+	for _, payload := range [][]byte{register, chunk} {
+		if _, err := fw.writeFrame(payload); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+		f.Add(payload[1:])
+	}
+	if err := fw.flush(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(log.Bytes())
+	f.Add(nullSlabRecord())
+	// The first finding stays refused, before its null mask is built.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := decodeChunk(nullSlabRecord()); err == nil {
+		f.Fatal("a 12-byte record declaring 2^26 all-NULL rows decoded")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxNullColumnRows {
+		f.Fatalf("rejecting it allocated %d bytes, more than maxNullColumnRows", grew)
+	}
+
+	sameLength := func(t *testing.T, cols []table.Column) {
+		for i := range cols {
+			if cols[i].Len() != cols[0].Len() {
+				t.Fatalf("decoded column %d has %d rows, column 0 has %d", i, cols[i].Len(), cols[0].Len())
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st := newReplayState()
+		fr := newFrameReader(bytes.NewReader(data), 0, int64(len(data)))
+		for payload, err := fr.next(); err == nil; payload, err = fr.next() {
+			if st.apply(payload) != nil {
+				break
+			}
+		}
+		st = newReplayState()
+		if err := st.apply(register); err != nil {
+			t.Fatal(err)
+		}
+		_ = st.apply(data) // any error is fine; a panic is not
+		if rr, err := decodeRegister(data); err == nil {
+			sameLength(t, rr.table.Columns)
+		}
+		if cr, err := decodeChunk(data); err == nil {
+			sameLength(t, cr.cols)
+		}
+	})
 }

@@ -173,6 +173,16 @@ func recoverDir(dir string) (*Recovered, layout, error) {
 	return rec, lay, nil
 }
 
+// framesAfterMagic reads the frames of f, whose magic header has just
+// been consumed; the file's size bounds what a frame may declare.
+func framesAfterMagic(f *os.File) (*frameReader, error) {
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return newFrameReader(f, int64(len(fileMagic)), info.Size()), nil
+}
+
 // loadCheckpoint replays a checkpoint file into a fresh state. Any
 // defect — bad magic, torn frame, missing footer, undecodable record —
 // invalidates the whole checkpoint (it is written atomically, so a
@@ -187,7 +197,10 @@ func loadCheckpoint(path string) (*replayState, error) {
 		return nil, err
 	}
 	st := newReplayState()
-	fr := newFrameReader(f, int64(len(fileMagic)))
+	fr, err := framesAfterMagic(f)
+	if err != nil {
+		return nil, err
+	}
 	for {
 		payload, err := fr.next()
 		if err == io.EOF {
@@ -230,7 +243,10 @@ func replayLog(path string, st *replayState, final bool) (tornOff int64, err err
 		}
 		return -1, err
 	}
-	fr := newFrameReader(f, int64(len(fileMagic)))
+	fr, err := framesAfterMagic(f)
+	if err != nil {
+		return -1, err
+	}
 	for {
 		payload, err := fr.next()
 		if err == io.EOF {

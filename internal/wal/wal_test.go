@@ -205,7 +205,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 	}
 
 	// Find the final record's start: walk frames to the last one.
-	fr := newFrameReader(newByteReader(whole[len(fileMagic):]), int64(len(fileMagic)))
+	fr := newFrameReader(newByteReader(whole[len(fileMagic):]), int64(len(fileMagic)), int64(len(whole)))
 	lastStart := int64(len(fileMagic))
 	for {
 		prev := fr.off
@@ -274,7 +274,7 @@ func TestCorruptTailEveryByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := newFrameReader(newByteReader(whole[len(fileMagic):]), int64(len(fileMagic)))
+	fr := newFrameReader(newByteReader(whole[len(fileMagic):]), int64(len(fileMagic)), int64(len(whole)))
 	lastStart := int64(len(fileMagic))
 	for {
 		prev := fr.off
