@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -186,6 +187,20 @@ func TestQueryWithBoundArgs(t *testing.T) {
 	}
 	if int(n) != want {
 		t.Fatalf("bound COUNT = %v, want %d", n, want)
+	}
+}
+
+// TestQueryLimitPlusOffsetOverflow: LIMIT and OFFSET bound to values whose
+// sum passes int64 must behave as "no limit", not as an empty result (the
+// selection-truncating pushdown once wrapped the sum negative).
+func TestQueryLimitPlusOffsetOverflow(t *testing.T) {
+	_, ts, _ := newTestServer(t, 21, Config{})
+	first, rows := wireQuery(t, ts.URL, "SELECT id FROM events LIMIT ? OFFSET ?", int64(math.MaxInt64), 5)
+	if rows != 16 || first != 5 {
+		t.Fatalf("LIMIT MaxInt64 OFFSET 5 over 21 rows: %d rows starting at id %v, want 16 starting at 5", rows, first)
+	}
+	if _, rows := wireQuery(t, ts.URL, "SELECT id FROM events WHERE id > ? LIMIT ? OFFSET ?", 2, int64(math.MaxInt64), 5); rows != 13 {
+		t.Fatalf("filtered: %d rows, want 13", rows)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"datalab/internal/table"
 )
@@ -421,30 +420,48 @@ func (c *Catalog) scanFilter(ctx context.Context, stmt *SelectStmt, binds []tabl
 	rel := vrelFromSnapshot(base, qual)
 	rel.binds = binds
 
-	var keep *joinKeepSet
+	where := stmt.Where
 	if len(stmt.Joins) > 0 {
-		keep = referencedOutputColumns(stmt)
-	}
-	for _, j := range stmt.Joins {
-		rt, ok := c.Snapshot(j.Table)
-		if !ok {
-			return nil, nil, false, fmt.Errorf("sql: unknown table %q", j.Table)
+		rights := make([]*vrel, len(stmt.Joins))
+		for i, j := range stmt.Joins {
+			rt, ok := c.Snapshot(j.Table)
+			if !ok {
+				return nil, nil, false, fmt.Errorf("sql: unknown table %q", j.Table)
+			}
+			jq := j.Table
+			if j.Alias != "" {
+				jq = j.Alias
+			}
+			rights[i] = vrelFromSnapshot(rt, jq)
 		}
-		jq := j.Table
-		if j.Alias != "" {
-			jq = j.Alias
+		var early *table.Selection
+		if where != nil {
+			var err error
+			early, where, err = filterBeforeJoins(ctx, rel, rights, stmt.Joins, where)
+			if err != nil {
+				return nil, nil, false, err
+			}
 		}
-		var err error
-		rel, err = joinVRel(ctx, rel, vrelFromSnapshot(rt, jq), j, keep)
-		if err != nil {
-			return nil, nil, false, err
+		// Comparisons that already ran observe no column any more.
+		remaining := *stmt
+		remaining.Where = where
+		keep := referencedOutputColumns(&remaining)
+		if early != nil {
+			rel = restrictRel(rel, early, keep)
+		}
+		for i, j := range stmt.Joins {
+			var err error
+			rel, err = joinVRel(ctx, rel, rights[i], j, keep)
+			if err != nil {
+				return nil, nil, false, err
+			}
 		}
 	}
 
 	var sel *table.Selection // nil = all rows
-	if stmt.Where != nil {
+	if where != nil {
 		var err error
-		sel, err = filterWhere(ctx, rel, stmt.Where)
+		sel, err = filterWhere(ctx, rel, where)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -457,11 +474,7 @@ func (c *Catalog) scanFilter(ctx context.Context, stmt *SelectStmt, binds []tabl
 	// slicing. Span-form selections truncate without copying. Window
 	// functions disable the pushdown: their frames span the full filtered
 	// set, so truncating first would change their values.
-	if !grouped && len(stmt.OrderBy) == 0 && !stmt.Distinct && stmt.Limit >= 0 && !selectHasWindow(stmt) {
-		keep := stmt.Limit
-		if stmt.Offset > 0 {
-			keep += stmt.Offset
-		}
+	if keep, bounded := limitReach(stmt); bounded && !grouped && len(stmt.OrderBy) == 0 && !stmt.Distinct && !selectHasWindow(stmt) {
 		if sel == nil {
 			if keep > rel.nrows {
 				keep = rel.nrows
@@ -521,71 +534,6 @@ func applyDistinctOffsetLimit(stmt *SelectStmt, out *table.Table) *table.Table {
 		out = out.Limit(stmt.Limit)
 	}
 	return out
-}
-
-// forceDenseSelection is a test hook: when set, filterWhere always emits
-// dense index selections, never range spans. The differential fuzz harness
-// uses it to run every query through both selection representations.
-var forceDenseSelection atomic.Bool
-
-// filterWhere evaluates the WHERE predicate over all rows and returns the
-// selection of passing rows. Large scans are partitioned across the worker
-// pool; each chunk evaluates the predicate over a zero-copy range view of
-// the relation (no iota index vector) and emits its passing rows as range
-// spans when they form long runs — for an all-passing chunk, one span —
-// or dense indices when they are scattered. Adjacent spans are merged
-// across chunk boundaries, so a predicate that passes everywhere yields a
-// single [0,n) span and the scan stays as zero-copy as the serial path.
-func filterWhere(ctx context.Context, rel *vrel, where Expr) (*table.Selection, error) {
-	n := rel.nrows
-	if n >= 2*parallelMinRows {
-		_, nchunks := chunkLayout(n, parallelMinRows)
-		parts := make([]*table.Selection, nchunks)
-		err := parallelChunksIndexed(ctx, n, parallelMinRows, func(ci, lo, hi int) error {
-			col, err := evalVec(where, rel, table.NewSpanSelection(table.Span{Lo: lo, Hi: hi}))
-			if err != nil {
-				return err
-			}
-			parts[ci] = passSelection(&col, lo)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return table.MergeSelections(parts), nil
-	}
-	col, err := evalVec(where, rel, nil)
-	if err != nil {
-		return nil, err
-	}
-	return passSelection(&col, 0), nil
-}
-
-// passSelection builds the selection of rows (offset by the chunk base)
-// whose predicate value is a known true, matching the scalar executor's
-// truthiness rules. col is positional: cell i is row offset+i.
-func passSelection(col *table.Column, offset int) *table.Selection {
-	var sel *table.Selection
-	if bs, nulls, ok := col.Bools(); ok {
-		sel = table.SelectionFromBools(bs, nulls, offset)
-	} else {
-		n := col.Len()
-		mask := make([]bool, n)
-		for i := 0; i < n; i++ {
-			v := col.Value(i)
-			if v.IsNull() {
-				continue
-			}
-			if b, ok := v.AsBool(); ok && b {
-				mask[i] = true
-			}
-		}
-		sel = table.SelectionFromMask(mask, offset)
-	}
-	if forceDenseSelection.Load() {
-		return table.NewIndexSelection(sel.Indices())
-	}
-	return sel
 }
 
 func iotaInts(n int) []int {
@@ -797,14 +745,22 @@ func orderedOutput(ctx context.Context, stmt *SelectStmt, items []SelectItem, ou
 // runs after ordering and dropped duplicates would pull rows from beyond
 // k+m into the window.
 func topKBound(stmt *SelectStmt, n int) (int, bool) {
-	if stmt.Limit < 0 || stmt.Distinct {
-		return 0, false
-	}
-	keep := stmt.Limit + stmt.Offset
-	if keep < 0 || keep >= n { // overflowed or no smaller than a full sort
+	keep, bounded := limitReach(stmt)
+	if !bounded || stmt.Distinct || keep >= n { // no smaller than a full sort
 		return 0, false
 	}
 	return keep, true
+}
+
+// limitReach returns how many leading rows LIMIT k OFFSET m lets reach the
+// output, k+m, and whether that bounds anything: it does not without a
+// LIMIT, nor when the sum overflows (no relation holds that many rows).
+func limitReach(stmt *SelectStmt) (int, bool) {
+	if stmt.Limit < 0 {
+		return 0, false
+	}
+	keep := stmt.Limit + stmt.Offset
+	return keep, keep >= 0
 }
 
 // --- grouping ---

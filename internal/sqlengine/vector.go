@@ -572,38 +572,72 @@ func evalVecConcat(b *Binary, rel *vrel, sel *table.Selection) (table.Column, er
 	return table.ColumnFromStrings("", out, nulls), nil
 }
 
-// evalVecBetween vectorizes X BETWEEN lo AND hi for numeric X with non-NULL
-// numeric constant bounds (literals or bound parameters). ok=false means
-// the caller should fall back.
-func evalVecBetween(x *Between, rel *vrel, sel *table.Selection) (table.Column, bool, error) {
-	loV, ok1 := constExprValue(x.Lo, rel)
-	hiV, ok2 := constExprValue(x.Hi, rel)
-	if !ok1 || !ok2 {
-		return table.Column{}, false, nil
+// cmpFloat is table.Compare for two float64s: neither below nor above is
+// equal, so NaN equals every number here exactly as it does there.
+func cmpFloat(x, k float64) int {
+	switch {
+	case x < k:
+		return -1
+	case x > k:
+		return 1
 	}
-	lo, lok := loV.AsFloat()
-	hi, hok := hiV.AsFloat()
-	if !lok || !hok || !isNumericLit(loV) || !isNumericLit(hiV) {
+	return 0
+}
+
+// cmpIntConst is table.Compare for an int cell against a numeric constant:
+// exact in int64 against an int, as float64 against a float.
+func cmpIntConst(x int64, k table.Value) int {
+	if k.Kind == table.KindFloat {
+		return cmpFloat(float64(x), k.F)
+	}
+	switch {
+	case x < k.I:
+		return -1
+	case x > k.I:
+		return 1
+	}
+	return 0
+}
+
+// evalVecBetween vectorizes X BETWEEN lo AND hi for typed numeric X with
+// non-NULL numeric constant bounds (literals or bound parameters), bound by
+// bound as table.Compare orders the pair. ok=false means the caller should
+// fall back.
+func evalVecBetween(x *Between, rel *vrel, sel *table.Selection) (table.Column, bool, error) {
+	lo, ok1 := constExprValue(x.Lo, rel)
+	hi, ok2 := constExprValue(x.Hi, rel)
+	if !ok1 || !ok2 || !isNumericLit(lo) || !isNumericLit(hi) {
 		return table.Column{}, false, nil
 	}
 	col, err := evalVec(x.X, rel, sel)
 	if err != nil {
 		return table.Column{}, true, err
 	}
-	fs, nullsIn, ok := asFloats(&col)
-	if !ok {
-		return table.Column{}, false, nil
-	}
 	n := selLen(rel, sel)
 	out := make([]bool, n)
 	nulls := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if nullsIn[i] {
-			nulls[i] = true
-			continue
+	if is, nullsIn, ok := col.Ints(); ok {
+		for i, v := range is {
+			if nullsIn[i] {
+				nulls[i] = true
+				continue
+			}
+			in := cmpIntConst(v, lo) >= 0 && cmpIntConst(v, hi) <= 0
+			out[i] = in != x.Not
 		}
-		in := fs[i] >= lo && fs[i] <= hi
-		out[i] = in != x.Not
+	} else if fs, nullsIn, ok := col.Floats(); ok {
+		lof, _ := lo.AsFloat()
+		hif, _ := hi.AsFloat()
+		for i, v := range fs {
+			if nullsIn[i] {
+				nulls[i] = true
+				continue
+			}
+			in := cmpFloat(v, lof) >= 0 && cmpFloat(v, hif) <= 0
+			out[i] = in != x.Not
+		}
+	} else {
+		return table.Column{}, false, nil
 	}
 	return table.ColumnFromBools("", out, nulls), true, nil
 }
@@ -615,7 +649,7 @@ func isNumericLit(v table.Value) bool {
 // evalVecIn vectorizes X IN (constants...) — literals or bound parameters —
 // when X is typed numeric with an all-numeric list, or typed string with an
 // all-string list. Mixed-kind membership (which compares through
-// table.Equal's lenient rules) falls back. NULL list entries are ignored,
+// table.Equal's string forms) falls back. NULL list entries are ignored,
 // matching the scalar evaluator.
 func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, bool, error) {
 	lits := make([]table.Value, 0, len(x.Values))
@@ -635,14 +669,29 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, bool, erro
 	}
 	n := selLen(rel, sel)
 
-	if fs, nullsIn, ok := asFloats(&col); ok {
-		set := make(map[float64]bool, len(lits))
+	is, nullsIn, isInt := col.Ints()
+	fs, fnulls, isFloat := col.Floats()
+	if isInt || isFloat {
+		if isFloat {
+			nullsIn = fnulls
+		}
+		// Membership is table.Compare == 0 against some entry: an int pair
+		// is exact in int64, any other pair compares as float64, and NaN —
+		// as a cell or as an entry — equals every number.
+		ints := map[int64]bool{}
+		floats := map[float64]bool{}
+		nanEntry := false
 		for _, v := range lits {
-			if !isNumericLit(v) {
+			switch {
+			case !isNumericLit(v):
 				return table.Column{}, false, nil
+			case isInt && v.Kind == table.KindInt:
+				ints[v.I] = true
+			default:
+				f, _ := v.AsFloat()
+				floats[f] = true
+				nanEntry = nanEntry || f != f
 			}
-			f, _ := v.AsFloat()
-			set[f] = true
 		}
 		out := make([]bool, n)
 		nulls := make([]bool, n)
@@ -651,7 +700,13 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, bool, erro
 				nulls[i] = true
 				continue
 			}
-			out[i] = set[fs[i]] != x.Not
+			var found bool
+			if isInt {
+				found = ints[is[i]] || floats[float64(is[i])]
+			} else {
+				found = floats[fs[i]] || (fs[i] != fs[i] && len(lits) > 0)
+			}
+			out[i] = (found || nanEntry) != x.Not
 		}
 		return table.ColumnFromBools("", out, nulls), true, nil
 	}

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -135,9 +136,14 @@ func randDataRow(rng *rand.Rand) []table.Value {
 	} else {
 		a = table.Int(int64(rng.Intn(50) - 10))
 	}
-	if rng.Intn(10) == 0 {
+	switch r := rng.Intn(200); {
+	case r < 20:
 		b = table.Null()
-	} else {
+	case r == 20:
+		// table.Compare orders NaN equal to every number; both executors
+		// must agree on that wherever a predicate meets one.
+		b = table.Float(math.NaN())
+	default:
 		b = table.Float(float64(rng.Intn(2000))/10 - 40)
 	}
 	s := cats[rng.Intn(len(cats))]
@@ -219,7 +225,35 @@ func randPredicate(rng *rand.Rand, depth int) string {
 		return p
 	}
 	cmps := []string{"=", "<>", "<", "<=", ">", ">="}
-	switch rng.Intn(11) {
+	// An AND chain that puts a conjunct raising on non-NULL strings before or
+	// after a kernel comparison over a NULL-bearing column (a, b): the rows
+	// the comparison rejects must not reach it, the NULL rows must.
+	if depth > 0 && rng.Intn(12) == 0 {
+		raising := []string{"c + 1 > 0", "ABS(c) > 1", "NOT c"}[rng.Intn(3)]
+		kernel := []string{"a > 100", "a < 45", "b > 500.0", "a BETWEEN 60 AND 70", "7 > a"}[rng.Intn(5)]
+		if rng.Intn(2) == 0 {
+			return fmt.Sprintf("(%s AND %s)", kernel, raising)
+		}
+		return fmt.Sprintf("(%s AND %s)", raising, kernel)
+	}
+	switch rng.Intn(16) {
+	case 14, 15:
+		// The float column carries a NaN cell: BETWEEN and IN must place it
+		// where table.Compare does, negated or not.
+		not := []string{"", "NOT "}[rng.Intn(2)]
+		if rng.Intn(2) == 0 {
+			return fmt.Sprintf("b %sBETWEEN %.1f AND %d", not, float64(rng.Intn(800))/10-40, rng.Intn(160))
+		}
+		return fmt.Sprintf("b %sIN (%.1f, %d)", not, float64(rng.Intn(2000))/10-40, rng.Intn(160)-40)
+	case 11:
+		// Constant on the left: the kernel flips the operator.
+		return fmt.Sprintf("%d %s a", rng.Intn(50)-10, cmps[rng.Intn(len(cmps))])
+	case 12:
+		// Int column against a float literal compares as float64.
+		return fmt.Sprintf("a %s %.1f", cmps[rng.Intn(len(cmps))], float64(rng.Intn(500))/10-10)
+	case 13:
+		// Float column against an int literal.
+		return fmt.Sprintf("b %s %d", cmps[rng.Intn(len(cmps))], rng.Intn(160)-40)
 	case 0:
 		return fmt.Sprintf("a %s %d", cmps[rng.Intn(len(cmps))], rng.Intn(50)-10)
 	case 1:
@@ -431,7 +465,15 @@ func randQuery(rng *rand.Rand) string {
 			}
 		}
 	}
-	if rng.Intn(2) == 0 {
+	switch {
+	case join && rng.Intn(3) == 0:
+		// Kernel comparisons on FROM columns: under INNER/LEFT joins on pure
+		// equality they run before the probe, under RIGHT/FULL joins and
+		// residual ONs after it — the answers must not tell.
+		sb.WriteString(" WHERE ")
+		sb.WriteString([]string{"data.e < 5", "data.a >= 3 AND data.a < 30", "e BETWEEN 1 AND 4", "20 > a",
+			"data.b > 10.5 AND " + randPredicate(rng, 1), "c = 'red' AND e <> 2"}[rng.Intn(6)])
+	case rng.Intn(2) == 0:
 		sb.WriteString(" WHERE ")
 		sb.WriteString(randPredicate(rng, 2))
 	}
@@ -459,7 +501,12 @@ func randQuery(rng *rand.Rand) string {
 		sb.WriteString(" ORDER BY " + strings.Join(keys, ", "))
 	}
 	if rng.Intn(3) == 0 {
-		sb.WriteString(fmt.Sprintf(" LIMIT %d", rng.Intn(21)))
+		if rng.Intn(8) == 0 {
+			// LIMIT + OFFSET beyond int64: the sum must not wrap negative.
+			sb.WriteString(" LIMIT 9223372036854775807")
+		} else {
+			sb.WriteString(fmt.Sprintf(" LIMIT %d", rng.Intn(21)))
+		}
 		if rng.Intn(3) == 0 {
 			// Offsets land both inside the table and beyond it (tables cap
 			// at 700 rows), so OFFSET m with m >= n is always-on coverage.

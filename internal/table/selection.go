@@ -464,6 +464,29 @@ func (s *Selection) Drop(k int) *Selection {
 	return &Selection{spans: spans, count: s.count - k}
 }
 
+// Pick returns the rows of s at the positions where vals is true and nulls
+// is false (nulls nil = no NULLs): vals[i] speaks for the i-th selected row,
+// the layout a predicate evaluated over s produces. The representation
+// follows the same density rule as SelectionFromBools, which serves the
+// single-range case directly.
+func (s *Selection) Pick(vals, nulls []bool) *Selection {
+	if lo, _, ok := s.AsRange(); ok {
+		if nulls == nil {
+			return SelectionFromMask(vals, lo)
+		}
+		return SelectionFromBools(vals, nulls, lo)
+	}
+	var b spanBuilder
+	it := IterSelection(s, 0)
+	for i, v := range vals {
+		r, _ := it.Next()
+		if v && (nulls == nil || !nulls[i]) {
+			b.add(r)
+		}
+	}
+	return b.selection()
+}
+
 // SelectionIter iterates the rows of a selection without per-row closure
 // calls, with the engine's "nil selects all of [0,n)" convention built in.
 type SelectionIter struct {

@@ -326,26 +326,46 @@ func ParseTime(s string) (time.Time, bool) {
 }
 
 // Infer guesses the most specific Value for a raw string: int, float, bool,
-// time, then string. Empty strings become NULL.
+// time, then string. Empty strings become NULL. A parser runs only when the
+// text's first byte is one it could accept — a failed strconv or time parse
+// allocates its error, and most cells of a text column would fail all eight.
 func Infer(s string) Value {
 	trimmed := strings.TrimSpace(s)
 	if trimmed == "" {
 		return Null()
 	}
-	if i, err := strconv.ParseInt(trimmed, 10, 64); err == nil {
-		return Int(i)
+	c := trimmed[0]
+	digit := c >= '0' && c <= '9'
+	signed := digit || c == '+' || c == '-'
+	if signed {
+		if i, err := strconv.ParseInt(trimmed, 10, 64); err == nil {
+			return Int(i)
+		}
 	}
-	if f, err := strconv.ParseFloat(trimmed, 64); err == nil {
-		return Float(f)
+	if signed || c == '.' || startsInfOrNaN(trimmed) {
+		if f, err := strconv.ParseFloat(trimmed, 64); err == nil {
+			return Float(f)
+		}
 	}
-	switch strings.ToLower(trimmed) {
-	case "true":
-		return Bool(true)
-	case "false":
-		return Bool(false)
+	if c == 't' || c == 'T' || c == 'f' || c == 'F' {
+		switch strings.ToLower(trimmed) {
+		case "true":
+			return Bool(true)
+		case "false":
+			return Bool(false)
+		}
 	}
-	if t, ok := ParseTime(trimmed); ok {
-		return Time(t)
+	if digit { // every layout of timeFormats begins with the year
+		if t, ok := ParseTime(trimmed); ok {
+			return Time(t)
+		}
 	}
 	return Str(s)
+}
+
+// startsInfOrNaN reports whether s begins with the only unsigned non-digit
+// spellings strconv.ParseFloat accepts: "inf"/"infinity" and "nan", in any
+// case.
+func startsInfOrNaN(s string) bool {
+	return len(s) >= 3 && (strings.EqualFold(s[:3], "inf") || strings.EqualFold(s[:3], "nan"))
 }
