@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"datalab/internal/knowledge"
 	"datalab/internal/sqlengine"
 	"datalab/internal/table"
 )
@@ -379,6 +380,50 @@ FROM 23_customer_bg GROUP BY prod_class4_name`,
 	}
 	if !strings.Contains(ans.SQL, "shouldincome_after") {
 		t.Errorf("knowledge did not resolve the jargon: %s", ans.SQL)
+	}
+}
+
+// TestLearnKnowledgeTwiceKeepsEdgesOnce: learning a table again replaces
+// its nodes in place — the published graph lists each child of the
+// database, the table and every column once, as after the first call.
+func TestLearnKnowledgeTwiceKeepsEdgesOnce(t *testing.T) {
+	p := MustNew(WithSeed("relearn"))
+	learn := func() {
+		t.Helper()
+		err := p.LearnKnowledge("sales_db", "23_customer_bg",
+			[]ColumnSchema{
+				{Name: "prod_class4_name", Type: "string"},
+				{Name: "shouldincome_after", Type: "double"},
+			},
+			[]Script{{ID: "daily.sql", Language: "sql", Text: `-- daily income report
+SELECT prod_class4_name AS product_line_name, shouldincome_after * 12 AS annualized_income
+FROM 23_customer_bg WHERE prod_class4_name = 'TencentBI'`}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	edges := func() map[string][]string {
+		g := p.rt.Graph
+		out := map[string][]string{}
+		for _, typ := range []knowledge.NodeType{knowledge.NodeDatabase, knowledge.NodeTable, knowledge.NodeColumn} {
+			for _, id := range g.NodesOfType(typ) {
+				out[id] = g.Children(id)
+			}
+		}
+		return out
+	}
+	learn()
+	first, nodes := edges(), p.rt.Graph.NumNodes()
+	if got := first["table:sales_db.23_customer_bg"]; len(got) != 2 {
+		t.Fatalf("table's children after one call = %v, want its two columns", got)
+	}
+	learn()
+	learn()
+	if got := p.rt.Graph.NumNodes(); got != nodes {
+		t.Errorf("%d nodes after three calls, %d after one", got, nodes)
+	}
+	if got := edges(); !reflect.DeepEqual(got, first) {
+		t.Errorf("edges after three calls = %v, after one = %v", got, first)
 	}
 }
 

@@ -89,6 +89,47 @@ func Cosine(a, b Vector) float64 {
 	return dot
 }
 
+// Term is one non-zero component of an embedding.
+type Term struct {
+	Index uint8
+	Value float64
+}
+
+// Term.Index must be able to name every component.
+const _ = uint8(Dim - 1)
+
+// Sparse is an embedding as its non-zero components in index order — the
+// form stored embeddings take: a node's text fills about 25 of the Dim
+// hashed components.
+type Sparse []Term
+
+// Sparse returns v's non-zero components.
+func (v *Vector) Sparse() Sparse {
+	n := 0
+	for _, x := range v {
+		if x != 0 {
+			n++
+		}
+	}
+	s := make(Sparse, 0, n)
+	for i, x := range v {
+		if x != 0 {
+			s = append(s, Term{uint8(i), x})
+		}
+	}
+	return s
+}
+
+// Dot returns Cosine(*q, v) for the vector v that s came from, bit for bit:
+// the terms it skips are ±0, and adding one never changes the running sum.
+func (s Sparse) Dot(q *Vector) float64 {
+	var dot float64
+	for _, t := range s {
+		dot += q[t.Index] * t.Value
+	}
+	return dot
+}
+
 // Similarity is a convenience wrapper embedding both texts and returning
 // their cosine similarity clamped to [0, 1]. It is the SES metric used for
 // knowledge-quality evaluation (§VII-C.1): 1 means identical, 0 irrelevant.

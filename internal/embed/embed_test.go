@@ -3,6 +3,8 @@ package embed
 import (
 	"hash/fnv"
 	"math"
+	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -114,6 +116,79 @@ func TestTokensMatchesJoinedBigrams(t *testing.T) {
 		}
 		if Tokens(textutil.Tokenize(s)) != Text(s) {
 			t.Errorf("Tokens(Tokenize(%q)) != Text", s)
+		}
+	}
+}
+
+// cancellingPair finds two tokens hashed to one component with opposite
+// signs, so a text holding both leaves that component at exactly 0.
+func cancellingPair(t *testing.T) (a, b string) {
+	t.Helper()
+	type slot struct {
+		idx uint64
+		neg bool
+	}
+	first := map[slot]string{}
+	for i := 0; i < 10000; i++ {
+		tok := "tok" + strconv.Itoa(i)
+		h := fnv1a(fnvOffset, tok)
+		s := slot{h % Dim, (h>>32)&1 == 1}
+		if other, ok := first[slot{s.idx, !s.neg}]; ok {
+			return other, tok
+		}
+		first[s] = tok
+	}
+	t.Fatal("no cancelling pair among 10000 tokens")
+	return "", ""
+}
+
+// TestSparseDotEqualsCosine holds the stored form to the dense one: over
+// random token lists — empty, stopword-only, repeated tokens, a pair whose
+// shared component cancels to exactly 0 — Sparse lists the non-zero
+// components in index order and nothing else, and its Dot against a dense
+// question is Cosine with the same bits.
+func TestSparseDotEqualsCosine(t *testing.T) {
+	a, b := cancellingPair(t)
+	vocab := []string{a, b, "the", "of", "by", "revenue", "income", "margin", "net", "gross", "region", "2024", "prod_class4_name"}
+	lists := [][]string{nil, {}, {"the"}, {"the", "of", "the"}, {a, b}, {b, a, b, a}, {a, b, "revenue"}, {"revenue", "revenue", "revenue"}}
+	rng := rand.New(rand.NewSource(22))
+	for i := 0; i < 300; i++ {
+		l := make([]string, rng.Intn(14))
+		for j := range l {
+			l[j] = vocab[rng.Intn(len(vocab))]
+		}
+		lists = append(lists, l)
+	}
+
+	var cancelled Vector
+	addFeature(&cancelled, fnv1a(fnvOffset, a), 1)
+	addFeature(&cancelled, fnv1a(fnvOffset, b), 1)
+	if cancelled != (Vector{}) {
+		t.Fatalf("%q and %q do not cancel", a, b)
+	}
+	if v := Tokens([]string{a, b}); len(v.Sparse()) != 1 {
+		t.Errorf("Tokens(%q, %q) has %d sparse terms, want only the bigram's", a, b, len(v.Sparse()))
+	}
+
+	for _, doc := range lists {
+		v := Tokens(doc)
+		s := v.Sparse()
+		var back Vector
+		for i, term := range s {
+			if term.Value == 0 || (i > 0 && s[i-1].Index >= term.Index) {
+				t.Fatalf("Sparse of %q: term %d = %+v after %+v", doc, i, term, s[max(i-1, 0)])
+			}
+			back[term.Index] = term.Value
+		}
+		if back != v {
+			t.Fatalf("Sparse of %q does not round-trip to the dense vector", doc)
+		}
+		for _, question := range lists {
+			q := Tokens(question)
+			if got, want := s.Dot(&q), Cosine(q, v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("doc %q, question %q: Dot = %v (%#x), Cosine = %v (%#x)",
+					doc, question, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
 		}
 	}
 }

@@ -11,6 +11,8 @@ import (
 )
 
 // handle is one index pair under test plus the documents it should hold.
+// It plays the graph's part: the first add of an ID takes the next ordinal,
+// a later one keeps it.
 type handle struct {
 	lex  *Lexical
 	vec  *Vector
@@ -22,15 +24,13 @@ func newHandle() *handle {
 }
 
 func (h *handle) add(e Entry) {
+	e.Ord = int32(len(h.live))
+	if old, ok := h.live[e.ID]; ok {
+		e.Ord = old.Ord
+	}
 	h.lex.Add(e)
 	h.vec.Add(e)
 	h.live[e.ID] = e
-}
-
-func (h *handle) remove(id string) {
-	h.lex.Remove(id)
-	h.vec.Remove(id)
-	delete(h.live, id)
 }
 
 func (h *handle) clone() *handle {
@@ -48,7 +48,8 @@ var cloneQueries = []string{"revenue income", "product region customer", "order 
 
 // checkAgainstScratch asserts that h answers exactly like indexes built
 // from scratch over h's live documents: Len, and for every query the hit
-// IDs, their order and their scores bit for bit.
+// IDs, their order and their scores bit for bit. The scratch build numbers
+// the documents in ID order, so ordinals differ between the two on purpose.
 func checkAgainstScratch(t *testing.T, label string, h *handle) {
 	t.Helper()
 	ids := make([]string, 0, len(h.live))
@@ -57,9 +58,11 @@ func checkAgainstScratch(t *testing.T, label string, h *handle) {
 	}
 	sort.Strings(ids)
 	lex, vec := NewLexical(), NewVector()
-	for _, id := range ids {
-		lex.Add(h.live[id])
-		vec.Add(h.live[id])
+	for ord, id := range ids {
+		e := h.live[id]
+		e.Ord = int32(ord)
+		lex.Add(e)
+		vec.Add(e)
 	}
 	if h.lex.Len() != len(ids) || h.vec.Len() != len(ids) {
 		t.Fatalf("%s: Len lex=%d vec=%d, want %d", label, h.lex.Len(), h.vec.Len(), len(ids))
@@ -76,7 +79,9 @@ func sameHits(t *testing.T, label string, got, want []Hit) {
 		t.Fatalf("%s: %d hits, want %d\n got %v\nwant %v", label, len(got), len(want), got, want)
 	}
 	for i := range got {
-		if got[i] != want[i] { // Hit is {string, float64}: == is bit-exact for non-NaN scores
+		// Not the ordinal: it is whatever the build assigned. == on the
+		// score is bit-exact for non-NaN scores.
+		if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
 			t.Fatalf("%s: hit %d = %v, want %v", label, i, got[i], want[i])
 		}
 	}
@@ -107,7 +112,7 @@ func TestIndexCloneIndependence(t *testing.T) {
 	// A clone of a clone, then both diverge again.
 	c3 := c1.clone()
 	c3.add(doc("c3", "revenue", "orbit incident", "column"))
-	c1.remove("d1")
+	c1.add(doc("d1", "regular", "revised order", "table"))
 
 	for label, h := range map[string]*handle{"orig": orig, "c1": c1, "c2": c2, "c3": c3} {
 		checkAgainstScratch(t, label, h)
@@ -165,26 +170,75 @@ func TestIndexCloneConcurrent(t *testing.T) {
 	}
 }
 
-// TestIndexCloneRandomSequences drives seeded random Add / re-Add / Remove
-// / Clone sequences over a handful of handles that share history, and
-// after every step holds every handle — not just the one touched — to the
-// from-scratch equality.
+// TestIndexCloneReplaceUnderReader re-Adds every ID on a clone — each a
+// write to a per-document slot the original also has — while readers
+// search the original, whose hits, scores and Len must not move. Run under
+// -race.
+func TestIndexCloneReplaceUnderReader(t *testing.T) {
+	orig := newHandle()
+	for i := 0; i < 24; i++ {
+		orig.add(doc(fmt.Sprintf("d%02d", i), vocab[i%len(vocab)], vocab[(i+2)%len(vocab)]+" "+vocab[(i+5)%len(vocab)], "column"))
+	}
+	type answer struct{ lex, vec []Hit }
+	ask := func(h *handle, q string) answer { return answer{searchLex(h.lex, q, 10), searchVec(h.vec, q, 10)} }
+	same := func(a, b answer) bool { return slices.Equal(a.lex, b.lex) && slices.Equal(a.vec, b.vec) }
+	want := make([]answer, len(cloneQueries))
+	for i, q := range cloneQueries {
+		want[i] = ask(orig, q)
+	}
+
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				q := i % len(cloneQueries)
+				if got := ask(orig, cloneQueries[q]); !same(got, want[q]) || orig.lex.Len() != 24 || orig.vec.Len() != 24 {
+					t.Errorf("original changed while a clone replaced its documents: %v, want %v", got, want[q])
+					return
+				}
+			}
+		}()
+	}
+	cl := orig.clone()
+	for i := 0; i < 24; i++ {
+		cl.add(doc(fmt.Sprintf("d%02d", i), "orbit", "incident custom", "jargon"))
+	}
+	wg.Wait()
+
+	for i, q := range cloneQueries {
+		if got := ask(orig, q); !same(got, want[i]) {
+			t.Errorf("original answers %q differently after the clone's replacements", q)
+		}
+	}
+	checkAgainstScratch(t, "orig", orig)
+	checkAgainstScratch(t, "clone", cl)
+	if hits := searchLex(cl.lex, "revenue product", 10); len(hits) != 0 {
+		t.Errorf("clone still finds replaced text: %v", hits)
+	}
+	if cl.lex.Len() != 24 || cl.vec.Len() != 24 {
+		t.Errorf("replacement changed the clone's Len: lex=%d vec=%d", cl.lex.Len(), cl.vec.Len())
+	}
+}
+
+// TestIndexCloneRandomSequences drives seeded random Add / re-Add / Clone
+// sequences over a handful of handles that share history, and after every
+// step holds every handle — not just the one touched — to the from-scratch
+// equality.
 func TestIndexCloneRandomSequences(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		handles := []*handle{newHandle()}
 		for step := 0; step < 200; step++ {
 			h := handles[rng.Intn(len(handles))]
-			switch op := rng.Intn(10); {
-			case op < 6: // Add, or re-Add when the ID is already live
+			if rng.Intn(10) < 8 { // Add, or re-Add when the ID is already live
 				content := ""
 				for w := 0; w < 1+rng.Intn(5); w++ {
 					content += vocab[rng.Intn(len(vocab))] + " "
 				}
-				h.add(doc(fmt.Sprintf("d%d", rng.Intn(16)), vocab[rng.Intn(len(vocab))], content, "column"))
-			case op < 8:
-				h.remove(fmt.Sprintf("d%d", rng.Intn(16)))
-			default:
+				h.add(doc(fmt.Sprintf("d%d", rng.Intn(40)), vocab[rng.Intn(len(vocab))], content, "column"))
+			} else {
 				if cp := h.clone(); len(handles) < 6 {
 					handles = append(handles, cp)
 				} else {

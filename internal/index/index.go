@@ -8,21 +8,23 @@
 // tokenizes a node's fields once and hands the tokens to all its indexes,
 // and tokenizes and embeds a question once and hands those to every Search.
 //
-// Both indexes are flat maps holding exactly the live documents, so Search
-// reads one structure and scores with plain corpus statistics. Clone copies
-// the maps and shares what they point at — the same prefix sharing
-// internal/table's Appender uses for its arena and chunk list: a posting
+// A document is addressed by the ordinal its Entry carries — the knowledge
+// graph's dense numbering of its nodes, fixed for the life of an ID — so
+// everything held per document is a slice over that ordinal, a posting names
+// its document by it, and Search scores into an array. Clone copies those
+// slices and the term map and shares the posting lists — the same prefix
+// sharing internal/table's Appender uses for its arena and chunk list: a
 // list is handed over as l[:len:len], so the first append on the clone
 // reallocates while an append on the original writes past the clone's
 // length. The one invariant is that a posting list is never written below
-// its published length: Add only appends, and reindexing or removing a
-// document rebuilds the affected lists into fresh slices. Embedding vectors
-// are immutable and shared by pointer.
+// its published length: Add only appends, and reindexing a document
+// rebuilds the affected lists into fresh slices. Embeddings are immutable
+// and shared.
 package index
 
 import (
 	"cmp"
-	"maps"
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -37,6 +39,7 @@ import (
 // to them.
 type Entry struct {
 	ID      string // unique node identifier
+	Ord     int32  // its ordinal: the next unused one, or the one ID already has
 	Name    []string
 	Content []string // tokens of the knowledge components, task-specific
 	Tag     []string
@@ -45,27 +48,41 @@ type Entry struct {
 // Hit is one retrieval result.
 type Hit struct {
 	ID    string
+	Ord   int32
 	Score float64
 }
 
 // posting is one document's term frequency in a term's posting list.
 type posting struct {
-	id string
-	tf int
+	doc int32
+	tf  int32
+}
+
+// replaces reports whether e reindexes the document at its ordinal rather
+// than taking the next unused one of n; held names the ID at an ordinal. The
+// graph assigns ordinals, so any other ordinal is a bug there and panics.
+func replaces(e Entry, n int, held func(ord int32) string) bool {
+	if int(e.Ord) == n {
+		return false
+	}
+	if e.Ord < 0 || int(e.Ord) > n || held(e.Ord) != e.ID {
+		panic(fmt.Sprintf("index: %q added at ordinal %d of %d documents", e.ID, e.Ord, n))
+	}
+	return true
 }
 
 // Lexical is an inverted index with TF-IDF ranking (see the package
 // comment for how clones share posting lists).
 type Lexical struct {
 	mu       sync.RWMutex
-	postings map[string][]posting // term -> one posting per live document
-	docLen   map[string]int
-	entries  map[string]Entry
+	postings map[string][]posting // term -> one posting per document holding it
+	docLen   []int                // by ordinal
+	entries  []Entry              // by ordinal
 }
 
 // NewLexical returns an empty lexical index.
 func NewLexical() *Lexical {
-	return &Lexical{postings: map[string][]posting{}, docLen: map[string]int{}, entries: map[string]Entry{}}
+	return &Lexical{postings: map[string][]posting{}}
 }
 
 // lexTerms expands an entry into its sorted index terms (duplicates kept,
@@ -106,23 +123,23 @@ func eachTerm(terms []string, fn func(term string, tf int)) {
 func (ix *Lexical) Add(e Entry) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.strip(e.ID)
 	terms, docLen := lexTerms(e)
+	if replaces(e, len(ix.entries), func(ord int32) string { return ix.entries[ord].ID }) {
+		ix.strip(e.Ord)
+		ix.entries[e.Ord], ix.docLen[e.Ord] = e, docLen
+	} else {
+		ix.entries, ix.docLen = append(ix.entries, e), append(ix.docLen, docLen)
+	}
 	eachTerm(terms, func(term string, tf int) {
-		ix.postings[term] = append(ix.postings[term], posting{e.ID, tf})
+		ix.postings[term] = append(ix.postings[term], posting{e.Ord, int32(tf)})
 	})
-	ix.docLen[e.ID] = docLen
-	ix.entries[e.ID] = e
 }
 
-// strip forgets id. Each posting list it appears in is rebuilt into a
-// fresh slice: the old backing array may be shared with clones.
-func (ix *Lexical) strip(id string) {
-	old, ok := ix.entries[id]
-	if !ok {
-		return
-	}
-	terms, _ := lexTerms(old)
+// strip drops the postings of the document at ord. Each posting list it
+// appears in is rebuilt into a fresh slice: the old backing array may be
+// shared with clones.
+func (ix *Lexical) strip(ord int32) {
+	terms, _ := lexTerms(ix.entries[ord])
 	eachTerm(terms, func(term string, _ int) {
 		l := ix.postings[term]
 		if len(l) == 1 {
@@ -131,40 +148,31 @@ func (ix *Lexical) strip(id string) {
 		}
 		fresh := make([]posting, 0, len(l)-1)
 		for _, p := range l {
-			if p.id != id {
+			if p.doc != ord {
 				fresh = append(fresh, p)
 			}
 		}
 		ix.postings[term] = fresh
 	})
-	delete(ix.docLen, id)
-	delete(ix.entries, id)
 }
 
 // Clone returns an independent snapshot: mutations to either side after
-// the clone are invisible to the other. It copies the maps and shares the
-// posting lists, capped at their current length. It backs the knowledge
-// graph's copy-on-write swap, so readers can keep searching the original
-// while a writer builds and mutates the clone.
+// the clone are invisible to the other. It copies the term map and the
+// per-document slices and shares the posting lists, capped at their current
+// length. It backs the knowledge graph's copy-on-write swap, so readers can
+// keep searching the original while a writer builds and mutates the clone.
 func (ix *Lexical) Clone() *Lexical {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	cp := &Lexical{
 		postings: make(map[string][]posting, len(ix.postings)),
-		docLen:   maps.Clone(ix.docLen),
-		entries:  maps.Clone(ix.entries),
+		docLen:   slices.Clone(ix.docLen),
+		entries:  slices.Clone(ix.entries),
 	}
 	for term, l := range ix.postings {
 		cp.postings[term] = l[:len(l):len(l)]
 	}
 	return cp
-}
-
-// Remove deletes an entry from the index.
-func (ix *Lexical) Remove(id string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.strip(id)
 }
 
 // Len returns the number of entries.
@@ -184,44 +192,54 @@ func (ix *Lexical) Search(query []string, k int) []Hit {
 	if n == 0 || k <= 0 {
 		return nil
 	}
-	scores := map[string]float64{}
-	accumulate := func(term string, weight float64) {
-		l := ix.postings[term]
+	scores := make([]float64, n) // by ordinal; every term adds more than 0
+	accumulate := func(l []posting, weight float64) {
 		if len(l) == 0 {
 			return
 		}
 		idf := math.Log(1 + float64(n)/float64(len(l)))
 		for _, p := range l {
-			dl := ix.docLen[p.id]
+			dl := ix.docLen[p.doc]
 			if dl == 0 {
 				dl = 1
 			}
-			scores[p.id] += weight * idf * float64(p.tf) / math.Sqrt(float64(dl))
+			scores[p.doc] += weight * idf * float64(p.tf) / math.Sqrt(float64(dl))
 		}
 	}
 	for _, t := range query {
-		accumulate(t, 1)
+		accumulate(ix.postings[t], 1)
 		if len(t) >= 3 {
-			accumulate("p3:"+t[:3], 0.4)
+			// The "p3:" term of lexTerms, looked up without building it.
+			p3 := [...]byte{'p', '3', ':', t[0], t[1], t[2]}
+			accumulate(ix.postings[string(p3[:])], 0.4)
 		}
 	}
-	hits := make([]Hit, 0, len(scores))
-	for id, s := range scores {
-		hits = append(hits, Hit{ID: id, Score: s})
+	matched := 0
+	for _, s := range scores {
+		if s != 0 {
+			matched++
+		}
+	}
+	hits := make([]Hit, 0, matched)
+	for ord, s := range scores {
+		if s != 0 {
+			hits = append(hits, Hit{ID: ix.entries[ord].ID, Ord: int32(ord), Score: s})
+		}
 	}
 	return topK(hits, k)
 }
 
-// Vector is a brute-force cosine-similarity index over embeddings. The
-// vectors are never modified after Add, so clones share them by pointer.
+// Vector is a brute-force cosine-similarity index over embeddings, which
+// are never modified after Add, so clones share them.
 type Vector struct {
 	mu   sync.RWMutex
-	vecs map[string]*embed.Vector
+	ids  []string       // by ordinal
+	vecs []embed.Sparse // by ordinal
 }
 
 // NewVector returns an empty vector index.
 func NewVector() *Vector {
-	return &Vector{vecs: map[string]*embed.Vector{}}
+	return &Vector{}
 }
 
 // Add indexes an entry under the embedding of name+content+tag.
@@ -229,28 +247,25 @@ func (ix *Vector) Add(e Entry) {
 	v := embed.Tokens(slices.Concat(e.Name, e.Content, e.Tag))
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.vecs[e.ID] = &v
+	if replaces(e, len(ix.ids), func(ord int32) string { return ix.ids[ord] }) {
+		ix.vecs[e.Ord] = v.Sparse()
+	} else {
+		ix.ids, ix.vecs = append(ix.ids, e.ID), append(ix.vecs, v.Sparse())
+	}
 }
 
 // Clone returns an independent snapshot (see Lexical.Clone).
 func (ix *Vector) Clone() *Vector {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return &Vector{vecs: maps.Clone(ix.vecs)}
-}
-
-// Remove deletes an entry.
-func (ix *Vector) Remove(id string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	delete(ix.vecs, id)
+	return &Vector{ids: slices.Clone(ix.ids), vecs: slices.Clone(ix.vecs)}
 }
 
 // Len returns the number of entries.
 func (ix *Vector) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.vecs)
+	return len(ix.ids)
 }
 
 // Search returns the top-k entries with a positive cosine similarity to
@@ -262,9 +277,9 @@ func (ix *Vector) Search(query *embed.Vector, k int) []Hit {
 		return nil
 	}
 	hits := make([]Hit, 0, len(ix.vecs))
-	for id, v := range ix.vecs {
-		if s := embed.Cosine(*query, *v); s > 0 {
-			hits = append(hits, Hit{ID: id, Score: s})
+	for ord, v := range ix.vecs {
+		if s := v.Dot(query); s > 0 {
+			hits = append(hits, Hit{ID: ix.ids[ord], Ord: int32(ord), Score: s})
 		}
 	}
 	return topK(hits, k)

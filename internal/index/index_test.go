@@ -25,13 +25,17 @@ func searchVec(ix *Vector, query string, k int) []Hit {
 }
 
 func seedEntries() []Entry {
-	return []Entry{
+	entries := []Entry{
 		doc("col:shouldincome_after", "shouldincome_after", "revenue income after tax for a product line, measured monthly", "column"),
 		doc("col:prod_class4_name", "prod_class4_name", "the product name at classification level four, e.g. TencentBI", "column"),
 		doc("col:ftime", "ftime", "partition date of the record in YYYYMMDD format", "column"),
 		doc("tab:sales_db.orders", "orders", "customer orders with amounts and regions", "table"),
 		doc("jarg:arpu", "ARPU", "average revenue per user, computed as revenue divided by active users", "jargon"),
 	}
+	for i := range entries {
+		entries[i].Ord = int32(i)
+	}
+	return entries
 }
 
 func TestLexicalSearchRanksNameMatchesFirst(t *testing.T) {
@@ -74,22 +78,6 @@ func TestLexicalReindexReplaces(t *testing.T) {
 	}
 }
 
-func TestLexicalRemove(t *testing.T) {
-	ix := NewLexical()
-	for _, e := range seedEntries() {
-		ix.Add(e)
-	}
-	ix.Remove("jarg:arpu")
-	if ix.Len() != 4 {
-		t.Errorf("len after remove = %d, want 4", ix.Len())
-	}
-	for _, h := range searchLex(ix, "average revenue per user", 10) {
-		if h.ID == "jarg:arpu" {
-			t.Error("removed entry still retrieved")
-		}
-	}
-}
-
 func TestVectorSearchSemantic(t *testing.T) {
 	ix := NewVector()
 	for _, e := range seedEntries() {
@@ -104,17 +92,37 @@ func TestVectorSearchSemantic(t *testing.T) {
 	}
 }
 
-func TestVectorRemoveAndLen(t *testing.T) {
-	ix := NewVector()
-	for _, e := range seedEntries() {
-		ix.Add(e)
-	}
-	if ix.Len() != 5 {
-		t.Fatalf("len = %d", ix.Len())
-	}
-	ix.Remove("col:ftime")
-	if ix.Len() != 4 {
-		t.Errorf("len after remove = %d", ix.Len())
+// TestAddRejectsOrdinalOutOfSequence: a document takes the next unused
+// ordinal or the one its ID already holds; the graph never asks for
+// anything else, so the indexes refuse it loudly.
+func TestAddRejectsOrdinalOutOfSequence(t *testing.T) {
+	at := func(e Entry, ord int32) Entry { e.Ord = ord; return e }
+	seed := seedEntries()
+	for _, tc := range []struct {
+		label string
+		e     Entry
+		ok    bool
+	}{
+		{"the next ordinal", at(doc("new", "fresh", "text", ""), 5), true},
+		{"an existing ID at its ordinal", at(doc("col:ftime", "ftime", "other text", ""), 2), true},
+		{"a gap", at(doc("new", "fresh", "text", ""), 6), false},
+		{"negative", at(doc("new", "fresh", "text", ""), -1), false},
+		{"a new ID on a held ordinal", at(doc("new", "fresh", "text", ""), 2), false},
+		{"an existing ID on another's ordinal", at(doc("col:ftime", "ftime", "text", ""), 3), false},
+	} {
+		for name, add := range map[string]func(Entry){"lexical": NewLexical().Add, "vector": NewVector().Add} {
+			for _, e := range seed {
+				add(e)
+			}
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				add(tc.e)
+				return
+			}()
+			if panicked == tc.ok {
+				t.Errorf("%s, %s: panicked = %v, want %v", name, tc.label, panicked, !tc.ok)
+			}
+		}
 	}
 }
 
@@ -123,6 +131,7 @@ func TestSearchDeterministic(t *testing.T) {
 	vec := NewVector()
 	for i := 0; i < 50; i++ {
 		e := doc(fmt.Sprintf("e%02d", i), "metric", "identical content for tie-breaking", "")
+		e.Ord = int32(i)
 		lex.Add(e)
 		vec.Add(e)
 	}
@@ -151,7 +160,9 @@ func TestSearchDeterministic(t *testing.T) {
 func TestTopKBound(t *testing.T) {
 	ix := NewLexical()
 	for i := 0; i < 20; i++ {
-		ix.Add(doc(fmt.Sprintf("d%d", i), "revenue", "revenue doc", ""))
+		e := doc(fmt.Sprintf("d%d", i), "revenue", "revenue doc", "")
+		e.Ord = int32(i)
+		ix.Add(e)
 	}
 	if got := len(searchLex(ix, "revenue", 7)); got != 7 {
 		t.Errorf("topK = %d, want 7", got)

@@ -9,6 +9,7 @@ import (
 
 	"datalab/internal/embed"
 	"datalab/internal/index"
+	"datalab/internal/llm"
 	"datalab/internal/textutil"
 )
 
@@ -38,12 +39,15 @@ type Node struct {
 	// nodes point at the primary node they denote.
 	Parent string
 
-	// The fine stage's inputs (Retriever.Retrieve), which depend on the
-	// node's text and on no question. Graph.addNode computes them before
-	// the node becomes reachable; nothing writes them afterwards.
+	// What retrieval reads per candidate (Retriever.Retrieve), which depends
+	// on the node and on no question. Graph.addNode computes it before the
+	// node becomes reachable; nothing writes it afterwards.
+	ord           int32               // the node's ordinal: its slot in Graph.order and in both indexes
 	nameTokens    []string            // distinct content tokens of Name
 	contentTokens map[string]struct{} // content tokens of Name+description+usage+definition
-	vec           embed.Vector        // embedding of that text
+	vec           embed.Sparse        // embedding of that text
+	relKey        llm.Key             // of "rel:"+ID+"|": the relevance judgment's key, up to the question
+	mapsTo        string              // a jargon node's ColumnID(maps_to_table, maps_to_column), "" if it names no column
 }
 
 // Component returns a component value or "".
@@ -77,6 +81,14 @@ func (n *Node) Component(key string) string {
 type Graph struct {
 	nodes    map[string]*Node
 	children map[string][]string // logical children, in insertion order
+
+	// order holds every node at its ordinal: addNode gives a new ID the next
+	// one and a replacement the one its ID already has, so an ordinal names
+	// the same ID in a graph and in every clone of it, for good — nothing
+	// removes a node. The retrieval indexes address documents by it and
+	// Retrieve comes back from a hit through it. Clone copies the slice, so
+	// a replacement writes only the clone's slot.
+	order []*Node
 
 	// hints is what ValueHints returns: one hint per value node in ID
 	// order, then one per jargon node that maps to a value, in ID order.
@@ -112,6 +124,7 @@ func NewGraph() *Graph {
 func (g *Graph) Clone() *Graph {
 	ng := &Graph{
 		nodes:     maps.Clone(g.nodes),
+		order:     slices.Clone(g.order),
 		children:  make(map[string][]string, len(g.children)),
 		hints:     g.hints,
 		colByName: maps.Clone(g.colByName),
@@ -170,8 +183,22 @@ func (g *Graph) columnNamed(name string) (*Node, bool) {
 func (g *Graph) addNode(n *Node) {
 	old := g.nodes[n.ID]
 	g.nodes[n.ID] = n
-	if n.Parent != "" {
-		g.children[n.Parent] = append(g.children[n.Parent], n.ID)
+	if old == nil {
+		n.ord = int32(len(g.order))
+		g.order = append(g.order, n)
+	} else {
+		n.ord = old.ord
+		g.order[n.ord] = n
+	}
+	if old == nil || old.Parent != n.Parent {
+		if old != nil && old.Parent != "" {
+			// Into a fresh slice: clones share the old backing array.
+			kids := g.children[old.Parent]
+			g.children[old.Parent] = slices.DeleteFunc(slices.Clone(kids), func(id string) bool { return id == n.ID })
+		}
+		if n.Parent != "" {
+			g.children[n.Parent] = append(g.children[n.Parent], n.ID)
+		}
 	}
 	g.indexNode(n)
 	g.noteColumnName(old, n)
@@ -187,6 +214,7 @@ func (g *Graph) indexNode(n *Node) {
 	name := textutil.Tokenize(n.Name)
 	e := index.Entry{
 		ID:      n.ID,
+		Ord:     n.ord,
 		Name:    name,
 		Content: slices.Concat(tokens("description"), tokens("usage"), tokens("definition")),
 		Tag:     textutil.Tokenize(string(n.Type) + " " + n.Component("tags")),
@@ -195,7 +223,12 @@ func (g *Graph) indexNode(n *Node) {
 	g.vec.Add(e)
 
 	fine := slices.Concat(name, e.Content)
-	n.vec = embed.Tokens(fine)
+	vec := embed.Tokens(fine)
+	n.vec = vec.Sparse()
+	n.relKey = llm.KeyOf("rel:" + n.ID + "|")
+	if col := n.Component("maps_to_column"); n.Type == NodeJargon && col != "" {
+		n.mapsTo = ColumnID(n.Component("maps_to_table"), col)
+	}
 	n.contentTokens = make(map[string]struct{}, len(fine))
 	for _, t := range fine {
 		if !textutil.IsStopword(t) {
@@ -274,6 +307,11 @@ func (g *Graph) Backtrack(id string) *Node {
 	if !ok {
 		return nil
 	}
+	return g.primary(n)
+}
+
+// primary is Backtrack for a node already in hand.
+func (g *Graph) primary(n *Node) *Node {
 	for n.Type == NodeAlias {
 		parent, ok := g.Node(n.Parent)
 		if !ok {

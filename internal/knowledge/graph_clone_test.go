@@ -3,6 +3,7 @@ package knowledge
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -232,5 +233,98 @@ func TestGraphCloneDerivedStateIsolation(t *testing.T) {
 	}
 	if before, after := score(want.full), score(got.full); before < 0 || after < 0 || before == after {
 		t.Errorf("re-added column scores %v on the clone and %v on the original, want both present and different", after, before)
+	}
+}
+
+// TestGraphCloneRelearnKeepsEdgesOnce: re-adding an ID keeps its edge, and
+// its ordinal, rather than appending another. A table learned three times —
+// each time on a clone, as Platform.LearnKnowledge does — lists each child
+// once, and every earlier snapshot lists what it listed.
+func TestGraphCloneRelearnKeepsEdgesOnce(t *testing.T) {
+	g := newTestGenerator(t)
+	b, err := g.Generate(enterpriseSchema(), enterpriseScripts(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := NewGraph()
+	first.AddBundle(b, LevelFull)
+	parents := append(first.NodesOfType(NodeDatabase), append(first.NodesOfType(NodeTable), first.NodesOfType(NodeColumn)...)...)
+	want := map[string][]string{}
+	for _, id := range parents {
+		want[id] = slices.Clone(first.Children(id))
+		if kids := want[id]; len(slices.Compact(slices.Sorted(slices.Values(kids)))) != len(kids) {
+			t.Fatalf("one AddBundle already lists a child of %s twice: %v", id, kids)
+		}
+	}
+	if len(want["database:sales_db"]) != 1 || len(want[TableID("sales_db", "23_customer_bg")]) == 0 {
+		t.Fatalf("fixture has no database -> table -> column edges: %v", want)
+	}
+
+	cur := first
+	for round := 0; round < 2; round++ {
+		cur = cur.Clone()
+		cur.AddBundle(b, LevelFull)
+		if cur.NumNodes() != first.NumNodes() || len(cur.order) != len(first.order) {
+			t.Fatalf("round %d: %d nodes at %d ordinals, want %d at %d", round, cur.NumNodes(), len(cur.order), first.NumNodes(), len(first.order))
+		}
+		for _, side := range []*Graph{first, cur} {
+			for _, id := range parents {
+				if got := side.Children(id); !slices.Equal(got, want[id]) {
+					t.Errorf("round %d: Children(%s) = %v, want %v", round, id, got, want[id])
+				}
+			}
+		}
+		for ord, n := range cur.order {
+			if n.ord != int32(ord) || first.order[ord].ID != n.ID {
+				t.Fatalf("round %d: ordinal %d holds %s (ord %d), the first graph has %s there", round, ord, n.ID, n.ord, first.order[ord].ID)
+			}
+		}
+	}
+}
+
+// TestGraphCloneReparent: a node re-added under another parent moves its
+// edge — on the clone it was re-added to, into slices the original does not
+// share.
+func TestGraphCloneReparent(t *testing.T) {
+	orig := NewGraph()
+	for _, n := range []*Node{
+		{ID: "table:a", Type: NodeTable, Name: "a"},
+		{ID: "table:b", Type: NodeTable, Name: "b"},
+		{ID: "column:a.x", Type: NodeColumn, Name: "x", Parent: "table:a"},
+		{ID: "column:a.y", Type: NodeColumn, Name: "y", Parent: "table:a"},
+		{ID: "column:a.z", Type: NodeColumn, Name: "z", Parent: "table:a"},
+	} {
+		orig.addNode(n)
+	}
+	cl := orig.Clone()
+	cl.addNode(&Node{ID: "column:a.y", Type: NodeColumn, Name: "y", Parent: "table:b"})
+	cl.addNode(&Node{ID: "column:a.z", Type: NodeColumn, Name: "z"}) // and one orphaned
+	cl.addNode(&Node{ID: "column:a.w", Type: NodeColumn, Name: "w", Parent: "table:a"})
+
+	for _, tc := range []struct {
+		label  string
+		g      *Graph
+		parent string
+		want   []string
+	}{
+		{"original a", orig, "table:a", []string{"column:a.x", "column:a.y", "column:a.z"}},
+		{"original b", orig, "table:b", nil},
+		{"clone a", cl, "table:a", []string{"column:a.x", "column:a.w"}},
+		{"clone b", cl, "table:b", []string{"column:a.y"}},
+	} {
+		if got := tc.g.Children(tc.parent); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: Children = %v, want %v", tc.label, got, tc.want)
+		}
+	}
+	// Moving back restores the edge at the end of the list, once.
+	cl.addNode(&Node{ID: "column:a.y", Type: NodeColumn, Name: "y", Parent: "table:a"})
+	if got, want := cl.Children("table:a"), []string{"column:a.x", "column:a.w", "column:a.y"}; !slices.Equal(got, want) {
+		t.Errorf("after moving back: Children(table:a) = %v, want %v", got, want)
+	}
+	if got := cl.Children("table:b"); len(got) != 0 {
+		t.Errorf("after moving back: Children(table:b) = %v, want none", got)
+	}
+	if got, want := orig.Children("table:a"), []string{"column:a.x", "column:a.y", "column:a.z"}; !slices.Equal(got, want) {
+		t.Errorf("original's Children(table:a) = %v after the clone's moves, want %v", got, want)
 	}
 }

@@ -147,18 +147,15 @@ func (r *Retriever) Retrieve(query string, topK int) []Scored {
 	// backtracked to primaries. Only membership matters — the fine stage
 	// rescores and reorders every candidate.
 	coarse := [2][]index.Hit{g.lex.Search(qTokens, r.CoarseK), g.vec.Search(&qVec, r.CoarseK)}
-	seen := make(map[*Node]struct{}, len(coarse[0])+len(coarse[1]))
+	seen := make([]bool, len(g.order))
 	scored := make([]Scored, 0, len(coarse[0])+len(coarse[1]))
 	for _, hits := range coarse {
 		for _, h := range hits {
-			n := g.Backtrack(h.ID)
-			if n == nil {
+			n := g.primary(g.order[h.Ord])
+			if seen[n.ord] {
 				continue
 			}
-			if _, dup := seen[n]; dup {
-				continue
-			}
-			seen[n] = struct{}{}
+			seen[n.ord] = true
 			scored = append(scored, Scored{Node: n, Score: r.fineScore(n, query, qDistinct, &qVec)})
 		}
 	}
@@ -199,13 +196,13 @@ func (r *Retriever) fineScore(n *Node, query string, qDistinct []string, qVec *e
 		queryCovered = float64(hit) / float64(len(qDistinct))
 	}
 	lexScore := nameCovered*0.6 + queryCovered*0.4
-	semScore := embed.Cosine(*qVec, n.vec)
+	semScore := n.vec.Dot(qVec)
 	if semScore < 0 {
 		semScore = 0
 	}
 	// The LLM relevance judgment concentrates around the mean of the
 	// two mechanical signals — it mostly agrees, with bounded noise.
-	llmScore := r.Client.Score("rel:"+n.ID+"|"+query, 0, 1, (lexScore+semScore)/2)
+	llmScore := r.Client.ScoreKey(n.relKey.Then(query), 0, 1, (lexScore+semScore)/2)
 	return r.LexWeight*lexScore + r.SemWeight*semScore + r.LLMWeight*llmScore
 }
 
@@ -214,57 +211,48 @@ func (r *Retriever) fineScore(n *Node, query string, qDistinct []string, qVec *e
 // scoping, homonymous columns from sibling tables (every table has a
 // net_margin) crowd the candidate list.
 func (r *Retriever) RetrieveColumnsScoped(query, tableName string, topK int) []Scored {
-	prefix := "column:" + strings.ToLower(tableName) + "."
-	all := r.RetrieveColumns(query, r.CoarseK)
-	var out []Scored
-	for _, s := range all {
-		if strings.HasPrefix(s.Node.ID, prefix) {
-			out = append(out, s)
-			if len(out) == topK {
-				break
-			}
-		}
-	}
-	return out
+	return r.retrieveColumns(query, "column:"+strings.ToLower(tableName)+".", topK)
 }
 
 // RetrieveColumns is a convenience wrapper returning only column nodes
 // (the schema-linking task consumes these).
 func (r *Retriever) RetrieveColumns(query string, topK int) []Scored {
-	all := r.Retrieve(query, r.CoarseK)
-	var cols []Scored
-	for _, s := range all {
-		if s.Node.Type == NodeColumn {
-			cols = append(cols, s)
-			continue
-		}
-		// Jargon nodes that map to a column count as retrieving it.
-		if s.Node.Type == NodeJargon {
-			if col := s.Node.Component("maps_to_column"); col != "" {
-				tbl := s.Node.Component("maps_to_table")
-				if n, ok := r.Graph.Node(ColumnID(tbl, col)); ok {
-					cols = append(cols, Scored{Node: n, Score: s.Score})
-					continue
-				}
-				// Derived columns hang off their base column.
-				if n, ok := r.Graph.columnNamed(col); ok {
-					cols = append(cols, Scored{Node: n, Score: s.Score})
-				}
-			}
-		}
-	}
-	// Deduplicate preserving best score order.
-	seen := map[string]bool{}
+	return r.retrieveColumns(query, "", topK)
+}
+
+// retrieveColumns returns the first topK distinct columns, best score
+// first, that the CoarseK retrieved nodes are or stand for and whose ID has
+// the prefix.
+func (r *Retriever) retrieveColumns(query, prefix string, topK int) []Scored {
+	g := r.Graph
+	seen := make([]bool, len(g.order))
 	var out []Scored
-	for _, s := range cols {
-		if seen[s.Node.ID] {
+	for _, s := range r.Retrieve(query, r.CoarseK) {
+		n, ok := g.columnOf(s.Node)
+		if !ok || seen[n.ord] || !strings.HasPrefix(n.ID, prefix) {
 			continue
 		}
-		seen[s.Node.ID] = true
-		out = append(out, s)
+		seen[n.ord] = true
+		out = append(out, Scored{Node: n, Score: s.Score})
 		if len(out) == topK {
 			break
 		}
 	}
 	return out
+}
+
+// columnOf returns the column a retrieved node is or, for a jargon node,
+// counts as retrieving: the one its maps_to components name, else — derived
+// columns hang off their base column — the first column of that name.
+func (g *Graph) columnOf(n *Node) (*Node, bool) {
+	if n.Type == NodeColumn {
+		return n, true
+	}
+	if n.mapsTo == "" {
+		return nil, false
+	}
+	if col, ok := g.nodes[n.mapsTo]; ok {
+		return col, true
+	}
+	return g.columnNamed(n.Component("maps_to_column"))
 }

@@ -185,13 +185,19 @@ func (c *Client) Attempt(key, prompt, completion string, skill float64, q Qualit
 // calibration in Algorithm 1, LLaMA-3-Eval in InsightBench). quality in
 // [0,1] shifts the score mass toward hi.
 func (c *Client) Score(key string, lo, hi, quality float64) float64 {
+	return c.ScoreKey(KeyOf(key), lo, hi, quality)
+}
+
+// ScoreKey is Score for a key already hashed: Score(s, …) is
+// ScoreKey(KeyOf(s), …).
+func (c *Client) ScoreKey(key Key, lo, hi, quality float64) float64 {
 	if quality < 0 {
 		quality = 0
 	}
 	if quality > 1 {
 		quality = 1
 	}
-	h := hash64(key) ^ c.rng.seed
+	h := uint64(key) ^ c.rng.seed
 	z := h + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -243,6 +244,54 @@ func TestScoreTracksQuality(t *testing.T) {
 		s := c.Score("b"+string(rune(i)), 1, 5, 0.5)
 		if s < 1 || s > 5 {
 			t.Fatalf("score %v out of [1,5]", s)
+		}
+	}
+}
+
+// TestKeyResumes: a key hashed in pieces is the key of the whole, wherever
+// the split falls — empty halves included — and equals the standard
+// library's FNV-1a.
+func TestKeyResumes(t *testing.T) {
+	f := func(s string, cut uint8) bool {
+		i := int(cut) % (len(s) + 1)
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		return KeyOf(s[:i]).Then(s[i:]) == KeyOf(s) && uint64(KeyOf(s)) == h.Sum64()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	for _, s := range []string{"", "rel:column:t.c|", "judge|DataLab|task-7"} {
+		if KeyOf("").Then(s) != KeyOf(s) || KeyOf(s).Then("") != KeyOf(s) {
+			t.Errorf("an empty half changes the key of %q", s)
+		}
+	}
+}
+
+// TestScoreIsScoreKey pins Score to its keyed form for the three shapes
+// of judgment key the repo builds, with the key hashed whole and resumed
+// after its prefix, and both to the value Score returned before it had a
+// keyed form.
+func TestScoreIsScoreKey(t *testing.T) {
+	c := NewClient(GPT4, "keyed")
+	for _, k := range []struct {
+		prefix, rest    string
+		lo, hi, quality float64
+		want            float64
+	}{
+		{"rel:column:23_customer_bg.shouldincome_after|", "total income after tax in 2024", 0, 1, 0.37, 0.25833179360716363},
+		{"calib:", "script-0042", 1, 5, 0.8, 4.680742756923121},
+		{"judge|", "DataLab|task-17", 0, 1, 0.55, 0.6116644965678509},
+	} {
+		want := c.Score(k.prefix+k.rest, k.lo, k.hi, k.quality)
+		if want != k.want {
+			t.Errorf("Score(%q) = %v, want %v", k.prefix+k.rest, want, k.want)
+		}
+		if got := c.ScoreKey(KeyOf(k.prefix+k.rest), k.lo, k.hi, k.quality); got != want {
+			t.Errorf("ScoreKey(KeyOf(%q)) = %v, Score = %v", k.prefix+k.rest, got, want)
+		}
+		if got := c.ScoreKey(KeyOf(k.prefix).Then(k.rest), k.lo, k.hi, k.quality); got != want {
+			t.Errorf("ScoreKey(KeyOf(%q).Then(%q)) = %v, Score = %v", k.prefix, k.rest, got, want)
 		}
 	}
 }

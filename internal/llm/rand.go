@@ -26,19 +26,30 @@ func NewRand(seed string) *Rand {
 	return &Rand{seed: h, state: h}
 }
 
-// hash64 is FNV-1a, the same stable string hash used by the embed package.
-func hash64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+// Key is the FNV-1a hash of a judgment or draw key, resumable: a caller
+// that scores many keys with a common prefix hashes the prefix once.
+// KeyOf(a).Then(b) == KeyOf(a + b).
+type Key uint64
+
+// KeyOf hashes s.
+func KeyOf(s string) Key {
+	const offset = 14695981039346656037
+	return Key(offset).Then(s)
+}
+
+// Then continues the hash over the bytes of s.
+func (k Key) Then(s string) Key {
+	const prime = 1099511628211
+	h := uint64(k)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= prime
 	}
-	return h
+	return Key(h)
 }
+
+// hash64 is FNV-1a, the same stable string hash used by the embed package.
+func hash64(s string) uint64 { return uint64(KeyOf(s)) }
 
 // next advances the splitmix64 state.
 func (r *Rand) next() uint64 {
