@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"datalab/internal/sqlengine"
-	"datalab/internal/table"
 )
 
 // errCursorClosed is the registry-level closed condition; it wraps the
@@ -46,14 +45,17 @@ func (c *cursor) orphaned() bool {
 // page is one cursor read: up to maxRows rows (rounded up to whole result
 // batches), plus position bookkeeping for the wire.
 type page struct {
-	rows     [][]any
+	rows     []byte // the rows as appendRows encodes them
+	numRows  int
 	rowsSent int  // cumulative rows emitted including this page
 	done     bool // the cursor is exhausted after this page
 }
 
 // next returns the next page of up to maxRows rows. Pages are composed of
 // whole Result batches (≤1024 rows each), so a page may overshoot maxRows
-// by at most one batch. maxRows <= 0 means one batch.
+// by at most one batch. maxRows <= 0 means one batch. Rows are encoded
+// here, under the mutex, because a batch is valid only until the following
+// Result.Next; writing the bytes out is the caller's, outside it.
 func (c *cursor) next(maxRows int) (*page, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -67,9 +69,13 @@ func (c *cursor) next(maxRows int) (*page, error) {
 			p.done = true
 			break
 		}
-		p.rows = append(p.rows, batchRows(b)...)
+		if p.numRows > 0 {
+			p.rows = append(p.rows, ',')
+		}
+		p.rows = appendRows(p.rows, b)
+		p.numRows += b.NumRows()
 		c.rowsSent += b.NumRows()
-		if len(p.rows) >= maxRows || maxRows <= 0 {
+		if p.numRows >= maxRows || maxRows <= 0 {
 			p.done = c.rowsSent >= c.res.NumRows()
 			break
 		}
@@ -109,42 +115,4 @@ func (c *cursor) stats() (rowsSent, rowsTotal int, closed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.rowsSent, c.res.NumRows(), c.closed
-}
-
-// batchRows encodes one Result batch as wire rows: JSON-native cell
-// values with NULL as null, ints and floats as numbers, bools as booleans
-// and everything else as strings.
-func batchRows(b *sqlengine.Batch) [][]any {
-	rows := make([][]any, b.NumRows())
-	ncols := b.NumCols()
-	for i := range rows {
-		row := make([]any, ncols)
-		for j := 0; j < ncols; j++ {
-			row[j] = wireValue(b.Value(j, i))
-		}
-		rows[i] = row
-	}
-	return rows
-}
-
-// wireValue maps one table.Value onto its JSON-native representation.
-func wireValue(v table.Value) any {
-	if v.IsNull() {
-		return nil
-	}
-	switch v.Kind {
-	case table.KindInt:
-		if i, ok := v.AsInt(); ok {
-			return i
-		}
-	case table.KindFloat:
-		if f, ok := v.AsFloat(); ok {
-			return f
-		}
-	case table.KindBool:
-		if b, ok := v.AsBool(); ok {
-			return b
-		}
-	}
-	return v.AsString()
 }

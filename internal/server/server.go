@@ -253,11 +253,9 @@ func writeErrorLine(w http.ResponseWriter, status int, errCode, msg string, extr
 	w.WriteHeader(status)
 	l := line{"code": CodeError, "error": msg, "error_code": errCode}
 	for _, e := range extra {
-		for k, v := range e {
-			l[k] = v
-		}
+		redactInto(l, e)
 	}
-	_ = newLineWriter(w).write(l)
+	_ = newLineWriter(w).writeRedacted(l)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -450,6 +448,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		"session_id":     req.SessionID,
 	})
 	sent, seq := 0, 0
+	var rows []byte // one batch's rows; reused across the response's batches
 	for b := res.Next(); b != nil; b = res.Next() {
 		if ctx.Err() != nil {
 			s.logCancel(req, start, sent)
@@ -457,15 +456,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		seq++
 		sent += b.NumRows()
-		err := lw.write(line{
+		rows = appendRows(rows[:0], b)
+		err := lw.writeRows(line{
 			"code":        CodeProgress,
 			"batch_seq":   seq,
 			"batch_rows":  b.NumRows(),
 			"rows_sent":   sent,
 			"rows_total":  res.NumRows(),
 			"duration_ms": durationMS(time.Since(start)),
-			"rows":        batchRows(b),
-		})
+		}, rows)
 		if err != nil { // client went away mid-write
 			s.logCancel(req, start, sent)
 			return
@@ -813,16 +812,15 @@ func (s *Server) handleCursorNext(w http.ResponseWriter, r *http.Request) {
 	}
 	_, total, _ := c.stats()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	_ = newLineWriter(w).write(line{
+	_ = newLineWriter(w).writeRows(line{
 		"code":            CodeOK,
 		"cursor_id":       id,
-		"page_rows":       len(p.rows),
+		"page_rows":       p.numRows,
 		"rows_sent_total": p.rowsSent,
 		"rows_total":      total,
 		"cursor_done":     p.done,
 		"duration_ms":     durationMS(time.Since(start)),
-		"rows":            p.rows,
-	})
+	}, p.rows)
 }
 
 func (s *Server) handleCursorRewind(w http.ResponseWriter, r *http.Request) {

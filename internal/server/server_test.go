@@ -474,11 +474,12 @@ func TestCursorPaginationAndRewind(t *testing.T) {
 	if len(first) != rows {
 		t.Fatalf("paged %d rows, want %d", len(first), rows)
 	}
-	// Exhausted cursor: another next returns an empty done page, not junk.
+	// Exhausted cursor: another next returns an empty done page, not junk —
+	// and its rows are an empty array, not null.
 	r := postJSON(t, ts.URL+"/v1/cursors/"+id+"/next", nil)
 	l := decodeLines(t, r.Body)[0]
 	r.Body.Close()
-	if !l["cursor_done"].(bool) || l["rows"] != nil && len(l["rows"].([]any)) != 0 {
+	if rows, isArray := l["rows"].([]any); !l["cursor_done"].(bool) || !isArray || len(rows) != 0 || l["page_rows"] != float64(0) {
 		t.Fatalf("post-exhaustion page = %v", l)
 	}
 	// Rewind → identical second read.
