@@ -289,8 +289,6 @@ type Answer struct {
 	// Insights carries analysis-agent findings (anomalies, associations,
 	// forecasts) as prose.
 	Insights []string
-	// Report is the final composed report, when one was requested.
-	Report string
 	// AgentTrace lists the agents that ran, in execution order.
 	AgentTrace []string
 }
@@ -321,11 +319,7 @@ func (p *Platform) Ask(query, tableName string) (*Answer, error) {
 		case comm.KindChart:
 			ans.ChartJSON = u.Content
 		case comm.KindText:
-			if u.Role == agent.NameReport {
-				ans.Report = u.Content
-			} else {
-				ans.Insights = append(ans.Insights, u.Content)
-			}
+			ans.Insights = append(ans.Insights, u.Content)
 		}
 	}
 	return ans, nil

@@ -157,7 +157,7 @@ func TestChartAgentConsumesUpstreamDSL(t *testing.T) {
 func TestAnalysisAgents(t *testing.T) {
 	rt := testRuntime(t, "analysis")
 	for _, mk := range []func(*Runtime, string) *BIAgent{
-		NewAnomalyAgent, NewCausalAgent, NewForecastAgent, NewEDAAgent, NewMLAgent,
+		NewAnomalyAgent, NewCausalAgent, NewForecastAgent, NewEDAAgent,
 	} {
 		a := mk(rt, "sales")
 		info := executeWithRetry(t, a, "analyze the revenue", nil)
@@ -234,36 +234,6 @@ func TestPrepAgentsSurfaceRegisterFailure(t *testing.T) {
 		if !ok || got.NumRows() != 1 || got.Get(0, "marker").I != 42 {
 			t.Errorf("%s: previous table no longer served after failed registration", tc.suffix)
 		}
-	}
-}
-
-func TestReportAgentComposes(t *testing.T) {
-	rt := testRuntime(t, "report")
-	a := NewReportAgent(rt, "sales")
-	inputs := []comm.Info{
-		{Role: NameSQL, Action: "generate_sql_query", Description: "pulled the data", Content: "SELECT 1", Kind: comm.KindSQL},
-		{Role: NameAnomaly, Action: "detect_anomalies", Description: "found a spike", Content: "row 5", Kind: comm.KindText},
-	}
-	info := executeWithRetry(t, a, "write a report", inputs)
-	if !strings.Contains(info.Content, "pulled the data") || !strings.Contains(info.Content, "found a spike") {
-		t.Errorf("report missing sections: %s", info.Content)
-	}
-}
-
-func TestChartQAAgentNeedsChart(t *testing.T) {
-	rt := testRuntime(t, "chartqa")
-	a := NewChartQAAgent(rt, "sales")
-	if _, err := a.Execute("what does the chart show", nil, 0); err == nil {
-		t.Error("chart QA without a chart should error")
-	}
-	chartInfo := comm.Info{
-		Role: NameChart, Action: "generate_chart",
-		Content: `{"mark":"bar","encoding":{"x":{"field":"region"},"y":{"field":"revenue"}}}`,
-		Kind:    comm.KindChart, Description: "a bar chart",
-	}
-	info := executeWithRetry(t, a, "what does the chart show", []comm.Info{chartInfo})
-	if !strings.Contains(info.Content, "bar") {
-		t.Errorf("answer = %s", info.Content)
 	}
 }
 

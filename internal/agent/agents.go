@@ -24,13 +24,10 @@ const (
 	NameDSCode   = "DSCode Agent"
 	NameEDA      = "EDA Agent"
 	NameInsight  = "Insight Agent"
-	NameML       = "ML Agent"
 	NameAnomaly  = "Anomaly Detection Agent"
 	NameCausal   = "Causal Analysis Agent"
 	NameForecast = "Forecasting Agent"
 	NameChart    = "Chart Generation Agent"
-	NameChartQA  = "Chart QA Agent"
-	NameReport   = "Report Generation Agent"
 )
 
 // BIAgent is one specialized agent: a named pipeline over the shared
@@ -548,83 +545,6 @@ func NewImputationAgent(rt *Runtime, tableName string) *BIAgent {
 				return "", fmt.Errorf("register %s: %w", imputed.Name, err)
 			}
 			return fmt.Sprintf("imputed %d missing numeric cells with column means; registered %s", filled, imputed.Name), nil
-		})
-}
-
-// NewReportAgent drafts a structured report from everything upstream.
-func NewReportAgent(rt *Runtime, tableName string) *BIAgent {
-	return &BIAgent{
-		name:  NameReport,
-		rt:    rt,
-		table: tableName,
-		skill: rt.Client.Profile().InstructionFollowing,
-		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (step, error) {
-			var sb strings.Builder
-			sb.WriteString("# Analysis Report\n\n")
-			fmt.Fprintf(&sb, "Question: %s\n\n", query)
-			for _, u := range inputs {
-				fmt.Fprintf(&sb, "## %s\n%s\n\n", u.Role, u.Description)
-			}
-			return step{
-				unit: comm.Info{
-					Action:      "generate_report",
-					Description: "drafted the final report",
-					Content:     sb.String(),
-					Kind:        comm.KindText,
-				},
-				needed: len(inputs), linked: 1,
-				coin: "report", failure: "report agent: draft failed review",
-				faithful: true,
-			}, nil
-		},
-	}
-}
-
-// NewChartQAAgent answers questions about an upstream chart.
-func NewChartQAAgent(rt *Runtime, tableName string) *BIAgent {
-	return &BIAgent{
-		name:  NameChartQA,
-		rt:    rt,
-		table: tableName,
-		skill: rt.Client.Profile().VisLiteracy,
-		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (step, error) {
-			up, ok := findUpstream(inputs, comm.KindChart)
-			if !ok {
-				return step{}, fmt.Errorf("chart qa agent: no chart in context")
-			}
-			spec, err := viz.ParseSpec(up.Content)
-			if err != nil {
-				return step{}, fmt.Errorf("chart qa agent: unreadable chart: %w", err)
-			}
-			return step{
-				unit: comm.Info{
-					Action:      "answer_chart_question",
-					Description: "answered a question about the chart",
-					Content:     fmt.Sprintf("the chart is a %s mark over %d channels", spec.Mark, len(spec.Encoding)),
-					Kind:        comm.KindText,
-				},
-				needed: 1, linked: 1,
-				coin: "qa", failure: "chart qa agent: misread the chart",
-				faithful: true,
-			}, nil
-		},
-	}
-}
-
-// NewMLAgent fits the simple regression/forecast models data scientists
-// reach for first.
-func NewMLAgent(rt *Runtime, tableName string) *BIAgent {
-	return newAnalysisAgent(rt, tableName, NameML, "fit_model",
-		func(rt *Runtime, t *table.Table, query string) (string, error) {
-			col := targetColumn(t, query)
-			if col == "" {
-				return "", fmt.Errorf("no numeric target to model")
-			}
-			fc, err := insight.ForecastColumn(t, col, 1)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("fitted a trend model on %s; next-period estimate %.4g", col, fc[0]), nil
 		})
 }
 

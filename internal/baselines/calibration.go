@@ -13,9 +13,9 @@ import "datalab/internal/benchgen"
 //     earn Iterations from execution loops.
 //
 //  2. Constants set magnitudes only. They are tuned so the measured
-//     numbers land near Table I (see EXPERIMENTS.md for paper-vs-
-//     measured), but removing a method's mechanism flips outcomes, not
-//     retuning.
+//     numbers land near Table I (the measured side is the ledger,
+//     internal/experiments/testdata/reproduction.json), but removing a
+//     method's mechanism flips outcomes, not retuning.
 //
 // The paper's Table I ordering this table must reproduce:
 //   NL2SQL:   PURPLE ~ CHESS > DAIL-SQL > DataLab   (both suites)

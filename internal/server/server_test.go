@@ -205,17 +205,25 @@ func TestQueryLimitPlusOffsetOverflow(t *testing.T) {
 }
 
 // TestQueryErrorLine pins the failure shape: HTTP 400 with one error line
-// carrying error_code=query_failed.
+// carrying error_code=query_failed — for an unknown table, and for names no
+// table has, which fail when the statement is planned whatever rows its
+// filter keeps (`nosuch.*` used to answer ok with "columns":[]).
 func TestQueryErrorLine(t *testing.T) {
 	_, ts, _ := newTestServer(t, 10, Config{})
-	resp := postJSON(t, ts.URL+"/v1/query", map[string]any{"sql": "SELECT nope FROM missing"})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
-	}
-	lines := decodeLines(t, resp.Body)
-	if lines[0]["code"] != CodeError || lines[0]["error_code"] != ErrCodeQuery {
-		t.Fatalf("error line = %v", lines[0])
+	for _, sql := range []string{
+		"SELECT nope FROM missing",
+		"SELECT nosuch.* FROM events",
+		"SELECT id FROM events WHERE id > 100 AND nosuch = 1",
+	} {
+		resp := postJSON(t, ts.URL+"/v1/query", map[string]any{"sql": sql})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", sql, resp.StatusCode)
+		}
+		lines := decodeLines(t, resp.Body)
+		resp.Body.Close()
+		if len(lines) != 1 || lines[0]["code"] != CodeError || lines[0]["error_code"] != ErrCodeQuery {
+			t.Fatalf("%s: lines = %v, want one query_failed error line", sql, lines)
+		}
 	}
 }
 

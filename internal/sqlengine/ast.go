@@ -14,9 +14,13 @@ type Expr interface {
 }
 
 // ColumnRef references a column, optionally qualified by table or alias.
+// idx is the column's index in the statement's joined relation (FROM's
+// columns, then each JOIN's in order), written once when the statement is
+// resolved into a plan; evaluation reads the index and never the names.
 type ColumnRef struct {
 	Table string // may be empty
 	Name  string
+	idx   int
 }
 
 // SQL implements Expr.
@@ -96,13 +100,15 @@ func (u *Unary) SQL() string {
 
 // FuncCall is a function application; aggregates are recognized by name.
 // When Over is non-nil the call is a window function computed per input
-// row over its partition rather than a grouping aggregate.
+// row over its partition rather than a grouping aggregate; slot then numbers
+// it among its plan's window calls.
 type FuncCall struct {
 	Name     string // uppercased
 	Args     []Expr
 	Distinct bool        // COUNT(DISTINCT x)
 	IsStar   bool        // COUNT(*)
 	Over     *WindowSpec // non-nil for window functions
+	slot     int
 }
 
 // SQL implements Expr.
@@ -172,20 +178,25 @@ type WindowFrame struct {
 
 // Subquery is a parenthesized scalar subquery used as an expression. It
 // must produce exactly one column and at most one row at execution time.
+// slot numbers it among its plan's subqueries: each execution runs them
+// first and evaluation reads the value from that slot.
 type Subquery struct {
 	Stmt *SelectStmt
+	slot int
 }
 
 // SQL implements Expr.
 func (s *Subquery) SQL() string { return "(" + s.Stmt.SQL() + ")" }
 
 // In is `x [NOT] IN (v1, v2, ...)` or `x [NOT] IN (SELECT ...)`. Exactly
-// one of Values/Sub is set; Sub is inlined to a value list at execution.
+// one of Values/Sub is set; Sub's rows are the list, read from the plan's
+// subquery slot.
 type In struct {
 	X      Expr
 	Values []Expr
 	Sub    *SelectStmt // non-nil for IN (SELECT ...)
 	Not    bool
+	slot   int
 }
 
 // SQL implements Expr.
@@ -297,8 +308,7 @@ type SelectStmt struct {
 	Limit    int // -1 when absent
 	Offset   int
 	// LimitParam/OffsetParam are set when the LIMIT/OFFSET operand is a
-	// placeholder; the executor resolves them from the binding slice into a
-	// shallow copy at execute time, so the cached statement stays immutable.
+	// placeholder; each execution reads their bound values into its execArgs.
 	LimitParam  *Param
 	OffsetParam *Param
 	// Params names the statement's binding slots in slot order: "" for a
@@ -309,10 +319,6 @@ type SelectStmt struct {
 // NumParams reports how many binding slots (? or :name) the statement
 // declares.
 func (s *SelectStmt) NumParams() int { return len(s.Params) }
-
-// ParamNames returns a copy of the slot names in slot order; positional
-// slots are "".
-func (s *SelectStmt) ParamNames() []string { return append([]string(nil), s.Params...) }
 
 // OrderItem is one ORDER BY criterion.
 type OrderItem struct {
@@ -396,8 +402,8 @@ func (s *SelectStmt) SQL() string {
 // eachExpr calls fn with a pointer to every expression slot of the
 // statement in clause order: select items, JOIN ON, WHERE, GROUP BY,
 // HAVING, ORDER BY (absent WHERE/HAVING are skipped). Analyses read
-// through the pointer; only a caller holding a private copy of the
-// statement and its clause slices may assign through it.
+// through the pointer; only cloneStmt, which holds a private copy of the
+// statement and its clause slices, assigns through it.
 func (s *SelectStmt) eachExpr(fn func(*Expr)) {
 	for i := range s.Items {
 		fn(&s.Items[i].Expr)
@@ -492,9 +498,8 @@ func anyExpr(e Expr, match func(Expr) (hit, descend bool)) bool {
 // the node to use in its place and whether to go on into that node's
 // children. Nothing is mutated: a parent is copied only when a child
 // under it changed, so an untouched subtree — and an untouched whole —
-// comes back pointer-identical. Cached statements are shared across
-// concurrent executions and window calls are map keys by node pointer;
-// both rely on that.
+// comes back pointer-identical. The resolver relies on that: the nodes it
+// numbered stay the nodes the plan evaluates.
 func rewriteExpr(e Expr, f func(Expr) (Expr, bool)) Expr {
 	e, descend := f(e)
 	if !descend {
@@ -528,13 +533,13 @@ func rewriteExpr(e Expr, f func(Expr) (Expr, bool)) Expr {
 			}
 		}
 		if argsChanged || over != x.Over {
-			return &FuncCall{Name: x.Name, Args: args, Distinct: x.Distinct, IsStar: x.IsStar, Over: over}
+			return &FuncCall{Name: x.Name, Args: args, Distinct: x.Distinct, IsStar: x.IsStar, Over: over, slot: x.slot}
 		}
 	case *In:
 		nx := rewriteExpr(x.X, f)
 		vals, valsChanged := rewriteExprs(x.Values, f)
 		if nx != x.X || valsChanged {
-			return &In{X: nx, Values: vals, Sub: x.Sub, Not: x.Not}
+			return &In{X: nx, Values: vals, Sub: x.Sub, Not: x.Not, slot: x.slot}
 		}
 	case *Between:
 		nx, lo, hi := rewriteExpr(x.X, f), rewriteExpr(x.Lo, f), rewriteExpr(x.Hi, f)

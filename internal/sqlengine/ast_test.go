@@ -107,8 +107,15 @@ func TestAnalysesLatchAcrossSiblings(t *testing.T) {
 			if got := exprHasSubquery(e); got != tc.sub {
 				t.Errorf("exprHasSubquery(%s) = %v, want %v", e.SQL(), got, tc.sub)
 			}
-			if got := stmtHasSubquery(stmt); got != tc.sub {
-				t.Errorf("stmtHasSubquery = %v, want %v", got, tc.sub)
+			p, err := c.resolve(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(p.subs) > 0; got != tc.sub {
+				t.Errorf("plan has subqueries = %v, want %v", got, tc.sub)
+			}
+			if p.grouped != tc.agg {
+				t.Errorf("plan.grouped = %v, want %v", p.grouped, tc.agg)
 			}
 			vec, err := c.Query(tc.sql)
 			if err != nil {
@@ -132,8 +139,8 @@ func TestAnalysesLatchAcrossSiblings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !exprHasWindow(win.Items[0].Expr) || !selectHasWindow(win) {
-		t.Error("window call followed by a scalar function was not seen")
+	if p, err := c.resolve(win); err != nil || !exprHasWindow(win.Items[0].Expr) || len(p.wins) != 1 {
+		t.Errorf("window call followed by a scalar function was not seen (resolve: %v)", err)
 	}
 	if exprHasAggregate(win.Items[0].Expr) {
 		t.Error("window call counted as a grouping aggregate")

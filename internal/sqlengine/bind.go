@@ -4,16 +4,28 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"datalab/internal/table"
 )
 
 // Parameter binding. A prepared statement's placeholders resolve through a
-// per-execution binding slice ([]table.Value indexed by slot): the cached
-// AST is never mutated, so one *SelectStmt serves concurrent executions
-// with different arguments. bindAt is the single resolution point used by
-// every evaluator env and by the vectorized constant fast paths.
+// per-execution binding slice ([]table.Value indexed by slot) carried in the
+// execution's execArgs, so one cached plan serves concurrent executions with
+// different arguments. bindAt is the single resolution point used by both
+// evaluators and by the vectorized constant fast paths.
+
+// execArgs is what one execution adds to its plan: the parameter bindings
+// (nil without placeholders), the statement's LIMIT and OFFSET — its
+// literals', or the values bound to its placeholders — and the rows each of
+// its subqueries returned, by slot. A subquery executes with execArgs of its
+// own over the same bindings.
+type execArgs struct {
+	binds         []table.Value
+	limit, offset int // limit is -1 when absent
+	subs          [][]table.Value
+}
 
 // bindAt resolves a placeholder against an execution's binding slice.
 func bindAt(binds []table.Value, p *Param) (table.Value, error) {
@@ -78,9 +90,9 @@ func bindValue(arg any) (table.Value, error) {
 
 // bindArgs validates args against the statement's declared slots and
 // converts them to the binding slice, erroring on count or kind mismatch.
-func bindArgs(stmt *SelectStmt, args []any) ([]table.Value, error) {
-	if len(args) != stmt.NumParams() {
-		return nil, fmt.Errorf("sql: statement has %d parameter(s), got %d argument(s)", stmt.NumParams(), len(args))
+func bindArgs(params []string, args []any) ([]table.Value, error) {
+	if len(args) != len(params) {
+		return nil, fmt.Errorf("sql: statement has %d parameter(s), got %d argument(s)", len(params), len(args))
 	}
 	if len(args) == 0 {
 		return nil, nil
@@ -96,40 +108,22 @@ func bindArgs(stmt *SelectStmt, args []any) ([]table.Value, error) {
 	return binds, nil
 }
 
-// resolveBinds validates the binding slice against the statement and
-// resolves a placeholder LIMIT/OFFSET into a shallow copy, leaving the
-// cached statement untouched for concurrent executors.
-func resolveBinds(stmt *SelectStmt, binds []table.Value) (*SelectStmt, error) {
-	if len(binds) != stmt.NumParams() {
-		return nil, fmt.Errorf("sql: statement has %d parameter(s), %d bound", stmt.NumParams(), len(binds))
-	}
-	return resolveBindsLoose(stmt, binds)
-}
-
-// resolveBindsLoose is resolveBinds without the slot-count check — the
-// entry point for subquery statements, whose Params list is cleared at
-// parse time (slots live on the top-level statement) while their
-// placeholders still resolve through the outer binding slice.
-func resolveBindsLoose(stmt *SelectStmt, binds []table.Value) (*SelectStmt, error) {
-	if stmt.LimitParam == nil && stmt.OffsetParam == nil {
-		return stmt, nil
-	}
-	cp := *stmt
-	if stmt.LimitParam != nil {
-		n, err := bindLimitValue(binds, stmt.LimitParam, "LIMIT")
-		if err != nil {
+// bind starts an execution's arguments: the bindings, and LIMIT/OFFSET
+// read from them where the statement has a placeholder there.
+func (p *plan) bind(binds []table.Value) (*execArgs, error) {
+	x := &execArgs{binds: binds, limit: p.stmt.Limit, offset: p.stmt.Offset}
+	var err error
+	if lp := p.stmt.LimitParam; lp != nil {
+		if x.limit, err = bindLimitValue(binds, lp, "LIMIT"); err != nil {
 			return nil, err
 		}
-		cp.Limit = n
 	}
-	if stmt.OffsetParam != nil {
-		n, err := bindLimitValue(binds, stmt.OffsetParam, "OFFSET")
-		if err != nil {
+	if op := p.stmt.OffsetParam; op != nil {
+		if x.offset, err = bindLimitValue(binds, op, "OFFSET"); err != nil {
 			return nil, err
 		}
-		cp.Offset = n
 	}
-	return &cp, nil
+	return x, nil
 }
 
 func bindLimitValue(binds []table.Value, p *Param, clause string) (int, error) {
@@ -144,8 +138,7 @@ func bindLimitValue(binds []table.Value, p *Param, clause string) (int, error) {
 }
 
 // Bound is a prepared statement with its arguments attached — the output
-// of Prepared.Bind/BindNamed. It is immutable and safe for concurrent and
-// repeated Exec.
+// of Prepared.Bind/BindNamed. It is safe for concurrent and repeated Exec.
 type Bound struct {
 	p     *Prepared
 	binds []table.Value
@@ -153,7 +146,7 @@ type Bound struct {
 
 // Exec executes the bound statement, honoring ctx cancellation.
 func (b *Bound) Exec(ctx context.Context) (*Result, error) {
-	return b.p.cat.executeResultBound(ctx, b.p.stmt, b.binds)
+	return b.p.exec(ctx, b.binds)
 }
 
 // SQL returns the statement text the handle was prepared from.
@@ -162,7 +155,7 @@ func (b *Bound) SQL() string { return b.p.sql }
 // Bind validates args (count and representability) against the statement's
 // placeholders, in slot order, and returns an executable Bound handle.
 func (p *Prepared) Bind(args ...any) (*Bound, error) {
-	binds, err := bindArgs(p.stmt, args)
+	binds, err := bindArgs(p.params, args)
 	if err != nil {
 		return nil, err
 	}
@@ -173,9 +166,8 @@ func (p *Prepared) Bind(args ...any) (*Bound, error) {
 // present in args, every key in args must name a slot, and the statement
 // must not mix in positional placeholders.
 func (p *Prepared) BindNamed(args map[string]any) (*Bound, error) {
-	names := p.stmt.Params
-	binds := make([]table.Value, len(names))
-	for i, name := range names {
+	binds := make([]table.Value, len(p.params))
+	for i, name := range p.params {
 		if name == "" {
 			return nil, fmt.Errorf("sql: slot %d is positional; use Bind", i+1)
 		}
@@ -189,20 +181,10 @@ func (p *Prepared) BindNamed(args map[string]any) (*Bound, error) {
 		}
 		binds[i] = v
 	}
-	for k := range args {
-		if _, ok := p.stmt.paramSlot(k); !ok {
+	for k := range args { // every slot is named, or the loop above refused
+		if !slices.Contains(p.params, k) {
 			return nil, fmt.Errorf("sql: argument :%s does not name a parameter", k)
 		}
 	}
 	return &Bound{p: p, binds: binds}, nil
-}
-
-// paramSlot finds the slot index of a named placeholder.
-func (s *SelectStmt) paramSlot(name string) (int, bool) {
-	for i, n := range s.Params {
-		if n != "" && n == name {
-			return i, true
-		}
-	}
-	return 0, false
 }

@@ -9,18 +9,21 @@
 // # Entry points
 //
 // A [Catalog] is the database: a registry of tables plus an LRU plan
-// cache. The primary query path is [Catalog.QueryCtx], which parses
-// through the plan cache, executes with the vectorized engine honoring
-// context cancellation, and returns a typed batch-iterable [Result].
-// [Catalog.Prepare] returns a reusable [Prepared] statement whose Exec
-// never re-enters the parser. [Catalog.Query] materializes a full
+// cache. The primary query path is [Catalog.QueryCtx], which plans
+// through the plan cache — a statement is parsed and its names resolved
+// once per template and schema (plan.go), so an unknown column is an
+// error of the statement, on any data — executes with the vectorized
+// engine honoring context cancellation, and returns a typed
+// batch-iterable [Result]. [Catalog.Prepare] returns a reusable
+// [Prepared] statement whose Exec never re-enters the parser. [Catalog.Query] materializes a full
 // table.Table; [Catalog.QueryScalar] runs the row-at-a-time reference
 // executor the vectorized paths are differentially tested against.
 //
 // # Execution model
 //
-// The vectorized executor works on vrel relations — shared schema plus
-// zero-copy references to catalog column storage. WHERE produces a
+// The vectorized executor works on vrel relations — zero-copy references
+// to catalog column storage, addressed by the column indexes the plan's
+// references carry. WHERE produces a
 // table.Selection (range spans or dense indices) instead of copying rows;
 // joins run the parallel selection-aware pair pipeline in join.go;
 // grouping hashes rows into per-group selections; ORDER BY runs the typed

@@ -8,21 +8,23 @@ import (
 	"datalab/internal/table"
 )
 
-// env supplies column values (and, in grouped evaluation, aggregate
-// results) to the expression evaluator.
+// env supplies the current row's cells (and, in grouped evaluation,
+// aggregate results) to the expression evaluator. Column references were
+// resolved to indexes when the statement was planned, so reading a cell
+// cannot fail.
 type env interface {
-	// resolveColumn returns the value of a (possibly qualified) column.
-	resolveColumn(ref *ColumnRef) (table.Value, error)
-	// resolveAggregate returns the value of an aggregate call, or an error
-	// when aggregates are not valid in this context.
-	resolveAggregate(fn *FuncCall) (table.Value, error)
-	// resolveParam returns the value bound to a placeholder, or an error
-	// when the execution carries no binding for it.
-	resolveParam(p *Param) (table.Value, error)
-	// resolveWindow returns the current row's value of a window function
-	// call (precomputed before projection), or an error when window
-	// functions are not valid in this context.
-	resolveWindow(fn *FuncCall) (table.Value, error)
+	// args returns the execution's arguments: bound parameters and
+	// subquery results.
+	args() *execArgs
+	// column returns cell i of the current row of the joined relation.
+	column(i int) table.Value
+	// aggregate returns the value of an aggregate call, or an error when
+	// aggregates are not valid in this context.
+	aggregate(fn *FuncCall) (table.Value, error)
+	// window returns the current row's value of a window function call
+	// (precomputed before projection), or an error when window functions
+	// are not valid in this context.
+	window(fn *FuncCall) (table.Value, error)
 }
 
 // evalExpr evaluates e in the given environment.
@@ -31,9 +33,9 @@ func evalExpr(e Expr, ev env) (table.Value, error) {
 	case *Literal:
 		return x.Value, nil
 	case *Param:
-		return ev.resolveParam(x)
+		return bindAt(ev.args().binds, x)
 	case *ColumnRef:
-		return ev.resolveColumn(x)
+		return ev.column(x.idx), nil
 	case *Unary:
 		v, err := evalExpr(x.X, ev)
 		if err != nil {
@@ -67,20 +69,15 @@ func evalExpr(e Expr, ev env) (table.Value, error) {
 		return evalBinary(x, ev)
 	case *FuncCall:
 		if x.Over != nil {
-			return ev.resolveWindow(x)
+			return ev.window(x)
 		}
 		if _, isAgg := table.ParseAggFunc(x.Name); isAgg2(x.Name) || isAgg {
-			return ev.resolveAggregate(x)
+			return ev.aggregate(x)
 		}
 		return evalScalarFunc(x, ev)
 	case *Subquery:
-		// Subqueries are inlined to literals before execution reaches the
-		// evaluator; seeing one here is an engine bug, not a user error.
-		return table.Null(), fmt.Errorf("sql: internal error: subquery was not inlined")
+		return ev.args().scalarSub(x.slot), nil
 	case *In:
-		if x.Sub != nil {
-			return table.Null(), fmt.Errorf("sql: internal error: IN subquery was not inlined")
-		}
 		v, err := evalExpr(x.X, ev)
 		if err != nil {
 			return table.Null(), err
@@ -94,15 +91,18 @@ func evalExpr(e Expr, ev env) (table.Value, error) {
 			if err != nil {
 				return table.Null(), err
 			}
-			if !cv.IsNull() && table.Equal(v, cv) {
-				found = true
+			if found = !cv.IsNull() && table.Equal(v, cv); found {
 				break
 			}
 		}
-		if x.Not {
-			return table.Bool(!found), nil
+		if x.Sub != nil {
+			for _, cv := range ev.args().subs[x.slot] {
+				if found = !cv.IsNull() && table.Equal(v, cv); found {
+					break
+				}
+			}
 		}
-		return table.Bool(found), nil
+		return table.Bool(found != x.Not), nil
 	case *Between:
 		v, err := evalExpr(x.X, ev)
 		if err != nil {

@@ -41,10 +41,10 @@ func NewCatalog() *Catalog {
 // Register adds (or replaces) a table under its own name, adopting its
 // columns as the ingest arena (the caller must stop mutating t). Queries
 // already holding the previous table's snapshot keep reading it
-// unaffected. Replacing a table with a different schema (column names or
-// kinds) clears the plan cache: cached statements are plain ASTs, but
-// callers comparing Prepared results across a schema change deserve a
-// clean slate, and the invalidation is observable via PlanCacheStats.
+// unaffected. Every plan resolved against the previous table re-resolves
+// on its next execution (Catalog.current); replacing a table with a
+// different schema (column names or kinds) also clears the plan cache,
+// observable via PlanCacheStats.
 func (c *Catalog) Register(t *table.Table) {
 	c.RegisterErr(t) //nolint:errcheck // memory-only catalogs never fail; durable callers use RegisterErr
 }
@@ -203,196 +203,130 @@ func (c *Catalog) TableNames() []string {
 // vectorized executor, returning a fully materialized table. The text is
 // fingerprinted to a parameter template first (see Fingerprint), so
 // literal-varying traffic shares one plan-cache entry and repeated
-// templates parse once.
+// templates parse and resolve once.
 func (c *Catalog) Query(sql string) (*table.Table, error) {
-	stmt, binds, err := c.planQuery(sql)
+	p, binds, err := c.planQuery(sql)
 	if err != nil {
 		return nil, err
 	}
-	return c.executeCtxBound(context.Background(), stmt, binds)
+	return executeCtxBound(context.Background(), p, binds)
 }
 
-// QueryCtx parses (through fingerprinting and the plan cache, like Query)
+// QueryCtx plans (through fingerprinting and the plan cache, like Query)
 // and executes a SELECT, honoring ctx cancellation, and returns a typed
 // batch-iterable Result instead of a materialized table — the primary
 // query entry point.
 func (c *Catalog) QueryCtx(ctx context.Context, sql string) (*Result, error) {
-	stmt, binds, err := c.planQuery(sql)
+	p, binds, err := c.planQuery(sql)
 	if err != nil {
 		return nil, err
 	}
-	return c.executeResultBound(ctx, stmt, binds)
-}
-
-// relSchema is the column metadata shared by the vectorized and scalar
-// executors: qualifier, lowercased name, display name and kind per column.
-type relSchema struct {
-	quals []string // lowercased table alias/name per column
-	names []string // lowercased column name per column
-	disp  []string // display name per column (original case)
-	kinds []table.Kind
-}
-
-func schemaFrom(t *table.Table, qual string) relSchema {
-	var s relSchema
-	q := strings.ToLower(qual)
-	for i := range t.Columns {
-		s.quals = append(s.quals, q)
-		s.names = append(s.names, strings.ToLower(t.Columns[i].Name))
-		s.disp = append(s.disp, t.Columns[i].Name)
-		s.kinds = append(s.kinds, t.Columns[i].Kind)
-	}
-	return s
-}
-
-func concatSchemas(l, r *relSchema) relSchema {
-	return relSchema{
-		quals: append(append([]string{}, l.quals...), r.quals...),
-		names: append(append([]string{}, l.names...), r.names...),
-		disp:  append(append([]string{}, l.disp...), r.disp...),
-		kinds: append(append([]table.Kind{}, l.kinds...), r.kinds...),
-	}
-}
-
-// findColumn resolves a reference to a column index; -1 when absent.
-// Ambiguous unqualified references resolve to the first match, matching
-// the lenient behaviour benchmark queries rely on.
-func (s *relSchema) findColumn(ref *ColumnRef) int {
-	name := strings.ToLower(ref.Name)
-	qual := strings.ToLower(ref.Table)
-	for i := range s.names {
-		if s.names[i] != name {
-			continue
-		}
-		if qual == "" || s.quals[i] == qual {
-			return i
-		}
-	}
-	return -1
-}
-
-func errUnknownColumn(ref *ColumnRef) error {
-	return fmt.Errorf("sql: unknown column %q", ref.SQL())
+	return executeResultBound(ctx, p, binds)
 }
 
 func errAggInRowContext(fn *FuncCall) error {
 	return fmt.Errorf("sql: aggregate %s in row context (missing GROUP BY?)", fn.Name)
 }
 
-// vrel is the vectorized executor's working representation: shared schema
-// plus column vectors. Base-table scans share storage with the catalog
-// tables (zero copy); the columns must be treated as read-only. binds is
-// the execution's parameter bindings (nil without placeholders), carried
-// on the relation so cached statements stay shared across executions.
+// vrel is the vectorized executor's working representation: column vectors,
+// addressed by the indexes the plan's column references carry. Base-table
+// scans share storage with the catalog tables (zero copy); the columns must
+// be treated as read-only. x is the execution's arguments, carried on the
+// relation so cached plans stay shared across executions.
 type vrel struct {
-	relSchema
 	cols  []table.Column
 	nrows int
-	binds []table.Value
+	x     *execArgs
 	// win holds the precomputed window-function columns for the current
-	// projection, keyed by AST node pointer and indexed by selection
-	// position. Set by executePlainVec before item evaluation.
-	win map[*FuncCall]table.Column
+	// projection, by the call's slot and indexed by selection position. Set
+	// by executePlainVec before item evaluation.
+	win []table.Column
 }
 
-func vrelFrom(t *table.Table, qual string) *vrel {
-	r := &vrel{relSchema: schemaFrom(t, qual), nrows: t.NumRows()}
-	r.cols = append(r.cols, t.Columns...)
-	return r
-}
-
-// vrelFromSnapshot builds the scan relation over a table snapshot. The
-// relation's columns are zero-copy views of the snapshot's storage, so
-// the whole downstream pipeline — selections, joins, lazy Results —
-// keeps reading this snapshot even as ingest publishes newer ones.
-func vrelFromSnapshot(s *table.Snapshot, qual string) *vrel {
-	return vrelFrom(s.Table(), qual)
+// vrelFrom builds the scan relation over a table — a snapshot's flat view.
+// The relation's columns are zero-copy views of the snapshot's storage, so
+// the whole downstream pipeline — selections, joins, lazy Results — keeps
+// reading this snapshot even as ingest publishes newer ones.
+func vrelFrom(t *table.Table, x *execArgs) *vrel {
+	return &vrel{cols: append([]table.Column(nil), t.Columns...), nrows: t.NumRows(), x: x}
 }
 
 // Execute runs a parsed statement against the catalog with the vectorized
 // engine: columnar scans, selection-vector filtering, hash joins for
 // equi-join conditions and hash aggregation, parallelized over row and
-// group partitions through the bounded worker pool. Statements with
-// placeholders must execute through Prepared.Exec/Bind (or Query, which
-// binds its own extracted literals); here they fail with an
+// group partitions through the bounded worker pool. The statement is
+// resolved, uncached, on a copy; stmt itself is not touched. Statements
+// with placeholders must execute through Prepared.Exec/Bind (or Query,
+// which binds its own extracted literals); here they fail with an
 // unbound-parameter error.
 func (c *Catalog) Execute(stmt *SelectStmt) (*table.Table, error) {
-	return c.executeCtxBound(context.Background(), stmt, nil)
+	p, err := c.resolve(cloneStmt(stmt))
+	if err != nil {
+		return nil, err
+	}
+	return executeCtxBound(context.Background(), p, nil)
 }
 
 // executeCtxBound is Execute with cancellation and the execution's
 // parameter bindings: ctx is observed between pipeline stages and between
 // worker-pool chunks, so a cancelled context stops a large scan, sort, or
 // aggregation within one chunk's worth of work and returns ctx.Err().
-func (c *Catalog) executeCtxBound(ctx context.Context, stmt *SelectStmt, binds []table.Value) (*table.Table, error) {
-	stmt, err := c.resolveInline(ctx, stmt, binds, false)
+func executeCtxBound(ctx context.Context, p *plan, binds []table.Value) (*table.Table, error) {
+	x, err := start(ctx, p, binds, false)
 	if err != nil {
 		return nil, err
 	}
-	return c.executeVecStmt(ctx, stmt, binds)
+	return executeVecPlan(ctx, p, x)
 }
 
-// resolveInline is the prologue every top-level execution shares: check
-// and resolve the bindings into the statement, then inline its subqueries
-// with the engine (scalar or vectorized) that runs the outer statement.
-func (c *Catalog) resolveInline(ctx context.Context, stmt *SelectStmt, binds []table.Value, scalar bool) (*SelectStmt, error) {
-	stmt, err := resolveBinds(stmt, binds)
+// executeVecPlan is the vectorized execution body once the execution's
+// arguments are known — shared with subquery execution, like its scalar
+// counterpart executeScalarPlan.
+func executeVecPlan(ctx context.Context, p *plan, x *execArgs) (*table.Table, error) {
+	rel, sel, err := scanFilter(ctx, p, x)
 	if err != nil {
 		return nil, err
 	}
-	return c.inlineSubqueries(ctx, stmt, binds, scalar)
-}
-
-// executeVecStmt is the vectorized execution body after bind resolution
-// and subquery inlining — shared with subquery execution, like its scalar
-// counterpart executeScalarStmt.
-func (c *Catalog) executeVecStmt(ctx context.Context, stmt *SelectStmt, binds []table.Value) (*table.Table, error) {
-	rel, sel, grouped, err := c.scanFilter(ctx, stmt, binds)
-	if err != nil {
-		return nil, err
-	}
-	return executeMaterialized(ctx, stmt, rel, sel, grouped)
+	return executeMaterialized(ctx, p, rel, sel)
 }
 
 // executeMaterialized is the shared execution tail after scanFilter: the
 // grouped or plain projection, then DISTINCT/OFFSET/LIMIT.
-func executeMaterialized(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *table.Selection, grouped bool) (*table.Table, error) {
+func executeMaterialized(ctx context.Context, p *plan, rel *vrel, sel *table.Selection) (*table.Table, error) {
 	var out *table.Table
 	var err error
-	if grouped {
-		out, err = executeGroupedVec(ctx, stmt, rel, sel)
+	if p.grouped {
+		out, err = executeGroupedVec(ctx, p, rel, sel)
 	} else {
-		out, err = executePlainVec(ctx, stmt, rel, sel)
+		out, err = executePlainVec(ctx, p, rel, sel)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return applyDistinctOffsetLimit(stmt, out), nil
+	return applyDistinctOffsetLimit(p.stmt.Distinct, rel.x, out), nil
 }
 
 // executeResultBound is the shared execution core behind QueryCtx,
-// Prepared.Exec and Bound.Exec: it runs a parsed statement with the
-// execution's parameter bindings and returns a typed Result. Plain
-// projections of bare columns (no grouping, ordering, or DISTINCT) stay
-// lazy: the Result holds zero-copy references to the relation's columns
-// plus the WHERE selection, with OFFSET/LIMIT applied as selection
-// arithmetic — no output is materialized at all. Every other shape runs
-// the materializing executor and wraps its output table.
-func (c *Catalog) executeResultBound(ctx context.Context, stmt *SelectStmt, binds []table.Value) (*Result, error) {
-	stmt, err := c.resolveInline(ctx, stmt, binds, false)
+// Prepared.Exec and Bound.Exec: it runs a plan with the execution's
+// parameter bindings and returns a typed Result. Plain projections of bare
+// columns (no grouping, ordering, or DISTINCT) stay lazy: the Result holds
+// zero-copy references to the relation's columns plus the WHERE selection,
+// with OFFSET/LIMIT applied as selection arithmetic — no output is
+// materialized at all. Every other shape runs the materializing executor
+// and wraps its output table.
+func executeResultBound(ctx context.Context, p *plan, binds []table.Value) (*Result, error) {
+	x, err := start(ctx, p, binds, false)
 	if err != nil {
 		return nil, err
 	}
-	rel, sel, grouped, err := c.scanFilter(ctx, stmt, binds)
+	rel, sel, err := scanFilter(ctx, p, x)
 	if err != nil {
 		return nil, err
 	}
-	if !grouped {
-		if res, ok := lazyResult(stmt, rel, sel); ok {
-			return res, nil
-		}
+	if res, ok := lazyResult(p, rel, sel); ok {
+		return res, nil
 	}
-	out, err := executeMaterialized(ctx, stmt, rel, sel, grouped)
+	out, err := executeMaterialized(ctx, p, rel, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -400,60 +334,41 @@ func (c *Catalog) executeResultBound(ctx context.Context, stmt *SelectStmt, bind
 }
 
 // scanFilter runs the shared pipeline prefix: scan, joins, WHERE filtering,
-// and LIMIT pushdown. It returns the working relation, the selection of
-// surviving rows (nil = all), and whether the query is grouped.
-func (c *Catalog) scanFilter(ctx context.Context, stmt *SelectStmt, binds []table.Value) (*vrel, *table.Selection, bool, error) {
+// and LIMIT pushdown. It returns the working relation and the selection of
+// surviving rows (nil = all).
+func scanFilter(ctx context.Context, p *plan, x *execArgs) (*vrel, *table.Selection, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	// Snapshot acquisition happens here, once per referenced table: a
 	// single atomic load pins the rows this execution (and any Result
 	// cursor it hands out) will ever see.
-	base, ok := c.Snapshot(stmt.From)
-	if !ok {
-		return nil, nil, false, fmt.Errorf("sql: unknown table %q", stmt.From)
-	}
-	qual := stmt.From
-	if stmt.FromAs != "" {
-		qual = stmt.FromAs
-	}
-	rel := vrelFromSnapshot(base, qual)
-	rel.binds = binds
+	stmt := p.stmt
+	rel := vrelFrom(p.apps[0].Snapshot().Table(), x)
 
 	where := stmt.Where
 	if len(stmt.Joins) > 0 {
 		rights := make([]*vrel, len(stmt.Joins))
-		for i, j := range stmt.Joins {
-			rt, ok := c.Snapshot(j.Table)
-			if !ok {
-				return nil, nil, false, fmt.Errorf("sql: unknown table %q", j.Table)
-			}
-			jq := j.Table
-			if j.Alias != "" {
-				jq = j.Alias
-			}
-			rights[i] = vrelFromSnapshot(rt, jq)
+		for i := range rights {
+			rights[i] = vrelFrom(p.apps[i+1].Snapshot().Table(), x)
 		}
-		var early *table.Selection
-		if where != nil {
-			var err error
-			early, where, err = filterBeforeJoins(ctx, rel, rights, stmt.Joins, where)
+		keep := p.keep
+		if where != nil && p.earlyFilter {
+			early, rest, err := filterBeforeJoins(ctx, rel, where)
 			if err != nil {
-				return nil, nil, false, err
+				return nil, nil, err
 			}
-		}
-		// Comparisons that already ran observe no column any more.
-		remaining := *stmt
-		remaining.Where = where
-		keep := referencedOutputColumns(&remaining)
-		if early != nil {
-			rel = restrictRel(rel, early, keep)
+			if early != nil {
+				// Comparisons that already ran observe no column any more.
+				where, keep = rest, p.observedAfter(rest)
+				rel = restrictRel(rel, early, keep)
+			}
 		}
 		for i, j := range stmt.Joins {
 			var err error
 			rel, err = joinVRel(ctx, rel, rights[i], j, keep)
 			if err != nil {
-				return nil, nil, false, err
+				return nil, nil, err
 			}
 		}
 	}
@@ -463,18 +378,17 @@ func (c *Catalog) scanFilter(ctx context.Context, stmt *SelectStmt, binds []tabl
 		var err error
 		sel, err = filterWhere(ctx, rel, where)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, err
 		}
 	}
 
-	grouped := len(stmt.GroupBy) > 0 || stmt.Having != nil || selectHasAggregate(stmt)
 	// LIMIT pushdown: without grouping, ordering, or DISTINCT, only the
 	// first OFFSET+LIMIT selected rows can reach the output, so truncate
 	// the selection before projecting instead of materializing and then
 	// slicing. Span-form selections truncate without copying. Window
 	// functions disable the pushdown: their frames span the full filtered
 	// set, so truncating first would change their values.
-	if keep, bounded := limitReach(stmt); bounded && !grouped && len(stmt.OrderBy) == 0 && !stmt.Distinct && !selectHasWindow(stmt) {
+	if keep, bounded := x.limitReach(); bounded && !p.grouped && len(stmt.OrderBy) == 0 && !stmt.Distinct && len(p.wins) == 0 {
 		if sel == nil {
 			if keep > rel.nrows {
 				keep = rel.nrows
@@ -484,54 +398,49 @@ func (c *Catalog) scanFilter(ctx context.Context, stmt *SelectStmt, binds []tabl
 			sel = sel.Truncate(keep)
 		}
 	}
-	return rel, sel, grouped, ctx.Err()
+	return rel, sel, ctx.Err()
 }
 
 // lazyResult builds a zero-copy Result for a plain projection of bare
-// columns: no DISTINCT, no ORDER BY, every select item a resolvable column
-// reference of a typed kind. ok=false sends every other shape (including
-// unknown-column errors, for exact error parity) to the materializing path.
-func lazyResult(stmt *SelectStmt, rel *vrel, sel *table.Selection) (*Result, bool) {
-	if stmt.Distinct || len(stmt.OrderBy) > 0 {
+// columns: no grouping, no DISTINCT, no ORDER BY, every select item a column
+// reference of a typed kind. ok=false sends every other shape to the
+// materializing path.
+func lazyResult(p *plan, rel *vrel, sel *table.Selection) (*Result, bool) {
+	if p.grouped || p.stmt.Distinct || len(p.order) > 0 {
 		return nil, false
 	}
-	items := expandItems(stmt, &rel.relSchema)
-	names := outputNames(items)
-	cols := make([]table.Column, len(items))
-	for i, it := range items {
+	cols := make([]table.Column, len(p.items))
+	for i, it := range p.items {
 		ref, ok := it.Expr.(*ColumnRef)
-		if !ok {
+		if !ok || rel.cols[ref.idx].Kind == table.KindNull {
+			// KindNull columns are rebuilt as TEXT on the materializing
+			// path (orderedOutput).
 			return nil, false
 		}
-		ci := rel.findColumn(ref)
-		if ci < 0 || rel.cols[ci].Kind == table.KindNull {
-			// Unknown columns error on the materializing path; KindNull
-			// columns are rebuilt as TEXT there (orderedOutput).
-			return nil, false
-		}
-		cols[i] = rel.cols[ci]
-		cols[i].Name = names[i]
+		cols[i] = rel.cols[ref.idx]
+		cols[i].Name = p.names[i]
 	}
 	// OFFSET drops leading selected rows; LIMIT was already pushed down
 	// into the selection by scanFilter when set (keeping OFFSET+LIMIT rows).
-	if stmt.Offset > 0 {
+	if rel.x.offset > 0 {
 		if sel == nil {
 			sel = table.NewSpanSelection(table.Span{Lo: 0, Hi: rel.nrows})
 		}
-		sel = sel.Drop(stmt.Offset)
+		sel = sel.Drop(rel.x.offset)
 	}
-	return newLazyResult(names, cols, sel), true
+	// The Result's name list is the caller's to keep; the plan's is shared.
+	return newLazyResult(append([]string(nil), p.names...), cols, sel), true
 }
 
-func applyDistinctOffsetLimit(stmt *SelectStmt, out *table.Table) *table.Table {
-	if stmt.Distinct {
+func applyDistinctOffsetLimit(distinct bool, x *execArgs, out *table.Table) *table.Table {
+	if distinct {
 		out = out.Distinct()
 	}
-	if stmt.Offset > 0 {
-		out = out.Slice(stmt.Offset, out.NumRows())
+	if x.offset > 0 {
+		out = out.Slice(x.offset, out.NumRows())
 	}
-	if stmt.Limit >= 0 {
-		out = out.Limit(stmt.Limit)
+	if x.limit >= 0 {
+		out = out.Limit(x.limit)
 	}
 	return out
 }
@@ -545,86 +454,6 @@ func iotaInts(n int) []int {
 }
 
 // --- projection ---
-
-// projection expands select items (including * and t.*) to concrete exprs.
-func expandItems(stmt *SelectStmt, s *relSchema) []SelectItem {
-	var items []SelectItem
-	for _, it := range stmt.Items {
-		switch x := it.Expr.(type) {
-		case Star:
-			for i := range s.names {
-				items = append(items, SelectItem{
-					Expr:  &ColumnRef{Table: s.quals[i], Name: s.disp[i]},
-					Alias: s.disp[i],
-				})
-			}
-		case *ColumnRef:
-			if x.Name == "*" {
-				for i := range s.names {
-					if s.quals[i] == strings.ToLower(x.Table) {
-						items = append(items, SelectItem{
-							Expr:  &ColumnRef{Table: s.quals[i], Name: s.disp[i]},
-							Alias: s.disp[i],
-						})
-					}
-				}
-				continue
-			}
-			items = append(items, it)
-		default:
-			items = append(items, it)
-		}
-	}
-	return items
-}
-
-// orderExprs resolves ORDER BY items to evaluable expressions, honoring
-// select-list aliases and 1-based positions.
-func orderExprs(stmt *SelectStmt, items []SelectItem) []OrderItem {
-	resolved := make([]OrderItem, len(stmt.OrderBy))
-	for i, o := range stmt.OrderBy {
-		resolved[i] = o
-		if lit, ok := o.Expr.(*Literal); ok && lit.Value.Kind == table.KindInt {
-			pos := int(lit.Value.I)
-			if pos >= 1 && pos <= len(items) {
-				resolved[i].Expr = items[pos-1].Expr
-			}
-			continue
-		}
-		if ref, ok := o.Expr.(*ColumnRef); ok && ref.Table == "" {
-			for _, it := range items {
-				if strings.EqualFold(it.OutputName(), ref.Name) {
-					resolved[i].Expr = it.Expr
-					break
-				}
-			}
-		}
-	}
-	return resolved
-}
-
-// resolveHavingAliases rewrites bare column references in a HAVING clause
-// that name a select-list alias (and no relation column) to that item's
-// expression, copy-on-write. Relation columns take precedence over
-// aliases, and references inside aggregate arguments are left alone —
-// they resolve against the group's rows.
-func resolveHavingAliases(e Expr, items []SelectItem, s *relSchema) Expr {
-	return rewriteExpr(e, func(e Expr) (Expr, bool) {
-		switch x := e.(type) {
-		case *ColumnRef:
-			if x.Table == "" && s.findColumn(x) < 0 {
-				for _, it := range items {
-					if strings.EqualFold(it.OutputName(), x.Name) {
-						return it.Expr, false
-					}
-				}
-			}
-		case *FuncCall:
-			return e, !isAgg2(x.Name)
-		}
-		return e, true
-	})
-}
 
 func selectHasAggregate(stmt *SelectStmt) bool {
 	for _, it := range stmt.Items {
@@ -648,20 +477,16 @@ func exprHasAggregate(e Expr) bool {
 }
 
 // executePlainVec projects the selected rows column-at-a-time.
-func executePlainVec(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *table.Selection) (*table.Table, error) {
-	items := expandItems(stmt, &rel.relSchema)
-	order := orderExprs(stmt, items)
-
+func executePlainVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selection) (*table.Table, error) {
 	// Window columns are computed once over the full selection before any
 	// item evaluation; item and ORDER BY expressions then read them via
-	// rel.win (evalVec's FuncCall case and vecRowEnv.resolveWindow).
-	if wins := statementWindows(items, order); len(wins) > 0 {
-		win, err := computeWindowsVec(ctx, wins, rel, sel)
+	// rel.win (evalVec's FuncCall case and vecEnv.window).
+	if len(p.wins) > 0 {
+		win, err := computeWindowsVec(ctx, p.wins, rel, sel)
 		if err != nil {
 			return nil, err
 		}
 		rel.win = win
-		defer func() { rel.win = nil }()
 	}
 
 	// A bare column evaluated with no selection or a single-range
@@ -673,27 +498,27 @@ func executePlainVec(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *tabl
 		_, _, sharesStorage = sel.AsRange()
 	}
 
-	outCols := make([]table.Column, len(items))
-	for i, it := range items {
+	outCols := make([]table.Column, len(p.items))
+	for i, it := range p.items {
 		col, err := evalVec(it.Expr, rel, sel)
 		if err != nil {
 			return nil, err
 		}
-		if _, isRef := it.Expr.(*ColumnRef); isRef && sharesStorage && len(order) == 0 {
+		if _, isRef := it.Expr.(*ColumnRef); isRef && sharesStorage && len(p.order) == 0 {
 			col = col.CloneData()
 		}
 		outCols[i] = col
 	}
 
-	keyCols := make([]table.Column, len(order))
-	for k, o := range order {
+	keyCols := make([]table.Column, len(p.order))
+	for k, o := range p.order {
 		col, err := evalVec(o.Expr, rel, sel)
 		if err != nil {
 			return nil, err
 		}
 		keyCols[k] = col
 	}
-	return orderedOutput(ctx, stmt, items, outCols, keyCols, order)
+	return orderedOutput(ctx, p, rel.x, outCols, keyCols)
 }
 
 // orderedOutput is the vectorized executor's one output tail, shared by the
@@ -702,15 +527,20 @@ func executePlainVec(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *tabl
 // and topKPerm choose between the memcmp kernel and the boxed fallback from
 // what the key columns hold; DISTINCT/OFFSET/LIMIT follow in
 // executeMaterialized.
-func orderedOutput(ctx context.Context, stmt *SelectStmt, items []SelectItem, outCols, keyCols []table.Column, order []OrderItem) (*table.Table, error) {
-	if len(order) > 0 {
+func orderedOutput(ctx context.Context, p *plan, x *execArgs, outCols, keyCols []table.Column) (*table.Table, error) {
+	if len(p.order) > 0 {
 		n := keyCols[0].Len()
 		var perm []int
 		var err error
-		if keep, bounded := topKBound(stmt, n); bounded {
-			perm, err = topKPerm(ctx, keyCols, order, n, keep)
+		// Only the first LIMIT+OFFSET rows of the order can reach the output
+		// (the heap must retain the OFFSET rows too — they are discarded
+		// after the sort, not before). DISTINCT disables the bound:
+		// deduplication runs after ordering, and dropped duplicates would
+		// pull rows from beyond it into the window.
+		if keep, bounded := x.limitReach(); bounded && !p.stmt.Distinct && keep < n {
+			perm, err = topKPerm(ctx, keyCols, p.order, n, keep)
 		} else {
-			perm, err = sortPerm(ctx, keyCols, order, n)
+			perm, err = sortPerm(ctx, keyCols, p.order, n)
 		}
 		if err == nil {
 			err = ctx.Err()
@@ -722,44 +552,29 @@ func orderedOutput(ctx context.Context, stmt *SelectStmt, items []SelectItem, ou
 			outCols[i] = outCols[i].Gather(perm)
 		}
 	}
-	names := outputNames(items)
-	out := &table.Table{Name: stmt.From}
-	for i := range outCols {
-		outCols[i].Name = names[i]
+	out := &table.Table{Name: p.stmt.From}
+	for i, name := range p.names {
+		outCols[i].Name = name
 		if outCols[i].Kind == table.KindNull {
 			// All-NULL output columns default to TEXT, like the scalar path.
 			// Rebuild rather than retag: a KindNull column has no typed
 			// storage, so flipping Kind alone would break the storage
 			// invariant and crash later slices.
-			outCols[i] = table.ColumnOf(names[i], table.KindString, outCols[i].Values())
+			outCols[i] = table.ColumnOf(name, table.KindString, outCols[i].Values())
 		}
 		out.Columns = append(out.Columns, outCols[i])
 	}
 	return out, nil
 }
 
-// topKBound reports how many leading rows of the sorted order can reach
-// the output: with ORDER BY ... LIMIT k OFFSET m, only the first k+m (the
-// heap must retain the OFFSET rows too — they are discarded after the
-// sort, not before). DISTINCT disables the bound, because deduplication
-// runs after ordering and dropped duplicates would pull rows from beyond
-// k+m into the window.
-func topKBound(stmt *SelectStmt, n int) (int, bool) {
-	keep, bounded := limitReach(stmt)
-	if !bounded || stmt.Distinct || keep >= n { // no smaller than a full sort
-		return 0, false
-	}
-	return keep, true
-}
-
 // limitReach returns how many leading rows LIMIT k OFFSET m lets reach the
 // output, k+m, and whether that bounds anything: it does not without a
 // LIMIT, nor when the sum overflows (no relation holds that many rows).
-func limitReach(stmt *SelectStmt) (int, bool) {
-	if stmt.Limit < 0 {
+func (x *execArgs) limitReach() (int, bool) {
+	if x.limit < 0 {
 		return 0, false
 	}
-	keep := stmt.Limit + stmt.Offset
+	keep := x.limit + x.offset
 	return keep, keep >= 0
 }
 
@@ -856,33 +671,15 @@ func hashGroups(ctx context.Context, keyCols []table.Column, rel *vrel, sel *tab
 }
 
 // vGroupEnv evaluates expressions against one group of the columnar
-// relation. Aggregates over bare columns run in typed loops over the
-// group's selection (contiguous spans for the global group).
+// relation: a plain column reads the group's first row (vecEnv.row; -1 for
+// the empty global group), and aggregates over bare columns run in typed
+// loops over the group's selection (contiguous spans for the global group).
 type vGroupEnv struct {
-	rel  *vrel
+	vecEnv
 	rows *table.Selection
 }
 
-func (e *vGroupEnv) resolveColumn(ref *ColumnRef) (table.Value, error) {
-	i := e.rel.findColumn(ref)
-	if i < 0 {
-		return table.Null(), errUnknownColumn(ref)
-	}
-	if e.rows.Len() == 0 {
-		return table.Null(), nil
-	}
-	return e.rel.cols[i].Value(e.rows.RowAt(0)), nil
-}
-
-func (e *vGroupEnv) resolveParam(p *Param) (table.Value, error) {
-	return bindAt(e.rel.binds, p)
-}
-
-func (e *vGroupEnv) resolveWindow(fn *FuncCall) (table.Value, error) {
-	return table.Null(), errWindowContext(fn)
-}
-
-func (e *vGroupEnv) resolveAggregate(fn *FuncCall) (table.Value, error) {
+func (e *vGroupEnv) aggregate(fn *FuncCall) (table.Value, error) {
 	if fn.IsStar {
 		if fn.Name != "COUNT" {
 			return table.Null(), fmt.Errorf("sql: %s(*) is not supported", fn.Name)
@@ -893,16 +690,12 @@ func (e *vGroupEnv) resolveAggregate(fn *FuncCall) (table.Value, error) {
 		return table.Null(), fmt.Errorf("sql: aggregate %s expects one argument", fn.Name)
 	}
 	if ref, ok := fn.Args[0].(*ColumnRef); ok && !fn.Distinct {
-		i := e.rel.findColumn(ref)
-		if i < 0 {
-			return table.Null(), errUnknownColumn(ref)
-		}
-		return aggOverColumn(fn.Name, &e.rel.cols[i], e.rows)
+		return aggOverColumn(fn.Name, &e.rel.cols[ref.idx], e.rows)
 	}
 	// General case (expressions, DISTINCT): evaluate the argument per row.
 	var vals []table.Value
 	seen := map[string]bool{}
-	env := &vecRowEnv{rel: e.rel}
+	env := &vecEnv{rel: e.rel}
 	it := table.IterSelection(e.rows, 0)
 	for {
 		ri, ok := it.Next()
@@ -1031,12 +824,9 @@ func minMaxOverColumn(name string, col *table.Column, rows *table.Selection) tab
 // parallel across group partitions for large inputs. The per-group values
 // become columns, so ordering runs through the same tail as a plain
 // projection.
-func executeGroupedVec(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *table.Selection) (*table.Table, error) {
-	items := expandItems(stmt, &rel.relSchema)
-	order := orderExprs(stmt, items)
-
-	groupCols := make([]table.Column, len(stmt.GroupBy))
-	for i, g := range stmt.GroupBy {
+func executeGroupedVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selection) (*table.Table, error) {
+	groupCols := make([]table.Column, len(p.groupBy))
+	for i, g := range p.groupBy {
 		col, err := evalVec(g, rel, sel)
 		if err != nil {
 			return nil, err
@@ -1048,10 +838,7 @@ func executeGroupedVec(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *ta
 		return nil, err
 	}
 
-	having := stmt.Having
-	if having != nil {
-		having = resolveHavingAliases(having, items, &rel.relSchema)
-	}
+	items, order, having := p.items, p.order, p.having
 	// One value vector per output column, then one per ORDER BY key, each
 	// indexed by group: groups write disjoint cells, so the parallel
 	// evaluation needs no synchronization.
@@ -1068,7 +855,10 @@ func executeGroupedVec(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *ta
 	}
 	include := make([]bool, len(groups))
 	evalGroup := func(gi int) error {
-		ev := &vGroupEnv{rel: rel, rows: groups[gi]}
+		ev := &vGroupEnv{vecEnv: vecEnv{rel: rel, row: -1}, rows: groups[gi]}
+		if ev.rows.Len() > 0 {
+			ev.row = ev.rows.RowAt(0)
+		}
 		if having != nil {
 			hv, err := evalExpr(having, ev)
 			if err != nil {
@@ -1122,5 +912,5 @@ func executeGroupedVec(ctx context.Context, stmt *SelectStmt, rel *vrel, sel *ta
 		}
 		cols[c] = columnOfValues(col)
 	}
-	return orderedOutput(ctx, stmt, items, cols[:len(items)], cols[len(items):], order)
+	return orderedOutput(ctx, p, rel.x, cols[:len(items)], cols[len(items):])
 }

@@ -78,8 +78,10 @@ func kernelCompare(colExpr Expr, op table.CmpOp, constExpr Expr, rel *vrel) (ker
 	if !ok {
 		return kernelCmp{}, false
 	}
-	ci := rel.findColumn(ref)
-	if ci < 0 || !rel.cols[ci].ComparesTyped(k) {
+	// Ahead of the joins rel is the FROM relation alone: a reference past
+	// its width reads a joined table.
+	ci := ref.idx
+	if ci >= len(rel.cols) || !rel.cols[ci].ComparesTyped(k) {
 		return kernelCmp{}, false
 	}
 	return kernelCmp{col: ci, op: op, k: k}, true
@@ -186,40 +188,28 @@ func filterChunks(ctx context.Context, n int, body func(lo, hi int) (*table.Sele
 // a predicate without leading comparisons (and a chunk whose comparisons
 // met a NULL while conjuncts remain) evaluates whole over a zero-copy range
 // view of the relation and emits its passing rows as range spans when they
-// form long runs, or dense indices when they are scattered.
+// form long runs, or dense indices when they are scattered. Names were
+// resolved when the statement was planned, so evalVec raises only on a row
+// it reads — like the scalar executor, which reaches the same rows.
 func filterWhere(ctx context.Context, rel *vrel, where Expr) (*table.Selection, error) {
 	kern, rest := splitKernelPrefix(where, rel)
 	return filterChunks(ctx, rel.nrows, func(lo, hi int) (*table.Selection, error) {
-		span := table.NewSpanSelection(table.Span{Lo: lo, Hi: hi})
+		pred, in := where, table.NewSpanSelection(table.Span{Lo: lo, Hi: hi})
 		if len(kern) > 0 {
-			sel, sawNull := narrow(rel, kern, span)
+			sel, sawNull := narrow(rel, kern, in)
 			if rest == nil {
 				return sel, nil
 			}
 			if !sawNull {
-				return filterRest(rel, rest, sel)
+				pred, in = rest, sel
 			}
 		}
-		col, err := evalVec(where, rel, span)
+		col, err := evalVec(pred, rel, in)
 		if err != nil {
 			return nil, err
 		}
-		return passSelection(&col, span), nil
+		return passSelection(&col, in), nil
 	})
-}
-
-// filterRest evaluates the conjuncts after the kernel prefix over the rows
-// the prefix kept. evalVec reports some errors (an unknown column) without
-// reading a row; the scalar executor raises only on a row it reaches, and
-// the prefix may have left none — so an error is re-derived row by row.
-func filterRest(rel *vrel, rest Expr, sel *table.Selection) (*table.Selection, error) {
-	col, err := evalVec(rest, rel, sel)
-	if err != nil {
-		if col, err = rowFallback(rest, rel, sel); err != nil {
-			return nil, err
-		}
-	}
-	return passSelection(&col, sel), nil
 }
 
 // passSelection returns the rows of in whose predicate value is a known
@@ -241,18 +231,18 @@ func passSelection(col *table.Column, in *table.Selection) *table.Selection {
 
 // filterBeforeJoins moves the WHERE's leading kernel comparisons ahead of
 // the join probe when they read the FROM relation and every join is INNER
-// or LEFT on pure equality: such a join cannot raise and keeps or drops a
-// FROM row's output rows together, so rejecting the row first gives the
-// same rows in the same order while the probe, the pair list and the
-// gathers see only the survivors. RIGHT and FULL joins (FROM rows can be
-// padding), residual ON conjuncts (they can raise on rows the filter would
-// have removed) and a NULL met while other conjuncts remain keep the
-// statement on the join-then-filter order. A nil sel means nothing moved
-// and rest is where; otherwise sel holds the surviving FROM rows and rest
-// what is left of the WHERE (nil when the comparisons were all of it).
-func filterBeforeJoins(ctx context.Context, from *vrel, rights []*vrel, joins []JoinClause, where Expr) (sel *table.Selection, rest Expr, err error) {
+// or LEFT on pure equality (plan.earlyFilter): such a join cannot raise and
+// keeps or drops a FROM row's output rows together, so rejecting the row
+// first gives the same rows in the same order while the probe, the pair
+// list and the gathers see only the survivors. RIGHT and FULL joins (FROM
+// rows can be padding), residual ON conjuncts (they can raise on rows the
+// filter would have removed) and a NULL met while other conjuncts remain
+// keep the statement on the join-then-filter order. A nil sel means nothing
+// moved and rest is where; otherwise sel holds the surviving FROM rows and
+// rest what is left of the WHERE (nil when the comparisons were all of it).
+func filterBeforeJoins(ctx context.Context, from *vrel, where Expr) (sel *table.Selection, rest Expr, err error) {
 	kern, rest := splitKernelPrefix(where, from)
-	if len(kern) == 0 || !joinsArePureEqui(&from.relSchema, rights, joins) {
+	if len(kern) == 0 {
 		return nil, where, nil
 	}
 	var sawNull atomic.Bool
@@ -269,37 +259,18 @@ func filterBeforeJoins(ctx context.Context, from *vrel, rights []*vrel, joins []
 	return sel, rest, nil
 }
 
-// joinsArePureEqui reports whether every join is INNER or LEFT with an ON
-// clause made only of hash-joinable column equalities.
-func joinsArePureEqui(from *relSchema, rights []*vrel, joins []JoinClause) bool {
-	left := *from
-	for i, j := range joins {
-		if j.Kind != table.JoinInner && j.Kind != table.JoinLeft {
-			return false
-		}
-		out := concatSchemas(&left, &rights[i].relSchema)
-		equiL, _, residual := splitJoinOn(&out, len(left.names), j.On)
-		if len(equiL) == 0 || len(residual) > 0 {
-			return false
-		}
-		left = out
-	}
-	return true
-}
-
 // restrictRel returns rel cut down to the selected rows: zero-copy views
 // when they form one range (the append-ordered key case), a gather of the
 // columns the rest of the statement observes otherwise — the others stay
 // pruning placeholders, as in joinVRel.
-func restrictRel(rel *vrel, sel *table.Selection, keep *joinKeepSet) *vrel {
-	out := &vrel{relSchema: rel.relSchema, nrows: sel.Len(), binds: rel.binds}
-	out.cols = make([]table.Column, len(rel.cols))
+func restrictRel(rel *vrel, sel *table.Selection, keep []bool) *vrel {
+	out := &vrel{cols: make([]table.Column, len(rel.cols)), nrows: sel.Len(), x: rel.x}
 	lo, hi, isRange := sel.AsRange()
 	for i := range rel.cols {
 		switch {
 		case isRange:
 			out.cols[i] = rel.cols[i].View(lo, hi)
-		case keep.keeps(rel.quals[i], rel.names[i]):
+		case keep[i]:
 			out.cols[i] = rel.cols[i].GatherSel(sel)
 		}
 	}

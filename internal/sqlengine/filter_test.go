@@ -68,14 +68,23 @@ func sameSelection(a, b *table.Selection) bool {
 func TestKernelCompareMatchesEvalVec(t *testing.T) {
 	const n = 211
 	rng := rand.New(rand.NewSource(21))
-	rel := vrelFrom(&table.Table{Name: "t", Columns: kernelTestColumns(rng, n)}, "t")
 	consts := []table.Value{
 		table.Int(2), table.Int(-3), table.Int(1<<53 + 1), table.Int(math.MaxInt64),
 		table.Float(1.5), table.Float(2), table.Float(float64(1 << 53)), table.Float(math.NaN()),
 		table.Float(math.Inf(1)), table.Float(math.Inf(-1)),
 		table.Str("m"), table.Str(""), table.Null(),
 	}
-	rel.binds = consts
+	rel := vrelFrom(&table.Table{Name: "t", Columns: kernelTestColumns(rng, n)}, &execArgs{binds: consts})
+	// What the resolver does for a statement's references, by hand.
+	colRef := func(name string) *ColumnRef {
+		for ci := range rel.cols {
+			if rel.cols[ci].Name == name {
+				return &ColumnRef{Name: name, idx: ci}
+			}
+		}
+		t.Fatalf("no column %q", name)
+		return nil
+	}
 	dense := make([]int, 0, n/2)
 	for i := 0; i < n; i += 1 + rng.Intn(3) {
 		dense = append(dense, i)
@@ -122,7 +131,7 @@ func TestKernelCompareMatchesEvalVec(t *testing.T) {
 	}
 
 	for ci := range rel.cols {
-		ref := &ColumnRef{Name: rel.disp[ci]}
+		ref := colRef(rel.cols[ci].Name)
 		colKind := rel.cols[ci].Kind
 		for ki, k := range consts {
 			lines := numeric(colKind) && numeric(k.Kind) || colKind == table.KindString && k.Kind == table.KindString
@@ -142,17 +151,16 @@ func TestKernelCompareMatchesEvalVec(t *testing.T) {
 	}
 	// Shapes that look close but are not column-against-constant.
 	for _, e := range []Expr{
-		&Binary{Op: "=", L: &ColumnRef{Name: "ifalse"}, R: &ColumnRef{Name: "ffalse"}},
-		&Binary{Op: "<", L: &ColumnRef{Name: "nosuch"}, R: &Literal{Value: table.Int(1)}},
-		&Binary{Op: "<", L: &Binary{Op: "+", L: &ColumnRef{Name: "ifalse"}, R: &Literal{Value: table.Int(1)}}, R: &Literal{Value: table.Int(1)}},
-		&Binary{Op: "LIKE", L: &ColumnRef{Name: "sfalse"}, R: &Literal{Value: table.Str("m%")}},
-		&Binary{Op: "<", L: &ColumnRef{Name: "ifalse"}, R: &Param{Index: len(consts)}}, // unbound
+		&Binary{Op: "=", L: colRef("ifalse"), R: colRef("ffalse")},
+		&Binary{Op: "<", L: &Binary{Op: "+", L: colRef("ifalse"), R: &Literal{Value: table.Int(1)}}, R: &Literal{Value: table.Int(1)}},
+		&Binary{Op: "LIKE", L: colRef("sfalse"), R: &Literal{Value: table.Str("m%")}},
+		&Binary{Op: "<", L: colRef("ifalse"), R: &Param{Index: len(consts)}}, // unbound
 	} {
 		check(e.SQL(), e, false)
 	}
 
 	// forceDenseSelection reaches the kernel path too.
-	cmps, _ := kernelForm(&Binary{Op: "=", L: &ColumnRef{Name: "ifalse"}, R: &Literal{Value: table.Int(2)}}, rel)
+	cmps, _ := kernelForm(&Binary{Op: "=", L: colRef("ifalse"), R: &Literal{Value: table.Int(2)}}, rel)
 	kern := cmps[:1]
 	forceDenseSelection.Store(true)
 	forced, _ := narrow(rel, kern, inputs["range"])
@@ -173,7 +181,8 @@ func TestKernelCompareMatchesEvalVec(t *testing.T) {
 func TestFilterWhereKernelVsGeneralLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 3*parallelMinRows + 77
-	rel := vrelFrom(&table.Table{Name: "t", Columns: kernelTestColumns(rng, n)}, "t")
+	c := NewCatalog()
+	c.Register(&table.Table{Name: "t", Columns: kernelTestColumns(rng, n)})
 	for _, q := range []string{
 		"ifalse >= 0 AND ifalse < 2", "itrue = 2", "2.5 > ftrue", "strue <> 'm' AND itrue > -2",
 		"otrue BETWEEN -1 AND 3", "htrue > 9007199254740992.0", "ifalse < 3 AND ftrue * 2 > 1", "itrue > 0 AND strue LIKE 'm%'",
@@ -182,6 +191,11 @@ func TestFilterWhereKernelVsGeneralLarge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		p, err := c.resolve(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel := vrelFrom(p.apps[0].Snapshot().Table(), &execArgs{})
 		got, err := filterWhere(context.Background(), rel, stmt.Where)
 		if err != nil {
 			t.Fatal(err)
@@ -200,24 +214,22 @@ func TestFilterWhereKernelVsGeneralLarge(t *testing.T) {
 // shape leaves on the general path and on the join-then-filter order.
 func TestWhereShapesThatKeepTheOldOrder(t *testing.T) {
 	c := joinTestCatalog(64)
-	plan := func(q string) (kernels int, rest Expr, early *table.Selection) {
+	shape := func(q string) (kernels int, rest Expr, early *table.Selection) {
 		t.Helper()
 		stmt, err := Parse(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, _ := c.Snapshot(stmt.From)
-		from := vrelFromSnapshot(snap, stmt.From)
+		p, err := c.resolve(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from := vrelFrom(p.apps[0].Snapshot().Table(), &execArgs{})
 		kern, rest := splitKernelPrefix(stmt.Where, from)
-		if len(stmt.Joins) == 0 {
+		if !p.earlyFilter {
 			return len(kern), rest, nil
 		}
-		rights := make([]*vrel, len(stmt.Joins))
-		for i, j := range stmt.Joins {
-			rs, _ := c.Snapshot(j.Table)
-			rights[i] = vrelFromSnapshot(rs, j.Table)
-		}
-		early, rest, err = filterBeforeJoins(context.Background(), from, rights, stmt.Joins, stmt.Where)
+		early, rest, err = filterBeforeJoins(context.Background(), from, stmt.Where)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,15 +237,15 @@ func TestWhereShapesThatKeepTheOldOrder(t *testing.T) {
 	}
 
 	// Kernel prefix, nothing after it.
-	if k, rest, _ := plan("SELECT id FROM probe WHERE id >= 3 AND 10 > id AND v BETWEEN 1 AND 50"); k != 4 || rest != nil {
+	if k, rest, _ := shape("SELECT id FROM probe WHERE id >= 3 AND 10 > id AND v BETWEEN 1 AND 50"); k != 4 || rest != nil {
 		t.Errorf("all-kernel WHERE: %d kernels, rest %v", k, rest)
 	}
 	// A conjunct of another shape ends the prefix: what follows stays whole.
-	if k, rest, _ := plan("SELECT id FROM probe WHERE id >= 3 AND id % 2 = 0 AND id < 10"); k != 1 || rest == nil || len(splitConjuncts(rest)) != 2 {
+	if k, rest, _ := shape("SELECT id FROM probe WHERE id >= 3 AND id % 2 = 0 AND id < 10"); k != 1 || rest == nil || len(splitConjuncts(rest)) != 2 {
 		t.Errorf("mixed WHERE: %d kernels, rest %v", k, rest)
 	}
 	// ... and ahead of the comparisons it leaves the statement as it was.
-	if k, rest, _ := plan("SELECT id FROM probe WHERE id % 2 = 0 AND id < 10"); k != 0 || len(splitConjuncts(rest)) != 2 {
+	if k, rest, _ := shape("SELECT id FROM probe WHERE id % 2 = 0 AND id < 10"); k != 0 || len(splitConjuncts(rest)) != 2 {
 		t.Errorf("non-kernel conjunct first: %d kernels, rest %v", k, rest)
 	}
 
@@ -248,7 +260,7 @@ func TestWhereShapesThatKeepTheOldOrder(t *testing.T) {
 		"SELECT probe.id FROM probe JOIN sparse ON probe.k = sparse.sk WHERE probe.id % 2 = 0 AND probe.id < 10":                                false,
 		"SELECT probe.id FROM probe JOIN sparse ON probe.k = sparse.sk JOIN fanout ON probe.k = fanout.fk AND fanout.w > 2 WHERE probe.id < 10": false,
 	} {
-		if _, _, early := plan(q); (early != nil) != wantEarly {
+		if _, _, early := shape(q); (early != nil) != wantEarly {
 			t.Errorf("%s: filtered before the probe = %v, want %v", q, early != nil, wantEarly)
 		}
 	}

@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"datalab/internal/table"
@@ -43,6 +44,54 @@ import (
 // ordinary unit tests under plain `go test`;
 // `go test -fuzz=FuzzDifferentialSQL` explores further.
 
+// randStatement is what the harness feeds its executors: randQuery's
+// statement, one time in ten with one column name or qualifier misspelled —
+// at any of its occurrences, so every position the generator writes a name
+// in (select item, function and aggregate argument, CASE branch, WHERE
+// conjunct and disjunct, ON, GROUP BY, HAVING, ORDER BY, window PARTITION BY
+// and ORDER BY, subquery body) gets its turn, over whatever rows the
+// statement's filter happens to keep. bad is the misspelled name, "" when
+// the statement is as generated.
+func randStatement(rng *rand.Rand) (q, bad string) {
+	q = randQuery(rng)
+	if rng.Intn(10) != 0 {
+		return q, ""
+	}
+	columns := map[string]bool{"a": true, "b": true, "c": true, "d": true, "e": true,
+		"key": true, "label": true, "weight": true, "mkey": true, "tag": true, "score": true}
+	qualifiers := map[string]bool{"data": true, "dim": true, "multi": true}
+	word := func(ch byte) bool {
+		return ch == '_' || ch >= 'a' && ch <= 'z' || ch >= 'A' && ch <= 'Z' || ch >= '0' && ch <= '9'
+	}
+	var ends []int // where a column name, or a qualifier before its dot, ends
+	quoted := false
+	for i := 0; i < len(q); i++ {
+		if q[i] == '\'' {
+			quoted = !quoted
+		}
+		if quoted || !word(q[i]) || (i > 0 && word(q[i-1])) {
+			continue
+		}
+		j := i
+		for j < len(q) && word(q[j]) {
+			j++
+		}
+		if dotted := j < len(q) && q[j] == '.'; (dotted && qualifiers[q[i:j]]) || (!dotted && columns[q[i:j]]) {
+			ends = append(ends, j)
+		}
+	}
+	if len(ends) == 0 {
+		return q, ""
+	}
+	end := ends[rng.Intn(len(ends))]
+	start := end
+	for start > 0 && word(q[start-1]) {
+		start--
+	}
+	bad = q[start:end] + "zz"
+	return q[:end] + "zz" + q[end:], bad
+}
+
 // diffOneSeed runs the six-way differential check for one fuzz input.
 func diffOneSeed(t *testing.T, seed int64, rows uint16, nqueries uint8) {
 	t.Helper()
@@ -51,53 +100,68 @@ func diffOneSeed(t *testing.T, seed int64, rows uint16, nqueries uint8) {
 	rng := rand.New(rand.NewSource(seed))
 	c := randCatalog(rng, nrows)
 	for i := 0; i < nq; i++ {
-		q := randQuery(rng)
-
-		frozen := c.Freeze()
-
-		vec, vecErr := c.Query(q)
-
-		forceDenseSelection.Store(true)
-		dense, denseErr := c.Query(q)
-		forceDenseSelection.Store(false)
-
-		// Scalar reference, twice: through QueryScalar (plan-cached
-		// template + binds) and through a raw parse with the literals
-		// genuinely inlined, so fingerprinting never becomes the only
-		// scalar path the harness exercises.
-		sca, scaErr := c.QueryScalar(q)
-		var raw *table.Table
-		stmt, rawErr := Parse(q)
-		if rawErr == nil {
-			raw, rawErr = c.ExecuteScalarBound(stmt, nil)
-		}
-
-		res, resErr := c.QueryCtx(context.Background(), q)
-
-		if (vecErr == nil) != (denseErr == nil) || (vecErr == nil) != (scaErr == nil) ||
-			(vecErr == nil) != (rawErr == nil) || (vecErr == nil) != (resErr == nil) {
-			t.Fatalf("query %q: error mismatch\n  range: %v\n  dense: %v\n  scalar: %v\n  raw scalar: %v\n  result: %v",
-				q, vecErr, denseErr, scaErr, rawErr, resErr)
-		}
-		if vecErr != nil {
-			continue
-		}
-		dv, dd, ds := dumpTable(vec), dumpTable(dense), dumpTable(sca)
-		if dv != dd {
-			t.Fatalf("query %q: range vs dense selection mismatch\n-- range --\n%s\n-- dense --\n%s", q, dv, dd)
-		}
-		if dv != ds {
-			t.Fatalf("query %q: vectorized vs scalar mismatch\n-- vectorized --\n%s\n-- scalar --\n%s", q, dv, ds)
-		}
-		if dr := dumpTable(raw); dv != dr {
-			t.Fatalf("query %q: vectorized vs raw-inline scalar mismatch\n-- vectorized --\n%s\n-- raw --\n%s", q, dv, dr)
-		}
-		if dr := dumpResult(res); dv != dr {
-			t.Fatalf("query %q: vectorized vs Result batches mismatch\n-- vectorized --\n%s\n-- result --\n%s", q, dv, dr)
-		}
-		diffBindVsInline(t, c, q, dv)
-		diffFrozenSnapshot(t, rng, c, frozen, q, dv)
+		q, bad := randStatement(rng)
+		diffOneQuery(t, rng, c, q, bad)
 	}
+}
+
+// diffOneQuery runs one statement through every executor. bad, when set, is
+// a name in it that no table has: validity is a property of the statement
+// and the schema, so every executor must then refuse it — whatever rows its
+// filters keep — as an unknown column of that name.
+func diffOneQuery(t *testing.T, rng *rand.Rand, c *Catalog, q, bad string) {
+	t.Helper()
+	frozen := c.Freeze()
+
+	vec, vecErr := c.Query(q)
+
+	forceDenseSelection.Store(true)
+	dense, denseErr := c.Query(q)
+	forceDenseSelection.Store(false)
+
+	// Scalar reference, twice: through QueryScalar (plan-cached
+	// template + binds) and through a raw parse with the literals
+	// genuinely inlined, so fingerprinting never becomes the only
+	// scalar path the harness exercises.
+	sca, scaErr := c.QueryScalar(q)
+	var raw *table.Table
+	stmt, rawErr := Parse(q)
+	if rawErr == nil {
+		raw, rawErr = c.ExecuteScalarBound(stmt, nil)
+	}
+
+	res, resErr := c.QueryCtx(context.Background(), q)
+
+	if (vecErr == nil) != (denseErr == nil) || (vecErr == nil) != (scaErr == nil) ||
+		(vecErr == nil) != (rawErr == nil) || (vecErr == nil) != (resErr == nil) {
+		t.Fatalf("query %q: error mismatch\n  range: %v\n  dense: %v\n  scalar: %v\n  raw scalar: %v\n  result: %v",
+			q, vecErr, denseErr, scaErr, rawErr, resErr)
+	}
+	if bad != "" {
+		for _, err := range []error{vecErr, denseErr, scaErr, rawErr, resErr} {
+			if err == nil || !strings.Contains(err.Error(), "unknown column") || !strings.Contains(err.Error(), bad) {
+				t.Fatalf("query %q: want unknown column %q, got %v", q, bad, err)
+			}
+		}
+	}
+	if vecErr != nil {
+		return
+	}
+	dv, dd, ds := dumpTable(vec), dumpTable(dense), dumpTable(sca)
+	if dv != dd {
+		t.Fatalf("query %q: range vs dense selection mismatch\n-- range --\n%s\n-- dense --\n%s", q, dv, dd)
+	}
+	if dv != ds {
+		t.Fatalf("query %q: vectorized vs scalar mismatch\n-- vectorized --\n%s\n-- scalar --\n%s", q, dv, ds)
+	}
+	if dr := dumpTable(raw); dv != dr {
+		t.Fatalf("query %q: vectorized vs raw-inline scalar mismatch\n-- vectorized --\n%s\n-- raw --\n%s", q, dv, dr)
+	}
+	if dr := dumpResult(res); dv != dr {
+		t.Fatalf("query %q: vectorized vs Result batches mismatch\n-- vectorized --\n%s\n-- result --\n%s", q, dv, dr)
+	}
+	diffBindVsInline(t, c, q, dv)
+	diffFrozenSnapshot(t, rng, c, frozen, q, dv)
 }
 
 // diffFrozenSnapshot is executor #6: frozen was pinned before the query
@@ -173,7 +237,11 @@ func diffBindVsInline(t *testing.T, c *Catalog, q, dv string) {
 		t.Fatalf("query %q: inlined vs bound mismatch (template %q)\n-- inlined --\n%s\n-- bound --\n%s", q, tmpl, dv, db)
 	}
 	// The scalar evaluator must resolve the same binds identically.
-	scaT, err := c.ExecuteScalarBound(stmt.stmt, vals)
+	pl, err := stmt.plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaT, err := executeScalarBound(pl, vals)
 	if err != nil {
 		t.Fatalf("query %q: scalar bound re-execution of %q failed: %v", q, tmpl, err)
 	}
@@ -253,10 +321,17 @@ func FuzzDifferentialSQL(f *testing.F) {
 }
 
 // TestDifferentialFuzzCorpus widens the always-on coverage beyond the
-// fuzz seed corpus: a sweep of seeds through the same three-way check.
+// fuzz seed corpus: a sweep of seeds through the same three-way check, then
+// the statements whose validity used to depend on the rows or on the
+// executor (TestUnknownNamesFailOnEveryData), each over a filter that keeps
+// no row, some and all.
 func TestDifferentialFuzzCorpus(t *testing.T) {
 	for seed := int64(100); seed < 126; seed++ {
 		diffOneSeed(t, seed, uint16(seed*37%650), 24)
+	}
+	c := namesCatalog()
+	for _, q := range unknownNameStatements() {
+		diffOneQuery(t, nil, c, q, "nosuch")
 	}
 }
 

@@ -20,10 +20,11 @@ func corpusStatements() []string {
 		rng := rand.New(rand.NewSource(seed))
 		randCatalog(rng, int(seed*37%650)%700+1) // the draws diffOneSeed makes before its first query
 		for i := 0; i < 6; i++ {
-			out = append(out, randQuery(rng))
+			q, _ := randStatement(rng)
+			out = append(out, q)
 		}
 	}
-	return out
+	return append(out, unknownNameStatements()...)
 }
 
 // FuzzParse: on arbitrary bytes Parse returns — a statement or an error,
@@ -50,9 +51,10 @@ func FuzzParse(f *testing.F) {
 
 // FuzzFingerprint holds the plan cache's front end to its contract on
 // arbitrary text: either the template parses with exactly the extracted
-// values as its parameters, planQuery plans it with those bindings, and
-// template+bindings executes to what the raw text executes to; or
-// planQuery falls back to the raw text with no bindings. It never binds a
+// values as its parameters, planQuery plans it with those bindings (or
+// fails on a name, as the raw text then does too), and template+bindings
+// executes to what the raw text executes to; or planQuery falls back to the
+// raw text with no bindings. It never binds a
 // value to a statement that does not mean the same thing.
 func FuzzFingerprint(f *testing.F) {
 	for _, q := range corpusStatements() {
@@ -62,11 +64,17 @@ func FuzzFingerprint(f *testing.F) {
 	f.Add("SELECT a FROM data WHERE a = ? AND b > 2")
 	f.Add("SELECT a FROM data WHERE c = 'it''s' LIMIT 3 OFFSET 1")
 	c := randCatalog(rand.New(rand.NewSource(1)), 24)
+	registerNamesTables(c)
 	f.Fuzz(func(t *testing.T, sql string) {
 		if len(sql) > 1<<10 {
 			t.Skip("long inputs buy joins the tables make slow, not new token shapes")
 		}
-		raw, rawErr := Parse(sql)
+		// "Raw" is the text planned as it stands: parsed, then resolved.
+		var raw *plan
+		rawStmt, rawErr := Parse(sql)
+		if rawErr == nil {
+			raw, rawErr = c.resolve(rawStmt)
+		}
 		planned, binds, planErr := c.planQuery(sql)
 
 		tmpl, vals, ok := Fingerprint(sql)
@@ -78,32 +86,42 @@ func FuzzFingerprint(f *testing.F) {
 		}
 		if tmplStmt == nil {
 			if binds != nil || (planErr == nil) != (rawErr == nil) {
-				t.Fatalf("%q: no usable template (ok=%v, %d values), yet planQuery gave binds %v, err %v; raw parse err %v",
+				t.Fatalf("%q: no usable template (ok=%v, %d values), yet planQuery gave binds %v, err %v; raw plan err %v",
 					sql, ok, len(vals), binds, planErr, rawErr)
 			}
 			return
 		}
-		if planErr != nil || len(binds) != len(vals) || planned.SQL() != tmplStmt.SQL() {
+		// A usable template is what planQuery plans — or fails to resolve,
+		// and then the raw text names the same unknown table or column.
+		want := tmplStmt.SQL()
+		tmplPlan, tmplErr := c.resolve(tmplStmt)
+		if tmplErr != nil {
+			if planErr == nil || rawErr == nil {
+				t.Fatalf("%q: template %q does not resolve (%v), yet planQuery err %v, raw plan err %v", sql, tmpl, tmplErr, planErr, rawErr)
+			}
+			return
+		}
+		if planErr != nil || len(binds) != len(vals) || planned.stmt.SQL() != want {
 			t.Fatalf("%q: template %q is usable, yet planQuery gave %v, binds %v, err %v", sql, tmpl, planned, binds, planErr)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		// The raw text may fail in the parser where the bound template
 		// fails in bind resolution (LIMIT 0.5): failing is what must agree.
-		var want *table.Table
+		var wantT *table.Table
 		wantErr := rawErr
 		if rawErr == nil {
-			want, wantErr = c.executeCtxBound(ctx, raw, nil)
+			wantT, wantErr = executeCtxBound(ctx, raw, nil)
 		}
-		got, gotErr := c.executeCtxBound(ctx, tmplStmt, vals)
+		got, gotErr := executeCtxBound(ctx, tmplPlan, vals)
 		if ctx.Err() != nil {
 			t.Skip("statement too slow to compare")
 		}
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%q: raw text err %v, template %q + %v err %v", sql, wantErr, tmpl, vals, gotErr)
 		}
-		if wantErr == nil && dumpTable(want) != dumpTable(got) {
-			t.Fatalf("%q: template %q + %v mis-binds\n-- raw --\n%s\n-- bound --\n%s", sql, tmpl, vals, dumpTable(want), dumpTable(got))
+		if wantErr == nil && dumpTable(wantT) != dumpTable(got) {
+			t.Fatalf("%q: template %q + %v mis-binds\n-- raw --\n%s\n-- bound --\n%s", sql, tmpl, vals, dumpTable(wantT), dumpTable(got))
 		}
 	})
 }

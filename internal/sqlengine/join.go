@@ -2,7 +2,6 @@ package sqlengine
 
 import (
 	"context"
-	"strings"
 	"sync/atomic"
 
 	"datalab/internal/table"
@@ -32,45 +31,6 @@ import (
 // pin the parallel probe's output to the serial order.
 var serialJoinProbe atomic.Bool
 
-// pairEnv evaluates an ON predicate for one (left row, right row)
-// candidate without materializing the combined row — the boxed fallback
-// used by the nested-loop join. rrow/lrow may be -1 to read the padded
-// (all-NULL) side.
-type pairEnv struct {
-	schema      *relSchema // combined
-	left, right *vrel
-	lrow, rrow  int
-}
-
-func (e *pairEnv) resolveColumn(ref *ColumnRef) (table.Value, error) {
-	i := e.schema.findColumn(ref)
-	if i < 0 {
-		return table.Null(), errUnknownColumn(ref)
-	}
-	if i < len(e.left.cols) {
-		if e.lrow < 0 {
-			return table.Null(), nil
-		}
-		return e.left.cols[i].Value(e.lrow), nil
-	}
-	if e.rrow < 0 {
-		return table.Null(), nil
-	}
-	return e.right.cols[i-len(e.left.cols)].Value(e.rrow), nil
-}
-
-func (e *pairEnv) resolveAggregate(fn *FuncCall) (table.Value, error) {
-	return table.Null(), errAggInRowContext(fn)
-}
-
-func (e *pairEnv) resolveParam(p *Param) (table.Value, error) {
-	return bindAt(e.left.binds, p)
-}
-
-func (e *pairEnv) resolveWindow(fn *FuncCall) (table.Value, error) {
-	return table.Null(), errWindowContext(fn)
-}
-
 // splitConjuncts flattens a tree of ANDs into its conjuncts in evaluation
 // order.
 func splitConjuncts(e Expr) []Expr {
@@ -82,28 +42,21 @@ func splitConjuncts(e Expr) []Expr {
 
 // splitJoinOn partitions the ON conjuncts into hash-joinable equality
 // pairs (left column index, right column index) and residual expressions
-// evaluated per candidate pair. out is the combined schema, nl the number
-// of left columns.
-func splitJoinOn(out *relSchema, nl int, on Expr) (equiL, equiR []int, residual []Expr) {
+// evaluated per candidate pair. nl is the number of left columns: a resolved
+// reference below it reads the left side, one at or past it the right.
+func splitJoinOn(nl int, on Expr) (equiL, equiR []int, residual []Expr) {
 	for _, cj := range splitConjuncts(on) {
 		if b, ok := cj.(*Binary); ok && b.Op == "=" {
 			lr, lok := b.L.(*ColumnRef)
 			rr, rok := b.R.(*ColumnRef)
-			if lok && rok {
-				ci := out.findColumn(lr)
-				cj2 := out.findColumn(rr)
-				switch {
-				case ci >= 0 && cj2 >= nl:
-					if ci < nl {
-						equiL = append(equiL, ci)
-						equiR = append(equiR, cj2-nl)
-						continue
-					}
-				case cj2 >= 0 && cj2 < nl && ci >= nl:
-					equiL = append(equiL, cj2)
-					equiR = append(equiR, ci-nl)
-					continue
+			if lok && rok && (lr.idx < nl) != (rr.idx < nl) {
+				l, r := lr.idx, rr.idx
+				if l >= nl {
+					l, r = r, l
 				}
+				equiL = append(equiL, l)
+				equiR = append(equiR, r-nl)
+				continue
 			}
 		}
 		residual = append(residual, cj)
@@ -111,80 +64,42 @@ func splitJoinOn(out *relSchema, nl int, on Expr) (equiL, equiR []int, residual 
 	return equiL, equiR, residual
 }
 
-// joinKeepSet records which output columns the rest of the statement can
-// observe, so join materialization skips the others entirely. nil keeps
-// everything; resolution is deliberately conservative — a bare `*` keeps
-// all columns, `t.*` keeps all of qualifier t, and column references keep
-// every column sharing the name (qualifier ignored), so the set can only
-// over-approximate what findColumn resolves.
-type joinKeepSet struct {
-	all   bool
-	quals map[string]bool // lowercased qualifiers kept whole (t.*)
-	names map[string]bool // lowercased column names kept everywhere
-}
-
-func (k *joinKeepSet) keeps(qual, name string) bool {
-	if k == nil || k.all {
-		return true
+// joinsArePureEqui reports whether every join is INNER or LEFT with an ON
+// clause made only of hash-joinable column equalities. widths[i] is the
+// relation's width before the i-th join.
+func joinsArePureEqui(joins []JoinClause, widths []int) bool {
+	for i, j := range joins {
+		if j.Kind != table.JoinInner && j.Kind != table.JoinLeft {
+			return false
+		}
+		if equiL, _, residual := splitJoinOn(widths[i], j.On); len(equiL) == 0 || len(residual) > 0 {
+			return false
+		}
 	}
-	return k.quals[qual] || k.names[name]
-}
-
-// referencedOutputColumns derives the keep set from every expression of
-// the statement that evaluates against the joined relation: select items,
-// every join's ON clause (later joins hash and filter on earlier outputs),
-// WHERE, GROUP BY, HAVING, and ORDER BY. ORDER BY aliases and positions
-// resolve to select items, which are walked already.
-func referencedOutputColumns(stmt *SelectStmt) *joinKeepSet {
-	k := &joinKeepSet{quals: map[string]bool{}, names: map[string]bool{}}
-	stmt.eachExpr(func(p *Expr) {
-		walkExpr(*p, func(e Expr) bool {
-			switch x := e.(type) {
-			case Star:
-				k.all = true
-			case *ColumnRef:
-				if x.Name == "*" {
-					k.quals[strings.ToLower(x.Table)] = true
-				} else {
-					k.names[strings.ToLower(x.Name)] = true
-				}
-			}
-			return true
-		})
-	})
-	if k.all {
-		return nil
-	}
-	return k
-}
-
-// prunedColumn reports whether col is a pruning placeholder: a zero-value
-// Column inside a relation that has rows. Base-table columns always span
-// their table, so only columns skipped by an earlier join qualify.
-func prunedColumn(col *table.Column, nrows int) bool {
-	return nrows > 0 && col.Len() == 0 && col.Kind == table.KindNull && col.IsTyped()
+	return true
 }
 
 // joinVRel joins left and right per the clause's kind. See the package
 // comment at the top of this file for the pipeline shape; the probe side
 // is the preserved side (left for INNER/LEFT/FULL, right for RIGHT), so
 // output order always follows it, matching the scalar reference executor
-// row for row. Output columns the statement never observes (keep) are not
-// materialized — they stay zero placeholders that keep schema indexes
-// aligned — and the per-column gathers of a large join run on the worker
-// pool.
-func joinVRel(ctx context.Context, left, right *vrel, j JoinClause, keep *joinKeepSet) (*vrel, error) {
-	out := &vrel{relSchema: concatSchemas(&left.relSchema, &right.relSchema), binds: left.binds}
+// row for row. Output columns the statement never observes (keep[i] false,
+// by index in the final joined relation, of which this join's output is a
+// prefix) are not materialized — they stay zero placeholders that keep the
+// indexes aligned — and the per-column gathers of a large join run on the
+// worker pool.
+func joinVRel(ctx context.Context, left, right *vrel, j JoinClause, keep []bool) (*vrel, error) {
+	out := &vrel{x: left.x}
 	nl := len(left.cols)
 
-	equiL, equiR, residual := splitJoinOn(&out.relSchema, nl, j.On)
+	equiL, equiR, residual := splitJoinOn(nl, j.On)
 
 	var pairs *table.JoinPairs
 	var err error
 	if len(equiL) > 0 {
-		pairs, err = probeJoinPairs(ctx, left, right, out, equiL, equiR, residual, j.Kind)
+		pairs, err = probeJoinPairs(ctx, left, right, equiL, equiR, residual, j.Kind)
 	} else {
-		pairs, err = loopJoinPairs(ctx, left, right, out, j.On, j.Kind)
+		pairs, err = loopJoinPairs(ctx, left, right, j.On, j.Kind)
 	}
 	if err != nil {
 		return nil, err
@@ -199,20 +114,19 @@ func joinVRel(ctx context.Context, left, right *vrel, j JoinClause, keep *joinKe
 	ncols := nl + len(right.cols)
 	out.cols = make([]table.Column, ncols)
 	gatherOne := func(oi int) {
+		if !keep[oi] {
+			return // placeholder: never observed downstream
+		}
 		var src *table.Column
-		var srcRel *vrel
 		var idx []int
 		var nulls []bool
 		var sel *table.Selection
 		if oi < nl {
-			src, srcRel = &left.cols[oi], left
+			src = &left.cols[oi]
 			idx, nulls, sel = pairs.Lidx, pairs.Lnull, lsel
 		} else {
-			src, srcRel = &right.cols[oi-nl], right
+			src = &right.cols[oi-nl]
 			idx, nulls, sel = pairs.Ridx, pairs.Rnull, rsel
-		}
-		if !keep.keeps(out.quals[oi], out.names[oi]) || prunedColumn(src, srcRel.nrows) {
-			return // placeholder: never observed downstream
 		}
 		switch {
 		case sel != nil:
@@ -304,7 +218,7 @@ func joinProbeChunks(ctx context.Context, n int, kind table.JoinKind, fn func(pa
 // order; RIGHT hashes the left side and probes right rows, flipping each
 // emitted pair back to (left, right) orientation. Residual conjuncts are
 // batch-evaluated per chunk over the candidate pair vectors.
-func probeJoinPairs(ctx context.Context, left, right, out *vrel, equiL, equiR []int, residual []Expr, kind table.JoinKind) (*table.JoinPairs, error) {
+func probeJoinPairs(ctx context.Context, left, right *vrel, equiL, equiR []int, residual []Expr, kind table.JoinKind) (*table.JoinPairs, error) {
 	flipped := kind == table.JoinRight
 	probe, build := left, right
 	probeKeys, buildKeys := equiL, equiR
@@ -382,7 +296,7 @@ func probeJoinPairs(ctx context.Context, left, right, out *vrel, equiL, equiR []
 		if flipped {
 			lcand, rcand = candBuild, candProbe
 		}
-		pass, err := residualMask(residual, left, right, &out.relSchema, lcand, rcand)
+		pass, err := residualMask(residual, left, right, lcand, rcand)
 		if err != nil {
 			return err
 		}
@@ -411,7 +325,7 @@ func probeJoinPairs(ctx context.Context, left, right, out *vrel, equiL, equiR []
 // data-dependent error in conjunct k cannot fire for a pair conjunct k-1
 // already rejected. Only the columns each conjunct references are
 // gathered into its candidate relation.
-func residualMask(residual []Expr, left, right *vrel, schema *relSchema, lidx, ridx []int) ([]bool, error) {
+func residualMask(residual []Expr, left, right *vrel, lidx, ridx []int) ([]bool, error) {
 	n := len(lidx)
 	pass := make([]bool, n)
 	for i := range pass {
@@ -425,15 +339,18 @@ func residualMask(residual []Expr, left, right *vrel, schema *relSchema, lidx, r
 		if m == 0 {
 			break
 		}
-		rel := &vrel{relSchema: *schema, nrows: m, binds: left.binds}
-		rel.cols = make([]table.Column, len(schema.names))
-		for _, ci := range referencedColumns(cj, schema) {
-			if ci < nl {
-				rel.cols[ci] = left.cols[ci].Gather(curL)
-			} else {
-				rel.cols[ci] = right.cols[ci-nl].Gather(curR)
+		rel := &vrel{cols: make([]table.Column, nl+len(right.cols)), nrows: m, x: left.x}
+		walkExpr(cj, func(e Expr) bool {
+			// m > 0, so a column still of length 0 has not been gathered.
+			if ref, ok := e.(*ColumnRef); ok && rel.cols[ref.idx].Len() != m {
+				if ci := ref.idx; ci < nl {
+					rel.cols[ci] = left.cols[ci].Gather(curL)
+				} else {
+					rel.cols[ci] = right.cols[ci-nl].Gather(curR)
+				}
 			}
-		}
+			return true
+		})
 		col, err := evalVec(cj, rel, nil)
 		if err != nil {
 			return nil, err
@@ -458,30 +375,11 @@ func residualMask(residual []Expr, left, right *vrel, schema *relSchema, lidx, r
 	return pass, nil
 }
 
-// referencedColumns resolves every column reference in e to its index in
-// the schema, deduplicated; unresolvable references are skipped
-// (evaluation reports them as unknown-column errors, identically to the
-// scalar path).
-func referencedColumns(e Expr, schema *relSchema) []int {
-	seen := make(map[int]bool)
-	var out []int
-	walkExpr(e, func(e Expr) bool {
-		if x, ok := e.(*ColumnRef); ok {
-			if ci := schema.findColumn(x); ci >= 0 && !seen[ci] {
-				seen[ci] = true
-				out = append(out, ci)
-			}
-		}
-		return true
-	})
-	return out
-}
-
 // loopJoinPairs is the no-equi-conjunct fallback: a nested loop over
 // (probe row, other-side row) pairs, boxed ON evaluation per pair, still
 // chunk-parallel over the probe side. The probe side is the preserved
 // side, as in hashJoinPairs.
-func loopJoinPairs(ctx context.Context, left, right, out *vrel, on Expr, kind table.JoinKind) (*table.JoinPairs, error) {
+func loopJoinPairs(ctx context.Context, left, right *vrel, on Expr, kind table.JoinKind) (*table.JoinPairs, error) {
 	conjuncts := splitConjuncts(on)
 	flipped := kind == table.JoinRight
 	probeRows, innerRows := left.nrows, right.nrows
@@ -491,9 +389,9 @@ func loopJoinPairs(ctx context.Context, left, right, out *vrel, on Expr, kind ta
 	outerProbe := kind != table.JoinInner
 
 	return joinProbeChunks(ctx, probeRows, kind, func(part *table.JoinPairs, lo, hi int) error {
-		env := &pairEnv{schema: &out.relSchema, left: left, right: right}
+		env := &vecEnv{rel: left, right: right}
 		pairOK := func(l, r int) (bool, error) {
-			env.lrow, env.rrow = l, r
+			env.row, env.rrow = l, r
 			for _, cj := range conjuncts {
 				v, err := evalExpr(cj, env)
 				if err != nil {

@@ -268,7 +268,7 @@ afterJoins:
 // subquery shares the outer statement's binding-slot space (placeholders
 // inside it allocate outer slots), so its own Params list is cleared —
 // only the top-level statement declares slots; subquery execution passes
-// the outer binding slice through unchecked (resolveBindsLoose).
+// the outer binding slice through unchecked (begin).
 func (p *parser) parseSubSelect() (*SelectStmt, error) {
 	sub, err := p.parseSelect()
 	if err != nil {

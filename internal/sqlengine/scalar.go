@@ -16,17 +16,17 @@ import (
 // row. The vectorized executor in exec.go/vector.go is differentially
 // tested against it (see vector_test.go); no request reaches it.
 
-// srel is the scalar executor's working representation: shared column
-// metadata plus row-major values. binds carries the execution's parameter
-// bindings (nil without placeholders).
+// srel is the scalar executor's working representation: row-major values,
+// addressed by the indexes the plan's column references carry. x carries the
+// execution's arguments.
 type srel struct {
-	relSchema
 	rows  [][]table.Value
-	binds []table.Value
+	width int // cells per row
+	x     *execArgs
 }
 
-func srelFrom(t *table.Table, qual string) *srel {
-	r := &srel{relSchema: schemaFrom(t, qual)}
+func srelFrom(t *table.Table, x *execArgs) *srel {
+	r := &srel{width: len(t.Columns), x: x}
 	n := t.NumRows()
 	r.rows = make([][]table.Value, n)
 	for i := 0; i < n; i++ {
@@ -36,66 +36,45 @@ func srelFrom(t *table.Table, qual string) *srel {
 }
 
 // rowEnv evaluates expressions against one relation row. pos/win are set
-// only during projection of a statement with window functions: win maps
-// each window call to its precomputed per-row values, indexed by pos (the
+// only during projection of a statement with window functions: win holds
+// each window call's precomputed per-row values by slot, indexed by pos (the
 // row's position in rel.rows).
 type rowEnv struct {
 	rel *srel
 	row []table.Value
 	pos int
-	win map[*FuncCall][]table.Value
+	win [][]table.Value
 }
 
-func (e *rowEnv) resolveColumn(ref *ColumnRef) (table.Value, error) {
-	i := e.rel.findColumn(ref)
-	if i < 0 {
-		return table.Null(), errUnknownColumn(ref)
+func (e *rowEnv) args() *execArgs { return e.rel.x }
+
+func (e *rowEnv) column(i int) table.Value {
+	if e.row == nil {
+		return table.Null() // the empty global group has no first row
 	}
-	return e.row[i], nil
+	return e.row[i]
 }
 
-func (e *rowEnv) resolveAggregate(fn *FuncCall) (table.Value, error) {
+func (e *rowEnv) aggregate(fn *FuncCall) (table.Value, error) {
 	return table.Null(), errAggInRowContext(fn)
 }
 
-func (e *rowEnv) resolveParam(p *Param) (table.Value, error) {
-	return bindAt(e.rel.binds, p)
-}
-
-func (e *rowEnv) resolveWindow(fn *FuncCall) (table.Value, error) {
-	if vals, ok := e.win[fn]; ok {
-		return vals[e.pos], nil
+func (e *rowEnv) window(fn *FuncCall) (table.Value, error) {
+	if e.win == nil {
+		return table.Null(), errWindowContext(fn)
 	}
-	return table.Null(), errWindowContext(fn)
+	return e.win[fn.slot][e.pos], nil
 }
 
 // groupEnv evaluates expressions against one group: plain columns resolve
-// from the group's first row, aggregates compute over all group rows.
+// from the group's first row (rowEnv.row), aggregates compute over all
+// group rows.
 type groupEnv struct {
-	rel  *srel
+	rowEnv
 	rows []int // indexes into rel.rows
 }
 
-func (e *groupEnv) resolveColumn(ref *ColumnRef) (table.Value, error) {
-	i := e.rel.findColumn(ref)
-	if i < 0 {
-		return table.Null(), errUnknownColumn(ref)
-	}
-	if len(e.rows) == 0 {
-		return table.Null(), nil
-	}
-	return e.rel.rows[e.rows[0]][i], nil
-}
-
-func (e *groupEnv) resolveParam(p *Param) (table.Value, error) {
-	return bindAt(e.rel.binds, p)
-}
-
-func (e *groupEnv) resolveWindow(fn *FuncCall) (table.Value, error) {
-	return table.Null(), errWindowContext(fn)
-}
-
-func (e *groupEnv) resolveAggregate(fn *FuncCall) (table.Value, error) {
+func (e *groupEnv) aggregate(fn *FuncCall) (table.Value, error) {
 	if fn.IsStar {
 		if fn.Name != "COUNT" {
 			return table.Null(), fmt.Errorf("sql: %s(*) is not supported", fn.Name)
@@ -198,57 +177,47 @@ func finishNumericAggregate(name string, nums []float64) table.Value {
 
 // QueryScalar parses and executes a SELECT with the scalar reference
 // executor. Like Query, the text goes through fingerprinting and the plan
-// cache: repeated templates parse once and execute with their extracted
+// cache: repeated templates plan once and execute with their extracted
 // literals bound, so differential runs alternating Query/QueryScalar no
 // longer pay (or skew) a raw parse per scalar call.
 func (c *Catalog) QueryScalar(sql string) (*table.Table, error) {
-	stmt, binds, err := c.planQuery(sql)
+	p, binds, err := c.planQuery(sql)
 	if err != nil {
 		return nil, err
 	}
-	return c.ExecuteScalarBound(stmt, binds)
+	return executeScalarBound(p, binds)
 }
 
 // ExecuteScalarBound runs a parsed statement with the row-at-a-time
 // reference path and the execution's parameter bindings (nil for a
 // statement without placeholders) — the scalar half of the bind-vs-inline
-// differential harness.
+// differential harness. Like Execute it resolves a copy, uncached.
 func (c *Catalog) ExecuteScalarBound(stmt *SelectStmt, binds []table.Value) (*table.Table, error) {
-	stmt, err := c.resolveInline(context.Background(), stmt, binds, true)
+	p, err := c.resolve(cloneStmt(stmt))
 	if err != nil {
 		return nil, err
 	}
-	return c.executeScalarStmt(stmt, binds)
+	return executeScalarBound(p, binds)
 }
 
-// executeScalarStmt is the scalar execution body after bind resolution
-// and subquery inlining — shared with subquery execution, which enters
-// with resolveBindsLoose.
-func (c *Catalog) executeScalarStmt(stmt *SelectStmt, binds []table.Value) (*table.Table, error) {
+func executeScalarBound(p *plan, binds []table.Value) (*table.Table, error) {
+	x, err := start(context.Background(), p, binds, true)
+	if err != nil {
+		return nil, err
+	}
+	return executeScalarPlan(p, x)
+}
+
+// executeScalarPlan is the scalar execution body once the execution's
+// arguments are known — shared with subquery execution.
+func executeScalarPlan(p *plan, x *execArgs) (*table.Table, error) {
 	// Same snapshot discipline as the vectorized path: one atomic load per
 	// referenced table pins the rows this execution reads.
-	base, ok := c.Snapshot(stmt.From)
-	if !ok {
-		return nil, fmt.Errorf("sql: unknown table %q", stmt.From)
-	}
-	qual := stmt.From
-	if stmt.FromAs != "" {
-		qual = stmt.FromAs
-	}
-	rel := srelFrom(base.Table(), qual)
-	rel.binds = binds
-
-	for _, j := range stmt.Joins {
-		rt, ok := c.Snapshot(j.Table)
-		if !ok {
-			return nil, fmt.Errorf("sql: unknown table %q", j.Table)
-		}
-		jq := j.Table
-		if j.Alias != "" {
-			jq = j.Alias
-		}
+	stmt := p.stmt
+	rel := srelFrom(p.apps[0].Snapshot().Table(), x)
+	for i, j := range stmt.Joins {
 		var err error
-		rel, err = joinRelationsScalar(rel, srelFrom(rt.Table(), jq), j)
+		rel, err = joinRelationsScalar(rel, srelFrom(p.apps[i+1].Snapshot().Table(), x), j)
 		if err != nil {
 			return nil, err
 		}
@@ -268,18 +237,17 @@ func (c *Catalog) executeScalarStmt(stmt *SelectStmt, binds []table.Value) (*tab
 		rel.rows = kept
 	}
 
-	grouped := len(stmt.GroupBy) > 0 || stmt.Having != nil || selectHasAggregate(stmt)
 	var out *table.Table
 	var err error
-	if grouped {
-		out, err = executeGroupedScalar(stmt, rel)
+	if p.grouped {
+		out, err = executeGroupedScalar(p, rel)
 	} else {
-		out, err = executePlainScalar(stmt, rel)
+		out, err = executePlainScalar(p, rel)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return applyDistinctOffsetLimit(stmt, out), nil
+	return applyDistinctOffsetLimit(stmt.Distinct, x, out), nil
 }
 
 // joinRelationsScalar nested-loop joins left and right with the ON
@@ -289,9 +257,9 @@ func (c *Catalog) executeScalarStmt(stmt *SelectStmt, binds []table.Value) (*tab
 // matching the vectorized pipeline's probe order exactly (the differential
 // harness compares results row for row).
 func joinRelationsScalar(left, right *srel, j JoinClause) (*srel, error) {
-	out := &srel{relSchema: concatSchemas(&left.relSchema, &right.relSchema), binds: left.binds}
-	nullsLeft := make([]table.Value, len(left.names))
-	nullsRight := make([]table.Value, len(right.names))
+	out := &srel{width: left.width + right.width, x: left.x}
+	nullsLeft := make([]table.Value, left.width)
+	nullsRight := make([]table.Value, right.width)
 	match := func(lrow, rrow []table.Value) (bool, []table.Value, error) {
 		combined := append(append([]table.Value{}, lrow...), rrow...)
 		v, err := evalExpr(j.On, &rowEnv{rel: out, row: combined})
@@ -358,7 +326,8 @@ type projectedRow struct {
 	keys []table.Value // order-by keys
 }
 
-func buildOutput(name string, items []SelectItem, rows []projectedRow, order []OrderItem) *table.Table {
+func buildOutput(p *plan, rows []projectedRow) *table.Table {
+	order := p.order
 	if len(order) > 0 {
 		sort.SliceStable(rows, func(a, b int) bool {
 			for k := range order {
@@ -374,20 +343,16 @@ func buildOutput(name string, items []SelectItem, rows []projectedRow, order []O
 			return false
 		})
 	}
-	names := outputNames(items)
-	kinds := make([]table.Kind, len(items))
-	for i := range kinds {
-		kinds[i] = table.KindString
+	out := &table.Table{Name: p.stmt.From}
+	for i, name := range p.names {
+		kind := table.KindString
 		for _, r := range rows {
 			if !r.out[i].IsNull() {
-				kinds[i] = r.out[i].Kind
+				kind = r.out[i].Kind
 				break
 			}
 		}
-	}
-	out := &table.Table{Name: name}
-	for i := range items {
-		col := table.NewColumn(names[i], kinds[i])
+		col := table.NewColumn(name, kind)
 		col.Grow(len(rows))
 		for _, r := range rows {
 			col.Append(r.out[i])
@@ -397,67 +362,51 @@ func buildOutput(name string, items []SelectItem, rows []projectedRow, order []O
 	return out
 }
 
-// outputNames resolves display names for the select items, deduplicating
-// case-insensitive collisions with _N suffixes.
-func outputNames(items []SelectItem) []string {
-	names := make([]string, len(items))
-	used := map[string]int{}
-	for i, it := range items {
-		n := it.OutputName()
-		key := strings.ToLower(n)
-		if c, dup := used[key]; dup {
-			used[key] = c + 1
-			n = fmt.Sprintf("%s_%d", n, c+1)
-		} else {
-			used[key] = 0
+// project evaluates the select list and the ORDER BY keys in ev: one output
+// row, for a relation row or for a group.
+func project(p *plan, ev env) (projectedRow, error) {
+	pr := projectedRow{out: make([]table.Value, len(p.items)), keys: make([]table.Value, len(p.order))}
+	for i, it := range p.items {
+		v, err := evalExpr(it.Expr, ev)
+		if err != nil {
+			return pr, err
 		}
-		names[i] = n
+		pr.out[i] = v
 	}
-	return names
+	for i, o := range p.order {
+		v, err := evalExpr(o.Expr, ev)
+		if err != nil {
+			return pr, err
+		}
+		pr.keys[i] = v
+	}
+	return pr, nil
 }
 
-func executePlainScalar(stmt *SelectStmt, rel *srel) (*table.Table, error) {
-	items := expandItems(stmt, &rel.relSchema)
-	order := orderExprs(stmt, items)
-	win, err := computeWindowsScalar(rel, statementWindows(items, order))
+func executePlainScalar(p *plan, rel *srel) (*table.Table, error) {
+	win, err := computeWindowsScalar(rel, p.wins)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]projectedRow, 0, len(rel.rows))
 	for ri, row := range rel.rows {
-		ev := &rowEnv{rel: rel, row: row, pos: ri, win: win}
-		pr := projectedRow{out: make([]table.Value, len(items)), keys: make([]table.Value, len(order))}
-		for i, it := range items {
-			v, err := evalExpr(it.Expr, ev)
-			if err != nil {
-				return nil, err
-			}
-			pr.out[i] = v
-		}
-		for i, o := range order {
-			v, err := evalExpr(o.Expr, ev)
-			if err != nil {
-				return nil, err
-			}
-			pr.keys[i] = v
+		pr, err := project(p, &rowEnv{rel: rel, row: row, pos: ri, win: win})
+		if err != nil {
+			return nil, err
 		}
 		rows = append(rows, pr)
 	}
-	return buildOutput(stmt.From, items, rows, order), nil
+	return buildOutput(p, rows), nil
 }
 
-func executeGroupedScalar(stmt *SelectStmt, rel *srel) (*table.Table, error) {
-	items := expandItems(stmt, &rel.relSchema)
-	order := orderExprs(stmt, items)
-
+func executeGroupedScalar(p *plan, rel *srel) (*table.Table, error) {
 	// Partition rows into groups by the GROUP BY key expressions.
-	type grp struct{ rows []int }
 	var keys []string
-	groups := map[string]*grp{}
+	groups := map[string][]int{}
 	for ri, row := range rel.rows {
 		ev := &rowEnv{rel: rel, row: row}
 		var kb strings.Builder
-		for _, g := range stmt.GroupBy {
+		for _, g := range p.groupBy {
 			v, err := evalExpr(g, ev)
 			if err != nil {
 				return nil, err
@@ -466,30 +415,24 @@ func executeGroupedScalar(stmt *SelectStmt, rel *srel) (*table.Table, error) {
 			kb.WriteByte('\x1f')
 		}
 		k := kb.String()
-		g, ok := groups[k]
-		if !ok {
-			g = &grp{}
-			groups[k] = g
+		if _, ok := groups[k]; !ok {
 			keys = append(keys, k)
 		}
-		g.rows = append(g.rows, ri)
+		groups[k] = append(groups[k], ri)
 	}
 	// Global aggregates over zero rows still produce one group.
-	if len(stmt.GroupBy) == 0 && len(keys) == 0 {
-		groups[""] = &grp{}
+	if len(p.groupBy) == 0 && len(keys) == 0 {
 		keys = append(keys, "")
 	}
 
-	having := stmt.Having
-	if having != nil {
-		having = resolveHavingAliases(having, items, &rel.relSchema)
-	}
 	rows := make([]projectedRow, 0, len(keys))
 	for _, k := range keys {
-		g := groups[k]
-		ev := &groupEnv{rel: rel, rows: g.rows}
-		if having != nil {
-			hv, err := evalExpr(having, ev)
+		ev := &groupEnv{rowEnv: rowEnv{rel: rel}, rows: groups[k]}
+		if len(ev.rows) > 0 {
+			ev.row = rel.rows[ev.rows[0]]
+		}
+		if p.having != nil {
+			hv, err := evalExpr(p.having, ev)
 			if err != nil {
 				return nil, err
 			}
@@ -497,22 +440,11 @@ func executeGroupedScalar(stmt *SelectStmt, rel *srel) (*table.Table, error) {
 				continue
 			}
 		}
-		pr := projectedRow{out: make([]table.Value, len(items)), keys: make([]table.Value, len(order))}
-		for i, it := range items {
-			v, err := evalExpr(it.Expr, ev)
-			if err != nil {
-				return nil, err
-			}
-			pr.out[i] = v
-		}
-		for i, o := range order {
-			v, err := evalExpr(o.Expr, ev)
-			if err != nil {
-				return nil, err
-			}
-			pr.keys[i] = v
+		pr, err := project(p, ev)
+		if err != nil {
+			return nil, err
 		}
 		rows = append(rows, pr)
 	}
-	return buildOutput(stmt.From, items, rows, order), nil
+	return buildOutput(p, rows), nil
 }

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -154,6 +155,108 @@ func TestGroupByHaving(t *testing.T) {
 			}
 		}
 	}
+}
+
+// namesCatalog is t(id, region, amt) with ids 1-3 and u(id): the table the
+// name-resolution tests run every statement over.
+func namesCatalog() *Catalog {
+	c := NewCatalog()
+	registerNamesTables(c)
+	return c
+}
+
+func registerNamesTables(c *Catalog) {
+	tb := table.MustNew("t", []string{"id", "region", "amt"}, []table.Kind{table.KindInt, table.KindString, table.KindFloat})
+	tb.MustAppendRow(table.Int(1), table.Str("east"), table.Float(10))
+	tb.MustAppendRow(table.Int(2), table.Str("east"), table.Float(20))
+	tb.MustAppendRow(table.Int(3), table.Str("west"), table.Float(30))
+	u := table.MustNew("u", []string{"id"}, []table.Kind{table.KindInt})
+	u.MustAppendRow(table.Int(1))
+	c.Register(tb)
+	c.Register(u)
+}
+
+// TestGroupByPositionAndAlias: a GROUP BY key resolves like HAVING's
+// references — a relation column first, then a select alias — and an
+// integer literal is a 1-based select position, on both executors.
+func TestGroupByPositionAndAlias(t *testing.T) {
+	c := namesCatalog()
+	for _, q := range []string{
+		"SELECT region, COUNT(*) AS n FROM t GROUP BY 1 ORDER BY 1",
+		"SELECT region AS r, COUNT(*) FROM t GROUP BY r ORDER BY 1",
+		"SELECT LOWER(region) AS r, COUNT(*) FROM t GROUP BY r ORDER BY 1",
+	} {
+		vec := mustQuery(t, c, q)
+		sca, err := c.QueryScalar(q)
+		if err != nil {
+			t.Fatalf("%s: scalar: %v", q, err)
+		}
+		got := ""
+		for i := 0; i < vec.NumRows(); i++ {
+			got += vec.Columns[0].Value(i).AsString() + " " + vec.Columns[1].Value(i).AsString() + " / "
+		}
+		if got != "east 2 / west 1 / " {
+			t.Errorf("%s: groups = %q, want east 2 / west 1", q, got)
+		}
+		if dumpTable(vec) != dumpTable(sca) {
+			t.Errorf("%s: vectorized\n%s\nscalar\n%s", q, dumpTable(vec), dumpTable(sca))
+		}
+	}
+	for q, want := range map[string]string{
+		"SELECT region, COUNT(*) FROM t GROUP BY 3": "GROUP BY position 3 is not in the select list",
+		"SELECT region, COUNT(*) FROM t GROUP BY 0": "GROUP BY position 0 is not in the select list",
+		"SELECT region, COUNT(*) FROM t GROUP BY 2": "aggregate COUNT in row context",
+	} {
+		_, vecErr := c.Query(q)
+		_, scaErr := c.QueryScalar(q)
+		if vecErr == nil || scaErr == nil || !strings.Contains(vecErr.Error(), want) || !strings.Contains(scaErr.Error(), want) {
+			t.Errorf("%s: vectorized %v, scalar %v; want both to report %q", q, vecErr, scaErr, want)
+		}
+	}
+}
+
+// TestUnknownNamesFailOnEveryData: whether a statement names a column that
+// does not exist is decided by the statement and the schema. Each shape used
+// to pass or fail with the rows (a short-circuit skipped the reference, a
+// filter left no row to evaluate it on) or with the executor; now all of
+// them fail the same way over a filter that keeps no row, some and all.
+func TestUnknownNamesFailOnEveryData(t *testing.T) {
+	c := namesCatalog()
+	const want = "unknown column \"nosuch"
+	for _, q := range unknownNameStatements() {
+		_, vecErr := c.Query(q)
+		_, scaErr := c.QueryScalar(q)
+		_, resErr := c.QueryCtx(context.Background(), q)
+		for name, err := range map[string]error{"Query": vecErr, "QueryScalar": scaErr, "QueryCtx": resErr} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: %s returned %v, want %s", q, name, err, want)
+			}
+		}
+	}
+}
+
+// unknownNameStatements are the statements of
+// TestUnknownNamesFailOnEveryData over namesCatalog's t and u, each with a
+// filter that keeps no row, some rows and every row. The differential and
+// fingerprint fuzz corpora replay them.
+func unknownNameStatements() []string {
+	var out []string
+	for _, shape := range []string{
+		"SELECT id FROM t WHERE $F AND nosuch = 1",
+		"SELECT id FROM t WHERE $F OR nosuch = 1",
+		"SELECT UPPER(nosuch) FROM t WHERE $F",
+		"SELECT CASE WHEN $F THEN nosuch ELSE 1 END FROM t",
+		"SELECT nosuch FROM t WHERE $F",
+		"SELECT COUNT(nosuch) FROM t WHERE $F",
+		"SELECT id, ROW_NUMBER() OVER (ORDER BY nosuch) FROM t WHERE $F",
+		"SELECT id FROM t WHERE id IN (SELECT nosuch FROM u WHERE $F)",
+		"SELECT nosuch.* FROM t WHERE $F",
+	} {
+		for _, filter := range []string{"id > 100", "id > 1", "id < 100"} {
+			out = append(out, strings.ReplaceAll(shape, "$F", filter))
+		}
+	}
+	return out
 }
 
 func TestGlobalAggregates(t *testing.T) {

@@ -35,16 +35,15 @@ func evalVec(e Expr, rel *vrel, sel *table.Selection) (table.Column, error) {
 	case *Literal:
 		return constColumn(x.Value, n), nil
 	case *Param:
-		v, err := bindAt(rel.binds, x)
+		v, err := bindAt(rel.x.binds, x)
 		if err != nil {
 			return table.Column{}, err
 		}
 		return constColumn(v, n), nil
+	case *Subquery:
+		return constColumn(rel.x.scalarSub(x.slot), n), nil
 	case *ColumnRef:
-		i := rel.findColumn(x)
-		if i < 0 {
-			return table.Column{}, errUnknownColumn(x)
-		}
+		i := x.idx
 		if sel == nil {
 			return rel.cols[i], nil
 		}
@@ -72,22 +71,15 @@ func evalVec(e Expr, rel *vrel, sel *table.Selection) (table.Column, error) {
 		}
 		return rowFallback(e, rel, sel)
 	case *In:
-		if x.Sub != nil {
-			// Not inlined — surface the internal error via the row path
-			// instead of silently treating the list as empty.
-			return rowFallback(e, rel, sel)
-		}
 		if col, ok, err := evalVecIn(x, rel, sel); ok || err != nil {
 			return col, err
 		}
 		return rowFallback(e, rel, sel)
 	case *FuncCall:
-		if x.Over != nil {
-			if col, ok := rel.win[x]; ok {
-				// Precomputed by executePlainVec over this same selection;
-				// already positional, so it is the node's value column.
-				return col, nil
-			}
+		if x.Over != nil && rel.win != nil {
+			// Precomputed by executePlainVec over this same selection;
+			// already positional, so it is the node's value column.
+			return rel.win[x.slot], nil
 		}
 		return rowFallback(e, rel, sel)
 	default:
@@ -102,7 +94,7 @@ func evalVec(e Expr, rel *vrel, sel *table.Selection) (table.Column, error) {
 func rowFallback(e Expr, rel *vrel, sel *table.Selection) (table.Column, error) {
 	n := selLen(rel, sel)
 	vals := make([]table.Value, n)
-	env := &vecRowEnv{rel: rel}
+	env := &vecEnv{rel: rel}
 	it := table.IterSelection(sel, rel.nrows)
 	for i := 0; i < n; i++ {
 		env.row, _ = it.Next()
@@ -130,52 +122,59 @@ func columnOfValues(vals []table.Value) table.Column {
 	return table.ColumnOf("", kind, vals)
 }
 
-// vecRowEnv adapts the columnar relation to the scalar evaluator's env.
-// row is the absolute row index in rel; pos is the row's position within
-// the active selection — window columns are positional, so resolveWindow
-// indexes with pos, not row.
-type vecRowEnv struct {
-	rel *vrel
-	row int
-	pos int
+// vecEnv adapts the columnar relation to the scalar evaluator's env. row is
+// the absolute row index in rel; pos is the row's position within the active
+// selection — window columns are positional, so window indexes with pos, not
+// row. A nested-loop join evaluates its ON clause over a candidate pair
+// without materializing the combined row: cells past rel's width are
+// right's, at rrow.
+type vecEnv struct {
+	rel   *vrel
+	row   int
+	pos   int
+	right *vrel
+	rrow  int
 }
 
-func (e *vecRowEnv) resolveColumn(ref *ColumnRef) (table.Value, error) {
-	i := e.rel.findColumn(ref)
-	if i < 0 {
-		return table.Null(), errUnknownColumn(ref)
+func (e *vecEnv) args() *execArgs { return e.rel.x }
+
+func (e *vecEnv) column(i int) table.Value {
+	if nl := len(e.rel.cols); i >= nl {
+		return e.right.cols[i-nl].Value(e.rrow)
 	}
-	return e.rel.cols[i].Value(e.row), nil
+	if e.row < 0 {
+		return table.Null() // the empty global group has no first row
+	}
+	return e.rel.cols[i].Value(e.row)
 }
 
-func (e *vecRowEnv) resolveAggregate(fn *FuncCall) (table.Value, error) {
+func (e *vecEnv) aggregate(fn *FuncCall) (table.Value, error) {
 	return table.Null(), errAggInRowContext(fn)
 }
 
-func (e *vecRowEnv) resolveParam(p *Param) (table.Value, error) {
-	return bindAt(e.rel.binds, p)
-}
-
-func (e *vecRowEnv) resolveWindow(fn *FuncCall) (table.Value, error) {
-	if col, ok := e.rel.win[fn]; ok {
-		return col.Value(e.pos), nil
+func (e *vecEnv) window(fn *FuncCall) (table.Value, error) {
+	if e.rel.win == nil {
+		return table.Null(), errWindowContext(fn)
 	}
-	return table.Null(), errWindowContext(fn)
+	return e.rel.win[fn.slot].Value(e.pos), nil
 }
 
 // constExprValue resolves e to an execution-constant value when it is a
-// literal or a bound parameter, letting the vectorized LIKE/BETWEEN/IN
-// fast paths accept placeholders without falling back to per-row loops.
+// literal, a bound parameter or a scalar subquery, letting the WHERE kernels
+// and the vectorized LIKE/BETWEEN/IN fast paths accept them without falling
+// back to per-row loops.
 func constExprValue(e Expr, rel *vrel) (table.Value, bool) {
 	switch x := e.(type) {
 	case *Literal:
 		return x.Value, true
 	case *Param:
-		v, err := bindAt(rel.binds, x)
+		v, err := bindAt(rel.x.binds, x)
 		if err != nil {
 			return table.Null(), false // fall back; the row path reports the error
 		}
 		return v, true
+	case *Subquery:
+		return rel.x.scalarSub(x.slot), true
 	}
 	return table.Null(), false
 }
@@ -646,11 +645,11 @@ func isNumericLit(v table.Value) bool {
 	return v.Kind == table.KindInt || v.Kind == table.KindFloat
 }
 
-// evalVecIn vectorizes X IN (constants...) — literals or bound parameters —
-// when X is typed numeric with an all-numeric list, or typed string with an
-// all-string list. Mixed-kind membership (which compares through
-// table.Equal's string forms) falls back. NULL list entries are ignored,
-// matching the scalar evaluator.
+// evalVecIn vectorizes X IN (constants...) — literals, bound parameters or
+// a subquery's rows — when X is typed numeric with an all-numeric list, or
+// typed string with an all-string list. Mixed-kind membership (which
+// compares through table.Equal's string forms) falls back. NULL list entries
+// are ignored, matching the scalar evaluator.
 func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, bool, error) {
 	lits := make([]table.Value, 0, len(x.Values))
 	for _, cand := range x.Values {
@@ -658,10 +657,16 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, bool, erro
 		if !ok {
 			return table.Column{}, false, nil
 		}
-		if v.IsNull() {
-			continue
+		if !v.IsNull() {
+			lits = append(lits, v)
 		}
-		lits = append(lits, v)
+	}
+	if x.Sub != nil {
+		for _, v := range rel.x.subs[x.slot] {
+			if !v.IsNull() {
+				lits = append(lits, v)
+			}
+		}
 	}
 	col, err := evalVec(x.X, rel, sel)
 	if err != nil {

@@ -339,10 +339,24 @@ func randQuery(rng *rand.Rand) string {
 	join := rng.Intn(4) == 0
 
 	if rng.Intn(3) == 0 { // grouped
-		keys := []string{}
+		// keys are the select list's spelling of the group keys, groupBy the
+		// GROUP BY clause's: the column itself, its 1-based select position,
+		// or a select alias — of the column or of an expression over it.
+		keys, groupBy := []string{}, []string{}
 		for _, k := range []string{"c", "e"} {
-			if rng.Intn(2) == 0 {
-				keys = append(keys, k)
+			if rng.Intn(2) != 0 {
+				continue
+			}
+			switch rng.Intn(5) {
+			case 0:
+				keys, groupBy = append(keys, k), append(groupBy, fmt.Sprint(len(keys)+1))
+			case 1:
+				keys, groupBy = append(keys, k+" AS k"+k), append(groupBy, "k"+k)
+			case 2:
+				expr := map[string]string{"c": "UPPER(c)", "e": "e % 3"}[k]
+				keys, groupBy = append(keys, expr+" AS x"+k), append(groupBy, "x"+k)
+			default:
+				keys, groupBy = append(keys, k), append(groupBy, k)
 			}
 		}
 		aggs := []string{"SUM(a)", "SUM(b)", "COUNT(*)", "COUNT(b)", "AVG(b)", "MIN(a)", "MAX(b)", "SUM(a + b)", "COUNT(DISTINCT c)"}
@@ -365,7 +379,7 @@ func randQuery(rng *rand.Rand) string {
 		}
 		if len(keys) > 0 {
 			sb.WriteString(" GROUP BY ")
-			sb.WriteString(strings.Join(keys, ", "))
+			sb.WriteString(strings.Join(groupBy, ", "))
 			// HAVING shapes: bare aggregate comparison, select-list alias
 			// reference, compound expressions over several aggregates, and
 			// an uncorrelated subquery threshold.

@@ -12,9 +12,8 @@ import (
 
 // Window function execution. Both executors compute every window call's
 // output column up front (before projection) and hand the per-row values
-// to expression evaluation through env.resolveWindow, keyed by the call's
-// AST node pointer — the statement is immutable and shared, so the
-// pointer is a stable identity for one execution.
+// to expression evaluation through env.window, by the slot the resolver
+// numbered the call with (plan.wins).
 //
 // The partition/sort machinery differs per engine — the scalar reference
 // sorts boxed values with sort.SliceStable while the vectorized path
@@ -53,16 +52,9 @@ func exprHasWindow(e Expr) bool {
 	})
 }
 
-// selectHasWindow reports whether the statement computes any window
-// function (parsing admits them in the select list and ORDER BY only).
-func selectHasWindow(stmt *SelectStmt) bool {
-	found := false
-	stmt.eachExpr(func(p *Expr) { found = found || exprHasWindow(*p) })
-	return found
-}
-
 // statementWindows returns the window calls of a select list and ORDER BY
-// in that order, deduplicated by node pointer.
+// in that order, deduplicated by node pointer — the parser's placement
+// check; a plan's calls are plan.wins.
 func statementWindows(items []SelectItem, order []OrderItem) []*FuncCall {
 	var wins []*FuncCall
 	for _, it := range items {
@@ -252,19 +244,16 @@ func (a *windowAcc) value() table.Value {
 // --- scalar driver ---
 
 // computeWindowsScalar evaluates every window call over the filtered
-// scalar relation, returning per-call value slices indexed by row
-// position in rel.rows.
-func computeWindowsScalar(rel *srel, wins []*FuncCall) (map[*FuncCall][]table.Value, error) {
-	if len(wins) == 0 {
-		return nil, nil
-	}
-	out := make(map[*FuncCall][]table.Value, len(wins))
+// scalar relation, returning per-slot value slices indexed by row
+// position in rel.rows; nil without window calls.
+func computeWindowsScalar(rel *srel, wins []*FuncCall) ([][]table.Value, error) {
+	var out [][]table.Value
 	for _, fn := range wins {
 		vals, err := scalarWindowColumn(rel, fn)
 		if err != nil {
 			return nil, err
 		}
-		out[fn] = vals
+		out = append(out, vals)
 	}
 	return out, nil
 }
@@ -379,15 +368,15 @@ func partitionPositions(keys []string, n int) [][]int {
 // --- vectorized driver ---
 
 // computeWindowsVec evaluates every window call over the selected rows,
-// returning per-call columns indexed by selection position.
-func computeWindowsVec(ctx context.Context, wins []*FuncCall, rel *vrel, sel *table.Selection) (map[*FuncCall]table.Column, error) {
-	out := make(map[*FuncCall]table.Column, len(wins))
-	for _, fn := range wins {
+// returning per-slot columns indexed by selection position.
+func computeWindowsVec(ctx context.Context, wins []*FuncCall, rel *vrel, sel *table.Selection) ([]table.Column, error) {
+	out := make([]table.Column, len(wins))
+	for slot, fn := range wins {
 		col, err := vecWindowColumn(ctx, fn, rel, sel)
 		if err != nil {
 			return nil, err
 		}
-		out[fn] = col
+		out[slot] = col
 	}
 	return out, nil
 }
