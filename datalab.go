@@ -145,15 +145,11 @@ func (p *Platform) Ingest(name string) (*Ingestor, error) {
 }
 
 // Append stages one row from string cells; types are inferred per cell and
-// coerced to the table's schema. The row is invisible until PublishErr.
+// coerced to the table's schema. Missing trailing cells are NULL and extra
+// cells are ignored. The row is invisible until PublishErr.
 func (in *Ingestor) Append(cells ...string) error {
-	vals := make([]table.Value, len(in.app.Kinds()))
-	for c := range vals {
-		if c < len(cells) {
-			vals[c] = table.Infer(cells[c])
-		}
-	}
-	return in.app.Append(vals)
+	in.app.AppendText(cells)
+	return nil
 }
 
 // Pending reports how many staged rows await PublishErr.

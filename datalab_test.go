@@ -122,6 +122,27 @@ func TestLoadersTypeColumnsAlike(t *testing.T) {
 	}
 }
 
+// TestCompositeKeysDoNotCollide: a composite key is a sequence of
+// self-delimiting parts, so string cells that hold a separator byte and
+// what looks like the next cell's key — ("x\x1fs:y", "z") against ("x",
+// "y\x1fs:z") — stay two groups, two distinct rows and two partitions.
+func TestCompositeKeysDoNotCollide(t *testing.T) {
+	p := MustNew(WithSeed("keys"))
+	if err := p.LoadRecords("t", []string{"a", "b"}, [][]string{{"x\x1fs:y", "z"}, {"x", "y\x1fs:z"}}); err != nil {
+		t.Fatal(err)
+	}
+	if rows := queryStrings(t, p, "SELECT a, b, COUNT(*) AS n FROM t GROUP BY a, b"); len(rows) != 2 || rows[0][2] != "1" || rows[1][2] != "1" {
+		t.Errorf("GROUP BY a, b = %q, want two groups of one row", rows)
+	}
+	if rows := queryStrings(t, p, "SELECT DISTINCT a, b FROM t"); len(rows) != 2 {
+		t.Errorf("DISTINCT a, b = %q, want both rows", rows)
+	}
+	rows := queryStrings(t, p, "SELECT a, ROW_NUMBER() OVER (PARTITION BY a, b ORDER BY a) AS rn FROM t")
+	if len(rows) != 2 || rows[0][1] != "1" || rows[1][1] != "1" {
+		t.Errorf("ROW_NUMBER() OVER (PARTITION BY a, b ORDER BY a) = %q, want 1 in each partition", rows)
+	}
+}
+
 func TestQueryCtxTypedResult(t *testing.T) {
 	p := demoPlatform(t)
 	res, err := p.QueryCtx(context.Background(), "SELECT revenue, region FROM sales WHERE revenue > 100")

@@ -87,6 +87,35 @@ func TestIngestorBatchesUntilPublish(t *testing.T) {
 	}
 }
 
+// TestIngestorAppendAllocatesNothingPerRow: Append infers and coerces each
+// cell straight into the table's arena under one lock, so all that is left
+// is the arena's amortized growth; a missing cell is still NULL and an
+// extra one still ignored.
+func TestIngestorAppendAllocatesNothingPerRow(t *testing.T) {
+	p := ingestPlatform(t)
+	in, err := p.Ingest("events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := []string{"7", "12.75"}
+	if allocs := testing.AllocsPerRun(1000, func() { in.Append(row...) }); allocs >= 0.1 {
+		t.Errorf("Append allocates %.3f times per row, want < 0.1", allocs)
+	}
+	if err := in.Append("8"); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Append("9", "90", "extra"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.PublishErr(); err != nil {
+		t.Fatal(err)
+	}
+	rows := queryStrings(t, p, "SELECT id, amount FROM events WHERE id >= 8")
+	if len(rows) != 2 || rows[0][0] != "8" || rows[0][1] != "" || rows[1][0] != "9" || rows[1][1] != "90" {
+		t.Fatalf(`short and long rows appended as %q, want ["8" ""] and ["9" "90"]`, rows)
+	}
+}
+
 func TestNotebookAppendRecords(t *testing.T) {
 	p := ingestPlatform(t)
 	s := p.NewNotebook("ingest")

@@ -584,66 +584,209 @@ func (x *execArgs) limitReach() (int, bool) {
 // both GROUP BY and PARTITION BY. keyCols hold one key per position
 // 0..n-1; position i belongs to the i-th row of sel, or to row i when sel
 // is nil. It returns the row lists of the distinct keys in first-appearance
-// order, each ascending; NULL is a key like any other. A single typed
+// order, each ascending and capacity-capped (appending to one cannot
+// overwrite the next); NULL is a key like any other. A single typed
 // int/string key hashes its raw values; every other shape (composite,
-// float, boxed) hashes canonical Value.Key strings, built on the worker
-// pool.
+// float, boxed) hashes its key tuple's table.AppendKeyPart encoding.
 func partitionRows(ctx context.Context, keyCols []table.Column, sel *table.Selection, n int) ([][]int, error) {
-	it := table.IterSelection(sel, n)
 	if len(keyCols) == 1 {
 		if is, nulls, ok := keyCols[0].Ints(); ok {
-			return partitionByKey(is, nulls, &it), nil
+			return partitionByKey(ctx, sel, n, func(d *groupDict[int64], ids []int32, lo, hi int) {
+				hashValues(d, is, nulls, ids, lo, hi)
+			})
 		}
 		if ss, nulls, ok := keyCols[0].Strings(); ok {
-			return partitionByKey(ss, nulls, &it), nil
+			return partitionByKey(ctx, sel, n, func(d *groupDict[string], ids []int32, lo, hi int) {
+				hashValues(d, ss, nulls, ids, lo, hi)
+			})
 		}
 	}
-	keys := make([]string, n)
-	err := parallelChunks(ctx, n, parallelMinRows, func(lo, hi int) error {
-		var kb strings.Builder
-		for i := lo; i < hi; i++ {
-			kb.Reset()
-			for k := range keyCols {
-				kb.WriteString(keyCols[k].Value(i).Key())
-				kb.WriteByte('\x1f')
+	return partitionByKey(ctx, sel, n, func(d *groupDict[string], ids []int32, lo, hi int) {
+		hashEncoded(d, keyCols, ids, lo, hi)
+	})
+}
+
+// partitionByKey is partitionRows' two passes over the worker pool's
+// chunks. The first gives every position a dense group id: each chunk
+// hashes its range into a dictionary of its own, and the dictionaries
+// merge in chunk order — the first chunk's becomes the merged one, a later
+// chunk's ids map through a remap slice — so the ids number the groups in
+// first-appearance order. The groups then lie back to back in one n-int
+// array, each slice sized from its group's count, and each chunk's counts
+// become the cursors it writes its groups from; the second pass scatters
+// every chunk's rows at those cursors, in position order.
+func partitionByKey[K comparable](ctx context.Context, sel *table.Selection, n int, hash func(d *groupDict[K], ids []int32, lo, hi int)) ([][]int, error) {
+	if n == 0 {
+		return nil, ctx.Err()
+	}
+	_, chunks := chunkLayout(n, parallelMinRows)
+	ids := make([]int32, n)
+	dicts := make([]groupDict[K], chunks)
+	err := parallelChunksIndexed(ctx, n, parallelMinRows, func(ci, lo, hi int) error {
+		d := &dicts[ci]
+		d.ids, d.null = make(map[K]int32, min(hi-lo, 64)), -1
+		hash(d, ids, lo, hi)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Merge: a later chunk's local ids map to merged ids through its
+	// remap slice; the first chunk's ids are the merged ones.
+	g := &dicts[0]
+	var remaps [][]int32
+	if chunks > 1 {
+		remaps = make([][]int32, chunks)
+		for c := 1; c < chunks; c++ {
+			d := &dicts[c]
+			remaps[c] = make([]int32, len(d.keys))
+			for l, k := range d.keys {
+				var id int32
+				if int32(l) == d.null {
+					if g.null < 0 {
+						g.null = g.add(k)
+					}
+					id = g.null
+				} else {
+					var ok bool
+					if id, ok = g.ids[k]; !ok {
+						id = g.add(k)
+						g.ids[k] = id
+					}
+				}
+				remaps[c][l] = id
 			}
-			keys[i] = kb.String()
+		}
+	}
+	merged := func(c, l int) int32 {
+		if c == 0 {
+			return int32(l)
+		}
+		return remaps[c][l]
+	}
+
+	// Layout: a group's list is the next total[id] slots of rows. Then each
+	// chunk's counts become its cursors: where its rows of each group
+	// begin, after the earlier chunks' rows of it. With one chunk, its
+	// counts are the totals, and the groups' starts are its cursors.
+	total := g.counts
+	if chunks > 1 {
+		total = make([]int, len(g.keys))
+		for c := range dicts {
+			for l, count := range dicts[c].counts {
+				total[merged(c, l)] += count
+			}
+		}
+	}
+	rows := make([]int, n)
+	parts := make([][]int, len(total))
+	at := 0
+	for id, count := range total {
+		parts[id] = rows[at : at+count : at+count]
+		total[id] = at
+		at += count
+	}
+	if chunks > 1 {
+		for c := range dicts {
+			cur := dicts[c].counts
+			for l, count := range cur {
+				id := merged(c, l)
+				cur[l] = total[id]
+				total[id] += count
+			}
+		}
+	}
+
+	// Scatter: position i holds row base+i, or idx[i] when the selection
+	// is not one range (a span-form one is expanded here).
+	base, idx := 0, []int(nil)
+	if sel != nil {
+		if lo, _, ok := sel.AsRange(); ok {
+			base = lo
+		} else {
+			idx = sel.Indices()
+		}
+	}
+	err = parallelChunksIndexed(ctx, n, parallelMinRows, func(ci, lo, hi int) error {
+		cur := dicts[ci].counts
+		for i := lo; i < hi; i++ {
+			r := base + i
+			if idx != nil {
+				r = idx[i]
+			}
+			rows[cur[ids[i]]] = r
+			cur[ids[i]]++
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return partitionByKey(keys, nil, &it), nil
+	return parts, nil
 }
 
-// partitionByKey is partitionRows' hash loop: it assigns the rows it yields
-// to their key's partition. nulls marks the positions whose key is NULL
-// (nil = none); they form one partition of their own.
-func partitionByKey[K comparable](keys []K, nulls []bool, it *table.SelectionIter) [][]int {
-	m := make(map[K]int, 64)
-	nullPart := -1
-	var parts [][]int
-	for i, k := range keys {
-		r, _ := it.Next()
-		var pi int
-		if nulls != nil && nulls[i] {
-			if nullPart < 0 {
-				nullPart = len(parts)
-				parts = append(parts, nil)
+// groupDict is one chunk's dictionary: the id of each distinct non-NULL
+// key, every group's key by id in first-appearance order, and the rows per
+// group.
+type groupDict[K comparable] struct {
+	ids    map[K]int32
+	keys   []K   // by id; the NULL group's entry is the zero K
+	counts []int // by id
+	null   int32 // id of the NULL group, -1 while it has none
+}
+
+// add opens a group for k and returns its id.
+func (d *groupDict[K]) add(k K) int32 {
+	id := int32(len(d.keys))
+	d.keys = append(d.keys, k)
+	d.counts = append(d.counts, 0)
+	return id
+}
+
+// hashValues gives positions lo..hi-1 the ids of their typed keys; the
+// positions nulls marks share the one NULL group.
+func hashValues[K comparable](d *groupDict[K], keys []K, nulls []bool, ids []int32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		var id int32
+		if nulls[i] {
+			if d.null < 0 {
+				var zero K
+				d.null = d.add(zero)
 			}
-			pi = nullPart
+			id = d.null
 		} else {
 			var ok bool
-			if pi, ok = m[k]; !ok {
-				pi = len(parts)
-				m[k] = pi
-				parts = append(parts, nil)
+			if id, ok = d.ids[keys[i]]; !ok {
+				id = d.add(keys[i])
+				d.ids[keys[i]] = id
 			}
 		}
-		parts[pi] = append(parts[pi], r)
+		d.counts[id]++
+		ids[i] = id
 	}
-	return parts
+}
+
+// hashEncoded is hashValues over the table.AppendKeyPart encoding of each
+// position's key tuple (a NULL cell is a part like any other). The
+// encoding is built in one reused buffer and copied into a string only
+// when it opens a group.
+func hashEncoded(d *groupDict[string], keyCols []table.Column, ids []int32, lo, hi int) {
+	var kb []byte
+	for i := lo; i < hi; i++ {
+		kb = kb[:0]
+		for k := range keyCols {
+			kb = table.AppendKeyPart(kb, keyCols[k].Value(i))
+		}
+		id, ok := d.ids[string(kb)]
+		if !ok {
+			key := string(kb)
+			id = d.add(key)
+			d.ids[key] = id
+		}
+		d.counts[id]++
+		ids[i] = id
+	}
 }
 
 // hashGroups partitions the selected rows by the GROUP BY key columns
@@ -734,12 +877,54 @@ func aggOverColumn(name string, col *table.Column, rows *table.Selection) (table
 			}
 		})
 		return table.Int(int64(n)), nil
-	case "SUM", "AVG", "STDDEV", "MEDIAN":
+	case "SUM", "AVG":
+		var total float64
+		var count int
+		if fs, nulls, ok := col.Floats(); ok {
+			total, count = sumSelected(fs, nulls, rows)
+		} else if is, nulls, ok := col.Ints(); ok {
+			total, count = sumSelected(is, nulls, rows)
+		} else {
+			return finishNumericAggregate(name, gatherFloats(col, rows)), nil
+		}
+		if count == 0 {
+			return table.Null(), nil
+		}
+		if name == "AVG" {
+			total /= float64(count)
+		}
+		return table.Float(total), nil
+	case "STDDEV", "MEDIAN":
 		return finishNumericAggregate(name, gatherFloats(col, rows)), nil
 	case "MIN", "MAX":
 		return minMaxOverColumn(name, col, rows), nil
 	}
 	return table.Null(), fmt.Errorf("sql: unknown aggregate %s", name)
+}
+
+// sumSelected adds the non-NULL cells of a typed column at the selected
+// rows, in ascending row order, and counts them: the same additions in the
+// same order as gatherFloats + finishNumericAggregate, so the result is
+// bit-identical, without the gathered copy.
+func sumSelected[T int64 | float64](vals []T, nulls []bool, rows *table.Selection) (total float64, count int) {
+	if spans, ok := rows.Spans(); ok {
+		for _, sp := range spans {
+			for r := sp.Lo; r < sp.Hi; r++ {
+				if !nulls[r] {
+					total += float64(vals[r])
+					count++
+				}
+			}
+		}
+		return total, count
+	}
+	for _, r := range rows.Indices() {
+		if !nulls[r] {
+			total += float64(vals[r])
+			count++
+		}
+	}
+	return total, count
 }
 
 // gatherFloats extracts the float64 view of the non-NULL, numeric-

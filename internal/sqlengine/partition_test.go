@@ -6,7 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
+	"runtime"
+	"sort"
 	"testing"
 
 	"datalab/internal/table"
@@ -113,21 +114,20 @@ func TestGroupedOrderByMatchesScalar(t *testing.T) {
 }
 
 // scalarPartitions is the scalar executor's grouping spelled out
-// (executeGroupedScalar's loop): canonical Value.Key strings joined with
-// \x1f, groups in first-appearance order, rows ascending.
+// (executeGroupedScalar's loop): the table.AppendKeyPart encoding of the
+// key tuple, groups in first-appearance order, rows ascending.
 func scalarPartitions(keyCols []table.Column, rows []int) [][]int {
 	index := map[string]int{}
 	var parts [][]int
 	for i, r := range rows {
-		var kb strings.Builder
+		var kb []byte
 		for k := range keyCols {
-			kb.WriteString(keyCols[k].Value(i).Key())
-			kb.WriteByte('\x1f')
+			kb = table.AppendKeyPart(kb, keyCols[k].Value(i))
 		}
-		pi, ok := index[kb.String()]
+		pi, ok := index[string(kb)]
 		if !ok {
 			pi = len(parts)
-			index[kb.String()] = pi
+			index[string(kb)] = pi
 			parts = append(parts, nil)
 		}
 		parts[pi] = append(parts[pi], r)
@@ -135,13 +135,27 @@ func scalarPartitions(keyCols []table.Column, rows []int) [][]int {
 	return parts
 }
 
+// checkCapped fails unless every partition's capacity ends at its length:
+// the partitions share one backing array, so appending to one must not
+// overwrite the next.
+func checkCapped(t *testing.T, name string, parts [][]int) {
+	t.Helper()
+	for i, part := range parts {
+		if cap(part) != len(part) {
+			t.Errorf("%s: partition %d has len %d, cap %d", name, i, len(part), cap(part))
+			return
+		}
+	}
+}
+
 // TestPartitionRowsContract pins the one row partitioner both GROUP BY and
 // PARTITION BY call: for every key shape (typed int and string loops, the
 // canonical-key path for float, composite and boxed keys) and every
 // selection form (nil, span, dense) it yields the scalar executor's groups
 // in the scalar executor's order with absolute row ids, NULL keys form
-// exactly one group, and the worker-pool key build over a large composite
-// key equals the serial grouping.
+// exactly one group, every partition is capacity-capped, and hashing on
+// the worker pool — a large composite key, typed keys whose new groups
+// first appear in later chunks — equals the serial grouping.
 func TestPartitionRowsContract(t *testing.T) {
 	const n = 600
 	rng := rand.New(rand.NewSource(41))
@@ -214,6 +228,7 @@ func TestPartitionRowsContract(t *testing.T) {
 			if want := scalarPartitions(keyCols, rows); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s key, %s selection: partitions diverge from the scalar grouping\n got %v\nwant %v", kname, sname, got, want)
 			}
+			checkCapped(t, kname+" key, "+sname+" selection", got)
 			nullParts := 0
 			for _, part := range got {
 				if nullRows[part[0]] {
@@ -252,11 +267,165 @@ func TestPartitionRowsContract(t *testing.T) {
 	if want := scalarPartitions(keyCols, iotaInts(big)); !reflect.DeepEqual(got, want) {
 		t.Errorf("parallel composite key build over %d rows diverges from the serial grouping (%d vs %d partitions)", big, len(got), len(want))
 	}
+	checkCapped(t, "parallel composite key", got)
+
+	// Typed keys over several chunks: the chunk dictionaries merge in chunk
+	// order, so a key first seen in the second chunk, and a NULL group that
+	// only the second chunk has, must come after every first-chunk key and
+	// before every key first seen later.
+	size, _ := chunkLayout(big, parallelMinRows)
+	lateInts := table.NewColumn("i", table.KindInt)
+	lateStrs := table.NewColumn("s", table.KindString)
+	for i := 0; i < big; i++ {
+		second := i >= size && i < 2*size
+		switch {
+		case second && i%97 == 0:
+			lateInts.AppendNull()
+			lateStrs.AppendNull()
+		case i == size+5 || i == 2*size+5:
+			lateInts.Append(table.Int(int64(1000 + i)))
+			lateStrs.Append(table.Str(fmt.Sprintf("late%d", i)))
+		default:
+			x := rng.Intn(6)
+			lateInts.Append(table.Int(int64(x)))
+			lateStrs.Append(table.Str(fmt.Sprintf("s%d", x)))
+		}
+	}
+	bigSelections := map[string]*table.Selection{
+		"nil":   nil,
+		"range": table.NewSpanSelection(table.Span{Lo: 5, Hi: 5 + big}),
+		"spans": table.NewSpanSelection(table.Span{Lo: 3, Hi: 3 + big/2}, table.Span{Lo: big, Hi: big + big - big/2}),
+	}
+	for kname, col := range map[string]table.Column{"int": lateInts, "string": lateStrs} {
+		for sname, sel := range bigSelections {
+			rows := iotaInts(big)
+			if sel != nil {
+				rows = sel.Indices()
+			}
+			name := fmt.Sprintf("typed %s key, %s selection, chunks of %d", kname, sname, size)
+			got, err := partitionRows(context.Background(), []table.Column{col}, sel, big)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := scalarPartitions([]table.Column{col}, rows); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: diverges from the serial grouping (%d vs %d partitions)", name, len(got), len(want))
+			}
+			checkCapped(t, name, got)
+			nullParts := 0
+			for _, part := range got {
+				if pos := sort.SearchInts(rows, part[0]); col.IsNullAt(pos) {
+					nullParts++
+					if last := sort.SearchInts(rows, part[len(part)-1]); pos < size || last >= 2*size {
+						t.Errorf("%s: NULL group spans positions %d..%d, outside the second chunk [%d, %d)", name, pos, last, size, 2*size)
+					}
+				}
+			}
+			if size < big && nullParts != 1 {
+				t.Errorf("%s: NULL keys form %d partitions, want 1", name, nullParts)
+			}
+		}
+	}
 
 	// A cancelled context surfaces as an error, never as garbage partitions.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if parts, err := partitionRows(ctx, keyCols, nil, big); err == nil {
 		t.Errorf("cancelled composite partitioning returned %d partitions and no error", len(parts))
+	}
+}
+
+// TestGroupedReadAllocationPin holds a grouped read over a 300k-row table
+// under 16 bytes a row. What is left per row is the partitioner's int32
+// group id and its one row-id array; SUM adds without a gathered copy.
+// Append-grown row lists and gathered floats cost about 48.
+func TestGroupedReadAllocationPin(t *testing.T) {
+	const rows = 300_000
+	rng := rand.New(rand.NewSource(26))
+	kinds := []string{"view", "click", "buy"}
+	ks := make([]string, rows)
+	vs := make([]float64, rows)
+	for i := range ks {
+		ks[i] = kinds[rng.Intn(len(kinds))]
+		vs[i] = float64(rng.Intn(10000)) / 100
+	}
+	c := NewCatalog()
+	c.Register(&table.Table{Name: "events", Columns: []table.Column{
+		table.ColumnFromStrings("kind", ks, nil),
+		table.ColumnFromFloats("value", vs, nil),
+	}})
+	const q = "SELECT kind, COUNT(*) AS n, SUM(value) AS total FROM events GROUP BY kind"
+	if _, err := c.Query(q); err != nil { // plans the statement
+		t.Fatal(err)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		out, err := c.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.NumRows() != len(kinds) {
+			t.Fatalf("%d groups, want %d", out.NumRows(), len(kinds))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / runs / rows
+	if perRow >= 16 {
+		t.Errorf("grouped read allocates %.1f B per row, want < 16", perRow)
+	}
+	t.Logf("grouped read: %.2f B per row", perRow)
+}
+
+// TestSumAvgMatchGatheredBits: SUM and AVG over typed int and float
+// columns add inside the typed loop over the group's selection, and must
+// give exactly what gathering the floats and reducing them gives — the
+// same additions in the same order — under span, dense, NULL-only and
+// empty selections.
+func TestSumAvgMatchGatheredBits(t *testing.T) {
+	n := 3 * parallelMinRows
+	rng := rand.New(rand.NewSource(26))
+	keys := table.NewColumn("k", table.KindInt)
+	floats := table.NewColumn("f", table.KindFloat)
+	ints := table.NewColumn("i", table.KindInt)
+	var nullRows []int
+	for r := 0; r < n; r++ {
+		keys.Append(table.Int(int64(rng.Intn(7))))
+		if r%10 == 3 {
+			floats.AppendNull()
+			ints.AppendNull()
+			nullRows = append(nullRows, r)
+			continue
+		}
+		floats.Append(table.Float(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(16)-6))))
+		ints.Append(table.Int(rng.Int63n(1<<62) - 1<<61))
+	}
+	parts, err := partitionRows(context.Background(), []table.Column{keys}, nil, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sels := map[string]*table.Selection{
+		"all":   table.NewSpanSelection(table.Span{Lo: 0, Hi: n}),
+		"spans": table.NewSpanSelection(table.Span{Lo: 5, Hi: 900}, table.Span{Lo: 1000, Hi: n - 3}),
+		"nulls": table.NewIndexSelection(nullRows),
+		"empty": table.NewIndexSelection(nil),
+	}
+	for g, part := range parts {
+		sels[fmt.Sprintf("group %d", g)] = table.NewIndexSelection(part)
+	}
+	for cname, col := range map[string]*table.Column{"float": &floats, "int": &ints} {
+		for _, name := range []string{"SUM", "AVG"} {
+			for sname, sel := range sels {
+				got, err := aggOverColumn(name, col, sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := finishNumericAggregate(name, gatherFloats(col, sel))
+				if got.Kind != want.Kind || math.Float64bits(got.F) != math.Float64bits(want.F) {
+					t.Errorf("%s over the %s column, %s: %v (%x), gathered %v (%x)",
+						name, cname, sname, got, math.Float64bits(got.F), want, math.Float64bits(want.F))
+				}
+			}
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"datalab/internal/table"
 )
@@ -403,18 +402,18 @@ func executeGroupedScalar(p *plan, rel *srel) (*table.Table, error) {
 	// Partition rows into groups by the GROUP BY key expressions.
 	var keys []string
 	groups := map[string][]int{}
+	var kb []byte
 	for ri, row := range rel.rows {
 		ev := &rowEnv{rel: rel, row: row}
-		var kb strings.Builder
+		kb = kb[:0]
 		for _, g := range p.groupBy {
 			v, err := evalExpr(g, ev)
 			if err != nil {
 				return nil, err
 			}
-			kb.WriteString(v.Key())
-			kb.WriteByte('\x1f')
+			kb = table.AppendKeyPart(kb, v)
 		}
-		k := kb.String()
+		k := string(kb)
 		if _, ok := groups[k]; !ok {
 			keys = append(keys, k)
 		}

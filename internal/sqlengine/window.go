@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"datalab/internal/table"
 )
@@ -273,19 +272,19 @@ func scalarWindowColumn(rel *srel, fn *FuncCall) ([]table.Value, error) {
 	if len(spec.PartitionBy) > 0 {
 		keys = make([]string, n)
 	}
+	var kb []byte
 	for ri, row := range rel.rows {
 		ev := &rowEnv{rel: rel, row: row}
 		if keys != nil {
-			var kb strings.Builder
+			kb = kb[:0]
 			for _, pe := range spec.PartitionBy {
 				v, err := evalExpr(pe, ev)
 				if err != nil {
 					return nil, err
 				}
-				kb.WriteString(v.Key())
-				kb.WriteByte('\x1f')
+				kb = table.AppendKeyPart(kb, v)
 			}
-			keys[ri] = kb.String()
+			keys[ri] = string(kb)
 		}
 		for k, o := range spec.OrderBy {
 			v, err := evalExpr(o.Expr, ev)

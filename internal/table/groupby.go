@@ -119,13 +119,13 @@ func (t *Table) GroupBy(keys []string, aggs []Aggregation) (*Table, error) {
 	order := []string{}
 	groups := map[string]*group{}
 	n := t.NumRows()
+	var kb []byte
 	for r := 0; r < n; r++ {
-		var kb strings.Builder
+		kb = kb[:0]
 		for _, ci := range keyIdx {
-			kb.WriteString(t.Columns[ci].Value(r).Key())
-			kb.WriteByte('\x1f')
+			kb = AppendKeyPart(kb, t.Columns[ci].Value(r))
 		}
-		k := kb.String()
+		k := string(kb)
 		g, ok := groups[k]
 		if !ok {
 			g = &group{firstRow: r}

@@ -57,7 +57,7 @@ func FuzzInfer(f *testing.F) {
 }
 
 func TestInferTextCellDoesNotAllocate(t *testing.T) {
-	for _, s := range []string{"apac", "nordics", "order", "enterprise"} {
+	for _, s := range []string{"apac", "nordics", "order", "enterprise", "12.34", "-0.5", "1e3"} {
 		if n := testing.AllocsPerRun(100, func() { Infer(s) }); n != 0 {
 			t.Errorf("Infer(%q) allocates %v times per call, want 0", s, n)
 		}

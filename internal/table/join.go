@@ -1,7 +1,5 @@
 package table
 
-import "strings"
-
 // JoinKind selects the join semantics.
 type JoinKind uint8
 
@@ -171,16 +169,15 @@ func NewHashProbe(lcols, rcols []*Column) func(leftRow int) []int {
 		}
 	}
 	keyAt := func(cols []*Column, row int) (string, bool) {
-		var kb strings.Builder
+		var kb []byte
 		for _, c := range cols {
 			v := c.Value(row)
 			if v.IsNull() {
 				return "", false
 			}
-			kb.WriteString(v.Key())
-			kb.WriteByte('\x1f')
+			kb = AppendKeyPart(kb, v)
 		}
-		return kb.String(), true
+		return string(kb), true
 	}
 	n := 0
 	if len(rcols) > 0 {

@@ -158,17 +158,6 @@ func (a *Appender) Barrier() {
 	a.mu.Unlock()
 }
 
-// Kinds returns the declared column kinds.
-func (a *Appender) Kinds() []Kind {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	kinds := make([]Kind, len(a.arena))
-	for i := range a.arena {
-		kinds[i] = a.arena[i].Kind
-	}
-	return kinds
-}
-
 // Pending returns the number of buffered rows not yet covered by a
 // published snapshot.
 func (a *Appender) Pending() int {
@@ -200,6 +189,22 @@ func (a *Appender) Append(rows ...[]Value) error {
 		}
 	}
 	return nil
+}
+
+// AppendText buffers one row of text cells into the pending chunk, each
+// cell inferred (Infer) and coerced to its column's kind as Append would;
+// a missing cell is NULL and cells past the last column are ignored. The
+// row goes straight into the arena: nothing is allocated per row.
+func (a *Appender) AppendText(cells []string) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for i := range a.arena {
+		v := Null()
+		if i < len(cells) {
+			v = Infer(cells[i])
+		}
+		a.arena[i].Append(v.Coerce(a.arena[i].Kind))
+	}
 }
 
 // AppendTableExact bulk-appends every row of t into the pending chunk,

@@ -225,12 +225,11 @@ func (t *Table) Distinct() *Table {
 }
 
 func (t *Table) rowKey(i int) string {
-	var sb strings.Builder
+	var kb []byte
 	for j := range t.Columns {
-		sb.WriteString(t.Columns[j].Value(i).Key())
-		sb.WriteByte('\x1f')
+		kb = AppendKeyPart(kb, t.Columns[j].Value(i))
 	}
-	return sb.String()
+	return string(kb)
 }
 
 // String renders a compact preview (up to 10 rows) for logs and examples.

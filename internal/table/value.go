@@ -1,6 +1,7 @@
 package table
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -247,26 +248,55 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 // Floats are rounded to 9 decimal places so that arithmetic noise does not
 // split groups or fail execution-accuracy checks.
 func (v Value) Key() string {
-	switch v.Kind {
-	case KindNull:
-		return "\x00null"
-	case KindFloat:
-		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
-			return "i:" + strconv.FormatInt(int64(v.F), 10)
-		}
-		return "f:" + strconv.FormatFloat(round9(v.F), 'g', -1, 64)
-	case KindInt:
-		return "i:" + strconv.FormatInt(v.I, 10)
-	case KindBool:
-		if v.B {
-			return "i:1"
-		}
-		return "i:0"
-	case KindTime:
-		return "t:" + strconv.FormatInt(v.T.Unix(), 10)
-	default:
+	if v.Kind == KindString {
 		return "s:" + v.S
 	}
+	var buf [32]byte
+	return string(appendKey(buf[:0], v))
+}
+
+// appendKey appends the bytes of v.Key() to dst.
+func appendKey(dst []byte, v Value) []byte {
+	switch v.Kind {
+	case KindNull:
+		return append(dst, "\x00null"...)
+	case KindFloat:
+		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
+			return strconv.AppendInt(append(dst, "i:"...), int64(v.F), 10)
+		}
+		return strconv.AppendFloat(append(dst, "f:"...), round9(v.F), 'g', -1, 64)
+	case KindInt:
+		return strconv.AppendInt(append(dst, "i:"...), v.I, 10)
+	case KindBool:
+		if v.B {
+			return append(dst, "i:1"...)
+		}
+		return append(dst, "i:0"...)
+	case KindTime:
+		return strconv.AppendInt(append(dst, "t:"...), v.T.Unix(), 10)
+	default:
+		return append(append(dst, "s:"...), v.S...)
+	}
+}
+
+// AppendKeyPart appends v to dst as one part of a composite key: the
+// length of v.Key() as a uvarint, then the Key itself. Parts delimit
+// themselves, so two tuples encode to equal bytes exactly when their
+// Keys are equal position by position — a string cell that contains a
+// separator byte, or what looks like the next cell's Key, cannot make two
+// tuples collide. It allocates nothing beyond dst's growth.
+func AppendKeyPart(dst []byte, v Value) []byte {
+	switch v.Kind {
+	case KindNull, KindInt, KindFloat, KindBool, KindTime:
+		// These Keys are at most 26 bytes, so their uvarint length is the
+		// one byte reserved here and filled in once the Key is written.
+		at := len(dst)
+		dst = appendKey(append(dst, 0), v)
+		dst[at] = byte(len(dst) - at - 1)
+		return dst
+	}
+	dst = binary.AppendUvarint(dst, uint64(len("s:")+len(v.S)))
+	return appendKey(dst, v)
 }
 
 func round9(f float64) float64 {
@@ -327,8 +357,10 @@ func ParseTime(s string) (time.Time, bool) {
 
 // Infer guesses the most specific Value for a raw string: int, float, bool,
 // time, then string. Empty strings become NULL. A parser runs only when the
-// text's first byte is one it could accept — a failed strconv or time parse
-// allocates its error, and most cells of a text column would fail all eight.
+// text could be one it accepts — ParseInt on the exact shape of a decimal
+// integer, the others on their first byte — because a failed strconv or
+// time parse allocates its error, and most cells of a text column would
+// fail all eight.
 func Infer(s string) Value {
 	trimmed := strings.TrimSpace(s)
 	if trimmed == "" {
@@ -337,7 +369,7 @@ func Infer(s string) Value {
 	c := trimmed[0]
 	digit := c >= '0' && c <= '9'
 	signed := digit || c == '+' || c == '-'
-	if signed {
+	if isDecimalInteger(trimmed) {
 		if i, err := strconv.ParseInt(trimmed, 10, 64); err == nil {
 			return Int(i)
 		}
@@ -361,6 +393,23 @@ func Infer(s string) Value {
 		}
 	}
 	return Str(s)
+}
+
+// isDecimalInteger reports whether s matches [+-]?[0-9]+, the only text
+// strconv.ParseInt(s, 10, 64) accepts; out-of-range values still fail there.
+func isDecimalInteger(s string) bool {
+	if s[0] == '+' || s[0] == '-' {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // startsInfOrNaN reports whether s begins with the only unsigned non-digit

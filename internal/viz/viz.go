@@ -297,13 +297,13 @@ func EqualRendered(a, b *Rendered) bool {
 			}
 		}
 		set := map[string]int{}
+		var kb []byte
 		for i := 0; i < n; i++ {
-			var sb strings.Builder
+			kb = kb[:0]
 			for _, ch := range chans {
-				sb.WriteString(r.Series[ch][i].Key())
-				sb.WriteByte('\x1f')
+				kb = table.AppendKeyPart(kb, r.Series[ch][i])
 			}
-			set[sb.String()]++
+			set[string(kb)]++
 		}
 		return set, n, true
 	}
