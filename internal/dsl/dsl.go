@@ -297,12 +297,7 @@ func (s *Spec) ToChart() (*viz.Spec, error) {
 	if len(s.MeasureList) == 0 {
 		return nil, fmt.Errorf("dsl: chart needs at least one measure")
 	}
-	m := s.MeasureList[0]
-	agg := strings.ToLower(m.Aggregate)
-	if agg == "mean" {
-		agg = "avg"
-	}
-	_, yName := measureSQL(m)
+	_, yName := measureSQL(s.MeasureList[0])
 
 	spec := &viz.Spec{
 		Title:    s.Intent,

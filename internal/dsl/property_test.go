@@ -7,6 +7,7 @@ package dsl
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"datalab/internal/llm"
@@ -134,6 +135,13 @@ func TestPropertyChartsRenderWhenRequested(t *testing.T) {
 		r, err := viz.Render(chart, data)
 		if err != nil {
 			t.Fatalf("case %d: render: %v\nchart: %s\nsql: %s", i, err, chart.JSON(), sql)
+		}
+		// The chart presents the rows the SQL returned: each channel is
+		// its field's column of the result, row for row.
+		for ch, enc := range chart.Encoding {
+			if got, want := r.Series[ch], data.Column(enc.Field).Values(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("case %d: channel %s = %v, want column %q = %v\nsql: %s", i, ch, got, enc.Field, want, sql)
+			}
 		}
 		score := viz.Readability(chart, r)
 		if score < 1 || score > 5 {

@@ -103,13 +103,6 @@ func (c *Client) Usage() Usage {
 	return c.usage
 }
 
-// ResetUsage zeroes the counters (used between experiment arms).
-func (c *Client) ResetUsage() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.usage = Usage{}
-}
-
 // Charge records one call's prompt and completion text for token
 // accounting. Returns the prompt token count for convenience.
 func (c *Client) Charge(prompt, completion string) int {

@@ -71,7 +71,7 @@ func evalExpr(e Expr, ev env) (table.Value, error) {
 		if x.Over != nil {
 			return ev.window(x)
 		}
-		if _, isAgg := table.ParseAggFunc(x.Name); isAgg2(x.Name) || isAgg {
+		if isAggregate(x.Name) {
 			return ev.aggregate(x)
 		}
 		return evalScalarFunc(x, ev)
@@ -154,8 +154,9 @@ func evalExpr(e Expr, ev env) (table.Value, error) {
 	return table.Null(), fmt.Errorf("sql: cannot evaluate %T", e)
 }
 
-// isAgg2 recognizes aggregate names not covered by table.ParseAggFunc.
-func isAgg2(name string) bool {
+// isAggregate reports whether name (upper-cased by the parser) is one of
+// the engine's aggregate functions.
+func isAggregate(name string) bool {
 	switch name {
 	case "COUNT", "SUM", "AVG", "MIN", "MAX", "STDDEV", "MEDIAN":
 		return true

@@ -472,7 +472,7 @@ func exprHasAggregate(e Expr) bool {
 		}
 		// A window call is not a grouping aggregate, and its arguments
 		// and spec cannot contain one (rejected at parse time).
-		return fn.Over == nil && isAgg2(fn.Name), fn.Over == nil
+		return fn.Over == nil && isAggregate(fn.Name), fn.Over == nil
 	})
 }
 

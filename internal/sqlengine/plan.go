@@ -241,7 +241,7 @@ func (r *resolver) expr(e Expr, width int, aliases []SelectItem) Expr {
 		case *FuncCall:
 			if x.Over != nil {
 				x.slot = r.windowSlot(x)
-			} else if aliases != nil && isAgg2(x.Name) {
+			} else if aliases != nil && isAggregate(x.Name) {
 				for _, a := range x.Args {
 					r.expr(a, width, nil)
 				}

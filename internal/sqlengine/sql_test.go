@@ -536,3 +536,23 @@ func TestParseRenderParseProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestNonAggregateNamesAreUnknownFunctions: MEAN and STD are not aggregates
+// (AVG and STDDEV are). Both executors report them as unknown functions,
+// with and without GROUP BY, rather than as an aggregate out of place.
+func TestNonAggregateNamesAreUnknownFunctions(t *testing.T) {
+	c := testCatalog(t)
+	for _, fn := range []string{"MEAN", "STD"} {
+		want := "unknown function " + fn
+		for _, q := range []string{
+			"SELECT " + fn + "(amount) FROM sales",
+			"SELECT region, " + fn + "(amount) FROM sales GROUP BY region",
+		} {
+			_, vecErr := c.Query(q)
+			_, scaErr := c.QueryScalar(q)
+			if vecErr == nil || scaErr == nil || !strings.Contains(vecErr.Error(), want) || !strings.Contains(scaErr.Error(), want) {
+				t.Errorf("%s: vectorized %v, scalar %v; want both to report %q", q, vecErr, scaErr, want)
+			}
+		}
+	}
+}

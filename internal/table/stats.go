@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -120,6 +121,28 @@ func looksTemporal(name string) bool {
 		}
 	}
 	return false
+}
+
+func sum(xs []float64) float64 {
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
+// stddev is the sample standard deviation (n-1 denominator).
+func stddev(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	mean := sum(xs) / float64(len(xs))
+	var ss float64
+	for _, x := range xs {
+		d := x - mean
+		ss += d * d
+	}
+	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
 func max(a, b int) int {

@@ -2,7 +2,6 @@ package table
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -162,43 +161,6 @@ func (t *Table) Filter(pred func(row int) bool) *Table {
 		}
 	}
 	return t.SelectRows(idx)
-}
-
-// SortKey describes one sort criterion.
-type SortKey struct {
-	Column string
-	Desc   bool
-}
-
-// Sort returns a new table stably sorted by the given keys.
-func (t *Table) Sort(keys ...SortKey) (*Table, error) {
-	colIdx := make([]int, len(keys))
-	for i, k := range keys {
-		ci := t.ColumnIndex(k.Column)
-		if ci < 0 {
-			return nil, fmt.Errorf("table %s: sort on unknown column %q", t.Name, k.Column)
-		}
-		colIdx[i] = ci
-	}
-	idx := make([]int, t.NumRows())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ra, rb := idx[a], idx[b]
-		for i, k := range keys {
-			c := Compare(t.Columns[colIdx[i]].Value(ra), t.Columns[colIdx[i]].Value(rb))
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	return t.SelectRows(idx), nil
 }
 
 // Limit returns at most n leading rows.

@@ -167,58 +167,6 @@ func NGrams(tokens []string, n int) []string {
 	return grams
 }
 
-// Levenshtein computes the edit distance between a and b. It is used for
-// fuzzy alias matching of jargon terms.
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-// EditSimilarity maps Levenshtein distance to [0,1]: 1 means identical.
-func EditSimilarity(a, b string) float64 {
-	if a == "" && b == "" {
-		return 1
-	}
-	d := Levenshtein(a, b)
-	n := len([]rune(a))
-	if m := len([]rune(b)); m > n {
-		n = m
-	}
-	return 1 - float64(d)/float64(n)
-}
-
 // CountTokens estimates the LLM token count of s. Like production tokenizers
 // it charges roughly one token per word plus extra for long words and
 // punctuation; the constant is calibrated to ~4 characters per token, the
@@ -233,25 +181,6 @@ func CountTokens(s string) int {
 	}
 	return n
 }
-
-// TruncateTokens returns a prefix of s containing at most maxTokens
-// estimated tokens, cutting at a rune boundary.
-func TruncateTokens(s string, maxTokens int) string {
-	if maxTokens <= 0 {
-		return ""
-	}
-	maxBytes := maxTokens * 4
-	if len(s) <= maxBytes {
-		return s
-	}
-	// Back off to a rune boundary.
-	for maxBytes > 0 && !utf8RuneStart(s[maxBytes]) {
-		maxBytes--
-	}
-	return s[:maxBytes]
-}
-
-func utf8RuneStart(b byte) bool { return b&0xC0 != 0x80 }
 
 // ROUGE1 computes the unigram-overlap F1 score between a candidate and a
 // reference text, the summary-level metric used by InsightBench.

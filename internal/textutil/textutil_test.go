@@ -86,36 +86,6 @@ func TestNGrams(t *testing.T) {
 	}
 }
 
-func TestLevenshtein(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"kitten", "sitting", 3},
-		{"", "abc", 3},
-		{"abc", "", 3},
-		{"same", "same", 0},
-		{"arpu", "arppu", 1},
-	}
-	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestEditSimilarity(t *testing.T) {
-	if got := EditSimilarity("same", "same"); got != 1 {
-		t.Errorf("identical strings: %v", got)
-	}
-	if got := EditSimilarity("", ""); got != 1 {
-		t.Errorf("empty strings: %v", got)
-	}
-	if got := EditSimilarity("abc", "xyz"); got != 0 {
-		t.Errorf("disjoint strings: %v", got)
-	}
-}
-
 func TestCountTokens(t *testing.T) {
 	if CountTokens("") != 0 {
 		t.Error("empty string should cost 0 tokens")
@@ -125,31 +95,6 @@ func TestCountTokens(t *testing.T) {
 	}
 	if got := CountTokens("abcdefgh"); got != 2 {
 		t.Errorf("8 chars = %d tokens, want 2", got)
-	}
-}
-
-func TestTruncateTokens(t *testing.T) {
-	s := "abcdefghijklmnop"
-	if got := TruncateTokens(s, 2); got != "abcdefgh" {
-		t.Errorf("TruncateTokens = %q", got)
-	}
-	if got := TruncateTokens(s, 100); got != s {
-		t.Errorf("no-op truncate changed string: %q", got)
-	}
-	if got := TruncateTokens(s, 0); got != "" {
-		t.Errorf("zero budget should return empty, got %q", got)
-	}
-}
-
-func TestTruncateTokensRuneBoundary(t *testing.T) {
-	s := "日本語テキスト" // 3 bytes per rune
-	got := TruncateTokens(s, 1)
-	for i := 0; i < len(got); {
-		r := []rune(got[i:])
-		if len(r) == 0 {
-			t.Fatalf("invalid UTF-8 after truncation: %q", got)
-		}
-		i += len(string(r[0]))
 	}
 }
 
@@ -174,18 +119,6 @@ func TestJaccardProperties(t *testing.T) {
 		return j1 == j2 && j1 >= 0 && j1 <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Levenshtein is a metric (symmetry + identity).
-func TestLevenshteinProperties(t *testing.T) {
-	f := func(a, b string) bool {
-		d1 := Levenshtein(a, b)
-		d2 := Levenshtein(b, a)
-		return d1 == d2 && d1 >= 0 && Levenshtein(a, a) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }

@@ -7,7 +7,6 @@ package viz
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"datalab/internal/table"
 )
@@ -47,13 +46,14 @@ const (
 
 // Encoding binds one visual channel to a data field.
 type Encoding struct {
-	Field     string    `json:"field"`
-	Type      FieldType `json:"type"`
-	Aggregate string    `json:"aggregate,omitempty"` // sum, mean, count, ...
-	Sort      string    `json:"sort,omitempty"`      // "ascending", "descending", ""
+	Field string    `json:"field"`
+	Type  FieldType `json:"type"`
+	Sort  string    `json:"sort,omitempty"` // "ascending", "descending", ""
 }
 
 // Spec is a chart specification, structurally a subset of Vega-Lite.
+// Encoding sort directives and Limit are display directives carried in
+// the chart JSON; the SQL the spec was compiled with already applied them.
 type Spec struct {
 	Title    string               `json:"title,omitempty"`
 	Mark     Mark                 `json:"mark"`
@@ -66,8 +66,8 @@ type Spec struct {
 var channelOrder = []string{"x", "y", "theta", "color", "size"}
 
 // Validate checks structural legality: known mark, at least one channel,
-// channels appropriate to the mark, aggregate names valid. This is the
-// legality check VisEval's pass-rate measures.
+// channels appropriate to the mark. This is the legality check VisEval's
+// pass-rate measures.
 func (s *Spec) Validate() error {
 	if !ValidMark(s.Mark) {
 		return fmt.Errorf("viz: unknown mark %q", s.Mark)
@@ -76,18 +76,13 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("viz: spec has no encodings")
 	}
 	for ch, enc := range s.Encoding {
-		if enc == nil || enc.Field == "" && enc.Aggregate != "count" {
+		if enc == nil || enc.Field == "" {
 			return fmt.Errorf("viz: channel %q has no field", ch)
 		}
 		switch enc.Type {
 		case Quantitative, Nominal, Ordinal, Temporal, "":
 		default:
 			return fmt.Errorf("viz: channel %q has invalid type %q", ch, enc.Type)
-		}
-		switch enc.Aggregate {
-		case "", "sum", "mean", "avg", "count", "min", "max", "median":
-		default:
-			return fmt.Errorf("viz: channel %q has invalid aggregate %q", ch, enc.Aggregate)
 		}
 		known := false
 		for _, c := range channelOrder {
@@ -141,96 +136,20 @@ type Rendered struct {
 	Series map[string][]table.Value // channel -> presented values
 }
 
-// Render binds the spec to a table: applies aggregation implied by the
-// encodings, sorting, and limit, then extracts per-channel value series.
+// Render binds the spec to t, the result of the spec's SQL: that query
+// already aggregated, sorted and limited the rows, so each channel presents
+// its field's column as is, row for row.
 func Render(s *Spec, t *table.Table) (*Rendered, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	work := t
-
-	// Aggregate if any channel requests it: group by all non-aggregated
-	// encoded fields and aggregate the rest.
-	var groupKeys []string
-	var aggs []table.Aggregation
-	hasAgg := false
-	for _, ch := range channelOrder {
-		enc := s.Encoding[ch]
-		if enc == nil {
-			continue
-		}
-		if enc.Aggregate != "" {
-			hasAgg = true
-		}
-	}
-	if hasAgg {
-		outName := map[string]string{}
-		for _, ch := range channelOrder {
-			enc := s.Encoding[ch]
-			if enc == nil {
-				continue
-			}
-			if enc.Aggregate == "" {
-				if work.ColumnIndex(enc.Field) < 0 {
-					return nil, fmt.Errorf("viz: field %q not in data", enc.Field)
-				}
-				groupKeys = append(groupKeys, enc.Field)
-				outName[ch] = enc.Field
-				continue
-			}
-			fn, err := aggFunc(enc.Aggregate)
-			if err != nil {
-				return nil, err
-			}
-			col := enc.Field
-			if col == "" { // count over rows
-				col = "*"
-			}
-			name := fmt.Sprintf("%s_%s_%s", enc.Aggregate, ch, col)
-			name = strings.ReplaceAll(name, "*", "rows")
-			aggs = append(aggs, table.Aggregation{Func: fn, Column: col, As: name})
-			outName[ch] = name
-		}
-		g, err := work.GroupBy(dedupe(groupKeys), aggs)
-		if err != nil {
-			return nil, err
-		}
-		work = g
-		// Rebind encodings to aggregate output columns.
-		rebound := map[string]*Encoding{}
-		for ch, enc := range s.Encoding {
-			cp := *enc
-			cp.Field = outName[ch]
-			cp.Aggregate = ""
-			rebound[ch] = &cp
-		}
-		s = &Spec{Title: s.Title, Mark: s.Mark, Encoding: rebound, Data: s.Data, Limit: s.Limit}
-	}
-
-	// Sorting: honor the first channel with a sort directive.
-	for _, ch := range channelOrder {
-		enc := s.Encoding[ch]
-		if enc == nil || enc.Sort == "" {
-			continue
-		}
-		sorted, err := work.Sort(table.SortKey{Column: enc.Field, Desc: enc.Sort == "descending"})
-		if err != nil {
-			return nil, err
-		}
-		work = sorted
-		break
-	}
-	if s.Limit > 0 {
-		work = work.Limit(s.Limit)
-	}
-
 	out := &Rendered{Mark: s.Mark, Series: map[string][]table.Value{}}
 	for _, ch := range channelOrder {
 		enc := s.Encoding[ch]
 		if enc == nil {
 			continue
 		}
-		col := work.Column(enc.Field)
+		col := t.Column(enc.Field)
 		if col == nil {
 			return nil, fmt.Errorf("viz: field %q not in data", enc.Field)
 		}
@@ -239,40 +158,9 @@ func Render(s *Spec, t *table.Table) (*Rendered, error) {
 	return out, nil
 }
 
-func aggFunc(name string) (table.AggFunc, error) {
-	switch name {
-	case "sum":
-		return table.AggSum, nil
-	case "mean", "avg":
-		return table.AggAvg, nil
-	case "count":
-		return table.AggCount, nil
-	case "min":
-		return table.AggMin, nil
-	case "max":
-		return table.AggMax, nil
-	case "median":
-		return table.AggMedian, nil
-	}
-	return 0, fmt.Errorf("viz: unknown aggregate %q", name)
-}
-
-func dedupe(xs []string) []string {
-	seen := map[string]bool{}
-	out := xs[:0:0]
-	for _, x := range xs {
-		k := strings.ToLower(x)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // EqualRendered reports execution equivalence of two rendered charts: same
-// mark and, per channel, the same multiset of (x, y, ...) tuples. Row order
-// is ignored unless both sides carry an explicit sort (nvBench semantics).
+// mark and the same multiset of (x, y, ...) row tuples across channels.
+// Row order is ignored.
 func EqualRendered(a, b *Rendered) bool {
 	if a.Mark != b.Mark {
 		return false

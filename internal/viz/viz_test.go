@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"reflect"
 	"testing"
 
 	"datalab/internal/table"
@@ -17,13 +18,25 @@ func chartData(t *testing.T) *table.Table {
 	return tbl
 }
 
+// regionTotals is a pre-aggregated result table, the shape a chart spec's
+// SQL returns: one (region, total) row per bar.
+func regionTotals(rows ...any) *table.Table {
+	tbl := table.MustNew("totals",
+		[]string{"region", "total"},
+		[]table.Kind{table.KindString, table.KindFloat})
+	for i := 0; i < len(rows); i += 2 {
+		tbl.MustAppendRow(table.Str(rows[i].(string)), table.Float(rows[i+1].(float64)))
+	}
+	return tbl
+}
+
 func barSpec() *Spec {
 	return &Spec{
 		Title: "Revenue by region",
 		Mark:  MarkBar,
 		Encoding: map[string]*Encoding{
 			"x": {Field: "region", Type: Nominal},
-			"y": {Field: "amount", Type: Quantitative, Aggregate: "sum"},
+			"y": {Field: "total", Type: Quantitative},
 		},
 	}
 }
@@ -35,7 +48,7 @@ func TestValidateAcceptsGoodSpecs(t *testing.T) {
 	pie := &Spec{
 		Mark: MarkArc,
 		Encoding: map[string]*Encoding{
-			"theta": {Field: "amount", Type: Quantitative, Aggregate: "sum"},
+			"theta": {Field: "amount", Type: Quantitative},
 			"color": {Field: "region", Type: Nominal},
 		},
 	}
@@ -51,7 +64,7 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{Mark: MarkBar, Encoding: map[string]*Encoding{"x": {Field: "a"}}},                    // missing y
 		{Mark: MarkArc, Encoding: map[string]*Encoding{"x": {Field: "a"}, "y": {Field: "b"}}}, // pie lacks theta
 		{Mark: MarkBar, Encoding: map[string]*Encoding{"x": {Field: "a"}, "y": {Field: "b", Type: "fancy"}}},
-		{Mark: MarkBar, Encoding: map[string]*Encoding{"x": {Field: "a"}, "y": {Field: "b", Aggregate: "explode"}}},
+		{Mark: MarkBar, Encoding: map[string]*Encoding{"x": {Field: "a"}, "y": {Field: ""}}},
 		{Mark: MarkBar, Encoding: map[string]*Encoding{"x": {Field: "a"}, "y": {Field: "b"}, "w": {Field: "c"}}},
 	}
 	for i, s := range bad {
@@ -61,69 +74,44 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-func TestRenderAggregates(t *testing.T) {
-	r, err := Render(barSpec(), chartData(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Series["x"]) != 2 {
-		t.Fatalf("bars = %d, want 2 regions", len(r.Series["x"]))
-	}
-	totals := map[string]float64{}
-	for i := range r.Series["x"] {
-		totals[r.Series["x"][i].S] = r.Series["y"][i].F
-	}
-	if totals["east"] != 150 || totals["west"] != 75 {
-		t.Errorf("totals = %v", totals)
-	}
-}
-
+// TestRenderNoAggregatePassthrough: each channel presents its field's
+// column row for row; sort and limit directives leave the rows alone.
 func TestRenderNoAggregatePassthrough(t *testing.T) {
 	s := &Spec{
 		Mark: MarkPoint,
 		Encoding: map[string]*Encoding{
 			"x": {Field: "when", Type: Temporal},
-			"y": {Field: "amount", Type: Quantitative},
+			"y": {Field: "amount", Type: Quantitative, Sort: "descending"},
 		},
+		Limit: 1,
 	}
-	r, err := Render(s, chartData(t))
+	data := chartData(t)
+	r, err := Render(s, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Series["y"]) != 3 {
-		t.Errorf("points = %d, want 3", len(r.Series["y"]))
+	if got, want := r.Series["y"], data.Column("amount").Values(); !reflect.DeepEqual(got, want) {
+		t.Errorf("y = %v, want %v", got, want)
 	}
-}
-
-func TestRenderSortAndLimit(t *testing.T) {
-	s := barSpec()
-	s.Encoding["y"].Sort = "descending"
-	s.Limit = 1
-	r, err := Render(s, chartData(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Series["x"]) != 1 || r.Series["x"][0].S != "east" {
-		t.Errorf("top-1 = %v", r.Series["x"])
+	if got, want := r.Series["x"], data.Column("when").Values(); !reflect.DeepEqual(got, want) {
+		t.Errorf("x = %v, want %v", got, want)
 	}
 }
 
 func TestRenderUnknownField(t *testing.T) {
 	s := barSpec()
 	s.Encoding["x"].Field = "missing"
-	if _, err := Render(s, chartData(t)); err == nil {
+	if _, err := Render(s, regionTotals("east", 150.0)); err == nil {
 		t.Error("expected unknown-field error")
 	}
 }
 
 func TestEqualRenderedIgnoresOrder(t *testing.T) {
-	r1, err := Render(barSpec(), chartData(t))
+	r1, err := Render(barSpec(), regionTotals("east", 150.0, "west", 75.0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := barSpec()
-	s2.Encoding["y"].Sort = "descending"
-	r2, err := Render(s2, chartData(t))
+	r2, err := Render(barSpec(), regionTotals("west", 75.0, "east", 150.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,16 +121,15 @@ func TestEqualRenderedIgnoresOrder(t *testing.T) {
 }
 
 func TestEqualRenderedDetectsDifferences(t *testing.T) {
-	r1, _ := Render(barSpec(), chartData(t))
+	totals := regionTotals("east", 150.0, "west", 75.0)
+	r1, _ := Render(barSpec(), totals)
 	lineSpec := barSpec()
 	lineSpec.Mark = MarkLine
-	r2, _ := Render(lineSpec, chartData(t))
+	r2, _ := Render(lineSpec, totals)
 	if EqualRendered(r1, r2) {
 		t.Error("different marks should not be equal")
 	}
-	avg := barSpec()
-	avg.Encoding["y"].Aggregate = "mean"
-	r3, _ := Render(avg, chartData(t))
+	r3, _ := Render(barSpec(), regionTotals("east", 75.0, "west", 75.0))
 	if EqualRendered(r1, r3) {
 		t.Error("different aggregated values should not be equal")
 	}
@@ -150,6 +137,8 @@ func TestEqualRenderedDetectsDifferences(t *testing.T) {
 
 func TestSpecJSONRoundTrip(t *testing.T) {
 	s := barSpec()
+	s.Encoding["y"].Sort = "descending"
+	s.Limit = 5
 	parsed, err := ParseSpec(s.JSON())
 	if err != nil {
 		t.Fatal(err)
@@ -157,8 +146,8 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if parsed.Mark != s.Mark || parsed.Title != s.Title {
 		t.Error("round trip lost fields")
 	}
-	if parsed.Encoding["y"].Aggregate != "sum" {
-		t.Error("round trip lost encoding")
+	if parsed.Encoding["y"].Sort != "descending" || parsed.Limit != 5 {
+		t.Error("round trip lost display directives")
 	}
 	if _, err := ParseSpec("{not json"); err == nil {
 		t.Error("expected JSON error")
@@ -166,7 +155,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 }
 
 func TestReadabilityRange(t *testing.T) {
-	r, _ := Render(barSpec(), chartData(t))
+	r, _ := Render(barSpec(), regionTotals("east", 150.0, "west", 75.0))
 	score := Readability(barSpec(), r)
 	if score < 1 || score > 5 {
 		t.Errorf("score = %v out of range", score)
