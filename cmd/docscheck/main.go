@@ -28,6 +28,11 @@ import (
 // share the suffix shape and are matched too.
 var linkRe = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
+// codeSpanRe matches an inline code span within one line. Its text is code,
+// not markdown — `[0-9](e|E)` there is a pattern, no link — so spans are
+// blanked before links are extracted.
+var codeSpanRe = regexp.MustCompile("`[^`\n]+`")
+
 func main() {
 	root := flag.String("root", ".", "repository root to scan")
 	flag.Parse()
@@ -80,7 +85,7 @@ func checkTree(root string) ([]string, error) {
 // do not resolve to an existing file or directory relative to dir.
 func brokenLinks(dir, body string) []string {
 	var out []string
-	for _, m := range linkRe.FindAllStringSubmatch(body, -1) {
+	for _, m := range linkRe.FindAllStringSubmatch(codeSpanRe.ReplaceAllString(body, "``"), -1) {
 		target := m[1]
 		if skipTarget(target) {
 			continue

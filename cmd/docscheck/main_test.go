@@ -33,6 +33,16 @@ func TestBrokenLinks(t *testing.T) {
 	}
 }
 
+// TestCodeSpanIsNoLink: a `](x)` inside an inline code span is code; a
+// link whose text is a code span is still a link.
+func TestCodeSpanIsNoLink(t *testing.T) {
+	dir := t.TempDir()
+	body := "lex `digits[.digits](e|E)[+-]digits` as a number; see [`REAL.md`](MISSING.md)"
+	if got := brokenLinks(dir, body); len(got) != 1 || got[0] != "MISSING.md" {
+		t.Errorf("broken = %v, want only MISSING.md", got)
+	}
+}
+
 func TestCheckTreeWalksAndResolvesRelative(t *testing.T) {
 	dir := t.TempDir()
 	write(t, filepath.Join(dir, "README.md"), "[arch](docs/A.md)")

@@ -16,8 +16,7 @@
 // engine honoring context cancellation, and returns a typed
 // batch-iterable [Result]. [Catalog.Prepare] returns a reusable
 // [Prepared] statement whose Exec never re-enters the parser. [Catalog.Query] materializes a full
-// table.Table; [Catalog.QueryScalar] runs the row-at-a-time reference
-// executor the vectorized paths are differentially tested against.
+// table.Table.
 //
 // # Execution model
 //
@@ -29,9 +28,13 @@
 // grouping hashes rows into per-group selections; ORDER BY runs the typed
 // memcmp sort kernel in sort.go. Large inputs partition across a
 // process-wide bounded worker pool (parallel.go) shared by every
-// concurrent query. Any expression shape the vectorized code does not
-// special-case falls back to a per-row loop around the scalar evaluator,
-// which keeps the two executors in agreement by construction.
+// concurrent query. Expressions have one evaluator, evalVec (vector.go):
+// typed loops where the operands' storage allows, otherwise one boxed
+// per-row loop over the child columns that calls the value-level library
+// in eval.go, with every child evaluated only on the rows a row-at-a-time
+// walk would reach it on. That row-at-a-time walk — the seed's scalar
+// executor — lives in the package's test files as the oracle the
+// differential tests check the engine against.
 //
 // See docs/ENGINE.md at the repository root for the full query lifecycle
 // with diagrams, and docs/ARCHITECTURE.md for design rationale.

@@ -8,151 +8,12 @@ import (
 	"datalab/internal/table"
 )
 
-// env supplies the current row's cells (and, in grouped evaluation,
-// aggregate results) to the expression evaluator. Column references were
-// resolved to indexes when the statement was planned, so reading a cell
-// cannot fail.
-type env interface {
-	// args returns the execution's arguments: bound parameters and
-	// subquery results.
-	args() *execArgs
-	// column returns cell i of the current row of the joined relation.
-	column(i int) table.Value
-	// aggregate returns the value of an aggregate call, or an error when
-	// aggregates are not valid in this context.
-	aggregate(fn *FuncCall) (table.Value, error)
-	// window returns the current row's value of a window function call
-	// (precomputed before projection), or an error when window functions
-	// are not valid in this context.
-	window(fn *FuncCall) (table.Value, error)
-}
-
-// evalExpr evaluates e in the given environment.
-func evalExpr(e Expr, ev env) (table.Value, error) {
-	switch x := e.(type) {
-	case *Literal:
-		return x.Value, nil
-	case *Param:
-		return bindAt(ev.args().binds, x)
-	case *ColumnRef:
-		return ev.column(x.idx), nil
-	case *Unary:
-		v, err := evalExpr(x.X, ev)
-		if err != nil {
-			return table.Null(), err
-		}
-		switch x.Op {
-		case "NOT":
-			if v.IsNull() {
-				return table.Null(), nil
-			}
-			b, ok := v.AsBool()
-			if !ok {
-				return table.Null(), fmt.Errorf("sql: NOT applied to non-boolean %v", v)
-			}
-			return table.Bool(!b), nil
-		case "-":
-			if v.IsNull() {
-				return table.Null(), nil
-			}
-			if v.Kind == table.KindInt {
-				return table.Int(-v.I), nil
-			}
-			f, ok := v.AsFloat()
-			if !ok {
-				return table.Null(), fmt.Errorf("sql: negation of non-numeric %v", v)
-			}
-			return table.Float(-f), nil
-		}
-		return table.Null(), fmt.Errorf("sql: unknown unary op %q", x.Op)
-	case *Binary:
-		return evalBinary(x, ev)
-	case *FuncCall:
-		if x.Over != nil {
-			return ev.window(x)
-		}
-		if isAggregate(x.Name) {
-			return ev.aggregate(x)
-		}
-		return evalScalarFunc(x, ev)
-	case *Subquery:
-		return ev.args().scalarSub(x.slot), nil
-	case *In:
-		v, err := evalExpr(x.X, ev)
-		if err != nil {
-			return table.Null(), err
-		}
-		if v.IsNull() {
-			return table.Null(), nil
-		}
-		found := false
-		for _, cand := range x.Values {
-			cv, err := evalExpr(cand, ev)
-			if err != nil {
-				return table.Null(), err
-			}
-			if found = !cv.IsNull() && table.Equal(v, cv); found {
-				break
-			}
-		}
-		if x.Sub != nil {
-			for _, cv := range ev.args().subs[x.slot] {
-				if found = !cv.IsNull() && table.Equal(v, cv); found {
-					break
-				}
-			}
-		}
-		return table.Bool(found != x.Not), nil
-	case *Between:
-		v, err := evalExpr(x.X, ev)
-		if err != nil {
-			return table.Null(), err
-		}
-		lo, err := evalExpr(x.Lo, ev)
-		if err != nil {
-			return table.Null(), err
-		}
-		hi, err := evalExpr(x.Hi, ev)
-		if err != nil {
-			return table.Null(), err
-		}
-		if v.IsNull() || lo.IsNull() || hi.IsNull() {
-			return table.Null(), nil
-		}
-		in := table.Compare(v, lo) >= 0 && table.Compare(v, hi) <= 0
-		if x.Not {
-			in = !in
-		}
-		return table.Bool(in), nil
-	case *IsNull:
-		v, err := evalExpr(x.X, ev)
-		if err != nil {
-			return table.Null(), err
-		}
-		res := v.IsNull()
-		if x.Not {
-			res = !res
-		}
-		return table.Bool(res), nil
-	case *CaseExpr:
-		for _, w := range x.Whens {
-			c, err := evalExpr(w.Cond, ev)
-			if err != nil {
-				return table.Null(), err
-			}
-			if b, ok := c.AsBool(); ok && b {
-				return evalExpr(w.Result, ev)
-			}
-		}
-		if x.Else != nil {
-			return evalExpr(x.Else, ev)
-		}
-		return table.Null(), nil
-	case Star:
-		return table.Null(), fmt.Errorf("sql: '*' is only valid in SELECT list or COUNT(*)")
-	}
-	return table.Null(), fmt.Errorf("sql: cannot evaluate %T", e)
-}
+// The value-level operator and function library: what one operator or one
+// scalar function does to one row's operand values. evalVec's boxed
+// per-row loops call it for every operand shape its typed loops do not
+// cover, and the row-at-a-time oracle the differential tests check evalVec
+// against calls it too — the two differ in evaluation strategy only, never
+// in what an operator means.
 
 // isAggregate reports whether name (upper-cased by the parser) is one of
 // the engine's aggregate functions.
@@ -164,57 +25,46 @@ func isAggregate(name string) bool {
 	return false
 }
 
-func evalBinary(b *Binary, ev env) (table.Value, error) {
-	// AND/OR use three-valued logic with short-circuiting.
-	switch b.Op {
-	case "AND", "OR":
-		lv, err := evalExpr(b.L, ev)
-		if err != nil {
-			return table.Null(), err
-		}
-		lb, lok := lv.AsBool()
-		if b.Op == "AND" && lok && !lb {
-			return table.Bool(false), nil
-		}
-		if b.Op == "OR" && lok && lb {
-			return table.Bool(true), nil
-		}
-		rv, err := evalExpr(b.R, ev)
-		if err != nil {
-			return table.Null(), err
-		}
-		rb, rok := rv.AsBool()
-		switch {
-		case lok && rok:
-			if b.Op == "AND" {
-				return table.Bool(lb && rb), nil
-			}
-			return table.Bool(lb || rb), nil
-		case b.Op == "AND" && rok && !rb:
-			return table.Bool(false), nil
-		case b.Op == "OR" && rok && rb:
-			return table.Bool(true), nil
-		default:
+// unaryValue applies NOT or arithmetic negation to one value.
+func unaryValue(op string, v table.Value) (table.Value, error) {
+	switch op {
+	case "NOT":
+		if v.IsNull() {
 			return table.Null(), nil
 		}
+		b, ok := v.AsBool()
+		if !ok {
+			return table.Null(), fmt.Errorf("sql: NOT applied to non-boolean %v", v)
+		}
+		return table.Bool(!b), nil
+	case "-":
+		if v.IsNull() {
+			return table.Null(), nil
+		}
+		if v.Kind == table.KindInt {
+			return table.Int(-v.I), nil
+		}
+		f, ok := v.AsFloat()
+		if !ok {
+			return table.Null(), fmt.Errorf("sql: negation of non-numeric %v", v)
+		}
+		return table.Float(-f), nil
 	}
+	return table.Null(), fmt.Errorf("sql: unknown unary op %q", op)
+}
 
-	lv, err := evalExpr(b.L, ev)
-	if err != nil {
-		return table.Null(), err
-	}
-	rv, err := evalExpr(b.R, ev)
-	if err != nil {
-		return table.Null(), err
-	}
-	switch b.Op {
+// binaryValue applies a comparison, arithmetic, LIKE or || — every binary
+// operator but AND and OR, whose right side depends on the left — to one
+// pair of operand values.
+func binaryValue(op string, lv, rv table.Value) (table.Value, error) {
+	switch op {
 	case "=", "<>", "<", "<=", ">", ">=":
 		if lv.IsNull() || rv.IsNull() {
 			return table.Null(), nil
 		}
 		c := table.Compare(lv, rv)
 		var res bool
-		switch b.Op {
+		switch op {
 		case "=":
 			res = c == 0
 		case "<>":
@@ -246,10 +96,10 @@ func evalBinary(b *Binary, ev env) (table.Value, error) {
 		lf, lok := lv.AsFloat()
 		rf, rok := rv.AsFloat()
 		if !lok || !rok {
-			return table.Null(), fmt.Errorf("sql: arithmetic on non-numeric values %v %s %v", lv, b.Op, rv)
+			return table.Null(), fmt.Errorf("sql: arithmetic on non-numeric values %v %s %v", lv, op, rv)
 		}
 		bothInt := lv.Kind == table.KindInt && rv.Kind == table.KindInt
-		switch b.Op {
+		switch op {
 		case "+":
 			if bothInt {
 				return table.Int(lv.I + rv.I), nil
@@ -280,64 +130,64 @@ func evalBinary(b *Binary, ev env) (table.Value, error) {
 			return table.Float(math.Mod(lf, rf)), nil
 		}
 	}
-	return table.Null(), fmt.Errorf("sql: unknown operator %q", b.Op)
+	return table.Null(), fmt.Errorf("sql: unknown operator %q", op)
+}
+
+// betweenValue is v [NOT] BETWEEN lo AND hi for one row: NULL when any of
+// the three is, otherwise bound by bound as table.Compare orders them.
+func betweenValue(v, lo, hi table.Value, not bool) table.Value {
+	if v.IsNull() || lo.IsNull() || hi.IsNull() {
+		return table.Null()
+	}
+	in := table.Compare(v, lo) >= 0 && table.Compare(v, hi) <= 0
+	return table.Bool(in != not)
 }
 
 // likeMatch implements SQL LIKE with % and _ wildcards, case-insensitively
 // (SQLite semantics, which the research NL2SQL benchmarks assume).
 func likeMatch(s, pattern string) bool {
-	return likeRec(strings.ToLower(s), strings.ToLower(pattern))
+	return likeLower(strings.ToLower(s), strings.ToLower(pattern))
 }
 
-func likeRec(s, p string) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case '%':
-			// Collapse consecutive %.
-			for len(p) > 0 && p[0] == '%' {
-				p = p[1:]
-			}
-			if len(p) == 0 {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeRec(s[i:], p) {
-					return true
-				}
-			}
-			return false
-		case '_':
-			if len(s) == 0 {
-				return false
-			}
-			s, p = s[1:], p[1:]
+// likeLower matches s against p, both already case-folded: % matches any
+// run of bytes, _ exactly one byte, anything else itself. On a mismatch it
+// backtracks to the last % seen and lets it take one more byte. Retrying
+// an earlier % is never needed — whatever it could have taken, the last
+// one can absorb — so a match costs O(len(s)·len(p)) on every input.
+func likeLower(s, p string) bool {
+	si, pi := 0, 0
+	star, mark := -1, 0 // the last % (index in p) and where its run ends in s
+	for si < len(s) {
+		switch {
+		case pi < len(p) && p[pi] == '%':
+			star, mark = pi, si
+			pi++
+		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
+			si++
+			pi++
+		case star >= 0:
+			mark++
+			si, pi = mark, star+1
 		default:
-			if len(s) == 0 || s[0] != p[0] {
-				return false
-			}
-			s, p = s[1:], p[1:]
+			return false
 		}
 	}
-	return len(s) == 0
+	for pi < len(p) && p[pi] == '%' {
+		pi++
+	}
+	return pi == len(p)
 }
 
-// evalScalarFunc evaluates the scalar (non-aggregate) function library.
-func evalScalarFunc(f *FuncCall, ev env) (table.Value, error) {
-	args := make([]table.Value, len(f.Args))
-	for i, a := range f.Args {
-		v, err := evalExpr(a, ev)
-		if err != nil {
-			return table.Null(), err
-		}
-		args[i] = v
-	}
+// scalarFunc applies the scalar (non-aggregate) function library to one
+// row's argument values.
+func scalarFunc(name string, args []table.Value) (table.Value, error) {
 	arity := func(n int) error {
 		if len(args) != n {
-			return fmt.Errorf("sql: %s expects %d argument(s), got %d", f.Name, n, len(args))
+			return fmt.Errorf("sql: %s expects %d argument(s), got %d", name, n, len(args))
 		}
 		return nil
 	}
-	switch f.Name {
+	switch name {
 	case "ABS":
 		if err := arity(1); err != nil {
 			return table.Null(), err
@@ -371,8 +221,7 @@ func evalScalarFunc(f *FuncCall, ev env) (table.Value, error) {
 		if len(args) == 2 {
 			places, _ = args[1].AsInt()
 		}
-		scale := math.Pow10(int(places))
-		return table.Float(math.Round(fv*scale) / scale), nil
+		return table.Float(roundPlaces(fv, places)), nil
 	case "LOWER":
 		if err := arity(1); err != nil {
 			return table.Null(), err
@@ -454,7 +303,23 @@ func evalScalarFunc(f *FuncCall, ev env) (table.Value, error) {
 		}
 		return args[0], nil
 	}
-	return table.Null(), fmt.Errorf("sql: unknown function %s", f.Name)
+	return table.Null(), fmt.Errorf("sql: unknown function %s", name)
+}
+
+// roundPlaces rounds f to places decimal digits (negative places round to
+// tens, hundreds, ...) and stays finite wherever f is: when 10^places, or f
+// scaled by it, overflows, f has no digit that far right and comes back
+// as it is; when 10^places underflows to zero, f rounds to 0.
+func roundPlaces(f float64, places int64) float64 {
+	scale := math.Pow10(int(places))
+	if scale == 0 {
+		return 0
+	}
+	scaled := f * scale
+	if math.IsInf(scale, 0) || math.IsInf(scaled, 0) {
+		return f
+	}
+	return math.Round(scaled) / scale
 }
 
 func timePart(v table.Value, part string) (table.Value, error) {

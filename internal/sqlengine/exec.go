@@ -3,6 +3,8 @@ package sqlengine
 import (
 	"context"
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"sync"
 
@@ -241,6 +243,9 @@ type vrel struct {
 	// projection, by the call's slot and indexed by selection position. Set
 	// by executePlainVec before item evaluation.
 	win []table.Column
+	// grp makes this a relation of groups, with no cols of its own: row g
+	// is group g of grp.base. Set by executeGroupedVec.
+	grp *vgroups
 }
 
 // vrelFrom builds the scan relation over a table — a snapshot's flat view.
@@ -272,7 +277,7 @@ func (c *Catalog) Execute(stmt *SelectStmt) (*table.Table, error) {
 // worker-pool chunks, so a cancelled context stops a large scan, sort, or
 // aggregation within one chunk's worth of work and returns ctx.Err().
 func executeCtxBound(ctx context.Context, p *plan, binds []table.Value) (*table.Table, error) {
-	x, err := start(ctx, p, binds, false)
+	x, err := start(ctx, p, binds, executeVecPlan)
 	if err != nil {
 		return nil, err
 	}
@@ -280,8 +285,7 @@ func executeCtxBound(ctx context.Context, p *plan, binds []table.Value) (*table.
 }
 
 // executeVecPlan is the vectorized execution body once the execution's
-// arguments are known — shared with subquery execution, like its scalar
-// counterpart executeScalarPlan.
+// arguments are known — the executor the engine's subqueries run with.
 func executeVecPlan(ctx context.Context, p *plan, x *execArgs) (*table.Table, error) {
 	rel, sel, err := scanFilter(ctx, p, x)
 	if err != nil {
@@ -315,7 +319,7 @@ func executeMaterialized(ctx context.Context, p *plan, rel *vrel, sel *table.Sel
 // materialized at all. Every other shape runs the materializing executor
 // and wraps its output table.
 func executeResultBound(ctx context.Context, p *plan, binds []table.Value) (*Result, error) {
-	x, err := start(ctx, p, binds, false)
+	x, err := start(ctx, p, binds, executeVecPlan)
 	if err != nil {
 		return nil, err
 	}
@@ -480,7 +484,7 @@ func exprHasAggregate(e Expr) bool {
 func executePlainVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selection) (*table.Table, error) {
 	// Window columns are computed once over the full selection before any
 	// item evaluation; item and ORDER BY expressions then read them via
-	// rel.win (evalVec's FuncCall case and vecEnv.window).
+	// rel.win (evalVec's FuncCall case).
 	if len(p.wins) > 0 {
 		win, err := computeWindowsVec(ctx, p.wins, rel, sel)
 		if err != nil {
@@ -813,54 +817,109 @@ func hashGroups(ctx context.Context, keyCols []table.Column, rel *vrel, sel *tab
 	return groups, ctx.Err()
 }
 
-// vGroupEnv evaluates expressions against one group of the columnar
-// relation: a plain column reads the group's first row (vecEnv.row; -1 for
-// the empty global group), and aggregates over bare columns run in typed
-// loops over the group's selection (contiguous spans for the global group).
-type vGroupEnv struct {
-	vecEnv
-	rows *table.Selection
+// vgroups makes a relation of groups (vrel.grp): its row g is group g,
+// whose rows of base are rows[g]. evalVec reads a column at each group's
+// first row — NULL for the empty global group — and reduces an aggregate
+// call over the rows of each group it is evaluated on, on the worker pool
+// (under the statement's ctx) when the grouped input reached
+// parallelMinRows rows.
+type vgroups struct {
+	ctx      context.Context
+	base     *vrel
+	rows     []*table.Selection
+	parallel bool
 }
 
-func (e *vGroupEnv) aggregate(fn *FuncCall) (table.Value, error) {
+// firstRows reads base column ci at the first row of each selected group.
+func (g *vgroups) firstRows(ci int, sel *table.Selection, n int) table.Column {
+	idx := make([]int, n)
+	it := table.IterSelection(sel, len(g.rows))
+	for i := range idx {
+		gi, _ := it.Next()
+		idx[i] = -1 // Gather reads NULL: the empty global group has no first row
+		if g.rows[gi].Len() > 0 {
+			idx[i] = g.rows[gi].RowAt(0)
+		}
+	}
+	return g.base.cols[ci].Gather(idx)
+}
+
+// aggregate reduces fn over the rows of each selected group.
+func (g *vgroups) aggregate(fn *FuncCall, sel *table.Selection, n int) (table.Column, error) {
+	var ids []int // the selected groups; nil when they are 0..n-1
+	if sel != nil {
+		ids = sel.Indices()
+	}
+	vals := make([]table.Value, n)
+	reduce := func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			gi := i
+			if ids != nil {
+				gi = ids[i]
+			}
+			v, err := reduceGroup(fn, g.base, g.rows[gi])
+			if err != nil {
+				return err
+			}
+			vals[i] = v
+		}
+		return nil
+	}
+	var err error
+	if g.parallel && n > 1 {
+		err = parallelChunks(g.ctx, n, 1, reduce)
+	} else {
+		err = reduce(0, n)
+	}
+	if err != nil {
+		return table.Column{}, err
+	}
+	return columnOfValues(vals), nil
+}
+
+// reduceGroup computes an aggregate over one group's rows of base: over a
+// bare column in typed loops on the group's selection, over any other
+// argument after evaluating it on that selection.
+func reduceGroup(fn *FuncCall, base *vrel, rows *table.Selection) (table.Value, error) {
 	if fn.IsStar {
 		if fn.Name != "COUNT" {
 			return table.Null(), fmt.Errorf("sql: %s(*) is not supported", fn.Name)
 		}
-		return table.Int(int64(e.rows.Len())), nil
+		return table.Int(int64(rows.Len())), nil
 	}
 	if len(fn.Args) != 1 {
 		return table.Null(), fmt.Errorf("sql: aggregate %s expects one argument", fn.Name)
 	}
-	if ref, ok := fn.Args[0].(*ColumnRef); ok && !fn.Distinct {
-		return aggOverColumn(fn.Name, &e.rel.cols[ref.idx], e.rows)
+	arg := fn.Args[0]
+	if ref, ok := arg.(*ColumnRef); ok && !fn.Distinct {
+		return aggOverColumn(fn.Name, &base.cols[ref.idx], rows)
 	}
-	// General case (expressions, DISTINCT): evaluate the argument per row.
+	if k, ok := constExprValue(arg, base); ok && fn.Name == "COUNT" && !fn.Distinct {
+		// COUNT(1) counts the rows (none for NULL) without a column of ones.
+		if k.IsNull() {
+			return table.Int(0), nil
+		}
+		return table.Int(int64(rows.Len())), nil
+	}
+	col, err := evalVec(arg, base, rows)
+	if err != nil {
+		return table.Null(), err
+	}
+	if !fn.Distinct {
+		return aggOverColumn(fn.Name, &col, table.NewSpanSelection(table.Span{Lo: 0, Hi: col.Len()}))
+	}
+	// DISTINCT: the first of each distinct non-NULL value, in row order.
 	var vals []table.Value
 	seen := map[string]bool{}
-	env := &vecEnv{rel: e.rel}
-	it := table.IterSelection(e.rows, 0)
-	for {
-		ri, ok := it.Next()
-		if !ok {
-			break
-		}
-		env.row = ri
-		v, err := evalExpr(fn.Args[0], env)
-		if err != nil {
-			return table.Null(), err
-		}
+	for i := 0; i < col.Len(); i++ {
+		v := col.Value(i)
 		if v.IsNull() {
 			continue
 		}
-		if fn.Distinct {
-			k := v.Key()
-			if seen[k] {
-				continue
-			}
+		if k := v.Key(); !seen[k] {
 			seen[k] = true
+			vals = append(vals, v)
 		}
-		vals = append(vals, v)
 	}
 	return finishAggregate(fn.Name, vals)
 }
@@ -1004,11 +1063,79 @@ func minMaxOverColumn(name string, col *table.Column, rows *table.Selection) tab
 	return best
 }
 
-// executeGroupedVec groups the selected rows with a hash aggregator and
-// evaluates HAVING, the select list and the ORDER BY keys per group, in
-// parallel across group partitions for large inputs. The per-group values
-// become columns, so ordering runs through the same tail as a plain
-// projection.
+// finishAggregate reduces the non-NULL values of one group to the aggregate
+// result: the engine's DISTINCT aggregates, and the test oracle's every one.
+func finishAggregate(name string, vals []table.Value) (table.Value, error) {
+	switch name {
+	case "COUNT":
+		return table.Int(int64(len(vals))), nil
+	case "SUM", "AVG", "STDDEV", "MEDIAN":
+		var nums []float64
+		for _, v := range vals {
+			if f, ok := v.AsFloat(); ok {
+				nums = append(nums, f)
+			}
+		}
+		return finishNumericAggregate(name, nums), nil
+	case "MIN", "MAX":
+		if len(vals) == 0 {
+			return table.Null(), nil
+		}
+		best := vals[0]
+		for _, v := range vals[1:] {
+			c := table.Compare(v, best)
+			if (name == "MIN" && c < 0) || (name == "MAX" && c > 0) {
+				best = v
+			}
+		}
+		return best, nil
+	}
+	return table.Null(), fmt.Errorf("sql: unknown aggregate %s", name)
+}
+
+// finishNumericAggregate computes the float-valued aggregates over the
+// convertible values of one group.
+func finishNumericAggregate(name string, nums []float64) table.Value {
+	if len(nums) == 0 {
+		return table.Null()
+	}
+	var total float64
+	for _, f := range nums {
+		total += f
+	}
+	switch name {
+	case "SUM":
+		return table.Float(total)
+	case "AVG":
+		return table.Float(total / float64(len(nums)))
+	case "STDDEV":
+		if len(nums) < 2 {
+			return table.Float(0)
+		}
+		mean := total / float64(len(nums))
+		var ss float64
+		for _, f := range nums {
+			d := f - mean
+			ss += d * d
+		}
+		return table.Float(math.Sqrt(ss / float64(len(nums)-1)))
+	case "MEDIAN":
+		cp := append([]float64(nil), nums...)
+		sort.Float64s(cp)
+		n := len(cp)
+		if n%2 == 1 {
+			return table.Float(cp[n/2])
+		}
+		return table.Float((cp[n/2-1] + cp[n/2]) / 2)
+	}
+	return table.Null()
+}
+
+// executeGroupedVec groups the selected rows with a hash aggregator, then
+// evaluates HAVING over the relation of groups and the select list and
+// ORDER BY keys over the groups it kept. Each column takes the storage
+// columnOfValues gives its per-group values, and ordering runs through the
+// same tail as a plain projection.
 func executeGroupedVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selection) (*table.Table, error) {
 	groupCols := make([]table.Column, len(p.groupBy))
 	for i, g := range p.groupBy {
@@ -1022,80 +1149,46 @@ func executeGroupedVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selec
 	if err != nil {
 		return nil, err
 	}
-
-	items, order, having := p.items, p.order, p.having
-	// One value vector per output column, then one per ORDER BY key, each
-	// indexed by group: groups write disjoint cells, so the parallel
-	// evaluation needs no synchronization.
-	exprs := make([]Expr, 0, len(items)+len(order))
-	for _, it := range items {
+	grel := &vrel{nrows: len(groups), x: rel.x, grp: &vgroups{
+		ctx: ctx, base: rel, rows: groups, parallel: selLen(rel, sel) >= parallelMinRows,
+	}}
+	var kept *table.Selection // nil: every group
+	if p.having != nil {
+		hv, err := evalVec(p.having, grel, nil)
+		if err != nil {
+			return nil, err
+		}
+		kept = passSelection(&hv, nil)
+	}
+	exprs := make([]Expr, 0, len(p.items)+len(p.order))
+	for _, it := range p.items {
 		exprs = append(exprs, it.Expr)
 	}
-	for _, o := range order {
+	for _, o := range p.order {
 		exprs = append(exprs, o.Expr)
 	}
-	vals := make([][]table.Value, len(exprs))
-	for c := range vals {
-		vals[c] = make([]table.Value, len(groups))
-	}
-	include := make([]bool, len(groups))
-	evalGroup := func(gi int) error {
-		ev := &vGroupEnv{vecEnv: vecEnv{rel: rel, row: -1}, rows: groups[gi]}
-		if ev.rows.Len() > 0 {
-			ev.row = ev.rows.RowAt(0)
-		}
-		if having != nil {
-			hv, err := evalExpr(having, ev)
-			if err != nil {
-				return err
-			}
-			if b, ok := hv.AsBool(); !ok || !b {
-				return nil
-			}
-		}
-		for c, e := range exprs {
-			v, err := evalExpr(e, ev)
-			if err != nil {
-				return err
-			}
-			vals[c][gi] = v
-		}
-		include[gi] = true
-		return nil
-	}
-
-	if selLen(rel, sel) >= parallelMinRows && len(groups) > 1 {
-		err = parallelChunks(ctx, len(groups), 1, func(lo, hi int) error {
-			for gi := lo; gi < hi; gi++ {
-				if err := evalGroup(gi); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	} else {
-		for gi := range groups {
-			if err = evalGroup(gi); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-
 	cols := make([]table.Column, len(exprs))
-	for c, col := range vals {
-		if having != nil {
-			kept := col[:0]
-			for gi, v := range col {
-				if include[gi] {
-					kept = append(kept, v)
-				}
-			}
-			col = kept
+	for c, e := range exprs {
+		col, err := evalVec(e, grel, kept)
+		if err != nil {
+			return nil, err
 		}
-		cols[c] = columnOfValues(col)
+		cols[c] = retype(col)
 	}
-	return orderedOutput(ctx, p, rel.x, cols[:len(items)], cols[len(items):])
+	return orderedOutput(ctx, p, rel.x, cols[:len(p.items)], cols[len(p.items):])
+}
+
+// retype gives a column the storage columnOfValues gives its values, as
+// grouped output columns have always had: a typed column holding a
+// non-NULL cell has it already; an all-NULL one becomes KindNull, a boxed
+// one is rebuilt (typed when its values share one kind).
+func retype(col table.Column) table.Column {
+	if col.IsTyped() && col.Kind != table.KindNull {
+		for i := 0; i < col.Len(); i++ {
+			if !col.IsNullAt(i) {
+				return col
+			}
+		}
+	}
+	return columnOfValues(col.Values())
 }

@@ -61,6 +61,13 @@ func TestFingerprintTemplates(t *testing.T) {
 			vals:     fpVals([]table.Value{table.Int(5)}),
 		},
 		{
+			name: "exponent literal is one float",
+			sql:  "SELECT a FROM t WHERE b > 1e9 AND c < 2.5E-3 AND d = 1e3_x",
+			// 1e3_x is a digit-leading name, not an exponent.
+			template: "SELECT a FROM t WHERE b > ? AND c < ? AND d = 1e3_x",
+			vals:     fpVals([]table.Value{table.Float(1e9), table.Float(2.5e-3)}),
+		},
+		{
 			name:     "is null is grammar, not a literal",
 			sql:      "SELECT a FROM t WHERE a IS NULL",
 			template: "",

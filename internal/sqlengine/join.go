@@ -16,7 +16,9 @@ import (
 // conjuncts
 // are evaluated in batch over the candidate pair vectors with evalVec
 // rather than boxed per-pair tree walks. Without any equi conjunct the
-// join degrades to a (still chunk-parallel) nested loop.
+// join degrades to a (still chunk-parallel) nested loop whose ON runs
+// through the same batched evaluation, one probe row's candidates at a
+// time.
 //
 // Output assembly is selection-aware: the probe side of a 1:1 join emits
 // strictly ascending row indices, which convert to a table.Selection so
@@ -375,10 +377,11 @@ func residualMask(residual []Expr, left, right *vrel, lidx, ridx []int) ([]bool,
 	return pass, nil
 }
 
-// loopJoinPairs is the no-equi-conjunct fallback: a nested loop over
-// (probe row, other-side row) pairs, boxed ON evaluation per pair, still
-// chunk-parallel over the probe side. The probe side is the preserved
-// side, as in hashJoinPairs.
+// loopJoinPairs is the no-equi-conjunct fallback: a nested loop, still
+// chunk-parallel over the probe side, which is the preserved side as in
+// probeJoinPairs. A probe row's candidates — every row of the other side —
+// go through residualMask together, so ON evaluates in batch with the same
+// per-pair short circuit as a hash join's residual.
 func loopJoinPairs(ctx context.Context, left, right *vrel, on Expr, kind table.JoinKind) (*table.JoinPairs, error) {
 	conjuncts := splitConjuncts(on)
 	flipped := kind == table.JoinRight
@@ -389,39 +392,30 @@ func loopJoinPairs(ctx context.Context, left, right *vrel, on Expr, kind table.J
 	outerProbe := kind != table.JoinInner
 
 	return joinProbeChunks(ctx, probeRows, kind, func(part *table.JoinPairs, lo, hi int) error {
-		env := &vecEnv{rel: left, right: right}
-		pairOK := func(l, r int) (bool, error) {
-			env.row, env.rrow = l, r
-			for _, cj := range conjuncts {
-				v, err := evalExpr(cj, env)
-				if err != nil {
-					return false, err
-				}
-				if b, ok := v.AsBool(); !ok || !b {
-					return false, nil
-				}
-			}
-			return true, nil
-		}
+		inner := iotaInts(innerRows)
+		probe := make([]int, innerRows) // the probe row, once per candidate
 		for p := lo; p < hi; p++ {
 			if (p-lo)&255 == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
+			for i := range probe {
+				probe[i] = p
+			}
+			lidx, ridx := probe, inner
+			if flipped {
+				lidx, ridx = inner, probe
+			}
+			pass, err := residualMask(conjuncts, left, right, lidx, ridx)
+			if err != nil {
+				return err
+			}
 			matched := false
-			for q := 0; q < innerRows; q++ {
-				l, r := p, q
-				if flipped {
-					l, r = q, p
-				}
-				ok, err := pairOK(l, r)
-				if err != nil {
-					return err
-				}
+			for i, ok := range pass {
 				if ok {
 					matched = true
-					part.Match(l, r)
+					part.Match(lidx[i], ridx[i])
 				}
 			}
 			if !matched && outerProbe {

@@ -72,8 +72,15 @@ func lex(input string) ([]token, error) {
 				}
 				i++
 			}
+			// An exponent makes a float (1e9, 2.5E-3) unless an identifier
+			// character follows its digits.
+			if end, ok := exponentEnd(input, i); ok {
+				toks = append(toks, token{tokNumber, input[start:end], start, end})
+				i = end
+				continue
+			}
 			// Digit-leading identifiers (warehouse tables like
-			// 23_customer_bg) continue into letters/underscores.
+			// 23_customer_bg, 1e3_x) continue into letters/underscores.
 			if !seenDot && i < n && isIdentStart(input[i]) {
 				for i < n && isIdentChar(input[i]) {
 					i++
@@ -157,6 +164,27 @@ func lex(input string) ([]token, error) {
 	}
 	toks = append(toks, token{tokEOF, "", n, n})
 	return toks, nil
+}
+
+// exponentEnd returns where the exponent starting at input[i] — e or E, an
+// optional sign, then digits — ends; false when there is none, or when an
+// identifier character follows it.
+func exponentEnd(input string, i int) (int, bool) {
+	if i >= len(input) || input[i] != 'e' && input[i] != 'E' {
+		return 0, false
+	}
+	j := i + 1
+	if j < len(input) && (input[j] == '+' || input[j] == '-') {
+		j++
+	}
+	digits := j
+	for j < len(input) && input[j] >= '0' && input[j] <= '9' {
+		j++
+	}
+	if j == digits || j < len(input) && isIdentChar(input[j]) {
+		return 0, false
+	}
+	return j, true
 }
 
 // isIdentStart and isIdentChar are ASCII on purpose: the lexer walks bytes,

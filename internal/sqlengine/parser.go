@@ -353,7 +353,7 @@ func (p *parser) parseLimitTerm() (int, *Param, error) {
 // It is shared by the parser and the fingerprint normalizer so extracted
 // parameters carry exactly the value inline parsing would have produced.
 func literalFromNumber(text string) (table.Value, error) {
-	if strings.Contains(text, ".") {
+	if strings.ContainsAny(text, ".eE") {
 		f, err := strconv.ParseFloat(text, 64)
 		if err != nil {
 			return table.Null(), fmt.Errorf("sql: bad number %q", text)

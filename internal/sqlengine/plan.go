@@ -380,7 +380,7 @@ func (p *plan) observedAfter(rest Expr) []bool {
 
 // cloneStmt copies everything resolution writes — column references, window
 // calls, subquery nodes and the spines above them — so a caller's statement
-// (Execute, ExecuteScalarBound) resolves without being touched.
+// (Execute) resolves without being touched.
 func cloneStmt(stmt *SelectStmt) *SelectStmt {
 	cp := *stmt
 	cp.Items = append([]SelectItem(nil), stmt.Items...)

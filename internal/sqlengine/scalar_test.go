@@ -3,17 +3,18 @@ package sqlengine
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"datalab/internal/table"
 )
 
-// Scalar (row-at-a-time) reference executor. This is the seed engine's
-// original execution strategy, kept intact behind Catalog.QueryScalar: it
+// Scalar (row-at-a-time) reference executor: the seed engine's original
+// execution strategy, kept as the differential tests' oracle. It
 // materializes row-major relations and walks the expression tree once per
-// row. The vectorized executor in exec.go/vector.go is differentially
-// tested against it (see vector_test.go); no request reaches it.
+// row (evalExpr, eval_test.go). It lives in test files only — QueryScalar
+// and ExecuteScalarBound are Catalog methods the tests declare — so no
+// request can reach it; the engine (exec.go, vector.go) is differentially
+// tested against it (see vector_test.go and fuzz_test.go).
 
 // srel is the scalar executor's working representation: row-major values,
 // addressed by the indexes the plan's column references carry. x carries the
@@ -106,74 +107,6 @@ func (e *groupEnv) aggregate(fn *FuncCall) (table.Value, error) {
 	return finishAggregate(fn.Name, vals)
 }
 
-// finishAggregate reduces the non-NULL values of one group to the aggregate
-// result, shared by the scalar and vectorized fallback paths.
-func finishAggregate(name string, vals []table.Value) (table.Value, error) {
-	switch name {
-	case "COUNT":
-		return table.Int(int64(len(vals))), nil
-	case "SUM", "AVG", "STDDEV", "MEDIAN":
-		var nums []float64
-		for _, v := range vals {
-			if f, ok := v.AsFloat(); ok {
-				nums = append(nums, f)
-			}
-		}
-		return finishNumericAggregate(name, nums), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return table.Null(), nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c := table.Compare(v, best)
-			if (name == "MIN" && c < 0) || (name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	}
-	return table.Null(), fmt.Errorf("sql: unknown aggregate %s", name)
-}
-
-// finishNumericAggregate computes the float-valued aggregates over the
-// convertible values of one group.
-func finishNumericAggregate(name string, nums []float64) table.Value {
-	if len(nums) == 0 {
-		return table.Null()
-	}
-	var total float64
-	for _, f := range nums {
-		total += f
-	}
-	switch name {
-	case "SUM":
-		return table.Float(total)
-	case "AVG":
-		return table.Float(total / float64(len(nums)))
-	case "STDDEV":
-		if len(nums) < 2 {
-			return table.Float(0)
-		}
-		mean := total / float64(len(nums))
-		var ss float64
-		for _, f := range nums {
-			d := f - mean
-			ss += d * d
-		}
-		return table.Float(math.Sqrt(ss / float64(len(nums)-1)))
-	case "MEDIAN":
-		cp := append([]float64(nil), nums...)
-		sort.Float64s(cp)
-		n := len(cp)
-		if n%2 == 1 {
-			return table.Float(cp[n/2])
-		}
-		return table.Float((cp[n/2-1] + cp[n/2]) / 2)
-	}
-	return table.Null()
-}
-
 // QueryScalar parses and executes a SELECT with the scalar reference
 // executor. Like Query, the text goes through fingerprinting and the plan
 // cache: repeated templates plan once and execute with their extracted
@@ -200,16 +133,16 @@ func (c *Catalog) ExecuteScalarBound(stmt *SelectStmt, binds []table.Value) (*ta
 }
 
 func executeScalarBound(p *plan, binds []table.Value) (*table.Table, error) {
-	x, err := start(context.Background(), p, binds, true)
+	x, err := start(context.Background(), p, binds, executeScalarPlan)
 	if err != nil {
 		return nil, err
 	}
-	return executeScalarPlan(p, x)
+	return executeScalarPlan(context.Background(), p, x)
 }
 
 // executeScalarPlan is the scalar execution body once the execution's
-// arguments are known — shared with subquery execution.
-func executeScalarPlan(p *plan, x *execArgs) (*table.Table, error) {
+// arguments are known — the executor the oracle's subqueries run with.
+func executeScalarPlan(_ context.Context, p *plan, x *execArgs) (*table.Table, error) {
 	// Same snapshot discipline as the vectorized path: one atomic load per
 	// referenced table pins the rows this execution reads.
 	stmt := p.stmt
@@ -446,4 +379,128 @@ func executeGroupedScalar(p *plan, rel *srel) (*table.Table, error) {
 		rows = append(rows, pr)
 	}
 	return buildOutput(p, rows), nil
+}
+
+// --- scalar window driver ---
+
+// computeWindowsScalar evaluates every window call over the filtered
+// scalar relation, returning per-slot value slices indexed by row
+// position in rel.rows; nil without window calls.
+func computeWindowsScalar(rel *srel, wins []*FuncCall) ([][]table.Value, error) {
+	var out [][]table.Value
+	for _, fn := range wins {
+		vals, err := scalarWindowColumn(rel, fn)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, vals)
+	}
+	return out, nil
+}
+
+func scalarWindowColumn(rel *srel, fn *FuncCall) ([]table.Value, error) {
+	n := len(rel.rows)
+	spec := fn.Over
+	ordVals := make([][]table.Value, len(spec.OrderBy))
+	for i := range ordVals {
+		ordVals[i] = make([]table.Value, n)
+	}
+	var argVals []table.Value
+	if !fn.IsStar && len(fn.Args) == 1 {
+		argVals = make([]table.Value, n)
+	}
+	var keys []string
+	if len(spec.PartitionBy) > 0 {
+		keys = make([]string, n)
+	}
+	var kb []byte
+	for ri, row := range rel.rows {
+		ev := &rowEnv{rel: rel, row: row}
+		if keys != nil {
+			kb = kb[:0]
+			for _, pe := range spec.PartitionBy {
+				v, err := evalExpr(pe, ev)
+				if err != nil {
+					return nil, err
+				}
+				kb = table.AppendKeyPart(kb, v)
+			}
+			keys[ri] = string(kb)
+		}
+		for k, o := range spec.OrderBy {
+			v, err := evalExpr(o.Expr, ev)
+			if err != nil {
+				return nil, err
+			}
+			ordVals[k][ri] = v
+		}
+		if argVals != nil {
+			v, err := evalExpr(fn.Args[0], ev)
+			if err != nil {
+				return nil, err
+			}
+			argVals[ri] = v
+		}
+	}
+
+	argAt := func(int) table.Value { return table.Null() }
+	if argVals != nil {
+		argAt = func(pos int) table.Value { return argVals[pos] }
+	}
+	out := make([]table.Value, n)
+	for _, part := range partitionPositions(keys, n) {
+		sorted := append([]int(nil), part...)
+		if len(spec.OrderBy) > 0 {
+			// Identical comparator and algorithm to boxedSortPerm (and to
+			// the vectorized fallback sorter): SliceStable, Desc-aware, no
+			// position tie-break.
+			sort.SliceStable(sorted, func(a, b int) bool {
+				ra, rb := sorted[a], sorted[b]
+				for k := range spec.OrderBy {
+					c := table.Compare(ordVals[k][ra], ordVals[k][rb])
+					if c == 0 {
+						continue
+					}
+					if spec.OrderBy[k].Desc {
+						return c > 0
+					}
+					return c < 0
+				}
+				return false
+			})
+		}
+		peers := func(a, b int) bool {
+			for k := range spec.OrderBy {
+				if table.Compare(ordVals[k][a], ordVals[k][b]) != 0 {
+					return false
+				}
+			}
+			return true
+		}
+		computeWindowValues(fn, sorted, peerGroupEnds(sorted, peers), argAt, out)
+	}
+	return out, nil
+}
+
+// partitionPositions groups positions 0..n-1 by key in first-appearance
+// order; nil keys means a single whole-input partition.
+func partitionPositions(keys []string, n int) [][]int {
+	if keys == nil {
+		if n == 0 {
+			return nil
+		}
+		return [][]int{iotaInts(n)}
+	}
+	m := make(map[string]int, 16)
+	var parts [][]int
+	for i := 0; i < n; i++ {
+		gi, ok := m[keys[i]]
+		if !ok {
+			gi = len(parts)
+			m[keys[i]] = gi
+			parts = append(parts, nil)
+		}
+		parts[gi] = append(parts[gi], i)
+	}
+	return parts
 }

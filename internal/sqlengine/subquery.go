@@ -15,9 +15,9 @@ import (
 // value (NULL over zero rows; more than one is an error) or an IN
 // subquery's list from the node's slot. The plan's tree is never rewritten.
 //
-// Each engine runs its subqueries with itself (the scalar reference through
-// the scalar path, the vectorized engine through the vectorized path),
-// keeping the differential harness's engine separation intact. Correlated
+// An execution runs its subqueries with the executor it was started with
+// (the engine's executeVecPlan, or the row-at-a-time oracle's in the
+// package's tests), keeping the differential harness's separation intact. Correlated
 // references fail at plan time with the same unknown-column error for both.
 // Every subquery pins its own snapshot at its execution time; under
 // concurrent ingest a statement's subqueries may observe a newer snapshot
@@ -37,36 +37,34 @@ func exprHasSubquery(e Expr) bool {
 	})
 }
 
+// executor runs a resolved plan with one execution's arguments.
+type executor func(ctx context.Context, p *plan, x *execArgs) (*table.Table, error)
+
 // start begins a top-level execution of p: the bindings must fill the
 // statement's slots exactly.
-func start(ctx context.Context, p *plan, binds []table.Value, scalar bool) (*execArgs, error) {
+func start(ctx context.Context, p *plan, binds []table.Value, run executor) (*execArgs, error) {
 	if len(binds) != p.stmt.NumParams() {
 		return nil, fmt.Errorf("sql: statement has %d parameter(s), %d bound", p.stmt.NumParams(), len(binds))
 	}
-	return begin(ctx, p, binds, scalar)
+	return begin(ctx, p, binds, run)
 }
 
 // begin builds the arguments of one execution of p: LIMIT/OFFSET from the
-// bindings, then every subquery's rows, run with the engine scalar selects.
+// bindings, then every subquery's rows, each subquery run with run.
 // Execution stops at the first error. A subquery declares no slots of its
 // own (the parser clears its Params), so the outer bindings pass through it
 // unchecked, and its own subqueries run the same way.
-func begin(ctx context.Context, p *plan, binds []table.Value, scalar bool) (*execArgs, error) {
+func begin(ctx context.Context, p *plan, binds []table.Value, run executor) (*execArgs, error) {
 	x, err := p.bind(binds)
 	if err != nil {
 		return nil, err
 	}
 	for _, sub := range p.subs {
-		sx, err := begin(ctx, sub, binds, scalar)
+		sx, err := begin(ctx, sub, binds, run)
 		if err != nil {
 			return nil, err
 		}
-		var out *table.Table
-		if scalar {
-			out, err = executeScalarPlan(sub, sx)
-		} else {
-			out, err = executeVecPlan(ctx, sub, sx)
-		}
+		out, err := run(ctx, sub, sx)
 		if err != nil {
 			return nil, err
 		}

@@ -1,21 +1,26 @@
 package sqlengine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 
 	"datalab/internal/table"
 )
 
-// Vectorized expression evaluation: expressions are computed over whole
-// column vectors (optionally restricted by a selection vector) in tight
-// typed loops, instead of row-at-a-time tree walks. Any expression shape
-// the vectorized paths do not cover falls back to a per-row loop around the
-// scalar evaluator, so the two paths agree on results; the scalar evaluator
-// itself remains available through Catalog.QueryScalar as the reference
-// implementation for differential tests. The few deliberate divergences
-// (error propagation in hash joins that skip non-matching pairs, natural
-// kinds on empty outputs) are documented in docs/ARCHITECTURE.md.
+// Vectorized expression evaluation, the engine's one evaluator: evalVec
+// computes an expression over whole column vectors, optionally restricted
+// by a selection vector. A node runs typed loops where its operands'
+// storage allows; every other operand shape runs one boxed per-row loop
+// over the node's child columns that calls the value-level library in
+// eval.go. A child that a row-at-a-time walk would skip is evaluated only
+// on the rows that reach it — AND/OR's right side on the rows the left
+// leaves undecided, each CASE arm on the rows no earlier arm took, IN
+// candidates on the rows not yet matched — so a child that raises on some
+// rows raises exactly when a row walk would. Grouped statements evaluate
+// over a relation of groups (vgroups, exec.go). The differential tests
+// check evalVec against a row-at-a-time oracle kept in the package's test
+// files; the deliberate divergences are listed in docs/ARCHITECTURE.md.
 
 // selLen returns the number of selected rows (sel == nil means all rows).
 func selLen(rel *vrel, sel *table.Selection) int {
@@ -43,6 +48,9 @@ func evalVec(e Expr, rel *vrel, sel *table.Selection) (table.Column, error) {
 	case *Subquery:
 		return constColumn(rel.x.scalarSub(x.slot), n), nil
 	case *ColumnRef:
+		if rel.grp != nil {
+			return rel.grp.firstRows(x.idx, sel, n), nil
+		}
 		i := x.idx
 		if sel == nil {
 			return rel.cols[i], nil
@@ -66,103 +74,170 @@ func evalVec(e Expr, rel *vrel, sel *table.Selection) (table.Column, error) {
 		}
 		return table.ColumnFromBools("", out, nil), nil
 	case *Between:
-		if col, ok, err := evalVecBetween(x, rel, sel); ok || err != nil {
-			return col, err
-		}
-		return rowFallback(e, rel, sel)
+		return evalVecBetween(x, rel, sel)
 	case *In:
-		if col, ok, err := evalVecIn(x, rel, sel); ok || err != nil {
-			return col, err
-		}
-		return rowFallback(e, rel, sel)
+		return evalVecIn(x, rel, sel)
+	case *CaseExpr:
+		return evalVecCase(x, rel, sel)
 	case *FuncCall:
-		if x.Over != nil && rel.win != nil {
+		switch {
+		case x.Over != nil:
+			if rel.win == nil {
+				return raiseOnRows(n, errWindowContext(x))
+			}
 			// Precomputed by executePlainVec over this same selection;
 			// already positional, so it is the node's value column.
 			return rel.win[x.slot], nil
+		case isAggregate(x.Name):
+			if rel.grp == nil {
+				return raiseOnRows(n, errAggInRowContext(x))
+			}
+			return rel.grp.aggregate(x, sel, n)
 		}
-		return rowFallback(e, rel, sel)
-	default:
-		// CASE, scalar functions, aggregates-in-row-context (error), Star.
-		return rowFallback(e, rel, sel)
+		return evalVecFunc(x, rel, sel)
+	case Star:
+		return raiseOnRows(n, fmt.Errorf("sql: '*' is only valid in SELECT list or COUNT(*)"))
 	}
+	return raiseOnRows(n, fmt.Errorf("sql: cannot evaluate %T", e))
 }
 
-// rowFallback evaluates e row-at-a-time with the scalar evaluator over the
-// columnar relation. It preserves scalar semantics exactly (including
-// short-circuit error behaviour within the expression).
-func rowFallback(e Expr, rel *vrel, sel *table.Selection) (table.Column, error) {
-	n := selLen(rel, sel)
-	vals := make([]table.Value, n)
-	env := &vecEnv{rel: rel}
-	it := table.IterSelection(sel, rel.nrows)
+// raiseOnRows is the value of a node that raises on every row it meets:
+// the error when there are rows, an empty column when there are none.
+func raiseOnRows(n int, err error) (table.Column, error) {
+	if n > 0 {
+		return table.Column{}, err
+	}
+	return nullColumn(0), nil
+}
+
+// evalOn evaluates e on the positions of sel that mask marks — count of
+// them; a nil mask marks every position — and returns e's column over
+// those positions, in order: the child of a node that a row walk reaches
+// on some rows only. Window columns are positional, so they are cut down
+// to the marked positions too.
+func evalOn(e Expr, rel *vrel, sel *table.Selection, mask []bool, count int) (table.Column, error) {
+	switch {
+	case mask == nil || count == len(mask):
+		return evalVec(e, rel, sel)
+	case count == 0:
+		return nullColumn(0), nil
+	}
+	if rel.win != nil {
+		pos := make([]int, 0, count)
+		for i, m := range mask {
+			if m {
+				pos = append(pos, i)
+			}
+		}
+		cut := *rel
+		cut.win = make([]table.Column, len(rel.win))
+		for k := range rel.win {
+			cut.win[k] = rel.win[k].Gather(pos)
+		}
+		rel = &cut
+	}
+	return evalVec(e, rel, sel.Pick(mask, nil))
+}
+
+// operand is one child's values over the positions a boxed loop visits: a
+// column, or one constant for all of them — a literal, bound parameter or
+// scalar subquery is never spread into a column there.
+type operand struct {
+	col   table.Column
+	k     table.Value
+	konst bool
+}
+
+func (o *operand) at(i int) table.Value {
+	if o.konst {
+		return o.k
+	}
+	return o.col.Value(i)
+}
+
+// evalOperand is evalOn for an operand of a boxed loop.
+func evalOperand(e Expr, rel *vrel, sel *table.Selection, mask []bool, count int) (operand, error) {
+	if k, ok := constExprValue(e, rel); ok {
+		return operand{k: k, konst: true}, nil
+	}
+	col, err := evalOn(e, rel, sel, mask, count)
+	return operand{col: col}, err
+}
+
+// evalRows is a node's boxed per-row loop over n positions: f gets the
+// operands' values at one position and returns the node's value there.
+func evalRows(n int, ops []operand, f func(args []table.Value) (table.Value, error)) (table.Column, error) {
+	args := make([]table.Value, len(ops))
+	b := colBuilder{size: n}
 	for i := 0; i < n; i++ {
-		env.row, _ = it.Next()
-		env.pos = i
-		v, err := evalExpr(e, env)
+		for k := range ops {
+			args[k] = ops[k].at(i)
+		}
+		v, err := f(args)
 		if err != nil {
 			return table.Column{}, err
 		}
-		vals[i] = v
+		b.add(v)
 	}
-	return columnOfValues(vals), nil
+	return b.column(), nil
+}
+
+// colBuilder appends values into the storage columnOfValues gives them.
+type colBuilder struct {
+	col   table.Column
+	size  int  // cells to reserve
+	nulls int  // NULLs appended before the first non-NULL value
+	typed bool // a non-NULL value arrived and chose col's kind
+}
+
+func (b *colBuilder) add(v table.Value) {
+	if !b.typed {
+		if v.IsNull() {
+			b.nulls++
+			return
+		}
+		b.col = table.NewColumn("", v.Kind)
+		b.col.Grow(b.size)
+		for i := 0; i < b.nulls; i++ {
+			b.col.AppendNull()
+		}
+		b.typed = true
+	}
+	b.col.Append(v)
+}
+
+func (b *colBuilder) column() table.Column {
+	if !b.typed {
+		return nullColumn(b.nulls)
+	}
+	return b.col
 }
 
 // columnOfValues builds an unnamed column from boxed values, typed by the
 // first non-NULL one: later values of another kind degrade it to boxed
 // storage, and an all-NULL (or empty) vector stays KindNull.
 func columnOfValues(vals []table.Value) table.Column {
-	kind := table.KindNull
+	b := colBuilder{size: len(vals)}
 	for _, v := range vals {
-		if !v.IsNull() {
-			kind = v.Kind
-			break
-		}
+		b.add(v)
 	}
-	return table.ColumnOf("", kind, vals)
+	return b.column()
 }
 
-// vecEnv adapts the columnar relation to the scalar evaluator's env. row is
-// the absolute row index in rel; pos is the row's position within the active
-// selection — window columns are positional, so window indexes with pos, not
-// row. A nested-loop join evaluates its ON clause over a candidate pair
-// without materializing the combined row: cells past rel's width are
-// right's, at rrow.
-type vecEnv struct {
-	rel   *vrel
-	row   int
-	pos   int
-	right *vrel
-	rrow  int
-}
-
-func (e *vecEnv) args() *execArgs { return e.rel.x }
-
-func (e *vecEnv) column(i int) table.Value {
-	if nl := len(e.rel.cols); i >= nl {
-		return e.right.cols[i-nl].Value(e.rrow)
+// nullColumn is n NULLs of KindNull.
+func nullColumn(n int) table.Column {
+	c := table.NewColumn("", table.KindNull)
+	c.Grow(n)
+	for i := 0; i < n; i++ {
+		c.AppendNull()
 	}
-	if e.row < 0 {
-		return table.Null() // the empty global group has no first row
-	}
-	return e.rel.cols[i].Value(e.row)
-}
-
-func (e *vecEnv) aggregate(fn *FuncCall) (table.Value, error) {
-	return table.Null(), errAggInRowContext(fn)
-}
-
-func (e *vecEnv) window(fn *FuncCall) (table.Value, error) {
-	if e.rel.win == nil {
-		return table.Null(), errWindowContext(fn)
-	}
-	return e.rel.win[fn.slot].Value(e.pos), nil
+	return c
 }
 
 // constExprValue resolves e to an execution-constant value when it is a
 // literal, a bound parameter or a scalar subquery, letting the WHERE kernels
-// and the vectorized LIKE/BETWEEN/IN fast paths accept them without falling
-// back to per-row loops.
+// and the typed LIKE/BETWEEN/IN loops accept them, and the boxed loops read
+// them as one value.
 func constExprValue(e Expr, rel *vrel) (table.Value, bool) {
 	switch x := e.(type) {
 	case *Literal:
@@ -170,7 +245,7 @@ func constExprValue(e Expr, rel *vrel) (table.Value, bool) {
 	case *Param:
 		v, err := bindAt(rel.x.binds, x)
 		if err != nil {
-			return table.Null(), false // fall back; the row path reports the error
+			return table.Null(), false // not constant here; evalVec reports the error
 		}
 		return v, true
 	case *Subquery:
@@ -179,9 +254,11 @@ func constExprValue(e Expr, rel *vrel) (table.Value, bool) {
 	return table.Null(), false
 }
 
-// constColumn materializes a literal as a constant vector.
+// constColumn materializes a constant as a constant vector.
 func constColumn(v table.Value, n int) table.Column {
 	switch v.Kind {
+	case table.KindNull:
+		return nullColumn(n)
 	case table.KindInt:
 		vals := make([]int64, n)
 		for i := range vals {
@@ -264,7 +341,9 @@ func evalVecUnary(x *Unary, rel *vrel, sel *table.Selection) (table.Column, erro
 			return table.ColumnFromFloats("", out, copyBools(nulls)), nil
 		}
 	}
-	return rowFallback(x, rel, sel)
+	return evalRows(selLen(rel, sel), []operand{{col: col}}, func(a []table.Value) (table.Value, error) {
+		return unaryValue(x.Op, a[0])
+	})
 }
 
 func copyBools(b []bool) []bool {
@@ -275,56 +354,76 @@ func evalVecBinary(b *Binary, rel *vrel, sel *table.Selection) (table.Column, er
 	switch b.Op {
 	case "AND", "OR":
 		return evalVecLogic(b, rel, sel)
-	case "=", "<>", "<", "<=", ">", ">=":
-		return evalVecCompare(b, rel, sel)
-	case "+", "-", "*", "/", "%":
-		return evalVecArith(b, rel, sel)
 	case "LIKE":
 		return evalVecLike(b, rel, sel)
-	case "||":
-		return evalVecConcat(b, rel, sel)
 	}
-	return rowFallback(b, rel, sel)
-}
-
-// evalVecLogic vectorizes AND/OR with three-valued logic. Both operands are
-// evaluated for all rows; if the right side errors (the scalar evaluator
-// might have short-circuited past the failing row), the whole node falls
-// back to the row-at-a-time path, which short-circuits identically.
-func evalVecLogic(b *Binary, rel *vrel, sel *table.Selection) (table.Column, error) {
 	lcol, err := evalVec(b.L, rel, sel)
 	if err != nil {
 		return table.Column{}, err
 	}
 	rcol, err := evalVec(b.R, rel, sel)
 	if err != nil {
-		return rowFallback(b, rel, sel)
+		return table.Column{}, err
 	}
 	n := selLen(rel, sel)
+	var out table.Column
+	ok := false
+	switch b.Op {
+	case "=", "<>", "<", "<=", ">", ">=":
+		out, ok = compareVec(b.Op, &lcol, &rcol, n)
+	case "+", "-", "*", "/", "%":
+		out, ok = arithVec(b.Op, &lcol, &rcol, n)
+	case "||":
+		out, ok = concatVec(&lcol, &rcol, n)
+	}
+	if ok {
+		return out, nil
+	}
+	return evalRows(n, []operand{{col: lcol}, {col: rcol}}, func(a []table.Value) (table.Value, error) {
+		return binaryValue(b.Op, a[0], a[1])
+	})
+}
+
+// evalVecLogic is three-valued AND/OR. The right side runs only on the rows
+// the left leaves undecided — not known false for AND, not known true for
+// OR — as a row walk's short circuit does.
+func evalVecLogic(b *Binary, rel *vrel, sel *table.Selection) (table.Column, error) {
+	lcol, err := evalVec(b.L, rel, sel)
+	if err != nil {
+		return table.Column{}, err
+	}
+	n := selLen(rel, sel)
+	and := b.Op == "AND"
 	lb, lknown := truthVec(&lcol, n)
-	rb, rknown := truthVec(&rcol, n)
+	open := make([]bool, n)
+	count := 0
+	for i := range open {
+		if !lknown[i] || lb[i] == and {
+			open[i] = true
+			count++
+		}
+	}
+	rcol, err := evalOn(b.R, rel, sel, open, count)
+	if err != nil {
+		return table.Column{}, err
+	}
+	rb, rknown := truthVec(&rcol, count)
 	out := make([]bool, n)
 	nulls := make([]bool, n)
-	and := b.Op == "AND"
-	for i := 0; i < n; i++ {
+	for i, j := 0, 0; i < n; i++ {
+		if !open[i] {
+			out[i] = !and // decided by the left: AND false, OR true
+			continue
+		}
 		switch {
-		case and && lknown[i] && !lb[i]:
-			out[i] = false
-		case !and && lknown[i] && lb[i]:
-			out[i] = true
-		case lknown[i] && rknown[i]:
-			if and {
-				out[i] = lb[i] && rb[i]
-			} else {
-				out[i] = lb[i] || rb[i]
-			}
-		case and && rknown[i] && !rb[i]:
-			out[i] = false
-		case !and && rknown[i] && rb[i]:
-			out[i] = true
+		case lknown[i] && rknown[j]:
+			out[i] = rb[j] // the left is AND's true or OR's false
+		case rknown[j] && rb[j] != and:
+			out[i] = !and
 		default:
 			nulls[i] = true
 		}
+		j++
 	}
 	return table.ColumnFromBools("", out, nulls), nil
 }
@@ -353,27 +452,20 @@ func truthVec(c *table.Column, n int) (b, known []bool) {
 	return b, known
 }
 
-func evalVecCompare(b *Binary, rel *vrel, sel *table.Selection) (table.Column, error) {
-	lcol, err := evalVec(b.L, rel, sel)
-	if err != nil {
-		return table.Column{}, err
-	}
-	rcol, err := evalVec(b.R, rel, sel)
-	if err != nil {
-		return table.Column{}, err
-	}
-	n := selLen(rel, sel)
-	out := make([]bool, n)
-	nulls := make([]bool, n)
-
-	apply := func(cmp func(i int) int, lnulls, rnulls []bool) table.Column {
+// compareVec compares two typed columns in one loop: int with int exactly,
+// any other numeric pair as float64 (as table.Compare orders numbers),
+// string with string, time with time. ok=false for any other pair.
+func compareVec(op string, lcol, rcol *table.Column, n int) (table.Column, bool) {
+	apply := func(cmp func(i int) int, lnulls, rnulls []bool) (table.Column, bool) {
+		out := make([]bool, n)
+		nulls := make([]bool, n)
 		for i := 0; i < n; i++ {
 			if lnulls[i] || rnulls[i] {
 				nulls[i] = true
 				continue
 			}
 			c := cmp(i)
-			switch b.Op {
+			switch op {
 			case "=":
 				out[i] = c == 0
 			case "<>":
@@ -388,11 +480,9 @@ func evalVecCompare(b *Binary, rel *vrel, sel *table.Selection) (table.Column, e
 				out[i] = c >= 0
 			}
 		}
-		return table.ColumnFromBools("", out, nulls)
+		return table.ColumnFromBools("", out, nulls), true
 	}
 
-	// int = int stays in int64 (exact); any other numeric pair compares as
-	// float64, mirroring table.Compare for numeric kinds.
 	if li, lnulls, ok := lcol.Ints(); ok {
 		if ri, rnulls, ok2 := rcol.Ints(); ok2 {
 			return apply(func(i int) int {
@@ -403,11 +493,11 @@ func evalVecCompare(b *Binary, rel *vrel, sel *table.Selection) (table.Column, e
 					return 1
 				}
 				return 0
-			}, lnulls, rnulls), nil
+			}, lnulls, rnulls)
 		}
 	}
-	if lf, lnulls, ok := asFloats(&lcol); ok {
-		if rf, rnulls, ok2 := asFloats(&rcol); ok2 {
+	if lf, lnulls, ok := asFloats(lcol); ok {
+		if rf, rnulls, ok2 := asFloats(rcol); ok2 {
 			return apply(func(i int) int {
 				switch {
 				case lf[i] < rf[i]:
@@ -416,14 +506,14 @@ func evalVecCompare(b *Binary, rel *vrel, sel *table.Selection) (table.Column, e
 					return 1
 				}
 				return 0
-			}, lnulls, rnulls), nil
+			}, lnulls, rnulls)
 		}
 	}
 	if ls, lnulls, ok := lcol.Strings(); ok {
 		if rs, rnulls, ok2 := rcol.Strings(); ok2 {
 			return apply(func(i int) int {
 				return strings.Compare(ls[i], rs[i])
-			}, lnulls, rnulls), nil
+			}, lnulls, rnulls)
 		}
 	}
 	if lt, lnulls, ok := lcol.Times(); ok {
@@ -436,25 +526,17 @@ func evalVecCompare(b *Binary, rel *vrel, sel *table.Selection) (table.Column, e
 					return 1
 				}
 				return 0
-			}, lnulls, rnulls), nil
+			}, lnulls, rnulls)
 		}
 	}
-	return rowFallback(b, rel, sel)
+	return table.Column{}, false
 }
 
-func evalVecArith(b *Binary, rel *vrel, sel *table.Selection) (table.Column, error) {
-	lcol, err := evalVec(b.L, rel, sel)
-	if err != nil {
-		return table.Column{}, err
-	}
-	rcol, err := evalVec(b.R, rel, sel)
-	if err != nil {
-		return table.Column{}, err
-	}
-	n := selLen(rel, sel)
-
-	// int op int keeps integer arithmetic (except /, which is float).
-	if li, lnulls, ok := lcol.Ints(); ok && b.Op != "/" {
+// arithVec is arithmetic over two typed numeric columns: int op int stays
+// integer (except /, which is float), any other pair is float64, and a zero
+// divisor gives NULL. ok=false when either column is not typed numeric.
+func arithVec(op string, lcol, rcol *table.Column, n int) (table.Column, bool) {
+	if li, lnulls, ok := lcol.Ints(); ok && op != "/" {
 		if ri, rnulls, ok2 := rcol.Ints(); ok2 {
 			out := make([]int64, n)
 			nulls := make([]bool, n)
@@ -463,7 +545,7 @@ func evalVecArith(b *Binary, rel *vrel, sel *table.Selection) (table.Column, err
 					nulls[i] = true
 					continue
 				}
-				switch b.Op {
+				switch op {
 				case "+":
 					out[i] = li[i] + ri[i]
 				case "-":
@@ -478,87 +560,82 @@ func evalVecArith(b *Binary, rel *vrel, sel *table.Selection) (table.Column, err
 					}
 				}
 			}
-			return table.ColumnFromInts("", out, nulls), nil
+			return table.ColumnFromInts("", out, nulls), true
 		}
 	}
-	lf, lnulls, lok := asFloats(&lcol)
-	rf, rnulls, rok := asFloats(&rcol)
-	if lok && rok {
-		out := make([]float64, n)
-		nulls := make([]bool, n)
-		for i := 0; i < n; i++ {
-			if lnulls[i] || rnulls[i] {
-				nulls[i] = true
-				continue
-			}
-			switch b.Op {
-			case "+":
-				out[i] = lf[i] + rf[i]
-			case "-":
-				out[i] = lf[i] - rf[i]
-			case "*":
-				out[i] = lf[i] * rf[i]
-			case "/":
-				if rf[i] == 0 {
-					nulls[i] = true
-				} else {
-					out[i] = lf[i] / rf[i]
-				}
-			case "%":
-				if rf[i] == 0 {
-					nulls[i] = true
-				} else {
-					out[i] = math.Mod(lf[i], rf[i])
-				}
-			}
-		}
-		return table.ColumnFromFloats("", out, nulls), nil
+	lf, lnulls, lok := asFloats(lcol)
+	rf, rnulls, rok := asFloats(rcol)
+	if !lok || !rok {
+		return table.Column{}, false
 	}
-	return rowFallback(b, rel, sel)
-}
-
-func evalVecLike(b *Binary, rel *vrel, sel *table.Selection) (table.Column, error) {
-	pv, ok := constExprValue(b.R, rel)
-	if !ok || pv.Kind != table.KindString {
-		return rowFallback(b, rel, sel)
-	}
-	lcol, err := evalVec(b.L, rel, sel)
-	if err != nil {
-		return table.Column{}, err
-	}
-	ls, lnulls, ok := lcol.Strings()
-	if !ok {
-		return rowFallback(b, rel, sel)
-	}
-	pattern := strings.ToLower(pv.S)
-	n := selLen(rel, sel)
-	out := make([]bool, n)
+	out := make([]float64, n)
 	nulls := make([]bool, n)
 	for i := 0; i < n; i++ {
-		if lnulls[i] {
+		if lnulls[i] || rnulls[i] {
 			nulls[i] = true
 			continue
 		}
-		out[i] = likeRec(strings.ToLower(ls[i]), pattern)
+		switch op {
+		case "+":
+			out[i] = lf[i] + rf[i]
+		case "-":
+			out[i] = lf[i] - rf[i]
+		case "*":
+			out[i] = lf[i] * rf[i]
+		case "/":
+			if rf[i] == 0 {
+				nulls[i] = true
+			} else {
+				out[i] = lf[i] / rf[i]
+			}
+		case "%":
+			if rf[i] == 0 {
+				nulls[i] = true
+			} else {
+				out[i] = math.Mod(lf[i], rf[i])
+			}
+		}
 	}
-	return table.ColumnFromBools("", out, nulls), nil
+	return table.ColumnFromFloats("", out, nulls), true
 }
 
-func evalVecConcat(b *Binary, rel *vrel, sel *table.Selection) (table.Column, error) {
+// evalVecLike runs a constant pattern over a typed string column in one
+// loop; any other operand shape goes row by row.
+func evalVecLike(b *Binary, rel *vrel, sel *table.Selection) (table.Column, error) {
 	lcol, err := evalVec(b.L, rel, sel)
 	if err != nil {
 		return table.Column{}, err
 	}
-	rcol, err := evalVec(b.R, rel, sel)
+	pat, err := evalOperand(b.R, rel, sel, nil, 0)
 	if err != nil {
 		return table.Column{}, err
 	}
+	n := selLen(rel, sel)
+	if ls, lnulls, ok := lcol.Strings(); ok && pat.konst && pat.k.Kind == table.KindString {
+		pattern := strings.ToLower(pat.k.S)
+		out := make([]bool, n)
+		nulls := make([]bool, n)
+		for i := 0; i < n; i++ {
+			if lnulls[i] {
+				nulls[i] = true
+				continue
+			}
+			out[i] = likeLower(strings.ToLower(ls[i]), pattern)
+		}
+		return table.ColumnFromBools("", out, nulls), nil
+	}
+	return evalRows(n, []operand{{col: lcol}, pat}, func(a []table.Value) (table.Value, error) {
+		return binaryValue("LIKE", a[0], a[1])
+	})
+}
+
+// concatVec is || over two typed string columns; ok=false otherwise.
+func concatVec(lcol, rcol *table.Column, n int) (table.Column, bool) {
 	ls, lnulls, lok := lcol.Strings()
 	rs, rnulls, rok := rcol.Strings()
 	if !lok || !rok {
-		return rowFallback(b, rel, sel)
+		return table.Column{}, false
 	}
-	n := selLen(rel, sel)
 	out := make([]string, n)
 	nulls := make([]bool, n)
 	for i := 0; i < n; i++ {
@@ -568,7 +645,7 @@ func evalVecConcat(b *Binary, rel *vrel, sel *table.Selection) (table.Column, er
 		}
 		out[i] = ls[i] + rs[i]
 	}
-	return table.ColumnFromStrings("", out, nulls), nil
+	return table.ColumnFromStrings("", out, nulls), true
 }
 
 // cmpFloat is table.Compare for two float64s: neither below nor above is
@@ -598,21 +675,36 @@ func cmpIntConst(x int64, k table.Value) int {
 	return 0
 }
 
-// evalVecBetween vectorizes X BETWEEN lo AND hi for typed numeric X with
-// non-NULL numeric constant bounds (literals or bound parameters), bound by
-// bound as table.Compare orders the pair. ok=false means the caller should
-// fall back.
-func evalVecBetween(x *Between, rel *vrel, sel *table.Selection) (table.Column, bool, error) {
-	lo, ok1 := constExprValue(x.Lo, rel)
-	hi, ok2 := constExprValue(x.Hi, rel)
-	if !ok1 || !ok2 || !isNumericLit(lo) || !isNumericLit(hi) {
-		return table.Column{}, false, nil
-	}
+// evalVecBetween is X [NOT] BETWEEN lo AND hi: typed numeric X against
+// non-NULL numeric constant bounds in one loop, bound by bound as
+// table.Compare orders the pair; any other shape row by row.
+func evalVecBetween(x *Between, rel *vrel, sel *table.Selection) (table.Column, error) {
 	col, err := evalVec(x.X, rel, sel)
 	if err != nil {
-		return table.Column{}, true, err
+		return table.Column{}, err
+	}
+	lo, err := evalOperand(x.Lo, rel, sel, nil, 0)
+	if err != nil {
+		return table.Column{}, err
+	}
+	hi, err := evalOperand(x.Hi, rel, sel, nil, 0)
+	if err != nil {
+		return table.Column{}, err
 	}
 	n := selLen(rel, sel)
+	if lo.konst && hi.konst && isNumericLit(lo.k) && isNumericLit(hi.k) {
+		if out, ok := betweenNumeric(&col, lo.k, hi.k, x.Not, n); ok {
+			return out, nil
+		}
+	}
+	return evalRows(n, []operand{{col: col}, lo, hi}, func(a []table.Value) (table.Value, error) {
+		return betweenValue(a[0], a[1], a[2], x.Not), nil
+	})
+}
+
+// betweenNumeric is BETWEEN's typed loop over an int or float column;
+// ok=false for other columns.
+func betweenNumeric(col *table.Column, lo, hi table.Value, not bool, n int) (table.Column, bool) {
 	out := make([]bool, n)
 	nulls := make([]bool, n)
 	if is, nullsIn, ok := col.Ints(); ok {
@@ -622,7 +714,7 @@ func evalVecBetween(x *Between, rel *vrel, sel *table.Selection) (table.Column, 
 				continue
 			}
 			in := cmpIntConst(v, lo) >= 0 && cmpIntConst(v, hi) <= 0
-			out[i] = in != x.Not
+			out[i] = in != not
 		}
 	} else if fs, nullsIn, ok := col.Floats(); ok {
 		lof, _ := lo.AsFloat()
@@ -633,29 +725,92 @@ func evalVecBetween(x *Between, rel *vrel, sel *table.Selection) (table.Column, 
 				continue
 			}
 			in := cmpFloat(v, lof) >= 0 && cmpFloat(v, hif) <= 0
-			out[i] = in != x.Not
+			out[i] = in != not
 		}
 	} else {
-		return table.Column{}, false, nil
+		return table.Column{}, false
 	}
-	return table.ColumnFromBools("", out, nulls), true, nil
+	return table.ColumnFromBools("", out, nulls), true
 }
 
 func isNumericLit(v table.Value) bool {
 	return v.Kind == table.KindInt || v.Kind == table.KindFloat
 }
 
-// evalVecIn vectorizes X IN (constants...) — literals, bound parameters or
-// a subquery's rows — when X is typed numeric with an all-numeric list, or
-// typed string with an all-string list. Mixed-kind membership (which
-// compares through table.Equal's string forms) falls back. NULL list entries
-// are ignored, matching the scalar evaluator.
-func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, bool, error) {
+// evalVecIn is X [NOT] IN (...). When every candidate is a constant — a
+// literal, bound parameter or subquery row — typed numeric or string X tests
+// membership in a hash set. Otherwise membership is tested row by row, as a
+// row walk tests it: a NULL X is NULL and reaches no candidate, each
+// candidate runs only on the rows no earlier one matched, and the
+// subquery's rows come last. NULL candidates never match.
+func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, error) {
+	col, err := evalVec(x.X, rel, sel)
+	if err != nil {
+		return table.Column{}, err
+	}
+	n := selLen(rel, sel)
+	if lits, ok := inConstants(x, rel); ok {
+		if out, ok := inSet(&col, lits, x.Not, n); ok {
+			return out, nil
+		}
+	}
+	found := make([]bool, n)
+	open := make([]bool, n) // X is not NULL and no candidate matched yet
+	count := 0
+	for i := range open {
+		if !col.IsNullAt(i) {
+			open[i] = true
+			count++
+		}
+	}
+	match := func(i int, cv table.Value) {
+		if !cv.IsNull() && table.Equal(col.Value(i), cv) {
+			found[i], open[i] = true, false
+			count--
+		}
+	}
+	for _, cand := range x.Values {
+		if count == 0 {
+			break
+		}
+		op, err := evalOperand(cand, rel, sel, open, count)
+		if err != nil {
+			return table.Column{}, err
+		}
+		for i, j := 0, 0; i < n; i++ {
+			if open[i] {
+				match(i, op.at(j))
+				j++
+			}
+		}
+	}
+	if x.Sub != nil {
+		list := rel.x.subs[x.slot]
+		for i := 0; i < n; i++ {
+			for k := 0; k < len(list) && open[i]; k++ {
+				match(i, list[k])
+			}
+		}
+	}
+	b := colBuilder{size: n}
+	for i := 0; i < n; i++ {
+		if col.IsNullAt(i) {
+			b.add(table.Null())
+		} else {
+			b.add(table.Bool(found[i] != x.Not))
+		}
+	}
+	return b.column(), nil
+}
+
+// inConstants returns IN's non-NULL list entries — a subquery's rows
+// included — when every candidate is a constant; ok=false otherwise.
+func inConstants(x *In, rel *vrel) ([]table.Value, bool) {
 	lits := make([]table.Value, 0, len(x.Values))
 	for _, cand := range x.Values {
 		v, ok := constExprValue(cand, rel)
 		if !ok {
-			return table.Column{}, false, nil
+			return nil, false
 		}
 		if !v.IsNull() {
 			lits = append(lits, v)
@@ -668,12 +823,13 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, bool, erro
 			}
 		}
 	}
-	col, err := evalVec(x.X, rel, sel)
-	if err != nil {
-		return table.Column{}, true, err
-	}
-	n := selLen(rel, sel)
+	return lits, true
+}
 
+// inSet is IN's typed loop: typed numeric X against an all-numeric list,
+// or typed string X against an all-string list. Mixed-kind membership
+// (which compares through table.Equal's string forms) reports ok=false.
+func inSet(col *table.Column, lits []table.Value, not bool, n int) (table.Column, bool) {
 	is, nullsIn, isInt := col.Ints()
 	fs, fnulls, isFloat := col.Floats()
 	if isInt || isFloat {
@@ -689,7 +845,7 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, bool, erro
 		for _, v := range lits {
 			switch {
 			case !isNumericLit(v):
-				return table.Column{}, false, nil
+				return table.Column{}, false
 			case isInt && v.Kind == table.KindInt:
 				ints[v.I] = true
 			default:
@@ -711,15 +867,15 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, bool, erro
 			} else {
 				found = floats[fs[i]] || (fs[i] != fs[i] && len(lits) > 0)
 			}
-			out[i] = (found || nanEntry) != x.Not
+			out[i] = (found || nanEntry) != not
 		}
-		return table.ColumnFromBools("", out, nulls), true, nil
+		return table.ColumnFromBools("", out, nulls), true
 	}
 	if ss, nullsIn, ok := col.Strings(); ok {
 		set := make(map[string]bool, len(lits))
 		for _, v := range lits {
 			if v.Kind != table.KindString {
-				return table.Column{}, false, nil
+				return table.Column{}, false
 			}
 			set[v.S] = true
 		}
@@ -730,9 +886,93 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, bool, erro
 				nulls[i] = true
 				continue
 			}
-			out[i] = set[ss[i]] != x.Not
+			out[i] = set[ss[i]] != not
 		}
-		return table.ColumnFromBools("", out, nulls), true, nil
+		return table.ColumnFromBools("", out, nulls), true
 	}
-	return table.Column{}, false, nil
+	return table.Column{}, false
+}
+
+// evalVecCase is searched CASE (the parser desugars the simple form). Each
+// WHEN runs on the rows no earlier WHEN took, each THEN on the rows its
+// WHEN took and ELSE on the rest; the arms' values are then laid out in row
+// order into the storage columnOfValues gives them.
+func evalVecCase(x *CaseExpr, rel *vrel, sel *table.Selection) (table.Column, error) {
+	n := selLen(rel, sel)
+	arms := make([]operand, 0, len(x.Whens)+1)
+	owner := make([]int32, n) // the arm giving each row its value; -1: NULL
+	open := make([]bool, n)   // rows no WHEN has taken yet
+	for i := range open {
+		owner[i], open[i] = -1, true
+	}
+	count := n
+	for _, w := range x.Whens {
+		if count == 0 {
+			break
+		}
+		cond, err := evalOn(w.Cond, rel, sel, open, count)
+		if err != nil {
+			return table.Column{}, err
+		}
+		cb, known := truthVec(&cond, count)
+		took := make([]bool, n)
+		taken := 0
+		for i, j := 0, 0; i < n; i++ {
+			if !open[i] {
+				continue
+			}
+			if known[j] && cb[j] {
+				took[i], open[i] = true, false
+				owner[i] = int32(len(arms))
+				taken++
+			}
+			j++
+		}
+		if taken == 0 {
+			continue
+		}
+		count -= taken
+		res, err := evalOperand(w.Result, rel, sel, took, taken)
+		if err != nil {
+			return table.Column{}, err
+		}
+		arms = append(arms, res)
+	}
+	if x.Else != nil && count > 0 {
+		for i := range open {
+			if open[i] {
+				owner[i] = int32(len(arms))
+			}
+		}
+		res, err := evalOperand(x.Else, rel, sel, open, count)
+		if err != nil {
+			return table.Column{}, err
+		}
+		arms = append(arms, res)
+	}
+	next := make([]int, len(arms))
+	b := colBuilder{size: n}
+	for _, a := range owner {
+		if a < 0 {
+			b.add(table.Null())
+			continue
+		}
+		b.add(arms[a].at(next[a]))
+		next[a]++
+	}
+	return b.column(), nil
+}
+
+// evalVecFunc applies a scalar function row by row over its arguments.
+func evalVecFunc(f *FuncCall, rel *vrel, sel *table.Selection) (table.Column, error) {
+	ops := make([]operand, len(f.Args))
+	for i, a := range f.Args {
+		var err error
+		if ops[i], err = evalOperand(a, rel, sel, nil, 0); err != nil {
+			return table.Column{}, err
+		}
+	}
+	return evalRows(selLen(rel, sel), ops, func(args []table.Value) (table.Value, error) {
+		return scalarFunc(f.Name, args)
+	})
 }

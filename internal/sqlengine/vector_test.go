@@ -125,6 +125,78 @@ func TestAllNullProjectionDoesNotPanic(t *testing.T) {
 	}
 }
 
+// TestGroupedOutputKinds: grouped output columns take the storage
+// columnOfValues gives their per-group values — an all-NULL key or
+// aggregate is TEXT, and a boxed column whose groups' first rows share one
+// kind comes out typed.
+func TestGroupedOutputKinds(t *testing.T) {
+	m := table.NewColumn("m", table.KindInt)
+	for _, v := range []table.Value{table.Int(1), table.Int(2), table.Str("x")} {
+		m.Append(v) // the string degrades m to boxed storage
+	}
+	c := NewCatalog()
+	c.Register(&table.Table{Name: "g", Columns: []table.Column{
+		table.ColumnFromInts("k", []int64{1, 2, 1}, nil),
+		table.ColumnFromInts("nk", make([]int64, 3), []bool{true, true, true}),
+		table.ColumnFromFloats("nv", make([]float64, 3), []bool{true, true, true}),
+		m,
+	}})
+	out := mustQuery(t, c, "SELECT k, nk, SUM(nv) AS s, m FROM g GROUP BY k, nk ORDER BY k")
+	for i, want := range []table.Kind{table.KindInt, table.KindString, table.KindString, table.KindInt} {
+		if col := &out.Columns[i]; col.Kind != want || !col.IsTyped() {
+			t.Errorf("column %s: kind %v (typed %v), want typed %v", col.Name, col.Kind, col.IsTyped(), want)
+		}
+	}
+}
+
+// TestExponentLiteral: 1e9 lexed as a digit-leading identifier, so the
+// corpus's CASE WHEN amount > 1e9 failed as an unknown column in both
+// executors and checked nothing. It is a float now; a name that merely
+// starts like one stays a name.
+func TestExponentLiteral(t *testing.T) {
+	c := testCatalog(t)
+	out := mustQuery(t, c, "SELECT id, CASE WHEN amount > 1e9 THEN 1 END AS never FROM sales ORDER BY id LIMIT 3")
+	if out.NumRows() != 3 {
+		t.Fatalf("rows = %d, want 3", out.NumRows())
+	}
+	for i := 0; i < 3; i++ {
+		if v := out.Columns[1].Value(i); !v.IsNull() {
+			t.Errorf("row %d: never = %v, want NULL", i, v)
+		}
+	}
+	toks, err := lex("1e9 2.5E-3 .5e+2 1e3_x 23_customer_bg 1e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []token{{kind: tokNumber, text: "1e9"}, {kind: tokNumber, text: "2.5E-3"},
+		{kind: tokNumber, text: ".5e+2"}, {kind: tokIdent, text: "1e3_x"},
+		{kind: tokIdent, text: "23_customer_bg"}, {kind: tokIdent, text: "1e"}} {
+		if toks[i].kind != want.kind || toks[i].text != want.text {
+			t.Errorf("token %d = %v %q, want %v %q", i, toks[i].kind, toks[i].text, want.kind, want.text)
+		}
+	}
+	for text, want := range map[string]float64{"1e9": 1e9, "2.5E-3": 2.5e-3, ".5e+2": 50} {
+		if v, err := literalFromNumber(text); err != nil || v.Kind != table.KindFloat || v.F != want {
+			t.Errorf("literalFromNumber(%q) = %v, %v; want float %v", text, v, err, want)
+		}
+	}
+}
+
+// TestWindowUnderShortCircuit: window columns are positional over the
+// projection's rows, so a CASE arm, an OR side or a function argument that
+// evaluates on some rows only must read them at those rows.
+func TestWindowUnderShortCircuit(t *testing.T) {
+	c := testCatalog(t)
+	for _, q := range []string{
+		"SELECT id, CASE WHEN qty > 1 THEN ROW_NUMBER() OVER (ORDER BY amount) ELSE -id END AS r FROM sales ORDER BY id",
+		"SELECT id, qty > 2 OR RANK() OVER (ORDER BY region) > 2 AS f FROM sales WHERE id > 1",
+		"SELECT id, COALESCE(CASE WHEN id % 2 = 0 THEN SUM(qty) OVER (PARTITION BY region) END, 0) AS s FROM sales",
+	} {
+		mustQuery(t, c, q)
+		checkDifferential(t, c, q)
+	}
+}
+
 // randDataRow draws one row for the `data` table — shared between initial
 // catalog construction and the streaming appends the snapshot-immutability
 // executor performs, so ingested rows follow the same distributions.
@@ -235,6 +307,24 @@ func randPredicate(rng *rand.Rand, depth int) string {
 			return fmt.Sprintf("(%s AND %s)", kernel, raising)
 		}
 		return fmt.Sprintf("(%s AND %s)", raising, kernel)
+	}
+	// Raising operands (a string column negated, added to, passed to ABS)
+	// where a row walk reaches them on some rows only: a CASE arm, an OR's
+	// right side, an IN candidate after one that may match. Where the guard
+	// keeps every non-NULL c away the statement must succeed — in both
+	// executors, or the engine evaluated a child on rows the walk skips.
+	if rng.Intn(10) == 0 {
+		raising := []string{"-c", "c + 1", "ABS(c)"}[rng.Intn(3)]
+		switch rng.Intn(3) {
+		case 0:
+			return fmt.Sprintf("CASE WHEN a > %d THEN %s ELSE a END > 3", 30+rng.Intn(12), raising)
+		case 1:
+			guard := []string{"c IS NOT NULL", "a < 45", "d", "e <> 3"}[rng.Intn(4)]
+			return fmt.Sprintf("(%s OR %s > 0)", guard, raising)
+		default:
+			shape := []string{"e IN (e, %s)", "a NOT IN (a, %s)", "e IN (3, %s)", "c IN ('red', %s)"}[rng.Intn(4)]
+			return fmt.Sprintf(shape, raising)
+		}
 	}
 	switch rng.Intn(16) {
 	case 14, 15:
@@ -359,7 +449,11 @@ func randQuery(rng *rand.Rand) string {
 				keys, groupBy = append(keys, k), append(groupBy, k)
 			}
 		}
-		aggs := []string{"SUM(a)", "SUM(b)", "COUNT(*)", "COUNT(b)", "AVG(b)", "MIN(a)", "MAX(b)", "SUM(a + b)", "COUNT(DISTINCT c)"}
+		aggs := []string{"SUM(a)", "SUM(b)", "COUNT(*)", "COUNT(b)", "AVG(b)", "MIN(a)", "MAX(b)", "SUM(a + b)", "COUNT(DISTINCT c)",
+			// Raising operands in the argument, behind a CASE arm: the
+			// argument runs over each group's rows, the arm on the rows
+			// that select it.
+			"SUM(CASE WHEN c IS NULL THEN -c ELSE a END)", "MAX(CASE WHEN a > 35 THEN ABS(c) ELSE b END)"}
 		items := append([]string{}, keys...)
 		agg1 := aggs[rng.Intn(len(aggs))]
 		aliased := rng.Intn(3) == 0
@@ -382,8 +476,10 @@ func randQuery(rng *rand.Rand) string {
 			sb.WriteString(strings.Join(groupBy, ", "))
 			// HAVING shapes: bare aggregate comparison, select-list alias
 			// reference, compound expressions over several aggregates, and
-			// an uncorrelated subquery threshold.
-			switch rng.Intn(6) {
+			// an uncorrelated subquery threshold, and a raising aggregate
+			// argument as the right conjunct, which runs only on the groups
+			// COUNT(*) leaves undecided.
+			switch rng.Intn(7) {
 			case 0:
 				sb.WriteString(fmt.Sprintf(" HAVING COUNT(*) > %d", rng.Intn(3)))
 			case 1:
@@ -396,6 +492,9 @@ func randQuery(rng *rand.Rand) string {
 				sb.WriteString(fmt.Sprintf(" HAVING MIN(a) + %d < MAX(a) OR COUNT(*) = 1", rng.Intn(6)))
 			case 3:
 				sb.WriteString(" HAVING COUNT(*) > (SELECT MIN(mkey) FROM multi)")
+			case 4:
+				sb.WriteString(fmt.Sprintf(" HAVING COUNT(*) > %d AND SUM(%s) > 0",
+					[]int{0, 8, 60, 1000}[rng.Intn(4)], []string{"-c", "c + 1", "ABS(c)"}[rng.Intn(3)]))
 			}
 		}
 		sb.WriteString(" ORDER BY 1")
@@ -450,8 +549,10 @@ func randQuery(rng *rand.Rand) string {
 	// residuals, which exercise the batched candidate-pair evaluation.
 	// Residuals are error-free by construction: the hash join skips pairs
 	// the scalar nested loop evaluates, so a data-dependent residual error
-	// could surface in only one executor.
+	// could surface in only one executor. A theta join has no equi conjunct
+	// at all, so every kind takes the nested loop.
 	fanout := join && rng.Intn(2) == 0
+	theta := join && rng.Intn(4) == 0
 	if join {
 		if fanout {
 			items = append(items, "multi.tag")
@@ -464,7 +565,14 @@ func randQuery(rng *rand.Rand) string {
 	if join {
 		kinds := []string{"JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL OUTER JOIN"}
 		kw := kinds[rng.Intn(len(kinds))]
-		if fanout {
+		switch {
+		case theta && fanout:
+			sb.WriteString(" " + kw + " multi ON " + []string{"data.e > multi.mkey",
+				"data.e + 1 = multi.mkey AND multi.score > 2.5", "data.b < multi.score * 10"}[rng.Intn(3)])
+		case theta:
+			sb.WriteString(" " + kw + " dim ON " + []string{"data.e < dim.key",
+				"data.a > dim.weight * 5 AND dim.key <> 2", "data.e - 1 = dim.key"}[rng.Intn(3)])
+		case fanout:
 			sb.WriteString(" " + kw + " multi ON data.e = multi.mkey")
 			switch rng.Intn(4) {
 			case 0:
@@ -472,7 +580,7 @@ func randQuery(rng *rand.Rand) string {
 			case 1:
 				sb.WriteString(" AND data.a < multi.score") // cross-side residual
 			}
-		} else {
+		default:
 			sb.WriteString(" " + kw + " dim ON data.e = dim.key")
 			if rng.Intn(3) == 0 {
 				sb.WriteString(" AND dim.weight > 2.0")

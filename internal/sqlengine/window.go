@@ -4,22 +4,19 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
 
 	"datalab/internal/table"
 )
 
-// Window function execution. Both executors compute every window call's
-// output column up front (before projection) and hand the per-row values
-// to expression evaluation through env.window, by the slot the resolver
-// numbered the call with (plan.wins).
-//
-// The partition/sort machinery differs per engine — the scalar reference
-// sorts boxed values with sort.SliceStable while the vectorized path
-// reuses the memcmp sort-key kernel (sortkey.go) when the ORDER BY keys
-// encode — but the accumulation itself (computeWindowValues/windowAcc) is
-// shared code, so float running sums are bit-identical across engines and
-// the differential harness can compare results exactly.
+// Window function execution. Every window call's output column is computed
+// up front — over the projection's selection, before any select item
+// evaluates — and evalVec reads it through vrel.win, by the slot the
+// resolver numbered the call with (plan.wins). Partitioning is the grouping
+// partitioner; ordering reuses the memcmp sort-key kernel (sortkey.go) when
+// the ORDER BY keys encode. The accumulation itself
+// (computeWindowValues/windowAcc) is shared with the row-at-a-time oracle's
+// window driver in the package's test files, so float running sums are
+// bit-identical and the differential harness can compare results exactly.
 
 // collectWindowCalls appends every window call (FuncCall with an OVER
 // clause) in e to dst, deduplicated by node pointer. It does not descend
@@ -91,9 +88,8 @@ func peerGroupEnds(sorted []int, peers func(a, b int) bool) []int {
 // computeWindowValues fills out[pos] for every position of one sorted
 // partition. sorted holds the partition's positions in window order; ends
 // is peerGroupEnds over it; argAt returns the evaluated argument at a
-// position. This function is the shared accumulation core of both
-// executors — any change here changes both sides of the differential
-// harness together.
+// position. The test oracle's window driver shares it — any change here
+// changes both sides of the differential harness together.
 func computeWindowValues(fn *FuncCall, sorted, ends []int, argAt func(int) table.Value, out []table.Value) {
 	switch fn.Name {
 	case "ROW_NUMBER":
@@ -239,132 +235,6 @@ func (a *windowAcc) value() table.Value {
 	}
 	return table.Null()
 }
-
-// --- scalar driver ---
-
-// computeWindowsScalar evaluates every window call over the filtered
-// scalar relation, returning per-slot value slices indexed by row
-// position in rel.rows; nil without window calls.
-func computeWindowsScalar(rel *srel, wins []*FuncCall) ([][]table.Value, error) {
-	var out [][]table.Value
-	for _, fn := range wins {
-		vals, err := scalarWindowColumn(rel, fn)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vals)
-	}
-	return out, nil
-}
-
-func scalarWindowColumn(rel *srel, fn *FuncCall) ([]table.Value, error) {
-	n := len(rel.rows)
-	spec := fn.Over
-	ordVals := make([][]table.Value, len(spec.OrderBy))
-	for i := range ordVals {
-		ordVals[i] = make([]table.Value, n)
-	}
-	var argVals []table.Value
-	if !fn.IsStar && len(fn.Args) == 1 {
-		argVals = make([]table.Value, n)
-	}
-	var keys []string
-	if len(spec.PartitionBy) > 0 {
-		keys = make([]string, n)
-	}
-	var kb []byte
-	for ri, row := range rel.rows {
-		ev := &rowEnv{rel: rel, row: row}
-		if keys != nil {
-			kb = kb[:0]
-			for _, pe := range spec.PartitionBy {
-				v, err := evalExpr(pe, ev)
-				if err != nil {
-					return nil, err
-				}
-				kb = table.AppendKeyPart(kb, v)
-			}
-			keys[ri] = string(kb)
-		}
-		for k, o := range spec.OrderBy {
-			v, err := evalExpr(o.Expr, ev)
-			if err != nil {
-				return nil, err
-			}
-			ordVals[k][ri] = v
-		}
-		if argVals != nil {
-			v, err := evalExpr(fn.Args[0], ev)
-			if err != nil {
-				return nil, err
-			}
-			argVals[ri] = v
-		}
-	}
-
-	argAt := func(int) table.Value { return table.Null() }
-	if argVals != nil {
-		argAt = func(pos int) table.Value { return argVals[pos] }
-	}
-	out := make([]table.Value, n)
-	for _, part := range partitionPositions(keys, n) {
-		sorted := append([]int(nil), part...)
-		if len(spec.OrderBy) > 0 {
-			// Identical comparator and algorithm to boxedSortPerm (and to
-			// the vectorized fallback sorter): SliceStable, Desc-aware, no
-			// position tie-break.
-			sort.SliceStable(sorted, func(a, b int) bool {
-				ra, rb := sorted[a], sorted[b]
-				for k := range spec.OrderBy {
-					c := table.Compare(ordVals[k][ra], ordVals[k][rb])
-					if c == 0 {
-						continue
-					}
-					if spec.OrderBy[k].Desc {
-						return c > 0
-					}
-					return c < 0
-				}
-				return false
-			})
-		}
-		peers := func(a, b int) bool {
-			for k := range spec.OrderBy {
-				if table.Compare(ordVals[k][a], ordVals[k][b]) != 0 {
-					return false
-				}
-			}
-			return true
-		}
-		computeWindowValues(fn, sorted, peerGroupEnds(sorted, peers), argAt, out)
-	}
-	return out, nil
-}
-
-// partitionPositions groups positions 0..n-1 by key in first-appearance
-// order; nil keys means a single whole-input partition.
-func partitionPositions(keys []string, n int) [][]int {
-	if keys == nil {
-		if n == 0 {
-			return nil
-		}
-		return [][]int{iotaInts(n)}
-	}
-	m := make(map[string]int, 16)
-	var parts [][]int
-	for i := 0; i < n; i++ {
-		gi, ok := m[keys[i]]
-		if !ok {
-			gi = len(parts)
-			m[keys[i]] = gi
-			parts = append(parts, nil)
-		}
-		parts[gi] = append(parts[gi], i)
-	}
-	return parts
-}
-
-// --- vectorized driver ---
 
 // computeWindowsVec evaluates every window call over the selected rows,
 // returning per-slot columns indexed by selection position.
