@@ -1,8 +1,12 @@
-// Command docscheck verifies intra-repo markdown links: it walks every
-// .md file under the root, extracts relative link targets, and fails when
-// a target file does not exist. CI runs it in the docs job as a fast
-// first gate, so architecture/engine/performance docs cannot drift into
-// dead cross-references as files move between PRs.
+// Command docscheck is the docs job's fast first gate. It walks the tree
+// once and fails on two kinds of drift:
+//
+//   - a broken intra-repo markdown link: a relative link target in a .md
+//     file that does not exist, so architecture/engine/performance docs
+//     cannot drift into dead cross-references as files move between PRs;
+//   - a guard violation: a line of non-test Go matching one of the guards
+//     below outside the paths that guard allows — code a simplification
+//     removed, kept from growing back.
 //
 // Usage:
 //
@@ -10,8 +14,9 @@
 //
 // External links (http, https, mailto) and pure in-page anchors (#...)
 // are skipped; a fragment on a relative link is stripped before the
-// existence check. Exit status is 1 when any link is broken, with one
-// "file: target" line per break.
+// existence check. Exit status is 1 when anything fails, with one
+// "file: target" line per broken link and one "file:line: text (reason)"
+// line per guard violation.
 package main
 
 import (
@@ -23,6 +28,42 @@ import (
 	"regexp"
 	"strings"
 )
+
+// A guard forbids a pattern in the repository's non-test Go, except under
+// the allowed paths (slash-separated prefixes relative to the root).
+type guard struct {
+	pattern *regexp.Regexp
+	allowed []string
+	reason  string
+}
+
+var guards = []guard{
+	{
+		regexp.MustCompile(`findColumn\(`),
+		[]string{"internal/sqlengine/plan.go"},
+		"names resolve once, when a statement becomes a plan; no executor looks a name up",
+	},
+	{
+		regexp.MustCompile(`func \(\w+ \*Table\) (GroupBy|Sort)\(|table\.Aggregation`),
+		nil,
+		"the engine groups and sorts; a chart renders the rows its SQL returned",
+	},
+	{
+		regexp.MustCompile(`NewPlanner\(|comm\.NewProxy\(`),
+		[]string{"internal/agent/", "bench/"},
+		"Ask and Table III run one pipeline, agent.Run",
+	},
+	{
+		regexp.MustCompile(`evalExpr\(|rowFallback|vecEnv|vGroupEnv|type env interface|QueryScalar|ExecuteScalarBound`),
+		nil,
+		"the engine has one evaluator, evalVec; the row-at-a-time oracle lives in test files",
+	},
+	{
+		regexp.MustCompile(`func \(\w+ \*Catalog\) (Query|Execute)\(|func (executeCtxBound|newTableResult|applyDistinctOffsetLimit|cloneStmt)\(|func \(\w+ \*Table\) (Distinct|Slice|Limit)\(`),
+		nil,
+		"every execution ends as one Result; DISTINCT/OFFSET/LIMIT narrow its selection",
+	},
+}
 
 // linkRe matches inline markdown links [text](target); images ![...](...)
 // share the suffix shape and are matched too.
@@ -36,24 +77,25 @@ var codeSpanRe = regexp.MustCompile("`[^`\n]+`")
 func main() {
 	root := flag.String("root", ".", "repository root to scan")
 	flag.Parse()
-	broken, err := checkTree(*root)
+	problems, err := checkTree(*root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "docscheck:", err)
 		os.Exit(2)
 	}
-	for _, b := range broken {
-		fmt.Println(b)
+	for _, p := range problems {
+		fmt.Println(p)
 	}
-	if len(broken) > 0 {
-		fmt.Fprintf(os.Stderr, "docscheck: %d broken link(s)\n", len(broken))
+	if len(problems) > 0 {
+		fmt.Fprintf(os.Stderr, "docscheck: %d broken link(s) or guard violation(s)\n", len(problems))
 		os.Exit(1)
 	}
 }
 
-// checkTree scans every .md file under root (skipping dot-directories)
-// and returns one "file: target" entry per broken relative link.
+// checkTree scans every .md and non-test .go file under root (skipping
+// dot-directories) and returns one entry per broken relative link and per
+// guard violation.
 func checkTree(root string) ([]string, error) {
-	var broken []string
+	var problems []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -66,19 +108,60 @@ func checkTree(root string) ([]string, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(strings.ToLower(d.Name()), ".md") {
+		name := strings.ToLower(d.Name())
+		isDoc := strings.HasSuffix(name, ".md")
+		isCode := strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
+		if !isDoc && !isCode {
 			return nil
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		for _, target := range brokenLinks(filepath.Dir(path), string(data)) {
-			broken = append(broken, fmt.Sprintf("%s: %s", path, target))
+		if isDoc {
+			for _, target := range brokenLinks(filepath.Dir(path), string(data)) {
+				problems = append(problems, fmt.Sprintf("%s: %s", path, target))
+			}
+			return nil
 		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		problems = append(problems, guardViolations(filepath.ToSlash(rel), path, string(data))...)
 		return nil
 	})
-	return broken, err
+	return problems, err
+}
+
+// guardViolations returns one entry per line of a non-test Go file that a
+// guard forbids at rel, the file's slash-separated path under the root.
+// docscheck's own source spells out what it forbids and is not checked.
+func guardViolations(rel, path, body string) []string {
+	if strings.HasPrefix(rel, "cmd/docscheck/") {
+		return nil
+	}
+	var out []string
+	for _, g := range guards {
+		if allowedAt(g.allowed, rel) {
+			continue
+		}
+		for i, line := range strings.Split(body, "\n") {
+			if g.pattern.MatchString(line) {
+				out = append(out, fmt.Sprintf("%s:%d: %s (%s)", path, i+1, strings.TrimSpace(line), g.reason))
+			}
+		}
+	}
+	return out
+}
+
+func allowedAt(allowed []string, rel string) bool {
+	for _, a := range allowed {
+		if strings.HasPrefix(rel, a) {
+			return true
+		}
+	}
+	return false
 }
 
 // brokenLinks returns the relative link targets in one document body that

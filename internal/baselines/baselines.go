@@ -9,6 +9,7 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 
 	"datalab/internal/benchgen"
@@ -196,19 +197,20 @@ func execSpec(cat *sqlengine.Catalog, spec *dsl.Spec) *table.Table {
 	if err != nil {
 		return nil
 	}
-	res, err := cat.Query(sql)
-	if err != nil {
-		return nil
-	}
-	return res
+	return query(cat, sql)
 }
 
 func execGold(cat *sqlengine.Catalog, task benchgen.Task) *table.Table {
-	res, err := cat.Query(task.GoldSQL)
+	return query(cat, task.GoldSQL)
+}
+
+// query executes sql and returns its rows as a table, nil when it fails.
+func query(cat *sqlengine.Catalog, sql string) *table.Table {
+	res, err := cat.QueryCtx(context.Background(), sql)
 	if err != nil {
 		return nil
 	}
-	return res
+	return res.Table("")
 }
 
 func renderSpec(cat *sqlengine.Catalog, spec *dsl.Spec) (*viz.Spec, *viz.Rendered) {
@@ -226,8 +228,8 @@ func renderSpec(cat *sqlengine.Catalog, spec *dsl.Spec) (*viz.Spec, *viz.Rendere
 	if err != nil {
 		return nil, nil
 	}
-	data, err := cat.Query(sql)
-	if err != nil {
+	data := query(cat, sql)
+	if data == nil {
 		return nil, nil
 	}
 	rendered, err := viz.Render(chart, data)

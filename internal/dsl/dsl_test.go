@@ -1,6 +1,7 @@
 package dsl
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,6 +9,15 @@ import (
 	"datalab/internal/table"
 	"datalab/internal/viz"
 )
+
+// query executes sql on cat and returns its rows as a table.
+func query(cat *sqlengine.Catalog, sql string) (*table.Table, error) {
+	res, err := cat.QueryCtx(context.Background(), sql)
+	if err != nil {
+		return nil, err
+	}
+	return res.Table(""), nil
+}
 
 func sampleSpec() *Spec {
 	return &Spec{
@@ -99,7 +109,7 @@ func TestToSQLExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cat.Query(sql)
+	res, err := query(cat, sql)
 	if err != nil {
 		t.Fatalf("compiled SQL does not execute: %v\nsql: %s", err, sql)
 	}
@@ -254,7 +264,7 @@ func TestEndToEndDSLToRenderedChart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cat.Query(sql)
+	res, err := query(cat, sql)
 	if err != nil {
 		t.Fatal(err)
 	}

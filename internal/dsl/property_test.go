@@ -95,7 +95,7 @@ func TestPropertyEverySpecCompilesAndExecutes(t *testing.T) {
 		}
 		cat := sqlengine.NewCatalog()
 		cat.Register(tbl)
-		res, err := cat.Query(sql)
+		res, err := query(cat, sql)
 		if err != nil {
 			t.Fatalf("case %d: compiled SQL does not execute: %v\n%s", i, err, sql)
 		}
@@ -128,7 +128,7 @@ func TestPropertyChartsRenderWhenRequested(t *testing.T) {
 		}
 		cat := sqlengine.NewCatalog()
 		cat.Register(tbl)
-		data, err := cat.Query(sql)
+		data, err := query(cat, sql)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,16 +73,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.next() % uint64(n))
 }
 
-// NormFloat64 returns an approximately standard-normal value using the
-// sum of 12 uniforms (Irwin–Hall); adequate for synthetic noise.
-func (r *Rand) NormFloat64() float64 {
-	var s float64
-	for i := 0; i < 12; i++ {
-		s += r.Float64()
-	}
-	return s - 6
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)

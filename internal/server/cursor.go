@@ -16,8 +16,8 @@ var errCursorClosed = errors.New("server: cursor is closed")
 // cursor is a server-side cursor: a named, pageable handle over one
 // executed Result. Result is a single-consumer iterator, so every access
 // serializes on the cursor mutex; paginated re-reads are served by
-// Result.Rewind — results are always rewindable (lazy ones view a pinned
-// immutable snapshot, materialized ones own their storage), which is the
+// Result.Rewind — results are always rewindable (their columns view a
+// pinned immutable snapshot or are fresh output columns), which is the
 // design answer to "Result is single-consumer": share by rewinding one
 // handle, never by concurrent iteration.
 type cursor struct {

@@ -399,32 +399,6 @@ func (s *SelectStmt) SQL() string {
 	return sb.String()
 }
 
-// eachExpr calls fn with a pointer to every expression slot of the
-// statement in clause order: select items, JOIN ON, WHERE, GROUP BY,
-// HAVING, ORDER BY (absent WHERE/HAVING are skipped). Analyses read
-// through the pointer; only cloneStmt, which holds a private copy of the
-// statement and its clause slices, assigns through it.
-func (s *SelectStmt) eachExpr(fn func(*Expr)) {
-	for i := range s.Items {
-		fn(&s.Items[i].Expr)
-	}
-	for i := range s.Joins {
-		fn(&s.Joins[i].On)
-	}
-	if s.Where != nil {
-		fn(&s.Where)
-	}
-	for i := range s.GroupBy {
-		fn(&s.GroupBy[i])
-	}
-	if s.Having != nil {
-		fn(&s.Having)
-	}
-	for i := range s.OrderBy {
-		fn(&s.OrderBy[i].Expr)
-	}
-}
-
 // walkExpr is the engine's one read-only traversal: it calls visit on e
 // and, when visit returns true, on every child expression in source
 // order — including a window call's PARTITION BY and ORDER BY keys, so an

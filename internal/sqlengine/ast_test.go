@@ -117,7 +117,7 @@ func TestAnalysesLatchAcrossSiblings(t *testing.T) {
 			if p.grouped != tc.agg {
 				t.Errorf("plan.grouped = %v, want %v", p.grouped, tc.agg)
 			}
-			vec, err := c.Query(tc.sql)
+			vec, err := queryTable(c, tc.sql)
 			if err != nil {
 				t.Fatalf("vectorized: %v", err)
 			}

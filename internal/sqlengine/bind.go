@@ -149,9 +149,6 @@ func (b *Bound) Exec(ctx context.Context) (*Result, error) {
 	return b.p.exec(ctx, b.binds)
 }
 
-// SQL returns the statement text the handle was prepared from.
-func (b *Bound) SQL() string { return b.p.sql }
-
 // Bind validates args (count and representability) against the statement's
 // placeholders, in slot order, and returns an executable Bound handle.
 func (p *Prepared) Bind(args ...any) (*Bound, error) {

@@ -26,7 +26,7 @@ func TestPreparedExecParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.Query("SELECT id FROM facts WHERE region = 'east' AND qty > 9 ORDER BY id")
+	want, err := queryTable(c, "SELECT id FROM facts WHERE region = 'east' AND qty > 9 ORDER BY id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestPreparedExecParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err = c.Query("SELECT id FROM facts WHERE qty > 7 AND id > 7 ORDER BY id")
+	want, err = queryTable(c, "SELECT id FROM facts WHERE qty > 7 AND id > 7 ORDER BY id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestPreparedExecParams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := c.Query(fmt.Sprintf("SELECT id FROM facts ORDER BY id LIMIT %d OFFSET %d", win[0], win[1]))
+		want, err := queryTable(c, fmt.Sprintf("SELECT id FROM facts ORDER BY id LIMIT %d OFFSET %d", win[0], win[1]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestPlanCacheConcurrentStress(t *testing.T) {
 	ref := resultCatalog(200)
 	want := make([]string, perG)
 	for i := 0; i < perG; i++ {
-		tbl, err := ref.Query(fmt.Sprintf("SELECT id, amount FROM facts WHERE qty > %d AND id < %d ORDER BY id", i%13, i+50))
+		tbl, err := queryTable(ref, fmt.Sprintf("SELECT id, amount FROM facts WHERE qty > %d AND id < %d ORDER BY id", i%13, i+50))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,14 +9,13 @@
 // # Entry points
 //
 // A [Catalog] is the database: a registry of tables plus an LRU plan
-// cache. The primary query path is [Catalog.QueryCtx], which plans
-// through the plan cache — a statement is parsed and its names resolved
-// once per template and schema (plan.go), so an unknown column is an
-// error of the statement, on any data — executes with the vectorized
-// engine honoring context cancellation, and returns a typed
-// batch-iterable [Result]. [Catalog.Prepare] returns a reusable
-// [Prepared] statement whose Exec never re-enters the parser. [Catalog.Query] materializes a full
-// table.Table.
+// cache. The query path is [Catalog.QueryCtx], which plans through the
+// plan cache — a statement is parsed and its names resolved once per
+// template and schema (plan.go), so an unknown column is an error of the
+// statement, on any data — executes with the vectorized engine honoring
+// context cancellation, and returns a typed batch-iterable [Result].
+// [Catalog.Prepare] returns a reusable [Prepared] statement whose Exec
+// never re-enters the parser and returns the same Result.
 //
 // # Execution model
 //
@@ -26,7 +25,10 @@
 // table.Selection (range spans or dense indices) instead of copying rows;
 // joins run the parallel selection-aware pair pipeline in join.go;
 // grouping hashes rows into per-group selections; ORDER BY runs the typed
-// memcmp sort kernel in sort.go. Large inputs partition across a
+// memcmp sort kernel in sort.go. Every execution ends as one Result over
+// output columns and a selection of their rows: DISTINCT keeps the first
+// row of each partitionRows group, and OFFSET/LIMIT drop and truncate the
+// selection. Large inputs partition across a
 // process-wide bounded worker pool (parallel.go) shared by every
 // concurrent query. Expressions have one evaluator, evalVec (vector.go):
 // typed loops where the operands' storage allows, otherwise one boxed

@@ -299,7 +299,10 @@ func TestRoundStaysFinite(t *testing.T) {
 	c.Register(tb)
 	const q = "SELECT ROUND(x, 400), ROUND(x, -400), ROUND(1e300, 10), ROUND(x), ROUND(-x, 1) FROM t"
 	want := []float64{1.5, 0, 1e300, 2, -1.5}
-	for name, run := range map[string]func(string) (*table.Table, error){"Query": c.Query, "QueryScalar": c.QueryScalar} {
+	for name, run := range map[string]func(string) (*table.Table, error){
+		"QueryCtx":    func(q string) (*table.Table, error) { return queryTable(c, q) },
+		"QueryScalar": c.QueryScalar,
+	} {
 		out, err := run(q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -159,22 +159,6 @@ func (c *Catalog) Table(name string) (*table.Table, bool) {
 	return s.Table(), true
 }
 
-// Append appends rows to a registered table and publishes one new
-// snapshot — the convenience path for small ingest batches. Streaming
-// callers that want to batch across calls should use Appender directly
-// and choose their own Publish points.
-func (c *Catalog) Append(name string, rows ...[]table.Value) error {
-	a, ok := c.appender(name)
-	if !ok {
-		return fmt.Errorf("sql: unknown table %q", name)
-	}
-	if err := a.Append(rows...); err != nil {
-		return err
-	}
-	_, err := a.PublishErr()
-	return err
-}
-
 // Freeze returns a new catalog pinned to the snapshot every table is
 // currently publishing. Queries against the frozen catalog keep returning
 // identical results no matter how much ingest lands on the original —
@@ -201,23 +185,11 @@ func (c *Catalog) TableNames() []string {
 	return names
 }
 
-// Query parses and executes a SELECT against the catalog using the
-// vectorized executor, returning a fully materialized table. The text is
-// fingerprinted to a parameter template first (see Fingerprint), so
-// literal-varying traffic shares one plan-cache entry and repeated
-// templates parse and resolve once.
-func (c *Catalog) Query(sql string) (*table.Table, error) {
-	p, binds, err := c.planQuery(sql)
-	if err != nil {
-		return nil, err
-	}
-	return executeCtxBound(context.Background(), p, binds)
-}
-
-// QueryCtx plans (through fingerprinting and the plan cache, like Query)
-// and executes a SELECT, honoring ctx cancellation, and returns a typed
-// batch-iterable Result instead of a materialized table — the primary
-// query entry point.
+// QueryCtx plans and executes a SELECT, honoring ctx cancellation, and
+// returns its typed batch-iterable Result — the engine's query entry point.
+// The text is fingerprinted to a parameter template first (see
+// Fingerprint), so literal-varying traffic shares one plan-cache entry and
+// repeated templates parse and resolve once.
 func (c *Catalog) QueryCtx(ctx context.Context, sql string) (*Result, error) {
 	p, binds, err := c.planQuery(sql)
 	if err != nil {
@@ -256,85 +228,42 @@ func vrelFrom(t *table.Table, x *execArgs) *vrel {
 	return &vrel{cols: append([]table.Column(nil), t.Columns...), nrows: t.NumRows(), x: x}
 }
 
-// Execute runs a parsed statement against the catalog with the vectorized
-// engine: columnar scans, selection-vector filtering, hash joins for
-// equi-join conditions and hash aggregation, parallelized over row and
-// group partitions through the bounded worker pool. The statement is
-// resolved, uncached, on a copy; stmt itself is not touched. Statements
-// with placeholders must execute through Prepared.Exec/Bind (or Query,
-// which binds its own extracted literals); here they fail with an
-// unbound-parameter error.
-func (c *Catalog) Execute(stmt *SelectStmt) (*table.Table, error) {
-	p, err := c.resolve(cloneStmt(stmt))
-	if err != nil {
-		return nil, err
-	}
-	return executeCtxBound(context.Background(), p, nil)
-}
-
-// executeCtxBound is Execute with cancellation and the execution's
-// parameter bindings: ctx is observed between pipeline stages and between
-// worker-pool chunks, so a cancelled context stops a large scan, sort, or
-// aggregation within one chunk's worth of work and returns ctx.Err().
-func executeCtxBound(ctx context.Context, p *plan, binds []table.Value) (*table.Table, error) {
-	x, err := start(ctx, p, binds, executeVecPlan)
-	if err != nil {
-		return nil, err
-	}
-	return executeVecPlan(ctx, p, x)
-}
-
-// executeVecPlan is the vectorized execution body once the execution's
-// arguments are known — the executor the engine's subqueries run with.
-func executeVecPlan(ctx context.Context, p *plan, x *execArgs) (*table.Table, error) {
-	rel, sel, err := scanFilter(ctx, p, x)
-	if err != nil {
-		return nil, err
-	}
-	return executeMaterialized(ctx, p, rel, sel)
-}
-
-// executeMaterialized is the shared execution tail after scanFilter: the
-// grouped or plain projection, then DISTINCT/OFFSET/LIMIT.
-func executeMaterialized(ctx context.Context, p *plan, rel *vrel, sel *table.Selection) (*table.Table, error) {
-	var out *table.Table
-	var err error
-	if p.grouped {
-		out, err = executeGroupedVec(ctx, p, rel, sel)
-	} else {
-		out, err = executePlainVec(ctx, p, rel, sel)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return applyDistinctOffsetLimit(p.stmt.Distinct, rel.x, out), nil
-}
-
 // executeResultBound is the shared execution core behind QueryCtx,
 // Prepared.Exec and Bound.Exec: it runs a plan with the execution's
-// parameter bindings and returns a typed Result. Plain projections of bare
-// columns (no grouping, ordering, or DISTINCT) stay lazy: the Result holds
-// zero-copy references to the relation's columns plus the WHERE selection,
-// with OFFSET/LIMIT applied as selection arithmetic — no output is
-// materialized at all. Every other shape runs the materializing executor
-// and wraps its output table.
+// parameter bindings. ctx is observed between pipeline stages and between
+// worker-pool chunks, so a cancelled context stops a large scan, sort, or
+// aggregation within one chunk's worth of work and returns ctx.Err().
 func executeResultBound(ctx context.Context, p *plan, binds []table.Value) (*Result, error) {
-	x, err := start(ctx, p, binds, executeVecPlan)
+	x, err := start(ctx, p, binds, executePlan)
 	if err != nil {
 		return nil, err
 	}
+	return executePlan(ctx, p, x)
+}
+
+// executePlan is the vectorized execution body once the execution's
+// arguments are known — the executor the engine's subqueries run with.
+// After scanFilter, a projection of bare columns stays lazy: its columns
+// are the relation's own under the WHERE selection, zero-copy. Grouped and
+// every other plain projection evaluate output columns of their own. Every
+// execution then ends in finish.
+func executePlan(ctx context.Context, p *plan, x *execArgs) (*Result, error) {
 	rel, sel, err := scanFilter(ctx, p, x)
 	if err != nil {
 		return nil, err
 	}
-	if res, ok := lazyResult(p, rel, sel); ok {
-		return res, nil
+	var cols []table.Column
+	if p.grouped {
+		cols, err = executeGroupedVec(ctx, p, rel, sel)
+		sel = nil
+	} else if cols = bareColumns(p, rel); cols == nil {
+		cols, err = executePlainVec(ctx, p, rel, sel)
+		sel = nil
 	}
-	out, err := executeMaterialized(ctx, p, rel, sel)
 	if err != nil {
 		return nil, err
 	}
-	return newTableResult(out), nil
+	return finish(ctx, p, x, cols, sel)
 }
 
 // scanFilter runs the shared pipeline prefix: scan, joins, WHERE filtering,
@@ -388,8 +317,8 @@ func scanFilter(ctx context.Context, p *plan, x *execArgs) (*vrel, *table.Select
 
 	// LIMIT pushdown: without grouping, ordering, or DISTINCT, only the
 	// first OFFSET+LIMIT selected rows can reach the output, so truncate
-	// the selection before projecting instead of materializing and then
-	// slicing. Span-form selections truncate without copying. Window
+	// the selection before projecting: a computed column is evaluated on
+	// those rows only. Span-form selections truncate without copying. Window
 	// functions disable the pushdown: their frames span the full filtered
 	// set, so truncating first would change their values.
 	if keep, bounded := x.limitReach(); bounded && !p.grouped && len(stmt.OrderBy) == 0 && !stmt.Distinct && len(p.wins) == 0 {
@@ -405,48 +334,74 @@ func scanFilter(ctx context.Context, p *plan, x *execArgs) (*vrel, *table.Select
 	return rel, sel, ctx.Err()
 }
 
-// lazyResult builds a zero-copy Result for a plain projection of bare
-// columns: no grouping, no DISTINCT, no ORDER BY, every select item a column
-// reference of a typed kind. ok=false sends every other shape to the
-// materializing path.
-func lazyResult(p *plan, rel *vrel, sel *table.Selection) (*Result, bool) {
-	if p.grouped || p.stmt.Distinct || len(p.order) > 0 {
-		return nil, false
+// bareColumns returns the relation's columns an ungrouped projection of
+// bare column references reads, zero-copy, or nil when the plan orders its
+// rows or selects anything else.
+func bareColumns(p *plan, rel *vrel) []table.Column {
+	if len(p.order) > 0 {
+		return nil
 	}
 	cols := make([]table.Column, len(p.items))
 	for i, it := range p.items {
 		ref, ok := it.Expr.(*ColumnRef)
-		if !ok || rel.cols[ref.idx].Kind == table.KindNull {
-			// KindNull columns are rebuilt as TEXT on the materializing
-			// path (orderedOutput).
-			return nil, false
+		if !ok {
+			return nil
 		}
 		cols[i] = rel.cols[ref.idx]
-		cols[i].Name = p.names[i]
 	}
-	// OFFSET drops leading selected rows; LIMIT was already pushed down
-	// into the selection by scanFilter when set (keeping OFFSET+LIMIT rows).
-	if rel.x.offset > 0 {
-		if sel == nil {
-			sel = table.NewSpanSelection(table.Span{Lo: 0, Hi: rel.nrows})
-		}
-		sel = sel.Drop(rel.x.offset)
-	}
-	// The Result's name list is the caller's to keep; the plan's is shared.
-	return newLazyResult(append([]string(nil), p.names...), cols, sel), true
+	return cols
 }
 
-func applyDistinctOffsetLimit(distinct bool, x *execArgs, out *table.Table) *table.Table {
-	if distinct {
-		out = out.Distinct()
+// finish is every execution's one tail. sel selects the output rows of cols
+// (every row when sel is nil): the relation's own columns under the WHERE
+// selection for a lazy projection, output columns otherwise. DISTINCT keeps
+// the first row of each partitionRows group of the output rows — the groups
+// come in first-appearance order, so those rows ascend — and OFFSET/LIMIT
+// drop and truncate the selection. No output column is copied.
+func finish(ctx context.Context, p *plan, x *execArgs, cols []table.Column, sel *table.Selection) (*Result, error) {
+	for i, name := range p.names {
+		cols[i].Name = name
+		if cols[i].Kind == table.KindNull {
+			// All-NULL output columns default to TEXT, like the oracle's.
+			// Rebuild rather than retag: a KindNull column has no typed
+			// storage, so flipping Kind alone would break the storage
+			// invariant and crash later slices.
+			cols[i] = table.ColumnOf(name, table.KindString, cols[i].Values())
+		}
 	}
-	if x.offset > 0 {
-		out = out.Slice(x.offset, out.NumRows())
+	n := sel.Len()
+	if sel == nil && len(cols) > 0 {
+		n = cols[0].Len()
 	}
-	if x.limit >= 0 {
-		out = out.Limit(x.limit)
+	if p.stmt.Distinct {
+		keys := cols
+		if sel != nil {
+			keys = make([]table.Column, len(cols))
+			for i := range cols {
+				keys[i] = cols[i].GatherSel(sel)
+			}
+		}
+		parts, err := partitionRows(ctx, keys, sel, n)
+		if err != nil {
+			return nil, err
+		}
+		firsts := make([]int, len(parts))
+		for g, rows := range parts {
+			firsts[g] = rows[0]
+		}
+		sel, n = table.NewIndexSelection(firsts), len(firsts)
 	}
-	return out
+	if x.offset > 0 || x.limit >= 0 {
+		if sel == nil {
+			sel = table.NewSpanSelection(table.Span{Lo: 0, Hi: n})
+		}
+		sel = sel.Drop(x.offset)
+		if x.limit >= 0 {
+			sel = sel.Truncate(x.limit)
+		}
+	}
+	// The Result's name list is the caller's to keep; the plan's is shared.
+	return newResult(append([]string(nil), p.names...), cols, sel), nil
 }
 
 func iotaInts(n int) []int {
@@ -480,8 +435,10 @@ func exprHasAggregate(e Expr) bool {
 	})
 }
 
-// executePlainVec projects the selected rows column-at-a-time.
-func executePlainVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selection) (*table.Table, error) {
+// executePlainVec projects the selected rows column-at-a-time: one value
+// per selected row in each output column, in ORDER BY order. A bare column
+// over a single-range selection stays a view of the relation's storage.
+func executePlainVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selection) ([]table.Column, error) {
 	// Window columns are computed once over the full selection before any
 	// item evaluation; item and ORDER BY expressions then read them via
 	// rel.win (evalVec's FuncCall case).
@@ -492,83 +449,55 @@ func executePlainVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selecti
 		}
 		rel.win = win
 	}
-
-	// A bare column evaluated with no selection or a single-range
-	// selection is a zero-copy view of catalog storage; copy it so the
-	// result table owns its data. With ORDER BY the Gather below already
-	// produces fresh storage.
-	sharesStorage := sel == nil
-	if sel != nil {
-		_, _, sharesStorage = sel.AsRange()
+	exprs := make([]Expr, 0, len(p.items)+len(p.order))
+	for _, it := range p.items {
+		exprs = append(exprs, it.Expr)
 	}
-
-	outCols := make([]table.Column, len(p.items))
-	for i, it := range p.items {
-		col, err := evalVec(it.Expr, rel, sel)
+	for _, o := range p.order {
+		exprs = append(exprs, o.Expr)
+	}
+	cols := make([]table.Column, len(exprs))
+	for c, e := range exprs {
+		col, err := evalVec(e, rel, sel)
 		if err != nil {
 			return nil, err
 		}
-		if _, isRef := it.Expr.(*ColumnRef); isRef && sharesStorage && len(p.order) == 0 {
-			col = col.CloneData()
-		}
-		outCols[i] = col
+		cols[c] = col
 	}
-
-	keyCols := make([]table.Column, len(p.order))
-	for k, o := range p.order {
-		col, err := evalVec(o.Expr, rel, sel)
-		if err != nil {
-			return nil, err
-		}
-		keyCols[k] = col
-	}
-	return orderedOutput(ctx, p, rel.x, outCols, keyCols)
+	return orderOutput(ctx, p, rel.x, cols[:len(p.items)], cols[len(p.items):])
 }
 
-// orderedOutput is the vectorized executor's one output tail, shared by the
-// plain and grouped projections: it orders the output columns by the ORDER
-// BY key columns (one key per output row) and names the result. sortPerm
-// and topKPerm choose between the memcmp kernel and the boxed fallback from
-// what the key columns hold; DISTINCT/OFFSET/LIMIT follow in
-// executeMaterialized.
-func orderedOutput(ctx context.Context, p *plan, x *execArgs, outCols, keyCols []table.Column) (*table.Table, error) {
-	if len(p.order) > 0 {
-		n := keyCols[0].Len()
-		var perm []int
-		var err error
-		// Only the first LIMIT+OFFSET rows of the order can reach the output
-		// (the heap must retain the OFFSET rows too — they are discarded
-		// after the sort, not before). DISTINCT disables the bound:
-		// deduplication runs after ordering, and dropped duplicates would
-		// pull rows from beyond it into the window.
-		if keep, bounded := x.limitReach(); bounded && !p.stmt.Distinct && keep < n {
-			perm, err = topKPerm(ctx, keyCols, p.order, n, keep)
-		} else {
-			perm, err = sortPerm(ctx, keyCols, p.order, n)
-		}
-		if err == nil {
-			err = ctx.Err()
-		}
-		if err != nil {
-			return nil, err
-		}
-		for i := range outCols {
-			outCols[i] = outCols[i].Gather(perm)
-		}
+// orderOutput orders the output columns by the ORDER BY key columns (one
+// key per output row) — the plain and grouped projections' shared step
+// before finish. sortPerm and topKPerm choose between the memcmp kernel and
+// the boxed fallback from what the key columns hold.
+func orderOutput(ctx context.Context, p *plan, x *execArgs, outCols, keyCols []table.Column) ([]table.Column, error) {
+	if len(p.order) == 0 {
+		return outCols, nil
 	}
-	out := &table.Table{Name: p.stmt.From}
-	for i, name := range p.names {
-		outCols[i].Name = name
-		if outCols[i].Kind == table.KindNull {
-			// All-NULL output columns default to TEXT, like the scalar path.
-			// Rebuild rather than retag: a KindNull column has no typed
-			// storage, so flipping Kind alone would break the storage
-			// invariant and crash later slices.
-			outCols[i] = table.ColumnOf(name, table.KindString, outCols[i].Values())
-		}
-		out.Columns = append(out.Columns, outCols[i])
+	n := keyCols[0].Len()
+	var perm []int
+	var err error
+	// Only the first LIMIT+OFFSET rows of the order can reach the output
+	// (the heap must retain the OFFSET rows too — finish drops them after
+	// the sort). DISTINCT disables the bound: deduplication runs after
+	// ordering, and dropped duplicates would pull rows from beyond it into
+	// the window.
+	if keep, bounded := x.limitReach(); bounded && !p.stmt.Distinct && keep < n {
+		perm, err = topKPerm(ctx, keyCols, p.order, n, keep)
+	} else {
+		perm, err = sortPerm(ctx, keyCols, p.order, n)
 	}
-	return out, nil
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	for i := range outCols {
+		outCols[i] = outCols[i].Gather(perm)
+	}
+	return outCols, nil
 }
 
 // limitReach returns how many leading rows LIMIT k OFFSET m lets reach the
@@ -1134,9 +1063,9 @@ func finishNumericAggregate(name string, nums []float64) table.Value {
 // executeGroupedVec groups the selected rows with a hash aggregator, then
 // evaluates HAVING over the relation of groups and the select list and
 // ORDER BY keys over the groups it kept. Each column takes the storage
-// columnOfValues gives its per-group values, and ordering runs through the
-// same tail as a plain projection.
-func executeGroupedVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selection) (*table.Table, error) {
+// columnOfValues gives its per-group values, and ordering runs through
+// orderOutput like a plain projection's.
+func executeGroupedVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selection) ([]table.Column, error) {
 	groupCols := make([]table.Column, len(p.groupBy))
 	for i, g := range p.groupBy {
 		col, err := evalVec(g, rel, sel)
@@ -1175,7 +1104,7 @@ func executeGroupedVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selec
 		}
 		cols[c] = retype(col)
 	}
-	return orderedOutput(ctx, p, rel.x, cols[:len(p.items)], cols[len(p.items):])
+	return orderOutput(ctx, p, rel.x, cols[:len(p.items)], cols[len(p.items):])
 }
 
 // retype gives a column the storage columnOfValues gives its values, as

@@ -268,7 +268,7 @@ func TestWhereShapesThatKeepTheOldOrder(t *testing.T) {
 	// A residual ON can raise on rows the WHERE would have removed first:
 	// both executors must still report it.
 	const raising = "SELECT probe.id FROM probe JOIN sparse ON probe.k = sparse.sk AND ABS(sparse.label) > 1 WHERE probe.id < 0"
-	if _, err := c.Query(raising); err == nil {
+	if _, err := queryTable(c, raising); err == nil {
 		t.Errorf("vectorized: residual ON error lost behind the WHERE")
 	}
 	if _, err := c.QueryScalar(raising); err == nil {
@@ -305,12 +305,12 @@ func TestFilterBeforeProbeLargeDifferential(t *testing.T) {
 			fmt.Sprintf("SELECT probe.id, fanout.tag, sparse.label FROM probe JOIN fanout ON probe.k = fanout.fk LEFT JOIN sparse ON probe.k = sparse.sk WHERE %s", w))
 	}
 	for i, q := range queries {
-		vec, vecErr := c.Query(q)
+		vec, vecErr := queryTable(c, q)
 		serialJoinProbe.Store(true)
-		serial, serialErr := c.Query(q)
+		serial, serialErr := queryTable(c, q)
 		serialJoinProbe.Store(false)
 		forceDenseSelection.Store(true)
-		dense, denseErr := c.Query(q)
+		dense, denseErr := queryTable(c, q)
 		forceDenseSelection.Store(false)
 		if vecErr != nil || serialErr != nil || denseErr != nil {
 			t.Fatalf("query %q: %v / %v / %v", q, vecErr, serialErr, denseErr)

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -15,12 +16,13 @@ import (
 // across three executors:
 //
 //  1. the vectorized executor with range/dense selections chosen
-//     adaptively (the production path),
+//     adaptively (the production path: QueryCtx, its Result materialized
+//     by Result.Table),
 //  2. the vectorized executor with forceDenseSelection set, so every
 //     filter runs through classic dense index vectors,
 //  3. the scalar row-at-a-time reference (Catalog.QueryScalar),
-//  4. the typed Result API (Catalog.QueryCtx), consumed batch by batch —
-//     covering the lazy zero-copy projection path and the batch cursor,
+//  4. the same Result, consumed batch by batch — the batch cursor over
+//     the Result's columns and selection,
 //  5. the bind-vs-inline check: the query's literals are extracted by
 //     Fingerprint, the template is prepared once, and the extracted
 //     values are re-supplied through Prepared.Exec as bound parameters —
@@ -34,14 +36,14 @@ import (
 //
 // (1) vs (2) isolates the Selection representation: any divergence is a
 // bug in span construction, merging, or span-aware gathering. (1) vs (3)
-// is the end-to-end engine check; (1) vs (4) pins the Result redesign to
-// the materialized reference; (1) vs (5) proves fingerprint extraction
-// and parameter binding are jointly semantics-preserving — the invariant
-// the Query plan cache relies on; (6) proves published snapshots are
-// immutable under ingest — and because the appends accumulate, every
-// later query in the batch runs the whole differential battery over
-// multi-chunk, appended-to storage. The seed corpus below runs as
-// ordinary unit tests under plain `go test`;
+// is the end-to-end engine check — the oracle's own sort, DISTINCT and
+// OFFSET/LIMIT included; (1) vs (4) pins the batch cursor to Result.Table;
+// (1) vs (5) proves fingerprint extraction and parameter binding are
+// jointly semantics-preserving — the invariant the plan cache relies on;
+// (6) proves published snapshots are immutable under ingest — and because
+// the appends accumulate, every later query in the batch runs the whole
+// differential battery over multi-chunk, appended-to storage. The seed
+// corpus below runs as ordinary unit tests under plain `go test`;
 // `go test -fuzz=FuzzDifferentialSQL` explores further.
 
 // randStatement is what the harness feeds its executors: randQuery's
@@ -113,10 +115,10 @@ func diffOneQuery(t *testing.T, rng *rand.Rand, c *Catalog, q, bad string) {
 	t.Helper()
 	frozen := c.Freeze()
 
-	vec, vecErr := c.Query(q)
+	vec, vecErr := queryTable(c, q)
 
 	forceDenseSelection.Store(true)
-	dense, denseErr := c.Query(q)
+	dense, denseErr := queryTable(c, q)
 	forceDenseSelection.Store(false)
 
 	// Scalar reference, twice: through QueryScalar (plan-cached
@@ -172,7 +174,7 @@ func diffOneQuery(t *testing.T, rng *rand.Rand, c *Catalog, q, bad string) {
 // differentially test multi-chunk appended-to storage end to end.
 func diffFrozenSnapshot(t *testing.T, rng *rand.Rand, c, frozen *Catalog, q, dv string) {
 	t.Helper()
-	before, err := frozen.Query(q)
+	before, err := queryTable(frozen, q)
 	if err != nil {
 		t.Fatalf("query %q: frozen catalog errored where live succeeded: %v", q, err)
 	}
@@ -198,7 +200,7 @@ func diffFrozenSnapshot(t *testing.T, rng *rand.Rand, c, frozen *Catalog, q, dv 
 		}
 	}
 
-	after, err := frozen.Query(q)
+	after, err := queryTable(frozen, q)
 	if err != nil {
 		t.Fatalf("query %q: frozen catalog errored after ingest: %v", q, err)
 	}
@@ -333,6 +335,45 @@ func TestDifferentialFuzzCorpus(t *testing.T) {
 	for _, q := range unknownNameStatements() {
 		diffOneQuery(t, nil, c, q, "nosuch")
 	}
+	rng := rand.New(rand.NewSource(7))
+	c = randCatalog(rng, 200)
+	registerTailTable(c)
+	for _, q := range tailStatements() {
+		diffOneQuery(t, rng, c, q, "")
+	}
+}
+
+// registerTailTable adds keys(f, m, g) to a catalog: f is a float column of
+// NULL, -0.0, 0.0, NaN and repeats; m is boxed storage mixing ints, floats
+// that equal them, strings that spell them, and NULL; g is a small int that
+// ties rows for ORDER BY.
+func registerTailTable(c *Catalog) {
+	fs := []table.Value{table.Null(), table.Float(math.Copysign(0, -1)), table.Float(0), table.Float(math.NaN()), table.Float(1.5), table.Float(-2)}
+	ms := []table.Value{table.Int(1), table.Float(1), table.Str("1"), table.Null(), table.Int(2), table.Float(math.Copysign(0, -1)), table.Int(0)}
+	tb := table.MustNew("keys", []string{"f", "m", "g"}, []table.Kind{table.KindFloat, table.KindInt, table.KindInt})
+	for i := 0; i < 60; i++ {
+		tb.Columns[0].Append(fs[(i*7)%len(fs)])
+		tb.Columns[1].Append(ms[(i*5)%len(ms)]) // the first string degrades m to boxed storage
+		tb.Columns[2].Append(table.Int(int64(i % 4)))
+	}
+	c.Register(tb)
+}
+
+// tailStatements cross DISTINCT with ORDER BY and LIMIT/OFFSET over the
+// keys table, with and without a WHERE that scatters the selection — the
+// engine's one output tail against the oracle's own.
+func tailStatements() []string {
+	var out []string
+	for _, items := range []string{"DISTINCT f", "DISTINCT m", "DISTINCT f, m", "DISTINCT g, f", "f, m"} {
+		for _, where := range []string{"", " WHERE g <> 1"} {
+			for _, order := range []string{"", " ORDER BY 1", " ORDER BY g DESC", " ORDER BY 1 DESC, g"} {
+				for _, window := range []string{"", " LIMIT 3", " LIMIT 2 OFFSET 1", " OFFSET 2", " LIMIT 0", " LIMIT 100 OFFSET 100"} {
+					out = append(out, "SELECT "+items+" FROM keys"+where+order+window)
+				}
+			}
+		}
+	}
+	return out
 }
 
 // TestBindVsInlineCorpus pins executor #5 to a deterministic query list:
@@ -369,7 +410,7 @@ func TestBindVsInlineCorpus(t *testing.T) {
 		"SELECT c, SUM(a) AS total FROM data WHERE e <> 7 GROUP BY c HAVING total > 25 ORDER BY 1",
 	}
 	for _, q := range queries {
-		tbl, err := c.Query(q)
+		tbl, err := queryTable(c, q)
 		if err != nil {
 			t.Fatalf("query %q: %v", q, err)
 		}
@@ -414,9 +455,9 @@ func TestRangeSelectionLargeParallelScan(t *testing.T) {
 		"SELECT b FROM data WHERE e <> 2 ORDER BY b DESC LIMIT 11",      // top-K over filtered selection
 	}
 	for _, q := range queries {
-		vec, vecErr := c.Query(q)
+		vec, vecErr := queryTable(c, q)
 		forceDenseSelection.Store(true)
-		dense, denseErr := c.Query(q)
+		dense, denseErr := queryTable(c, q)
 		forceDenseSelection.Store(false)
 		sca, scaErr := c.QueryScalar(q)
 		if (vecErr == nil) != (denseErr == nil) || (vecErr == nil) != (scaErr == nil) {

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"datalab/internal/table"
 )
 
 // Two fuzz targets over statement text (FuzzDifferentialSQL fuzzes the
@@ -108,20 +106,23 @@ func FuzzFingerprint(f *testing.F) {
 		defer cancel()
 		// The raw text may fail in the parser where the bound template
 		// fails in bind resolution (LIMIT 0.5): failing is what must agree.
-		var wantT *table.Table
+		var wantRes *Result
 		wantErr := rawErr
 		if rawErr == nil {
-			wantT, wantErr = executeCtxBound(ctx, raw, nil)
+			wantRes, wantErr = executeResultBound(ctx, raw, nil)
 		}
-		got, gotErr := executeCtxBound(ctx, tmplPlan, vals)
+		gotRes, gotErr := executeResultBound(ctx, tmplPlan, vals)
 		if ctx.Err() != nil {
 			t.Skip("statement too slow to compare")
 		}
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%q: raw text err %v, template %q + %v err %v", sql, wantErr, tmpl, vals, gotErr)
 		}
-		if wantErr == nil && dumpTable(wantT) != dumpTable(got) {
-			t.Fatalf("%q: template %q + %v mis-binds\n-- raw --\n%s\n-- bound --\n%s", sql, tmpl, vals, dumpTable(wantT), dumpTable(got))
+		if wantErr != nil {
+			return
+		}
+		if want, got := dumpResult(wantRes), dumpResult(gotRes); want != got {
+			t.Fatalf("%q: template %q + %v mis-binds\n-- raw --\n%s\n-- bound --\n%s", sql, tmpl, vals, want, got)
 		}
 	})
 }

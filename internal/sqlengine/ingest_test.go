@@ -535,22 +535,30 @@ func TestCursorAcrossSnapshots(t *testing.T) {
 	}
 }
 
-// TestCatalogAppend covers the convenience append-and-publish path and
-// snapshot acquisition through Catalog.Snapshot.
+// TestCatalogAppend covers appending through the catalog's write head —
+// Appender.Append, then one PublishErr — and snapshot acquisition through
+// Catalog.Snapshot.
 func TestCatalogAppend(t *testing.T) {
 	c := streamCatalog()
-	if err := c.Append("stream", []table.Value{table.Int(0), table.Int(0)}, []table.Value{table.Int(1), table.Int(1)}); err != nil {
+	app, ok := c.Appender("stream")
+	if !ok {
+		t.Fatal("no appender for a registered table")
+	}
+	if err := app.Append([]table.Value{table.Int(0), table.Int(0)}, []table.Value{table.Int(1), table.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Query("SELECT COUNT(*), SUM(v) FROM stream")
+	if _, err := app.PublishErr(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := queryTable(c, "SELECT COUNT(*), SUM(v) FROM stream")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := out.Columns[0].Value(0).Key(); got != "i:2" {
 		t.Fatalf("count after append = %s", got)
 	}
-	if err := c.Append("nope", []table.Value{table.Int(0)}); err == nil {
-		t.Fatal("append to unknown table succeeded")
+	if _, ok := c.Appender("nope"); ok {
+		t.Fatal("unknown table has an appender")
 	}
 	snap, ok := c.Snapshot("STREAM") // case-insensitive like Table
 	if !ok || snap.NumRows() != 2 || snap.Version() != 2 {
@@ -569,7 +577,7 @@ func TestSchemaChangeInvalidatesPlanCache(t *testing.T) {
 		c.Register(tb)
 	}
 	reg(table.KindInt)
-	if _, err := c.Query("SELECT a FROM t WHERE a > 0"); err != nil {
+	if _, err := queryTable(c, "SELECT a FROM t WHERE a > 0"); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.PlanCacheStats(); st.Size == 0 || st.Invalidations != 0 {
@@ -583,7 +591,7 @@ func TestSchemaChangeInvalidatesPlanCache(t *testing.T) {
 	if st := c.PlanCacheStats(); st.Size != 0 || st.Invalidations != 1 {
 		t.Fatalf("schema change stats: %+v", st)
 	}
-	if _, err := c.Query("SELECT a FROM t WHERE a > 0"); err != nil {
+	if _, err := queryTable(c, "SELECT a FROM t WHERE a > 0"); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.PlanCacheStats(); st.Size == 0 {

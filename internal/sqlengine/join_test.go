@@ -164,14 +164,14 @@ func TestJoinLargeParallelDifferential(t *testing.T) {
 		"SELECT sparse.label, COUNT(*) FROM probe FULL OUTER JOIN sparse ON probe.k = sparse.sk GROUP BY sparse.label ORDER BY 1",
 	}
 	for _, q := range queries {
-		vec, vecErr := c.Query(q)
+		vec, vecErr := queryTable(c, q)
 
 		serialJoinProbe.Store(true)
-		serial, serialErr := c.Query(q)
+		serial, serialErr := queryTable(c, q)
 		serialJoinProbe.Store(false)
 
 		forceDenseSelection.Store(true)
-		dense, denseErr := c.Query(q)
+		dense, denseErr := queryTable(c, q)
 		forceDenseSelection.Store(false)
 
 		if vecErr != nil || serialErr != nil || denseErr != nil {
@@ -191,7 +191,7 @@ func TestJoinLargeParallelDifferential(t *testing.T) {
 		"SELECT probe.id, sparse.label FROM probe LEFT JOIN sparse ON probe.k = sparse.sk",
 		"SELECT probe.id, sparse.label FROM probe RIGHT JOIN sparse ON probe.k = sparse.sk",
 	} {
-		vec, err := c.Query(q)
+		vec, err := queryTable(c, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestJoinResidualShortCircuit(t *testing.T) {
 	// agree on success and on the single surviving row.
 	q := "SELECT a.k, a.s FROM a JOIN b ON a.k = b.k AND a.flag AND ABS(a.s) > 0"
 	checkDifferential(t, c, q)
-	res, err := c.Query(q)
+	res, err := queryTable(c, q)
 	if err != nil {
 		t.Fatalf("vectorized: %v (short-circuit lost: erroring conjunct ran on a rejected pair)", err)
 	}
@@ -238,7 +238,7 @@ func TestJoinResidualShortCircuit(t *testing.T) {
 	}
 	// The error must still surface when a surviving pair reaches the
 	// erroring conjunct.
-	if _, err := c.Query("SELECT a.k FROM a JOIN b ON a.k = b.k AND NOT a.flag AND ABS(a.s) > 0"); err == nil {
+	if _, err := queryTable(c, "SELECT a.k FROM a JOIN b ON a.k = b.k AND NOT a.flag AND ABS(a.s) > 0"); err == nil {
 		t.Error("expected ABS('x') error for the pair that passes NOT a.flag")
 	}
 }
@@ -275,7 +275,7 @@ func TestParallelJoinProbeRace(t *testing.T) {
 	}
 	wantRows := make([]int, len(queries))
 	for i, q := range queries {
-		tbl, err := c.Query(q)
+		tbl, err := queryTable(c, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,10 @@ package sqlengine
 //
 //	go test -run '^$' -bench . -benchmem ./internal/sqlengine
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // kernelQueries run over joinTestCatalog at 100k probe rows.
 var kernelQueries = []struct{ name, sql string }{
@@ -35,14 +38,19 @@ var kernelQueries = []struct{ name, sql string }{
 	{"MovingSum100k", "SELECT id, SUM(v) OVER (PARTITION BY k ORDER BY id ROWS BETWEEN 100 PRECEDING AND CURRENT ROW) FROM probe"},
 }
 
+// BenchmarkKernel times each statement the way a request runs it: QueryCtx,
+// then a drain of every batch of the Result.
 func BenchmarkKernel(b *testing.B) {
 	c := joinTestCatalog(100_000)
 	for _, k := range kernelQueries {
 		b.Run(k.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Query(k.sql); err != nil {
+				res, err := c.QueryCtx(context.Background(), k.sql)
+				if err != nil {
 					b.Fatal(err)
+				}
+				for bt := res.Next(); bt != nil; bt = res.Next() {
 				}
 			}
 		})

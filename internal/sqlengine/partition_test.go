@@ -99,7 +99,7 @@ func TestGroupedOrderByMatchesScalar(t *testing.T) {
 			}
 			for _, dense := range []bool{false, true} {
 				forceDenseSelection.Store(dense)
-				got, err := c.Query(q)
+				got, err := queryTable(c, q)
 				forceDenseSelection.Store(false)
 				if err != nil {
 					t.Fatalf("%d rows, query %q (dense=%v): %v", rows, q, dense, err)
@@ -354,14 +354,14 @@ func TestGroupedReadAllocationPin(t *testing.T) {
 		table.ColumnFromFloats("value", vs, nil),
 	}})
 	const q = "SELECT kind, COUNT(*) AS n, SUM(value) AS total FROM events GROUP BY kind"
-	if _, err := c.Query(q); err != nil { // plans the statement
+	if _, err := queryTable(c, q); err != nil { // plans the statement
 		t.Fatal(err)
 	}
 	const runs = 5
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		out, err := c.Query(q)
+		out, err := queryTable(c, q)
 		if err != nil {
 			t.Fatal(err)
 		}

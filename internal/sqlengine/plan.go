@@ -17,7 +17,7 @@ import (
 // schema — an unknown column, in any clause, fails here on every data.
 //
 // The resolver writes its numbers into the tree it is given, which the
-// caller must own (a fresh parse, or cloneStmt of a caller's statement).
+// caller must own: a fresh parse.
 // After resolve returns, nothing writes the plan or its tree again: the plan
 // cache and every Prepared share it across concurrent executions. What an
 // execution adds — bindings, LIMIT/OFFSET values, subquery results — lives
@@ -376,37 +376,4 @@ func (p *plan) observedAfter(rest Expr) []bool {
 		})
 	}
 	return keep
-}
-
-// cloneStmt copies everything resolution writes — column references, window
-// calls, subquery nodes and the spines above them — so a caller's statement
-// (Execute) resolves without being touched.
-func cloneStmt(stmt *SelectStmt) *SelectStmt {
-	cp := *stmt
-	cp.Items = append([]SelectItem(nil), stmt.Items...)
-	cp.Joins = append([]JoinClause(nil), stmt.Joins...)
-	cp.GroupBy = append([]Expr(nil), stmt.GroupBy...)
-	cp.OrderBy = append([]OrderItem(nil), stmt.OrderBy...)
-	cp.eachExpr(func(p *Expr) { *p = rewriteExpr(*p, cloneNode) })
-	return &cp
-}
-
-func cloneNode(e Expr) (Expr, bool) {
-	switch x := e.(type) {
-	case *ColumnRef:
-		cp := *x
-		return &cp, false
-	case *FuncCall:
-		if x.Over != nil {
-			cp := *x
-			return &cp, true
-		}
-	case *Subquery:
-		return &Subquery{Stmt: cloneStmt(x.Stmt)}, false
-	case *In:
-		if x.Sub != nil {
-			return &In{X: rewriteExpr(x.X, cloneNode), Sub: cloneStmt(x.Sub), Not: x.Not}, false
-		}
-	}
-	return e, true
 }

@@ -123,7 +123,11 @@ func TestReRegisterResolvesOnceMore(t *testing.T) {
 		before[name], _ = run()
 	}
 
-	if err := c.Append("t", planTestTable("t", planTestCols).Row(7)); err != nil {
+	app, _ := c.Appender("t")
+	if err := app.Append(planTestTable("t", planTestCols).Row(7)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.PublishErr(); err != nil {
 		t.Fatal(err)
 	}
 	parses := ParseCalls()

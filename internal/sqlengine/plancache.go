@@ -147,7 +147,7 @@ func (c *Catalog) planText(sql string, params int) (p *plan, ok bool, err error)
 	return c.plans.put(sql, p, cached), true, nil
 }
 
-// planQuery is the Query/QueryCtx planning front end: the text is
+// planQuery is QueryCtx's planning front end: the text is
 // fingerprinted to a parameter template (see Fingerprint) so literal-
 // varying traffic shares one cache entry, and the extracted values come
 // back as the execution's bindings. Texts that carry placeholders already,
@@ -233,10 +233,6 @@ func (p *Prepared) SQL() string { return p.sql }
 
 // NumParams reports the number of binding slots the statement declares.
 func (p *Prepared) NumParams() int { return len(p.params) }
-
-// ParamNames returns the statement's slot names in slot order; positional
-// slots are "".
-func (p *Prepared) ParamNames() []string { return append([]string(nil), p.params...) }
 
 // Exec executes the prepared statement, honoring ctx cancellation, and
 // returns a typed Result. args bind the statement's placeholders in slot

@@ -17,20 +17,15 @@ var ErrResultClosed = errors.New("sqlengine: result is closed")
 // can advertise the batch ceiling to clients.
 const BatchRows = 1024
 
-// defaultBatchRows is the internal alias iteration uses.
-const defaultBatchRows = BatchRows
-
 // Result is the typed, batch-iterable handle over a query's columnar
-// result set — the replacement for materializing [][]string. A Result is
-// produced in one of two modes, invisible to the caller:
-//
-//   - lazy view mode (plain SELECT of bare columns, no ORDER BY/DISTINCT):
-//     the Result holds zero-copy references to the catalog table's columns
-//     plus the WHERE selection, and batches are zero-copy views over
-//     contiguous selection spans. Nothing row-sized is ever allocated.
-//   - materialized mode (grouping, ordering, computed expressions,
-//     DISTINCT): the Result owns freshly built output columns and batches
-//     are zero-copy views over those.
+// result set — the replacement for materializing [][]string. Every Result
+// has one form: output columns plus a selection of their rows (nil = all).
+// The columns either view the catalog snapshot the query pinned (a plain
+// SELECT of bare columns, under its WHERE selection) or were computed for
+// this query (grouping, ordering, computed expressions); DISTINCT, OFFSET
+// and LIMIT only narrow the selection. Batches over contiguous selected
+// rows are zero-copy views; scattered rows are gathered one batch at a
+// time.
 //
 // Iterate with Next until it returns nil:
 //
@@ -42,8 +37,8 @@ const defaultBatchRows = BatchRows
 // A Result is a single-consumer cursor: Next is not safe for concurrent
 // use (execute the query once per consumer instead). The accessor methods
 // (Columns, NumRows, Strings) are read-only and do not move the cursor.
-// All columns reachable through a Result are strictly read-only — lazy
-// results share storage with the catalog.
+// All columns reachable through a Result are strictly read-only — they
+// may share storage with the catalog.
 //
 // The cursor lifecycle is fully defined — long-lived holders like the
 // server's cursor registry depend on every state being pinned:
@@ -51,15 +46,15 @@ const defaultBatchRows = BatchRows
 //   - exhausted: Next returns nil and keeps returning nil; iterating a
 //     second time requires an explicit Rewind.
 //   - Rewind: rewinds to the first batch. A Result is always rewindable —
-//     lazy results view an immutable pinned snapshot and materialized
-//     results own their storage — so no spill is ever needed.
+//     its columns view an immutable pinned snapshot or are its own — so
+//     no spill is ever needed.
 //   - Close: releases the column and selection references (un-pinning the
 //     snapshot they held). Next returns nil, Err and Rewind return
 //     ErrResultClosed, Strings returns nil. Close is idempotent.
 type Result struct {
 	names []string
-	cols  []table.Column   // one per output column; lazy mode shares base storage
-	sel   *table.Selection // lazy row selection; nil = all rows [0, total)
+	cols  []table.Column   // one per output column; may share snapshot storage
+	sel   *table.Selection // the result's rows of cols; nil = all of them
 	total int              // result row count
 
 	cur     Batch
@@ -69,23 +64,12 @@ type Result struct {
 	closed  bool
 }
 
-// newTableResult wraps a fully materialized output table.
-func newTableResult(t *table.Table) *Result {
-	return &Result{
-		names: t.ColumnNames(),
-		cols:  t.Columns,
-		total: t.NumRows(),
-	}
-}
-
-// newLazyResult wraps base-table columns plus a selection, without
-// materializing anything. cols must already carry their output names;
-// sel == nil selects all rows of the base columns.
-func newLazyResult(names []string, cols []table.Column, sel *table.Selection) *Result {
-	total := 0
-	if sel != nil {
-		total = sel.Len()
-	} else if len(cols) > 0 {
+// newResult is the Result constructor every execution ends in: cols carry
+// their output names, and sel selects the result's rows of them (every row
+// when sel is nil).
+func newResult(names []string, cols []table.Column, sel *table.Selection) *Result {
+	total := sel.Len()
+	if sel == nil && len(cols) > 0 {
 		total = cols[0].Len()
 	}
 	return &Result{names: names, cols: cols, sel: sel, total: total}
@@ -108,7 +92,7 @@ func (r *Result) Next() *Batch {
 	if r.closed || r.emitted >= r.total {
 		return nil
 	}
-	n := defaultBatchRows
+	n := BatchRows
 	if rem := r.total - r.emitted; n > rem {
 		n = rem
 	}

@@ -66,8 +66,9 @@ func dumpResult(r *Result) string {
 // TestResultMatchesTableExecutor runs a corpus of query shapes — lazy-
 // eligible plain scans, scattered and clustered WHERE, OFFSET/LIMIT
 // windows, grouping, ordering, DISTINCT, joins, computed projections —
-// through both ExecuteResult and the materializing executor and requires
-// identical output, via both the batch iterator and Strings().
+// through QueryCtx and the row-at-a-time oracle's table executor and
+// requires identical output, via the batch iterator, after Rewind, and
+// via Strings().
 func TestResultMatchesTableExecutor(t *testing.T) {
 	for _, rows := range []int{0, 1, 100, 3000, 2*parallelMinRows + 100} {
 		c := resultCatalog(rows)
@@ -81,16 +82,17 @@ func TestResultMatchesTableExecutor(t *testing.T) {
 			"SELECT id FROM facts OFFSET 4",                                                   // lazy OFFSET without LIMIT
 			"SELECT id, amount FROM facts WHERE flag LIMIT 9999999",                           // LIMIT beyond table
 			"SELECT id AS key, amount total FROM facts WHERE qty=3",                           // lazy with aliases
-			"SELECT id+1 AS next, amount FROM facts WHERE qty < 4",                            // computed → materialized
-			"SELECT DISTINCT region FROM facts",                                               // DISTINCT → materialized
-			"SELECT id, amount FROM facts ORDER BY amount DESC, id",                           // ORDER BY → materialized
+			"SELECT id+1 AS next, amount FROM facts WHERE qty < 4",                            // computed → output columns
+			"SELECT DISTINCT region FROM facts",                                               // lazy + DISTINCT first rows
+			"SELECT DISTINCT qty, flag FROM facts WHERE id % 3 = 0",                           // DISTINCT over a scattered selection
+			"SELECT id, amount FROM facts ORDER BY amount DESC, id",                           // ORDER BY → output columns
 			"SELECT id FROM facts ORDER BY amount LIMIT 5 OFFSET 3",                           // top-K window
 			"SELECT region, SUM(amount), COUNT(*) FROM facts GROUP BY region ORDER BY 2 DESC", // grouped
 			"SELECT COUNT(*), AVG(amount) FROM facts WHERE qty > 2",                           // global aggregate
 			"SELECT f.id, d.label FROM facts f JOIN dim d ON f.qty = d.k WHERE f.id < 40",     // join (lazy-shaped tail)
 		}
 		for _, q := range queries {
-			tbl, terr := c.Query(q)
+			tbl, terr := c.QueryScalar(q)
 			res, rerr := c.QueryCtx(context.Background(), q)
 			if (terr == nil) != (rerr == nil) {
 				t.Fatalf("rows=%d query %q: error mismatch: table=%v result=%v", rows, q, terr, rerr)
@@ -124,14 +126,15 @@ func TestResultMatchesTableExecutor(t *testing.T) {
 }
 
 // TestResultRandomizedAgainstTable drives the Result path through the same
-// randomized query generator the differential fuzz harness uses.
+// randomized query generator the differential fuzz harness uses, against
+// the oracle's table executor.
 func TestResultRandomizedAgainstTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 30; trial++ {
 		c := randCatalog(rng, rng.Intn(500)+1)
 		for i := 0; i < 20; i++ {
 			q := randQuery(rng)
-			tbl, terr := c.Query(q)
+			tbl, terr := c.QueryScalar(q)
 			res, rerr := c.QueryCtx(context.Background(), q)
 			if (terr == nil) != (rerr == nil) {
 				t.Fatalf("query %q: error mismatch: table=%v result=%v", q, terr, rerr)
@@ -235,7 +238,7 @@ func TestPlanCacheLRU(t *testing.T) {
 	c := resultCatalog(10)
 	q := "SELECT id FROM facts"
 	for i := 0; i < 5; i++ {
-		if _, err := c.Query(q); err != nil {
+		if _, err := queryTable(c, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,7 +249,7 @@ func TestPlanCacheLRU(t *testing.T) {
 	// Literal-varying texts fingerprint to one template: a single new
 	// entry no matter how many distinct texts arrive.
 	for i := 0; i < 50; i++ {
-		if _, err := c.Query(fmt.Sprintf("SELECT id FROM facts WHERE id = %d", i)); err != nil {
+		if _, err := queryTable(c, fmt.Sprintf("SELECT id FROM facts WHERE id = %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,7 +267,7 @@ func TestPlanCacheLRU(t *testing.T) {
 	// Distinct column aliases defeat fingerprint collapsing (the select
 	// list is never rewritten), so each text is its own template.
 	for i := 0; i < DefaultPlanCacheSize+10; i++ {
-		if _, err := c.Query(fmt.Sprintf("SELECT id AS c%d FROM facts", i)); err != nil {
+		if _, err := queryTable(c, fmt.Sprintf("SELECT id AS c%d FROM facts", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -279,7 +282,7 @@ func TestPlanCacheLRU(t *testing.T) {
 		t.Fatalf("evictions = %d, want >= 10", st.Evictions)
 	}
 	// Parse errors are not cached.
-	if _, err := c.Query("SELECT FROM"); err == nil {
+	if _, err := queryTable(c, "SELECT FROM"); err == nil {
 		t.Fatal("bad SQL accepted")
 	}
 	if st := c.PlanCacheStats(); st.Size != DefaultPlanCacheSize {
@@ -295,7 +298,7 @@ func TestPreparedAmortizesParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.Query(stmt.SQL())
+	want, err := queryTable(c, stmt.SQL())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +372,7 @@ func TestCancellationMidScan(t *testing.T) {
 	}
 	wantRows := make([]int, len(queries))
 	for i, q := range queries {
-		tbl, err := c.Query(q)
+		tbl, err := queryTable(c, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -504,5 +507,61 @@ func TestBatchValueAccessor(t *testing.T) {
 	}
 	if v := b.Value(3, 4); v.Kind != table.KindBool {
 		t.Fatalf("Value(3,4).Kind = %v, want bool", v.Kind)
+	}
+}
+
+// drainAllocs runs sql through QueryCtx and drains every batch, runs times
+// after one planning run, and returns the mean allocations and allocated
+// bytes per run.
+func drainAllocs(t *testing.T, c *Catalog, sql string, runs int) (allocs, bytes float64) {
+	t.Helper()
+	drain := func() {
+		res, err := c.QueryCtx(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := res.Next(); b != nil; b = res.Next() {
+		}
+	}
+	drain()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		drain()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestDistinctAllocatesPerGroup: DISTINCT keeps the first row of each
+// partitionRows group — a few row-sized arrays and allocations per group
+// and per worker chunk, not a boxed key per row.
+func TestDistinctAllocatesPerGroup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100k-row table")
+	}
+	c := joinTestCatalog(100_000)
+	allocs, bytes := drainAllocs(t, c, "SELECT DISTINCT k FROM probe", 5)
+	t.Logf("%.0f allocs/op, %.2f MB/op", allocs, bytes/1e6)
+	if allocs > 500 {
+		t.Errorf("SELECT DISTINCT over 8 groups of 100k rows: %.0f allocs/op (%.2f MB), want O(groups)", allocs, bytes/1e6)
+	}
+}
+
+// TestLimitPastRowsCopiesNothing: LIMIT narrows the Result's selection, so
+// a LIMIT at the row count leaves an ordered projection's allocations
+// where the statement without it has them (a few words of selection
+// aside).
+func TestLimitPastRowsCopiesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100k-row table")
+	}
+	c := joinTestCatalog(100_000)
+	_, without := drainAllocs(t, c, "SELECT id, v FROM probe ORDER BY v", 5)
+	_, with := drainAllocs(t, c, "SELECT id, v FROM probe ORDER BY v LIMIT 100000", 5)
+	t.Logf("%.2f MB/op with the LIMIT, %.2f MB/op without", with/1e6, without/1e6)
+	if with > without+4<<10 {
+		t.Errorf("ORDER BY v LIMIT 100000 allocates %.2f MB/op, without the LIMIT %.2f MB/op", with/1e6, without/1e6)
 	}
 }

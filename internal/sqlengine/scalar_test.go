@@ -108,10 +108,10 @@ func (e *groupEnv) aggregate(fn *FuncCall) (table.Value, error) {
 }
 
 // QueryScalar parses and executes a SELECT with the scalar reference
-// executor. Like Query, the text goes through fingerprinting and the plan
-// cache: repeated templates plan once and execute with their extracted
-// literals bound, so differential runs alternating Query/QueryScalar no
-// longer pay (or skew) a raw parse per scalar call.
+// executor. Like QueryCtx, the text goes through fingerprinting and the
+// plan cache: repeated templates plan once and execute with their extracted
+// literals bound, so differential runs alternating the two executors do not
+// pay (or skew) a raw parse per scalar call.
 func (c *Catalog) QueryScalar(sql string) (*table.Table, error) {
 	p, binds, err := c.planQuery(sql)
 	if err != nil {
@@ -120,12 +120,13 @@ func (c *Catalog) QueryScalar(sql string) (*table.Table, error) {
 	return executeScalarBound(p, binds)
 }
 
-// ExecuteScalarBound runs a parsed statement with the row-at-a-time
-// reference path and the execution's parameter bindings (nil for a
-// statement without placeholders) — the scalar half of the bind-vs-inline
-// differential harness. Like Execute it resolves a copy, uncached.
+// ExecuteScalarBound resolves a freshly parsed statement, uncached, and
+// runs it with the row-at-a-time reference path and the execution's
+// parameter bindings (nil for a statement without placeholders) — the
+// scalar half of the bind-vs-inline differential harness. Resolution
+// writes into stmt's tree, so the statement must not be reused.
 func (c *Catalog) ExecuteScalarBound(stmt *SelectStmt, binds []table.Value) (*table.Table, error) {
-	p, err := c.resolve(cloneStmt(stmt))
+	p, err := c.resolve(stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -137,12 +138,16 @@ func executeScalarBound(p *plan, binds []table.Value) (*table.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return executeScalarPlan(context.Background(), p, x)
+	res, err := executeScalarPlan(context.Background(), p, x)
+	if err != nil {
+		return nil, err
+	}
+	return res.Table(p.stmt.From), nil
 }
 
 // executeScalarPlan is the scalar execution body once the execution's
 // arguments are known — the executor the oracle's subqueries run with.
-func executeScalarPlan(_ context.Context, p *plan, x *execArgs) (*table.Table, error) {
+func executeScalarPlan(_ context.Context, p *plan, x *execArgs) (*Result, error) {
 	// Same snapshot discipline as the vectorized path: one atomic load per
 	// referenced table pins the rows this execution reads.
 	stmt := p.stmt
@@ -169,17 +174,17 @@ func executeScalarPlan(_ context.Context, p *plan, x *execArgs) (*table.Table, e
 		rel.rows = kept
 	}
 
-	var out *table.Table
+	var rows []projectedRow
 	var err error
 	if p.grouped {
-		out, err = executeGroupedScalar(p, rel)
+		rows, err = executeGroupedScalar(p, rel)
 	} else {
-		out, err = executePlainScalar(p, rel)
+		rows, err = executePlainScalar(p, rel)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return applyDistinctOffsetLimit(stmt.Distinct, x, out), nil
+	return buildOutput(p, x, rows), nil
 }
 
 // joinRelationsScalar nested-loop joins left and right with the ON
@@ -258,7 +263,10 @@ type projectedRow struct {
 	keys []table.Value // order-by keys
 }
 
-func buildOutput(p *plan, rows []projectedRow) *table.Table {
+// buildOutput is the oracle's own output tail, row-major: it sorts the
+// projected rows, keeps each distinct row's first occurrence under
+// DISTINCT, cuts the OFFSET/LIMIT window, and only then builds the columns.
+func buildOutput(p *plan, x *execArgs, rows []projectedRow) *Result {
 	order := p.order
 	if len(order) > 0 {
 		sort.SliceStable(rows, func(a, b int) bool {
@@ -275,7 +283,27 @@ func buildOutput(p *plan, rows []projectedRow) *table.Table {
 			return false
 		})
 	}
-	out := &table.Table{Name: p.stmt.From}
+	if p.stmt.Distinct {
+		seen := map[string]bool{}
+		kept := rows[:0]
+		var kb []byte
+		for _, r := range rows {
+			kb = kb[:0]
+			for _, v := range r.out {
+				kb = table.AppendKeyPart(kb, v)
+			}
+			if !seen[string(kb)] {
+				seen[string(kb)] = true
+				kept = append(kept, r)
+			}
+		}
+		rows = kept
+	}
+	rows = rows[min(x.offset, len(rows)):]
+	if x.limit >= 0 && x.limit < len(rows) {
+		rows = rows[:x.limit]
+	}
+	cols := make([]table.Column, len(p.names))
 	for i, name := range p.names {
 		kind := table.KindString
 		for _, r := range rows {
@@ -284,14 +312,13 @@ func buildOutput(p *plan, rows []projectedRow) *table.Table {
 				break
 			}
 		}
-		col := table.NewColumn(name, kind)
-		col.Grow(len(rows))
+		cols[i] = table.NewColumn(name, kind)
+		cols[i].Grow(len(rows))
 		for _, r := range rows {
-			col.Append(r.out[i])
+			cols[i].Append(r.out[i])
 		}
-		out.Columns = append(out.Columns, col)
 	}
-	return out
+	return newResult(p.names, cols, nil)
 }
 
 // project evaluates the select list and the ORDER BY keys in ev: one output
@@ -315,7 +342,7 @@ func project(p *plan, ev env) (projectedRow, error) {
 	return pr, nil
 }
 
-func executePlainScalar(p *plan, rel *srel) (*table.Table, error) {
+func executePlainScalar(p *plan, rel *srel) ([]projectedRow, error) {
 	win, err := computeWindowsScalar(rel, p.wins)
 	if err != nil {
 		return nil, err
@@ -328,10 +355,10 @@ func executePlainScalar(p *plan, rel *srel) (*table.Table, error) {
 		}
 		rows = append(rows, pr)
 	}
-	return buildOutput(p, rows), nil
+	return rows, nil
 }
 
-func executeGroupedScalar(p *plan, rel *srel) (*table.Table, error) {
+func executeGroupedScalar(p *plan, rel *srel) ([]projectedRow, error) {
 	// Partition rows into groups by the GROUP BY key expressions.
 	var keys []string
 	groups := map[string][]int{}
@@ -378,7 +405,7 @@ func executeGroupedScalar(p *plan, rel *srel) (*table.Table, error) {
 		}
 		rows = append(rows, pr)
 	}
-	return buildOutput(p, rows), nil
+	return rows, nil
 }
 
 // --- scalar window driver ---

@@ -39,7 +39,7 @@ func testCatalog(t *testing.T) *Catalog {
 
 func mustQuery(t *testing.T, c *Catalog, sql string) *table.Table {
 	t.Helper()
-	res, err := c.Query(sql)
+	res, err := queryTable(c, sql)
 	if err != nil {
 		t.Fatalf("query %q: %v", sql, err)
 	}
@@ -207,7 +207,7 @@ func TestGroupByPositionAndAlias(t *testing.T) {
 		"SELECT region, COUNT(*) FROM t GROUP BY 0": "GROUP BY position 0 is not in the select list",
 		"SELECT region, COUNT(*) FROM t GROUP BY 2": "aggregate COUNT in row context",
 	} {
-		_, vecErr := c.Query(q)
+		_, vecErr := queryTable(c, q)
 		_, scaErr := c.QueryScalar(q)
 		if vecErr == nil || scaErr == nil || !strings.Contains(vecErr.Error(), want) || !strings.Contains(scaErr.Error(), want) {
 			t.Errorf("%s: vectorized %v, scalar %v; want both to report %q", q, vecErr, scaErr, want)
@@ -224,7 +224,7 @@ func TestUnknownNamesFailOnEveryData(t *testing.T) {
 	c := namesCatalog()
 	const want = "unknown column \"nosuch"
 	for _, q := range unknownNameStatements() {
-		_, vecErr := c.Query(q)
+		_, vecErr := queryTable(c, q)
 		_, scaErr := c.QueryScalar(q)
 		_, resErr := c.QueryCtx(context.Background(), q)
 		for name, err := range map[string]error{"Query": vecErr, "QueryScalar": scaErr, "QueryCtx": resErr} {
@@ -411,7 +411,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT 'unterminated FROM sales",
 	}
 	for _, sql := range bad {
-		if _, err := c.Query(sql); err == nil {
+		if _, err := queryTable(c, sql); err == nil {
 			t.Errorf("expected parse error for %q", sql)
 		}
 	}
@@ -426,7 +426,7 @@ func TestExecErrors(t *testing.T) {
 		"SELECT SUM(amount) FROM sales GROUP BY missing_col",
 	}
 	for _, sql := range bad {
-		if _, err := c.Query(sql); err == nil {
+		if _, err := queryTable(c, sql); err == nil {
 			t.Errorf("expected execution error for %q", sql)
 		}
 	}
@@ -434,7 +434,7 @@ func TestExecErrors(t *testing.T) {
 
 func TestAggregateInWhereRejected(t *testing.T) {
 	c := testCatalog(t)
-	if _, err := c.Query("SELECT id FROM sales WHERE SUM(amount) > 10"); err == nil {
+	if _, err := queryTable(c, "SELECT id FROM sales WHERE SUM(amount) > 10"); err == nil {
 		t.Error("aggregate in WHERE should error")
 	}
 }
@@ -453,15 +453,11 @@ func TestSQLRoundTrip(t *testing.T) {
 			t.Fatalf("parse %q: %v", q, err)
 		}
 		rendered := stmt.SQL()
-		stmt2, err := Parse(rendered)
-		if err != nil {
-			t.Fatalf("reparse %q: %v", rendered, err)
-		}
-		r1, err := c.Execute(stmt)
+		r1, err := queryTable(c, q)
 		if err != nil {
 			t.Fatalf("exec %q: %v", q, err)
 		}
-		r2, err := c.Execute(stmt2)
+		r2, err := queryTable(c, rendered)
 		if err != nil {
 			t.Fatalf("exec rendered %q: %v", rendered, err)
 		}
@@ -548,7 +544,7 @@ func TestNonAggregateNamesAreUnknownFunctions(t *testing.T) {
 			"SELECT " + fn + "(amount) FROM sales",
 			"SELECT region, " + fn + "(amount) FROM sales GROUP BY region",
 		} {
-			_, vecErr := c.Query(q)
+			_, vecErr := queryTable(c, q)
 			_, scaErr := c.QueryScalar(q)
 			if vecErr == nil || scaErr == nil || !strings.Contains(vecErr.Error(), want) || !strings.Contains(scaErr.Error(), want) {
 				t.Errorf("%s: vectorized %v, scalar %v; want both to report %q", q, vecErr, scaErr, want)

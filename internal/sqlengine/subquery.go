@@ -16,7 +16,7 @@ import (
 // subquery's list from the node's slot. The plan's tree is never rewritten.
 //
 // An execution runs its subqueries with the executor it was started with
-// (the engine's executeVecPlan, or the row-at-a-time oracle's in the
+// (the engine's executePlan, or the row-at-a-time oracle's in the
 // package's tests), keeping the differential harness's separation intact. Correlated
 // references fail at plan time with the same unknown-column error for both.
 // Every subquery pins its own snapshot at its execution time; under
@@ -38,7 +38,7 @@ func exprHasSubquery(e Expr) bool {
 }
 
 // executor runs a resolved plan with one execution's arguments.
-type executor func(ctx context.Context, p *plan, x *execArgs) (*table.Table, error)
+type executor func(ctx context.Context, p *plan, x *execArgs) (*Result, error)
 
 // start begins a top-level execution of p: the bindings must fill the
 // statement's slots exactly.
@@ -64,13 +64,16 @@ func begin(ctx context.Context, p *plan, binds []table.Value, run executor) (*ex
 		if err != nil {
 			return nil, err
 		}
-		out, err := run(ctx, sub, sx)
+		res, err := run(ctx, sub, sx)
 		if err != nil {
 			return nil, err
 		}
-		col := &out.Columns[0] // exactly one: checked when the subquery was resolved
-		if sub.scalar && col.Len() > 1 {
-			return nil, fmt.Errorf("sql: scalar subquery returned %d rows, want at most 1", col.Len())
+		if sub.scalar && res.NumRows() > 1 {
+			return nil, fmt.Errorf("sql: scalar subquery returned %d rows, want at most 1", res.NumRows())
+		}
+		col := res.cols[0] // exactly one: checked when the subquery was resolved
+		if res.sel != nil {
+			col = col.GatherSel(res.sel)
 		}
 		x.subs = append(x.subs, col.Values())
 	}

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -27,11 +28,21 @@ func dumpTable(t *table.Table) string {
 	return sb.String()
 }
 
+// queryTable runs sql through QueryCtx, the engine's entry point, and
+// materializes the Result as a table.
+func queryTable(c *Catalog, sql string) (*table.Table, error) {
+	res, err := c.QueryCtx(context.Background(), sql)
+	if err != nil {
+		return nil, err
+	}
+	return res.Table(""), nil
+}
+
 // checkDifferential runs one query through both executors and fails on any
 // mismatch in error status, column names, row order, or cell values.
 func checkDifferential(t *testing.T, c *Catalog, q string) {
 	t.Helper()
-	vec, vecErr := c.Query(q)
+	vec, vecErr := queryTable(c, q)
 	sca, scaErr := c.QueryScalar(q)
 	if (vecErr == nil) != (scaErr == nil) {
 		t.Errorf("query %q: error mismatch\n  vectorized: %v\n  scalar:     %v", q, vecErr, scaErr)
@@ -682,7 +693,7 @@ func TestConcurrentQueryAndRegister(t *testing.T) {
 					c.Register(extra)
 					continue
 				}
-				if _, err := c.Query(queries[(g+i)%len(queries)]); err != nil {
+				if _, err := queryTable(c, queries[(g+i)%len(queries)]); err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}

@@ -11,7 +11,7 @@ import (
 // byte-identical results, and returns the vectorized table.
 func queryBoth(t *testing.T, c *Catalog, q string) *table.Table {
 	t.Helper()
-	vec, err := c.Query(q)
+	vec, err := queryTable(c, q)
 	if err != nil {
 		t.Fatalf("query %q: %v", q, err)
 	}
@@ -174,7 +174,7 @@ func TestScalarSubqueryZeroRowsIsNull(t *testing.T) {
 func TestScalarSubqueryMultiRowErrors(t *testing.T) {
 	c := testCatalog(t)
 	q := "SELECT id FROM sales WHERE amount > (SELECT amount FROM sales WHERE region = 'east')"
-	_, vecErr := c.Query(q)
+	_, vecErr := queryTable(c, q)
 	_, scaErr := c.QueryScalar(q)
 	for _, err := range []error{vecErr, scaErr} {
 		if err == nil || !strings.Contains(err.Error(), "scalar subquery returned 2 rows") {
@@ -305,7 +305,7 @@ func TestWindowFingerprintBindRoundTrip(t *testing.T) {
 		"SELECT region, SUM(qty) AS total FROM sales GROUP BY region HAVING total > 2 ORDER BY region",
 	}
 	for _, q := range queries {
-		tbl, err := c.Query(q)
+		tbl, err := queryTable(c, q)
 		if err != nil {
 			t.Fatalf("query %q: %v", q, err)
 		}

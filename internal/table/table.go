@@ -124,25 +124,6 @@ func (t *Table) Clone() *Table {
 	return out
 }
 
-// Slice returns rows [lo, hi) as a new table sharing no storage.
-func (t *Table) Slice(lo, hi int) *Table {
-	n := t.NumRows()
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > n {
-		hi = n
-	}
-	if lo > hi {
-		lo = hi
-	}
-	out := &Table{Name: t.Name, Columns: make([]Column, len(t.Columns))}
-	for i := range t.Columns {
-		out.Columns[i] = t.Columns[i].SliceRange(lo, hi)
-	}
-	return out
-}
-
 // SelectRows returns a new table containing the given row indices in order.
 func (t *Table) SelectRows(idx []int) *Table {
 	out := &Table{Name: t.Name, Columns: make([]Column, len(t.Columns))}
@@ -157,29 +138,6 @@ func (t *Table) Filter(pred func(row int) bool) *Table {
 	var idx []int
 	for i, n := 0, t.NumRows(); i < n; i++ {
 		if pred(i) {
-			idx = append(idx, i)
-		}
-	}
-	return t.SelectRows(idx)
-}
-
-// Limit returns at most n leading rows.
-func (t *Table) Limit(n int) *Table {
-	if n < 0 || n >= t.NumRows() {
-		return t.Clone()
-	}
-	return t.Slice(0, n)
-}
-
-// Distinct returns the table with duplicate rows removed, keeping first
-// occurrences in order.
-func (t *Table) Distinct() *Table {
-	seen := make(map[string]bool)
-	var idx []int
-	for i, n := 0, t.NumRows(); i < n; i++ {
-		key := t.rowKey(i)
-		if !seen[key] {
-			seen[key] = true
 			idx = append(idx, i)
 		}
 	}

@@ -61,28 +61,11 @@ func TestColumnLookupCaseInsensitive(t *testing.T) {
 	}
 }
 
-func TestFilterAndLimit(t *testing.T) {
+func TestFilter(t *testing.T) {
 	tbl := sampleSales(t)
 	west := tbl.Filter(func(r int) bool { return tbl.Get(r, "region").S == "west" })
 	if west.NumRows() != 3 {
 		t.Fatalf("west rows = %d, want 3", west.NumRows())
-	}
-	if got := west.Limit(2).NumRows(); got != 2 {
-		t.Errorf("limit = %d rows, want 2", got)
-	}
-	if got := west.Limit(-1).NumRows(); got != 3 {
-		t.Errorf("negative limit should keep all rows, got %d", got)
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	tbl := MustNew("t", []string{"a"}, []Kind{KindInt})
-	for _, v := range []int64{1, 2, 1, 3, 2} {
-		tbl.MustAppendRow(Int(v))
-	}
-	d := tbl.Distinct()
-	if d.NumRows() != 3 {
-		t.Errorf("distinct rows = %d, want 3", d.NumRows())
 	}
 }
 
@@ -247,20 +230,10 @@ func TestProfileTemporalDetection(t *testing.T) {
 	}
 }
 
-func TestSliceBounds(t *testing.T) {
-	tbl := sampleSales(t)
-	if got := tbl.Slice(-5, 100).NumRows(); got != 5 {
-		t.Errorf("clamped slice rows = %d", got)
-	}
-	if got := tbl.Slice(4, 2).NumRows(); got != 0 {
-		t.Errorf("inverted slice rows = %d", got)
-	}
-}
-
 // TestAppendKeyPart: a part is the uvarint length of the value's Key, then
 // the Key, for every kind — the fixed-size kinds fill a one-byte length in
 // after writing — so tuples whose Keys joined with a separator byte would
-// coincide encode apart, and Distinct keeps them apart.
+// coincide encode apart, and EqualData tells them apart.
 func TestAppendKeyPart(t *testing.T) {
 	for _, v := range []Value{
 		Null(), Int(0), Int(math.MinInt64), Int(math.MaxInt64), Bool(true), Bool(false),
@@ -281,10 +254,11 @@ func TestAppendKeyPart(t *testing.T) {
 	if bytes.Equal(a, b) {
 		t.Fatalf("(%q, %q) and (%q, %q) encode alike: %q", "x\x1fs:y", "z", "x", "y\x1fs:z", a)
 	}
-	tbl := MustNew("t", []string{"a", "b"}, []Kind{KindString, KindString})
-	tbl.MustAppendRow(Str("x\x1fs:y"), Str("z"))
-	tbl.MustAppendRow(Str("x"), Str("y\x1fs:z"))
-	if n := tbl.Distinct().NumRows(); n != 2 {
-		t.Errorf("Distinct kept %d rows, want 2", n)
+	ta := MustNew("a", []string{"a", "b"}, []Kind{KindString, KindString})
+	ta.MustAppendRow(Str("x\x1fs:y"), Str("z"))
+	tb := MustNew("b", []string{"a", "b"}, []Kind{KindString, KindString})
+	tb.MustAppendRow(Str("x"), Str("y\x1fs:z"))
+	if EqualData(ta, tb) {
+		t.Error("EqualData matched rows whose key tuples differ")
 	}
 }

@@ -640,24 +640,6 @@ func (m *Manager) Stats() Stats {
 	return s
 }
 
-// Sync forces an fsync of the current log generation, regardless of
-// policy.
-func (m *Manager) Sync() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return errClosed
-	}
-	if err := m.fw.flush(); err != nil {
-		return err
-	}
-	if err := m.f.Sync(); err != nil {
-		return err
-	}
-	m.dirty = false
-	return nil
-}
-
 // Close flushes and syncs the log, stops the background loops, and
 // detaches nothing: publishes on still-referenced appenders fail with
 // an error rather than silently losing durability.

@@ -17,12 +17,13 @@ import "datalab/internal/sqlengine"
 //		}
 //	}
 //
-// Plain projections (no grouping, ordering, or DISTINCT) never materialize
-// anything: the Result's batches are read-only views straight over the
-// catalog's column storage, restricted by the WHERE selection. Aggregated,
-// ordered, or computed results are built once and then viewed batch by
-// batch. Result.Strings() materializes the old [][]string shape for
-// callers migrating incrementally.
+// Every Result is output columns plus a selection of their rows. A plain
+// projection of bare columns copies nothing: its columns are the
+// catalog's own storage, read-only, under the WHERE selection. Aggregated,
+// ordered, or computed results build their output columns once. DISTINCT,
+// OFFSET and LIMIT only narrow the selection, and batches are views over
+// the selected rows. Result.Strings() materializes the old [][]string
+// shape for callers migrating incrementally.
 //
 // The types are defined in internal/sqlengine (the executor produces them
 // directly); the aliases below are the public names.
