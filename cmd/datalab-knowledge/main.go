@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"datalab/internal/benchgen"
+	"datalab/internal/embed"
 	"datalab/internal/knowledge"
 	"datalab/internal/llm"
 	"datalab/internal/metrics"
@@ -34,7 +35,7 @@ func main() {
 		}
 		fmt.Printf("table %s: %q\n", bundle.Table.Name, bundle.Table.Description)
 		for _, ck := range bundle.Columns {
-			ses := metrics.SES(ck.Description, et.ExpertColumnDesc[ck.Name])
+			ses := embed.Similarity(ck.Description, et.ExpertColumnDesc[ck.Name])
 			colSES = append(colSES, ses)
 			if *verbose {
 				fmt.Printf("  %-22s SES=%.2f  %q\n", ck.Name, ses, ck.Description)

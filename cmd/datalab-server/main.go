@@ -65,7 +65,7 @@ func main() {
 	sessionIdle := flag.Duration("session-idle", 15*time.Minute, "idle TTL after which sessions are swept")
 	pageRows := flag.Int("page-rows", 4096, "default cursor page size in rows")
 	dataDir := flag.String("data", "", "data directory for the write-ahead log; empty = memory-only (rows lost on restart)")
-	fsync := flag.String("fsync", "always", "WAL fsync policy: always, interval, or off")
+	fsync := flag.String("fsync", "always", "WAL fsync policy: always or off")
 	checkpointBytes := flag.Int64("checkpoint-bytes", 0, "WAL bytes between automatic checkpoints (0 = 64MiB default, negative disables)")
 	check := flag.String("check", "", "health-probe mode: GET this URL, exit 0 on ok (Docker HEALTHCHECK)")
 	flag.Parse()

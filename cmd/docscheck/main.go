@@ -1,12 +1,15 @@
 // Command docscheck is the docs job's fast first gate. It walks the tree
-// once and fails on two kinds of drift:
+// once and fails on three kinds of drift:
 //
 //   - a broken intra-repo markdown link: a relative link target in a .md
 //     file that does not exist, so architecture/engine/performance docs
 //     cannot drift into dead cross-references as files move between PRs;
 //   - a guard violation: a line of non-test Go matching one of the guards
 //     below outside the paths that guard allows — code a simplification
-//     removed, kept from growing back.
+//     removed, kept from growing back;
+//   - a census finding, when the root holds a go.mod: a package-level
+//     declaration, method or named-struct field that no non-test Go uses
+//     (see census), unless the keep table names it and who needs it.
 //
 // Usage:
 //
@@ -15,8 +18,9 @@
 // External links (http, https, mailto) and pure in-page anchors (#...)
 // are skipped; a fragment on a relative link is stripped before the
 // existence check. Exit status is 1 when anything fails, with one
-// "file: target" line per broken link and one "file:line: text (reason)"
-// line per guard violation.
+// "file: target" line per broken link, one "file:line: text (reason)"
+// line per guard violation and one "file:line: symbol (no non-test Go
+// uses it)" line per census finding.
 package main
 
 import (
@@ -86,16 +90,18 @@ func main() {
 		fmt.Println(p)
 	}
 	if len(problems) > 0 {
-		fmt.Fprintf(os.Stderr, "docscheck: %d broken link(s) or guard violation(s)\n", len(problems))
+		fmt.Fprintf(os.Stderr, "docscheck: %d broken link(s), guard violation(s) or census finding(s)\n", len(problems))
 		os.Exit(1)
 	}
 }
 
 // checkTree scans every .md and non-test .go file under root (skipping
-// dot-directories) and returns one entry per broken relative link and per
-// guard violation.
+// dot-directories) and returns one entry per broken relative link, per
+// guard violation and, when root holds a go.mod, per census finding over
+// the directories of the Go files it read.
 func checkTree(root string) ([]string, error) {
-	var problems []string
+	var problems, dirs []string
+	seen := map[string]bool{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -129,9 +135,20 @@ func checkTree(root string) ([]string, error) {
 			return err
 		}
 		problems = append(problems, guardViolations(filepath.ToSlash(rel), path, string(data))...)
+		if dir := filepath.Dir(path); !seen[dir] {
+			seen[dir] = true
+			dirs = append(dirs, dir)
+		}
 		return nil
 	})
-	return problems, err
+	if err != nil {
+		return nil, err
+	}
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		return problems, nil
+	}
+	found, err := census(root, dirs, keep)
+	return append(problems, found...), err
 }
 
 // guardViolations returns one entry per line of a non-test Go file that a

@@ -60,16 +60,16 @@ func TestCheckTreeWalksAndResolvesRelative(t *testing.T) {
 }
 
 func TestCheckTreeCleanRepo(t *testing.T) {
-	// The real repository must stay link-clean and guard-clean — this is
-	// the same check the CI docs job runs, kept as a unit test so
-	// `go test ./...` catches a dead link or a guard violation before CI
-	// does.
+	// The real repository must stay link-clean, guard-clean and
+	// census-clean — this is the same check the CI docs job runs, kept as
+	// a unit test so `go test ./...` catches a dead link, a guard
+	// violation or an unused declaration before CI does.
 	problems, err := checkTree("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(problems) != 0 {
-		t.Errorf("repository has broken markdown links or guard violations:\n%v", problems)
+		t.Errorf("repository has broken markdown links, guard violations or census findings:\n%v", problems)
 	}
 }
 
@@ -112,5 +112,48 @@ func TestGuardsFire(t *testing.T) {
 	}
 	if len(problems) != len(guards) {
 		t.Errorf("problems = %q, want one per guard", problems)
+	}
+}
+
+// TestCensusFires plants four declarations in a temporary module with a
+// nested bench module and checks that the census reports exactly the two
+// nothing in non-test Go uses: an unreferenced func in an internal package
+// and a func only a _test.go file calls. A method that satisfies
+// fmt.Stringer and a func only bench/ calls are uses. A keep entry hides
+// its finding, and one that hides nothing is reported.
+func TestCensusFires(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "go.mod"), "module m\n\ngo 1.24\n")
+	write(t, filepath.Join(dir, "main.go"), "package main\n\nimport (\n\t\"fmt\"\n\n\t\"m/internal/x\"\n)\n\nfunc main() { fmt.Println(x.T{}) }\n")
+	write(t, filepath.Join(dir, "internal", "x", "x.go"), "package x\n\ntype T struct{}\n\nfunc (T) String() string { return \"t\" }\n\nfunc Unused() {}\n\nfunc TestOnly() {}\n")
+	write(t, filepath.Join(dir, "internal", "x", "x_test.go"), "package x\n\nimport \"testing\"\n\nfunc TestX(t *testing.T) { TestOnly() }\n")
+	write(t, filepath.Join(dir, "pub", "pub.go"), "package pub\n\nfunc BenchOnly() {}\n")
+	write(t, filepath.Join(dir, "bench", "go.mod"), "module m/bench\n\ngo 1.24\n\nrequire m v0.0.0\n\nreplace m => ../\n")
+	write(t, filepath.Join(dir, "bench", "main.go"), "package main\n\nimport \"m/pub\"\n\nfunc main() { pub.BenchOnly() }\n")
+
+	problems, err := checkTree(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var found []string
+	for _, p := range problems {
+		if strings.HasSuffix(p, "(no non-test Go uses it)") {
+			found = append(found, p)
+		}
+	}
+	x := filepath.Join(dir, "internal", "x", "x.go")
+	want := []string{x + ":7: x.Unused (no non-test Go uses it)", x + ":9: x.TestOnly (no non-test Go uses it)"}
+	if strings.Join(found, "\n") != strings.Join(want, "\n") {
+		t.Errorf("census found %q, want %q", found, want)
+	}
+
+	dirs := []string{dir, filepath.Join(dir, "bench"), filepath.Join(dir, "internal", "x"), filepath.Join(dir, "pub")}
+	got, err := census(dir, dirs, []kept{{"x.Unused", "planted"}, {"x.Gone", "planted"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = []string{"keep x.Gone: the census finds no such unused symbol (planted)", want[1]}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("census with a keep table = %q, want %q", got, want)
 	}
 }

@@ -20,14 +20,7 @@ import (
 type Option func(*config)
 
 type config struct {
-	model string
-	seed  string
-}
-
-// WithModel selects the underlying model profile: "gpt-4" (default),
-// "qwen-2.5", or "llama-3.1".
-func WithModel(name string) Option {
-	return func(c *config) { c.model = name }
+	seed string
 }
 
 // WithSeed fixes the deterministic seed for the simulated model.
@@ -61,15 +54,11 @@ type Platform struct {
 
 // New creates a platform.
 func New(opts ...Option) (*Platform, error) {
-	cfg := config{model: "gpt-4", seed: "datalab"}
+	cfg := config{seed: "datalab"}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	profile, err := llm.ProfileByName(cfg.model)
-	if err != nil {
-		return nil, err
-	}
-	client := llm.NewClient(profile, cfg.seed)
+	client := llm.NewClient(llm.GPT4, cfg.seed)
 	catalog := sqlengine.NewCatalog()
 	return &Platform{
 		client:  client,

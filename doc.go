@@ -8,7 +8,7 @@
 // A [Platform] owns a warehouse catalog, an optional enterprise knowledge
 // graph, and the simulated LLM client. Typical use:
 //
-//	p := datalab.MustNew(datalab.WithModel("gpt-4"))
+//	p := datalab.MustNew(datalab.WithSeed("demo"))
 //	p.LoadCSV("sales", file)
 //	ans, err := p.Ask("total revenue by region as a bar chart", "sales")
 //	fmt.Println(ans.SQL, ans.ChartJSON)

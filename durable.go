@@ -11,10 +11,9 @@ import (
 // publish, 64 MiB automatic checkpoints.
 type DurabilityOptions struct {
 	// Fsync is the durability policy: "always" (default — every publish
-	// is fsynced before it returns and becomes visible), "interval"
-	// (fsync on a timer; a process crash loses nothing, an OS crash at
-	// most the last interval), or "off" (the OS flushes when it
-	// pleases). The "interval" timer period is 100ms.
+	// is fsynced before it returns and becomes visible) or "off" (the OS
+	// flushes when it pleases; a process crash loses nothing, an OS crash
+	// any unsynced suffix).
 	Fsync string
 	// CheckpointBytes triggers an automatic checkpoint — compacting the
 	// log into a snapshot file and deleting the replayed prefix — after

@@ -123,7 +123,7 @@ func TestNotebookAppendRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendRecords("events", [][]string{{"4", "40"}}); err != nil {
+	if err := p.AppendRecords("events", [][]string{{"4", "40"}}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.RunSQL(context.Background(), id)

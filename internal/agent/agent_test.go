@@ -198,10 +198,10 @@ func TestImputationAgentFillsNulls(t *testing.T) {
 	if !ok {
 		t.Fatal("imputed table missing")
 	}
-	if imputed.Get(1, "v").IsNull() {
+	if imputed.Column("v").Value(1).IsNull() {
 		t.Error("null not filled")
 	}
-	if got := imputed.Get(1, "v").F; got != 15 {
+	if got := imputed.Column("v").Value(1).F; got != 15 {
 		t.Errorf("imputed value = %v, want column mean 15", got)
 	}
 }
@@ -231,7 +231,7 @@ func TestPrepAgentsSurfaceRegisterFailure(t *testing.T) {
 			}
 		}
 		got, ok := rt.Catalog.Table(prev.Name)
-		if !ok || got.NumRows() != 1 || got.Get(0, "marker").I != 42 {
+		if !ok || got.NumRows() != 1 || got.Column("marker").Value(0).I != 42 {
 			t.Errorf("%s: previous table no longer served after failed registration", tc.suffix)
 		}
 	}
@@ -241,7 +241,10 @@ func TestPlannerBuildsMultiAgentPlan(t *testing.T) {
 	rt := testRuntime(t, "planner")
 	p := NewPlanner(rt)
 	plan, agents := p.Plan("find anomalies in revenue, explain why, and plot the trend", "sales")
-	names := plan.Agents()
+	names, err := plan.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
 	nameSet := map[string]bool{}
 	for _, n := range names {
 		nameSet[n] = true
@@ -255,16 +258,12 @@ func TestPlannerBuildsMultiAgentPlan(t *testing.T) {
 		}
 	}
 	// Dependencies: SQL before everything, analyses before insight.
-	order, err := plan.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
 	pos := map[string]int{}
-	for i, n := range order {
+	for i, n := range names {
 		pos[n] = i
 	}
 	if !(pos[NameSQL] < pos[NameAnomaly] && pos[NameAnomaly] < pos[NameInsight]) {
-		t.Errorf("bad order: %v", order)
+		t.Errorf("bad order: %v", names)
 	}
 }
 
@@ -272,8 +271,8 @@ func TestPlannerSimpleQueryIsSQLOnly(t *testing.T) {
 	rt := testRuntime(t, "planner2")
 	p := NewPlanner(rt)
 	plan, _ := p.Plan("total revenue by region", "sales")
-	if got := len(plan.Agents()); got != 1 {
-		t.Errorf("simple plan has %d agents, want 1: %v", got, plan.Agents())
+	if names, err := plan.TopoOrder(); err != nil || len(names) != 1 {
+		t.Errorf("simple plan has agents %v (%v), want 1", names, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -37,7 +38,7 @@ func TestInfoValidate(t *testing.T) {
 
 func TestInfoJSONAndUnstructured(t *testing.T) {
 	u := unit("SQL Agent", "generate_sql_query", "sales_db/23_customer_bg")
-	if !strings.Contains(u.JSON(), `"data_source"`) {
+	if b, err := json.Marshal(u); err != nil || !strings.Contains(string(b), `"data_source"`) {
 		t.Error("JSON missing field names")
 	}
 	flat := u.Unstructured()
@@ -46,9 +47,6 @@ func TestInfoJSONAndUnstructured(t *testing.T) {
 	}
 	if !strings.Contains(flat, "SQL Agent") {
 		t.Error("unstructured form should keep content")
-	}
-	if u.Tokens() <= 0 {
-		t.Error("token estimate must be positive")
 	}
 }
 
@@ -59,8 +57,8 @@ func TestBufferStoreAndRetrieve(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b.Len() != 3 {
-		t.Errorf("len = %d", b.Len())
+	if len(b.entries) != 3 {
+		t.Errorf("len = %d", len(b.entries))
 	}
 	if got := b.ByRoles("A"); len(got) != 3 {
 		t.Errorf("ByRoles = %d", len(got))
@@ -88,8 +86,8 @@ func TestBufferEvictsOutdated(t *testing.T) {
 	updated := unit("SQL Agent", "generate_sql_query", "db/t")
 	updated.Content = "SELECT 2 -- fixed after execution feedback"
 	_ = b.Store(updated)
-	if b.Len() != 1 {
-		t.Fatalf("len = %d, want 1 (outdated evicted)", b.Len())
+	if len(b.entries) != 1 {
+		t.Fatalf("len = %d, want 1 (outdated evicted)", len(b.entries))
 	}
 	if got := b.All()[0].Content; !strings.Contains(got, "SELECT 2") {
 		t.Errorf("kept the outdated unit: %q", got)
@@ -118,15 +116,15 @@ func TestBufferConcurrentSafety(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if b.Len() != 8*50 {
-		t.Errorf("len = %d, want 400", b.Len())
+	if len(b.entries) != 8*50 {
+		t.Errorf("len = %d, want 400", len(b.entries))
 	}
 }
 
 func TestFSMStates(t *testing.T) {
 	f := NewFSM()
 	f.AddAgent("SQL Agent")
-	if f.State("SQL Agent") != StateWait {
+	if f.agents["SQL Agent"] != StateWait {
 		t.Error("new agents start in Wait")
 	}
 	if err := f.SetState("SQL Agent", StateExecution); err != nil {
@@ -214,9 +212,9 @@ func TestProxyRunsPlanInOrder(t *testing.T) {
 	if len(last) != 1 || last[0].Role != "SQL Agent" {
 		t.Errorf("chart inputs = %+v", last)
 	}
-	for _, name := range plan.Agents() {
-		if plan.State(name) != StateFinish {
-			t.Errorf("%s ended in %s, want Finish", name, plan.State(name))
+	for _, name := range plan.order {
+		if plan.agents[name] != StateFinish {
+			t.Errorf("%s ended in %s, want Finish", name, plan.agents[name])
 		}
 	}
 }

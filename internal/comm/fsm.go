@@ -62,22 +62,12 @@ func (f *FSM) AddEdge(from, to string) {
 	f.inputs[to] = append(f.inputs[to], from)
 }
 
-// Agents returns the agent names in insertion order.
-func (f *FSM) Agents() []string {
-	out := make([]string, len(f.order))
-	copy(out, f.order)
-	return out
-}
-
 // Inputs returns the producers feeding the given agent.
 func (f *FSM) Inputs(name string) []string {
 	out := make([]string, len(f.inputs[name]))
 	copy(out, f.inputs[name])
 	return out
 }
-
-// State returns an agent's current state.
-func (f *FSM) State(name string) AgentState { return f.agents[name] }
 
 // SetState transitions an agent; invalid transitions error so protocol
 // violations surface in tests.

@@ -5,7 +5,6 @@
 package comm
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -29,8 +28,8 @@ const (
 // The six fields and Kind are what a reader sees. Payload is the same
 // product in typed form, for the next agent: whatever the producer built
 // (a spec, rows) travels as the value it is, so no consumer parses Content
-// back into it. It is not rendered — JSON, Unstructured and Tokens ignore
-// it — and the S2 flattening drops it with the other field boundaries.
+// back into it. It is not rendered — JSON encoding skips it — and the S2
+// flattening drops it with the other field boundaries.
 type Info struct {
 	DataSource  string   `json:"data_source"` // dataset manipulated, e.g. sales_db/23_customer_bg
 	Role        string   `json:"role"`        // producing agent, e.g. "SQL Agent"
@@ -56,26 +55,12 @@ func (i Info) Validate() error {
 	return nil
 }
 
-// JSON renders the unit canonically.
-func (i Info) JSON() string {
-	b, err := json.Marshal(i)
-	if err != nil {
-		return "{}"
-	}
-	return string(b)
-}
-
 // Unstructured renders the unit as the free-form NL a no-formatting
 // baseline would emit (ablation S2 of Table III). Field boundaries are
 // deliberately lost: that information loss is what the ablation measures.
 func (i Info) Unstructured() string {
 	return fmt.Sprintf("%s did %s on %s. %s %s",
 		i.Role, strings.ReplaceAll(i.Action, "_", " "), i.DataSource, i.Description, i.Content)
-}
-
-// Tokens estimates the unit's token footprint when placed in context.
-func (i Info) Tokens() int {
-	return len(i.JSON())/4 + 1
 }
 
 // Buffer is the shared information buffer: a store that grows with what
@@ -90,13 +75,6 @@ type Buffer struct {
 
 // NewBuffer creates an empty buffer.
 func NewBuffer() *Buffer { return &Buffer{} }
-
-// Len returns the number of stored units.
-func (b *Buffer) Len() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.entries)
-}
 
 // Store appends a unit, assigning a logical timestamp if absent. When an
 // agent re-reports the same (Role, Action, DataSource) triple — e.g. after

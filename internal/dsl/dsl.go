@@ -114,18 +114,6 @@ func (s *Spec) JSON() string {
 	return string(b)
 }
 
-// Parse parses and validates a JSON DSL spec.
-func Parse(raw string) (*Spec, error) {
-	var s Spec
-	if err := json.Unmarshal([]byte(raw), &s); err != nil {
-		return nil, fmt.Errorf("dsl: bad JSON: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
 // measureSQL renders one measure as a SQL select item.
 func measureSQL(m Measure) (expr, name string) {
 	agg := strings.ToUpper(m.Aggregate)

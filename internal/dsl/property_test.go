@@ -6,6 +6,7 @@ package dsl
 // the full operator/aggregate surface with randomized composition.
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -158,8 +159,8 @@ func TestPropertyJSONRoundTripPreservesSQL(t *testing.T) {
 	rng := llm.NewRand("dsl-json-property")
 	for i := 0; i < 200; i++ {
 		spec := genSpec(rng, "t")
-		back, err := Parse(spec.JSON())
-		if err != nil {
+		var back Spec
+		if err := json.Unmarshal([]byte(spec.JSON()), &back); err != nil {
 			t.Fatalf("case %d: reparse: %v", i, err)
 		}
 		sql1, err1 := spec.ToSQL()

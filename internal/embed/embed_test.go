@@ -4,7 +4,9 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -101,7 +103,7 @@ func TestTokensMatchesJoinedBigrams(t *testing.T) {
 		for _, tok := range tokens {
 			add(tok, 1.0)
 		}
-		for _, g := range textutil.NGrams(tokens, 2) {
+		for _, g := range nGrams(tokens, 2) {
 			add(g, 0.5)
 		}
 		normalize(&v)
@@ -117,6 +119,35 @@ func TestTokensMatchesJoinedBigrams(t *testing.T) {
 		if Tokens(textutil.Tokenize(s)) != Text(s) {
 			t.Errorf("Tokens(Tokenize(%q)) != Text", s)
 		}
+	}
+}
+
+// nGrams returns the contiguous n-grams (joined by space) of the token
+// slice, nil when n < 1 or len(tokens) < n: the bigram features Text
+// hashes, defined the plain way.
+func nGrams(tokens []string, n int) []string {
+	if n < 1 || len(tokens) < n {
+		return nil
+	}
+	grams := make([]string, 0, len(tokens)-n+1)
+	for i := 0; i+n <= len(tokens); i++ {
+		grams = append(grams, strings.Join(tokens[i:i+n], " "))
+	}
+	return grams
+}
+
+func TestNGrams(t *testing.T) {
+	toks := []string{"gross", "margin", "rate"}
+	got := nGrams(toks, 2)
+	want := []string{"gross margin", "margin rate"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("nGrams = %v, want %v", got, want)
+	}
+	if nGrams(toks, 4) != nil {
+		t.Error("nGrams longer than input should be nil")
+	}
+	if nGrams(toks, 0) != nil {
+		t.Error("nGrams with n=0 should be nil")
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"datalab/internal/benchgen"
 	"datalab/internal/llm"
 	"datalab/internal/metrics"
+	"datalab/internal/textutil"
 )
 
 // Cell is one method score inside a row.
@@ -148,7 +149,7 @@ func readability(rs []baselines.Result) float64 {
 func rougeScore(tasks []benchgen.Task, rs []baselines.Result) float64 {
 	var xs []float64
 	for i, r := range rs {
-		xs = append(xs, metrics.ROUGE1(r.Summary, tasks[i].GoldInsight))
+		xs = append(xs, textutil.ROUGE1(r.Summary, tasks[i].GoldInsight))
 	}
 	return metrics.Mean(xs)
 }
@@ -161,7 +162,7 @@ func judgeScore(seed, method string, tasks []benchgen.Task, rs []baselines.Resul
 	judge := llm.NewClient(llm.GPT4, seed+"|judge")
 	var xs []float64
 	for i, r := range rs {
-		overlap := metrics.ROUGE1(r.Summary, tasks[i].GoldInsight)
+		overlap := textutil.ROUGE1(r.Summary, tasks[i].GoldInsight)
 		q := overlap * 1.4
 		if q > 1 {
 			q = 1

@@ -7,6 +7,7 @@ import (
 
 	"datalab/internal/benchgen"
 	"datalab/internal/dsl"
+	"datalab/internal/embed"
 	"datalab/internal/knowledge"
 	"datalab/internal/llm"
 	"datalab/internal/metrics"
@@ -49,11 +50,11 @@ func KnowledgeGeneration(seed string, nTables int) KnowledgeGenStats {
 			continue
 		}
 		stats.Tables++
-		tableSES = append(tableSES, metrics.SES(bundle.Table.Description, et.ExpertTableDesc))
+		tableSES = append(tableSES, embed.Similarity(bundle.Table.Description, et.ExpertTableDesc))
 		for _, ck := range bundle.Columns {
 			stats.Columns++
 			gold := et.ExpertColumnDesc[ck.Name]
-			colSES = append(colSES, metrics.SES(ck.Description, gold))
+			colSES = append(colSES, embed.Similarity(ck.Description, gold))
 		}
 	}
 	elapsed := time.Since(start).Seconds()

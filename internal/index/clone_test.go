@@ -64,8 +64,8 @@ func checkAgainstScratch(t *testing.T, label string, h *handle) {
 		lex.Add(e)
 		vec.Add(e)
 	}
-	if h.lex.Len() != len(ids) || h.vec.Len() != len(ids) {
-		t.Fatalf("%s: Len lex=%d vec=%d, want %d", label, h.lex.Len(), h.vec.Len(), len(ids))
+	if len(h.lex.entries) != len(ids) || len(h.vec.ids) != len(ids) {
+		t.Fatalf("%s: Len lex=%d vec=%d, want %d", label, len(h.lex.entries), len(h.vec.ids), len(ids))
 	}
 	for _, q := range cloneQueries {
 		sameHits(t, label+" lexical "+q, searchLex(h.lex, q, 10), searchLex(lex, q, 10))
@@ -194,7 +194,7 @@ func TestIndexCloneReplaceUnderReader(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				q := i % len(cloneQueries)
-				if got := ask(orig, cloneQueries[q]); !same(got, want[q]) || orig.lex.Len() != 24 || orig.vec.Len() != 24 {
+				if got := ask(orig, cloneQueries[q]); !same(got, want[q]) || len(orig.lex.entries) != 24 || len(orig.vec.ids) != 24 {
 					t.Errorf("original changed while a clone replaced its documents: %v, want %v", got, want[q])
 					return
 				}
@@ -217,8 +217,8 @@ func TestIndexCloneReplaceUnderReader(t *testing.T) {
 	if hits := searchLex(cl.lex, "revenue product", 10); len(hits) != 0 {
 		t.Errorf("clone still finds replaced text: %v", hits)
 	}
-	if cl.lex.Len() != 24 || cl.vec.Len() != 24 {
-		t.Errorf("replacement changed the clone's Len: lex=%d vec=%d", cl.lex.Len(), cl.vec.Len())
+	if len(cl.lex.entries) != 24 || len(cl.vec.ids) != 24 {
+		t.Errorf("replacement changed the clone's Len: lex=%d vec=%d", len(cl.lex.entries), len(cl.vec.ids))
 	}
 }
 

@@ -175,13 +175,6 @@ func (ix *Lexical) Clone() *Lexical {
 	return cp
 }
 
-// Len returns the number of entries.
-func (ix *Lexical) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.entries)
-}
-
 // Search returns the top-k entries by TF-IDF score against the query's
 // content tokens (textutil.ContentTokens; a repeated token counts again).
 // Deterministic: ties break by ID.
@@ -259,13 +252,6 @@ func (ix *Vector) Clone() *Vector {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return &Vector{ids: slices.Clone(ix.ids), vecs: slices.Clone(ix.vecs)}
-}
-
-// Len returns the number of entries.
-func (ix *Vector) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.ids)
 }
 
 // Search returns the top-k entries with a positive cosine similarity to

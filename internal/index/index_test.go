@@ -67,8 +67,8 @@ func TestLexicalReindexReplaces(t *testing.T) {
 	ix := NewLexical()
 	ix.Add(doc("x", "alpha", "old content about turtles", ""))
 	ix.Add(doc("x", "alpha", "new content about revenue", ""))
-	if ix.Len() != 1 {
-		t.Fatalf("len = %d", ix.Len())
+	if len(ix.entries) != 1 {
+		t.Fatalf("len = %d", len(ix.entries))
 	}
 	if hits := searchLex(ix, "turtles", 5); len(hits) != 0 {
 		t.Error("stale postings survive reindex")

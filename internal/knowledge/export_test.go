@@ -20,6 +20,8 @@ const (
 
 func (g *Graph) AddNodeForTest(n *Node) { g.addNode(n) }
 
+func (g *Graph) PrimaryForTest(id string) *Node { return g.primary(g.nodes[id]) }
+
 func (g *Graph) ColumnNamedForTest(name string) (*Node, bool) { return g.columnNamed(name) }
 
 // CoarseIDsForTest returns what Retrieve's coarse stage finds for query

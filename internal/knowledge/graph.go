@@ -137,9 +137,6 @@ func (g *Graph) Clone() *Graph {
 	return ng
 }
 
-// NumNodes returns the number of distinct node IDs.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
-
 // Node returns a node by ID.
 func (g *Graph) Node(id string) (*Node, bool) {
 	n, ok := g.nodes[id]
@@ -157,10 +154,6 @@ func (g *Graph) NodesOfType(t NodeType) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Children returns the logical children of a node in insertion order. The
-// slice is the graph's own: callers must not modify it.
-func (g *Graph) Children(id string) []string { return g.children[id] }
 
 // ValueHints returns the translator's value hints: every value node as
 // {its name, its parent's name, its value}, in node-ID order, then every
@@ -300,17 +293,8 @@ func (g *Graph) noteHints(old, n *Node) {
 	g.hints = hints
 }
 
-// Backtrack resolves an alias node to its primary node; primary nodes
+// primary resolves an alias node to its primary node; primary nodes
 // return themselves (Algorithm 2, line 7).
-func (g *Graph) Backtrack(id string) *Node {
-	n, ok := g.Node(id)
-	if !ok {
-		return nil
-	}
-	return g.primary(n)
-}
-
-// primary is Backtrack for a node already in hand.
 func (g *Graph) primary(n *Node) *Node {
 	for n.Type == NodeAlias {
 		parent, ok := g.Node(n.Parent)

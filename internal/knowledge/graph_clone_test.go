@@ -21,9 +21,9 @@ func TestGraphCloneIndependence(t *testing.T) {
 	}
 	orig := NewGraph()
 	orig.AddBundle(b, LevelFull)
-	origNodes := orig.NumNodes()
+	origNodes := len(orig.nodes)
 	tableID := TableID("sales_db", "23_customer_bg")
-	origKids := append([]string(nil), orig.Children(tableID)...)
+	origKids := append([]string(nil), orig.children[tableID]...)
 	origColumns := orig.NodesOfType(NodeColumn)
 	colID := origKids[0]
 	origCol, _ := orig.Node(colID)
@@ -32,8 +32,8 @@ func TestGraphCloneIndependence(t *testing.T) {
 	before := NewRetriever(orig, client).Retrieve("income after tax", 5)
 
 	cl := orig.Clone()
-	if cl.NumNodes() != origNodes {
-		t.Fatalf("clone nodes = %d, want %d", cl.NumNodes(), origNodes)
+	if len(cl.nodes) != origNodes {
+		t.Fatalf("clone nodes = %d, want %d", len(cl.nodes), origNodes)
 	}
 	cl.AddJargon(JargonEntry{
 		Term:         "megarev",
@@ -58,13 +58,13 @@ func TestGraphCloneIndependence(t *testing.T) {
 		t.Errorf("clone NodesOfType(column) = %d ids, want %d", got, len(origColumns)-1)
 	}
 
-	if orig.NumNodes() != origNodes {
-		t.Errorf("original node count changed after clone mutation: %d != %d", orig.NumNodes(), origNodes)
+	if len(orig.nodes) != origNodes {
+		t.Errorf("original node count changed after clone mutation: %d != %d", len(orig.nodes), origNodes)
 	}
 	if _, ok := orig.Node("jargon:megarev"); ok {
 		t.Error("clone's jargon node leaked into the original")
 	}
-	if got := orig.Children(tableID); !reflect.DeepEqual(got, origKids) {
+	if got := orig.children[tableID]; !reflect.DeepEqual(got, origKids) {
 		t.Errorf("original children changed: %v != %v", got, origKids)
 	}
 	if _, ok := cl.Node("jargon:megarev"); !ok {
@@ -90,14 +90,14 @@ func TestGraphCloneIndependence(t *testing.T) {
 	for i := 0; cap(orig.children[tableID]) == len(orig.children[tableID]); i++ {
 		orig.AddAlias(fmt.Sprintf("pad %d", i), tableID)
 	}
-	origKids = append([]string(nil), orig.Children(tableID)...)
+	origKids = append([]string(nil), orig.children[tableID]...)
 	c1, c2 := orig.Clone(), orig.Clone()
 	sides := map[string]*Graph{"c1": c1, "c2": c2, "orig": orig}
 	for name, side := range sides {
 		side.AddAlias(name+" alias", tableID)
 	}
 	for name, side := range sides {
-		kids := side.Children(tableID)
+		kids := side.children[tableID]
 		want := append(append([]string(nil), origKids...), "alias:"+name+" alias->"+tableID)
 		if !reflect.DeepEqual(kids, want) {
 			t.Errorf("%s children = %v, want %v", name, kids, want)
@@ -142,7 +142,7 @@ func TestGraphCloneConcurrentMutation(t *testing.T) {
 			ret := NewRetriever(orig, client)
 			for i := 0; i < 20; i++ {
 				ret.Retrieve("total income after tax by business group", 5)
-				ret.RetrieveColumns("income", 5)
+				ret.RetrieveColumnsScoped("income", "23_customer_bg", 5)
 			}
 		}()
 	}
@@ -177,7 +177,7 @@ func TestGraphCloneDerivedStateIsolation(t *testing.T) {
 	ask := func(graph *Graph) answer {
 		r := NewRetriever(graph, client)
 		named, _ := graph.columnNamed("ANNUALIZED_INCOME")
-		return answer{r.Retrieve(query, 20), r.RetrieveColumns(query, 20), graph.ValueHints(), named}
+		return answer{r.Retrieve(query, 20), r.RetrieveColumnsScoped(query, "23_customer_bg", 20), graph.ValueHints(), named}
 	}
 	want := ask(orig)
 	if want.named == nil || len(want.hints) == 0 || len(want.cols) == 0 {
@@ -251,7 +251,7 @@ func TestGraphCloneRelearnKeepsEdgesOnce(t *testing.T) {
 	parents := append(first.NodesOfType(NodeDatabase), append(first.NodesOfType(NodeTable), first.NodesOfType(NodeColumn)...)...)
 	want := map[string][]string{}
 	for _, id := range parents {
-		want[id] = slices.Clone(first.Children(id))
+		want[id] = slices.Clone(first.children[id])
 		if kids := want[id]; len(slices.Compact(slices.Sorted(slices.Values(kids)))) != len(kids) {
 			t.Fatalf("one AddBundle already lists a child of %s twice: %v", id, kids)
 		}
@@ -264,13 +264,13 @@ func TestGraphCloneRelearnKeepsEdgesOnce(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		cur = cur.Clone()
 		cur.AddBundle(b, LevelFull)
-		if cur.NumNodes() != first.NumNodes() || len(cur.order) != len(first.order) {
-			t.Fatalf("round %d: %d nodes at %d ordinals, want %d at %d", round, cur.NumNodes(), len(cur.order), first.NumNodes(), len(first.order))
+		if len(cur.nodes) != len(first.nodes) || len(cur.order) != len(first.order) {
+			t.Fatalf("round %d: %d nodes at %d ordinals, want %d at %d", round, len(cur.nodes), len(cur.order), len(first.nodes), len(first.order))
 		}
 		for _, side := range []*Graph{first, cur} {
 			for _, id := range parents {
-				if got := side.Children(id); !slices.Equal(got, want[id]) {
-					t.Errorf("round %d: Children(%s) = %v, want %v", round, id, got, want[id])
+				if got := side.children[id]; !slices.Equal(got, want[id]) {
+					t.Errorf("round %d: children[%s] = %v, want %v", round, id, got, want[id])
 				}
 			}
 		}
@@ -312,19 +312,19 @@ func TestGraphCloneReparent(t *testing.T) {
 		{"clone a", cl, "table:a", []string{"column:a.x", "column:a.w"}},
 		{"clone b", cl, "table:b", []string{"column:a.y"}},
 	} {
-		if got := tc.g.Children(tc.parent); !slices.Equal(got, tc.want) {
-			t.Errorf("%s: Children = %v, want %v", tc.label, got, tc.want)
+		if got := tc.g.children[tc.parent]; !slices.Equal(got, tc.want) {
+			t.Errorf("%s: children = %v, want %v", tc.label, got, tc.want)
 		}
 	}
 	// Moving back restores the edge at the end of the list, once.
 	cl.addNode(&Node{ID: "column:a.y", Type: NodeColumn, Name: "y", Parent: "table:a"})
-	if got, want := cl.Children("table:a"), []string{"column:a.x", "column:a.w", "column:a.y"}; !slices.Equal(got, want) {
-		t.Errorf("after moving back: Children(table:a) = %v, want %v", got, want)
+	if got, want := cl.children["table:a"], []string{"column:a.x", "column:a.w", "column:a.y"}; !slices.Equal(got, want) {
+		t.Errorf("after moving back: children[table:a] = %v, want %v", got, want)
 	}
-	if got := cl.Children("table:b"); len(got) != 0 {
-		t.Errorf("after moving back: Children(table:b) = %v, want none", got)
+	if got := cl.children["table:b"]; len(got) != 0 {
+		t.Errorf("after moving back: children[table:b] = %v, want none", got)
 	}
-	if got, want := orig.Children("table:a"), []string{"column:a.x", "column:a.y", "column:a.z"}; !slices.Equal(got, want) {
-		t.Errorf("original's Children(table:a) = %v after the clone's moves, want %v", got, want)
+	if got, want := orig.children["table:a"], []string{"column:a.x", "column:a.y", "column:a.z"}; !slices.Equal(got, want) {
+		t.Errorf("original's children[table:a] = %v after the clone's moves, want %v", got, want)
 	}
 }

@@ -199,12 +199,12 @@ func TestGraphBacktrackAlias(t *testing.T) {
 	if len(aliasIDs) != 2 {
 		t.Fatalf("alias nodes = %d", len(aliasIDs))
 	}
-	primary := graph.Backtrack(aliasIDs[0])
+	primary := graph.primary(graph.nodes[aliasIDs[0]])
 	if primary == nil || primary.Type != NodeJargon || primary.Name != "ARPU" {
 		t.Errorf("backtrack = %+v", primary)
 	}
 	// Backtracking a primary returns itself.
-	self := graph.Backtrack("jargon:arpu")
+	self := graph.primary(graph.nodes["jargon:arpu"])
 	if self == nil || self.Name != "ARPU" {
 		t.Error("backtrack of primary should return itself")
 	}
@@ -221,7 +221,7 @@ func TestRetrieveFindsAmbiguousColumnWithKnowledge(t *testing.T) {
 	withKnow := NewGraph()
 	withKnow.AddBundle(b, LevelFull)
 	r := NewRetriever(withKnow, client)
-	hits := r.RetrieveColumns("show me the income of TencentBI this year", 5)
+	hits := r.RetrieveColumnsScoped("show me the income of TencentBI this year", "23_customer_bg", 5)
 	found := false
 	for _, h := range hits {
 		if strings.Contains(h.Node.ID, "shouldincome_after") {
@@ -236,7 +236,7 @@ func TestRetrieveFindsAmbiguousColumnWithKnowledge(t *testing.T) {
 	noKnow := NewGraph()
 	noKnow.AddBundle(b, LevelNone)
 	r2 := NewRetriever(noKnow, client)
-	hits2 := r2.RetrieveColumns("show me the income of TencentBI this year", 3)
+	hits2 := r2.RetrieveColumnsScoped("show me the income of TencentBI this year", "23_customer_bg", 3)
 	for _, h := range hits2 {
 		if strings.Contains(h.Node.ID, "shouldincome_after") && h.Score > 0.5 {
 			t.Error("without knowledge, shouldincome_after should not be a confident hit")
@@ -256,7 +256,7 @@ func TestRetrieveJargonMapsToColumn(t *testing.T) {
 		MapsToTable:  "23_customer_bg",
 	})
 	r := NewRetriever(graph, llm.NewClient(llm.GPT4, "jargon-test"))
-	hits := r.RetrieveColumns("total income by product", 5)
+	hits := r.RetrieveColumnsScoped("total income by product", "23_customer_bg", 5)
 	found := false
 	for _, h := range hits {
 		if strings.Contains(h.Node.ID, "shouldincome_after") {
@@ -305,7 +305,7 @@ func TestTranslateWithKnowledge(t *testing.T) {
 
 	query := "total income by product line in 2024"
 	var cands []CandidateColumn
-	for _, h := range r.RetrieveColumns(query, 6) {
+	for _, h := range r.RetrieveColumnsScoped(query, "23_customer_bg", 6) {
 		cands = append(cands, CandidateFromNode(h.Node))
 	}
 	tr := &Translator{Client: client}
@@ -349,7 +349,7 @@ func TestTranslateFailsWithoutKnowledge(t *testing.T) {
 
 	query := "total income by product line in 2024"
 	var cands []CandidateColumn
-	for _, h := range r.RetrieveColumns(query, 6) {
+	for _, h := range r.RetrieveColumnsScoped(query, "23_customer_bg", 6) {
 		cands = append(cands, CandidateFromNode(h.Node))
 	}
 	tr := &Translator{Client: client}

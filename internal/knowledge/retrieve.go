@@ -200,21 +200,11 @@ func (r *Retriever) fineScore(n *Node, query string, qDistinct []string, qVec *e
 // RetrieveColumnsScoped retrieves column nodes belonging to one table —
 // the path agents take once the proxy has fixed the target table. Without
 // scoping, homonymous columns from sibling tables (every table has a
-// net_margin) crowd the candidate list.
+// net_margin) crowd the candidate list. It returns the first topK distinct
+// columns of the table, best score first, that the coarseK retrieved nodes
+// are or stand for.
 func (r *Retriever) RetrieveColumnsScoped(query, tableName string, topK int) []Scored {
-	return r.retrieveColumns(query, "column:"+strings.ToLower(tableName)+".", topK)
-}
-
-// RetrieveColumns is a convenience wrapper returning only column nodes
-// (the schema-linking task consumes these).
-func (r *Retriever) RetrieveColumns(query string, topK int) []Scored {
-	return r.retrieveColumns(query, "", topK)
-}
-
-// retrieveColumns returns the first topK distinct columns, best score
-// first, that the coarseK retrieved nodes are or stand for and whose ID has
-// the prefix.
-func (r *Retriever) retrieveColumns(query, prefix string, topK int) []Scored {
+	prefix := "column:" + strings.ToLower(tableName) + "."
 	g := r.Graph
 	seen := make([]bool, len(g.order))
 	var out []Scored

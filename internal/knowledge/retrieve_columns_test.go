@@ -43,7 +43,7 @@ func TestRetrieveColumnsScopedMatchesEarlierDefinition(t *testing.T) {
 	for _, q := range questions {
 		produced := map[string]bool{}
 		for _, id := range g.CoarseIDsForTest(q, knowledge.CoarseK) {
-			primary := g.Backtrack(id).ID
+			primary := g.PrimaryForTest(id).ID
 			if primary != id && produced[primary] {
 				aliasAfterPrimary++
 			}

@@ -341,7 +341,7 @@ func TestJargonFallsBackToColumnByName(t *testing.T) {
 			if s.Node.Type != knowledge.NodeJargon {
 				continue
 			}
-			for _, c := range r.RetrieveColumns(tc.term, knowledge.CoarseK) {
+			for _, c := range r.RetrieveColumnsScoped(tc.term, "t1", knowledge.CoarseK) {
 				if c.Score == s.Score {
 					viaJargon = c.Node
 				}

@@ -24,7 +24,6 @@ type ColumnSchema struct {
 type TableSchema struct {
 	Database string
 	Name     string
-	Comment  string
 	Columns  []ColumnSchema
 }
 

@@ -13,9 +13,6 @@ type Usage struct {
 	Calls            int
 }
 
-// Total returns prompt + completion tokens.
-func (u Usage) Total() int { return u.PromptTokens + u.CompletionTokens }
-
 // Quality captures the measurable context-quality features that determine
 // a simulated call's success probability. This struct is the heart of the
 // substitution: the paper's ablations vary exactly these features, and the

@@ -190,9 +190,6 @@ func TestAttemptChargesTokens(t *testing.T) {
 	if u.Calls != 1 || u.PromptTokens == 0 || u.CompletionTokens == 0 {
 		t.Errorf("usage = %+v", u)
 	}
-	if u.Total() != u.PromptTokens+u.CompletionTokens {
-		t.Error("Total mismatch")
-	}
 }
 
 func TestAttemptDeterministic(t *testing.T) {

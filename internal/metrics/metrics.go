@@ -1,15 +1,14 @@
 // Package metrics implements the evaluation metrics the paper reports:
-// execution accuracy, pass rate, Recall@K, ROUGE-1, sentence-embedding
-// similarity (SES), LLM-judge scores, and token-cost accounting helpers.
+// execution accuracy, pass rate, Recall@K, and the mean and threshold
+// shares its tables print. ROUGE-1 is textutil.ROUGE1 and sentence-
+// embedding similarity (SES) is embed.Similarity.
 package metrics
 
 import (
 	"fmt"
 	"strings"
 
-	"datalab/internal/embed"
 	"datalab/internal/table"
-	"datalab/internal/textutil"
 )
 
 // Counter accumulates a boolean outcome rate (EX, pass rate, accuracy,
@@ -73,17 +72,6 @@ func RecallAtK(retrieved, relevant []string, k int) float64 {
 		}
 	}
 	return float64(hits) / float64(len(relevant))
-}
-
-// ROUGE1 re-exports the unigram-F1 used by InsightBench summaries.
-func ROUGE1(candidate, reference string) float64 {
-	return textutil.ROUGE1(candidate, reference)
-}
-
-// SES is the sentence-embedding similarity used for knowledge-quality
-// evaluation (§VII-C.1): 1 identical, 0 irrelevant.
-func SES(generated, groundTruth string) float64 {
-	return embed.Similarity(generated, groundTruth)
 }
 
 // Mean averages a float slice (0 when empty).

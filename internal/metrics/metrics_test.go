@@ -3,7 +3,9 @@ package metrics
 import (
 	"testing"
 
+	"datalab/internal/embed"
 	"datalab/internal/table"
+	"datalab/internal/textutil"
 )
 
 func TestCounter(t *testing.T) {
@@ -58,7 +60,11 @@ func TestRecallAtK(t *testing.T) {
 	}
 }
 
+// The paper's SES is embed.Similarity and its ROUGE-1 is textutil.ROUGE1,
+// which the experiments call directly; these pin what Tables I and II read
+// from them.
 func TestSESOrdering(t *testing.T) {
+	SES := embed.Similarity
 	gen := "income after tax for each product line"
 	gold := "the product line income after tax"
 	noise := "scheduler latency for pod eviction"
@@ -87,6 +93,7 @@ func TestMeanAndFractionAbove(t *testing.T) {
 }
 
 func TestROUGE1Bounds(t *testing.T) {
+	ROUGE1 := textutil.ROUGE1
 	if got := ROUGE1("a b c", "a b c"); got != 1 {
 		t.Errorf("identical = %v", got)
 	}

@@ -44,9 +44,6 @@ type Cell struct {
 // Defs returns the variables the cell defines.
 func (c *Cell) Defs() []string { return append([]string(nil), c.defs...) }
 
-// Refs returns the external variables the cell references.
-func (c *Cell) Refs() []string { return append([]string(nil), c.refs...) }
-
 // analyze recomputes defs/refs from the source. Syntax errors leave the
 // previous analysis in place and are reported — the DAG only updates when
 // changes pass the syntax check (§VI).

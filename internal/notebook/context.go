@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strings"
 
-	"datalab/internal/comm"
 	"datalab/internal/embed"
 	"datalab/internal/textutil"
 )
@@ -60,10 +59,9 @@ func containsAny(s string, subs ...string) bool {
 }
 
 // Context is the assembled context for one query: the minimum set of
-// relevant cells plus their associated information units.
+// relevant cells.
 type Context struct {
 	Cells []*Cell
-	Units []comm.Info
 }
 
 // Tokens returns the estimated token footprint of the context — the
@@ -73,61 +71,28 @@ func (c Context) Tokens() int {
 	for _, cell := range c.Cells {
 		n += textutil.CountTokens(cell.Source)
 	}
-	for _, u := range c.Units {
-		n += u.Tokens()
-	}
 	return n
 }
 
 // markdownTopK bounds similarity-selected Markdown cells.
 const markdownTopK = 2
 
-// Manager resolves query contexts over a notebook and the information
-// units associated with its cells. UseDAG switches between the ablation
-// arms of Table IV: true is S2 (DAG-pruned minimum set), false is S1 (all
-// cells).
+// Manager resolves query contexts over a notebook. UseDAG switches between
+// the ablation arms of Table IV: true is S2 (DAG-pruned minimum set), false
+// is S1 (all cells).
 type Manager struct {
 	Notebook *Notebook
 	UseDAG   bool
-	// cellInfo associates cells with the units that produced or modified
-	// them.
-	cellInfo map[string][]comm.Info
 }
 
 // NewManager creates a context manager in full-DataLab mode.
 func NewManager(nb *Notebook) *Manager {
-	return &Manager{Notebook: nb, UseDAG: true, cellInfo: map[string][]comm.Info{}}
-}
-
-// Associate links an information unit with a cell (the unit that created
-// or last modified it).
-func (m *Manager) Associate(cellID string, info comm.Info) {
-	m.cellInfo[cellID] = append(m.cellInfo[cellID], info)
-}
-
-// CellContext resolves a cell-level query: the target cell plus all its
-// ancestors (§VI, Context Retrieval).
-func (m *Manager) CellContext(cellID string, query string) Context {
-	if !m.UseDAG {
-		return m.allCellsContext()
-	}
-	var cells []*Cell
-	if c, ok := m.Notebook.Cell(cellID); ok {
-		for _, aid := range m.Notebook.Ancestors(cellID) {
-			if a, ok := m.Notebook.Cell(aid); ok {
-				cells = append(cells, a)
-			}
-		}
-		cells = append(cells, c)
-	}
-	task := ClassifyTask(query)
-	cells = pruneByTask(cells, task, cellID)
-	return m.finish(cells)
+	return &Manager{Notebook: nb, UseDAG: true}
 }
 
 // QueryContext resolves a notebook-level query: locate the related data
 // variable, take the defining cell and its descendants, add similar
-// Markdown cells, prune by task type, and attach buffer units.
+// Markdown cells, and prune by task type.
 func (m *Manager) QueryContext(query string, explicitVar string) Context {
 	if !m.UseDAG {
 		return m.allCellsContext()
@@ -159,7 +124,7 @@ func (m *Manager) QueryContext(query string, explicitVar string) Context {
 	}
 	// Markdown cells lack references; select by textual similarity.
 	cells = append(cells, m.similarMarkdown(query)...)
-	cells = pruneByTask(cells, task, "")
+	cells = pruneByTask(cells, task)
 	return m.finish(cells)
 }
 
@@ -230,9 +195,8 @@ func (m *Manager) similarMarkdown(query string) []*Cell {
 	return out
 }
 
-// pruneByTask filters cells to the types relevant for the task; the
-// anchor cell (cell-level queries) is always kept.
-func pruneByTask(cells []*Cell, task TaskType, anchorID string) []*Cell {
+// pruneByTask filters cells to the types relevant for the task, each once.
+func pruneByTask(cells []*Cell, task TaskType) []*Cell {
 	allowed := map[CellType]bool{}
 	for _, t := range relevantCellTypes[task] {
 		allowed[t] = true
@@ -240,10 +204,7 @@ func pruneByTask(cells []*Cell, task TaskType, anchorID string) []*Cell {
 	var out []*Cell
 	seen := map[string]bool{}
 	for _, c := range cells {
-		if seen[c.ID] {
-			continue
-		}
-		if !allowed[c.Type] && c.ID != anchorID {
+		if seen[c.ID] || !allowed[c.Type] {
 			continue
 		}
 		seen[c.ID] = true
@@ -252,17 +213,12 @@ func pruneByTask(cells []*Cell, task TaskType, anchorID string) []*Cell {
 	return out
 }
 
-// finish attaches buffer units to the selected cells, in notebook order.
+// finish returns the selected cells in notebook order, for determinism.
 func (m *Manager) finish(cells []*Cell) Context {
-	// Restore notebook order for determinism.
 	pos := map[string]int{}
 	for i, c := range m.Notebook.Cells() {
 		pos[c.ID] = i
 	}
 	sort.SliceStable(cells, func(a, b int) bool { return pos[cells[a].ID] < pos[cells[b].ID] })
-	ctx := Context{Cells: cells}
-	for _, c := range cells {
-		ctx.Units = append(ctx.Units, m.cellInfo[c.ID]...)
-	}
-	return ctx
+	return Context{Cells: cells}
 }

@@ -2,8 +2,6 @@ package notebook
 
 import (
 	"testing"
-
-	"datalab/internal/comm"
 )
 
 // buildSampleNotebook creates the canonical mixed-language notebook used
@@ -225,25 +223,6 @@ func TestTokenCostReduction(t *testing.T) {
 	}
 }
 
-func TestCellContextIncludesAncestors(t *testing.T) {
-	nb := buildSampleNotebook(t)
-	m := NewManager(nb)
-	ctx := m.CellContext("c004", "fix this chart")
-	ids := map[string]bool{}
-	for _, c := range ctx.Cells {
-		ids[c.ID] = true
-	}
-	if !ids["c004"] {
-		t.Error("anchor cell missing")
-	}
-	// NL2VIS allows SQL/Python/Chart: all three ancestors qualify.
-	for _, want := range []string{"c001", "c002", "c003"} {
-		if !ids[want] {
-			t.Errorf("ancestor %s missing from cell context %v", want, ctx.Cells)
-		}
-	}
-}
-
 func TestMarkdownSimilaritySelection(t *testing.T) {
 	nb := buildSampleNotebook(t)
 	m := NewManager(nb)
@@ -257,23 +236,6 @@ func TestMarkdownSimilaritySelection(t *testing.T) {
 	// NL2Insight allows markdown; the note mentions "regional revenue".
 	if !foundMD {
 		t.Error("similar markdown cell not selected for insight task")
-	}
-}
-
-func TestAssociateUnits(t *testing.T) {
-	nb := buildSampleNotebook(t)
-	m := NewManager(nb)
-	info := comm.Info{
-		DataSource: "sales", Role: "SQL Agent", Action: "generate_sql_query",
-		Description: "wrote the extraction query", Content: "SELECT region, amount FROM sales",
-	}
-	m.Associate("c001", info)
-	ctx := m.CellContext("c002", "rewrite this sql query")
-	if len(ctx.Units) != 1 || ctx.Units[0].Role != "SQL Agent" {
-		t.Errorf("associated units = %+v", ctx.Units)
-	}
-	if ctx.Tokens() <= 0 {
-		t.Error("context token estimate must be positive")
 	}
 }
 

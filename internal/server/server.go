@@ -685,7 +685,8 @@ func (c *rowCapReader) Read(p []byte) (int, error) {
 // cellString renders one JSON ingest cell for type inference by the
 // appender. An integer literal passes through as its own text; any other
 // number prints as the float64 it decodes to, integral ones (1e3, 2.0)
-// without the decimal point so they infer to ints.
+// without the decimal point so they infer to ints. A nested array or
+// object is no cell: a line is one JSON array of scalars.
 func cellString(c any) (string, error) {
 	switch v := c.(type) {
 	case nil:
@@ -708,7 +709,7 @@ func cellString(c any) (string, error) {
 		}
 		return strconv.FormatFloat(f, 'g', -1, 64), nil
 	default:
-		return fmt.Sprint(v), nil
+		return "", errors.New("a nested array or object is not a cell; a line is one JSON array of scalars")
 	}
 }
 

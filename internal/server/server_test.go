@@ -427,6 +427,30 @@ func TestIngestRowCap(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsNestedCells: a nested array or object cell ends the
+// stream with a bad_request line naming the line; the rows before it are
+// published and the server keeps serving.
+func TestIngestRejectsNestedCells(t *testing.T) {
+	for _, bad := range []string{`[1,"a",[2]]`, `[1,{"k":1}]`} {
+		_, ts, _ := newTestServer(t, 5, Config{})
+		body := "[100, \"view\", 1.5]\n[101, \"view\", 1.5]\n[102, \"view\", 1.5]\n" + bad + "\n[103, \"view\", 1.5]\n"
+		resp, err := http.Post(ts.URL+"/v1/ingest/events", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := decodeLines(t, resp.Body)
+		resp.Body.Close()
+		last := lines[len(lines)-1]
+		if resp.StatusCode != http.StatusBadRequest || last["code"] != CodeError || last["error_code"] != ErrCodeBadRequest ||
+			last["rows_appended_total"] != float64(3) || !strings.Contains(last["error"].(string), "ingest line 4") {
+			t.Fatalf("%s answered %d %v, want 400 bad_request at line 4 after 3 rows", bad, resp.StatusCode, last)
+		}
+		if got, _ := wireQuery(t, ts.URL, "SELECT COUNT(*) FROM events"); got != 8 {
+			t.Errorf("%s: rows visible after the refused line = %v, want 8", bad, got)
+		}
+	}
+}
+
 // TestIngestUnknownTable pins the typed not_found error.
 func TestIngestUnknownTable(t *testing.T) {
 	_, ts, _ := newTestServer(t, 10, Config{})

@@ -1,10 +1,8 @@
 package sqlengine
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"datalab/internal/table"
@@ -37,9 +35,9 @@ func bindAt(binds []table.Value, p *Param) (table.Value, error) {
 
 func errUnbound(p *Param) error {
 	if p.Name != "" {
-		return fmt.Errorf("sql: parameter :%s is not bound (execute with Prepared.Exec(ctx, args...) or Bind)", p.Name)
+		return fmt.Errorf("sql: parameter :%s is not bound (execute with Prepared.Exec(ctx, args...))", p.Name)
 	}
-	return fmt.Errorf("sql: parameter %d is not bound (execute with Prepared.Exec(ctx, args...) or Bind)", p.Index+1)
+	return fmt.Errorf("sql: parameter %d is not bound (execute with Prepared.Exec(ctx, args...))", p.Index+1)
 }
 
 // bindValue converts one Go argument to the engine value its placeholder
@@ -135,53 +133,4 @@ func bindLimitValue(binds []table.Value, p *Param, clause string) (int, error) {
 		return 0, fmt.Errorf("sql: %s requires a non-negative integer parameter, got %s", clause, v.AsString())
 	}
 	return int(v.I), nil
-}
-
-// Bound is a prepared statement with its arguments attached — the output
-// of Prepared.Bind/BindNamed. It is safe for concurrent and repeated Exec.
-type Bound struct {
-	p     *Prepared
-	binds []table.Value
-}
-
-// Exec executes the bound statement, honoring ctx cancellation.
-func (b *Bound) Exec(ctx context.Context) (*Result, error) {
-	return b.p.exec(ctx, b.binds)
-}
-
-// Bind validates args (count and representability) against the statement's
-// placeholders, in slot order, and returns an executable Bound handle.
-func (p *Prepared) Bind(args ...any) (*Bound, error) {
-	binds, err := bindArgs(p.params, args)
-	if err != nil {
-		return nil, err
-	}
-	return &Bound{p: p, binds: binds}, nil
-}
-
-// BindNamed binds :name placeholders by name. Every declared name must be
-// present in args, every key in args must name a slot, and the statement
-// must not mix in positional placeholders.
-func (p *Prepared) BindNamed(args map[string]any) (*Bound, error) {
-	binds := make([]table.Value, len(p.params))
-	for i, name := range p.params {
-		if name == "" {
-			return nil, fmt.Errorf("sql: slot %d is positional; use Bind", i+1)
-		}
-		a, ok := args[name]
-		if !ok {
-			return nil, fmt.Errorf("sql: missing argument for :%s", name)
-		}
-		v, err := bindValue(a)
-		if err != nil {
-			return nil, fmt.Errorf("sql: argument :%s: %w", name, err)
-		}
-		binds[i] = v
-	}
-	for k := range args { // every slot is named, or the loop above refused
-		if !slices.Contains(p.params, k) {
-			return nil, fmt.Errorf("sql: argument :%s does not name a parameter", k)
-		}
-	}
-	return &Bound{p: p, binds: binds}, nil
 }

@@ -19,8 +19,8 @@ func TestPreparedExecParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stmt.NumParams() != 2 {
-		t.Fatalf("NumParams = %d, want 2", stmt.NumParams())
+	if len(stmt.params) != 2 {
+		t.Fatalf("%d slots, want 2", len(stmt.params))
 	}
 	res, err := stmt.Exec(ctx, "east", 9)
 	if err != nil {
@@ -39,14 +39,10 @@ func TestPreparedExecParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if named.NumParams() != 1 {
-		t.Fatalf("deduped NumParams = %d, want 1", named.NumParams())
+	if len(named.params) != 1 {
+		t.Fatalf("%d deduped slots, want 1", len(named.params))
 	}
-	b, err := named.BindNamed(map[string]any{"n": 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = b.Exec(ctx)
+	res, err = named.Exec(ctx, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +89,8 @@ func TestPreparedExecParams(t *testing.T) {
 }
 
 // TestBindErrors pins the binding failure modes and their messages:
-// argument count mismatch, unrepresentable Go types, named/positional
-// mixing, and LIMIT/OFFSET kind checks.
+// argument count mismatch, unrepresentable Go types, and LIMIT/OFFSET
+// kind checks.
 func TestBindErrors(t *testing.T) {
 	c := resultCatalog(20)
 	ctx := context.Background()
@@ -109,10 +105,10 @@ func TestBindErrors(t *testing.T) {
 	if _, err := stmt.Exec(ctx, 1, "east", "extra"); err == nil || !strings.Contains(err.Error(), "2 parameter(s), got 3 argument(s)") {
 		t.Fatalf("long arg list error = %v", err)
 	}
-	if _, err := stmt.Bind(struct{ X int }{1}, "east"); err == nil || !strings.Contains(err.Error(), "cannot bind") {
+	if _, err := stmt.Exec(ctx, struct{ X int }{1}, "east"); err == nil || !strings.Contains(err.Error(), "cannot bind") {
 		t.Fatalf("unsupported type error = %v", err)
 	}
-	if _, err := stmt.Bind(uint64(1<<63), "east"); err == nil || !strings.Contains(err.Error(), "overflows") {
+	if _, err := stmt.Exec(ctx, uint64(1<<63), "east"); err == nil || !strings.Contains(err.Error(), "overflows") {
 		t.Fatalf("uint64 overflow error = %v", err)
 	}
 
@@ -143,21 +139,6 @@ func TestBindErrors(t *testing.T) {
 	}
 	if _, err := off.Exec(ctx, false); err == nil || !strings.Contains(err.Error(), "OFFSET requires a non-negative integer") {
 		t.Fatalf("bool OFFSET error = %v", err)
-	}
-
-	// Named binding: every name present, no extras, no mixing.
-	named, err := c.Prepare("SELECT id FROM facts WHERE qty > :n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := named.BindNamed(map[string]any{}); err == nil || !strings.Contains(err.Error(), "missing argument for :n") {
-		t.Fatalf("missing named arg error = %v", err)
-	}
-	if _, err := named.BindNamed(map[string]any{"n": 1, "ghost": 2}); err == nil || !strings.Contains(err.Error(), ":ghost does not name a parameter") {
-		t.Fatalf("extra named arg error = %v", err)
-	}
-	if _, err := stmt.BindNamed(map[string]any{"n": 1}); err == nil || !strings.Contains(err.Error(), "positional") {
-		t.Fatalf("BindNamed over positional slots error = %v", err)
 	}
 }
 
@@ -278,10 +259,9 @@ func TestPlanCacheConcurrentEviction(t *testing.T) {
 	}
 }
 
-// TestBoundHandleConcurrentReuse: one Bound handle is immutable and may
-// be executed from many goroutines at once; a sibling handle with
-// different arguments sharing the same *Prepared must not interfere —
-// the per-execution binding slice is the isolation boundary.
+// TestBoundHandleConcurrentReuse: one Prepared executes from many
+// goroutines at once with different arguments, and no execution sees
+// another's — the per-execution binding slice is the isolation boundary.
 func TestBoundHandleConcurrentReuse(t *testing.T) {
 	c := resultCatalog(120)
 	ctx := context.Background()
@@ -308,13 +288,8 @@ func TestBoundHandleConcurrentReuse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b, err := stmt.Bind(g % 13)
-			if err != nil {
-				errs <- err
-				return
-			}
 			for i := 0; i < 50; i++ {
-				res, err := b.Exec(ctx)
+				res, err := stmt.Exec(ctx, g%13)
 				if err != nil {
 					errs <- err
 					return
@@ -338,8 +313,8 @@ func TestBoundHandleConcurrentReuse(t *testing.T) {
 // fingerprinted plan cache like Query, so literal-varying scalar traffic
 // parses its template exactly once. (The differential fuzz harness keeps
 // a genuinely raw-parsed inline executor via Parse+ExecuteScalar, so this
-// no longer needs QueryScalar to stay raw.) Pinned on the ParseCalls
-// counter: 50 literal variants must cost one template parse.
+// no longer needs QueryScalar to stay raw.) Pinned on the plan cache's
+// misses: 50 literal variants must cost one template parse.
 func TestQueryScalarUsesPlanCache(t *testing.T) {
 	c := resultCatalog(30)
 	before := c.PlanCacheStats()
@@ -351,7 +326,7 @@ func TestQueryScalarUsesPlanCache(t *testing.T) {
 	if after.Fingerprints == before.Fingerprints {
 		t.Fatal("QueryScalar bypassed the fingerprint cache path")
 	}
-	p0 := ParseCalls()
+	p0 := c.PlanCacheStats().Misses
 	for i := 0; i < 50; i++ {
 		res, err := c.QueryScalar(fmt.Sprintf("SELECT id FROM facts WHERE id < %d", i))
 		if err != nil {
@@ -361,7 +336,7 @@ func TestQueryScalarUsesPlanCache(t *testing.T) {
 			t.Fatalf("literal %d: got %d rows", i, res.NumRows())
 		}
 	}
-	if d := ParseCalls() - p0; d != 0 {
+	if d := c.PlanCacheStats().Misses - p0; d != 0 {
 		t.Fatalf("50 QueryScalar literal variants cost %d parses, want 0 (template already cached)", d)
 	}
 }

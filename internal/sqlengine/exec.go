@@ -159,21 +159,6 @@ func (c *Catalog) Table(name string) (*table.Table, bool) {
 	return s.Table(), true
 }
 
-// Freeze returns a new catalog pinned to the snapshot every table is
-// currently publishing. Queries against the frozen catalog keep returning
-// identical results no matter how much ingest lands on the original —
-// the snapshot-immutability property the differential fuzz battery
-// replays queries against.
-func (c *Catalog) Freeze() *Catalog {
-	nc := NewCatalog()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, k := range c.order {
-		nc.Register(c.tables[k].Snapshot().Table())
-	}
-	return nc
-}
-
 // TableNames returns registered table names in registration order.
 func (c *Catalog) TableNames() []string {
 	c.mu.RLock()
@@ -228,9 +213,9 @@ func vrelFrom(t *table.Table, x *execArgs) *vrel {
 	return &vrel{cols: append([]table.Column(nil), t.Columns...), nrows: t.NumRows(), x: x}
 }
 
-// executeResultBound is the shared execution core behind QueryCtx,
-// Prepared.Exec and Bound.Exec: it runs a plan with the execution's
-// parameter bindings. ctx is observed between pipeline stages and between
+// executeResultBound is the shared execution core behind QueryCtx and
+// Prepared.Exec: it runs a plan with the execution's parameter bindings.
+// ctx is observed between pipeline stages and between
 // worker-pool chunks, so a cancelled context stops a large scan, sort, or
 // aggregation within one chunk's worth of work and returns ctx.Err().
 func executeResultBound(ctx context.Context, p *plan, binds []table.Value) (*Result, error) {

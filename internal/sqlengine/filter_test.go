@@ -378,7 +378,7 @@ func TestKernelWhereAllocations(t *testing.T) {
 	c.Register(facts)
 	app, _ := c.Appender("facts")
 	for i := 0; i < rows; i++ {
-		if err := app.Append([]table.Value{table.Int(int64(i)), table.Int(int64(rng.Intn(custs))), table.Float(rng.Float64() * 1e4)}); err != nil {
+		if err := appendRows(app, []table.Value{table.Int(int64(i)), table.Int(int64(rng.Intn(custs))), table.Float(rng.Float64() * 1e4)}); err != nil {
 			t.Fatal(err)
 		}
 		if (i+1)%(rows/chunks+1) == 0 || i == rows-1 {

@@ -29,7 +29,7 @@ import (
 //     so parameter binding must reproduce the inlined-literal results
 //     row for row through both evaluators,
 //  6. the snapshot-immutability check: before the query runs, the catalog
-//     is frozen (Catalog.Freeze pins every table's current snapshot); the
+//     is frozen (freeze pins every table's current snapshot); the
 //     frozen result must match the live one, and after a burst of
 //     streaming appends lands on the live catalog the frozen catalog must
 //     reproduce its result byte for byte.
@@ -107,13 +107,25 @@ func diffOneSeed(t *testing.T, seed int64, rows uint16, nqueries uint8) {
 	}
 }
 
+// freeze returns a new catalog pinned to the snapshot every table of c is
+// publishing now: it answers the same however much ingest lands on c.
+func freeze(c *Catalog) *Catalog {
+	nc := NewCatalog()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, k := range c.order {
+		nc.Register(c.tables[k].Snapshot().Table())
+	}
+	return nc
+}
+
 // diffOneQuery runs one statement through every executor. bad, when set, is
 // a name in it that no table has: validity is a property of the statement
 // and the schema, so every executor must then refuse it — whatever rows its
 // filters keep — as an unknown column of that name.
 func diffOneQuery(t *testing.T, rng *rand.Rand, c *Catalog, q, bad string) {
 	t.Helper()
-	frozen := c.Freeze()
+	frozen := freeze(c)
 
 	vec, vecErr := queryTable(c, q)
 
@@ -185,12 +197,12 @@ func diffFrozenSnapshot(t *testing.T, rng *rand.Rand, c, frozen *Catalog, q, dv 
 	dataApp, _ := c.Appender("data")
 	multiApp, _ := c.Appender("multi")
 	for i, n := 0, 1+rng.Intn(4); i < n; i++ {
-		if err := dataApp.Append(randDataRow(rng)); err != nil {
+		if err := appendRows(dataApp, randDataRow(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if rng.Intn(2) == 0 {
-		if err := multiApp.Append(randMultiRow(rng)); err != nil {
+		if err := appendRows(multiApp, randMultiRow(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,8 +236,8 @@ func diffBindVsInline(t *testing.T, c *Catalog, q, dv string) {
 	if err != nil {
 		t.Fatalf("query %q: fingerprint template %q does not parse: %v", q, tmpl, err)
 	}
-	if stmt.NumParams() != len(vals) {
-		t.Fatalf("query %q: template %q has %d params, %d literals extracted", q, tmpl, stmt.NumParams(), len(vals))
+	if len(stmt.params) != len(vals) {
+		t.Fatalf("query %q: template %q has %d params, %d literals extracted", q, tmpl, len(stmt.params), len(vals))
 	}
 	args := make([]any, len(vals))
 	for i, v := range vals {

@@ -89,7 +89,7 @@ func TestConcurrentIngestQueryStress(t *testing.T) {
 			for i := 0; i < batches; i++ {
 				book.Lock()
 				start := book.total
-				if err := stream.Append(streamRows(start, batchN)...); err != nil {
+				if err := appendRows(stream, streamRows(start, batchN)...); err != nil {
 					book.Unlock()
 					errs <- err
 					return
@@ -118,7 +118,7 @@ func TestConcurrentIngestQueryStress(t *testing.T) {
 				for j := range rows {
 					rows[j] = []table.Value{table.Int(int64(i*batchN + j))}
 				}
-				if err := side.Append(rows...); err != nil {
+				if err := appendRows(side, rows...); err != nil {
 					errs <- err
 					return
 				}
@@ -250,7 +250,7 @@ func TestConcurrentIngestQueryStress(t *testing.T) {
 			default:
 			}
 			for i := 0; i < 4; i++ {
-				if err := dataApp.Append(randDataRow(rng)); err != nil {
+				if err := appendRows(dataApp, randDataRow(rng)); err != nil {
 					errs <- err
 					return
 				}
@@ -301,7 +301,7 @@ func TestConcurrentIngestQueryStress(t *testing.T) {
 	}
 	rows := 0
 	for i := 0; i < snap.NumChunks(); i++ {
-		rows += snap.Chunk(i).NumRows()
+		rows += snap.Chunk(i).Column(0).Len()
 	}
 	if rows != snap.NumRows() {
 		t.Fatalf("chunks cover %d of %d rows", rows, snap.NumRows())
@@ -349,7 +349,7 @@ func TestConcurrentWindowQueryStress(t *testing.T) {
 			for i := 0; i < batches; i++ {
 				book.Lock()
 				start := book.total
-				if err := stream.Append(streamRows(start, batchN)...); err != nil {
+				if err := appendRows(stream, streamRows(start, batchN)...); err != nil {
 					book.Unlock()
 					errs <- err
 					return
@@ -478,7 +478,7 @@ func TestCursorAcrossSnapshots(t *testing.T) {
 	const initial, growBatches, growN = 5000, 12, 100
 	c := streamCatalog()
 	app, _ := c.Appender("stream")
-	if err := app.Append(streamRows(0, initial)...); err != nil {
+	if err := appendRows(app, streamRows(0, initial)...); err != nil {
 		t.Fatal(err)
 	}
 	start, err := app.PublishErr()
@@ -494,7 +494,7 @@ func TestCursorAcrossSnapshots(t *testing.T) {
 	read := 0
 	b := res.Next() // first batch out before any ingest
 	for i := 0; i < growBatches; i++ {
-		if err := app.Append(streamRows(initial+i*growN, growN)...); err != nil {
+		if err := appendRows(app, streamRows(initial+i*growN, growN)...); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := app.PublishErr(); err != nil {
@@ -544,7 +544,7 @@ func TestCatalogAppend(t *testing.T) {
 	if !ok {
 		t.Fatal("no appender for a registered table")
 	}
-	if err := app.Append([]table.Value{table.Int(0), table.Int(0)}, []table.Value{table.Int(1), table.Int(1)}); err != nil {
+	if err := appendRows(app, []table.Value{table.Int(0), table.Int(0)}, []table.Value{table.Int(1), table.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := app.PublishErr(); err != nil {

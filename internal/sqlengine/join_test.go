@@ -57,12 +57,12 @@ func TestJoinRightOuterSQL(t *testing.T) {
 	}
 	// Output follows right-row order; the two orphans come last, padded.
 	for i := res.NumRows() - 2; i < res.NumRows(); i++ {
-		if !res.Get(i, "id").IsNull() {
-			t.Errorf("row %d id = %v, want NULL padding", i, res.Get(i, "id"))
+		if !cellAt(res, i, "id").IsNull() {
+			t.Errorf("row %d id = %v, want NULL padding", i, cellAt(res, i, "id"))
 		}
 	}
-	if res.Get(res.NumRows()-2, "label").S != "orphan0" {
-		t.Errorf("orphan label = %v", res.Get(res.NumRows()-2, "label"))
+	if cellAt(res, res.NumRows()-2, "label").S != "orphan0" {
+		t.Errorf("orphan label = %v", cellAt(res, res.NumRows()-2, "label"))
 	}
 }
 
@@ -76,10 +76,10 @@ func TestJoinFullOuterSQL(t *testing.T) {
 	}
 	padded := 0
 	for i := 0; i < 16; i++ {
-		if res.Get(i, "id").IsNull() {
+		if cellAt(res, i, "id").IsNull() {
 			t.Errorf("row %d: probe side padded before the sweep", i)
 		}
-		if res.Get(i, "label").IsNull() {
+		if cellAt(res, i, "label").IsNull() {
 			padded++
 		}
 	}
@@ -87,8 +87,8 @@ func TestJoinFullOuterSQL(t *testing.T) {
 		t.Errorf("right-padded rows = %d, want 8", padded)
 	}
 	for i := 16; i < 18; i++ {
-		if !res.Get(i, "id").IsNull() || res.Get(i, "label").IsNull() {
-			t.Errorf("sweep row %d = (%v, %v), want (NULL, label)", i, res.Get(i, "id"), res.Get(i, "label"))
+		if !cellAt(res, i, "id").IsNull() || cellAt(res, i, "label").IsNull() {
+			t.Errorf("sweep row %d = (%v, %v), want (NULL, label)", i, cellAt(res, i, "id"), cellAt(res, i, "label"))
 		}
 	}
 }
@@ -116,7 +116,7 @@ func TestJoinNullKeysNeverMatchSQL(t *testing.T) {
 				t.Errorf("%s: rows = %d, want %d\n%s", q, res.NumRows(), tc.rows, dumpTable(res))
 			}
 			for i := 0; i < res.NumRows(); i++ {
-				if row := res.Row(i); row[0].S == "l_nullkey" && row[1].S == "r_nullkey" {
+				if row := rowAt(res, i); row[0].S == "l_nullkey" && row[1].S == "r_nullkey" {
 					t.Errorf("%s: NULL keys matched each other", q)
 				}
 			}
@@ -233,7 +233,7 @@ func TestJoinResidualShortCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("vectorized: %v (short-circuit lost: erroring conjunct ran on a rejected pair)", err)
 	}
-	if res.NumRows() != 1 || res.Get(0, "s").S != "7" {
+	if res.NumRows() != 1 || cellAt(res, 0, "s").S != "7" {
 		t.Errorf("rows = %d, want exactly the flag=true row", res.NumRows())
 	}
 	// The error must still surface when a surviving pair reaches the

@@ -4,23 +4,12 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"datalab/internal/table"
 )
 
-// parseCalls counts Parse invocations — the observability hook behind
-// ParseCalls, which tests and metrics use to prove that plan-cache hits
-// and prepared-statement re-execution never re-enter the parser.
-var parseCalls atomic.Int64
-
-// ParseCalls reports the total number of Parse invocations in this
-// process.
-func ParseCalls() int64 { return parseCalls.Load() }
-
 // Parse parses a single SELECT statement.
 func Parse(sql string) (*SelectStmt, error) {
-	parseCalls.Add(1)
 	toks, err := lex(sql)
 	if err != nil {
 		return nil, err

@@ -74,9 +74,8 @@ func TestOneResolvedPlanPerTemplate(t *testing.T) {
 // TestReRegisterResolvesOnceMore: a plan is current while the catalog maps
 // its table names to the appenders it was resolved against. Appending to and
 // publishing the same appender leaves every plan in place; registering the
-// table again with another schema makes the next execution — by text,
-// through a live Prepared, through a live Bound — parse and resolve exactly
-// once more, answer with the new schema's columns and rows, and then stay
+// table again with another schema makes the next execution — by text or
+// through a live Prepared — parse and resolve exactly once more, answer with the new schema's columns and rows, and then stay
 // on the new plan.
 func TestReRegisterResolvesOnceMore(t *testing.T) {
 	c := NewCatalog()
@@ -85,10 +84,6 @@ func TestReRegisterResolvesOnceMore(t *testing.T) {
 	const text = "SELECT * FROM t WHERE id = 7"
 	// Not the text path's template, so each has a cache entry of its own.
 	prep, err := c.Prepare("SELECT * FROM t WHERE id = ? LIMIT 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound, err := prep.Bind(7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +111,6 @@ func TestReRegisterResolvesOnceMore(t *testing.T) {
 	paths := map[string]func() (*plan, []string){
 		"text":     textPlan,
 		"prepared": func() (*plan, []string) { return handlePlan(func() (*Result, error) { return prep.Exec(ctx, 7) }) },
-		"bound":    func() (*plan, []string) { return handlePlan(func() (*Result, error) { return bound.Exec(ctx) }) },
 	}
 	before := map[string]*plan{}
 	for name, run := range paths {
@@ -124,13 +118,13 @@ func TestReRegisterResolvesOnceMore(t *testing.T) {
 	}
 
 	app, _ := c.Appender("t")
-	if err := app.Append(planTestTable("t", planTestCols).Row(7)); err != nil {
+	if err := appendRows(app, rowAt(planTestTable("t", planTestCols), 7)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := app.PublishErr(); err != nil {
 		t.Fatal(err)
 	}
-	parses := ParseCalls()
+	parses := c.PlanCacheStats().Misses
 	for name, run := range paths {
 		if p, _ := run(); p != before[name] {
 			t.Errorf("%s: Append+Publish on the same appender replaced the plan", name)
@@ -139,14 +133,14 @@ func TestReRegisterResolvesOnceMore(t *testing.T) {
 	if res, _ := c.QueryCtx(ctx, text); res.NumRows() != 2 {
 		t.Errorf("after the append id = 7 matches %d rows, want 2", res.NumRows())
 	}
-	if d := ParseCalls() - parses; d != 0 {
+	if d := c.PlanCacheStats().Misses - parses; d != 0 {
 		t.Errorf("same-appender publish cost %d parses", d)
 	}
 
 	renamed := append([]string{"id"}, "k1", "k2", "k3", "k4", "k5", "k6", "k7")
 	c.Register(planTestTable("t", renamed))
-	for _, name := range []string{"text", "prepared", "bound"} {
-		parses := ParseCalls()
+	for _, name := range []string{"text", "prepared"} {
+		parses := c.PlanCacheStats().Misses
 		p1, cols := paths[name]()
 		if p1 == before[name] {
 			t.Errorf("%s: executed the plan resolved against the replaced table", name)
@@ -157,9 +151,8 @@ func TestReRegisterResolvesOnceMore(t *testing.T) {
 		if p2, _ := paths[name](); p2 != p1 {
 			t.Errorf("%s: resolved again with nothing re-registered", name)
 		}
-		// The Bound shares its Prepared's plan, which re-resolved just before.
-		if want := map[string]int64{"text": 1, "prepared": 1, "bound": 0}[name]; ParseCalls()-parses != want {
-			t.Errorf("%s: %d parses after the re-register, want %d", name, ParseCalls()-parses, want)
+		if d := c.PlanCacheStats().Misses - parses; d != 1 {
+			t.Errorf("%s: %d parses after the re-register, want 1", name, d)
 		}
 	}
 }
@@ -190,7 +183,7 @@ func TestSameSchemaReloadMovesPlans(t *testing.T) {
 		t.Fatalf("counts = %d, %d, want 40", text, prepared)
 	}
 	reload := planTestTable("t", planTestCols)
-	reload.MustAppendRow(reload.Row(0)...)
+	reload.MustAppendRow(rowAt(reload, 0)...)
 	c.Register(reload)
 	if st := c.PlanCacheStats(); st.Invalidations != 0 || st.Size == 0 {
 		t.Fatalf("same-schema reload touched the cache: %+v", st)
@@ -218,7 +211,7 @@ func TestCachedPlanAllocations(t *testing.T) {
 		"prepared": func() (*Result, error) { return prep.Exec(ctx, 7) },
 	} {
 		allocs := testing.AllocsPerRun(200, func() {
-			if res, err := run(); err != nil || res.NumRows() != 1 || res.NumCols() != 8 {
+			if res, err := run(); err != nil || res.NumRows() != 1 || len(res.Columns()) != 8 {
 				t.Fatalf("%s: %v", name, err)
 			}
 		})

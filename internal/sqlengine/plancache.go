@@ -231,9 +231,6 @@ func (p *Prepared) plan() (*plan, error) {
 // SQL returns the statement text the handle was prepared from.
 func (p *Prepared) SQL() string { return p.sql }
 
-// NumParams reports the number of binding slots the statement declares.
-func (p *Prepared) NumParams() int { return len(p.params) }
-
 // Exec executes the prepared statement, honoring ctx cancellation, and
 // returns a typed Result. args bind the statement's placeholders in slot
 // order (none for a statement without placeholders) and are validated
@@ -244,10 +241,6 @@ func (p *Prepared) Exec(ctx context.Context, args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.exec(ctx, binds)
-}
-
-func (p *Prepared) exec(ctx context.Context, binds []table.Value) (*Result, error) {
 	pl, err := p.plan()
 	if err != nil {
 		return nil, err

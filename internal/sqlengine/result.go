@@ -78,9 +78,6 @@ func newResult(names []string, cols []table.Column, sel *table.Selection) *Resul
 // Columns returns the output column names in order.
 func (r *Result) Columns() []string { return r.names }
 
-// NumCols returns the number of output columns.
-func (r *Result) NumCols() int { return len(r.cols) }
-
 // NumRows returns the total number of result rows, independent of how far
 // iteration has advanced.
 func (r *Result) NumRows() int { return r.total }

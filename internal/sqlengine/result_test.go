@@ -302,7 +302,7 @@ func TestPreparedAmortizesParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := ParseCalls()
+	before := c.PlanCacheStats().Misses
 	for i := 0; i < 100; i++ {
 		res, err := stmt.Exec(context.Background())
 		if err != nil {
@@ -312,7 +312,7 @@ func TestPreparedAmortizesParse(t *testing.T) {
 			t.Fatalf("exec %d diverged", i)
 		}
 	}
-	if after := ParseCalls(); after != before {
+	if after := c.PlanCacheStats().Misses; after != before {
 		t.Fatalf("100 prepared executions parsed %d times", after-before)
 	}
 }

@@ -30,7 +30,7 @@ func srelFrom(t *table.Table, x *execArgs) *srel {
 	n := t.NumRows()
 	r.rows = make([][]table.Value, n)
 	for i := 0; i < n; i++ {
-		r.rows[i] = t.Row(i)
+		r.rows[i] = rowAt(t, i)
 	}
 	return r
 }

@@ -122,20 +122,20 @@ func TestOrderByLimit(t *testing.T) {
 	if res.NumRows() != 2 {
 		t.Fatalf("rows = %d", res.NumRows())
 	}
-	if res.Get(0, "id").I != 4 || res.Get(1, "id").I != 2 {
-		t.Errorf("top ids = %v, %v", res.Get(0, "id"), res.Get(1, "id"))
+	if cellAt(res, 0, "id").I != 4 || cellAt(res, 1, "id").I != 2 {
+		t.Errorf("top ids = %v, %v", cellAt(res, 0, "id"), cellAt(res, 1, "id"))
 	}
 }
 
 func TestOrderByAliasAndPosition(t *testing.T) {
 	c := testCatalog(t)
 	res := mustQuery(t, c, "SELECT region, SUM(amount) AS total FROM sales GROUP BY region ORDER BY total DESC")
-	if res.Get(0, "region").S != "west" {
-		t.Errorf("alias-ordered first region = %v", res.Get(0, "region"))
+	if cellAt(res, 0, "region").S != "west" {
+		t.Errorf("alias-ordered first region = %v", cellAt(res, 0, "region"))
 	}
 	res2 := mustQuery(t, c, "SELECT region, SUM(amount) FROM sales GROUP BY region ORDER BY 2 DESC")
-	if res2.Get(0, "region").S != "west" {
-		t.Errorf("position-ordered first region = %v", res2.Get(0, "region"))
+	if cellAt(res2, 0, "region").S != "west" {
+		t.Errorf("position-ordered first region = %v", cellAt(res2, 0, "region"))
 	}
 }
 
@@ -146,12 +146,12 @@ func TestGroupByHaving(t *testing.T) {
 		t.Fatalf("groups = %d, want 2", res.NumRows())
 	}
 	for i := 0; i < res.NumRows(); i++ {
-		if res.Get(i, "region").S == "west" {
-			if res.Get(i, "total").F != 500 {
-				t.Errorf("west total = %v", res.Get(i, "total"))
+		if cellAt(res, i, "region").S == "west" {
+			if cellAt(res, i, "total").F != 500 {
+				t.Errorf("west total = %v", cellAt(res, i, "total"))
 			}
-			if res.Get(i, "n").I != 3 {
-				t.Errorf("west n = %v", res.Get(i, "n"))
+			if cellAt(res, i, "n").I != 3 {
+				t.Errorf("west n = %v", cellAt(res, i, "n"))
 			}
 		}
 	}
@@ -265,7 +265,7 @@ func TestGlobalAggregates(t *testing.T) {
 	if res.NumRows() != 1 {
 		t.Fatalf("rows = %d", res.NumRows())
 	}
-	row := res.Row(0)
+	row := rowAt(res, 0)
 	if row[0].I != 6 {
 		t.Errorf("COUNT(*) = %v", row[0])
 	}
@@ -283,8 +283,8 @@ func TestGlobalAggregates(t *testing.T) {
 func TestCountDistinct(t *testing.T) {
 	c := testCatalog(t)
 	res := mustQuery(t, c, "SELECT COUNT(DISTINCT region) FROM sales")
-	if res.Row(0)[0].I != 3 {
-		t.Errorf("COUNT(DISTINCT region) = %v", res.Row(0)[0])
+	if rowAt(res, 0)[0].I != 3 {
+		t.Errorf("COUNT(DISTINCT region) = %v", rowAt(res, 0)[0])
 	}
 }
 
@@ -294,8 +294,8 @@ func TestJoinInnerSQL(t *testing.T) {
 	if res.NumRows() != 5 {
 		t.Fatalf("joined rows = %d, want 5 (sprocket unmatched)", res.NumRows())
 	}
-	if res.Get(0, "category").S != "hardware" {
-		t.Errorf("first category = %v", res.Get(0, "category"))
+	if cellAt(res, 0, "category").S != "hardware" {
+		t.Errorf("first category = %v", cellAt(res, 0, "category"))
 	}
 }
 
@@ -305,8 +305,8 @@ func TestJoinLeftSQL(t *testing.T) {
 	if res.NumRows() != 6 {
 		t.Fatalf("left joined rows = %d, want 6", res.NumRows())
 	}
-	if !res.Get(5, "category").IsNull() {
-		t.Errorf("unmatched category = %v, want NULL", res.Get(5, "category"))
+	if !cellAt(res, 5, "category").IsNull() {
+		t.Errorf("unmatched category = %v, want NULL", cellAt(res, 5, "category"))
 	}
 }
 
@@ -316,24 +316,24 @@ func TestJoinAggregate(t *testing.T) {
 	if res.NumRows() != 2 {
 		t.Fatalf("rows = %d", res.NumRows())
 	}
-	if res.Get(0, "category").S != "electronics" || res.Get(0, "rev").F != 550 {
-		t.Errorf("top category = %v rev %v", res.Get(0, "category"), res.Get(0, "rev"))
+	if cellAt(res, 0, "category").S != "electronics" || cellAt(res, 0, "rev").F != 550 {
+		t.Errorf("top category = %v rev %v", cellAt(res, 0, "category"), cellAt(res, 0, "rev"))
 	}
 }
 
 func TestArithmeticAndAlias(t *testing.T) {
 	c := testCatalog(t)
 	res := mustQuery(t, c, "SELECT id, amount * qty AS total FROM sales WHERE id = 1")
-	if res.Get(0, "total").F != 200 {
-		t.Errorf("total = %v", res.Get(0, "total"))
+	if cellAt(res, 0, "total").F != 200 {
+		t.Errorf("total = %v", cellAt(res, 0, "total"))
 	}
 }
 
 func TestDivisionByZeroIsNull(t *testing.T) {
 	c := testCatalog(t)
 	res := mustQuery(t, c, "SELECT amount / 0 FROM sales WHERE id = 1")
-	if !res.Row(0)[0].IsNull() {
-		t.Errorf("x/0 = %v, want NULL", res.Row(0)[0])
+	if !rowAt(res, 0)[0].IsNull() {
+		t.Errorf("x/0 = %v, want NULL", rowAt(res, 0)[0])
 	}
 }
 
@@ -348,7 +348,7 @@ func TestDistinctSQL(t *testing.T) {
 func TestScalarFunctions(t *testing.T) {
 	c := testCatalog(t)
 	res := mustQuery(t, c, "SELECT UPPER(region), LENGTH(product), ABS(-5), ROUND(3.456, 2), COALESCE(amount, 0) FROM sales WHERE id = 6")
-	row := res.Row(0)
+	row := rowAt(res, 0)
 	if row[0].S != "NORTH" {
 		t.Errorf("UPPER = %v", row[0])
 	}
@@ -379,7 +379,7 @@ func TestCaseExpression(t *testing.T) {
 	res := mustQuery(t, c, `SELECT id, CASE WHEN amount >= 200 THEN 'big' WHEN amount >= 100 THEN 'mid' ELSE 'small' END AS size FROM sales WHERE amount IS NOT NULL ORDER BY id`)
 	want := []string{"mid", "big", "small", "big", "mid"}
 	for i, w := range want {
-		if got := res.Get(i, "size").S; got != w {
+		if got := cellAt(res, i, "size").S; got != w {
 			t.Errorf("row %d size = %q, want %q", i, got, w)
 		}
 	}
@@ -388,7 +388,7 @@ func TestCaseExpression(t *testing.T) {
 func TestLimitOffset(t *testing.T) {
 	c := testCatalog(t)
 	res := mustQuery(t, c, "SELECT id FROM sales ORDER BY id LIMIT 2 OFFSET 3")
-	if res.NumRows() != 2 || res.Get(0, "id").I != 4 {
+	if res.NumRows() != 2 || cellAt(res, 0, "id").I != 4 {
 		t.Errorf("offset page = %v", res)
 	}
 	res2 := mustQuery(t, c, "SELECT id FROM sales ORDER BY id LIMIT 3, 2")
@@ -486,8 +486,8 @@ func TestLineComment(t *testing.T) {
 func TestStringEscape(t *testing.T) {
 	c := testCatalog(t)
 	res := mustQuery(t, c, "SELECT 'it''s' FROM sales LIMIT 1")
-	if res.Row(0)[0].S != "it's" {
-		t.Errorf("escaped string = %q", res.Row(0)[0].S)
+	if rowAt(res, 0)[0].S != "it's" {
+		t.Errorf("escaped string = %q", rowAt(res, 0)[0].S)
 	}
 }
 

@@ -38,6 +38,33 @@ func queryTable(c *Catalog, sql string) (*table.Table, error) {
 	return res.Table(""), nil
 }
 
+// rowAt materializes row i of t.
+func rowAt(t *table.Table, i int) []table.Value {
+	row := make([]table.Value, len(t.Columns))
+	for j := range t.Columns {
+		row[j] = t.Columns[j].Value(i)
+	}
+	return row
+}
+
+// cellAt returns t's cell at row r of column col.
+func cellAt(t *table.Table, r int, col string) table.Value {
+	return t.Columns[t.ColumnIndex(col)].Value(r)
+}
+
+// appendRows buffers rows into app with each value coerced to its column's
+// kind, as ingest does: one table of the rows, appended exactly.
+func appendRows(app *table.Appender, rows ...[]table.Value) error {
+	names, kinds := app.Snapshot().Schema()
+	t := table.MustNew(app.Name(), names, kinds)
+	for _, r := range rows {
+		if err := t.AppendRow(r...); err != nil {
+			return err
+		}
+	}
+	return app.AppendTableExact(t)
+}
+
 // checkDifferential runs one query through both executors and fails on any
 // mismatch in error status, column names, row order, or cell values.
 func checkDifferential(t *testing.T, c *Catalog, q string) {

@@ -28,13 +28,6 @@ type Chunk struct {
 	cols   []Column
 }
 
-// Bounds returns the chunk's half-open row range [lo, hi) in table
-// coordinates.
-func (ch *Chunk) Bounds() (lo, hi int) { return ch.lo, ch.hi }
-
-// NumRows returns the number of rows in the chunk.
-func (ch *Chunk) NumRows() int { return ch.hi - ch.lo }
-
 // NumCols returns the number of columns.
 func (ch *Chunk) NumCols() int { return len(ch.cols) }
 
@@ -171,24 +164,6 @@ func (a *Appender) rowsLocked() int {
 		return 0
 	}
 	return a.arena[0].Len()
-}
-
-// Append buffers rows into the pending chunk. Values are coerced to the
-// column kinds (uncoercible values degrade that column to boxed storage,
-// exactly like Table.AppendRow). The rows stay invisible to readers
-// until Publish.
-func (a *Appender) Append(rows ...[]Value) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, vals := range rows {
-		if len(vals) != len(a.arena) {
-			return fmt.Errorf("table %s: append %d values to %d columns", a.name, len(vals), len(a.arena))
-		}
-		for i := range a.arena {
-			a.arena[i].Append(vals[i].Coerce(a.arena[i].Kind))
-		}
-	}
-	return nil
 }
 
 // AppendText buffers one row of text cells into the pending chunk, each

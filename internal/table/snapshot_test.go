@@ -82,13 +82,13 @@ func verifySnapshot(t *testing.T, rng *rand.Rand, s *Snapshot, o *oracleTable, r
 	pos := 0
 	for i := 0; i < s.NumChunks(); i++ {
 		ck := s.Chunk(i)
-		lo, hi := ck.Bounds()
+		lo, hi := ck.lo, ck.hi
 		if lo != pos || hi < lo || hi > rows {
 			t.Fatalf("v%d chunk %d: bounds [%d,%d) at pos %d rows %d", s.Version(), i, lo, hi, pos, rows)
 		}
 		pos = hi
-		if ck.NumRows() != hi-lo || ck.NumCols() != len(tbl.Columns) {
-			t.Fatalf("v%d chunk %d: %d rows %d cols", s.Version(), i, ck.NumRows(), ck.NumCols())
+		if ck.Column(0).Len() != hi-lo || ck.NumCols() != len(tbl.Columns) {
+			t.Fatalf("v%d chunk %d: %d rows %d cols", s.Version(), i, ck.Column(0).Len(), ck.NumCols())
 		}
 		for ci := 0; ci < ck.NumCols(); ci++ {
 			for r := lo; r < hi; r++ {
@@ -189,19 +189,17 @@ func TestAppenderPropertyVsOracle(t *testing.T) {
 			rows := initial
 			for step := 0; step < 30; step++ {
 				switch rng.Intn(4) {
-				case 0, 1: // row appends
+				case 0, 1: // text row appends, the ingest path
 					k := rng.Intn(8)
-					batch := make([][]Value, k)
-					for b := range batch {
+					for b := 0; b < k; b++ {
+						cells := make([]string, ncols)
 						vals := make([]Value, ncols)
 						for i := range vals {
-							vals[i] = randCell(rng, kinds[i], allowMixed)
+							cells[i] = randCell(rng, kinds[i], allowMixed).AsString()
+							vals[i] = Infer(cells[i])
 						}
-						batch[b] = vals
+						app.AppendText(cells)
 						o.appendRow(vals)
-					}
-					if err := app.Append(batch...); err != nil {
-						t.Fatal(err)
 					}
 					rows += k
 				case 2: // bulk table append (typed slab fast path + cell-at-a-time slow path)
@@ -253,12 +251,9 @@ func TestAppenderPropertyVsOracle(t *testing.T) {
 	}
 }
 
-// TestAppenderErrors pins the arity errors for row and bulk appends.
+// TestAppenderErrors pins the arity error for bulk appends.
 func TestAppenderErrors(t *testing.T) {
 	app := NewAppender(MustNew("t", []string{"a", "b"}, []Kind{KindInt, KindInt}))
-	if err := app.Append([]Value{Int(1)}); err == nil {
-		t.Fatal("short row append succeeded")
-	}
 	if err := app.AppendTableExact(MustNew("s", []string{"a"}, []Kind{KindInt})); err == nil {
 		t.Fatal("column-count-mismatched bulk append succeeded")
 	}
@@ -283,9 +278,7 @@ func TestSnapshotSchema(t *testing.T) {
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" || kinds[0] != KindInt || kinds[1] != KindString {
 		t.Fatalf("schema: %v %v", names, kinds)
 	}
-	if err := app.Append([]Value{Int(2), Str("y")}); err != nil {
-		t.Fatal(err)
-	}
+	app.AppendText([]string{"2", "y"})
 	if s, err := app.PublishErr(); err != nil || s.Version() != 2 {
 		t.Fatalf("publish = v%d, %v; want v2", s.Version(), err)
 	}

@@ -97,24 +97,6 @@ func (t *Table) MustAppendRow(vals ...Value) {
 	}
 }
 
-// Row materializes row i as a value slice.
-func (t *Table) Row(i int) []Value {
-	row := make([]Value, len(t.Columns))
-	for j := range t.Columns {
-		row[j] = t.Columns[j].Value(i)
-	}
-	return row
-}
-
-// Get returns the cell at (row, col name). NULL for unknown columns.
-func (t *Table) Get(row int, col string) Value {
-	idx := t.ColumnIndex(col)
-	if idx < 0 || row < 0 || row >= t.NumRows() {
-		return Null()
-	}
-	return t.Columns[idx].Value(row)
-}
-
 // Clone deep-copies the table.
 func (t *Table) Clone() *Table {
 	out := &Table{Name: t.Name, Columns: make([]Column, len(t.Columns))}

@@ -39,7 +39,7 @@ func TestNewRejectsDuplicateColumns(t *testing.T) {
 func TestAppendRowCoerces(t *testing.T) {
 	tbl := MustNew("t", []string{"n"}, []Kind{KindFloat})
 	tbl.MustAppendRow(Str("3.5"))
-	if got := tbl.Get(0, "n"); got.Kind != KindFloat || got.F != 3.5 {
+	if got := tbl.Column("n").Value(0); got.Kind != KindFloat || got.F != 3.5 {
 		t.Errorf("coerced value = %v", got)
 	}
 }
@@ -63,7 +63,7 @@ func TestColumnLookupCaseInsensitive(t *testing.T) {
 
 func TestFilter(t *testing.T) {
 	tbl := sampleSales(t)
-	west := tbl.Filter(func(r int) bool { return tbl.Get(r, "region").S == "west" })
+	west := tbl.Filter(func(r int) bool { return tbl.Column("region").Value(r).S == "west" })
 	if west.NumRows() != 3 {
 		t.Fatalf("west rows = %d, want 3", west.NumRows())
 	}
@@ -167,7 +167,7 @@ func TestReadCSV(t *testing.T) {
 	if tbl.Column("when").Kind != KindTime {
 		t.Errorf("when kind = %v, want time", tbl.Column("when").Kind)
 	}
-	if tbl.Get(1, "amount").Kind != KindFloat {
+	if tbl.Column("amount").Value(1).Kind != KindFloat {
 		t.Errorf("amount should promote to float")
 	}
 }

@@ -70,12 +70,6 @@ func Tokenize(s string) []string {
 	return append([]string(nil), tokens...)
 }
 
-// Normalize lowercases s and collapses all non-alphanumeric runs to single
-// spaces. Useful for comparing free-form text where punctuation is noise.
-func Normalize(s string) string {
-	return strings.Join(Tokenize(s), " ")
-}
-
 // stopwords are excluded from lexical overlap scoring; they carry no signal
 // for schema linking or retrieval.
 var stopwords = map[string]bool{
@@ -152,19 +146,6 @@ func OverlapRatio(a, b []string) float64 {
 		}
 	}
 	return float64(hit) / float64(len(distinct))
-}
-
-// NGrams returns the contiguous n-grams (joined by space) of the token
-// slice. n must be >= 1; if len(tokens) < n the result is empty.
-func NGrams(tokens []string, n int) []string {
-	if n < 1 || len(tokens) < n {
-		return nil
-	}
-	grams := make([]string, 0, len(tokens)-n+1)
-	for i := 0; i+n <= len(tokens); i++ {
-		grams = append(grams, strings.Join(tokens[i:i+n], " "))
-	}
-	return grams
 }
 
 // CountTokens estimates the LLM token count of s. Like production tokenizers

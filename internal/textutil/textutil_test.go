@@ -30,12 +30,6 @@ func TestTokenizeIdentifiers(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	if got := Normalize("Show ME the Income!"); got != "show me the income" {
-		t.Errorf("Normalize = %q", got)
-	}
-}
-
 func TestContentTokensDropsStopwords(t *testing.T) {
 	got := ContentTokens("show me the income of TencentBI")
 	want := []string{"income", "tencent", "bi"}
@@ -68,21 +62,6 @@ func TestOverlapRatioAsymmetric(t *testing.T) {
 	}
 	if got := OverlapRatio(cand, q); got >= 1.0 {
 		t.Errorf("OverlapRatio(cand, q) = %v, want < 1", got)
-	}
-}
-
-func TestNGrams(t *testing.T) {
-	toks := []string{"gross", "margin", "rate"}
-	got := NGrams(toks, 2)
-	want := []string{"gross margin", "margin rate"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("NGrams = %v, want %v", got, want)
-	}
-	if NGrams(toks, 4) != nil {
-		t.Error("NGrams longer than input should be nil")
-	}
-	if NGrams(toks, 0) != nil {
-		t.Error("NGrams with n=0 should be nil")
 	}
 }
 

@@ -220,7 +220,7 @@ func TestChunkRecordRoundTrip(t *testing.T) {
 		return err
 	})
 	for i := 0; i < 50; i++ {
-		if err := app.Append([]table.Value{table.Int(rng.Int63()), table.Str("x")}); err != nil {
+		if err := appendRows(app, []table.Value{table.Int(rng.Int63()), table.Str("x")}); err != nil {
 			t.Fatal(err)
 		}
 	}

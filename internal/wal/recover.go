@@ -33,15 +33,6 @@ type Recovered struct {
 	TornTail bool
 }
 
-// Recover rebuilds the durable catalog state from dir without opening
-// it for writing: the newest valid checkpoint, then the log tail,
-// stopping cleanly at a torn final record. Read-only — use Open to
-// recover and continue appending.
-func Recover(dir string) (*Recovered, error) {
-	rec, _, err := recoverDir(dir)
-	return rec, err
-}
-
 // layout describes what recovery found on disk, for Open to decide how
 // to continue the log.
 type layout struct {

@@ -22,10 +22,6 @@ const (
 	// to any reader is durable. The zero value, because it is the only
 	// policy under which the crash-recovery guarantee is unconditional.
 	PolicyAlways Policy = iota
-	// PolicyInterval writes every record to the OS immediately but
-	// fsyncs on a timer (fsyncInterval). A process crash loses nothing;
-	// an OS crash loses at most the last interval.
-	PolicyInterval
 	// PolicyOff never fsyncs (the OS flushes when it pleases). A
 	// process crash still loses nothing — records are written to the
 	// page cache per publish — but an OS crash can lose any unsynced
@@ -38,25 +34,21 @@ func (p Policy) String() string {
 	switch p {
 	case PolicyAlways:
 		return "always"
-	case PolicyInterval:
-		return "interval"
 	case PolicyOff:
 		return "off"
 	}
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
-// ParsePolicy parses the flag spelling: "always", "interval", or "off".
+// ParsePolicy parses the flag spelling: "always" or "off".
 func ParsePolicy(s string) (Policy, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "always", "":
 		return PolicyAlways, nil
-	case "interval":
-		return PolicyInterval, nil
 	case "off":
 		return PolicyOff, nil
 	}
-	return PolicyAlways, fmt.Errorf("wal: unknown fsync policy %q (want always, interval, or off)", s)
+	return PolicyAlways, fmt.Errorf("wal: unknown fsync policy %q (want always or off)", s)
 }
 
 // Options configures a durable catalog.
@@ -69,9 +61,6 @@ type Options struct {
 	// works).
 	CheckpointBytes int64
 }
-
-// fsyncInterval is the timer period under PolicyInterval.
-const fsyncInterval = 100 * time.Millisecond
 
 func (o Options) withDefaults() Options {
 	if o.CheckpointBytes == 0 {
@@ -102,7 +91,7 @@ type Stats struct {
 var errClosed = errors.New("wal: manager closed")
 
 // Manager owns one durable catalog directory: the open log generation,
-// the tracked table write heads, the fsync loop, and the checkpointer.
+// the tracked table write heads, and the checkpointer.
 // All record writes funnel through one mutex, matching the storage
 // layer's single-writer-per-table design.
 type Manager struct {
@@ -115,7 +104,6 @@ type Manager struct {
 	gen       uint64
 	walBytes  int64
 	sinceCkpt int64
-	dirty     bool // written since last fsync (interval policy)
 	closed    bool
 	apps      map[string]*table.Appender
 	order     []string
@@ -255,10 +243,6 @@ func Open(dir string, opts Options) (*Manager, *Recovered, error) {
 	}
 	m.wg.Add(1)
 	go m.checkpointLoop()
-	if opts.Fsync == PolicyInterval {
-		m.wg.Add(1)
-		go m.fsyncLoop()
-	}
 	return m, rec, nil
 }
 
@@ -338,8 +322,6 @@ func (m *Manager) appendLocked(payload []byte) error {
 		if err := m.f.Sync(); err != nil {
 			return err
 		}
-	} else {
-		m.dirty = true
 	}
 	m.walBytes += n
 	m.sinceCkpt += n
@@ -350,26 +332,6 @@ func (m *Manager) appendLocked(payload []byte) error {
 		}
 	}
 	return nil
-}
-
-func (m *Manager) fsyncLoop() {
-	defer m.wg.Done()
-	t := time.NewTicker(fsyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stopCh:
-			return
-		case <-t.C:
-			m.mu.Lock()
-			if m.dirty && !m.closed {
-				if err := m.f.Sync(); err == nil {
-					m.dirty = false
-				}
-			}
-			m.mu.Unlock()
-		}
-	}
 }
 
 func (m *Manager) checkpointLoop() {
@@ -425,7 +387,6 @@ func (m *Manager) Checkpoint() error {
 	m.gen = nextGen
 	m.sinceCkpt = 0
 	m.walBytes += int64(len(fileMagic))
-	m.dirty = false
 	apps := make([]*table.Appender, 0, len(m.order))
 	for _, k := range m.order {
 		apps = append(apps, m.apps[k])
@@ -435,7 +396,7 @@ func (m *Manager) Checkpoint() error {
 	// The old generation takes no further writes; flush whatever the
 	// buffered writer still holds so the old logs stay a complete record
 	// stream in case this checkpoint fails and they remain authoritative.
-	oldFw.flush() //nolint:errcheck // PolicyAlways already flushed per record; other policies tolerate loss
+	oldFw.flush() //nolint:errcheck // every record was already flushed to the OS; PolicyOff tolerates loss
 	oldF.Close()
 
 	// Barrier, then capture: any chunk whose record went to the old logs

@@ -22,6 +22,19 @@ func eventRow(i int) []table.Value {
 	return []table.Value{table.Int(int64(i)), table.Str([]string{"alpha", "beta", "gamma"}[i%3]), table.Float(float64(i) * 1.5)}
 }
 
+// appendRows buffers rows into app with each value coerced to its column's
+// kind, as ingest does: one table of the rows, appended exactly.
+func appendRows(app *table.Appender, rows ...[]table.Value) error {
+	names, kinds := app.Snapshot().Schema()
+	t := table.MustNew(app.Name(), names, kinds)
+	for _, r := range rows {
+		if err := t.AppendRow(r...); err != nil {
+			return err
+		}
+	}
+	return app.AppendTableExact(t)
+}
+
 // openTracked opens a manager and registers one appender through it.
 func openTracked(t *testing.T, dir string, opts Options) (*Manager, *table.Appender) {
 	t.Helper()
@@ -43,7 +56,7 @@ func openTracked(t *testing.T, dir string, opts Options) (*Manager, *table.Appen
 func ingest(t *testing.T, app *table.Appender, lo, hi, batch int) {
 	t.Helper()
 	for i := lo; i < hi; i++ {
-		if err := app.Append(eventRow(i)); err != nil {
+		if err := appendRows(app, eventRow(i)); err != nil {
 			t.Fatal(err)
 		}
 		if (i-lo+1)%batch == 0 {
@@ -78,7 +91,7 @@ func assertTableMatches(t *testing.T, app *table.Appender, wantRows int) {
 // reopen, and assert the recovered appender publishes the exact same
 // rows and snapshot version.
 func TestOpenRecoverRoundTrip(t *testing.T) {
-	for _, policy := range []Policy{PolicyAlways, PolicyInterval, PolicyOff} {
+	for _, policy := range []Policy{PolicyAlways, PolicyOff} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			m, app := openTracked(t, dir, Options{Fsync: policy})
@@ -227,7 +240,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(sub, "wal-1.log"), whole[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := Recover(sub)
+		rec, _, err := recoverDir(sub)
 		if err != nil {
 			t.Fatalf("cut=%d: recover error: %v", cut, err)
 		}
@@ -250,7 +263,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 		}
 		ingest(t, rec2.Appenders[0], 40, 45, 5)
 		m2.Close()
-		rec3, err := Recover(sub)
+		rec3, _, err := recoverDir(sub)
 		if err != nil || rec3.Appenders[0].Snapshot().NumRows() != 45 {
 			t.Fatalf("cut=%d: append-after-repair failed: %v", cut, err)
 		}
@@ -301,7 +314,7 @@ func TestCorruptTailEveryByte(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(sub, "wal-1.log"), mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := Recover(sub)
+		rec, _, err := recoverDir(sub)
 		if err != nil {
 			t.Fatalf("flip=%d: recover error: %v", cut, err)
 		}
@@ -338,7 +351,7 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	ingest(t, app, 300, 400, 50)
 	m.Close()
 
-	rec, err := Recover(dir)
+	rec, _, err := recoverDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +409,7 @@ func TestCheckpointCrashWindows(t *testing.T) {
 		if err := os.WriteFile(ckptPath(dir, 3), ck[:len(ck)-9], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := Recover(dir)
+		rec, _, err := recoverDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,7 +439,7 @@ func TestCheckpointCrashWindows(t *testing.T) {
 		}
 		ingest(t, app, 100, 150, 25)
 		m.Close()
-		rec, err := Recover(dir)
+		rec, _, err := recoverDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,7 +464,7 @@ func TestAutomaticCheckpoint(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	m.Close()
-	rec, err := Recover(dir)
+	rec, _, err := recoverDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,14 +483,14 @@ func TestReplaceTableRecovers(t *testing.T) {
 	if err := m.Track(app2); err != nil {
 		t.Fatal(err)
 	}
-	if err := app2.Append([]table.Value{table.Str("fresh")}); err != nil {
+	if err := appendRows(app2, []table.Value{table.Str("fresh")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := app2.PublishErr(); err != nil {
 		t.Fatal(err)
 	}
 	// The detached original must no longer reach the log.
-	if err := app.Append(eventRow(50)); err != nil {
+	if err := appendRows(app, eventRow(50)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := app.PublishErr(); err != nil {
@@ -485,7 +498,7 @@ func TestReplaceTableRecovers(t *testing.T) {
 	}
 	m.Close()
 
-	rec, err := Recover(dir)
+	rec, _, err := recoverDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +521,7 @@ func TestPublishHookFailureKeepsRowsPending(t *testing.T) {
 	ingest(t, app, 0, 10, 10)
 	m.Close() // closed manager: hook now fails
 
-	if err := app.Append(eventRow(10)); err != nil {
+	if err := appendRows(app, eventRow(10)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := app.PublishErr(); err == nil {
@@ -556,7 +569,7 @@ func TestRandomizedOracle(t *testing.T) {
 			batch := 1 + rng.Intn(20)
 			for r := 0; r < batch; r++ {
 				row := []table.Value{randomValue(rng, table.KindInt, 0.1), randomValue(rng, table.KindFloat, 0.1)}
-				if err := app.Append(row); err != nil {
+				if err := appendRows(app, row); err != nil {
 					t.Fatal(err)
 				}
 				oracle[name].rows = append(oracle[name].rows, row)

@@ -56,13 +56,6 @@ func (s *NotebookSession) RunSQL(ctx context.Context, cellID string) (*Result, e
 	return s.platform.catalog.QueryCtx(ctx, c.Source)
 }
 
-// AppendRecords streams string records into a registered table and
-// publishes one new snapshot; SQL cells re-run after this call observe the
-// appended rows, while a Result still being iterated keeps its snapshot.
-func (s *NotebookSession) AppendRecords(name string, rows [][]string) error {
-	return s.platform.AppendRecords(name, rows)
-}
-
 // AddPython appends a Python cell (static analysis only: the DAG tracks
 // its variables; data operations run through agents).
 func (s *NotebookSession) AddPython(source string) (string, error) {

@@ -43,8 +43,7 @@ type Batch = sqlengine.Batch
 //
 // Statements may declare placeholders — positional `?` or named `:name` —
 // anywhere a literal is legal (WHERE, join ON residuals, HAVING, IN lists,
-// LIMIT/OFFSET), resolved per execution by Exec(ctx, args...) or
-// Bind/BindNamed:
+// LIMIT/OFFSET), resolved per execution by Exec(ctx, args...):
 //
 //	stmt, _ := p.Prepare("SELECT region, SUM(amount) FROM sales WHERE amount > ? GROUP BY region")
 //	for _, threshold := range thresholds {
@@ -57,10 +56,6 @@ type Batch = sqlengine.Batch
 // fingerprint cache saves the parse, not the scan of the text), while a
 // bound execution touches the cached plan directly.
 type Stmt = sqlengine.Prepared
-
-// Bound is a prepared statement with arguments attached (Stmt.Bind /
-// Stmt.BindNamed). It is immutable, safe for concurrent Exec, and reusable.
-type Bound = sqlengine.Bound
 
 // PlanCacheStats is a snapshot of the catalog's plan-cache counters:
 // hits, misses, evictions, fingerprinted lookups, and current size/cap.
