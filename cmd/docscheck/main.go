@@ -1,5 +1,5 @@
 // Command docscheck is the docs job's fast first gate. It walks the tree
-// once and fails on three kinds of drift:
+// once and fails on four kinds of drift:
 //
 //   - a broken intra-repo markdown link: a relative link target in a .md
 //     file that does not exist, so architecture/engine/performance docs
@@ -9,7 +9,11 @@
 //     removed, kept from growing back;
 //   - a census finding, when the root holds a go.mod: a package-level
 //     declaration, method or named-struct field that no non-test Go uses
-//     (see census), unless the keep table names it and who needs it.
+//     (see census), unless the keep table names it and who needs it;
+//   - a stale test name in .github/workflows/ci.yml: an alternative of a
+//     -run or -fuzz pattern that spells a Test or Fuzz name no such
+//     function in a _test.go file begins with, so a renamed test cannot
+//     drop out of the job that selects it by name.
 //
 // Usage:
 //
@@ -19,8 +23,9 @@
 // are skipped; a fragment on a relative link is stripped before the
 // existence check. Exit status is 1 when anything fails, with one
 // "file: target" line per broken link, one "file:line: text (reason)"
-// line per guard violation and one "file:line: symbol (no non-test Go
-// uses it)" line per census finding.
+// line per guard violation, one "file:line: symbol (no non-test Go uses
+// it)" line per census finding and one "file:line: name (no test
+// function begins with it)" line per stale CI test name.
 package main
 
 import (
@@ -73,6 +78,19 @@ var guards = []guard{
 // share the suffix shape and are matched too.
 var linkRe = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
+// testFuncRe matches the name of a Test or Fuzz function declared in a
+// _test.go file; ciPatternRe a -run or -fuzz pattern in a workflow line,
+// quoted or bare; and testNameRe an alternative of such a pattern that
+// names a test — '^$' and other match-nothing patterns name none.
+var (
+	testFuncRe  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+	ciPatternRe = regexp.MustCompile(`-(?:run|fuzz)[= ]+['"]?([^'"\s]+)`)
+	testNameRe  = regexp.MustCompile(`^(?:Test|Fuzz)\w*$`)
+)
+
+// ciWorkflow is the workflow file whose test selections staleCINames checks.
+const ciWorkflow = ".github/workflows/ci.yml"
+
 // codeSpanRe matches an inline code span within one line. Its text is code,
 // not markdown — `[0-9](e|E)` there is a pattern, no link — so spans are
 // blanked before links are extracted.
@@ -90,17 +108,18 @@ func main() {
 		fmt.Println(p)
 	}
 	if len(problems) > 0 {
-		fmt.Fprintf(os.Stderr, "docscheck: %d broken link(s), guard violation(s) or census finding(s)\n", len(problems))
+		fmt.Fprintf(os.Stderr, "docscheck: %d broken link(s), guard violation(s), stale CI test name(s) or census finding(s)\n", len(problems))
 		os.Exit(1)
 	}
 }
 
-// checkTree scans every .md and non-test .go file under root (skipping
+// checkTree scans every .md and .go file under root (skipping
 // dot-directories) and returns one entry per broken relative link, per
-// guard violation and, when root holds a go.mod, per census finding over
-// the directories of the Go files it read.
+// guard violation in non-test Go, per stale test name in the CI workflow
+// and, when root holds a go.mod, per census finding over the directories
+// of the non-test Go files it read.
 func checkTree(root string) ([]string, error) {
-	var problems, dirs []string
+	var problems, dirs, tests []string
 	seen := map[string]bool{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -116,13 +135,19 @@ func checkTree(root string) ([]string, error) {
 		}
 		name := strings.ToLower(d.Name())
 		isDoc := strings.HasSuffix(name, ".md")
-		isCode := strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
-		if !isDoc && !isCode {
+		isTest := strings.HasSuffix(name, "_test.go")
+		if !isDoc && !strings.HasSuffix(name, ".go") {
 			return nil
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
+		}
+		if isTest {
+			for _, m := range testFuncRe.FindAllStringSubmatch(string(data), -1) {
+				tests = append(tests, m[1])
+			}
+			return nil
 		}
 		if isDoc {
 			for _, target := range brokenLinks(filepath.Dir(path), string(data)) {
@@ -144,11 +169,50 @@ func checkTree(root string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	stale, err := staleCINames(root, tests)
+	if err != nil {
+		return nil, err
+	}
+	problems = append(problems, stale...)
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		return problems, nil
 	}
 	found, err := census(root, dirs, keep)
 	return append(problems, found...), err
+}
+
+// staleCINames returns one entry per alternative of a -run or -fuzz
+// pattern in root's CI workflow that names a test no function in tests
+// begins with. A missing workflow has nothing to check.
+func staleCINames(root string, tests []string) ([]string, error) {
+	path := filepath.Join(root, filepath.FromSlash(ciWorkflow))
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for i, line := range strings.Split(string(data), "\n") {
+		for _, m := range ciPatternRe.FindAllStringSubmatch(line, -1) {
+			for _, alt := range strings.Split(m[1], "|") {
+				if testNameRe.MatchString(alt) && !anyHasPrefix(tests, alt) {
+					out = append(out, fmt.Sprintf("%s:%d: %s (no test function begins with it)", path, i+1, alt))
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
+func anyHasPrefix(names []string, prefix string) bool {
+	for _, n := range names {
+		if strings.HasPrefix(n, prefix) {
+			return true
+		}
+	}
+	return false
 }
 
 // guardViolations returns one entry per line of a non-test Go file that a

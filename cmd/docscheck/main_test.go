@@ -157,3 +157,31 @@ func TestCensusFires(t *testing.T) {
 		t.Errorf("census with a keep table = %q, want %q", got, want)
 	}
 }
+
+// TestStaleCINamesFire plants a workflow whose -run and -fuzz patterns
+// name two tests that exist (one by prefix) and two that do not, beside a
+// match-nothing pattern, and checks that exactly the two missing names are
+// reported, on their lines.
+func TestStaleCINamesFire(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "internal", "x", "x_test.go"),
+		"package x\n\nimport \"testing\"\n\nfunc TestRealThing(t *testing.T) {}\n\nfunc FuzzReal(f *testing.F) {}\n")
+	write(t, filepath.Join(dir, ".github", "workflows", "ci.yml"),
+		"steps:\n"+
+			"  - run: go test -run 'TestReal|TestGone' ./...\n"+
+			"  - run: go test -run '^$' -fuzz=FuzzReal -fuzztime=10s ./internal/x\n"+
+			"  - run: go test -run xxx -bench=. ./...\n"+
+			"  - run: go test -run '^$' -fuzz=FuzzGone ./internal/x\n")
+	problems, err := checkTree(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci := filepath.Join(dir, ".github", "workflows", "ci.yml")
+	want := []string{
+		ci + ":2: TestGone (no test function begins with it)",
+		ci + ":5: FuzzGone (no test function begins with it)",
+	}
+	if strings.Join(problems, "\n") != strings.Join(want, "\n") {
+		t.Errorf("problems = %q, want %q", problems, want)
+	}
+}

@@ -480,7 +480,7 @@ func orderOutput(ctx context.Context, p *plan, x *execArgs, outCols, keyCols []t
 		return nil, err
 	}
 	for i := range outCols {
-		outCols[i] = outCols[i].Gather(perm)
+		outCols[i] = outCols[i].Gather(perm, nil)
 	}
 	return outCols, nil
 }
@@ -747,15 +747,20 @@ type vgroups struct {
 // firstRows reads base column ci at the first row of each selected group.
 func (g *vgroups) firstRows(ci int, sel *table.Selection, n int) table.Column {
 	idx := make([]int, n)
+	var pad []bool // set only for the empty global group, which has no first row
 	it := table.IterSelection(sel, len(g.rows))
 	for i := range idx {
 		gi, _ := it.Next()
-		idx[i] = -1 // Gather reads NULL: the empty global group has no first row
-		if g.rows[gi].Len() > 0 {
-			idx[i] = g.rows[gi].RowAt(0)
+		if g.rows[gi].Len() == 0 {
+			if pad == nil {
+				pad = make([]bool, n)
+			}
+			pad[i] = true
+			continue
 		}
+		idx[i] = g.rows[gi].RowAt(0)
 	}
-	return g.base.cols[ci].Gather(idx)
+	return g.base.cols[ci].Gather(idx, pad)
 }
 
 // aggregate reduces fn over the rows of each selected group.

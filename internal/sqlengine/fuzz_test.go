@@ -353,6 +353,31 @@ func TestDifferentialFuzzCorpus(t *testing.T) {
 	for _, q := range tailStatements() {
 		diffOneQuery(t, rng, c, q, "")
 	}
+	for _, q := range nearJoinStatements() {
+		diffOneQuery(t, rng, c, q, "")
+	}
+}
+
+// nearJoinStatements join on nearKeysTable's float and time keys with
+// every join kind: float against float and int against float (hashed),
+// float against a NaN-bearing column (decided by = pair by pair), and
+// sub-second times, alone and in a composite key.
+func nearJoinStatements() []string {
+	var out []string
+	for _, kw := range []string{"JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL OUTER JOIN"} {
+		for _, from := range []string{
+			"SELECT dim.key, near.id FROM dim " + kw + " near ON dim.weight = near.nf",
+			"SELECT dim.key, near.id FROM dim " + kw + " near ON near.nf = dim.key",
+			"SELECT data.a, near.id FROM data " + kw + " near ON data.b = near.nn",
+			"SELECT dim.key, near.id FROM dim " + kw + " near ON dim.weight = near.nn AND near.id > 2",
+			"SELECT n1.id, n2.id FROM near n1 " + kw + " near n2 ON n1.nt = n2.nt",
+			"SELECT n1.id, n2.id FROM near n1 " + kw + " near n2 ON n1.nt = n2.nt AND n1.nf = n2.nf",
+			"SELECT n1.id, n2.id, n1.nf FROM near n1 " + kw + " near n2 ON n1.nf = n2.nf AND n1.id <> n2.id",
+		} {
+			out = append(out, from)
+		}
+	}
+	return out
 }
 
 // registerTailTable adds keys(f, m, g) to a catalog: f is a float column of

@@ -24,8 +24,7 @@ import (
 // strictly ascending row indices, which convert to a table.Selection so
 // runs of consecutive surviving rows copy span-at-a-time (GatherSel);
 // multi-match fan-out falls back to a dense index gather, and outer-join
-// padding is an explicit per-side null mask handed to GatherPairs — no -1
-// sentinels anywhere.
+// padding is the per-side pad mask handed to Gather.
 
 // serialJoinProbe is a test hook: when set, the join probe runs as a
 // single chunk on the calling goroutine instead of partitioning the probe
@@ -44,9 +43,12 @@ func splitConjuncts(e Expr) []Expr {
 
 // splitJoinOn partitions the ON conjuncts into hash-joinable equality
 // pairs (left column index, right column index) and residual expressions
-// evaluated per candidate pair. nl is the number of left columns: a resolved
-// reference below it reads the left side, one at or past it the right.
-func splitJoinOn(nl int, on Expr) (equiL, equiR []int, residual []Expr) {
+// evaluated per candidate pair, in ON order. nl is the number of left
+// columns: a resolved reference below it reads the left side, one at or
+// past it the right. An equality between a left and a right column is a
+// pair unless hashable refuses it (nil accepts every one); a refused one
+// stays a residual, where = itself decides each candidate pair.
+func splitJoinOn(nl int, on Expr, hashable func(l, r int) bool) (equiL, equiR []int, residual []Expr) {
 	for _, cj := range splitConjuncts(on) {
 		if b, ok := cj.(*Binary); ok && b.Op == "=" {
 			lr, lok := b.L.(*ColumnRef)
@@ -56,9 +58,11 @@ func splitJoinOn(nl int, on Expr) (equiL, equiR []int, residual []Expr) {
 				if l >= nl {
 					l, r = r, l
 				}
-				equiL = append(equiL, l)
-				equiR = append(equiR, r-nl)
-				continue
+				if hashable == nil || hashable(l, r-nl) {
+					equiL = append(equiL, l)
+					equiR = append(equiR, r-nl)
+					continue
+				}
 			}
 		}
 		residual = append(residual, cj)
@@ -67,14 +71,16 @@ func splitJoinOn(nl int, on Expr) (equiL, equiR []int, residual []Expr) {
 }
 
 // joinsArePureEqui reports whether every join is INNER or LEFT with an ON
-// clause made only of hash-joinable column equalities. widths[i] is the
-// relation's width before the i-th join.
+// clause made only of equalities between a left and a right column. Such
+// an ON cannot raise, whether an equality is hashed or, where
+// table.EquiHashable refuses its columns, runs as a residual. widths[i] is
+// the relation's width before the i-th join.
 func joinsArePureEqui(joins []JoinClause, widths []int) bool {
 	for i, j := range joins {
 		if j.Kind != table.JoinInner && j.Kind != table.JoinLeft {
 			return false
 		}
-		if equiL, _, residual := splitJoinOn(widths[i], j.On); len(equiL) == 0 || len(residual) > 0 {
+		if equiL, _, residual := splitJoinOn(widths[i], j.On, nil); len(equiL) == 0 || len(residual) > 0 {
 			return false
 		}
 	}
@@ -94,7 +100,9 @@ func joinVRel(ctx context.Context, left, right *vrel, j JoinClause, keep []bool)
 	out := &vrel{x: left.x}
 	nl := len(left.cols)
 
-	equiL, equiR, residual := splitJoinOn(nl, j.On)
+	equiL, equiR, residual := splitJoinOn(nl, j.On, func(l, r int) bool {
+		return table.EquiHashable(&left.cols[l], &right.cols[r])
+	})
 
 	var pairs *table.JoinPairs
 	var err error
@@ -130,13 +138,10 @@ func joinVRel(ctx context.Context, left, right *vrel, j JoinClause, keep []bool)
 			src = &right.cols[oi-nl]
 			idx, nulls, sel = pairs.Ridx, pairs.Rnull, rsel
 		}
-		switch {
-		case sel != nil:
+		if sel != nil {
 			out.cols[oi] = src.GatherSel(sel)
-		case nulls != nil:
-			out.cols[oi] = src.GatherPairs(idx, nulls)
-		default:
-			out.cols[oi] = src.Gather(idx)
+		} else {
+			out.cols[oi] = src.Gather(idx, nulls)
 		}
 	}
 	if out.nrows >= parallelMinRows && ncols > 1 && !serialJoinProbe.Load() {
@@ -346,9 +351,9 @@ func residualMask(residual []Expr, left, right *vrel, lidx, ridx []int) ([]bool,
 			// m > 0, so a column still of length 0 has not been gathered.
 			if ref, ok := e.(*ColumnRef); ok && rel.cols[ref.idx].Len() != m {
 				if ci := ref.idx; ci < nl {
-					rel.cols[ci] = left.cols[ci].Gather(curL)
+					rel.cols[ci] = left.cols[ci].Gather(curL, nil)
 				} else {
-					rel.cols[ci] = right.cols[ci-nl].Gather(curR)
+					rel.cols[ci] = right.cols[ci-nl].Gather(curR, nil)
 				}
 			}
 			return true

@@ -349,3 +349,59 @@ func TestJoinRandomKindsDifferential(t *testing.T) {
 }
 
 func containsJoin(q string) bool { return strings.Contains(q, " JOIN ") }
+
+// TestHashJoinMatchesEquals pins the hash join to what = means, for keys
+// off the typed int and string maps: sub-second times, floats that differ
+// past the ninth decimal, a NaN key (= makes NaN equal to every number),
+// and an int beyond 2^53 against the float it converts to. Every join kind
+// must agree with the row-at-a-time oracle, row for row.
+func TestHashJoinMatchesEquals(t *testing.T) {
+	at := func(ms int) table.Value {
+		return table.Time(time.Date(2024, 1, 1, 0, 0, 0, ms*int(time.Millisecond), time.UTC))
+	}
+	cases := []struct {
+		name      string
+		kl, kr    table.Kind
+		lk, rk    []table.Value
+		wantInner int
+	}{
+		{"subsecond time", table.KindTime, table.KindTime,
+			[]table.Value{at(250), at(750)}, []table.Value{at(250)}, 1},
+		{"float past nine decimals", table.KindFloat, table.KindFloat,
+			[]table.Value{table.Float(2.5000000001)}, []table.Value{table.Float(2.5)}, 0},
+		{"NaN", table.KindFloat, table.KindFloat,
+			[]table.Value{table.Infer("NaN")}, []table.Value{table.Float(1.5), table.Float(2.5), table.Infer("NaN")}, 3},
+		{"int against float", table.KindInt, table.KindFloat,
+			[]table.Value{table.Int(9007199254740993)}, []table.Value{table.Float(9007199254740992.0)}, 1},
+	}
+	for _, tc := range cases {
+		l := table.MustNew("l", []string{"id", "lk"}, []table.Kind{table.KindInt, tc.kl})
+		for i, v := range tc.lk {
+			l.MustAppendRow(table.Int(int64(i)), v)
+		}
+		r := table.MustNew("r", []string{"rid", "rk"}, []table.Kind{table.KindInt, tc.kr})
+		for i, v := range tc.rk {
+			r.MustAppendRow(table.Int(int64(i)), v)
+		}
+		c := NewCatalog()
+		c.Register(l)
+		c.Register(r)
+		for _, kind := range []string{"INNER", "LEFT", "RIGHT", "FULL"} {
+			q := "SELECT l.id, r.rid FROM l " + kind + " JOIN r ON l.lk = r.rk"
+			got, err := queryTable(c, q)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", tc.name, q, err)
+			}
+			want, err := c.QueryScalar(q)
+			if err != nil {
+				t.Fatalf("%s: oracle: %s: %v", tc.name, q, err)
+			}
+			if dg, dw := dumpTable(got), dumpTable(want); dg != dw {
+				t.Errorf("%s: %s\n-- engine --\n%s-- oracle --\n%s", tc.name, q, dg, dw)
+			}
+			if kind == "INNER" && want.NumRows() != tc.wantInner {
+				t.Errorf("%s: oracle joins %d rows, want %d", tc.name, want.NumRows(), tc.wantInner)
+			}
+		}
+	}
+}

@@ -214,7 +214,7 @@ func TestPartitionRowsContract(t *testing.T) {
 			keyCols := make([]table.Column, len(base))
 			nullRows := map[int]bool{}
 			for k := range base {
-				keyCols[k] = base[k].Gather(rows) // positional, like evalVec's output
+				keyCols[k] = base[k].Gather(rows, nil) // positional, like evalVec's output
 			}
 			for i, r := range rows {
 				if len(keyCols) == 1 && keyCols[0].IsNullAt(i) {

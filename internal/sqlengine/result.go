@@ -169,7 +169,7 @@ func (r *Result) fillGather(idx []int) {
 		r.cur.cols = make([]table.Column, len(r.cols))
 	}
 	for i := range r.cols {
-		r.cur.cols[i] = r.cols[i].Gather(idx)
+		r.cur.cols[i] = r.cols[i].Gather(idx, nil)
 	}
 	r.cur.n = len(idx)
 }

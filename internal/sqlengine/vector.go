@@ -132,7 +132,7 @@ func evalOn(e Expr, rel *vrel, sel *table.Selection, mask []bool, count int) (ta
 		cut := *rel
 		cut.win = make([]table.Column, len(rel.win))
 		for k := range rel.win {
-			cut.win[k] = rel.win[k].Gather(pos)
+			cut.win[k] = rel.win[k].Gather(pos, nil)
 		}
 		rel = &cut
 	}

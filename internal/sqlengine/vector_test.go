@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"datalab/internal/table"
 )
@@ -286,8 +287,8 @@ func randMultiRow(rng *rand.Rand) []table.Value {
 		table.Float(float64(rng.Intn(80)) / 10)}
 }
 
-// randCatalog builds a randomized dataset with NULLs, duplicates, and a
-// dimension table for joins.
+// randCatalog builds a randomized dataset with NULLs, duplicates, a
+// dimension table for joins, and the fixed join target nearKeysTable.
 func randCatalog(rng *rand.Rand, rows int) *Catalog {
 	data := table.MustNew("data",
 		[]string{"a", "b", "c", "d", "e"},
@@ -315,7 +316,35 @@ func randCatalog(rng *rand.Rand, rows int) *Catalog {
 	c.Register(data)
 	c.Register(dim)
 	c.Register(multi)
+	c.Register(nearKeysTable())
 	return c
+}
+
+// nearKeysTable is the join target whose keys = tells apart where a lossy
+// hash key would not, and where it equates what the bits do not. nf holds
+// floats beside dim.weight's values and within 1e-9 of them, -0.0 and 0.0,
+// 2^53 beside an int, and no NaN, so it hashes; nn is nf with NaN and
+// NULL cells, which = makes equal to every number and to none. nt holds
+// sub-second instants, one spelled in another zone, and NULL. It draws
+// nothing from the generator's rng, so every seed writes the statements it
+// always wrote.
+func nearKeysTable() *table.Table {
+	plus1 := time.FixedZone("+01", 3600)
+	at := func(ms int) table.Value {
+		return table.Time(time.Date(2024, 1, 1, 0, 0, 0, ms*int(time.Millisecond), time.UTC))
+	}
+	nf := []float64{1.5, 1.5000000001, 3, 3.0000000004, 0, math.Copysign(0, -1), 7.5, 2, 9007199254740992, 4.5 - 1e-12}
+	nn := []table.Value{table.Float(1.5), table.Float(math.NaN()), table.Null(), table.Float(3), table.Float(-40),
+		table.Float(math.NaN()), table.Float(0), table.Float(math.Copysign(0, -1)), table.Null(), table.Float(12.5)}
+	nt := []table.Value{at(250), at(750), at(250), at(1000), table.Null(),
+		table.Time(time.Date(2024, 1, 1, 1, 0, 0, 250*int(time.Millisecond), plus1)), at(999), at(750), at(0), at(1000)}
+	near := table.MustNew("near",
+		[]string{"id", "nf", "nn", "nt"},
+		[]table.Kind{table.KindInt, table.KindFloat, table.KindFloat, table.KindTime})
+	for i := range nf {
+		near.MustAppendRow(table.Int(int64(i)), table.Float(nf[i]), nn[i], nt[i])
+	}
+	return near
 }
 
 // randPredicate generates a random WHERE/HAVING-free predicate over data's

@@ -295,146 +295,52 @@ func (c *Column) Grow(n int) {
 	}
 }
 
-// Gather returns a new column holding the cells at the given indices in
-// order. A negative index yields NULL (used for outer-join padding).
-func (c *Column) Gather(idx []int) Column {
+// Gather returns a new column holding, for each output position j, cell
+// idx[j] — or NULL where pad[j] is true, in which case idx[j] is ignored.
+// A nil pad pads nothing. Padding is the only way to ask for a NULL: a
+// negative index is out of range like any other. Outer joins and the
+// empty global group pad this way.
+func (c *Column) Gather(idx []int, pad []bool) Column {
 	out := Column{Name: c.Name, Kind: c.Kind, length: len(idx)}
 	if c.boxed != nil {
-		vals := make([]Value, len(idx))
+		out.boxed = make([]Value, len(idx))
 		for j, i := range idx {
-			if i >= 0 {
-				vals[j] = c.boxed[i]
+			if pad == nil || !pad[j] {
+				out.boxed[j] = c.boxed[i]
 			}
 		}
-		out.boxed = vals
 		return out
 	}
 	out.nulls = make([]bool, len(idx))
 	switch c.Kind {
 	case KindInt:
-		out.ints = make([]int64, len(idx))
-		for j, i := range idx {
-			if i < 0 || c.nulls[i] {
-				out.nulls[j] = true
-			} else {
-				out.ints[j] = c.ints[i]
-			}
-		}
+		out.ints = gatherTyped(c.ints, c.nulls, idx, pad, out.nulls)
 	case KindFloat:
-		out.floats = make([]float64, len(idx))
-		for j, i := range idx {
-			if i < 0 || c.nulls[i] {
-				out.nulls[j] = true
-			} else {
-				out.floats[j] = c.floats[i]
-			}
-		}
+		out.floats = gatherTyped(c.floats, c.nulls, idx, pad, out.nulls)
 	case KindString:
-		out.strs = make([]string, len(idx))
-		for j, i := range idx {
-			if i < 0 || c.nulls[i] {
-				out.nulls[j] = true
-			} else {
-				out.strs[j] = c.strs[i]
-			}
-		}
+		out.strs = gatherTyped(c.strs, c.nulls, idx, pad, out.nulls)
 	case KindBool:
-		out.bools = make([]bool, len(idx))
-		for j, i := range idx {
-			if i < 0 || c.nulls[i] {
-				out.nulls[j] = true
-			} else {
-				out.bools[j] = c.bools[i]
-			}
-		}
+		out.bools = gatherTyped(c.bools, c.nulls, idx, pad, out.nulls)
 	case KindTime:
-		out.times = make([]time.Time, len(idx))
-		for j, i := range idx {
-			if i < 0 || c.nulls[i] {
-				out.nulls[j] = true
-			} else {
-				out.times[j] = c.times[i]
-			}
-		}
+		out.times = gatherTyped(c.times, c.nulls, idx, pad, out.nulls)
 	default:
-		for j := range idx {
+		for j := range out.nulls {
 			out.nulls[j] = true
 		}
 	}
 	return out
 }
 
-// GatherPairs returns a new column holding, for each output position j,
-// cell idx[j] — or NULL where nulls[j] is true, in which case idx[j] is
-// ignored. It is the join materialization primitive: outer joins express
-// padding as an explicit null mask instead of sentinel indices, so idx
-// stays a plain gather list of valid rows. A nil nulls mask means no
-// padding and is equivalent to Gather over non-negative indices.
-func (c *Column) GatherPairs(idx []int, nulls []bool) Column {
-	if nulls == nil {
-		return c.Gather(idx)
-	}
-	out := Column{Name: c.Name, Kind: c.Kind, length: len(idx)}
-	if c.boxed != nil {
-		vals := make([]Value, len(idx))
-		for j, i := range idx {
-			if !nulls[j] {
-				vals[j] = c.boxed[i]
-			}
-		}
-		out.boxed = vals
-		return out
-	}
-	out.nulls = make([]bool, len(idx))
-	switch c.Kind {
-	case KindInt:
-		out.ints = make([]int64, len(idx))
-		for j, i := range idx {
-			if nulls[j] || c.nulls[i] {
-				out.nulls[j] = true
-			} else {
-				out.ints[j] = c.ints[i]
-			}
-		}
-	case KindFloat:
-		out.floats = make([]float64, len(idx))
-		for j, i := range idx {
-			if nulls[j] || c.nulls[i] {
-				out.nulls[j] = true
-			} else {
-				out.floats[j] = c.floats[i]
-			}
-		}
-	case KindString:
-		out.strs = make([]string, len(idx))
-		for j, i := range idx {
-			if nulls[j] || c.nulls[i] {
-				out.nulls[j] = true
-			} else {
-				out.strs[j] = c.strs[i]
-			}
-		}
-	case KindBool:
-		out.bools = make([]bool, len(idx))
-		for j, i := range idx {
-			if nulls[j] || c.nulls[i] {
-				out.nulls[j] = true
-			} else {
-				out.bools[j] = c.bools[i]
-			}
-		}
-	case KindTime:
-		out.times = make([]time.Time, len(idx))
-		for j, i := range idx {
-			if nulls[j] || c.nulls[i] {
-				out.nulls[j] = true
-			} else {
-				out.times[j] = c.times[i]
-			}
-		}
-	default:
-		for j := range idx {
-			out.nulls[j] = true
+// gatherTyped is Gather's copy loop over one kind's typed slice: it
+// returns vals at idx and sets nulls[j] where output j is padded or its
+// source cell is NULL, leaving the zero value there.
+func gatherTyped[T any](vals []T, srcNulls []bool, idx []int, pad, nulls []bool) []T {
+	out := make([]T, len(idx))
+	for j, i := range idx {
+		if (pad != nil && pad[j]) || srcNulls[i] {
+			nulls[j] = true
+		} else {
+			out[j] = vals[i]
 		}
 	}
 	return out
@@ -447,47 +353,40 @@ func (c *Column) GatherPairs(idx []int, nulls []bool) Column {
 func (c *Column) GatherSel(s *Selection) Column {
 	spans, ok := s.Spans()
 	if !ok {
-		return c.Gather(s.Indices())
+		return c.Gather(s.Indices(), nil)
 	}
-	n := s.Len()
+	return c.copySpans(spans, s.Len())
+}
+
+// copySpans returns a new column holding the cells of spans in order; n
+// is the number of cells they cover.
+func (c *Column) copySpans(spans []Span, n int) Column {
 	out := Column{Name: c.Name, Kind: c.Kind, length: n}
 	if c.boxed != nil {
-		out.boxed = make([]Value, 0, n)
-		for _, sp := range spans {
-			out.boxed = append(out.boxed, c.boxed[sp.Lo:sp.Hi]...)
-		}
+		out.boxed = copyTypedSpans(c.boxed, spans, n)
 		return out
 	}
-	out.nulls = make([]bool, 0, n)
-	for _, sp := range spans {
-		out.nulls = append(out.nulls, c.nulls[sp.Lo:sp.Hi]...)
-	}
+	out.nulls = copyTypedSpans(c.nulls, spans, n)
 	switch c.Kind {
 	case KindInt:
-		out.ints = make([]int64, 0, n)
-		for _, sp := range spans {
-			out.ints = append(out.ints, c.ints[sp.Lo:sp.Hi]...)
-		}
+		out.ints = copyTypedSpans(c.ints, spans, n)
 	case KindFloat:
-		out.floats = make([]float64, 0, n)
-		for _, sp := range spans {
-			out.floats = append(out.floats, c.floats[sp.Lo:sp.Hi]...)
-		}
+		out.floats = copyTypedSpans(c.floats, spans, n)
 	case KindString:
-		out.strs = make([]string, 0, n)
-		for _, sp := range spans {
-			out.strs = append(out.strs, c.strs[sp.Lo:sp.Hi]...)
-		}
+		out.strs = copyTypedSpans(c.strs, spans, n)
 	case KindBool:
-		out.bools = make([]bool, 0, n)
-		for _, sp := range spans {
-			out.bools = append(out.bools, c.bools[sp.Lo:sp.Hi]...)
-		}
+		out.bools = copyTypedSpans(c.bools, spans, n)
 	case KindTime:
-		out.times = make([]time.Time, 0, n)
-		for _, sp := range spans {
-			out.times = append(out.times, c.times[sp.Lo:sp.Hi]...)
-		}
+		out.times = copyTypedSpans(c.times, spans, n)
+	}
+	return out
+}
+
+// copyTypedSpans is copySpans' copy loop over one typed slice.
+func copyTypedSpans[T any](vals []T, spans []Span, n int) []T {
+	out := make([]T, 0, n)
+	for _, sp := range spans {
+		out = append(out, vals[sp.Lo:sp.Hi]...)
 	}
 	return out
 }
@@ -518,32 +417,9 @@ func (c *Column) View(lo, hi int) Column {
 	return out
 }
 
-// SliceRange returns a copy of cells [lo, hi).
-func (c *Column) SliceRange(lo, hi int) Column {
-	out := Column{Name: c.Name, Kind: c.Kind, length: hi - lo}
-	if c.boxed != nil {
-		out.boxed = append([]Value(nil), c.boxed[lo:hi]...)
-		return out
-	}
-	out.nulls = append([]bool(nil), c.nulls[lo:hi]...)
-	switch c.Kind {
-	case KindInt:
-		out.ints = append([]int64(nil), c.ints[lo:hi]...)
-	case KindFloat:
-		out.floats = append([]float64(nil), c.floats[lo:hi]...)
-	case KindString:
-		out.strs = append([]string(nil), c.strs[lo:hi]...)
-	case KindBool:
-		out.bools = append([]bool(nil), c.bools[lo:hi]...)
-	case KindTime:
-		out.times = append([]time.Time(nil), c.times[lo:hi]...)
-	}
-	return out
-}
-
 // CloneData deep-copies the column.
 func (c *Column) CloneData() Column {
-	return c.SliceRange(0, c.length)
+	return c.copySpans([]Span{{0, c.length}}, c.length)
 }
 
 // IsNullAt reports whether cell i is NULL without boxing it.

@@ -75,7 +75,7 @@ func TestColumnGatherWithNullPadding(t *testing.T) {
 	for _, s := range []string{"a", "b", "c"} {
 		c.Append(Str(s))
 	}
-	out := c.Gather([]int{2, -1, 0, 0})
+	out := c.Gather([]int{2, 0, 0, 0}, []bool{false, true, false, false})
 	if out.Len() != 4 {
 		t.Fatalf("len = %d", out.Len())
 	}
@@ -96,13 +96,13 @@ func TestColumnSliceAndCloneIndependence(t *testing.T) {
 		c.Append(Int(int64(i)))
 	}
 	cp := c.CloneData()
-	sl := c.SliceRange(1, 3)
+	sl := c.GatherSel(NewSpanSelection(Span{1, 3}))
 	c.Set(1, Int(99))
 	if cp.Value(1).I != 1 {
 		t.Error("CloneData must not share storage")
 	}
 	if sl.Value(0).I != 1 {
-		t.Error("SliceRange must not share storage")
+		t.Error("GatherSel must not share storage")
 	}
 	if sl.Len() != 2 || sl.Value(1).I != 2 {
 		t.Errorf("slice = %v", sl.Values())

@@ -22,14 +22,15 @@
 // ints regardless of length) or a dense ascending index vector, chosen by
 // density at construction. The bulk gather primitives move cells by the
 // container that describes them: [Column.View] is a zero-copy window,
-// [Column.GatherSel] copies a Selection span-at-a-time,
-// [Column.Gather] materializes an arbitrary index list, and
-// [Column.GatherPairs] is the join primitive — an index list plus an
-// explicit null mask for outer-join padding.
+// [Column.GatherSel] copies a Selection span-at-a-time, and
+// [Column.Gather] materializes an arbitrary index list, with a pad mask
+// marking the output positions that are NULL padding (outer joins, the
+// empty global group).
 //
-// [Table.Join] is a standalone hash join over a single equality key with
-// all four [JoinKind] semantics; the SQL engine's join pipeline (package
-// sqlengine) shares its probe machinery through [NewHashProbe].
+// [JoinPairs] holds a join's match list with all four [JoinKind]
+// semantics; the SQL engine's join pipeline (package sqlengine) probes
+// through [NewHashProbe], whose keys are exact for every pair
+// [EquiHashable] accepts.
 //
 // See docs/ENGINE.md at the repository root for how these pieces compose
 // into the full query lifecycle.

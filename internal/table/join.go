@@ -1,5 +1,7 @@
 package table
 
+import "math"
+
 // JoinKind selects the join semantics.
 type JoinKind uint8
 
@@ -126,74 +128,105 @@ func (p *JoinPairs) SweepUnmatchedRight(nright int) {
 	}
 }
 
-// NewHashProbe builds a hash index over the key columns of the right side
-// and returns a probe from a left-row index to the matching right rows.
-// lcols and rcols pair up positionally (lcols[i] = rcols[i]); a NULL in any
-// key column never matches. Single typed int and string keys use typed
-// maps; composite or mixed keys hash concatenated canonical Value keys, so
-// numeric kinds unify (an int column still joins against a float column).
-func NewHashProbe(lcols, rcols []*Column) func(leftRow int) []int {
-	if len(lcols) == 1 {
-		left, right := lcols[0], rcols[0]
-		if lInts, lNulls, ok := left.Ints(); ok {
-			if rInts, rNulls, ok2 := right.Ints(); ok2 {
-				index := make(map[int64][]int, len(rInts))
-				for r, v := range rInts {
-					if !rNulls[r] {
-						index[v] = append(index[v], r)
-					}
-				}
-				return func(l int) []int {
-					if lNulls[l] {
-						return nil
-					}
-					return index[lInts[l]]
-				}
-			}
-		}
-		if lStrs, lNulls, ok := left.Strings(); ok {
-			if rStrs, rNulls, ok2 := right.Strings(); ok2 {
-				index := make(map[string][]int, len(rStrs))
-				for r, v := range rStrs {
-					if !rNulls[r] {
-						index[v] = append(index[v], r)
-					}
-				}
-				return func(l int) []int {
-					if lNulls[l] {
-						return nil
-					}
-					return index[lStrs[l]]
-				}
-			}
+// EquiHashable reports whether the equality l = r has an exact hash key:
+// both columns in typed storage, of one kind or an int·float pair (which =
+// compares as float64), and no float column holding NaN, which = makes
+// equal to every number. NewHashProbe requires it of every key pair; any
+// other equality is left for = itself to decide pair by pair.
+func EquiHashable(l, r *Column) bool {
+	if !l.IsTyped() || !r.IsTyped() || hasNaN(l) || hasNaN(r) {
+		return false
+	}
+	return l.Kind == r.Kind ||
+		(l.Kind == KindInt && r.Kind == KindFloat) || (l.Kind == KindFloat && r.Kind == KindInt)
+}
+
+// hasNaN reports whether c is a typed float column holding a NaN.
+func hasNaN(c *Column) bool {
+	fs, nulls, _ := c.Floats()
+	for i, f := range fs {
+		if math.IsNaN(f) && !nulls[i] {
+			return true
 		}
 	}
-	keyAt := func(cols []*Column, row int) (string, bool) {
-		var kb []byte
-		for _, c := range cols {
-			v := c.Value(row)
-			if v.IsNull() {
-				return "", false
+	return false
+}
+
+// NewHashProbe builds a hash index over the key columns of the right side
+// and returns a probe from a left-row index to the matching right rows.
+// lcols and rcols pair up positionally (lcols[i] = rcols[i]), and every
+// pair must be EquiHashable; a NULL in any key column never matches. The
+// probe is safe for concurrent use. Single typed int and string keys use
+// typed maps; any other key hashes the concatenated exact per-cell keys of
+// appendEquiKey, so two rows meet exactly when = holds on every pair.
+func NewHashProbe(lcols, rcols []*Column) func(leftRow int) []int {
+	if len(lcols) == 1 {
+		if lv, ln, ok := lcols[0].Ints(); ok {
+			if rv, rn, ok := rcols[0].Ints(); ok {
+				return typedProbe(lv, ln, rv, rn)
 			}
-			kb = AppendKeyPart(kb, v)
 		}
-		return string(kb), true
+		if lv, ln, ok := lcols[0].Strings(); ok {
+			if rv, rn, ok := rcols[0].Strings(); ok {
+				return typedProbe(lv, ln, rv, rn)
+			}
+		}
 	}
 	n := 0
 	if len(rcols) > 0 {
 		n = rcols[0].Len()
 	}
 	index := make(map[string][]int, n)
+	var kb []byte
 	for r := 0; r < n; r++ {
-		if k, ok := keyAt(rcols, r); ok {
-			index[k] = append(index[k], r)
+		var ok bool
+		if kb, ok = appendEquiKey(kb[:0], rcols, lcols, r); ok {
+			index[string(kb)] = append(index[string(kb)], r)
 		}
 	}
 	return func(l int) []int {
-		k, ok := keyAt(lcols, l)
+		var buf [64]byte
+		k, ok := appendEquiKey(buf[:0], lcols, rcols, l)
 		if !ok {
 			return nil
 		}
-		return index[k]
+		return index[string(k)]
 	}
+}
+
+// typedProbe is NewHashProbe over one typed key column per side.
+func typedProbe[T comparable](lvals []T, lnulls []bool, rvals []T, rnulls []bool) func(leftRow int) []int {
+	index := make(map[T][]int, len(rvals))
+	for r, v := range rvals {
+		if !rnulls[r] {
+			index[v] = append(index[v], r)
+		}
+	}
+	return func(l int) []int {
+		if lnulls[l] {
+			return nil
+		}
+		return index[lvals[l]]
+	}
+}
+
+// appendEquiKey appends the exact hash key of row across the key columns
+// cols, each compared by = against the column at the same position of
+// other; ok is false when a cell is NULL, which matches nothing. An int
+// cell facing a float column encodes as the float64 = compares it as;
+// every other cell as its ascending sort key, which is exact per kind,
+// equates -0.0 with 0.0, and delimits itself, so concatenated cells cannot
+// run into each other.
+func appendEquiKey(dst []byte, cols, other []*Column, row int) ([]byte, bool) {
+	for i, c := range cols {
+		switch {
+		case c.IsNullAt(row):
+			return dst, false
+		case c.Kind == KindInt && other[i].Kind == KindFloat:
+			dst = appendUint64Key(append(dst, sortKeyPresent), floatKeyBits(float64(c.ints[row])))
+		default:
+			dst = AppendSortKey(dst, c, row, false)
+		}
+	}
+	return dst, true
 }

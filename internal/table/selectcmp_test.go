@@ -104,7 +104,7 @@ func TestSelectionPick(t *testing.T) {
 		var base *Selection
 		switch trial % 3 {
 		case 0:
-			base = SelectionFromMask(clusteredMask(rng, n), rng.Intn(20))
+			base = SelectionFromBools(clusteredMask(rng, n), nil, rng.Intn(20))
 		case 1:
 			base = NewIndexSelection(naiveIndices(randMask(rng, n, 0.4), 0))
 		default:

@@ -145,67 +145,17 @@ func SelectionFromAscending(idx []int) (*Selection, bool) {
 	return &Selection{spans: spans, count: count}, true
 }
 
-// SelectionFromMask builds the selection of set positions in mask, shifted
-// by offset (so mask[i] selects row offset+i). The representation is chosen
-// by density: runs of set bits become spans unless the runs are so short
-// that dense indices are smaller. A counting pass picks the form first so
-// exactly one right-sized slice is allocated — scattered masks never build
-// a throwaway span list.
-func SelectionFromMask(mask []bool, offset int) *Selection {
-	return selectionFromRunScan(len(mask), offset, func(i int) bool { return mask[i] })
-}
-
-// SelectionFromBools is SelectionFromMask for a boolean column's typed
-// storage: position i is selected when vals[i] is true and nulls[i] is
-// false, without materializing an intermediate mask. This is the WHERE
-// hot path, so the scan loops are hand-specialized rather than sharing
-// selectionFromRunScan's predicate indirection.
+// SelectionFromBools builds the selection of the positions i where vals[i]
+// is true and nulls[i] is false (nulls nil = no NULLs), shifted by offset
+// so position i selects row offset+i. The representation is chosen by
+// density: runs of selected positions become spans unless the runs are so
+// short that dense indices are smaller. A counting pass picks the form
+// first so exactly one right-sized slice is allocated — scattered masks
+// never build a throwaway span list. This is the WHERE hot path over a
+// boolean column's typed storage.
 func SelectionFromBools(vals, nulls []bool, offset int) *Selection {
+	set := func(i int) bool { return vals[i] && (nulls == nil || !nulls[i]) }
 	n := len(vals)
-	count, runs := 0, 0
-	prev := false
-	for i := 0; i < n; i++ {
-		s := vals[i] && !nulls[i]
-		if s {
-			count++
-			if !prev {
-				runs++
-			}
-		}
-		prev = s
-	}
-	if count == 0 {
-		return &Selection{}
-	}
-	if 2*runs > count {
-		idx := make([]int, 0, count)
-		for i := 0; i < n; i++ {
-			if vals[i] && !nulls[i] {
-				idx = append(idx, offset+i)
-			}
-		}
-		return &Selection{idx: idx, count: count}
-	}
-	spans := make([]Span, 0, runs)
-	for i := 0; i < n; {
-		if !vals[i] || nulls[i] {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < n && vals[j] && !nulls[j] {
-			j++
-		}
-		spans = append(spans, Span{offset + i, offset + j})
-		i = j
-	}
-	return &Selection{spans: spans, count: count}
-}
-
-// selectionFromRunScan scans positions [0, n) with the set predicate twice:
-// once to count set bits and runs (choosing the representation), once to
-// fill the chosen slice.
-func selectionFromRunScan(n, offset int, set func(i int) bool) *Selection {
 	count, runs := 0, 0
 	prev := false
 	for i := 0; i < n; i++ {
@@ -259,7 +209,7 @@ func expandSpans(spans []Span, count int) []int {
 // MergeSelections concatenates parts covering ascending disjoint row
 // regions (e.g. per-chunk filter results) into one selection, merging
 // runs that touch across part boundaries. The combined representation is
-// re-chosen by the same global density rule as SelectionFromMask — runs
+// re-chosen by the same global density rule as SelectionFromBools — runs
 // are counted across all parts (dense parts contribute their runs of
 // consecutive indices), so one scattered chunk among many clustered ones
 // does not degrade the whole result to a per-row index vector.
@@ -471,9 +421,6 @@ func (s *Selection) Drop(k int) *Selection {
 // single-range case directly.
 func (s *Selection) Pick(vals, nulls []bool) *Selection {
 	if lo, _, ok := s.AsRange(); ok {
-		if nulls == nil {
-			return SelectionFromMask(vals, lo)
-		}
 		return SelectionFromBools(vals, nulls, lo)
 	}
 	var b spanBuilder

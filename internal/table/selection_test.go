@@ -100,7 +100,7 @@ func TestSelectionFromMaskMatchesNaive(t *testing.T) {
 			mask = clusteredMask(rng, n)
 		}
 		want := naiveIndices(mask, offset)
-		s := SelectionFromMask(mask, offset)
+		s := SelectionFromBools(mask, nil, offset)
 		checkInvariants(t, s)
 		if got := s.Indices(); !eqInts(got, want) {
 			t.Fatalf("trial %d: indices = %v, want %v", trial, got, want)
@@ -122,7 +122,7 @@ func TestSelectionFromBoolsMatchesMask(t *testing.T) {
 			mask[i] = vals[i] && !nulls[i]
 		}
 		a := SelectionFromBools(vals, nulls, 7)
-		b := SelectionFromMask(mask, 7)
+		b := SelectionFromBools(mask, nil, 7)
 		checkInvariants(t, a)
 		if !eqInts(a.Indices(), b.Indices()) {
 			t.Fatalf("trial %d: bools %v vs mask %v", trial, a.Indices(), b.Indices())
@@ -137,7 +137,7 @@ func TestSelectionRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
 		mask := clusteredMask(rng, rng.Intn(300))
-		s := SelectionFromMask(mask, 0)
+		s := SelectionFromBools(mask, nil, 0)
 		viaIdx := NewIndexSelection(append([]int(nil), s.Indices()...))
 		checkInvariants(t, viaIdx)
 		if !eqInts(viaIdx.Indices(), s.Indices()) {
@@ -256,7 +256,7 @@ func TestMergeSelections(t *testing.T) {
 				// Mix in dense parts to exercise the mixed-form merge.
 				parts = append(parts, NewIndexSelection(naiveIndices(mask[lo:hi], lo)))
 			} else {
-				parts = append(parts, SelectionFromMask(mask[lo:hi], lo))
+				parts = append(parts, SelectionFromBools(mask[lo:hi], nil, lo))
 			}
 		}
 		merged := MergeSelections(parts)
@@ -337,9 +337,9 @@ func TestSelectionRowAtIterForEachAgree(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		var s *Selection
 		if trial%2 == 0 {
-			s = SelectionFromMask(clusteredMask(rng, rng.Intn(200)), rng.Intn(10))
+			s = SelectionFromBools(clusteredMask(rng, rng.Intn(200)), nil, rng.Intn(10))
 		} else {
-			s = SelectionFromMask(randMask(rng, rng.Intn(200), 0.3), 0)
+			s = SelectionFromBools(randMask(rng, rng.Intn(200), 0.3), nil, 0)
 		}
 		want := s.Indices()
 		for i, r := range want {
@@ -385,9 +385,9 @@ func TestSelectionTruncate(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		var s *Selection
 		if trial%2 == 0 {
-			s = SelectionFromMask(clusteredMask(rng, rng.Intn(150)), 0)
+			s = SelectionFromBools(clusteredMask(rng, rng.Intn(150)), nil, 0)
 		} else {
-			s = SelectionFromMask(randMask(rng, rng.Intn(150), 0.5), 0)
+			s = SelectionFromBools(randMask(rng, rng.Intn(150), 0.5), nil, 0)
 		}
 		k := rng.Intn(s.Len() + 10)
 		tr := s.Truncate(k)
@@ -410,9 +410,9 @@ func TestSelectionDrop(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		var s *Selection
 		if trial%2 == 0 {
-			s = SelectionFromMask(clusteredMask(rng, rng.Intn(150)), 0)
+			s = SelectionFromBools(clusteredMask(rng, rng.Intn(150)), nil, 0)
 		} else {
-			s = SelectionFromMask(randMask(rng, rng.Intn(150), 0.5), 0)
+			s = SelectionFromBools(randMask(rng, rng.Intn(150), 0.5), nil, 0)
 		}
 		k := rng.Intn(s.Len() + 10)
 		dr := s.Drop(k)
@@ -479,14 +479,14 @@ func TestGatherSelEquivalence(t *testing.T) {
 		NewSpanSelection(),
 		NewSpanSelection(Span{0, n}),
 		NewSpanSelection(Span{10, 30}, Span{50, 90}),
-		SelectionFromMask(randMask(rng, n, 0.4), 0),
-		SelectionFromMask(clusteredMask(rng, n), 0),
+		SelectionFromBools(randMask(rng, n, 0.4), nil, 0),
+		SelectionFromBools(clusteredMask(rng, n), nil, 0),
 		NewIndexSelection([]int{3, 4, 5, 99}),
 	}
 	for ci := range cols {
 		for si, s := range sels {
 			got := cols[ci].GatherSel(s)
-			want := cols[ci].Gather(s.Indices())
+			want := cols[ci].Gather(s.Indices(), nil)
 			if got.Len() != want.Len() {
 				t.Fatalf("col %d sel %d: len %d != %d", ci, si, got.Len(), want.Len())
 			}
@@ -499,14 +499,14 @@ func TestGatherSelEquivalence(t *testing.T) {
 	}
 }
 
-// TestViewSharesAndMatches checks View against SliceRange cell-for-cell
+// TestViewSharesAndMatches checks View against a span copy cell-for-cell
 // and confirms the zero-copy property for typed columns.
 func TestViewSharesAndMatches(t *testing.T) {
 	ints := []int64{1, 2, 3, 4, 5, 6}
 	nulls := []bool{false, true, false, false, true, false}
 	c := ColumnFromInts("x", ints, nulls)
 	v := c.View(1, 5)
-	w := c.SliceRange(1, 5)
+	w := c.GatherSel(NewSpanSelection(Span{1, 5}))
 	if v.Len() != 4 || w.Len() != 4 {
 		t.Fatalf("lens = %d, %d", v.Len(), w.Len())
 	}

@@ -125,8 +125,8 @@ func verifySnapshot(t *testing.T, rng *rand.Rand, s *Snapshot, o *oracleTable, r
 			checkValue(t, fmt.Sprintf("v%d dense col %d row %d", s.Version(), ci, r), got.Value(j), o.cols[ci][r])
 		}
 	}
-	// GatherPairs with an explicit null mask (the join materialization
-	// primitive) over chunked storage.
+	// Gather with a pad mask (the join materialization primitive) over
+	// chunked storage.
 	n := rng.Intn(2*rows) + 1
 	pidx := make([]int, n)
 	pnulls := make([]bool, n)
@@ -137,7 +137,7 @@ func verifySnapshot(t *testing.T, rng *rand.Rand, s *Snapshot, o *oracleTable, r
 		pidx[j] = rng.Intn(rows)
 	}
 	for ci := range tbl.Columns {
-		got := tbl.Columns[ci].GatherPairs(pidx, pnulls)
+		got := tbl.Columns[ci].Gather(pidx, pnulls)
 		for j := range pidx {
 			want := Null()
 			if !pnulls[j] {

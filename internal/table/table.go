@@ -110,7 +110,7 @@ func (t *Table) Clone() *Table {
 func (t *Table) SelectRows(idx []int) *Table {
 	out := &Table{Name: t.Name, Columns: make([]Column, len(t.Columns))}
 	for i := range t.Columns {
-		out.Columns[i] = t.Columns[i].Gather(idx)
+		out.Columns[i] = t.Columns[i].Gather(idx, nil)
 	}
 	return out
 }

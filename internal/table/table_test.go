@@ -69,9 +69,9 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-func TestGatherPairsNullMask(t *testing.T) {
+func TestGatherPadMask(t *testing.T) {
 	c := ColumnFromInts("x", []int64{10, 20, 30}, []bool{false, true, false})
-	out := c.GatherPairs([]int{2, 0, 1, 0}, []bool{false, true, false, false})
+	out := c.Gather([]int{2, 0, 1, 0}, []bool{false, true, false, false})
 	want := []any{int64(30), nil, nil, int64(10)} // masked, then storage NULL
 	for i, w := range want {
 		v := out.Value(i)
@@ -85,8 +85,8 @@ func TestGatherPairsNullMask(t *testing.T) {
 			t.Errorf("cell %d = %v, want %v", i, v, w)
 		}
 	}
-	// nil mask degenerates to a plain gather.
-	plain := c.GatherPairs([]int{1, 2}, nil)
+	// A nil mask pads nothing.
+	plain := c.Gather([]int{1, 2}, nil)
 	if !plain.Value(0).IsNull() || plain.Value(1).I != 30 {
 		t.Errorf("nil-mask gather = %v, %v", plain.Value(0), plain.Value(1))
 	}

@@ -38,8 +38,9 @@ import (
 const (
 	fileMagic = "DLWAL001"
 
-	// maxRecord bounds a single frame payload (1 GiB). A length prefix
-	// beyond it is treated as corruption, not an allocation request.
+	// maxRecord bounds a single frame payload (1 GiB). The writer refuses
+	// a larger payload with a RecordTooLargeError; a length prefix beyond
+	// it is treated as corruption, not an allocation request.
 	maxRecord = 1 << 30
 
 	// maxNullColumnRows bounds the declared length of a typed KindNull
@@ -71,6 +72,17 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // as a clean end of log; anywhere else it is corruption.
 var errTorn = errors.New("wal: torn record")
 
+// RecordTooLargeError is a record payload the log refuses to write: one
+// longer than maxRecord, which the reader would take for a torn frame. It
+// is returned before any byte of the frame is written.
+type RecordTooLargeError struct {
+	Size int // payload length in bytes
+}
+
+func (e *RecordTooLargeError) Error() string {
+	return fmt.Sprintf("wal: %d-byte record exceeds the %d-byte limit", e.Size, maxRecord)
+}
+
 // --- frame writer ---
 
 type frameWriter struct {
@@ -82,8 +94,12 @@ func newFrameWriter(w io.Writer) *frameWriter {
 }
 
 // writeFrame frames and buffers one payload; the caller flushes. It
-// returns the framed size (header + payload).
+// returns the framed size (header + payload), or a RecordTooLargeError —
+// having written nothing — for a payload the reader would reject.
 func (fw *frameWriter) writeFrame(payload []byte) (int64, error) {
+	if len(payload) > maxRecord {
+		return 0, &RecordTooLargeError{Size: len(payload)}
+	}
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))

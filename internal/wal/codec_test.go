@@ -2,8 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -264,6 +267,31 @@ func TestFrameRejectsCorruption(t *testing.T) {
 		if err == nil && string(payload) == clean[8:] {
 			t.Fatalf("byte %d: corruption went undetected", i)
 		}
+	}
+}
+
+// TestWriteFrameRefusesOversizedRecord: a payload one byte past maxRecord
+// would be read back as a torn frame, truncating the log there, so the
+// writer refuses it with a RecordTooLargeError and nothing reaches the
+// file. The payload is a fresh allocation the OS backs lazily; refusing it
+// must not touch its pages.
+func TestWriteFrameRefusesOversizedRecord(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fw := newFrameWriter(f)
+	n, err := fw.writeFrame(make([]byte, maxRecord+1))
+	var tooLarge *RecordTooLargeError
+	if !errors.As(err, &tooLarge) || tooLarge.Size != maxRecord+1 || n != 0 {
+		t.Fatalf("writeFrame = %d, %v; want 0 and a RecordTooLargeError of %d bytes", n, err, maxRecord+1)
+	}
+	if err := fw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := f.Stat(); err != nil || st.Size() != 0 {
+		t.Fatalf("file holds %d bytes after the refusal (%v), want 0", st.Size(), err)
 	}
 }
 
