@@ -62,7 +62,7 @@ func main() {
 	demoRows := flag.Int("demo-rows", 0, "register a demo `events` table with this many rows")
 	maxConcurrent := flag.Int("max-concurrent", 0, "max concurrently executing queries (0 = 2x GOMAXPROCS)")
 	queueTimeout := flag.Duration("queue-timeout", time.Second, "how long an over-limit query queues before a typed backpressure rejection")
-	sessionIdle := flag.Duration("session-idle", 15*time.Minute, "idle TTL after which sessions are swept")
+	sessionIdle := flag.Duration("session-idle", 15*time.Minute, "idle TTL after which sessions, and cursors opened without one, are swept")
 	pageRows := flag.Int("page-rows", 4096, "default cursor page size in rows")
 	dataDir := flag.String("data", "", "data directory for the write-ahead log; empty = memory-only (rows lost on restart)")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always or off")

@@ -72,6 +72,11 @@ var guards = []guard{
 		nil,
 		"every execution ends as one Result; DISTINCT/OFFSET/LIMIT narrow its selection",
 	},
+	{
+		regexp.MustCompile(`[wW]indowAcc|finishAggregate|finishNumericAggregate|gatherFloats|minMaxOverColumn|betweenNumeric|cmpIntConst|cmpFloat\b`),
+		nil,
+		"aggregates fold through aggAcc; typed constant comparisons run through table.SelectCompare",
+	},
 }
 
 // linkRe matches inline markdown links [text](target); images ![...](...)

@@ -83,6 +83,7 @@ func TestGuardsFire(t *testing.T) {
 		"	plan, agents := agent.NewPlanner(rt).Plan(q, tbl)",
 		"	v, err := evalExpr(e, env)",
 		"func (c *Catalog) Query(sql string) (*table.Table, error) {",
+		"	acc := newWindowAcc(fn)",
 	}
 	if len(planted) != len(guards) {
 		t.Fatalf("%d planted lines for %d guards", len(planted), len(guards))

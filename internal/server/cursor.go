@@ -21,10 +21,13 @@ var errCursorClosed = errors.New("server: cursor is closed")
 // design answer to "Result is single-consumer": share by rewinding one
 // handle, never by concurrent iteration.
 type cursor struct {
-	id      string
-	sql     string
-	created time.Time
-	sess    *session // the session it was created under; nil = none
+	id   string
+	sql  string
+	sess *session // the session it was created under; nil = none
+	// lastUsed is the cursor's creation or its latest /next or /rewind,
+	// guarded by Server.cursorMu: a cursor with no session closes once it
+	// has sat idle longer than the session idle timeout.
+	lastUsed time.Time
 
 	mu       sync.Mutex
 	res      *sqlengine.Result
@@ -33,13 +36,20 @@ type cursor struct {
 }
 
 func newCursor(sql string, res *sqlengine.Result, sess *session) *cursor {
-	return &cursor{id: newID(), sql: sql, created: time.Now(), res: res, sess: sess}
+	return &cursor{id: newID(), sql: sql, lastUsed: time.Now(), res: res, sess: sess}
 }
 
 // orphaned reports whether the cursor's session has closed: a cursor must
 // not outlive the session it was created under.
 func (c *cursor) orphaned() bool {
 	return c.sess != nil && c.sess.ctx.Err() != nil
+}
+
+// expired reports whether the cursor is to be closed at now: its session
+// has closed, or it has none and sat idle longer than ttl (never, for a
+// ttl <= 0). The caller holds Server.cursorMu.
+func (c *cursor) expired(now time.Time, ttl time.Duration) bool {
+	return c.orphaned() || (c.sess == nil && ttl > 0 && now.Sub(c.lastUsed) > ttl)
 }
 
 // page is one cursor read: up to maxRows rows (rounded up to whole result

@@ -41,8 +41,9 @@ type Config struct {
 	// QueueTimeout bounds how long an over-limit query waits for a slot
 	// (default 1s).
 	QueueTimeout time.Duration
-	// SessionIdleTimeout closes sessions with no activity (default 15m;
-	// negative disables sweeping).
+	// SessionIdleTimeout closes sessions, and cursors opened without one,
+	// after this long with no activity (default 15m; negative disables
+	// sweeping).
 	SessionIdleTimeout time.Duration
 	// PageRows is the default cursor page size (default 4096).
 	PageRows int
@@ -137,7 +138,7 @@ func New(p *datalab.Platform, cfg Config, logw io.Writer) *Server {
 	return s
 }
 
-// sweepLoop closes idle sessions in the background until Close.
+// sweepLoop closes idle sessions and cursors in the background until Close.
 func (s *Server) sweepLoop() {
 	if s.cfg.SessionIdleTimeout <= 0 {
 		<-s.sweepDone
@@ -154,11 +155,17 @@ func (s *Server) sweepLoop() {
 		case <-s.sweepDone:
 			return
 		case now := <-t.C:
-			if n := s.sessions.sweep(now); n > 0 {
-				s.reapCursors()
-				s.logger.log(CodeOK, line{"event": "session_sweep", "sessions_closed": n})
-			}
+			s.sweep(now)
 		}
+	}
+}
+
+// sweep closes, as of now, the sessions idle past SessionIdleTimeout with
+// their cursors, and the cursors without a session idle as long.
+func (s *Server) sweep(now time.Time) {
+	n := s.sessions.sweep(now)
+	if closed := s.reapCursors(now); n > 0 || closed > 0 {
+		s.logger.log(CodeOK, line{"event": "session_sweep", "sessions_closed": n, "cursors_closed": closed})
 	}
 }
 
@@ -319,7 +326,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		writeErrorLine(w, http.StatusNotFound, ErrCodeNotFound, fmt.Sprintf("unknown session %q", id))
 		return
 	}
-	s.reapCursors()
+	s.reapCursors(time.Now())
 	s.logger.log(CodeOK, line{"event": "session_close", "session_id": id})
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	_ = newLineWriter(w).write(line{"code": CodeOK, "session_id": id, "closed": true})
@@ -767,26 +774,33 @@ func (s *Server) addCursor(c *cursor) bool {
 	return true
 }
 
-// reapCursors removes and closes every cursor whose session has closed.
-// It runs after each session close (explicit delete or idle sweep).
-func (s *Server) reapCursors() {
+// reapCursors removes and closes every cursor expired at now, and returns
+// how many. It runs on every sweep tick and after each session delete.
+func (s *Server) reapCursors(now time.Time) int {
 	s.cursorMu.Lock()
 	defer s.cursorMu.Unlock()
+	n := 0
 	for id, c := range s.cursors {
-		if c.orphaned() {
+		if c.expired(now, s.cfg.SessionIdleTimeout) {
 			delete(s.cursors, id)
 			c.close()
+			n++
 		}
 	}
+	return n
 }
 
 // lookupCursor fetches a registered cursor whose session (if any) is
-// still open.
+// still open, and marks it used.
 func (s *Server) lookupCursor(id string) (*cursor, bool) {
 	s.cursorMu.Lock()
 	defer s.cursorMu.Unlock()
 	c, ok := s.cursors[id]
-	return c, ok && !c.orphaned()
+	if !ok || c.orphaned() {
+		return nil, false
+	}
+	c.lastUsed = time.Now()
+	return c, true
 }
 
 func (s *Server) handleCursorNext(w http.ResponseWriter, r *http.Request) {

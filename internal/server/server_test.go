@@ -609,6 +609,66 @@ func TestCursorRegistrySingleOwner(t *testing.T) {
 	}
 }
 
+// TestSessionlessCursorIdlesOut: a cursor opened without a session closes
+// once it has sat idle longer than SessionIdleTimeout, so a client that
+// never deletes it, or crashes, leaks no Result. /next marks a cursor used,
+// and a session-scoped cursor follows its session, not its own idleness.
+func TestSessionlessCursorIdlesOut(t *testing.T) {
+	srv, ts, _ := newTestServer(t, 100, Config{SessionIdleTimeout: time.Minute})
+	resp := postJSON(t, ts.URL+"/v1/sessions", nil)
+	sess := decodeLines(t, resp.Body)[0]["session_id"].(string)
+	resp.Body.Close()
+	open := func(sessionID string) string {
+		t.Helper()
+		r := postJSON(t, ts.URL+"/v1/cursors", map[string]any{"sql": "SELECT id FROM events", "session_id": sessionID})
+		defer r.Body.Close()
+		return decodeLines(t, r.Body)[0]["cursor_id"].(string)
+	}
+	next := func(id string) map[string]any {
+		t.Helper()
+		r := postJSON(t, ts.URL+"/v1/cursors/"+id+"/next?max_rows=10", nil)
+		defer r.Body.Close()
+		return decodeLines(t, r.Body)[0]
+	}
+	cursorsOpen := func() float64 {
+		t.Helper()
+		r, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Body.Close()
+		return decodeLines(t, r.Body)[0]["cursors_open"].(float64)
+	}
+	idle, used, scoped := open(""), open(""), open(sess)
+	// Two minutes pass with no request to any cursor; then used is read.
+	srv.cursorMu.Lock()
+	for _, c := range srv.cursors {
+		c.lastUsed = c.lastUsed.Add(-2 * time.Minute)
+	}
+	srv.cursorMu.Unlock()
+	if l := next(used); l["code"] != CodeOK {
+		t.Fatalf("next on a live cursor = %v", l)
+	}
+	srv.sweep(time.Now())
+	if l := next(idle); l["error_code"] != ErrCodeNotFound {
+		t.Fatalf("next on the idle session-less cursor after the sweep = %v", l)
+	}
+	if l := next(scoped); l["code"] != CodeOK {
+		t.Fatalf("the session-scoped cursor did not survive its own idleness: %v", l)
+	}
+	if n := cursorsOpen(); n != 2 {
+		t.Fatalf("cursors_open = %v after the first sweep, want 2", n)
+	}
+	// Later still, the session and the used cursor have idled out too.
+	srv.sweep(time.Now().Add(2 * time.Minute))
+	if l := next(used); l["error_code"] != ErrCodeNotFound {
+		t.Fatalf("next after the second sweep = %v", l)
+	}
+	if n := cursorsOpen(); n != 0 {
+		t.Fatalf("cursors_open = %v after the second sweep, want 0", n)
+	}
+}
+
 // TestSessionScopedCancellation pins the multi-session contract: closing
 // a session cancels its in-flight query (observed as a cancel log event,
 // not an error) and closes its cursors.

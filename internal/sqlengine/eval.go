@@ -16,13 +16,10 @@ import (
 // in what an operator means.
 
 // isAggregate reports whether name (upper-cased by the parser) is one of
-// the engine's aggregate functions.
+// the engine's aggregate functions, the names aggAcc folds.
 func isAggregate(name string) bool {
-	switch name {
-	case "COUNT", "SUM", "AVG", "MIN", "MAX", "STDDEV", "MEDIAN":
-		return true
-	}
-	return false
+	_, ok := aggOps[name]
+	return ok
 }
 
 // unaryValue applies NOT or arithmetic negation to one value.

@@ -828,7 +828,10 @@ func reduceGroup(fn *FuncCall, base *vrel, rows *table.Selection) (table.Value, 
 		return aggOverColumn(fn.Name, &col, table.NewSpanSelection(table.Span{Lo: 0, Hi: col.Len()}))
 	}
 	// DISTINCT: the first of each distinct non-NULL value, in row order.
-	var vals []table.Value
+	acc, err := newAggAcc(fn.Name, false)
+	if err != nil {
+		return table.Null(), err
+	}
 	seen := map[string]bool{}
 	for i := 0; i < col.Len(); i++ {
 		v := col.Value(i)
@@ -837,53 +840,165 @@ func reduceGroup(fn *FuncCall, base *vrel, rows *table.Selection) (table.Value, 
 		}
 		if k := v.Key(); !seen[k] {
 			seen[k] = true
-			vals = append(vals, v)
+			acc.add(i, col.Value)
 		}
 	}
-	return finishAggregate(fn.Name, vals)
+	return acc.value(), nil
 }
 
-// aggOverColumn computes an aggregate over a bare column in typed loops,
-// without boxing each cell.
+// aggOp is what an aggregate does with each value it folds.
+type aggOp uint8
+
+const (
+	aggCount aggOp = iota
+	aggSum
+	aggAvg
+	aggStddev
+	aggMedian
+	aggMin
+	aggMax
+)
+
+var aggOps = map[string]aggOp{
+	"COUNT": aggCount, "SUM": aggSum, "AVG": aggAvg, "STDDEV": aggStddev,
+	"MEDIAN": aggMedian, "MIN": aggMin, "MAX": aggMax,
+}
+
+// aggAcc is the engine's one aggregate fold: grouped, DISTINCT and window
+// aggregates, and the test oracle's, all reduce through it. COUNT counts the
+// non-NULL values of any kind (every row, for COUNT(*)); SUM, AVG, STDDEV
+// and MEDIAN fold the AsFloat-convertible values left to right and are NULL
+// over none, SUM always KindFloat and STDDEV the sample deviation (0 for one
+// value); MIN and MAX order by table.Compare and keep the earliest value on
+// ties. The typed loops of aggOverColumn fill the same fields, so every path
+// finishes in value.
+type aggAcc struct {
+	op    aggOp
+	star  bool      // COUNT(*): every row counts, its value unread
+	count int       // non-NULL values seen (rows, for COUNT(*))
+	n     int       // values folded into total
+	total float64   // their left-to-right sum
+	nums  []float64 // the values themselves, for STDDEV and MEDIAN
+	best  table.Value
+}
+
+func newAggAcc(name string, star bool) (aggAcc, error) {
+	op, ok := aggOps[name]
+	if !ok {
+		return aggAcc{}, fmt.Errorf("sql: unknown aggregate %s", name)
+	}
+	return aggAcc{op: op, star: star}, nil
+}
+
+// add folds the value at pos. It takes the position and the column's reader
+// rather than the value, which keeps a window frame's per-row fold as fast
+// as a typed loop's call.
+func (a *aggAcc) add(pos int, at func(int) table.Value) {
+	if a.star {
+		a.count++
+		return
+	}
+	v := at(pos)
+	if v.IsNull() {
+		return
+	}
+	a.count++
+	switch a.op {
+	case aggSum, aggAvg, aggStddev, aggMedian:
+		if f, ok := v.AsFloat(); ok {
+			a.total += f
+			a.n++
+			if a.op == aggStddev || a.op == aggMedian {
+				a.nums = append(a.nums, f)
+			}
+		}
+	case aggMin:
+		if a.best.IsNull() || table.Compare(v, a.best) < 0 {
+			a.best = v
+		}
+	case aggMax:
+		if a.best.IsNull() || table.Compare(v, a.best) > 0 {
+			a.best = v
+		}
+	}
+}
+
+func (a *aggAcc) value() table.Value {
+	switch a.op {
+	case aggCount:
+		return table.Int(int64(a.count))
+	case aggMin, aggMax:
+		return a.best
+	}
+	if a.n == 0 {
+		return table.Null()
+	}
+	mean := a.total / float64(a.n)
+	switch a.op {
+	case aggSum:
+		return table.Float(a.total)
+	case aggAvg:
+		return table.Float(mean)
+	case aggStddev:
+		if a.n < 2 {
+			return table.Float(0)
+		}
+		var ss float64
+		for _, f := range a.nums {
+			d := f - mean
+			ss += d * d
+		}
+		return table.Float(math.Sqrt(ss / float64(a.n-1)))
+	}
+	sort.Float64s(a.nums) // MEDIAN
+	m := a.n / 2
+	if a.n%2 == 1 {
+		return table.Float(a.nums[m])
+	}
+	return table.Float((a.nums[m-1] + a.nums[m]) / 2)
+}
+
+// aggOverColumn computes an aggregate over a bare column. COUNT, SUM/AVG
+// over an int or float column and MIN/MAX over one run in typed loops that
+// fill the accumulator without boxing a cell; every other pairing folds the
+// selected cells through it.
 func aggOverColumn(name string, col *table.Column, rows *table.Selection) (table.Value, error) {
-	switch name {
-	case "COUNT":
-		n := 0
+	acc, err := newAggAcc(name, false)
+	if err != nil {
+		return table.Null(), err
+	}
+	fs, fnulls, isFloat := col.Floats()
+	is, inulls, isInt := col.Ints()
+	sum := acc.op == aggSum || acc.op == aggAvg
+	minMaxOp := acc.op == aggMin || acc.op == aggMax
+	switch {
+	case acc.op == aggCount:
 		rows.ForEach(func(r int) {
 			if !col.IsNullAt(r) {
-				n++
+				acc.count++
 			}
 		})
-		return table.Int(int64(n)), nil
-	case "SUM", "AVG":
-		var total float64
-		var count int
-		if fs, nulls, ok := col.Floats(); ok {
-			total, count = sumSelected(fs, nulls, rows)
-		} else if is, nulls, ok := col.Ints(); ok {
-			total, count = sumSelected(is, nulls, rows)
-		} else {
-			return finishNumericAggregate(name, gatherFloats(col, rows)), nil
+	case sum && isFloat:
+		acc.total, acc.n = sumSelected(fs, fnulls, rows)
+	case sum && isInt:
+		acc.total, acc.n = sumSelected(is, inulls, rows)
+	case minMaxOp && isFloat:
+		acc.best = minMax(fs, fnulls, rows, acc.op == aggMax, table.Float)
+	case minMaxOp && isInt:
+		acc.best = minMax(is, inulls, rows, acc.op == aggMax, table.Int)
+	default:
+		if acc.op == aggStddev || acc.op == aggMedian {
+			acc.nums = make([]float64, 0, rows.Len())
 		}
-		if count == 0 {
-			return table.Null(), nil
-		}
-		if name == "AVG" {
-			total /= float64(count)
-		}
-		return table.Float(total), nil
-	case "STDDEV", "MEDIAN":
-		return finishNumericAggregate(name, gatherFloats(col, rows)), nil
-	case "MIN", "MAX":
-		return minMaxOverColumn(name, col, rows), nil
+		rows.ForEach(func(r int) { acc.add(r, col.Value) })
 	}
-	return table.Null(), fmt.Errorf("sql: unknown aggregate %s", name)
+	return acc.value(), nil
 }
 
 // sumSelected adds the non-NULL cells of a typed column at the selected
 // rows, in ascending row order, and counts them: the same additions in the
-// same order as gatherFloats + finishNumericAggregate, so the result is
-// bit-identical, without the gathered copy.
+// same order as aggAcc's fold, so the result is bit-identical, without
+// boxing a cell.
 func sumSelected[T int64 | float64](vals []T, nulls []bool, rows *table.Selection) (total float64, count int) {
 	if spans, ok := rows.Spans(); ok {
 		for _, sp := range spans {
@@ -905,149 +1020,22 @@ func sumSelected[T int64 | float64](vals []T, nulls []bool, rows *table.Selectio
 	return total, count
 }
 
-// gatherFloats extracts the float64 view of the non-NULL, numeric-
-// convertible cells at the selected rows.
-func gatherFloats(col *table.Column, rows *table.Selection) []float64 {
-	out := make([]float64, 0, rows.Len())
-	if fs, nulls, ok := col.Floats(); ok {
-		rows.ForEach(func(r int) {
-			if !nulls[r] {
-				out = append(out, fs[r])
-			}
-		})
-		return out
-	}
-	if is, nulls, ok := col.Ints(); ok {
-		rows.ForEach(func(r int) {
-			if !nulls[r] {
-				out = append(out, float64(is[r]))
-			}
-		})
-		return out
-	}
+// minMax is MIN (or MAX) over the non-NULL cells of a typed column at the
+// selected rows, NULL over none. Only a strictly smaller (larger) cell
+// replaces the best, so of equal cells the earliest wins — as in aggAcc,
+// with NaN equal to every number as table.Compare has it.
+func minMax[T int64 | float64](vals []T, nulls []bool, rows *table.Selection, isMax bool, box func(T) table.Value) table.Value {
+	var best T
+	found := false
 	rows.ForEach(func(r int) {
-		if f, ok := col.FloatAt(r); ok {
-			out = append(out, f)
+		if !nulls[r] && (!found || (!isMax && vals[r] < best) || (isMax && vals[r] > best)) {
+			best, found = vals[r], true
 		}
 	})
-	return out
-}
-
-func minMaxOverColumn(name string, col *table.Column, rows *table.Selection) table.Value {
-	want := -1 // MIN keeps values comparing below the best
-	if name == "MAX" {
-		want = 1
-	}
-	if fs, nulls, ok := col.Floats(); ok {
-		best, found := 0.0, false
-		rows.ForEach(func(r int) {
-			if nulls[r] {
-				return
-			}
-			if !found || (want < 0 && fs[r] < best) || (want > 0 && fs[r] > best) {
-				best, found = fs[r], true
-			}
-		})
-		if !found {
-			return table.Null()
-		}
-		return table.Float(best)
-	}
-	if is, nulls, ok := col.Ints(); ok {
-		var best int64
-		found := false
-		rows.ForEach(func(r int) {
-			if nulls[r] {
-				return
-			}
-			if !found || (want < 0 && is[r] < best) || (want > 0 && is[r] > best) {
-				best, found = is[r], true
-			}
-		})
-		if !found {
-			return table.Null()
-		}
-		return table.Int(best)
-	}
-	best := table.Null()
-	rows.ForEach(func(r int) {
-		if col.IsNullAt(r) {
-			return
-		}
-		v := col.Value(r)
-		if best.IsNull() || table.Compare(v, best) == want {
-			best = v
-		}
-	})
-	return best
-}
-
-// finishAggregate reduces the non-NULL values of one group to the aggregate
-// result: the engine's DISTINCT aggregates, and the test oracle's every one.
-func finishAggregate(name string, vals []table.Value) (table.Value, error) {
-	switch name {
-	case "COUNT":
-		return table.Int(int64(len(vals))), nil
-	case "SUM", "AVG", "STDDEV", "MEDIAN":
-		var nums []float64
-		for _, v := range vals {
-			if f, ok := v.AsFloat(); ok {
-				nums = append(nums, f)
-			}
-		}
-		return finishNumericAggregate(name, nums), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return table.Null(), nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c := table.Compare(v, best)
-			if (name == "MIN" && c < 0) || (name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	}
-	return table.Null(), fmt.Errorf("sql: unknown aggregate %s", name)
-}
-
-// finishNumericAggregate computes the float-valued aggregates over the
-// convertible values of one group.
-func finishNumericAggregate(name string, nums []float64) table.Value {
-	if len(nums) == 0 {
+	if !found {
 		return table.Null()
 	}
-	var total float64
-	for _, f := range nums {
-		total += f
-	}
-	switch name {
-	case "SUM":
-		return table.Float(total)
-	case "AVG":
-		return table.Float(total / float64(len(nums)))
-	case "STDDEV":
-		if len(nums) < 2 {
-			return table.Float(0)
-		}
-		mean := total / float64(len(nums))
-		var ss float64
-		for _, f := range nums {
-			d := f - mean
-			ss += d * d
-		}
-		return table.Float(math.Sqrt(ss / float64(len(nums)-1)))
-	case "MEDIAN":
-		cp := append([]float64(nil), nums...)
-		sort.Float64s(cp)
-		n := len(cp)
-		if n%2 == 1 {
-			return table.Float(cp[n/2])
-		}
-		return table.Float((cp[n/2-1] + cp[n/2]) / 2)
-	}
-	return table.Null()
+	return box(best)
 }
 
 // executeGroupedVec groups the selected rows with a hash aggregator, then

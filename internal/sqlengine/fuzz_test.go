@@ -427,6 +427,7 @@ func TestBindVsInlineCorpus(t *testing.T) {
 		"SELECT a FROM data WHERE a IN (1, 3, 5) ORDER BY a",
 		"SELECT a FROM data WHERE c IN ('red', 'blue') ORDER BY a, c",
 		"SELECT a, b FROM data WHERE a BETWEEN -4 AND 9 ORDER BY b DESC",
+		"SELECT a, c, c NOT BETWEEN 'blue' AND 'mauve' AS outside FROM data WHERE a < 0 OR c BETWEEN 'green' AND 'red' ORDER BY a, c",
 		"SELECT c FROM data WHERE c LIKE 'gr%' ORDER BY 1",
 		"SELECT a, dim.label FROM data JOIN dim ON data.e = dim.key AND dim.weight > 2.0 ORDER BY a, dim.label",
 		"SELECT a, multi.tag FROM data LEFT JOIN multi ON data.e = multi.mkey AND multi.score > 2.5 AND data.a < multi.score ORDER BY a, multi.tag",

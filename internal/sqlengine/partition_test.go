@@ -377,18 +377,21 @@ func TestGroupedReadAllocationPin(t *testing.T) {
 	t.Logf("grouped read: %.2f B per row", perRow)
 }
 
-// TestSumAvgMatchGatheredBits: SUM and AVG over typed int and float
-// columns add inside the typed loop over the group's selection, and must
-// give exactly what gathering the floats and reducing them gives — the
-// same additions in the same order — under span, dense, NULL-only and
-// empty selections.
-func TestSumAvgMatchGatheredBits(t *testing.T) {
+// TestTypedAggregatesMatchFold: COUNT, SUM/AVG and MIN/MAX over typed
+// int and float columns run in typed loops over the group's selection, and
+// must give exactly what folding the boxed cells through aggAcc gives — the
+// same additions in the same order, the same earliest-of-equals — bit for
+// bit and kind for kind, under span, dense, all-NULL and empty selections,
+// with NaN, −0.0 beside 0.0 and ints beyond 2^53 among the cells.
+func TestTypedAggregatesMatchFold(t *testing.T) {
 	n := 3 * parallelMinRows
 	rng := rand.New(rand.NewSource(26))
 	keys := table.NewColumn("k", table.KindInt)
 	floats := table.NewColumn("f", table.KindFloat)
 	ints := table.NewColumn("i", table.KindInt)
-	var nullRows []int
+	// edgeRows hold only −0.0 and 0.0, and 2^53+1 and 2^53, which float64
+	// cannot tell apart: MIN and MAX there turn on which equal cell wins.
+	var nullRows, edgeRows []int
 	for r := 0; r < n; r++ {
 		keys.Append(table.Int(int64(rng.Intn(7))))
 		if r%10 == 3 {
@@ -397,8 +400,20 @@ func TestSumAvgMatchGatheredBits(t *testing.T) {
 			nullRows = append(nullRows, r)
 			continue
 		}
-		floats.Append(table.Float(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(16)-6))))
-		ints.Append(table.Int(rng.Int63n(1<<62) - 1<<61))
+		f := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(16)-6))
+		i := rng.Int63n(1<<62) - 1<<61
+		switch r % 97 {
+		case 5:
+			f, i = math.NaN(), -(1<<53 + 1)
+		case 6:
+			f, i = math.Copysign(0, -1), 1<<53+1
+			edgeRows = append(edgeRows, r)
+		case 7:
+			f, i = 0, 1<<53
+			edgeRows = append(edgeRows, r)
+		}
+		floats.Append(table.Float(f))
+		ints.Append(table.Int(i))
 	}
 	parts, err := partitionRows(context.Background(), []table.Column{keys}, nil, n)
 	if err != nil {
@@ -408,21 +423,27 @@ func TestSumAvgMatchGatheredBits(t *testing.T) {
 		"all":   table.NewSpanSelection(table.Span{Lo: 0, Hi: n}),
 		"spans": table.NewSpanSelection(table.Span{Lo: 5, Hi: 900}, table.Span{Lo: 1000, Hi: n - 3}),
 		"nulls": table.NewIndexSelection(nullRows),
+		"edges": table.NewIndexSelection(edgeRows),
 		"empty": table.NewIndexSelection(nil),
 	}
 	for g, part := range parts {
 		sels[fmt.Sprintf("group %d", g)] = table.NewIndexSelection(part)
 	}
 	for cname, col := range map[string]*table.Column{"float": &floats, "int": &ints} {
-		for _, name := range []string{"SUM", "AVG"} {
+		for _, name := range []string{"COUNT", "SUM", "AVG", "MIN", "MAX"} {
 			for sname, sel := range sels {
 				got, err := aggOverColumn(name, col, sel)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := finishNumericAggregate(name, gatherFloats(col, sel))
-				if got.Kind != want.Kind || math.Float64bits(got.F) != math.Float64bits(want.F) {
-					t.Errorf("%s over the %s column, %s: %v (%x), gathered %v (%x)",
+				acc, err := newAggAcc(name, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sel.ForEach(func(r int) { acc.add(r, col.Value) })
+				want := acc.value()
+				if got.Kind != want.Kind || got.I != want.I || math.Float64bits(got.F) != math.Float64bits(want.F) {
+					t.Errorf("%s over the %s column, %s: %v (%x), folded %v (%x)",
 						name, cname, sname, got, math.Float64bits(got.F), want, math.Float64bits(want.F))
 				}
 			}

@@ -248,8 +248,10 @@ func (b *Batch) Int64(col, row int) (int64, bool) {
 	return v.AsInt()
 }
 
-// Float64 returns the cell as a float64 (int cells promote). ok is false
-// for NULLs and non-numeric cells.
+// Float64 returns the cell as a float64, converting as Value.AsFloat does:
+// ints promote, bools are 0 or 1, times their Unix seconds, and a string
+// its parsed number. ok is false for NULLs and cells with no such reading
+// (a string that is not a number).
 func (b *Batch) Float64(col, row int) (float64, bool) {
 	return b.cols[col].FloatAt(row)
 }

@@ -104,7 +104,14 @@ func (e *groupEnv) aggregate(fn *FuncCall) (table.Value, error) {
 		}
 		vals = append(vals, v)
 	}
-	return finishAggregate(fn.Name, vals)
+	acc, err := newAggAcc(fn.Name, false)
+	if err != nil {
+		return table.Null(), err
+	}
+	for i := range vals {
+		acc.add(i, func(i int) table.Value { return vals[i] })
+	}
+	return acc.value(), nil
 }
 
 // QueryScalar parses and executes a SELECT with the scalar reference
@@ -470,7 +477,7 @@ func scalarWindowColumn(rel *srel, fn *FuncCall) ([]table.Value, error) {
 		}
 	}
 
-	argAt := func(int) table.Value { return table.Null() }
+	var argAt func(int) table.Value
 	if argVals != nil {
 		argAt = func(pos int) table.Value { return argVals[pos] }
 	}
@@ -504,7 +511,9 @@ func scalarWindowColumn(rel *srel, fn *FuncCall) ([]table.Value, error) {
 			}
 			return true
 		}
-		computeWindowValues(fn, sorted, peerGroupEnds(sorted, peers), argAt, out)
+		if err := computeWindowValues(fn, sorted, peerGroupEnds(sorted, peers), argAt, out); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

@@ -648,36 +648,11 @@ func concatVec(lcol, rcol *table.Column, n int) (table.Column, bool) {
 	return table.ColumnFromStrings("", out, nulls), true
 }
 
-// cmpFloat is table.Compare for two float64s: neither below nor above is
-// equal, so NaN equals every number here exactly as it does there.
-func cmpFloat(x, k float64) int {
-	switch {
-	case x < k:
-		return -1
-	case x > k:
-		return 1
-	}
-	return 0
-}
-
-// cmpIntConst is table.Compare for an int cell against a numeric constant:
-// exact in int64 against an int, as float64 against a float.
-func cmpIntConst(x int64, k table.Value) int {
-	if k.Kind == table.KindFloat {
-		return cmpFloat(float64(x), k.F)
-	}
-	switch {
-	case x < k.I:
-		return -1
-	case x > k.I:
-		return 1
-	}
-	return 0
-}
-
-// evalVecBetween is X [NOT] BETWEEN lo AND hi: typed numeric X against
-// non-NULL numeric constant bounds in one loop, bound by bound as
-// table.Compare orders the pair; any other shape row by row.
+// evalVecBetween is X [NOT] BETWEEN lo AND hi. Against two constant bounds
+// that SelectCompare covers for X's column it is the WHERE kernel's BETWEEN:
+// X >= lo over every position, then X <= hi over the rows that survive, and
+// the survivors are the true rows (NULL where X is NULL, NOT flipping the
+// known ones). Any other shape runs row by row.
 func evalVecBetween(x *Between, rel *vrel, sel *table.Selection) (table.Column, error) {
 	col, err := evalVec(x.X, rel, sel)
 	if err != nil {
@@ -692,45 +667,24 @@ func evalVecBetween(x *Between, rel *vrel, sel *table.Selection) (table.Column, 
 		return table.Column{}, err
 	}
 	n := selLen(rel, sel)
-	if lo.konst && hi.konst && isNumericLit(lo.k) && isNumericLit(hi.k) {
-		if out, ok := betweenNumeric(&col, lo.k, hi.k, x.Not, n); ok {
-			return out, nil
-		}
+	if !lo.konst || !hi.konst || !col.ComparesTyped(lo.k) || !col.ComparesTyped(hi.k) {
+		return evalRows(n, []operand{{col: col}, lo, hi}, func(a []table.Value) (table.Value, error) {
+			return betweenValue(a[0], a[1], a[2], x.Not), nil
+		})
 	}
-	return evalRows(n, []operand{{col: col}, lo, hi}, func(a []table.Value) (table.Value, error) {
-		return betweenValue(a[0], a[1], a[2], x.Not), nil
-	})
-}
-
-// betweenNumeric is BETWEEN's typed loop over an int or float column;
-// ok=false for other columns.
-func betweenNumeric(col *table.Column, lo, hi table.Value, not bool, n int) (table.Column, bool) {
+	in, _ := col.SelectCompare(table.CmpGe, lo.k, table.NewSpanSelection(table.Span{Lo: 0, Hi: n}))
+	in, _ = col.SelectCompare(table.CmpLe, hi.k, in)
 	out := make([]bool, n)
+	in.ForEach(func(r int) { out[r] = true })
 	nulls := make([]bool, n)
-	if is, nullsIn, ok := col.Ints(); ok {
-		for i, v := range is {
-			if nullsIn[i] {
-				nulls[i] = true
-				continue
-			}
-			in := cmpIntConst(v, lo) >= 0 && cmpIntConst(v, hi) <= 0
-			out[i] = in != not
+	for i := range out {
+		if col.IsNullAt(i) {
+			nulls[i] = true
+		} else if x.Not {
+			out[i] = !out[i]
 		}
-	} else if fs, nullsIn, ok := col.Floats(); ok {
-		lof, _ := lo.AsFloat()
-		hif, _ := hi.AsFloat()
-		for i, v := range fs {
-			if nullsIn[i] {
-				nulls[i] = true
-				continue
-			}
-			in := cmpFloat(v, lof) >= 0 && cmpFloat(v, hif) <= 0
-			out[i] = in != not
-		}
-	} else {
-		return table.Column{}, false
 	}
-	return table.ColumnFromBools("", out, nulls), true
+	return table.ColumnFromBools("", out, nulls), nil
 }
 
 func isNumericLit(v table.Value) bool {

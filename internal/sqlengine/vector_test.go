@@ -393,7 +393,13 @@ func randPredicate(rng *rand.Rand, depth int) string {
 			return fmt.Sprintf(shape, raising)
 		}
 	}
-	switch rng.Intn(16) {
+	switch rng.Intn(17) {
+	case 16:
+		// A string column against string bounds: outside a WHERE kernel
+		// prefix it runs evalVecBetween's SelectCompare path.
+		not := []string{"", "NOT "}[rng.Intn(2)]
+		bounds := []string{"blue", "green", "mauve", "red", "b", "s"}
+		return fmt.Sprintf("c %sBETWEEN '%s' AND '%s'", not, bounds[rng.Intn(len(bounds))], bounds[rng.Intn(len(bounds))])
 	case 14, 15:
 		// The float column carries a NaN cell: BETWEEN and IN must place it
 		// where table.Compare does, negated or not.

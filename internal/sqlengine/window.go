@@ -13,9 +13,9 @@ import (
 // evaluates — and evalVec reads it through vrel.win, by the slot the
 // resolver numbered the call with (plan.wins). Partitioning is the grouping
 // partitioner; ordering reuses the memcmp sort-key kernel (sortkey.go) when
-// the ORDER BY keys encode. The accumulation itself
-// (computeWindowValues/windowAcc) is shared with the row-at-a-time oracle's
-// window driver in the package's test files, so float running sums are
+// the ORDER BY keys encode. The accumulation itself (computeWindowValues,
+// folding through aggAcc) is shared with the row-at-a-time oracle's window
+// driver in the package's test files, so float running sums are
 // bit-identical and the differential harness can compare results exactly.
 
 // collectWindowCalls appends every window call (FuncCall with an OVER
@@ -90,7 +90,7 @@ func peerGroupEnds(sorted []int, peers func(a, b int) bool) []int {
 // is peerGroupEnds over it; argAt returns the evaluated argument at a
 // position. The test oracle's window driver shares it — any change here
 // changes both sides of the differential harness together.
-func computeWindowValues(fn *FuncCall, sorted, ends []int, argAt func(int) table.Value, out []table.Value) {
+func computeWindowValues(fn *FuncCall, sorted, ends []int, argAt func(int) table.Value, out []table.Value) error {
 	switch fn.Name {
 	case "ROW_NUMBER":
 		for k, pos := range sorted {
@@ -117,6 +117,10 @@ func computeWindowValues(fn *FuncCall, sorted, ends []int, argAt func(int) table
 			s = e
 		}
 	default: // COUNT/SUM/AVG/MIN/MAX
+		fresh, err := newAggAcc(fn.Name, fn.IsStar)
+		if err != nil {
+			return err
+		}
 		switch {
 		case fn.Over.Frame != nil:
 			// Explicit ROWS frame: a fresh accumulator per row over
@@ -131,7 +135,7 @@ func computeWindowValues(fn *FuncCall, sorted, ends []int, argAt func(int) table
 						lo = 0
 					}
 				}
-				acc := newWindowAcc(fn)
+				acc := fresh
 				for j := lo; j <= k; j++ {
 					acc.add(sorted[j], argAt)
 				}
@@ -139,7 +143,7 @@ func computeWindowValues(fn *FuncCall, sorted, ends []int, argAt func(int) table
 			}
 		case len(fn.Over.OrderBy) == 0:
 			// No ORDER BY: the whole partition is every row's frame.
-			acc := newWindowAcc(fn)
+			acc := fresh
 			for _, pos := range sorted {
 				acc.add(pos, argAt)
 			}
@@ -151,7 +155,7 @@ func computeWindowValues(fn *FuncCall, sorted, ends []int, argAt func(int) table
 			// Default frame with ORDER BY: running aggregate from the
 			// partition start through the current row's peer group (RANGE
 			// UNBOUNDED PRECEDING TO CURRENT ROW semantics — peers share).
-			acc := newWindowAcc(fn)
+			acc := fresh
 			for s := 0; s < len(sorted); {
 				e := ends[s]
 				for k := s; k < e; k++ {
@@ -165,75 +169,7 @@ func computeWindowValues(fn *FuncCall, sorted, ends []int, argAt func(int) table
 			}
 		}
 	}
-}
-
-// windowAcc accumulates one aggregate window frame, mirroring
-// finishAggregate's semantics exactly: COUNT counts non-NULL values of
-// any kind (or rows for COUNT(*)); SUM/AVG total the float-convertible
-// non-NULL values left to right and return NULL over an empty frame, with
-// SUM always KindFloat; MIN/MAX compare with table.Compare and keep the
-// earliest value on ties.
-type windowAcc struct {
-	fn    *FuncCall
-	count int64   // non-NULL values seen (rows, for COUNT(*))
-	n     int64   // float-convertible values folded into total
-	total float64 // left-to-right running total
-	best  table.Value
-	found bool
-}
-
-func newWindowAcc(fn *FuncCall) *windowAcc {
-	return &windowAcc{fn: fn, best: table.Null()}
-}
-
-func (a *windowAcc) add(pos int, argAt func(int) table.Value) {
-	if a.fn.IsStar {
-		a.count++
-		return
-	}
-	v := argAt(pos)
-	if v.IsNull() {
-		return
-	}
-	a.count++
-	switch a.fn.Name {
-	case "SUM", "AVG":
-		if f, ok := v.AsFloat(); ok {
-			a.total += f
-			a.n++
-		}
-	case "MIN":
-		if !a.found || table.Compare(v, a.best) < 0 {
-			a.best, a.found = v, true
-		}
-	case "MAX":
-		if !a.found || table.Compare(v, a.best) > 0 {
-			a.best, a.found = v, true
-		}
-	}
-}
-
-func (a *windowAcc) value() table.Value {
-	switch a.fn.Name {
-	case "COUNT":
-		return table.Int(a.count)
-	case "SUM":
-		if a.n == 0 {
-			return table.Null()
-		}
-		return table.Float(a.total)
-	case "AVG":
-		if a.n == 0 {
-			return table.Null()
-		}
-		return table.Float(a.total / float64(a.n))
-	case "MIN", "MAX":
-		if !a.found {
-			return table.Null()
-		}
-		return a.best
-	}
-	return table.Null()
+	return nil
 }
 
 // computeWindowsVec evaluates every window call over the selected rows,
@@ -265,7 +201,7 @@ func vecWindowColumn(ctx context.Context, fn *FuncCall, rel *vrel, sel *table.Se
 		}
 		keyCols[k] = col
 	}
-	argAt := func(int) table.Value { return table.Null() }
+	var argAt func(int) table.Value // none for COUNT(*) and the ranking functions
 	if !fn.IsStar && len(fn.Args) == 1 {
 		argCol, err := evalVec(fn.Args[0], rel, sel)
 		if err != nil {
@@ -277,7 +213,9 @@ func vecWindowColumn(ctx context.Context, fn *FuncCall, rel *vrel, sel *table.Se
 	vals := make([]table.Value, n)
 	for _, part := range parts {
 		sorted := sortPart(part)
-		computeWindowValues(fn, sorted, peerGroupEnds(sorted, peers), argAt, vals)
+		if err := computeWindowValues(fn, sorted, peerGroupEnds(sorted, peers), argAt, vals); err != nil {
+			return table.Column{}, err
+		}
 	}
 	return columnOfValues(vals), nil
 }

@@ -184,9 +184,10 @@ func (v Value) String() string {
 	return v.AsString()
 }
 
-// Compare orders two values. NULL sorts first. Numeric kinds compare
-// numerically across Int/Float/Bool/Time; otherwise the string forms
-// compare lexically. Returns -1, 0, or +1.
+// Compare orders two values. NULL sorts first. Int, Float and Bool compare
+// numerically with each other (an int pair exactly), and two Times
+// chronologically; any other pair — a Time against a number included —
+// compares its string forms lexically. Returns -1, 0, or +1.
 func Compare(a, b Value) int {
 	an, bn := a.IsNull(), b.IsNull()
 	switch {
