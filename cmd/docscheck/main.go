@@ -77,6 +77,11 @@ var guards = []guard{
 		nil,
 		"aggregates fold through aggAcc; typed constant comparisons run through table.SelectCompare",
 	},
+	{
+		regexp.MustCompile(`loopJoinPairs|probeJoinPairs|emitMatch\(|emitPad\(|PadLeft\(`),
+		nil,
+		"every join's pairs come from joinPairs; RIGHT is a swapped LEFT",
+	},
 }
 
 // linkRe matches inline markdown links [text](target); images ![...](...)

@@ -84,6 +84,7 @@ func TestGuardsFire(t *testing.T) {
 		"	v, err := evalExpr(e, env)",
 		"func (c *Catalog) Query(sql string) (*table.Table, error) {",
 		"	acc := newWindowAcc(fn)",
+		"	pairs, err := loopJoinPairs(ctx, left, right, on, kind)",
 	}
 	if len(planted) != len(guards) {
 		t.Fatalf("%d planted lines for %d guards", len(planted), len(guards))

@@ -61,7 +61,7 @@ func bindValue(arg any) (table.Value, error) {
 	case int64:
 		return table.Int(v), nil
 	case uint:
-		return table.Int(int64(v)), nil
+		return bindValue(uint64(v))
 	case uint8:
 		return table.Int(int64(v)), nil
 	case uint16:

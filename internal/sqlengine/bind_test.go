@@ -108,8 +108,10 @@ func TestBindErrors(t *testing.T) {
 	if _, err := stmt.Exec(ctx, struct{ X int }{1}, "east"); err == nil || !strings.Contains(err.Error(), "cannot bind") {
 		t.Fatalf("unsupported type error = %v", err)
 	}
-	if _, err := stmt.Exec(ctx, uint64(1<<63), "east"); err == nil || !strings.Contains(err.Error(), "overflows") {
-		t.Fatalf("uint64 overflow error = %v", err)
+	for _, big := range []any{uint64(1 << 63), uint(1 << 63)} {
+		if _, err := stmt.Exec(ctx, big, "east"); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Fatalf("%T overflow error = %v", big, err)
+		}
 	}
 
 	// Executing with no arguments at all is the classic "forgot to bind".

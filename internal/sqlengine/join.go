@@ -2,23 +2,23 @@ package sqlengine
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 
 	"datalab/internal/table"
 )
 
-// The join pipeline. Equality conjuncts between a left and a right column
-// drive a hash join: the non-preserved side is hashed once, the preserved
-// (probe) side is partitioned into contiguous chunks across the shared
-// worker pool, and each chunk emits its matches into a chunk-local
-// table.JoinPairs that are concatenated in chunk order — so the parallel
-// probe produces exactly the serial probe's output order. Residual ON
-// conjuncts
-// are evaluated in batch over the candidate pair vectors with evalVec
-// rather than boxed per-pair tree walks. Without any equi conjunct the
-// join degrades to a (still chunk-parallel) nested loop whose ON runs
-// through the same batched evaluation, one probe row's candidates at a
-// time.
+// The join pipeline. The preserved side probes — left for INNER/LEFT/FULL;
+// a RIGHT join runs as the LEFT join of the swapped sides — and is
+// partitioned into contiguous chunks across the shared worker pool. Each
+// probe row's candidates come from a hash index over the ON clause's
+// equality conjuncts between a left and a right column or, when it has
+// none, are every row of the other side (a nested loop). Residual ON
+// conjuncts are evaluated with evalVec over batches of candidate pairs,
+// several probe rows at a time, rather than by boxed per-pair tree walks.
+// Each chunk emits into a chunk-local table.JoinPairs, concatenated in
+// chunk order — so the parallel probe produces exactly the serial probe's
+// output order.
 //
 // Output assembly is selection-aware: the probe side of a 1:1 join emits
 // strictly ascending row indices, which convert to a table.Selection so
@@ -104,18 +104,9 @@ func joinVRel(ctx context.Context, left, right *vrel, j JoinClause, keep []bool)
 		return table.EquiHashable(&left.cols[l], &right.cols[r])
 	})
 
-	var pairs *table.JoinPairs
-	var err error
-	if len(equiL) > 0 {
-		pairs, err = probeJoinPairs(ctx, left, right, equiL, equiR, residual, j.Kind)
-	} else {
-		pairs, err = loopJoinPairs(ctx, left, right, j.On, j.Kind)
-	}
+	pairs, err := joinPairs(ctx, left, right, equiL, equiR, residual, j.Kind)
 	if err != nil {
 		return nil, err
-	}
-	if j.Kind == table.JoinFull {
-		pairs.SweepUnmatchedRight(right.nrows)
 	}
 
 	out.nrows = pairs.Len()
@@ -186,141 +177,138 @@ func anyTrue(bs []bool) bool {
 	return false
 }
 
-// joinProbeChunks partitions [0, n) probe rows across the worker pool
-// (one chunk when serialJoinProbe is set or n is small) and merges the
-// chunk-local pair lists in chunk order.
-func joinProbeChunks(ctx context.Context, n int, kind table.JoinKind, fn func(part *table.JoinPairs, lo, hi int) error) (*table.JoinPairs, error) {
+// joinPairs builds the join's pair list. The preserved side probes: left
+// for INNER/LEFT/FULL, while a RIGHT join runs as the LEFT join of the
+// swapped sides and its pairs are swapped back once, after the chunk merge.
+// A probe row's candidates are its matches in a hash index over the
+// equality keys or, with no equality, every row of the other side. Without
+// residual conjuncts each candidate is a match; with them a chunk's
+// candidates go through residualMask in batches, evaluated once they number
+// at least parallelMinRows and again at the chunk's end. An outer probe row
+// with no passing candidate pads the other side.
+func joinPairs(ctx context.Context, left, right *vrel, equiL, equiR []int, residual []Expr, kind table.JoinKind) (*table.JoinPairs, error) {
+	swapped := kind == table.JoinRight
+	probe, build, probeKind := left, right, kind
+	probeKeys, buildKeys := equiL, equiR
+	if swapped {
+		probe, build, probeKind = right, left, table.JoinLeft
+		probeKeys, buildKeys = equiR, equiL
+	}
+	var candidates func(p int) []int
+	if len(probeKeys) > 0 {
+		pk := make([]*table.Column, len(probeKeys))
+		bk := make([]*table.Column, len(buildKeys))
+		for i := range probeKeys {
+			pk[i] = &probe.cols[probeKeys[i]]
+			bk[i] = &build.cols[buildKeys[i]]
+		}
+		candidates = table.NewHashProbe(pk, bk)
+	} else {
+		all := iotaInts(build.nrows)
+		candidates = func(int) []int { return all }
+	}
+	outer := kind != table.JoinInner
+
+	n := probe.nrows
 	minChunk := parallelMinRows
 	if serialJoinProbe.Load() || n < 2*parallelMinRows {
 		minChunk = n
 	}
-	if n == 0 {
-		return table.NewJoinPairs(kind), ctx.Err()
-	}
 	_, nchunks := chunkLayout(n, minChunk)
 	parts := make([]*table.JoinPairs, nchunks)
 	err := parallelChunksIndexed(ctx, n, minChunk, func(ci, lo, hi int) error {
-		part := table.NewJoinPairs(kind)
-		if err := fn(part, lo, hi); err != nil {
-			return err
-		}
+		part := table.NewJoinPairs(probeKind)
 		parts[ci] = part
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if nchunks == 1 {
-		return parts[0], nil // no merge copy on the serial path
-	}
-	merged := table.NewJoinPairs(kind)
-	for _, part := range parts {
-		merged.Concat(part)
-	}
-	return merged, nil
-}
-
-// probeJoinPairs computes the pair list for an equi-join. The preserved
-// side probes: INNER/LEFT/FULL hash the right side and probe left rows in
-// order; RIGHT hashes the left side and probes right rows, flipping each
-// emitted pair back to (left, right) orientation. Residual conjuncts are
-// batch-evaluated per chunk over the candidate pair vectors.
-func probeJoinPairs(ctx context.Context, left, right *vrel, equiL, equiR []int, residual []Expr, kind table.JoinKind) (*table.JoinPairs, error) {
-	flipped := kind == table.JoinRight
-	probe, build := left, right
-	probeKeys, buildKeys := equiL, equiR
-	if flipped {
-		probe, build = right, left
-		probeKeys, buildKeys = equiR, equiL
-	}
-	pk := make([]*table.Column, len(probeKeys))
-	bk := make([]*table.Column, len(buildKeys))
-	for i := range probeKeys {
-		pk[i] = &probe.cols[probeKeys[i]]
-		bk[i] = &build.cols[buildKeys[i]]
-	}
-	lookup := table.NewHashProbe(pk, bk)
-	outerProbe := kind != table.JoinInner
-
-	emitMatch := func(part *table.JoinPairs, p, b int) {
-		if flipped {
-			part.Match(b, p)
-		} else {
-			part.Match(p, b)
-		}
-	}
-	emitPad := func(part *table.JoinPairs, p int) {
-		if flipped {
-			part.PadLeft(p)
-		} else {
-			part.PadRight(p)
-		}
-	}
-
-	return joinProbeChunks(ctx, probe.nrows, kind, func(part *table.JoinPairs, lo, hi int) error {
-		if len(residual) == 0 {
-			for p := lo; p < hi; p++ {
-				if (p-lo)&4095 == 0 {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-				}
-				matches := lookup(p)
-				if len(matches) == 0 {
-					if outerProbe {
-						emitPad(part, p)
-					}
-					continue
-				}
-				for _, b := range matches {
-					emitMatch(part, p, b)
-				}
+		// The pending batch: candidate pairs (candP[i], candB[i]) of probe
+		// rows first, first+1, ..., row first+k's ending at ends[k].
+		var candP, candB, ends []int
+		first := lo
+		flush := func() error {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
+			lidx, ridx := candP, candB
+			if swapped {
+				lidx, ridx = candB, candP
+			}
+			pass, err := residualMask(residual, left, right, lidx, ridx)
+			if err != nil {
+				return err
+			}
+			start := 0
+			for k, end := range ends {
+				matched := false
+				for i := start; i < end; i++ {
+					if pass[i] {
+						matched = true
+						part.Match(first+k, candB[i])
+					}
+				}
+				if !matched && outer {
+					part.PadRight(first + k)
+				}
+				start = end
+			}
+			candP, candB, ends = candP[:0], candB[:0], ends[:0]
 			return nil
 		}
-
-		// Residual conjuncts: collect every candidate pair of the chunk,
-		// batch-evaluate the conjuncts over the candidate vectors, then
-		// emit the passing pairs (and outer padding for probe rows whose
-		// candidates all failed).
-		var candProbe, candBuild []int
-		rowStart := make([]int, hi-lo+1)
 		for p := lo; p < hi; p++ {
 			if (p-lo)&4095 == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			rowStart[p-lo] = len(candProbe)
-			for _, b := range lookup(p) {
-				candProbe = append(candProbe, p)
-				candBuild = append(candBuild, b)
+			m := candidates(p)
+			if len(residual) == 0 {
+				if len(m) == 0 && outer {
+					part.PadRight(p)
+				}
+				for _, b := range m {
+					part.Match(p, b)
+				}
+				continue
 			}
-		}
-		rowStart[hi-lo] = len(candProbe)
-
-		lcand, rcand := candProbe, candBuild
-		if flipped {
-			lcand, rcand = candBuild, candProbe
-		}
-		pass, err := residualMask(residual, left, right, lcand, rcand)
-		if err != nil {
-			return err
-		}
-		for k := 0; k < hi-lo; k++ {
-			matched := false
-			for i := rowStart[k]; i < rowStart[k+1]; i++ {
-				if pass[i] {
-					matched = true
-					emitMatch(part, lo+k, candBuild[i])
+			if len(ends) == 0 {
+				first = p
+			}
+			candP = slices.Grow(candP, len(m)) // a row may bring every build row
+			for range m {
+				candP = append(candP, p)
+			}
+			candB = append(candB, m...)
+			ends = append(ends, len(candB))
+			if len(candB) >= parallelMinRows {
+				if err := flush(); err != nil {
+					return err
 				}
 			}
-			if !matched && outerProbe {
-				emitPad(part, lo+k)
-			}
+		}
+		if len(ends) > 0 {
+			return flush()
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+
+	var pairs *table.JoinPairs
+	if nchunks == 1 {
+		pairs = parts[0] // no merge copy on the serial path
+	} else {
+		pairs = table.NewJoinPairs(probeKind)
+		for _, part := range parts {
+			pairs.Concat(part)
+		}
+	}
+	if swapped {
+		pairs.Lidx, pairs.Ridx = pairs.Ridx, pairs.Lidx
+		pairs.Lnull, pairs.Rnull = pairs.Rnull, pairs.Lnull
+	}
+	if kind == table.JoinFull {
+		pairs.SweepUnmatchedRight(right.nrows)
+	}
+	return pairs, nil
 }
 
 // residualMask batch-evaluates the residual conjuncts over the candidate
@@ -380,57 +368,4 @@ func residualMask(residual []Expr, left, right *vrel, lidx, ridx []int) ([]bool,
 		curL, curR, curPos = nextL, nextR, nextPos
 	}
 	return pass, nil
-}
-
-// loopJoinPairs is the no-equi-conjunct fallback: a nested loop, still
-// chunk-parallel over the probe side, which is the preserved side as in
-// probeJoinPairs. A probe row's candidates — every row of the other side —
-// go through residualMask together, so ON evaluates in batch with the same
-// per-pair short circuit as a hash join's residual.
-func loopJoinPairs(ctx context.Context, left, right *vrel, on Expr, kind table.JoinKind) (*table.JoinPairs, error) {
-	conjuncts := splitConjuncts(on)
-	flipped := kind == table.JoinRight
-	probeRows, innerRows := left.nrows, right.nrows
-	if flipped {
-		probeRows, innerRows = right.nrows, left.nrows
-	}
-	outerProbe := kind != table.JoinInner
-
-	return joinProbeChunks(ctx, probeRows, kind, func(part *table.JoinPairs, lo, hi int) error {
-		inner := iotaInts(innerRows)
-		probe := make([]int, innerRows) // the probe row, once per candidate
-		for p := lo; p < hi; p++ {
-			if (p-lo)&255 == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			for i := range probe {
-				probe[i] = p
-			}
-			lidx, ridx := probe, inner
-			if flipped {
-				lidx, ridx = inner, probe
-			}
-			pass, err := residualMask(conjuncts, left, right, lidx, ridx)
-			if err != nil {
-				return err
-			}
-			matched := false
-			for i, ok := range pass {
-				if ok {
-					matched = true
-					part.Match(lidx[i], ridx[i])
-				}
-			}
-			if !matched && outerProbe {
-				if flipped {
-					part.PadLeft(p)
-				} else {
-					part.PadRight(p)
-				}
-			}
-		}
-		return nil
-	})
 }

@@ -245,9 +245,15 @@ func TestJoinResidualShortCircuit(t *testing.T) {
 
 // TestJoinNestedLoopKinds covers the no-equi-conjunct nested-loop path for
 // every join kind (theta joins), differentially against the scalar
-// reference.
+// reference. At 3000 probe rows INNER, LEFT and FULL evaluate ON over
+// about five batches of parallelMinRows candidate pairs, and RIGHT (6
+// probe rows × 3000 candidates) over two probe rows per batch. A conjunct
+// that errors only on the last 100 probe rows' pairs (the last batch of a
+// left-probing join) must still raise, and one an OR short-circuits on
+// every pair must never run: batching neither skips nor adds a residual
+// evaluation.
 func TestJoinNestedLoopKinds(t *testing.T) {
-	c := joinTestCatalog(40)
+	c := joinTestCatalog(3000)
 	for _, q := range []string{
 		"SELECT probe.id, sparse.label FROM probe JOIN sparse ON probe.k > sparse.sk",
 		"SELECT probe.id, sparse.label FROM probe LEFT JOIN sparse ON probe.k > sparse.sk",
@@ -255,6 +261,20 @@ func TestJoinNestedLoopKinds(t *testing.T) {
 		"SELECT probe.id, sparse.label FROM probe FULL OUTER JOIN sparse ON probe.k > sparse.sk",
 	} {
 		checkDifferential(t, c, q)
+	}
+	for _, kind := range []string{"JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL OUTER JOIN"} {
+		late := "SELECT probe.id, sparse.label FROM probe " + kind +
+			" sparse ON probe.k > sparse.sk AND (probe.id < 2900 OR ABS(sparse.label) > 0)"
+		checkDifferential(t, c, late)
+		if _, err := queryTable(c, late); err == nil {
+			t.Errorf("%s: expected the ABS error reached only by probe.id >= 2900", kind)
+		}
+		never := "SELECT probe.id, sparse.label FROM probe " + kind +
+			" sparse ON probe.k > sparse.sk AND (probe.id >= 0 OR ABS(sparse.label) > 0)"
+		checkDifferential(t, c, never)
+		if _, err := queryTable(c, never); err != nil {
+			t.Errorf("%s: the short-circuited ABS ran: %v", kind, err)
+		}
 	}
 }
 

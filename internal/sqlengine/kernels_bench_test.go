@@ -30,6 +30,9 @@ var kernelQueries = []struct{ name, sql string }{
 	{"InSubquery100k", "SELECT id FROM probe WHERE k IN (SELECT sk FROM sparse WHERE sk < 3)"},
 	// Null-mask padding on both sides and the unmatched-build sweep.
 	{"JoinFullOuter100k", "SELECT probe.id, sparse.label FROM probe FULL OUTER JOIN sparse ON probe.k = sparse.sk"},
+	// No equality in ON: a nested loop whose candidates are every sparse row,
+	// the ON batch-evaluated over several probe rows' pairs at a time.
+	{"JoinTheta100k", "SELECT probe.id, sparse.label FROM probe LEFT JOIN sparse ON probe.k > sparse.sk"},
 	// A cross-side ON conjunct, batch-evaluated over the candidate pairs of a 1:3 fan-out.
 	{"JoinResidual100k", "SELECT probe.id, fanout.tag FROM probe JOIN fanout ON probe.k = fanout.fk AND fanout.w > probe.v"},
 	// A full sort with no LIMIT: per-chunk sorts on the worker pool, k-way merge.

@@ -27,10 +27,10 @@
 // marking the output positions that are NULL padding (outer joins, the
 // empty global group).
 //
-// [JoinPairs] holds a join's match list with all four [JoinKind]
-// semantics; the SQL engine's join pipeline (package sqlengine) probes
-// through [NewHashProbe], whose keys are exact for every pair
-// [EquiHashable] accepts.
+// [JoinPairs] holds a join's match list for every [JoinKind] (a RIGHT
+// join builds as the LEFT join of the swapped sides); the SQL engine's
+// join pipeline (package sqlengine) probes through [NewHashProbe], whose
+// keys are exact for every pair [EquiHashable] accepts.
 //
 // See docs/ENGINE.md at the repository root for how these pieces compose
 // into the full query lifecycle.

@@ -47,11 +47,13 @@ type JoinPairs struct {
 	Rnull []bool // non-nil ⇒ LEFT/FULL padding may blank right cells
 }
 
-// NewJoinPairs allocates the pair list for a join kind, with the null
-// masks that kind can need (non-nil but empty, so appends stay aligned).
+// NewJoinPairs allocates the pair list for an INNER, LEFT or FULL join,
+// with the null masks that kind can need (non-nil but empty, so appends
+// stay aligned). A RIGHT join builds as the LEFT join of the swapped sides
+// and swaps the lists and masks of the result.
 func NewJoinPairs(kind JoinKind) *JoinPairs {
 	p := &JoinPairs{}
-	if kind == JoinRight || kind == JoinFull {
+	if kind == JoinFull {
 		p.Lnull = []bool{}
 	}
 	if kind == JoinLeft || kind == JoinFull {
@@ -85,16 +87,6 @@ func (p *JoinPairs) PadRight(l int) {
 	p.Rnull = append(p.Rnull, true)
 }
 
-// PadLeft appends right row r with a NULL-padded left side (RIGHT/FULL).
-func (p *JoinPairs) PadLeft(r int) {
-	p.Lidx = append(p.Lidx, 0)
-	p.Ridx = append(p.Ridx, r)
-	p.Lnull = append(p.Lnull, true)
-	if p.Rnull != nil {
-		p.Rnull = append(p.Rnull, false)
-	}
-}
-
 // Concat appends q's pairs to p (chunk merge; concatenating chunk-local
 // lists in chunk order reproduces a serial probe's output order).
 func (p *JoinPairs) Concat(q *JoinPairs) {
@@ -117,13 +109,16 @@ func (p *JoinPairs) Concat(q *JoinPairs) {
 func (p *JoinPairs) SweepUnmatchedRight(nright int) {
 	matched := make([]bool, nright)
 	for i, r := range p.Ridx {
-		if p.Rnull == nil || !p.Rnull[i] {
+		if !p.Rnull[i] {
 			matched[r] = true
 		}
 	}
 	for r := 0; r < nright; r++ {
 		if !matched[r] {
-			p.PadLeft(r)
+			p.Lidx = append(p.Lidx, 0)
+			p.Ridx = append(p.Ridx, r)
+			p.Lnull = append(p.Lnull, true)
+			p.Rnull = append(p.Rnull, false)
 		}
 	}
 }

@@ -167,7 +167,7 @@ func syncDir(dir string) error {
 // Open recovers the directory's durable state and opens it for writing:
 // the newest valid checkpoint is loaded, the log tail replayed (a torn
 // final record is truncated away), publish hooks are attached to every
-// recovered appender, and the background fsync/checkpoint loops start.
+// recovered appender, and the background checkpoint loop starts.
 // An empty or missing directory opens as an empty catalog.
 func Open(dir string, opts Options) (*Manager, *Recovered, error) {
 	opts = opts.withDefaults()
