@@ -63,7 +63,6 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", 0, "max concurrently executing queries (0 = 2x GOMAXPROCS)")
 	queueTimeout := flag.Duration("queue-timeout", time.Second, "how long an over-limit query queues before a typed backpressure rejection")
 	sessionIdle := flag.Duration("session-idle", 15*time.Minute, "idle TTL after which sessions, and cursors opened without one, are swept")
-	pageRows := flag.Int("page-rows", 4096, "default cursor page size in rows")
 	dataDir := flag.String("data", "", "data directory for the write-ahead log; empty = memory-only (rows lost on restart)")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always or off")
 	checkpointBytes := flag.Int64("checkpoint-bytes", 0, "WAL bytes between automatic checkpoints (0 = 64MiB default, negative disables)")
@@ -106,7 +105,6 @@ func main() {
 		MaxConcurrentQueries: *maxConcurrent,
 		QueueTimeout:         *queueTimeout,
 		SessionIdleTimeout:   *sessionIdle,
-		PageRows:             *pageRows,
 		AuthTokenSecret:      os.Getenv("DATALAB_AUTH_TOKEN_SECRET"),
 	}, os.Stdout)
 	defer srv.Close()

@@ -82,6 +82,11 @@ var guards = []guard{
 		nil,
 		"every join's pairs come from joinPairs; RIGHT is a swapped LEFT",
 	},
+	{
+		regexp.MustCompile(`case "(=|<>|<=?|>=?|[+*/%])"|case "-",`),
+		[]string{"internal/sqlengine/eval.go", "internal/sqlengine/lexer.go", "internal/pymini/parser.go"},
+		"a comparison or arithmetic operator means one thing, said once: cmpOpOf, intArith and floatArith (the lexers only split tokens)",
+	},
 }
 
 // linkRe matches inline markdown links [text](target); images ![...](...)

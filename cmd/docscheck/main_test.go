@@ -85,6 +85,7 @@ func TestGuardsFire(t *testing.T) {
 		"func (c *Catalog) Query(sql string) (*table.Table, error) {",
 		"	acc := newWindowAcc(fn)",
 		"	pairs, err := loopJoinPairs(ctx, left, right, on, kind)",
+		`	case "+", "-", "*", "/", "%":`,
 	}
 	if len(planted) != len(guards) {
 		t.Fatalf("%d planted lines for %d guards", len(planted), len(guards))

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"datalab/internal/comm"
+	"datalab/internal/textutil"
 )
 
 // Planner is the proxy-side analysis that maps a user query to an FSM
@@ -37,30 +38,30 @@ func (p *Planner) Plan(query, tableName string) (*comm.FSM, map[string]comm.Agen
 		plan.AddEdge(NameSQL, name)
 		analysis = append(analysis, name)
 	}
-	if containsAny(q, "anomal", "outlier", "unusual", "spike") {
+	if textutil.ContainsAny(q, "anomal", "outlier", "unusual", "spike") {
 		attach(NameAnomaly, NewAnomalyAgent(p.rt, tableName))
 	}
-	if containsAny(q, "why", "cause", "driver", "correlat", "relationship", "impact") {
+	if textutil.ContainsAny(q, "why", "cause", "driver", "correlat", "relationship", "impact") {
 		attach(NameCausal, NewCausalAgent(p.rt, tableName))
 	}
-	if containsAny(q, "forecast", "predict", "project", "next quarter", "next month", "future") {
+	if textutil.ContainsAny(q, "forecast", "predict", "project", "next quarter", "next month", "future") {
 		attach(NameForecast, NewForecastAgent(p.rt, tableName))
 	}
-	if containsAny(q, "clean", "dedup", "fix the data") {
+	if textutil.ContainsAny(q, "clean", "dedup", "fix the data") {
 		attach(NameCleaning, NewCleaningAgent(p.rt, tableName))
 	}
-	if containsAny(q, "impute", "missing value", "fill in") {
+	if textutil.ContainsAny(q, "impute", "missing value", "fill in") {
 		attach(NameImpute, NewImputationAgent(p.rt, tableName))
 	}
-	if containsAny(q, "explore", "profile", "distribution", "describe the data") {
+	if textutil.ContainsAny(q, "explore", "profile", "distribution", "describe the data") {
 		attach(NameEDA, NewEDAAgent(p.rt, tableName))
 	}
-	if containsAny(q, "pandas", "python code", "dataframe code", "script") {
+	if textutil.ContainsAny(q, "pandas", "python code", "dataframe code", "script") {
 		attach(NameDSCode, NewDSCodeAgent(p.rt, tableName))
 	}
 
-	wantChart := containsAny(q, "chart", "plot", "visuali", "graph", "draw", "pie", "trend line")
-	wantInsight := containsAny(q, "insight", "analyz", "analysis", "summar", "report", "explain")
+	wantChart := textutil.ContainsAny(q, "chart", "plot", "visuali", "graph", "draw", "pie", "trend line")
+	wantInsight := textutil.ContainsAny(q, "insight", "analyz", "analysis", "summar", "report", "explain")
 
 	if wantChart {
 		add(NameChart, NewChartAgent(p.rt, tableName))
@@ -80,15 +81,6 @@ func (p *Planner) Plan(query, tableName string) (*comm.FSM, map[string]comm.Agen
 		}
 	}
 	return plan, agents
-}
-
-func containsAny(s string, subs ...string) bool {
-	for _, sub := range subs {
-		if strings.Contains(s, sub) {
-			return true
-		}
-	}
-	return false
 }
 
 // Outcome is what one run of the pipeline produced.

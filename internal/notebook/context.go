@@ -36,26 +36,17 @@ var relevantCellTypes = map[TaskType][]CellType{
 func ClassifyTask(query string) TaskType {
 	q := strings.ToLower(query)
 	switch {
-	case containsAny(q, "chart", "plot", "visuali", "graph", "pie", "bar ", "trend line", "draw"):
+	case textutil.ContainsAny(q, "chart", "plot", "visuali", "graph", "pie", "bar ", "trend line", "draw"):
 		return TaskNL2VIS
-	case containsAny(q, "sql", "query the", "select from", "table join"):
+	case textutil.ContainsAny(q, "sql", "query the", "select from", "table join"):
 		return TaskNL2SQL
-	case containsAny(q, "insight", "analyze", "analysis", "why", "anomal", "forecast", "correlat"):
+	case textutil.ContainsAny(q, "insight", "analyze", "analysis", "why", "anomal", "forecast", "correlat"):
 		return TaskNL2Insight
-	case containsAny(q, "code", "python", "pandas", "dataframe", "clean", "impute", "normalize"):
+	case textutil.ContainsAny(q, "code", "python", "pandas", "dataframe", "clean", "impute", "normalize"):
 		return TaskNL2DSCode
 	default:
 		return TaskUnknown
 	}
-}
-
-func containsAny(s string, subs ...string) bool {
-	for _, sub := range subs {
-		if strings.Contains(s, sub) {
-			return true
-		}
-	}
-	return false
 }
 
 // Context is the assembled context for one query: the minimum set of

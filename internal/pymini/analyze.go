@@ -18,48 +18,18 @@ var builtins = map[string]bool{
 func GlobalDefs(m *Module) []string {
 	var out []string
 	seen := map[string]bool{}
-	add := func(name string) {
-		if name == "" || seen[name] {
-			return
-		}
-		seen[name] = true
-		out = append(out, name)
-	}
-	for _, s := range m.Stmts {
-		switch x := s.(type) {
-		case *Assign:
-			for _, t := range x.Targets {
-				add(t)
-			}
-		case *FuncDef:
-			add(x.Name)
-		case *ClassDef:
-			add(x.Name)
-		case *Import:
-			for _, b := range x.Bound {
-				add(b)
-			}
-		case *For:
-			// Top-level loop variables leak into the namespace in Python.
-			for _, v := range x.Vars {
-				add(v)
-			}
-			for _, name := range defsInBlock(x.Body) {
-				add(name)
-			}
-		case *Cond:
-			for _, body := range x.Bodies {
-				for _, name := range defsInBlock(body) {
-					add(name)
-				}
-			}
+	for _, name := range defsInBlock(m.Stmts) {
+		if name != "" && !seen[name] {
+			seen[name] = true
+			out = append(out, name)
 		}
 	}
 	return out
 }
 
-// defsInBlock collects assignments/defs in a nested top-level block
-// (if/for bodies run in the global scope).
+// defsInBlock collects the assignments and defs of a block that runs in the
+// global scope — the cell itself, and the if/for bodies nested in it — top-
+// level loop variables included, as they leak into the namespace in Python.
 func defsInBlock(stmts []Stmt) []string {
 	var out []string
 	for _, s := range stmts {

@@ -11,12 +11,10 @@ type Stmt interface{ stmt() }
 // unpacking, and augmented assignment).
 type Assign struct {
 	Targets []string // simple names bound by the assignment
-	// AttrTargets are attribute/subscript stores (df["x"] = ..., a.b = ...):
-	// the base names, which count as mutations, not fresh definitions.
-	AttrTargets []string
-	Refs        []string // names read on the right-hand side (and in subscripts)
-	Augmented   bool     // += etc. reads the target too
-	Line        int
+	// Refs are the names read on the right-hand side, the base names of
+	// attribute/subscript stores (df["x"] = ..., a.b = ...), and an
+	// augmented assignment's targets.
+	Refs []string
 }
 
 func (*Assign) stmt() {}
@@ -26,7 +24,6 @@ type FuncDef struct {
 	Name   string
 	Params []string
 	Body   []Stmt
-	Line   int
 }
 
 func (*FuncDef) stmt() {}
@@ -35,7 +32,6 @@ func (*FuncDef) stmt() {}
 type ClassDef struct {
 	Name string
 	Body []Stmt
-	Line int
 }
 
 func (*ClassDef) stmt() {}
@@ -43,7 +39,6 @@ func (*ClassDef) stmt() {}
 // Import binds module names: `import pandas as pd`, `from x import y, z`.
 type Import struct {
 	Bound []string // names introduced into the namespace
-	Line  int
 }
 
 func (*Import) stmt() {}
@@ -53,7 +48,6 @@ type For struct {
 	Vars []string
 	Refs []string
 	Body []Stmt
-	Line int
 }
 
 func (*For) stmt() {}
@@ -62,7 +56,6 @@ func (*For) stmt() {}
 type Cond struct {
 	Refs   []string
 	Bodies [][]Stmt
-	Line   int
 }
 
 func (*Cond) stmt() {}
@@ -70,7 +63,6 @@ func (*Cond) stmt() {}
 // ExprStmt is a bare expression (function call, method chain).
 type ExprStmt struct {
 	Refs []string
-	Line int
 }
 
 func (*ExprStmt) stmt() {}
@@ -156,7 +148,7 @@ func (p *pyParser) parseStmt() (Stmt, error) {
 			p.next()
 			refs := p.collectLineRefs()
 			p.endStatement()
-			return &ExprStmt{Refs: refs, Line: t.Line}, nil
+			return &ExprStmt{Refs: refs}, nil
 		}
 	}
 	return p.parseSimple()
@@ -164,8 +156,6 @@ func (p *pyParser) parseStmt() (Stmt, error) {
 
 // parseSimple handles assignments and expression statements.
 func (p *pyParser) parseSimple() (Stmt, error) {
-	start := p.pos
-	line := p.peek().Line
 	// Scan the logical line's tokens.
 	var lineToks []Token
 	for {
@@ -205,15 +195,14 @@ func (p *pyParser) parseSimple() (Stmt, error) {
 		}
 	}
 	if assignIdx < 0 {
-		return &ExprStmt{Refs: identRefs(lineToks), Line: line}, nil
+		return &ExprStmt{Refs: identRefs(lineToks)}, nil
 	}
 	lhs := lineToks[:assignIdx]
 	rhs := lineToks[assignIdx+1:]
-	a := &Assign{Augmented: augmented, Line: line}
-	a.Refs = identRefs(rhs)
+	a := &Assign{Refs: identRefs(rhs)}
 
-	// LHS: simple names become targets; attribute/subscript stores record
-	// the base name as mutated (and read).
+	// LHS: simple names become targets; attribute/subscript stores read
+	// their base name.
 	i := 0
 	for i < len(lhs) {
 		t := lhs[i]
@@ -229,7 +218,6 @@ func (p *pyParser) parseSimple() (Stmt, error) {
 				isStore = true
 			}
 			if nt.Kind == TokOp && (nt.Text == "[" || nt.Text == ".") {
-				a.AttrTargets = append(a.AttrTargets, t.Text)
 				a.Refs = append(a.Refs, t.Text)
 				// Subscript expressions may reference other names.
 				// Skip to the matching close.
@@ -245,7 +233,6 @@ func (p *pyParser) parseSimple() (Stmt, error) {
 	if augmented {
 		a.Refs = append(a.Refs, a.Targets...)
 	}
-	_ = start
 	return a, nil
 }
 
@@ -275,7 +262,7 @@ func (p *pyParser) parseFuncDef() (Stmt, error) {
 		return nil, fmt.Errorf("pymini: expected function name at line %d", t.Line)
 	}
 	p.next()
-	fd := &FuncDef{Name: name.Text, Line: t.Line}
+	fd := &FuncDef{Name: name.Text}
 	// Parameters between ( ).
 	if p.peek().Kind == TokOp && p.peek().Text == "(" {
 		p.next()
@@ -337,12 +324,12 @@ func (p *pyParser) parseClassDef() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ClassDef{Name: name.Text, Body: body, Line: t.Line}, nil
+	return &ClassDef{Name: name.Text, Body: body}, nil
 }
 
 func (p *pyParser) parseImport() (Stmt, error) {
 	t := p.next() // import | from
-	imp := &Import{Line: t.Line}
+	imp := &Import{}
 	if t.Text == "from" {
 		// from module import a [as b], c
 		for p.peek().Kind == TokIdent || (p.peek().Kind == TokOp && p.peek().Text == ".") {
@@ -398,7 +385,7 @@ func (p *pyParser) parseImportNames() []string {
 
 func (p *pyParser) parseFor() (Stmt, error) {
 	t := p.next() // for
-	f := &For{Line: t.Line}
+	f := &For{}
 	// Loop variables until `in`.
 	for {
 		tok := p.peek()
@@ -436,8 +423,8 @@ func (p *pyParser) parseFor() (Stmt, error) {
 }
 
 func (p *pyParser) parseCond() (Stmt, error) {
-	t := p.next() // if/while/...
-	c := &Cond{Line: t.Line}
+	p.next() // if/while/...
+	c := &Cond{}
 	var condToks []Token
 	for {
 		tok := p.peek()

@@ -45,11 +45,6 @@ type Config struct {
 	// after this long with no activity (default 15m; negative disables
 	// sweeping).
 	SessionIdleTimeout time.Duration
-	// PageRows is the default cursor page size (default 4096).
-	PageRows int
-	// IngestPublishRows is how many streamed ingest rows are batched into
-	// one published snapshot (default 4096).
-	IngestPublishRows int
 	// AuthTokenSecret, when non-empty, requires `Authorization: Bearer
 	// <token>` on every endpoint except /healthz. The suffix is the
 	// contract: the value is redacted from logs and wire lines.
@@ -65,12 +60,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionIdleTimeout == 0 {
 		c.SessionIdleTimeout = 15 * time.Minute
-	}
-	if c.PageRows <= 0 {
-		c.PageRows = 4096
-	}
-	if c.IngestPublishRows <= 0 {
-		c.IngestPublishRows = 4096
 	}
 	return c
 }
@@ -127,8 +116,8 @@ func New(p *datalab.Platform, cfg Config, logw io.Writer) *Server {
 			"max_concurrent_queries": cfg.MaxConcurrentQueries,
 			"queue_timeout_ms":       durationMS(cfg.QueueTimeout),
 			"session_idle_ms":        durationMS(cfg.SessionIdleTimeout),
-			"page_rows":              cfg.PageRows,
-			"ingest_publish_rows":    cfg.IngestPublishRows,
+			"page_rows":              pageRows,
+			"ingest_publish_rows":    ingestPublishRows,
 			"auth_token_secret":      cfg.AuthTokenSecret,
 			"auth_enabled":           cfg.AuthTokenSecret != "",
 		},
@@ -540,7 +529,7 @@ func (s *Server) logCancel(req queryRequest, start time.Time, rowsSent int) {
 
 // handleIngest streams rows into one table: the request body is JSONL,
 // one JSON array of cell values per line, batched into a published
-// snapshot every IngestPublishRows rows (one progress line per publish)
+// snapshot every ingestPublishRows rows (one progress line per publish)
 // with a final publish and ok line. Rows become visible to queries only
 // at publish points — a burst is one snapshot, not thousands.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -631,7 +620,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		appended++
-		if fullDuplex && appended%s.cfg.IngestPublishRows == 0 {
+		if fullDuplex && appended%ingestPublishRows == 0 {
 			if err := publish(); err != nil {
 				walFail(err)
 				return
@@ -755,7 +744,7 @@ func (s *Server) handleCursorCreate(w http.ResponseWriter, r *http.Request) {
 		"cursor_id":         cur.id,
 		"columns":           res.Columns(),
 		"rows_total":        res.NumRows(),
-		"page_rows_default": s.cfg.PageRows,
+		"page_rows_default": pageRows,
 		"session_id":        req.SessionID,
 		"duration_ms":       durationMS(time.Since(start)),
 	})
@@ -811,7 +800,7 @@ func (s *Server) handleCursorNext(w http.ResponseWriter, r *http.Request) {
 		writeErrorLine(w, http.StatusNotFound, ErrCodeNotFound, fmt.Sprintf("unknown or closed cursor %q", id))
 		return
 	}
-	maxRows := s.cfg.PageRows
+	maxRows := pageRows
 	if v := r.URL.Query().Get("max_rows"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {

@@ -317,8 +317,8 @@ func TestOversizedBodyIsRefused(t *testing.T) {
 // TestIngestThenQuery streams JSONL rows in and verifies they are visible
 // (and only publish-batch granular) to queries.
 func TestIngestThenQuery(t *testing.T) {
-	const base, extra = 100, 2500
-	_, ts, _ := newTestServer(t, base, Config{IngestPublishRows: 1000})
+	const base, extra = 100, 2*ingestPublishRows + 500
+	_, ts, _ := newTestServer(t, base, Config{})
 	var body bytes.Buffer
 	for _, r := range DemoRecords(base, extra) {
 		body.WriteString(fmt.Sprintf("[%s, %q, %s]\n", r[0], r[1], r[2]))
@@ -336,15 +336,15 @@ func TestIngestThenQuery(t *testing.T) {
 	if got := int(last["rows_visible_total"].(float64)); got != base+extra {
 		t.Fatalf("rows_visible_total = %d, want %d", got, base+extra)
 	}
-	// Two publishes at 1000-row boundaries → two progress lines.
+	// Two publishes at ingestPublishRows boundaries → two progress lines.
 	progress := 0
 	for _, l := range lines {
 		if l["code"] == CodeProgress {
 			progress++
 		}
 	}
-	if progress != extra/1000 {
-		t.Fatalf("progress lines = %d, want %d", progress, extra/1000)
+	if progress != extra/ingestPublishRows {
+		t.Fatalf("progress lines = %d, want %d", progress, extra/ingestPublishRows)
 	}
 	if n, _ := wireQuery(t, ts.URL, "SELECT COUNT(*) FROM events"); int(n) != base+extra {
 		t.Fatalf("post-ingest COUNT = %v, want %d", n, base+extra)
@@ -473,7 +473,7 @@ func TestIngestUnknownTable(t *testing.T) {
 // observe the defined closed error afterward.
 func TestCursorPaginationAndRewind(t *testing.T) {
 	const rows = 3000
-	_, ts, _ := newTestServer(t, rows, Config{PageRows: 1024})
+	_, ts, _ := newTestServer(t, rows, Config{})
 	resp := postJSON(t, ts.URL+"/v1/cursors", map[string]any{"sql": "SELECT id FROM events"})
 	defer resp.Body.Close()
 	created := decodeLines(t, resp.Body)[0]

@@ -53,6 +53,14 @@ const maxRequestBodyBytes = 1 << 20
 // before it are published.
 const maxIngestLineBytes = 1 << 20
 
+// pageRows is a cursor page's size, in rows, when POST
+// /v1/cursors/{id}/next names no max_rows.
+const pageRows = 4096
+
+// ingestPublishRows is how many streamed /v1/ingest rows are batched into
+// one published snapshot, each publish one progress line.
+const ingestPublishRows = 4096
+
 // Typed error_code values carried on CodeError lines.
 const (
 	// ErrCodeBackpressure: admission control rejected the request — the

@@ -52,82 +52,110 @@ func unaryValue(op string, v table.Value) (table.Value, error) {
 
 // binaryValue applies a comparison, arithmetic, LIKE or || — every binary
 // operator but AND and OR, whose right side depends on the left — to one
-// pair of operand values.
+// pair of operand values. Comparisons and arithmetic decide each pair
+// through the definitions below, which evalVec's typed loops run too.
 func binaryValue(op string, lv, rv table.Value) (table.Value, error) {
-	switch op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		if lv.IsNull() || rv.IsNull() {
-			return table.Null(), nil
-		}
-		c := table.Compare(lv, rv)
-		var res bool
-		switch op {
-		case "=":
-			res = c == 0
-		case "<>":
-			res = c != 0
-		case "<":
-			res = c < 0
-		case "<=":
-			res = c <= 0
-		case ">":
-			res = c > 0
-		case ">=":
-			res = c >= 0
-		}
-		return table.Bool(res), nil
-	case "LIKE":
-		if lv.IsNull() || rv.IsNull() {
-			return table.Null(), nil
-		}
+	cmp, isCmp := cmpOpOf(op)
+	fa := floatArith(op)
+	if !isCmp && fa == nil && op != "LIKE" && op != "||" {
+		return table.Null(), fmt.Errorf("sql: unknown operator %q", op)
+	}
+	switch {
+	case lv.IsNull() || rv.IsNull():
+		return table.Null(), nil
+	case isCmp:
+		return table.Bool(cmp.Accepts(table.Compare(lv, rv))), nil
+	case op == "LIKE":
 		return table.Bool(likeMatch(lv.AsString(), rv.AsString())), nil
-	case "||":
-		if lv.IsNull() || rv.IsNull() {
-			return table.Null(), nil
-		}
+	case op == "||":
 		return table.Str(lv.AsString() + rv.AsString()), nil
-	case "+", "-", "*", "/", "%":
-		if lv.IsNull() || rv.IsNull() {
-			return table.Null(), nil
+	}
+	lf, lok := lv.AsFloat()
+	rf, rok := rv.AsFloat()
+	if !lok || !rok {
+		return table.Null(), fmt.Errorf("sql: arithmetic on non-numeric values %v %s %v", lv, op, rv)
+	}
+	if fi := intArith(op); fi != nil && lv.Kind == table.KindInt && rv.Kind == table.KindInt {
+		if r, ok := fi(lv.I, rv.I); ok {
+			return table.Int(r), nil
 		}
-		lf, lok := lv.AsFloat()
-		rf, rok := rv.AsFloat()
-		if !lok || !rok {
-			return table.Null(), fmt.Errorf("sql: arithmetic on non-numeric values %v %s %v", lv, op, rv)
-		}
-		bothInt := lv.Kind == table.KindInt && rv.Kind == table.KindInt
-		switch op {
-		case "+":
-			if bothInt {
-				return table.Int(lv.I + rv.I), nil
+		return table.Null(), nil
+	}
+	if r, ok := fa(lf, rf); ok {
+		return table.Float(r), nil
+	}
+	return table.Null(), nil
+}
+
+// cmpOpOf is the comparison operator op names; ok=false for any other
+// operator.
+func cmpOpOf(op string) (table.CmpOp, bool) {
+	switch op {
+	case "=":
+		return table.CmpEq, true
+	case "<>":
+		return table.CmpNe, true
+	case "<":
+		return table.CmpLt, true
+	case "<=":
+		return table.CmpLe, true
+	case ">":
+		return table.CmpGt, true
+	case ">=":
+		return table.CmpGe, true
+	}
+	return 0, false
+}
+
+// intArith is arithmetic operator op over two integers, wrapping as int64
+// does; ok=false — NULL — for a zero divisor of %. It is nil for /, which
+// is always float, and for any operator that is not arithmetic.
+func intArith(op string) func(a, b int64) (int64, bool) {
+	switch op {
+	case "+":
+		return func(a, b int64) (int64, bool) { return a + b, true }
+	case "-":
+		return func(a, b int64) (int64, bool) { return a - b, true }
+	case "*":
+		return func(a, b int64) (int64, bool) { return a * b, true }
+	case "%":
+		return func(a, b int64) (int64, bool) {
+			if b == 0 {
+				return 0, false
 			}
-			return table.Float(lf + rf), nil
-		case "-":
-			if bothInt {
-				return table.Int(lv.I - rv.I), nil
-			}
-			return table.Float(lf - rf), nil
-		case "*":
-			if bothInt {
-				return table.Int(lv.I * rv.I), nil
-			}
-			return table.Float(lf * rf), nil
-		case "/":
-			if rf == 0 {
-				return table.Null(), nil
-			}
-			return table.Float(lf / rf), nil
-		case "%":
-			if rf == 0 {
-				return table.Null(), nil
-			}
-			if bothInt {
-				return table.Int(lv.I % rv.I), nil
-			}
-			return table.Float(math.Mod(lf, rf)), nil
+			return a % b, true
 		}
 	}
-	return table.Null(), fmt.Errorf("sql: unknown operator %q", op)
+	return nil
+}
+
+// floatArith is arithmetic operator op over two float64s — any operand
+// pair but two integers, and / always; ok=false — NULL — for a zero
+// divisor of / or %. It is nil for any operator that is not arithmetic.
+func floatArith(op string) func(a, b float64) (float64, bool) {
+	switch op {
+	case "+":
+		return func(a, b float64) (float64, bool) { return a + b, true }
+	case "-":
+		return func(a, b float64) (float64, bool) { return a - b, true }
+	case "*":
+		return func(a, b float64) (float64, bool) { return a * b, true }
+	case "/":
+		return func(a, b float64) (float64, bool) {
+			if b == 0 {
+				return 0, false
+			}
+			return a / b, true
+		}
+	case "%":
+		return func(a, b float64) (float64, bool) {
+			if b == 0 {
+				return 0, false
+			}
+			return math.Mod(a, b), true
+		}
+	}
+	return nil
 }
 
 // betweenValue is v [NOT] BETWEEN lo AND hi for one row: NULL when any of

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -311,6 +312,113 @@ func TestRoundStaysFinite(t *testing.T) {
 			if got := out.Columns[i].Value(0); got.Kind != table.KindFloat || got.F != w {
 				t.Errorf("%s: %s = %v, want %v", name, out.Columns[i].Name, got, w)
 			}
+		}
+	}
+}
+
+// TestOperatorDefinitions checks every comparison and arithmetic operator
+// against literal expected values. evalVec's typed loops and binaryValue
+// run the same per-cell definitions, so the differential harness cannot
+// catch a wrong one; this table can. Each case runs through binaryValue and
+// through evalVec over one-row typed columns, whose typed loop must cover
+// the pair.
+func TestOperatorDefinitions(t *testing.T) {
+	const maxInt, minInt = int64(math.MaxInt64), int64(math.MinInt64)
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	t0 := time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC)
+	null := table.Null()
+	i, f := table.Int, table.Float
+	// Comparison results in the order =, <>, <, <=, >, >=.
+	cmpOps := []string{"=", "<>", "<", "<=", ">", ">="}
+	less := [6]bool{false, true, true, true, false, false}
+	equal := [6]bool{true, false, false, true, false, true}
+	greater := [6]bool{false, true, false, false, true, true}
+	comparisons := []struct {
+		l, r table.Value
+		want [6]bool
+	}{
+		{i(1), i(2), less},
+		{i(3), i(3), equal},
+		{i(1<<53 + 1), i(1 << 53), greater}, // exact in int64
+		{i(-5), i(minInt), greater},
+		{i(2), f(2.5), less},
+		{i(1<<53 + 1), f(1 << 53), equal}, // float64(cell)
+		{f(2.5), i(2), greater},
+		{f(1.5), f(-0.5), greater},
+		{f(negZero), f(0), equal},
+		{f(nan), f(1), equal}, // NaN is neither < nor >: equal to every number
+		{i(7), f(nan), equal},
+		{f(nan), f(nan), equal},
+		{table.Str("a"), table.Str("b"), less},
+		{table.Time(t0), table.Time(t0.Add(time.Nanosecond)), less},
+		{table.Time(t0.Add(time.Nanosecond)), table.Time(t0), greater},
+		{table.Time(t0), table.Time(t0), equal},
+	}
+	type arith struct {
+		l       table.Value
+		op      string
+		r, want table.Value
+	}
+	cases := []arith{
+		{i(7), "+", i(2), i(9)},
+		{i(7), "-", i(2), i(5)},
+		{i(7), "*", i(2), i(14)},
+		{i(7), "/", i(2), f(3.5)}, // / is always float
+		{i(7), "%", i(2), i(1)},
+		{i(-7), "%", i(2), i(-1)},
+		{i(7), "/", i(0), null},
+		{i(7), "%", i(0), null},
+		{i(maxInt), "+", i(1), i(minInt)}, // int64 wraps
+		{i(minInt), "-", i(1), i(maxInt)},
+		{i(maxInt), "*", i(2), i(-2)},
+		{i(minInt), "%", i(-1), i(0)},
+		{i(7), "+", f(0.5), f(7.5)},
+		{i(7), "%", f(2.5), f(2)},
+		{i(7), "/", f(0), null},
+		{i(7), "%", f(negZero), null},
+		{f(0.5), "-", i(2), f(-1.5)},
+		{f(1.5), "*", f(2), f(3)},
+		{f(1), "/", f(4), f(0.25)},
+		{f(-7.5), "%", f(2), f(-1.5)},
+		{f(1.5), "/", f(negZero), null},
+		{f(0), "%", f(0), null},
+		{f(negZero), "+", f(0), f(0)},
+		{f(negZero), "*", f(1), f(negZero)},
+		{f(negZero), "-", f(0), f(negZero)},
+		{f(nan), "+", f(1), f(nan)},
+		{i(3), "*", f(nan), f(nan)},
+	}
+	for _, c := range comparisons {
+		for k, op := range cmpOps {
+			cases = append(cases, arith{c.l, op, c.r, table.Bool(c.want[k])})
+		}
+	}
+	same := func(a, b table.Value) bool {
+		if a.Kind == table.KindFloat && b.Kind == table.KindFloat {
+			return math.Float64bits(a.F) == math.Float64bits(b.F) || a.F != a.F && b.F != b.F
+		}
+		return a.Kind == b.Kind && (a.IsNull() || table.Equal(a, b))
+	}
+	for _, c := range cases {
+		name := fmt.Sprintf("%v %s %v", c.l, c.op, c.r)
+		got, err := binaryValue(c.op, c.l, c.r)
+		if err != nil || !same(got, c.want) {
+			t.Errorf("binaryValue: %s = %v (%v), want %v", name, got, err, c.want)
+		}
+		lcol := table.ColumnOf("", c.l.Kind, []table.Value{c.l})
+		rcol := table.ColumnOf("", c.r.Kind, []table.Value{c.r})
+		if _, ok := binaryVec(c.op, &lcol, &rcol); !ok {
+			t.Errorf("evalVec: %s has no typed loop", name)
+			continue
+		}
+		rel := &vrel{cols: []table.Column{lcol, rcol}, nrows: 1}
+		out, err := evalVec(&Binary{Op: c.op, L: &ColumnRef{idx: 0}, R: &ColumnRef{idx: 1}}, rel, nil)
+		if err != nil || out.Len() != 1 {
+			t.Errorf("evalVec: %s: %v (%d rows)", name, err, out.Len())
+			continue
+		}
+		if got := out.Value(0); !same(got, c.want) {
+			t.Errorf("evalVec: %s = %v, want %v", name, got, c.want)
 		}
 	}
 }

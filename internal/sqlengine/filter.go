@@ -49,24 +49,6 @@ type kernelCmp struct {
 	k   table.Value
 }
 
-func cmpOpOf(op string) (table.CmpOp, bool) {
-	switch op {
-	case "=":
-		return table.CmpEq, true
-	case "<>":
-		return table.CmpNe, true
-	case "<":
-		return table.CmpLt, true
-	case "<=":
-		return table.CmpLe, true
-	case ">":
-		return table.CmpGt, true
-	case ">=":
-		return table.CmpGe, true
-	}
-	return 0, false
-}
-
 // kernelCompare recognizes `colExpr op constExpr`: a column of rel against a
 // literal or bound parameter of a kind the kernels cover.
 func kernelCompare(colExpr Expr, op table.CmpOp, constExpr Expr, rel *vrel) (kernelCmp, bool) {

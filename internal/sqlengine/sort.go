@@ -98,25 +98,18 @@ func (ks *keyset) sortSegment(seg []int) {
 }
 
 // sortPerm returns the stable row permutation ordering the key columns.
-// ctx is observed by the parallel chunk sort; serial sorts below the
-// parallel threshold run to completion (they are sub-millisecond).
 func sortPerm(ctx context.Context, keyCols []table.Column, order []OrderItem, n int) ([]int, error) {
 	specs, ok := sortKeySpecs(keyCols, order)
 	if !ok {
 		return boxedSortPerm(keyCols, order, n), nil
 	}
-	if n >= 2*parallelMinRows {
-		return parallelSortPerm(ctx, specs, n)
-	}
-	ks := buildKeyset(specs, 0, n)
-	perm := iotaInts(n)
-	ks.sortSegment(perm)
-	return perm, nil
+	return parallelSortPerm(ctx, specs, n)
 }
 
-// parallelSortPerm sorts large permutations chunk-at-a-time on the worker
-// pool and k-way merges the sorted chunks. The error is the pool's: a
-// chunk skipped on cancellation, or a panic it contained.
+// parallelSortPerm sorts the permutation chunk-at-a-time on the worker
+// pool and k-way merges the sorted chunks; below 2*parallelMinRows rows
+// there is one chunk, sorted inline, and nothing to merge. The error is
+// the pool's: a chunk skipped on cancellation, or a panic it contained.
 func parallelSortPerm(ctx context.Context, specs []table.SortKeySpec, n int) ([]int, error) {
 	_, count := chunkLayout(n, parallelMinRows)
 	perm := iotaInts(n)
@@ -230,7 +223,11 @@ func topKPerm(ctx context.Context, keyCols []table.Column, order []OrderItem, n,
 	}
 	specs, ok := sortKeySpecs(keyCols, order)
 	if !ok {
-		return boxedTopKPerm(keyCols, order, n, k), nil
+		// Keys with no memcmp encoding take the prefix of the full boxed
+		// sort rather than a bounded heap: with NaN keys the comparator is
+		// not a total order, and a heap's selection can diverge from what
+		// a stable sort would have kept — the sort's prefix cannot.
+		return boxedSortPerm(keyCols, order, n)[:k], nil
 	}
 	h := topKHeap{rows: make([]int, k), keys: make([][]byte, k)}
 	h.worse = func(a, b int) bool {
@@ -264,15 +261,6 @@ func topKPerm(ctx context.Context, keyCols []table.Column, order []OrderItem, n,
 	}
 	h.sortAscending(k)
 	return h.rows, nil
-}
-
-// boxedTopKPerm is topKPerm for keys with no memcmp encoding. It takes
-// the prefix of the full boxed sort rather than running a bounded heap:
-// with NaN keys the comparator is not a total order, and a heap's
-// selection can diverge from what a stable sort would have kept — the
-// prefix of the reference sort cannot, by construction.
-func boxedTopKPerm(keyCols []table.Column, order []OrderItem, n, k int) []int {
-	return boxedSortPerm(keyCols, order, n)[:k]
 }
 
 // topKHeap is a bounded binary max-heap over permutation slots: worse(a, b)

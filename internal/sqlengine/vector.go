@@ -2,25 +2,26 @@ package sqlengine
 
 import (
 	"fmt"
-	"math"
 	"strings"
+	"time"
 
 	"datalab/internal/table"
 )
 
 // Vectorized expression evaluation, the engine's one evaluator: evalVec
 // computes an expression over whole column vectors, optionally restricted
-// by a selection vector. A node runs typed loops where its operands'
-// storage allows; every other operand shape runs one boxed per-row loop
-// over the node's child columns that calls the value-level library in
-// eval.go. A child that a row-at-a-time walk would skip is evaluated only
-// on the rows that reach it — AND/OR's right side on the rows the left
-// leaves undecided, each CASE arm on the rows no earlier arm took, IN
-// candidates on the rows not yet matched — so a child that raises on some
-// rows raises exactly when a row walk would. Grouped statements evaluate
-// over a relation of groups (vgroups, exec.go). The differential tests
-// check evalVec against a row-at-a-time oracle kept in the package's test
-// files; the deliberate divergences are listed in docs/ARCHITECTURE.md.
+// by a selection vector. Where its operands' storage allows, an operator
+// runs one of two generic typed loops, zipColumn or mapColumn, over the
+// per-cell definition eval.go's value-level library uses too; every other
+// operand shape runs one boxed per-row loop over the node's child columns
+// that calls that library. A child that a row-at-a-time walk would skip
+// is evaluated only on the rows that reach it — AND/OR's right side on the
+// rows the left leaves undecided, each CASE arm on the rows no earlier arm
+// took, IN candidates on the rows not yet matched — so a child that raises
+// on some rows raises exactly when a row walk would. Grouped statements
+// evaluate over a relation of groups (vgroups, exec.go). The differential
+// tests check evalVec against a row-at-a-time oracle kept in the package's
+// test files; the deliberate divergences are listed in docs/ARCHITECTURE.md.
 
 // selLen returns the number of selected rows (sel == nil means all rows).
 func selLen(rel *vrel, sel *table.Selection) int {
@@ -317,37 +318,19 @@ func evalVecUnary(x *Unary, rel *vrel, sel *table.Selection) (table.Column, erro
 	switch x.Op {
 	case "NOT":
 		if bs, nulls, ok := col.Bools(); ok {
-			out := make([]bool, len(bs))
-			outNulls := make([]bool, len(bs))
-			for i := range bs {
-				out[i] = !bs[i]
-				outNulls[i] = nulls[i]
-			}
-			return table.ColumnFromBools("", out, outNulls), nil
+			return mapColumn(bs, nulls, func(b bool) (bool, bool) { return !b, true }), nil
 		}
 	case "-":
 		if is, nulls, ok := col.Ints(); ok {
-			out := make([]int64, len(is))
-			for i := range is {
-				out[i] = -is[i]
-			}
-			return table.ColumnFromInts("", out, copyBools(nulls)), nil
+			return mapColumn(is, nulls, func(v int64) (int64, bool) { return -v, true }), nil
 		}
 		if fs, nulls, ok := col.Floats(); ok {
-			out := make([]float64, len(fs))
-			for i := range fs {
-				out[i] = -fs[i]
-			}
-			return table.ColumnFromFloats("", out, copyBools(nulls)), nil
+			return mapColumn(fs, nulls, func(v float64) (float64, bool) { return -v, true }), nil
 		}
 	}
 	return evalRows(selLen(rel, sel), []operand{{col: col}}, func(a []table.Value) (table.Value, error) {
 		return unaryValue(x.Op, a[0])
 	})
-}
-
-func copyBools(b []bool) []bool {
-	return append([]bool(nil), b...)
 }
 
 func evalVecBinary(b *Binary, rel *vrel, sel *table.Selection) (table.Column, error) {
@@ -365,21 +348,10 @@ func evalVecBinary(b *Binary, rel *vrel, sel *table.Selection) (table.Column, er
 	if err != nil {
 		return table.Column{}, err
 	}
-	n := selLen(rel, sel)
-	var out table.Column
-	ok := false
-	switch b.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		out, ok = compareVec(b.Op, &lcol, &rcol, n)
-	case "+", "-", "*", "/", "%":
-		out, ok = arithVec(b.Op, &lcol, &rcol, n)
-	case "||":
-		out, ok = concatVec(&lcol, &rcol, n)
-	}
-	if ok {
+	if out, ok := binaryVec(b.Op, &lcol, &rcol); ok {
 		return out, nil
 	}
-	return evalRows(n, []operand{{col: lcol}, {col: rcol}}, func(a []table.Value) (table.Value, error) {
+	return evalRows(selLen(rel, sel), []operand{{col: lcol}, {col: rcol}}, func(a []table.Value) (table.Value, error) {
 		return binaryValue(b.Op, a[0], a[1])
 	})
 }
@@ -452,115 +424,100 @@ func truthVec(c *table.Column, n int) (b, known []bool) {
 	return b, known
 }
 
-// compareVec compares two typed columns in one loop: int with int exactly,
-// any other numeric pair as float64 (as table.Compare orders numbers),
-// string with string, time with time. ok=false for any other pair.
-func compareVec(op string, lcol, rcol *table.Column, n int) (table.Column, bool) {
-	apply := func(cmp func(i int) int, lnulls, rnulls []bool) (table.Column, bool) {
-		out := make([]bool, n)
-		nulls := make([]bool, n)
-		for i := 0; i < n; i++ {
-			if lnulls[i] || rnulls[i] {
-				nulls[i] = true
-				continue
-			}
-			c := cmp(i)
-			switch op {
-			case "=":
-				out[i] = c == 0
-			case "<>":
-				out[i] = c != 0
-			case "<":
-				out[i] = c < 0
-			case "<=":
-				out[i] = c <= 0
-			case ">":
-				out[i] = c > 0
-			case ">=":
-				out[i] = c >= 0
-			}
+// zipColumn is the engine's typed binary loop: cell i of the result is
+// f(a[i], b[i]), NULL where either cell is NULL or f reports !ok.
+func zipColumn[T any, R cell](a []T, an []bool, b []T, bn []bool, f func(x, y T) (R, bool)) table.Column {
+	out := make([]R, len(a))
+	nulls := make([]bool, len(a))
+	for i := range out {
+		if an[i] || bn[i] {
+			nulls[i] = true
+			continue
 		}
-		return table.ColumnFromBools("", out, nulls), true
+		var ok bool
+		out[i], ok = f(a[i], b[i])
+		nulls[i] = !ok
 	}
+	return typedColumn(out, nulls)
+}
 
+// mapColumn is zipColumn's unary twin: cell i is f(a[i]), NULL where a[i]
+// is NULL or f reports !ok.
+func mapColumn[T any, R cell](a []T, an []bool, f func(x T) (R, bool)) table.Column {
+	return zipColumn(a, an, a, an, func(x, _ T) (R, bool) { return f(x) })
+}
+
+// cell is the element type of a typed column a typed loop produces.
+type cell interface {
+	int64 | float64 | string | bool
+}
+
+// typedColumn adopts a typed loop's output as an unnamed column.
+func typedColumn[R cell](vals []R, nulls []bool) table.Column {
+	switch v := any(vals).(type) {
+	case []int64:
+		return table.ColumnFromInts("", v, nulls)
+	case []float64:
+		return table.ColumnFromFloats("", v, nulls)
+	case []string:
+		return table.ColumnFromStrings("", v, nulls)
+	}
+	return table.ColumnFromBools("", any(vals).([]bool), nulls)
+}
+
+// binaryVec is a comparison, arithmetic or || over two typed columns, one
+// zipColumn loop whose per-cell function is chosen here, once; ok=false
+// for an operand pair no typed loop covers.
+func binaryVec(op string, lcol, rcol *table.Column) (table.Column, bool) {
+	if cmp, ok := cmpOpOf(op); ok {
+		return compareVec(cmp, lcol, rcol)
+	}
+	if fa := floatArith(op); fa != nil {
+		return arithVec(intArith(op), fa, lcol, rcol)
+	}
+	ls, lnulls, lok := lcol.Strings()
+	rs, rnulls, rok := rcol.Strings()
+	if op != "||" || !lok || !rok {
+		return table.Column{}, false
+	}
+	return zipColumn(ls, lnulls, rs, rnulls, func(a, b string) (string, bool) { return a + b, true }), true
+}
+
+// compareVec compares two typed columns: int with int exactly, any other
+// numeric pair as float64 (as table.Compare orders numbers), string with
+// string, time with time. ok=false for any other pair.
+func compareVec(op table.CmpOp, lcol, rcol *table.Column) (table.Column, bool) {
 	if li, lnulls, ok := lcol.Ints(); ok {
-		if ri, rnulls, ok2 := rcol.Ints(); ok2 {
-			return apply(func(i int) int {
-				switch {
-				case li[i] < ri[i]:
-					return -1
-				case li[i] > ri[i]:
-					return 1
-				}
-				return 0
-			}, lnulls, rnulls)
+		if ri, rnulls, ok := rcol.Ints(); ok {
+			return zipColumn(li, lnulls, ri, rnulls, compareOrdered[int64](op)), true
 		}
 	}
 	if lf, lnulls, ok := asFloats(lcol); ok {
-		if rf, rnulls, ok2 := asFloats(rcol); ok2 {
-			return apply(func(i int) int {
-				switch {
-				case lf[i] < rf[i]:
-					return -1
-				case lf[i] > rf[i]:
-					return 1
-				}
-				return 0
-			}, lnulls, rnulls)
+		if rf, rnulls, ok := asFloats(rcol); ok {
+			return zipColumn(lf, lnulls, rf, rnulls, compareOrdered[float64](op)), true
 		}
 	}
 	if ls, lnulls, ok := lcol.Strings(); ok {
-		if rs, rnulls, ok2 := rcol.Strings(); ok2 {
-			return apply(func(i int) int {
-				return strings.Compare(ls[i], rs[i])
-			}, lnulls, rnulls)
+		if rs, rnulls, ok := rcol.Strings(); ok {
+			return zipColumn(ls, lnulls, rs, rnulls, compareOrdered[string](op)), true
 		}
 	}
 	if lt, lnulls, ok := lcol.Times(); ok {
-		if rt, rnulls, ok2 := rcol.Times(); ok2 {
-			return apply(func(i int) int {
-				switch {
-				case lt[i].Before(rt[i]):
-					return -1
-				case lt[i].After(rt[i]):
-					return 1
-				}
-				return 0
-			}, lnulls, rnulls)
+		if rt, rnulls, ok := rcol.Times(); ok {
+			return zipColumn(lt, lnulls, rt, rnulls, func(a, b time.Time) (bool, bool) { return op.Accepts(a.Compare(b)), true }), true
 		}
 	}
 	return table.Column{}, false
 }
 
-// arithVec is arithmetic over two typed numeric columns: int op int stays
-// integer (except /, which is float), any other pair is float64, and a zero
-// divisor gives NULL. ok=false when either column is not typed numeric.
-func arithVec(op string, lcol, rcol *table.Column, n int) (table.Column, bool) {
-	if li, lnulls, ok := lcol.Ints(); ok && op != "/" {
-		if ri, rnulls, ok2 := rcol.Ints(); ok2 {
-			out := make([]int64, n)
-			nulls := make([]bool, n)
-			for i := 0; i < n; i++ {
-				if lnulls[i] || rnulls[i] {
-					nulls[i] = true
-					continue
-				}
-				switch op {
-				case "+":
-					out[i] = li[i] + ri[i]
-				case "-":
-					out[i] = li[i] - ri[i]
-				case "*":
-					out[i] = li[i] * ri[i]
-				case "%":
-					if ri[i] == 0 {
-						nulls[i] = true
-					} else {
-						out[i] = li[i] % ri[i]
-					}
-				}
-			}
-			return table.ColumnFromInts("", out, nulls), true
+// arithVec is arithmetic over two typed numeric columns: fi over two int
+// columns (fi is nil for /, which is always float), fa over any other
+// numeric pair as float64. ok=false when either column is not typed
+// numeric.
+func arithVec(fi func(a, b int64) (int64, bool), fa func(a, b float64) (float64, bool), lcol, rcol *table.Column) (table.Column, bool) {
+	if li, lnulls, ok := lcol.Ints(); ok && fi != nil {
+		if ri, rnulls, ok := rcol.Ints(); ok {
+			return zipColumn(li, lnulls, ri, rnulls, fi), true
 		}
 	}
 	lf, lnulls, lok := asFloats(lcol)
@@ -568,35 +525,12 @@ func arithVec(op string, lcol, rcol *table.Column, n int) (table.Column, bool) {
 	if !lok || !rok {
 		return table.Column{}, false
 	}
-	out := make([]float64, n)
-	nulls := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if lnulls[i] || rnulls[i] {
-			nulls[i] = true
-			continue
-		}
-		switch op {
-		case "+":
-			out[i] = lf[i] + rf[i]
-		case "-":
-			out[i] = lf[i] - rf[i]
-		case "*":
-			out[i] = lf[i] * rf[i]
-		case "/":
-			if rf[i] == 0 {
-				nulls[i] = true
-			} else {
-				out[i] = lf[i] / rf[i]
-			}
-		case "%":
-			if rf[i] == 0 {
-				nulls[i] = true
-			} else {
-				out[i] = math.Mod(lf[i], rf[i])
-			}
-		}
-	}
-	return table.ColumnFromFloats("", out, nulls), true
+	return zipColumn(lf, lnulls, rf, rnulls, fa), true
+}
+
+// compareOrdered is comparison op over one ordered kind's three-way order.
+func compareOrdered[T int64 | float64 | string](op table.CmpOp) func(a, b T) (bool, bool) {
+	return func(a, b T) (bool, bool) { return op.Accepts(table.ThreeWay(a, b)), true }
 }
 
 // evalVecLike runs a constant pattern over a typed string column in one
@@ -610,42 +544,13 @@ func evalVecLike(b *Binary, rel *vrel, sel *table.Selection) (table.Column, erro
 	if err != nil {
 		return table.Column{}, err
 	}
-	n := selLen(rel, sel)
 	if ls, lnulls, ok := lcol.Strings(); ok && pat.konst && pat.k.Kind == table.KindString {
 		pattern := strings.ToLower(pat.k.S)
-		out := make([]bool, n)
-		nulls := make([]bool, n)
-		for i := 0; i < n; i++ {
-			if lnulls[i] {
-				nulls[i] = true
-				continue
-			}
-			out[i] = likeLower(strings.ToLower(ls[i]), pattern)
-		}
-		return table.ColumnFromBools("", out, nulls), nil
+		return mapColumn(ls, lnulls, func(s string) (bool, bool) { return likeLower(strings.ToLower(s), pattern), true }), nil
 	}
-	return evalRows(n, []operand{{col: lcol}, pat}, func(a []table.Value) (table.Value, error) {
+	return evalRows(selLen(rel, sel), []operand{{col: lcol}, pat}, func(a []table.Value) (table.Value, error) {
 		return binaryValue("LIKE", a[0], a[1])
 	})
-}
-
-// concatVec is || over two typed string columns; ok=false otherwise.
-func concatVec(lcol, rcol *table.Column, n int) (table.Column, bool) {
-	ls, lnulls, lok := lcol.Strings()
-	rs, rnulls, rok := rcol.Strings()
-	if !lok || !rok {
-		return table.Column{}, false
-	}
-	out := make([]string, n)
-	nulls := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if lnulls[i] || rnulls[i] {
-			nulls[i] = true
-			continue
-		}
-		out[i] = ls[i] + rs[i]
-	}
-	return table.ColumnFromStrings("", out, nulls), true
 }
 
 // evalVecBetween is X [NOT] BETWEEN lo AND hi. Against two constant bounds
@@ -704,7 +609,7 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, error) {
 	}
 	n := selLen(rel, sel)
 	if lits, ok := inConstants(x, rel); ok {
-		if out, ok := inSet(&col, lits, x.Not, n); ok {
+		if out, ok := inSet(&col, lits, x.Not); ok {
 			return out, nil
 		}
 	}
@@ -783,49 +688,8 @@ func inConstants(x *In, rel *vrel) ([]table.Value, bool) {
 // inSet is IN's typed loop: typed numeric X against an all-numeric list,
 // or typed string X against an all-string list. Mixed-kind membership
 // (which compares through table.Equal's string forms) reports ok=false.
-func inSet(col *table.Column, lits []table.Value, not bool, n int) (table.Column, bool) {
-	is, nullsIn, isInt := col.Ints()
-	fs, fnulls, isFloat := col.Floats()
-	if isInt || isFloat {
-		if isFloat {
-			nullsIn = fnulls
-		}
-		// Membership is table.Compare == 0 against some entry: an int pair
-		// is exact in int64, any other pair compares as float64, and NaN —
-		// as a cell or as an entry — equals every number.
-		ints := map[int64]bool{}
-		floats := map[float64]bool{}
-		nanEntry := false
-		for _, v := range lits {
-			switch {
-			case !isNumericLit(v):
-				return table.Column{}, false
-			case isInt && v.Kind == table.KindInt:
-				ints[v.I] = true
-			default:
-				f, _ := v.AsFloat()
-				floats[f] = true
-				nanEntry = nanEntry || f != f
-			}
-		}
-		out := make([]bool, n)
-		nulls := make([]bool, n)
-		for i := 0; i < n; i++ {
-			if nullsIn[i] {
-				nulls[i] = true
-				continue
-			}
-			var found bool
-			if isInt {
-				found = ints[is[i]] || floats[float64(is[i])]
-			} else {
-				found = floats[fs[i]] || (fs[i] != fs[i] && len(lits) > 0)
-			}
-			out[i] = (found || nanEntry) != not
-		}
-		return table.ColumnFromBools("", out, nulls), true
-	}
-	if ss, nullsIn, ok := col.Strings(); ok {
+func inSet(col *table.Column, lits []table.Value, not bool) (table.Column, bool) {
+	if ss, nulls, ok := col.Strings(); ok {
 		set := make(map[string]bool, len(lits))
 		for _, v := range lits {
 			if v.Kind != table.KindString {
@@ -833,18 +697,39 @@ func inSet(col *table.Column, lits []table.Value, not bool, n int) (table.Column
 			}
 			set[v.S] = true
 		}
-		out := make([]bool, n)
-		nulls := make([]bool, n)
-		for i := 0; i < n; i++ {
-			if nullsIn[i] {
-				nulls[i] = true
-				continue
-			}
-			out[i] = set[ss[i]] != not
-		}
-		return table.ColumnFromBools("", out, nulls), true
+		return mapColumn(ss, nulls, func(s string) (bool, bool) { return set[s] != not, true }), true
 	}
-	return table.Column{}, false
+	is, nulls, isInt := col.Ints()
+	fs, fnulls, isFloat := col.Floats()
+	if !isInt && !isFloat {
+		return table.Column{}, false
+	}
+	// Membership is table.Compare == 0 against some entry: an int pair is
+	// exact in int64, any other pair compares as float64, and NaN — as a
+	// cell or as an entry — equals every number.
+	ints := map[int64]bool{}
+	floats := map[float64]bool{}
+	nanEntry := false
+	for _, v := range lits {
+		switch {
+		case !isNumericLit(v):
+			return table.Column{}, false
+		case isInt && v.Kind == table.KindInt:
+			ints[v.I] = true
+		default:
+			f, _ := v.AsFloat()
+			floats[f] = true
+			nanEntry = nanEntry || f != f
+		}
+	}
+	if isInt {
+		return mapColumn(is, nulls, func(v int64) (bool, bool) {
+			return (ints[v] || floats[float64(v)] || nanEntry) != not, true
+		}), true
+	}
+	return mapColumn(fs, fnulls, func(f float64) (bool, bool) {
+		return (floats[f] || f != f && len(lits) > 0 || nanEntry) != not, true
+	}), true
 }
 
 // evalVecCase is searched CASE (the parser desugars the simple form). Each

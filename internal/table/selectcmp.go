@@ -31,6 +31,24 @@ func (op CmpOp) Flip() CmpOp {
 	return op&CmpEq | op&CmpLt<<2 | op&CmpGt>>2
 }
 
+// Accepts reports whether op holds for a three-way result c: -1 (less), 0
+// (equal) or +1 (greater), as Compare and ThreeWay return it.
+func (op CmpOp) Accepts(c int) bool {
+	return op&(CmpLt<<uint(c+1)) != 0
+}
+
+// ThreeWay is Compare's result for two values of one ordered kind: -1, 0
+// or +1. Neither < nor > is "equal", which is how Compare treats NaN.
+func ThreeWay[T int64 | float64 | string](x, k T) int {
+	switch {
+	case x < k:
+		return -1
+	case x > k:
+		return 1
+	}
+	return 0
+}
+
 // cmpForm is how a column's cells line up with a constant's kind.
 type cmpForm uint8
 
@@ -137,19 +155,6 @@ func (b *spanBuilder) selection() *Selection {
 	return &Selection{spans: b.spans, count: b.count}
 }
 
-// threeWay is Compare's result for two values of one ordered kind, as the
-// CmpOp bit that accepts it. Neither < nor > is "equal", which is how
-// Compare treats NaN.
-func threeWay[T int64 | float64 | string](x, k T) CmpOp {
-	switch {
-	case x < k:
-		return CmpLt
-	case x > k:
-		return CmpGt
-	}
-	return CmpEq
-}
-
 // scanCompare feeds b the rows whose cell passes op against k. With idx nil
 // the rows are lo..hi-1; otherwise they are idx[lo..hi-1].
 func scanCompare[T int64 | float64 | string](b *spanBuilder, vals []T, nulls []bool, k T, op CmpOp, idx []int, lo, hi int) {
@@ -161,7 +166,7 @@ func scanCompare[T int64 | float64 | string](b *spanBuilder, vals []T, nulls []b
 		}
 		if nulls[r] {
 			sawNull = true
-		} else if op&threeWay(vals[r], k) != 0 {
+		} else if op.Accepts(ThreeWay(vals[r], k)) {
 			b.add(r)
 		}
 	}
@@ -180,7 +185,7 @@ func scanCompareAsReal(b *spanBuilder, vals []int64, nulls []bool, k float64, op
 		}
 		if nulls[r] {
 			sawNull = true
-		} else if op&threeWay(float64(vals[r]), k) != 0 {
+		} else if op.Accepts(ThreeWay(float64(vals[r]), k)) {
 			b.add(r)
 		}
 	}

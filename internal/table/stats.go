@@ -145,13 +145,6 @@ func stddev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Describe renders the profile as the textual table summary fed to the
 // simulated LLM during profiling-based interpretation.
 func (st ColumnStats) Describe() string {

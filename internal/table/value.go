@@ -202,36 +202,15 @@ func Compare(a, b Value) int {
 	// integers beyond 2^53, and the vectorized engine's typed int paths are
 	// exact, so the scalar path must be too.
 	if a.Kind == KindInt && b.Kind == KindInt {
-		switch {
-		case a.I < b.I:
-			return -1
-		case a.I > b.I:
-			return 1
-		default:
-			return 0
-		}
+		return ThreeWay(a.I, b.I)
 	}
 	if isNumericKind(a.Kind) && isNumericKind(b.Kind) {
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+		return ThreeWay(af, bf)
 	}
 	if a.Kind == KindTime && b.Kind == KindTime {
-		switch {
-		case a.T.Before(b.T):
-			return -1
-		case a.T.After(b.T):
-			return 1
-		default:
-			return 0
-		}
+		return a.T.Compare(b.T)
 	}
 	return strings.Compare(a.AsString(), b.AsString())
 }

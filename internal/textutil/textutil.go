@@ -96,6 +96,16 @@ func ContentTokens(s string) []string {
 // IsStopword reports whether the (lowercase) token is a stopword.
 func IsStopword(tok string) bool { return stopwords[tok] }
 
+// ContainsAny reports whether s contains any of subs as a substring.
+func ContainsAny(s string, subs ...string) bool {
+	for _, sub := range subs {
+		if strings.Contains(s, sub) {
+			return true
+		}
+	}
+	return false
+}
+
 // Jaccard computes the Jaccard similarity of the token sets of a and b,
 // in [0, 1]. Empty-vs-empty is defined as 0.
 func Jaccard(a, b []string) float64 {

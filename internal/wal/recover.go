@@ -22,11 +22,6 @@ type Recovered struct {
 	ReplayDuration time.Duration
 	// CheckpointGen is the generation of the checkpoint used (0: none).
 	CheckpointGen uint64
-	// RecordsApplied counts register/chunk records applied (checkpoint
-	// records included); RecordsSkipped counts chunk records dropped as
-	// already covered by the checkpoint.
-	RecordsApplied int64
-	RecordsSkipped int64
 	// TornTail reports whether the final log ended in a torn or corrupt
 	// record (the expected state after a crash mid-write); recovery
 	// stopped cleanly before it.
@@ -45,10 +40,8 @@ type layout struct {
 // replayState accumulates tables as records are applied, mirroring the
 // catalog's map + insertion order.
 type replayState struct {
-	apps    map[string]*table.Appender
-	order   []string
-	applied int64
-	skipped int64
+	apps  map[string]*table.Appender
+	order []string
 }
 
 func newReplayState() *replayState {
@@ -77,7 +70,6 @@ func (st *replayState) apply(payload []byte) error {
 			st.order = append(st.order, key)
 		}
 		st.apps[key] = table.NewAppender(rr.table)
-		st.applied++
 		return nil
 	case recChunk:
 		cr, err := decodeChunk(payload[1:])
@@ -90,7 +82,6 @@ func (st *replayState) apply(payload []byte) error {
 		}
 		cur := app.Snapshot().Version()
 		if cr.version <= cur {
-			st.skipped++
 			return nil
 		}
 		if cr.version != cur+1 {
@@ -106,7 +97,6 @@ func (st *replayState) apply(payload []byte) error {
 		if s.Version() != cr.version {
 			return fmt.Errorf("wal: table %q: replay published version %d, record says %d", cr.name, s.Version(), cr.version)
 		}
-		st.applied++
 		return nil
 	default:
 		return fmt.Errorf("wal: unknown record type %d", payload[0])
@@ -152,8 +142,6 @@ func recoverDir(dir string) (*Recovered, layout, error) {
 	rec := &Recovered{
 		ReplayDuration: time.Since(start),
 		CheckpointGen:  lay.ckptGen,
-		RecordsApplied: st.applied,
-		RecordsSkipped: st.skipped,
 		TornTail:       lay.tornGen != 0,
 	}
 	for _, k := range st.order {
