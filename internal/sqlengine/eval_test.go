@@ -72,24 +72,36 @@ func evalExpr(e Expr, ev env) (table.Value, error) {
 		if v.IsNull() {
 			return table.Null(), nil
 		}
-		found := false
+		// Three-valued membership: TRUE on the first equal candidate,
+		// NULL when none is equal but one was NULL, FALSE otherwise.
+		unknown := false
+		member := func(cv table.Value) bool {
+			if cv.IsNull() {
+				unknown = true
+				return false
+			}
+			return table.Equal(v, cv)
+		}
 		for _, cand := range x.Values {
 			cv, err := evalExpr(cand, ev)
 			if err != nil {
 				return table.Null(), err
 			}
-			if found = !cv.IsNull() && table.Equal(v, cv); found {
-				break
+			if member(cv) {
+				return table.Bool(!x.Not), nil
 			}
 		}
 		if x.Sub != nil {
 			for _, cv := range ev.args().subs[x.slot] {
-				if found = !cv.IsNull() && table.Equal(v, cv); found {
-					break
+				if member(cv) {
+					return table.Bool(!x.Not), nil
 				}
 			}
 		}
-		return table.Bool(found != x.Not), nil
+		if unknown {
+			return table.Null(), nil
+		}
+		return table.Bool(x.Not), nil
 	case *Between:
 		v, err := evalExpr(x.X, ev)
 		if err != nil {

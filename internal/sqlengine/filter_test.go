@@ -472,3 +472,47 @@ func TestNaNCellAgreesWithScalar(t *testing.T) {
 	}
 	checkDifferential(t, c, "SELECT id, v BETWEEN 1 AND 2, v NOT IN (1, 2.5), v IN (7) FROM m")
 }
+
+// TestInNullCandidateIsThreeValued pins SQL's three-valued IN: a NULL
+// candidate never matches, but a row no candidate matched is NULL, not
+// FALSE — so NOT IN over a list holding a NULL keeps no row. Literal lists
+// (the typed int, float and string sets), a non-constant candidate (the
+// row walk) and IN (SELECT …) each take it, in the engine and the oracle.
+func TestInNullCandidateIsThreeValued(t *testing.T) {
+	c := joinTestCatalog(10) // probe.id = probe.v = 0..9, probe.k = id % 8
+	cand := table.MustNew("cand", []string{"x"}, []table.Kind{table.KindInt})
+	for _, x := range []table.Value{table.Int(1), table.Null(), table.Int(7)} {
+		cand.MustAppendRow(x)
+	}
+	c.Register(cand)
+	for q, want := range map[string]int64{
+		"SELECT COUNT(*) FROM probe WHERE id NOT IN (1, 2)":                                 8,
+		"SELECT COUNT(*) FROM probe WHERE id IN (1, NULL)":                                  1,
+		"SELECT COUNT(*) FROM probe WHERE id NOT IN (1, NULL)":                              0,
+		"SELECT COUNT(*) FROM probe WHERE (id IN (1, NULL)) IS NULL":                        9,
+		"SELECT COUNT(*) FROM probe WHERE (id NOT IN (1, NULL)) IS NULL":                    9,
+		"SELECT COUNT(*) FROM probe WHERE (id NOT IN (NULL)) IS NULL":                       10,
+		"SELECT COUNT(*) FROM probe WHERE v NOT IN (1.5, NULL)":                             0,
+		"SELECT COUNT(*) FROM probe WHERE (v IN (1.5, NULL)) IS NULL":                       10,
+		"SELECT COUNT(*) FROM sparse WHERE label NOT IN ('s0', NULL)":                       0,
+		"SELECT COUNT(*) FROM sparse WHERE (label IN ('s0', NULL)) IS NULL":                 5,
+		"SELECT COUNT(*) FROM probe WHERE id IN (k, NULL)":                                  8,
+		"SELECT COUNT(*) FROM probe WHERE id NOT IN (k, NULL)":                              0,
+		"SELECT COUNT(*) FROM probe WHERE (id IN (k, NULL)) IS NULL":                        2,
+		"SELECT COUNT(*) FROM probe WHERE id IN (SELECT x FROM cand)":                       2,
+		"SELECT COUNT(*) FROM probe WHERE id NOT IN (SELECT x FROM cand)":                   0,
+		"SELECT COUNT(*) FROM probe WHERE (id NOT IN (SELECT x FROM cand)) IS NULL":         8,
+		"SELECT COUNT(*) FROM probe WHERE id NOT IN (SELECT x FROM cand WHERE x > 0)":       8,
+		"SELECT COUNT(*) FROM probe WHERE (id IN (SELECT x FROM cand WHERE x > 1)) IS NULL": 0,
+	} {
+		vec := mustQuery(t, c, q).Columns[0].Value(0)
+		sca, err := c.QueryScalar(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := sca.Columns[0].Value(0); vec.I != want || s.I != want {
+			t.Errorf("%s: engine %d, oracle %d, want %d", q, vec.I, s.I, want)
+		}
+	}
+	checkDifferential(t, c, "SELECT id, id IN (1, NULL), id NOT IN (k, NULL), id NOT IN (SELECT x FROM cand) FROM probe")
+}

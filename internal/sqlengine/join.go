@@ -16,9 +16,14 @@ import (
 // none, are every row of the other side (a nested loop). Residual ON
 // conjuncts are evaluated with evalVec over batches of candidate pairs,
 // several probe rows at a time, rather than by boxed per-pair tree walks.
-// Each chunk emits into a chunk-local table.JoinPairs, concatenated in
-// chunk order — so the parallel probe produces exactly the serial probe's
-// output order.
+// The pair list is allocated once per join, sized to the probe side's
+// rows; each chunk appends into its own window of it (the slots of its
+// probe rows), and the merge moves the windows down in chunk order inside
+// the same buffer — so the parallel probe produces exactly the serial
+// probe's output order, and a join where every probe row matches at most
+// once writes its pairs once. A chunk that fans out past its window grows
+// on its own, and the merge then copies every window into one buffer of
+// the exact total.
 //
 // Output assembly is selection-aware: the probe side of a 1:1 join emits
 // strictly ascending row indices, which convert to a table.Selection so
@@ -215,10 +220,12 @@ func joinPairs(ctx context.Context, left, right *vrel, equiL, equiR []int, resid
 		minChunk = n
 	}
 	_, nchunks := chunkLayout(n, minChunk)
-	parts := make([]*table.JoinPairs, nchunks)
+	pairs := table.NewJoinPairs(probeKind, n)
+	parts := make([]table.JoinPairs, nchunks)
 	err := parallelChunksIndexed(ctx, n, minChunk, func(ci, lo, hi int) error {
-		part := table.NewJoinPairs(probeKind)
-		parts[ci] = part
+		// The chunk appends into a local copy of its window — neighbouring
+		// parts share cache lines — and stores it once it is done.
+		part := pairs.Window(lo, hi)
 		// The pending batch: candidate pairs (candP[i], candB[i]) of probe
 		// rows first, first+1, ..., row first+k's ending at ends[k].
 		var candP, candB, ends []int
@@ -284,23 +291,18 @@ func joinPairs(ctx context.Context, left, right *vrel, equiL, equiR []int, resid
 			}
 		}
 		if len(ends) > 0 {
-			return flush()
+			if err := flush(); err != nil {
+				return err
+			}
 		}
+		parts[ci] = part
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	var pairs *table.JoinPairs
-	if nchunks == 1 {
-		pairs = parts[0] // no merge copy on the serial path
-	} else {
-		pairs = table.NewJoinPairs(probeKind)
-		for _, part := range parts {
-			pairs.Concat(part)
-		}
-	}
+	pairs.Merge(parts)
 	if swapped {
 		pairs.Lidx, pairs.Ridx = pairs.Ridx, pairs.Lidx
 		pairs.Lnull, pairs.Rnull = pairs.Rnull, pairs.Lnull

@@ -205,6 +205,92 @@ func TestJoinLargeParallelDifferential(t *testing.T) {
 	}
 }
 
+// windowMergeCatalog builds a probe table big of n rows and a build table
+// dim, shaped so each join key of big drives one path of the pair list's
+// merge: u matches at most one dim row (1:1, every chunk stays in its
+// window; u = 10, 11 match nothing), ff fans out to two dim rows only on
+// big's first five rows, fl only on its last five, and none matches
+// nothing. dim's keys 500 and 501 match no probe row, so a FULL join
+// sweeps them. empty has big's columns and no rows.
+func windowMergeCatalog(n int) *Catalog {
+	cols := []string{"id", "u", "ff", "fl", "none"}
+	kinds := []table.Kind{table.KindInt, table.KindInt, table.KindInt, table.KindInt, table.KindInt}
+	big := table.MustNew("big", cols, kinds)
+	for i := 0; i < n; i++ {
+		u, ff, fl := i%12, i%12, i%12
+		if i < 5 {
+			ff = 1000
+		}
+		if i >= n-5 {
+			fl = 2000
+		}
+		big.MustAppendRow(table.Int(int64(i)), table.Int(int64(u)), table.Int(int64(ff)), table.Int(int64(fl)), table.Int(-1))
+	}
+	dim := table.MustNew("dim", []string{"k", "w"}, []table.Kind{table.KindInt, table.KindInt})
+	for i, k := range []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1000, 1000, 2000, 2000, 500, 501} {
+		dim.MustAppendRow(table.Int(k), table.Int(int64(i)))
+	}
+	c := NewCatalog()
+	c.Register(big)
+	c.Register(dim)
+	c.Register(table.MustNew("empty", cols, kinds))
+	return c
+}
+
+// TestJoinWindowMerge runs each way the probe chunks' pair windows can
+// merge — all in place, a fan-out chunk forcing the fresh-buffer fallback
+// at either end, the FULL sweep after an in-place merge, RIGHT's swap, no
+// probe rows and no matches — and pins the parallel probe to the serial
+// probe and to the row oracle, row for row. How many chunks the probe
+// splits into depends on GOMAXPROCS, so CI runs it at 1 and 8 too.
+func TestJoinWindowMerge(t *testing.T) {
+	c := windowMergeCatalog(3 * parallelMinRows)
+	sel := "SELECT big.id, big.u, dim.k, dim.w FROM "
+	queries := []string{
+		sel + "big JOIN dim ON big.u = dim.k",
+		sel + "big LEFT JOIN dim ON big.u = dim.k",
+		sel + "big JOIN dim ON big.ff = dim.k",
+		sel + "big LEFT JOIN dim ON big.ff = dim.k",
+		sel + "big JOIN dim ON big.fl = dim.k",
+		sel + "big LEFT JOIN dim ON big.fl = dim.k AND dim.w > 0",
+		sel + "big FULL OUTER JOIN dim ON big.u = dim.k",
+		sel + "big FULL OUTER JOIN dim ON big.fl = dim.k",
+		sel + "dim RIGHT JOIN big ON dim.k = big.u",
+		sel + "dim RIGHT JOIN big ON dim.k = big.ff",
+		sel + "big RIGHT JOIN dim ON big.u = dim.k",
+		sel + "big JOIN dim ON big.u = dim.k WHERE big.id < 0",
+		sel + "big LEFT JOIN dim ON big.u = dim.k WHERE big.id < 0",
+		"SELECT empty.id, dim.k FROM empty JOIN dim ON empty.u = dim.k",
+		"SELECT empty.id, dim.k FROM empty FULL OUTER JOIN dim ON empty.u = dim.k",
+		sel + "big JOIN dim ON big.none = dim.k",
+		sel + "big LEFT JOIN dim ON big.none = dim.k",
+		sel + "big FULL OUTER JOIN dim ON big.none = dim.k",
+	}
+	for _, q := range queries {
+		par, err := queryTable(c, q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		serialJoinProbe.Store(true)
+		serial, err := queryTable(c, q)
+		serialJoinProbe.Store(false)
+		if err != nil {
+			t.Fatalf("%s (serial): %v", q, err)
+		}
+		sca, err := c.QueryScalar(q)
+		if err != nil {
+			t.Fatalf("%s (oracle): %v", q, err)
+		}
+		dp := dumpTable(par)
+		if ds := dumpTable(serial); dp != ds {
+			t.Errorf("%s: parallel vs serial probe mismatch", q)
+		}
+		if do := dumpTable(sca); dp != do {
+			t.Errorf("%s: parallel probe vs row oracle mismatch", q)
+		}
+	}
+}
+
 // TestJoinResidualShortCircuit pins the per-pair AND short-circuit of
 // batched residual evaluation: a conjunct that would error (ABS of a
 // string) must never evaluate on a candidate pair an earlier conjunct

@@ -601,20 +601,23 @@ func isNumericLit(v table.Value) bool {
 // membership in a hash set. Otherwise membership is tested row by row, as a
 // row walk tests it: a NULL X is NULL and reaches no candidate, each
 // candidate runs only on the rows no earlier one matched, and the
-// subquery's rows come last. NULL candidates never match.
+// subquery's rows come last. A NULL candidate never matches, but makes a
+// row no candidate matched NULL rather than FALSE (so NOT IN is NULL, not
+// TRUE, there): SQL's three-valued IN.
 func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, error) {
 	col, err := evalVec(x.X, rel, sel)
 	if err != nil {
 		return table.Column{}, err
 	}
 	n := selLen(rel, sel)
-	if lits, ok := inConstants(x, rel); ok {
-		if out, ok := inSet(&col, lits, x.Not); ok {
+	if lits, anyNull, ok := inConstants(x, rel); ok {
+		if out, ok := inSet(&col, lits, anyNull, x.Not); ok {
 			return out, nil
 		}
 	}
 	found := make([]bool, n)
-	open := make([]bool, n) // X is not NULL and no candidate matched yet
+	sawNull := make([]bool, n) // a NULL candidate reached the row
+	open := make([]bool, n)    // X is not NULL and no candidate matched yet
 	count := 0
 	for i := range open {
 		if !col.IsNullAt(i) {
@@ -623,7 +626,9 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, error) {
 		}
 	}
 	match := func(i int, cv table.Value) {
-		if !cv.IsNull() && table.Equal(col.Value(i), cv) {
+		if cv.IsNull() {
+			sawNull[i] = true
+		} else if table.Equal(col.Value(i), cv) {
 			found[i], open[i] = true, false
 			count--
 		}
@@ -653,7 +658,7 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, error) {
 	}
 	b := colBuilder{size: n}
 	for i := 0; i < n; i++ {
-		if col.IsNullAt(i) {
+		if col.IsNullAt(i) || !found[i] && sawNull[i] {
 			b.add(table.Null())
 		} else {
 			b.add(table.Bool(found[i] != x.Not))
@@ -663,32 +668,37 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, error) {
 }
 
 // inConstants returns IN's non-NULL list entries — a subquery's rows
-// included — when every candidate is a constant; ok=false otherwise.
-func inConstants(x *In, rel *vrel) ([]table.Value, bool) {
-	lits := make([]table.Value, 0, len(x.Values))
-	for _, cand := range x.Values {
-		v, ok := constExprValue(cand, rel)
-		if !ok {
-			return nil, false
-		}
-		if !v.IsNull() {
+// included — and whether any entry is NULL, when every candidate is a
+// constant; ok=false otherwise.
+func inConstants(x *In, rel *vrel) (lits []table.Value, anyNull, ok bool) {
+	lits = make([]table.Value, 0, len(x.Values))
+	add := func(v table.Value) {
+		if v.IsNull() {
+			anyNull = true
+		} else {
 			lits = append(lits, v)
 		}
 	}
+	for _, cand := range x.Values {
+		v, ok := constExprValue(cand, rel)
+		if !ok {
+			return nil, false, false
+		}
+		add(v)
+	}
 	if x.Sub != nil {
 		for _, v := range rel.x.subs[x.slot] {
-			if !v.IsNull() {
-				lits = append(lits, v)
-			}
+			add(v)
 		}
 	}
-	return lits, true
+	return lits, anyNull, true
 }
 
 // inSet is IN's typed loop: typed numeric X against an all-numeric list,
 // or typed string X against an all-string list. Mixed-kind membership
 // (which compares through table.Equal's string forms) reports ok=false.
-func inSet(col *table.Column, lits []table.Value, not bool) (table.Column, bool) {
+// anyNull says the list also held a NULL, which makes a non-member NULL.
+func inSet(col *table.Column, lits []table.Value, anyNull, not bool) (table.Column, bool) {
 	if ss, nulls, ok := col.Strings(); ok {
 		set := make(map[string]bool, len(lits))
 		for _, v := range lits {
@@ -697,7 +707,10 @@ func inSet(col *table.Column, lits []table.Value, not bool) (table.Column, bool)
 			}
 			set[v.S] = true
 		}
-		return mapColumn(ss, nulls, func(s string) (bool, bool) { return set[s] != not, true }), true
+		return mapColumn(ss, nulls, func(s string) (bool, bool) {
+			found := set[s]
+			return found != not, found || !anyNull
+		}), true
 	}
 	is, nulls, isInt := col.Ints()
 	fs, fnulls, isFloat := col.Floats()
@@ -724,11 +737,13 @@ func inSet(col *table.Column, lits []table.Value, not bool) (table.Column, bool)
 	}
 	if isInt {
 		return mapColumn(is, nulls, func(v int64) (bool, bool) {
-			return (ints[v] || floats[float64(v)] || nanEntry) != not, true
+			found := ints[v] || floats[float64(v)] || nanEntry
+			return found != not, found || !anyNull
 		}), true
 	}
 	return mapColumn(fs, fnulls, func(f float64) (bool, bool) {
-		return (floats[f] || f != f && len(lits) > 0 || nanEntry) != not, true
+		found := floats[f] || f != f && len(lits) > 0 || nanEntry
+		return found != not, found || !anyNull
 	}), true
 }
 

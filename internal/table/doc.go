@@ -28,7 +28,9 @@
 // empty global group).
 //
 // [JoinPairs] holds a join's match list for every [JoinKind] (a RIGHT
-// join builds as the LEFT join of the swapped sides); the SQL engine's
+// join builds as the LEFT join of the swapped sides): allocated once,
+// sized to the probe side, filled through one [JoinPairs.Window] per probe
+// chunk and put back together by [JoinPairs.Merge]; the SQL engine's
 // join pipeline (package sqlengine) probes through [NewHashProbe], whose
 // keys are exact for every pair [EquiHashable] accepts.
 //

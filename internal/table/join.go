@@ -39,7 +39,9 @@ func (k JoinKind) String() string {
 // outer-join padding — never -1 sentinel indices. A nil mask means that
 // side can never be padded by the join's kind (and its index list is a
 // candidate for span-form gathering when strictly ascending). The SQL
-// engine's parallel join pipeline builds one per probe chunk.
+// engine's parallel join pipeline allocates one, sized to the probe side,
+// hands each probe chunk a Window of it to append into, and Merges the
+// windows back in chunk order.
 type JoinPairs struct {
 	Lidx  []int
 	Ridx  []int
@@ -47,19 +49,82 @@ type JoinPairs struct {
 	Rnull []bool // non-nil ⇒ LEFT/FULL padding may blank right cells
 }
 
-// NewJoinPairs allocates the pair list for an INNER, LEFT or FULL join,
-// with the null masks that kind can need (non-nil but empty, so appends
-// stay aligned). A RIGHT join builds as the LEFT join of the swapped sides
-// and swaps the lists and masks of the result.
-func NewJoinPairs(kind JoinKind) *JoinPairs {
-	p := &JoinPairs{}
+// NewJoinPairs allocates the empty pair list of an INNER, LEFT or FULL
+// join whose probe side has n rows: capacity n in each index list and in
+// each null mask that kind can need (non-nil, so appends stay aligned) —
+// the whole output when every probe row yields at most one pair. A RIGHT
+// join builds as the LEFT join of the swapped sides and swaps the lists and
+// masks of the result.
+func NewJoinPairs(kind JoinKind, n int) *JoinPairs {
+	p := &JoinPairs{Lidx: make([]int, 0, n), Ridx: make([]int, 0, n)}
 	if kind == JoinFull {
-		p.Lnull = []bool{}
+		p.Lnull = make([]bool, 0, n)
 	}
 	if kind == JoinLeft || kind == JoinFull {
-		p.Rnull = []bool{}
+		p.Rnull = make([]bool, 0, n)
 	}
 	return p
+}
+
+// Window returns an empty pair list that appends into p's capacity
+// [lo, hi): the pairs of probe rows lo..hi-1. Its lists are three-index
+// slices, so an append can never run into the next window; a window that
+// outgrows its share (a probe row with several matches) reallocates only
+// itself. Windows over disjoint ranges may be filled concurrently.
+func (p *JoinPairs) Window(lo, hi int) JoinPairs {
+	w := JoinPairs{Lidx: p.Lidx[lo:lo:hi], Ridx: p.Ridx[lo:lo:hi]}
+	if p.Lnull != nil {
+		w.Lnull = p.Lnull[lo:lo:hi]
+	}
+	if p.Rnull != nil {
+		w.Rnull = p.Rnull[lo:lo:hi]
+	}
+	return w
+}
+
+// Merge sets p to the concatenation of parts: windows of p that together
+// cover its capacity, in range order — which reproduces a serial probe's
+// output order. When every part stayed inside its window, the parts move
+// down in place and p keeps its buffer with no allocation. Otherwise p
+// gets a new buffer of exactly the total length and every part is copied
+// into it.
+func (p *JoinPairs) Merge(parts []JoinPairs) {
+	total, capSum := 0, 0
+	for i := range parts {
+		total += len(parts[i].Lidx)
+		capSum += cap(parts[i].Lidx)
+	}
+	// Append only ever grows a capacity, so the windows' capacities add
+	// up to p's exactly when none of them reallocated.
+	fresh := capSum != cap(p.Lidx)
+	p.Lidx, p.Ridx = mergeDst(p.Lidx, fresh, total), mergeDst(p.Ridx, fresh, total)
+	p.Lnull, p.Rnull = mergeDst(p.Lnull, fresh, total), mergeDst(p.Rnull, fresh, total)
+	off := 0
+	for i := range parts {
+		// copy handles the overlap: a part never sits below its offset.
+		q := &parts[i]
+		copy(p.Lidx[off:], q.Lidx)
+		copy(p.Ridx[off:], q.Ridx)
+		if p.Lnull != nil {
+			copy(p.Lnull[off:], q.Lnull)
+		}
+		if p.Rnull != nil {
+			copy(p.Rnull[off:], q.Rnull)
+		}
+		off += len(q.Lidx)
+	}
+}
+
+// mergeDst is Merge's destination for one list: s's own buffer, or a new
+// one when fresh, at length n. A nil mask stays nil.
+func mergeDst[T any](s []T, fresh bool, n int) []T {
+	switch {
+	case s == nil:
+		return nil
+	case fresh:
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Len returns the number of output rows.
@@ -85,22 +150,6 @@ func (p *JoinPairs) PadRight(l int) {
 		p.Lnull = append(p.Lnull, false)
 	}
 	p.Rnull = append(p.Rnull, true)
-}
-
-// Concat appends q's pairs to p (chunk merge; concatenating chunk-local
-// lists in chunk order reproduces a serial probe's output order).
-func (p *JoinPairs) Concat(q *JoinPairs) {
-	if q == nil {
-		return
-	}
-	p.Lidx = append(p.Lidx, q.Lidx...)
-	p.Ridx = append(p.Ridx, q.Ridx...)
-	if p.Lnull != nil {
-		p.Lnull = append(p.Lnull, q.Lnull...)
-	}
-	if p.Rnull != nil {
-		p.Rnull = append(p.Rnull, q.Rnull...)
-	}
 }
 
 // SweepUnmatchedRight appends, for a FULL join, the right-side rows no
