@@ -2,6 +2,7 @@ package datalab
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -96,22 +97,24 @@ func (p *Platform) LoadRecords(name string, columns []string, rows [][]string) e
 }
 
 // AppendRecords appends string records to an already-registered table and
-// publishes one new snapshot covering all of them. Cells are type-inferred
-// and then coerced to the table's column kinds. Queries already running
-// keep reading the snapshot they started on; queries issued after
-// AppendRecords returns see every appended row.
+// publishes one new snapshot covering all of them. Each cell is parsed by
+// its column's kind (table.Kind.Parse); a row holding a cell its column
+// cannot store exactly ends the append with a *table.CellError, and the
+// rows before it are published. Queries already running keep reading the
+// snapshot they started on; queries issued after AppendRecords returns see
+// every appended row.
 func (p *Platform) AppendRecords(name string, rows [][]string) error {
 	in, err := p.Ingest(name)
 	if err != nil {
 		return err
 	}
 	for _, row := range rows {
-		if err := in.Append(row...); err != nil {
-			return err
+		if err = in.Append(row...); err != nil {
+			break
 		}
 	}
-	_, err = in.PublishErr()
-	return err
+	_, perr := in.PublishErr()
+	return errors.Join(err, perr)
 }
 
 // Ingestor is a streaming append handle for one registered table. Appended
@@ -133,12 +136,14 @@ func (p *Platform) Ingest(name string) (*Ingestor, error) {
 	return &Ingestor{app: app}, nil
 }
 
-// Append stages one row from string cells; types are inferred per cell and
-// coerced to the table's schema. Missing trailing cells are NULL and extra
-// cells are ignored. The row is invisible until PublishErr.
+// Append stages one row from string cells, each parsed by its column's
+// kind (table.Kind.Parse). Missing trailing cells are NULL and extra cells
+// are ignored. A cell its column cannot store exactly — "1.5" or "abc" for
+// an integer column — refuses the whole row with a *table.CellError naming
+// the column, and nothing of the row is staged. The row is invisible until
+// PublishErr.
 func (in *Ingestor) Append(cells ...string) error {
-	in.app.AppendText(cells)
-	return nil
+	return in.app.AppendText(cells)
 }
 
 // Pending reports how many staged rows await PublishErr.

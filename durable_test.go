@@ -91,6 +91,32 @@ func TestOpenDurableRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDurableTimeIsItsInstantAfterReopen: a time cell sent with a zone is
+// stored as its UTC instant, which is what WAL recovery decodes, so a
+// durable table answers a time predicate the same before and after a
+// restart.
+func TestDurableTimeIsItsInstantAfterReopen(t *testing.T) {
+	dir := t.TempDir()
+	p := durable(t, dir)
+	if err := p.LoadRecords("stamps", []string{"id", "ts"}, [][]string{{"1", "2024-01-01 00:00:00"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AppendRecords("stamps", [][]string{{"2", "2024-01-01T10:00:00+02:00"}}); err != nil {
+		t.Fatal(err)
+	}
+	const probe = "SELECT id, ts, ts > '2024-01-01 09:00:00' FROM stamps ORDER BY id"
+	before := queryStrings(t, p, probe)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p2 := durable(t, dir)
+	defer p2.Close()
+	after := queryStrings(t, p2, probe)
+	if !reflect.DeepEqual(before, after) || before[1][1] != "2024-01-01 08:00:00" {
+		t.Fatalf("before the restart %q, after %q; want the row at 08:00:00 UTC both times", before, after)
+	}
+}
+
 // TestOpenDurableCheckpoint proves the platform-level checkpoint path
 // and that a checkpointed catalog recovers identically.
 func TestOpenDurableCheckpoint(t *testing.T) {

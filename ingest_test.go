@@ -2,8 +2,12 @@ package datalab
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"datalab/internal/table"
 )
 
 // ingestPlatform registers a small events table to append into.
@@ -87,17 +91,17 @@ func TestIngestorBatchesUntilPublish(t *testing.T) {
 	}
 }
 
-// TestIngestorAppendAllocatesNothingPerRow: Append infers and coerces each
-// cell straight into the table's arena under one lock, so all that is left
-// is the arena's amortized growth; a missing cell is still NULL and an
-// extra one still ignored.
+// TestIngestorAppendAllocatesNothingPerRow: Append parses each cell by its
+// column's kind into a reused scratch row and then into the table's arena
+// under one lock, so all that is left is the arena's amortized growth; a
+// missing cell is still NULL and an extra one still ignored.
 func TestIngestorAppendAllocatesNothingPerRow(t *testing.T) {
 	p := ingestPlatform(t)
 	in, err := p.Ingest("events")
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := []string{"7", "12.75"}
+	row := []string{"7", "12"}
 	if allocs := testing.AllocsPerRun(1000, func() { in.Append(row...) }); allocs >= 0.1 {
 		t.Errorf("Append allocates %.3f times per row, want < 0.1", allocs)
 	}
@@ -133,5 +137,51 @@ func TestNotebookAppendRecords(t *testing.T) {
 	b := res.Next()
 	if v, ok := b.Int64(0, 0); !ok || v != 4 {
 		t.Fatalf("re-run count = %v, want 4", v)
+	}
+}
+
+// TestIngestorRefusesInexactCells: a cell its column's kind cannot store
+// exactly refuses its whole row with a *table.CellError naming the column,
+// stages nothing of the row, and leaves the table holding only the rows
+// before it — through Append and through AppendRecords, which publishes
+// those rows. A ParseTime layout without separators is a time.
+func TestIngestorRefusesInexactCells(t *testing.T) {
+	for _, bad := range []struct{ column, cell string }{
+		{"id", "abc"}, {"id", "1.5"}, {"id", "1e300"}, {"id", "9223372036854775808"}, {"ts", "x"},
+	} {
+		p := MustNew(WithSeed("ingest"))
+		if err := p.LoadRecords("stamps", []string{"id", "ts"}, [][]string{{"1", "2024-01-01"}}); err != nil {
+			t.Fatal(err)
+		}
+		in, err := p.Ingest("stamps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Append("2", "20240102"); err != nil {
+			t.Fatalf("a separator-free date was refused: %v", err)
+		}
+		row := []string{"3", "2024-01-03"}
+		if bad.column == "id" {
+			row[0] = bad.cell
+		} else {
+			row[1] = bad.cell
+		}
+		err = in.Append(row...)
+		var ce *table.CellError
+		if !errors.As(err, &ce) || ce.Column != bad.column || ce.Cell != bad.cell {
+			t.Fatalf("Append(%q) = %v, want a CellError for column %s cell %q", row, err, bad.column, bad.cell)
+		}
+		if got := in.Pending(); got != 1 {
+			t.Fatalf("%q: %d rows pending after the refusal, want 1", bad.cell, got)
+		}
+		err = p.AppendRecords("stamps", [][]string{{"4", "2024-01-04"}, row, {"5", "2024-01-05"}})
+		if !errors.As(err, &ce) || ce.Column != bad.column {
+			t.Fatalf("AppendRecords with %q = %v, want a CellError for column %s", bad.cell, err, bad.column)
+		}
+		got := queryStrings(t, p, "SELECT id, ts FROM stamps ORDER BY id")
+		want := [][]string{{"1", "2024-01-01 00:00:00"}, {"2", "2024-01-02 00:00:00"}, {"4", "2024-01-04 00:00:00"}}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: table holds %q, want %q", bad.cell, got, want)
+		}
 	}
 }

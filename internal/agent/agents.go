@@ -533,10 +533,13 @@ func NewImputationAgent(rt *Runtime, tableName string) *BIAgent {
 				if n == 0 {
 					continue
 				}
-				m := sum / float64(n)
+				fill := table.Float(sum / float64(n))
+				if c.Kind == table.KindInt {
+					fill = table.Int(int64(fill.F)) // the mean, truncated
+				}
 				for i, cl := 0, c.Len(); i < cl; i++ {
 					if c.IsNullAt(i) {
-						c.Set(i, table.Float(m).Coerce(c.Kind))
+						c.Set(i, fill)
 						filled++
 					}
 				}

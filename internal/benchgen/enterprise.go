@@ -158,7 +158,12 @@ func generateEnterpriseTable(idx int, rng *llm.Rand) EnterpriseTable {
 			case "dimension":
 				vals[ci] = table.Str(c.values[rng.Intn(len(c.values))])
 			case "measure":
-				vals[ci] = table.Float(float64(100+rng.Intn(9900)) + rng.Float64())
+				f := float64(100+rng.Intn(9900)) + rng.Float64()
+				if kinds[ci] == table.KindInt {
+					vals[ci] = table.Int(int64(f))
+				} else {
+					vals[ci] = table.Float(f)
+				}
 			case "time":
 				vals[ci] = table.Str(fmt.Sprintf("%d-%02d-%02d", 2022+rng.Intn(3), 1+rng.Intn(12), 1+rng.Intn(28)))
 			}

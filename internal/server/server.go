@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -29,6 +30,7 @@ import (
 
 	"datalab"
 	"datalab/internal/sqlengine"
+	"datalab/internal/table"
 )
 
 // Config carries the server's tunables. Zero values select the defaults
@@ -576,8 +578,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return nil
 	}
 	// fail ends the stream on a bad row. Rows already staged stay
-	// consistent: publish what we have, then the typed error line.
-	fail := func(status int, errorCode, msg string) {
+	// consistent: publish what we have, then the typed error line, which
+	// carries fields beside its code when given.
+	fail := func(status int, errorCode, msg string, fields ...line) {
 		if err := publish(); err != nil {
 			walFail(err)
 			return
@@ -588,11 +591,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Connection", "close")
 			w.WriteHeader(status)
 		}
-		_ = lw.write(line{"code": CodeError, "error": msg, "error_code": errorCode,
-			"rows_appended_total": appended})
+		l := line{"code": CodeError, "error": msg, "error_code": errorCode,
+			"rows_appended_total": appended}
+		for _, f := range fields {
+			maps.Copy(l, f)
+		}
+		_ = lw.write(l)
 	}
-	badLine := func(err error) {
-		fail(http.StatusBadRequest, ErrCodeBadRequest, fmt.Sprintf("ingest line %d: %v", appended+1, err))
+	badLine := func(err error, fields ...line) {
+		fail(http.StatusBadRequest, ErrCodeBadRequest, fmt.Sprintf("ingest line %d: %v", appended+1, err), fields...)
 	}
 	for {
 		var cells []any
@@ -616,7 +623,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if err := ing.Append(strs...); err != nil {
-			fail(http.StatusBadRequest, ErrCodeBadRequest, err.Error())
+			var ce *table.CellError
+			if errors.As(err, &ce) {
+				badLine(err, line{"row": appended + 1, "column": ce.Column, "cell": ce.Cell})
+			} else {
+				badLine(err)
+			}
 			return
 		}
 		appended++
@@ -678,11 +690,10 @@ func (c *rowCapReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// cellString renders one JSON ingest cell for type inference by the
-// appender. An integer literal passes through as its own text; any other
-// number prints as the float64 it decodes to, integral ones (1e3, 2.0)
-// without the decimal point so they infer to ints. A nested array or
-// object is no cell: a line is one JSON array of scalars.
+// cellString gives the appender one JSON ingest cell's text: a number's
+// literal as sent (the column's kind decides what it stores), a bool as
+// true/false, null as blank. A nested array or object is no cell: a line
+// is one JSON array of scalars.
 func cellString(c any) (string, error) {
 	switch v := c.(type) {
 	case nil:
@@ -692,18 +703,7 @@ func cellString(c any) (string, error) {
 	case bool:
 		return strconv.FormatBool(v), nil
 	case json.Number:
-		n, err := wireNumber(v)
-		if err != nil {
-			return "", err
-		}
-		f, isFloat := n.(float64)
-		if !isFloat {
-			return string(v), nil
-		}
-		if f == float64(int64(f)) {
-			return strconv.FormatInt(int64(f), 10), nil
-		}
-		return strconv.FormatFloat(f, 'g', -1, 64), nil
+		return string(v), nil
 	default:
 		return "", errors.New("a nested array or object is not a cell; a line is one JSON array of scalars")
 	}

@@ -451,6 +451,72 @@ func TestIngestRejectsNestedCells(t *testing.T) {
 	}
 }
 
+// TestIngestRefusesInexactCells: a cell its column cannot store exactly
+// ends the stream with a bad_request line whose row, column and cell fields
+// name it; the rows before it are published and the server keeps serving.
+func TestIngestRefusesInexactCells(t *testing.T) {
+	for _, c := range []struct{ table, good, bad, column, cell string }{
+		{"events", `[100, "view", 1.5]`, `["abc", "view", 1.5]`, "id", "abc"},
+		{"events", `[100, "view", 1.5]`, `[1.5, "view", 1.5]`, "id", "1.5"},
+		{"events", `[100, "view", 1.5]`, `[1e300, "view", 1.5]`, "id", "1e300"},
+		{"events", `[100, "view", 1.5]`, `[9223372036854775808, "view", 1.5]`, "id", "9223372036854775808"},
+		{"stamps", `[100, "20240101"]`, `[101, "x"]`, "ts", "x"},
+	} {
+		p := datalab.MustNew()
+		if err := LoadDemo(p, 5); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.LoadRecords("stamps", []string{"id", "ts"}, [][]string{{"1", "2024-01-01"}}); err != nil {
+			t.Fatal(err)
+		}
+		srv := New(p, Config{}, &syncBuffer{})
+		ts := httptest.NewServer(srv.Handler())
+		body := strings.Repeat(c.good+"\n", 3) + c.bad + "\n" + c.good + "\n"
+		resp, err := http.Post(ts.URL+"/v1/ingest/"+c.table, "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := decodeLines(t, resp.Body)
+		resp.Body.Close()
+		last := lines[len(lines)-1]
+		if resp.StatusCode != http.StatusBadRequest || last["code"] != CodeError || last["error_code"] != ErrCodeBadRequest ||
+			last["rows_appended_total"] != float64(3) || last["row"] != float64(4) || last["column"] != c.column || last["cell"] != c.cell {
+			t.Errorf("%s answered %d %v, want 400 bad_request at row 4, column %s, cell %q, after 3 rows", c.bad, resp.StatusCode, last, c.column, c.cell)
+		}
+		if got, _ := wireQuery(t, ts.URL, "SELECT COUNT(*) FROM "+c.table+" WHERE id = 100"); got != 3 {
+			t.Errorf("%s: rows visible after the refused row = %v, want the 3 before it", c.bad, got)
+		}
+		ts.Close()
+		srv.Close()
+	}
+}
+
+// TestIngestNumberLiteralIsTheCell: a JSON number's literal text is the
+// cell its column parses, so a text column keeps the literal as sent and
+// a float column takes an integer literal's value.
+func TestIngestNumberLiteralIsTheCell(t *testing.T) {
+	_, ts, _ := newTestServer(t, 1, Config{})
+	body := "[7, 2.50, 7]\n[8, 1e3, 1.5]\n[9, 10, 1.5]\n"
+	resp, err := http.Post(ts.URL+"/v1/ingest/events", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := decodeLines(t, resp.Body)
+	resp.Body.Close()
+	if last := lines[len(lines)-1]; last["code"] != CodeOK || last["rows_appended_total"] != float64(3) {
+		t.Fatalf("ingest terminal line = %v", last)
+	}
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM events WHERE id = 7 AND kind = '2.50' AND value = 7",
+		"SELECT COUNT(*) FROM events WHERE id = 8 AND kind = '1e3'",
+		"SELECT COUNT(*) FROM events WHERE id = 9 AND kind = '10'",
+	} {
+		if got, _ := wireQuery(t, ts.URL, sql); got != 1 {
+			t.Errorf("%s = %v, want 1", sql, got)
+		}
+	}
+}
+
 // TestIngestUnknownTable pins the typed not_found error.
 func TestIngestUnknownTable(t *testing.T) {
 	_, ts, _ := newTestServer(t, 10, Config{})

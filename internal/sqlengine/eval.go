@@ -351,19 +351,19 @@ func timePart(v table.Value, part string) (table.Value, error) {
 	if v.IsNull() {
 		return table.Null(), nil
 	}
-	tv := v
-	if tv.Kind != table.KindTime {
-		tv = v.Coerce(table.KindTime)
-		if tv.IsNull() {
-			return table.Null(), fmt.Errorf("sql: %s() of non-temporal value %v", strings.ToUpper(part), v)
-		}
+	t, ok := v.T, v.Kind == table.KindTime
+	if v.Kind == table.KindString {
+		t, ok = table.ParseTime(v.S)
+	}
+	if !ok {
+		return table.Null(), fmt.Errorf("sql: %s() of non-temporal value %v", strings.ToUpper(part), v)
 	}
 	switch part {
 	case "year":
-		return table.Int(int64(tv.T.Year())), nil
+		return table.Int(int64(t.Year())), nil
 	case "month":
-		return table.Int(int64(tv.T.Month())), nil
+		return table.Int(int64(t.Month())), nil
 	default:
-		return table.Int(int64(tv.T.Day())), nil
+		return table.Int(int64(t.Day())), nil
 	}
 }

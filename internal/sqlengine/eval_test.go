@@ -69,6 +69,11 @@ func evalExpr(e Expr, ev env) (table.Value, error) {
 		if err != nil {
 			return table.Null(), err
 		}
+		// A subquery with no rows leaves no candidate: NOT IN holds and IN
+		// fails for every x, NULL too.
+		if x.Sub != nil && len(ev.args().subs[x.slot]) == 0 {
+			return table.Bool(x.Not), nil
+		}
 		if v.IsNull() {
 			return table.Null(), nil
 		}

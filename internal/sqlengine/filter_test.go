@@ -516,3 +516,37 @@ func TestInNullCandidateIsThreeValued(t *testing.T) {
 	}
 	checkDifferential(t, c, "SELECT id, id IN (1, NULL), id NOT IN (k, NULL), id NOT IN (SELECT x FROM cand) FROM probe")
 }
+
+// TestInEmptySubqueryDecidesEveryRow pins IN over a subquery with no rows:
+// with no candidate to be unknown against, IN is FALSE and NOT IN is TRUE
+// for every row — a NULL x, literal or cell, included — as in SQLite. The
+// engine and the oracle each take it.
+func TestInEmptySubqueryDecidesEveryRow(t *testing.T) {
+	c := joinTestCatalog(10) // probe.id = 0..9; sparse.label has no NULL
+	cand := table.MustNew("cand", []string{"x"}, []table.Kind{table.KindInt})
+	for _, x := range []table.Value{table.Int(1), table.Null(), table.Int(7)} {
+		cand.MustAppendRow(x)
+	}
+	c.Register(cand)
+	const empty = "(SELECT id FROM probe WHERE id < 0)"
+	for q, want := range map[string]int64{
+		"SELECT COUNT(*) FROM probe WHERE NULL NOT IN " + empty:                               10,
+		"SELECT COUNT(*) FROM probe WHERE NULL IN " + empty:                                   0,
+		"SELECT COUNT(*) FROM probe WHERE (NULL IN " + empty + ") IS NULL":                    0,
+		"SELECT COUNT(*) FROM probe WHERE (NULL IN " + empty + ") = FALSE":                    10,
+		"SELECT COUNT(*) FROM cand WHERE x NOT IN " + empty:                                   3,
+		"SELECT COUNT(*) FROM cand WHERE (x IN " + empty + ") IS NULL":                        0,
+		"SELECT COUNT(*) FROM cand WHERE x + 0 NOT IN " + empty:                               3,
+		"SELECT COUNT(*) FROM sparse WHERE label NOT IN (SELECT tag FROM fanout WHERE w < 0)": 6,
+	} {
+		vec := mustQuery(t, c, q).Columns[0].Value(0)
+		sca, err := c.QueryScalar(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := sca.Columns[0].Value(0); vec.I != want || s.I != want {
+			t.Errorf("%s: engine %d, oracle %d, want %d", q, vec.I, s.I, want)
+		}
+	}
+	checkDifferential(t, c, "SELECT x, x IN "+empty+", x NOT IN "+empty+", NULL NOT IN "+empty+" FROM cand")
+}

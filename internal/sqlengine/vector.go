@@ -610,6 +610,11 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, error) {
 		return table.Column{}, err
 	}
 	n := selLen(rel, sel)
+	if x.Sub != nil && len(rel.x.subs[x.slot]) == 0 {
+		// No candidate decides every row, a NULL X included: IN is FALSE
+		// and NOT IN is TRUE.
+		return constColumn(table.Bool(x.Not), n), nil
+	}
 	if lits, anyNull, ok := inConstants(x, rel); ok {
 		if out, ok := inSet(&col, lits, anyNull, x.Not); ok {
 			return out, nil

@@ -53,8 +53,8 @@ func cellAt(t *table.Table, r int, col string) table.Value {
 	return t.Columns[t.ColumnIndex(col)].Value(r)
 }
 
-// appendRows buffers rows into app with each value coerced to its column's
-// kind, as ingest does: one table of the rows, appended exactly.
+// appendRows buffers rows into app with each value stored as its column's
+// kind stores it (Table.AppendRow): one table of the rows, appended exactly.
 func appendRows(app *table.Appender, rows ...[]table.Value) error {
 	names, kinds := app.Snapshot().Schema()
 	t := table.MustNew(app.Name(), names, kinds)

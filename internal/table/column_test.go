@@ -179,11 +179,12 @@ func TestColumnTimeStorage(t *testing.T) {
 
 func TestTableStaysTypedThroughAppendRow(t *testing.T) {
 	tb := MustNew("t", []string{"a", "b"}, []Kind{KindInt, KindString})
-	// AppendRow coerces, so typed storage should survive string->int cells.
+	// AppendRow parses a string into an int column's kind, so typed storage
+	// survives string->int cells.
 	tb.MustAppendRow(Str("42"), Str("x"))
 	tb.MustAppendRow(Int(7), Null())
 	if !tb.Columns[0].IsTyped() || !tb.Columns[1].IsTyped() {
-		t.Fatal("coerced appends should keep typed storage")
+		t.Fatal("parsed appends should keep typed storage")
 	}
 	is, _, ok := tb.Columns[0].Ints()
 	if !ok || is[0] != 42 || is[1] != 7 {

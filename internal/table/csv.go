@@ -25,8 +25,10 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 // is parsed once (Infer). A column's kind is the narrowest that represents
 // all of its non-empty cells — promoting along Int -> Float -> String when
 // cells disagree, Time/Bool demoting to String on any mismatch, an
-// all-blank column being String — and every cell is coerced to it. Rows
-// shorter than the header are padded with NULL.
+// all-blank column being String — and a cell inferred to another kind is
+// re-parsed from its own text by the column's kind (Kind.Parse): an int
+// widens to float, and a text column keeps every cell's text as written.
+// Rows shorter than the header are padded with NULL.
 func FromRecords(name string, header []string, rows [][]string) (*Table, error) {
 	t, err := New(name, header, make([]Kind, len(header)))
 	if err != nil {
@@ -48,8 +50,13 @@ func FromRecords(name string, header []string, rows [][]string) (*Table, error) 
 		col := &t.Columns[c]
 		col.Kind = kind
 		col.Grow(len(rows))
-		for _, v := range cells {
-			col.Append(v.Coerce(kind))
+		for i, v := range cells {
+			if !v.IsNull() && v.Kind != kind {
+				// promote made kind a float or text column, and those
+				// take the text of every cell that widened into them.
+				v, _ = kind.Parse(rows[i][c])
+			}
+			col.Append(v)
 		}
 	}
 	return t, nil

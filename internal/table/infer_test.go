@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // inferUnguarded is the reference Infer is pinned to: every parser tried on
@@ -60,6 +61,111 @@ func TestInferTextCellDoesNotAllocate(t *testing.T) {
 	for _, s := range []string{"apac", "nordics", "order", "enterprise", "12.34", "-0.5", "1e3"} {
 		if n := testing.AllocsPerRun(100, func() { Infer(s) }); n != 0 {
 			t.Errorf("Infer(%q) allocates %v times per call, want 0", s, n)
+		}
+	}
+}
+
+// FuzzKindParse: for any text and every kind, Parse never panics, accepts
+// only NULL or a value of its kind, and a value it accepts re-parses from
+// its canonical text to the identical value. That text is AsString, but
+// RFC3339Nano for a time, whose AsString drops sub-second digits; a time
+// whose UTC instant left the years 0000–9999 (a zone offset can push one
+// there) has no text in any layout, so it is not re-parsed.
+func FuzzKindParse(f *testing.F) {
+	for _, s := range []string{
+		"", "  ", "7", " -7 ", "007", "+5", "2.0", "1e3", "1.5", "-0", "1e300", "9223372036854775807",
+		"9223372036854775808", "-9223372036854775808", "-9223372036854775809", "-9.223372036854775808e18",
+		"0x1p4", "NaN", "-Inf", ".5", "abc", "TRUE", "false", "falſe", "1", "20240101", "2024-01",
+		"2024-01-05 10:11:12", "2024-01-01T10:00:00+02:00", "2024-01-01T10:00:00.123456789Z",
+		"0000-01-01T00:00:00+01:00", "9999-12-31T23:00:00-02:00", "x",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		for _, k := range [...]Kind{KindNull, KindInt, KindFloat, KindString, KindBool, KindTime} {
+			v, ok := k.Parse(s)
+			if !ok || v.IsNull() {
+				if !ok && !v.IsNull() {
+					t.Fatalf("%v.Parse(%q) refused but returned %v", k, s, v)
+				}
+				continue
+			}
+			if v.Kind != k {
+				t.Fatalf("%v.Parse(%q) = %v of kind %v", k, s, v, v.Kind)
+			}
+			text := v.AsString()
+			if v.Kind == KindTime {
+				if v.T.Year() < 0 || v.T.Year() > 9999 {
+					continue
+				}
+				text = v.T.Format(time.RFC3339Nano)
+			}
+			if again, ok := k.Parse(text); !ok || !sameValue(again, v) {
+				t.Fatalf("%v.Parse(%q) = %v, but its text %q re-parses to %v (ok %v)", k, s, v, text, again, ok)
+			}
+		}
+	})
+}
+
+// TestKindParseRules pins each kind's rule on the cells that tell them
+// apart: what an int column takes besides decimal text, where each kind
+// refuses, and that a time is held as its UTC instant.
+func TestKindParseRules(t *testing.T) {
+	utc := func(s string) Value {
+		tm, err := time.Parse(time.RFC3339, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Time(tm)
+	}
+	for _, c := range []struct {
+		k    Kind
+		text string
+		want Value
+	}{
+		{KindInt, " 7 ", Int(7)},
+		{KindInt, "2.0", Int(2)},
+		{KindInt, "1e3", Int(1000)},
+		{KindInt, "-9.223372036854775808e18", Int(-1 << 63)},
+		{KindFloat, "7", Float(7)},
+		{KindFloat, "1e300", Float(1e300)},
+		{KindBool, "TRUE", Bool(true)},
+		{KindBool, "False", Bool(false)},
+		{KindTime, "20240101", utc("2024-01-01T00:00:00Z")},
+		{KindTime, "2024-01-01T10:00:00+02:00", utc("2024-01-01T08:00:00Z")},
+		{KindString, " 007 ", Str(" 007 ")},
+		{KindNull, " ", Null()},
+		{KindInt, "\t", Null()},
+		{KindTime, "", Null()},
+	} {
+		got, ok := c.k.Parse(c.text)
+		if !ok || !sameValue(got, c.want) || got.T.Location() != c.want.T.Location() {
+			t.Errorf("%v.Parse(%q) = %v, %v; want %v", c.k, c.text, got, ok, c.want)
+		}
+	}
+	for _, c := range []struct {
+		k    Kind
+		text string
+	}{
+		{KindInt, "1.5"}, {KindInt, "1e300"}, {KindInt, "9223372036854775808"}, {KindInt, "-9223372036854775809"},
+		{KindInt, "abc"}, {KindInt, "true"}, {KindFloat, "abc"}, {KindBool, "falſe"}, {KindBool, "1"},
+		{KindTime, "x"}, {KindNull, "x"},
+	} {
+		if got, ok := c.k.Parse(c.text); ok || !got.IsNull() {
+			t.Errorf("%v.Parse(%q) = %v, %v; want it refused", c.k, c.text, got, ok)
+		}
+	}
+}
+
+// TestKindParseRefusalDoesNotAllocate: a cell whose first byte rules a kind
+// out is refused without running a parser, so it costs no allocation.
+func TestKindParseRefusalDoesNotAllocate(t *testing.T) {
+	for _, c := range []struct {
+		k    Kind
+		text string
+	}{{KindInt, "abc"}, {KindFloat, "apac"}, {KindBool, "yes"}, {KindTime, "x"}, {KindNull, "7"}} {
+		if n := testing.AllocsPerRun(100, func() { c.k.Parse(c.text) }); n != 0 {
+			t.Errorf("%v.Parse(%q) allocates %v times per call, want 0", c.k, c.text, n)
 		}
 	}
 }

@@ -107,6 +107,8 @@ type Appender struct {
 	sealed int     // rows covered by the current snapshot
 	chunks []Chunk // sealed chunks; snapshots share prefixes of this slice
 	hook   PublishHook
+	// scratch holds the row AppendText is parsing, reused across rows.
+	scratch []Value
 
 	version uint64
 	cur     atomic.Pointer[Snapshot]
@@ -167,26 +169,37 @@ func (a *Appender) rowsLocked() int {
 }
 
 // AppendText buffers one row of text cells into the pending chunk, each
-// cell inferred (Infer) and coerced to its column's kind as Append would;
-// a missing cell is NULL and cells past the last column are ignored. The
-// row goes straight into the arena: nothing is allocated per row.
-func (a *Appender) AppendText(cells []string) {
+// cell its column kind's Parse; a missing cell is NULL and cells past the
+// last column are ignored. A cell the kind refuses refuses the whole row
+// with a *CellError and appends nothing: the row is parsed into a reused
+// scratch row first, then goes straight into the arena, so nothing is
+// allocated per row.
+func (a *Appender) AppendText(cells []string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.scratch = a.scratch[:0]
 	for i := range a.arena {
-		v := Null()
+		cell := "" // a missing cell is blank: NULL
 		if i < len(cells) {
-			v = Infer(cells[i])
+			cell = cells[i]
 		}
-		a.arena[i].Append(v.Coerce(a.arena[i].Kind))
+		v, ok := a.arena[i].Kind.Parse(cell)
+		if !ok {
+			return &CellError{Column: a.arena[i].Name, Kind: a.arena[i].Kind, Cell: cell}
+		}
+		a.scratch = append(a.scratch, v)
 	}
+	for i, v := range a.scratch {
+		a.arena[i].Append(v)
+	}
+	return nil
 }
 
 // AppendTableExact bulk-appends every row of t into the pending chunk,
 // columns matched positionally, preserving each cell's stored kind exactly
-// (see Column.AppendColumn): no coercion to the arena's column kinds. WAL
-// replay depends on this: a mixed-kind column logged from a degraded arena
-// must come back byte-for-byte, not coerced into nulls.
+// (see Column.AppendColumn): nothing is parsed into the arena's column
+// kinds. WAL replay depends on this: a mixed-kind column logged from a
+// degraded arena must come back byte-for-byte.
 func (a *Appender) AppendTableExact(t *Table) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -19,15 +19,51 @@ type oracleTable struct {
 	cols  [][]Value
 }
 
-func (o *oracleTable) appendRow(vals []Value) {
+// appendRow mirrors Table.AppendRow: NULL or a value of its column's kind
+// as is, any other value as its column kind parses its text. A row holding
+// a value the kind refuses appends nothing, and appendRow reports false.
+func (o *oracleTable) appendRow(vals []Value) bool {
+	row := make([]Value, len(vals))
+	for i, v := range vals {
+		row[i] = v
+		if !v.IsNull() && v.Kind != o.kinds[i] {
+			p, ok := o.kinds[i].Parse(v.AsString())
+			if !ok {
+				return false
+			}
+			row[i] = p
+		}
+	}
+	o.appendExact(row)
+	return true
+}
+
+// appendText mirrors Appender.AppendText: each cell as its column kind
+// parses it, the whole row refused when one cell is.
+func (o *oracleTable) appendText(cells []string) bool {
+	row := make([]Value, len(cells))
+	for i, c := range cells {
+		v, ok := o.kinds[i].Parse(c)
+		if !ok {
+			return false
+		}
+		row[i] = v
+	}
+	o.appendExact(row)
+	return true
+}
+
+// appendExact mirrors Column.Append: every value as given, so a
+// foreign-kind value degrades the column to boxed storage.
+func (o *oracleTable) appendExact(vals []Value) {
 	for i := range o.cols {
-		o.cols[i] = append(o.cols[i], vals[i].Coerce(o.kinds[i]))
+		o.cols[i] = append(o.cols[i], vals[i])
 	}
 }
 
 // randCell produces a value for column kind k. Mostly kind-matched, with
-// NULLs mixed in; when allowMixed, occasionally a mismatched kind to
-// exercise boxed degradation.
+// NULLs mixed in; when allowMixed, occasionally a mismatched kind, which
+// AppendRow and AppendText refuse or parse and Column.Append stores boxed.
 func randCell(rng *rand.Rand, k Kind, allowMixed bool) Value {
 	if rng.Intn(6) == 0 {
 		return Null()
@@ -175,9 +211,12 @@ func TestAppenderPropertyVsOracle(t *testing.T) {
 				for i := range vals {
 					vals[i] = randCell(rng, kinds[i], allowMixed)
 				}
-				seedTbl.MustAppendRow(vals...)
-				o.appendRow(vals)
+				err := seedTbl.AppendRow(vals...)
+				if accepted := o.appendRow(vals); accepted != (err == nil) {
+					t.Fatalf("AppendRow(%v) = %v, oracle accepts: %v", vals, err, accepted)
+				}
 			}
+			initial = seedTbl.NumRows()
 			app := NewAppender(seedTbl)
 
 			type published struct {
@@ -193,15 +232,18 @@ func TestAppenderPropertyVsOracle(t *testing.T) {
 					k := rng.Intn(8)
 					for b := 0; b < k; b++ {
 						cells := make([]string, ncols)
-						vals := make([]Value, ncols)
-						for i := range vals {
+						for i := range cells {
 							cells[i] = randCell(rng, kinds[i], allowMixed).AsString()
-							vals[i] = Infer(cells[i])
 						}
-						app.AppendText(cells)
-						o.appendRow(vals)
+						err := app.AppendText(cells)
+						accepted := o.appendText(cells)
+						if accepted != (err == nil) {
+							t.Fatalf("AppendText(%q) = %v, oracle accepts: %v", cells, err, accepted)
+						}
+						if accepted {
+							rows++
+						}
 					}
-					rows += k
 				case 2: // bulk table append (typed slab fast path + cell-at-a-time slow path)
 					src := MustNew("src", names, kinds)
 					k := rng.Intn(6)
@@ -209,9 +251,9 @@ func TestAppenderPropertyVsOracle(t *testing.T) {
 						vals := make([]Value, ncols)
 						for i := range vals {
 							vals[i] = randCell(rng, kinds[i], allowMixed)
+							src.Columns[i].Append(vals[i])
 						}
-						src.MustAppendRow(vals...)
-						o.appendRow(vals)
+						o.appendExact(vals)
 					}
 					if err := app.AppendTableExact(src); err != nil {
 						t.Fatal(err)
@@ -278,7 +320,9 @@ func TestSnapshotSchema(t *testing.T) {
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" || kinds[0] != KindInt || kinds[1] != KindString {
 		t.Fatalf("schema: %v %v", names, kinds)
 	}
-	app.AppendText([]string{"2", "y"})
+	if err := app.AppendText([]string{"2", "y"}); err != nil {
+		t.Fatal(err)
+	}
 	if s, err := app.PublishErr(); err != nil || s.Version() != 2 {
 		t.Fatalf("publish = v%d, %v; want v2", s.Version(), err)
 	}

@@ -79,13 +79,34 @@ func (t *Table) Column(name string) *Column {
 }
 
 // AppendRow appends one row. The number of values must match the column
-// count; values are coerced to the column kinds.
+// count. NULL, or a value of its column's kind, goes in as is; any other
+// value goes in as its text would (Kind.Parse of its AsString), or the row
+// is refused with a *CellError naming the column and nothing is appended.
 func (t *Table) AppendRow(vals ...Value) error {
 	if len(vals) != len(t.Columns) {
 		return fmt.Errorf("table %s: append %d values to %d columns", t.Name, len(vals), len(t.Columns))
 	}
+	var parsed []Value // a copy of vals, made at the first foreign-kind value
 	for i := range t.Columns {
-		t.Columns[i].Append(vals[i].Coerce(t.Columns[i].Kind))
+		col, v := &t.Columns[i], vals[i]
+		if v.IsNull() || v.Kind == col.Kind {
+			continue
+		}
+		text := v.AsString()
+		p, ok := col.Kind.Parse(text)
+		if !ok {
+			return fmt.Errorf("table %s: %w", t.Name, &CellError{Column: col.Name, Kind: col.Kind, Cell: text})
+		}
+		if parsed == nil {
+			parsed = append([]Value(nil), vals...)
+		}
+		parsed[i] = p
+	}
+	if parsed != nil {
+		vals = parsed
+	}
+	for i := range t.Columns {
+		t.Columns[i].Append(vals[i])
 	}
 	return nil
 }

@@ -262,3 +262,29 @@ func TestAppendKeyPart(t *testing.T) {
 		t.Error("EqualData matched rows whose key tuples differ")
 	}
 }
+
+// TestFromRecordsWidenedCellsKeepTheirText: a cell re-parsed into a column
+// kind promote widened to is parsed from its own text, so a text column
+// keeps every cell as written and a float column takes an int's value.
+func TestFromRecordsWidenedCellsKeepTheirText(t *testing.T) {
+	text := []string{"007", "1.50", "+5", "TRUE", "2024-01-01", " x ", "abc"}
+	rows := make([][]string, len(text))
+	for i, s := range text {
+		rows[i] = []string{s, []string{"1", "2.5"}[i%2]}
+	}
+	tb, err := FromRecords("t", []string{"s", "f"}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, f := tb.Columns[0].Kind, tb.Columns[1].Kind; s != KindString || f != KindFloat {
+		t.Fatalf("kinds = %v, %v; want TEXT, REAL", s, f)
+	}
+	for i, s := range text {
+		if got := tb.Columns[0].Value(i); got != Str(s) {
+			t.Errorf("text cell %d = %v, want %q", i, got, s)
+		}
+		if got, want := tb.Columns[1].Value(i), Float([]float64{1, 2.5}[i%2]); got != want {
+			t.Errorf("float cell %d = %v, want %v", i, got, want)
+		}
+	}
+}

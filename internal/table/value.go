@@ -283,37 +283,6 @@ func round9(f float64) float64 {
 	return math.Round(f*1e9) / 1e9
 }
 
-// Coerce attempts to convert v to the target kind, returning NULL when the
-// conversion is impossible. Used by CSV ingestion and schema alignment.
-func (v Value) Coerce(k Kind) Value {
-	if v.IsNull() || v.Kind == k {
-		return v
-	}
-	switch k {
-	case KindInt:
-		if i, ok := v.AsInt(); ok {
-			return Int(i)
-		}
-	case KindFloat:
-		if f, ok := v.AsFloat(); ok {
-			return Float(f)
-		}
-	case KindString:
-		return Str(v.AsString())
-	case KindBool:
-		if b, ok := v.AsBool(); ok {
-			return Bool(b)
-		}
-	case KindTime:
-		if v.Kind == KindString {
-			if t, ok := ParseTime(v.S); ok {
-				return Time(t)
-			}
-		}
-	}
-	return Null()
-}
-
 // timeFormats are the layouts ParseTime attempts, most specific first.
 var timeFormats = []string{
 	"2006-01-02 15:04:05",
@@ -335,41 +304,95 @@ func ParseTime(s string) (time.Time, bool) {
 	return time.Time{}, false
 }
 
+// Parse converts text into a cell of kind k exactly, or refuses it (ok
+// false). It is the one way text becomes a stored cell:
+//   - blank text (after TrimSpace) is NULL, for every kind;
+//   - string: the text as given;
+//   - int: decimal-integer text in range, or other number text whose
+//     float64 value is an integer within int64 (so 2.0 and 1e3 are 2 and
+//     1000, and 1.5 or 1e300 is refused);
+//   - float: any text strconv.ParseFloat takes;
+//   - bool: true or false, in any ASCII case;
+//   - time: a ParseTime layout, held as its UTC instant (what WAL recovery
+//     decodes, so a durable table answers the same after a restart).
+//
+// Anything else is refused. A parser runs only when the text could be one
+// it accepts — ParseInt on the exact shape of a decimal integer, the others
+// on their first byte — because a failed strconv or time parse allocates
+// its error, and a refused cell should cost nothing.
+func (k Kind) Parse(text string) (Value, bool) {
+	trimmed := strings.TrimSpace(text)
+	if trimmed == "" {
+		return Null(), true
+	}
+	switch k {
+	case KindString:
+		return Str(text), true
+	case KindInt:
+		if isDecimalInteger(trimmed) {
+			if i, err := strconv.ParseInt(trimmed, 10, 64); err == nil {
+				return Int(i), true
+			}
+		} else if startsNumber(trimmed) {
+			// ±2^63 are exact float64s, so the bounds are exact too.
+			if f, err := strconv.ParseFloat(trimmed, 64); err == nil && f == math.Trunc(f) && f >= -1<<63 && f < 1<<63 {
+				return Int(int64(f)), true
+			}
+		}
+	case KindFloat:
+		if startsNumber(trimmed) {
+			if f, err := strconv.ParseFloat(trimmed, 64); err == nil {
+				return Float(f), true
+			}
+		}
+	case KindBool:
+		// The byte lengths keep EqualFold to ASCII: "falſe" folds to
+		// "false" but is six bytes long.
+		if len(trimmed) == len("true") && strings.EqualFold(trimmed, "true") {
+			return Bool(true), true
+		}
+		if len(trimmed) == len("false") && strings.EqualFold(trimmed, "false") {
+			return Bool(false), true
+		}
+	case KindTime:
+		if c := trimmed[0]; c >= '0' && c <= '9' { // every layout of timeFormats begins with the year
+			if t, ok := ParseTime(trimmed); ok {
+				return Time(t.UTC()), true
+			}
+		}
+	}
+	return Null(), false
+}
+
+// CellError is a cell its column's kind cannot hold exactly: Kind.Parse
+// refused its text.
+type CellError struct {
+	Column string
+	Kind   Kind
+	Cell   string
+}
+
+func (e *CellError) Error() string {
+	return fmt.Sprintf("column %q (%s) cannot hold %q", e.Column, e.Kind, e.Cell)
+}
+
 // Infer guesses the most specific Value for a raw string: int, float, bool,
-// time, then string. Empty strings become NULL. A parser runs only when the
-// text could be one it accepts — ParseInt on the exact shape of a decimal
-// integer, the others on their first byte — because a failed strconv or
-// time parse allocates its error, and most cells of a text column would
-// fail all eight.
+// time, then string; empty strings become NULL. Only decimal-integer text is
+// an int — 2.0 and 1e3 infer as floats — and every guess is Kind.Parse, so
+// a cell infers to the value its kind would store.
 func Infer(s string) Value {
 	trimmed := strings.TrimSpace(s)
 	if trimmed == "" {
 		return Null()
 	}
-	c := trimmed[0]
-	digit := c >= '0' && c <= '9'
-	signed := digit || c == '+' || c == '-'
 	if isDecimalInteger(trimmed) {
-		if i, err := strconv.ParseInt(trimmed, 10, 64); err == nil {
-			return Int(i)
+		if v, ok := KindInt.Parse(trimmed); ok {
+			return v
 		}
 	}
-	if signed || c == '.' || startsInfOrNaN(trimmed) {
-		if f, err := strconv.ParseFloat(trimmed, 64); err == nil {
-			return Float(f)
-		}
-	}
-	if c == 't' || c == 'T' || c == 'f' || c == 'F' {
-		switch strings.ToLower(trimmed) {
-		case "true":
-			return Bool(true)
-		case "false":
-			return Bool(false)
-		}
-	}
-	if digit { // every layout of timeFormats begins with the year
-		if t, ok := ParseTime(trimmed); ok {
-			return Time(t)
+	for _, k := range [...]Kind{KindFloat, KindBool, KindTime} {
+		if v, ok := k.Parse(trimmed); ok {
+			return v
 		}
 	}
 	return Str(s)
@@ -392,9 +415,13 @@ func isDecimalInteger(s string) bool {
 	return true
 }
 
-// startsInfOrNaN reports whether s begins with the only unsigned non-digit
-// spellings strconv.ParseFloat accepts: "inf"/"infinity" and "nan", in any
-// case.
-func startsInfOrNaN(s string) bool {
+// startsNumber reports whether non-empty s begins the way text that
+// strconv.ParseFloat accepts must: with a digit, a sign or a point, or with
+// one of the only unsigned non-digit spellings, "inf"/"infinity" and "nan"
+// in any case.
+func startsNumber(s string) bool {
+	if c := s[0]; c >= '0' && c <= '9' || c == '+' || c == '-' || c == '.' {
+		return true
+	}
 	return len(s) >= 3 && (strings.EqualFold(s[:3], "inf") || strings.EqualFold(s[:3], "nan"))
 }

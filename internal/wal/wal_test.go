@@ -22,8 +22,8 @@ func eventRow(i int) []table.Value {
 	return []table.Value{table.Int(int64(i)), table.Str([]string{"alpha", "beta", "gamma"}[i%3]), table.Float(float64(i) * 1.5)}
 }
 
-// appendRows buffers rows into app with each value coerced to its column's
-// kind, as ingest does: one table of the rows, appended exactly.
+// appendRows buffers rows into app with each value stored as its column's
+// kind stores it (Table.AppendRow): one table of the rows, appended exactly.
 func appendRows(app *table.Appender, rows ...[]table.Value) error {
 	names, kinds := app.Snapshot().Schema()
 	t := table.MustNew(app.Name(), names, kinds)
