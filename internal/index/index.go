@@ -23,7 +23,6 @@
 package index
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -175,9 +174,10 @@ func (ix *Lexical) Clone() *Lexical {
 	return cp
 }
 
-// Search returns the top-k entries by TF-IDF score against the query's
-// content tokens (textutil.ContentTokens; a repeated token counts again).
-// Deterministic: ties break by ID.
+// Search returns the k entries with the highest TF-IDF score against the
+// query's content tokens (textutil.ContentTokens; a repeated token counts
+// again), ties broken by ID — as a set, in no particular order: the caller
+// reads membership, and ranks what it keeps itself.
 func (ix *Lexical) Search(query []string, k int) []Hit {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -219,7 +219,7 @@ func (ix *Lexical) Search(query []string, k int) []Hit {
 			hits = append(hits, Hit{ID: ix.entries[ord].ID, Ord: int32(ord), Score: s})
 		}
 	}
-	return topK(hits, k)
+	return Best(hits, k, hitBefore)
 }
 
 // Vector is a brute-force cosine-similarity index over embeddings, which
@@ -254,8 +254,9 @@ func (ix *Vector) Clone() *Vector {
 	return &Vector{ids: slices.Clone(ix.ids), vecs: slices.Clone(ix.vecs)}
 }
 
-// Search returns the top-k entries with a positive cosine similarity to
-// the query embedding. Deterministic: ties break by ID.
+// Search returns the k entries with the highest positive cosine
+// similarity to the query embedding, ties broken by ID — as a set, in no
+// particular order (see Lexical.Search).
 func (ix *Vector) Search(query *embed.Vector, k int) []Hit {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -268,19 +269,76 @@ func (ix *Vector) Search(query *embed.Vector, k int) []Hit {
 			hits = append(hits, Hit{ID: ix.ids[ord], Ord: int32(ord), Score: s})
 		}
 	}
-	return topK(hits, k)
+	return Best(hits, k, hitBefore)
 }
 
-// topK ranks hits (one per ID) by score, ties by ID, and keeps the first k.
-func topK(hits []Hit, k int) []Hit {
-	slices.SortFunc(hits, func(a, b Hit) int {
-		if a.Score != b.Score {
-			return cmp.Compare(b.Score, a.Score)
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-	if len(hits) > k {
-		hits = hits[:k]
+// hitBefore is the order both searches select by: higher score first,
+// ties by ID. Scores are finite, so it is a strict total order over hits
+// with distinct IDs.
+func hitBefore(a, b Hit) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
 	}
-	return hits
+	return a.ID < b.ID
+}
+
+// Best moves the k elements of s that rank first by better — a strict
+// weak order, better(a, b) reporting that a ranks before b — to the front
+// of s and returns them, as a set in no particular order; the rest of s
+// keeps the other elements. It returns s unchanged when len(s) <= k and
+// s[:0] when k <= 0. It allocates nothing: it is Hoare's FIND (CACM 1961,
+// Algorithm 65), partitioning in place around a median-of-three pivot
+// and narrowing to the side that holds position k-1, in expected linear
+// time, where a sort would order every element to read the first k.
+func Best[T any](s []T, k int, better func(a, b T) bool) []T {
+	if k <= 0 {
+		return s[:0]
+	}
+	if len(s) <= k {
+		return s
+	}
+	m := k - 1 // the position that must hold the k-th best
+	for lo, hi := 0, len(s)-1; lo < hi; {
+		x := medianOfThree(s[lo], s[lo+(hi-lo)/2], s[hi], better)
+		// Hoare's partition around the value x, which lies in s[lo..hi]:
+		// each scan stops at latest where x or a swapped element stands.
+		i, j := lo, hi
+		for i <= j {
+			for better(s[i], x) {
+				i++
+			}
+			for better(x, s[j]) {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// Now s[lo..j] ranks no later than x, s[i..hi] no earlier, and
+		// anything between ranks with x.
+		if j < m {
+			lo = i
+		}
+		if m < i {
+			hi = j
+		}
+	}
+	return s[:k]
+}
+
+// medianOfThree returns the one of a, b and c that ranks between the other
+// two.
+func medianOfThree[T any](a, b, c T, better func(a, b T) bool) T {
+	if better(b, a) {
+		a, b = b, a
+	}
+	if better(c, b) {
+		b = c
+		if better(b, a) {
+			b = a
+		}
+	}
+	return b
 }

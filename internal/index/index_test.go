@@ -1,7 +1,9 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 
 	"datalab/internal/embed"
@@ -14,14 +16,31 @@ func doc(id, name, content, tag string) Entry {
 	return Entry{ID: id, Name: textutil.Tokenize(name), Content: textutil.Tokenize(content), Tag: textutil.Tokenize(tag)}
 }
 
-// searchLex and searchVec analyse a question the way the retriever does.
+// searchLex and searchVec analyse a question the way the retriever does
+// and rank the set Search returns, so a test can read the best hit and
+// compare whole lists.
 func searchLex(ix *Lexical, query string, k int) []Hit {
-	return ix.Search(textutil.ContentTokens(query), k)
+	return ranked(ix.Search(textutil.ContentTokens(query), k))
 }
 
 func searchVec(ix *Vector, query string, k int) []Hit {
 	q := embed.Text(query)
-	return ix.Search(&q, k)
+	return ranked(ix.Search(&q, k))
+}
+
+// ranked sorts hits best first, ties by ID.
+func ranked(hits []Hit) []Hit {
+	slices.SortFunc(hits, compareHits)
+	return hits
+}
+
+// compareHits is the order Search selects by, written as a sort's
+// comparison: higher score first, ties by ID.
+func compareHits(a, b Hit) int {
+	if a.Score != b.Score {
+		return cmp.Compare(b.Score, a.Score)
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 func seedEntries() []Entry {
@@ -149,10 +168,15 @@ func TestSearchDeterministic(t *testing.T) {
 			t.Fatal("vector search not deterministic")
 		}
 	}
-	// Ties must break by ascending ID.
-	for i := 1; i < len(l1); i++ {
-		if l1[i-1].Score == l1[i].Score && l1[i-1].ID > l1[i].ID {
-			t.Fatal("tie-break order violated")
+	// Every document ties, so the cut at k keeps the ten smallest IDs.
+	for name, hits := range map[string][]Hit{"lexical": l1, "vector": v1} {
+		if len(hits) != 10 {
+			t.Fatalf("%s: %d hits, want 10", name, len(hits))
+		}
+		for i, h := range hits {
+			if want := fmt.Sprintf("e%02d", i); h.ID != want {
+				t.Errorf("%s: hit %d is %s, want %s: ties must break by ascending ID", name, i, h.ID, want)
+			}
 		}
 	}
 }

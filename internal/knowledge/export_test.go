@@ -1,6 +1,7 @@
 package knowledge
 
 import (
+	"cmp"
 	"slices"
 
 	"datalab/internal/embed"
@@ -18,6 +19,14 @@ const (
 	CoarseK                         = coarseK
 )
 
+// Retrieve implements Algorithm 2 in full: the topK best candidates by
+// their fine-grained score, best first.
+func (r *Retriever) Retrieve(query string, topK int) []Scored {
+	scored := r.candidates(query, topK)
+	slices.SortFunc(scored, byRank)
+	return scored
+}
+
 func (g *Graph) AddNodeForTest(n *Node) { g.addNode(n) }
 
 func (g *Graph) PrimaryForTest(id string) *Node { return g.primary(g.nodes[id]) }
@@ -32,6 +41,13 @@ func (g *Graph) CoarseIDsForTest(query string, k int) []string {
 	vec := embed.Tokens(tokens)
 	var ids []string
 	for _, hits := range [2][]index.Hit{g.lex.Search(slices.DeleteFunc(tokens, textutil.IsStopword), k), g.vec.Search(&vec, k)} {
+		// Each search returns a set; rank it as the searches select.
+		slices.SortFunc(hits, func(a, b index.Hit) int {
+			if a.Score != b.Score {
+				return cmp.Compare(b.Score, a.Score)
+			}
+			return cmp.Compare(a.ID, b.ID)
+		})
 		for _, h := range hits {
 			ids = append(ids, h.ID)
 		}

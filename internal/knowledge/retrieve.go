@@ -116,10 +116,22 @@ type Scored struct {
 	Score float64
 }
 
-// Retrieve implements Algorithm 2: coarse lexical+semantic retrieval with
-// a loose threshold, alias backtracking, fine-grained weighted ordering,
-// and top-K selection.
-func (r *Retriever) Retrieve(query string, topK int) []Scored {
+// byRank is the fine stage's order: higher score first, ties by node ID.
+func byRank(a, b Scored) int {
+	if a.Score != b.Score {
+		return cmp.Compare(b.Score, a.Score)
+	}
+	return cmp.Compare(a.Node.ID, b.Node.ID)
+}
+
+func ranksBefore(a, b Scored) bool { return byRank(a, b) < 0 }
+
+// candidates implements Algorithm 2 up to its cut: coarse lexical+semantic
+// retrieval with a loose threshold, alias backtracking, and the fine-grained
+// weighted score of every candidate, of which it returns the k best by
+// byRank — as a set, in no particular order, so a caller sorts only what
+// it keeps.
+func (r *Retriever) candidates(query string, k int) []Scored {
 	g := r.Graph
 
 	// The question's analysis, shared by both coarse searches and every
@@ -135,8 +147,9 @@ func (r *Retriever) Retrieve(query string, topK int) []Scored {
 	}
 
 	// Coarse stage: the union of both searches' top coarseK, aliases
-	// backtracked to primaries. Only membership matters — the fine stage
-	// rescores and reorders every candidate.
+	// backtracked to primaries. Only membership matters — each search
+	// returns its set unordered, and the fine stage rescores every
+	// candidate.
 	coarse := [2][]index.Hit{g.lex.Search(qTokens, coarseK), g.vec.Search(&qVec, coarseK)}
 	seen := make([]bool, len(g.order))
 	scored := make([]Scored, 0, len(coarse[0])+len(coarse[1]))
@@ -150,16 +163,7 @@ func (r *Retriever) Retrieve(query string, topK int) []Scored {
 			scored = append(scored, Scored{Node: n, Score: r.fineScore(n, query, qDistinct, &qVec)})
 		}
 	}
-	slices.SortFunc(scored, func(a, b Scored) int {
-		if a.Score != b.Score {
-			return cmp.Compare(b.Score, a.Score)
-		}
-		return cmp.Compare(a.Node.ID, b.Node.ID)
-	})
-	if len(scored) > topK {
-		scored = scored[:topK]
-	}
-	return scored
+	return index.Best(scored, k, ranksBefore)
 }
 
 // fineScore is the fine stage's weighted matching score of one candidate:
@@ -203,21 +207,32 @@ func (r *Retriever) fineScore(n *Node, query string, qDistinct []string, qVec *e
 // net_margin) crowd the candidate list. It returns the first topK distinct
 // columns of the table, best score first, that the coarseK retrieved nodes
 // are or stand for.
+//
+// Only the retrieved nodes that are or stand for a column of the table
+// are ranked: they are filtered to the front of the slice the cut returned,
+// sorted there, and de-duplicated into the front of that prefix, so the
+// call allocates no list of its own.
 func (r *Retriever) RetrieveColumnsScoped(query, tableName string, topK int) []Scored {
 	prefix := "column:" + strings.ToLower(tableName) + "."
 	g := r.Graph
-	seen := make([]bool, len(g.order))
-	var out []Scored
-	for _, s := range r.Retrieve(query, coarseK) {
-		n, ok := g.columnOf(s.Node)
-		if !ok || seen[n.ord] || !strings.HasPrefix(n.ID, prefix) {
+	kept := slices.DeleteFunc(r.candidates(query, coarseK), func(s Scored) bool {
+		col, ok := g.columnOf(s.Node)
+		return !ok || !strings.HasPrefix(col.ID, prefix)
+	})
+	slices.SortFunc(kept, byRank)
+	out := kept[:0] // written behind the read position
+	for _, s := range kept {
+		col, _ := g.columnOf(s.Node)
+		if slices.ContainsFunc(out, func(o Scored) bool { return o.Node == col }) {
 			continue
 		}
-		seen[n.ord] = true
-		out = append(out, Scored{Node: n, Score: s.Score})
+		out = append(out, Scored{Node: col, Score: s.Score})
 		if len(out) == topK {
 			break
 		}
+	}
+	if len(out) == 0 {
+		return nil // not an empty window holding the candidate list
 	}
 	return out
 }
