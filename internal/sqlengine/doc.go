@@ -24,11 +24,12 @@
 // references carry. WHERE produces a
 // table.Selection (range spans or dense indices) instead of copying rows;
 // joins run the parallel selection-aware pair pipeline in join.go;
-// grouping hashes rows into per-group selections; ORDER BY runs the typed
-// memcmp sort kernel in sort.go. Every execution ends as one Result over
-// output columns and a selection of their rows: DISTINCT keeps the first
-// row of each partitionRows group, and OFFSET/LIMIT drop and truncate the
-// selection. Large inputs partition across a
+// grouping gives every selected row its group's id and folds each
+// aggregate by id (vgroups); ORDER BY runs the typed memcmp sort kernel
+// in sort.go. Every execution ends as one Result over output columns and
+// a selection of their rows: DISTINCT keeps the first row of each
+// groupKeys group, and OFFSET/LIMIT drop and truncate the selection.
+// Large inputs partition across a
 // process-wide bounded worker pool (parallel.go) shared by every
 // concurrent query. Expressions have one evaluator, evalVec (vector.go):
 // typed loops where the operands' storage allows, otherwise one boxed

@@ -340,7 +340,7 @@ func bareColumns(p *plan, rel *vrel) []table.Column {
 // finish is every execution's one tail. sel selects the output rows of cols
 // (every row when sel is nil): the relation's own columns under the WHERE
 // selection for a lazy projection, output columns otherwise. DISTINCT keeps
-// the first row of each partitionRows group of the output rows — the groups
+// the first row of each groupKeys group of the output rows — the groups
 // come in first-appearance order, so those rows ascend — and OFFSET/LIMIT
 // drop and truncate the selection. No output column is copied.
 func finish(ctx context.Context, p *plan, x *execArgs, cols []table.Column, sel *table.Selection) (*Result, error) {
@@ -366,15 +366,12 @@ func finish(ctx context.Context, p *plan, x *execArgs, cols []table.Column, sel 
 				keys[i] = cols[i].GatherSel(sel)
 			}
 		}
-		parts, err := partitionRows(ctx, keys, sel, n)
+		gr, err := groupKeys(ctx, keys, n)
 		if err != nil {
 			return nil, err
 		}
-		firsts := make([]int, len(parts))
-		for g, rows := range parts {
-			firsts[g] = rows[0]
-		}
-		sel, n = table.NewIndexSelection(firsts), len(firsts)
+		rowsOf(sel, gr.firsts)
+		sel, n = table.NewIndexSelection(gr.firsts), len(gr.firsts)
 	}
 	if x.offset > 0 || x.limit >= 0 {
 		if sel == nil {
@@ -498,44 +495,48 @@ func (x *execArgs) limitReach() (int, bool) {
 
 // --- grouping ---
 
-// partitionRows is the vectorized engine's one row partitioner, behind
-// both GROUP BY and PARTITION BY. keyCols hold one key per position
-// 0..n-1; position i belongs to the i-th row of sel, or to row i when sel
-// is nil. It returns the row lists of the distinct keys in first-appearance
-// order, each ascending and capacity-capped (appending to one cannot
-// overwrite the next); NULL is a key like any other. A single typed
-// int/string key hashes its raw values; every other shape (composite,
-// float, boxed) hashes its key tuple's table.AppendKeyPart encoding.
-func partitionRows(ctx context.Context, keyCols []table.Column, sel *table.Selection, n int) ([][]int, error) {
+// grouping numbers positions 0..n-1 by key: ids[i] is position i's group,
+// the groups numbered in first-appearance order; firsts[g] is group g's
+// first position and counts[g] how many positions it holds. A nil ids puts
+// every position in group 0.
+type grouping struct {
+	ids    []int32
+	firsts []int
+	counts []int
+}
+
+// groupKeys is the vectorized engine's one key grouper, behind GROUP BY,
+// DISTINCT and PARTITION BY. keyCols hold one key per position 0..n-1; NULL
+// is a key like any other. A single typed int/string key hashes its raw
+// values; every other shape (composite, float, boxed) hashes its key
+// tuple's table.AppendKeyPart encoding.
+func groupKeys(ctx context.Context, keyCols []table.Column, n int) (grouping, error) {
 	if len(keyCols) == 1 {
 		if is, nulls, ok := keyCols[0].Ints(); ok {
-			return partitionByKey(ctx, sel, n, func(d *groupDict[int64], ids []int32, lo, hi int) {
+			return groupByKey(ctx, n, func(d *groupDict[int64], ids []int32, lo, hi int) {
 				hashValues(d, is, nulls, ids, lo, hi)
 			})
 		}
 		if ss, nulls, ok := keyCols[0].Strings(); ok {
-			return partitionByKey(ctx, sel, n, func(d *groupDict[string], ids []int32, lo, hi int) {
+			return groupByKey(ctx, n, func(d *groupDict[string], ids []int32, lo, hi int) {
 				hashValues(d, ss, nulls, ids, lo, hi)
 			})
 		}
 	}
-	return partitionByKey(ctx, sel, n, func(d *groupDict[string], ids []int32, lo, hi int) {
+	return groupByKey(ctx, n, func(d *groupDict[string], ids []int32, lo, hi int) {
 		hashEncoded(d, keyCols, ids, lo, hi)
 	})
 }
 
-// partitionByKey is partitionRows' two passes over the worker pool's
-// chunks. The first gives every position a dense group id: each chunk
-// hashes its range into a dictionary of its own, and the dictionaries
-// merge in chunk order — the first chunk's becomes the merged one, a later
-// chunk's ids map through a remap slice — so the ids number the groups in
-// first-appearance order. The groups then lie back to back in one n-int
-// array, each slice sized from its group's count, and each chunk's counts
-// become the cursors it writes its groups from; the second pass scatters
-// every chunk's rows at those cursors, in position order.
-func partitionByKey[K comparable](ctx context.Context, sel *table.Selection, n int, hash func(d *groupDict[K], ids []int32, lo, hi int)) ([][]int, error) {
+// groupByKey is groupKeys over the worker pool's chunks: each chunk hashes
+// its range into a dictionary of its own, and the dictionaries merge in
+// chunk order — the first chunk's becomes the merged one, a later chunk's
+// local ids map through a remap slice — so the ids number the groups in
+// first-appearance order. The later chunks' ids are then remapped in place,
+// each chunk on the pool.
+func groupByKey[K comparable](ctx context.Context, n int, hash func(d *groupDict[K], ids []int32, lo, hi int)) (grouping, error) {
 	if n == 0 {
-		return nil, ctx.Err()
+		return grouping{}, ctx.Err()
 	}
 	_, chunks := chunkLayout(n, parallelMinRows)
 	ids := make([]int32, n)
@@ -547,117 +548,63 @@ func partitionByKey[K comparable](ctx context.Context, sel *table.Selection, n i
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return grouping{}, err
 	}
-
-	// Merge: a later chunk's local ids map to merged ids through its
-	// remap slice; the first chunk's ids are the merged ones.
 	g := &dicts[0]
-	var remaps [][]int32
-	if chunks > 1 {
-		remaps = make([][]int32, chunks)
-		for c := 1; c < chunks; c++ {
-			d := &dicts[c]
-			remaps[c] = make([]int32, len(d.keys))
-			for l, k := range d.keys {
-				var id int32
+	if chunks == 1 {
+		return grouping{ids: ids, firsts: g.firsts, counts: g.counts}, nil
+	}
+	remaps := make([][]int32, chunks)
+	for c := 1; c < chunks; c++ {
+		d := &dicts[c]
+		remaps[c] = make([]int32, len(d.keys))
+		for l, k := range d.keys {
+			id, ok := g.null, g.null >= 0
+			if int32(l) != d.null {
+				id, ok = g.ids[k]
+			}
+			if !ok {
+				id = g.add(k, d.firsts[l])
 				if int32(l) == d.null {
-					if g.null < 0 {
-						g.null = g.add(k)
-					}
-					id = g.null
+					g.null = id
 				} else {
-					var ok bool
-					if id, ok = g.ids[k]; !ok {
-						id = g.add(k)
-						g.ids[k] = id
-					}
+					g.ids[k] = id
 				}
-				remaps[c][l] = id
 			}
-		}
-	}
-	merged := func(c, l int) int32 {
-		if c == 0 {
-			return int32(l)
-		}
-		return remaps[c][l]
-	}
-
-	// Layout: a group's list is the next total[id] slots of rows. Then each
-	// chunk's counts become its cursors: where its rows of each group
-	// begin, after the earlier chunks' rows of it. With one chunk, its
-	// counts are the totals, and the groups' starts are its cursors.
-	total := g.counts
-	if chunks > 1 {
-		total = make([]int, len(g.keys))
-		for c := range dicts {
-			for l, count := range dicts[c].counts {
-				total[merged(c, l)] += count
-			}
-		}
-	}
-	rows := make([]int, n)
-	parts := make([][]int, len(total))
-	at := 0
-	for id, count := range total {
-		parts[id] = rows[at : at+count : at+count]
-		total[id] = at
-		at += count
-	}
-	if chunks > 1 {
-		for c := range dicts {
-			cur := dicts[c].counts
-			for l, count := range cur {
-				id := merged(c, l)
-				cur[l] = total[id]
-				total[id] += count
-			}
-		}
-	}
-
-	// Scatter: position i holds row base+i, or idx[i] when the selection
-	// is not one range (a span-form one is expanded here).
-	base, idx := 0, []int(nil)
-	if sel != nil {
-		if lo, _, ok := sel.AsRange(); ok {
-			base = lo
-		} else {
-			idx = sel.Indices()
+			g.counts[id] += d.counts[l]
+			remaps[c][l] = id
 		}
 	}
 	err = parallelChunksIndexed(ctx, n, parallelMinRows, func(ci, lo, hi int) error {
-		cur := dicts[ci].counts
-		for i := lo; i < hi; i++ {
-			r := base + i
-			if idx != nil {
-				r = idx[i]
+		if remap := remaps[ci]; remap != nil {
+			for i := lo; i < hi; i++ {
+				ids[i] = remap[ids[i]]
 			}
-			rows[cur[ids[i]]] = r
-			cur[ids[i]]++
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return grouping{}, err
 	}
-	return parts, nil
+	return grouping{ids: ids, firsts: g.firsts, counts: g.counts}, nil
 }
 
 // groupDict is one chunk's dictionary: the id of each distinct non-NULL
-// key, every group's key by id in first-appearance order, and the rows per
-// group.
+// key, and by id in first-appearance order every group's key, first
+// position and count.
 type groupDict[K comparable] struct {
 	ids    map[K]int32
-	keys   []K   // by id; the NULL group's entry is the zero K
-	counts []int // by id
+	keys   []K // the NULL group's entry is the zero K
+	firsts []int
+	counts []int
 	null   int32 // id of the NULL group, -1 while it has none
 }
 
-// add opens a group for k and returns its id.
-func (d *groupDict[K]) add(k K) int32 {
+// add opens a group for k, first seen at position first, and returns its id.
+func (d *groupDict[K]) add(k K, first int) int32 {
 	id := int32(len(d.keys))
 	d.keys = append(d.keys, k)
+	d.firsts = append(d.firsts, first)
 	d.counts = append(d.counts, 0)
 	return id
 }
@@ -670,13 +617,13 @@ func hashValues[K comparable](d *groupDict[K], keys []K, nulls []bool, ids []int
 		if nulls[i] {
 			if d.null < 0 {
 				var zero K
-				d.null = d.add(zero)
+				d.null = d.add(zero, i)
 			}
 			id = d.null
 		} else {
 			var ok bool
 			if id, ok = d.ids[keys[i]]; !ok {
-				id = d.add(keys[i])
+				id = d.add(keys[i], i)
 				d.ids[keys[i]] = id
 			}
 		}
@@ -699,7 +646,7 @@ func hashEncoded(d *groupDict[string], keyCols []table.Column, ids []int32, lo, 
 		id, ok := d.ids[string(kb)]
 		if !ok {
 			key := string(kb)
-			id = d.add(key)
+			id = d.add(key, i)
 			d.ids[key] = id
 		}
 		d.counts[id]++
@@ -707,143 +654,338 @@ func hashEncoded(d *groupDict[string], keyCols []table.Column, ids []int32, lo, 
 	}
 }
 
-// hashGroups partitions the selected rows by the GROUP BY key columns
-// (indexed by selection position) into one selection of absolute rows per
-// group, in first-appearance order. Keyed grouping scatters rows, so those
-// groups are dense-form; with no key columns (global aggregates) the filter
-// selection itself — or a single [0,n) span — is the one group, possibly
-// empty, and nothing is materialized.
-func hashGroups(ctx context.Context, keyCols []table.Column, rel *vrel, sel *table.Selection) ([]*table.Selection, error) {
-	if len(keyCols) == 0 {
-		if sel == nil {
-			sel = table.NewSpanSelection(table.Span{Lo: 0, Hi: rel.nrows})
-		}
-		return []*table.Selection{sel}, nil
-	}
-	parts, err := partitionRows(ctx, keyCols, sel, selLen(rel, sel))
+// partitionRows lists the positions 0..n-1 of each key group of groupKeys,
+// in its group order, each list ascending and capacity-capped (appending to
+// one cannot overwrite the next) — the row lists window PARTITION BY sorts
+// and frames.
+func partitionRows(ctx context.Context, keyCols []table.Column, n int) ([][]int, error) {
+	gr, err := groupKeys(ctx, keyCols, n)
 	if err != nil {
 		return nil, err
 	}
-	groups := make([]*table.Selection, len(parts))
-	for i, rows := range parts {
-		groups[i] = table.NewIndexSelection(rows)
+	rows := make([]int, n)
+	parts := make([][]int, len(gr.counts))
+	at := 0
+	for g, count := range gr.counts {
+		parts[g] = rows[at : at : at+count]
+		at += count
 	}
-	return groups, ctx.Err()
+	for i, g := range gr.ids {
+		parts[g] = append(parts[g], i)
+	}
+	return parts, nil
 }
 
-// vgroups makes a relation of groups (vrel.grp): its row g is group g,
-// whose rows of base are rows[g]. evalVec reads a column at each group's
-// first row — NULL for the empty global group — and reduces an aggregate
-// call over the rows of each group it is evaluated on, on the worker pool
-// (under the statement's ctx) when the grouped input reached
-// parallelMinRows rows.
+// rowsOf replaces each of the ascending positions pos with the row of sel
+// at it; with a nil sel, position i is row i already.
+func rowsOf(sel *table.Selection, pos []int) {
+	if sel == nil {
+		return
+	}
+	spans, ok := sel.Spans()
+	if !ok {
+		idx := sel.Indices()
+		for i, p := range pos {
+			pos[i] = idx[p]
+		}
+		return
+	}
+	s, start := 0, 0 // spans[s] holds the positions from start on
+	for i, p := range pos {
+		for p-start >= spans[s].Hi-spans[s].Lo {
+			start += spans[s].Hi - spans[s].Lo
+			s++
+		}
+		pos[i] = spans[s].Lo + p - start
+	}
+}
+
+// vgroups makes a relation of groups (vrel.grp): its row g is group g of
+// the selected rows of base — position i of sel, its i-th row, belongs to
+// group ids[i]. firsts holds each group's first row of base, and counts
+// its size. evalVec reads a column at each group's first row — NULL for
+// the empty global group — and folds an aggregate call by group id in one
+// pass over the positions.
 type vgroups struct {
-	ctx      context.Context
-	base     *vrel
-	rows     []*table.Selection
-	parallel bool
+	base *vrel
+	sel  *table.Selection // nil = every row of base
+	grouping
+}
+
+// groupRows groups the selected rows of rel by the GROUP BY key columns
+// (one key per position). With no key columns (global aggregates) every
+// position is the one group, possibly empty, and no id is written.
+func groupRows(ctx context.Context, keyCols []table.Column, rel *vrel, sel *table.Selection) (*vgroups, error) {
+	n := selLen(rel, sel)
+	gr := grouping{firsts: []int{0}, counts: []int{n}}
+	if len(keyCols) > 0 {
+		var err error
+		if gr, err = groupKeys(ctx, keyCols, n); err != nil {
+			return nil, err
+		}
+	}
+	if n > 0 {
+		rowsOf(sel, gr.firsts)
+	}
+	return &vgroups{base: rel, sel: sel, grouping: gr}, ctx.Err()
 }
 
 // firstRows reads base column ci at the first row of each selected group.
 func (g *vgroups) firstRows(ci int, sel *table.Selection, n int) table.Column {
 	idx := make([]int, n)
 	var pad []bool // set only for the empty global group, which has no first row
-	it := table.IterSelection(sel, len(g.rows))
+	it := table.IterSelection(sel, len(g.counts))
 	for i := range idx {
 		gi, _ := it.Next()
-		if g.rows[gi].Len() == 0 {
+		if g.counts[gi] == 0 {
 			if pad == nil {
 				pad = make([]bool, n)
 			}
 			pad[i] = true
 			continue
 		}
-		idx[i] = g.rows[gi].RowAt(0)
+		idx[i] = g.firsts[gi]
 	}
 	return g.base.cols[ci].Gather(idx, pad)
 }
 
-// aggregate reduces fn over the rows of each selected group.
+// aggregate folds fn over the rows of each selected group.
 func (g *vgroups) aggregate(fn *FuncCall, sel *table.Selection, n int) (table.Column, error) {
-	var ids []int // the selected groups; nil when they are 0..n-1
-	if sel != nil {
-		ids = sel.Indices()
+	if n == 0 {
+		return nullColumn(0), nil
 	}
-	vals := make([]table.Value, n)
-	reduce := func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			gi := i
-			if ids != nil {
-				gi = ids[i]
-			}
-			v, err := reduceGroup(fn, g.base, g.rows[gi])
-			if err != nil {
-				return err
-			}
-			vals[i] = v
-		}
-		return nil
+	col, err := g.fold(fn, sel)
+	if err != nil || sel == nil {
+		return col, err
 	}
-	var err error
-	if g.parallel && n > 1 {
-		err = parallelChunks(g.ctx, n, 1, reduce)
-	} else {
-		err = reduce(0, n)
-	}
-	if err != nil {
-		return table.Column{}, err
-	}
-	return columnOfValues(vals), nil
+	return col.GatherSel(sel), nil
 }
 
-// reduceGroup computes an aggregate over one group's rows of base: over a
-// bare column in typed loops on the group's selection, over any other
-// argument after evaluating it on that selection.
-func reduceGroup(fn *FuncCall, base *vrel, rows *table.Selection) (table.Value, error) {
-	if fn.IsStar {
-		if fn.Name != "COUNT" {
-			return table.Null(), fmt.Errorf("sql: %s(*) is not supported", fn.Name)
-		}
-		return table.Int(int64(rows.Len())), nil
+// fold computes fn for every group, in one pass over the positions, and
+// returns one cell per group; only the groups sel selects (nil: all) are
+// read. COUNT(*) and COUNT of a constant are the groups' counts. A bare
+// column is folded over every selected row; any other argument is evaluated
+// once, on the rows of the groups sel selects only, so it raises exactly
+// when a per-group evaluation would. COUNT, SUM/AVG and MIN/MAX over a
+// typed int or float column then fold in typed loops (foldTyped); every
+// other pairing folds each group's cells through aggAcc.
+func (g *vgroups) fold(fn *FuncCall, sel *table.Selection) (table.Column, error) {
+	switch {
+	case fn.IsStar && fn.Name != "COUNT":
+		return table.Column{}, fmt.Errorf("sql: %s(*) is not supported", fn.Name)
+	case fn.IsStar:
+		return g.countColumn(true), nil
+	case len(fn.Args) != 1:
+		return table.Column{}, fmt.Errorf("sql: aggregate %s expects one argument", fn.Name)
 	}
-	if len(fn.Args) != 1 {
-		return table.Null(), fmt.Errorf("sql: aggregate %s expects one argument", fn.Name)
-	}
+	op := aggOps[fn.Name] // evalVec folds only names isAggregate knows
 	arg := fn.Args[0]
-	if ref, ok := arg.(*ColumnRef); ok && !fn.Distinct {
-		return aggOverColumn(fn.Name, &base.cols[ref.idx], rows)
-	}
-	if k, ok := constExprValue(arg, base); ok && fn.Name == "COUNT" && !fn.Distinct {
+	if k, ok := constExprValue(arg, g.base); ok && op == aggCount && !fn.Distinct {
 		// COUNT(1) counts the rows (none for NULL) without a column of ones.
-		if k.IsNull() {
-			return table.Int(0), nil
+		return g.countColumn(!k.IsNull()), nil
+	}
+	var col table.Column
+	rows, ids := g.sel, g.ids
+	if ref, ok := arg.(*ColumnRef); ok && !fn.Distinct {
+		col = g.base.cols[ref.idx]
+	} else {
+		rows, ids = g.restrict(sel)
+		var err error
+		if col, err = evalVec(arg, g.base, rows); err != nil {
+			return table.Column{}, err
 		}
-		return table.Int(int64(rows.Len())), nil
+		rows = nil // col is positional now
 	}
-	col, err := evalVec(arg, base, rows)
-	if err != nil {
-		return table.Null(), err
-	}
-	if !fn.Distinct {
-		return aggOverColumn(fn.Name, &col, table.NewSpanSelection(table.Span{Lo: 0, Hi: col.Len()}))
-	}
-	// DISTINCT: the first of each distinct non-NULL value, in row order.
-	acc, err := newAggAcc(fn.Name, false)
-	if err != nil {
-		return table.Null(), err
-	}
-	seen := map[string]bool{}
-	for i := 0; i < col.Len(); i++ {
-		v := col.Value(i)
-		if v.IsNull() {
-			continue
+	if !fn.Distinct && op != aggStddev && op != aggMedian {
+		if is, nulls, ok := col.Ints(); ok {
+			return foldTyped(op, is, nulls, rows, ids, len(g.counts), table.ColumnFromInts), nil
 		}
-		if k := v.Key(); !seen[k] {
+		if fs, nulls, ok := col.Floats(); ok {
+			return foldTyped(op, fs, nulls, rows, ids, len(g.counts), table.ColumnFromFloats), nil
+		}
+	}
+	return foldCells(op, fn.Distinct, &col, rows, ids, len(g.counts)), nil
+}
+
+// countColumn is every group's count, or zeros when counted is false.
+func (g *vgroups) countColumn(counted bool) table.Column {
+	out := make([]int64, len(g.counts))
+	if counted {
+		for i, c := range g.counts {
+			out[i] = int64(c)
+		}
+	}
+	return table.ColumnFromInts("", out, nil)
+}
+
+// restrict returns the selected rows of base that belong to the groups sel
+// selects, with their group ids: g.sel and g.ids themselves when sel selects
+// every group.
+func (g *vgroups) restrict(sel *table.Selection) (*table.Selection, []int32) {
+	if sel == nil || g.ids == nil || sel.Len() == len(g.counts) {
+		return g.sel, g.ids
+	}
+	want := make([]bool, len(g.counts))
+	sel.ForEach(func(gi int) { want[gi] = true })
+	keep := make([]bool, len(g.ids))
+	var ids []int32
+	for i, id := range g.ids {
+		if want[id] {
+			keep[i] = true
+			ids = append(ids, id)
+		}
+	}
+	return g.sel.Pick(keep, nil), ids
+}
+
+// foldBlock is how many positions foldBlocks hands its fold at once.
+const foldBlock = 1024
+
+// zeroIDs are the group ids of a block when every position is group 0.
+var zeroIDs [foldBlock]int32
+
+// foldBlocks hands fold the cells of vals and nulls at the rows sel selects
+// (nil: every row), in position order, in blocks beside the group ids of
+// their positions (nil ids: group 0 for all). A span's cells are handed in
+// place; a dense selection's are gathered into one reused block first.
+func foldBlocks[T any](vals []T, nulls []bool, sel *table.Selection, ids []int32, fold func(vs []T, ns []bool, gs []int32)) {
+	pos := 0
+	run := func(vs []T, ns []bool) {
+		for len(vs) > 0 {
+			m := min(len(vs), foldBlock)
+			gs := zeroIDs[:m]
+			if ids != nil {
+				gs = ids[pos : pos+m]
+			}
+			fold(vs[:m], ns[:m], gs)
+			vs, ns, pos = vs[m:], ns[m:], pos+m
+		}
+	}
+	spans, ok := sel.Spans()
+	switch {
+	case sel == nil:
+		run(vals, nulls)
+	case ok:
+		for _, sp := range spans {
+			run(vals[sp.Lo:sp.Hi], nulls[sp.Lo:sp.Hi])
+		}
+	default:
+		idx := sel.Indices()
+		bv, bn := make([]T, min(len(idx), foldBlock)), make([]bool, min(len(idx), foldBlock))
+		for len(idx) > 0 {
+			m := min(len(idx), foldBlock)
+			for j, r := range idx[:m] {
+				bv[j], bn[j] = vals[r], nulls[r]
+			}
+			run(bv[:m], bn[:m])
+			idx = idx[m:]
+		}
+	}
+}
+
+// foldTyped computes COUNT, SUM, AVG, MIN or MAX of each of the groups
+// over a typed int or float column's cells, in typed per-group arrays that
+// become the output column. Each group's cells are added in row order, and
+// only a strictly smaller (larger) cell replaces a MIN (MAX) — the
+// additions and the earliest-of-equals aggAcc makes, with NaN equal to
+// every number as table.Compare has it — so every cell is bit-identical to
+// aggAcc's.
+func foldTyped[T int64 | float64](op aggOp, vals []T, nulls []bool, sel *table.Selection, ids []int32, groups int,
+	column func(string, []T, []bool) table.Column) table.Column {
+	count := make([]int64, groups)
+	switch op {
+	case aggCount:
+		foldBlocks(vals, nulls, sel, ids, func(_ []T, ns []bool, gs []int32) {
+			gs = gs[:len(ns)]
+			for j, null := range ns {
+				if !null {
+					count[gs[j]]++
+				}
+			}
+		})
+		return table.ColumnFromInts("", count, nil)
+	case aggSum, aggAvg:
+		total := make([]float64, groups)
+		foldBlocks(vals, nulls, sel, ids, func(vs []T, ns []bool, gs []int32) {
+			ns, gs = ns[:len(vs)], gs[:len(vs)]
+			for j, v := range vs {
+				if !ns[j] {
+					total[gs[j]] += float64(v)
+					count[gs[j]]++
+				}
+			}
+		})
+		empty := make([]bool, groups)
+		for g, c := range count {
+			empty[g] = c == 0
+			if op == aggAvg && c > 0 {
+				total[g] /= float64(c)
+			}
+		}
+		return table.ColumnFromFloats("", total, empty)
+	}
+	best := make([]T, groups) // MIN, MAX
+	foldBlocks(vals, nulls, sel, ids, func(vs []T, ns []bool, gs []int32) {
+		ns, gs = ns[:len(vs)], gs[:len(vs)]
+		for j, v := range vs {
+			if g := gs[j]; !ns[j] && (count[g] == 0 || (op == aggMin && v < best[g]) || (op == aggMax && v > best[g])) {
+				best[g] = v
+				count[g] = 1
+			}
+		}
+	})
+	empty := make([]bool, groups)
+	for g, c := range count {
+		empty[g] = c == 0
+	}
+	return column("", best, empty)
+}
+
+// foldCells folds the cells of col at the rows sel selects (nil: every
+// row) into their groups' aggAcc, in position order; DISTINCT folds only
+// the first of each distinct non-NULL value of a group.
+func foldCells(op aggOp, distinct bool, col *table.Column, sel *table.Selection, ids []int32, groups int) table.Column {
+	accs := make([]aggAcc, groups)
+	for g := range accs {
+		accs[g].op = op
+	}
+	type seenKey struct {
+		group int32
+		key   string
+	}
+	var seen map[seenKey]bool
+	if distinct {
+		seen = map[seenKey]bool{}
+	}
+	at := col.Value
+	it := table.IterSelection(sel, col.Len())
+	for pos := 0; ; pos++ {
+		r, ok := it.Next()
+		if !ok {
+			break
+		}
+		var g int32
+		if ids != nil {
+			g = ids[pos]
+		}
+		if distinct {
+			v := at(r)
+			if v.IsNull() {
+				continue
+			}
+			k := seenKey{g, v.Key()}
+			if seen[k] {
+				continue
+			}
 			seen[k] = true
-			acc.add(i, col.Value)
 		}
+		accs[g].add(r, at)
 	}
-	return acc.value(), nil
+	vals := make([]table.Value, groups)
+	for g := range accs {
+		vals[g] = accs[g].value()
+	}
+	return columnOfValues(vals)
 }
 
 // aggOp is what an aggregate does with each value it folds.
@@ -870,8 +1012,8 @@ var aggOps = map[string]aggOp{
 // and MEDIAN fold the AsFloat-convertible values left to right and are NULL
 // over none, SUM always KindFloat and STDDEV the sample deviation (0 for one
 // value); MIN and MAX order by table.Compare and keep the earliest value on
-// ties. The typed loops of aggOverColumn fill the same fields, so every path
-// finishes in value.
+// ties. The typed per-group loops of foldTyped make the same additions and
+// keep the same value on ties, which TestTypedAggregatesMatchFold pins.
 type aggAcc struct {
 	op    aggOp
 	star  bool      // COUNT(*): every row counts, its value unread
@@ -958,91 +1100,11 @@ func (a *aggAcc) value() table.Value {
 	return table.Float((a.nums[m-1] + a.nums[m]) / 2)
 }
 
-// aggOverColumn computes an aggregate over a bare column. COUNT, SUM/AVG
-// over an int or float column and MIN/MAX over one run in typed loops that
-// fill the accumulator without boxing a cell; every other pairing folds the
-// selected cells through it.
-func aggOverColumn(name string, col *table.Column, rows *table.Selection) (table.Value, error) {
-	acc, err := newAggAcc(name, false)
-	if err != nil {
-		return table.Null(), err
-	}
-	fs, fnulls, isFloat := col.Floats()
-	is, inulls, isInt := col.Ints()
-	sum := acc.op == aggSum || acc.op == aggAvg
-	minMaxOp := acc.op == aggMin || acc.op == aggMax
-	switch {
-	case acc.op == aggCount:
-		rows.ForEach(func(r int) {
-			if !col.IsNullAt(r) {
-				acc.count++
-			}
-		})
-	case sum && isFloat:
-		acc.total, acc.n = sumSelected(fs, fnulls, rows)
-	case sum && isInt:
-		acc.total, acc.n = sumSelected(is, inulls, rows)
-	case minMaxOp && isFloat:
-		acc.best = minMax(fs, fnulls, rows, acc.op == aggMax, table.Float)
-	case minMaxOp && isInt:
-		acc.best = minMax(is, inulls, rows, acc.op == aggMax, table.Int)
-	default:
-		if acc.op == aggStddev || acc.op == aggMedian {
-			acc.nums = make([]float64, 0, rows.Len())
-		}
-		rows.ForEach(func(r int) { acc.add(r, col.Value) })
-	}
-	return acc.value(), nil
-}
-
-// sumSelected adds the non-NULL cells of a typed column at the selected
-// rows, in ascending row order, and counts them: the same additions in the
-// same order as aggAcc's fold, so the result is bit-identical, without
-// boxing a cell.
-func sumSelected[T int64 | float64](vals []T, nulls []bool, rows *table.Selection) (total float64, count int) {
-	if spans, ok := rows.Spans(); ok {
-		for _, sp := range spans {
-			for r := sp.Lo; r < sp.Hi; r++ {
-				if !nulls[r] {
-					total += float64(vals[r])
-					count++
-				}
-			}
-		}
-		return total, count
-	}
-	for _, r := range rows.Indices() {
-		if !nulls[r] {
-			total += float64(vals[r])
-			count++
-		}
-	}
-	return total, count
-}
-
-// minMax is MIN (or MAX) over the non-NULL cells of a typed column at the
-// selected rows, NULL over none. Only a strictly smaller (larger) cell
-// replaces the best, so of equal cells the earliest wins — as in aggAcc,
-// with NaN equal to every number as table.Compare has it.
-func minMax[T int64 | float64](vals []T, nulls []bool, rows *table.Selection, isMax bool, box func(T) table.Value) table.Value {
-	var best T
-	found := false
-	rows.ForEach(func(r int) {
-		if !nulls[r] && (!found || (!isMax && vals[r] < best) || (isMax && vals[r] > best)) {
-			best, found = vals[r], true
-		}
-	})
-	if !found {
-		return table.Null()
-	}
-	return box(best)
-}
-
-// executeGroupedVec groups the selected rows with a hash aggregator, then
-// evaluates HAVING over the relation of groups and the select list and
-// ORDER BY keys over the groups it kept. Each column takes the storage
-// columnOfValues gives its per-group values, and ordering runs through
-// orderOutput like a plain projection's.
+// executeGroupedVec gives each selected row its group's id, then evaluates
+// HAVING over the relation of groups and the select list and ORDER BY keys
+// over the groups it kept. Each column takes the storage columnOfValues
+// gives its per-group values, and ordering runs through orderOutput like a
+// plain projection's.
 func executeGroupedVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selection) ([]table.Column, error) {
 	groupCols := make([]table.Column, len(p.groupBy))
 	for i, g := range p.groupBy {
@@ -1052,13 +1114,11 @@ func executeGroupedVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selec
 		}
 		groupCols[i] = col
 	}
-	groups, err := hashGroups(ctx, groupCols, rel, sel)
+	groups, err := groupRows(ctx, groupCols, rel, sel)
 	if err != nil {
 		return nil, err
 	}
-	grel := &vrel{nrows: len(groups), x: rel.x, grp: &vgroups{
-		ctx: ctx, base: rel, rows: groups, parallel: selLen(rel, sel) >= parallelMinRows,
-	}}
+	grel := &vrel{nrows: len(groups.counts), x: rel.x, grp: groups}
 	var kept *table.Selection // nil: every group
 	if p.having != nil {
 		hv, err := evalVec(p.having, grel, nil)

@@ -148,14 +148,50 @@ func checkCapped(t *testing.T, name string, parts [][]int) {
 	}
 }
 
-// TestPartitionRowsContract pins the one row partitioner both GROUP BY and
-// PARTITION BY call: for every key shape (typed int and string loops, the
-// canonical-key path for float, composite and boxed keys) and every
-// selection form (nil, span, dense) it yields the scalar executor's groups
-// in the scalar executor's order with absolute row ids, NULL keys form
-// exactly one group, every partition is capacity-capped, and hashing on
-// the worker pool — a large composite key, typed keys whose new groups
-// first appear in later chunks — equals the serial grouping.
+// atRows maps each partition's positions to the rows they stand for, in
+// place: position i is rows[i].
+func atRows(parts [][]int, rows []int) [][]int {
+	for _, part := range parts {
+		for j, p := range part {
+			part[j] = rows[p]
+		}
+	}
+	return parts
+}
+
+// checkGrouping fails unless gr is what the partitions parts (positions)
+// say: every position carries its partition's id, and each group's first
+// position and count are its partition's.
+func checkGrouping(t *testing.T, name string, gr grouping, parts [][]int, n int) {
+	t.Helper()
+	if len(gr.ids) != n || len(gr.firsts) != len(parts) || len(gr.counts) != len(parts) {
+		t.Errorf("%s: %d ids, %d firsts, %d counts for %d positions in %d groups", name, len(gr.ids), len(gr.firsts), len(gr.counts), n, len(parts))
+		return
+	}
+	for g, part := range parts {
+		if gr.firsts[g] != part[0] || gr.counts[g] != len(part) {
+			t.Errorf("%s: group %d has first %d, count %d; its partition starts at %d and holds %d", name, g, gr.firsts[g], gr.counts[g], part[0], len(part))
+			return
+		}
+		for _, p := range part {
+			if gr.ids[p] != int32(g) {
+				t.Errorf("%s: position %d has id %d, its partition is %d", name, p, gr.ids[p], g)
+				return
+			}
+		}
+	}
+}
+
+// TestPartitionRowsContract pins the one key grouper GROUP BY, DISTINCT
+// and PARTITION BY call, and the position lists windows build from it: for
+// every key shape (typed int and string loops, the canonical-key path for
+// float, composite and boxed keys) over the positions of every selection
+// form (nil, span, dense) it yields the scalar executor's groups in the
+// scalar executor's order, NULL keys form exactly one group, every
+// partition is capacity-capped, groupKeys' ids, firsts and counts agree
+// with the partitions, and hashing on the worker pool — a large composite
+// key, typed keys whose new groups first appear in later chunks, whose ids
+// the merge remaps — equals the serial grouping.
 func TestPartitionRowsContract(t *testing.T) {
 	const n = 600
 	rng := rand.New(rand.NewSource(41))
@@ -221,11 +257,16 @@ func TestPartitionRowsContract(t *testing.T) {
 					nullRows[r] = true
 				}
 			}
-			got, err := partitionRows(context.Background(), keyCols, sel, len(rows))
+			got, err := partitionRows(context.Background(), keyCols, len(rows))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", kname, sname, err)
 			}
-			if want := scalarPartitions(keyCols, rows); !reflect.DeepEqual(got, want) {
+			gr, err := groupKeys(context.Background(), keyCols, len(rows))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", kname, sname, err)
+			}
+			checkGrouping(t, kname+" key, "+sname+" selection", gr, got, len(rows))
+			if want := scalarPartitions(keyCols, rows); !reflect.DeepEqual(atRows(got, rows), want) {
 				t.Errorf("%s key, %s selection: partitions diverge from the scalar grouping\n got %v\nwant %v", kname, sname, got, want)
 			}
 			checkCapped(t, kname+" key, "+sname+" selection", got)
@@ -260,10 +301,15 @@ func TestPartitionRowsContract(t *testing.T) {
 		bigB.Append(table.Str(fmt.Sprintf("b%d", rng.Intn(25))))
 	}
 	keyCols := []table.Column{bigA, bigB}
-	got, err := partitionRows(context.Background(), keyCols, nil, big)
+	got, err := partitionRows(context.Background(), keyCols, big)
 	if err != nil {
 		t.Fatal(err)
 	}
+	gr, err := groupKeys(context.Background(), keyCols, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGrouping(t, "parallel composite key", gr, got, big)
 	if want := scalarPartitions(keyCols, iotaInts(big)); !reflect.DeepEqual(got, want) {
 		t.Errorf("parallel composite key build over %d rows diverges from the serial grouping (%d vs %d partitions)", big, len(got), len(want))
 	}
@@ -303,11 +349,16 @@ func TestPartitionRowsContract(t *testing.T) {
 				rows = sel.Indices()
 			}
 			name := fmt.Sprintf("typed %s key, %s selection, chunks of %d", kname, sname, size)
-			got, err := partitionRows(context.Background(), []table.Column{col}, sel, big)
+			got, err := partitionRows(context.Background(), []table.Column{col}, big)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := scalarPartitions([]table.Column{col}, rows); !reflect.DeepEqual(got, want) {
+			gr, err := groupKeys(context.Background(), []table.Column{col}, big)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGrouping(t, name, gr, got, big)
+			if want := scalarPartitions([]table.Column{col}, rows); !reflect.DeepEqual(atRows(got, rows), want) {
 				t.Errorf("%s: diverges from the serial grouping (%d vs %d partitions)", name, len(got), len(want))
 			}
 			checkCapped(t, name, got)
@@ -329,15 +380,16 @@ func TestPartitionRowsContract(t *testing.T) {
 	// A cancelled context surfaces as an error, never as garbage partitions.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if parts, err := partitionRows(ctx, keyCols, nil, big); err == nil {
+	if parts, err := partitionRows(ctx, keyCols, big); err == nil {
 		t.Errorf("cancelled composite partitioning returned %d partitions and no error", len(parts))
 	}
 }
 
 // TestGroupedReadAllocationPin holds a grouped read over a 300k-row table
-// under 16 bytes a row. What is left per row is the partitioner's int32
-// group id and its one row-id array; SUM adds without a gathered copy.
-// Append-grown row lists and gathered floats cost about 48.
+// under 6 bytes a row. What is left per row is the int32 group id
+// (about 4.1 B a row); COUNT(*) is the groups' counts and SUM folds by id,
+// with no row list and no gathered copy. A row-id array per group costs
+// about 12, append-grown row lists and gathered floats about 48.
 func TestGroupedReadAllocationPin(t *testing.T) {
 	const rows = 300_000
 	rng := rand.New(rand.NewSource(26))
@@ -371,32 +423,42 @@ func TestGroupedReadAllocationPin(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRow := float64(after.TotalAlloc-before.TotalAlloc) / runs / rows
-	if perRow >= 16 {
-		t.Errorf("grouped read allocates %.1f B per row, want < 16", perRow)
+	if perRow >= 6 {
+		t.Errorf("grouped read allocates %.1f B per row, want < 6", perRow)
 	}
 	t.Logf("grouped read: %.2f B per row", perRow)
 }
 
-// TestTypedAggregatesMatchFold: COUNT, SUM/AVG and MIN/MAX over typed
-// int and float columns run in typed loops over the group's selection, and
-// must give exactly what folding the boxed cells through aggAcc gives — the
-// same additions in the same order, the same earliest-of-equals — bit for
-// bit and kind for kind, under span, dense, all-NULL and empty selections,
-// with NaN, −0.0 beside 0.0 and ints beyond 2^53 among the cells.
+// TestTypedAggregatesMatchFold: COUNT, SUM/AVG and MIN/MAX over typed int
+// and float columns fold by group id in typed loops, and each group's cell
+// must be exactly what folding that group's boxed cells through aggAcc in
+// row order gives — the same additions in the same order, the same
+// earliest-of-equals — bit for bit and kind for kind, with NaN, −0.0 beside
+// 0.0 and ints beyond 2^53 among the cells. The one-group fold of a global
+// aggregate runs under span, dense, all-NULL and empty selections and each
+// key group's rows; the keyed fold groups the positions of span, dense and
+// empty selections by a key with a NULL-only group and a group of ties,
+// over one worker-pool chunk and over several (the merge remaps ids).
 func TestTypedAggregatesMatchFold(t *testing.T) {
+	ctx := context.Background()
 	n := 3 * parallelMinRows
 	rng := rand.New(rand.NewSource(26))
 	keys := table.NewColumn("k", table.KindInt)
+	// tieKeys is k, except that the NULL rows form group 7 and the edge
+	// rows group 8.
+	tieKeys := table.NewColumn("t", table.KindInt)
 	floats := table.NewColumn("f", table.KindFloat)
 	ints := table.NewColumn("i", table.KindInt)
 	// edgeRows hold only −0.0 and 0.0, and 2^53+1 and 2^53, which float64
 	// cannot tell apart: MIN and MAX there turn on which equal cell wins.
 	var nullRows, edgeRows []int
 	for r := 0; r < n; r++ {
-		keys.Append(table.Int(int64(rng.Intn(7))))
+		k := int64(rng.Intn(7))
+		keys.Append(table.Int(k))
 		if r%10 == 3 {
 			floats.AppendNull()
 			ints.AppendNull()
+			tieKeys.Append(table.Int(7))
 			nullRows = append(nullRows, r)
 			continue
 		}
@@ -408,14 +470,17 @@ func TestTypedAggregatesMatchFold(t *testing.T) {
 		case 6:
 			f, i = math.Copysign(0, -1), 1<<53+1
 			edgeRows = append(edgeRows, r)
+			k = 8
 		case 7:
 			f, i = 0, 1<<53
 			edgeRows = append(edgeRows, r)
+			k = 8
 		}
 		floats.Append(table.Float(f))
 		ints.Append(table.Int(i))
+		tieKeys.Append(table.Int(k))
 	}
-	parts, err := partitionRows(context.Background(), []table.Column{keys}, nil, n)
+	parts, err := partitionRows(ctx, []table.Column{keys}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,24 +494,129 @@ func TestTypedAggregatesMatchFold(t *testing.T) {
 	for g, part := range parts {
 		sels[fmt.Sprintf("group %d", g)] = table.NewIndexSelection(part)
 	}
-	for cname, col := range map[string]*table.Column{"float": &floats, "int": &ints} {
+	var most []int // every row but each fifth: a dense selection of several chunks
+	for r := 0; r < n; r++ {
+		if r%5 != 0 {
+			most = append(most, r)
+		}
+	}
+	keyed := map[string]*table.Selection{
+		"nil":         nil,
+		"spans":       sels["spans"],
+		"dense":       table.NewIndexSelection(most),
+		"empty":       sels["empty"],
+		"one chunk":   table.NewSpanSelection(table.Span{Lo: 10, Hi: 10 + parallelMinRows - 1}),
+		"dense chunk": table.NewIndexSelection(most[:parallelMinRows-1]),
+	}
+	if _, chunks := chunkLayout(n, parallelMinRows); chunks < 2 && cap(workerSem) > 1 {
+		t.Fatalf("%d rows lay out as %d chunk(s); the remap pass would not run", n, chunks)
+	}
+
+	base := &vrel{cols: []table.Column{floats, ints}, nrows: n}
+	folded := func(name string, col *table.Column, rows []int) table.Value {
+		acc, err := newAggAcc(name, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			acc.add(r, col.Value)
+		}
+		return acc.value()
+	}
+	check := func(what string, got, want table.Value) {
+		if got.Kind != want.Kind || got.I != want.I || math.Float64bits(got.F) != math.Float64bits(want.F) {
+			t.Errorf("%s: %v (%x), folded %v (%x)", what, got, math.Float64bits(got.F), want, math.Float64bits(want.F))
+		}
+	}
+	for cname, ci := range map[string]int{"float": 0, "int": 1} {
+		col := &base.cols[ci]
 		for _, name := range []string{"COUNT", "SUM", "AVG", "MIN", "MAX"} {
+			fn := &FuncCall{Name: name, Args: []Expr{&ColumnRef{Name: cname, idx: ci}}}
 			for sname, sel := range sels {
-				got, err := aggOverColumn(name, col, sel)
+				g, err := groupRows(ctx, nil, base, sel)
 				if err != nil {
 					t.Fatal(err)
 				}
-				acc, err := newAggAcc(name, false)
+				got, err := g.fold(fn, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sel.ForEach(func(r int) { acc.add(r, col.Value) })
-				want := acc.value()
-				if got.Kind != want.Kind || got.I != want.I || math.Float64bits(got.F) != math.Float64bits(want.F) {
-					t.Errorf("%s over the %s column, %s: %v (%x), folded %v (%x)",
-						name, cname, sname, got, math.Float64bits(got.F), want, math.Float64bits(want.F))
+				check(fmt.Sprintf("%s over the %s column, %s", name, cname, sname), got.Value(0), folded(name, col, sel.Indices()))
+			}
+			for sname, sel := range keyed {
+				rows := iotaInts(n)
+				if sel != nil {
+					rows = sel.Indices()
+				}
+				for kname, kc := range map[string]*table.Column{"k": &keys, "tie": &tieKeys} {
+					keyCols := []table.Column{kc.Gather(rows, nil)}
+					g, err := groupRows(ctx, keyCols, base, sel)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := g.fold(fn, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					groups := scalarPartitions(keyCols, rows)
+					if got.Len() != len(groups) {
+						t.Fatalf("%s over the %s column, %s selection by %s: %d cells for %d groups", name, cname, sname, kname, got.Len(), len(groups))
+					}
+					for gi, part := range groups {
+						check(fmt.Sprintf("%s over the %s column, %s selection by %s, group %d", name, cname, sname, kname, gi),
+							got.Value(gi), folded(name, col, part))
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestHavingArgumentsSeeKeptGroupsOnly: under HAVING, an aggregate in the
+// select list evaluates its argument on the rows of the groups HAVING kept,
+// as a per-group evaluation would. Group e = 2 is dropped and is the only
+// one whose rows take ABS of a string, which raises; the statement must
+// succeed and equal the row oracle, and without the HAVING it must raise.
+// The rows interleave, over several worker-pool chunks.
+func TestHavingArgumentsSeeKeptGroupsOnly(t *testing.T) {
+	n := 3 * parallelMinRows
+	data := table.MustNew("data",
+		[]string{"a", "b", "c", "e"},
+		[]table.Kind{table.KindInt, table.KindFloat, table.KindString, table.KindInt})
+	for i := 0; i < n; i++ {
+		a, c, e := table.Int(int64(i%30)), table.Null(), table.Int(int64(i%3))
+		switch {
+		case i%250 == 7: // the dropped group: 50 rows
+			a, c, e = table.Int(40), table.Str("x"), table.Int(2)
+		case i%3 == 2: // no other row is in group 2
+			e = table.Int(1)
+		case i%17 == 0: // kept rows past the threshold: ABS(NULL)
+			a = table.Int(50)
+		}
+		data.MustAppendRow(a, table.Float(float64(i%101)/4), c, e)
+	}
+	c := NewCatalog()
+	c.Register(data)
+	const q = "SELECT e, MAX(CASE WHEN a > 35 THEN ABS(c) ELSE b END) FROM data GROUP BY e HAVING COUNT(*) > 60"
+	want, err := c.QueryScalar(q)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	for _, dense := range []bool{false, true} {
+		forceDenseSelection.Store(dense)
+		got, err := queryTable(c, q)
+		forceDenseSelection.Store(false)
+		if err != nil {
+			t.Fatalf("dense=%v: %v", dense, err)
+		}
+		if got.NumRows() != 2 {
+			t.Errorf("dense=%v: %d groups kept, want 2", dense, got.NumRows())
+		}
+		if dg, dw := dumpTable(got), dumpTable(want); dg != dw {
+			t.Errorf("dense=%v: vectorized vs scalar mismatch\n-- vectorized --\n%s\n-- scalar --\n%s", dense, dg, dw)
+		}
+	}
+	if _, err := queryTable(c, "SELECT e, MAX(CASE WHEN a > 35 THEN ABS(c) ELSE b END) FROM data GROUP BY e"); err == nil {
+		t.Error("without the HAVING, the dropped group's ABS of a string did not raise")
 	}
 }

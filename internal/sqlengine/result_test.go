@@ -535,17 +535,21 @@ func drainAllocs(t *testing.T, c *Catalog, sql string, runs int) (allocs, bytes 
 }
 
 // TestDistinctAllocatesPerGroup: DISTINCT keeps the first row of each
-// partitionRows group — a few row-sized arrays and allocations per group
-// and per worker chunk, not a boxed key per row.
+// groupKeys group — an int32 id per row and a few allocations per group and
+// per worker chunk, not a boxed key or a row-id array per row.
 func TestDistinctAllocatesPerGroup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-row table")
 	}
-	c := joinTestCatalog(100_000)
+	const rows = 100_000
+	c := joinTestCatalog(rows)
 	allocs, bytes := drainAllocs(t, c, "SELECT DISTINCT k FROM probe", 5)
-	t.Logf("%.0f allocs/op, %.2f MB/op", allocs, bytes/1e6)
+	t.Logf("%.0f allocs/op, %.2f MB/op, %.2f B/row", allocs, bytes/1e6, bytes/rows)
 	if allocs > 500 {
 		t.Errorf("SELECT DISTINCT over 8 groups of 100k rows: %.0f allocs/op (%.2f MB), want O(groups)", allocs, bytes/1e6)
+	}
+	if bytes/rows >= 6 {
+		t.Errorf("SELECT DISTINCT over 100k rows allocates %.2f B per row, want < 6", bytes/rows)
 	}
 }
 

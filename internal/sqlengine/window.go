@@ -222,8 +222,7 @@ func vecWindowColumn(ctx context.Context, fn *FuncCall, rel *vrel, sel *table.Se
 
 // windowPartitionsVec partitions selection positions 0..n-1 by the
 // PARTITION BY keys in first-appearance order. Window columns are
-// positional, so partitionRows runs without a selection: the rows it
-// returns are the positions themselves.
+// positional, so partitionRows' position lists are the rows themselves.
 func windowPartitionsVec(ctx context.Context, exprs []Expr, rel *vrel, sel *table.Selection, n int) ([][]int, error) {
 	if len(exprs) == 0 {
 		if n == 0 {
@@ -239,7 +238,7 @@ func windowPartitionsVec(ctx context.Context, exprs []Expr, rel *vrel, sel *tabl
 		}
 		keyCols[i] = col
 	}
-	return partitionRows(ctx, keyCols, nil, n)
+	return partitionRows(ctx, keyCols, n)
 }
 
 // windowSorter returns the partition sorter and the peer predicate for

@@ -320,26 +320,6 @@ func (s *Selection) AppendIndices(dst []int) []int {
 	return dst
 }
 
-// RowAt returns the i-th selected row (0 <= i < Len). Dense form is O(1);
-// span form walks the span list. Any i is out of range for a nil
-// (empty) selection.
-func (s *Selection) RowAt(i int) int {
-	if s == nil || i < 0 || i >= s.count {
-		panic("table: Selection.RowAt out of range")
-	}
-	if s.idx != nil {
-		return s.idx[i]
-	}
-	for _, sp := range s.spans {
-		if n := sp.Hi - sp.Lo; i < n {
-			return sp.Lo + i
-		} else {
-			i -= n
-		}
-	}
-	panic("table: Selection.RowAt out of range")
-}
-
 // ForEach calls fn for every selected row in ascending order.
 func (s *Selection) ForEach(fn func(row int)) {
 	if s == nil {

@@ -297,6 +297,26 @@ func TestMergeSelectionsMixedFormsKeepSpans(t *testing.T) {
 	}
 }
 
+// RowAt returns the i-th selected row (0 <= i < Len), the reference the
+// iterators are checked against. Dense form is O(1); span form walks the
+// span list. Any i is out of range for a nil (empty) selection.
+func (s *Selection) RowAt(i int) int {
+	if s == nil || i < 0 || i >= s.count {
+		panic("table: Selection.RowAt out of range")
+	}
+	if s.idx != nil {
+		return s.idx[i]
+	}
+	for _, sp := range s.spans {
+		if n := sp.Hi - sp.Lo; i < n {
+			return sp.Lo + i
+		} else {
+			i -= n
+		}
+	}
+	panic("table: Selection.RowAt out of range")
+}
+
 func TestSelectionRowAtOutOfRangePanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"nil":    func() { (*Selection)(nil).RowAt(0) },
