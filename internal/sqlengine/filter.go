@@ -10,14 +10,16 @@ import (
 // The WHERE stage. A predicate's top-level AND chain usually begins with
 // comparisons of a typed column against a literal or bound parameter
 // (`id >= ? AND id < ?`, `col BETWEEN ? AND ?`). Those conjuncts cannot
-// raise, so they run through table.Column.SelectCompare: one typed loop per
-// comparison, each reading only the rows the previous one kept and emitting
-// a Selection directly — no constant vector, no boolean vector. Whatever
-// follows the first conjunct of another shape (OR, NOT, LIKE, arithmetic,
-// column against column, CASE, ...) is evaluated by evalVec over the rows
-// the comparisons kept. Three observations keep that exact against the
-// scalar executor, which walks the chain left to right per row and stops at
-// the first known-false conjunct:
+// raise, so they run through table.Column.SelectCompare: each run of
+// consecutive comparisons on one column is one pass of one typed loop,
+// which reads only the rows the previous run kept, tests each cell once
+// against the run decoded as a whole (an interval, for an int column against
+// int constants without <>) and emits a Selection directly — no constant
+// vector, no boolean vector. Whatever follows the first conjunct of another
+// shape (OR, NOT, LIKE, arithmetic, column against column, CASE, ...) is
+// evaluated by evalVec over the rows the comparisons kept. Three
+// observations keep that exact against the scalar executor, which walks the
+// chain left to right per row and stops at the first known-false conjunct:
 //
 //   - only the leading comparisons are taken, so no comparison jumps over a
 //     conjunct that could raise;
@@ -45,8 +47,7 @@ func maybeForceDense(sel *table.Selection) *table.Selection {
 // up with the constant's.
 type kernelCmp struct {
 	col int // index into rel.cols
-	op  table.CmpOp
-	k   table.Value
+	cmp table.Cmp
 }
 
 // kernelCompare recognizes `colExpr op constExpr`: a column of rel against a
@@ -66,7 +67,7 @@ func kernelCompare(colExpr Expr, op table.CmpOp, constExpr Expr, rel *vrel) (ker
 	if ci >= len(rel.cols) || !rel.cols[ci].ComparesTyped(k) {
 		return kernelCmp{}, false
 	}
-	return kernelCmp{col: ci, op: op, k: k}, true
+	return kernelCmp{col: ci, cmp: table.Cmp{Op: op, K: k}}, true
 }
 
 // kernelForm returns cj's kernel comparisons and their number: one for a
@@ -131,12 +132,21 @@ func splitKernelPrefix(where Expr, rel *vrel) (kern []kernelCmp, rest Expr) {
 	return kern, rest
 }
 
-// narrow runs the kernel comparisons in order, each over the rows the
-// previous one kept. sawNull reports whether a comparison met a NULL cell.
+// narrow runs the kernel comparisons in order, each maximal run of
+// consecutive comparisons on one column as one SelectCompare pass over the
+// rows the previous run kept. Comparisons are not reordered, so a run is
+// never fused across a comparison on another column. sawNull reports
+// whether a run met a NULL cell — some row of its input was NULL in its
+// column, since a NULL never survives a run.
 func narrow(rel *vrel, kern []kernelCmp, sel *table.Selection) (out *table.Selection, sawNull bool) {
-	for _, kc := range kern {
+	var buf [4]table.Cmp
+	for i := 0; i < len(kern); {
+		col, run := kern[i].col, buf[:0]
+		for ; i < len(kern) && kern[i].col == col; i++ {
+			run = append(run, kern[i].cmp)
+		}
 		var null bool
-		sel, null = rel.cols[kc.col].SelectCompare(kc.op, kc.k, sel)
+		sel, null = rel.cols[col].SelectCompare(run, sel)
 		sel = maybeForceDense(sel)
 		sawNull = sawNull || null
 	}

@@ -124,7 +124,7 @@ func TestKernelCompareMatchesEvalVec(t *testing.T) {
 			}
 			anyNull := false
 			sel.ForEach(func(r int) { anyNull = anyNull || rel.cols[kern[0].col].IsNullAt(r) })
-			if len(kern) == 1 && sawNull != anyNull {
+			if sawNull != anyNull {
 				t.Fatalf("%s over %s: sawNull = %v, column has NULL in range = %v", name, in, sawNull, anyNull)
 			}
 		}
@@ -171,6 +171,123 @@ func TestKernelCompareMatchesEvalVec(t *testing.T) {
 	}
 	if _, spans := natural.Spans(); !spans {
 		t.Fatalf("clustered column: kernel emitted dense form %v", natural.Indices())
+	}
+}
+
+// TestKernelRunsMatchEvalVec drives WHERE chains whose leading comparisons
+// form runs — fused bounds on one column, comparisons on another column in
+// between (not fused), int and float constants on one int column (the int
+// constant within 2^53, and past it, where its comparison runs first), a <> in
+// the run, and runs no cell passes over columns with and without NULLs while
+// other conjuncts remain — from a row range, a span selection and a dense
+// selection. narrow must keep the rows evalVec keeps for the comparisons
+// and the row oracle too, report sawNull exactly when a row walk of the
+// comparisons meets a NULL before a known-false one, and filterWhere must
+// equal the oracle over the whole WHERE.
+func TestKernelRunsMatchEvalVec(t *testing.T) {
+	const n = 211
+	rng := rand.New(rand.NewSource(40))
+	c := NewCatalog()
+	c.Register(&table.Table{Name: "t", Columns: kernelTestColumns(rng, n)})
+	dense := make([]int, 0, n/2)
+	for i := 0; i < n; i += 1 + rng.Intn(3) {
+		dense = append(dense, i)
+	}
+	inputs := map[string]*table.Selection{
+		"range": table.NewSpanSelection(table.Span{Lo: 17, Hi: n - 9}),
+		"spans": table.NewSpanSelection(table.Span{Lo: 0, Hi: 40}, table.Span{Lo: 55, Hi: 120}, table.Span{Lo: 121, Hi: n}),
+		"dense": table.NewIndexSelection(dense),
+	}
+	for _, tc := range []struct {
+		where string
+		binds []table.Value
+		cols  []string // the column of each kernel comparison, in order
+	}{
+		{"itrue >= ? AND itrue < ?", []table.Value{table.Int(-1), table.Int(2)}, []string{"itrue", "itrue"}},
+		{"ifalse >= ? AND ifalse < ?", []table.Value{table.Int(0), table.Int(3)}, []string{"ifalse", "ifalse"}},
+		{"itrue >= 1 AND ftrue < 1.5 AND itrue < 4", nil, []string{"itrue", "ftrue", "itrue"}},
+		{"itrue >= ? AND itrue < 2.5", []table.Value{table.Int(-1)}, []string{"itrue", "itrue"}},
+		{"htrue >= 9007199254740991 AND htrue < 9007199254740993.0", nil, []string{"htrue", "htrue"}},
+		{"htrue > 9007199254740992 AND htrue < 9.3e18", nil, []string{"htrue", "htrue"}},
+		{"itrue <> 2 AND itrue < 4", nil, []string{"itrue", "itrue"}},
+		{"ftrue BETWEEN ? AND 1 AND strue > 'a'", []table.Value{table.Int(-1)}, []string{"ftrue", "ftrue", "strue"}},
+		{"itrue > 5 AND itrue < 3 AND ftrue * 2 > 1", nil, []string{"itrue", "itrue"}},
+		{"ifalse > 5 AND ifalse < 3 AND ffalse * 2 > 1", nil, []string{"ifalse", "ifalse"}},
+		{"htrue > 9223372036854775807 AND ftrue * 2 > 0", nil, []string{"htrue"}},
+	} {
+		stmt, err := Parse("SELECT * FROM t WHERE " + tc.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.resolve(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel := vrelFrom(p.apps[0].Snapshot().Table(), &execArgs{binds: tc.binds})
+		kern, rest := splitKernelPrefix(stmt.Where, rel)
+		var cols []string
+		for _, kc := range kern {
+			cols = append(cols, rel.cols[kc.col].Name)
+		}
+		if !reflect.DeepEqual(cols, tc.cols) {
+			t.Fatalf("%s: kernel comparisons read %v, want %v", tc.where, cols, tc.cols)
+		}
+		conjuncts := splitConjuncts(stmt.Where)
+		var kernExpr Expr
+		for _, cj := range conjuncts[:len(conjuncts)-len(splitConjuncts(rest))] {
+			if kernExpr == nil {
+				kernExpr = cj
+			} else {
+				kernExpr = &Binary{Op: "AND", L: kernExpr, R: cj}
+			}
+		}
+		if rest == nil {
+			kernExpr = stmt.Where
+		}
+		for in, sel := range inputs {
+			got, sawNull := narrow(rel, kern, sel)
+			col, err := evalVec(kernExpr, rel, sel)
+			if err != nil {
+				t.Fatalf("%s: evalVec: %v", tc.where, err)
+			}
+			if want := passSelection(&col, sel); !sameSelection(got, want) {
+				t.Fatalf("%s over %s: kernel selects %v, evalVec %v", tc.where, in, got.Indices(), want.Indices())
+			}
+			ref, err := rowFallback(kernExpr, rel, sel)
+			if err != nil {
+				t.Fatalf("%s: scalar: %v", tc.where, err)
+			}
+			if want := passSelection(&ref, sel); !reflect.DeepEqual(got.Indices(), want.Indices()) {
+				t.Fatalf("%s over %s: kernel selects %v, scalar %v", tc.where, in, got.Indices(), want.Indices())
+			}
+			metNull := false
+			sel.ForEach(func(r int) {
+				for _, kc := range kern {
+					cell := rel.cols[kc.col].Value(r)
+					if cell.IsNull() {
+						metNull = true
+						return
+					}
+					if !kc.cmp.Op.Accepts(table.Compare(cell, kc.cmp.K)) {
+						return
+					}
+				}
+			})
+			if sawNull != metNull {
+				t.Fatalf("%s over %s: sawNull = %v, a row walk meets a NULL = %v", tc.where, in, sawNull, metNull)
+			}
+		}
+		got, err := filterWhere(context.Background(), rel, stmt.Where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := rowFallback(stmt.Where, rel, nil)
+		if err != nil {
+			t.Fatalf("%s: scalar: %v", tc.where, err)
+		}
+		if want := passSelection(&ref, table.NewSpanSelection(table.Span{Lo: 0, Hi: n})); !reflect.DeepEqual(got.Indices(), want.Indices()) {
+			t.Fatalf("WHERE %s: filterWhere keeps %v, scalar %v", tc.where, got.Indices(), want.Indices())
+		}
 	}
 }
 

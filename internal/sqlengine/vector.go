@@ -555,9 +555,9 @@ func evalVecLike(b *Binary, rel *vrel, sel *table.Selection) (table.Column, erro
 
 // evalVecBetween is X [NOT] BETWEEN lo AND hi. Against two constant bounds
 // that SelectCompare covers for X's column it is the WHERE kernel's BETWEEN:
-// X >= lo over every position, then X <= hi over the rows that survive, and
-// the survivors are the true rows (NULL where X is NULL, NOT flipping the
-// known ones). Any other shape runs row by row.
+// X >= lo and X <= hi as one run, one pass over every position, and the
+// survivors are the true rows (NULL where X is NULL, NOT flipping the known
+// ones). Any other shape runs row by row.
 func evalVecBetween(x *Between, rel *vrel, sel *table.Selection) (table.Column, error) {
 	col, err := evalVec(x.X, rel, sel)
 	if err != nil {
@@ -577,8 +577,8 @@ func evalVecBetween(x *Between, rel *vrel, sel *table.Selection) (table.Column, 
 			return betweenValue(a[0], a[1], a[2], x.Not), nil
 		})
 	}
-	in, _ := col.SelectCompare(table.CmpGe, lo.k, table.NewSpanSelection(table.Span{Lo: 0, Hi: n}))
-	in, _ = col.SelectCompare(table.CmpLe, hi.k, in)
+	run := [2]table.Cmp{{Op: table.CmpGe, K: lo.k}, {Op: table.CmpLe, K: hi.k}}
+	in, _ := col.SelectCompare(run[:], table.NewSpanSelection(table.Span{Lo: 0, Hi: n}))
 	out := make([]bool, n)
 	in.ForEach(func(r int) { out[r] = true })
 	nulls := make([]bool, n)

@@ -1,11 +1,18 @@
 package table
 
-// Compare-to-constant selection kernels: the WHERE fast path for a conjunct
-// of the form `column <op> constant`. One typed loop reads the column's raw
-// storage over the rows of an input selection and emits the passing rows
-// straight into a Selection — no constant vector, no boolean result vector,
-// nothing proportional to the rows scanned. The outcome per cell is, by
-// construction, the operator applied to Compare's three-way result.
+import (
+	"math"
+	"slices"
+)
+
+// Compare-to-constant selection kernels: the WHERE fast path for conjuncts
+// of the form `column <op> constant`. A run of such comparisons on one
+// column is decoded once into what a single loop tests, and that loop reads
+// each cell of the input selection once and appends each stretch of passing
+// rows to a Selection as one span — no constant vector, no boolean result
+// vector, nothing proportional to the rows scanned. The outcome per cell is,
+// by construction, every operator of the run applied to Compare's three-way
+// result.
 
 // CmpOp is a comparison operator, encoded as the set of three-way Compare
 // results (less, equal, greater) it accepts.
@@ -49,32 +56,10 @@ func ThreeWay[T int64 | float64 | string](x, k T) int {
 	return 0
 }
 
-// cmpForm is how a column's cells line up with a constant's kind.
-type cmpForm uint8
-
-const (
-	cmpNone       cmpForm = iota // not covered: boxed, bool/time, NULL or cross-kind
-	cmpInts                      // int column, int constant: exact in int64
-	cmpFloats                    // float column, numeric constant: float64
-	cmpIntsAsReal                // int column, float constant: float64(cell)
-	cmpStrings                   // string column, string constant
-)
-
-func (c *Column) cmpFormWith(k Value) cmpForm {
-	if c.boxed != nil {
-		return cmpNone
-	}
-	switch {
-	case c.Kind == KindInt && k.Kind == KindInt:
-		return cmpInts
-	case c.Kind == KindInt && k.Kind == KindFloat:
-		return cmpIntsAsReal
-	case c.Kind == KindFloat && (k.Kind == KindInt || k.Kind == KindFloat):
-		return cmpFloats
-	case c.Kind == KindString && k.Kind == KindString:
-		return cmpStrings
-	}
-	return cmpNone
+// Cmp is one comparison of a column's cells with a constant: cell Op K.
+type Cmp struct {
+	Op CmpOp
+	K  Value
 }
 
 // ComparesTyped reports whether SelectCompare covers comparing the column's
@@ -82,43 +67,307 @@ func (c *Column) cmpFormWith(k Value) cmpForm {
 // the constant's (int·int, any other int/float pair, string·string). Every
 // other pairing — boxed storage, bool and time columns, a NULL constant, a
 // string against a number — is left to the caller's general path.
-func (c *Column) ComparesTyped(k Value) bool { return c.cmpFormWith(k) != cmpNone }
+func (c *Column) ComparesTyped(k Value) bool {
+	if c.boxed != nil {
+		return false
+	}
+	switch c.Kind {
+	case KindInt, KindFloat:
+		return k.Kind == KindInt || k.Kind == KindFloat
+	case KindString:
+		return k.Kind == KindString
+	}
+	return false
+}
 
-// SelectCompare returns the rows of in whose cell is non-NULL and compares
-// to k as op demands — exactly the rows where op accepts Compare(cell, k),
-// NaN's equal-to-every-number oddity included. sawNull reports whether any
-// row of in held NULL (such a row never passes, but the comparison is not
-// known false for it either). The representation of the result follows the
-// density rule of SelectionFromBools. It panics unless c.ComparesTyped(k).
-func (c *Column) SelectCompare(op CmpOp, k Value, in *Selection) (out *Selection, sawNull bool) {
+// SelectCompare returns the rows of in whose cell is non-NULL and passes
+// every comparison of run — exactly the rows where each Op accepts
+// Compare(cell, K), NaN's equal-to-every-number oddity included. sawNull
+// reports whether any row of in held NULL (such a row never passes, but the
+// comparisons are not known false for it either). The run is one pass over
+// in: an int column whose constants are all ints and whose operators exclude
+// <> tests one interval per cell; every other run tests each comparison's
+// three-way result (an int column's run that mixes a float constant with an
+// int one past ±2^53 takes two passes, see scanIntRun). The representation of the result follows the density
+// rule of SelectionFromBools. It panics on an empty run and unless
+// c.ComparesTyped(K) for every comparison.
+func (c *Column) SelectCompare(run []Cmp, in *Selection) (out *Selection, sawNull bool) {
+	if len(run) == 0 {
+		panic("table: SelectCompare with no comparison")
+	}
+	for _, cm := range run {
+		if !c.ComparesTyped(cm.K) {
+			panic("table: SelectCompare on a column/constant pair ComparesTyped rejects")
+		}
+	}
 	var b spanBuilder
-	if in != nil {
-		if in.idx != nil {
-			c.scanCompare(&b, op, k, in.idx, 0, len(in.idx))
+	if in == nil {
+		return b.selection(), false
+	}
+	switch c.Kind {
+	case KindInt:
+		a, z, ok := intInterval(run)
+		switch {
+		case ok && a > z:
+			b.sawNull = hasNull(c.nulls, in)
+		case ok:
+			scanInterval(&b, c.ints, c.nulls, a, uint64(z-a), in)
+		default:
+			scanIntRun(&b, c.ints, c.nulls, run, in)
 		}
-		for _, sp := range in.spans {
-			c.scanCompare(&b, op, k, nil, sp.Lo, sp.Hi)
+	case KindFloat:
+		var buf [4]bound[float64]
+		bs := buf[:0]
+		for _, cm := range run {
+			kf, _ := cm.K.AsFloat()
+			bs = append(bs, boundOf(kf, cm.Op))
 		}
+		scanThreeWay(&b, c.floats, c.nulls, bs, in)
+	case KindString:
+		var buf [4]bound[string]
+		bs := buf[:0]
+		for _, cm := range run {
+			bs = append(bs, boundOf(cm.K.S, cm.Op))
+		}
+		scanThreeWay(&b, c.strs, c.nulls, bs, in)
 	}
 	return b.selection(), b.sawNull
 }
 
-// scanCompare dispatches one row range (or index list) to the typed loop
-// for the column/constant pairing.
-func (c *Column) scanCompare(b *spanBuilder, op CmpOp, k Value, idx []int, lo, hi int) {
-	switch c.cmpFormWith(k) {
-	case cmpInts:
-		scanCompare(b, c.ints, c.nulls, k.I, op, idx, lo, hi)
-	case cmpFloats:
-		kf, _ := k.AsFloat()
-		scanCompare(b, c.floats, c.nulls, kf, op, idx, lo, hi)
-	case cmpIntsAsReal:
-		scanCompareAsReal(b, c.ints, c.nulls, k.F, op, idx, lo, hi)
-	case cmpStrings:
-		scanCompare(b, c.strs, c.nulls, k.S, op, idx, lo, hi)
-	default:
-		panic("table: SelectCompare on a column/constant pair ComparesTyped rejects")
+// intInterval decodes a run of int·int comparisons into the inclusive
+// interval [a, z] of the int64 cells that pass all of them: an operator
+// that rejects "less" sets a lower bound, one that rejects "greater" an
+// upper bound, and a strict bound moves by one. ok is false when a constant
+// is a float or an operator is <>, which no interval expresses. A run that
+// no cell passes (`> MaxInt64`, `< MinInt64`, `> 5 AND < 3`) yields a > z.
+func intInterval(run []Cmp) (a, z int64, ok bool) {
+	a, z = math.MinInt64, math.MaxInt64
+	empty := false
+	for _, cm := range run {
+		op, k := cm.Op, cm.K.I
+		if cm.K.Kind != KindInt || op == CmpNe {
+			return 0, 0, false
+		}
+		strict := op&CmpEq == 0
+		if op&CmpLt == 0 {
+			switch {
+			case !strict:
+				a = max(a, k)
+			case k == math.MaxInt64:
+				empty = true
+			default:
+				a = max(a, k+1)
+			}
+		}
+		if op&CmpGt == 0 {
+			switch {
+			case !strict:
+				z = min(z, k)
+			case k == math.MinInt64:
+				empty = true
+			default:
+				z = min(z, k-1)
+			}
+		}
 	}
+	if empty {
+		return 1, 0, true
+	}
+	return a, z, true
+}
+
+// scanInterval feeds b the rows of in whose cell is non-NULL and lies in
+// [a, a+w]: one unsigned comparison per cell, x-a wrapping below a. Over
+// spans it alternates between skipping failing rows and extending a stretch
+// of passing ones, which it appends as one run.
+func scanInterval(b *spanBuilder, vals []int64, nulls []bool, a int64, w uint64, in *Selection) {
+	sawNull := false
+	for _, r := range in.idx {
+		if nulls[r] {
+			sawNull = true
+		} else if uint64(vals[r]-a) <= w {
+			b.add(r)
+		}
+	}
+	for _, sp := range in.spans {
+		v := vals[sp.Lo:sp.Hi]
+		nl := nulls[sp.Lo:sp.Hi]
+		nl = nl[:len(v)]
+		for i := 0; i < len(v); {
+			if nl[i] {
+				sawNull = true
+				i++
+				continue
+			}
+			if uint64(v[i]-a) > w {
+				i++
+				continue
+			}
+			s := i
+			for i++; i < len(v) && !nl[i] && uint64(v[i]-a) <= w; i++ {
+			}
+			b.addRun(sp.Lo+s, sp.Lo+i)
+		}
+	}
+	b.sawNull = b.sawNull || sawNull
+}
+
+// hasNull reports whether any row of in is NULL: all an empty interval has
+// to read.
+func hasNull(nulls []bool, in *Selection) bool {
+	for _, r := range in.idx {
+		if nulls[r] {
+			return true
+		}
+	}
+	for _, sp := range in.spans {
+		if slices.Contains(nulls[sp.Lo:sp.Hi], true) {
+			return true
+		}
+	}
+	return false
+}
+
+// bound is one comparison decoded for the three-way loop: the constant in
+// the cells' type and which of the three results — less, equal, greater —
+// the operator accepts, so a cell costs at most two comparisons and no
+// shift.
+type bound[T int64 | float64 | string] struct {
+	k          T
+	lt, eq, gt bool
+}
+
+func boundOf[T int64 | float64 | string](k T, op CmpOp) bound[T] {
+	return bound[T]{k, op&CmpLt != 0, op&CmpEq != 0, op&CmpGt != 0}
+}
+
+// accepts is op.Accepts(ThreeWay(x, k)): neither < nor > is "equal".
+func (bd bound[T]) accepts(x T) bool {
+	switch {
+	case x < bd.k:
+		return bd.lt
+	case x > bd.k:
+		return bd.gt
+	}
+	return bd.eq
+}
+
+// passes reports whether x passes every comparison of bs.
+func passes[T int64 | float64 | string](x T, bs []bound[T]) bool {
+	for _, bd := range bs {
+		if !bd.accepts(x) {
+			return false
+		}
+	}
+	return true
+}
+
+// scanThreeWay is scanInterval's loop for a run of comparisons against
+// constants of the cells' own type: it feeds b the rows of in whose cell
+// is non-NULL and passes every bound of bs.
+func scanThreeWay[T int64 | float64 | string](b *spanBuilder, vals []T, nulls []bool, bs []bound[T], in *Selection) {
+	first, rest := bs[0], bs[1:] // the first bound stays in registers
+	pass := func(x T) bool { return first.accepts(x) && passes(x, rest) }
+	sawNull := false
+	for _, r := range in.idx {
+		if nulls[r] {
+			sawNull = true
+		} else if pass(vals[r]) {
+			b.add(r)
+		}
+	}
+	for _, sp := range in.spans {
+		v := vals[sp.Lo:sp.Hi]
+		nl := nulls[sp.Lo:sp.Hi]
+		nl = nl[:len(v)]
+		for i := 0; i < len(v); {
+			if nl[i] {
+				sawNull = true
+				i++
+				continue
+			}
+			if !pass(v[i]) {
+				i++
+				continue
+			}
+			s := i
+			for i++; i < len(v) && !nl[i] && pass(v[i]); i++ {
+			}
+			b.addRun(sp.Lo+s, sp.Lo+i)
+		}
+	}
+	b.sawNull = b.sawNull || sawNull
+}
+
+// scanIntRun runs a run on an int column that no interval expresses: one
+// with a <> or a float constant. Against int constants only, the
+// three-way loop compares exactly. A float constant compares with
+// float64(cell), Compare's rule for a mixed numeric pair (so integers
+// beyond 2^53 round exactly as they do there). An int constant within
+// ±2^53 then joins the float ones, since float64 orders every int64 cell
+// against it exactly as int64 does; one past 2^53 would not, and runs
+// first as a pass of its own.
+func scanIntRun(b *spanBuilder, vals []int64, nulls []bool, run []Cmp, in *Selection) {
+	var exactBuf [4]bound[int64]
+	var realBuf [4]bound[float64]
+	exact, real := exactBuf[:0], realBuf[:0]
+	mixed := slices.ContainsFunc(run, func(cm Cmp) bool { return cm.K.Kind == KindFloat })
+	for _, cm := range run {
+		switch k := cm.K; {
+		case k.Kind == KindFloat:
+			real = append(real, boundOf(k.F, cm.Op))
+		case mixed && -1<<53 < k.I && k.I < 1<<53:
+			real = append(real, boundOf(float64(k.I), cm.Op))
+		default:
+			exact = append(exact, boundOf(k.I, cm.Op))
+		}
+	}
+	if len(real) == 0 {
+		scanThreeWay(b, vals, nulls, exact, in)
+		return
+	}
+	if len(exact) > 0 {
+		var first spanBuilder
+		scanThreeWay(&first, vals, nulls, exact, in)
+		in, b.sawNull = first.selection(), first.sawNull
+	}
+	scanIntsAsReal(b, vals, nulls, real, in)
+}
+
+// scanIntsAsReal is scanThreeWay over float64(cell) for an int column: a
+// loop of its own, so that scanThreeWay's carries no conversion.
+func scanIntsAsReal(b *spanBuilder, vals []int64, nulls []bool, bs []bound[float64], in *Selection) {
+	first, rest := bs[0], bs[1:]
+	pass := func(x int64) bool { f := float64(x); return first.accepts(f) && passes(f, rest) }
+	sawNull := false
+	for _, r := range in.idx {
+		if nulls[r] {
+			sawNull = true
+		} else if pass(vals[r]) {
+			b.add(r)
+		}
+	}
+	for _, sp := range in.spans {
+		v := vals[sp.Lo:sp.Hi]
+		nl := nulls[sp.Lo:sp.Hi]
+		nl = nl[:len(v)]
+		for i := 0; i < len(v); {
+			if nl[i] {
+				sawNull = true
+				i++
+				continue
+			}
+			if !pass(v[i]) {
+				i++
+				continue
+			}
+			s := i
+			for i++; i < len(v) && !nl[i] && pass(v[i]); i++ {
+			}
+			b.addRun(sp.Lo+s, sp.Lo+i)
+		}
+	}
+	b.sawNull = b.sawNull || sawNull
 }
 
 // spanBuilder accumulates ascending passing rows as maximal runs.
@@ -129,13 +378,16 @@ type spanBuilder struct {
 	sawNull    bool
 }
 
-func (b *spanBuilder) add(r int) {
-	if r != b.end {
+func (b *spanBuilder) add(r int) { b.addRun(r, r+1) }
+
+// addRun appends the rows [lo, hi), lo >= every row added before.
+func (b *spanBuilder) addRun(lo, hi int) {
+	if lo != b.end {
 		b.closeRun()
-		b.start = r
+		b.start = lo
 	}
-	b.end = r + 1
-	b.count++
+	b.end = hi
+	b.count += hi - lo
 }
 
 func (b *spanBuilder) closeRun() {
@@ -153,41 +405,4 @@ func (b *spanBuilder) selection() *Selection {
 		return &Selection{idx: expandSpans(b.spans, b.count), count: b.count}
 	}
 	return &Selection{spans: b.spans, count: b.count}
-}
-
-// scanCompare feeds b the rows whose cell passes op against k. With idx nil
-// the rows are lo..hi-1; otherwise they are idx[lo..hi-1].
-func scanCompare[T int64 | float64 | string](b *spanBuilder, vals []T, nulls []bool, k T, op CmpOp, idx []int, lo, hi int) {
-	sawNull := false
-	for i := lo; i < hi; i++ {
-		r := i
-		if idx != nil {
-			r = idx[i]
-		}
-		if nulls[r] {
-			sawNull = true
-		} else if op.Accepts(ThreeWay(vals[r], k)) {
-			b.add(r)
-		}
-	}
-	b.sawNull = b.sawNull || sawNull
-}
-
-// scanCompareAsReal is scanCompare for an int column against a float
-// constant: each cell compares as float64(cell), Compare's rule for a mixed
-// numeric pair (so integers beyond 2^53 round exactly as they do there).
-func scanCompareAsReal(b *spanBuilder, vals []int64, nulls []bool, k float64, op CmpOp, idx []int, lo, hi int) {
-	sawNull := false
-	for i := lo; i < hi; i++ {
-		r := i
-		if idx != nil {
-			r = idx[i]
-		}
-		if nulls[r] {
-			sawNull = true
-		} else if op.Accepts(ThreeWay(float64(vals[r]), k)) {
-			b.add(r)
-		}
-	}
-	b.sawNull = b.sawNull || sawNull
 }
