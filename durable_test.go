@@ -178,6 +178,61 @@ func TestPublishSurfacesWALError(t *testing.T) {
 	}
 }
 
+// TestCodesComeBackAfterReopen: dictionary codes are not logged. A
+// durable table past the coding floor is coded before a restart, and
+// recovery's publishes code it again — the same dictionary, since the rows
+// replay in order — with every answer unchanged, through a checkpoint and
+// the log after it.
+func TestCodesComeBackAfterReopen(t *testing.T) {
+	dir := t.TempDir()
+	p := durable(t, dir)
+	kinds := []string{"view", "click", "buy", ""} // "" is a NULL kind
+	rows := func(lo, n int) [][]string {
+		out := make([][]string, n)
+		for i := range out {
+			out[i] = []string{fmt.Sprint(lo + i), kinds[(lo+i)*7%len(kinds)], fmt.Sprint((lo + i) % 13)}
+		}
+		return out
+	}
+	if err := p.LoadRecords("events", []string{"id", "kind", "v"}, rows(0, 5000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AppendRecords("events", rows(5000, 700)); err != nil {
+		t.Fatal(err)
+	}
+	codes := func(p *Platform) ([]int32, []string) {
+		t.Helper()
+		s, ok := p.catalog.Snapshot("events")
+		if !ok {
+			t.Fatal("no events table")
+		}
+		codes, dict, _, ok := s.Table().Columns[1].Codes()
+		if !ok || len(codes) != 5700 {
+			t.Fatalf("kind column over %d rows: %d codes, coded %v", s.NumRows(), len(codes), ok)
+		}
+		return codes, dict
+	}
+	const probe = "SELECT kind, COUNT(*), SUM(v) FROM events WHERE id >= 1200 GROUP BY kind HAVING MAX(v + 1) > 2 ORDER BY kind"
+	wantCodes, wantDict := codes(p)
+	want := queryStrings(t, p, probe)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p2 := durable(t, dir)
+	defer p2.Close()
+	gotCodes, gotDict := codes(p2)
+	if !reflect.DeepEqual(gotCodes, wantCodes) || !reflect.DeepEqual(gotDict, wantDict) {
+		t.Errorf("recovered dictionary %q, want %q (codes equal: %v)", gotDict, wantDict, reflect.DeepEqual(gotCodes, wantCodes))
+	}
+	if got := queryStrings(t, p2, probe); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered answer %v, want %v", got, want)
+	}
+}
+
 // TestMemoryOnlyPlatformUnchanged pins the memory-only surface: stats
 // zeroed, Close/Checkpoint no-ops.
 func TestMemoryOnlyPlatformUnchanged(t *testing.T) {

@@ -497,21 +497,55 @@ func (x *execArgs) limitReach() (int, bool) {
 
 // grouping numbers positions 0..n-1 by key: ids[i] is position i's group,
 // the groups numbered in first-appearance order; firsts[g] is group g's
-// first position and counts[g] how many positions it holds. A nil ids puts
-// every position in group 0.
+// first position and counts[g] how many positions it holds. A coded
+// grouping (groupCodes) has no ids: position i's group is remap[codes[i]],
+// or remap's last entry when nulls[i] is set. With neither, every position
+// is in group 0.
 type grouping struct {
 	ids    []int32
 	firsts []int
 	counts []int
+	codes  []int32
+	nulls  []bool
+	remap  []int32
+}
+
+// idsAt writes the ids of a coded grouping's positions pos, pos+1, ...
+// into gs and returns it.
+func (gr *grouping) idsAt(pos int, gs []int32) []int32 {
+	codes, nulls := gr.codes[pos:pos+len(gs)], gr.nulls[pos:pos+len(gs)]
+	null := gr.remap[len(gr.remap)-1]
+	for j, c := range codes {
+		id := gr.remap[c]
+		if nulls[j] {
+			id = null
+		}
+		gs[j] = id
+	}
+	return gs
+}
+
+// idList is every position's id, built from the codes of a coded grouping;
+// nil when every position is in group 0.
+func (gr *grouping) idList() []int32 {
+	if gr.remap == nil {
+		return gr.ids
+	}
+	return gr.idsAt(0, make([]int32, len(gr.codes)))
 }
 
 // groupKeys is the vectorized engine's one key grouper, behind GROUP BY,
 // DISTINCT and PARTITION BY. keyCols hold one key per position 0..n-1; NULL
-// is a key like any other. A single typed int/string key hashes its raw
-// values; every other shape (composite, float, boxed) hashes its key
-// tuple's table.AppendKeyPart encoding.
+// is a key like any other. A single coded string key (table.Column.Codes)
+// counts its codes, unless its dictionary outnumbers the positions; a
+// single typed int/string key hashes its raw values; every other shape
+// (composite, float, boxed) hashes its key tuple's table.AppendKeyPart
+// encoding.
 func groupKeys(ctx context.Context, keyCols []table.Column, n int) (grouping, error) {
 	if len(keyCols) == 1 {
+		if codes, dict, nulls, ok := keyCols[0].Codes(); ok && len(dict) <= n {
+			return groupCodes(ctx, codes, len(dict), nulls, n)
+		}
 		if is, nulls, ok := keyCols[0].Ints(); ok {
 			return groupByKey(ctx, n, func(d *groupDict[int64], ids []int32, lo, hi int) {
 				hashValues(d, is, nulls, ids, lo, hi)
@@ -526,6 +560,70 @@ func groupKeys(ctx context.Context, keyCols []table.Column, n int) (grouping, er
 	return groupByKey(ctx, n, func(d *groupDict[string], ids []int32, lo, hi int) {
 		hashEncoded(d, keyCols, ids, lo, hi)
 	})
+}
+
+// groupCodes is groupKeys over the codes of a dictionary of size entries:
+// each worker-pool chunk tallies its range in arrays of its own, and the
+// tallies merge in chunk order, so the ids number the codes seen in
+// first-appearance order, as groupByKey's do. No string is hashed and no
+// id is written per position: the grouping keeps the codes and a code→id
+// remap.
+func groupCodes(ctx context.Context, codes []int32, size int, nulls []bool, n int) (grouping, error) {
+	if n == 0 {
+		return grouping{}, ctx.Err()
+	}
+	_, chunks := chunkLayout(n, parallelMinRows)
+	tallies := make([]codeTally, chunks)
+	err := parallelChunksIndexed(ctx, n, parallelMinRows, func(ci, lo, hi int) error {
+		tallies[ci] = tallyCodes(codes, nulls, size, lo, hi)
+		return nil
+	})
+	if err != nil {
+		return grouping{}, err
+	}
+	remap := make([]int32, size+1)
+	for c := range remap {
+		remap[c] = -1
+	}
+	var firsts, counts []int
+	for t := range tallies {
+		for j, c := range tallies[t].order {
+			id := remap[c]
+			if id < 0 {
+				id = int32(len(firsts))
+				remap[c] = id
+				firsts = append(firsts, tallies[t].firsts[j])
+				counts = append(counts, 0)
+			}
+			counts[id] += tallies[t].counts[c]
+		}
+	}
+	return grouping{firsts: firsts, counts: counts, codes: codes[:n], nulls: nulls[:n], remap: remap}, nil
+}
+
+// codeTally is one chunk's count of each code, NULL's in the last slot,
+// and the slots it met in first-appearance order with their first positions.
+type codeTally struct {
+	counts []int
+	order  []int32
+	firsts []int
+}
+
+// tallyCodes tallies positions lo..hi-1 of a dictionary of size entries.
+func tallyCodes(codes []int32, nulls []bool, size, lo, hi int) codeTally {
+	t := codeTally{counts: make([]int, size+1)}
+	nulls = nulls[lo:hi]
+	for j, c := range codes[lo:hi] {
+		if nulls[j] {
+			c = int32(size)
+		}
+		if t.counts[c] == 0 {
+			t.order = append(t.order, c)
+			t.firsts = append(t.firsts, lo+j)
+		}
+		t.counts[c]++
+	}
+	return t
 }
 
 // groupByKey is groupKeys over the worker pool's chunks: each chunk hashes
@@ -670,7 +768,7 @@ func partitionRows(ctx context.Context, keyCols []table.Column, n int) ([][]int,
 		parts[g] = rows[at : at : at+count]
 		at += count
 	}
-	for i, g := range gr.ids {
+	for i, g := range gr.idList() {
 		parts[g] = append(parts[g], i)
 	}
 	return parts, nil
@@ -785,11 +883,11 @@ func (g *vgroups) fold(fn *FuncCall, sel *table.Selection) (table.Column, error)
 		return g.countColumn(!k.IsNull()), nil
 	}
 	var col table.Column
-	rows, ids := g.sel, g.ids
+	rows, gr := g.sel, &g.grouping
 	if ref, ok := arg.(*ColumnRef); ok && !fn.Distinct {
 		col = g.base.cols[ref.idx]
 	} else {
-		rows, ids = g.restrict(sel)
+		rows, gr = g.restrict(sel)
 		var err error
 		if col, err = evalVec(arg, g.base, rows); err != nil {
 			return table.Column{}, err
@@ -798,13 +896,13 @@ func (g *vgroups) fold(fn *FuncCall, sel *table.Selection) (table.Column, error)
 	}
 	if !fn.Distinct && op != aggStddev && op != aggMedian {
 		if is, nulls, ok := col.Ints(); ok {
-			return foldTyped(op, is, nulls, rows, ids, len(g.counts), table.ColumnFromInts), nil
+			return foldTyped(op, is, nulls, rows, gr, len(g.counts), table.ColumnFromInts), nil
 		}
 		if fs, nulls, ok := col.Floats(); ok {
-			return foldTyped(op, fs, nulls, rows, ids, len(g.counts), table.ColumnFromFloats), nil
+			return foldTyped(op, fs, nulls, rows, gr, len(g.counts), table.ColumnFromFloats), nil
 		}
 	}
-	return foldCells(op, fn.Distinct, &col, rows, ids, len(g.counts)), nil
+	return foldCells(op, fn.Distinct, &col, rows, gr, len(g.counts)), nil
 }
 
 // countColumn is every group's count, or zeros when counted is false.
@@ -819,23 +917,27 @@ func (g *vgroups) countColumn(counted bool) table.Column {
 }
 
 // restrict returns the selected rows of base that belong to the groups sel
-// selects, with their group ids: g.sel and g.ids themselves when sel selects
-// every group.
-func (g *vgroups) restrict(sel *table.Selection) (*table.Selection, []int32) {
-	if sel == nil || g.ids == nil || sel.Len() == len(g.counts) {
-		return g.sel, g.ids
+// selects, with their group ids: g.sel and g's own grouping when sel
+// selects every group.
+func (g *vgroups) restrict(sel *table.Selection) (*table.Selection, *grouping) {
+	if sel == nil || sel.Len() == len(g.counts) {
+		return g.sel, &g.grouping
+	}
+	all := g.idList()
+	if all == nil {
+		return g.sel, &g.grouping
 	}
 	want := make([]bool, len(g.counts))
 	sel.ForEach(func(gi int) { want[gi] = true })
-	keep := make([]bool, len(g.ids))
+	keep := make([]bool, len(all))
 	var ids []int32
-	for i, id := range g.ids {
+	for i, id := range all {
 		if want[id] {
 			keep[i] = true
 			ids = append(ids, id)
 		}
 	}
-	return g.sel.Pick(keep, nil), ids
+	return g.sel.Pick(keep, nil), &grouping{ids: ids}
 }
 
 // foldBlock is how many positions foldBlocks hands its fold at once.
@@ -846,16 +948,25 @@ var zeroIDs [foldBlock]int32
 
 // foldBlocks hands fold the cells of vals and nulls at the rows sel selects
 // (nil: every row), in position order, in blocks beside the group ids of
-// their positions (nil ids: group 0 for all). A span's cells are handed in
-// place; a dense selection's are gathered into one reused block first.
-func foldBlocks[T any](vals []T, nulls []bool, sel *table.Selection, ids []int32, fold func(vs []T, ns []bool, gs []int32)) {
+// their positions in gr. A span's cells are handed in place; a dense
+// selection's are gathered into one reused block first. A coded
+// grouping's ids are mapped from its codes a block at a time, into a
+// buffer only that grouping allocates.
+func foldBlocks[T any](vals []T, nulls []bool, sel *table.Selection, gr *grouping, fold func(vs []T, ns []bool, gs []int32)) {
 	pos := 0
+	var buf []int32
+	if gr.remap != nil {
+		buf = make([]int32, foldBlock)
+	}
 	run := func(vs []T, ns []bool) {
 		for len(vs) > 0 {
 			m := min(len(vs), foldBlock)
 			gs := zeroIDs[:m]
-			if ids != nil {
-				gs = ids[pos : pos+m]
+			switch {
+			case buf != nil:
+				gs = gr.idsAt(pos, buf[:m])
+			case gr.ids != nil:
+				gs = gr.ids[pos : pos+m]
 			}
 			fold(vs[:m], ns[:m], gs)
 			vs, ns, pos = vs[m:], ns[m:], pos+m
@@ -890,12 +1001,12 @@ func foldBlocks[T any](vals []T, nulls []bool, sel *table.Selection, ids []int32
 // additions and the earliest-of-equals aggAcc makes, with NaN equal to
 // every number as table.Compare has it — so every cell is bit-identical to
 // aggAcc's.
-func foldTyped[T int64 | float64](op aggOp, vals []T, nulls []bool, sel *table.Selection, ids []int32, groups int,
+func foldTyped[T int64 | float64](op aggOp, vals []T, nulls []bool, sel *table.Selection, gr *grouping, groups int,
 	column func(string, []T, []bool) table.Column) table.Column {
 	count := make([]int64, groups)
 	switch op {
 	case aggCount:
-		foldBlocks(vals, nulls, sel, ids, func(_ []T, ns []bool, gs []int32) {
+		foldBlocks(vals, nulls, sel, gr, func(_ []T, ns []bool, gs []int32) {
 			gs = gs[:len(ns)]
 			for j, null := range ns {
 				if !null {
@@ -906,7 +1017,7 @@ func foldTyped[T int64 | float64](op aggOp, vals []T, nulls []bool, sel *table.S
 		return table.ColumnFromInts("", count, nil)
 	case aggSum, aggAvg:
 		total := make([]float64, groups)
-		foldBlocks(vals, nulls, sel, ids, func(vs []T, ns []bool, gs []int32) {
+		foldBlocks(vals, nulls, sel, gr, func(vs []T, ns []bool, gs []int32) {
 			ns, gs = ns[:len(vs)], gs[:len(vs)]
 			for j, v := range vs {
 				if !ns[j] {
@@ -925,7 +1036,7 @@ func foldTyped[T int64 | float64](op aggOp, vals []T, nulls []bool, sel *table.S
 		return table.ColumnFromFloats("", total, empty)
 	}
 	best := make([]T, groups) // MIN, MAX
-	foldBlocks(vals, nulls, sel, ids, func(vs []T, ns []bool, gs []int32) {
+	foldBlocks(vals, nulls, sel, gr, func(vs []T, ns []bool, gs []int32) {
 		ns, gs = ns[:len(vs)], gs[:len(vs)]
 		for j, v := range vs {
 			if g := gs[j]; !ns[j] && (count[g] == 0 || (op == aggMin && v < best[g]) || (op == aggMax && v > best[g])) {
@@ -944,7 +1055,8 @@ func foldTyped[T int64 | float64](op aggOp, vals []T, nulls []bool, sel *table.S
 // foldCells folds the cells of col at the rows sel selects (nil: every
 // row) into their groups' aggAcc, in position order; DISTINCT folds only
 // the first of each distinct non-NULL value of a group.
-func foldCells(op aggOp, distinct bool, col *table.Column, sel *table.Selection, ids []int32, groups int) table.Column {
+func foldCells(op aggOp, distinct bool, col *table.Column, sel *table.Selection, gr *grouping, groups int) table.Column {
+	ids := gr.idList()
 	accs := make([]aggAcc, groups)
 	for g := range accs {
 		accs[g].op = op

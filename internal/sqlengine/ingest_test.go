@@ -598,3 +598,128 @@ func TestSchemaChangeInvalidatesPlanCache(t *testing.T) {
 		t.Fatalf("cache did not refill after invalidation: %+v", st)
 	}
 }
+
+// TestCodedKeyIngestQueryStress: one writer publishes batches into a
+// table that starts just short of the coding floor (4,096 rows), so its
+// string key s starts keeping codes mid-run, while readers group, take
+// DISTINCT and partition by s. s is "even" or "odd" by v, so a grouped
+// read's counts and sums have closed forms over any published prefix;
+// every read sees one snapshot's codes and dictionary while the writer
+// extends both.
+func TestCodedKeyIngestQueryStress(t *testing.T) {
+	const start, batchN = 4000, 50
+	batches := 40 * stressScale()
+	parity := []string{"even", "odd"}
+	rows := func(lo, n int) [][]table.Value {
+		out := make([][]table.Value, n)
+		for i := range out {
+			v := lo + i
+			out[i] = []table.Value{table.Int(int64(v)), table.Str(parity[v%2])}
+		}
+		return out
+	}
+	c := NewCatalog()
+	c.Register(table.MustNew("coded", []string{"v", "s"}, []table.Kind{table.KindInt, table.KindString}))
+	app, _ := c.Appender("coded")
+	if err := appendRows(app, rows(0, start)...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.PublishErr(); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(q string, each func(b *Batch, r int)) error {
+		res, err := c.QueryCtx(context.Background(), q)
+		if err != nil {
+			return err
+		}
+		for b := res.Next(); b != nil; b = res.Next() {
+			for r := 0; r < b.NumRows(); r++ {
+				each(b, r)
+			}
+		}
+		return nil
+	}
+	reads := []func() error{
+		func() error {
+			var total, even, odd int64
+			var sum float64
+			err := check("SELECT s, COUNT(*), SUM(v) FROM coded GROUP BY s", func(b *Batch, r int) {
+				n, _ := b.Int64(1, r)
+				s, _ := b.Float64(2, r)
+				total, sum = total+n, sum+s
+				if b.String(0, r) == "even" {
+					even = n
+				} else {
+					odd = n
+				}
+			})
+			if err == nil && (even != (total+1)/2 || odd != total/2 || sum != float64(total)*float64(total-1)/2) {
+				err = fmt.Errorf("grouped read of %d rows: even %d, odd %d, sum %v", total, even, odd, sum)
+			}
+			return err
+		},
+		func() error {
+			var keys []string
+			err := check("SELECT DISTINCT s FROM coded WHERE v >= 3", func(b *Batch, r int) {
+				keys = append(keys, b.String(0, r))
+			})
+			if err == nil && fmt.Sprint(keys) != "[odd even]" {
+				err = fmt.Errorf("DISTINCT s: %v, want [odd even]", keys)
+			}
+			return err
+		},
+		func() error {
+			var bad error
+			err := check("SELECT v, ROW_NUMBER() OVER (PARTITION BY s ORDER BY v) FROM coded WHERE v >= 1000", func(b *Batch, r int) {
+				v, _ := b.Int64(0, r)
+				n, _ := b.Int64(1, r)
+				if n != (v-1000)/2+1 && bad == nil {
+					bad = fmt.Errorf("row %d numbered %d in its partition", v, n)
+				}
+			})
+			if err == nil {
+				err = bad
+			}
+			return err
+		},
+	}
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	errs := make(chan error, len(reads))
+	for _, read := range reads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := read(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < batches; i++ {
+		if err := appendRows(app, rows(start+i*batchN, batchN)...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := app.PublishErr(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if s := app.Snapshot(); !coded(s.Table().Columns[1]) {
+		t.Errorf("the key column of %d rows is not coded", s.NumRows())
+	}
+}

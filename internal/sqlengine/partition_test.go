@@ -385,31 +385,34 @@ func TestPartitionRowsContract(t *testing.T) {
 	}
 }
 
-// TestGroupedReadAllocationPin holds a grouped read over a 300k-row table
-// under 6 bytes a row. What is left per row is the int32 group id
-// (about 4.1 B a row); COUNT(*) is the groups' counts and SUM folds by id,
-// with no row list and no gathered copy. A row-id array per group costs
-// about 12, append-grown row lists and gathered floats about 48.
-func TestGroupedReadAllocationPin(t *testing.T) {
-	const rows = 300_000
+// eventsCatalog registers a rows-row events table: kind, three strings
+// (a NULL among them when nulls), and value.
+func eventsCatalog(rows int, nulls bool) *Catalog {
 	rng := rand.New(rand.NewSource(26))
 	kinds := []string{"view", "click", "buy"}
 	ks := make([]string, rows)
+	kn := make([]bool, rows)
 	vs := make([]float64, rows)
 	for i := range ks {
 		ks[i] = kinds[rng.Intn(len(kinds))]
+		kn[i] = nulls && rng.Intn(9) == 0
 		vs[i] = float64(rng.Intn(10000)) / 100
 	}
 	c := NewCatalog()
 	c.Register(&table.Table{Name: "events", Columns: []table.Column{
-		table.ColumnFromStrings("kind", ks, nil),
+		table.ColumnFromStrings("kind", ks, kn),
 		table.ColumnFromFloats("value", vs, nil),
 	}})
-	const q = "SELECT kind, COUNT(*) AS n, SUM(value) AS total FROM events GROUP BY kind"
+	return c
+}
+
+// readBytes is what one run of q allocates on average over runs, once q
+// is planned.
+func readBytes(t *testing.T, c *Catalog, q string, groups, runs int) float64 {
+	t.Helper()
 	if _, err := queryTable(c, q); err != nil { // plans the statement
 		t.Fatal(err)
 	}
-	const runs = 5
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
@@ -417,16 +420,192 @@ func TestGroupedReadAllocationPin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.NumRows() != len(kinds) {
-			t.Fatalf("%d groups, want %d", out.NumRows(), len(kinds))
+		if out.NumRows() != groups {
+			t.Fatalf("%s: %d groups, want %d", q, out.NumRows(), groups)
 		}
 	}
 	runtime.ReadMemStats(&after)
-	perRow := float64(after.TotalAlloc-before.TotalAlloc) / runs / rows
-	if perRow >= 6 {
-		t.Errorf("grouped read allocates %.1f B per row, want < 6", perRow)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestGroupedReadAllocationPin holds a grouped read over a 300k-row table
+// under 0.5 bytes a row. Its key is coded, so the grouping counts codes
+// into per-chunk arrays the size of the dictionary and keeps no id per
+// row; COUNT(*) is the groups' counts, and SUM maps each block of codes to
+// ids in one 4 KB buffer, with no row list and no gathered copy. An int32
+// id per row costs about 4.1 B, a row-id array per group about 12,
+// append-grown row lists and gathered floats about 48. The uncoded twin
+// groups by LOWER(kind) and is held at what its id array and the LOWER
+// column cost: under 6 bytes a row over the column's own 17.
+func TestGroupedReadAllocationPin(t *testing.T) {
+	const rows = 300_000
+	c := eventsCatalog(rows, false)
+	if s, _ := c.Snapshot("events"); !coded(s.Table().Columns[0]) {
+		t.Fatal("the 300k-row kind column is not coded")
+	}
+	perRow := readBytes(t, c, "SELECT kind, COUNT(*) AS n, SUM(value) AS total FROM events GROUP BY kind", 3, 5) / rows
+	if perRow >= 0.5 {
+		t.Errorf("grouped read allocates %.2f B per row, want < 0.5", perRow)
 	}
 	t.Logf("grouped read: %.2f B per row", perRow)
+	perRow = readBytes(t, c, "SELECT LOWER(kind), COUNT(*) AS n, SUM(value) AS total FROM events GROUP BY LOWER(kind)", 3, 5) / rows
+	if perRow >= 17+6 {
+		t.Errorf("uncoded grouped read allocates %.2f B per row, want < 17 + 6", perRow)
+	}
+	t.Logf("uncoded grouped read: %.2f B per row", perRow)
+}
+
+// TestSmallGroupedFoldAllocationPin: below the coding floor a grouped
+// SUM allocates no more than its fold's own arrays beyond what COUNT(*)
+// over the same groups does — well under the 4 KB id buffer only a coded
+// grouping's fold may allocate.
+func TestSmallGroupedFoldAllocationPin(t *testing.T) {
+	c := eventsCatalog(4000, true)
+	if s, _ := c.Snapshot("events"); coded(s.Table().Columns[0]) {
+		t.Fatal("the 4000-row kind column is coded")
+	}
+	sum := readBytes(t, c, "SELECT kind, SUM(value) FROM events GROUP BY kind", 4, 50)
+	count := readBytes(t, c, "SELECT kind, COUNT(*) FROM events GROUP BY kind", 4, 50)
+	if sum-count >= 1024 {
+		t.Errorf("SUM allocates %.0f B, %.0f more than COUNT(*)'s %.0f; want under 1024 more", sum, sum-count, count)
+	}
+	t.Logf("SUM %.0f B, COUNT(*) %.0f B", sum, count)
+}
+
+// coded reports whether col keeps dictionary codes.
+func coded(col table.Column) bool {
+	_, _, _, ok := col.Codes()
+	return ok
+}
+
+// TestCodedGroupingMatchesHashed: a coded string key (a column an
+// Appender published) groups by counting codes, its twin of the same
+// cells built by ColumnFromStrings by hashing them, and groupKeys must
+// give both the same ids, firsts and counts — under nil, span and dense
+// selections, with NULLs, over one worker-pool chunk and several, where a
+// selection meets the strings in another order than the dictionary holds
+// them, where a string and the NULL group first appear in a later chunk,
+// and where the selection is shorter than the dictionary. A cancelled
+// context is an error on both.
+func TestCodedGroupingMatchesHashed(t *testing.T) {
+	n := 4 * parallelMinRows
+	rng := rand.New(rand.NewSource(41))
+	ks := make([]string, n)
+	kn := make([]bool, n)
+	for i := range ks {
+		switch {
+		case i < 5: // the dictionary's order: s0, s1, ..., s4
+			ks[i] = fmt.Sprintf("s%d", i)
+		case i == n/2+7: // first seen in a later chunk
+			ks[i] = "late"
+		case i > n/2 && i%89 == 0: // NULL only in the later half
+			kn[i] = true
+		case i > n/4 && i < n/4+50: // s4 first, where the span below starts
+			ks[i] = "s4"
+		default:
+			ks[i] = fmt.Sprintf("s%d", rng.Intn(5))
+		}
+	}
+	app := table.NewAppender(&table.Table{Name: "k", Columns: []table.Column{table.ColumnFromStrings("k", ks, kn)}})
+	col := app.Snapshot().Table().Columns[0]
+	if !coded(col) {
+		t.Fatal("the published key column is not coded")
+	}
+	var scattered []int
+	for r := 0; r < n; r++ {
+		if rng.Intn(3) > 0 {
+			scattered = append(scattered, r)
+		}
+	}
+	selections := map[string]*table.Selection{
+		"nil":      nil,
+		"range":    table.NewSpanSelection(table.Span{Lo: n / 4, Hi: n}),
+		"spans":    table.NewSpanSelection(table.Span{Lo: n/4 + 10, Hi: n / 3}, table.Span{Lo: n / 2, Hi: n - 5}),
+		"dense":    table.NewIndexSelection(scattered),
+		"one span": table.NewSpanSelection(table.Span{Lo: n/2 + 1, Hi: n/2 + parallelMinRows/2}),
+		"tiny":     table.NewIndexSelection([]int{n/2 + 7, 3, n - 1}),
+	}
+	for sname, sel := range selections {
+		key := col
+		if lo, hi, ok := sel.AsRange(); ok && sel != nil {
+			key = col.View(lo, hi)
+		} else if sel != nil {
+			key = col.GatherSel(sel)
+		}
+		strs, nulls, _ := key.Strings()
+		twin := table.ColumnFromStrings("k", append([]string(nil), strs...), append([]bool(nil), nulls...))
+		if _, dict, _, _ := key.Codes(); !coded(key) || coded(twin) {
+			t.Fatalf("%s: the key is coded %v, its twin %v", sname, coded(key), coded(twin))
+		} else if sname == "tiny" && len(dict) <= key.Len() {
+			t.Fatalf("the tiny selection's %d positions cover the dictionary of %d", key.Len(), len(dict))
+		}
+		m := key.Len()
+		got, err := groupKeys(context.Background(), []table.Column{key}, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := groupKeys(context.Background(), []table.Column{twin}, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sname != "tiny" && (got.remap == nil || got.ids != nil) {
+			t.Errorf("%s: the coded key was grouped by hashing", sname)
+		}
+		if !reflect.DeepEqual(got.idList(), want.ids) || !reflect.DeepEqual(got.firsts, want.firsts) || !reflect.DeepEqual(got.counts, want.counts) {
+			t.Errorf("%s selection: coded grouping %v / %v diverges from the hashed %v / %v", sname, got.firsts, got.counts, want.firsts, want.counts)
+		}
+		gotParts, err := partitionRows(context.Background(), []table.Column{key}, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGrouping(t, sname+" selection, coded", grouping{ids: got.idList(), firsts: got.firsts, counts: got.counts}, gotParts, m)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if gr, err := groupKeys(ctx, []table.Column{col}, n); err == nil {
+		t.Errorf("cancelled coded grouping returned %d groups and no error", len(gr.counts))
+	}
+}
+
+// TestCodedKeysMatchScalar is the row oracle's differential over a table
+// past the coding floor, so its string key s, NULLs among its cells, is
+// coded: GROUP BY, HAVING with expression and DISTINCT aggregates (the
+// restricted fold through aggAcc), DISTINCT and PARTITION BY, under span
+// and dense selections. The fuzz catalogs are all below the floor.
+func TestCodedKeysMatchScalar(t *testing.T) {
+	c := groupedCatalog(2 * parallelMinRows)
+	if s, _ := c.Snapshot("g"); !coded(s.Table().Columns[2]) {
+		t.Fatal("the string key column is not coded")
+	}
+	queries := []string{
+		"SELECT s, COUNT(*), SUM(v), MIN(w) FROM g GROUP BY s",
+		"SELECT s, COUNT(*) FROM g WHERE id >= 3000 GROUP BY s",
+		"SELECT s, AVG(w) FROM g WHERE id % 3 = 1 GROUP BY s ORDER BY s",
+		"SELECT s, MEDIAN(v + 1), COUNT(DISTINCT k), MAX(w * 2) FROM g GROUP BY s HAVING SUM(v) > 4200 OR s IS NULL",
+		"SELECT s, STDDEV(w - v), SUM(v * 2) FROM g WHERE id > 100 GROUP BY s HAVING COUNT(*) < 2050",
+		"SELECT DISTINCT s FROM g",
+		"SELECT DISTINCT s FROM g WHERE id % 5 = 2",
+		"SELECT DISTINCT s FROM g WHERE id >= 7000",
+		"SELECT id, s, RANK() OVER (PARTITION BY s ORDER BY v DESC, id) AS r FROM g WHERE id < 5000",
+		"SELECT id, ROW_NUMBER() OVER (PARTITION BY s ORDER BY id) AS r, SUM(v) OVER (PARTITION BY s) AS t FROM g WHERE id % 4 <> 0",
+	}
+	for _, q := range queries {
+		want, err := c.QueryScalar(q)
+		if err != nil {
+			t.Fatalf("query %q: scalar: %v", q, err)
+		}
+		for _, dense := range []bool{false, true} {
+			forceDenseSelection.Store(dense)
+			got, err := queryTable(c, q)
+			forceDenseSelection.Store(false)
+			if err != nil {
+				t.Fatalf("query %q (dense=%v): %v", q, dense, err)
+			}
+			if dg, dw := dumpTable(got), dumpTable(want); dg != dw {
+				t.Errorf("query %q (dense=%v): vectorized vs scalar mismatch\n-- vectorized --\n%s\n-- scalar --\n%s", q, dense, dg, dw)
+			}
+		}
+	}
 }
 
 // TestTypedAggregatesMatchFold: COUNT, SUM/AVG and MIN/MAX over typed int

@@ -27,6 +27,30 @@ type Column struct {
 	times  []time.Time
 
 	boxed []Value // non-nil => authoritative mixed-kind storage
+
+	// coding holds a published string column's dictionary codes beside
+	// strs (see Codes). One pointer, not two slice headers: a Column is
+	// copied into every view, snapshot and result.
+	coding *coding
+}
+
+// coding is a string column's dictionary encoding: dict[codes[i]] is cell
+// i's string, and a NULL cell has code 0. Only an Appender assigns codes,
+// when it publishes (Appender.code); a view, gather or copy of a coded
+// column carries them in a coding of its own.
+type coding struct {
+	codes []int32
+	dict  []string
+}
+
+// slice returns the coding of cells [lo, hi) in a struct of its own — the
+// codes sliced, the dictionary capped at its length — or nil when the
+// codes do not cover them.
+func (cd *coding) slice(lo, hi int) *coding {
+	if cd == nil || hi > len(cd.codes) {
+		return nil
+	}
+	return &coding{codes: cd.codes[lo:hi:hi], dict: cd.dict[:len(cd.dict):len(cd.dict)]}
 }
 
 // NewColumn returns an empty column with the given name and kind.
@@ -135,6 +159,18 @@ func (c *Column) Times() ([]time.Time, []bool, bool) {
 	return c.times, c.nulls, true
 }
 
+// Codes returns a typed string column's dictionary codes: dict[codes[i]] is
+// cell i's string unless nulls[i] is set, in which case codes[i] is 0. ok
+// is false unless the codes cover every cell — for every column no
+// Appender published (see Appender.code), and once a cell was Set.
+// Callers must not mutate.
+func (c *Column) Codes() (codes []int32, dict []string, nulls []bool, ok bool) {
+	if cd := c.coding; cd != nil && len(cd.codes) == c.length {
+		return cd.codes, cd.dict, c.nulls, true
+	}
+	return nil, nil, nil, false
+}
+
 // Value returns cell i as a boxed Value.
 func (c *Column) Value(i int) Value {
 	if c.boxed != nil {
@@ -181,7 +217,7 @@ func (c *Column) degrade() {
 	for i := range vals {
 		vals[i] = c.typedValue(i)
 	}
-	c.boxed = vals
+	c.boxed, c.coding = vals, nil
 	c.nulls, c.ints, c.floats, c.strs, c.bools, c.times = nil, nil, nil, nil, nil, nil
 }
 
@@ -250,8 +286,9 @@ func (c *Column) AppendColumn(src *Column) {
 	}
 }
 
-// Set overwrites cell i.
+// Set overwrites cell i, dropping the column's codes.
 func (c *Column) Set(i int, v Value) {
+	c.coding = nil
 	if c.boxed == nil && !v.IsNull() && v.Kind != c.Kind {
 		c.degrade()
 	}
@@ -299,7 +336,8 @@ func (c *Column) Grow(n int) {
 // idx[j] — or NULL where pad[j] is true, in which case idx[j] is ignored.
 // A nil pad pads nothing. Padding is the only way to ask for a NULL: a
 // negative index is out of range like any other. Outer joins and the
-// empty global group pad this way.
+// empty global group pad this way. A coded column's codes are gathered
+// too, a padded or NULL cell taking code 0.
 func (c *Column) Gather(idx []int, pad []bool) Column {
 	out := Column{Name: c.Name, Kind: c.Kind, length: len(idx)}
 	if c.boxed != nil {
@@ -319,6 +357,9 @@ func (c *Column) Gather(idx []int, pad []bool) Column {
 		out.floats = gatherTyped(c.floats, c.nulls, idx, pad, out.nulls)
 	case KindString:
 		out.strs = gatherTyped(c.strs, c.nulls, idx, pad, out.nulls)
+		if codes, dict, _, ok := c.Codes(); ok {
+			out.coding = &coding{codes: gatherTyped(codes, c.nulls, idx, pad, out.nulls), dict: dict[:len(dict):len(dict)]}
+		}
 	case KindBool:
 		out.bools = gatherTyped(c.bools, c.nulls, idx, pad, out.nulls)
 	case KindTime:
@@ -349,7 +390,8 @@ func gatherTyped[T any](vals []T, srcNulls []bool, idx []int, pad, nulls []bool)
 // GatherSel returns a new column holding the selected cells in order. Span
 // runs are copied range-at-a-time (memcpy on the typed slices) instead of
 // cell-at-a-time; dense selections delegate to Gather. A nil selection
-// selects nothing. Unlike View, the result always owns its storage.
+// selects nothing. Unlike View, the result owns its storage, all but a
+// coded column's dictionary, which is shared read-only.
 func (c *Column) GatherSel(s *Selection) Column {
 	spans, ok := s.Spans()
 	if !ok {
@@ -374,6 +416,9 @@ func (c *Column) copySpans(spans []Span, n int) Column {
 		out.floats = copyTypedSpans(c.floats, spans, n)
 	case KindString:
 		out.strs = copyTypedSpans(c.strs, spans, n)
+		if codes, dict, _, ok := c.Codes(); ok {
+			out.coding = &coding{codes: copyTypedSpans(codes, spans, n), dict: dict[:len(dict):len(dict)]}
+		}
 	case KindBool:
 		out.bools = copyTypedSpans(c.bools, spans, n)
 	case KindTime:
@@ -394,7 +439,8 @@ func copyTypedSpans[T any](vals []T, spans []Span, n int) []T {
 // View returns a zero-copy view of cells [lo, hi): the result shares
 // storage with c. Views are strictly read-only — appending to or setting a
 // cell of a view would clobber (or race with) the parent column — and are
-// only handed to code that treats relation columns as immutable.
+// only handed to code that treats relation columns as immutable. A coded
+// column's view carries the codes of its cells.
 func (c *Column) View(lo, hi int) Column {
 	out := Column{Name: c.Name, Kind: c.Kind, length: hi - lo}
 	if c.boxed != nil {
@@ -409,6 +455,7 @@ func (c *Column) View(lo, hi int) Column {
 		out.floats = c.floats[lo:hi:hi]
 	case KindString:
 		out.strs = c.strs[lo:hi:hi]
+		out.coding = c.coding.slice(lo, hi)
 	case KindBool:
 		out.bools = c.bools[lo:hi:hi]
 	case KindTime:

@@ -29,37 +29,58 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 // re-parsed from its own text by the column's kind (Kind.Parse): an int
 // widens to float, and a text column keeps every cell's text as written.
 // Rows shorter than the header are padded with NULL.
+//
+// Each column is typed in one pass, appending with the kind seen so far;
+// when a cell widens the kind (at most twice a column), the rows before it
+// are typed again by the rule above.
 func FromRecords(name string, header []string, rows [][]string) (*Table, error) {
 	t, err := New(name, header, make([]Kind, len(header)))
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]Value, len(rows)) // one column's cells, reused per column
 	for c := range t.Columns {
-		kind := KindNull
-		for i, row := range rows {
-			cells[i] = Null()
-			if c < len(row) {
-				cells[i] = Infer(row[c])
-				kind = promote(kind, cells[i].Kind)
-			}
-		}
-		if kind == KindNull {
-			kind = KindString
-		}
 		col := &t.Columns[c]
-		col.Kind = kind
-		col.Grow(len(rows))
-		for i, v := range cells {
-			if !v.IsNull() && v.Kind != kind {
-				// promote made kind a float or text column, and those
-				// take the text of every cell that widened into them.
-				v, _ = kind.Parse(rows[i][c])
+		for i, row := range rows {
+			v := Null()
+			if c < len(row) {
+				v = Infer(row[c])
 			}
-			col.Append(v)
+			if kind := promote(col.Kind, v.Kind); kind != col.Kind {
+				*col = recordColumn(col.Name, kind, rows[:i], c, len(rows))
+			}
+			appendRecordCell(col, v, row, c)
+		}
+		if col.Kind == KindNull {
+			*col = recordColumn(col.Name, KindString, rows, c, len(rows))
 		}
 	}
 	return t, nil
+}
+
+// recordColumn types cell c of each of rows as a column of kind, with
+// room for capacity cells.
+func recordColumn(name string, kind Kind, rows [][]string, c, capacity int) Column {
+	col := NewColumn(name, kind)
+	col.Grow(capacity)
+	for _, row := range rows {
+		v := Null()
+		if c < len(row) {
+			v = Infer(row[c])
+		}
+		appendRecordCell(&col, v, row, c)
+	}
+	return col
+}
+
+// appendRecordCell appends v, cell c of row as Infer read it, to col: as
+// col's kind parses the cell's text when Infer gave another kind.
+func appendRecordCell(col *Column, v Value, row []string, c int) {
+	if !v.IsNull() && v.Kind != col.Kind {
+		// promote made the kind a float or text column, and those take
+		// the text of every cell that widened into them.
+		v, _ = col.Kind.Parse(row[c])
+	}
+	col.Append(v)
 }
 
 // promote unifies two observed cell kinds into the narrowest column kind

@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -107,6 +108,9 @@ type Appender struct {
 	sealed int     // rows covered by the current snapshot
 	chunks []Chunk // sealed chunks; snapshots share prefixes of this slice
 	hook   PublishHook
+	// coders parallels arena once the table reaches codeMinRows rows:
+	// each column's code index (see code).
+	coders []coder
 	// scratch holds the row AppendText is parsing, reused across rows.
 	scratch []Value
 
@@ -123,6 +127,9 @@ type Appender struct {
 // snapshot.
 func NewAppender(t *Table) *Appender {
 	a := &Appender{name: t.Name, arena: append([]Column(nil), t.Columns...)}
+	for i := range a.arena {
+		a.arena[i].coding = nil // the arena's codes are its own, assigned at publish
+	}
 	a.publishLocked()
 	return a
 }
@@ -233,6 +240,7 @@ func (a *Appender) publishLocked() (*Snapshot, error) {
 		return cur, nil
 	}
 	if n > a.sealed {
+		a.code(n)
 		ck := Chunk{lo: a.sealed, hi: n, cols: make([]Column, len(a.arena))}
 		for i := range a.arena {
 			ck.cols[i] = a.arena[i].View(a.sealed, n)
@@ -263,4 +271,100 @@ func (a *Appender) publishLocked() (*Snapshot, error) {
 	}
 	a.cur.Store(s)
 	return s, nil
+}
+
+// Dictionary codes (Column.Codes) are assigned by the Appender when it
+// publishes, by one rule: a typed string column starts keeping codes at
+// the first publish where its table holds codeMinRows rows, every row so
+// far coded then, and stops for good once its dictionary holds more than
+// codeMaxDict entries and more than half its rows. A boxed column is never
+// coded. Like every other slab, codes and dictionary only grow, so the
+// capacity-capped prefixes published snapshots hold are never written.
+const (
+	codeMinRows = 4096
+	codeMaxDict = 4096
+)
+
+// coder is the Appender's state for one column's codes: the code of each
+// string of its dictionary while the column is coded.
+type coder struct {
+	ids map[string]int32
+	off bool // stopped for good, or never to start: not a typed string column
+	// seen holds, by a fingerprint of a string — its length, first and
+	// last bytes — the code last found for such a string, plus one. A
+	// small dictionary's strings mostly differ there, so most rows find
+	// their code without hashing.
+	seen [64]int32
+}
+
+// lookup returns s's code, if the dictionary has s: through seen while
+// the dictionary is no larger than it, a hit checked against dict, and
+// through ids otherwise.
+func (cd *coder) lookup(s string, dict []string) (int32, bool) {
+	if len(dict) > len(cd.seen) {
+		code, ok := cd.ids[s]
+		return code, ok
+	}
+	slot := &cd.seen[0]
+	if len(s) > 0 {
+		slot = &cd.seen[(len(s)*7^int(s[0])*3^int(s[len(s)-1]))%len(cd.seen)]
+	}
+	if code := *slot - 1; code >= 0 && dict[code] == s {
+		return code, true
+	}
+	code, ok := cd.ids[s]
+	if ok {
+		*slot = code + 1
+	}
+	return code, ok
+}
+
+// code assigns codes to rows [len(codes), n) of every coded column of the
+// arena, by the rule above.
+func (a *Appender) code(n int) {
+	if n < codeMinRows {
+		return
+	}
+	if a.coders == nil {
+		a.coders = make([]coder, len(a.arena))
+	}
+	for i := range a.arena {
+		col, cd := &a.arena[i], &a.coders[i]
+		if cd.off {
+			continue
+		}
+		if col.boxed != nil || col.Kind != KindString {
+			cd.off = true
+			continue
+		}
+		if col.coding == nil {
+			col.coding, cd.ids = &coding{}, map[string]int32{}
+		}
+		if !cd.extend(col.coding, col.strs, col.nulls, n) {
+			col.coding, cd.ids, cd.off = nil, nil, true
+		}
+	}
+}
+
+// extend codes rows [len(codes), n) of strs. It reports false, and leaves
+// c as it was, when the dictionary outgrows the rule.
+func (cd *coder) extend(c *coding, strs []string, nulls []bool, n int) bool {
+	codes, dict := slices.Grow(c.codes, n-len(c.codes)), c.dict
+	for r := len(codes); r < n; r++ {
+		var code int32
+		if !nulls[r] {
+			var ok bool
+			if code, ok = cd.lookup(strs[r], dict); !ok {
+				if len(dict) >= codeMaxDict && 2*(len(dict)+1) > n {
+					return false
+				}
+				code = int32(len(dict))
+				dict = append(dict, strs[r])
+				cd.ids[strs[r]] = code
+			}
+		}
+		codes = append(codes, code)
+	}
+	c.codes, c.dict = codes, dict
+	return true
 }
