@@ -87,6 +87,11 @@ var guards = []guard{
 		[]string{"internal/sqlengine/eval.go", "internal/sqlengine/lexer.go", "internal/pymini/parser.go"},
 		"a comparison or arithmetic operator means one thing, said once: cmpOpOf, intArith and floatArith (the lexers only split tokens)",
 	},
+	{
+		regexp.MustCompile(`partitionRows|windowPartitionsVec|windowSorter`),
+		nil,
+		"window partitions are segments of one permutation, partitionPerm's, sorted in place",
+	},
 }
 
 // linkRe matches inline markdown links [text](target); images ![...](...)

@@ -86,6 +86,7 @@ func TestGuardsFire(t *testing.T) {
 		"	acc := newWindowAcc(fn)",
 		"	pairs, err := loopJoinPairs(ctx, left, right, on, kind)",
 		`	case "+", "-", "*", "/", "%":`,
+		"	parts, err := partitionRows(ctx, keyCols, n)",
 	}
 	if len(planted) != len(guards) {
 		t.Fatalf("%d planted lines for %d guards", len(planted), len(guards))

@@ -438,6 +438,15 @@ func executePlainVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selecti
 	for _, o := range p.order {
 		exprs = append(exprs, o.Expr)
 	}
+	cols, err := evalVecs(exprs, rel, sel)
+	if err != nil {
+		return nil, err
+	}
+	return orderOutput(ctx, p, rel.x, cols[:len(p.items)], cols[len(p.items):])
+}
+
+// evalVecs evaluates each of exprs over the selected rows of rel.
+func evalVecs(exprs []Expr, rel *vrel, sel *table.Selection) ([]table.Column, error) {
 	cols := make([]table.Column, len(exprs))
 	for c, e := range exprs {
 		col, err := evalVec(e, rel, sel)
@@ -446,7 +455,7 @@ func executePlainVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selecti
 		}
 		cols[c] = col
 	}
-	return orderOutput(ctx, p, rel.x, cols[:len(p.items)], cols[len(p.items):])
+	return cols, nil
 }
 
 // orderOutput orders the output columns by the ORDER BY key columns (one
@@ -752,26 +761,26 @@ func hashEncoded(d *groupDict[string], keyCols []table.Column, ids []int32, lo, 
 	}
 }
 
-// partitionRows lists the positions 0..n-1 of each key group of groupKeys,
-// in its group order, each list ascending and capacity-capped (appending to
-// one cannot overwrite the next) — the row lists window PARTITION BY sorts
-// and frames.
-func partitionRows(ctx context.Context, keyCols []table.Column, n int) ([][]int, error) {
+// partitionPerm orders the positions 0..n-1 by key group of groupKeys, in
+// its group order: group g's positions are perm[ends[g-1]:ends[g]] (from 0
+// for group 0), ascending — the segments window PARTITION BY sorts and
+// frames in place. The scatter leaves each group's start at its end.
+func partitionPerm(ctx context.Context, keyCols []table.Column, n int) (perm, ends []int, err error) {
 	gr, err := groupKeys(ctx, keyCols, n)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	rows := make([]int, n)
-	parts := make([][]int, len(gr.counts))
+	perm, ends = make([]int, n), make([]int, len(gr.counts))
 	at := 0
 	for g, count := range gr.counts {
-		parts[g] = rows[at : at : at+count]
+		ends[g] = at
 		at += count
 	}
 	for i, g := range gr.idList() {
-		parts[g] = append(parts[g], i)
+		perm[ends[g]] = i
+		ends[g]++
 	}
-	return parts, nil
+	return perm, ends, nil
 }
 
 // rowsOf replaces each of the ascending positions pos with the row of sel
@@ -1218,13 +1227,9 @@ func (a *aggAcc) value() table.Value {
 // gives its per-group values, and ordering runs through orderOutput like a
 // plain projection's.
 func executeGroupedVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selection) ([]table.Column, error) {
-	groupCols := make([]table.Column, len(p.groupBy))
-	for i, g := range p.groupBy {
-		col, err := evalVec(g, rel, sel)
-		if err != nil {
-			return nil, err
-		}
-		groupCols[i] = col
+	groupCols, err := evalVecs(p.groupBy, rel, sel)
+	if err != nil {
+		return nil, err
 	}
 	groups, err := groupRows(ctx, groupCols, rel, sel)
 	if err != nil {
@@ -1246,13 +1251,12 @@ func executeGroupedVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selec
 	for _, o := range p.order {
 		exprs = append(exprs, o.Expr)
 	}
-	cols := make([]table.Column, len(exprs))
-	for c, e := range exprs {
-		col, err := evalVec(e, grel, kept)
-		if err != nil {
-			return nil, err
-		}
-		cols[c] = retype(col)
+	cols, err := evalVecs(exprs, grel, kept)
+	if err != nil {
+		return nil, err
+	}
+	for c := range cols {
+		cols[c] = retype(cols[c])
 	}
 	return orderOutput(ctx, p, rel.x, cols[:len(p.items)], cols[len(p.items):])
 }

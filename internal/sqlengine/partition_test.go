@@ -135,17 +135,37 @@ func scalarPartitions(keyCols []table.Column, rows []int) [][]int {
 	return parts
 }
 
-// checkCapped fails unless every partition's capacity ends at its length:
-// the partitions share one backing array, so appending to one must not
-// overwrite the next.
-func checkCapped(t *testing.T, name string, parts [][]int) {
+// segments runs partitionPerm and cuts its permutation at the segment
+// ends into one position list per group, failing unless the segments tile
+// the permutation, none is empty and each holds its positions ascending.
+func segments(t *testing.T, name string, keyCols []table.Column, n int) [][]int {
 	t.Helper()
-	for i, part := range parts {
-		if cap(part) != len(part) {
-			t.Errorf("%s: partition %d has len %d, cap %d", name, i, len(part), cap(part))
-			return
-		}
+	perm, ends, err := partitionPerm(context.Background(), keyCols, n)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
+	if len(perm) != n {
+		t.Fatalf("%s: permutation of %d positions, want %d", name, len(perm), n)
+	}
+	parts := make([][]int, len(ends))
+	lo := 0
+	for g, hi := range ends {
+		if hi <= lo || hi > n {
+			t.Fatalf("%s: segment %d is [%d, %d) of %d positions", name, g, lo, hi, n)
+		}
+		seg := perm[lo:hi]
+		for k := 1; k < len(seg); k++ {
+			if seg[k] <= seg[k-1] {
+				t.Fatalf("%s: segment %d is not ascending: %v", name, g, seg)
+			}
+		}
+		parts[g] = append([]int(nil), seg...)
+		lo = hi
+	}
+	if lo != n {
+		t.Fatalf("%s: the segments end at %d of %d positions", name, lo, n)
+	}
+	return parts
 }
 
 // atRows maps each partition's positions to the rows they stand for, in
@@ -183,15 +203,16 @@ func checkGrouping(t *testing.T, name string, gr grouping, parts [][]int, n int)
 }
 
 // TestPartitionRowsContract pins the one key grouper GROUP BY, DISTINCT
-// and PARTITION BY call, and the position lists windows build from it: for
+// and PARTITION BY call, and the permutation windows build from it: for
 // every key shape (typed int and string loops, the canonical-key path for
 // float, composite and boxed keys) over the positions of every selection
-// form (nil, span, dense) it yields the scalar executor's groups in the
-// scalar executor's order, NULL keys form exactly one group, every
-// partition is capacity-capped, groupKeys' ids, firsts and counts agree
-// with the partitions, and hashing on the worker pool — a large composite
-// key, typed keys whose new groups first appear in later chunks, whose ids
-// the merge remaps — equals the serial grouping.
+// form (nil, span, dense) its segments are the scalar executor's groups in
+// the scalar executor's order, each one group's positions ascending, NULL
+// keys form exactly one group, groupKeys' ids, firsts and counts agree with
+// the segments (so their ends are the counts' prefix sums), and hashing on
+// the worker pool — a large composite key, typed keys whose new groups
+// first appear in later chunks, whose ids the merge remaps — equals the
+// serial grouping.
 func TestPartitionRowsContract(t *testing.T) {
 	const n = 600
 	rng := rand.New(rand.NewSource(41))
@@ -257,10 +278,7 @@ func TestPartitionRowsContract(t *testing.T) {
 					nullRows[r] = true
 				}
 			}
-			got, err := partitionRows(context.Background(), keyCols, len(rows))
-			if err != nil {
-				t.Fatalf("%s/%s: %v", kname, sname, err)
-			}
+			got := segments(t, kname+" key, "+sname+" selection", keyCols, len(rows))
 			gr, err := groupKeys(context.Background(), keyCols, len(rows))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", kname, sname, err)
@@ -269,7 +287,6 @@ func TestPartitionRowsContract(t *testing.T) {
 			if want := scalarPartitions(keyCols, rows); !reflect.DeepEqual(atRows(got, rows), want) {
 				t.Errorf("%s key, %s selection: partitions diverge from the scalar grouping\n got %v\nwant %v", kname, sname, got, want)
 			}
-			checkCapped(t, kname+" key, "+sname+" selection", got)
 			nullParts := 0
 			for _, part := range got {
 				if nullRows[part[0]] {
@@ -301,10 +318,7 @@ func TestPartitionRowsContract(t *testing.T) {
 		bigB.Append(table.Str(fmt.Sprintf("b%d", rng.Intn(25))))
 	}
 	keyCols := []table.Column{bigA, bigB}
-	got, err := partitionRows(context.Background(), keyCols, big)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := segments(t, "parallel composite key", keyCols, big)
 	gr, err := groupKeys(context.Background(), keyCols, big)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +327,6 @@ func TestPartitionRowsContract(t *testing.T) {
 	if want := scalarPartitions(keyCols, iotaInts(big)); !reflect.DeepEqual(got, want) {
 		t.Errorf("parallel composite key build over %d rows diverges from the serial grouping (%d vs %d partitions)", big, len(got), len(want))
 	}
-	checkCapped(t, "parallel composite key", got)
 
 	// Typed keys over several chunks: the chunk dictionaries merge in chunk
 	// order, so a key first seen in the second chunk, and a NULL group that
@@ -349,10 +362,7 @@ func TestPartitionRowsContract(t *testing.T) {
 				rows = sel.Indices()
 			}
 			name := fmt.Sprintf("typed %s key, %s selection, chunks of %d", kname, sname, size)
-			got, err := partitionRows(context.Background(), []table.Column{col}, big)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := segments(t, name, []table.Column{col}, big)
 			gr, err := groupKeys(context.Background(), []table.Column{col}, big)
 			if err != nil {
 				t.Fatal(err)
@@ -361,7 +371,6 @@ func TestPartitionRowsContract(t *testing.T) {
 			if want := scalarPartitions([]table.Column{col}, rows); !reflect.DeepEqual(atRows(got, rows), want) {
 				t.Errorf("%s: diverges from the serial grouping (%d vs %d partitions)", name, len(got), len(want))
 			}
-			checkCapped(t, name, got)
 			nullParts := 0
 			for _, part := range got {
 				if pos := sort.SearchInts(rows, part[0]); col.IsNullAt(pos) {
@@ -380,8 +389,8 @@ func TestPartitionRowsContract(t *testing.T) {
 	// A cancelled context surfaces as an error, never as garbage partitions.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if parts, err := partitionRows(ctx, keyCols, big); err == nil {
-		t.Errorf("cancelled composite partitioning returned %d partitions and no error", len(parts))
+	if _, ends, err := partitionPerm(ctx, keyCols, big); err == nil {
+		t.Errorf("cancelled composite partitioning returned %d segments and no error", len(ends))
 	}
 }
 
@@ -554,10 +563,7 @@ func TestCodedGroupingMatchesHashed(t *testing.T) {
 		if !reflect.DeepEqual(got.idList(), want.ids) || !reflect.DeepEqual(got.firsts, want.firsts) || !reflect.DeepEqual(got.counts, want.counts) {
 			t.Errorf("%s selection: coded grouping %v / %v diverges from the hashed %v / %v", sname, got.firsts, got.counts, want.firsts, want.counts)
 		}
-		gotParts, err := partitionRows(context.Background(), []table.Column{key}, m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		gotParts := segments(t, sname+" selection, coded", []table.Column{key}, m)
 		checkGrouping(t, sname+" selection, coded", grouping{ids: got.idList(), firsts: got.firsts, counts: got.counts}, gotParts, m)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -659,10 +665,7 @@ func TestTypedAggregatesMatchFold(t *testing.T) {
 		ints.Append(table.Int(i))
 		tieKeys.Append(table.Int(k))
 	}
-	parts, err := partitionRows(ctx, []table.Column{keys}, n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parts := segments(t, "the int key", []table.Column{keys}, n)
 	sels := map[string]*table.Selection{
 		"all":   table.NewSpanSelection(table.Span{Lo: 0, Hi: n}),
 		"spans": table.NewSpanSelection(table.Span{Lo: 5, Hi: 900}, table.Span{Lo: 1000, Hi: n - 3}),

@@ -511,7 +511,8 @@ func scalarWindowColumn(rel *srel, fn *FuncCall) ([]table.Value, error) {
 			}
 			return true
 		}
-		if err := computeWindowValues(fn, sorted, peerGroupEnds(sorted, peers), argAt, out); err != nil {
+		set := func(pos int, v table.Value) { out[pos] = v }
+		if err := computeWindowValues(context.Background(), fn, sorted, peerGroupEnds(sorted, peers), argAt, set); err != nil {
 			return nil, err
 		}
 	}

@@ -11,12 +11,13 @@ import (
 // Window function execution. Every window call's output column is computed
 // up front — over the projection's selection, before any select item
 // evaluates — and evalVec reads it through vrel.win, by the slot the
-// resolver numbered the call with (plan.wins). Partitioning is the grouping
-// partitioner; ordering reuses the memcmp sort-key kernel (sortkey.go) when
-// the ORDER BY keys encode. The accumulation itself (computeWindowValues,
-// folding through aggAcc) is shared with the row-at-a-time oracle's window
-// driver in the package's test files, so float running sums are
-// bit-identical and the differential harness can compare results exactly.
+// resolver numbered the call with (plan.wins). Partitions are segments of
+// one permutation of the positions (partitionPerm), each sorted in place,
+// through the memcmp sort-key kernel (sortkey.go) when the ORDER BY keys
+// encode. The accumulation itself (computeWindowValues, folding through
+// aggAcc) is shared with the row-at-a-time oracle's window driver in the
+// package's test files, so float running sums are bit-identical and the
+// differential harness can compare results exactly.
 
 // collectWindowCalls appends every window call (FuncCall with an OVER
 // clause) in e to dst, deduplicated by node pointer. It does not descend
@@ -85,23 +86,24 @@ func peerGroupEnds(sorted []int, peers func(a, b int) bool) []int {
 	return ends
 }
 
-// computeWindowValues fills out[pos] for every position of one sorted
-// partition. sorted holds the partition's positions in window order; ends
-// is peerGroupEnds over it; argAt returns the evaluated argument at a
-// position. The test oracle's window driver shares it — any change here
-// changes both sides of the differential harness together.
-func computeWindowValues(fn *FuncCall, sorted, ends []int, argAt func(int) table.Value, out []table.Value) error {
+// computeWindowValues calls set(pos, value) for every position of one
+// sorted partition. sorted holds the partition's positions in window order;
+// ends is peerGroupEnds over it; argAt returns the evaluated argument at a
+// position. An explicit ROWS frame checks ctx every 4,096 rows it folds.
+// The test oracle's window driver shares it — any change here changes both
+// sides of the differential harness together.
+func computeWindowValues(ctx context.Context, fn *FuncCall, sorted, ends []int, argAt func(int) table.Value, set func(int, table.Value)) error {
 	switch fn.Name {
 	case "ROW_NUMBER":
 		for k, pos := range sorted {
-			out[pos] = table.Int(int64(k + 1))
+			set(pos, table.Int(int64(k+1)))
 		}
 	case "RANK":
 		for s := 0; s < len(sorted); {
 			e := ends[s]
 			v := table.Int(int64(s + 1))
 			for k := s; k < e; k++ {
-				out[sorted[k]] = v
+				set(sorted[k], v)
 			}
 			s = e
 		}
@@ -112,7 +114,7 @@ func computeWindowValues(fn *FuncCall, sorted, ends []int, argAt func(int) table
 			rank++
 			v := table.Int(rank)
 			for k := s; k < e; k++ {
-				out[sorted[k]] = v
+				set(sorted[k], v)
 			}
 			s = e
 		}
@@ -127,6 +129,7 @@ func computeWindowValues(fn *FuncCall, sorted, ends []int, argAt func(int) table
 			// sorted[lo..k]. Frames are row-based, so peers do not share
 			// values.
 			f := fn.Over.Frame
+			folded := 0
 			for k, pos := range sorted {
 				lo := 0
 				if !f.Unbounded {
@@ -139,7 +142,13 @@ func computeWindowValues(fn *FuncCall, sorted, ends []int, argAt func(int) table
 				for j := lo; j <= k; j++ {
 					acc.add(sorted[j], argAt)
 				}
-				out[pos] = acc.value()
+				if folded += k - lo + 1; folded >= 4096 {
+					if err := ctx.Err(); err != nil {
+						return err
+					}
+					folded = 0
+				}
+				set(pos, acc.value())
 			}
 		case len(fn.Over.OrderBy) == 0:
 			// No ORDER BY: the whole partition is every row's frame.
@@ -149,7 +158,7 @@ func computeWindowValues(fn *FuncCall, sorted, ends []int, argAt func(int) table
 			}
 			v := acc.value()
 			for _, pos := range sorted {
-				out[pos] = v
+				set(pos, v)
 			}
 		default:
 			// Default frame with ORDER BY: running aggregate from the
@@ -163,7 +172,7 @@ func computeWindowValues(fn *FuncCall, sorted, ends []int, argAt func(int) table
 				}
 				v := acc.value()
 				for k := s; k < e; k++ {
-					out[sorted[k]] = v
+					set(sorted[k], v)
 				}
 				s = e
 			}
@@ -189,80 +198,65 @@ func computeWindowsVec(ctx context.Context, wins []*FuncCall, rel *vrel, sel *ta
 func vecWindowColumn(ctx context.Context, fn *FuncCall, rel *vrel, sel *table.Selection) (table.Column, error) {
 	n := selLen(rel, sel)
 	spec := fn.Over
-	parts, err := windowPartitionsVec(ctx, spec.PartitionBy, rel, sel, n)
-	if err != nil {
-		return table.Column{}, err
-	}
-	keyCols := make([]table.Column, len(spec.OrderBy))
-	for k, o := range spec.OrderBy {
-		col, err := evalVec(o.Expr, rel, sel)
+	var perm, ends []int
+	if len(spec.PartitionBy) == 0 {
+		perm, ends = iotaInts(n), []int{n}
+	} else {
+		keyCols, err := evalVecs(spec.PartitionBy, rel, sel)
 		if err != nil {
 			return table.Column{}, err
 		}
-		keyCols[k] = col
+		if perm, ends, err = partitionPerm(ctx, keyCols, n); err != nil {
+			return table.Column{}, err
+		}
 	}
+	orderBy := make([]Expr, len(spec.OrderBy))
+	for k, o := range spec.OrderBy {
+		orderBy[k] = o.Expr
+	}
+	keyCols, err := evalVecs(orderBy, rel, sel)
+	if err != nil {
+		return table.Column{}, err
+	}
+	// The keyset's (key, position) order is the stable boxed order the
+	// scalar reference sorts by: equal values encode to equal bytes.
+	sortSegment, peers := func([]int) {}, func(a, b int) bool { return true }
+	if len(spec.OrderBy) > 0 {
+		sortSegment = func(seg []int) { boxedSortSegment(keyCols, spec.OrderBy, seg) }
+		peers = func(a, b int) bool { return boxedCompare(keyCols, spec.OrderBy, a, b) == 0 }
+		if specs, ok := sortKeySpecs(keyCols, spec.OrderBy); ok {
+			ks := buildKeyset(specs, 0, n)
+			sortSegment = ks.sortSegment
+			peers = func(a, b int) bool { return bytes.Equal(ks.key(a), ks.key(b)) }
+		}
+	}
+	kind := table.KindInt           // ROW_NUMBER, RANK, DENSE_RANK and COUNT
 	var argAt func(int) table.Value // none for COUNT(*) and the ranking functions
 	if !fn.IsStar && len(fn.Args) == 1 {
 		argCol, err := evalVec(fn.Args[0], rel, sel)
 		if err != nil {
 			return table.Column{}, err
 		}
-		argAt = func(pos int) table.Value { return argCol.Value(pos) }
+		argAt = argCol.Value
+		switch fn.Name {
+		case "SUM", "AVG":
+			kind = table.KindFloat
+		case "MIN", "MAX":
+			kind = argCol.Kind
+		}
 	}
-	sortPart, peers := windowSorter(keyCols, spec.OrderBy, n)
-	vals := make([]table.Value, n)
-	for _, part := range parts {
-		sorted := sortPart(part)
-		if err := computeWindowValues(fn, sorted, peerGroupEnds(sorted, peers), argAt, vals); err != nil {
+	out := constColumn(table.Value{Kind: kind}, n) // every cell is set below
+	lo := 0
+	for _, hi := range ends {
+		if err := ctx.Err(); err != nil {
 			return table.Column{}, err
 		}
-	}
-	return columnOfValues(vals), nil
-}
-
-// windowPartitionsVec partitions selection positions 0..n-1 by the
-// PARTITION BY keys in first-appearance order. Window columns are
-// positional, so partitionRows' position lists are the rows themselves.
-func windowPartitionsVec(ctx context.Context, exprs []Expr, rel *vrel, sel *table.Selection, n int) ([][]int, error) {
-	if len(exprs) == 0 {
-		if n == 0 {
-			return nil, nil
+		seg := perm[lo:hi]
+		sortSegment(seg)
+		if err := computeWindowValues(ctx, fn, seg, peerGroupEnds(seg, peers), argAt, out.Set); err != nil {
+			return table.Column{}, err
 		}
-		return [][]int{iotaInts(n)}, nil
+		lo = hi
 	}
-	keyCols := make([]table.Column, len(exprs))
-	for i, e := range exprs {
-		col, err := evalVec(e, rel, sel)
-		if err != nil {
-			return nil, err
-		}
-		keyCols[i] = col
-	}
-	return partitionRows(ctx, keyCols, n)
-}
-
-// windowSorter returns the partition sorter and the peer predicate for
-// the ORDER BY keys (positions are selection positions). When every key
-// column has a memcmp encoding, keys for all positions are encoded once
-// and partitions sort through the sort-key kernel's (key, position)
-// comparator — which equals the stable boxed order, since equal values
-// encode to equal bytes. Otherwise the boxed stable sort runs, the same
-// algorithm and comparator as the scalar reference.
-func windowSorter(keyCols []table.Column, order []OrderItem, n int) (func([]int) []int, func(a, b int) bool) {
-	if len(order) == 0 {
-		return func(part []int) []int { return part },
-			func(a, b int) bool { return true }
-	}
-	sortSegment := func(seg []int) { boxedSortSegment(keyCols, order, seg) }
-	peers := func(a, b int) bool { return boxedCompare(keyCols, order, a, b) == 0 }
-	if specs, ok := sortKeySpecs(keyCols, order); ok {
-		ks := buildKeyset(specs, 0, n)
-		sortSegment = ks.sortSegment
-		peers = func(a, b int) bool { return bytes.Equal(ks.key(a), ks.key(b)) }
-	}
-	return func(part []int) []int {
-		sorted := append([]int(nil), part...)
-		sortSegment(sorted)
-		return sorted
-	}, peers
+	return retype(out), nil
 }
