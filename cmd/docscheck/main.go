@@ -92,6 +92,11 @@ var guards = []guard{
 		nil,
 		"window partitions are segments of one permutation, partitionPerm's, sorted in place",
 	},
+	{
+		regexp.MustCompile(`keyset|buildKeyset|sortKeySpecs|boxedSortSegment|boxedSortPerm|BuildSortKeys|AppendRowSortKey|FixedSortKeyWidth`),
+		nil,
+		"ORDER BY compares typed cells through rowOrder's one comparator; no key is encoded per row",
+	},
 }
 
 // linkRe matches inline markdown links [text](target); images ![...](...)

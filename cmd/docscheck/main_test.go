@@ -87,6 +87,7 @@ func TestGuardsFire(t *testing.T) {
 		"	pairs, err := loopJoinPairs(ctx, left, right, on, kind)",
 		`	case "+", "-", "*", "/", "%":`,
 		"	parts, err := partitionRows(ctx, keyCols, n)",
+		"	ks := buildKeyset(specs, lo, hi)",
 	}
 	if len(planted) != len(guards) {
 		t.Fatalf("%d planted lines for %d guards", len(planted), len(guards))

@@ -25,10 +25,11 @@
 // table.Selection (range spans or dense indices) instead of copying rows;
 // joins run the parallel selection-aware pair pipeline in join.go;
 // grouping gives every selected row its group's id and folds each
-// aggregate by id (vgroups); ORDER BY runs the typed memcmp sort kernel
-// in sort.go. Every execution ends as one Result over output columns and
-// a selection of their rows: DISTINCT keeps the first row of each
-// groupKeys group, and OFFSET/LIMIT drop and truncate the selection.
+// aggregate by id (vgroups); ORDER BY sorts positions by one comparator
+// over the typed key columns (rowOrder in sort.go). Every execution ends
+// as one Result over output columns and a selection of their rows:
+// DISTINCT keeps the first row of each groupKeys group, and OFFSET/LIMIT
+// drop and truncate the selection.
 // Large inputs partition across a
 // process-wide bounded worker pool (parallel.go) shared by every
 // concurrent query. Expressions have one evaluator, evalVec (vector.go):

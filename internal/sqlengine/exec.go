@@ -460,8 +460,8 @@ func evalVecs(exprs []Expr, rel *vrel, sel *table.Selection) ([]table.Column, er
 
 // orderOutput orders the output columns by the ORDER BY key columns (one
 // key per output row) — the plain and grouped projections' shared step
-// before finish. sortPerm and topKPerm choose between the memcmp kernel and
-// the boxed fallback from what the key columns hold.
+// before finish. sortPerm and topKPerm order positions by rowOrder's
+// comparator over the key columns.
 func orderOutput(ctx context.Context, p *plan, x *execArgs, outCols, keyCols []table.Column) ([]table.Column, error) {
 	if len(p.order) == 0 {
 		return outCols, nil

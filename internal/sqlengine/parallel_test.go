@@ -69,8 +69,9 @@ func TestParallelChunksContainsPanic(t *testing.T) {
 	}
 
 	// The parallel sort has no error of its own to report, so it used to
-	// drop the pool's: a key spec with no column panics in every chunk.
-	if _, err := parallelSortPerm(context.Background(), []table.SortKeySpec{{}}, n); err == nil {
-		t.Error("parallel sort over a column-less key spec returned no error")
+	// drop the pool's: a comparator that panics does so in every chunk.
+	panicking := func(a, b int) int { panic("boom in comparator") }
+	if _, err := parallelSortPerm(context.Background(), panicking, n); err == nil {
+		t.Error("parallel sort over a panicking comparator returned no error")
 	}
 }

@@ -1,219 +1,215 @@
 package sqlengine
 
 import (
-	"bytes"
 	"context"
 	"math"
+	"slices"
 	"sort"
+	"time"
 
 	"datalab/internal/table"
 )
 
-// Typed ORDER BY kernel. The key columns are encoded once into memcmp-
-// ordered byte keys (internal/table/sortkey.go) and the row permutation is
-// sorted by comparing key bytes — no per-comparison Value boxing. Three
-// strategies, picked by shape:
+// ORDER BY kernel. rowOrder turns the key columns into one comparator over
+// positions, decided once per key column rather than per row: a typed
+// closure over the storage of an int, float, string, time or bool column,
+// and table.Compare on boxed Values for an all-NULL or boxed column. Every
+// ordering consumer runs through it:
 //
-//   - full sort: encode all keys, pdqsort the permutation with a
-//     (key, position) comparator. The position tie-break makes the order
-//     total, so the unstable sort.Slice yields exactly the stable order.
-//   - large full sort (n >= 2*parallelMinRows): partition positions into
-//     contiguous chunks on the shared worker pool, encode + sort each
-//     chunk independently, then k-way merge the sorted chunks through a
-//     small loser-heap. Chunk-local key buffers keep encoding parallel
-//     and false-sharing-free.
-//   - ORDER BY ... LIMIT k OFFSET m: a bounded max-heap retains the first
-//     k+m rows of the stable order, so a 100k-row scan with LIMIT 10
-//     never sorts 100k entries. Rows are encoded into a reused scratch
-//     buffer and only copied into the heap when they beat the current
-//     worst retained row.
+//   - sortPerm: the stable permutation. Contiguous chunks of at least
+//     parallelMinRows positions sort on the shared worker pool, and a k-way
+//     merge joins them (one chunk, below 2*parallelMinRows, sorts inline).
+//   - topKPerm: ORDER BY ... LIMIT k OFFSET m keeps the first k+m rows of
+//     the stable order in a bounded max-heap of row numbers, so a 100k-row
+//     scan with LIMIT 10 never sorts 100k entries.
+//   - the window segment sort and its peer test (window.go).
 //
-// Mixed-kind (boxed) key columns have no memcmp encoding; those fall back
-// to the boxed comparator paths at the bottom of this file, which preserve
-// the scalar reference semantics bit-for-bit (the differential fuzz
-// harness checks both routes).
+// A total order sorts with pdqsort and a position tie-break, which yields
+// exactly the stable order. table.Compare makes NaN equal to every value,
+// which is no order at all; keys holding one, and boxed keys, run
+// sort.SliceStable over the same comparator instead. That is the scalar
+// reference's algorithm with the same per-pair results, so the two make the
+// same comparison sequence and agree.
 
-// sortKeySpecs resolves the ORDER BY columns to encoder specs; ok=false
-// when any key column has no memcmp encoding: boxed mixed-kind storage,
-// or a float column containing NaN. table.Compare treats NaN as equal to
-// every value (it is not a total order), so no byte encoding can
-// reproduce it — NaN keys must run the reference algorithm itself.
-func sortKeySpecs(keyCols []table.Column, order []OrderItem) ([]table.SortKeySpec, bool) {
-	specs := make([]table.SortKeySpec, len(order))
+// rowOrder returns the ORDER BY comparator over positions of the key
+// columns: negative when a sorts before b, zero when they are peers on
+// every key — there is no position tie-break. Each key compares as
+// table.Compare does, negated for DESC, so NULLs sort first ascending and
+// last descending. total is false when a key column is boxed or is a float
+// column holding a NaN.
+func rowOrder(keyCols []table.Column, order []OrderItem) (cmp func(a, b int) int, total bool) {
+	total = true
+	keys := make([]func(a, b int) int, len(order))
 	for i := range order {
-		if !table.CanEncodeSortKey(&keyCols[i]) {
-			return nil, false
+		sign := 1
+		if order[i].Desc {
+			sign = -1
 		}
-		if fs, nulls, ok := keyCols[i].Floats(); ok {
-			for j, f := range fs {
-				if !nulls[j] && math.IsNaN(f) {
-					return nil, false
+		c := &keyCols[i]
+		if vs, nulls, ok := c.Ints(); ok {
+			keys[i] = cellOrder(vs, nulls, sign)
+		} else if vs, nulls, ok := c.Floats(); ok {
+			keys[i] = cellOrder(vs, nulls, sign)
+			for j, f := range vs {
+				if math.IsNaN(f) && !nulls[j] {
+					total = false
+					break
 				}
 			}
+		} else if vs, nulls, ok := c.Strings(); ok {
+			keys[i] = cellOrder(vs, nulls, sign)
+		} else if vs, nulls, ok := c.Times(); ok {
+			keys[i] = timeOrder(vs, nulls, sign)
+		} else if vs, nulls, ok := c.Bools(); ok {
+			keys[i] = boolOrder(vs, nulls, sign)
+		} else {
+			total = total && c.IsTyped()
+			keys[i] = func(a, b int) int { return sign * table.Compare(c.Value(a), c.Value(b)) }
 		}
-		specs[i] = table.SortKeySpec{Col: &keyCols[i], Desc: order[i].Desc}
 	}
-	return specs, true
-}
-
-// keyset holds the encoded sort keys of positions [lo, hi). Fixed-width
-// composite keys (no string key columns) are addressed by stride; variable
-// keys through an offsets slice.
-type keyset struct {
-	lo   int
-	buf  []byte
-	offs []int // nil when fixed-width
-	w    int   // stride when offs == nil
-}
-
-func buildKeyset(specs []table.SortKeySpec, lo, hi int) keyset {
-	if w := table.FixedSortKeyWidth(specs); w > 0 {
-		return keyset{lo: lo, buf: table.BuildFixedSortKeys(specs, lo, hi, w), w: w}
+	if len(keys) == 1 {
+		return keys[0], total
 	}
-	buf, offs := table.BuildSortKeys(specs, lo, hi)
-	return keyset{lo: lo, buf: buf, offs: offs}
-}
-
-// key returns the encoded key of absolute position pos.
-func (ks *keyset) key(pos int) []byte {
-	i := pos - ks.lo
-	if ks.offs == nil {
-		return ks.buf[i*ks.w : (i+1)*ks.w]
-	}
-	return ks.buf[ks.offs[i]:ks.offs[i+1]]
-}
-
-// sortSegment sorts one contiguous permutation segment by (key, position);
-// the position tie-break totalizes the order, making the unstable pdqsort
-// produce exactly the stable result.
-func (ks *keyset) sortSegment(seg []int) {
-	sort.Slice(seg, func(a, b int) bool {
-		pa, pb := seg[a], seg[b]
-		c := bytes.Compare(ks.key(pa), ks.key(pb))
-		if c != 0 {
-			return c < 0
+	return func(a, b int) int {
+		for _, key := range keys {
+			if c := key(a, b); c != 0 {
+				return c
+			}
 		}
-		return pa < pb
+		return 0
+	}, total
+}
+
+// cellOrder is table.Compare over one typed column's cells, times sign:
+// NULL before every value, then table.ThreeWay's order, written out
+// because the generic call is not inlined here: it took 12 % of the CPU
+// of a top-K and a window statement.
+func cellOrder[T int64 | float64 | string](vs []T, nulls []bool, sign int) func(a, b int) int {
+	return func(a, b int) int {
+		if nulls[a] || nulls[b] {
+			return sign * nullOrder(nulls[a], nulls[b])
+		}
+		switch x, y := vs[a], vs[b]; {
+		case x < y:
+			return -sign
+		case x > y:
+			return sign
+		}
+		return 0
+	}
+}
+
+// timeOrder is cellOrder for a time column: instants compare
+// chronologically. Through table.Compare, boxing both cells per
+// comparison made a 100k-row time sort 2.8 times slower.
+func timeOrder(vs []time.Time, nulls []bool, sign int) func(a, b int) int {
+	return func(a, b int) int {
+		if nulls[a] || nulls[b] {
+			return sign * nullOrder(nulls[a], nulls[b])
+		}
+		return sign * vs[a].Compare(vs[b])
+	}
+}
+
+// boolOrder is cellOrder for a bool column: false before true.
+func boolOrder(vs []bool, nulls []bool, sign int) func(a, b int) int {
+	return func(a, b int) int {
+		if nulls[a] || nulls[b] {
+			return sign * nullOrder(nulls[a], nulls[b])
+		}
+		return sign * nullOrder(!vs[a], !vs[b])
+	}
+}
+
+// nullOrder orders two cells by whether they are NULL: a NULL before a
+// value, two of a kind equal.
+func nullOrder(na, nb bool) int {
+	switch {
+	case na == nb:
+		return 0
+	case na:
+		return -1
+	}
+	return 1
+}
+
+// sortRows sorts the positions in seg by cmp into the stable order: pdqsort
+// with a position tie-break when the order is total, sort.SliceStable
+// otherwise (see the file comment).
+func sortRows(seg []int, cmp func(a, b int) int, total bool) {
+	if !total {
+		sort.SliceStable(seg, func(i, j int) bool { return cmp(seg[i], seg[j]) < 0 })
+		return
+	}
+	slices.SortFunc(seg, func(a, b int) int {
+		if c := cmp(a, b); c != 0 {
+			return c
+		}
+		return a - b
 	})
+}
+
+// precedes is cmp's total order with the position tie-break: whether row a
+// comes before row b in the stable order.
+func precedes(cmp func(a, b int) int, a, b int) bool {
+	c := cmp(a, b)
+	return c < 0 || c == 0 && a < b
 }
 
 // sortPerm returns the stable row permutation ordering the key columns.
 func sortPerm(ctx context.Context, keyCols []table.Column, order []OrderItem, n int) ([]int, error) {
-	specs, ok := sortKeySpecs(keyCols, order)
-	if !ok {
-		return boxedSortPerm(keyCols, order, n), nil
+	cmp, total := rowOrder(keyCols, order)
+	if !total {
+		perm := iotaInts(n)
+		sortRows(perm, cmp, false)
+		return perm, nil
 	}
-	return parallelSortPerm(ctx, specs, n)
+	return parallelSortPerm(ctx, cmp, n)
 }
 
 // parallelSortPerm sorts the permutation chunk-at-a-time on the worker
-// pool and k-way merges the sorted chunks; below 2*parallelMinRows rows
-// there is one chunk, sorted inline, and nothing to merge. The error is
-// the pool's: a chunk skipped on cancellation, or a panic it contained.
-func parallelSortPerm(ctx context.Context, specs []table.SortKeySpec, n int) ([]int, error) {
+// pool under the total order cmp and k-way merges the sorted chunks; below
+// 2*parallelMinRows rows there is one chunk, sorted inline, and nothing to
+// merge. The error is the pool's: a chunk skipped on cancellation, or a
+// panic it contained.
+func parallelSortPerm(ctx context.Context, cmp func(a, b int) int, n int) ([]int, error) {
 	_, count := chunkLayout(n, parallelMinRows)
 	perm := iotaInts(n)
-	keysets := make([]keyset, count)
-	bounds := make([][2]int, count)
+	chunks := make([][]int, count)
 	err := parallelChunksIndexed(ctx, n, parallelMinRows, func(ci, lo, hi int) error {
-		keysets[ci] = buildKeyset(specs, lo, hi)
-		bounds[ci] = [2]int{lo, hi}
-		keysets[ci].sortSegment(perm[lo:hi])
+		chunks[ci] = perm[lo:hi]
+		sortRows(chunks[ci], cmp, true)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	// Merge cursors, one per sorted chunk, ordered by (key, position).
-	cursors := make([]mergeCursor, 0, count)
-	for ci := range keysets {
-		if bounds[ci][1] > bounds[ci][0] {
-			cursors = append(cursors, mergeCursor{
-				seg: perm[bounds[ci][0]:bounds[ci][1]],
-				ks:  &keysets[ci],
-			})
-		}
-	}
-	if len(cursors) <= 1 {
+	if count <= 1 {
 		return perm, nil
 	}
-	out := make([]int, 0, n)
-	h := mergeHeap(cursors)
+	// Each chunk is a cursor: its head is the next row in sorted order.
+	h := rowHeap[[]int]{items: chunks, before: func(a, b []int) bool { return precedes(cmp, a[0], b[0]) }}
 	h.init()
-	for len(h) > 0 {
-		out = append(out, h[0].head())
-		if h[0].advance() {
-			h.siftDown(0)
+	out := make([]int, 0, n)
+	for len(h.items) > 0 {
+		top := h.items[0]
+		out = append(out, top[0])
+		if len(top) > 1 {
+			h.items[0] = top[1:]
 		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-			h.siftDown(0)
+			last := len(h.items) - 1
+			h.items[0] = h.items[last]
+			h.items = h.items[:last]
 		}
+		h.siftDown(0)
 	}
 	return out, nil
 }
 
-// mergeCursor walks one sorted chunk of the permutation. head is the next
-// position in sorted order; its key lives in the chunk-local keyset.
-type mergeCursor struct {
-	seg  []int // sorted chunk segment of the permutation
-	next int
-	ks   *keyset
-}
-
-func (c *mergeCursor) head() int { return c.seg[c.next] }
-
-func (c *mergeCursor) key() []byte { return c.ks.key(c.seg[c.next]) }
-
-// advance moves to the next element, reporting false when exhausted.
-func (c *mergeCursor) advance() bool {
-	c.next++
-	return c.next < len(c.seg)
-}
-
-// mergeHeap is a binary min-heap of cursors ordered by (key, position):
-// the position tie-break keeps the merged order identical to the stable
-// serial sort.
-type mergeHeap []mergeCursor
-
-func (h mergeHeap) less(a, b int) bool {
-	c := bytes.Compare(h[a].key(), h[b].key())
-	if c != 0 {
-		return c < 0
-	}
-	return h[a].head() < h[b].head()
-}
-
-func (h mergeHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
-func (h mergeHeap) siftDown(i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		small := l
-		if r := l + 1; r < len(h) && h.less(r, l) {
-			small = r
-		}
-		if !h.less(small, i) {
-			return
-		}
-		h[small], h[i] = h[i], h[small]
-		i = small
-	}
-}
-
 // topKPerm returns the first k entries of the stable sort permutation: the
 // rows ORDER BY ... LIMIT/OFFSET can reach, without sorting the rest. A
-// bounded max-heap (worst retained row at the root) scans the n rows once;
-// each row's key is encoded into a reused scratch buffer and copied only
-// when it displaces the root.
+// bounded max-heap of row numbers (the worst retained row at the root)
+// scans the n rows once.
 func topKPerm(ctx context.Context, keyCols []table.Column, order []OrderItem, n, k int) ([]int, error) {
 	if k <= 0 {
 		return []int{}, nil
@@ -221,130 +217,57 @@ func topKPerm(ctx context.Context, keyCols []table.Column, order []OrderItem, n,
 	if k >= n {
 		return sortPerm(ctx, keyCols, order, n)
 	}
-	specs, ok := sortKeySpecs(keyCols, order)
-	if !ok {
-		// Keys with no memcmp encoding take the prefix of the full boxed
-		// sort rather than a bounded heap: with NaN keys the comparator is
-		// not a total order, and a heap's selection can diverge from what
-		// a stable sort would have kept — the sort's prefix cannot.
-		return boxedSortPerm(keyCols, order, n)[:k], nil
+	cmp, total := rowOrder(keyCols, order)
+	if !total {
+		// Without a total order a heap's selection can diverge from what
+		// a stable sort keeps; the sort's prefix cannot.
+		perm := iotaInts(n)
+		sortRows(perm, cmp, false)
+		return perm[:k], nil
 	}
-	h := topKHeap{rows: make([]int, k), keys: make([][]byte, k)}
-	h.worse = func(a, b int) bool {
-		c := bytes.Compare(h.keys[a], h.keys[b])
-		if c != 0 {
-			return c > 0
-		}
-		return h.rows[a] > h.rows[b]
-	}
-	// Seed the heap with the first k rows, their keys carved out of one
-	// arena encoding (full-capacity subslices, so a longer replacement key
-	// reallocates its slot instead of clobbering a neighbour).
-	arena := buildKeyset(specs, 0, k)
-	for row := 0; row < k; row++ {
-		h.rows[row] = row
-		key := arena.key(row)
-		h.keys[row] = key[:len(key):len(key)]
-	}
-	h.heapify(k)
-	var scratch []byte
+	h := rowHeap[int]{items: iotaInts(k), before: func(a, b int) bool { return precedes(cmp, b, a) }}
+	h.init()
 	for row := k; row < n; row++ {
-		scratch = table.AppendRowSortKey(scratch[:0], specs, row)
-		// Ties keep the earlier row (stability), and row > rows[0] always
-		// holds here, so only strictly smaller keys displace the root.
-		if bytes.Compare(scratch, h.keys[0]) >= 0 {
-			continue
+		// Ties keep the earlier row (stability), and row is after every
+		// retained row, so only a strictly smaller key displaces the root.
+		if cmp(row, h.items[0]) < 0 {
+			h.items[0] = row
+			h.siftDown(0)
 		}
-		h.keys[0] = append(h.keys[0][:0], scratch...)
-		h.rows[0] = row
-		h.siftDown(0, k)
 	}
-	h.sortAscending(k)
-	return h.rows, nil
+	sortRows(h.items, cmp, true)
+	return h.items, nil
 }
 
-// topKHeap is a bounded binary max-heap over permutation slots: worse(a, b)
-// reports whether slot a's row sorts after slot b's, so the root is always
-// the worst retained row.
-type topKHeap struct {
-	rows  []int
-	keys  [][]byte
-	worse func(a, b int) bool
+// rowHeap is a binary heap whose root is the item no other item goes
+// before: the merge's chunk cursors by head row, and top-k's retained rows
+// with the worst first.
+type rowHeap[T any] struct {
+	items  []T
+	before func(a, b T) bool
 }
 
-func (h *topKHeap) swap(a, b int) {
-	h.rows[a], h.rows[b] = h.rows[b], h.rows[a]
-	h.keys[a], h.keys[b] = h.keys[b], h.keys[a]
-}
-
-func (h *topKHeap) heapify(n int) {
-	for i := n/2 - 1; i >= 0; i-- {
-		h.siftDown(i, n)
+func (h *rowHeap[T]) init() {
+	for i := len(h.items)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
 	}
 }
 
-func (h *topKHeap) siftDown(i, n int) {
+func (h *rowHeap[T]) siftDown(i int) {
+	items := h.items
 	for {
 		l := 2*i + 1
-		if l >= n {
+		if l >= len(items) {
 			return
 		}
-		big := l
-		if r := l + 1; r < n && h.worse(r, l) {
-			big = r
+		top := l
+		if r := l + 1; r < len(items) && h.before(items[r], items[l]) {
+			top = r
 		}
-		if !h.worse(big, i) {
+		if !h.before(items[top], items[i]) {
 			return
 		}
-		h.swap(big, i)
-		i = big
+		items[top], items[i] = items[i], items[top]
+		i = top
 	}
-}
-
-// sortAscending turns the heap into the ascending stable order in place
-// (classic heapsort finish: repeatedly move the worst row to the tail).
-func (h *topKHeap) sortAscending(n int) {
-	for i := n - 1; i > 0; i-- {
-		h.swap(0, i)
-		h.siftDown(0, i)
-	}
-}
-
-// boxedCompare is the vectorized side's one boxed ORDER BY comparator:
-// negative when position a sorts before position b under the ORDER BY
-// spec, zero when they are peers on every key. It has no position
-// tie-break — stability is the sorting algorithm's job.
-func boxedCompare(keyCols []table.Column, order []OrderItem, a, b int) int {
-	for k := range order {
-		c := table.Compare(keyCols[k].Value(a), keyCols[k].Value(b))
-		if c == 0 {
-			continue
-		}
-		if order[k].Desc {
-			return -c
-		}
-		return c
-	}
-	return 0
-}
-
-// boxedSortSegment is the pre-typed-kernel sort: it stable-sorts the
-// positions in seg by boxing each key cell per comparison. It must stay
-// sort.SliceStable over boxedCompare — the scalar reference sorts its rows
-// with the identical comparator and algorithm, so the two paths make the
-// same comparison sequence and agree even when NaN makes the comparator
-// non-transitive (where an unstable sort's result is unspecified and could
-// diverge).
-func boxedSortSegment(keyCols []table.Column, order []OrderItem, seg []int) {
-	sort.SliceStable(seg, func(a, b int) bool {
-		return boxedCompare(keyCols, order, seg[a], seg[b]) < 0
-	})
-}
-
-// boxedSortPerm is the full-input boxed sort: the stable permutation of
-// 0..n-1.
-func boxedSortPerm(keyCols []table.Column, order []OrderItem, n int) []int {
-	perm := iotaInts(n)
-	boxedSortSegment(keyCols, order, perm)
-	return perm
 }

@@ -5,47 +5,116 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"datalab/internal/table"
 )
 
-// randKeyColumns draws 1-3 typed key columns (with NULLs and heavy
-// duplication, so stability is actually exercised) plus matching order
-// specs. When mixed is true, one column is degraded to boxed storage to
-// route through the boxed fallback.
-func randKeyColumns(rng *rand.Rand, n int, mixed bool) ([]table.Column, []OrderItem) {
+// boxedCompare is the reference ORDER BY comparator: table.Compare on the
+// boxed cells, key by key, negated for DESC — negative when position a
+// sorts before position b, zero when they are peers on every key. The
+// scalar oracle sorts its rows by the same per-pair rule with
+// sort.SliceStable; rowOrder must agree with it on the sign of every pair.
+func boxedCompare(keyCols []table.Column, order []OrderItem, a, b int) int {
+	for k := range order {
+		c := table.Compare(keyCols[k].Value(a), keyCols[k].Value(b))
+		if c == 0 {
+			continue
+		}
+		if order[k].Desc {
+			return -c
+		}
+		return c
+	}
+	return 0
+}
+
+// referencePerm is the stable permutation of 0..n-1 under boxedCompare, by
+// the scalar oracle's algorithm.
+func referencePerm(keyCols []table.Column, order []OrderItem, n int) []int {
+	perm := iotaInts(n)
+	sort.SliceStable(perm, func(i, j int) bool { return boxedCompare(keyCols, order, perm[i], perm[j]) < 0 })
+	return perm
+}
+
+// codedStrings is a published 4,096-row string column, so it carries
+// dictionary codes; randKeyColumns gathers coded key columns from it.
+var codedStrings = sync.OnceValue(func() table.Column {
+	pool := []string{"a", "a\x00", "a\x00b", "", "b", "ab"}
+	vals := make([]string, parallelMinRows)
+	nulls := make([]bool, parallelMinRows)
+	for i := range vals {
+		vals[i] = pool[i*7%len(pool)]
+		nulls[i] = i%11 == 0
+	}
+	app := table.NewAppender(&table.Table{Name: "k", Columns: []table.Column{table.ColumnFromStrings("k", vals, nulls)}})
+	return app.Snapshot().Table().Columns[0]
+})
+
+// Key cell pools, small so that duplicates are frequent and stability is
+// actually exercised. The floats include -0 and +0, which compare equal;
+// the strings embedded NULs and shared prefixes; the times sub-second
+// steps, instants before 1970 and one instant in two zones.
+var (
+	keyInts    = []int64{-3, 0, 1, 2, 4, math.MaxInt64, math.MinInt64}
+	keyFloats  = []float64{math.Copysign(0, -1), 0, 0.5, -1.5, 2, math.Inf(1)}
+	keyStrings = []string{"a", "a\x00", "a\x00b", "", "ab", "z", "\x00"}
+	keyTimes   = []time.Time{
+		time.Date(1969, 12, 31, 23, 59, 59, 999_999_999, time.UTC),
+		time.Date(1969, 12, 31, 23, 59, 59, 0, time.UTC),
+		time.Date(1950, 6, 1, 12, 0, 0, 500_000_000, time.UTC),
+		time.Date(2024, 3, 1, 10, 0, 0, 1, time.UTC),
+		time.Date(2024, 3, 1, 10, 0, 0, 0, time.UTC),
+		time.Date(2024, 3, 1, 11, 0, 0, 0, time.FixedZone("CET", 3600)), // = 10:00 UTC
+	}
+)
+
+// keyKinds are the key column shapes randKeyColumns draws: one per typed
+// kind, an all-NULL KindNull column, and a dictionary-coded string column.
+var keyKinds = []string{"int", "float", "string", "bool", "time", "null", "coded"}
+
+// randKeyColumns draws 1-3 key columns of n rows (with NULLs and heavy
+// duplication) plus matching order specs. When nan is true, float columns
+// hold NaN cells too; when mixed is true, the first column is degraded to
+// boxed storage by one cell of a foreign kind.
+func randKeyColumns(rng *rand.Rand, n int, mixed, nan bool) ([]table.Column, []OrderItem) {
 	nk := 1 + rng.Intn(3)
 	cols := make([]table.Column, nk)
 	order := make([]OrderItem, nk)
 	for i := 0; i < nk; i++ {
-		kind := []table.Kind{table.KindInt, table.KindFloat, table.KindString, table.KindBool}[rng.Intn(4)]
-		c := table.NewColumn(fmt.Sprintf("k%d", i), kind)
-		for r := 0; r < n; r++ {
-			if rng.Intn(7) == 0 {
-				c.AppendNull()
-				continue
+		name := fmt.Sprintf("k%d", i)
+		var c table.Column
+		switch shape := keyKinds[rng.Intn(len(keyKinds))]; shape {
+		case "coded":
+			src := codedStrings()
+			idx := make([]int, n)
+			for r := range idx {
+				idx[r] = rng.Intn(src.Len())
 			}
-			switch kind {
-			case table.KindInt:
-				c.Append(table.Int(int64(rng.Intn(5))))
-			case table.KindFloat:
-				c.Append(table.Float(float64(rng.Intn(8)) / 2))
-			case table.KindString:
-				c.Append(table.Str([]string{"a", "b", "ab", "", "z"}[rng.Intn(5)]))
-			case table.KindBool:
-				c.Append(table.Bool(rng.Intn(2) == 0))
+			c = src.Gather(idx, nil)
+		case "null":
+			c = table.NewColumn(name, table.KindNull)
+			for r := 0; r < n; r++ {
+				c.AppendNull()
+			}
+		default:
+			kind := map[string]table.Kind{"int": table.KindInt, "float": table.KindFloat,
+				"string": table.KindString, "bool": table.KindBool, "time": table.KindTime}[shape]
+			c = table.NewColumn(name, kind)
+			for r := 0; r < n; r++ {
+				c.Append(randKeyCell(rng, kind, nan))
 			}
 		}
 		if mixed && i == 0 && n > 0 {
-			// Overwrite one cell with a kind-mismatched value so the column
-			// degrades to boxed storage and the fallback path runs.
-			if kind == table.KindString {
-				c.Set(rng.Intn(n), table.Int(99))
-			} else {
-				c.Set(rng.Intn(n), table.Str("boxed"))
+			foreign := table.Str("boxed")
+			if c.Kind == table.KindString {
+				foreign = table.Int(99)
 			}
+			c.Set(rng.Intn(n), foreign)
 		}
 		cols[i] = c
 		order[i] = OrderItem{Desc: rng.Intn(2) == 0}
@@ -53,8 +122,141 @@ func randKeyColumns(rng *rand.Rand, n int, mixed bool) ([]table.Column, []OrderI
 	return cols, order
 }
 
+// randKeyCell draws one cell of kind from the key pools, NULL one time in
+// seven and, when nan is true, a float NaN one time in six.
+func randKeyCell(rng *rand.Rand, kind table.Kind, nan bool) table.Value {
+	if rng.Intn(7) == 0 {
+		return table.Null()
+	}
+	switch kind {
+	case table.KindInt:
+		return table.Int(keyInts[rng.Intn(len(keyInts))])
+	case table.KindFloat:
+		if nan && rng.Intn(6) == 0 {
+			return table.Float(math.NaN())
+		}
+		return table.Float(keyFloats[rng.Intn(len(keyFloats))])
+	case table.KindString:
+		return table.Str(keyStrings[rng.Intn(len(keyStrings))])
+	case table.KindBool:
+		return table.Bool(rng.Intn(2) == 0)
+	default:
+		return table.Time(keyTimes[rng.Intn(len(keyTimes))])
+	}
+}
+
+// sign collapses a comparison result to -1, 0 or +1.
+func sign(c int) int {
+	switch {
+	case c < 0:
+		return -1
+	case c > 0:
+		return 1
+	}
+	return 0
+}
+
+// orderIsTotal is rowOrder's total, decided from the boxed cells: false
+// exactly when a key column is boxed or holds a float NaN.
+func orderIsTotal(cols []table.Column) bool {
+	for i := range cols {
+		if !cols[i].IsTyped() {
+			return false
+		}
+		for r := 0; r < cols[i].Len(); r++ {
+			if v := cols[i].Value(r); v.Kind == table.KindFloat && math.IsNaN(v.F) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkRowOrder checks rowOrder over the n-row key columns against the
+// reference on every pair of positions: the sign of cmp, and total.
+func checkRowOrder(t testing.TB, cols []table.Column, order []OrderItem, n int) {
+	t.Helper()
+	cmp, total := rowOrder(cols, order)
+	if want := orderIsTotal(cols); total != want {
+		t.Fatalf("total = %v, want %v", total, want)
+	}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			if got, want := sign(cmp(a, b)), sign(boxedCompare(cols, order, a, b)); got != want {
+				t.Fatalf("cmp(%d, %d) = %d, reference %d: %v vs %v (order %v)",
+					a, b, got, want, rowValues(cols, a), rowValues(cols, b), order)
+			}
+		}
+	}
+}
+
+// checkSortPerm checks that sortPerm is the reference's stable order and
+// topKPerm(k) its prefix, for each bound in ks.
+func checkSortPerm(t testing.TB, cols []table.Column, order []OrderItem, n int, ks []int) {
+	t.Helper()
+	want := referencePerm(cols, order, n)
+	perm, err := sortPerm(context.Background(), cols, order, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(perm, want) {
+		t.Fatalf("sortPerm %v, stable order %v", perm, want)
+	}
+	for _, k := range ks {
+		got, err := topKPerm(context.Background(), cols, order, n, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := want[:min(max(k, 0), n)]; !slices.Equal(got, w) {
+			t.Fatalf("topKPerm(%d) of %d = %v, want %v", k, n, got, w)
+		}
+	}
+}
+
+// rowValues is row r of the key columns, for failure messages.
+func rowValues(cols []table.Column, r int) []table.Value {
+	row := make([]table.Value, len(cols))
+	for i := range cols {
+		row[i] = cols[i].Value(r)
+	}
+	return row
+}
+
+// TestRowOrderMatchesCompare is the comparator's property: for every pair
+// of positions the sign of rowOrder's cmp is the boxed reference's, and
+// total is false exactly for boxed or NaN-bearing keys, over every key
+// shape randKeyColumns draws — a coded string column included.
+func TestRowOrderMatchesCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sawCoded := false
+	for trial := 0; trial < 400; trial++ {
+		n := rng.Intn(60)
+		cols, order := randKeyColumns(rng, n, trial%5 == 4, trial%3 == 2)
+		for i := range cols {
+			sawCoded = sawCoded || coded(cols[i])
+		}
+		checkRowOrder(t, cols, order, n)
+	}
+	if !sawCoded {
+		t.Fatal("no trial drew a coded key column")
+	}
+}
+
+// TestSortPermMatchesBoxedReference cross-checks sortPerm against the
+// reference stable sort on randomized keys, and topKPerm against the
+// prefix of the full sort for random bounds (including 0, 1, n-1).
+func TestSortPermMatchesBoxedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(200)
+		cols, order := randKeyColumns(rng, n, trial%5 == 4, trial%3 == 2)
+		checkSortPerm(t, cols, order, n, []int{0, 1, n / 2, n - 1, n, n + 3})
+	}
+}
+
 // permIsStableSorted checks that perm orders rows by the boxed reference
-// comparator with ascending-position ties, i.e. exactly the stable order.
+// comparator with ascending-position ties, i.e. exactly the stable order
+// of a total order.
 func permIsStableSorted(t *testing.T, cols []table.Column, order []OrderItem, perm []int) {
 	t.Helper()
 	for i := 1; i < len(perm); i++ {
@@ -65,64 +267,22 @@ func permIsStableSorted(t *testing.T, cols []table.Column, order []OrderItem, pe
 	}
 }
 
-// TestSortPermMatchesBoxedReference cross-checks the typed kernel against
-// the boxed reference comparator on randomized keys, and topKPerm against
-// the prefix of the full sort for random bounds (including 0, 1, n-1).
-func TestSortPermMatchesBoxedReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 300; trial++ {
-		n := rng.Intn(200)
-		mixed := trial%5 == 4
-		cols, order := randKeyColumns(rng, n, mixed)
-		perm, err := sortPerm(context.Background(), cols, order, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(perm) != n {
-			t.Fatalf("perm length %d, want %d", len(perm), n)
-		}
-		permIsStableSorted(t, cols, order, perm)
-		for _, k := range []int{0, 1, n / 2, n - 1, n, n + 3} {
-			if k < 0 {
-				continue
-			}
-			got, err := topKPerm(context.Background(), cols, order, n, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := perm
-			if k < n {
-				want = perm[:k]
-			}
-			if len(got) != len(want) {
-				t.Fatalf("topK(%d) of %d: length %d, want %d", k, n, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("topK(%d) of %d diverges at %d: %d vs %d (mixed=%v)",
-						k, n, i, got[i], want[i], mixed)
-				}
-			}
-		}
-	}
-}
-
 // TestParallelSortPermStable crosses the 2*parallelMinRows threshold so
 // the chunked sort + k-way merge path runs, and checks it reproduces the
 // stable serial order on duplicate-heavy keys. CI runs this under -race,
-// which doubles as the data-race check on the chunk-local key buffers.
+// which doubles as the data-race check on the shared permutation.
 func TestParallelSortPermStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large sort")
 	}
 	rng := rand.New(rand.NewSource(10))
 	n := 2*parallelMinRows + 5000
-	cols, order := randKeyColumns(rng, n, false)
-	specs, ok := sortKeySpecs(cols, order)
-	if !ok {
-		t.Fatal("expected encodable key columns")
+	cols, order := randKeyColumns(rng, n, false, false)
+	cmp, total := rowOrder(cols, order)
+	if !total {
+		t.Fatal("expected a total order")
 	}
-	got, err := parallelSortPerm(context.Background(), specs, n)
+	got, err := parallelSortPerm(context.Background(), cmp, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,19 +292,114 @@ func TestParallelSortPermStable(t *testing.T) {
 	permIsStableSorted(t, cols, order, got)
 
 	// Concurrent large sorts contend for the shared worker pool; under
-	// -race this stresses pool handoff and the per-chunk buffers.
+	// -race this stresses pool handoff and the shared comparator.
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			perm, err := parallelSortPerm(context.Background(), specs, n)
-			if err != nil || len(perm) != n {
-				t.Errorf("concurrent perm length %d, err %v, want %d", len(perm), err, n)
+			perm, err := parallelSortPerm(context.Background(), cmp, n)
+			if err != nil || !slices.Equal(perm, got) {
+				t.Errorf("concurrent perm differs (err %v)", err)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// TestTopKAllocationPin: ORDER BY amount DESC, id LIMIT 20 allocates the
+// same bytes, within 10 %, over 5,000 and over 50,000 selected rows. The
+// comparator reads the key columns in place and the heap holds 20 row
+// numbers, so nothing is encoded or copied per row: a key kept per row
+// would grow the bytes with the selection.
+func TestTopKAllocationPin(t *testing.T) {
+	const rows = 60_000
+	ids := make([]int64, rows)
+	amounts := make([]float64, rows)
+	for i := range ids {
+		ids[i] = int64(i)
+		amounts[i] = float64(i*7919%10007) / 4
+	}
+	c := NewCatalog()
+	c.Register(&table.Table{Name: "facts", Columns: []table.Column{
+		table.ColumnFromInts("id", ids, nil),
+		table.ColumnFromFloats("amount", amounts, nil),
+	}})
+	read := func(selected int) float64 {
+		q := fmt.Sprintf("SELECT id, amount FROM facts WHERE id >= 1000 AND id < %d ORDER BY amount DESC, id LIMIT 20", 1000+selected)
+		return readBytes(t, c, q, 20, 20)
+	}
+	small, large := read(5_000), read(50_000)
+	if large > small*1.1 {
+		t.Errorf("top-20 over 50,000 rows allocates %.0f B, over 5,000 %.0f B: want within 10 %%", large, small)
+	}
+	t.Logf("top-20: %.0f B over 5,000 rows, %.0f B over 50,000", small, large)
+}
+
+// FuzzRowOrder builds one to three key columns from the fuzz bytes — each
+// int, float (NaN and -0 included), string, bool, time, all-NULL or boxed
+// mixed-kind — and checks rowOrder against the reference on every pair of
+// positions, sortPerm against the stable order and topKPerm(k) against its
+// prefix. Byte 0 holds the key count and the DESC bits, the next bytes one
+// shape per key and the bound k, the rest the cells row by row.
+func FuzzRowOrder(f *testing.F) {
+	f.Add([]byte{0x00, 0, 3, 9, 17, 0, 25, 9})
+	f.Add([]byte{0x06, 1, 6, 4, 8, 16, 9, 40, 0, 33, 16, 200, 57})
+	f.Add([]byte{0x1d, 2, 4, 5, 7, 13, 21, 0, 99, 41, 17, 0, 255, 3, 11, 19, 27})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nk := 1
+		if len(data) > 0 {
+			nk += int(data[0] % 3)
+		}
+		if len(data) < 2+nk {
+			return
+		}
+		head, shapes, kb, cells := data[0], data[1:1+nk], data[1+nk], data[2+nk:]
+		n := min(len(cells)/nk, 48)
+		cols := make([]table.Column, nk)
+		order := make([]OrderItem, nk)
+		for i := range cols {
+			shape := shapes[i] % 7
+			kind := []table.Kind{table.KindInt, table.KindFloat, table.KindString,
+				table.KindBool, table.KindTime, table.KindNull, table.KindInt}[shape]
+			vals := make([]table.Value, n)
+			for r := range vals {
+				if b := cells[r*nk+i]; shape == 6 {
+					vals[r] = fuzzCell([]table.Kind{table.KindInt, table.KindFloat, table.KindString}[b%3], b/3)
+				} else if kind != table.KindNull {
+					vals[r] = fuzzCell(kind, b)
+				}
+			}
+			cols[i] = table.ColumnOf(fmt.Sprintf("k%d", i), kind, vals)
+			order[i] = OrderItem{Desc: head>>(2+i)&1 == 1}
+		}
+		checkRowOrder(t, cols, order, n)
+		checkSortPerm(t, cols, order, n, []int{int(kb) % (n + 2)})
+	})
+}
+
+// fuzzCell is the key cell of kind byte b selects: NULL when b is a
+// multiple of 8, else a pool value — floats include NaN.
+func fuzzCell(kind table.Kind, b byte) table.Value {
+	if b%8 == 0 {
+		return table.Null()
+	}
+	i := int(b / 8)
+	switch kind {
+	case table.KindInt:
+		return table.Int(keyInts[i%len(keyInts)])
+	case table.KindFloat:
+		if i%(len(keyFloats)+1) == len(keyFloats) {
+			return table.Float(math.NaN())
+		}
+		return table.Float(keyFloats[i%(len(keyFloats)+1)])
+	case table.KindString:
+		return table.Str(keyStrings[i%len(keyStrings)])
+	case table.KindBool:
+		return table.Bool(i%2 == 1)
+	default:
+		return table.Time(keyTimes[i%len(keyTimes)])
+	}
 }
 
 // TestOrderByNaNKeysMatchScalar pins the NaN escape hatch: table.Compare

@@ -1,7 +1,6 @@
 package sqlengine
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
@@ -12,12 +11,12 @@ import (
 // up front — over the projection's selection, before any select item
 // evaluates — and evalVec reads it through vrel.win, by the slot the
 // resolver numbered the call with (plan.wins). Partitions are segments of
-// one permutation of the positions (partitionPerm), each sorted in place,
-// through the memcmp sort-key kernel (sortkey.go) when the ORDER BY keys
-// encode. The accumulation itself (computeWindowValues, folding through
-// aggAcc) is shared with the row-at-a-time oracle's window driver in the
-// package's test files, so float running sums are bit-identical and the
-// differential harness can compare results exactly.
+// one permutation of the positions (partitionPerm), each sorted in place
+// by the ORDER BY comparator (rowOrder, sort.go), which also decides which
+// rows are peers. The accumulation itself (computeWindowValues, folding
+// through aggAcc) is shared with the row-at-a-time oracle's window driver
+// in the package's test files, so float running sums are bit-identical and
+// the differential harness can compare results exactly.
 
 // collectWindowCalls appends every window call (FuncCall with an OVER
 // clause) in e to dst, deduplicated by node pointer. It does not descend
@@ -218,17 +217,11 @@ func vecWindowColumn(ctx context.Context, fn *FuncCall, rel *vrel, sel *table.Se
 	if err != nil {
 		return table.Column{}, err
 	}
-	// The keyset's (key, position) order is the stable boxed order the
-	// scalar reference sorts by: equal values encode to equal bytes.
 	sortSegment, peers := func([]int) {}, func(a, b int) bool { return true }
 	if len(spec.OrderBy) > 0 {
-		sortSegment = func(seg []int) { boxedSortSegment(keyCols, spec.OrderBy, seg) }
-		peers = func(a, b int) bool { return boxedCompare(keyCols, spec.OrderBy, a, b) == 0 }
-		if specs, ok := sortKeySpecs(keyCols, spec.OrderBy); ok {
-			ks := buildKeyset(specs, 0, n)
-			sortSegment = ks.sortSegment
-			peers = func(a, b int) bool { return bytes.Equal(ks.key(a), ks.key(b)) }
-		}
+		cmp, total := rowOrder(keyCols, spec.OrderBy)
+		sortSegment = func(seg []int) { sortRows(seg, cmp, total) }
+		peers = func(a, b int) bool { return cmp(a, b) == 0 }
 	}
 	kind := table.KindInt           // ROW_NUMBER, RANK, DENSE_RANK and COUNT
 	var argAt func(int) table.Value // none for COUNT(*) and the ranking functions

@@ -1,6 +1,9 @@
 package table
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // JoinKind selects the join semantics.
 type JoinKind uint8
@@ -256,21 +259,47 @@ func typedProbe[T comparable](lvals []T, lnulls []bool, rvals []T, rnulls []bool
 
 // appendEquiKey appends the exact hash key of row across the key columns
 // cols, each compared by = against the column at the same position of
-// other; ok is false when a cell is NULL, which matches nothing. An int
-// cell facing a float column encodes as the float64 = compares it as;
-// every other cell as its ascending sort key, which is exact per kind,
-// equates -0.0 with 0.0, and delimits itself, so concatenated cells cannot
-// run into each other.
+// other; ok is false when a cell is NULL, which matches nothing. A cell's
+// key equates exactly what = equates within an EquiHashable pair: an int
+// facing a float column keys as the float64 = compares it as, a float with
+// -0 as 0, a time as its instant, and a string after its length, so
+// concatenated cells cannot run into each other.
 func appendEquiKey(dst []byte, cols, other []*Column, row int) ([]byte, bool) {
 	for i, c := range cols {
-		switch {
-		case c.IsNullAt(row):
+		if c.IsNullAt(row) {
 			return dst, false
-		case c.Kind == KindInt && other[i].Kind == KindFloat:
-			dst = appendUint64Key(append(dst, sortKeyPresent), floatKeyBits(float64(c.ints[row])))
-		default:
-			dst = AppendSortKey(dst, c, row, false)
+		}
+		switch c.Kind {
+		case KindInt:
+			if other[i].Kind == KindFloat {
+				dst = appendFloatKey(dst, float64(c.ints[row]))
+			} else {
+				dst = binary.LittleEndian.AppendUint64(dst, uint64(c.ints[row]))
+			}
+		case KindFloat:
+			dst = appendFloatKey(dst, c.floats[row])
+		case KindString:
+			dst = append(binary.AppendUvarint(dst, uint64(len(c.strs[row]))), c.strs[row]...)
+		case KindBool:
+			b := byte(0)
+			if c.bools[row] {
+				b = 1
+			}
+			dst = append(dst, b)
+		case KindTime:
+			t := c.times[row]
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(t.Unix()))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(t.Nanosecond()))
 		}
 	}
 	return dst, true
+}
+
+// appendFloatKey appends f's bits, -0 canonicalized to 0 since = makes them
+// equal.
+func appendFloatKey(dst []byte, f float64) []byte {
+	if f == 0 {
+		f = 0
+	}
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 }

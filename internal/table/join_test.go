@@ -2,8 +2,10 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
+	"time"
 )
 
 // fillWindows builds the pair list of a probe of len(matches) rows split
@@ -142,5 +144,52 @@ func TestJoinPairsMergeInPlaceAllocatesNothing(t *testing.T) {
 	}
 	if want := 2 * n / 3; p.Len() < want || p.Len() > want+1 {
 		t.Errorf("merged %d pairs, want about %d", p.Len(), want)
+	}
+}
+
+// TestEquiKeyExact: the hash join's per-cell key is equal exactly when =
+// holds on every key pair — -0 and 0 meet, an int meets the float it
+// converts to, and neither a NUL-extended string, a composite whose cells
+// split the same bytes differently, nor an instant one nanosecond later
+// meets its neighbour. Each case runs through appendEquiKey and through
+// NewHashProbe.
+func TestEquiKeyExact(t *testing.T) {
+	t0 := time.Date(1969, 12, 31, 23, 59, 59, 5, time.UTC)
+	cases := []struct {
+		name        string
+		left, right []Value
+	}{
+		{"-0 vs 0", []Value{Float(math.Copysign(0, -1))}, []Value{Float(0)}},
+		{"2^53+1 int vs 2^53 float", []Value{Int(1<<53 + 1)}, []Value{Float(1 << 53)}},
+		{"2^53+1 vs 2^53 ints", []Value{Int(1<<53 + 1)}, []Value{Int(1 << 53)}},
+		{"a vs a NUL", []Value{Str("a")}, []Value{Str("a\x00")}},
+		{"ab,c vs a,bc", []Value{Str("ab"), Str("c")}, []Value{Str("a"), Str("bc")}},
+		{"ab,c vs ab,c", []Value{Str("ab"), Str("c")}, []Value{Str("ab"), Str("c")}},
+		{"instants 1ns apart", []Value{Time(t0)}, []Value{Time(t0.Add(time.Nanosecond))}},
+		{"one instant in two zones", []Value{Time(t0)}, []Value{Time(t0.In(time.FixedZone("X", -5*3600)))}},
+		{"true vs false, 1", []Value{Bool(true), Int(1)}, []Value{Bool(false), Int(1)}},
+	}
+	for _, tc := range cases {
+		lcols, rcols := make([]*Column, len(tc.left)), make([]*Column, len(tc.right))
+		want := true
+		for i := range tc.left {
+			l, r := ColumnOf("l", tc.left[i].Kind, tc.left[i:i+1]), ColumnOf("r", tc.right[i].Kind, tc.right[i:i+1])
+			if !EquiHashable(&l, &r) {
+				t.Fatalf("%s: key pair %d is not hashable", tc.name, i)
+			}
+			lcols[i], rcols[i] = &l, &r
+			want = want && Compare(tc.left[i], tc.right[i]) == 0
+		}
+		lk, lok := appendEquiKey(nil, lcols, rcols, 0)
+		rk, rok := appendEquiKey(nil, rcols, lcols, 0)
+		if !lok || !rok {
+			t.Fatalf("%s: a non-NULL row has no key", tc.name)
+		}
+		if got := string(lk) == string(rk); got != want {
+			t.Errorf("%s: keys equal %v, = holds %v", tc.name, got, want)
+		}
+		if got := len(NewHashProbe(lcols, rcols)(0)) == 1; got != want {
+			t.Errorf("%s: probe matched %v, = holds %v", tc.name, got, want)
+		}
 	}
 }
