@@ -2,19 +2,17 @@ package sqlengine
 
 import (
 	"context"
-	"math"
 	"slices"
 	"sort"
-	"time"
 
 	"datalab/internal/table"
 )
 
 // ORDER BY kernel. rowOrder turns the key columns into one comparator over
-// positions, decided once per key column rather than per row: a typed
-// closure over the storage of an int, float, string, time or bool column,
-// and table.Compare on boxed Values for an all-NULL or boxed column. Every
-// ordering consumer runs through it:
+// positions, table.RowOrder's: decided once per key column rather than per
+// row, a typed closure over the storage of an int, float, string, time or
+// bool column, and table.Compare on boxed Values for an all-NULL or boxed
+// column. Every ordering consumer runs through it:
 //
 //   - sortPerm: the stable permutation. Contiguous chunks of at least
 //     parallelMinRows positions sort on the shared worker pool, and a k-way
@@ -38,99 +36,11 @@ import (
 // last descending. total is false when a key column is boxed or is a float
 // column holding a NaN.
 func rowOrder(keyCols []table.Column, order []OrderItem) (cmp func(a, b int) int, total bool) {
-	total = true
-	keys := make([]func(a, b int) int, len(order))
+	desc := make([]bool, len(order))
 	for i := range order {
-		sign := 1
-		if order[i].Desc {
-			sign = -1
-		}
-		c := &keyCols[i]
-		if vs, nulls, ok := c.Ints(); ok {
-			keys[i] = cellOrder(vs, nulls, sign)
-		} else if vs, nulls, ok := c.Floats(); ok {
-			keys[i] = cellOrder(vs, nulls, sign)
-			for j, f := range vs {
-				if math.IsNaN(f) && !nulls[j] {
-					total = false
-					break
-				}
-			}
-		} else if vs, nulls, ok := c.Strings(); ok {
-			keys[i] = cellOrder(vs, nulls, sign)
-		} else if vs, nulls, ok := c.Times(); ok {
-			keys[i] = timeOrder(vs, nulls, sign)
-		} else if vs, nulls, ok := c.Bools(); ok {
-			keys[i] = boolOrder(vs, nulls, sign)
-		} else {
-			total = total && c.IsTyped()
-			keys[i] = func(a, b int) int { return sign * table.Compare(c.Value(a), c.Value(b)) }
-		}
+		desc[i] = order[i].Desc
 	}
-	if len(keys) == 1 {
-		return keys[0], total
-	}
-	return func(a, b int) int {
-		for _, key := range keys {
-			if c := key(a, b); c != 0 {
-				return c
-			}
-		}
-		return 0
-	}, total
-}
-
-// cellOrder is table.Compare over one typed column's cells, times sign:
-// NULL before every value, then table.ThreeWay's order, written out
-// because the generic call is not inlined here: it took 12 % of the CPU
-// of a top-K and a window statement.
-func cellOrder[T int64 | float64 | string](vs []T, nulls []bool, sign int) func(a, b int) int {
-	return func(a, b int) int {
-		if nulls[a] || nulls[b] {
-			return sign * nullOrder(nulls[a], nulls[b])
-		}
-		switch x, y := vs[a], vs[b]; {
-		case x < y:
-			return -sign
-		case x > y:
-			return sign
-		}
-		return 0
-	}
-}
-
-// timeOrder is cellOrder for a time column: instants compare
-// chronologically. Through table.Compare, boxing both cells per
-// comparison made a 100k-row time sort 2.8 times slower.
-func timeOrder(vs []time.Time, nulls []bool, sign int) func(a, b int) int {
-	return func(a, b int) int {
-		if nulls[a] || nulls[b] {
-			return sign * nullOrder(nulls[a], nulls[b])
-		}
-		return sign * vs[a].Compare(vs[b])
-	}
-}
-
-// boolOrder is cellOrder for a bool column: false before true.
-func boolOrder(vs []bool, nulls []bool, sign int) func(a, b int) int {
-	return func(a, b int) int {
-		if nulls[a] || nulls[b] {
-			return sign * nullOrder(nulls[a], nulls[b])
-		}
-		return sign * nullOrder(!vs[a], !vs[b])
-	}
-}
-
-// nullOrder orders two cells by whether they are NULL: a NULL before a
-// value, two of a kind equal.
-func nullOrder(na, nb bool) int {
-	switch {
-	case na == nb:
-		return 0
-	case na:
-		return -1
-	}
-	return 1
+	return table.RowOrder(keyCols, desc)
 }
 
 // sortRows sorts the positions in seg by cmp into the stable order: pdqsort
