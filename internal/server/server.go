@@ -518,15 +518,16 @@ func (s *Server) finishQueryError(w http.ResponseWriter, r *http.Request, req qu
 
 // logCancel records a query aborted by a dropped connection or closed
 // session: a cancel event, not an error — the executor was asked to stop
-// and did.
+// and did. The event is logged before queries_canceled_total counts it,
+// so a client that sees the count can find the event in the log.
 func (s *Server) logCancel(req queryRequest, start time.Time, rowsSent int) {
-	s.queriesCanceled.Add(1)
 	s.logger.log(CodeCancel, line{
 		"event":       "query_canceled",
 		"sql":         req.SQL,
 		"rows_sent":   rowsSent,
 		"duration_ms": durationMS(time.Since(start)),
 	})
+	s.queriesCanceled.Add(1)
 }
 
 // handleIngest streams rows into one table: the request body is JSONL,

@@ -266,12 +266,45 @@ func appendValue(dst []byte, v table.Value) []byte {
 // appendFloat writes f as encoding/json does — the ES6 number-to-string
 // form: shortest digits that round-trip, exponent form only below 1e-6 or
 // from 1e21, exponent unpadded — and NaN and ±Inf as null.
+//
+// A short decimal, such as a money or measure value like 12.34, takes a
+// path that skips strconv's shortest-digit search (Ryū): when 1e-6 ≤ |f|
+// < 1e14, for k = 0, 1, … 15 it rounds |f|·10^k to an integer m, stops
+// once m ≥ 2^47, and writes m with the point k digits from the right as
+// soon as m/10^k == |f|. That test is exact (m and 10^k are exact doubles
+// and IEEE division rounds once, as ParseFloat does), so it holds exactly
+// when the decimal round-trips. The output is strconv's, byte for byte:
+//   - Below 2^47 a k-digit decimal that round-trips lies within 1/64 of
+//     |f|·10^k (half an ulp of f is at most |f|·2^-53), and the computed
+//     product within 1/128 of that, so the rounded product finds it.
+//   - Such a decimal has at most 15 significant digits, and two k-digit
+//     decimals are 1 apart at scale 10^k, so it is the only one with k
+//     fraction digits that maps to f.
+//   - So the least such k gives strconv's shortest output. Its rival with
+//     the same digit count across a power of ten would differ from it by
+//     at least 10^-15 of f, more than f's rounding interval spans.
+//
+// Below the range encoding/json writes an exponent; at its top, 1e14,
+// |f| itself is still below 2^47. Everything else keeps the strconv path:
+// 0 and −0, the exponent range, and any f with no short decimal.
 func appendFloat(dst []byte, f float64) []byte {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return append(dst, "null"...)
 	}
+	abs := math.Abs(f)
+	if abs >= 1e-6 && abs < 1e14 {
+		for k, p := range pow10 {
+			m := int64(abs*p + 0.5)
+			if m >= 1<<47 {
+				break
+			}
+			if float64(m)/p == abs {
+				return appendDecimal(dst, uint64(m), k, f < 0)
+			}
+		}
+	}
 	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
 	dst = strconv.AppendFloat(dst, f, format, -1, 64)
@@ -280,6 +313,38 @@ func appendFloat(dst []byte, f float64) []byte {
 		dst = dst[:n-1]
 	}
 	return dst
+}
+
+// pow10 holds 10^k for appendFloat's k = 0 … 15, each an exact double.
+var pow10 = [16]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// appendDecimal writes m·10^-k in plain decimal form, with a leading 0
+// before a point that has no integer digits and a '-' when neg.
+func appendDecimal(dst []byte, m uint64, k int, neg bool) []byte {
+	var buf [24]byte // room for the longest: a sign, "0." and 15 fraction digits
+	i := len(buf)
+	for j := 0; j < k; j++ {
+		i--
+		buf[i] = byte('0' + m%10)
+		m /= 10
+	}
+	if k > 0 {
+		i--
+		buf[i] = '.'
+	}
+	for {
+		i--
+		buf[i] = byte('0' + m%10)
+		m /= 10
+		if m == 0 {
+			break
+		}
+	}
+	if neg {
+		i--
+		buf[i] = '-'
+	}
+	return append(dst, buf[i:]...)
 }
 
 const hexDigits = "0123456789abcdef"

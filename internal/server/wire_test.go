@@ -9,10 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"datalab"
 	"datalab/internal/sqlengine"
 	"datalab/internal/table"
 )
@@ -132,6 +134,9 @@ var (
 		0, math.Copysign(0, -1), 1e-7, -1e-7, 1e-6, 9.999999e-7, 1e20, 1e21, -1e21, 9.99e20,
 		5e-324, 1.5e300, math.MaxFloat64, 1e-9, 1.5e-10, 1e-100, 0.1, 1.0 / 3, 100, -12345.678,
 		math.NaN(), math.Inf(1), math.Inf(-1),
+		// short decimals and the edges of appendFloat's short-decimal path
+		12.34, -0.07, 99.99, 0.1 + 0.2, 1234567.89012345, 1234567.890123456,
+		1 << 47 / 1e3, math.Nextafter(1<<47/1e3, 0), 9.999999999999998e13, 99999999999999.98, 1e14,
 	}
 	wireStrings = []string{
 		"", "plain", `say "hi"`, `back\slash`, "<script>a&b</script>",
@@ -305,6 +310,99 @@ func FuzzWireRows(f *testing.F) {
 			t.Fatalf("float bits %#x: non-finite %v, rows %s", bits, nonFinite, rows)
 		}
 	})
+}
+
+// FuzzAppendFloat: for any float bits appendFloat appends what
+// encoding/json writes for a finite value and null for a non-finite one,
+// and inside the short-decimal path's range (1e-6 ≤ |f| < 1e14) it writes
+// strconv's shortest 'f' form byte for byte.
+func FuzzAppendFloat(f *testing.F) {
+	seeds := []float64{
+		0.1 + 0.2, 9.999999999999998e13, 99999999999999.98, 5e-324, math.Copysign(0, -1), 1e-6, 9.999999e-7,
+		123456789.012345, 0.123456789012345, 1234567890.123456, 0.1234567890123456, // 15 and 16 significant digits
+		12.34, 0.07, 99.99, 1e14, math.MaxFloat64, math.NaN(), math.Inf(-1),
+	}
+	for k := 0; k <= 15; k++ {
+		p := math.Pow(10, float64(k))
+		for _, m := range []float64{1<<47 - 1, 1 << 47, 1<<47 + 1} {
+			x := m / p
+			seeds = append(seeds, x, math.Nextafter(x, 0), math.Nextafter(x, math.Inf(1)))
+		}
+	}
+	for v := 0; v < 10_000; v += 7 { // the demo table's value cells
+		seeds = append(seeds, float64(v)/100)
+	}
+	for _, x := range seeds {
+		f.Add(math.Float64bits(x))
+		f.Add(math.Float64bits(-x))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		x := math.Float64frombits(bits)
+		got := appendFloat([]byte("["), x)
+		if got[0] != '[' {
+			t.Fatalf("%#x: prefix overwritten: %s", bits, got)
+		}
+		got = got[1:]
+		want := []byte("null")
+		if !math.IsNaN(x) && !math.IsInf(x, 0) {
+			var err error
+			if want, err = json.Marshal(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%#x: appendFloat wrote %s, encoding/json %s", bits, got, want)
+		}
+		if abs := math.Abs(x); abs >= 1e-6 && abs < 1e14 {
+			if want := strconv.AppendFloat(nil, x, 'f', -1, 64); !bytes.Equal(got, want) {
+				t.Fatalf("%#x: appendFloat wrote %s, strconv %s", bits, got, want)
+			}
+		}
+	})
+}
+
+// TestAppendFloatAllocs: formatting a float into a buffer with room
+// allocates nothing, on the short-decimal path or off it.
+func TestAppendFloatAllocs(t *testing.T) {
+	buf := make([]byte, 0, 64)
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, x := range wireFloats {
+			buf = appendFloat(buf[:0], x)
+		}
+	}); allocs != 0 {
+		t.Fatalf("appendFloat made %.1f allocations per pass, want 0", allocs)
+	}
+}
+
+// BenchmarkAppendRows is the wire's encode stage alone: every batch of a
+// 20,000-row SELECT id, kind, value FROM events result, demo data,
+// appended into one reused buffer.
+func BenchmarkAppendRows(b *testing.B) {
+	const rows = 20_000
+	p := datalab.MustNew()
+	if err := LoadDemo(p, rows); err != nil {
+		b.Fatal(err)
+	}
+	res, err := p.QueryCtx(context.Background(), "SELECT id, kind, value FROM events")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer res.Close()
+	var buf []byte
+	for b.Loop() {
+		if err := res.Rewind(); err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for batch := res.Next(); batch != nil; batch = res.Next() {
+			buf = appendRows(buf[:0], batch)
+			n += batch.NumRows()
+		}
+		if n != rows {
+			b.Fatalf("%d rows, want %d", n, rows)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }
 
 // nonFiniteServer is a demo server whose events table also holds, from id
