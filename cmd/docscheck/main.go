@@ -97,6 +97,11 @@ var guards = []guard{
 		nil,
 		"ORDER BY compares typed cells through rowOrder's one comparator; no key is encoded per row",
 	},
+	{
+		regexp.MustCompile(`AppendKeyPart|appendEquiKey|appendFloatKey|round9`),
+		nil,
+		"a cell's equality key is table.AppendKey, which follows =; no second key rounds or truncates",
+	},
 }
 
 // linkRe matches inline markdown links [text](target); images ![...](...)

@@ -88,6 +88,7 @@ func TestGuardsFire(t *testing.T) {
 		`	case "+", "-", "*", "/", "%":`,
 		"	parts, err := partitionRows(ctx, keyCols, n)",
 		"	ks := buildKeyset(specs, lo, hi)",
+		"	kb = table.AppendKeyPart(kb, v)",
 	}
 	if len(planted) != len(guards) {
 		t.Fatalf("%d planted lines for %d guards", len(planted), len(guards))

@@ -20,15 +20,24 @@ var demoKinds = []string{"view", "click", "buy"}
 // float.
 func DemoRecords(base, n int) [][]string {
 	rows := make([][]string, n)
+	var buf [24]byte
 	for i := 0; i < n; i++ {
 		id := base + i
 		rows[i] = []string{
 			strconv.Itoa(id),
 			demoKinds[id%len(demoKinds)],
-			strconv.FormatFloat(float64((id*7919)%10000)/100, 'f', 2, 64),
+			string(appendCents(buf[:0], (id*7919)%10000)),
 		}
 	}
 	return rows
+}
+
+// appendCents appends c ≥ 0 hundredths with two decimals: the bytes
+// strconv.FormatFloat(float64(c)/100, 'f', 2, 64) writes, without the
+// float formatter's big-decimal rounding.
+func appendCents(dst []byte, c int) []byte {
+	dst = strconv.AppendInt(dst, int64(c/100), 10)
+	return append(dst, '.', byte('0'+c/10%10), byte('0'+c%10))
 }
 
 // LoadDemo registers the demo `events` table with n rows on the platform.

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -548,8 +549,9 @@ func (gr *grouping) idList() []int32 {
 // is a key like any other. A single coded string key (table.Column.Codes)
 // counts its codes, unless its dictionary outnumbers the positions; a
 // single typed int/string key hashes its raw values; every other shape
-// (composite, float, boxed) hashes its key tuple's table.AppendKeyPart
-// encoding.
+// (composite, float, boxed) hashes its key tuple's table.AppendKey bytes.
+// Either way two positions share a group exactly when = holds on every
+// key, NULL and NaN each being one group.
 func groupKeys(ctx context.Context, keyCols []table.Column, n int) (grouping, error) {
 	if len(keyCols) == 1 {
 		if codes, dict, nulls, ok := keyCols[0].Codes(); ok && len(dict) <= n {
@@ -739,16 +741,16 @@ func hashValues[K comparable](d *groupDict[K], keys []K, nulls []bool, ids []int
 	}
 }
 
-// hashEncoded is hashValues over the table.AppendKeyPart encoding of each
-// position's key tuple (a NULL cell is a part like any other). The
-// encoding is built in one reused buffer and copied into a string only
-// when it opens a group.
+// hashEncoded is hashValues over the table.AppendKey bytes of each
+// position's key tuple (a NULL cell is a part like any other). The key is
+// built in one reused buffer and copied into a string only when it opens
+// a group.
 func hashEncoded(d *groupDict[string], keyCols []table.Column, ids []int32, lo, hi int) {
 	var kb []byte
 	for i := lo; i < hi; i++ {
 		kb = kb[:0]
 		for k := range keyCols {
-			kb = table.AppendKeyPart(kb, keyCols[k].Value(i))
+			kb = keyCols[k].AppendKey(kb, i)
 		}
 		id, ok := d.ids[string(kb)]
 		if !ok {
@@ -1070,13 +1072,10 @@ func foldCells(op aggOp, distinct bool, col *table.Column, sel *table.Selection,
 	for g := range accs {
 		accs[g].op = op
 	}
-	type seenKey struct {
-		group int32
-		key   string
-	}
-	var seen map[seenKey]bool
+	var seen map[string]bool // a group id, then the cell's table.AppendKey
+	var kb []byte
 	if distinct {
-		seen = map[seenKey]bool{}
+		seen = map[string]bool{}
 	}
 	at := col.Value
 	it := table.IterSelection(sel, col.Len())
@@ -1090,15 +1089,14 @@ func foldCells(op aggOp, distinct bool, col *table.Column, sel *table.Selection,
 			g = ids[pos]
 		}
 		if distinct {
-			v := at(r)
-			if v.IsNull() {
+			if col.IsNullAt(r) {
 				continue
 			}
-			k := seenKey{g, v.Key()}
-			if seen[k] {
+			kb = col.AppendKey(binary.LittleEndian.AppendUint32(kb[:0], uint32(g)), r)
+			if seen[string(kb)] {
 				continue
 			}
-			seen[k] = true
+			seen[string(kb)] = true
 		}
 		accs[g].add(r, at)
 	}

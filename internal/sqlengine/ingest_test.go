@@ -554,8 +554,8 @@ func TestCatalogAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out.Columns[0].Value(0).Key(); got != "i:2" {
-		t.Fatalf("count after append = %s", got)
+	if got := out.Columns[0].Value(0); !table.Equal(got, table.Int(2)) {
+		t.Fatalf("count after append = %v", got)
 	}
 	if _, ok := c.Appender("nope"); ok {
 		t.Fatal("unknown table has an appender")

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"datalab/internal/table"
 )
@@ -113,27 +114,42 @@ func TestGroupedOrderByMatchesScalar(t *testing.T) {
 	}
 }
 
-// scalarPartitions is the scalar executor's grouping spelled out
-// (executeGroupedScalar's loop): the table.AppendKeyPart encoding of the
-// key tuple, groups in first-appearance order, rows ascending.
+// scalarPartitions groups the rows by = on every key, with no key
+// encoder: a row joins the first group whose first row it equals under
+// table.Compare on each key — NULL equal to NULL, NaN to NaN only — else
+// opens a group. Groups are in first-appearance order, rows ascending.
 func scalarPartitions(keyCols []table.Column, rows []int) [][]int {
-	index := map[string]int{}
 	var parts [][]int
+	var firsts [][]table.Value
 	for i, r := range rows {
-		var kb []byte
+		key := make([]table.Value, len(keyCols))
 		for k := range keyCols {
-			kb = table.AppendKeyPart(kb, keyCols[k].Value(i))
+			key[k] = keyCols[k].Value(i)
 		}
-		pi, ok := index[string(kb)]
-		if !ok {
-			pi = len(parts)
-			index[string(kb)] = pi
-			parts = append(parts, nil)
+		pi := 0
+		for pi < len(parts) && !sameKey(firsts[pi], key) {
+			pi++
+		}
+		if pi == len(parts) {
+			parts, firsts = append(parts, nil), append(firsts, key)
 		}
 		parts[pi] = append(parts[pi], r)
 	}
 	return parts
 }
+
+// sameKey reports whether = holds between a and b position by position,
+// NULL equal to NULL and NaN equal to NaN but to no number.
+func sameKey(a, b []table.Value) bool {
+	for k := range a {
+		if isNaN(a[k]) != isNaN(b[k]) || table.Compare(a[k], b[k]) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func isNaN(v table.Value) bool { return v.Kind == table.KindFloat && math.IsNaN(v.F) }
 
 // segments runs partitionPerm and cuts its permutation at the segment
 // ends into one position list per group, failing unless the segments tile
@@ -204,36 +220,48 @@ func checkGrouping(t *testing.T, name string, gr grouping, parts [][]int, n int)
 
 // TestPartitionRowsContract pins the one key grouper GROUP BY, DISTINCT
 // and PARTITION BY call, and the permutation windows build from it: for
-// every key shape (typed int and string loops, the canonical-key path for
-// float, composite and boxed keys) over the positions of every selection
-// form (nil, span, dense) its segments are the scalar executor's groups in
-// the scalar executor's order, each one group's positions ascending, NULL
-// keys form exactly one group, groupKeys' ids, firsts and counts agree with
-// the segments (so their ends are the counts' prefix sums), and hashing on
-// the worker pool — a large composite key, typed keys whose new groups
-// first appear in later chunks, whose ids the merge remaps — equals the
-// serial grouping.
+// every key shape (typed int and string loops, the table.AppendKey path for
+// float, time, composite and boxed keys) over the positions of every
+// selection form (nil, span, dense) its segments are scalarPartitions'
+// groups of = in first-appearance order, each one group's positions
+// ascending, NULL keys form exactly one group, groupKeys' ids, firsts and
+// counts agree with the segments (so their ends are the counts' prefix
+// sums), and hashing on the worker pool — a large composite key, typed
+// keys whose new groups first appear in later chunks, whose ids the merge
+// remaps — equals the serial grouping.
 func TestPartitionRowsContract(t *testing.T) {
 	const n = 600
 	rng := rand.New(rand.NewSource(41))
 	ints := table.NewColumn("i", table.KindInt)
 	strs := table.NewColumn("s", table.KindString)
 	floats := table.NewColumn("f", table.KindFloat)
+	times := table.NewColumn("t", table.KindTime)
 	boxed := table.NewColumn("x", table.KindInt)
+	// Neighbours = tells apart and a rounding or seconds key would merge,
+	// and pairs = equates that a bit-exact key would split.
+	point1 := 0.1
+	floatKeys := []float64{0.5, 1, -2.75, math.NaN(), 1e18, 0.3, point1 + 0.2, math.Copysign(0, -1), 0}
+	t0 := time.Date(2024, 3, 1, 9, 30, 0, 0, time.UTC)
+	timeKeys := []time.Time{t0, t0.Add(time.Nanosecond), t0.Add(500 * time.Millisecond), t0.In(time.FixedZone("X", 8*3600))}
+	strKeys := []string{"s0", "s1", "a", "a\x00"}
 	for i := 0; i < n; i++ {
-		iv, sv, fv := table.Null(), table.Null(), table.Null()
+		iv, sv, fv, tv := table.Null(), table.Null(), table.Null(), table.Null()
 		if x := rng.Intn(8); x < 7 {
 			iv = table.Int(int64(x - 3))
 		}
-		if x := rng.Intn(5); x < 4 {
-			sv = table.Str(fmt.Sprintf("s%d", x))
+		if x := rng.Intn(len(strKeys) + 1); x < len(strKeys) {
+			sv = table.Str(strKeys[x])
 		}
-		if x := rng.Intn(6); x < 5 {
-			fv = table.Float([]float64{0.5, 1, -2.75, math.NaN(), 1e18}[x])
+		if x := rng.Intn(len(floatKeys) + 1); x < len(floatKeys) {
+			fv = table.Float(floatKeys[x])
+		}
+		if x := rng.Intn(len(timeKeys) + 1); x < len(timeKeys) {
+			tv = table.Time(timeKeys[x])
 		}
 		ints.Append(iv)
 		strs.Append(sv)
 		floats.Append(fv)
+		times.Append(tv)
 		if i%3 == 0 {
 			boxed.Append(sv) // a string in an int column: degrades to boxed
 		} else {
@@ -259,7 +287,9 @@ func TestPartitionRowsContract(t *testing.T) {
 		"int":       {ints},
 		"string":    {strs},
 		"float":     {floats},
+		"time":      {times},
 		"composite": {strs, ints},
+		"mixed":     {floats, times, strs},
 		"boxed":     {boxed},
 	}
 	for sname, sel := range selections {
@@ -391,6 +421,78 @@ func TestPartitionRowsContract(t *testing.T) {
 	cancel()
 	if _, ends, err := partitionPerm(ctx, keyCols, big); err == nil {
 		t.Errorf("cancelled composite partitioning returned %d segments and no error", len(ends))
+	}
+}
+
+// TestKeysFollowEquals: GROUP BY, DISTINCT, COUNT(DISTINCT) and PARTITION
+// BY put two rows in one group exactly when = holds between their keys, on
+// both executors. x holds 0.3 and 0.1+0.2, one bit apart, and ts two
+// instants 500 ms apart within one second: = tells each pair apart, as
+// WHERE and the self-join on = show, so every form sees two groups of one
+// row and numbers each row 1.
+func TestKeysFollowEquals(t *testing.T) {
+	point1 := 0.1
+	t0 := time.Date(2024, 3, 1, 9, 30, 0, 0, time.UTC)
+	tbl := table.MustNew("k", []string{"id", "x", "ts"}, []table.Kind{table.KindInt, table.KindFloat, table.KindTime})
+	tbl.MustAppendRow(table.Int(1), table.Float(0.3), table.Time(t0))
+	tbl.MustAppendRow(table.Int(2), table.Float(point1+0.2), table.Time(t0.Add(500*time.Millisecond)))
+	c := NewCatalog()
+	c.Register(tbl)
+	for _, scalar := range []bool{false, true} {
+		run := func(q string) *table.Table {
+			t.Helper()
+			out, err := queryTable(c, q)
+			if scalar {
+				out, err = c.QueryScalar(q)
+			}
+			if err != nil {
+				t.Fatalf("%q (scalar=%v): %v", q, scalar, err)
+			}
+			return out
+		}
+		count := func(q string) int64 {
+			t.Helper()
+			out := run(q)
+			n, ok := out.Columns[0].Value(0).AsInt()
+			if out.NumRows() != 1 || !ok {
+				t.Fatalf("%q (scalar=%v): want one count, got\n%s", q, scalar, dumpTable(out))
+			}
+			return n
+		}
+		if n := count("SELECT COUNT(*) FROM k WHERE x = 0.3"); n != 1 {
+			t.Fatalf("scalar=%v: x = 0.3 holds on %d rows, want 1", scalar, n)
+		}
+		for _, col := range []string{"x", "ts"} {
+			pairs := count(fmt.Sprintf("SELECT COUNT(*) FROM k a JOIN k b ON a.%s = b.%s", col, col))
+			if pairs != 2 {
+				t.Fatalf("scalar=%v: the self-join on %s = finds %d pairs, want 2", scalar, col, pairs)
+			}
+			groups := run(fmt.Sprintf("SELECT %s, COUNT(*) AS n FROM k GROUP BY %s", col, col))
+			var square int64
+			for i := 0; i < groups.NumRows(); i++ {
+				n, _ := groups.Columns[1].Value(i).AsInt()
+				square += n * n
+			}
+			if groups.NumRows() != 2 || square != pairs {
+				t.Errorf("scalar=%v: GROUP BY %s makes %d groups holding %d pairs of rows, = relates %d\n%s", scalar, col, groups.NumRows(), square, pairs, dumpTable(groups))
+			}
+			if d := run(fmt.Sprintf("SELECT DISTINCT %s FROM k", col)); d.NumRows() != 2 {
+				t.Errorf("scalar=%v: DISTINCT %s returns %d rows, want 2", scalar, col, d.NumRows())
+			}
+			if n := count(fmt.Sprintf("SELECT COUNT(DISTINCT %s) FROM k", col)); n != 2 {
+				t.Errorf("scalar=%v: COUNT(DISTINCT %s) = %d, want 2", scalar, col, n)
+			}
+			got := run(fmt.Sprintf("SELECT id, ROW_NUMBER() OVER (PARTITION BY %s ORDER BY id) AS rn FROM k ORDER BY id", col))
+			want := run(fmt.Sprintf("SELECT a.id, COUNT(*) AS rn FROM k a JOIN k b ON a.%s = b.%s WHERE b.id <= a.id GROUP BY a.id ORDER BY a.id", col, col))
+			if got.NumRows() != 2 || want.NumRows() != 2 {
+				t.Fatalf("scalar=%v: PARTITION BY %s numbers %d rows, the self-join %d, want 2", scalar, col, got.NumRows(), want.NumRows())
+			}
+			for i := 0; i < 2; i++ {
+				if g, w := rowAt(got, i), rowAt(want, i); !table.Equal(g[1], w[1]) || !table.Equal(g[1], table.Int(1)) {
+					t.Errorf("scalar=%v: PARTITION BY %s numbers row %v as %v; rows up to it with = keys: %v", scalar, col, g[0], g[1], w[1])
+				}
+			}
+		}
 	}
 }
 

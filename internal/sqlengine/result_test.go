@@ -54,7 +54,7 @@ func dumpResult(r *Result) string {
 	for b := r.Next(); b != nil; b = r.Next() {
 		for i := 0; i < b.NumRows(); i++ {
 			for j := 0; j < b.NumCols(); j++ {
-				sb.WriteString(b.cols[j].Value(i).Key())
+				sb.WriteString(cellKey(b.cols[j].Value(i)))
 				sb.WriteByte('|')
 			}
 			sb.WriteByte('\n')

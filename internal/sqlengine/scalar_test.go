@@ -96,7 +96,7 @@ func (e *groupEnv) aggregate(fn *FuncCall) (table.Value, error) {
 			continue
 		}
 		if fn.Distinct {
-			k := v.Key()
+			k := string(table.AppendKey(nil, v))
 			if seen[k] {
 				continue
 			}
@@ -297,7 +297,7 @@ func buildOutput(p *plan, x *execArgs, rows []projectedRow) *Result {
 		for _, r := range rows {
 			kb = kb[:0]
 			for _, v := range r.out {
-				kb = table.AppendKeyPart(kb, v)
+				kb = table.AppendKey(kb, v)
 			}
 			if !seen[string(kb)] {
 				seen[string(kb)] = true
@@ -378,7 +378,7 @@ func executeGroupedScalar(p *plan, rel *srel) ([]projectedRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			kb = table.AppendKeyPart(kb, v)
+			kb = table.AppendKey(kb, v)
 		}
 		k := string(kb)
 		if _, ok := groups[k]; !ok {
@@ -457,7 +457,7 @@ func scalarWindowColumn(rel *srel, fn *FuncCall) ([]table.Value, error) {
 				if err != nil {
 					return nil, err
 				}
-				kb = table.AppendKeyPart(kb, v)
+				kb = table.AppendKey(kb, v)
 			}
 			keys[ri] = string(kb)
 		}

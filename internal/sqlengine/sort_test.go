@@ -450,15 +450,16 @@ func TestOrderByNullPlacement(t *testing.T) {
 	c := NewCatalog()
 	c.Register(tbl)
 
+	null, one, two, three := table.Null(), table.Int(1), table.Int(2), table.Int(3)
 	cases := []struct {
 		q    string
-		want []string // Key() forms, in order
+		want []table.Value // in order
 	}{
-		{"SELECT v FROM t ORDER BY v", []string{"\x00null", "\x00null", "i:1", "i:2", "i:3"}},
-		{"SELECT v FROM t ORDER BY v DESC", []string{"i:3", "i:2", "i:1", "\x00null", "\x00null"}},
-		{"SELECT v FROM t ORDER BY v LIMIT 3", []string{"\x00null", "\x00null", "i:1"}},
-		{"SELECT v FROM t ORDER BY v DESC LIMIT 2", []string{"i:3", "i:2"}},
-		{"SELECT v FROM t ORDER BY v DESC LIMIT 2 OFFSET 2", []string{"i:1", "\x00null"}},
+		{"SELECT v FROM t ORDER BY v", []table.Value{null, null, one, two, three}},
+		{"SELECT v FROM t ORDER BY v DESC", []table.Value{three, two, one, null, null}},
+		{"SELECT v FROM t ORDER BY v LIMIT 3", []table.Value{null, null, one}},
+		{"SELECT v FROM t ORDER BY v DESC LIMIT 2", []table.Value{three, two}},
+		{"SELECT v FROM t ORDER BY v DESC LIMIT 2 OFFSET 2", []table.Value{one, null}},
 	}
 	for _, tc := range cases {
 		for _, scalar := range []bool{false, true} {
@@ -474,8 +475,8 @@ func TestOrderByNullPlacement(t *testing.T) {
 				t.Fatalf("%q (scalar=%v): %d rows, want %d", tc.q, scalar, out.NumRows(), len(tc.want))
 			}
 			for i, want := range tc.want {
-				if got := out.Columns[0].Value(i).Key(); got != want {
-					t.Errorf("%q (scalar=%v) row %d: %q, want %q", tc.q, scalar, i, got, want)
+				if got := out.Columns[0].Value(i); !table.Equal(got, want) {
+					t.Errorf("%q (scalar=%v) row %d: %v, want %v", tc.q, scalar, i, got, want)
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -13,21 +14,26 @@ import (
 	"datalab/internal/table"
 )
 
-// dumpTable renders a table as column names plus canonical cell keys, for
-// strict (ordered) result comparison between the two executors.
+// dumpTable renders a table as column names plus each cell's quoted
+// table.AppendKey, for strict (ordered) result comparison between the two
+// executors: two dumps are equal exactly when = holds cell by cell, NULL
+// matching NULL and NaN matching NaN.
 func dumpTable(t *table.Table) string {
 	var sb strings.Builder
 	sb.WriteString(strings.Join(t.ColumnNames(), "|"))
 	sb.WriteByte('\n')
 	for i, n := 0, t.NumRows(); i < n; i++ {
 		for j := range t.Columns {
-			sb.WriteString(t.Columns[j].Value(i).Key())
+			sb.WriteString(cellKey(t.Columns[j].Value(i)))
 			sb.WriteByte('|')
 		}
 		sb.WriteByte('\n')
 	}
 	return sb.String()
 }
+
+// cellKey is v's table.AppendKey, quoted so a dump stays printable.
+func cellKey(v table.Value) string { return strconv.Quote(string(table.AppendKey(nil, v))) }
 
 // queryTable runs sql through QueryCtx, the engine's entry point, and
 // materializes the Result as a table.

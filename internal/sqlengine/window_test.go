@@ -41,8 +41,8 @@ func expectCells(t *testing.T, q string, got *table.Table, want [][]table.Value)
 			t.Fatalf("query %q: cols = %d, want %d", q, got.NumCols(), len(row))
 		}
 		for j, w := range row {
-			if g := got.Columns[j].Value(i); g.Key() != w.Key() {
-				t.Errorf("query %q: cell (%d,%d) = %s, want %s", q, i, j, g.Key(), w.Key())
+			if g := got.Columns[j].Value(i); cellKey(g) != cellKey(w) {
+				t.Errorf("query %q: cell (%d,%d) = %v, want %v", q, i, j, g, w)
 			}
 		}
 	}

@@ -477,6 +477,25 @@ func (c *Column) IsNullAt(i int) bool {
 	return c.nulls[i]
 }
 
+// AppendKey appends cell i's equality key to dst: the bytes
+// AppendKey(dst, c.Value(i)) appends, read from typed storage without
+// boxing the cell (a bool cell, rarely a key, is boxed).
+func (c *Column) AppendKey(dst []byte, i int) []byte {
+	if c.boxed == nil && !c.nulls[i] {
+		switch c.Kind {
+		case KindInt:
+			return appendIntKey(dst, c.ints[i])
+		case KindFloat:
+			return appendRealKey(dst, c.floats[i])
+		case KindString:
+			return appendStringKey(dst, c.strs[i])
+		case KindTime:
+			return appendTimeKey(dst, c.times[i])
+		}
+	}
+	return AppendKey(dst, c.Value(i))
+}
+
 // FloatAt returns cell i as a float64 using the typed storage when
 // possible. ok is false for NULLs and non-numeric cells.
 func (c *Column) FloatAt(i int) (float64, bool) {

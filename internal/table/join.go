@@ -1,9 +1,6 @@
 package table
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "math"
 
 // JoinKind selects the join semantics.
 type JoinKind uint8
@@ -204,8 +201,8 @@ func hasNaN(c *Column) bool {
 // lcols and rcols pair up positionally (lcols[i] = rcols[i]), and every
 // pair must be EquiHashable; a NULL in any key column never matches. The
 // probe is safe for concurrent use. Single typed int and string keys use
-// typed maps; any other key hashes the concatenated exact per-cell keys of
-// appendEquiKey, so two rows meet exactly when = holds on every pair.
+// typed maps; any other key hashes the row's probeKey, so two rows meet
+// exactly when = holds on every pair.
 func NewHashProbe(lcols, rcols []*Column) func(leftRow int) []int {
 	if len(lcols) == 1 {
 		if lv, ln, ok := lcols[0].Ints(); ok {
@@ -227,13 +224,13 @@ func NewHashProbe(lcols, rcols []*Column) func(leftRow int) []int {
 	var kb []byte
 	for r := 0; r < n; r++ {
 		var ok bool
-		if kb, ok = appendEquiKey(kb[:0], rcols, lcols, r); ok {
+		if kb, ok = probeKey(kb[:0], rcols, lcols, r); ok {
 			index[string(kb)] = append(index[string(kb)], r)
 		}
 	}
 	return func(l int) []int {
 		var buf [64]byte
-		k, ok := appendEquiKey(buf[:0], lcols, rcols, l)
+		k, ok := probeKey(buf[:0], lcols, rcols, l)
 		if !ok {
 			return nil
 		}
@@ -257,49 +254,20 @@ func typedProbe[T comparable](lvals []T, lnulls []bool, rvals []T, rnulls []bool
 	}
 }
 
-// appendEquiKey appends the exact hash key of row across the key columns
-// cols, each compared by = against the column at the same position of
-// other; ok is false when a cell is NULL, which matches nothing. A cell's
-// key equates exactly what = equates within an EquiHashable pair: an int
-// facing a float column keys as the float64 = compares it as, a float with
-// -0 as 0, a time as its instant, and a string after its length, so
-// concatenated cells cannot run into each other.
-func appendEquiKey(dst []byte, cols, other []*Column, row int) ([]byte, bool) {
+// probeKey appends the AppendKey tuple of row across the key columns cols,
+// each compared by = against the column at the same position of other; ok
+// is false when a cell is NULL, which matches nothing. An int facing a
+// float column keys as the float64 = compares it as.
+func probeKey(dst []byte, cols, other []*Column, row int) ([]byte, bool) {
 	for i, c := range cols {
-		if c.IsNullAt(row) {
+		switch {
+		case c.IsNullAt(row):
 			return dst, false
-		}
-		switch c.Kind {
-		case KindInt:
-			if other[i].Kind == KindFloat {
-				dst = appendFloatKey(dst, float64(c.ints[row]))
-			} else {
-				dst = binary.LittleEndian.AppendUint64(dst, uint64(c.ints[row]))
-			}
-		case KindFloat:
-			dst = appendFloatKey(dst, c.floats[row])
-		case KindString:
-			dst = append(binary.AppendUvarint(dst, uint64(len(c.strs[row]))), c.strs[row]...)
-		case KindBool:
-			b := byte(0)
-			if c.bools[row] {
-				b = 1
-			}
-			dst = append(dst, b)
-		case KindTime:
-			t := c.times[row]
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(t.Unix()))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(t.Nanosecond()))
+		case c.Kind == KindInt && other[i].Kind == KindFloat:
+			dst = appendRealKey(dst, float64(c.ints[row]))
+		default:
+			dst = c.AppendKey(dst, row)
 		}
 	}
 	return dst, true
-}
-
-// appendFloatKey appends f's bits, -0 canonicalized to 0 since = makes them
-// equal.
-func appendFloatKey(dst []byte, f float64) []byte {
-	if f == 0 {
-		f = 0
-	}
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 }

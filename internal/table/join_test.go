@@ -151,7 +151,7 @@ func TestJoinPairsMergeInPlaceAllocatesNothing(t *testing.T) {
 // holds on every key pair — -0 and 0 meet, an int meets the float it
 // converts to, and neither a NUL-extended string, a composite whose cells
 // split the same bytes differently, nor an instant one nanosecond later
-// meets its neighbour. Each case runs through appendEquiKey and through
+// meets its neighbour. Each case runs through probeKey and through
 // NewHashProbe.
 func TestEquiKeyExact(t *testing.T) {
 	t0 := time.Date(1969, 12, 31, 23, 59, 59, 5, time.UTC)
@@ -180,8 +180,8 @@ func TestEquiKeyExact(t *testing.T) {
 			lcols[i], rcols[i] = &l, &r
 			want = want && Compare(tc.left[i], tc.right[i]) == 0
 		}
-		lk, lok := appendEquiKey(nil, lcols, rcols, 0)
-		rk, rok := appendEquiKey(nil, rcols, lcols, 0)
+		lk, lok := probeKey(nil, lcols, rcols, 0)
+		rk, rok := probeKey(nil, rcols, lcols, 0)
 		if !lok || !rok {
 			t.Fatalf("%s: a non-NULL row has no key", tc.name)
 		}

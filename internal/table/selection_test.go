@@ -511,7 +511,7 @@ func TestGatherSelEquivalence(t *testing.T) {
 				t.Fatalf("col %d sel %d: len %d != %d", ci, si, got.Len(), want.Len())
 			}
 			for i := 0; i < got.Len(); i++ {
-				if got.Value(i).Key() != want.Value(i).Key() {
+				if keyOf(got.Value(i)) != keyOf(want.Value(i)) {
 					t.Fatalf("col %d sel %d row %d: %v != %v", ci, si, i, got.Value(i), want.Value(i))
 				}
 			}
@@ -531,7 +531,7 @@ func TestViewSharesAndMatches(t *testing.T) {
 		t.Fatalf("lens = %d, %d", v.Len(), w.Len())
 	}
 	for i := 0; i < 4; i++ {
-		if v.Value(i).Key() != w.Value(i).Key() {
+		if keyOf(v.Value(i)) != keyOf(w.Value(i)) {
 			t.Fatalf("row %d: %v != %v", i, v.Value(i), w.Value(i))
 		}
 	}

@@ -90,8 +90,8 @@ func randCell(rng *rand.Rand, k Kind, allowMixed bool) Value {
 
 func checkValue(t *testing.T, ctx string, got, want Value) {
 	t.Helper()
-	if got.Key() != want.Key() {
-		t.Fatalf("%s: got %s want %s", ctx, got.Key(), want.Key())
+	if keyOf(got) != keyOf(want) {
+		t.Fatalf("%s: got %v want %v", ctx, got, want)
 	}
 }
 

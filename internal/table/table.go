@@ -150,7 +150,7 @@ func (t *Table) Filter(pred func(row int) bool) *Table {
 func (t *Table) rowKey(i int) string {
 	var kb []byte
 	for j := range t.Columns {
-		kb = AppendKeyPart(kb, t.Columns[j].Value(i))
+		kb = t.Columns[j].AppendKey(kb, i)
 	}
 	return string(kb)
 }

@@ -1,9 +1,6 @@
 package table
 
 import (
-	"bytes"
-	"encoding/binary"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -227,39 +224,6 @@ func TestProfileTemporalDetection(t *testing.T) {
 	}
 	if stats[1].IsTimeLike {
 		t.Error("other should not be time-like")
-	}
-}
-
-// TestAppendKeyPart: a part is the uvarint length of the value's Key, then
-// the Key, for every kind — the fixed-size kinds fill a one-byte length in
-// after writing — so tuples whose Keys joined with a separator byte would
-// coincide encode apart, and EqualData tells them apart.
-func TestAppendKeyPart(t *testing.T) {
-	for _, v := range []Value{
-		Null(), Int(0), Int(math.MinInt64), Int(math.MaxInt64), Bool(true), Bool(false),
-		Float(3), Float(-0.5), Float(-123456789012345.67), Float(-1.2345678901234567e-300),
-		Float(math.MaxFloat64), Float(math.Inf(-1)), Float(math.NaN()),
-		Time(time.Date(-2000, 1, 2, 3, 4, 5, 6, time.UTC)),
-		Str(""), Str("x\x1fs:y"), Str(strings.Repeat("w", 300)),
-	} {
-		key := v.Key()
-		want := append(binary.AppendUvarint([]byte("prefix"), uint64(len(key))), key...)
-		if got := AppendKeyPart([]byte("prefix"), v); !bytes.Equal(got, want) {
-			t.Errorf("AppendKeyPart(%v) = %q, want %q", v, got, want)
-		}
-	}
-
-	a := AppendKeyPart(AppendKeyPart(nil, Str("x\x1fs:y")), Str("z"))
-	b := AppendKeyPart(AppendKeyPart(nil, Str("x")), Str("y\x1fs:z"))
-	if bytes.Equal(a, b) {
-		t.Fatalf("(%q, %q) and (%q, %q) encode alike: %q", "x\x1fs:y", "z", "x", "y\x1fs:z", a)
-	}
-	ta := MustNew("a", []string{"a", "b"}, []Kind{KindString, KindString})
-	ta.MustAppendRow(Str("x\x1fs:y"), Str("z"))
-	tb := MustNew("b", []string{"a", "b"}, []Kind{KindString, KindString})
-	tb.MustAppendRow(Str("x"), Str("y\x1fs:z"))
-	if EqualData(ta, tb) {
-		t.Error("EqualData matched rows whose key tuples differ")
 	}
 }
 

@@ -224,63 +224,57 @@ func isNumericKind(k Kind) bool {
 // is handled in the expression evaluator, not here).
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
-// Key returns a canonical string key for grouping and multiset comparison.
-// Floats are rounded to 9 decimal places so that arithmetic noise does not
-// split groups or fail execution-accuracy checks.
-func (v Value) Key() string {
-	if v.Kind == KindString {
-		return "s:" + v.S
-	}
-	var buf [32]byte
-	return string(appendKey(buf[:0], v))
-}
-
-// appendKey appends the bytes of v.Key() to dst.
-func appendKey(dst []byte, v Value) []byte {
+// AppendKey appends v's equality key to dst: two cells' keys are equal
+// exactly when = holds between them, NULL equal to NULL and NaN to NaN.
+// After the Kind byte of its form, an int, a bool or an integral float in
+// int64's range keys as that int64 (so 1, 1.0 and true are one key, and
+// -0 is 0), any other float as its bits with one NaN, a string as its
+// length then its bytes, and a time as its instant in any zone. Each form
+// has a fixed size or carries its length, so tuples of keys never
+// collide. Compare makes NaN equal to every number, and compares an int
+// with a float past ±2^53 as float64 and a string with another kind by
+// string form; those pairs may key apart. Column.AppendKey writes the same
+// bytes from typed storage. Nothing persists a key.
+func AppendKey(dst []byte, v Value) []byte {
 	switch v.Kind {
-	case KindNull:
-		return append(dst, "\x00null"...)
-	case KindFloat:
-		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
-			return strconv.AppendInt(append(dst, "i:"...), int64(v.F), 10)
-		}
-		return strconv.AppendFloat(append(dst, "f:"...), round9(v.F), 'g', -1, 64)
 	case KindInt:
-		return strconv.AppendInt(append(dst, "i:"...), v.I, 10)
+		return appendIntKey(dst, v.I)
+	case KindFloat:
+		return appendRealKey(dst, v.F)
+	case KindString:
+		return appendStringKey(dst, v.S)
 	case KindBool:
 		if v.B {
-			return append(dst, "i:1"...)
+			return appendIntKey(dst, 1)
 		}
-		return append(dst, "i:0"...)
+		return appendIntKey(dst, 0)
 	case KindTime:
-		return strconv.AppendInt(append(dst, "t:"...), v.T.Unix(), 10)
-	default:
-		return append(append(dst, "s:"...), v.S...)
+		return appendTimeKey(dst, v.T)
 	}
+	return append(dst, byte(KindNull))
 }
 
-// AppendKeyPart appends v to dst as one part of a composite key: the
-// length of v.Key() as a uvarint, then the Key itself. Parts delimit
-// themselves, so two tuples encode to equal bytes exactly when their
-// Keys are equal position by position — a string cell that contains a
-// separator byte, or what looks like the next cell's Key, cannot make two
-// tuples collide. It allocates nothing beyond dst's growth.
-func AppendKeyPart(dst []byte, v Value) []byte {
-	switch v.Kind {
-	case KindNull, KindInt, KindFloat, KindBool, KindTime:
-		// These Keys are at most 26 bytes, so their uvarint length is the
-		// one byte reserved here and filled in once the Key is written.
-		at := len(dst)
-		dst = appendKey(append(dst, 0), v)
-		dst[at] = byte(len(dst) - at - 1)
-		return dst
-	}
-	dst = binary.AppendUvarint(dst, uint64(len("s:")+len(v.S)))
-	return appendKey(dst, v)
+func appendIntKey(dst []byte, i int64) []byte {
+	return binary.LittleEndian.AppendUint64(append(dst, byte(KindInt)), uint64(i))
 }
 
-func round9(f float64) float64 {
-	return math.Round(f*1e9) / 1e9
+func appendRealKey(dst []byte, f float64) []byte {
+	switch {
+	case f == math.Trunc(f) && f >= -1<<63 && f < 1<<63: // ±2^63 are exact float64s
+		return appendIntKey(dst, int64(f))
+	case f != f:
+		f = math.NaN()
+	}
+	return binary.LittleEndian.AppendUint64(append(dst, byte(KindFloat)), math.Float64bits(f))
+}
+
+func appendStringKey(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(append(dst, byte(KindString)), uint64(len(s))), s...)
+}
+
+func appendTimeKey(dst []byte, t time.Time) []byte {
+	dst = binary.LittleEndian.AppendUint64(append(dst, byte(KindTime)), uint64(t.Unix()))
+	return binary.LittleEndian.AppendUint32(dst, uint32(t.Nanosecond()))
 }
 
 // timeFormats are the layouts ParseTime attempts, most specific first.

@@ -189,7 +189,7 @@ func EqualRendered(a, b *Rendered) bool {
 		for i := 0; i < n; i++ {
 			kb = kb[:0]
 			for _, ch := range chans {
-				kb = table.AppendKeyPart(kb, r.Series[ch][i])
+				kb = table.AppendKey(kb, r.Series[ch][i])
 			}
 			set[string(kb)]++
 		}
