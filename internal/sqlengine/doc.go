@@ -25,7 +25,8 @@
 // table.Selection (range spans or dense indices) instead of copying rows;
 // joins run the parallel selection-aware pair pipeline in join.go;
 // grouping gives every selected row its group's id and folds each
-// aggregate by id (vgroups); ORDER BY sorts positions by one comparator
+// aggregate by id (vgroups), and a join grouped by a dimension column
+// groups that column's build rows once, not its pairs (groupThrough); ORDER BY sorts positions by one comparator
 // over the typed key columns (rowOrder in sort.go). Every execution ends
 // as one Result over output columns and a selection of their rows:
 // DISTINCT keeps the first row of each groupKeys group, and OFFSET/LIMIT

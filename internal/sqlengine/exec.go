@@ -204,6 +204,17 @@ type vrel struct {
 	// grp makes this a relation of groups, with no cols of its own: row g
 	// is group g of grp.base. Set by executeGroupedVec.
 	grp *vgroups
+	// late holds, by column index, the columns a join left as its pairs
+	// (plan.late); their cols entries are placeholders. nil when none.
+	late []pairCol
+}
+
+// lateCol returns column ci's pairs when a join left it as them, else nil.
+func (r *vrel) lateCol(ci int) *pairCol {
+	if r.late == nil || r.late[ci].src == nil {
+		return nil
+	}
+	return &r.late[ci]
 }
 
 // vrelFrom builds the scan relation over a table — a snapshot's flat view.
@@ -280,12 +291,16 @@ func scanFilter(ctx context.Context, p *plan, x *execArgs) (*vrel, *table.Select
 			if early != nil {
 				// Comparisons that already ran observe no column any more.
 				where, keep = rest, p.observedAfter(rest)
-				rel = restrictRel(rel, early, keep)
+				rel = restrictRel(rel, early, p.withOn(keep, 0))
 			}
 		}
 		for i, j := range stmt.Joins {
+			var late []bool
+			if i == len(stmt.Joins)-1 {
+				late = p.late
+			}
 			var err error
-			rel, err = joinVRel(ctx, rel, rights[i], j, keep)
+			rel, err = joinVRel(ctx, rel, rights[i], j, p.withOn(keep, i+1), late)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -509,8 +524,8 @@ func (x *execArgs) limitReach() (int, bool) {
 // the groups numbered in first-appearance order; firsts[g] is group g's
 // first position and counts[g] how many positions it holds. A coded
 // grouping (groupCodes) has no ids: position i's group is remap[codes[i]],
-// or remap's last entry when nulls[i] is set. With neither, every position
-// is in group 0.
+// or remap's last entry when nulls (nil: none) marks i. With neither, every
+// position is in group 0.
 type grouping struct {
 	ids    []int32
 	firsts []int
@@ -523,7 +538,14 @@ type grouping struct {
 // idsAt writes the ids of a coded grouping's positions pos, pos+1, ...
 // into gs and returns it.
 func (gr *grouping) idsAt(pos int, gs []int32) []int32 {
-	codes, nulls := gr.codes[pos:pos+len(gs)], gr.nulls[pos:pos+len(gs)]
+	codes := gr.codes[pos : pos+len(gs)]
+	if gr.nulls == nil {
+		for j, c := range codes {
+			gs[j] = gr.remap[c]
+		}
+		return gs
+	}
+	nulls := gr.nulls[pos : pos+len(gs)]
 	null := gr.remap[len(gr.remap)-1]
 	for j, c := range codes {
 		id := gr.remap[c]
@@ -555,7 +577,7 @@ func (gr *grouping) idList() []int32 {
 func groupKeys(ctx context.Context, keyCols []table.Column, n int) (grouping, error) {
 	if len(keyCols) == 1 {
 		if codes, dict, nulls, ok := keyCols[0].Codes(); ok && len(dict) <= n {
-			return groupCodes(ctx, codes, len(dict), nulls, n)
+			return groupCodes(ctx, codes, len(dict), nulls, n, nil)
 		}
 		if is, nulls, ok := keyCols[0].Ints(); ok {
 			return groupByKey(ctx, n, func(d *groupDict[int64], ids []int32, lo, hi int) {
@@ -578,14 +600,19 @@ func groupKeys(ctx context.Context, keyCols []table.Column, n int) (grouping, er
 // tallies merge in chunk order, so the ids number the codes seen in
 // first-appearance order, as groupByKey's do. No string is hashed and no
 // id is written per position: the grouping keeps the codes and a code→id
-// remap.
-func groupCodes(ctx context.Context, codes []int32, size int, nulls []bool, n int) (grouping, error) {
+// remap. A position nulls (nil: none) marks is code size, NULL's slot.
+// fill (nil: none) writes the codes of positions lo..hi-1 just before their
+// chunk tallies them.
+func groupCodes(ctx context.Context, codes []int32, size int, nulls []bool, n int, fill func(lo, hi int)) (grouping, error) {
 	if n == 0 {
 		return grouping{}, ctx.Err()
 	}
 	_, chunks := chunkLayout(n, parallelMinRows)
 	tallies := make([]codeTally, chunks)
 	err := parallelChunksIndexed(ctx, n, parallelMinRows, func(ci, lo, hi int) error {
+		if fill != nil {
+			fill(lo, hi)
+		}
 		tallies[ci] = tallyCodes(codes, nulls, size, lo, hi)
 		return nil
 	})
@@ -609,7 +636,11 @@ func groupCodes(ctx context.Context, codes []int32, size int, nulls []bool, n in
 			counts[id] += tallies[t].counts[c]
 		}
 	}
-	return grouping{firsts: firsts, counts: counts, codes: codes[:n], nulls: nulls[:n], remap: remap}, nil
+	gr := grouping{firsts: firsts, counts: counts, codes: codes[:n], remap: remap}
+	if nulls != nil {
+		gr.nulls = nulls[:n]
+	}
+	return gr, nil
 }
 
 // codeTally is one chunk's count of each code, NULL's in the last slot,
@@ -623,9 +654,11 @@ type codeTally struct {
 // tallyCodes tallies positions lo..hi-1 of a dictionary of size entries.
 func tallyCodes(codes []int32, nulls []bool, size, lo, hi int) codeTally {
 	t := codeTally{counts: make([]int, size+1)}
-	nulls = nulls[lo:hi]
+	if nulls != nil {
+		nulls = nulls[lo:hi]
+	}
 	for j, c := range codes[lo:hi] {
-		if nulls[j] {
+		if nulls != nil && nulls[j] {
 			c = int32(size)
 		}
 		if t.counts[c] == 0 {
@@ -839,6 +872,65 @@ func groupRows(ctx context.Context, keyCols []table.Column, rel *vrel, sel *tabl
 	return &vgroups{base: rel, sel: sel, grouping: gr}, ctx.Err()
 }
 
+// groupThrough is groupRows over a single GROUP BY key the join left as
+// its pairs — the groupjoin. groupKeys runs once over the build column's
+// rows; each selected pair takes its build row's group as a code, a pad or
+// a NULL cell NULL's slot; and groupCodes numbers the codes in
+// first-appearance order, each chunk writing its codes as it tallies
+// them. The groups, their order, firsts and counts are the ones grouping
+// the gathered column gives, with no key gathered or hashed per pair. A
+// build side with more rows than there are pairs is gathered and grouped
+// as usual instead.
+func groupThrough(ctx context.Context, key *pairCol, rel *vrel, sel *table.Selection) (*vgroups, error) {
+	n, m := selLen(rel, sel), key.src.Len()
+	if m > n {
+		rows := sel.Indices()
+		if sel == nil {
+			rows = iotaInts(n)
+		}
+		return groupRows(ctx, []table.Column{key.gather(rows, nil)}, rel, sel)
+	}
+	build, err := groupKeys(ctx, []table.Column{*key.src}, m)
+	if err != nil {
+		return nil, err
+	}
+	ids, size := build.idList(), int32(len(build.counts))
+	nullID := int32(-1) // the build's NULL group, which takes NULL's slot
+	for g, first := range build.firsts {
+		if key.src.IsNullAt(first) {
+			nullID = int32(g)
+		}
+	}
+	// Position i is row base+i, or rows[i] unless sel is one range.
+	base, _, isRange := sel.AsRange()
+	var rows []int
+	if !isRange {
+		rows = sel.Indices()
+	}
+	codes := make([]int32, n)
+	gr, err := groupCodes(ctx, codes, int(size), nil, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			r := base + i
+			if rows != nil {
+				r = rows[i]
+			}
+			codes[i] = size
+			if key.pad == nil || !key.pad[r] {
+				if id := ids[key.idx[r]]; id != nullID {
+					codes[i] = id
+				}
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if n > 0 {
+		rowsOf(sel, gr.firsts)
+	}
+	return &vgroups{base: rel, sel: sel, grouping: gr}, ctx.Err()
+}
+
 // firstRows reads base column ci at the first row of each selected group.
 func (g *vgroups) firstRows(ci int, sel *table.Selection, n int) table.Column {
 	idx := make([]int, n)
@@ -854,6 +946,9 @@ func (g *vgroups) firstRows(ci int, sel *table.Selection, n int) table.Column {
 			continue
 		}
 		idx[i] = g.firsts[gi]
+	}
+	if late := g.base.lateCol(ci); late != nil {
+		return late.gather(idx, pad)
 	}
 	return g.base.cols[ci].Gather(idx, pad)
 }
@@ -1225,13 +1320,20 @@ func (a *aggAcc) value() table.Value {
 // gives its per-group values, and ordering runs through orderOutput like a
 // plain projection's.
 func executeGroupedVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selection) ([]table.Column, error) {
-	groupCols, err := evalVecs(p.groupBy, rel, sel)
-	if err != nil {
-		return nil, err
-	}
-	groups, err := groupRows(ctx, groupCols, rel, sel)
-	if err != nil {
-		return nil, err
+	var groups *vgroups
+	if key := lateKey(p, rel); key != nil {
+		var err error
+		if groups, err = groupThrough(ctx, key, rel, sel); err != nil {
+			return nil, err
+		}
+	} else {
+		groupCols, err := evalVecs(p.groupBy, rel, sel)
+		if err != nil {
+			return nil, err
+		}
+		if groups, err = groupRows(ctx, groupCols, rel, sel); err != nil {
+			return nil, err
+		}
 	}
 	grel := &vrel{nrows: len(groups.counts), x: rel.x, grp: groups}
 	var kept *table.Selection // nil: every group
@@ -1257,6 +1359,18 @@ func executeGroupedVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selec
 		cols[c] = retype(cols[c])
 	}
 	return orderOutput(ctx, p, rel.x, cols[:len(p.items)], cols[len(p.items):])
+}
+
+// lateKey returns the pairs of the statement's GROUP BY key when it is one
+// column the join left as them, else nil.
+func lateKey(p *plan, rel *vrel) *pairCol {
+	if len(p.groupBy) != 1 {
+		return nil
+	}
+	if ref, ok := p.groupBy[0].(*ColumnRef); ok {
+		return rel.lateCol(ref.idx)
+	}
+	return nil
 }
 
 // retype gives a column the storage columnOfValues gives its values, as

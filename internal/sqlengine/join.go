@@ -11,9 +11,10 @@ import (
 // The join pipeline. The preserved side probes — left for INNER/LEFT/FULL;
 // a RIGHT join runs as the LEFT join of the swapped sides — and is
 // partitioned into contiguous chunks across the shared worker pool. Each
-// probe row's candidates come from a hash index over the ON clause's
-// equality conjuncts between a left and a right column or, when it has
-// none, are every row of the other side (a nested loop). Residual ON
+// probe row's candidates come from table.NewHashProbe's index over the ON
+// clause's equality conjuncts between a left and a right column — the
+// build rows in one flat list grouped by key — or, when it has none, are
+// every row of the other side (a nested loop). Residual ON
 // conjuncts are evaluated with evalVec over batches of candidate pairs,
 // several probe rows at a time, rather than by boxed per-pair tree walks.
 // The pair list is allocated once per join, sized to the probe side's
@@ -25,11 +26,16 @@ import (
 // on its own, and the merge then copies every window into one buffer of
 // the exact total.
 //
-// Output assembly is selection-aware: the probe side of a 1:1 join emits
-// strictly ascending row indices, which convert to a table.Selection so
-// runs of consecutive surviving rows copy span-at-a-time (GatherSel);
-// multi-match fan-out falls back to a dense index gather, and outer-join
-// padding is the per-side pad mask handed to Gather.
+// The join hands on row pairs where it can rather than gathered columns.
+// A column only the join's own ON reads is not gathered (plan.onFrom
+// keeps what a later ON reads). The probe side of a 1:1 join emits
+// strictly ascending row indices, which convert to a table.Selection: one
+// range is a zero-copy View of each column, several copy span-at-a-time
+// (GatherSel); multi-match fan-out falls back to a dense index gather, and
+// outer-join padding is the per-side pad mask handed to Gather. A build
+// column a grouped statement reads only as its sole GROUP BY key or at
+// group level (plan.late) stays as the pairs themselves, a pairCol, which
+// the groupjoin (groupThrough, exec.go) groups through the build rows.
 
 // serialJoinProbe is a test hook: when set, the join probe runs as a
 // single chunk on the calling goroutine instead of partitioning the probe
@@ -92,16 +98,18 @@ func joinsArePureEqui(joins []JoinClause, widths []int) bool {
 	return true
 }
 
-// joinVRel joins left and right per the clause's kind. See the package
-// comment at the top of this file for the pipeline shape; the probe side
-// is the preserved side (left for INNER/LEFT/FULL, right for RIGHT), so
-// output order always follows it, matching the scalar reference executor
-// row for row. Output columns the statement never observes (keep[i] false,
-// by index in the final joined relation, of which this join's output is a
-// prefix) are not materialized — they stay zero placeholders that keep the
-// indexes aligned — and the per-column gathers of a large join run on the
-// worker pool.
-func joinVRel(ctx context.Context, left, right *vrel, j JoinClause, keep []bool) (*vrel, error) {
+// joinVRel joins left and right per the clause's kind. See the comment at
+// the top of this file for the pipeline shape; the probe side is the
+// preserved side (left for INNER/LEFT/FULL, right for RIGHT), so output
+// order always follows it, matching the scalar reference executor row for
+// row. Output columns the statement never observes after this join
+// (keep[i] false, by index in the final joined relation, of which this
+// join's output is a prefix) are not materialized — they stay zero
+// placeholders that keep the indexes aligned. A column late marks (nil:
+// none) stays its side's pairs (pairCol). Of the others, a side whose
+// pairs are one ascending unpadded range is a view of its input; the
+// per-column gathers of a large join run on the worker pool.
+func joinVRel(ctx context.Context, left, right *vrel, j JoinClause, keep, late []bool) (*vrel, error) {
 	out := &vrel{x: left.x}
 	nl := len(left.cols)
 
@@ -115,29 +123,45 @@ func joinVRel(ctx context.Context, left, right *vrel, j JoinClause, keep []bool)
 	}
 
 	out.nrows = pairs.Len()
-	lsel := sideSelection(pairs.Lidx, pairs.Lnull)
-	rsel := sideSelection(pairs.Ridx, pairs.Rnull)
 	ncols := nl + len(right.cols)
 	out.cols = make([]table.Column, ncols)
+	if late != nil {
+		out.late = make([]pairCol, ncols)
+	}
+	// A side's selection is worked out only when one of its columns is
+	// gathered.
+	var lsel, rsel *table.Selection
+	for oi := 0; oi < ncols; oi++ {
+		switch {
+		case !keep[oi] || (late != nil && late[oi]):
+		case oi < nl && lsel == nil:
+			lsel = sideSelection(pairs.Lidx, pairs.Lnull)
+		case oi >= nl && rsel == nil:
+			rsel = sideSelection(pairs.Ridx, pairs.Rnull)
+		}
+	}
 	gatherOne := func(oi int) {
 		if !keep[oi] {
 			return // placeholder: never observed downstream
 		}
 		var src *table.Column
-		var idx []int
-		var nulls []bool
-		var sel *table.Selection
+		idx, nulls, sel := pairs.Lidx, pairs.Lnull, lsel
 		if oi < nl {
 			src = &left.cols[oi]
-			idx, nulls, sel = pairs.Lidx, pairs.Lnull, lsel
 		} else {
-			src = &right.cols[oi-nl]
-			idx, nulls, sel = pairs.Ridx, pairs.Rnull, rsel
+			src, idx, nulls, sel = &right.cols[oi-nl], pairs.Ridx, pairs.Rnull, rsel
 		}
-		if sel != nil {
-			out.cols[oi] = src.GatherSel(sel)
-		} else {
+		if late != nil && late[oi] {
+			out.late[oi] = pairCol{src: src, idx: idx, pad: nulls}
+			return
+		}
+		switch lo, hi, isRange := sel.AsRange(); {
+		case sel == nil:
 			out.cols[oi] = src.Gather(idx, nulls)
+		case isRange:
+			out.cols[oi] = src.View(lo, hi)
+		default:
+			out.cols[oi] = src.GatherSel(sel)
 		}
 	}
 	if out.nrows >= parallelMinRows && ncols > 1 && !serialJoinProbe.Load() {
@@ -158,10 +182,37 @@ func joinVRel(ctx context.Context, left, right *vrel, j JoinClause, keep []bool)
 	return out, ctx.Err()
 }
 
+// pairCol is a join output column left as its side's pairs: row i is row
+// idx[i] of src, or NULL where pad (nil: nowhere) is set.
+type pairCol struct {
+	src *table.Column
+	idx []int
+	pad []bool
+}
+
+// gather materializes the column at rows, NULL where pad (nil: nowhere)
+// is set.
+func (c *pairCol) gather(rows []int, pad []bool) table.Column {
+	idx := make([]int, len(rows))
+	var nulls []bool
+	for i, r := range rows {
+		if (pad != nil && pad[i]) || (c.pad != nil && c.pad[r]) {
+			if nulls == nil {
+				nulls = make([]bool, len(rows))
+			}
+			nulls[i] = true
+			continue
+		}
+		idx[i] = c.idx[r]
+	}
+	return c.src.Gather(idx, nulls)
+}
+
 // sideSelection converts one side's pair list to a table.Selection when
 // it is strictly ascending and free of padding — runs of consecutive 1:1
-// matches then copy span-at-a-time. nil means gather densely instead. A
-// mask that was allocated but never set counts as padding-free.
+// matches then copy span-at-a-time, and a single run is a view. nil means
+// gather densely instead. A mask that was allocated but never set counts
+// as padding-free.
 func sideSelection(idx []int, nulls []bool) *table.Selection {
 	if nulls != nil && anyTrue(nulls) {
 		return nil

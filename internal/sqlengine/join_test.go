@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -508,6 +509,195 @@ func TestHashJoinMatchesEquals(t *testing.T) {
 			if kind == "INNER" && want.NumRows() != tc.wantInner {
 				t.Errorf("%s: oracle joins %d rows, want %d", tc.name, want.NumRows(), tc.wantInner)
 			}
+		}
+	}
+}
+
+// groupJoinCatalog builds a fact table gf of n rows and a dimension gd of
+// m rows for the groupjoin tests. gd's keys repeat (a key joins several
+// dimension rows), one in 11 is NULL and some no fact carries; gf's keys
+// reach below and past gd's and one in 13 is NULL, so every outer kind
+// pads. gd's s, i and x are string, int and float group keys with NULL
+// cells; x holds -0 beside 0, and a NaN.
+func groupJoinCatalog(n, m int) *Catalog {
+	rng := rand.New(rand.NewSource(46))
+	gd := table.MustNew("gd", []string{"k", "s", "i", "x"},
+		[]table.Kind{table.KindInt, table.KindString, table.KindInt, table.KindFloat})
+	xs := []table.Value{table.Float(1.5), table.Float(0), table.Float(math.Copysign(0, -1)), table.Float(2.25), table.Infer("NaN")}
+	for r := 0; r < m; r++ {
+		k, s, i, x := table.Int(int64(rng.Intn(m*2/3))), table.Str([]string{"north", "south", "east", "west"}[rng.Intn(4)]),
+			table.Int(int64(rng.Intn(5)-2)), xs[rng.Intn(len(xs))]
+		if r%11 == 5 {
+			k = table.Null()
+		}
+		if r%7 == 3 {
+			s = table.Null()
+		}
+		if r%9 == 4 {
+			i = table.Null()
+		}
+		if r%8 == 6 {
+			x = table.Null()
+		}
+		gd.MustAppendRow(k, s, i, x)
+	}
+	gf := table.MustNew("gf", []string{"id", "k", "v"}, []table.Kind{table.KindInt, table.KindInt, table.KindFloat})
+	for r := 0; r < n; r++ {
+		k := table.Int(int64(rng.Intn(m) - 3))
+		if r%13 == 0 {
+			k = table.Null()
+		}
+		gf.MustAppendRow(table.Int(int64(r)), k, table.Float(float64(rng.Intn(1000))/8))
+	}
+	c := NewCatalog()
+	c.Register(gf)
+	c.Register(gd)
+	return c
+}
+
+// groupJoinQueries are the groupjoin contract's statements: each groups a
+// join of gf and gd by one of gd's columns, which gd is the build side of
+// for every kind (a RIGHT join builds its left side). The second reads
+// the key in HAVING and ORDER BY too, the third's WHERE leaves fewer pairs
+// than gd has rows, so its key is gathered.
+func groupJoinQueries() []string {
+	shapes := []string{
+		"SELECT gd.%[1]s, COUNT(*), SUM(gf.v), MAX(gd.k) FROM %[2]s GROUP BY gd.%[1]s",
+		"SELECT gd.%[1]s AS g, COUNT(gf.id) AS n FROM %[2]s WHERE gf.v < 100 GROUP BY g HAVING gd.%[1]s IS NOT NULL OR COUNT(*) > 1 ORDER BY gd.%[1]s DESC",
+		"SELECT gd.%[1]s, AVG(gf.v) FROM %[2]s WHERE gf.id < 200 GROUP BY 1",
+	}
+	var qs []string
+	for _, kind := range []string{"INNER", "LEFT", "RIGHT", "FULL"} {
+		from := "gf " + kind + " JOIN gd ON gf.k = gd.k"
+		if kind == "RIGHT" {
+			from = "gd RIGHT JOIN gf ON gd.k = gf.k"
+		}
+		for _, key := range []string{"s", "i", "x"} {
+			for _, shape := range shapes {
+				qs = append(qs, fmt.Sprintf(shape, key, from))
+			}
+		}
+	}
+	return qs
+}
+
+// TestGroupJoinMatchesGathered: grouping a join by a build-side column
+// through the build rows (groupThrough) gives the groups, group order and
+// aggregates that grouping the gathered column gives — for every join
+// kind, duplicate and NULL build keys, NULL and unmatched probe keys
+// (padded pairs), string, int and float keys, a key HAVING and ORDER BY
+// read too, and a build side with more rows than there are pairs. The
+// plan with its late marks cleared is the gathered path; at a small size
+// both match the row-at-a-time oracle as well.
+func TestGroupJoinMatchesGathered(t *testing.T) {
+	ctx := context.Background()
+	c := groupJoinCatalog(3*parallelMinRows, 600)
+	for _, q := range groupJoinQueries() {
+		p, binds, err := c.planQuery(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if p.late == nil {
+			t.Fatalf("%s: the plan leaves no column as the join's pairs", q)
+		}
+		gathered := *p
+		gathered.late = nil
+		var dumps [2]string
+		for i, plan := range []*plan{p, &gathered} {
+			res, err := executeResultBound(ctx, plan, binds)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			dumps[i] = dumpResult(res)
+		}
+		if dumps[0] != dumps[1] {
+			t.Errorf("%s\n-- through the build rows --\n%s-- gathered --\n%s", q, dumps[0], dumps[1])
+		}
+	}
+	small := groupJoinCatalog(200, 40)
+	for _, q := range groupJoinQueries() {
+		checkDifferential(t, small, q)
+	}
+}
+
+// TestLateColumnsMarks: the plan leaves a build-side column as the join's
+// pairs only when a grouped statement reads it as its sole GROUP BY key or
+// at group level outside aggregate arguments.
+func TestLateColumnsMarks(t *testing.T) {
+	c := groupJoinCatalog(10, 10)
+	// gf is columns 0..2 and gd 3..6 (k, s, i, x), or gd 0..3 and gf 4..6.
+	for q, want := range map[string][]int{
+		"SELECT gd.s, COUNT(*) FROM gf JOIN gd ON gf.k = gd.k GROUP BY gd.s":                      {4},
+		"SELECT gd.s, gd.i, SUM(gf.v) FROM gf LEFT JOIN gd ON gf.k = gd.k GROUP BY gd.s":          {4, 5},
+		"SELECT gd.s, COUNT(*) FROM gd RIGHT JOIN gf ON gd.k = gf.k GROUP BY gd.s ORDER BY gd.s":  {1},
+		"SELECT gd.s, COUNT(*) FROM gf JOIN gd ON gf.k = gd.k GROUP BY gd.s HAVING MAX(gd.i) > 0": {4},
+		"SELECT gf.id, COUNT(*) FROM gf JOIN gd ON gf.k = gd.k GROUP BY gf.id":                    nil,
+		"SELECT gd.s, COUNT(*) FROM gf JOIN gd ON gf.k = gd.k WHERE gd.s <> 'x' GROUP BY gd.s":    nil,
+		"SELECT gd.s, MAX(gd.s) FROM gf JOIN gd ON gf.k = gd.k GROUP BY gd.s":                     nil,
+		"SELECT gd.s, gd.i, COUNT(*) FROM gf JOIN gd ON gf.k = gd.k GROUP BY gd.s, gd.i":          nil,
+		"SELECT UPPER(gd.s), COUNT(*) FROM gf JOIN gd ON gf.k = gd.k GROUP BY UPPER(gd.s)":        nil,
+		"SELECT gd.s FROM gf JOIN gd ON gf.k = gd.k":                                              nil,
+		"SELECT gf.id, COUNT(*) FROM gd RIGHT JOIN gf ON gd.k = gf.k GROUP BY gf.id":              nil,
+	} {
+		p, _, err := c.planQuery(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		var got []int
+		for i, m := range p.late {
+			if m {
+				got = append(got, i)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: late columns %v, want %v", q, got, want)
+		}
+	}
+}
+
+// TestJoinKeepsLaterOnColumns: a join no longer materializes a column only
+// its own ON reads, but it must materialize one a later join's ON reads —
+// here the second ON reads the first join's right side — and an early
+// filter that leaves scattered rows must still restrict the FROM columns
+// the first ON reads.
+func TestJoinKeepsLaterOnColumns(t *testing.T) {
+	a := table.MustNew("ja", []string{"id", "bid", "v"}, []table.Kind{table.KindInt, table.KindInt, table.KindInt})
+	for i := 0; i < 60; i++ {
+		a.MustAppendRow(table.Int(int64(i)), table.Int(int64(i%9)), table.Int(int64(i*37%100)))
+	}
+	b := table.MustNew("jb", []string{"id", "cid"}, []table.Kind{table.KindInt, table.KindInt})
+	for i := 0; i < 8; i++ {
+		b.MustAppendRow(table.Int(int64(i)), table.Int(int64(i%3)))
+	}
+	cc := table.MustNew("jc", []string{"id", "name"}, []table.Kind{table.KindInt, table.KindString})
+	for i := 0; i < 3; i++ {
+		cc.MustAppendRow(table.Int(int64(i)), table.Str(fmt.Sprintf("c%d", i)))
+	}
+	c := NewCatalog()
+	c.Register(a)
+	c.Register(b)
+	c.Register(cc)
+	for _, q := range []string{
+		"SELECT ja.id, jc.name FROM ja JOIN jb ON ja.bid = jb.id JOIN jc ON jb.cid = jc.id",
+		"SELECT ja.id, jc.name FROM ja JOIN jb ON ja.bid = jb.id JOIN jc ON jb.cid = jc.id WHERE ja.v < 40",
+		"SELECT ja.id, jc.name FROM ja LEFT JOIN jb ON ja.bid = jb.id LEFT JOIN jc ON jb.cid = jc.id AND jc.id < ja.v",
+		"SELECT jc.name, COUNT(*) FROM ja JOIN jb ON ja.bid = jb.id RIGHT JOIN jc ON jb.cid = jc.id GROUP BY jc.name",
+		"SELECT jc.name, COUNT(*) FROM ja JOIN jb ON ja.bid = jb.id FULL JOIN jc ON jb.cid = jc.id WHERE ja.v < 70 GROUP BY jc.name",
+	} {
+		checkDifferential(t, c, q)
+	}
+	// ja is columns 0..2, jb 3..4 and jc 5..6.
+	p, _, err := c.planQuery("SELECT ja.id, jc.name FROM ja JOIN jb ON ja.bid = jb.id JOIN jc ON jb.cid = jc.id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range [][]bool{
+		{true, true, false, true, true, true, true},     // entering the first join: both ONs' columns
+		{true, false, false, false, true, true, true},   // out of the first: the second ON's
+		{true, false, false, false, false, false, true}, // out of the second: the select list's
+	} {
+		if got := p.withOn(p.keep, i); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("columns held after %d joins: %v, want %v", i, got, want)
 		}
 	}
 }

@@ -43,12 +43,19 @@ type plan struct {
 	grouped bool         // GROUP BY, HAVING or an aggregate in the select list
 	scalar  bool         // the plan of a scalar `(SELECT ...)`: at most one row
 
-	// keep marks the joined relation's columns the statement observes, so
-	// joins materialize no others; keepSansWhere leaves WHERE's references
-	// out, for when its conjuncts ran ahead of the joins. Both are nil
+	// keep marks the joined relation's columns the statement observes once
+	// its joins ran, so joins materialize no others; keepSansWhere leaves
+	// WHERE's references out, for when its conjuncts ran ahead of the joins.
+	// Neither marks a column only ON clauses read: onFrom[i] marks those the
+	// ON clauses of the i-th join and every later one read, which the
+	// relation entering the i-th join must hold (nil for none; the last
+	// entry, after every join, is nil). late marks the columns the last join
+	// hands on as its pairs rather than gathered (lateColumns). All are nil
 	// without joins. earlyFilter reports that every join is INNER or LEFT on
 	// pure column equality — the shape that lets them run ahead.
 	keep, keepSansWhere []bool
+	onFrom              [][]bool
+	late                []bool
 	earlyFilter         bool
 }
 
@@ -157,15 +164,22 @@ func (c *Catalog) resolve(stmt *SelectStmt) (*plan, error) {
 	schema, widths := schemaFrom(stmt, p.apps)
 	r := &resolver{c: c, p: p, schema: schema}
 	n := len(schema.names)
-	if len(stmt.Joins) > 0 {
-		r.used = make([]bool, n)
-	}
 
 	// Joins concatenate left then right, so a column's index in the final
 	// relation is its index in every prefix that has it: an ON clause sees
 	// the columns up to its own join's width and no further.
-	for i := range stmt.Joins {
-		r.expr(stmt.Joins[i].On, widths[i+1], nil)
+	if len(stmt.Joins) > 0 {
+		on := make([][]bool, len(stmt.Joins))
+		for i := range stmt.Joins {
+			r.used = make([]bool, n)
+			r.expr(stmt.Joins[i].On, widths[i+1], nil)
+			on[i] = r.used
+		}
+		p.onFrom = make([][]bool, len(stmt.Joins)+1)
+		for i := len(on) - 1; i >= 0; i-- {
+			p.onFrom[i] = orMasks(on[i], p.onFrom[i+1])
+		}
+		r.used = make([]bool, n)
 	}
 	p.earlyFilter = len(stmt.Joins) > 0 && joinsArePureEqui(stmt.Joins, widths)
 
@@ -210,7 +224,91 @@ func (c *Catalog) resolve(stmt *SelectStmt) (*plan, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+	p.late = lateColumns(p, widths)
 	return p, nil
+}
+
+// orMasks returns a new mask marking what a or b marks; b may be nil.
+func orMasks(a, b []bool) []bool {
+	out := append([]bool(nil), a...)
+	for i, m := range b {
+		out[i] = out[i] || m
+	}
+	return out
+}
+
+// withOn returns keep plus the columns the ON clauses of the i-th join and
+// later ones read: what the relation entering the i-th join must hold.
+func (p *plan) withOn(keep []bool, i int) []bool {
+	if p.onFrom[i] == nil {
+		return keep
+	}
+	return orMasks(keep, p.onFrom[i])
+}
+
+// lateColumns marks the build-side columns of a grouped statement's last
+// join that the statement reads only as its sole GROUP BY key, or at group
+// level outside aggregate arguments (the select list, HAVING and ORDER BY
+// read a group's first row there). The join leaves such a column as its
+// pairs: the groupjoin groups the build rows once and numbers each pair's
+// group through its build row (groupThrough), and a group's first row is
+// read through the pairs too (vgroups.firstRows). The build side is the
+// right one, or the left for a RIGHT join, which runs as the LEFT join of
+// the swapped sides. A column WHERE, an aggregate's or a window call's
+// arguments, or any other GROUP BY shape reads is gathered as before. The
+// marks are fixed here, once per plan: executions share the plan across
+// goroutines. nil when no column qualifies.
+func lateColumns(p *plan, widths []int) []bool {
+	joins := p.stmt.Joins
+	if !p.grouped || len(joins) == 0 {
+		return nil
+	}
+	lo, hi := widths[len(joins)-1], widths[len(joins)]
+	if joins[len(joins)-1].Kind == table.JoinRight {
+		lo, hi = 0, widths[len(joins)-1]
+	}
+	late := make([]bool, len(p.keep))
+	copy(late[lo:hi], p.keep[lo:hi])
+	gather := func(e Expr) {
+		walkExpr(e, func(e Expr) bool {
+			if ref, ok := e.(*ColumnRef); ok {
+				late[ref.idx] = false
+			}
+			return true
+		})
+	}
+	groupLevel := func(e Expr) {
+		walkExpr(e, func(e Expr) bool {
+			if fn, ok := e.(*FuncCall); ok && (fn.Over != nil || isAggregate(fn.Name)) {
+				gather(fn)
+				return false
+			}
+			return true
+		})
+	}
+	if p.stmt.Where != nil {
+		gather(p.stmt.Where)
+	}
+	for _, g := range p.groupBy {
+		if _, ok := g.(*ColumnRef); !ok || len(p.groupBy) > 1 {
+			gather(g)
+		}
+	}
+	for _, it := range p.items {
+		groupLevel(it.Expr)
+	}
+	if p.having != nil {
+		groupLevel(p.having)
+	}
+	for _, o := range p.order {
+		groupLevel(o.Expr)
+	}
+	for _, m := range late {
+		if m {
+			return late
+		}
+	}
+	return nil
 }
 
 // expr resolves one expression against the first width columns of the

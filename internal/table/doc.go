@@ -32,7 +32,8 @@
 // sized to the probe side, filled through one [JoinPairs.Window] per probe
 // chunk and put back together by [JoinPairs.Merge]; the SQL engine's
 // join pipeline (package sqlengine) probes through [NewHashProbe], whose
-// keys are exact for every pair [EquiHashable] accepts.
+// keys are exact for every pair [EquiHashable] accepts and whose index
+// is one flat list of the build rows grouped by key.
 //
 // See docs/ENGINE.md at the repository root for how these pieces compose
 // into the full query lifecycle.

@@ -196,18 +196,22 @@ func hasNaN(c *Column) bool {
 	return false
 }
 
-// NewHashProbe builds a hash index over the key columns of the right side
-// and returns a probe from a left-row index to the matching right rows.
-// lcols and rcols pair up positionally (lcols[i] = rcols[i]), and every
-// pair must be EquiHashable; a NULL in any key column never matches. The
-// probe is safe for concurrent use. Single typed int and string keys use
-// typed maps; any other key hashes the row's probeKey, so two rows meet
-// exactly when = holds on every pair.
+// NewHashProbe builds an index over the key columns of the right side and
+// returns a probe from a left-row index to the matching right rows, in
+// ascending order. lcols and rcols pair up positionally (lcols[i] =
+// rcols[i]), and every pair must be EquiHashable; a NULL in any key column
+// never matches. The probe is safe for concurrent use, and the lists it
+// returns are read-only. The index is one flat list of the build rows
+// grouped by key (rowLists). A single typed int key whose values span
+// fewer than denseSpan times the build rows finds its group by key − min,
+// with no hashing; a single typed int or string key otherwise hashes its raw
+// value to a group number, and any other key hashes the row's probeKey, so
+// two rows meet exactly when = holds on every pair.
 func NewHashProbe(lcols, rcols []*Column) func(leftRow int) []int {
 	if len(lcols) == 1 {
 		if lv, ln, ok := lcols[0].Ints(); ok {
 			if rv, rn, ok := rcols[0].Ints(); ok {
-				return typedProbe(lv, ln, rv, rn)
+				return intProbe(lv, ln, rv, rn)
 			}
 		}
 		if lv, ln, ok := lcols[0].Strings(); ok {
@@ -220,38 +224,153 @@ func NewHashProbe(lcols, rcols []*Column) func(leftRow int) []int {
 	if len(rcols) > 0 {
 		n = rcols[0].Len()
 	}
-	index := make(map[string][]int, n)
+	groups := make(map[string]int32)
+	slots := make([]int32, n)
 	var kb []byte
-	for r := 0; r < n; r++ {
+	for r := range slots {
 		var ok bool
-		if kb, ok = probeKey(kb[:0], rcols, lcols, r); ok {
-			index[string(kb)] = append(index[string(kb)], r)
+		if kb, ok = probeKey(kb[:0], rcols, lcols, r); !ok {
+			slots[r] = -1
+			continue
 		}
+		g, seen := groups[string(kb)]
+		if !seen {
+			g = int32(len(groups))
+			groups[string(kb)] = g
+		}
+		slots[r] = g
 	}
+	index := newRowLists(slots, len(groups))
 	return func(l int) []int {
 		var buf [64]byte
 		k, ok := probeKey(buf[:0], lcols, rcols, l)
 		if !ok {
 			return nil
 		}
-		return index[string(k)]
+		if g, ok := groups[string(k)]; ok {
+			return index.rows(g)
+		}
+		return nil
 	}
 }
 
-// typedProbe is NewHashProbe over one typed key column per side.
-func typedProbe[T comparable](lvals []T, lnulls []bool, rvals []T, rnulls []bool) func(leftRow int) []int {
-	index := make(map[T][]int, len(rvals))
+// denseSpan bounds a directly indexed int key: its values span fewer than
+// this many times the build side's rows, so the group offsets take no more
+// than a few words per build row.
+const denseSpan = 4
+
+// intProbe is NewHashProbe over one typed int key column per side. When
+// the build keys span few enough values, a key's group is key − min and
+// no key is hashed; the span is taken in uint64, where max − min cannot
+// overflow.
+func intProbe(lvals []int64, lnulls []bool, rvals []int64, rnulls []bool) func(leftRow int) []int {
+	lo, hi, found := int64(0), int64(0), false
 	for r, v := range rvals {
+		if rnulls[r] {
+			continue
+		}
+		if !found || v < lo {
+			lo = v
+		}
+		if !found || v > hi {
+			hi = v
+		}
+		found = true
+	}
+	if !found {
+		return func(int) []int { return nil }
+	}
+	span := uint64(hi) - uint64(lo)
+	if span >= uint64(denseSpan*len(rvals)) || len(rvals) > math.MaxInt32/denseSpan {
+		return typedProbe(lvals, lnulls, rvals, rnulls)
+	}
+	slots := make([]int32, len(rvals))
+	for r, v := range rvals {
+		slots[r] = -1
 		if !rnulls[r] {
-			index[v] = append(index[v], r)
+			slots[r] = int32(uint64(v) - uint64(lo))
 		}
 	}
+	index := newRowLists(slots, int(span)+1)
+	return func(l int) []int {
+		v := lvals[l]
+		if lnulls[l] || v < lo || v > hi {
+			return nil
+		}
+		return index.rows(int32(uint64(v) - uint64(lo)))
+	}
+}
+
+// typedProbe is NewHashProbe over one typed key column per side: a map from
+// each distinct build key to its group.
+func typedProbe[T comparable](lvals []T, lnulls []bool, rvals []T, rnulls []bool) func(leftRow int) []int {
+	groups := make(map[T]int32)
+	slots := make([]int32, len(rvals))
+	for r, v := range rvals {
+		if rnulls[r] {
+			slots[r] = -1
+			continue
+		}
+		g, ok := groups[v]
+		if !ok {
+			g = int32(len(groups))
+			groups[v] = g
+		}
+		slots[r] = g
+	}
+	index := newRowLists(slots, len(groups))
 	return func(l int) []int {
 		if lnulls[l] {
 			return nil
 		}
-		return index[lvals[l]]
+		if g, ok := groups[lvals[l]]; ok {
+			return index.rows(g)
+		}
+		return nil
 	}
+}
+
+// rowLists is a build side's rows grouped by key in one flat list (the
+// compressed sparse row layout): group g's rows are list[start[g]:start[g+1]],
+// ascending. It costs two allocations however many keys there are.
+type rowLists struct {
+	start []int32
+	list  []int
+}
+
+// newRowLists groups rows 0..len(slots)-1 into groups groups: row r joins
+// group slots[r], or none when that is negative. One counting pass sizes
+// each group, a prefix sum places it, and a fill pass in row order writes
+// each group's rows ascending.
+func newRowLists(slots []int32, groups int) rowLists {
+	start := make([]int32, groups+1)
+	for _, g := range slots {
+		if g >= 0 {
+			start[g+1]++
+		}
+	}
+	for g := 1; g <= groups; g++ {
+		start[g] += start[g-1]
+	}
+	list := make([]int, start[groups])
+	// The fill advances start[g] to group g's end, which is group g+1's
+	// start; shifting the offsets up by one restores them.
+	for r, g := range slots {
+		if g >= 0 {
+			list[start[g]] = r
+			start[g]++
+		}
+	}
+	copy(start[1:], start[:groups])
+	start[0] = 0
+	return rowLists{start: start, list: list}
+}
+
+// rows returns group g's rows; its capacity ends with them, so an append
+// to it cannot write into the next group.
+func (x rowLists) rows(g int32) []int {
+	lo, hi := x.start[g], x.start[g+1]
+	return x.list[lo:hi:hi]
 }
 
 // probeKey appends the AppendKey tuple of row across the key columns cols,

@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -190,6 +191,144 @@ func TestEquiKeyExact(t *testing.T) {
 		}
 		if got := len(NewHashProbe(lcols, rcols)(0)) == 1; got != want {
 			t.Errorf("%s: probe matched %v, = holds %v", tc.name, got, want)
+		}
+	}
+}
+
+// mapProbe is NewHashProbe as it stood before the flat build index: one
+// map entry and one index slice per distinct key. TestHashProbeMatchesMapIndex
+// keeps it as the oracle the flat index must reproduce, list for list.
+func mapProbe(lcols, rcols []*Column) func(leftRow int) []int {
+	if len(lcols) == 1 {
+		if lv, ln, ok := lcols[0].Ints(); ok {
+			if rv, rn, ok := rcols[0].Ints(); ok {
+				return mapTypedProbe(lv, ln, rv, rn)
+			}
+		}
+		if lv, ln, ok := lcols[0].Strings(); ok {
+			if rv, rn, ok := rcols[0].Strings(); ok {
+				return mapTypedProbe(lv, ln, rv, rn)
+			}
+		}
+	}
+	n := 0
+	if len(rcols) > 0 {
+		n = rcols[0].Len()
+	}
+	index := make(map[string][]int, n)
+	var kb []byte
+	for r := 0; r < n; r++ {
+		var ok bool
+		if kb, ok = probeKey(kb[:0], rcols, lcols, r); ok {
+			index[string(kb)] = append(index[string(kb)], r)
+		}
+	}
+	return func(l int) []int {
+		var buf [64]byte
+		k, ok := probeKey(buf[:0], lcols, rcols, l)
+		if !ok {
+			return nil
+		}
+		return index[string(k)]
+	}
+}
+
+func mapTypedProbe[T comparable](lvals []T, lnulls []bool, rvals []T, rnulls []bool) func(leftRow int) []int {
+	index := make(map[T][]int, len(rvals))
+	for r, v := range rvals {
+		if !rnulls[r] {
+			index[v] = append(index[v], r)
+		}
+	}
+	return func(l int) []int {
+		if lnulls[l] {
+			return nil
+		}
+		return index[lvals[l]]
+	}
+}
+
+// TestHashProbeMatchesMapIndex: the flat build index hands every probe row
+// the build rows the per-key map did, in the same (ascending) order, for
+// dense keys (the directly indexed form), sparse and negative ones,
+// duplicates, NULLs on either side, keys at MinInt64 and MaxInt64 (where
+// max − min overflows int64), string keys and composite keys. Every left
+// row also probes an appended list that must not reach the next key's rows.
+func TestHashProbeMatchesMapIndex(t *testing.T) {
+	ints := func(vals ...int64) []Value {
+		out := make([]Value, len(vals))
+		for i, v := range vals {
+			out[i] = Int(v)
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(7))
+	randInts := func(n int, lo, span int64, nullEvery int) []Value {
+		out := make([]Value, n)
+		for i := range out {
+			out[i] = Int(lo + rng.Int63n(span))
+			if nullEvery > 0 && i%nullEvery == 0 {
+				out[i] = Null()
+			}
+		}
+		return out
+	}
+	strs := func(vals ...string) []Value {
+		out := make([]Value, len(vals))
+		for i, v := range vals {
+			out[i] = Str(v)
+			if v == "" {
+				out[i] = Null()
+			}
+		}
+		return out
+	}
+	const minI, maxI = math.MinInt64, math.MaxInt64
+	cases := []struct {
+		name        string
+		left, right [][]Value // per key column
+	}{
+		{"dense", [][]Value{randInts(300, -2, 60, 0)}, [][]Value{randInts(50, 0, 50, 0)}},
+		{"dense with duplicates and NULLs", [][]Value{randInts(300, -1, 12, 7)}, [][]Value{randInts(40, 0, 10, 5)}},
+		{"sparse", [][]Value{randInts(300, 0, 1e6, 0)}, [][]Value{randInts(40, 0, 1e6, 9)}},
+		{"negative", [][]Value{randInts(300, -80, 100, 11)}, [][]Value{randInts(60, -70, 60, 0)}},
+		{"MinInt64 and MaxInt64", [][]Value{ints(minI, maxI, 0, 1, -1, minI+1, maxI-1, maxI)},
+			[][]Value{ints(maxI, 0, minI, maxI, 1, minI)}},
+		{"MinInt64 beside small keys", [][]Value{ints(minI, 0, 1, 2, 3, maxI)}, [][]Value{ints(0, 1, minI, 2, 1)}},
+		{"MaxInt64 beside small keys", [][]Value{ints(minI, 0, 1, 2, 3, maxI)}, [][]Value{ints(3, maxI, 2, 3)}},
+		{"dense build, extreme probes", [][]Value{ints(minI, maxI, 0, 3, 4, -1)}, [][]Value{ints(0, 1, 2, 3, 3)}},
+		{"one build key", [][]Value{ints(5, 4, 6, 5)}, [][]Value{ints(5)}},
+		{"NULL build keys only", [][]Value{ints(0, 1)}, [][]Value{{Null(), Null()}}},
+		{"no build rows", [][]Value{ints(0, 1)}, [][]Value{{}}},
+		{"strings", [][]Value{strs("a", "b", "", "c", "a", "zz")}, [][]Value{strs("b", "a", "", "b", "c", "a")}},
+		{"composite", [][]Value{randInts(200, 0, 6, 13), randInts(200, 0, 3, 0)},
+			[][]Value{randInts(40, 0, 6, 11), randInts(40, 0, 3, 0)}},
+		{"int facing float", [][]Value{ints(1, 2, 3, -4)}, [][]Value{{Float(2), Float(1), Float(2), Float(-4), Null()}}},
+	}
+	for _, tc := range cases {
+		lcols, rcols := make([]*Column, len(tc.left)), make([]*Column, len(tc.right))
+		for i := range tc.left {
+			l, r := ColumnOf("l", KindInt, tc.left[i]), ColumnOf("r", KindInt, tc.right[i])
+			if len(tc.left[i]) > 0 && tc.left[i][0].Kind == KindString {
+				l, r = ColumnOf("l", KindString, tc.left[i]), ColumnOf("r", KindString, tc.right[i])
+			}
+			if len(tc.right[i]) > 0 && tc.right[i][0].Kind == KindFloat {
+				r = ColumnOf("r", KindFloat, tc.right[i])
+			}
+			lcols[i], rcols[i] = &l, &r
+		}
+		got, want := NewHashProbe(lcols, rcols), mapProbe(lcols, rcols)
+		for row := 0; row < lcols[0].Len(); row++ {
+			g, w := got(row), want(row)
+			if !slices.Equal(g, w) {
+				t.Errorf("%s: left row %d probes %v, the map index %v", tc.name, row, g, w)
+			}
+			_ = append(g, -1) // must not write into the next key's rows
+		}
+		for row := 0; row < lcols[0].Len(); row++ {
+			if g, w := got(row), want(row); !slices.Equal(g, w) {
+				t.Errorf("%s: after appends, left row %d probes %v, the map index %v", tc.name, row, g, w)
+			}
 		}
 	}
 }
