@@ -577,7 +577,7 @@ func (gr *grouping) idList() []int32 {
 func groupKeys(ctx context.Context, keyCols []table.Column, n int) (grouping, error) {
 	if len(keyCols) == 1 {
 		if codes, dict, nulls, ok := keyCols[0].Codes(); ok && len(dict) <= n {
-			return groupCodes(ctx, codes, len(dict), nulls, n, nil)
+			return groupCodes(ctx, codes, len(dict), nulls, n)
 		}
 		if is, nulls, ok := keyCols[0].Ints(); ok {
 			return groupByKey(ctx, n, func(d *groupDict[int64], ids []int32, lo, hi int) {
@@ -601,18 +601,13 @@ func groupKeys(ctx context.Context, keyCols []table.Column, n int) (grouping, er
 // first-appearance order, as groupByKey's do. No string is hashed and no
 // id is written per position: the grouping keeps the codes and a code→id
 // remap. A position nulls (nil: none) marks is code size, NULL's slot.
-// fill (nil: none) writes the codes of positions lo..hi-1 just before their
-// chunk tallies them.
-func groupCodes(ctx context.Context, codes []int32, size int, nulls []bool, n int, fill func(lo, hi int)) (grouping, error) {
+func groupCodes(ctx context.Context, codes []int32, size int, nulls []bool, n int) (grouping, error) {
 	if n == 0 {
 		return grouping{}, ctx.Err()
 	}
 	_, chunks := chunkLayout(n, parallelMinRows)
 	tallies := make([]codeTally, chunks)
 	err := parallelChunksIndexed(ctx, n, parallelMinRows, func(ci, lo, hi int) error {
-		if fill != nil {
-			fill(lo, hi)
-		}
 		tallies[ci] = tallyCodes(codes, nulls, size, lo, hi)
 		return nil
 	})
@@ -654,11 +649,19 @@ type codeTally struct {
 // tallyCodes tallies positions lo..hi-1 of a dictionary of size entries.
 func tallyCodes(codes []int32, nulls []bool, size, lo, hi int) codeTally {
 	t := codeTally{counts: make([]int, size+1)}
-	if nulls != nil {
-		nulls = nulls[lo:hi]
+	if nulls == nil {
+		for j, c := range codes[lo:hi] {
+			if t.counts[c] == 0 {
+				t.order = append(t.order, c)
+				t.firsts = append(t.firsts, lo+j)
+			}
+			t.counts[c]++
+		}
+		return t
 	}
+	nulls = nulls[lo:hi]
 	for j, c := range codes[lo:hi] {
-		if nulls != nil && nulls[j] {
+		if nulls[j] {
 			c = int32(size)
 		}
 		if t.counts[c] == 0 {
@@ -876,20 +879,11 @@ func groupRows(ctx context.Context, keyCols []table.Column, rel *vrel, sel *tabl
 // its pairs — the groupjoin. groupKeys runs once over the build column's
 // rows; each selected pair takes its build row's group as a code, a pad or
 // a NULL cell NULL's slot; and groupCodes numbers the codes in
-// first-appearance order, each chunk writing its codes as it tallies
-// them. The groups, their order, firsts and counts are the ones grouping
-// the gathered column gives, with no key gathered or hashed per pair. A
-// build side with more rows than there are pairs is gathered and grouped
-// as usual instead.
+// first-appearance order. The groups, their order, firsts and counts are
+// the ones grouping the gathered column gives, with no key gathered or
+// hashed per pair.
 func groupThrough(ctx context.Context, key *pairCol, rel *vrel, sel *table.Selection) (*vgroups, error) {
 	n, m := selLen(rel, sel), key.src.Len()
-	if m > n {
-		rows := sel.Indices()
-		if sel == nil {
-			rows = iotaInts(n)
-		}
-		return groupRows(ctx, []table.Column{key.gather(rows, nil)}, rel, sel)
-	}
 	build, err := groupKeys(ctx, []table.Column{*key.src}, m)
 	if err != nil {
 		return nil, err
@@ -908,7 +902,7 @@ func groupThrough(ctx context.Context, key *pairCol, rel *vrel, sel *table.Selec
 		rows = sel.Indices()
 	}
 	codes := make([]int32, n)
-	gr, err := groupCodes(ctx, codes, int(size), nil, n, func(lo, hi int) {
+	err = parallelChunks(ctx, n, parallelMinRows, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			r := base + i
 			if rows != nil {
@@ -921,7 +915,12 @@ func groupThrough(ctx context.Context, key *pairCol, rel *vrel, sel *table.Selec
 				}
 			}
 		}
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	gr, err := groupCodes(ctx, codes, int(size), nil, n)
 	if err != nil {
 		return nil, err
 	}
@@ -1364,7 +1363,7 @@ func executeGroupedVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selec
 // lateKey returns the pairs of the statement's GROUP BY key when it is one
 // column the join left as them, else nil.
 func lateKey(p *plan, rel *vrel) *pairCol {
-	if len(p.groupBy) != 1 {
+	if len(p.groupBy) == 0 {
 		return nil
 	}
 	if ref, ok := p.groupBy[0].(*ColumnRef); ok {

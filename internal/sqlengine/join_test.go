@@ -559,7 +559,7 @@ func groupJoinCatalog(n, m int) *Catalog {
 // join of gf and gd by one of gd's columns, which gd is the build side of
 // for every kind (a RIGHT join builds its left side). The second reads
 // the key in HAVING and ORDER BY too, the third's WHERE leaves fewer pairs
-// than gd has rows, so its key is gathered.
+// than gd has rows.
 func groupJoinQueries() []string {
 	shapes := []string{
 		"SELECT gd.%[1]s, COUNT(*), SUM(gf.v), MAX(gd.k) FROM %[2]s GROUP BY gd.%[1]s",

@@ -332,3 +332,44 @@ func TestHashProbeMatchesMapIndex(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkIntProbe builds an index over m distinct int build keys, spread
+// evenly over span k·m, and probes it n times with keys drawn from that
+// span: the direct index (denseProbe) against the hashed one (typedProbe)
+// at spans on both sides of denseSpan. m = 2,000, n = 50,000 is a fact
+// table probing a small dimension; m = n = 100,000 builds as much as it
+// probes.
+func BenchmarkIntProbe(b *testing.B) {
+	for _, shape := range []struct{ m, n int }{{2000, 50000}, {100000, 100000}} {
+		for _, k := range []int{1, 2, 4, 8, 16, 32} {
+			rng := rand.New(rand.NewSource(1))
+			rvals, rnulls := make([]int64, shape.m), make([]bool, shape.m)
+			for r := range rvals {
+				rvals[r] = int64(r * k)
+			}
+			lvals, lnulls := make([]int64, shape.n), make([]bool, shape.n)
+			for l := range lvals {
+				lvals[l] = rng.Int63n(int64(k * shape.m))
+			}
+			lo, hi, _ := keyRange(rvals, rnulls)
+			probes := map[string]func() func(int) []int{
+				"index": func() func(int) []int { return denseProbe(lvals, lnulls, rvals, rnulls, lo, hi) },
+				"map":   func() func(int) []int { return typedProbe(lvals, lnulls, rvals, rnulls) },
+			}
+			for _, name := range []string{"index", "map"} {
+				b.Run(fmt.Sprintf("m%d/n%d/span%dx/%s", shape.m, shape.n, k, name), func(b *testing.B) {
+					b.ReportAllocs()
+					for range b.N {
+						probe, hits := probes[name](), 0
+						for l := range lvals {
+							hits += len(probe(l))
+						}
+						if hits == 0 {
+							b.Fatal("no probe hit")
+						}
+					}
+				})
+			}
+		}
+	}
+}
