@@ -54,7 +54,7 @@ func probeRows(where, sql string) (json.RawMessage, bool) {
 		failf("%s: probe %q: status %d", where, sql, resp.StatusCode)
 		return nil, false
 	}
-	lines := decodeStream(where, resp.Body)
+	lines := decodeStream(where, resp.Body, true)
 	if len(lines) == 0 || lines[len(lines)-1]["code"] != "ok" {
 		failf("%s: probe %q did not terminate with ok", where, sql)
 		return nil, false
@@ -96,7 +96,7 @@ func crashIngest(n int) bool {
 			failf("crash_prepare: ingest: %v", err)
 			return false
 		}
-		lines := decodeStream("crash_prepare", resp.Body)
+		lines := decodeStream("crash_prepare", resp.Body, true)
 		resp.Body.Close()
 		if len(lines) == 0 {
 			return false

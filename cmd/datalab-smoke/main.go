@@ -2,8 +2,9 @@
 // containerized datalab-server. It validates the agent-first JSONL wire
 // protocol line by line — every line must carry a known `code`, the
 // suffix-named fields each code promises (`rows_total`, `batch_rows`,
-// `duration_ms`, ...), suffix-consistent value types, and no unredacted
-// `*_secret` value — across five scenarios:
+// `duration_ms`, ...), suffix-consistent value types, no unredacted
+// `*_secret` value, and a `trace` on every terminal query, cursor and ingest
+// line — across five scenarios:
 //
 //  1. streamed query of the full demo table (startup → progress* → ok,
 //     with row-count bookkeeping cross-checked)
@@ -31,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"strings"
@@ -144,8 +146,55 @@ func checkFields(where string, v any) {
 	}
 }
 
-// decodeStream reads and validates every JSONL line of a response body.
-func decodeStream(where string, body io.Reader) []map[string]any {
+// traceStages is the wire's stage vocabulary, in stage order.
+var traceStages = []string{"read", "queue", "plan", "scan_filter", "join", "project", "sort", "finish", "drain", "encode", "send"}
+
+// checkTrace validates a terminal line's trace: an object whose stages are
+// known, in stage order, and sum to its duration_ms within a microsecond
+// per stage (each is rounded down to the microsecond), and whose
+// duration_ms is the line's own when the line carries one. checkFields has
+// already checked every suffix-named member inside it.
+func checkTrace(where string, l map[string]any) {
+	tr, ok := l["trace"].(map[string]any)
+	if !ok {
+		failf("%s: terminal %v line carries no trace object: %v", where, l["code"], l)
+		return
+	}
+	total, ok := tr["duration_ms"].(float64)
+	if d, has := l["duration_ms"]; !ok || (has && d != total) {
+		failf("%s: trace duration_ms %v, line duration_ms %v", where, tr["duration_ms"], l["duration_ms"])
+	}
+	stages, ok := tr["stages"].([]any)
+	if !ok {
+		failf("%s: trace carries no stages array: %v", where, tr)
+		return
+	}
+	sum, next := 0.0, 0
+	for _, v := range stages {
+		st, _ := v.(map[string]any)
+		name, _ := st["stage"].(string)
+		i := next
+		for i < len(traceStages) && traceStages[i] != name {
+			i++
+		}
+		if i == len(traceStages) {
+			failf("%s: trace stage %q unknown or out of order", where, name)
+			return
+		}
+		next = i + 1
+		if _, ok := st["output_rows"].(float64); !ok {
+			failf("%s: trace stage %q without output_rows", where, name)
+		}
+		sum += num(st["duration_ms"])
+	}
+	if len(stages) > 0 && math.Abs(sum-total) > float64(len(stages))*0.001+1e-9 {
+		failf("%s: trace stages sum to %v ms, duration_ms %v", where, sum, total)
+	}
+}
+
+// decodeStream reads and validates every JSONL line of a response body;
+// traced says the stream's terminal line must carry a trace.
+func decodeStream(where string, body io.Reader, traced bool) []map[string]any {
 	var lines []map[string]any
 	dec := json.NewDecoder(body)
 	for {
@@ -161,6 +210,8 @@ func decodeStream(where string, body io.Reader) []map[string]any {
 	}
 	if len(lines) == 0 {
 		failf("%s: response carried no JSONL lines", where)
+	} else if last := lines[len(lines)-1]; traced && (last["code"] == "ok" || last["code"] == "error") {
+		checkTrace(where, last)
 	}
 	return lines
 }
@@ -196,7 +247,7 @@ func scenarioQueryStream() {
 		failf("query: status %d", resp.StatusCode)
 		return
 	}
-	lines := decodeStream("query", resp.Body)
+	lines := decodeStream("query", resp.Body, true)
 	if len(lines) < 3 {
 		failf("query: expected startup + progress* + ok, got %d lines", len(lines))
 		return
@@ -252,7 +303,7 @@ func scenarioIngest() {
 		failf("ingest: %v", err)
 		return
 	}
-	lines := decodeStream("ingest", resp.Body)
+	lines := decodeStream("ingest", resp.Body, true)
 	resp.Body.Close()
 	last := lines[len(lines)-1]
 	if last["code"] != "ok" || int(num(last["rows_appended_total"])) != extra {
@@ -264,7 +315,7 @@ func scenarioIngest() {
 		failf("ingest: count query: %v", err)
 		return
 	}
-	qlines := decodeStream("ingest_count", resp.Body)
+	qlines := decodeStream("ingest_count", resp.Body, true)
 	resp.Body.Close()
 	if len(qlines) < 2 {
 		failf("ingest: count query returned %d lines", len(qlines))
@@ -301,7 +352,7 @@ func scenarioBackpressure() {
 			defer resp.Body.Close()
 			switch resp.StatusCode {
 			case http.StatusTooManyRequests:
-				lines := decodeStream("backpressure", resp.Body)
+				lines := decodeStream("backpressure", resp.Body, true)
 				mu.Lock()
 				rejected++
 				mu.Unlock()
@@ -377,7 +428,7 @@ func scenarioCursor() {
 		failf("cursor: %v", err)
 		return
 	}
-	lines := decodeStream("cursor_create", resp.Body)
+	lines := decodeStream("cursor_create", resp.Body, true)
 	resp.Body.Close()
 	if lines[0]["code"] != "ok" {
 		failf("cursor: create line = %v", lines[0])
@@ -392,7 +443,7 @@ func scenarioCursor() {
 				failf("cursor: next: %v", err)
 				return total
 			}
-			pl := decodeStream("cursor_next", r.Body)
+			pl := decodeStream("cursor_next", r.Body, true)
 			r.Body.Close()
 			if len(pl) == 0 {
 				return total
@@ -414,7 +465,7 @@ func scenarioCursor() {
 		failf("cursor: rewind: %v", err)
 		return
 	}
-	decodeStream("cursor_rewind", r.Body)
+	decodeStream("cursor_rewind", r.Body, false)
 	r.Body.Close()
 	if second := readAll(); second != first {
 		failf("cursor: re-read after rewind paged %d rows, want %d", second, first)
@@ -424,7 +475,7 @@ func scenarioCursor() {
 		failf("cursor: delete: %v", err)
 		return
 	}
-	decodeStream("cursor_delete", r.Body)
+	decodeStream("cursor_delete", r.Body, false)
 	r.Body.Close()
 	okf("cursor_pagination", fmt.Sprintf(`,"rows_total":%d`, first))
 }

@@ -102,6 +102,11 @@ var guards = []guard{
 		nil,
 		"a cell's equality key is table.AppendKey, which follows =; no second key rounds or truncates",
 	},
+	{
+		regexp.MustCompile(`QueueWait|durationMS\(time\.Since\(start`),
+		nil,
+		"a request's times are readings of its one sqlengine.Trace; the server keeps no stopwatch of its own",
+	},
 }
 
 // linkRe matches inline markdown links [text](target); images ![...](...)

@@ -89,6 +89,7 @@ func TestGuardsFire(t *testing.T) {
 		"	parts, err := partitionRows(ctx, keyCols, n)",
 		"	ks := buildKeyset(specs, lo, hi)",
 		"	kb = table.AppendKeyPart(kb, v)",
+		`		"duration_ms": durationMS(time.Since(start)),`,
 	}
 	if len(planted) != len(guards) {
 		t.Fatalf("%d planted lines for %d guards", len(planted), len(guards))

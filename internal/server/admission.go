@@ -11,14 +11,15 @@ import (
 // when the max-concurrent-query semaphore stays full past the queue
 // timeout. It maps to HTTP 429 and a CodeError line with
 // error_code=backpressure, so clients can distinguish "slow down and
-// retry" from a real failure.
+// retry" from a real failure. How long the request queued is its trace's
+// queue stage.
 type BackpressureError struct {
-	Limit     int           // the semaphore capacity that was saturated
-	QueueWait time.Duration // how long the request queued before giving up
+	Limit   int           // the semaphore capacity that was saturated
+	Timeout time.Duration // the queue timeout that elapsed
 }
 
 func (e *BackpressureError) Error() string {
-	return fmt.Sprintf("server: admission queue timed out after %v (%d queries already executing)", e.QueueWait, e.Limit)
+	return fmt.Sprintf("server: admission queue timed out after %v (%d queries already executing)", e.Timeout, e.Limit)
 }
 
 // admission is the server's max-concurrent-query gate, layered over the
@@ -52,12 +53,11 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 	default:
 		t := time.NewTimer(a.queueTimeout)
 		defer t.Stop()
-		start := time.Now()
 		select {
 		case a.sem <- struct{}{}:
 		case <-t.C:
 			a.rejected.Add(1)
-			return nil, &BackpressureError{Limit: cap(a.sem), QueueWait: time.Since(start)}
+			return nil, &BackpressureError{Limit: cap(a.sem), Timeout: a.queueTimeout}
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}

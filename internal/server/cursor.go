@@ -65,8 +65,9 @@ type page struct {
 // whole Result batches (≤1024 rows each), so a page may overshoot maxRows
 // by at most one batch. maxRows <= 0 means one batch. Rows are encoded
 // here, under the mutex, because a batch is valid only until the following
-// Result.Next; writing the bytes out is the caller's, outside it.
-func (c *cursor) next(maxRows int) (*page, error) {
+// Result.Next; writing the bytes out is the caller's, outside it. Each
+// batch's drain and encode are marked on t.
+func (c *cursor) next(maxRows int, t *sqlengine.Trace) (*page, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -76,13 +77,16 @@ func (c *cursor) next(maxRows int) (*page, error) {
 	for {
 		b := c.res.Next()
 		if b == nil {
+			t.Mark(sqlengine.StageDrain, 0)
 			p.done = true
 			break
 		}
+		t.Mark(sqlengine.StageDrain, b.NumRows())
 		if p.numRows > 0 {
 			p.rows = append(p.rows, ',')
 		}
 		p.rows = appendRows(p.rows, b)
+		t.Mark(sqlengine.StageEncode, b.NumRows())
 		p.numRows += b.NumRows()
 		c.rowsSent += b.NumRows()
 		if p.numRows >= maxRows || maxRows <= 0 {

@@ -194,11 +194,11 @@ func (s *Server) Handler() http.Handler {
 			if tw.started {
 				panic(http.ErrAbortHandler)
 			}
-			writeErrorLine(tw, http.StatusInternalServerError, ErrCodeInternal, "internal error; see the server log")
+			writeErrorLine(tw, http.StatusInternalServerError, ErrCodeInternal, "internal error; see the server log", nil)
 		}()
 		if s.cfg.AuthTokenSecret != "" && r.URL.Path != "/healthz" &&
 			r.Header.Get("Authorization") != "Bearer "+s.cfg.AuthTokenSecret {
-			writeErrorLine(tw, http.StatusUnauthorized, ErrCodeUnauthorized, "missing or invalid bearer token")
+			writeErrorLine(tw, http.StatusUnauthorized, ErrCodeUnauthorized, "missing or invalid bearer token", nil)
 			return
 		}
 		s.mux.ServeHTTP(tw, r)
@@ -245,15 +245,16 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("DELETE /v1/cursors/{id}", s.handleCursorDelete)
 }
 
-// writeErrorLine terminates a response with one CodeError JSONL line.
-func writeErrorLine(w http.ResponseWriter, status int, errCode, msg string, extra ...line) {
+// writeErrorLine terminates a response with one CodeError JSONL line,
+// carrying the request's trace when t is non-nil.
+func writeErrorLine(w http.ResponseWriter, status int, errCode, msg string, t *sqlengine.Trace, extra ...line) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(status)
 	l := line{"code": CodeError, "error": msg, "error_code": errCode}
 	for _, e := range extra {
-		redactInto(l, e)
+		maps.Copy(l, e)
 	}
-	_ = newLineWriter(w).writeRedacted(l)
+	_ = newLineWriter(w).writeTraced(l, t)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -314,7 +315,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !s.sessions.closeSession(id) {
-		writeErrorLine(w, http.StatusNotFound, ErrCodeNotFound, fmt.Sprintf("unknown session %q", id))
+		writeErrorLine(w, http.StatusNotFound, ErrCodeNotFound, fmt.Sprintf("unknown session %q", id), nil)
 		return
 	}
 	s.reapCursors(time.Now())
@@ -331,9 +332,10 @@ type queryRequest struct {
 }
 
 // readQueryRequest decodes a queryRequest from a body of at most
-// maxRequestBodyBytes. On failure it has answered — 413 for an oversized
-// body, 400 for anything else — and returns false.
-func readQueryRequest(w http.ResponseWriter, r *http.Request) (queryRequest, bool) {
+// maxRequestBodyBytes and marks the read stage on t. On failure it has
+// answered — 413 for an oversized body, 400 for anything else — and
+// returns false.
+func readQueryRequest(w http.ResponseWriter, r *http.Request, t *sqlengine.Trace) (queryRequest, bool) {
 	var req queryRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBodyBytes))
 	dec.UseNumber()
@@ -343,13 +345,14 @@ func readQueryRequest(w http.ResponseWriter, r *http.Request) (queryRequest, boo
 			req.Args[i], err = wireNumber(n)
 		}
 	}
+	t.Mark(sqlengine.StageRead, 0)
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):
 		writeErrorLine(w, http.StatusRequestEntityTooLarge, ErrCodeRequestTooLarge,
-			fmt.Sprintf("request body exceeds %d bytes", maxRequestBodyBytes))
+			fmt.Sprintf("request body exceeds %d bytes", maxRequestBodyBytes), t)
 	case err != nil || req.SQL == "":
-		writeErrorLine(w, http.StatusBadRequest, ErrCodeBadRequest, "body must be JSON with a non-empty \"sql\"")
+		writeErrorLine(w, http.StatusBadRequest, ErrCodeBadRequest, "body must be JSON with a non-empty \"sql\"", t)
 	default:
 		return req, true
 	}
@@ -385,15 +388,19 @@ func (s *Server) requestCtx(r *http.Request, sessionID string) (context.Context,
 }
 
 // execute runs one SQL text (with optional bound args) under ctx,
-// behind admission control.
-func (s *Server) execute(ctx context.Context, req queryRequest) (*sqlengine.Result, func(), error) {
+// behind admission control, marking the queue stage and, through the
+// engine, the plan and execution stages on t.
+func (s *Server) execute(ctx context.Context, req queryRequest, t *sqlengine.Trace) (*sqlengine.Result, func(), error) {
 	release, err := s.adm.acquire(ctx)
+	t.Mark(sqlengine.StageQueue, 0)
 	if err != nil {
 		return nil, nil, err
 	}
+	ctx = sqlengine.WithTrace(ctx, t)
 	var res *sqlengine.Result
 	if len(req.Args) > 0 {
 		stmt, perr := s.platform.Prepare(req.SQL)
+		t.Mark(sqlengine.StagePlan, 0)
 		if perr == nil {
 			res, err = stmt.Exec(ctx, req.Args...)
 		} else {
@@ -411,26 +418,26 @@ func (s *Server) execute(ctx context.Context, req queryRequest) (*sqlengine.Resu
 
 // handleQuery streams a query's result as JSONL: one startup line with
 // the column metadata, one progress line per batch carrying the rows and
-// cumulative counters, and a terminal ok (or error) line. A client that
-// disconnects mid-stream cancels the executor; the server logs a cancel
-// event, not an error.
+// cumulative counters, and a terminal ok (or error) line carrying the
+// request's trace. A client that disconnects mid-stream cancels the
+// executor; the server logs a cancel event, not an error.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	req, ok := readQueryRequest(w, r)
+	t := sqlengine.NewTrace()
+	req, ok := readQueryRequest(w, r, t)
 	if !ok {
 		return
 	}
 	ctx, stop, _, err := s.requestCtx(r, req.SessionID)
 	if err != nil {
-		writeErrorLine(w, http.StatusNotFound, ErrCodeNotFound, err.Error())
+		writeErrorLine(w, http.StatusNotFound, ErrCodeNotFound, err.Error(), t)
 		return
 	}
 	defer stop()
 
 	s.queriesTotal.Add(1)
-	res, release, err := s.execute(ctx, req)
+	res, release, err := s.execute(ctx, req, t)
 	if err != nil {
-		s.finishQueryError(w, r, req, start, err, 0)
+		s.finishQueryError(w, r, req, t, err, 0)
 		return
 	}
 	defer release()
@@ -445,67 +452,74 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		"batch_rows_max": sqlengine.BatchRows,
 		"session_id":     req.SessionID,
 	})
+	t.Mark(sqlengine.StageSend, 0)
 	sent, seq := 0, 0
 	var rows []byte // one batch's rows; reused across the response's batches
 	for b := res.Next(); b != nil; b = res.Next() {
+		t.Mark(sqlengine.StageDrain, b.NumRows())
 		if ctx.Err() != nil {
-			s.logCancel(req, start, sent)
+			s.logCancel(req, t, sent)
 			return
 		}
 		seq++
 		sent += b.NumRows()
 		rows = appendRows(rows[:0], b)
+		t.Mark(sqlengine.StageEncode, b.NumRows())
 		err := lw.writeRows(line{
 			"code":        CodeProgress,
 			"batch_seq":   seq,
 			"batch_rows":  b.NumRows(),
 			"rows_sent":   sent,
 			"rows_total":  res.NumRows(),
-			"duration_ms": durationMS(time.Since(start)),
-		}, rows)
+			"duration_ms": durationMS(t.Total()),
+		}, nil, rows)
+		t.Mark(sqlengine.StageSend, b.NumRows())
 		if err != nil { // client went away mid-write
-			s.logCancel(req, start, sent)
+			s.logCancel(req, t, sent)
 			return
 		}
 	}
+	t.Mark(sqlengine.StageDrain, 0)
 	s.rowsStreamed.Add(int64(sent))
-	_ = lw.write(line{
+	_ = lw.writeTraced(line{
 		"code":          CodeOK,
 		"rows_total":    res.NumRows(),
 		"batches_total": seq,
-		"duration_ms":   durationMS(time.Since(start)),
-	})
+		"duration_ms":   durationMS(t.Total()),
+	}, t)
 	s.logger.log(CodeOK, line{
 		"event":       "query",
 		"sql":         req.SQL,
 		"rows_total":  res.NumRows(),
-		"duration_ms": durationMS(time.Since(start)),
+		"duration_ms": durationMS(t.Total()),
 	})
 }
 
 // finishQueryError classifies an execution failure onto the wire and the
 // log: backpressure → 429 typed error, cancellation → cancel log (the
 // client is gone; nothing useful can be written), anything else → 400.
-func (s *Server) finishQueryError(w http.ResponseWriter, r *http.Request, req queryRequest, start time.Time, err error, rowsSent int) {
+// The 429's queue_wait_ms is the trace's queue stage.
+func (s *Server) finishQueryError(w http.ResponseWriter, r *http.Request, req queryRequest, t *sqlengine.Trace, err error, rowsSent int) {
 	var bp *BackpressureError
 	switch {
 	case errors.As(err, &bp):
-		writeErrorLine(w, http.StatusTooManyRequests, ErrCodeBackpressure, bp.Error(), line{
-			"queue_wait_ms":          durationMS(bp.QueueWait),
+		queued, _, _ := t.Span(sqlengine.StageQueue)
+		writeErrorLine(w, http.StatusTooManyRequests, ErrCodeBackpressure, bp.Error(), t, line{
+			"queue_wait_ms":          durationMS(queued),
 			"max_concurrent_queries": bp.Limit,
 		})
 		s.logger.log(CodeError, line{
 			"event":         "query_rejected",
 			"error_code":    ErrCodeBackpressure,
 			"sql":           req.SQL,
-			"queue_wait_ms": durationMS(bp.QueueWait),
+			"queue_wait_ms": durationMS(queued),
 		})
 	case errors.Is(err, context.Canceled) || r.Context().Err() != nil:
-		s.logCancel(req, start, rowsSent)
+		s.logCancel(req, t, rowsSent)
 	default:
 		s.queriesFailed.Add(1)
-		writeErrorLine(w, http.StatusBadRequest, ErrCodeQuery, err.Error(), line{
-			"duration_ms": durationMS(time.Since(start)),
+		writeErrorLine(w, http.StatusBadRequest, ErrCodeQuery, err.Error(), t, line{
+			"duration_ms": durationMS(t.Total()),
 		})
 		s.logger.log(CodeError, line{
 			"event":      "query",
@@ -520,12 +534,12 @@ func (s *Server) finishQueryError(w http.ResponseWriter, r *http.Request, req qu
 // session: a cancel event, not an error — the executor was asked to stop
 // and did. The event is logged before queries_canceled_total counts it,
 // so a client that sees the count can find the event in the log.
-func (s *Server) logCancel(req queryRequest, start time.Time, rowsSent int) {
+func (s *Server) logCancel(req queryRequest, t *sqlengine.Trace, rowsSent int) {
 	s.logger.log(CodeCancel, line{
 		"event":       "query_canceled",
 		"sql":         req.SQL,
 		"rows_sent":   rowsSent,
-		"duration_ms": durationMS(time.Since(start)),
+		"duration_ms": durationMS(t.Total()),
 	})
 	s.queriesCanceled.Add(1)
 }
@@ -534,13 +548,15 @@ func (s *Server) logCancel(req queryRequest, start time.Time, rowsSent int) {
 // one JSON array of cell values per line, batched into a published
 // snapshot every ingestPublishRows rows (one progress line per publish)
 // with a final publish and ok line. Rows become visible to queries only
-// at publish points — a burst is one snapshot, not thousands.
+// at publish points — a burst is one snapshot, not thousands. Its trace
+// carries the total only: the clock laps at each line, charging no stage.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	t := sqlengine.NewTrace()
 	name := r.PathValue("table")
 	ing, err := s.platform.Ingest(name)
 	if err != nil {
-		writeErrorLine(w, http.StatusNotFound, ErrCodeNotFound, err.Error())
+		t.Lap()
+		writeErrorLine(w, http.StatusNotFound, ErrCodeNotFound, err.Error(), t)
 		return
 	}
 	// Mid-ingest progress lines interleave response writes with request
@@ -560,12 +576,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// keeps the rows staged and must surface as an internal error, not
 	// be reported as appended-and-visible.
 	walFail := func(err error) {
+		t.Lap()
 		l := line{"code": CodeError, "error": err.Error(), "error_code": ErrCodeInternal,
 			"rows_appended_total": appended, "rows_visible_total": visible}
 		if !streamed {
 			w.WriteHeader(http.StatusInternalServerError)
 		}
-		_ = lw.write(l)
+		_ = lw.writeTraced(l, t)
 	}
 	publish := func() error {
 		if ing.Pending() == 0 {
@@ -597,7 +614,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		for _, f := range fields {
 			maps.Copy(l, f)
 		}
-		_ = lw.write(l)
+		t.Lap()
+		_ = lw.writeTraced(l, t)
 	}
 	badLine := func(err error, fields ...line) {
 		fail(http.StatusBadRequest, ErrCodeBadRequest, fmt.Sprintf("ingest line %d: %v", appended+1, err), fields...)
@@ -639,11 +657,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			streamed = true
+			t.Lap()
 			_ = lw.write(line{
 				"code":                CodeProgress,
 				"rows_appended_total": appended,
 				"rows_visible_total":  visible,
-				"duration_ms":         durationMS(time.Since(start)),
+				"duration_ms":         durationMS(t.Total()),
 			})
 		}
 	}
@@ -652,18 +671,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.ingestRows.Add(int64(appended))
-	_ = lw.write(line{
+	t.Lap()
+	_ = lw.writeTraced(line{
 		"code":                CodeOK,
 		"table":               name,
 		"rows_appended_total": appended,
 		"rows_visible_total":  visible,
-		"duration_ms":         durationMS(time.Since(start)),
-	})
+		"duration_ms":         durationMS(t.Total()),
+	}, t)
 	s.logger.log(CodeOK, line{
 		"event":               "ingest",
 		"table":               name,
 		"rows_appended_total": appended,
-		"duration_ms":         durationMS(time.Since(start)),
+		"duration_ms":         durationMS(t.Total()),
 	})
 }
 
@@ -715,40 +735,40 @@ func cellString(c any) (string, error) {
 // streaming it, for paginated and rewindable reads. Session-scoped
 // cursors die with their session.
 func (s *Server) handleCursorCreate(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	req, ok := readQueryRequest(w, r)
+	t := sqlengine.NewTrace()
+	req, ok := readQueryRequest(w, r, t)
 	if !ok {
 		return
 	}
 	ctx, stop, sess, err := s.requestCtx(r, req.SessionID)
 	if err != nil {
-		writeErrorLine(w, http.StatusNotFound, ErrCodeNotFound, err.Error())
+		writeErrorLine(w, http.StatusNotFound, ErrCodeNotFound, err.Error(), t)
 		return
 	}
 	defer stop()
 	s.queriesTotal.Add(1)
-	res, release, err := s.execute(ctx, req)
+	res, release, err := s.execute(ctx, req, t)
 	if err != nil {
-		s.finishQueryError(w, r, req, start, err, 0)
+		s.finishQueryError(w, r, req, t, err, 0)
 		return
 	}
 	release() // execution is done; paging is cheap iteration, not admission-gated
 	cur := newCursor(req.SQL, res, sess)
 	if !s.addCursor(cur) {
 		cur.close()
-		writeErrorLine(w, http.StatusNotFound, ErrCodeClosed, "session closed during cursor creation")
+		writeErrorLine(w, http.StatusNotFound, ErrCodeClosed, "session closed during cursor creation", t)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	_ = newLineWriter(w).write(line{
+	_ = newLineWriter(w).writeTraced(line{
 		"code":              CodeOK,
 		"cursor_id":         cur.id,
 		"columns":           res.Columns(),
 		"rows_total":        res.NumRows(),
 		"page_rows_default": pageRows,
 		"session_id":        req.SessionID,
-		"duration_ms":       durationMS(time.Since(start)),
-	})
+		"duration_ms":       durationMS(t.Total()),
+	}, t)
 }
 
 // addCursor registers a cursor; it fails when the cursor's session has
@@ -793,26 +813,32 @@ func (s *Server) lookupCursor(id string) (*cursor, bool) {
 	return c, true
 }
 
+// handleCursorNext answers one page of a cursor: its ok line carries the
+// trace (read, then drain and encode per batch) and the page's rows.
 func (s *Server) handleCursorNext(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	t := sqlengine.NewTrace()
 	id := r.PathValue("id")
 	c, ok := s.lookupCursor(id)
+	maxRows := pageRows // 0: max_rows is no positive integer
+	if v := r.URL.Query().Get("max_rows"); v != "" {
+		if n, err := strconv.Atoi(v); err == nil && n > 0 {
+			maxRows = n
+		} else {
+			maxRows = 0
+		}
+	}
+	t.Mark(sqlengine.StageRead, 0)
 	if !ok {
-		writeErrorLine(w, http.StatusNotFound, ErrCodeNotFound, fmt.Sprintf("unknown or closed cursor %q", id))
+		writeErrorLine(w, http.StatusNotFound, ErrCodeNotFound, fmt.Sprintf("unknown or closed cursor %q", id), t)
 		return
 	}
-	maxRows := pageRows
-	if v := r.URL.Query().Get("max_rows"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			writeErrorLine(w, http.StatusBadRequest, ErrCodeBadRequest, "max_rows must be a positive integer")
-			return
-		}
-		maxRows = n
+	if maxRows == 0 {
+		writeErrorLine(w, http.StatusBadRequest, ErrCodeBadRequest, "max_rows must be a positive integer", t)
+		return
 	}
-	p, err := c.next(maxRows)
+	p, err := c.next(maxRows, t)
 	if err != nil {
-		writeErrorLine(w, http.StatusConflict, ErrCodeClosed, err.Error())
+		writeErrorLine(w, http.StatusConflict, ErrCodeClosed, err.Error(), t)
 		return
 	}
 	_, total, _ := c.stats()
@@ -824,19 +850,19 @@ func (s *Server) handleCursorNext(w http.ResponseWriter, r *http.Request) {
 		"rows_sent_total": p.rowsSent,
 		"rows_total":      total,
 		"cursor_done":     p.done,
-		"duration_ms":     durationMS(time.Since(start)),
-	}, p.rows)
+		"duration_ms":     durationMS(t.Total()),
+	}, t, p.rows)
 }
 
 func (s *Server) handleCursorRewind(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	c, ok := s.lookupCursor(id)
 	if !ok {
-		writeErrorLine(w, http.StatusNotFound, ErrCodeNotFound, fmt.Sprintf("unknown or closed cursor %q", id))
+		writeErrorLine(w, http.StatusNotFound, ErrCodeNotFound, fmt.Sprintf("unknown or closed cursor %q", id), nil)
 		return
 	}
 	if err := c.rewind(); err != nil {
-		writeErrorLine(w, http.StatusConflict, ErrCodeClosed, err.Error())
+		writeErrorLine(w, http.StatusConflict, ErrCodeClosed, err.Error(), nil)
 		return
 	}
 	_, total, _ := c.stats()
@@ -851,7 +877,7 @@ func (s *Server) handleCursorDelete(w http.ResponseWriter, r *http.Request) {
 	delete(s.cursors, id)
 	s.cursorMu.Unlock()
 	if !ok {
-		writeErrorLine(w, http.StatusNotFound, ErrCodeNotFound, fmt.Sprintf("unknown cursor %q", id))
+		writeErrorLine(w, http.StatusNotFound, ErrCodeNotFound, fmt.Sprintf("unknown cursor %q", id), nil)
 		return
 	}
 	c.close()

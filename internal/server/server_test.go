@@ -962,14 +962,21 @@ func TestDurableServerRestart(t *testing.T) {
 
 	const probe = "SELECT kind, COUNT(*), SUM(value) FROM events GROUP BY kind ORDER BY kind"
 	// queryBody canonicalizes the response stream: every line, in order,
-	// with only the timing fields dropped — so data, row order, batch
-	// structure, and codes must all match across the restart.
+	// with only the timing fields dropped, the trace's included — so data,
+	// row order, batch structure, codes and the trace's stages and rows
+	// must all match across the restart.
 	queryBody := func(ts *httptest.Server) string {
 		r := postJSON(t, ts.URL+"/v1/query", map[string]any{"sql": probe})
 		defer r.Body.Close()
 		var out []byte
 		for _, l := range decodeLines(t, r.Body) {
 			delete(l, "duration_ms")
+			if tr, ok := l["trace"].(map[string]any); ok {
+				delete(tr, "duration_ms")
+				for _, st := range tr["stages"].([]any) {
+					delete(st.(map[string]any), "duration_ms")
+				}
+			}
 			b, err := json.Marshal(l)
 			if err != nil {
 				t.Fatal(err)

@@ -149,36 +149,88 @@ func newLineWriter(w http.ResponseWriter) *lineWriter {
 }
 
 // write marshals one line (secrets redacted) followed by '\n' and flushes.
-func (lw *lineWriter) write(l line) error {
-	return lw.writeRedacted(redactInto(make(line, len(l)), l))
-}
+func (lw *lineWriter) write(l line) error { return lw.writeTraced(l, nil) }
 
-// writeRedacted is write for a line the caller has already redacted.
-func (lw *lineWriter) writeRedacted(l line) error {
+// writeTraced is write with `"trace":{…}` (appendTrace) as the line's last
+// member when t is non-nil.
+func (lw *lineWriter) writeTraced(l line, t *sqlengine.Trace) error {
 	if err := lw.encode(l); err != nil {
 		return err
+	}
+	if t != nil {
+		lw.reopen()
+		lw.addTrace(t)
+		lw.buf.WriteString("}\n")
 	}
 	return lw.send()
 }
 
-// writeRows is write with `"rows":[rows]` as the line's last member; rows
-// is what appendRows produced, which Redact would pass through untouched
-// (cells are data, not suffix-named members).
-func (lw *lineWriter) writeRows(l line, rows []byte) error {
-	if err := lw.encode(redactInto(make(line, len(l)), l)); err != nil {
+// writeRows is write with `"rows":[rows]` as the line's last member, after
+// the trace when t is non-nil; rows is what appendRows produced, which
+// Redact would pass through untouched (cells are data, not suffix-named
+// members).
+func (lw *lineWriter) writeRows(l line, t *sqlengine.Trace, rows []byte) error {
+	if err := lw.encode(l); err != nil {
 		return err
 	}
-	lw.buf.Truncate(lw.buf.Len() - len("}\n")) // l has a code, so a member precedes
+	lw.reopen()
+	if t != nil {
+		lw.addTrace(t)
+	}
 	lw.buf.WriteString(`,"rows":[`)
 	lw.buf.Write(rows)
 	lw.buf.WriteString("]}\n")
 	return lw.send()
 }
 
-// encode starts a new line in buf: l as encoding/json writes it, '\n' included.
+// encode starts a new line in buf: l, secrets redacted, as encoding/json
+// writes it, '\n' included.
 func (lw *lineWriter) encode(l line) error {
 	lw.buf.Reset()
-	return lw.enc.Encode(l)
+	return lw.enc.Encode(redactInto(make(line, len(l)), l))
+}
+
+// reopen strips the closing "}\n" off the line in buf, so members can be
+// appended after l's: l has a code, so a member precedes them.
+func (lw *lineWriter) reopen() {
+	lw.buf.Truncate(lw.buf.Len() - len("}\n"))
+}
+
+// addTrace appends t's member (appendTrace) to the line in buf, in place:
+// buf grows once, to room for every stage, before it is written into.
+func (lw *lineWriter) addTrace(t *sqlengine.Trace) {
+	lw.buf.Grow(80 * int(sqlengine.NumStages))
+	lw.buf.Write(appendTrace(lw.buf.AvailableBuffer(), t))
+}
+
+// appendTrace appends t as a line's `trace` member, comma first:
+// `,"trace":{"duration_ms":…,"stages":[…]}`, with t's total and, in stage
+// order, each stage a mark charged, with its time and output rows. The
+// stages sum to the total: marks tile the request (ingest, whose stages are
+// not split yet, has none).
+func appendTrace(dst []byte, t *sqlengine.Trace) []byte {
+	dst = append(dst, `,"trace":{"duration_ms":`...)
+	dst = appendFloat(dst, durationMS(t.Total()))
+	dst = append(dst, `,"stages":[`...)
+	sep := false
+	for s := range sqlengine.NumStages {
+		d, rows, entered := t.Span(s)
+		if !entered {
+			continue
+		}
+		if sep {
+			dst = append(dst, ',')
+		}
+		sep = true
+		dst = append(dst, `{"stage":"`...)
+		dst = append(dst, s.String()...)
+		dst = append(dst, `","duration_ms":`...)
+		dst = appendFloat(dst, durationMS(d))
+		dst = append(dst, `,"output_rows":`...)
+		dst = strconv.AppendInt(dst, int64(rows), 10)
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}"...)
 }
 
 // send writes the assembled line out and flushes.

@@ -90,7 +90,7 @@ func oracleLine(t testing.TB, l line, rows [][]any) []byte {
 func wireLine(t testing.TB, l line, rows []byte) []byte {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	if err := newLineWriter(rec).writeRows(l, rows); err != nil {
+	if err := newLineWriter(rec).writeRows(l, nil, rows); err != nil {
 		t.Fatal(err)
 	}
 	return rec.Body.Bytes()
@@ -263,7 +263,7 @@ func TestWireRowsMatchEncodingJSON(t *testing.T) {
 			if err := res.Rewind(); err != nil {
 				t.Fatal(err)
 			}
-			p, err := newCursor(q.sql, res, nil).next(q.rows)
+			p, err := newCursor(q.sql, res, nil).next(q.rows, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

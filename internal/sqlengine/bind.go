@@ -17,12 +17,14 @@ import (
 // execArgs is what one execution adds to its plan: the parameter bindings
 // (nil without placeholders), the statement's LIMIT and OFFSET — its
 // literals', or the values bound to its placeholders — and the rows each of
-// its subqueries returned, by slot. A subquery executes with execArgs of its
-// own over the same bindings.
+// its subqueries returned, by slot, and the request's trace (nil when
+// untraced). A subquery executes with execArgs of its own over the same
+// bindings and trace.
 type execArgs struct {
 	binds         []table.Value
 	limit, offset int // limit is -1 when absent
 	subs          [][]table.Value
+	trace         *Trace
 }
 
 // bindAt resolves a placeholder against an execution's binding slice.
@@ -106,10 +108,10 @@ func bindArgs(params []string, args []any) ([]table.Value, error) {
 	return binds, nil
 }
 
-// bind starts an execution's arguments: the bindings, and LIMIT/OFFSET
-// read from them where the statement has a placeholder there.
-func (p *plan) bind(binds []table.Value) (*execArgs, error) {
-	x := &execArgs{binds: binds, limit: p.stmt.Limit, offset: p.stmt.Offset}
+// bind starts an execution's arguments: the bindings, LIMIT/OFFSET read
+// from them where the statement has a placeholder there, and the trace.
+func (p *plan) bind(binds []table.Value, t *Trace) (*execArgs, error) {
+	x := &execArgs{binds: binds, limit: p.stmt.Limit, offset: p.stmt.Offset, trace: t}
 	var err error
 	if lp := p.stmt.LimitParam; lp != nil {
 		if x.limit, err = bindLimitValue(binds, lp, "LIMIT"); err != nil {

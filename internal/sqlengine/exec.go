@@ -175,13 +175,16 @@ func (c *Catalog) TableNames() []string {
 // returns its typed batch-iterable Result — the engine's query entry point.
 // The text is fingerprinted to a parameter template first (see
 // Fingerprint), so literal-varying traffic shares one plan-cache entry and
-// repeated templates parse and resolve once.
+// repeated templates parse and resolve once. A trace on ctx (WithTrace)
+// has the plan and every execution stage marked on it.
 func (c *Catalog) QueryCtx(ctx context.Context, sql string) (*Result, error) {
+	t := traceFrom(ctx)
 	p, binds, err := c.planQuery(sql)
+	t.Mark(StagePlan, 0)
 	if err != nil {
 		return nil, err
 	}
-	return executeResultBound(ctx, p, binds)
+	return executeResultBound(ctx, p, binds, t)
 }
 
 func errAggInRowContext(fn *FuncCall) error {
@@ -226,12 +229,13 @@ func vrelFrom(t *table.Table, x *execArgs) *vrel {
 }
 
 // executeResultBound is the shared execution core behind QueryCtx and
-// Prepared.Exec: it runs a plan with the execution's parameter bindings.
-// ctx is observed between pipeline stages and between
-// worker-pool chunks, so a cancelled context stops a large scan, sort, or
-// aggregation within one chunk's worth of work and returns ctx.Err().
-func executeResultBound(ctx context.Context, p *plan, binds []table.Value) (*Result, error) {
-	x, err := start(ctx, p, binds, executePlan)
+// Prepared.Exec: it runs a plan with the execution's parameter bindings,
+// marking its stages on t (nil: untraced). ctx is observed between
+// pipeline stages and between worker-pool chunks, so a cancelled context
+// stops a large scan, sort, or aggregation within one chunk's worth of
+// work and returns ctx.Err().
+func executeResultBound(ctx context.Context, p *plan, binds []table.Value, t *Trace) (*Result, error) {
+	x, err := start(ctx, p, binds, t, executePlan)
 	if err != nil {
 		return nil, err
 	}
@@ -244,6 +248,11 @@ func executeResultBound(ctx context.Context, p *plan, binds []table.Value) (*Res
 // are the relation's own under the WHERE selection, zero-copy. Grouped and
 // every other plain projection evaluate output columns of their own. Every
 // execution then ends in finish.
+//
+// Each stage is marked on the execution's trace as it ends. A stage whose
+// evaluation fails is marked with no rows, so a failed statement's time is
+// charged to the stage it came from; a cancellation leaves the trace at its
+// last mark. A lazy projection does no work of its own and is not marked.
 func executePlan(ctx context.Context, p *plan, x *execArgs) (*Result, error) {
 	rel, sel, err := scanFilter(ctx, p, x)
 	if err != nil {
@@ -258,6 +267,7 @@ func executePlan(ctx context.Context, p *plan, x *execArgs) (*Result, error) {
 		sel = nil
 	}
 	if err != nil {
+		x.trace.Mark(StageProject, 0)
 		return nil, err
 	}
 	return finish(ctx, p, x, cols, sel)
@@ -285,6 +295,7 @@ func scanFilter(ctx context.Context, p *plan, x *execArgs) (*vrel, *table.Select
 		keep := p.keep
 		if where != nil && p.earlyFilter {
 			early, rest, err := filterBeforeJoins(ctx, rel, where)
+			x.trace.Mark(StageScanFilter, 0)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -302,9 +313,12 @@ func scanFilter(ctx context.Context, p *plan, x *execArgs) (*vrel, *table.Select
 			var err error
 			rel, err = joinVRel(ctx, rel, rights[i], j, p.withOn(keep, i+1), late)
 			if err != nil {
+				x.trace.Mark(StageJoin, 0)
 				return nil, nil, err
 			}
 		}
+		// The join's output rows are the last join's pairs.
+		x.trace.Mark(StageJoin, rel.nrows)
 	}
 
 	var sel *table.Selection // nil = all rows
@@ -312,6 +326,7 @@ func scanFilter(ctx context.Context, p *plan, x *execArgs) (*vrel, *table.Select
 		var err error
 		sel, err = filterWhere(ctx, rel, where)
 		if err != nil {
+			x.trace.Mark(StageScanFilter, 0)
 			return nil, nil, err
 		}
 	}
@@ -332,6 +347,11 @@ func scanFilter(ctx context.Context, p *plan, x *execArgs) (*vrel, *table.Select
 			sel = sel.Truncate(keep)
 		}
 	}
+	n := rel.nrows
+	if sel != nil {
+		n = sel.Len()
+	}
+	x.trace.Mark(StageScanFilter, n)
 	return rel, sel, ctx.Err()
 }
 
@@ -399,7 +419,9 @@ func finish(ctx context.Context, p *plan, x *execArgs, cols []table.Column, sel 
 		}
 	}
 	// The Result's name list is the caller's to keep; the plan's is shared.
-	return newResult(append([]string(nil), p.names...), cols, sel), nil
+	res := newResult(append([]string(nil), p.names...), cols, sel)
+	x.trace.Mark(StageFinish, res.NumRows())
+	return res, nil
 }
 
 func iotaInts(n int) []int {
@@ -476,9 +498,12 @@ func evalVecs(exprs []Expr, rel *vrel, sel *table.Selection) ([]table.Column, er
 
 // orderOutput orders the output columns by the ORDER BY key columns (one
 // key per output row) — the plain and grouped projections' shared step
-// before finish. sortPerm and topKPerm order positions by rowOrder's
-// comparator over the key columns.
+// before finish, where the projection's stage ends. sortPerm and topKPerm
+// order positions by rowOrder's comparator over the key columns.
 func orderOutput(ctx context.Context, p *plan, x *execArgs, outCols, keyCols []table.Column) ([]table.Column, error) {
+	if len(outCols) > 0 {
+		x.trace.Mark(StageProject, outCols[0].Len())
+	}
 	if len(p.order) == 0 {
 		return outCols, nil
 	}
@@ -504,6 +529,7 @@ func orderOutput(ctx context.Context, p *plan, x *execArgs, outCols, keyCols []t
 	for i := range outCols {
 		outCols[i] = outCols[i].Gather(perm, nil)
 	}
+	x.trace.Mark(StageSort, n)
 	return outCols, nil
 }
 

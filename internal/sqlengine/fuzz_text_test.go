@@ -109,9 +109,9 @@ func FuzzFingerprint(f *testing.F) {
 		var wantRes *Result
 		wantErr := rawErr
 		if rawErr == nil {
-			wantRes, wantErr = executeResultBound(ctx, raw, nil)
+			wantRes, wantErr = executeResultBound(ctx, raw, nil, nil)
 		}
-		gotRes, gotErr := executeResultBound(ctx, tmplPlan, vals)
+		gotRes, gotErr := executeResultBound(ctx, tmplPlan, vals, nil)
 		if ctx.Err() != nil {
 			t.Skip("statement too slow to compare")
 		}

@@ -604,7 +604,7 @@ func TestGroupJoinMatchesGathered(t *testing.T) {
 		gathered.late = nil
 		var dumps [2]string
 		for i, plan := range []*plan{p, &gathered} {
-			res, err := executeResultBound(ctx, plan, binds)
+			res, err := executeResultBound(ctx, plan, binds, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}

@@ -45,7 +45,7 @@ func TestOneResolvedPlanPerTemplate(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				res, err := executeResultBound(ctx, p, binds)
+				res, err := executeResultBound(ctx, p, binds, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -94,7 +94,7 @@ func TestReRegisterResolvesOnceMore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := executeResultBound(ctx, p, binds)
+		res, err := executeResultBound(ctx, p, binds, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -245,5 +245,5 @@ func (p *Prepared) Exec(ctx context.Context, args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return executeResultBound(ctx, pl, binds)
+	return executeResultBound(ctx, pl, binds, traceFrom(ctx))
 }

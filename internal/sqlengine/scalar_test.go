@@ -141,7 +141,7 @@ func (c *Catalog) ExecuteScalarBound(stmt *SelectStmt, binds []table.Value) (*ta
 }
 
 func executeScalarBound(p *plan, binds []table.Value) (*table.Table, error) {
-	x, err := start(context.Background(), p, binds, executeScalarPlan)
+	x, err := start(context.Background(), p, binds, nil, executeScalarPlan)
 	if err != nil {
 		return nil, err
 	}

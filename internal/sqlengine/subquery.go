@@ -40,27 +40,28 @@ func exprHasSubquery(e Expr) bool {
 // executor runs a resolved plan with one execution's arguments.
 type executor func(ctx context.Context, p *plan, x *execArgs) (*Result, error)
 
-// start begins a top-level execution of p: the bindings must fill the
-// statement's slots exactly.
-func start(ctx context.Context, p *plan, binds []table.Value, run executor) (*execArgs, error) {
+// start begins a top-level execution of p, marking its stages on t (nil:
+// untraced): the bindings must fill the statement's slots exactly.
+func start(ctx context.Context, p *plan, binds []table.Value, t *Trace, run executor) (*execArgs, error) {
 	if len(binds) != p.stmt.NumParams() {
 		return nil, fmt.Errorf("sql: statement has %d parameter(s), %d bound", p.stmt.NumParams(), len(binds))
 	}
-	return begin(ctx, p, binds, run)
+	return begin(ctx, p, binds, t, run)
 }
 
 // begin builds the arguments of one execution of p: LIMIT/OFFSET from the
 // bindings, then every subquery's rows, each subquery run with run.
 // Execution stops at the first error. A subquery declares no slots of its
 // own (the parser clears its Params), so the outer bindings pass through it
-// unchecked, and its own subqueries run the same way.
-func begin(ctx context.Context, p *plan, binds []table.Value, run executor) (*execArgs, error) {
-	x, err := p.bind(binds)
+// unchecked, and its own subqueries run the same way. A subquery marks its
+// stages on the outer execution's trace, into the same stages.
+func begin(ctx context.Context, p *plan, binds []table.Value, t *Trace, run executor) (*execArgs, error) {
+	x, err := p.bind(binds, t)
 	if err != nil {
 		return nil, err
 	}
 	for _, sub := range p.subs {
-		sx, err := begin(ctx, sub, binds, run)
+		sx, err := begin(ctx, sub, binds, t, run)
 		if err != nil {
 			return nil, err
 		}

@@ -35,10 +35,19 @@ func (t *Table) Profile(sampleN int) []ColumnStats {
 	return out
 }
 
+// profileColumn profiles column i. Two cells are one distinct value when
+// they have one equality key (Column.AppendKey), the key GROUP BY and
+// DISTINCT use, so Distinct counts what SELECT COUNT(DISTINCT …) counts;
+// TopValues names each value by its first cell's text.
 func (t *Table) profileColumn(i, sampleN int) ColumnStats {
 	c := &t.Columns[i]
 	st := ColumnStats{Name: c.Name, Kind: c.Kind}
-	freq := map[string]int{}
+	type fv struct {
+		v string // the value's first cell, as text
+		n int
+	}
+	freq := map[string]*fv{}
+	var key []byte
 	var nums []float64
 	for r, m := 0, c.Len(); r < m; r++ {
 		v := c.Value(r)
@@ -47,7 +56,12 @@ func (t *Table) profileColumn(i, sampleN int) ColumnStats {
 			continue
 		}
 		st.Count++
-		freq[v.AsString()]++
+		key = c.AppendKey(key[:0], r)
+		if f := freq[string(key)]; f != nil {
+			f.n++
+		} else {
+			freq[string(key)] = &fv{v.AsString(), 1}
+		}
 		if st.Count == 1 {
 			st.Min, st.Max = v, v
 		} else {
@@ -93,13 +107,9 @@ func (t *Table) profileColumn(i, sampleN int) ColumnStats {
 	}
 
 	// Top values by frequency (desc), then lexical for determinism.
-	type fv struct {
-		v string
-		n int
-	}
 	fvs := make([]fv, 0, len(freq))
-	for v, n := range freq {
-		fvs = append(fvs, fv{v, n})
+	for _, f := range freq {
+		fvs = append(fvs, *f)
 	}
 	sort.Slice(fvs, func(a, b int) bool {
 		if fvs[a].n != fvs[b].n {

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -212,6 +213,25 @@ func TestProfileStats(t *testing.T) {
 	}
 	if len(region.SampleValues) == 0 {
 		t.Error("expected sample values")
+	}
+}
+
+// TestProfileDistinctFollowsEquals: Profile counts distinct values by the
+// equality key, as COUNT(DISTINCT) does — -0 and 0 are one value, and two
+// instants 500 ms apart are two, although each pair prints alike the other
+// way round.
+func TestProfileDistinctFollowsEquals(t *testing.T) {
+	at := time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC)
+	tbl := MustNew("t", []string{"x", "at"}, []Kind{KindFloat, KindTime})
+	tbl.MustAppendRow(Float(0), Time(at))
+	tbl.MustAppendRow(Float(math.Copysign(0, -1)), Time(at.Add(500*time.Millisecond)))
+	tbl.MustAppendRow(Float(1.5), Time(at))
+	stats := tbl.Profile(0)
+	if x := stats[0]; x.Distinct != 2 || len(x.TopValues) != 2 || x.TopValues[0] != "0" {
+		t.Errorf("x: distinct %d, top %q; want 2 values, 0 (twice) first", x.Distinct, x.TopValues)
+	}
+	if at := stats[1]; at.Distinct != 2 {
+		t.Errorf("at: distinct %d, want 2 (top %q)", at.Distinct, at.TopValues)
 	}
 }
 
