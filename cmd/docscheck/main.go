@@ -107,6 +107,11 @@ var guards = []guard{
 		nil,
 		"a request's times are readings of its one sqlengine.Trace; the server keeps no stopwatch of its own",
 	},
+	{
+		regexp.MustCompile(`\bboxed\b|degrade\(|IsTyped|storageBoxed`),
+		nil,
+		"a column holds one kind, which the kind rule decides from operand kinds; no column keeps a second, per-cell-kind storage",
+	},
 }
 
 // linkRe matches inline markdown links [text](target); images ![...](...)

@@ -90,6 +90,7 @@ func TestGuardsFire(t *testing.T) {
 		"	ks := buildKeyset(specs, lo, hi)",
 		"	kb = table.AppendKeyPart(kb, v)",
 		`		"duration_ms": durationMS(time.Since(start)),`,
+		"	if !c.IsTyped() {",
 	}
 	if len(planted) != len(guards) {
 		t.Fatalf("%d planted lines for %d guards", len(planted), len(guards))

@@ -248,8 +248,9 @@ func (lw *lineWriter) send() error {
 // Cells are JSON-native: NULL is null, ints and floats are numbers, bools
 // are booleans and everything else is a string; the bytes are the ones
 // encoding/json writes for the same values, except that a non-finite
-// float, which JSON cannot spell, is null. Each column's typed slab is
-// resolved once per batch, so no cell is boxed on the way.
+// float, which JSON cannot spell, is null. Each int, float and string
+// column's typed slab is resolved once per batch, so none of their cells
+// becomes a Value on the way.
 func appendRows(dst []byte, b *sqlengine.Batch) []byte {
 	type slab struct {
 		kind   table.Kind // KindNull: not a typed int/float/string slab; read cells through Batch.Value
@@ -298,8 +299,8 @@ func appendRows(dst []byte, b *sqlengine.Batch) []byte {
 	return dst
 }
 
-// appendValue is the boxed cell path of appendRows: bool and time columns
-// and columns degraded to mixed kinds.
+// appendValue is appendRows' cell path through a Value, for the columns
+// with no int, float or string slab: bool, time and all-NULL columns.
 func appendValue(dst []byte, v table.Value) []byte {
 	switch v.Kind {
 	case table.KindNull:

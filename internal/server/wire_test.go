@@ -147,8 +147,8 @@ var (
 
 // wireTestTable is 64 rows of every cell shape the wire carries: k is the
 // row number (what the selections filter on), i/f/s/b/ts are typed columns
-// with a NULL every few rows, and m is a column degraded to boxed storage
-// by holding every kind at once.
+// with a NULL every few rows, m is the text column a CASE whose arms mix
+// every kind makes (each cell its value's AsString), and z is all NULL.
 func wireTestTable() *table.Table {
 	const n = 64
 	at := time.Date(2024, 2, 29, 13, 4, 5, 0, time.UTC)
@@ -187,9 +187,12 @@ func wireTestTable() *table.Table {
 			m = append(m, table.Float(math.NaN()))
 		}
 	}
-	mixed := table.ColumnOf("m", table.KindInt, m)
-	if mixed.IsTyped() {
-		panic("wireTestTable: m did not degrade")
+	mixed := table.NewColumn("m", table.KindString)
+	z := table.NewColumn("z", table.KindNull)
+	for _, v := range m {
+		text, _ := table.KindString.Coerce(v)
+		mixed.Append(text)
+		z.AppendNull()
 	}
 	return &table.Table{Name: "t", Columns: []table.Column{
 		table.ColumnFromInts("k", k, nil),
@@ -199,6 +202,7 @@ func wireTestTable() *table.Table {
 		table.ColumnFromBools("b", b, nulls[3]),
 		table.ColumnFromTimes("ts", ts, nulls[4]),
 		mixed,
+		z,
 	}}
 }
 
@@ -277,8 +281,9 @@ func TestWireRowsMatchEncodingJSON(t *testing.T) {
 }
 
 // FuzzWireRows: for any string bytes and any float bits — alone in typed
-// columns and together in a degraded one — appendRows writes what
-// encoding/json writes, and null where encoding/json has nothing to write.
+// columns and together in the text column COALESCE(f, s) makes —
+// appendRows writes what encoding/json writes, and null where
+// encoding/json has nothing to write.
 func FuzzWireRows(f *testing.F) {
 	for i, s := range wireStrings {
 		f.Add(s, math.Float64bits(wireFloats[i%len(wireFloats)]))
@@ -291,10 +296,9 @@ func FuzzWireRows(f *testing.F) {
 		cat := sqlengine.NewCatalog()
 		cat.Register(&table.Table{Name: "t", Columns: []table.Column{
 			table.ColumnFromStrings("s", []string{s, s}, nil),
-			table.ColumnFromFloats("f", []float64{x, -x}, nil),
-			table.ColumnOf("m", table.KindString, []table.Value{table.Str(s), table.Float(x)}),
+			table.ColumnFromFloats("f", []float64{x, -x}, []bool{false, true}),
 		}})
-		res, err := cat.QueryCtx(context.Background(), "SELECT * FROM t")
+		res, err := cat.QueryCtx(context.Background(), "SELECT s, f, COALESCE(f, s) AS m FROM t")
 		if err != nil {
 			t.Fatal(err)
 		}

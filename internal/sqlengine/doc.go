@@ -34,9 +34,9 @@
 // Large inputs partition across a
 // process-wide bounded worker pool (parallel.go) shared by every
 // concurrent query. Expressions have one evaluator, evalVec (vector.go):
-// typed loops where the operands' storage allows, otherwise one boxed
-// per-row loop over the child columns that calls the value-level library
-// in eval.go, with every child evaluated only on the rows a row-at-a-time
+// every node's kind decided from its operands' kinds (kind.go), then typed
+// loops where those kinds allow, otherwise one per-row loop over the child
+// columns that calls the value-level library in eval.go, with every child evaluated only on the rows a row-at-a-time
 // walk would reach it on. That row-at-a-time walk — the seed's scalar
 // executor — lives in the package's test files as the oracle the
 // differential tests check the engine against.

@@ -9,8 +9,8 @@ import (
 )
 
 // The value-level operator and function library: what one operator or one
-// scalar function does to one row's operand values. evalVec's boxed
-// per-row loops call it for every operand shape its typed loops do not
+// scalar function does to one row's operand values. evalVec's per-row
+// loops call it for every operand shape its typed loops do not
 // cover, and the row-at-a-time oracle the differential tests check evalVec
 // against calls it too — the two differ in evaluation strategy only, never
 // in what an operator means.

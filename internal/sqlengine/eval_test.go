@@ -13,10 +13,11 @@ import (
 
 // The oracle's expression evaluator. evalExpr walks the tree once per row —
 // AND/OR, CASE and IN short-circuit per row — and applies the value-level
-// library in eval.go at every operator, the library evalVec's boxed loops
-// call too. What the differential tests compare is therefore evaluation
-// strategy: this row walk against evalVec's columns, typed kernels and
-// selections.
+// library in eval.go at every operator, the library evalVec's per-row
+// loops call too, and converts a CASE's or COALESCE's value into the node's
+// kind as evalVec's columns hold it (kindOf, table.Kind.Coerce). What the
+// differential tests compare is therefore evaluation strategy: this row
+// walk against evalVec's columns, typed kernels and selections.
 
 // env supplies the current row's cells (and, in grouped evaluation,
 // aggregate results) to the expression evaluator. Column references were
@@ -26,6 +27,8 @@ type env interface {
 	// args returns the execution's arguments: bound parameters and
 	// subquery results.
 	args() *execArgs
+	// kinds is the relation's column kinds, for kindOf.
+	kinds() *vrel
 	// column returns cell i of the current row of the joined relation.
 	column(i int) table.Value
 	// aggregate returns the value of an aggregate call, or an error when
@@ -138,11 +141,13 @@ func evalExpr(e Expr, ev env) (table.Value, error) {
 				return table.Null(), err
 			}
 			if b, ok := c.AsBool(); ok && b {
-				return evalExpr(w.Result, ev)
+				v, err := evalExpr(w.Result, ev)
+				return ofKind(x, ev, v), err
 			}
 		}
 		if x.Else != nil {
-			return evalExpr(x.Else, ev)
+			v, err := evalExpr(x.Else, ev)
+			return ofKind(x, ev, v), err
 		}
 		return table.Null(), nil
 	case Star:
@@ -207,7 +212,19 @@ func evalScalarFunc(f *FuncCall, ev env) (table.Value, error) {
 		}
 		args[i] = v
 	}
-	return scalarFunc(f.Name, args)
+	v, err := scalarFunc(f.Name, args)
+	return ofKind(f, ev, v), err
+}
+
+// ofKind converts v, node e's value, into e's kind as evalVec's
+// colBuilder does: it panics where no conversion fits.
+func ofKind(e Expr, ev env, v table.Value) table.Value {
+	k := kindOf(e, ev.kinds())
+	c, ok := k.Coerce(v)
+	if !ok {
+		panic(fmt.Sprintf("oracle: %s made a %s value for its %s column", e.SQL(), v.Kind, k))
+	}
+	return c
 }
 
 // rowFallback evaluates e with the oracle, row by row, over the selected
@@ -215,7 +232,7 @@ func evalScalarFunc(f *FuncCall, ev env) (table.Value, error) {
 func rowFallback(e Expr, rel *vrel, sel *table.Selection) (table.Column, error) {
 	n := selLen(rel, sel)
 	vals := make([]table.Value, n)
-	sr := &srel{width: len(rel.cols), x: rel.x}
+	sr := &srel{width: len(rel.cols), x: rel.x, kinds: rel}
 	it := table.IterSelection(sel, rel.nrows)
 	for i := 0; i < n; i++ {
 		r, _ := it.Next()
@@ -229,7 +246,11 @@ func rowFallback(e Expr, rel *vrel, sel *table.Selection) (table.Column, error) 
 		}
 		vals[i] = v
 	}
-	return columnOfValues(vals), nil
+	b := newColBuilder(e, kindOf(e, rel), n)
+	for _, v := range vals {
+		b.add(v)
+	}
+	return b.col, nil
 }
 
 // likeRec is LIKE's recursive definition over case-folded text — the

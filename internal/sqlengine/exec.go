@@ -381,14 +381,10 @@ func bareColumns(p *plan, rel *vrel) []table.Column {
 // drop and truncate the selection. No output column is copied.
 func finish(ctx context.Context, p *plan, x *execArgs, cols []table.Column, sel *table.Selection) (*Result, error) {
 	for i, name := range p.names {
-		cols[i].Name = name
-		if cols[i].Kind == table.KindNull {
-			// All-NULL output columns default to TEXT, like the oracle's.
-			// Rebuild rather than retag: a KindNull column has no typed
-			// storage, so flipping Kind alone would break the storage
-			// invariant and crash later slices.
-			cols[i] = table.ColumnOf(name, table.KindString, cols[i].Values())
+		if cols[i].Kind == table.KindNull { // a column no operand typed is TEXT, its NULLs in string storage
+			cols[i] = nullColumn(table.KindString, cols[i].Len())
 		}
+		cols[i].Name = name
 	}
 	n := sel.Len()
 	if sel == nil && len(cols) > 0 {
@@ -597,7 +593,7 @@ func (gr *grouping) idList() []int32 {
 // is a key like any other. A single coded string key (table.Column.Codes)
 // counts its codes, unless its dictionary outnumbers the positions; a
 // single typed int/string key hashes its raw values; every other shape
-// (composite, float, boxed) hashes its key tuple's table.AppendKey bytes.
+// (composite, float, bool, time) hashes its key tuple's table.AppendKey bytes.
 // Either way two positions share a group exactly when = holds on every
 // key, NULL and NaN each being one group.
 func groupKeys(ctx context.Context, keyCols []table.Column, n int) (grouping, error) {
@@ -981,7 +977,7 @@ func (g *vgroups) firstRows(ci int, sel *table.Selection, n int) table.Column {
 // aggregate folds fn over the rows of each selected group.
 func (g *vgroups) aggregate(fn *FuncCall, sel *table.Selection, n int) (table.Column, error) {
 	if n == 0 {
-		return nullColumn(0), nil
+		return nullColumn(kindOf(fn, g.base), 0), nil
 	}
 	col, err := g.fold(fn, sel)
 	if err != nil || sel == nil {
@@ -1033,7 +1029,7 @@ func (g *vgroups) fold(fn *FuncCall, sel *table.Selection) (table.Column, error)
 			return foldTyped(op, fs, nulls, rows, gr, len(g.counts), table.ColumnFromFloats), nil
 		}
 	}
-	return foldCells(op, fn.Distinct, &col, rows, gr, len(g.counts)), nil
+	return foldCells(fn, op, &col, rows, gr, len(g.counts)), nil
 }
 
 // countColumn is every group's count, or zeros when counted is false.
@@ -1183,10 +1179,11 @@ func foldTyped[T int64 | float64](op aggOp, vals []T, nulls []bool, sel *table.S
 	return column("", best, empty)
 }
 
-// foldCells folds the cells of col at the rows sel selects (nil: every
-// row) into their groups' aggAcc, in position order; DISTINCT folds only
-// the first of each distinct non-NULL value of a group.
-func foldCells(op aggOp, distinct bool, col *table.Column, sel *table.Selection, gr *grouping, groups int) table.Column {
+// foldCells folds the cells of col, fn's argument, at the rows sel selects
+// (nil: every row) into their groups' aggAcc, in position order; DISTINCT
+// folds only the first of each distinct non-NULL value of a group.
+func foldCells(fn *FuncCall, op aggOp, col *table.Column, sel *table.Selection, gr *grouping, groups int) table.Column {
+	distinct := fn.Distinct
 	ids := gr.idList()
 	accs := make([]aggAcc, groups)
 	for g := range accs {
@@ -1220,11 +1217,11 @@ func foldCells(op aggOp, distinct bool, col *table.Column, sel *table.Selection,
 		}
 		accs[g].add(r, at)
 	}
-	vals := make([]table.Value, groups)
+	b := newColBuilder(fn, aggKind(op, col.Kind), groups)
 	for g := range accs {
-		vals[g] = accs[g].value()
+		b.add(accs[g].value())
 	}
-	return columnOfValues(vals)
+	return b.col
 }
 
 // aggOp is what an aggregate does with each value it folds.
@@ -1341,8 +1338,7 @@ func (a *aggAcc) value() table.Value {
 
 // executeGroupedVec gives each selected row its group's id, then evaluates
 // HAVING over the relation of groups and the select list and ORDER BY keys
-// over the groups it kept. Each column takes the storage columnOfValues
-// gives its per-group values, and ordering runs through orderOutput like a
+// over the groups it kept, and ordering runs through orderOutput like a
 // plain projection's.
 func executeGroupedVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selection) ([]table.Column, error) {
 	var groups *vgroups
@@ -1380,9 +1376,6 @@ func executeGroupedVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selec
 	if err != nil {
 		return nil, err
 	}
-	for c := range cols {
-		cols[c] = retype(cols[c])
-	}
 	return orderOutput(ctx, p, rel.x, cols[:len(p.items)], cols[len(p.items):])
 }
 
@@ -1396,19 +1389,4 @@ func lateKey(p *plan, rel *vrel) *pairCol {
 		return rel.lateCol(ref.idx)
 	}
 	return nil
-}
-
-// retype gives a column the storage columnOfValues gives its values, as
-// grouped output columns have always had: a typed column holding a
-// non-NULL cell has it already; an all-NULL one becomes KindNull, a boxed
-// one is rebuilt (typed when its values share one kind).
-func retype(col table.Column) table.Column {
-	if col.IsTyped() && col.Kind != table.KindNull {
-		for i := 0; i < col.Len(); i++ {
-			if !col.IsNullAt(i) {
-				return col
-			}
-		}
-	}
-	return columnOfValues(col.Values())
 }

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -279,7 +280,7 @@ func FuzzDifferentialSQL(f *testing.F) {
 	// Seeds added with the typed ORDER BY kernel: the query generator now
 	// emits multi-key ORDER BY (mixed ASC/DESC over duplicate-heavy and
 	// NULL-bearing keys), ORDER BY + LIMIT + OFFSET (including offsets
-	// beyond the table), and boxed mixed-kind sort keys, so these inputs
+	// beyond the table), and sort keys whose CASE arms mix kinds, so these inputs
 	// drive the top-K heap and both comparator paths through the
 	// three-way differential check.
 	f.Add(int64(9), uint16(650), uint8(45))
@@ -380,28 +381,99 @@ func nearJoinStatements() []string {
 	return out
 }
 
-// registerTailTable adds keys(f, m, g) to a catalog: f is a float column of
-// NULL, -0.0, 0.0, NaN and repeats; m is boxed storage mixing ints, floats
-// that equal them, strings that spell them, and NULL; g is a small int that
-// ties rows for ORDER BY.
+// registerTailTable adds keys(f, g) to a catalog: f is a float column of
+// NULL, -0.0, 0.0, NaN and repeats; g is a small int that ties rows for
+// ORDER BY.
 func registerTailTable(c *Catalog) {
 	fs := []table.Value{table.Null(), table.Float(math.Copysign(0, -1)), table.Float(0), table.Float(math.NaN()), table.Float(1.5), table.Float(-2)}
-	ms := []table.Value{table.Int(1), table.Float(1), table.Str("1"), table.Null(), table.Int(2), table.Float(math.Copysign(0, -1)), table.Int(0)}
-	tb := table.MustNew("keys", []string{"f", "m", "g"}, []table.Kind{table.KindFloat, table.KindInt, table.KindInt})
+	tb := table.MustNew("keys", []string{"f", "g"}, []table.Kind{table.KindFloat, table.KindInt})
 	for i := 0; i < 60; i++ {
 		tb.Columns[0].Append(fs[(i*7)%len(fs)])
-		tb.Columns[1].Append(ms[(i*5)%len(ms)]) // the first string degrades m to boxed storage
-		tb.Columns[2].Append(table.Int(int64(i % 4)))
+		tb.Columns[1].Append(table.Int(int64(i % 4)))
 	}
 	c.Register(tb)
 }
 
+// mixedArms are select items whose arms mix kinds, each with the kind the
+// kind rule gives it: int with float widens to REAL, a number with text is
+// TEXT (each number its text), and a NULL arm yields to the other.
+var mixedArms = []struct {
+	expr string
+	kind table.Kind
+}{
+	{"CASE WHEN g > 1 THEN g ELSE f END", table.KindFloat},
+	{"CASE WHEN g = 1 THEN 'one' WHEN g = 3 THEN NULL ELSE COALESCE(f, g) END", table.KindString},
+	{"CASE WHEN g > 2 THEN NULL ELSE g END", table.KindInt},
+	{"IFNULL(f, 'none')", table.KindString},
+}
+
+// TestMixedArmKindsFollowOperands: a statement's output columns have the
+// kinds the kind rule gives its items — never the kinds of the values that
+// happen to reach them — so each mixed-arm item has its kind under top-K
+// and LIMIT, DISTINCT, GROUP BY and an aggregate over it, a dense
+// selection whose rows reach some arms only, and a WHERE that keeps no
+// row, in the engine and the oracle alike; and so does every output column
+// of the generator's statements.
+func TestMixedArmKindsFollowOperands(t *testing.T) {
+	c := NewCatalog()
+	registerTailTable(c)
+	for _, m := range mixedArms {
+		for _, shape := range []string{
+			"SELECT %s FROM keys ORDER BY g LIMIT 2",
+			"SELECT %s FROM keys LIMIT 1",
+			"SELECT DISTINCT %s FROM keys",
+			"SELECT %s, COUNT(*) FROM keys GROUP BY 1",
+			"SELECT g, MIN(%s) FROM keys GROUP BY g",
+			"SELECT %s FROM keys WHERE g = 1",
+			"SELECT %s FROM keys WHERE g = 2",
+			"SELECT %s FROM keys WHERE g > 100",
+		} {
+			q := fmt.Sprintf(shape, m.expr)
+			col := 0
+			if strings.HasPrefix(shape, "SELECT g,") {
+				col = 1
+			}
+			vec := mustQuery(t, c, q)
+			sca, err := c.QueryScalar(q)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", q, err)
+			}
+			if got, want := vec.Columns[col].Kind, m.kind; got != want || sca.Columns[col].Kind != want {
+				t.Errorf("%s: engine kind %v, oracle %v, want %v", q, got, sca.Columns[col].Kind, want)
+			}
+		}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := randCatalog(rng, 150)
+		for i := 0; i < 60; i++ {
+			q := randQuery(rng)
+			res, err := queryTable(c, q)
+			items, rel := planKinds(c, q)
+			if err != nil || rel == nil {
+				continue
+			}
+			for j, it := range items {
+				want := kindOf(it.Expr, rel)
+				if want == table.KindNull {
+					want = table.KindString
+				}
+				if got := res.Columns[j].Kind; got != want {
+					t.Errorf("%s: column %d is %v, the rule gives %v", q, j+1, got, want)
+				}
+			}
+		}
+	}
+}
+
 // tailStatements cross DISTINCT with ORDER BY and LIMIT/OFFSET over the
 // keys table, with and without a WHERE that scatters the selection — the
-// engine's one output tail against the oracle's own.
+// engine's one output tail against the oracle's own — over the float key f
+// and items whose arms mix kinds.
 func tailStatements() []string {
 	var out []string
-	for _, items := range []string{"DISTINCT f", "DISTINCT m", "DISTINCT f, m", "DISTINCT g, f", "f, m"} {
+	for _, items := range []string{"DISTINCT f", "DISTINCT " + mixedArms[1].expr, "DISTINCT f, " + mixedArms[0].expr,
+		"DISTINCT g, f", "f, " + mixedArms[3].expr + ", " + mixedArms[2].expr} {
 		for _, where := range []string{"", " WHERE g <> 1"} {
 			for _, order := range []string{"", " ORDER BY 1", " ORDER BY g DESC", " ORDER BY 1 DESC, g"} {
 				for _, window := range []string{"", " LIMIT 3", " LIMIT 2 OFFSET 1", " OFFSET 2", " LIMIT 0", " LIMIT 100 OFFSET 100"} {

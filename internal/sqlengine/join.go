@@ -16,7 +16,7 @@ import (
 // build rows in one flat list grouped by key — or, when it has none, are
 // every row of the other side (a nested loop). Residual ON
 // conjuncts are evaluated with evalVec over batches of candidate pairs,
-// several probe rows at a time, rather than by boxed per-pair tree walks.
+// several probe rows at a time, rather than by per-pair tree walks.
 // The pair list is allocated once per join, sized to the probe side's
 // rows; each chunk appends into its own window of it (the slots of its
 // probe rows), and the merge moves the windows down in chunk order inside

@@ -46,11 +46,12 @@ func groupedCatalog(rows int) *Catalog {
 // TestGroupedOrderByMatchesScalar is the differential check for the
 // grouped output tail: a grouped ORDER BY goes through sortPerm/topKPerm on
 // the vectorized side and through the scalar executor's own stable sort on
-// the reference side, so every shape below — memcmp-encodable keys, the
-// boxed fallback (NaN, mixed int/float), the bounded top-K heap on either
-// side of the group count, DISTINCT disabling the bound — must agree row
-// for row, under span and dense selections alike. The larger table crosses
-// parallelMinRows, so groups also evaluate on the worker pool.
+// the reference side, so every shape below — typed keys, the stable-sort
+// fallback (NaN), a CASE key mixing int and float arms, the bounded top-K
+// heap on either side of the group count, DISTINCT disabling the bound —
+// must agree row for row, under span and dense selections alike. The
+// larger table crosses parallelMinRows, so groups also evaluate on the
+// worker pool.
 func TestGroupedOrderByMatchesScalar(t *testing.T) {
 	queries := []string{
 		// multi-key, mixed ASC/DESC, NULL keys in both positions
@@ -64,10 +65,10 @@ func TestGroupedOrderByMatchesScalar(t *testing.T) {
 		// NULL group keys sort first ASC, last DESC
 		"SELECT s, COUNT(*) FROM g GROUP BY s ORDER BY s",
 		"SELECT k, SUM(w) FROM g GROUP BY k ORDER BY k DESC",
-		// NaN float key: no memcmp encoding, the boxed stable sort runs
+		// NaN float key: no total order, the stable sort runs
 		"SELECT f, COUNT(*) AS n FROM g GROUP BY f ORDER BY f",
 		"SELECT f, s, COUNT(*) FROM g WHERE id % 2 = 1 GROUP BY f, s ORDER BY f DESC, s LIMIT 6",
-		// CASE key mixing int and float: a boxed key column
+		// CASE key mixing int and float arms: a float key column
 		"SELECT k, SUM(v) FROM g GROUP BY k ORDER BY CASE WHEN k > 4 THEN k ELSE AVG(w) END, k",
 		"SELECT k, CASE WHEN k < 3 THEN COUNT(*) ELSE AVG(w) END AS m FROM g GROUP BY k ORDER BY m DESC LIMIT 4 OFFSET 1",
 		// LIMIT k OFFSET m around the 11 groups of k: below, equal, above
@@ -221,7 +222,7 @@ func checkGrouping(t *testing.T, name string, gr grouping, parts [][]int, n int)
 // TestPartitionRowsContract pins the one key grouper GROUP BY, DISTINCT
 // and PARTITION BY call, and the permutation windows build from it: for
 // every key shape (typed int and string loops, the table.AppendKey path for
-// float, time, composite and boxed keys) over the positions of every
+// float, time, bool and composite keys) over the positions of every
 // selection form (nil, span, dense) its segments are scalarPartitions'
 // groups of = in first-appearance order, each one group's positions
 // ascending, NULL keys form exactly one group, groupKeys' ids, firsts and
@@ -236,7 +237,7 @@ func TestPartitionRowsContract(t *testing.T) {
 	strs := table.NewColumn("s", table.KindString)
 	floats := table.NewColumn("f", table.KindFloat)
 	times := table.NewColumn("t", table.KindTime)
-	boxed := table.NewColumn("x", table.KindInt)
+	bools := table.NewColumn("b", table.KindBool)
 	// Neighbours = tells apart and a rounding or seconds key would merge,
 	// and pairs = equates that a bit-exact key would split.
 	point1 := 0.1
@@ -262,14 +263,11 @@ func TestPartitionRowsContract(t *testing.T) {
 		strs.Append(sv)
 		floats.Append(fv)
 		times.Append(tv)
-		if i%3 == 0 {
-			boxed.Append(sv) // a string in an int column: degrades to boxed
+		if iv.IsNull() {
+			bools.AppendNull()
 		} else {
-			boxed.Append(iv)
+			bools.Append(table.Bool(iv.I > 0))
 		}
-	}
-	if boxed.IsTyped() {
-		t.Fatal("boxed key column stayed typed")
 	}
 
 	scattered := make([]int, 0, n/2)
@@ -290,7 +288,7 @@ func TestPartitionRowsContract(t *testing.T) {
 		"time":      {times},
 		"composite": {strs, ints},
 		"mixed":     {floats, times, strs},
-		"boxed":     {boxed},
+		"bool":      {bools},
 	}
 	for sname, sel := range selections {
 		rows := iotaInts(n)

@@ -232,20 +232,13 @@ func (b *Batch) NumCols() int { return len(b.cols) }
 func (b *Batch) IsNull(col, row int) bool { return b.cols[col].IsNullAt(row) }
 
 // Int64 returns the cell as an int64 straight from typed storage.
-// ok is false for NULLs and non-integer cells.
+// ok is false for NULLs and cells of a column of another kind.
 func (b *Batch) Int64(col, row int) (int64, bool) {
-	c := &b.cols[col]
-	if is, nulls, typed := c.Ints(); typed {
-		if nulls[row] {
-			return 0, false
-		}
-		return is[row], true
-	}
-	v := c.Value(row)
-	if v.IsNull() || v.Kind != table.KindInt {
+	is, nulls, ok := b.cols[col].Ints()
+	if !ok || nulls[row] {
 		return 0, false
 	}
-	return v.AsInt()
+	return is[row], true
 }
 
 // Float64 returns the cell as a float64, converting as Value.AsFloat does:
@@ -261,7 +254,7 @@ func (b *Batch) String(col, row int) string {
 	return b.cols[col].Value(row).AsString()
 }
 
-// Value returns the cell as a boxed table.Value — the kind-preserving
+// Value returns the cell as a table.Value — the kind-preserving
 // accessor for generic consumers (wire encoders, differential harnesses)
 // that must distinguish ints, floats, bools, strings, and NULL without
 // probing each typed accessor in turn.

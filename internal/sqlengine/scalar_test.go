@@ -23,10 +23,21 @@ type srel struct {
 	rows  [][]table.Value
 	width int // cells per row
 	x     *execArgs
+	kinds *vrel // the relation's column kinds, for kindOf
+}
+
+// kindsOf is a relation with no rows whose columns have cols' kinds, for
+// kindOf to read.
+func kindsOf(cols []table.Column, x *execArgs) *vrel {
+	kinds := make([]table.Column, len(cols))
+	for i := range cols {
+		kinds[i] = table.NewColumn(cols[i].Name, cols[i].Kind)
+	}
+	return &vrel{cols: kinds, x: x}
 }
 
 func srelFrom(t *table.Table, x *execArgs) *srel {
-	r := &srel{width: len(t.Columns), x: x}
+	r := &srel{width: len(t.Columns), x: x, kinds: kindsOf(t.Columns, x)}
 	n := t.NumRows()
 	r.rows = make([][]table.Value, n)
 	for i := 0; i < n; i++ {
@@ -47,6 +58,8 @@ type rowEnv struct {
 }
 
 func (e *rowEnv) args() *execArgs { return e.rel.x }
+
+func (e *rowEnv) kinds() *vrel { return e.rel.kinds }
 
 func (e *rowEnv) column(i int) table.Value {
 	if e.row == nil {
@@ -191,7 +204,7 @@ func executeScalarPlan(_ context.Context, p *plan, x *execArgs) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	return buildOutput(p, x, rows), nil
+	return buildOutput(p, x, rel.kinds, rows), nil
 }
 
 // joinRelationsScalar nested-loop joins left and right with the ON
@@ -201,7 +214,8 @@ func executeScalarPlan(_ context.Context, p *plan, x *execArgs) (*Result, error)
 // matching the vectorized pipeline's probe order exactly (the differential
 // harness compares results row for row).
 func joinRelationsScalar(left, right *srel, j JoinClause) (*srel, error) {
-	out := &srel{width: left.width + right.width, x: left.x}
+	out := &srel{width: left.width + right.width, x: left.x,
+		kinds: kindsOf(append(append([]table.Column(nil), left.kinds.cols...), right.kinds.cols...), left.x)}
 	nullsLeft := make([]table.Value, left.width)
 	nullsRight := make([]table.Value, right.width)
 	match := func(lrow, rrow []table.Value) (bool, []table.Value, error) {
@@ -272,8 +286,9 @@ type projectedRow struct {
 
 // buildOutput is the oracle's own output tail, row-major: it sorts the
 // projected rows, keeps each distinct row's first occurrence under
-// DISTINCT, cuts the OFFSET/LIMIT window, and only then builds the columns.
-func buildOutput(p *plan, x *execArgs, rows []projectedRow) *Result {
+// DISTINCT, cuts the OFFSET/LIMIT window, and only then builds the columns,
+// each of its item's kind over the relation's kinds (TEXT for NULL).
+func buildOutput(p *plan, x *execArgs, kinds *vrel, rows []projectedRow) *Result {
 	order := p.order
 	if len(order) > 0 {
 		sort.SliceStable(rows, func(a, b int) bool {
@@ -312,12 +327,9 @@ func buildOutput(p *plan, x *execArgs, rows []projectedRow) *Result {
 	}
 	cols := make([]table.Column, len(p.names))
 	for i, name := range p.names {
-		kind := table.KindString
-		for _, r := range rows {
-			if !r.out[i].IsNull() {
-				kind = r.out[i].Kind
-				break
-			}
+		kind := kindOf(p.items[i].Expr, kinds)
+		if kind == table.KindNull {
+			kind = table.KindString
 		}
 		cols[i] = table.NewColumn(name, kind)
 		cols[i].Grow(len(rows))

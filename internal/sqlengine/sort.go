@@ -11,8 +11,8 @@ import (
 // ORDER BY kernel. rowOrder turns the key columns into one comparator over
 // positions, table.RowOrder's: decided once per key column rather than per
 // row, a typed closure over the storage of an int, float, string, time or
-// bool column, and table.Compare on boxed Values for an all-NULL or boxed
-// column. Every ordering consumer runs through it:
+// bool column ("all equal" for an all-NULL one). Every ordering consumer
+// runs through it:
 //
 //   - sortPerm: the stable permutation. Contiguous chunks of at least
 //     parallelMinRows positions sort on the shared worker pool, and a k-way
@@ -24,8 +24,8 @@ import (
 //
 // A total order sorts with pdqsort and a position tie-break, which yields
 // exactly the stable order. table.Compare makes NaN equal to every value,
-// which is no order at all; keys holding one, and boxed keys, run
-// sort.SliceStable over the same comparator instead. That is the scalar
+// which is no order at all; keys holding one run sort.SliceStable over the
+// same comparator instead. That is the scalar
 // reference's algorithm with the same per-pair results, so the two make the
 // same comparison sequence and agree.
 
@@ -33,8 +33,8 @@ import (
 // columns: negative when a sorts before b, zero when they are peers on
 // every key — there is no position tie-break. Each key compares as
 // table.Compare does, negated for DESC, so NULLs sort first ascending and
-// last descending. total is false when a key column is boxed or is a float
-// column holding a NaN.
+// last descending. total is false when a key column is a float column
+// holding a NaN.
 func rowOrder(keyCols []table.Column, order []OrderItem) (cmp func(a, b int) int, total bool) {
 	desc := make([]bool, len(order))
 	for i := range order {

@@ -14,12 +14,12 @@ import (
 	"datalab/internal/table"
 )
 
-// boxedCompare is the reference ORDER BY comparator: table.Compare on the
-// boxed cells, key by key, negated for DESC — negative when position a
+// valueCompare is the reference ORDER BY comparator: table.Compare on the
+// cells as Values, key by key, negated for DESC — negative when position a
 // sorts before position b, zero when they are peers on every key. The
 // scalar oracle sorts its rows by the same per-pair rule with
 // sort.SliceStable; rowOrder must agree with it on the sign of every pair.
-func boxedCompare(keyCols []table.Column, order []OrderItem, a, b int) int {
+func valueCompare(keyCols []table.Column, order []OrderItem, a, b int) int {
 	for k := range order {
 		c := table.Compare(keyCols[k].Value(a), keyCols[k].Value(b))
 		if c == 0 {
@@ -33,11 +33,11 @@ func boxedCompare(keyCols []table.Column, order []OrderItem, a, b int) int {
 	return 0
 }
 
-// referencePerm is the stable permutation of 0..n-1 under boxedCompare, by
+// referencePerm is the stable permutation of 0..n-1 under valueCompare, by
 // the scalar oracle's algorithm.
 func referencePerm(keyCols []table.Column, order []OrderItem, n int) []int {
 	perm := iotaInts(n)
-	sort.SliceStable(perm, func(i, j int) bool { return boxedCompare(keyCols, order, perm[i], perm[j]) < 0 })
+	sort.SliceStable(perm, func(i, j int) bool { return valueCompare(keyCols, order, perm[i], perm[j]) < 0 })
 	return perm
 }
 
@@ -79,9 +79,8 @@ var keyKinds = []string{"int", "float", "string", "bool", "time", "null", "coded
 
 // randKeyColumns draws 1-3 key columns of n rows (with NULLs and heavy
 // duplication) plus matching order specs. When nan is true, float columns
-// hold NaN cells too; when mixed is true, the first column is degraded to
-// boxed storage by one cell of a foreign kind.
-func randKeyColumns(rng *rand.Rand, n int, mixed, nan bool) ([]table.Column, []OrderItem) {
+// hold NaN cells too.
+func randKeyColumns(rng *rand.Rand, n int, nan bool) ([]table.Column, []OrderItem) {
 	nk := 1 + rng.Intn(3)
 	cols := make([]table.Column, nk)
 	order := make([]OrderItem, nk)
@@ -108,13 +107,6 @@ func randKeyColumns(rng *rand.Rand, n int, mixed, nan bool) ([]table.Column, []O
 			for r := 0; r < n; r++ {
 				c.Append(randKeyCell(rng, kind, nan))
 			}
-		}
-		if mixed && i == 0 && n > 0 {
-			foreign := table.Str("boxed")
-			if c.Kind == table.KindString {
-				foreign = table.Int(99)
-			}
-			c.Set(rng.Intn(n), foreign)
 		}
 		cols[i] = c
 		order[i] = OrderItem{Desc: rng.Intn(2) == 0}
@@ -156,13 +148,10 @@ func sign(c int) int {
 	return 0
 }
 
-// orderIsTotal is rowOrder's total, decided from the boxed cells: false
-// exactly when a key column is boxed or holds a float NaN.
+// orderIsTotal is rowOrder's total, decided from the cells: false exactly
+// when a key column holds a float NaN.
 func orderIsTotal(cols []table.Column) bool {
 	for i := range cols {
-		if !cols[i].IsTyped() {
-			return false
-		}
 		for r := 0; r < cols[i].Len(); r++ {
 			if v := cols[i].Value(r); v.Kind == table.KindFloat && math.IsNaN(v.F) {
 				return false
@@ -182,7 +171,7 @@ func checkRowOrder(t testing.TB, cols []table.Column, order []OrderItem, n int) 
 	}
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
-			if got, want := sign(cmp(a, b)), sign(boxedCompare(cols, order, a, b)); got != want {
+			if got, want := sign(cmp(a, b)), sign(valueCompare(cols, order, a, b)); got != want {
 				t.Fatalf("cmp(%d, %d) = %d, reference %d: %v vs %v (order %v)",
 					a, b, got, want, rowValues(cols, a), rowValues(cols, b), order)
 			}
@@ -223,15 +212,15 @@ func rowValues(cols []table.Column, r int) []table.Value {
 }
 
 // TestRowOrderMatchesCompare is the comparator's property: for every pair
-// of positions the sign of rowOrder's cmp is the boxed reference's, and
-// total is false exactly for boxed or NaN-bearing keys, over every key
+// of positions the sign of rowOrder's cmp is the reference's, and total is
+// false exactly for NaN-bearing keys, over every key
 // shape randKeyColumns draws — a coded string column included.
 func TestRowOrderMatchesCompare(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sawCoded := false
 	for trial := 0; trial < 400; trial++ {
 		n := rng.Intn(60)
-		cols, order := randKeyColumns(rng, n, trial%5 == 4, trial%3 == 2)
+		cols, order := randKeyColumns(rng, n, trial%3 == 2)
 		for i := range cols {
 			sawCoded = sawCoded || coded(cols[i])
 		}
@@ -242,25 +231,25 @@ func TestRowOrderMatchesCompare(t *testing.T) {
 	}
 }
 
-// TestSortPermMatchesBoxedReference cross-checks sortPerm against the
+// TestSortPermMatchesValueReference cross-checks sortPerm against the
 // reference stable sort on randomized keys, and topKPerm against the
 // prefix of the full sort for random bounds (including 0, 1, n-1).
-func TestSortPermMatchesBoxedReference(t *testing.T) {
+func TestSortPermMatchesValueReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 300; trial++ {
 		n := rng.Intn(200)
-		cols, order := randKeyColumns(rng, n, trial%5 == 4, trial%3 == 2)
+		cols, order := randKeyColumns(rng, n, trial%3 == 2)
 		checkSortPerm(t, cols, order, n, []int{0, 1, n / 2, n - 1, n, n + 3})
 	}
 }
 
-// permIsStableSorted checks that perm orders rows by the boxed reference
+// permIsStableSorted checks that perm orders rows by the reference
 // comparator with ascending-position ties, i.e. exactly the stable order
 // of a total order.
 func permIsStableSorted(t *testing.T, cols []table.Column, order []OrderItem, perm []int) {
 	t.Helper()
 	for i := 1; i < len(perm); i++ {
-		c := boxedCompare(cols, order, perm[i-1], perm[i])
+		c := valueCompare(cols, order, perm[i-1], perm[i])
 		if c > 0 || (c == 0 && perm[i-1] >= perm[i]) {
 			t.Fatalf("perm not in stable order at %d: rows %d, %d", i, perm[i-1], perm[i])
 		}
@@ -277,7 +266,7 @@ func TestParallelSortPermStable(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(10))
 	n := 2*parallelMinRows + 5000
-	cols, order := randKeyColumns(rng, n, false, false)
+	cols, order := randKeyColumns(rng, n, false)
 	cmp, total := rowOrder(cols, order)
 	if !total {
 		t.Fatal("expected a total order")
@@ -337,8 +326,8 @@ func TestTopKAllocationPin(t *testing.T) {
 }
 
 // FuzzRowOrder builds one to three key columns from the fuzz bytes — each
-// int, float (NaN and -0 included), string, bool, time, all-NULL or boxed
-// mixed-kind — and checks rowOrder against the reference on every pair of
+// int, float (NaN and -0 included), string, bool, time, all-NULL, or the
+// text column a CASE mixing int, float and string arms makes — and checks rowOrder against the reference on every pair of
 // positions, sortPerm against the stable order and topKPerm(k) against its
 // prefix. Byte 0 holds the key count and the DESC bits, the next bytes one
 // shape per key and the bound k, the rest the cells row by row.
@@ -361,11 +350,11 @@ func FuzzRowOrder(f *testing.F) {
 		for i := range cols {
 			shape := shapes[i] % 7
 			kind := []table.Kind{table.KindInt, table.KindFloat, table.KindString,
-				table.KindBool, table.KindTime, table.KindNull, table.KindInt}[shape]
+				table.KindBool, table.KindTime, table.KindNull, table.KindString}[shape]
 			vals := make([]table.Value, n)
 			for r := range vals {
 				if b := cells[r*nk+i]; shape == 6 {
-					vals[r] = fuzzCell([]table.Kind{table.KindInt, table.KindFloat, table.KindString}[b%3], b/3)
+					vals[r], _ = kind.Coerce(fuzzCell([]table.Kind{table.KindInt, table.KindFloat, table.KindString}[b%3], b/3))
 				} else if kind != table.KindNull {
 					vals[r] = fuzzCell(kind, b)
 				}

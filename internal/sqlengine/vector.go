@@ -10,11 +10,13 @@ import (
 
 // Vectorized expression evaluation, the engine's one evaluator: evalVec
 // computes an expression over whole column vectors, optionally restricted
-// by a selection vector. Where its operands' storage allows, an operator
-// runs one of two generic typed loops, zipColumn or mapColumn, over the
-// per-cell definition eval.go's value-level library uses too; every other
-// operand shape runs one boxed per-row loop over the node's child columns
-// that calls that library. A child that a row-at-a-time walk would skip
+// by a selection vector. Every column it makes holds the node's kind, which
+// kindOf (kind.go) decides from the operands' kinds. Where its operands'
+// kinds allow, an operator runs one of two generic typed loops, zipColumn
+// or mapColumn, over the per-cell definition eval.go's value-level library
+// uses too; every other operand shape runs one per-row loop over the
+// node's child columns that calls that library and builds the node's
+// column through colBuilder. A child that a row-at-a-time walk would skip
 // is evaluated only on the rows that reach it — AND/OR's right side on the
 // rows the left leaves undecided, each CASE arm on the rows no earlier arm
 // took, IN candidates on the rows not yet matched — so a child that raises
@@ -108,7 +110,7 @@ func raiseOnRows(n int, err error) (table.Column, error) {
 	if n > 0 {
 		return table.Column{}, err
 	}
-	return nullColumn(0), nil
+	return nullColumn(table.KindNull, 0), nil
 }
 
 // evalOn evaluates e on the positions of sel that mask marks — count of
@@ -121,7 +123,7 @@ func evalOn(e Expr, rel *vrel, sel *table.Selection, mask []bool, count int) (ta
 	case mask == nil || count == len(mask):
 		return evalVec(e, rel, sel)
 	case count == 0:
-		return nullColumn(0), nil
+		return nullColumn(kindOf(e, rel), 0), nil
 	}
 	if rel.win != nil {
 		pos := make([]int, 0, count)
@@ -140,9 +142,9 @@ func evalOn(e Expr, rel *vrel, sel *table.Selection, mask []bool, count int) (ta
 	return evalVec(e, rel, sel.Pick(mask, nil))
 }
 
-// operand is one child's values over the positions a boxed loop visits: a
-// column, or one constant for all of them — a literal, bound parameter or
-// scalar subquery is never spread into a column there.
+// operand is one child's values over the positions a per-row loop visits:
+// a column, or one constant for all of them — a literal, bound parameter
+// or scalar subquery is never spread into a column there.
 type operand struct {
 	col   table.Column
 	k     table.Value
@@ -156,7 +158,7 @@ func (o *operand) at(i int) table.Value {
 	return o.col.Value(i)
 }
 
-// evalOperand is evalOn for an operand of a boxed loop.
+// evalOperand is evalOn for an operand of a per-row loop.
 func evalOperand(e Expr, rel *vrel, sel *table.Selection, mask []bool, count int) (operand, error) {
 	if k, ok := constExprValue(e, rel); ok {
 		return operand{k: k, konst: true}, nil
@@ -165,11 +167,11 @@ func evalOperand(e Expr, rel *vrel, sel *table.Selection, mask []bool, count int
 	return operand{col: col}, err
 }
 
-// evalRows is a node's boxed per-row loop over n positions: f gets the
-// operands' values at one position and returns the node's value there.
-func evalRows(n int, ops []operand, f func(args []table.Value) (table.Value, error)) (table.Column, error) {
+// evalRows is node e's per-row loop over n positions: f gets the
+// operands' values at one position and returns e's value there.
+func evalRows(e Expr, rel *vrel, n int, ops []operand, f func(args []table.Value) (table.Value, error)) (table.Column, error) {
 	args := make([]table.Value, len(ops))
-	b := colBuilder{size: n}
+	b := newColBuilder(e, kindOf(e, rel), n)
 	for i := 0; i < n; i++ {
 		for k := range ops {
 			args[k] = ops[k].at(i)
@@ -180,54 +182,39 @@ func evalRows(n int, ops []operand, f func(args []table.Value) (table.Value, err
 		}
 		b.add(v)
 	}
-	return b.column(), nil
+	return b.col, nil
 }
 
-// colBuilder appends values into the storage columnOfValues gives them.
+// colBuilder appends node's values into a column of its kind, each
+// converted by table.Kind.Coerce: an int widens into a float column, any
+// value becomes its text in a string column. A value no conversion fits
+// is an engine bug — the value library made a kind kindOf did not expect —
+// and panics with the node's SQL.
 type colBuilder struct {
-	col   table.Column
-	size  int  // cells to reserve
-	nulls int  // NULLs appended before the first non-NULL value
-	typed bool // a non-NULL value arrived and chose col's kind
+	col  table.Column
+	node Expr
+}
+
+func newColBuilder(node Expr, kind table.Kind, size int) colBuilder {
+	b := colBuilder{col: table.NewColumn("", kind), node: node}
+	b.col.Grow(size)
+	return b
 }
 
 func (b *colBuilder) add(v table.Value) {
-	if !b.typed {
-		if v.IsNull() {
-			b.nulls++
-			return
+	if !v.IsNull() && v.Kind != b.col.Kind {
+		c, ok := b.col.Kind.Coerce(v)
+		if !ok {
+			panic(fmt.Sprintf("sqlengine: %s made a %s value for its %s column", b.node.SQL(), v.Kind, b.col.Kind))
 		}
-		b.col = table.NewColumn("", v.Kind)
-		b.col.Grow(b.size)
-		for i := 0; i < b.nulls; i++ {
-			b.col.AppendNull()
-		}
-		b.typed = true
+		v = c
 	}
 	b.col.Append(v)
 }
 
-func (b *colBuilder) column() table.Column {
-	if !b.typed {
-		return nullColumn(b.nulls)
-	}
-	return b.col
-}
-
-// columnOfValues builds an unnamed column from boxed values, typed by the
-// first non-NULL one: later values of another kind degrade it to boxed
-// storage, and an all-NULL (or empty) vector stays KindNull.
-func columnOfValues(vals []table.Value) table.Column {
-	b := colBuilder{size: len(vals)}
-	for _, v := range vals {
-		b.add(v)
-	}
-	return b.column()
-}
-
-// nullColumn is n NULLs of KindNull.
-func nullColumn(n int) table.Column {
-	c := table.NewColumn("", table.KindNull)
+// nullColumn is n NULLs of kind k.
+func nullColumn(k table.Kind, n int) table.Column {
+	c := table.NewColumn("", k)
 	c.Grow(n)
 	for i := 0; i < n; i++ {
 		c.AppendNull()
@@ -237,8 +224,8 @@ func nullColumn(n int) table.Column {
 
 // constExprValue resolves e to an execution-constant value when it is a
 // literal, a bound parameter or a scalar subquery, letting the WHERE kernels
-// and the typed LIKE/BETWEEN/IN loops accept them, and the boxed loops read
-// them as one value.
+// and the typed LIKE/BETWEEN/IN loops accept them, and the per-row loops
+// read them as one value.
 func constExprValue(e Expr, rel *vrel) (table.Value, bool) {
 	switch x := e.(type) {
 	case *Literal:
@@ -259,7 +246,7 @@ func constExprValue(e Expr, rel *vrel) (table.Value, bool) {
 func constColumn(v table.Value, n int) table.Column {
 	switch v.Kind {
 	case table.KindNull:
-		return nullColumn(n)
+		return nullColumn(table.KindNull, n)
 	case table.KindInt:
 		vals := make([]int64, n)
 		for i := range vals {
@@ -328,7 +315,7 @@ func evalVecUnary(x *Unary, rel *vrel, sel *table.Selection) (table.Column, erro
 			return mapColumn(fs, nulls, func(v float64) (float64, bool) { return -v, true }), nil
 		}
 	}
-	return evalRows(selLen(rel, sel), []operand{{col: col}}, func(a []table.Value) (table.Value, error) {
+	return evalRows(x, rel, selLen(rel, sel), []operand{{col: col}}, func(a []table.Value) (table.Value, error) {
 		return unaryValue(x.Op, a[0])
 	})
 }
@@ -351,7 +338,7 @@ func evalVecBinary(b *Binary, rel *vrel, sel *table.Selection) (table.Column, er
 	if out, ok := binaryVec(b.Op, &lcol, &rcol); ok {
 		return out, nil
 	}
-	return evalRows(selLen(rel, sel), []operand{{col: lcol}, {col: rcol}}, func(a []table.Value) (table.Value, error) {
+	return evalRows(b, rel, selLen(rel, sel), []operand{{col: lcol}, {col: rcol}}, func(a []table.Value) (table.Value, error) {
 		return binaryValue(b.Op, a[0], a[1])
 	})
 }
@@ -548,7 +535,7 @@ func evalVecLike(b *Binary, rel *vrel, sel *table.Selection) (table.Column, erro
 		pattern := strings.ToLower(pat.k.S)
 		return mapColumn(ls, lnulls, func(s string) (bool, bool) { return likeLower(strings.ToLower(s), pattern), true }), nil
 	}
-	return evalRows(selLen(rel, sel), []operand{{col: lcol}, pat}, func(a []table.Value) (table.Value, error) {
+	return evalRows(b, rel, selLen(rel, sel), []operand{{col: lcol}, pat}, func(a []table.Value) (table.Value, error) {
 		return binaryValue("LIKE", a[0], a[1])
 	})
 }
@@ -573,7 +560,7 @@ func evalVecBetween(x *Between, rel *vrel, sel *table.Selection) (table.Column, 
 	}
 	n := selLen(rel, sel)
 	if !lo.konst || !hi.konst || !col.ComparesTyped(lo.k) || !col.ComparesTyped(hi.k) {
-		return evalRows(n, []operand{{col: col}, lo, hi}, func(a []table.Value) (table.Value, error) {
+		return evalRows(x, rel, n, []operand{{col: col}, lo, hi}, func(a []table.Value) (table.Value, error) {
 			return betweenValue(a[0], a[1], a[2], x.Not), nil
 		})
 	}
@@ -661,15 +648,13 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, error) {
 			}
 		}
 	}
-	b := colBuilder{size: n}
-	for i := 0; i < n; i++ {
-		if col.IsNullAt(i) || !found[i] && sawNull[i] {
-			b.add(table.Null())
-		} else {
-			b.add(table.Bool(found[i] != x.Not))
-		}
+	out := make([]bool, n)
+	nulls := make([]bool, n)
+	for i := range out {
+		nulls[i] = col.IsNullAt(i) || !found[i] && sawNull[i]
+		out[i] = !nulls[i] && found[i] != x.Not
 	}
-	return b.column(), nil
+	return table.ColumnFromBools("", out, nulls), nil
 }
 
 // inConstants returns IN's non-NULL list entries — a subquery's rows
@@ -699,9 +684,9 @@ func inConstants(x *In, rel *vrel) (lits []table.Value, anyNull, ok bool) {
 	return lits, anyNull, true
 }
 
-// inSet is IN's typed loop: typed numeric X against an all-numeric list,
-// or typed string X against an all-string list. Mixed-kind membership
-// (which compares through table.Equal's string forms) reports ok=false.
+// inSet is IN's typed loop: numeric X against an all-numeric list, or
+// string X against an all-string list. Mixed-kind membership (which
+// compares through table.Equal's string forms) reports ok=false.
 // anyNull says the list also held a NULL, which makes a non-member NULL.
 func inSet(col *table.Column, lits []table.Value, anyNull, not bool) (table.Column, bool) {
 	if ss, nulls, ok := col.Strings(); ok {
@@ -755,7 +740,7 @@ func inSet(col *table.Column, lits []table.Value, anyNull, not bool) (table.Colu
 // evalVecCase is searched CASE (the parser desugars the simple form). Each
 // WHEN runs on the rows no earlier WHEN took, each THEN on the rows its
 // WHEN took and ELSE on the rest; the arms' values are then laid out in row
-// order into the storage columnOfValues gives them.
+// order into a column of the CASE's kind, the arms' kinds promoted.
 func evalVecCase(x *CaseExpr, rel *vrel, sel *table.Selection) (table.Column, error) {
 	n := selLen(rel, sel)
 	arms := make([]operand, 0, len(x.Whens)+1)
@@ -810,7 +795,7 @@ func evalVecCase(x *CaseExpr, rel *vrel, sel *table.Selection) (table.Column, er
 		arms = append(arms, res)
 	}
 	next := make([]int, len(arms))
-	b := colBuilder{size: n}
+	b := newColBuilder(x, kindOf(x, rel), n)
 	for _, a := range owner {
 		if a < 0 {
 			b.add(table.Null())
@@ -819,7 +804,7 @@ func evalVecCase(x *CaseExpr, rel *vrel, sel *table.Selection) (table.Column, er
 		b.add(arms[a].at(next[a]))
 		next[a]++
 	}
-	return b.column(), nil
+	return b.col, nil
 }
 
 // evalVecFunc applies a scalar function row by row over its arguments.
@@ -831,7 +816,7 @@ func evalVecFunc(f *FuncCall, rel *vrel, sel *table.Selection) (table.Column, er
 			return table.Column{}, err
 		}
 	}
-	return evalRows(selLen(rel, sel), ops, func(args []table.Value) (table.Value, error) {
+	return evalRows(f, rel, selLen(rel, sel), ops, func(args []table.Value) (table.Value, error) {
 		return scalarFunc(f.Name, args)
 	})
 }

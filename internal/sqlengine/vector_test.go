@@ -170,27 +170,26 @@ func TestAllNullProjectionDoesNotPanic(t *testing.T) {
 	}
 }
 
-// TestGroupedOutputKinds: grouped output columns take the storage
-// columnOfValues gives their per-group values — an all-NULL key or
-// aggregate is TEXT, and a boxed column whose groups' first rows share one
-// kind comes out typed.
+// TestGroupedOutputKinds: grouped output columns have the kinds their
+// expressions' operands give them, whatever the groups' values — an
+// all-NULL int key stays an int, SUM over an all-NULL float column is a
+// float, a CASE mixing a number and text is TEXT even where every group
+// takes the number, and only a column no operand types (NULL) is TEXT.
 func TestGroupedOutputKinds(t *testing.T) {
-	m := table.NewColumn("m", table.KindInt)
-	for _, v := range []table.Value{table.Int(1), table.Int(2), table.Str("x")} {
-		m.Append(v) // the string degrades m to boxed storage
-	}
 	c := NewCatalog()
 	c.Register(&table.Table{Name: "g", Columns: []table.Column{
 		table.ColumnFromInts("k", []int64{1, 2, 1}, nil),
 		table.ColumnFromInts("nk", make([]int64, 3), []bool{true, true, true}),
 		table.ColumnFromFloats("nv", make([]float64, 3), []bool{true, true, true}),
-		m,
 	}})
-	out := mustQuery(t, c, "SELECT k, nk, SUM(nv) AS s, m FROM g GROUP BY k, nk ORDER BY k")
-	for i, want := range []table.Kind{table.KindInt, table.KindString, table.KindString, table.KindInt} {
-		if col := &out.Columns[i]; col.Kind != want || !col.IsTyped() {
-			t.Errorf("column %s: kind %v (typed %v), want typed %v", col.Name, col.Kind, col.IsTyped(), want)
+	out := mustQuery(t, c, "SELECT k, nk, SUM(nv) AS s, CASE WHEN k > 0 THEN k ELSE 'none' END AS m, NULL AS z FROM g GROUP BY k, nk ORDER BY k")
+	for i, want := range []table.Kind{table.KindInt, table.KindInt, table.KindFloat, table.KindString, table.KindString} {
+		if col := &out.Columns[i]; col.Kind != want {
+			t.Errorf("column %s: kind %v, want %v", col.Name, col.Kind, want)
 		}
+	}
+	if got := out.Columns[3].Value(0); got != table.Str("1") {
+		t.Errorf("m = %v, want the text of 1", got)
 	}
 }
 
@@ -471,9 +470,8 @@ func randPredicate(rng *rand.Rand, depth int) string {
 
 // randWindowItem draws one window-function select item. Arguments,
 // partition keys, and sort keys span the typed sort-kernel path (int,
-// float, string keys, NULLs included) and the boxed fallback (bool
-// partition/order keys); frames cover whole-partition, running RANGE, and
-// sliding ROWS shapes.
+// float, string and bool keys, NULLs included); frames cover
+// whole-partition, running RANGE, and sliding ROWS shapes.
 func randWindowItem(rng *rand.Rand) string {
 	part := []string{"", "PARTITION BY c ", "PARTITION BY e ", "PARTITION BY d ", "PARTITION BY c, e "}[rng.Intn(5)]
 	ord := "ORDER BY " + []string{"a", "b", "e", "a DESC", "b DESC, a", "c, a DESC", "e DESC, b", "d, a"}[rng.Intn(8)]
@@ -591,10 +589,10 @@ func randQuery(rng *rand.Rand) string {
 
 	cols := []string{"a", "b", "c", "d", "e", "a + e", "a * 2", "b - a", "UPPER(c)", "ABS(a)",
 		"CASE WHEN a > 5 THEN 'hi' WHEN a > 0 THEN 'mid' ELSE 'lo' END",
-		// Mixed-kind result: the projected column degrades to boxed
-		// storage, so ORDER BY referencing its position exercises the
-		// typed sort kernel's boxed-comparator fallback.
+		// Arms mixing kinds: int with text is a TEXT column (each int its
+		// text), int with float a float one — whichever rows reach an arm.
 		"CASE WHEN a > 5 THEN a ELSE c END",
+		"CASE WHEN a > 5 THEN a ELSE b END",
 		// Simple CASE (operand form), including a NULL-operand row falling
 		// through every WHEN, and a missing ELSE yielding NULL.
 		"CASE c WHEN 'red' THEN 1 WHEN 'blue' THEN 2 ELSE 0 END",

@@ -223,7 +223,6 @@ func vecWindowColumn(ctx context.Context, fn *FuncCall, rel *vrel, sel *table.Se
 		sortSegment = func(seg []int) { sortRows(seg, cmp, total) }
 		peers = func(a, b int) bool { return cmp(a, b) == 0 }
 	}
-	kind := table.KindInt           // ROW_NUMBER, RANK, DENSE_RANK and COUNT
 	var argAt func(int) table.Value // none for COUNT(*) and the ranking functions
 	if !fn.IsStar && len(fn.Args) == 1 {
 		argCol, err := evalVec(fn.Args[0], rel, sel)
@@ -231,14 +230,8 @@ func vecWindowColumn(ctx context.Context, fn *FuncCall, rel *vrel, sel *table.Se
 			return table.Column{}, err
 		}
 		argAt = argCol.Value
-		switch fn.Name {
-		case "SUM", "AVG":
-			kind = table.KindFloat
-		case "MIN", "MAX":
-			kind = argCol.Kind
-		}
 	}
-	out := constColumn(table.Value{Kind: kind}, n) // every cell is set below
+	out := nullColumn(kindOf(fn, rel), n) // every cell is set below
 	lo := 0
 	for _, hi := range ends {
 		if err := ctx.Err(); err != nil {
@@ -251,5 +244,5 @@ func vecWindowColumn(ctx context.Context, fn *FuncCall, rel *vrel, sel *table.Se
 		}
 		lo = hi
 	}
-	return retype(out), nil
+	return out, nil
 }

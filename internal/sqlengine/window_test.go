@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -395,35 +394,27 @@ func TestWindowAllocationPin(t *testing.T) {
 	t.Logf("window read: %.1f B per row", perRow)
 }
 
-// TestWindowColumnsKeepValueStorage: a window column is written typed —
-// int for the ranking functions and COUNT, float for SUM and AVG, the
-// argument's kind for MIN and MAX — and then retyped, so its kind and
-// storage are what columnOfValues gives its values: typed by the first
-// non-NULL value, boxed when the values mix kinds, KindNull when every
-// value is NULL or there are none — as when the values were boxed first.
+// TestWindowColumnsKeepValueStorage: a window column has the kind its call
+// and argument give it, whatever its values — int for the ranking
+// functions and COUNT, float for SUM and AVG (NULL over a NULL argument),
+// the argument's kind for MIN and MAX — over every selection, an empty one
+// included, and the kind kindOf decides for the call.
 func TestWindowColumnsKeepValueStorage(t *testing.T) {
 	names := []string{"g", "i", "f", "s", "x", "nn"}
-	kinds := []table.Kind{table.KindInt, table.KindInt, table.KindFloat, table.KindString, table.KindInt, table.KindInt}
+	kinds := []table.Kind{table.KindInt, table.KindInt, table.KindFloat, table.KindString, table.KindBool, table.KindInt}
 	tb := &table.Table{Name: "w"}
 	for k, name := range names {
 		tb.Columns = append(tb.Columns, table.NewColumn(name, kinds[k]))
 	}
 	for r := 0; r < 12; r++ {
-		x := table.Int(int64(r))
-		if r%4 == 1 {
-			x = table.Str(fmt.Sprintf("x%d", r)) // degrades x to boxed storage
-		}
 		f := table.Float(float64(r) / 4)
 		if r < 3 {
 			f = table.Null()
 		}
-		row := []table.Value{table.Int(int64(r % 3)), table.Int(int64(r * 7 % 5)), f, table.Str(fmt.Sprintf("s%d", r%5)), x, table.Null()}
+		row := []table.Value{table.Int(int64(r % 3)), table.Int(int64(r * 7 % 5)), f, table.Str(fmt.Sprintf("s%d", r%5)), table.Bool(r%4 == 1), table.Null()}
 		for k, v := range row {
 			tb.Columns[k].Append(v)
 		}
-	}
-	if tb.Columns[4].IsTyped() {
-		t.Fatal("the mixed column x stayed typed")
 	}
 	c := NewCatalog()
 	c.Register(tb)
@@ -434,36 +425,37 @@ func TestWindowColumnsKeepValueStorage(t *testing.T) {
 		"dense": table.NewIndexSelection([]int{0, 1, 5, 9}),
 		"empty": table.NewIndexSelection(nil),
 	}
-	ranked := []string{"ROW_NUMBER()", "RANK()", "DENSE_RANK()"}
-	folded := []string{
-		"COUNT(*)", "COUNT(x)", "SUM(i)", "SUM(s)", "AVG(f)", "SUM(nn)",
-		"MIN(i)", "MAX(f)", "MIN(s)", "MAX(x)", "MIN(x)", "MAX(nn)",
+	calls := map[string]table.Kind{
+		"ROW_NUMBER()": table.KindInt, "RANK()": table.KindInt, "DENSE_RANK()": table.KindInt,
+		"COUNT(*)": table.KindInt, "COUNT(x)": table.KindInt, "SUM(i)": table.KindFloat, "SUM(s)": table.KindFloat,
+		"AVG(f)": table.KindFloat, "SUM(nn)": table.KindFloat, "SUM(NULL)": table.KindNull,
+		"MIN(i)": table.KindInt, "MAX(f)": table.KindFloat, "MIN(s)": table.KindString,
+		"MAX(x)": table.KindBool, "MIN(x)": table.KindBool, "MAX(nn)": table.KindInt,
 	}
 	ordered := []string{"PARTITION BY g ORDER BY i", "ORDER BY f DESC"}
 	unordered := []string{"PARTITION BY g", "PARTITION BY s ORDER BY i ROWS BETWEEN 1 PRECEDING AND CURRENT ROW"}
-	var queries []string
-	for _, call := range append(ranked, folded...) {
+	for call, want := range calls {
 		overs := ordered
-		if !slices.Contains(ranked, call) {
+		if !strings.HasSuffix(call, "()") {
 			overs = append(overs, unordered...)
 		}
 		for _, over := range overs {
-			queries = append(queries, "SELECT "+call+" OVER ("+over+") FROM w")
-		}
-	}
-	for _, q := range queries {
-		p, _, err := c.planQuery(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		for sname, sel := range sels {
-			col, err := vecWindowColumn(context.Background(), p.wins[0], rel, sel)
+			q := "SELECT " + call + " OVER (" + over + ") FROM w"
+			p, _, err := c.planQuery(q)
 			if err != nil {
-				t.Fatalf("%s, %s selection: %v", q, sname, err)
+				t.Fatalf("%s: %v", q, err)
 			}
-			want := columnOfValues(col.Values())
-			if col.Kind != want.Kind || col.IsTyped() != want.IsTyped() {
-				t.Errorf("%s, %s selection: kind %v, typed %v; its values give kind %v, typed %v", q, sname, col.Kind, col.IsTyped(), want.Kind, want.IsTyped())
+			if got := kindOf(p.wins[0], rel); got != want {
+				t.Errorf("%s: kindOf = %v, want %v", q, got, want)
+			}
+			for sname, sel := range sels {
+				col, err := vecWindowColumn(context.Background(), p.wins[0], rel, sel)
+				if err != nil {
+					t.Fatalf("%s, %s selection: %v", q, sname, err)
+				}
+				if col.Kind != want {
+					t.Errorf("%s, %s selection: kind %v, want %v", q, sname, col.Kind, want)
+				}
 			}
 		}
 	}

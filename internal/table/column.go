@@ -1,18 +1,18 @@
 package table
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
-// Column is a named, typed vector of cells stored columnar: one typed Go
-// slice (selected by Kind) plus a null bitmap, instead of a slice of boxed
-// Value structs. Hot paths — vectorized filters, aggregates, joins — read
-// the typed slices directly via Ints/Floats/Strings; row-at-a-time callers
-// keep the boxed view through Value/Append/Set.
-//
-// A column whose cells all share the declared Kind stays in typed storage.
-// Appending (or Setting) a non-null cell of a different kind degrades the
-// column to boxed storage ([]Value), preserving the old heterogeneous
-// semantics exactly; typed accessors then report ok=false and callers fall
-// back to the scalar path.
+// Column is a named vector of cells of one Kind stored columnar: one typed
+// Go slice (selected by Kind) plus a null bitmap. Hot paths — vectorized
+// filters, aggregates, joins — read the typed slices directly via
+// Ints/Floats/Strings; row-at-a-time callers read and write Values through
+// Value/Append/Set. Every non-NULL cell has the column's Kind: appending or
+// setting a value of another kind is a caller's bug and panics
+// (Kind.Coerce converts a value where a conversion is meant), and a
+// KindNull column holds NULLs only.
 type Column struct {
 	Name string
 	Kind Kind
@@ -25,8 +25,6 @@ type Column struct {
 	strs   []string
 	bools  []bool
 	times  []time.Time
-
-	boxed []Value // non-nil => authoritative mixed-kind storage
 
 	// coding holds a published string column's dictionary codes beside
 	// strs (see Codes). One pointer, not two slice headers: a Column is
@@ -100,9 +98,8 @@ func ColumnFromTimes(name string, vals []time.Time, nulls []bool) Column {
 	return Column{Name: name, Kind: KindTime, length: len(vals), times: vals, nulls: nulls}
 }
 
-// ColumnOf builds a column of the given kind from boxed values. Values of
-// mismatched kinds degrade the column to boxed storage, preserving them
-// exactly.
+// ColumnOf builds a column of the given kind from values, each NULL or of
+// that kind.
 func ColumnOf(name string, kind Kind, vals []Value) Column {
 	c := NewColumn(name, kind)
 	c.Grow(len(vals))
@@ -115,13 +112,10 @@ func ColumnOf(name string, kind Kind, vals []Value) Column {
 // Len returns the number of cells.
 func (c *Column) Len() int { return c.length }
 
-// IsTyped reports whether the column is in typed (non-boxed) storage.
-func (c *Column) IsTyped() bool { return c.boxed == nil }
-
 // Ints returns the typed storage of an int column: values, null bitmap, ok.
-// ok is false for boxed or non-int columns. Callers must not mutate.
+// ok is false for a column of another kind. Callers must not mutate.
 func (c *Column) Ints() ([]int64, []bool, bool) {
-	if c.boxed != nil || c.Kind != KindInt {
+	if c.Kind != KindInt {
 		return nil, nil, false
 	}
 	return c.ints, c.nulls, true
@@ -129,7 +123,7 @@ func (c *Column) Ints() ([]int64, []bool, bool) {
 
 // Floats returns the typed storage of a float column.
 func (c *Column) Floats() ([]float64, []bool, bool) {
-	if c.boxed != nil || c.Kind != KindFloat {
+	if c.Kind != KindFloat {
 		return nil, nil, false
 	}
 	return c.floats, c.nulls, true
@@ -137,7 +131,7 @@ func (c *Column) Floats() ([]float64, []bool, bool) {
 
 // Strings returns the typed storage of a string column.
 func (c *Column) Strings() ([]string, []bool, bool) {
-	if c.boxed != nil || c.Kind != KindString {
+	if c.Kind != KindString {
 		return nil, nil, false
 	}
 	return c.strs, c.nulls, true
@@ -145,7 +139,7 @@ func (c *Column) Strings() ([]string, []bool, bool) {
 
 // Bools returns the typed storage of a boolean column.
 func (c *Column) Bools() ([]bool, []bool, bool) {
-	if c.boxed != nil || c.Kind != KindBool {
+	if c.Kind != KindBool {
 		return nil, nil, false
 	}
 	return c.bools, c.nulls, true
@@ -153,7 +147,7 @@ func (c *Column) Bools() ([]bool, []bool, bool) {
 
 // Times returns the typed storage of a timestamp column.
 func (c *Column) Times() ([]time.Time, []bool, bool) {
-	if c.boxed != nil || c.Kind != KindTime {
+	if c.Kind != KindTime {
 		return nil, nil, false
 	}
 	return c.times, c.nulls, true
@@ -171,15 +165,8 @@ func (c *Column) Codes() (codes []int32, dict []string, nulls []bool, ok bool) {
 	return nil, nil, nil, false
 }
 
-// Value returns cell i as a boxed Value.
+// Value returns cell i as a Value.
 func (c *Column) Value(i int) Value {
-	if c.boxed != nil {
-		return c.boxed[i]
-	}
-	return c.typedValue(i)
-}
-
-func (c *Column) typedValue(i int) Value {
 	if c.nulls[i] {
 		return Value{}
 	}
@@ -208,36 +195,10 @@ func (c *Column) Values() []Value {
 	return out
 }
 
-// degrade converts typed storage to boxed storage in place.
-func (c *Column) degrade() {
-	if c.boxed != nil {
-		return
-	}
-	vals := make([]Value, c.length)
-	for i := range vals {
-		vals[i] = c.typedValue(i)
-	}
-	c.boxed, c.coding = vals, nil
-	c.nulls, c.ints, c.floats, c.strs, c.bools, c.times = nil, nil, nil, nil, nil, nil
-}
-
-// Append appends one cell. Values whose kind matches the column kind go to
-// typed storage; NULLs set the null bit; anything else degrades the column
-// to boxed storage.
+// Append appends one cell: NULL, or a value of the column's kind.
 func (c *Column) Append(v Value) {
-	if c.boxed == nil && c.Kind == KindNull && !v.IsNull() {
-		c.degrade()
-	}
-	if c.boxed != nil {
-		c.boxed = append(c.boxed, v)
-		c.length++
-		return
-	}
 	if !v.IsNull() && v.Kind != c.Kind {
-		c.degrade()
-		c.boxed = append(c.boxed, v)
-		c.length++
-		return
+		c.refuse(v)
 	}
 	c.nulls = append(c.nulls, v.IsNull())
 	switch c.Kind {
@@ -255,47 +216,43 @@ func (c *Column) Append(v Value) {
 	c.length++
 }
 
+// refuse panics for v, a value of another kind than c's.
+func (c *Column) refuse(v Value) {
+	panic(fmt.Sprintf("table: column %q of kind %s cannot hold the %s value %v", c.Name, c.Kind, v.Kind, v))
+}
+
 // AppendNull appends a NULL cell.
 func (c *Column) AppendNull() { c.Append(Value{}) }
 
-// AppendColumn appends every cell of src, preserving each cell's stored
-// kind. When both columns are typed with the same kind the copy is
-// slab-at-a-time on the raw slices; otherwise it goes cell-at-a-time with
-// the raw cell value, degrading c to boxed storage when kinds differ —
-// exactly reproducing the state src was in.
+// AppendColumn appends every cell of src, slab-at-a-time on the raw
+// slices. src must have c's kind.
 func (c *Column) AppendColumn(src *Column) {
-	if c.boxed == nil && src.boxed == nil && c.Kind == src.Kind {
-		c.nulls = append(c.nulls, src.nulls...)
-		switch c.Kind {
-		case KindInt:
-			c.ints = append(c.ints, src.ints...)
-		case KindFloat:
-			c.floats = append(c.floats, src.floats...)
-		case KindString:
-			c.strs = append(c.strs, src.strs...)
-		case KindBool:
-			c.bools = append(c.bools, src.bools...)
-		case KindTime:
-			c.times = append(c.times, src.times...)
-		}
-		c.length += src.length
-		return
+	if src.Kind != c.Kind {
+		panic(fmt.Sprintf("table: column %q of kind %s cannot take the %s column %q", c.Name, c.Kind, src.Kind, src.Name))
 	}
-	for i := 0; i < src.length; i++ {
-		c.Append(src.Value(i))
+	c.nulls = append(c.nulls, src.nulls...)
+	switch c.Kind {
+	case KindInt:
+		c.ints = append(c.ints, src.ints...)
+	case KindFloat:
+		c.floats = append(c.floats, src.floats...)
+	case KindString:
+		c.strs = append(c.strs, src.strs...)
+	case KindBool:
+		c.bools = append(c.bools, src.bools...)
+	case KindTime:
+		c.times = append(c.times, src.times...)
 	}
+	c.length += src.length
 }
 
-// Set overwrites cell i, dropping the column's codes.
+// Set overwrites cell i with NULL or a value of the column's kind,
+// dropping the column's codes.
 func (c *Column) Set(i int, v Value) {
+	if !v.IsNull() && v.Kind != c.Kind {
+		c.refuse(v)
+	}
 	c.coding = nil
-	if c.boxed == nil && !v.IsNull() && v.Kind != c.Kind {
-		c.degrade()
-	}
-	if c.boxed != nil {
-		c.boxed[i] = v
-		return
-	}
 	c.nulls[i] = v.IsNull()
 	switch c.Kind {
 	case KindInt:
@@ -313,10 +270,6 @@ func (c *Column) Set(i int, v Value) {
 
 // Grow preallocates capacity for n additional cells.
 func (c *Column) Grow(n int) {
-	if c.boxed != nil {
-		c.boxed = append(make([]Value, 0, c.length+n), c.boxed...)
-		return
-	}
 	c.nulls = append(make([]bool, 0, c.length+n), c.nulls...)
 	switch c.Kind {
 	case KindInt:
@@ -340,15 +293,6 @@ func (c *Column) Grow(n int) {
 // too, a padded or NULL cell taking code 0.
 func (c *Column) Gather(idx []int, pad []bool) Column {
 	out := Column{Name: c.Name, Kind: c.Kind, length: len(idx)}
-	if c.boxed != nil {
-		out.boxed = make([]Value, len(idx))
-		for j, i := range idx {
-			if pad == nil || !pad[j] {
-				out.boxed[j] = c.boxed[i]
-			}
-		}
-		return out
-	}
 	out.nulls = make([]bool, len(idx))
 	switch c.Kind {
 	case KindInt:
@@ -404,10 +348,6 @@ func (c *Column) GatherSel(s *Selection) Column {
 // is the number of cells they cover.
 func (c *Column) copySpans(spans []Span, n int) Column {
 	out := Column{Name: c.Name, Kind: c.Kind, length: n}
-	if c.boxed != nil {
-		out.boxed = copyTypedSpans(c.boxed, spans, n)
-		return out
-	}
 	out.nulls = copyTypedSpans(c.nulls, spans, n)
 	switch c.Kind {
 	case KindInt:
@@ -443,10 +383,6 @@ func copyTypedSpans[T any](vals []T, spans []Span, n int) []T {
 // column's view carries the codes of its cells.
 func (c *Column) View(lo, hi int) Column {
 	out := Column{Name: c.Name, Kind: c.Kind, length: hi - lo}
-	if c.boxed != nil {
-		out.boxed = c.boxed[lo:hi:hi]
-		return out
-	}
 	out.nulls = c.nulls[lo:hi:hi]
 	switch c.Kind {
 	case KindInt:
@@ -469,19 +405,14 @@ func (c *Column) CloneData() Column {
 	return c.copySpans([]Span{{0, c.length}}, c.length)
 }
 
-// IsNullAt reports whether cell i is NULL without boxing it.
-func (c *Column) IsNullAt(i int) bool {
-	if c.boxed != nil {
-		return c.boxed[i].IsNull()
-	}
-	return c.nulls[i]
-}
+// IsNullAt reports whether cell i is NULL without making its Value.
+func (c *Column) IsNullAt(i int) bool { return c.nulls[i] }
 
 // AppendKey appends cell i's equality key to dst: the bytes
-// AppendKey(dst, c.Value(i)) appends, read from typed storage without
-// boxing the cell (a bool cell, rarely a key, is boxed).
+// AppendKey(dst, c.Value(i)) appends, read from typed storage (a bool
+// cell, rarely a key, goes through its Value).
 func (c *Column) AppendKey(dst []byte, i int) []byte {
-	if c.boxed == nil && !c.nulls[i] {
+	if !c.nulls[i] {
 		switch c.Kind {
 		case KindInt:
 			return appendIntKey(dst, c.ints[i])
@@ -496,23 +427,16 @@ func (c *Column) AppendKey(dst []byte, i int) []byte {
 	return AppendKey(dst, c.Value(i))
 }
 
-// FloatAt returns cell i as a float64 using the typed storage when
-// possible. ok is false for NULLs and non-numeric cells.
+// FloatAt returns cell i as a float64, as Value.AsFloat converts it. ok is
+// false for NULLs and non-numeric cells.
 func (c *Column) FloatAt(i int) (float64, bool) {
-	if c.boxed == nil {
-		if c.nulls[i] {
-			return 0, false
-		}
-		switch c.Kind {
-		case KindInt:
-			return float64(c.ints[i]), true
-		case KindFloat:
-			return c.floats[i], true
-		}
-	}
-	v := c.Value(i)
-	if v.IsNull() {
+	switch {
+	case c.nulls[i]:
 		return 0, false
+	case c.Kind == KindInt:
+		return float64(c.ints[i]), true
+	case c.Kind == KindFloat:
+		return c.floats[i], true
 	}
-	return v.AsFloat()
+	return c.Value(i).AsFloat()
 }

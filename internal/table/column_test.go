@@ -13,9 +13,6 @@ func TestColumnTypedStorage(t *testing.T) {
 	if c.Len() != 3 {
 		t.Fatalf("len = %d", c.Len())
 	}
-	if !c.IsTyped() {
-		t.Fatal("homogeneous int column should stay typed")
-	}
 	is, nulls, ok := c.Ints()
 	if !ok || len(is) != 3 || is[0] != 1 || is[2] != 3 || !nulls[1] {
 		t.Fatalf("Ints() = %v %v %v", is, nulls, ok)
@@ -31,42 +28,73 @@ func TestColumnTypedStorage(t *testing.T) {
 	}
 }
 
-func TestColumnDegradesOnMixedKinds(t *testing.T) {
+// TestColumnRefusesAnotherKind: a column holds one kind, so appending or
+// setting a value of another kind, or appending a column of another kind,
+// is a caller's bug and panics, leaving the cells as they were.
+func TestColumnRefusesAnotherKind(t *testing.T) {
 	c := NewColumn("m", KindInt)
 	c.Append(Int(1))
-	c.Append(Float(2.5)) // mismatched kind: degrade to boxed
-	c.Append(Str("x"))
-	if c.IsTyped() {
-		t.Fatal("mixed column should be boxed")
+	c.AppendNull()
+	other := ColumnFromFloats("f", []float64{2.5}, nil)
+	for name, f := range map[string]func(){
+		"Append":       func() { c.Append(Float(2.5)) },
+		"Set":          func() { c.Set(0, Str("x")) },
+		"AppendColumn": func() { c.AppendColumn(&other) },
+		"ColumnOf":     func() { ColumnOf("m", KindInt, []Value{Int(1), Str("two")}) },
+		"KindNull":     func() { n := NewColumn("n", KindNull); n.Append(Int(1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of another kind did not panic", name)
+				}
+			}()
+			f()
+		}()
 	}
-	if _, _, ok := c.Ints(); ok {
-		t.Error("Ints() must fail on boxed column")
+	if c.Len() != 2 || c.Value(0) != Int(1) || !c.Value(1).IsNull() {
+		t.Fatalf("refused writes changed the column: %v", c.Values())
 	}
-	want := []Value{Int(1), Float(2.5), Str("x")}
-	for i, w := range want {
-		if got := c.Value(i); !Equal(got, w) || got.Kind != w.Kind {
-			t.Errorf("Value(%d) = %v, want %v", i, got, w)
-		}
+	c.Set(1, Int(9))
+	if is, _, ok := c.Ints(); !ok || is[1] != 9 {
+		t.Fatalf("Set of the column's kind = %v %v", is, ok)
 	}
 }
 
-func TestColumnSetDegrades(t *testing.T) {
-	c := NewColumn("s", KindFloat)
-	c.Append(Float(1))
-	c.Append(Float(2))
-	c.Set(0, Float(9))
-	if fs, _, ok := c.Floats(); !ok || fs[0] != 9 {
-		t.Fatalf("Set same-kind should stay typed: %v %v", fs, ok)
+// TestKindCoerce pins the conversions Promote implies: NULL and a value of
+// the kind stay, an int widens into a float, anything becomes its text in
+// a string, and every other pair is refused.
+func TestKindCoerce(t *testing.T) {
+	when := time.Date(2024, 1, 2, 3, 4, 5, 0, time.UTC)
+	for _, c := range []struct {
+		k      Kind
+		v, out Value
+		ok     bool
+	}{
+		{KindInt, Null(), Null(), true},
+		{KindInt, Int(3), Int(3), true},
+		{KindFloat, Int(3), Float(3), true},
+		{KindString, Int(7), Str("7"), true},
+		{KindString, Float(2.5), Str("2.5"), true},
+		{KindString, Bool(true), Str("true"), true},
+		{KindString, Time(when), Str("2024-01-02 03:04:05"), true},
+		{KindInt, Float(3), Float(3), false},
+		{KindFloat, Str("1"), Str("1"), false},
+		{KindBool, Int(1), Int(1), false},
+		{KindNull, Int(1), Int(1), false},
+	} {
+		out, ok := c.k.Coerce(c.v)
+		if ok != c.ok || ok && (out.Kind != c.out.Kind || !Equal(out, c.out)) {
+			t.Errorf("%v.Coerce(%v) = %v %v, want %v %v", c.k, c.v, out, ok, c.out, c.ok)
+		}
 	}
-	c.Set(1, Str("oops"))
-	if c.IsTyped() {
-		t.Fatal("Set with mismatched kind should degrade")
-	}
-	if got := c.Value(1); got.S != "oops" {
-		t.Errorf("Value(1) = %v", got)
-	}
-	if got := c.Value(0); got.F != 9 {
-		t.Errorf("Value(0) = %v", got)
+	for _, p := range [][3]Kind{
+		{KindNull, KindInt, KindInt}, {KindFloat, KindNull, KindFloat}, {KindInt, KindFloat, KindFloat},
+		{KindInt, KindString, KindString}, {KindBool, KindInt, KindString}, {KindTime, KindTime, KindTime},
+	} {
+		if got := Promote(p[0], p[1]); got != p[2] {
+			t.Errorf("Promote(%v, %v) = %v, want %v", p[0], p[1], got, p[2])
+		}
 	}
 }
 
@@ -133,13 +161,6 @@ func TestColumnConstructorsAndValues(t *testing.T) {
 	if ic.Value(0).I != 7 {
 		t.Error("int column roundtrip failed")
 	}
-	mixed := ColumnOf("m", KindInt, []Value{Int(1), Str("two")})
-	if mixed.IsTyped() {
-		t.Error("ColumnOf with mixed values should degrade")
-	}
-	if mixed.Value(1).S != "two" {
-		t.Errorf("mixed[1] = %v", mixed.Value(1))
-	}
 }
 
 func TestColumnFloatAt(t *testing.T) {
@@ -183,9 +204,6 @@ func TestTableStaysTypedThroughAppendRow(t *testing.T) {
 	// survives string->int cells.
 	tb.MustAppendRow(Str("42"), Str("x"))
 	tb.MustAppendRow(Int(7), Null())
-	if !tb.Columns[0].IsTyped() || !tb.Columns[1].IsTyped() {
-		t.Fatal("parsed appends should keep typed storage")
-	}
 	is, _, ok := tb.Columns[0].Ints()
 	if !ok || is[0] != 42 || is[1] != 7 {
 		t.Fatalf("ints = %v %v", is, ok)

@@ -45,7 +45,7 @@ func FromRecords(name string, header []string, rows [][]string) (*Table, error) 
 			if c < len(row) {
 				v = Infer(row[c])
 			}
-			if kind := promote(col.Kind, v.Kind); kind != col.Kind {
+			if kind := Promote(col.Kind, v.Kind); kind != col.Kind {
 				*col = recordColumn(col.Name, kind, rows[:i], c, len(rows))
 			}
 			appendRecordCell(col, v, row, c)
@@ -76,26 +76,11 @@ func recordColumn(name string, kind Kind, rows [][]string, c, capacity int) Colu
 // col's kind parses the cell's text when Infer gave another kind.
 func appendRecordCell(col *Column, v Value, row []string, c int) {
 	if !v.IsNull() && v.Kind != col.Kind {
-		// promote made the kind a float or text column, and those take
+		// Promote made the kind a float or text column, and those take
 		// the text of every cell that widened into them.
 		v, _ = col.Kind.Parse(row[c])
 	}
 	col.Append(v)
-}
-
-// promote unifies two observed cell kinds into the narrowest column kind
-// that can represent both.
-func promote(a, b Kind) Kind {
-	if a == KindNull {
-		return b
-	}
-	if b == KindNull || a == b {
-		return a
-	}
-	if (a == KindInt && b == KindFloat) || (a == KindFloat && b == KindInt) {
-		return KindFloat
-	}
-	return KindString
 }
 
 // WriteCSV renders the table as CSV with a header row.

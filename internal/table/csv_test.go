@@ -22,7 +22,7 @@ func fromRecordsTwoPass(name string, header []string, rows [][]string) (*Table, 
 			cells[i] = Null()
 			if c < len(row) {
 				cells[i] = Infer(row[c])
-				kind = promote(kind, cells[i].Kind)
+				kind = Promote(kind, cells[i].Kind)
 			}
 		}
 		if kind == KindNull {
@@ -102,8 +102,8 @@ func FuzzFromRecords(f *testing.F) {
 		}
 		for c := range want.Columns {
 			g, w := &got.Columns[c], &want.Columns[c]
-			if g.Kind != w.Kind || g.IsTyped() != w.IsTyped() || g.Len() != w.Len() {
-				t.Fatalf("rows %q column %d: %v typed %v len %d, want %v typed %v len %d", rows, c, g.Kind, g.IsTyped(), g.Len(), w.Kind, w.IsTyped(), w.Len())
+			if g.Kind != w.Kind || g.Len() != w.Len() {
+				t.Fatalf("rows %q column %d: %v len %d, want %v len %d", rows, c, g.Kind, g.Len(), w.Kind, w.Len())
 			}
 			for i := 0; i < w.Len(); i++ {
 				if gv, wv := g.Value(i), w.Value(i); g.IsNullAt(i) != w.IsNullAt(i) || !sameValue(gv, wv) {

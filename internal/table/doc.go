@@ -8,12 +8,11 @@
 //
 // A [Table] is a named list of equal-length [Column] values. Each column
 // stores its cells in one typed Go slice selected by the column's [Kind]
-// plus a parallel null bitmap; row-oriented callers go through the boxed
+// plus a parallel null bitmap; row-oriented callers go through the
 // [Value] view (Value, Append, Set), hot paths read the typed slices
-// directly (Ints, Floats, Strings, Bools, Times). Appending a cell of a
-// mismatched kind degrades the column to boxed []Value storage, which
-// preserves heterogeneous data exactly at the cost of the typed fast
-// paths.
+// directly (Ints, Floats, Strings, Bools, Times). A column holds one kind:
+// every non-NULL cell has the column's Kind, and a value of another kind
+// is converted first ([Kind.Coerce], [Kind.Parse]) or refused.
 //
 // # Row sets and bulk movement
 //

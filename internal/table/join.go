@@ -173,12 +173,12 @@ func (p *JoinPairs) SweepUnmatchedRight(nright int) {
 }
 
 // EquiHashable reports whether the equality l = r has an exact hash key:
-// both columns in typed storage, of one kind or an int·float pair (which =
-// compares as float64), and no float column holding NaN, which = makes
-// equal to every number. NewHashProbe requires it of every key pair; any
+// both columns of one kind or an int·float pair (which = compares as
+// float64), and no float column holding NaN, which = makes equal to every
+// number. NewHashProbe requires it of every key pair; any
 // other equality is left for = itself to decide pair by pair.
 func EquiHashable(l, r *Column) bool {
-	if !l.IsTyped() || !r.IsTyped() || hasNaN(l) || hasNaN(r) {
+	if hasNaN(l) || hasNaN(r) {
 		return false
 	}
 	return l.Kind == r.Kind ||

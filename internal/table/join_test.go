@@ -308,13 +308,13 @@ func TestHashProbeMatchesMapIndex(t *testing.T) {
 	for _, tc := range cases {
 		lcols, rcols := make([]*Column, len(tc.left)), make([]*Column, len(tc.right))
 		for i := range tc.left {
-			l, r := ColumnOf("l", KindInt, tc.left[i]), ColumnOf("r", KindInt, tc.right[i])
-			if len(tc.left[i]) > 0 && tc.left[i][0].Kind == KindString {
-				l, r = ColumnOf("l", KindString, tc.left[i]), ColumnOf("r", KindString, tc.right[i])
+			kind := func(vals []Value) Kind { // the first cell's, an int when it is NULL
+				if len(vals) > 0 && !vals[0].IsNull() {
+					return vals[0].Kind
+				}
+				return KindInt
 			}
-			if len(tc.right[i]) > 0 && tc.right[i][0].Kind == KindFloat {
-				r = ColumnOf("r", KindFloat, tc.right[i])
-			}
+			l, r := ColumnOf("l", kind(tc.left[i]), tc.left[i]), ColumnOf("r", kind(tc.right[i]), tc.right[i])
 			lcols[i], rcols[i] = &l, &r
 		}
 		got, want := NewHashProbe(lcols, rcols), mapProbe(lcols, rcols)

@@ -11,8 +11,8 @@ import (
 // keyOf is v's equality key as a string, for tests that compare cells.
 func keyOf(v Value) string { return string(AppendKey(nil, v)) }
 
-// TestAppendKeyTuples: every kind's key reads the same from a typed column
-// and from a boxed one, and keys appended one after another delimit
+// TestAppendKeyTuples: every kind's key reads the same from a column of
+// its kind as from its Value, and keys appended one after another delimit
 // themselves, so tuples whose cells would run together if joined with a
 // separator byte key apart, and EqualData tells them apart.
 func TestAppendKeyTuples(t *testing.T) {
@@ -23,18 +23,11 @@ func TestAppendKeyTuples(t *testing.T) {
 		Time(time.Date(-2000, 1, 2, 3, 4, 5, 6, time.UTC)),
 		Str(""), Str("x\x1fs:y"), Str(strings.Repeat("w", 300)),
 	}
-	boxed := ColumnOf("b", KindNull, vals)
-	if boxed.IsTyped() {
-		t.Fatal("mixed column stayed typed")
-	}
-	for i, v := range vals {
-		typed := ColumnOf("t", v.Kind, vals[i:i+1])
+	for _, v := range vals {
+		typed := ColumnOf("t", v.Kind, []Value{Null(), v})
 		want := AppendKey([]byte("prefix"), v)
-		if got := typed.AppendKey([]byte("prefix"), 0); !bytes.Equal(got, want) {
+		if got := typed.AppendKey([]byte("prefix"), 1); !bytes.Equal(got, want) {
 			t.Errorf("typed %v keys as %q, want %q", v, got, want)
-		}
-		if got := boxed.AppendKey([]byte("prefix"), i); !bytes.Equal(got, want) {
-			t.Errorf("boxed %v keys as %q, want %q", v, got, want)
 		}
 	}
 
@@ -94,7 +87,7 @@ func fuzzCell(p []byte) Value {
 }
 
 // FuzzEqualKey: for four cells built from fuzz bytes, each key reads the
-// same from the boxed value, a typed column and a boxed column; two cells
+// same from the Value and from a column of its kind; two cells
 // key alike exactly when Compare makes them equal, but for the exceptions
 // AppendKey states — NaN against another number and a string against
 // another kind key apart, and an int against a float past ±2^53 is not
@@ -118,16 +111,12 @@ func FuzzEqualKey(f *testing.F) {
 	f.Add(str("a"), str("a\x00"), []byte{}, str("1"))
 	f.Fuzz(func(t *testing.T, p0, p1, p2, p3 []byte) {
 		cells := []Value{fuzzCell(p0), fuzzCell(p1), fuzzCell(p2), fuzzCell(p3)}
-		boxed := ColumnOf("b", KindNull, append([]Value{Str("")}, cells...))
 		keys := make([]string, len(cells))
 		for i, v := range cells {
 			keys[i] = keyOf(v)
 			typed := ColumnOf("t", v.Kind, cells[i:i+1])
 			if got := string(typed.AppendKey(nil, 0)); got != keys[i] || string(AppendKey(nil, typed.Value(0))) != keys[i] {
 				t.Fatalf("typed %v keys as %q, want %q", v, got, keys[i])
-			}
-			if got := string(boxed.AppendKey(nil, i+1)); got != keys[i] {
-				t.Fatalf("boxed %v keys as %q, want %q", v, got, keys[i])
 			}
 		}
 		for i := range cells {

@@ -8,16 +8,15 @@ import (
 // Row order over typed columns. ColumnOrder turns one key column into a
 // comparator over its positions, decided once per column rather than per
 // row: a typed closure over the storage of an int, float, string, time or
-// bool column, and Compare on boxed Values for an all-NULL or boxed
-// column. RowOrder chains such comparators key by key into the order an
+// bool column, and "all equal" for a KindNull column, whose cells are all
+// NULL. RowOrder chains such comparators key by key into the order an
 // ORDER BY asks for.
 
 // ColumnOrder returns the comparator over positions of c: Compare on the
 // two cells, negated when desc, so NULLs sort first ascending and last
-// descending. total is false when c is boxed or is a float column holding
-// a NaN: Compare makes NaN equal to every value, and a boxed column's
-// mixed kinds need not compare transitively, so neither is an order a
-// sort with a tie-break can rely on.
+// descending. total is false when c is a float column holding a NaN:
+// Compare makes NaN equal to every value, which is not an order a sort
+// with a tie-break can rely on.
 func ColumnOrder(c *Column, desc bool) (cmp func(a, b int) int, total bool) {
 	sign := 1
 	if desc {
@@ -45,7 +44,7 @@ func ColumnOrder(c *Column, desc bool) (cmp func(a, b int) int, total bool) {
 	if vs, nulls, ok := c.Bools(); ok {
 		return boolOrder(vs, nulls, sign), true
 	}
-	return func(a, b int) int { return sign * Compare(c.Value(a), c.Value(b)) }, c.IsTyped()
+	return func(a, b int) int { return 0 }, true
 }
 
 // RowOrder returns the comparator over positions of the key columns cols,

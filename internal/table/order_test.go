@@ -63,7 +63,7 @@ func randValueOfKind(rng *rand.Rand, kind Kind) Value {
 }
 
 // randColumn is an n-row column of kind drawn by randValueOfKind, with its
-// cells boxed alongside for the reference comparison.
+// cells as Values alongside for the reference comparison.
 func randColumn(rng *rand.Rand, kind Kind, n int) (Column, []Value) {
 	c := NewColumn("k", kind)
 	vals := make([]Value, n)
@@ -82,9 +82,6 @@ func TestSortKeyOrderMatchesCompare(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, kind := range []Kind{KindInt, KindFloat, KindString, KindBool, KindTime} {
 		c, vals := randColumn(rng, kind, 96)
-		if !c.IsTyped() {
-			t.Fatalf("kind %v: column of one kind is boxed", kind)
-		}
 		asc, ascTotal := ColumnOrder(&c, false)
 		desc, descTotal := ColumnOrder(&c, true)
 		if !ascTotal || !descTotal {
@@ -167,21 +164,11 @@ func TestSortKeyNullColumn(t *testing.T) {
 	}
 }
 
-// TestSortKeyRejectsBoxed pins the stable-sort trigger: a mixed-kind
-// (boxed) column, and a float column holding a NaN, have no total order,
-// and one such key makes a composite order not total. The boxed column's
-// comparator is still Compare's.
-func TestSortKeyRejectsBoxed(t *testing.T) {
-	m := NewColumn("m", KindInt)
-	m.Append(Int(1))
-	m.Append(Str("two")) // degrades to boxed storage
-	cmp, total := ColumnOrder(&m, false)
-	if total {
-		t.Fatal("boxed column order must not be total")
-	}
-	if got, want := signOf(cmp(0, 1)), signOf(Compare(Int(1), Str("two"))); got != want {
-		t.Fatalf("boxed order %d, Compare %d", got, want)
-	}
+// TestSortKeyTotalUnlessNaN pins the stable-sort trigger: a float column
+// holding a NaN has no total order, and one such key makes a composite
+// order not total. Every other column's order is total, an all-NULL
+// column's too: all its cells are peers.
+func TestSortKeyTotalUnlessNaN(t *testing.T) {
 	f := NewColumn("f", KindFloat)
 	f.Append(Float(1))
 	f.Append(Float(math.NaN()))
@@ -191,10 +178,16 @@ func TestSortKeyRejectsBoxed(t *testing.T) {
 	i := NewColumn("i", KindInt)
 	i.Append(Int(1))
 	i.Append(Int(2))
-	if _, total := RowOrder([]Column{i, m}, []bool{false, true}); total {
-		t.Fatal("composite order with a boxed key must not be total")
+	if _, total := RowOrder([]Column{i, f}, []bool{false, true}); total {
+		t.Fatal("composite order with a NaN key must not be total")
 	}
 	if _, total := RowOrder([]Column{i}, []bool{true}); !total {
 		t.Fatal("typed int key order must be total")
+	}
+	n := NewColumn("n", KindNull)
+	n.AppendNull()
+	n.AppendNull()
+	if cmp, total := ColumnOrder(&n, true); !total || cmp(0, 1) != 0 {
+		t.Fatal("an all-NULL column's cells must be total peers")
 	}
 }

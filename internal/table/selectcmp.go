@@ -65,12 +65,9 @@ type Cmp struct {
 // ComparesTyped reports whether SelectCompare covers comparing the column's
 // cells with k: a typed int, float or string column whose kind lines up with
 // the constant's (int·int, any other int/float pair, string·string). Every
-// other pairing — boxed storage, bool and time columns, a NULL constant, a
-// string against a number — is left to the caller's general path.
+// other pairing — bool and time columns, a NULL constant, a string
+// against a number — is left to the caller's general path.
 func (c *Column) ComparesTyped(k Value) bool {
-	if c.boxed != nil {
-		return false
-	}
 	switch c.Kind {
 	case KindInt, KindFloat:
 		return k.Kind == KindInt || k.Kind == KindFloat

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // accepts is the definition SelectCompare is held to: the operator applied
@@ -70,7 +71,7 @@ func TestSelectCompareMatchesCompare(t *testing.T) {
 	floats := NewColumn("f", KindFloat)
 	strs := NewColumn("s", KindString)
 	bools := NewColumn("b", KindBool)
-	boxed := NewColumn("x", KindInt)
+	times := NewColumn("t", KindTime)
 	for i := 0; i < n; i++ {
 		if rng.Intn(8) == 0 {
 			ints.AppendNull()
@@ -82,9 +83,8 @@ func TestSelectCompareMatchesCompare(t *testing.T) {
 			strs.Append(Str([]string{"", "a", "b", "ab"}[rng.Intn(4)]))
 		}
 		bools.Append(Bool(i%2 == 0))
-		boxed.Append(Int(int64(i)))
+		times.Append(Time(time.Unix(int64(i), 0).UTC()))
 	}
-	boxed.Append(Str("mixed")) // degrades to boxed storage
 	consts := []Value{
 		Int(1), Int(1 << 53), Int(1<<53 + 1), Int(math.MaxInt64), Int(math.MinInt64), Int(0),
 		Float(1.5), Float(1 << 53), Float(math.NaN()), Float(math.Inf(-1)), Float(math.Inf(1)), Float(math.Copysign(0, -1)),
@@ -96,11 +96,11 @@ func TestSelectCompareMatchesCompare(t *testing.T) {
 	}
 	inputs := []*Selection{NewSpanSelection(Span{3, 120}, Span{150, n}), NewIndexSelection(idx), NewSpanSelection()}
 
-	for _, c := range []*Column{&ints, &floats, &strs, &bools, &boxed} {
+	for _, c := range []*Column{&ints, &floats, &strs, &bools, &times} {
 		var covered []Value
 		for _, k := range consts {
 			numericPair := (c.Kind == KindInt || c.Kind == KindFloat) && (k.Kind == KindInt || k.Kind == KindFloat)
-			want := c.IsTyped() && (numericPair || c.Kind == KindString && k.Kind == KindString)
+			want := numericPair || c.Kind == KindString && k.Kind == KindString
 			if got := c.ComparesTyped(k); got != want {
 				t.Fatalf("column %s vs %v: ComparesTyped = %v, want %v", c.Name, k, got, want)
 			}

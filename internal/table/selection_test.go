@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // naiveIndices is the reference expansion of a mask: the ascending row
@@ -463,8 +464,8 @@ func TestSelectionDrop(t *testing.T) {
 }
 
 // TestGatherSelEquivalence checks Column.GatherSel against the naive
-// Gather over expanded indices, for every storage kind plus boxed columns
-// and NULLs, in both selection forms.
+// Gather over expanded indices, for every storage kind — an all-NULL
+// column too — and NULLs, in both selection forms.
 func TestGatherSelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	n := 120
@@ -480,20 +481,21 @@ func TestGatherSelEquivalence(t *testing.T) {
 		bools[i] = rng.Intn(2) == 0
 		nulls[i] = rng.Intn(5) == 0
 	}
-	boxed := NewColumn("m", KindInt)
+	times := make([]time.Time, n)
+	for i := range times {
+		times[i] = time.Unix(ints[i], 0).UTC()
+	}
+	allNull := NewColumn("z", KindNull)
 	for i := 0; i < n; i++ {
-		if i%7 == 0 {
-			boxed.Append(Str("mixed"))
-		} else {
-			boxed.Append(Int(ints[i]))
-		}
+		allNull.AppendNull()
 	}
 	cols := []Column{
 		ColumnFromInts("i", ints, append([]bool(nil), nulls...)),
 		ColumnFromFloats("f", floats, append([]bool(nil), nulls...)),
 		ColumnFromStrings("s", strs, append([]bool(nil), nulls...)),
 		ColumnFromBools("b", bools, append([]bool(nil), nulls...)),
-		boxed,
+		ColumnFromTimes("t", times, append([]bool(nil), nulls...)),
+		allNull,
 	}
 	sels := []*Selection{
 		NewSpanSelection(),

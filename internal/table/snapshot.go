@@ -203,15 +203,20 @@ func (a *Appender) AppendText(cells []string) error {
 }
 
 // AppendTableExact bulk-appends every row of t into the pending chunk,
-// columns matched positionally, preserving each cell's stored kind exactly
-// (see Column.AppendColumn): nothing is parsed into the arena's column
-// kinds. WAL replay depends on this: a mixed-kind column logged from a
-// degraded arena must come back byte-for-byte.
+// columns matched positionally, slab-at-a-time (see Column.AppendColumn):
+// nothing is parsed, so each of t's columns must have its arena column's
+// kind, and a table whose shape differs is refused whole. WAL replay
+// appends each logged chunk this way.
 func (a *Appender) AppendTableExact(t *Table) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if len(t.Columns) != len(a.arena) {
 		return fmt.Errorf("table %s: append table with %d columns to %d columns", a.name, len(t.Columns), len(a.arena))
+	}
+	for i := range a.arena {
+		if k := t.Columns[i].Kind; k != a.arena[i].Kind {
+			return fmt.Errorf("table %s: append a %s column to column %q of kind %s", a.name, k, a.arena[i].Name, a.arena[i].Kind)
+		}
 	}
 	for i := range a.arena {
 		a.arena[i].AppendColumn(&t.Columns[i])
@@ -277,8 +282,7 @@ func (a *Appender) publishLocked() (*Snapshot, error) {
 // publishes, by one rule: a typed string column starts keeping codes at
 // the first publish where its table holds codeMinRows rows, every row so
 // far coded then, and stops for good once its dictionary holds more than
-// codeMaxDict entries and more than half its rows. A boxed column is never
-// coded. Like every other slab, codes and dictionary only grow, so the
+// codeMaxDict entries and more than half its rows. Like every other slab, codes and dictionary only grow, so the
 // capacity-capped prefixes published snapshots hold are never written.
 const (
 	codeMinRows = 4096
@@ -333,7 +337,7 @@ func (a *Appender) code(n int) {
 		if cd.off {
 			continue
 		}
-		if col.boxed != nil || col.Kind != KindString {
+		if col.Kind != KindString {
 			cd.off = true
 			continue
 		}

@@ -12,7 +12,7 @@ import (
 // land, so the immutability guarantee is checked continuously, not just at
 // publish time.
 
-// oracleTable mirrors an Appender cell-for-cell in boxed values.
+// oracleTable mirrors an Appender cell-for-cell in Values.
 type oracleTable struct {
 	names []string
 	kinds []Kind
@@ -53,8 +53,8 @@ func (o *oracleTable) appendText(cells []string) bool {
 	return true
 }
 
-// appendExact mirrors Column.Append: every value as given, so a
-// foreign-kind value degrades the column to boxed storage.
+// appendExact mirrors Column.Append: every value as given, each NULL or
+// of its column's kind.
 func (o *oracleTable) appendExact(vals []Value) {
 	for i := range o.cols {
 		o.cols[i] = append(o.cols[i], vals[i])
@@ -63,7 +63,7 @@ func (o *oracleTable) appendExact(vals []Value) {
 
 // randCell produces a value for column kind k. Mostly kind-matched, with
 // NULLs mixed in; when allowMixed, occasionally a mismatched kind, which
-// AppendRow and AppendText refuse or parse and Column.Append stores boxed.
+// AppendRow and AppendText refuse or parse.
 func randCell(rng *rand.Rand, k Kind, allowMixed bool) Value {
 	if rng.Intn(6) == 0 {
 		return Null()
@@ -110,7 +110,7 @@ type published struct {
 // selection / gather shapes that cross chunk boundaries. A column is
 // coded exactly when p says so, with the dictionary it had at publish;
 // its codes agree with its cells, and its views, gathers and copies carry
-// them until a Set or a degrade drops them.
+// them until a Set drops them.
 func verifySnapshot(t *testing.T, rng *rand.Rand, p published, o *oracleTable) {
 	t.Helper()
 	s, rows := p.snap, p.rows
@@ -248,8 +248,8 @@ func checkCodes(t *testing.T, what string, col *Column, want []Value) {
 	}
 }
 
-// checkCodesDropped fails unless a Set, or a degrade to boxed storage,
-// drops a coded column's codes, and a copy keeps them until then.
+// checkCodesDropped fails unless a Set drops a coded column's codes, and a
+// copy keeps them until then.
 func checkCodesDropped(t *testing.T, what string, col *Column) {
 	t.Helper()
 	set := col.CloneData()
@@ -259,11 +259,6 @@ func checkCodesDropped(t *testing.T, what string, col *Column) {
 	set.Set(0, set.Value(0))
 	if _, _, _, ok := set.Codes(); ok {
 		t.Fatalf("%s: Set kept the codes", what)
-	}
-	boxed := col.CloneData()
-	boxed.degrade()
-	if _, _, _, ok := boxed.Codes(); ok {
-		t.Fatalf("%s: the degraded copy kept its codes", what)
 	}
 }
 
@@ -281,10 +276,6 @@ type codeModel struct {
 func (m *codeModel) publish(o *oracleTable, s *Snapshot, rows int) published {
 	p := published{snap: s, rows: rows, coded: make([]bool, len(o.cols)), dictLen: make([]int, len(o.cols))}
 	for ci, col := range o.cols {
-		c := &s.Table().Columns[ci]
-		if !c.IsTyped() {
-			m.stopped[ci] = true
-		}
 		if m.stopped[ci] || o.kinds[ci] != KindString {
 			continue
 		}
@@ -333,16 +324,17 @@ func appenderProperty(t *testing.T, seed int64, large bool) {
 		names[i] = fmt.Sprintf("c%d", i)
 		kinds[i] = kindsPool[rng.Intn(len(kindsPool))]
 	}
-	allowMixed := seed%3 == 0 // every third seed exercises degradation
+	allowMixed := seed%3 == 0 // every third seed offers foreign-kind values
 	batch, unique := 8, 0     // unique numbers column 1's strings when large
 	if large {
 		kinds[0], kinds[1] = KindString, KindString
 		batch = 1200
 	}
 	rows := 0
-	cell := func(i int) Value {
-		// A large run degrades its columns only once they are coded.
-		v := randCell(rng, kinds[i], allowMixed && (!large || rows > 2*codeMinRows))
+	// cell draws column i's next value; a foreign kind only when mixed,
+	// for the paths that parse or refuse it.
+	cell := func(i int, mixed bool) Value {
+		v := randCell(rng, kinds[i], mixed)
 		if large && v.Kind == KindString {
 			if i == 1 {
 				unique++
@@ -361,7 +353,7 @@ func appenderProperty(t *testing.T, seed int64, large bool) {
 	for r := 0; r < initial; r++ {
 		vals := make([]Value, ncols)
 		for i := range vals {
-			vals[i] = cell(i)
+			vals[i] = cell(i, allowMixed)
 		}
 		err := seedTbl.AppendRow(vals...)
 		if accepted := o.appendRow(vals); accepted != (err == nil) {
@@ -382,7 +374,7 @@ func appenderProperty(t *testing.T, seed int64, large bool) {
 			for b := 0; b < k; b++ {
 				cells := make([]string, ncols)
 				for i := range cells {
-					cells[i] = cell(i).AsString()
+					cells[i] = cell(i, allowMixed).AsString()
 				}
 				err := app.AppendText(cells)
 				accepted := o.appendText(cells)
@@ -393,13 +385,13 @@ func appenderProperty(t *testing.T, seed int64, large bool) {
 					rows++
 				}
 			}
-		case 2: // bulk table append (typed slab fast path + cell-at-a-time slow path)
+		case 2: // bulk table append, slab-at-a-time
 			src := MustNew("src", names, kinds)
 			k := rng.Intn(batch * 3 / 4)
 			for b := 0; b < k; b++ {
 				vals := make([]Value, ncols)
 				for i := range vals {
-					vals[i] = cell(i)
+					vals[i] = cell(i, false)
 					src.Columns[i].Append(vals[i])
 				}
 				o.appendExact(vals)
@@ -435,9 +427,9 @@ func appenderProperty(t *testing.T, seed int64, large bool) {
 			}
 		}
 	}
-	if large && (history[len(history)-1].coded[0] == allowMixed || !model.stopped[1]) {
-		t.Errorf("%d rows: the low-cardinality column coded %v, the unique one stopped %v; want %v, true",
-			rows, history[len(history)-1].coded[0], model.stopped[1], !allowMixed)
+	if large && (!history[len(history)-1].coded[0] || !model.stopped[1]) {
+		t.Errorf("%d rows: the low-cardinality column coded %v, the unique one stopped %v; want true, true",
+			rows, history[len(history)-1].coded[0], model.stopped[1])
 	}
 	// Publishing with nothing pending returns the same snapshot.
 	final, err := app.PublishErr()

@@ -48,6 +48,39 @@ func (k Kind) String() string {
 	}
 }
 
+// Promote unifies two kinds into the narrowest column kind that holds the
+// cells of both: NULL yields to the other kind, int with float is float,
+// and any other pair of different kinds is string. FromRecords types a
+// column's cells by it, and the SQL engine the arms of a CASE or COALESCE.
+func Promote(a, b Kind) Kind {
+	if a == KindNull {
+		return b
+	}
+	if b == KindNull || a == b {
+		return a
+	}
+	if (a == KindInt && b == KindFloat) || (a == KindFloat && b == KindInt) {
+		return KindFloat
+	}
+	return KindString
+}
+
+// Coerce converts v into a cell of kind k, the conversions Promote implies:
+// NULL and a value of kind k stay as they are, an int widens into a float,
+// and any value becomes its AsString text in a string cell. ok is false
+// for every other pair.
+func (k Kind) Coerce(v Value) (Value, bool) {
+	switch {
+	case v.IsNull() || v.Kind == k:
+		return v, true
+	case k == KindFloat && v.Kind == KindInt:
+		return Float(float64(v.I)), true
+	case k == KindString:
+		return Str(v.AsString()), true
+	}
+	return v, false
+}
+
 // Value is a dynamically typed cell value. The zero Value is NULL. Kind
 // selects which of the payload fields below is meaningful; the others
 // hold their zero values.

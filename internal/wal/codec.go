@@ -241,38 +241,36 @@ func (d *recordDecoder) bitmap(n int) ([]bool, error) {
 
 // --- column encoding ---
 
-// Column storage markers: typed columns serialize their slab directly;
-// columns degraded to boxed storage serialize cell-at-a-time with a
-// per-cell kind, so mixed-kind columns survive the round trip exactly.
+// Column storage markers. Every column is written as its kind's slab
+// (storageTyped). Class 0 held a column of mixed kinds, one kind byte per
+// cell; columns hold one kind now, so nothing writes it and a log or
+// checkpoint holding one is refused (MixedColumnError).
 const (
 	storageTyped = byte(1)
-	storageBoxed = byte(0)
+	storageMixed = byte(0)
 )
 
+// MixedColumnError is a logged column of the mixed-kind storage class,
+// which no column can hold any more: recovery refuses the log rather than
+// guess a kind for its cells.
+type MixedColumnError struct {
+	Column string
+}
+
+func (e *MixedColumnError) Error() string {
+	return fmt.Sprintf("wal: column %q is logged with mixed kinds, which recovery refuses", e.Column)
+}
+
 // appendColumn serializes one column view: name, declared kind, length,
-// storage marker, then the payload.
-//
-// Typed payloads are a null bitmap followed by the value slab (ints and
-// float bit patterns fixed 8-byte LE, strings uvarint-length-prefixed,
-// bools a bitmap, times int64 unix seconds + uvarint nanos per cell;
-// KindNull typed columns have no slab). Boxed payloads carry a kind byte
-// plus scalar payload per cell, null cells as kind 0.
+// storage marker, then the payload: a null bitmap followed by the value
+// slab (ints and float bit patterns fixed 8-byte LE, strings
+// uvarint-length-prefixed, bools a bitmap, times int64 unix seconds +
+// uvarint nanos per cell; KindNull columns have no slab).
 func appendColumn(b []byte, c *table.Column) ([]byte, error) {
 	b = appendString(b, c.Name)
 	b = append(b, byte(c.Kind))
 	n := c.Len()
 	b = appendUvarint(b, uint64(n))
-	if !c.IsTyped() {
-		b = append(b, storageBoxed)
-		for i := 0; i < n; i++ {
-			var err error
-			b, err = appendCell(b, c.Value(i))
-			if err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
-	}
 	b = append(b, storageTyped)
 	switch c.Kind {
 	case table.KindInt:
@@ -322,30 +320,6 @@ func appendTime(b []byte, t time.Time) []byte {
 	return appendUvarint(b, uint64(t.Nanosecond()))
 }
 
-func appendCell(b []byte, v table.Value) ([]byte, error) {
-	b = append(b, byte(v.Kind))
-	switch v.Kind {
-	case table.KindNull:
-	case table.KindInt:
-		b = appendUint64(b, uint64(v.I))
-	case table.KindFloat:
-		b = appendUint64(b, math.Float64bits(v.F))
-	case table.KindString:
-		b = appendString(b, v.S)
-	case table.KindBool:
-		if v.B {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	case table.KindTime:
-		b = appendTime(b, v.T)
-	default:
-		return nil, fmt.Errorf("wal: encode cell: unknown kind %d", v.Kind)
-	}
-	return b, nil
-}
-
 func (d *recordDecoder) time() (time.Time, error) {
 	sec, err := d.uint64()
 	if err != nil {
@@ -358,38 +332,9 @@ func (d *recordDecoder) time() (time.Time, error) {
 	return time.Unix(int64(sec), int64(nsec)).UTC(), nil
 }
 
-func (d *recordDecoder) cell() (table.Value, error) {
-	k, err := d.byte()
-	if err != nil {
-		return table.Value{}, err
-	}
-	switch table.Kind(k) {
-	case table.KindNull:
-		return table.Null(), nil
-	case table.KindInt:
-		v, err := d.uint64()
-		return table.Int(int64(v)), err
-	case table.KindFloat:
-		v, err := d.uint64()
-		return table.Float(math.Float64frombits(v)), err
-	case table.KindString:
-		s, err := d.str()
-		return table.Str(s), err
-	case table.KindBool:
-		v, err := d.byte()
-		return table.Bool(v != 0), err
-	case table.KindTime:
-		t, err := d.time()
-		return table.Time(t), err
-	default:
-		return table.Value{}, fmt.Errorf("wal: decode cell: unknown kind %d", k)
-	}
-}
-
-// column decodes one serialized column back into exact storage: typed
-// slabs are adopted via the ColumnFrom* constructors, boxed columns are
-// rebuilt cell-at-a-time (a column that starts typed and hits a
-// mismatched cell degrades exactly as the original did).
+// column decodes one serialized column back into exact storage: the slabs
+// are adopted via the ColumnFrom* constructors. A column of the mixed-kind
+// class is a MixedColumnError.
 func (d *recordDecoder) column() (table.Column, error) {
 	name, err := d.str()
 	if err != nil {
@@ -412,16 +357,12 @@ func (d *recordDecoder) column() (table.Column, error) {
 	if err != nil {
 		return table.Column{}, err
 	}
-	if storage == storageBoxed {
-		col := table.NewColumn(name, kind)
-		for i := 0; i < n; i++ {
-			v, err := d.cell()
-			if err != nil {
-				return table.Column{}, err
-			}
-			col.Append(v)
-		}
-		return col, nil
+	switch storage {
+	case storageTyped:
+	case storageMixed:
+		return table.Column{}, &MixedColumnError{Column: name}
+	default:
+		return table.Column{}, fmt.Errorf("wal: decode column %q: unknown storage class %d", name, storage)
 	}
 	switch kind {
 	case table.KindInt:

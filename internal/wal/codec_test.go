@@ -68,18 +68,12 @@ func randomValue(rng *rand.Rand, kind table.Kind, nullP float64) table.Value {
 
 var allKinds = []table.Kind{table.KindInt, table.KindFloat, table.KindString, table.KindBool, table.KindTime}
 
-// randomColumn builds a column of n cells. With mixP probability each
-// cell draws a value of a random kind instead of the declared one,
-// degrading the column to boxed storage exactly as live ingest would.
-func randomColumn(rng *rand.Rand, name string, n int, mixP float64) table.Column {
+// randomColumn builds a column of n cells of a random kind.
+func randomColumn(rng *rand.Rand, name string, n int) table.Column {
 	kind := allKinds[rng.Intn(len(allKinds))]
 	col := table.NewColumn(name, kind)
 	for i := 0; i < n; i++ {
-		k := kind
-		if rng.Float64() < mixP {
-			k = allKinds[rng.Intn(len(allKinds))]
-		}
-		col.Append(randomValue(rng, k, 0.15))
+		col.Append(randomValue(rng, kind, 0.15))
 	}
 	return col
 }
@@ -116,9 +110,6 @@ func assertColumnsEqual(t *testing.T, want, got *table.Column) {
 	if want.Len() != got.Len() {
 		t.Fatalf("column %q length: want %d, got %d", want.Name, want.Len(), got.Len())
 	}
-	if want.IsTyped() != got.IsTyped() {
-		t.Fatalf("column %q storage: want typed=%v, got typed=%v", want.Name, want.IsTyped(), got.IsTyped())
-	}
 	for i := 0; i < want.Len(); i++ {
 		if !valuesEqual(want.Value(i), got.Value(i)) {
 			t.Fatalf("column %q row %d: want %+v, got %+v", want.Name, i, want.Value(i), got.Value(i))
@@ -127,16 +118,12 @@ func assertColumnsEqual(t *testing.T, want, got *table.Column) {
 }
 
 // TestColumnRoundTrip proves the codec reproduces exact column storage —
-// values, nulls, NaN/±0 bit patterns, and the typed/boxed storage class
-// itself — across many random columns.
+// kind, values, nulls and NaN/±0 bit patterns — across many random
+// columns.
 func TestColumnRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
-		mixP := 0.0
-		if trial%3 == 0 {
-			mixP = 0.2 // force boxed degradation on a third of trials
-		}
-		col := randomColumn(rng, "c", rng.Intn(64), mixP)
+		col := randomColumn(rng, "c", rng.Intn(64))
 		b, err := appendColumn(nil, &col)
 		if err != nil {
 			t.Fatalf("trial %d: encode: %v", trial, err)
@@ -187,7 +174,7 @@ func TestRegisterRecordRoundTrip(t *testing.T) {
 		nrows := rng.Intn(40)
 		cols := make([]table.Column, ncols)
 		for i := range cols {
-			cols[i] = randomColumn(rng, string(rune('a'+i)), nrows, 0.1)
+			cols[i] = randomColumn(rng, string(rune('a'+i)), nrows)
 		}
 		src := &table.Table{Name: "t", Columns: cols}
 		payload, err := encodeRegister(nil, src)
@@ -305,13 +292,56 @@ func nullSlabRecord() []byte {
 	return append(appendUvarint(append(b, byte(table.KindNull)), 1<<26), storageTyped)
 }
 
+// mixedColumnRecord is a register record for table t whose column "m" is
+// of the mixed-kind storage class (class 0: a kind byte and a payload per
+// cell), which recovery refuses: an int 1, then a string "two".
+func mixedColumnRecord() []byte {
+	b := append([]byte{recRegister}, appendString(nil, "t")...)
+	b = appendUvarint(b, 1)
+	b = append(appendString(b, "m"), byte(table.KindInt))
+	b = append(appendUvarint(b, 2), storageMixed)
+	b = appendUint64(append(b, byte(table.KindInt)), 1)
+	return appendString(append(b, byte(table.KindString)), "two")
+}
+
+// TestRecoveryRefusesMixedColumn: a column of the mixed-kind storage class
+// decodes to a *MixedColumnError naming it, and a log holding one is
+// refused by Open rather than replayed or cut as a torn tail.
+func TestRecoveryRefusesMixedColumn(t *testing.T) {
+	var mixed *MixedColumnError
+	_, err := decodeRegister(mixedColumnRecord()[1:])
+	if !errors.As(err, &mixed) || mixed.Column != "m" {
+		t.Fatalf("decode = %v, want a MixedColumnError naming m", err)
+	}
+	var log bytes.Buffer
+	log.WriteString(fileMagic)
+	fw := newFrameWriter(&log)
+	if _, err := fw.writeFrame(mixedColumnRecord()); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(logPath(dir, 1), log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := Open(dir, Options{})
+	if err == nil {
+		m.Close()
+	}
+	if !errors.As(err, &mixed) || mixed.Column != "m" {
+		t.Fatalf("Open = %v, want a MixedColumnError naming m", err)
+	}
+}
+
 // FuzzWALDecode: arbitrary bytes — as a framed log, as one record payload
 // applied to a state that knows a table, and as a bare register or chunk
 // body — never panic the decoder, and every record that does decode has
 // columns of one length. Seeds: a valid log, and nullSlabRecord.
 func FuzzWALDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(4))
-	src := &table.Table{Name: "t", Columns: []table.Column{randomColumn(rng, "a", 5, 0), randomColumn(rng, "b", 5, 0.5)}}
+	src := &table.Table{Name: "t", Columns: []table.Column{randomColumn(rng, "a", 5), randomColumn(rng, "b", 5)}}
 	register, err := encodeRegister(nil, src)
 	if err != nil {
 		f.Fatal(err)
@@ -334,6 +364,7 @@ func FuzzWALDecode(f *testing.F) {
 	}
 	f.Add(log.Bytes())
 	f.Add(nullSlabRecord())
+	f.Add(mixedColumnRecord())
 	// The first finding stays refused, before its null mask is built.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -117,6 +118,10 @@ func recoverDir(dir string) (*Recovered, layout, error) {
 	st := newReplayState()
 	for i := len(ckptGens) - 1; i >= 0; i-- {
 		cs, err := loadCheckpoint(ckptPath(dir, ckptGens[i]))
+		var mixed *MixedColumnError
+		if errors.As(err, &mixed) {
+			return nil, lay, err
+		}
 		if err == nil {
 			st = cs
 			lay.ckptGen = ckptGens[i]
