@@ -112,6 +112,11 @@ var guards = []guard{
 		nil,
 		"a column holds one kind, which the kind rule decides from operand kinds; no column keeps a second, per-cell-kind storage",
 	},
+	{
+		regexp.MustCompile(`\[\]time\.Time|timeOrder|\bT\s+time\.Time`),
+		nil,
+		"a time cell is its UTC Unix nanoseconds in the int64 slab",
+	},
 }
 
 // linkRe matches inline markdown links [text](target); images ![...](...)

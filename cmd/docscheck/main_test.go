@@ -91,6 +91,7 @@ func TestGuardsFire(t *testing.T) {
 		"	kb = table.AppendKeyPart(kb, v)",
 		`		"duration_ms": durationMS(time.Since(start)),`,
 		"	if !c.IsTyped() {",
+		"	T    time.Time // payload when Kind == KindTime",
 	}
 	if len(planted) != len(guards) {
 		t.Fatalf("%d planted lines for %d guards", len(planted), len(guards))

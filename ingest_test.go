@@ -144,10 +144,12 @@ func TestNotebookAppendRecords(t *testing.T) {
 // exactly refuses its whole row with a *table.CellError naming the column,
 // stages nothing of the row, and leaves the table holding only the rows
 // before it — through Append and through AppendRecords, which publishes
-// those rows. A ParseTime layout without separators is a time.
+// those rows. A ParseTime layout without separators is a time, and a date
+// outside the years a time cell holds (1677–2262) is refused.
 func TestIngestorRefusesInexactCells(t *testing.T) {
 	for _, bad := range []struct{ column, cell string }{
 		{"id", "abc"}, {"id", "1.5"}, {"id", "1e300"}, {"id", "9223372036854775808"}, {"ts", "x"},
+		{"ts", "0001-01-01"}, {"ts", "9999-12-31"},
 	} {
 		p := MustNew(WithSeed("ingest"))
 		if err := p.LoadRecords("stamps", []string{"id", "ts"}, [][]string{{"1", "2024-01-01"}}); err != nil {

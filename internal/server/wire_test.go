@@ -154,7 +154,7 @@ func wireTestTable() *table.Table {
 	at := time.Date(2024, 2, 29, 13, 4, 5, 0, time.UTC)
 	k := make([]int64, n)
 	i, f, s := make([]int64, n), make([]float64, n), make([]string, n)
-	b, ts := make([]bool, n), make([]time.Time, n)
+	b, ts := make([]bool, n), make([]int64, n)
 	nulls := [5][]bool{}
 	for c := range nulls {
 		nulls[c] = make([]bool, n)
@@ -166,7 +166,7 @@ func wireTestTable() *table.Table {
 		f[r] = wireFloats[r%len(wireFloats)]
 		s[r] = wireStrings[r%len(wireStrings)]
 		b[r] = r%2 == 0
-		ts[r] = at.Add(time.Duration(r) * 37 * time.Hour)
+		ts[r] = at.Add(time.Duration(r) * 37 * time.Hour).UnixNano()
 		for c := range nulls {
 			nulls[c][r] = r%(5+c) == c
 		}
@@ -180,7 +180,7 @@ func wireTestTable() *table.Table {
 		case 3:
 			m = append(m, table.Bool(b[r]))
 		case 4:
-			m = append(m, table.Time(ts[r]))
+			m = append(m, table.Time(time.Unix(0, ts[r])))
 		case 5:
 			m = append(m, table.Null())
 		default:

@@ -82,6 +82,9 @@ func bindValue(arg any) (table.Value, error) {
 	case string:
 		return table.Str(v), nil
 	case time.Time:
+		if !table.InTimeRange(v) {
+			return table.Null(), fmt.Errorf("sql: time argument %s is outside the range a time cell holds", v.UTC().Format(time.RFC3339Nano))
+		}
 		return table.Time(v), nil
 	default:
 		return table.Null(), fmt.Errorf("sql: cannot bind %T as a parameter", arg)

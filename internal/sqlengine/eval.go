@@ -351,7 +351,7 @@ func timePart(v table.Value, part string) (table.Value, error) {
 	if v.IsNull() {
 		return table.Null(), nil
 	}
-	t, ok := v.T, v.Kind == table.KindTime
+	t, ok := v.Time(), v.Kind == table.KindTime
 	if v.Kind == table.KindString {
 		t, ok = table.ParseTime(v.S)
 	}

@@ -187,7 +187,7 @@ func sqliteLiteral(v table.Value) string {
 		}
 		return "0"
 	case table.KindTime:
-		return "'" + v.T.UTC().Format("2006-01-02 15:04:05.000000000") + "'"
+		return "'" + v.Time().Format("2006-01-02 15:04:05.000000000") + "'"
 	}
 	return "NULL"
 }

@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"datalab/internal/table"
 )
@@ -491,7 +490,7 @@ func compareVec(op table.CmpOp, lcol, rcol *table.Column) (table.Column, bool) {
 	}
 	if lt, lnulls, ok := lcol.Times(); ok {
 		if rt, rnulls, ok := rcol.Times(); ok {
-			return zipColumn(lt, lnulls, rt, rnulls, func(a, b time.Time) (bool, bool) { return op.Accepts(a.Compare(b)), true }), true
+			return zipColumn(lt, lnulls, rt, rnulls, compareOrdered[int64](op)), true
 		}
 	}
 	return table.Column{}, false

@@ -1,9 +1,6 @@
 package table
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Column is a named vector of cells of one Kind stored columnar: one typed
 // Go slice (selected by Kind) plus a null bitmap. Hot paths — vectorized
@@ -20,11 +17,10 @@ type Column struct {
 	length int
 	nulls  []bool // parallel to the active typed slice; true = NULL
 
-	ints   []int64
+	ints   []int64 // an int cell, or a time cell's UTC Unix nanoseconds
 	floats []float64
 	strs   []string
 	bools  []bool
-	times  []time.Time
 
 	// coding holds a published string column's dictionary codes beside
 	// strs (see Codes). One pointer, not two slice headers: a Column is
@@ -90,12 +86,13 @@ func ColumnFromBools(name string, vals []bool, nulls []bool) Column {
 	return Column{Name: name, Kind: KindBool, length: len(vals), bools: vals, nulls: nulls}
 }
 
-// ColumnFromTimes builds a timestamp column from raw storage (adopted).
-func ColumnFromTimes(name string, vals []time.Time, nulls []bool) Column {
+// ColumnFromTimes builds a timestamp column from raw storage (adopted):
+// each cell is its instant's UTC Unix nanoseconds.
+func ColumnFromTimes(name string, vals []int64, nulls []bool) Column {
 	if nulls == nil {
 		nulls = make([]bool, len(vals))
 	}
-	return Column{Name: name, Kind: KindTime, length: len(vals), times: vals, nulls: nulls}
+	return Column{Name: name, Kind: KindTime, length: len(vals), ints: vals, nulls: nulls}
 }
 
 // ColumnOf builds a column of the given kind from values, each NULL or of
@@ -145,12 +142,13 @@ func (c *Column) Bools() ([]bool, []bool, bool) {
 	return c.bools, c.nulls, true
 }
 
-// Times returns the typed storage of a timestamp column.
-func (c *Column) Times() ([]time.Time, []bool, bool) {
+// Times returns the typed storage of a timestamp column: each cell's UTC
+// Unix nanoseconds.
+func (c *Column) Times() ([]int64, []bool, bool) {
 	if c.Kind != KindTime {
 		return nil, nil, false
 	}
-	return c.times, c.nulls, true
+	return c.ints, c.nulls, true
 }
 
 // Codes returns a typed string column's dictionary codes: dict[codes[i]] is
@@ -171,16 +169,14 @@ func (c *Column) Value(i int) Value {
 		return Value{}
 	}
 	switch c.Kind {
-	case KindInt:
-		return Int(c.ints[i])
+	case KindInt, KindTime:
+		return Value{Kind: c.Kind, I: c.ints[i]}
 	case KindFloat:
 		return Float(c.floats[i])
 	case KindString:
 		return Str(c.strs[i])
 	case KindBool:
 		return Bool(c.bools[i])
-	case KindTime:
-		return Time(c.times[i])
 	default:
 		return Value{}
 	}
@@ -202,7 +198,7 @@ func (c *Column) Append(v Value) {
 	}
 	c.nulls = append(c.nulls, v.IsNull())
 	switch c.Kind {
-	case KindInt:
+	case KindInt, KindTime:
 		c.ints = append(c.ints, v.I)
 	case KindFloat:
 		c.floats = append(c.floats, v.F)
@@ -210,8 +206,6 @@ func (c *Column) Append(v Value) {
 		c.strs = append(c.strs, v.S)
 	case KindBool:
 		c.bools = append(c.bools, v.B)
-	case KindTime:
-		c.times = append(c.times, v.T)
 	}
 	c.length++
 }
@@ -232,7 +226,7 @@ func (c *Column) AppendColumn(src *Column) {
 	}
 	c.nulls = append(c.nulls, src.nulls...)
 	switch c.Kind {
-	case KindInt:
+	case KindInt, KindTime:
 		c.ints = append(c.ints, src.ints...)
 	case KindFloat:
 		c.floats = append(c.floats, src.floats...)
@@ -240,8 +234,6 @@ func (c *Column) AppendColumn(src *Column) {
 		c.strs = append(c.strs, src.strs...)
 	case KindBool:
 		c.bools = append(c.bools, src.bools...)
-	case KindTime:
-		c.times = append(c.times, src.times...)
 	}
 	c.length += src.length
 }
@@ -255,7 +247,7 @@ func (c *Column) Set(i int, v Value) {
 	c.coding = nil
 	c.nulls[i] = v.IsNull()
 	switch c.Kind {
-	case KindInt:
+	case KindInt, KindTime:
 		c.ints[i] = v.I
 	case KindFloat:
 		c.floats[i] = v.F
@@ -263,8 +255,6 @@ func (c *Column) Set(i int, v Value) {
 		c.strs[i] = v.S
 	case KindBool:
 		c.bools[i] = v.B
-	case KindTime:
-		c.times[i] = v.T
 	}
 }
 
@@ -272,7 +262,7 @@ func (c *Column) Set(i int, v Value) {
 func (c *Column) Grow(n int) {
 	c.nulls = append(make([]bool, 0, c.length+n), c.nulls...)
 	switch c.Kind {
-	case KindInt:
+	case KindInt, KindTime:
 		c.ints = append(make([]int64, 0, c.length+n), c.ints...)
 	case KindFloat:
 		c.floats = append(make([]float64, 0, c.length+n), c.floats...)
@@ -280,8 +270,6 @@ func (c *Column) Grow(n int) {
 		c.strs = append(make([]string, 0, c.length+n), c.strs...)
 	case KindBool:
 		c.bools = append(make([]bool, 0, c.length+n), c.bools...)
-	case KindTime:
-		c.times = append(make([]time.Time, 0, c.length+n), c.times...)
 	}
 }
 
@@ -295,7 +283,7 @@ func (c *Column) Gather(idx []int, pad []bool) Column {
 	out := Column{Name: c.Name, Kind: c.Kind, length: len(idx)}
 	out.nulls = make([]bool, len(idx))
 	switch c.Kind {
-	case KindInt:
+	case KindInt, KindTime:
 		out.ints = gatherTyped(c.ints, c.nulls, idx, pad, out.nulls)
 	case KindFloat:
 		out.floats = gatherTyped(c.floats, c.nulls, idx, pad, out.nulls)
@@ -306,8 +294,6 @@ func (c *Column) Gather(idx []int, pad []bool) Column {
 		}
 	case KindBool:
 		out.bools = gatherTyped(c.bools, c.nulls, idx, pad, out.nulls)
-	case KindTime:
-		out.times = gatherTyped(c.times, c.nulls, idx, pad, out.nulls)
 	default:
 		for j := range out.nulls {
 			out.nulls[j] = true
@@ -350,7 +336,7 @@ func (c *Column) copySpans(spans []Span, n int) Column {
 	out := Column{Name: c.Name, Kind: c.Kind, length: n}
 	out.nulls = copyTypedSpans(c.nulls, spans, n)
 	switch c.Kind {
-	case KindInt:
+	case KindInt, KindTime:
 		out.ints = copyTypedSpans(c.ints, spans, n)
 	case KindFloat:
 		out.floats = copyTypedSpans(c.floats, spans, n)
@@ -361,8 +347,6 @@ func (c *Column) copySpans(spans []Span, n int) Column {
 		}
 	case KindBool:
 		out.bools = copyTypedSpans(c.bools, spans, n)
-	case KindTime:
-		out.times = copyTypedSpans(c.times, spans, n)
 	}
 	return out
 }
@@ -385,7 +369,7 @@ func (c *Column) View(lo, hi int) Column {
 	out := Column{Name: c.Name, Kind: c.Kind, length: hi - lo}
 	out.nulls = c.nulls[lo:hi:hi]
 	switch c.Kind {
-	case KindInt:
+	case KindInt, KindTime:
 		out.ints = c.ints[lo:hi:hi]
 	case KindFloat:
 		out.floats = c.floats[lo:hi:hi]
@@ -394,8 +378,6 @@ func (c *Column) View(lo, hi int) Column {
 		out.coding = c.coding.slice(lo, hi)
 	case KindBool:
 		out.bools = c.bools[lo:hi:hi]
-	case KindTime:
-		out.times = c.times[lo:hi:hi]
 	}
 	return out
 }
@@ -421,7 +403,7 @@ func (c *Column) AppendKey(dst []byte, i int) []byte {
 		case KindString:
 			return appendStringKey(dst, c.strs[i])
 		case KindTime:
-			return appendTimeKey(dst, c.times[i])
+			return appendTimeKey(dst, c.ints[i])
 		}
 	}
 	return AppendKey(dst, c.Value(i))

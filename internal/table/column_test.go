@@ -190,10 +190,10 @@ func TestColumnTimeStorage(t *testing.T) {
 	c.Append(Time(now))
 	c.AppendNull()
 	ts, nulls, ok := c.Times()
-	if !ok || !ts[0].Equal(now) || !nulls[1] {
+	if !ok || ts[0] != now.UnixNano() || !nulls[1] {
 		t.Fatalf("Times() = %v %v %v", ts, nulls, ok)
 	}
-	if v := c.Value(0); !v.T.Equal(now) {
+	if v := c.Value(0); !v.Time().Equal(now) {
 		t.Errorf("Value(0) = %v", v)
 	}
 }

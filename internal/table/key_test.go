@@ -20,7 +20,7 @@ func TestAppendKeyTuples(t *testing.T) {
 		Null(), Int(0), Int(math.MinInt64), Int(math.MaxInt64), Bool(true), Bool(false),
 		Float(3), Float(-0.5), Float(-123456789012345.67), Float(-1.2345678901234567e-300),
 		Float(math.MaxFloat64), Float(math.Inf(-1)), Float(math.NaN()),
-		Time(time.Date(-2000, 1, 2, 3, 4, 5, 6, time.UTC)),
+		Time(time.Unix(0, math.MinInt64)), Time(time.Unix(0, math.MaxInt64)),
 		Str(""), Str("x\x1fs:y"), Str(strings.Repeat("w", 300)),
 	}
 	for _, v := range vals {

@@ -1,9 +1,6 @@
 package table
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // Row order over typed columns. ColumnOrder turns one key column into a
 // comparator over its positions, decided once per column rather than per
@@ -39,7 +36,7 @@ func ColumnOrder(c *Column, desc bool) (cmp func(a, b int) int, total bool) {
 		return cellOrder(vs, nulls, sign), true
 	}
 	if vs, nulls, ok := c.Times(); ok {
-		return timeOrder(vs, nulls, sign), true
+		return cellOrder(vs, nulls, sign), true
 	}
 	if vs, nulls, ok := c.Bools(); ok {
 		return boolOrder(vs, nulls, sign), true
@@ -88,18 +85,6 @@ func cellOrder[T int64 | float64 | string](vs []T, nulls []bool, sign int) func(
 			return sign
 		}
 		return 0
-	}
-}
-
-// timeOrder is cellOrder for a time column: instants compare
-// chronologically. Through Compare, boxing both cells per comparison made
-// a 100k-row time sort 2.8 times slower.
-func timeOrder(vs []time.Time, nulls []bool, sign int) func(a, b int) int {
-	return func(a, b int) int {
-		if nulls[a] || nulls[b] {
-			return sign * nullOrder(nulls[a], nulls[b])
-		}
-		return sign * vs[a].Compare(vs[b])
 	}
 }
 

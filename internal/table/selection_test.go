@@ -481,9 +481,9 @@ func TestGatherSelEquivalence(t *testing.T) {
 		bools[i] = rng.Intn(2) == 0
 		nulls[i] = rng.Intn(5) == 0
 	}
-	times := make([]time.Time, n)
+	times := make([]int64, n)
 	for i := range times {
-		times[i] = time.Unix(ints[i], 0).UTC()
+		times[i] = ints[i] * int64(time.Second)
 	}
 	allNull := NewColumn("z", KindNull)
 	for i := 0; i < n; i++ {

@@ -142,6 +142,8 @@ func TestInfer(t *testing.T) {
 		{"3.14", KindFloat},
 		{"true", KindBool},
 		{"2023-05-01", KindTime},
+		{"9999-12-31", KindString},
+		{"0001-01-01", KindString},
 		{"hello", KindString},
 		{"", KindNull},
 		{"  ", KindNull},

@@ -24,7 +24,8 @@ const (
 	KindString
 	// KindBool is boolean storage.
 	KindBool
-	// KindTime is timestamp storage.
+	// KindTime is timestamp storage: an instant, held as its UTC Unix
+	// nanoseconds.
 	KindTime
 )
 
@@ -86,11 +87,10 @@ func (k Kind) Coerce(v Value) (Value, bool) {
 // hold their zero values.
 type Value struct {
 	Kind Kind
-	I    int64     // payload when Kind == KindInt
-	F    float64   // payload when Kind == KindFloat
-	S    string    // payload when Kind == KindString
-	B    bool      // payload when Kind == KindBool
-	T    time.Time // payload when Kind == KindTime
+	I    int64   // payload when Kind == KindInt, and KindTime's UTC Unix nanoseconds
+	F    float64 // payload when Kind == KindFloat
+	S    string  // payload when Kind == KindString
+	B    bool    // payload when Kind == KindBool
 }
 
 // Constructors.
@@ -110,8 +110,26 @@ func Str(s string) Value { return Value{Kind: KindString, S: s} }
 // Bool wraps a bool.
 func Bool(b bool) Value { return Value{Kind: KindBool, B: b} }
 
-// Time wraps a time.Time.
-func Time(t time.Time) Value { return Value{Kind: KindTime, T: t} }
+// Time wraps the instant t as its UTC Unix nanoseconds, dropping its zone.
+// It panics when InTimeRange(t) is false, as Column.Append does on a value
+// of another kind: callers holding an instant from outside check first.
+func Time(t time.Time) Value {
+	if !InTimeRange(t) {
+		panic(fmt.Sprintf("table: %s has no int64 Unix nanosecond count", t))
+	}
+	return Value{Kind: KindTime, I: t.UnixNano()}
+}
+
+// InTimeRange reports whether a time cell can hold t: whether t has an
+// int64 count of Unix nanoseconds, from 1677-09-21 00:12:43.145224192 to
+// 2262-04-11 23:47:16.854775807 UTC, the range of Arrow's and pandas'
+// datetime64[ns].
+func InTimeRange(t time.Time) bool {
+	return !t.Before(time.Unix(0, math.MinInt64)) && !t.After(time.Unix(0, math.MaxInt64))
+}
+
+// Time returns a time value's instant, in UTC.
+func (v Value) Time() time.Time { return time.Unix(0, v.I).UTC() }
 
 // IsNull reports whether v is NULL.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
@@ -131,7 +149,7 @@ func (v Value) AsFloat() (float64, bool) {
 		}
 		return 0, true
 	case KindTime:
-		return float64(v.T.Unix()), true
+		return float64(v.Time().Unix()), true
 	case KindString:
 		f, err := strconv.ParseFloat(strings.TrimSpace(v.S), 64)
 		return f, err == nil
@@ -177,7 +195,7 @@ func (v Value) AsString() string {
 		}
 		return "false"
 	case KindTime:
-		return v.T.Format("2006-01-02 15:04:05")
+		return v.Time().Format("2006-01-02 15:04:05")
 	default:
 		return ""
 	}
@@ -233,17 +251,15 @@ func Compare(a, b Value) int {
 	}
 	// Int pairs compare exactly in int64: float64 conversion would conflate
 	// integers beyond 2^53, and the vectorized engine's typed int paths are
-	// exact, so the scalar path must be too.
-	if a.Kind == KindInt && b.Kind == KindInt {
+	// exact, so the scalar path must be too. Two times compare their
+	// nanoseconds the same way.
+	if a.Kind == b.Kind && (a.Kind == KindInt || a.Kind == KindTime) {
 		return ThreeWay(a.I, b.I)
 	}
 	if isNumericKind(a.Kind) && isNumericKind(b.Kind) {
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
 		return ThreeWay(af, bf)
-	}
-	if a.Kind == KindTime && b.Kind == KindTime {
-		return a.T.Compare(b.T)
 	}
 	return strings.Compare(a.AsString(), b.AsString())
 }
@@ -262,7 +278,7 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 // After the Kind byte of its form, an int, a bool or an integral float in
 // int64's range keys as that int64 (so 1, 1.0 and true are one key, and
 // -0 is 0), any other float as its bits with one NaN, a string as its
-// length then its bytes, and a time as its instant in any zone. Each form
+// length then its bytes, and a time as its UTC Unix nanoseconds. Each form
 // has a fixed size or carries its length, so tuples of keys never
 // collide. Compare makes NaN equal to every number, and compares an int
 // with a float past ±2^53 as float64 and a string with another kind by
@@ -282,7 +298,7 @@ func AppendKey(dst []byte, v Value) []byte {
 		}
 		return appendIntKey(dst, 0)
 	case KindTime:
-		return appendTimeKey(dst, v.T)
+		return appendTimeKey(dst, v.I)
 	}
 	return append(dst, byte(KindNull))
 }
@@ -305,9 +321,8 @@ func appendStringKey(dst []byte, s string) []byte {
 	return append(binary.AppendUvarint(append(dst, byte(KindString)), uint64(len(s))), s...)
 }
 
-func appendTimeKey(dst []byte, t time.Time) []byte {
-	dst = binary.LittleEndian.AppendUint64(append(dst, byte(KindTime)), uint64(t.Unix()))
-	return binary.LittleEndian.AppendUint32(dst, uint32(t.Nanosecond()))
+func appendTimeKey(dst []byte, nanos int64) []byte {
+	return binary.LittleEndian.AppendUint64(append(dst, byte(KindTime)), uint64(nanos))
 }
 
 // timeFormats are the layouts ParseTime attempts, most specific first.
@@ -340,8 +355,8 @@ func ParseTime(s string) (time.Time, bool) {
 //     1000, and 1.5 or 1e300 is refused);
 //   - float: any text strconv.ParseFloat takes;
 //   - bool: true or false, in any ASCII case;
-//   - time: a ParseTime layout, held as its UTC instant (what WAL recovery
-//     decodes, so a durable table answers the same after a restart).
+//   - time: a ParseTime layout whose instant InTimeRange accepts, held as
+//     its UTC Unix nanoseconds (so 9999-12-31 is refused).
 //
 // Anything else is refused. A parser runs only when the text could be one
 // it accepts — ParseInt on the exact shape of a decimal integer, the others
@@ -383,8 +398,8 @@ func (k Kind) Parse(text string) (Value, bool) {
 		}
 	case KindTime:
 		if c := trimmed[0]; c >= '0' && c <= '9' { // every layout of timeFormats begins with the year
-			if t, ok := ParseTime(trimmed); ok {
-				return Time(t.UTC()), true
+			if t, ok := ParseTime(trimmed); ok && InTimeRange(t) {
+				return Time(t), true
 			}
 		}
 	}
@@ -392,7 +407,7 @@ func (k Kind) Parse(text string) (Value, bool) {
 }
 
 // CellError is a cell its column's kind cannot hold exactly: Kind.Parse
-// refused its text.
+// refused its text, or WAL recovery a logged time cell outside InTimeRange.
 type CellError struct {
 	Column string
 	Kind   Kind

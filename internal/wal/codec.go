@@ -298,8 +298,12 @@ func appendColumn(b []byte, c *table.Column) ([]byte, error) {
 	case table.KindTime:
 		vals, nulls, _ := c.Times()
 		b = appendBitmap(b, nulls)
-		for _, v := range vals {
-			b = appendTime(b, v)
+		for i, v := range vals {
+			t := time.Unix(0, v)
+			if nulls[i] {
+				t = time.Time{}
+			}
+			b = appendTime(b, t)
 		}
 	case table.KindNull:
 		// A typed null column is nothing but its length.
@@ -312,9 +316,8 @@ func appendColumn(b []byte, c *table.Column) ([]byte, error) {
 	return b, nil
 }
 
-// appendTime serializes a timestamp as unix seconds + nanoseconds. The
-// wall-clock instant survives exactly (decoded in UTC); the monotonic
-// reading and the location name do not — see docs/DURABILITY.md.
+// appendTime serializes a timestamp as unix seconds + nanoseconds. A NULL
+// cell is the zero time.Time, 0001-01-01, as before cells were nanoseconds.
 func appendTime(b []byte, t time.Time) []byte {
 	b = appendUint64(b, uint64(t.Unix()))
 	return appendUvarint(b, uint64(t.Nanosecond()))
@@ -334,7 +337,8 @@ func (d *recordDecoder) time() (time.Time, error) {
 
 // column decodes one serialized column back into exact storage: the slabs
 // are adopted via the ColumnFrom* constructors. A column of the mixed-kind
-// class is a MixedColumnError.
+// class is a MixedColumnError, and a time cell outside the range a time
+// column holds (table.InTimeRange) a *table.CellError.
 func (d *recordDecoder) column() (table.Column, error) {
 	name, err := d.str()
 	if err != nil {
@@ -420,10 +424,17 @@ func (d *recordDecoder) column() (table.Column, error) {
 		if err != nil {
 			return table.Column{}, err
 		}
-		vals := make([]time.Time, n)
+		vals := make([]int64, n)
 		for i := range vals {
-			if vals[i], err = d.time(); err != nil {
+			t, err := d.time()
+			switch {
+			case err != nil:
 				return table.Column{}, err
+			case nulls[i]: // written as 0001-01-01; the cell stays 0
+			case !table.InTimeRange(t):
+				return table.Column{}, &table.CellError{Column: name, Kind: kind, Cell: t.Format(time.RFC3339Nano)}
+			default:
+				vals[i] = t.UnixNano()
 			}
 		}
 		return table.ColumnFromTimes(name, vals, nulls), nil

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math"
 	"math/rand"
@@ -94,7 +95,7 @@ func valuesEqual(a, b table.Value) bool {
 	case table.KindBool:
 		return a.B == b.B
 	case table.KindTime:
-		return a.T.Equal(b.T) && a.T.Nanosecond() == b.T.Nanosecond()
+		return a.I == b.I
 	}
 	return false
 }
@@ -313,32 +314,47 @@ func TestRecoveryRefusesMixedColumn(t *testing.T) {
 	if !errors.As(err, &mixed) || mixed.Column != "m" {
 		t.Fatalf("decode = %v, want a MixedColumnError naming m", err)
 	}
-	var log bytes.Buffer
-	log.WriteString(fileMagic)
-	fw := newFrameWriter(&log)
-	if _, err := fw.writeFrame(mixedColumnRecord()); err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(logPath(dir, 1), framedFile(t, mixedColumnRecord()), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	if err := openErr(dir); !errors.As(err, &mixed) || mixed.Column != "m" {
+		t.Fatalf("Open = %v, want a MixedColumnError naming m", err)
+	}
+}
+
+// framedFile is a log or checkpoint file holding payloads: the magic, then
+// each payload framed.
+func framedFile(t *testing.T, payloads ...[]byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString(fileMagic)
+	fw := newFrameWriter(&buf)
+	for _, p := range payloads {
+		if _, err := fw.writeFrame(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := fw.flush(); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(logPath(dir, 1), log.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return buf.Bytes()
+}
+
+// openErr is the error Open returns for dir, closing what it opens.
+func openErr(dir string) error {
 	m, _, err := Open(dir, Options{})
 	if err == nil {
 		m.Close()
 	}
-	if !errors.As(err, &mixed) || mixed.Column != "m" {
-		t.Fatalf("Open = %v, want a MixedColumnError naming m", err)
-	}
+	return err
 }
 
 // FuzzWALDecode: arbitrary bytes — as a framed log, as one record payload
 // applied to a state that knows a table, and as a bare register or chunk
 // body — never panic the decoder, and every record that does decode has
-// columns of one length. Seeds: a valid log, and nullSlabRecord.
+// columns of one length. Seeds: a valid log, nullSlabRecord and the two
+// records recovery refuses.
 func FuzzWALDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(4))
 	src := &table.Table{Name: "t", Columns: []table.Column{randomColumn(rng, "a", 5), randomColumn(rng, "b", 5)}}
@@ -365,6 +381,7 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(log.Bytes())
 	f.Add(nullSlabRecord())
 	f.Add(mixedColumnRecord())
+	f.Add(outOfRangeTimeRecord())
 	// The first finding stays refused, before its null mask is built.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -403,4 +420,77 @@ func FuzzWALDecode(f *testing.F) {
 			sameLength(t, cr.cols)
 		}
 	})
+}
+
+// TestTimeColumnBytes pins the log format of a time column: a NULL, a
+// pre-1970 sub-second instant and a sub-second instant after it, each as
+// int64 Unix seconds then uvarint nanoseconds behind the null bitmap. The
+// literal was written by the codec that kept time cells as time.Time, so
+// logs it wrote still recover.
+func TestTimeColumnBytes(t *testing.T) {
+	col := table.NewColumn("ts", table.KindTime)
+	col.Append(table.Null())
+	col.Append(table.Time(time.Date(1969, 7, 20, 20, 17, 40, 500_000_001, time.UTC)))
+	col.Append(table.Time(time.Date(2024, 1, 1, 8, 0, 0, 123456789, time.UTC)))
+	b, err := appendColumn(nil, &col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "0274730503010100096e88f1ffffff00e49527ffffffffff81cab5ee010071926500000000959aef3a"
+	if got := hex.EncodeToString(b); got != want {
+		t.Fatalf("time column encodes as\n%s\nwant\n%s", got, want)
+	}
+	d := recordDecoder{b: b}
+	got, err := d.column()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertColumnsEqual(t, &col, &got)
+}
+
+// outOfRangeTimeRecord is a register record for table t whose time column
+// "when" holds 2024-01-01 and then 9999-12-31, an instant with no int64
+// nanosecond count, which recovery refuses.
+func outOfRangeTimeRecord() []byte {
+	b := append([]byte{recRegister}, appendString(nil, "t")...)
+	b = appendUvarint(b, 1)
+	b = append(appendString(b, "when"), byte(table.KindTime))
+	b = append(appendUvarint(b, 2), storageTyped)
+	b = appendBitmap(b, []bool{false, false})
+	b = appendTime(b, time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC))
+	return appendTime(b, time.Date(9999, 12, 31, 0, 0, 0, 0, time.UTC))
+}
+
+// TestRecoveryRefusesOutOfRangeTime: a logged time cell outside the range a
+// time column holds decodes to a *table.CellError naming its column, and
+// Open refuses it in a log record and in the newest checkpoint alike —
+// without falling back to the older checkpoint beside it.
+func TestRecoveryRefusesOutOfRangeTime(t *testing.T) {
+	wantRefused := func(what string, err error) {
+		t.Helper()
+		var cell *table.CellError
+		if !errors.As(err, &cell) || cell.Column != "when" || cell.Kind != table.KindTime || !strings.HasPrefix(cell.Cell, "9999-12-31") {
+			t.Fatalf("%s = %v, want a CellError naming column when", what, err)
+		}
+	}
+	_, err := decodeRegister(outOfRangeTimeRecord()[1:])
+	wantRefused("decode", err)
+
+	dir := t.TempDir()
+	if err := os.WriteFile(logPath(dir, 1), framedFile(t, outOfRangeTimeRecord()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantRefused("Open with the record in the log", openErr(dir))
+
+	dir = t.TempDir()
+	good := table.MustNew("t", []string{"when"}, []table.Kind{table.KindTime})
+	good.MustAppendRow(table.Time(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)))
+	if err := writeCheckpoint(dir, 1, []*table.Snapshot{table.NewAppender(good).Snapshot()}); err != nil {
+		t.Fatal(err)
+	}
+	footer := appendUvarint([]byte{recCheckpointEnd}, 1)
+	if err := os.WriteFile(ckptPath(dir, 2), framedFile(t, outOfRangeTimeRecord(), footer), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantRefused("Open with the record in the newest checkpoint", openErr(dir))
 }

@@ -114,12 +114,15 @@ func recoverDir(dir string) (*Recovered, layout, error) {
 	// mid-write before the rename barrier existed, or bit rot) falls
 	// back to the previous — whose covering logs still exist unless a
 	// later checkpoint deleted them, in which case replay below reports
-	// the gap as corruption rather than guessing.
+	// the gap as corruption rather than guessing. A column the decoder
+	// refuses (mixed kinds, a time out of range) is intact, not torn: it
+	// fails recovery rather than lose what its checkpoint holds.
 	st := newReplayState()
 	for i := len(ckptGens) - 1; i >= 0; i-- {
 		cs, err := loadCheckpoint(ckptPath(dir, ckptGens[i]))
 		var mixed *MixedColumnError
-		if errors.As(err, &mixed) {
+		var cell *table.CellError
+		if errors.As(err, &mixed) || errors.As(err, &cell) {
 			return nil, lay, err
 		}
 		if err == nil {
