@@ -121,6 +121,7 @@ func crashPrepare(rows int, statePath string) {
 	if !crashIngest(rows) {
 		return
 	}
+	checkLogTakesRecords("crash_prepare")
 	st := crashState{Rows: rows, SnapshotVersion: statValue("snapshot_version")}
 	if st.SnapshotVersion <= 0 {
 		failf("crash_prepare: snapshot_version = %v after ingest, want > 0", st.SnapshotVersion)
@@ -148,6 +149,14 @@ func crashPrepare(rows int, statePath string) {
 		rows, int(st.SnapshotVersion), time.Since(start).Milliseconds()))
 }
 
+// checkLogTakesRecords fails unless /v1/stats carries wal_error as "":
+// no failed write, flush or fsync has stopped the server's log.
+func checkLogTakesRecords(where string) {
+	if e, ok := statsLine()["wal_error"].(string); !ok || e != "" {
+		failf("%s: wal_error = %q (present %v), want \"\" — the log stopped taking records", where, e, ok)
+	}
+}
+
 // crashVerify runs against the restarted server and proves recovery was
 // complete: the stats line shows a real replay, the snapshot version is
 // exactly the last durable publish, and every probe matches byte for byte.
@@ -163,6 +172,7 @@ func crashVerify(statePath string) {
 		failf("crash_verify: parse state: %v", err)
 		return
 	}
+	checkLogTakesRecords("crash_verify")
 	recovered := statValue("recovered_rows_total")
 	if recovered <= 0 {
 		failf("crash_verify: recovered_rows_total = %v, want > 0 — the restart did not replay a WAL", recovered)

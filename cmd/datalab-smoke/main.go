@@ -480,15 +480,24 @@ func scenarioCursor() {
 	okf("cursor_pagination", fmt.Sprintf(`,"rows_total":%d`, first))
 }
 
-// statValue fetches one numeric field from /v1/stats (-1 on failure).
-func statValue(field string) float64 {
+// statsLine fetches the /v1/stats line (nil on failure).
+func statsLine() map[string]any {
 	resp, err := do(http.MethodGet, "/v1/stats", nil, "")
 	if err != nil {
-		return -1
+		return nil
 	}
 	defer resp.Body.Close()
 	var l map[string]any
 	if json.NewDecoder(resp.Body).Decode(&l) != nil {
+		return nil
+	}
+	return l
+}
+
+// statValue fetches one numeric field from /v1/stats (-1 on failure).
+func statValue(field string) float64 {
+	l := statsLine()
+	if l == nil {
 		return -1
 	}
 	return num(l[field])
@@ -496,16 +505,7 @@ func statValue(field string) float64 {
 
 // statBool fetches one boolean field from /v1/stats (false on failure).
 func statBool(field string) bool {
-	resp, err := do(http.MethodGet, "/v1/stats", nil, "")
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	var l map[string]any
-	if json.NewDecoder(resp.Body).Decode(&l) != nil {
-		return false
-	}
-	b, _ := l[field].(bool)
+	b, _ := statsLine()[field].(bool)
 	return b
 }
 

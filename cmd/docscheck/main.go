@@ -117,6 +117,16 @@ var guards = []guard{
 		nil,
 		"a time cell is its UTC Unix nanoseconds in the int64 slab",
 	},
+	{
+		regexp.MustCompile(`\bos\.(Open|OpenFile|Create|Remove|Rename|Truncate|ReadDir|MkdirAll|Stat)\(|filepath\.Glob\(`),
+		[]string{"internal/wal/fs.go", "bench/"},
+		"the durable catalog reaches the disk through one seam, internal/wal's fsys, which its fault and crash tests fail on cue",
+	},
+	{
+		regexp.MustCompile(`createLogFile|staleFiles|sortedGens|framesAfterMagic|readMagic`),
+		nil,
+		"the log lists its directory once (listDir), creates a file durably once (createFile) and opens past the magic once (openFrames)",
+	},
 }
 
 // linkRe matches inline markdown links [text](target); images ![...](...)

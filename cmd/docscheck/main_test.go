@@ -92,6 +92,8 @@ func TestGuardsFire(t *testing.T) {
 		`		"duration_ms": durationMS(time.Since(start)),`,
 		"	if !c.IsTyped() {",
 		"	T    time.Time // payload when Kind == KindTime",
+		"	f, err := os.OpenFile(logPath(dir, gen), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)",
+		"	for _, p := range staleFiles(m.dir, nextGen) {",
 	}
 	if len(planted) != len(guards) {
 		t.Fatalf("%d planted lines for %d guards", len(planted), len(guards))
@@ -103,6 +105,8 @@ func TestGuardsFire(t *testing.T) {
 	write(t, filepath.Join(dir, "cmd", "docscheck", "guards.go"), body)
 	write(t, filepath.Join(dir, "internal", "sqlengine", "plan.go"), "package sqlengine\n\n"+planted[0]+"\n")
 	write(t, filepath.Join(dir, "internal", "agent", "planner.go"), "package agent\n\n"+planted[2]+"\n")
+	write(t, filepath.Join(dir, "internal", "wal", "fs.go"), "package wal\n\n"+planted[14]+"\n")
+	write(t, filepath.Join(dir, "bench", "main.go"), "package main\n\n"+planted[14]+"\n")
 	problems, err := checkTree(dir)
 	if err != nil {
 		t.Fatal(err)

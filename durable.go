@@ -40,6 +40,11 @@ type DurabilityStats struct {
 	// platform booted from (both zero for a fresh data directory).
 	RecoveredRows  int64
 	ReplayDuration time.Duration
+	// LogError is the text of the error that stopped the log — its first
+	// failed write, flush or fsync — and "" while the log takes records.
+	// A stopped log refuses every registration, publish and checkpoint
+	// with that error until the data directory is reopened.
+	LogError string
 }
 
 // OpenDurable creates a platform whose catalog is backed by a
@@ -94,6 +99,7 @@ func (p *Platform) DurabilityStats() DurabilityStats {
 		SnapshotVersion:         s.SnapshotVersion,
 		RecoveredRows:           p.recovered.RecoveredRows,
 		ReplayDuration:          p.recovered.ReplayDuration,
+		LogError:                s.LogError,
 	}
 }
 

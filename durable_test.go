@@ -57,7 +57,7 @@ func TestOpenDurableRoundTrip(t *testing.T) {
 	const probe = "SELECT host, COUNT(*), SUM(cpu) FROM metrics GROUP BY host ORDER BY host"
 	want := queryStrings(t, p, probe)
 	wantStats := p.DurabilityStats()
-	if !wantStats.Enabled || wantStats.WALBytes == 0 || wantStats.SnapshotVersion < 2 {
+	if !wantStats.Enabled || wantStats.WALBytes == 0 || wantStats.SnapshotVersion < 2 || wantStats.LogError != "" {
 		t.Fatalf("durability stats look wrong: %+v", wantStats)
 	}
 	if err := p.Close(); err != nil {

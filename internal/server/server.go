@@ -297,6 +297,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"checkpoint_epoch_ms":     ds.LastCheckpointUnixMilli,
 		"snapshot_version":        ds.SnapshotVersion,
 		"recovered_rows_total":    ds.RecoveredRows,
+		"wal_error":               ds.LogError,
 	})
 }
 

@@ -910,7 +910,7 @@ func TestStatsShape(t *testing.T) {
 		"rows_streamed_total", "ingest_rows_total", "sessions_open", "cursors_open",
 		"plan_cache_hits_total", "plan_cache_hit_rate",
 		"durability_enabled", "wal_bytes_total", "checkpoints_total",
-		"checkpoint_epoch_ms", "snapshot_version", "recovered_rows_total",
+		"checkpoint_epoch_ms", "snapshot_version", "recovered_rows_total", "wal_error",
 	} {
 		if _, ok := st[k]; !ok {
 			t.Fatalf("stats missing %q: %v", k, st)
@@ -920,9 +920,9 @@ func TestStatsShape(t *testing.T) {
 		t.Fatalf("queries_total = %v", st["queries_total"])
 	}
 	// Memory-only server: durability fields present but zeroed.
-	if st["durability_enabled"] != false || st["wal_bytes_total"].(float64) != 0 {
-		t.Fatalf("memory-only durability stats: enabled=%v wal_bytes=%v",
-			st["durability_enabled"], st["wal_bytes_total"])
+	if st["durability_enabled"] != false || st["wal_bytes_total"].(float64) != 0 || st["wal_error"] != "" {
+		t.Fatalf("memory-only durability stats: enabled=%v wal_bytes=%v wal_error=%v",
+			st["durability_enabled"], st["wal_bytes_total"], st["wal_error"])
 	}
 }
 
@@ -996,7 +996,7 @@ func TestDurableServerRestart(t *testing.T) {
 
 	want := queryBody(ts1)
 	st1 := statsLine(ts1)
-	if st1["durability_enabled"] != true || st1["wal_bytes_total"].(float64) == 0 {
+	if st1["durability_enabled"] != true || st1["wal_bytes_total"].(float64) == 0 || st1["wal_error"] != "" {
 		t.Fatalf("durable server stats: %v", st1)
 	}
 	// Tear down abruptly: no checkpoint, no graceful catalog handoff —

@@ -485,7 +485,7 @@ func TestRecoveryRefusesOutOfRangeTime(t *testing.T) {
 	dir = t.TempDir()
 	good := table.MustNew("t", []string{"when"}, []table.Kind{table.KindTime})
 	good.MustAppendRow(table.Time(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)))
-	if err := writeCheckpoint(dir, 1, []*table.Snapshot{table.NewAppender(good).Snapshot()}); err != nil {
+	if err := writeCheckpoint(osFS{}, dir, 1, []*table.Snapshot{table.NewAppender(good).Snapshot()}); err != nil {
 		t.Fatal(err)
 	}
 	footer := appendUvarint([]byte{recCheckpointEnd}, 1)

@@ -32,10 +32,11 @@ type Recovered struct {
 // layout describes what recovery found on disk, for Open to decide how
 // to continue the log.
 type layout struct {
-	logGens []uint64
-	ckptGen uint64 // newest valid checkpoint generation (0: none)
-	tornGen uint64 // generation of the torn final log (0: none)
-	tornOff int64  // valid-prefix length of the torn log
+	ckptGen  uint64   // newest valid checkpoint generation (0: none)
+	lastGen  uint64   // newest replayed log generation (0: none)
+	lastEnd  int64    // valid-prefix length of that log
+	walBytes int64    // valid-prefix lengths of the replayed logs, summed
+	tmps     []string // checkpoint temp files a crash left behind
 }
 
 // replayState accumulates tables as records are applied, mirroring the
@@ -104,11 +105,14 @@ func (st *replayState) apply(payload []byte) error {
 	}
 }
 
-// recoverDir is the shared engine behind Recover and Open.
-func recoverDir(dir string) (*Recovered, layout, error) {
+// recoverDir rebuilds the tables dir holds, for Open.
+func recoverDir(fs fsys, dir string) (*Recovered, layout, error) {
 	start := time.Now()
-	lay := layout{logGens: sortedGens(dir, "wal-", ".log")}
-	ckptGens := sortedGens(dir, "ckpt-", ".snap")
+	files, err := listDir(fs, dir)
+	if err != nil {
+		return nil, layout{}, err
+	}
+	lay := layout{tmps: files.tmps}
 
 	// Newest checkpoint with an intact footer wins; an invalid one (torn
 	// mid-write before the rename barrier existed, or bit rot) falls
@@ -118,8 +122,8 @@ func recoverDir(dir string) (*Recovered, layout, error) {
 	// refuses (mixed kinds, a time out of range) is intact, not torn: it
 	// fails recovery rather than lose what its checkpoint holds.
 	st := newReplayState()
-	for i := len(ckptGens) - 1; i >= 0; i-- {
-		cs, err := loadCheckpoint(ckptPath(dir, ckptGens[i]))
+	for i := len(files.ckpts) - 1; i >= 0; i-- {
+		cs, err := loadCheckpoint(fs, ckptPath(dir, files.ckpts[i]))
 		var mixed *MixedColumnError
 		var cell *table.CellError
 		if errors.As(err, &mixed) || errors.As(err, &cell) {
@@ -127,30 +131,28 @@ func recoverDir(dir string) (*Recovered, layout, error) {
 		}
 		if err == nil {
 			st = cs
-			lay.ckptGen = ckptGens[i]
+			lay.ckptGen = files.ckpts[i]
 			break
 		}
 	}
 
-	for i, g := range lay.logGens {
+	var torn bool
+	for i, g := range files.logs {
 		if g < lay.ckptGen {
 			continue // fully covered by the checkpoint; pending deletion
 		}
-		final := i == len(lay.logGens)-1
-		tornOff, err := replayLog(logPath(dir, g), st, final)
+		end, t, err := replayLog(fs, logPath(dir, g), st, i == len(files.logs)-1)
 		if err != nil {
 			return nil, lay, fmt.Errorf("wal: replay %s: %w", logPath(dir, g), err)
 		}
-		if tornOff >= 0 {
-			lay.tornGen = g
-			lay.tornOff = tornOff
-		}
+		lay.lastGen, lay.lastEnd, torn = g, end, t
+		lay.walBytes += end
 	}
 
 	rec := &Recovered{
 		ReplayDuration: time.Since(start),
 		CheckpointGen:  lay.ckptGen,
-		TornTail:       lay.tornGen != 0,
+		TornTail:       torn,
 	}
 	for _, k := range st.order {
 		app := st.apps[k]
@@ -160,34 +162,40 @@ func recoverDir(dir string) (*Recovered, layout, error) {
 	return rec, lay, nil
 }
 
-// framesAfterMagic reads the frames of f, whose magic header has just
-// been consumed; the file's size bounds what a frame may declare.
-func framesAfterMagic(f *os.File) (*frameReader, error) {
-	info, err := f.Stat()
+// errMagic marks a file too short for the magic header, or holding
+// another.
+var errMagic = errors.New("wal: short or bad magic")
+
+// openFrames opens path and checks its magic, returning the file and a
+// reader over its frames; the file's size bounds what a frame may declare.
+func openFrames(fs fsys, path string) (*frameReader, file, error) {
+	f, size, err := fs.open(path, os.O_RDONLY)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return newFrameReader(f, int64(len(fileMagic)), info.Size()), nil
+	var hdr [len(fileMagic)]byte
+	_, err = io.ReadFull(f, hdr[:])
+	if err == io.EOF || err == io.ErrUnexpectedEOF || err == nil && string(hdr[:]) != fileMagic {
+		err = fmt.Errorf("%w in %s", errMagic, path)
+	}
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return newFrameReader(f, int64(len(fileMagic)), size), f, nil
 }
 
 // loadCheckpoint replays a checkpoint file into a fresh state. Any
 // defect — bad magic, torn frame, missing footer, undecodable record —
 // invalidates the whole checkpoint (it is written atomically, so a
 // defect means it never finished or has rotted).
-func loadCheckpoint(path string) (*replayState, error) {
-	f, err := os.Open(path)
+func loadCheckpoint(fs fsys, path string) (*replayState, error) {
+	fr, f, err := openFrames(fs, path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	if err := readMagic(f); err != nil {
-		return nil, err
-	}
 	st := newReplayState()
-	fr, err := framesAfterMagic(f)
-	if err != nil {
-		return nil, err
-	}
 	for {
 		payload, err := fr.next()
 		if err == io.EOF {
@@ -213,54 +221,37 @@ func loadCheckpoint(path string) (*replayState, error) {
 	}
 }
 
-// replayLog folds one log generation into st. In the final log a torn
-// or corrupt trailing record is the expected crash artifact: replay
-// stops cleanly and returns the valid-prefix length so Open can
-// truncate it. Anywhere else the same defect is corruption (the log was
-// rotated away from, so it was complete when written).
-func replayLog(path string, st *replayState, final bool) (tornOff int64, err error) {
-	f, err := os.Open(path)
+// replayLog folds one log generation into st and returns the length of
+// its valid prefix. In the final log a torn or corrupt trailing record is
+// the expected crash artifact: replay stops cleanly before it and reports
+// the log torn, so Open can truncate it. Anywhere else the same defect is
+// corruption (the log was rotated away from, so it was complete when
+// written).
+func replayLog(fs fsys, path string, st *replayState, final bool) (end int64, torn bool, err error) {
+	fr, f, err := openFrames(fs, path)
+	if final && errors.Is(err, errMagic) {
+		return 0, true, nil // header never fully landed; Open recreates the file
+	}
 	if err != nil {
-		return -1, err
+		return 0, false, err
 	}
 	defer f.Close()
-	if err := readMagic(f); err != nil {
-		if final {
-			return 0, nil // header never fully landed; Open recreates the file
-		}
-		return -1, err
-	}
-	fr, err := framesAfterMagic(f)
-	if err != nil {
-		return -1, err
-	}
 	for {
 		payload, err := fr.next()
 		if err == io.EOF {
-			return -1, nil
+			return fr.off, false, nil
 		}
 		if err != nil { // errTorn
 			if final {
-				return fr.off, nil
+				return fr.off, true, nil
 			}
-			return -1, fmt.Errorf("torn record mid-log at offset %d", fr.off)
+			return 0, false, fmt.Errorf("torn record mid-log at offset %d", fr.off)
 		}
 		// An undecodable body behind a valid CRC is corruption even in
 		// the final record position: the CRC proves these exact bytes
 		// were written, so the state is unknowable, not merely torn.
 		if err := st.apply(payload); err != nil {
-			return -1, err
+			return 0, false, err
 		}
 	}
-}
-
-func readMagic(f *os.File) error {
-	var hdr [len(fileMagic)]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return fmt.Errorf("wal: short magic: %w", err)
-	}
-	if string(hdr[:]) != fileMagic {
-		return fmt.Errorf("wal: bad magic %q", hdr)
-	}
-	return nil
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -86,6 +86,9 @@ type Stats struct {
 	// SnapshotVersion is the highest published snapshot version across
 	// tracked tables — the value recovery is expected to reproduce.
 	SnapshotVersion uint64
+	// LogError is the text of the error that stopped the log, and ""
+	// while the log takes records.
+	LogError string
 }
 
 var errClosed = errors.New("wal: manager closed")
@@ -95,16 +98,18 @@ var errClosed = errors.New("wal: manager closed")
 // All record writes funnel through one mutex, matching the storage
 // layer's single-writer-per-table design.
 type Manager struct {
+	fs   fsys
 	dir  string
 	opts Options
 
 	mu        sync.Mutex
-	f         *os.File
+	f         file
 	fw        *frameWriter
 	gen       uint64
 	walBytes  int64
 	sinceCkpt int64
 	closed    bool
+	err       error // what stopped the log (nil: it takes records)
 	apps      map[string]*table.Appender
 	order     []string
 	enc       []byte // record staging buffer, reused under mu
@@ -129,39 +134,42 @@ func ckptPath(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("ckpt-%d.snap", gen))
 }
 
-// createLogFile creates a fresh log generation containing only the file
-// magic, durably: the contents and the directory entry are both synced
-// before it returns.
-func createLogFile(dir string, gen uint64) (*os.File, error) {
-	f, err := os.OpenFile(logPath(dir, gen), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+// createFile writes a new file holding the magic and then body's frames
+// (none when body is nil) and makes it durable before returning it open:
+// first its contents are synced, then its directory entry. With viaTmp it
+// is written as path+".tmp" and renamed into place, so it exists whole or
+// not at all. On failure it removes what it wrote.
+func createFile(fs fsys, path string, viaTmp bool, body func(*frameWriter) error) (file, error) {
+	name := path
+	if viaTmp {
+		name += ".tmp"
+	}
+	f, _, err := fs.open(name, os.O_RDWR|os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.WriteString(fileMagic); err != nil {
-		f.Close()
-		return nil, err
+	_, err = f.Write([]byte(fileMagic))
+	if err == nil && body != nil {
+		fw := newFrameWriter(f)
+		if err = body(fw); err == nil {
+			err = fw.flush()
+		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := syncDir(dir); err != nil {
+	if err == nil && viaTmp {
+		err = fs.rename(name, path)
+	}
+	if err == nil {
+		err = fs.syncDir(filepath.Dir(path))
+	}
+	if err != nil {
 		f.Close()
+		fs.remove(name)
 		return nil, err
 	}
 	return f, nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Open recovers the directory's durable state and opens it for writing:
@@ -170,61 +178,52 @@ func syncDir(dir string) error {
 // recovered appender, and the background checkpoint loop starts.
 // An empty or missing directory opens as an empty catalog.
 func Open(dir string, opts Options) (*Manager, *Recovered, error) {
+	return open(osFS{}, dir, opts)
+}
+
+func open(fs fsys, dir string, opts Options) (*Manager, *Recovered, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fs.mkdirAll(dir); err != nil {
 		return nil, nil, err
 	}
-	rec, lay, err := recoverDir(dir)
+	rec, lay, err := recoverDir(fs, dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Drop a checkpoint temp file left by a crash mid-checkpoint: the
-	// rename never happened, so it holds nothing recovery used.
-	if tmps, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.snap.tmp")); len(tmps) > 0 {
-		for _, t := range tmps {
-			os.Remove(t)
-		}
+	// Drop checkpoint temp files left by a crash mid-checkpoint: the
+	// rename never happened, so they hold nothing recovery used.
+	for _, t := range lay.tmps {
+		fs.remove(t)
 	}
 
-	var f *os.File
-	var gen uint64
-	switch {
-	case len(lay.logGens) == 0:
-		// Fresh directory (or checkpoint-only): start the generation
-		// after the checkpoint so its records sort later.
-		gen = lay.ckptGen + 1
-		f, err = createLogFile(dir, gen)
-	case lay.tornGen == lay.logGens[len(lay.logGens)-1] && lay.tornOff < int64(len(fileMagic)):
-		// The newest log died before even its magic hit disk: recreate
-		// it in place rather than appending to garbage.
-		gen = lay.logGens[len(lay.logGens)-1]
-		f, err = createLogFile(dir, gen)
-	default:
-		gen = lay.logGens[len(lay.logGens)-1]
-		if lay.tornGen == gen {
+	gen, walBytes := lay.lastGen, lay.walBytes
+	var f file
+	if gen == 0 || lay.lastEnd < int64(len(fileMagic)) {
+		// A fresh directory (or one holding only a checkpoint) starts the
+		// generation after the checkpoint, so its records sort later; a
+		// newest log that died before even its magic hit disk is
+		// recreated in place rather than appended to.
+		if gen == 0 {
+			gen = lay.ckptGen + 1
+		}
+		f, err = createFile(fs, logPath(dir, gen), false, nil)
+		walBytes += int64(len(fileMagic))
+	} else {
+		if rec.TornTail {
 			// Truncate the torn tail so the file is exactly its valid
 			// record prefix before appending after it.
-			if err = os.Truncate(logPath(dir, gen), lay.tornOff); err != nil {
+			if err = fs.truncate(logPath(dir, gen), lay.lastEnd); err != nil {
 				return nil, nil, fmt.Errorf("wal: truncate torn tail of %s: %w", logPath(dir, gen), err)
 			}
 		}
-		f, err = os.OpenFile(logPath(dir, gen), os.O_WRONLY|os.O_APPEND, 0o644)
+		f, _, err = fs.open(logPath(dir, gen), os.O_WRONLY|os.O_APPEND)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
 
-	var walBytes int64
-	for _, g := range lay.logGens {
-		if fi, err := os.Stat(logPath(dir, g)); err == nil {
-			walBytes += fi.Size()
-		}
-	}
-	if walBytes == 0 {
-		walBytes = int64(len(fileMagic))
-	}
-
 	m := &Manager{
+		fs:       fs,
 		dir:      dir,
 		opts:     opts,
 		f:        f,
@@ -257,7 +256,8 @@ func (m *Manager) Track(app *table.Appender) error {
 	m.mu.Lock()
 	prev := m.apps[key]
 	m.mu.Unlock()
-	if prev != nil && prev != app {
+	replacing := prev != nil && prev != app
+	if replacing {
 		// Replacing a table: detach the old write head's hook first.
 		// SetPublishHook waits out any in-flight publish, so no record
 		// from the stale appender can land after the new registration
@@ -266,26 +266,27 @@ func (m *Manager) Track(app *table.Appender) error {
 	}
 
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return errClosed
-	}
 	payload, err := encodeRegister(m.enc[:0], app.Snapshot().Table())
-	if err != nil {
-		m.mu.Unlock()
-		return err
+	if err == nil {
+		m.enc = payload[:0]
+		err = m.appendLocked(payload)
 	}
-	m.enc = payload[:0]
-	if err := m.appendLocked(payload); err != nil {
-		m.mu.Unlock()
-		return err
+	if err == nil {
+		if _, ok := m.apps[key]; !ok {
+			m.order = append(m.order, key)
+		}
+		m.apps[key] = app
 	}
-	if _, ok := m.apps[key]; !ok {
-		m.order = append(m.order, key)
-	}
-	m.apps[key] = app
 	m.mu.Unlock()
-
+	if err != nil {
+		if replacing {
+			// The catalog keeps the old table registered, so it stays
+			// journaled: its publishes are logged, or refused with the
+			// error that stopped the log, never acknowledged unlogged.
+			prev.SetPublishHook(m.publishHook)
+		}
+		return err
+	}
 	app.SetPublishHook(m.publishHook)
 	return nil
 }
@@ -296,9 +297,6 @@ func (m *Manager) Track(app *table.Appender) error {
 func (m *Manager) publishHook(name string, version uint64, ck *table.Chunk) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return errClosed
-	}
 	payload, err := encodeChunk(m.enc[:0], name, version, ck)
 	if err != nil {
 		return err
@@ -307,21 +305,44 @@ func (m *Manager) publishHook(name string, version uint64, ck *table.Chunk) erro
 	return m.appendLocked(payload)
 }
 
+// liveLocked is nil while the log takes records: errClosed after Close,
+// else the error that stopped it.
+func (m *Manager) liveLocked() error {
+	if m.closed {
+		return errClosed
+	}
+	return m.err
+}
+
 // appendLocked frames, writes, and (per policy) syncs one record.
+//
+// The first write, flush or fsync that fails stops the log until the
+// directory is reopened: every later record is refused with the same
+// error. The failed record may be on disk in part, in whole or not at
+// all, so it must stay the log's last — recovery cuts it if torn — and
+// no record may be acknowledged behind bytes the disk may have dropped.
+// A too-large record is refused before any byte is written and stops
+// nothing.
 func (m *Manager) appendLocked(payload []byte) error {
+	if err := m.liveLocked(); err != nil {
+		return err
+	}
 	n, err := m.fw.writeFrame(payload)
-	if err != nil {
+	var tooLarge *RecordTooLargeError
+	if errors.As(err, &tooLarge) {
 		return err
 	}
 	// Flush to the OS per record regardless of policy: a process crash
 	// (without an OS crash) then loses nothing under any policy.
-	if err := m.fw.flush(); err != nil {
-		return err
+	if err == nil {
+		err = m.fw.flush()
 	}
-	if m.opts.Fsync == PolicyAlways {
-		if err := m.f.Sync(); err != nil {
-			return err
-		}
+	if err == nil && m.opts.Fsync == PolicyAlways {
+		err = m.f.Sync()
+	}
+	if err != nil {
+		m.err = fmt.Errorf("wal: log %s stopped: %w", logPath(m.dir, m.gen), err)
+		return m.err
 	}
 	m.walBytes += n
 	m.sinceCkpt += n
@@ -358,31 +379,39 @@ func (m *Manager) checkpointLoop() {
 // checkpoints of generations < K. A crash before the rename leaves the
 // old checkpoint + full logs authoritative; a crash after it leaves
 // stale files that recovery ignores and the next checkpoint deletes.
+// A stopped log is not rotated: its failed record must stay in the final
+// generation, the only place recovery cuts a torn record.
 func (m *Manager) Checkpoint() error {
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
 
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return errClosed
-	}
+	err := m.liveLocked()
 	nextGen := m.gen + 1
 	m.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
-	nf, err := createLogFile(m.dir, nextGen)
+	nf, err := createFile(m.fs, logPath(m.dir, nextGen), false, nil)
 	if err != nil {
 		return err
 	}
 
 	m.mu.Lock()
-	if m.closed {
+	if err := m.liveLocked(); err != nil {
 		m.mu.Unlock()
 		nf.Close()
-		os.Remove(logPath(m.dir, nextGen))
-		return errClosed
+		// Best effort, as the log already failed: a stopped log's failed
+		// record must stay in its final generation.
+		m.fs.remove(logPath(m.dir, nextGen))
+		m.fs.syncDir(m.dir)
+		return err
 	}
-	oldF, oldFw := m.f, m.fw
+	// The old generation takes no further writes. The log is live, so
+	// every record in it was flushed (and under PolicyAlways synced)
+	// before its publish returned: it closes with nothing buffered.
+	oldF := m.f
 	m.f, m.fw = nf, newFrameWriter(nf)
 	m.gen = nextGen
 	m.sinceCkpt = 0
@@ -392,11 +421,6 @@ func (m *Manager) Checkpoint() error {
 		apps = append(apps, m.apps[k])
 	}
 	m.mu.Unlock()
-
-	// The old generation takes no further writes; flush whatever the
-	// buffered writer still holds so the old logs stay a complete record
-	// stream in case this checkpoint fails and they remain authoritative.
-	oldFw.flush() //nolint:errcheck // every record was already flushed to the OS; PolicyOff tolerates loss
 	oldF.Close()
 
 	// Barrier, then capture: any chunk whose record went to the old logs
@@ -409,14 +433,23 @@ func (m *Manager) Checkpoint() error {
 		snaps[i] = a.Snapshot()
 	}
 
-	if err := writeCheckpoint(m.dir, nextGen, snaps); err != nil {
+	if err := writeCheckpoint(m.fs, m.dir, nextGen, snaps); err != nil {
 		return err
 	}
 
 	// Delete superseded generations. Failures here are cosmetic —
 	// recovery ignores anything older than the newest valid checkpoint.
-	for _, p := range staleFiles(m.dir, nextGen) {
-		os.Remove(p)
+	if d, err := listDir(m.fs, m.dir); err == nil {
+		for _, g := range d.logs {
+			if g < nextGen {
+				m.fs.remove(logPath(m.dir, g))
+			}
+		}
+		for _, g := range d.ckpts {
+			if g < nextGen {
+				m.fs.remove(ckptPath(m.dir, g))
+			}
+		}
 	}
 
 	m.checkpoints.Add(1)
@@ -426,47 +459,24 @@ func (m *Manager) Checkpoint() error {
 
 // writeCheckpoint serializes the captured snapshots as a register +
 // chunk record stream, footer-terminated, and renames it into place.
-func writeCheckpoint(dir string, gen uint64, snaps []*table.Snapshot) error {
-	tmp := ckptPath(dir, gen) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+func writeCheckpoint(fs fsys, dir string, gen uint64, snaps []*table.Snapshot) error {
+	f, err := createFile(fs, ckptPath(dir, gen), true, func(fw *frameWriter) error {
+		var buf []byte
+		var err error
+		for _, s := range snaps {
+			if buf, err = writeSnapshotRecords(fw, buf, s); err != nil {
+				return err
+			}
+		}
+		footer := append(buf[:0], recCheckpointEnd)
+		footer = appendUvarint(footer, uint64(len(snaps)))
+		_, err = fw.writeFrame(footer)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	cleanup := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := f.WriteString(fileMagic); err != nil {
-		return cleanup(err)
-	}
-	fw := newFrameWriter(f)
-	var buf []byte
-	for _, s := range snaps {
-		if buf, err = writeSnapshotRecords(fw, buf, s); err != nil {
-			return cleanup(err)
-		}
-	}
-	footer := append(buf[:0], recCheckpointEnd)
-	footer = appendUvarint(footer, uint64(len(snaps)))
-	if _, err := fw.writeFrame(footer); err != nil {
-		return cleanup(err)
-	}
-	if err := fw.flush(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, ckptPath(dir, gen)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
+	return f.Close()
 }
 
 // writeSnapshotRecords emits one table's checkpoint records: a register
@@ -530,25 +540,32 @@ func writeSnapshotRecords(fw *frameWriter, buf []byte, s *table.Snapshot) ([]byt
 	return payload[:0], nil
 }
 
-// staleFiles lists log and checkpoint files of generations older than
-// keep.
-func staleFiles(dir string, keep uint64) []string {
-	var out []string
-	ents, err := os.ReadDir(dir)
+// dirFiles is one listing of a data directory, by kind of file.
+type dirFiles struct {
+	logs, ckpts []uint64 // generations, ascending
+	tmps        []string // paths of checkpoints a crash left unrenamed
+}
+
+func listDir(fs fsys, dir string) (dirFiles, error) {
+	names, err := fs.list(dir)
 	if err != nil {
-		return nil
+		return dirFiles{}, err
 	}
-	for _, e := range ents {
+	var d dirFiles
+	for _, name := range names {
 		var g uint64
 		switch {
-		case parseGen(e.Name(), "wal-", ".log", &g),
-			parseGen(e.Name(), "ckpt-", ".snap", &g):
-			if g < keep {
-				out = append(out, filepath.Join(dir, e.Name()))
-			}
+		case parseGen(name, "wal-", ".log", &g):
+			d.logs = append(d.logs, g)
+		case parseGen(name, "ckpt-", ".snap", &g):
+			d.ckpts = append(d.ckpts, g)
+		case parseGen(name, "ckpt-", ".snap.tmp", &g):
+			d.tmps = append(d.tmps, filepath.Join(dir, name))
 		}
 	}
-	return out
+	slices.Sort(d.logs)
+	slices.Sort(d.ckpts)
+	return d, nil
 }
 
 func parseGen(name, prefix, suffix string, out *uint64) bool {
@@ -570,26 +587,13 @@ func parseGen(name, prefix, suffix string, out *uint64) bool {
 	return true
 }
 
-func sortedGens(dir, prefix, suffix string) []uint64 {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var gens []uint64
-	for _, e := range ents {
-		var g uint64
-		if parseGen(e.Name(), prefix, suffix, &g) {
-			gens = append(gens, g)
-		}
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-	return gens
-}
-
 // Stats returns a point-in-time view of the durability counters.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	s := Stats{WALBytes: m.walBytes, Generation: m.gen}
+	if m.err != nil {
+		s.LogError = m.err.Error()
+	}
 	for _, a := range m.apps {
 		if v := a.Snapshot().Version(); v > s.SnapshotVersion {
 			s.SnapshotVersion = v
@@ -603,7 +607,8 @@ func (m *Manager) Stats() Stats {
 
 // Close flushes and syncs the log, stops the background loops, and
 // detaches nothing: publishes on still-referenced appenders fail with
-// an error rather than silently losing durability.
+// an error rather than silently losing durability. A stopped log is
+// neither flushed nor synced again, and Close returns what stopped it.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -612,10 +617,12 @@ func (m *Manager) Close() error {
 	}
 	m.closed = true
 	close(m.stopCh)
-	err1 := m.fw.flush()
-	err2 := m.f.Sync()
-	err3 := m.f.Close()
+	err := m.err
+	if err == nil {
+		err = errors.Join(m.fw.flush(), m.f.Sync())
+	}
+	err = errors.Join(err, m.f.Close())
 	m.mu.Unlock()
 	m.wg.Wait()
-	return errors.Join(err1, err2, err3)
+	return err
 }

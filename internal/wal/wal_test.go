@@ -70,6 +70,16 @@ func ingest(t *testing.T, app *table.Appender, lo, hi, batch int) {
 	}
 }
 
+// listed is one listing of dir's log and checkpoint files.
+func listed(t *testing.T, dir string) dirFiles {
+	t.Helper()
+	d, err := listDir(osFS{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func assertTableMatches(t *testing.T, app *table.Appender, wantRows int) {
 	t.Helper()
 	s := app.Snapshot()
@@ -208,7 +218,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 	ingest(t, app, 40, 50, 10)
 	m.Close()
 
-	logs := sortedGens(dir, "wal-", ".log")
+	logs := listed(t, dir).logs
 	if len(logs) != 1 {
 		t.Fatalf("expected 1 log, got %d", len(logs))
 	}
@@ -240,7 +250,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(sub, "wal-1.log"), whole[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, _, err := recoverDir(sub)
+		rec, _, err := recoverDir(osFS{}, sub)
 		if err != nil {
 			t.Fatalf("cut=%d: recover error: %v", cut, err)
 		}
@@ -263,7 +273,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 		}
 		ingest(t, rec2.Appenders[0], 40, 45, 5)
 		m2.Close()
-		rec3, _, err := recoverDir(sub)
+		rec3, _, err := recoverDir(osFS{}, sub)
 		if err != nil || rec3.Appenders[0].Snapshot().NumRows() != 45 {
 			t.Fatalf("cut=%d: append-after-repair failed: %v", cut, err)
 		}
@@ -282,7 +292,7 @@ func TestCorruptTailEveryByte(t *testing.T) {
 	ingest(t, app, 30, 40, 10)
 	m.Close()
 
-	logs := sortedGens(dir, "wal-", ".log")
+	logs := listed(t, dir).logs
 	whole, err := os.ReadFile(logPath(dir, logs[0]))
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +324,7 @@ func TestCorruptTailEveryByte(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(sub, "wal-1.log"), mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, _, err := recoverDir(sub)
+		rec, _, err := recoverDir(osFS{}, sub)
 		if err != nil {
 			t.Fatalf("flip=%d: recover error: %v", cut, err)
 		}
@@ -337,10 +347,10 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	// Old generation gone, checkpoint present.
-	if logs := sortedGens(dir, "wal-", ".log"); len(logs) != 1 || logs[0] != 2 {
+	if logs := listed(t, dir).logs; len(logs) != 1 || logs[0] != 2 {
 		t.Fatalf("logs after checkpoint: %v", logs)
 	}
-	if cks := sortedGens(dir, "ckpt-", ".snap"); len(cks) != 1 || cks[0] != 2 {
+	if cks := listed(t, dir).ckpts; len(cks) != 1 || cks[0] != 2 {
 		t.Fatalf("checkpoints: %v", cks)
 	}
 	st := m.Stats()
@@ -351,7 +361,7 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	ingest(t, app, 300, 400, 50)
 	m.Close()
 
-	rec, _, err := recoverDir(dir)
+	rec, _, err := recoverDir(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +419,7 @@ func TestCheckpointCrashWindows(t *testing.T) {
 		if err := os.WriteFile(ckptPath(dir, 3), ck[:len(ck)-9], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, _, err := recoverDir(dir)
+		rec, _, err := recoverDir(osFS{}, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +449,7 @@ func TestCheckpointCrashWindows(t *testing.T) {
 		}
 		ingest(t, app, 100, 150, 25)
 		m.Close()
-		rec, _, err := recoverDir(dir)
+		rec, _, err := recoverDir(osFS{}, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,7 +474,7 @@ func TestAutomaticCheckpoint(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	m.Close()
-	rec, _, err := recoverDir(dir)
+	rec, _, err := recoverDir(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +508,7 @@ func TestReplaceTableRecovers(t *testing.T) {
 	}
 	m.Close()
 
-	rec, _, err := recoverDir(dir)
+	rec, _, err := recoverDir(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
