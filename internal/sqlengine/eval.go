@@ -64,7 +64,7 @@ func binaryValue(op string, lv, rv table.Value) (table.Value, error) {
 	case lv.IsNull() || rv.IsNull():
 		return table.Null(), nil
 	case isCmp:
-		return table.Bool(cmp.Accepts(table.Compare(lv, rv))), nil
+		return compareValues(cmp, lv, rv)
 	case op == "LIKE":
 		return table.Bool(likeMatch(lv.AsString(), rv.AsString())), nil
 	case op == "||":
@@ -85,6 +85,21 @@ func binaryValue(op string, lv, rv table.Value) (table.Value, error) {
 		return table.Float(r), nil
 	}
 	return table.Null(), nil
+}
+
+// compareValues is a op b for two non-NULL values as table.Compare orders
+// them, a string against a time read as its instant by
+// table.CompareOperand; a string there that names no instant raises.
+func compareValues(op table.CmpOp, a, b table.Value) (table.Value, error) {
+	ta, aok := table.CompareOperand(b.Kind, a)
+	tb, bok := table.CompareOperand(a.Kind, b)
+	switch {
+	case !aok:
+		return table.Null(), fmt.Errorf("sql: %q is not a time", a.S)
+	case !bok:
+		return table.Null(), fmt.Errorf("sql: %q is not a time", b.S)
+	}
+	return table.Bool(op.Accepts(table.Compare(ta, tb))), nil
 }
 
 // cmpOpOf is the comparison operator op names; ok=false for any other
@@ -159,13 +174,18 @@ func floatArith(op string) func(a, b float64) (float64, bool) {
 }
 
 // betweenValue is v [NOT] BETWEEN lo AND hi for one row: NULL when any of
-// the three is, otherwise bound by bound as table.Compare orders them.
-func betweenValue(v, lo, hi table.Value, not bool) table.Value {
+// the three is, otherwise v >= lo and v <= hi by compareValues. Both are
+// compared, so a bound that names no instant raises on every row it meets.
+func betweenValue(v, lo, hi table.Value, not bool) (table.Value, error) {
 	if v.IsNull() || lo.IsNull() || hi.IsNull() {
-		return table.Null()
+		return table.Null(), nil
 	}
-	in := table.Compare(v, lo) >= 0 && table.Compare(v, hi) <= 0
-	return table.Bool(in != not)
+	ge, err := compareValues(table.CmpGe, v, lo)
+	if err != nil {
+		return ge, err
+	}
+	le, err := compareValues(table.CmpLe, v, hi)
+	return table.Bool((ge.B && le.B) != not), err
 }
 
 // likeMatch implements SQL LIKE with % and _ wildcards, case-insensitively

@@ -83,26 +83,27 @@ func evalExpr(e Expr, ev env) (table.Value, error) {
 		// Three-valued membership: TRUE on the first equal candidate,
 		// NULL when none is equal but one was NULL, FALSE otherwise.
 		unknown := false
-		member := func(cv table.Value) bool {
+		member := func(cv table.Value) (bool, error) {
 			if cv.IsNull() {
 				unknown = true
-				return false
+				return false, nil
 			}
-			return table.Equal(v, cv)
+			eq, err := compareValues(table.CmpEq, v, cv)
+			return eq.B, err
 		}
 		for _, cand := range x.Values {
 			cv, err := evalExpr(cand, ev)
 			if err != nil {
 				return table.Null(), err
 			}
-			if member(cv) {
-				return table.Bool(!x.Not), nil
+			if in, err := member(cv); in || err != nil {
+				return table.Bool(!x.Not), err
 			}
 		}
 		if x.Sub != nil {
 			for _, cv := range ev.args().subs[x.slot] {
-				if member(cv) {
-					return table.Bool(!x.Not), nil
+				if in, err := member(cv); in || err != nil {
+					return table.Bool(!x.Not), err
 				}
 			}
 		}
@@ -123,7 +124,7 @@ func evalExpr(e Expr, ev env) (table.Value, error) {
 		if err != nil {
 			return table.Null(), err
 		}
-		return betweenValue(v, lo, hi, x.Not), nil
+		return betweenValue(v, lo, hi, x.Not)
 	case *IsNull:
 		v, err := evalExpr(x.X, ev)
 		if err != nil {
@@ -443,8 +444,7 @@ func TestOperatorDefinitions(t *testing.T) {
 		if err != nil || !same(got, c.want) {
 			t.Errorf("binaryValue: %s = %v (%v), want %v", name, got, err, c.want)
 		}
-		lcol := table.ColumnOf("", c.l.Kind, []table.Value{c.l})
-		rcol := table.ColumnOf("", c.r.Kind, []table.Value{c.r})
+		lcol, rcol := constColumn(c.l, 1), constColumn(c.r, 1)
 		if _, ok := binaryVec(c.op, &lcol, &rcol); !ok {
 			t.Errorf("evalVec: %s has no typed loop", name)
 			continue

@@ -351,15 +351,16 @@ func FuzzRowOrder(f *testing.F) {
 			shape := shapes[i] % 7
 			kind := []table.Kind{table.KindInt, table.KindFloat, table.KindString,
 				table.KindBool, table.KindTime, table.KindNull, table.KindString}[shape]
-			vals := make([]table.Value, n)
-			for r := range vals {
+			cols[i] = table.NewColumn(fmt.Sprintf("k%d", i), kind)
+			for r := 0; r < n; r++ {
+				v := table.Null()
 				if b := cells[r*nk+i]; shape == 6 {
-					vals[r], _ = kind.Coerce(fuzzCell([]table.Kind{table.KindInt, table.KindFloat, table.KindString}[b%3], b/3))
+					v, _ = kind.Coerce(fuzzCell([]table.Kind{table.KindInt, table.KindFloat, table.KindString}[b%3], b/3))
 				} else if kind != table.KindNull {
-					vals[r] = fuzzCell(kind, b)
+					v = fuzzCell(kind, b)
 				}
+				cols[i].Append(v)
 			}
-			cols[i] = table.ColumnOf(fmt.Sprintf("k%d", i), kind, vals)
 			order[i] = OrderItem{Desc: head>>(2+i)&1 == 1}
 		}
 		checkRowOrder(t, cols, order, n)

@@ -187,10 +187,14 @@ func sqliteLiteral(v table.Value) string {
 		}
 		return "0"
 	case table.KindTime:
-		return "'" + v.Time().Format("2006-01-02 15:04:05.000000000") + "'"
+		return "'" + v.Time().Format(sqliteTimeLayout) + "'"
 	}
 	return "NULL"
 }
+
+// sqliteTimeLayout is a time cell's text in SQLite: its UTC instant at
+// fixed width, so that text order is time order.
+const sqliteTimeLayout = "2006-01-02 15:04:05.000000000"
 
 // parseQuoteRow splits one `.mode quote` line into cells: NULL, an
 // integer, a real (it has a point or an exponent) or a quoted string.
@@ -366,11 +370,85 @@ func sqliteFormOf(c *Catalog, q string) *sqliteForm {
 			stmt.OrderBy = append(stmt.OrderBy, OrderItem{Expr: &Literal{Value: table.Int(int64(i + 1))}})
 		}
 	}
-	f.text, f.sqlite = stmt.SQL(), stmt.SQL()
+	f.text = stmt.SQL()
+	sqliteTimes(c, stmt)
+	f.sqlite = stmt.SQL()
 	if stmt.Limit < 0 && stmt.Offset > 0 {
 		f.sqlite = strings.Replace(f.sqlite, " OFFSET ", " LIMIT -1 OFFSET ", 1)
 	}
 	return f
+}
+
+// sqliteTimes rewrites stmt for SQLite, which holds a time as its
+// sqliteTimeLayout text: a string literal that a comparison sets against a
+// time becomes the instant it names in that text, so SQLite's text order
+// decides what the engine's instant order does, and YEAR, MONTH and DAY,
+// which SQLite lacks, read their digits from the text. A literal that names
+// no instant stays as it is; the engine refuses such a statement. stmt is
+// left as it is when it does not resolve against c.
+func sqliteTimes(c *Catalog, stmt *SelectStmt) {
+	p, err := c.resolve(stmt)
+	if err != nil {
+		return
+	}
+	rel := planRel(p, nil)
+	if rel == nil {
+		return
+	}
+	instant := func(e, other Expr) Expr {
+		lit, ok := e.(*Literal)
+		if !ok {
+			return e
+		}
+		if t, ok := table.CompareOperand(kindOf(other, rel), lit.Value); ok && t.Kind == table.KindTime {
+			return &Literal{Value: table.Str(t.Time().Format(sqliteTimeLayout))}
+		}
+		return e
+	}
+	digits := map[string][2]int64{"YEAR": {1, 4}, "MONTH": {6, 2}, "DAY": {9, 2}}
+	rewrite := func(e Expr) Expr {
+		return rewriteExpr(e, func(e Expr) (Expr, bool) {
+			switch x := e.(type) {
+			case *Binary:
+				if _, ok := cmpOpOf(x.Op); ok {
+					return &Binary{Op: x.Op, L: instant(x.L, x.R), R: instant(x.R, x.L)}, true
+				}
+			case *Between:
+				return &Between{X: x.X, Lo: instant(x.Lo, x.X), Hi: instant(x.Hi, x.X), Not: x.Not}, true
+			case *In:
+				vals := make([]Expr, len(x.Values))
+				for i, v := range x.Values {
+					vals[i] = instant(v, x.X)
+				}
+				return &In{X: x.X, Values: vals, Sub: x.Sub, Not: x.Not, slot: x.slot}, true
+			case *FuncCall:
+				if d, ok := digits[x.Name]; ok && len(x.Args) == 1 {
+					from, n := &Literal{Value: table.Int(d[0])}, &Literal{Value: table.Int(d[1])}
+					substr := &FuncCall{Name: "SUBSTR", Args: []Expr{x.Args[0], from, n}}
+					return &Binary{Op: "+", L: substr, R: &Literal{Value: table.Int(0)}}, true
+				}
+			}
+			return e, true
+		})
+	}
+	for i := range stmt.Items {
+		stmt.Items[i].Expr = rewrite(stmt.Items[i].Expr)
+	}
+	for i := range stmt.Joins {
+		stmt.Joins[i].On = rewrite(stmt.Joins[i].On)
+	}
+	for i := range stmt.GroupBy {
+		stmt.GroupBy[i] = rewrite(stmt.GroupBy[i])
+	}
+	for i := range stmt.OrderBy {
+		stmt.OrderBy[i].Expr = rewrite(stmt.OrderBy[i].Expr)
+	}
+	if stmt.Where != nil {
+		stmt.Where = rewrite(stmt.Where)
+	}
+	if stmt.Having != nil {
+		stmt.Having = rewrite(stmt.Having)
+	}
 }
 
 // ordersByOutput reports whether each ORDER BY key stmt wrote is one of
@@ -440,15 +518,26 @@ func planKinds(c *Catalog, q string) ([]SelectItem, *vrel) {
 	if err != nil {
 		return nil, nil
 	}
+	rel := planRel(p, binds)
+	if rel == nil {
+		return nil, nil
+	}
+	return p.items, rel
+}
+
+// planRel is a relation with no rows whose columns have the kinds of p's
+// joined relation, its subqueries run over binds, for kindOf; nil when a
+// subquery fails.
+func planRel(p *plan, binds []table.Value) *vrel {
 	x, err := start(context.Background(), p, binds, nil, executeScalarPlan)
 	if err != nil {
-		return nil, nil
+		return nil
 	}
 	var cols []table.Column
 	for _, a := range p.apps {
 		cols = append(cols, a.Snapshot().Table().Columns...)
 	}
-	return p.items, kindsOf(cols, x)
+	return kindsOf(cols, x)
 }
 
 // stmtExprs is every expression of stmt's own scope.
@@ -556,6 +645,8 @@ func (f *sqliteForm) rowKey(row []table.Value) string {
 	for j, v := range row {
 		switch {
 		case v.IsNull():
+		case v.Kind == table.KindTime:
+			v = table.Str(v.Time().Format(sqliteTimeLayout))
 		case j < len(f.mixed) && f.mixed[j]:
 			v = table.Infer(v.AsString())
 		case j < len(f.floatAgg) && f.floatAgg[j] && (v.Kind == table.KindInt || v.Kind == table.KindFloat):
@@ -569,8 +660,9 @@ func (f *sqliteForm) rowKey(row []table.Value) string {
 }
 
 // TestSQLiteDifferential runs the generator's statements from 40 seeds and
-// the fixed corpora through both engines: every disagreement must be one
-// of sqliteExceptions.
+// the fixed corpora through both engines — the time corpus without the
+// statements the engine refuses — and every disagreement must be one of
+// sqliteExceptions.
 func TestSQLiteDifferential(t *testing.T) {
 	bin := sqliteBinary(t)
 	tally := &sqliteTally{explained: map[*sqliteException]int{}}
@@ -593,6 +685,15 @@ func TestSQLiteDifferential(t *testing.T) {
 	c := randCatalog(rng, 200)
 	registerTailTable(c)
 	diffSQLite(t, bin, load(c), append(tailStatements(), nearJoinStatements()...), tally)
+	c = NewCatalog()
+	registerTimeTables(c)
+	var times []string
+	for _, q := range timeStatements() {
+		if _, err := c.QueryCtx(context.Background(), q); err == nil {
+			times = append(times, q)
+		}
+	}
+	diffSQLite(t, bin, load(c), times, tally)
 	for _, u := range tally.unexplained {
 		t.Errorf("unexplained disagreement: %s", u)
 	}

@@ -246,10 +246,13 @@ func constColumn(v table.Value, n int) table.Column {
 	switch v.Kind {
 	case table.KindNull:
 		return nullColumn(table.KindNull, n)
-	case table.KindInt:
+	case table.KindInt, table.KindTime:
 		vals := make([]int64, n)
 		for i := range vals {
 			vals[i] = v.I
+		}
+		if v.Kind == table.KindTime {
+			return table.ColumnFromTimes("", vals, nil)
 		}
 		return table.ColumnFromInts("", vals, nil)
 	case table.KindFloat:
@@ -264,19 +267,12 @@ func constColumn(v table.Value, n int) table.Column {
 			vals[i] = v.S
 		}
 		return table.ColumnFromStrings("", vals, nil)
-	case table.KindBool:
-		vals := make([]bool, n)
-		for i := range vals {
-			vals[i] = v.B
-		}
-		return table.ColumnFromBools("", vals, nil)
-	default:
-		vals := make([]table.Value, n)
-		for i := range vals {
-			vals[i] = v
-		}
-		return table.ColumnOf("", v.Kind, vals)
 	}
+	vals := make([]bool, n)
+	for i := range vals {
+		vals[i] = v.B
+	}
+	return table.ColumnFromBools("", vals, nil)
 }
 
 // asFloats views a column as float64s when it is typed numeric (int or
@@ -326,11 +322,11 @@ func evalVecBinary(b *Binary, rel *vrel, sel *table.Selection) (table.Column, er
 	case "LIKE":
 		return evalVecLike(b, rel, sel)
 	}
-	lcol, err := evalVec(b.L, rel, sel)
+	lcol, err := evalCompared(b, b.L, b.R, rel, sel)
 	if err != nil {
 		return table.Column{}, err
 	}
-	rcol, err := evalVec(b.R, rel, sel)
+	rcol, err := evalCompared(b, b.R, b.L, rel, sel)
 	if err != nil {
 		return table.Column{}, err
 	}
@@ -340,6 +336,23 @@ func evalVecBinary(b *Binary, rel *vrel, sel *table.Selection) (table.Column, er
 	return evalRows(b, rel, selLen(rel, sel), []operand{{col: lcol}, {col: rcol}}, func(a []table.Value) (table.Value, error) {
 		return binaryValue(b.Op, a[0], a[1])
 	})
+}
+
+// evalCompared is evalVec of e, the operand of b whose other operand is
+// other. When b compares and e is a constant, e is read as the comparison
+// reads it (table.CompareOperand): a string against a time becomes its
+// instant here, once per evaluation, for compareVec's time loop. A string
+// that names no instant stays text, and binaryValue raises on the rows
+// that reach it.
+func evalCompared(b *Binary, e, other Expr, rel *vrel, sel *table.Selection) (table.Column, error) {
+	if _, isCmp := cmpOpOf(b.Op); isCmp {
+		if k, ok := constExprValue(e, rel); ok {
+			if t, ok := table.CompareOperand(kindOf(other, rel), k); ok && t.Kind != k.Kind {
+				return constColumn(t, selLen(rel, sel)), nil
+			}
+		}
+	}
+	return evalVec(e, rel, sel)
 }
 
 // evalVecLogic is three-valued AND/OR. The right side runs only on the rows
@@ -557,10 +570,14 @@ func evalVecBetween(x *Between, rel *vrel, sel *table.Selection) (table.Column, 
 	if err != nil {
 		return table.Column{}, err
 	}
+	// Constant bounds are read as in evalCompared, once (a column bound's k
+	// is NULL, which stays).
+	lo.k, _ = table.CompareOperand(col.Kind, lo.k)
+	hi.k, _ = table.CompareOperand(col.Kind, hi.k)
 	n := selLen(rel, sel)
 	if !lo.konst || !hi.konst || !col.ComparesTyped(lo.k) || !col.ComparesTyped(hi.k) {
 		return evalRows(x, rel, n, []operand{{col: col}, lo, hi}, func(a []table.Value) (table.Value, error) {
-			return betweenValue(a[0], a[1], a[2], x.Not), nil
+			return betweenValue(a[0], a[1], a[2], x.Not)
 		})
 	}
 	run := [2]table.Cmp{{Op: table.CmpGe, K: lo.k}, {Op: table.CmpLe, K: hi.k}}
@@ -583,10 +600,10 @@ func isNumericLit(v table.Value) bool {
 }
 
 // evalVecIn is X [NOT] IN (...). When every candidate is a constant — a
-// literal, bound parameter or subquery row — typed numeric or string X tests
-// membership in a hash set. Otherwise membership is tested row by row, as a
-// row walk tests it: a NULL X is NULL and reaches no candidate, each
-// candidate runs only on the rows no earlier one matched, and the
+// literal, bound parameter or subquery row — typed numeric, string or time
+// X tests membership in a hash set. Otherwise membership is tested row by
+// row, as a row walk tests it: a NULL X is NULL and reaches no candidate,
+// each candidate runs only on the rows no earlier one matched, and the
 // subquery's rows come last. A NULL candidate never matches, but makes a
 // row no candidate matched NULL rather than FALSE (so NOT IN is NULL, not
 // TRUE, there): SQL's three-valued IN.
@@ -601,7 +618,7 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, error) {
 		// and NOT IN is TRUE.
 		return constColumn(table.Bool(x.Not), n), nil
 	}
-	if lits, anyNull, ok := inConstants(x, rel); ok {
+	if lits, anyNull, ok := inConstants(x, col.Kind, rel); ok {
 		if out, ok := inSet(&col, lits, anyNull, x.Not); ok {
 			return out, nil
 		}
@@ -616,13 +633,17 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, error) {
 			count++
 		}
 	}
-	match := func(i int, cv table.Value) {
+	match := func(i int, cv table.Value) error {
 		if cv.IsNull() {
 			sawNull[i] = true
-		} else if table.Equal(col.Value(i), cv) {
+			return nil
+		}
+		eq, err := compareValues(table.CmpEq, col.Value(i), cv)
+		if eq.B {
 			found[i], open[i] = true, false
 			count--
 		}
+		return err
 	}
 	for _, cand := range x.Values {
 		if count == 0 {
@@ -634,7 +655,9 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, error) {
 		}
 		for i, j := 0, 0; i < n; i++ {
 			if open[i] {
-				match(i, op.at(j))
+				if err := match(i, op.at(j)); err != nil {
+					return table.Column{}, err
+				}
 				j++
 			}
 		}
@@ -643,7 +666,9 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, error) {
 		list := rel.x.subs[x.slot]
 		for i := 0; i < n; i++ {
 			for k := 0; k < len(list) && open[i]; k++ {
-				match(i, list[k])
+				if err := match(i, list[k]); err != nil {
+					return table.Column{}, err
+				}
 			}
 		}
 	}
@@ -658,13 +683,15 @@ func evalVecIn(x *In, rel *vrel, sel *table.Selection) (table.Column, error) {
 
 // inConstants returns IN's non-NULL list entries — a subquery's rows
 // included — and whether any entry is NULL, when every candidate is a
-// constant; ok=false otherwise.
-func inConstants(x *In, rel *vrel) (lits []table.Value, anyNull, ok bool) {
+// constant; ok=false otherwise. Each entry is read as its comparison with
+// an X of kind kind reads it, as in evalCompared.
+func inConstants(x *In, kind table.Kind, rel *vrel) (lits []table.Value, anyNull, ok bool) {
 	lits = make([]table.Value, 0, len(x.Values))
 	add := func(v table.Value) {
 		if v.IsNull() {
 			anyNull = true
 		} else {
+			v, _ = table.CompareOperand(kind, v)
 			lits = append(lits, v)
 		}
 	}
@@ -683,23 +710,17 @@ func inConstants(x *In, rel *vrel) (lits []table.Value, anyNull, ok bool) {
 	return lits, anyNull, true
 }
 
-// inSet is IN's typed loop: numeric X against an all-numeric list, or
-// string X against an all-string list. Mixed-kind membership (which
-// compares through table.Equal's string forms) reports ok=false.
-// anyNull says the list also held a NULL, which makes a non-member NULL.
+// inSet is IN's typed loop: numeric X against an all-numeric list, string
+// X against an all-string list, or time X against an all-time list. Any
+// other membership (which compares through compareValues) reports
+// ok=false. anyNull says the list also held a NULL, which makes a
+// non-member NULL.
 func inSet(col *table.Column, lits []table.Value, anyNull, not bool) (table.Column, bool) {
 	if ss, nulls, ok := col.Strings(); ok {
-		set := make(map[string]bool, len(lits))
-		for _, v := range lits {
-			if v.Kind != table.KindString {
-				return table.Column{}, false
-			}
-			set[v.S] = true
-		}
-		return mapColumn(ss, nulls, func(s string) (bool, bool) {
-			found := set[s]
-			return found != not, found || !anyNull
-		}), true
+		return inKeys(ss, nulls, lits, table.KindString, func(v table.Value) string { return v.S }, anyNull, not)
+	}
+	if ts, nulls, ok := col.Times(); ok {
+		return inKeys(ts, nulls, lits, table.KindTime, func(v table.Value) int64 { return v.I }, anyNull, not)
 	}
 	is, nulls, isInt := col.Ints()
 	fs, fnulls, isFloat := col.Floats()
@@ -732,6 +753,23 @@ func inSet(col *table.Column, lits []table.Value, anyNull, not bool) (table.Colu
 	}
 	return mapColumn(fs, fnulls, func(f float64) (bool, bool) {
 		found := floats[f] || f != f && len(lits) > 0 || nanEntry
+		return found != not, found || !anyNull
+	}), true
+}
+
+// inKeys is inSet over the cells of one kind whose = is equality of their
+// key: every entry must be of that kind, and a cell is a member when its
+// key is an entry's.
+func inKeys[T comparable](vals []T, nulls []bool, lits []table.Value, kind table.Kind, key func(table.Value) T, anyNull, not bool) (table.Column, bool) {
+	set := make(map[T]bool, len(lits))
+	for _, v := range lits {
+		if v.Kind != kind {
+			return table.Column{}, false
+		}
+		set[key(v)] = true
+	}
+	return mapColumn(vals, nulls, func(x T) (bool, bool) {
+		found := set[x]
 		return found != not, found || !anyNull
 	}), true
 }

@@ -95,17 +95,6 @@ func ColumnFromTimes(name string, vals []int64, nulls []bool) Column {
 	return Column{Name: name, Kind: KindTime, length: len(vals), ints: vals, nulls: nulls}
 }
 
-// ColumnOf builds a column of the given kind from values, each NULL or of
-// that kind.
-func ColumnOf(name string, kind Kind, vals []Value) Column {
-	c := NewColumn(name, kind)
-	c.Grow(len(vals))
-	for _, v := range vals {
-		c.Append(v)
-	}
-	return c
-}
-
 // Len returns the number of cells.
 func (c *Column) Len() int { return c.length }
 

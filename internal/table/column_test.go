@@ -5,6 +5,16 @@ import (
 	"time"
 )
 
+// columnOf builds a column of the given kind from values, each NULL or of
+// that kind.
+func columnOf(name string, kind Kind, vals []Value) Column {
+	c := NewColumn(name, kind)
+	for _, v := range vals {
+		c.Append(v)
+	}
+	return c
+}
+
 func TestColumnTypedStorage(t *testing.T) {
 	c := NewColumn("n", KindInt)
 	c.Append(Int(1))
@@ -40,7 +50,6 @@ func TestColumnRefusesAnotherKind(t *testing.T) {
 		"Append":       func() { c.Append(Float(2.5)) },
 		"Set":          func() { c.Set(0, Str("x")) },
 		"AppendColumn": func() { c.AppendColumn(&other) },
-		"ColumnOf":     func() { ColumnOf("m", KindInt, []Value{Int(1), Str("two")}) },
 		"KindNull":     func() { n := NewColumn("n", KindNull); n.Append(Int(1)) },
 	} {
 		func() {

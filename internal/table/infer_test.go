@@ -191,7 +191,7 @@ func TestTimeCellsHoldUTCNanoseconds(t *testing.T) {
 	ts.Columns[0].Set(1, Time(zoned))
 	for i := 0; i < 2; i++ {
 		v := ts.Columns[0].Value(i)
-		if v.AsString() != "2024-01-01 08:00:00" || v.Time().Location() != time.UTC || !v.Time().Equal(zoned) {
+		if v.AsString() != "2024-01-01 08:00:00.000000005" || v.Time().Location() != time.UTC || !v.Time().Equal(zoned) {
 			t.Errorf("row %d: zoned %s is held as %s (%v)", i, zoned, v.AsString(), v.Time())
 		}
 	}

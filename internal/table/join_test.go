@@ -174,7 +174,7 @@ func TestEquiKeyExact(t *testing.T) {
 		lcols, rcols := make([]*Column, len(tc.left)), make([]*Column, len(tc.right))
 		want := true
 		for i := range tc.left {
-			l, r := ColumnOf("l", tc.left[i].Kind, tc.left[i:i+1]), ColumnOf("r", tc.right[i].Kind, tc.right[i:i+1])
+			l, r := columnOf("l", tc.left[i].Kind, tc.left[i:i+1]), columnOf("r", tc.right[i].Kind, tc.right[i:i+1])
 			if !EquiHashable(&l, &r) {
 				t.Fatalf("%s: key pair %d is not hashable", tc.name, i)
 			}
@@ -314,7 +314,7 @@ func TestHashProbeMatchesMapIndex(t *testing.T) {
 				}
 				return KindInt
 			}
-			l, r := ColumnOf("l", kind(tc.left[i]), tc.left[i]), ColumnOf("r", kind(tc.right[i]), tc.right[i])
+			l, r := columnOf("l", kind(tc.left[i]), tc.left[i]), columnOf("r", kind(tc.right[i]), tc.right[i])
 			lcols[i], rcols[i] = &l, &r
 		}
 		got, want := NewHashProbe(lcols, rcols), mapProbe(lcols, rcols)

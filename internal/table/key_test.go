@@ -24,7 +24,7 @@ func TestAppendKeyTuples(t *testing.T) {
 		Str(""), Str("x\x1fs:y"), Str(strings.Repeat("w", 300)),
 	}
 	for _, v := range vals {
-		typed := ColumnOf("t", v.Kind, []Value{Null(), v})
+		typed := columnOf("t", v.Kind, []Value{Null(), v})
 		want := AppendKey([]byte("prefix"), v)
 		if got := typed.AppendKey([]byte("prefix"), 1); !bytes.Equal(got, want) {
 			t.Errorf("typed %v keys as %q, want %q", v, got, want)
@@ -114,7 +114,7 @@ func FuzzEqualKey(f *testing.F) {
 		keys := make([]string, len(cells))
 		for i, v := range cells {
 			keys[i] = keyOf(v)
-			typed := ColumnOf("t", v.Kind, cells[i:i+1])
+			typed := columnOf("t", v.Kind, cells[i:i+1])
 			if got := string(typed.AppendKey(nil, 0)); got != keys[i] || string(AppendKey(nil, typed.Value(0))) != keys[i] {
 				t.Fatalf("typed %v keys as %q, want %q", v, got, keys[i])
 			}

@@ -178,7 +178,9 @@ func (v Value) AsInt() (int64, bool) {
 	}
 }
 
-// AsString renders the value as a string; NULL renders as "".
+// AsString renders the value as a string; NULL renders as "". A time
+// renders its UTC instant as 2006-01-02 15:04:05, then its fraction of a
+// second when that is not zero, trailing zeros trimmed.
 func (v Value) AsString() string {
 	switch v.Kind {
 	case KindNull:
@@ -195,7 +197,7 @@ func (v Value) AsString() string {
 		}
 		return "false"
 	case KindTime:
-		return v.Time().Format("2006-01-02 15:04:05")
+		return v.Time().Format("2006-01-02 15:04:05.999999999")
 	default:
 		return ""
 	}
@@ -237,8 +239,12 @@ func (v Value) String() string {
 
 // Compare orders two values. NULL sorts first. Int, Float and Bool compare
 // numerically with each other (an int pair exactly), and two Times
-// chronologically; any other pair — a Time against a number included —
-// compares its string forms lexically. Returns -1, 0, or +1.
+// chronologically. A Time against a String compares instants, the string
+// read by CompareOperand; only a string that names no instant falls to text
+// order, since Compare is a total order and cannot raise (the SQL engine's
+// comparisons raise there instead). Any other pair — a Time against a
+// number included — compares its string forms lexically. Returns -1, 0, or
+// +1.
 func Compare(a, b Value) int {
 	an, bn := a.IsNull(), b.IsNull()
 	switch {
@@ -249,6 +255,8 @@ func Compare(a, b Value) int {
 	case bn:
 		return 1
 	}
+	a, _ = CompareOperand(b.Kind, a)
+	b, _ = CompareOperand(a.Kind, b)
 	// Int pairs compare exactly in int64: float64 conversion would conflate
 	// integers beyond 2^53, and the vectorized engine's typed int paths are
 	// exact, so the scalar path must be too. Two times compare their
@@ -262,6 +270,22 @@ func Compare(a, b Value) int {
 		return ThreeWay(af, bf)
 	}
 	return strings.Compare(a.AsString(), b.AsString())
+}
+
+// CompareOperand is the one rule for a time compared with a string: v, an
+// operand of a comparison whose other operand has kind other, as the
+// comparison reads it. A string against a time is the instant
+// KindTime.Parse reads from it, as ingest would store it (a date alone is
+// midnight UTC); ok is false, and v comes back as it is, when the text
+// names no instant, blank text included. Any other operand is v itself.
+func CompareOperand(other Kind, v Value) (Value, bool) {
+	if other != KindTime || v.Kind != KindString {
+		return v, true
+	}
+	if t, ok := KindTime.Parse(v.S); ok && !t.IsNull() {
+		return t, true
+	}
+	return v, false
 }
 
 func isNumericKind(k Kind) bool {
@@ -281,9 +305,10 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 // length then its bytes, and a time as its UTC Unix nanoseconds. Each form
 // has a fixed size or carries its length, so tuples of keys never
 // collide. Compare makes NaN equal to every number, and compares an int
-// with a float past ±2^53 as float64 and a string with another kind by
-// string form; those pairs may key apart. Column.AppendKey writes the same
-// bytes from typed storage. Nothing persists a key.
+// with a float past ±2^53 as float64, a string with a time as an instant
+// and a string with another kind by string form; those pairs may key
+// apart. Column.AppendKey writes the same bytes from typed storage.
+// Nothing persists a key.
 func AppendKey(dst []byte, v Value) []byte {
 	switch v.Kind {
 	case KindInt:
