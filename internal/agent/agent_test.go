@@ -362,20 +362,8 @@ func TestFidelityIsStochasticButMostlyTrue(t *testing.T) {
 // the next snapshot is cloned from it, extended and given its own runtime.
 // Run under -race in CI.
 func TestConcurrentCandidatesAcrossSnapshots(t *testing.T) {
-	client := llm.NewClient(llm.GPT4, "candidates")
-	bundle, err := knowledge.NewGenerator(client).Generate(
-		knowledge.TableSchema{Name: "sales", Columns: []knowledge.ColumnSchema{
-			{Name: "region", Type: "string"}, {Name: "product", Type: "string"}, {Name: "revenue", Type: "double"},
-		}},
-		[]knowledge.Script{{ID: "east", Language: knowledge.LangSQL,
-			Text: "SELECT region, SUM(revenue) AS total_revenue FROM sales WHERE region = 'east' AND product = 'widget' GROUP BY region"}},
-		nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graph := knowledge.NewGraph()
-	graph.AddBundle(bundle, knowledge.LevelFull)
-	rt := NewRuntime(client, salesCatalog(t)).WithGraph(graph, knowledge.LevelFull)
+	rt := learnedRuntime(t, "candidates")
+	client, graph := rt.Client, rt.Graph
 
 	const query = "total revenue by region"
 	wantCands, wantHints, err := rt.Candidates(query, "sales")
@@ -406,5 +394,81 @@ func TestConcurrentCandidatesAcrossSnapshots(t *testing.T) {
 	want := append(append([]knowledge.ValueHint(nil), wantHints...), knowledge.ValueHint{Term: "gizmo", Column: "product", Value: "widget"})
 	if err != nil || !reflect.DeepEqual(nextHints, want) {
 		t.Errorf("next snapshot's hints = %v, err %v; want %v", nextHints, err, want)
+	}
+}
+
+// learnedRuntime is a runtime over the sales catalog whose knowledge
+// graph has learned the sales table.
+func learnedRuntime(t *testing.T, seed string) *Runtime {
+	t.Helper()
+	client := llm.NewClient(llm.GPT4, seed)
+	bundle, err := knowledge.NewGenerator(client).Generate(
+		knowledge.TableSchema{Name: "sales", Columns: []knowledge.ColumnSchema{
+			{Name: "region", Type: "string"}, {Name: "product", Type: "string"}, {Name: "revenue", Type: "double"},
+		}},
+		[]knowledge.Script{{ID: "east", Language: knowledge.LangSQL,
+			Text: "SELECT region, SUM(revenue) AS total_revenue FROM sales WHERE region = 'east' AND product = 'widget' GROUP BY region"}},
+		nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph := knowledge.NewGraph()
+	graph.AddBundle(bundle, knowledge.LevelFull)
+	return NewRuntime(client, salesCatalog(t)).WithGraph(graph, knowledge.LevelFull)
+}
+
+// TestRunRetrievesEachQuestionOnce: within one Run, the agents' retries
+// and a chart agent that translates on its own (no structured upstream
+// to ground it) retrieve each (rewritten question, table) pair once. The
+// seeds are scanned for runs in which the SQL agent retries and runs in
+// which the chart agent translates again; both must occur.
+func TestRunRetrievesEachQuestionOnce(t *testing.T) {
+	type key struct{ query, table string }
+	var retrieved []key
+	inner := retrievedColumns
+	t.Cleanup(func() { retrievedColumns = inner })
+	retrievedColumns = func(r *knowledge.Retriever, query, tableName string) []knowledge.Scored {
+		retrieved = append(retrieved, key{query, tableName})
+		return inner(r, query, tableName)
+	}
+
+	var retried, regrounded int
+	for _, tc := range []struct {
+		question string
+		cfg      comm.ProxyConfig
+	}{
+		{"total revenue by region", comm.DefaultProxyConfig()},
+		{"draw a chart of revenue by region", comm.ProxyConfig{UseFSM: true}},
+	} {
+		for i := 0; i < 40; i++ {
+			rt := learnedRuntime(t, fmt.Sprintf("memo-%d", i))
+			rt.Ambiguity = 0.9 // makes retries common
+			retrieved = retrieved[:0]
+			out, err := Run(rt, tc.cfg, tc.question, "sales")
+			if err != nil {
+				continue // every attempt of some agent failed; nothing to count
+			}
+			distinct := map[key]bool{}
+			for _, k := range retrieved {
+				distinct[k] = true
+			}
+			if len(retrieved) != len(distinct) {
+				t.Errorf("%q (seed %d): %d retrievals of %d distinct (question, table) pairs: %v",
+					tc.question, i, len(retrieved), len(distinct), retrieved)
+			}
+			if len(distinct) != 1 {
+				t.Errorf("%q (seed %d): retrieved %v, want the one rewritten question of sales", tc.question, i, retrieved)
+			}
+			switch {
+			case tc.cfg.Structured && out.Stats.Retries > 0:
+				retried++
+			case !tc.cfg.Structured:
+				regrounded++
+			}
+		}
+	}
+	t.Logf("%d runs with a SQL-agent retry, %d with a chart agent translating again", retried, regrounded)
+	if retried == 0 || regrounded == 0 {
+		t.Errorf("cases unexercised: %d runs with a SQL-agent retry, %d with a chart agent translating again", retried, regrounded)
 	}
 }

@@ -41,6 +41,9 @@ type BIAgent struct {
 	skill float64
 	// run is the agent's pipeline up to its product; Execute finishes it.
 	run func(a *BIAgent, query string, inputs []comm.Info, attempt int) (step, error)
+	// memo is the retrieval memo of the Ask the agent serves, shared with
+	// the other agents of its plan; nil for an agent built outside one.
+	memo retrievals
 
 	// faithful records whether the last successful execution produced a
 	// semantically correct result. It is evaluation instrumentation: the
@@ -179,7 +182,7 @@ func NewSQLAgent(rt *Runtime, tableName string) *BIAgent {
 		skill: rt.Client.Profile().SQLGeneration,
 		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (step, error) {
 			key := fmt.Sprintf("%s#%d", query, attempt)
-			spec, faithful, err := a.rt.TranslateDSL(query, a.table, key, a.skill, attempt)
+			spec, faithful, err := a.translateDSL(query, key, attempt)
 			if err != nil {
 				return step{}, err
 			}
@@ -217,7 +220,7 @@ func NewDSCodeAgent(rt *Runtime, tableName string) *BIAgent {
 		skill: rt.Client.Profile().CodeGeneration,
 		run: func(a *BIAgent, query string, inputs []comm.Info, attempt int) (step, error) {
 			key := fmt.Sprintf("dscode|%s#%d", query, attempt)
-			spec, faithful, err := a.rt.TranslateDSL(query, a.table, key, a.skill, attempt)
+			spec, faithful, err := a.translateDSL(query, key, attempt)
 			if err != nil {
 				return step{}, err
 			}
@@ -301,7 +304,7 @@ func NewChartAgent(rt *Runtime, tableName string) *BIAgent {
 				// error model rather than hard-failing.
 				linked = 0.9
 				var err error
-				spec, _, err = a.rt.TranslateDSL(query, a.table, fmt.Sprintf("chart|%s#%d", query, attempt), a.skill, 0)
+				spec, _, err = a.translateDSL(query, fmt.Sprintf("chart|%s#%d", query, attempt), 0)
 				if err != nil {
 					return step{}, err
 				}

@@ -21,19 +21,22 @@ func NewPlanner(rt *Runtime) *Planner { return &Planner{rt: rt} }
 // Every plan starts at the SQL agent (data extraction); analysis and
 // visualization agents attach based on the query's intent vocabulary;
 // multi-intent questions fan out and re-join at a terminal synthesizer.
+// The agents share one retrieval memo, which lives as long as they do.
 func (p *Planner) Plan(query, tableName string) (*comm.FSM, map[string]comm.Agent) {
 	q := strings.ToLower(query)
 	plan := comm.NewFSM()
 	agents := map[string]comm.Agent{}
+	memo := retrievals{}
 
-	add := func(name string, a comm.Agent) {
+	add := func(name string, a *BIAgent) {
+		a.memo = memo
 		plan.AddAgent(name)
 		agents[name] = a
 	}
 	add(NameSQL, NewSQLAgent(p.rt, tableName))
 
 	var analysis []string
-	attach := func(name string, a comm.Agent) {
+	attach := func(name string, a *BIAgent) {
 		add(name, a)
 		plan.AddEdge(NameSQL, name)
 		analysis = append(analysis, name)

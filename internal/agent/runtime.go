@@ -102,13 +102,19 @@ func levelValue(l knowledge.Level, hasGraph bool) float64 {
 // else through data profiling of the physical table (§IV-C's fallback for
 // tables nobody has learned).
 func (rt *Runtime) Candidates(query, tableName string) ([]knowledge.CandidateColumn, []knowledge.ValueHint, error) {
+	return rt.candidates(nil, query, tableName)
+}
+
+// candidates is Candidates with the graph's retrieval read through memo,
+// which may be nil.
+func (rt *Runtime) candidates(memo retrievals, query, tableName string) ([]knowledge.CandidateColumn, []knowledge.ValueHint, error) {
 	t, ok := rt.Catalog.Table(tableName)
 	if !ok {
 		return nil, nil, fmt.Errorf("agent: unknown table %q", tableName)
 	}
 	if rt.Retriever != nil && rt.learned(tableName, t) {
 		var cands []knowledge.CandidateColumn
-		for _, h := range rt.Retriever.RetrieveColumnsScoped(query, tableName, 10) {
+		for _, h := range memo.retrieve(rt.Retriever, query, tableName) {
 			cands = append(cands, knowledge.CandidateFromNode(h.Node))
 		}
 		return cands, rt.Graph.ValueHints(), nil
@@ -126,6 +132,38 @@ func (rt *Runtime) Candidates(query, tableName string) ([]knowledge.CandidateCol
 	return c.bundle.Candidates(), c.bundle.ValueHints(), nil
 }
 
+// retrievals is one Ask's memo of the graph's column retrieval, keyed by
+// the rewritten question and the table: a retry, or a second agent, that
+// asks the same question of the same table reads the first retrieval
+// instead of running it again. The result is a pure function of the
+// graph, and one Ask reads one Runtime, so one graph; Planner.Plan makes
+// the memo and hands it to the agents it builds, and it dies with them.
+// The proxy runs those agents one at a time, so it needs no lock.
+type retrievals map[retrieval][]knowledge.Scored
+
+type retrieval struct{ query, table string }
+
+// retrievedColumns is the retrieval the memo holds; tests count its calls
+// through it.
+var retrievedColumns = func(r *knowledge.Retriever, query, tableName string) []knowledge.Scored {
+	return r.RetrieveColumnsScoped(query, tableName, 10)
+}
+
+// retrieve returns the table's ten best columns for query, retrieving
+// them unless m holds them; a nil memo retrieves every time.
+func (m retrievals) retrieve(r *knowledge.Retriever, query, tableName string) []knowledge.Scored {
+	if m == nil {
+		return retrievedColumns(r, query, tableName)
+	}
+	k := retrieval{query, tableName}
+	hits, ok := m[k]
+	if !ok {
+		hits = retrievedColumns(r, query, tableName)
+		m[k] = hits
+	}
+	return hits
+}
+
 // learned reports whether the knowledge graph holds a column of t.
 func (rt *Runtime) learned(tableName string, t *table.Table) bool {
 	for _, c := range t.Columns {
@@ -136,16 +174,18 @@ func (rt *Runtime) learned(tableName string, t *table.Table) bool {
 	return false
 }
 
-// TranslateDSL runs query rewrite + retrieval + DSL translation, the
-// shared front half of most agent pipelines. key must identify the task
-// instance. Returns the spec, whether it is faithful, and the linked
-// fraction used in the quality model.
-func (rt *Runtime) TranslateDSL(query, tableName, key string, skill float64, iterations int) (*dsl.Spec, bool, error) {
+// translateDSL runs query rewrite + retrieval + DSL translation, the
+// shared front half of most agent pipelines, for the agent's table at its
+// skill. key must identify the task instance. The rewrite runs (and is
+// charged) on every call; the retrieval is read through the agent's memo.
+// Returns the spec and whether it is faithful.
+func (a *BIAgent) translateDSL(query, key string, iterations int) (*dsl.Spec, bool, error) {
+	rt := a.rt
 	rewritten := query
 	if rt.Retriever != nil {
 		rewritten = rt.Retriever.Rewrite(query, nil)
 	}
-	cands, hints, err := rt.Candidates(rewritten, tableName)
+	cands, hints, err := rt.candidates(a.memo, rewritten, a.table)
 	if err != nil {
 		return nil, false, err
 	}
@@ -159,11 +199,11 @@ func (rt *Runtime) TranslateDSL(query, tableName, key string, skill float64, ite
 	q.Structured = true
 	spec, faithful := rt.Translator.Translate(knowledge.TranslateRequest{
 		Query:      rewritten,
-		Table:      tableName,
+		Table:      a.table,
 		Candidates: cands,
 		ValueHints: hints,
 		Key:        key,
-		Skill:      skill,
+		Skill:      a.skill,
 		Quality:    q,
 	})
 	return spec, faithful, nil

@@ -42,12 +42,14 @@ type Node struct {
 	// What retrieval reads per candidate (Retriever.Retrieve), which depends
 	// on the node and on no question. Graph.addNode computes it before the
 	// node becomes reachable; nothing writes it afterwards.
-	ord           int32               // the node's ordinal: its slot in Graph.order and in both indexes
-	nameTokens    []string            // distinct content tokens of Name
-	contentTokens map[string]struct{} // content tokens of Name+description+usage+definition
-	vec           embed.Sparse        // embedding of that text
-	relKey        llm.Key             // of "rel:"+ID+"|": the relevance judgment's key, up to the question
-	mapsTo        string              // a jargon node's ColumnID(maps_to_table, maps_to_column), "" if it names no column
+	// Token ids are the vocabulary's of the graph that added the node
+	// (Graph.vocab), which every clone of it extends and never renumbers.
+	ord           int32        // the node's ordinal: its slot in Graph.order and in both indexes
+	nameTokens    []int32      // ids of the distinct content tokens of Name, ascending
+	contentTokens []int32      // ids of the distinct content tokens of Name+description+usage+definition, ascending
+	vec           embed.Sparse // embedding of that text
+	relKey        llm.Key      // of "rel:"+ID+"|": the relevance judgment's key, up to the question
+	mapsTo        string       // a jargon node's ColumnID(maps_to_table, maps_to_column), "" if it names no column
 }
 
 // Component returns a component value or "".
@@ -68,11 +70,11 @@ func (n *Node) Component(key string) string {
 // either side never writes into the other's view.
 //
 // State derived from the nodes — each node's fine-stage features, the
-// value-hint list, the column-name lookup — is brought up to date by
-// addNode, the only mutation, so it has the lifetime of the node or of the
-// snapshot it describes and is never invalidated: the hint list is
-// replaced by a fresh slice, never edited, so a clone or a caller holding
-// the old one keeps what it had.
+// token vocabulary, the value-hint list, the column-name lookup — is
+// brought up to date by addNode, the only mutation, so it has the
+// lifetime of the node or of the snapshot it describes and is never
+// invalidated: the hint list is replaced by a fresh slice, never edited,
+// so a clone or a caller holding the old one keeps what it had.
 //
 // Concurrency contract: any number of goroutines may read and Clone a
 // graph concurrently — neither writes to it — but mutation is
@@ -96,6 +98,11 @@ type Graph struct {
 	// colByName maps a lower-cased column name to the smallest ID among
 	// the column nodes carrying it.
 	colByName map[string]string
+	// vocab interns every content token of every node's fine-stage text:
+	// a new token takes the next id, and nothing removes one, so an id
+	// names the same token in a graph and in every clone of it. Clone
+	// copies the map, so a clone adds tokens only to its own.
+	vocab map[string]int32
 
 	// The retrieval indexes (§IV-B), one lexical and one semantic, over
 	// each node's name, description, usage and definition: schema linking
@@ -112,6 +119,7 @@ func NewGraph() *Graph {
 		nodes:     map[string]*Node{},
 		children:  map[string][]string{},
 		colByName: map[string]string{},
+		vocab:     map[string]int32{},
 		lex:       index.NewLexical(),
 		vec:       index.NewVector(),
 	}
@@ -128,6 +136,7 @@ func (g *Graph) Clone() *Graph {
 		children:  make(map[string][]string, len(g.children)),
 		hints:     g.hints,
 		colByName: maps.Clone(g.colByName),
+		vocab:     maps.Clone(g.vocab),
 		lex:       g.lex.Clone(),
 		vec:       g.vec.Clone(),
 	}
@@ -222,17 +231,27 @@ func (g *Graph) indexNode(n *Node) {
 	if col := n.Component("maps_to_column"); n.Type == NodeJargon && col != "" {
 		n.mapsTo = ColumnID(n.Component("maps_to_table"), col)
 	}
-	n.contentTokens = make(map[string]struct{}, len(fine))
-	for _, t := range fine {
-		if !textutil.IsStopword(t) {
-			n.contentTokens[t] = struct{}{}
+	n.nameTokens = g.internContent(name)
+	n.contentTokens = g.internContent(fine)
+}
+
+// internContent returns the ids of the distinct content tokens among
+// tokens, ascending, adding to the vocabulary those it does not hold.
+func (g *Graph) internContent(tokens []string) []int32 {
+	var ids []int32
+	for _, t := range tokens {
+		if textutil.IsStopword(t) {
+			continue
 		}
-	}
-	for _, t := range name {
-		if !textutil.IsStopword(t) && !slices.Contains(n.nameTokens, t) {
-			n.nameTokens = append(n.nameTokens, t)
+		id, ok := g.vocab[t]
+		if !ok {
+			id = int32(len(g.vocab))
+			g.vocab[t] = id
 		}
+		ids = append(ids, id)
 	}
+	slices.Sort(ids)
+	return slices.Clip(slices.Compact(ids))
 }
 
 // noteColumnName keeps colByName current after n took old's place (old is

@@ -17,7 +17,8 @@ import (
 //
 // Invariant: fine-stage features are per node, computed at insertion
 // (Graph.addNode), and the question is analysed — tokenized, embedded —
-// once per retrieval; scoring a candidate reads both and tokenizes nothing.
+// once per retrieval; scoring a candidate reads both, tokenizes nothing
+// and looks up no token.
 type Retriever struct {
 	Graph  *Graph
 	Client *llm.Client
@@ -134,23 +135,13 @@ func ranksBefore(a, b Scored) bool { return byRank(a, b) < 0 }
 func (r *Retriever) candidates(query string, k int) []Scored {
 	g := r.Graph
 
-	// The question's analysis, shared by both coarse searches and every
-	// fine-stage score.
-	qTokens := textutil.Tokenize(query)
-	qVec := embed.Tokens(qTokens)
-	qTokens = slices.DeleteFunc(qTokens, textutil.IsStopword)
-	var qDistinct []string
-	for _, t := range qTokens {
-		if !slices.Contains(qDistinct, t) {
-			qDistinct = append(qDistinct, t)
-		}
-	}
+	q := g.analyse(query)
 
 	// Coarse stage: the union of both searches' top coarseK, aliases
 	// backtracked to primaries. Only membership matters — each search
 	// returns its set unordered, and the fine stage rescores every
 	// candidate.
-	coarse := [2][]index.Hit{g.lex.Search(qTokens, coarseK), g.vec.Search(&qVec, coarseK)}
+	coarse := [2][]index.Hit{g.lex.Search(q.tokens, coarseK), g.vec.Search(&q.vec, coarseK)}
 	seen := make([]bool, len(g.order))
 	scored := make([]Scored, 0, len(coarse[0])+len(coarse[1]))
 	for _, hits := range coarse {
@@ -160,45 +151,86 @@ func (r *Retriever) candidates(query string, k int) []Scored {
 				continue
 			}
 			seen[n.ord] = true
-			scored = append(scored, Scored{Node: n, Score: r.fineScore(n, query, qDistinct, &qVec)})
+			scored = append(scored, Scored{Node: n, Score: r.fineScore(n, &q)})
 		}
 	}
 	return index.Best(scored, k, ranksBefore)
 }
 
+// question is one question's analysis, shared by both coarse searches and
+// every fine-stage score: its text, its content tokens in order (what the
+// lexical search reads), its embedding, the number of its distinct content
+// tokens and the ids of those the graph's vocabulary holds, ascending. A
+// token the vocabulary does not hold is in no node's text, so it only
+// counts against the question's coverage.
+type question struct {
+	text     string
+	tokens   []string
+	vec      embed.Vector
+	distinct int
+	ids      []int32
+}
+
+// analyse tokenizes, embeds and looks up a question once, for one
+// retrieval over g.
+func (g *Graph) analyse(text string) question {
+	tokens := textutil.Tokenize(text)
+	q := question{text: text, vec: embed.Tokens(tokens)}
+	q.tokens = slices.DeleteFunc(tokens, textutil.IsStopword)
+	q.ids = make([]int32, 0, len(q.tokens))
+	for i, t := range q.tokens {
+		if slices.Contains(q.tokens[:i], t) {
+			continue
+		}
+		q.distinct++
+		if id, ok := g.vocab[t]; ok {
+			q.ids = append(q.ids, id)
+		}
+	}
+	slices.Sort(q.ids)
+	return q
+}
+
 // fineScore is the fine stage's weighted matching score of one candidate:
 // the share of the name's content tokens the question covers and the share
 // of the question's the node's text covers (lexical), the cosine of the two
-// embeddings (semantic), and the LLM's relevance judgment.
-func (r *Retriever) fineScore(n *Node, query string, qDistinct []string, qVec *embed.Vector) float64 {
+// embeddings (semantic), and the LLM's relevance judgment. Both shares
+// count the ids two ascending lists have in common.
+func (r *Retriever) fineScore(n *Node, q *question) float64 {
 	var nameCovered, queryCovered float64
 	if len(n.nameTokens) > 0 {
-		hit := 0
-		for _, t := range n.nameTokens {
-			if slices.Contains(qDistinct, t) {
-				hit++
-			}
-		}
-		nameCovered = float64(hit) / float64(len(n.nameTokens))
+		nameCovered = float64(commonIDs(n.nameTokens, q.ids)) / float64(len(n.nameTokens))
 	}
-	if len(qDistinct) > 0 {
-		hit := 0
-		for _, t := range qDistinct {
-			if _, ok := n.contentTokens[t]; ok {
-				hit++
-			}
-		}
-		queryCovered = float64(hit) / float64(len(qDistinct))
+	if q.distinct > 0 {
+		queryCovered = float64(commonIDs(q.ids, n.contentTokens)) / float64(q.distinct)
 	}
 	lexScore := nameCovered*0.6 + queryCovered*0.4
-	semScore := n.vec.Dot(qVec)
+	semScore := n.vec.Dot(&q.vec)
 	if semScore < 0 {
 		semScore = 0
 	}
 	// The LLM relevance judgment concentrates around the mean of the
 	// two mechanical signals — it mostly agrees, with bounded noise.
-	llmScore := r.Client.ScoreKey(n.relKey.Then(query), 0, 1, (lexScore+semScore)/2)
+	llmScore := r.Client.ScoreKey(n.relKey.Then(q.text), 0, 1, (lexScore+semScore)/2)
 	return lexWeight*lexScore + semWeight*semScore + llmWeight*llmScore
+}
+
+// commonIDs counts the ids two ascending, duplicate-free lists share.
+func commonIDs(a, b []int32) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
 }
 
 // RetrieveColumnsScoped retrieves column nodes belonging to one table —

@@ -108,11 +108,12 @@ func retrievalAllocs(t *testing.T) (objects, bytes float64) {
 // per candidate, three passes over the columns — this call allocated 183
 // objects and 54,130 bytes (measured with this function at the parent
 // commit), and 15 and 18,112 while the table's columns were still copied
-// into a list and a seen array of their own. It now allocates 10 and
-// 17,584, what is left being the question's tokens, the two hit lists,
-// the score array, the candidate marks and the candidate list, inside
-// which the columns are filtered, sorted and de-duplicated. The pin is
-// 40 % of the earliest bytes.
+// into a list and a seen array of their own, and 10 and 17,584 while the
+// question's distinct tokens were a list of strings. It now allocates 7
+// and 17,376, what is left being the question's tokens and token ids, the
+// two hit lists, the score array, the candidate marks and the candidate
+// list, inside which the columns are filtered, sorted and de-duplicated.
+// The pin is 40 % of the earliest bytes.
 func TestRetrievalAllocationPin(t *testing.T) {
 	const bytesBefore, objectsBefore = 54130, 183
 	objects, bytes := retrievalAllocs(t)
@@ -122,5 +123,22 @@ func TestRetrievalAllocationPin(t *testing.T) {
 	}
 	if objects > 0.4*objectsBefore {
 		t.Errorf("%.0f objects per call, want under 40%% of %d", objects, objectsBefore)
+	}
+}
+
+// BenchmarkRetrieveColumnsScoped is one agent's retrieval over the
+// enterprise corpus (24 tables and the glossary): each op asks the next of
+// 60 rewritten schema-linking questions of its table.
+func BenchmarkRetrieveColumnsScoped(b *testing.B) {
+	g, tables := oracleGraph(b)
+	r := knowledge.NewRetriever(g, llm.NewClient(llm.GPT4, oracleSeed))
+	pairs := benchgen.SchemaLinkingPairs(tables, 60, oracleSeed)
+	for i := range pairs {
+		pairs[i].Query = r.Rewrite(pairs[i].Query, nil)
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		p := pairs[i%len(pairs)]
+		r.RetrieveColumnsScoped(p.Query, p.Table, 10)
 	}
 }

@@ -25,7 +25,7 @@ const oracleSeed = "bench-warehouse"
 
 // oracleGraph is the benchmark's corpus: 24 enterprise tables learned one
 // clone at a time, then the glossary.
-func oracleGraph(t *testing.T) (*knowledge.Graph, []benchgen.EnterpriseTable) {
+func oracleGraph(t testing.TB) (*knowledge.Graph, []benchgen.EnterpriseTable) {
 	t.Helper()
 	tables := benchgen.GenerateEnterprise(oracleSeed, 24)
 	gen := knowledge.NewGenerator(llm.NewClient(llm.GPT4, oracleSeed))

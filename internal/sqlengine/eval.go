@@ -343,7 +343,17 @@ func scalarFunc(name string, args []table.Value) (table.Value, error) {
 		if err := arity(2); err != nil {
 			return table.Null(), err
 		}
-		if table.Equal(args[0], args[1]) {
+		// CASE WHEN a = b THEN NULL ELSE a END: the comparison's rule, so a
+		// time against text that names no instant raises; a NULL operand
+		// makes the comparison NULL, which keeps a.
+		if args[0].IsNull() || args[1].IsNull() {
+			return args[0], nil
+		}
+		eq, err := compareValues(table.CmpEq, args[0], args[1])
+		if err != nil {
+			return table.Null(), err
+		}
+		if eq.B {
 			return table.Null(), nil
 		}
 		return args[0], nil
@@ -367,17 +377,21 @@ func roundPlaces(f float64, places int64) float64 {
 	return math.Round(scaled) / scale
 }
 
+// timePart is YEAR, MONTH or DAY of a time, or of text read as the
+// instant a comparison with a time reads it (table.CompareOperand), in
+// UTC; text that names no instant raises as it does there.
 func timePart(v table.Value, part string) (table.Value, error) {
 	if v.IsNull() {
 		return table.Null(), nil
 	}
-	t, ok := v.Time(), v.Kind == table.KindTime
-	if v.Kind == table.KindString {
-		t, ok = table.ParseTime(v.S)
-	}
+	tv, ok := table.CompareOperand(table.KindTime, v)
 	if !ok {
+		return table.Null(), fmt.Errorf("sql: %q is not a time", v.S)
+	}
+	if tv.Kind != table.KindTime {
 		return table.Null(), fmt.Errorf("sql: %s() of non-temporal value %v", strings.ToUpper(part), v)
 	}
+	t := tv.Time()
 	switch part {
 	case "year":
 		return table.Int(int64(t.Year())), nil

@@ -436,7 +436,7 @@ func TestOperatorDefinitions(t *testing.T) {
 		if a.Kind == table.KindFloat && b.Kind == table.KindFloat {
 			return math.Float64bits(a.F) == math.Float64bits(b.F) || a.F != a.F && b.F != b.F
 		}
-		return a.Kind == b.Kind && (a.IsNull() || table.Equal(a, b))
+		return a.Kind == b.Kind && (a.IsNull() || table.Compare(a, b) == 0)
 	}
 	for _, c := range cases {
 		name := fmt.Sprintf("%v %s %v", c.l, c.op, c.r)

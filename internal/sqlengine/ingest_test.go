@@ -554,7 +554,7 @@ func TestCatalogAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out.Columns[0].Value(0); !table.Equal(got, table.Int(2)) {
+	if got := out.Columns[0].Value(0); table.Compare(got, table.Int(2)) != 0 {
 		t.Fatalf("count after append = %v", got)
 	}
 	if _, ok := c.Appender("nope"); ok {

@@ -486,7 +486,7 @@ func TestKeysFollowEquals(t *testing.T) {
 				t.Fatalf("scalar=%v: PARTITION BY %s numbers %d rows, the self-join %d, want 2", scalar, col, got.NumRows(), want.NumRows())
 			}
 			for i := 0; i < 2; i++ {
-				if g, w := rowAt(got, i), rowAt(want, i); !table.Equal(g[1], w[1]) || !table.Equal(g[1], table.Int(1)) {
+				if g, w := rowAt(got, i), rowAt(want, i); table.Compare(g[1], w[1]) != 0 || table.Compare(g[1], table.Int(1)) != 0 {
 					t.Errorf("scalar=%v: PARTITION BY %s numbers row %v as %v; rows up to it with = keys: %v", scalar, col, g[0], g[1], w[1])
 				}
 			}

@@ -465,7 +465,7 @@ func TestOrderByNullPlacement(t *testing.T) {
 				t.Fatalf("%q (scalar=%v): %d rows, want %d", tc.q, scalar, out.NumRows(), len(tc.want))
 			}
 			for i, want := range tc.want {
-				if got := out.Columns[0].Value(i); !table.Equal(got, want) {
+				if got := out.Columns[0].Value(i); table.Compare(got, want) != 0 {
 					t.Errorf("%q (scalar=%v) row %d: %v, want %v", tc.q, scalar, i, got, want)
 				}
 			}

@@ -342,3 +342,105 @@ func TestTimeComparisonAllocatesPerExecution(t *testing.T) {
 		}
 	}
 }
+
+// TestNullIfComparesAsEquals: NULLIF(a, b) is CASE WHEN a = b THEN NULL
+// ELSE a END, so it takes the comparison's rule: a date-only string
+// nulls the midnight instant, a text column is read cell by cell, and
+// text that names no instant raises as a = b raises. The scalar oracle
+// agrees.
+func TestNullIfComparesAsEquals(t *testing.T) {
+	ctx := context.Background()
+	c := NewCatalog()
+	registerDays(c)
+	for _, tc := range []struct {
+		expr string
+		want []int64 // the ids whose NULLIF is NULL
+	}{
+		{"NULLIF(stat_dt, '2024-01-01')", []int64{0, 4}},
+		{"NULLIF(stat_dt, '2024-06-30 00:00:00.500')", []int64{3, 4}},
+		{"NULLIF(stat_dt, '2024-06-30T00:00:00Z')", []int64{1, 4}},
+		{"NULLIF(stat_dt, txt)", []int64{0, 3, 4}},
+		{"NULLIF(txt, stat_dt)", []int64{0, 3}},
+		{"NULLIF(stat_dt, NULL)", []int64{4}},
+	} {
+		q := "SELECT id FROM days WHERE " + tc.expr + " IS NULL ORDER BY id"
+		want, err := queryTable(c, q)
+		if err != nil {
+			t.Errorf("%s: %v", tc.expr, err)
+			continue
+		}
+		var got []int64
+		for _, v := range want.Columns[0].Values() {
+			got = append(got, v.I)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s is NULL for ids %v, want %v", tc.expr, got, tc.want)
+		}
+		if oracle, err := c.QueryScalar(q); err != nil || dumpTable(oracle) != dumpTable(want) {
+			t.Errorf("%s: the scalar oracle answers %v (%v)", tc.expr, oracle, err)
+		}
+	}
+	for _, text := range []string{"garbage", "1969", ""} {
+		for _, expr := range []string{"NULLIF(stat_dt, '%s')", "NULLIF('%s', stat_dt)"} {
+			expr = fmt.Sprintf(expr, text)
+			want := fmt.Sprintf("sql: %q is not a time", text)
+			for _, q := range []string{"SELECT " + expr + " FROM days", "SELECT id FROM days WHERE " + expr + " IS NULL"} {
+				_, inline := c.QueryCtx(ctx, q)
+				_, oracle := c.QueryScalar(q)
+				for form, err := range map[string]error{"engine": inline, "oracle": oracle} {
+					if err == nil || err.Error() != want {
+						t.Errorf("%s (%s): err %v, want %s", q, form, err, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTimePartReadsTextAsComparisonsDo: YEAR, MONTH and DAY of text read
+// it as the instant a comparison with a time reads, in UTC, so text past
+// the range a time holds (1677-2262) raises as it does there instead of
+// answering from the text's calendar fields; the scalar oracle agrees.
+func TestTimePartReadsTextAsComparisonsDo(t *testing.T) {
+	ctx := context.Background()
+	c := NewCatalog()
+	texts := table.MustNew("texts", []string{"id", "s"}, []table.Kind{table.KindInt, table.KindString})
+	for i, s := range []string{"2024-02-29", "2024-06-30T23:00:00-02:00", "20240101"} {
+		texts.MustAppendRow(table.Int(int64(i)), table.Str(s))
+	}
+	c.Register(texts)
+	const q = "SELECT id, YEAR(s), MONTH(s), DAY(s) FROM texts ORDER BY id"
+	got, err := queryTable(c, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int64{{0, 2024, 2, 29}, {1, 2024, 7, 1}, {2, 2024, 1, 1}} // each instant's UTC fields
+	for i, row := range want {
+		for j, w := range row {
+			if v := got.Columns[j].Value(i); v.Kind != table.KindInt || v.I != w {
+				t.Errorf("%s: row %d column %d is %v, want %d", q, i, j, v, w)
+			}
+		}
+	}
+	if oracle, err := c.QueryScalar(q); err != nil || dumpTable(oracle) != dumpTable(got) {
+		t.Errorf("the scalar oracle answers %v (%v)", oracle, err)
+	}
+
+	texts.MustAppendRow(table.Int(3), table.Str("9999-12-31"))
+	c.Register(texts)
+	for _, part := range []string{"YEAR", "MONTH", "DAY"} {
+		for _, q := range []string{
+			"SELECT " + part + "(s) FROM texts",
+			"SELECT id FROM texts WHERE " + part + "(s) > 0",
+			"SELECT " + part + "('9999-12-31') FROM texts",
+		} {
+			_, inline := c.QueryCtx(ctx, q)
+			_, oracle := c.QueryScalar(q)
+			for form, err := range map[string]error{"engine": inline, "oracle": oracle} {
+				if err == nil || err.Error() != `sql: "9999-12-31" is not a time` {
+					t.Errorf("%s (%s): err %v, want the text refused", q, form, err)
+				}
+			}
+		}
+	}
+}

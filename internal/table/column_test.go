@@ -93,7 +93,7 @@ func TestKindCoerce(t *testing.T) {
 		{KindNull, Int(1), Int(1), false},
 	} {
 		out, ok := c.k.Coerce(c.v)
-		if ok != c.ok || ok && (out.Kind != c.out.Kind || !Equal(out, c.out)) {
+		if ok != c.ok || ok && (out.Kind != c.out.Kind || Compare(out, c.out) != 0) {
 			t.Errorf("%v.Coerce(%v) = %v %v, want %v %v", c.k, c.v, out, ok, c.out, c.ok)
 		}
 	}

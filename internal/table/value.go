@@ -292,11 +292,6 @@ func isNumericKind(k Kind) bool {
 	return k == KindInt || k == KindFloat || k == KindBool
 }
 
-// Equal reports semantic equality under Compare. NULL equals NULL here
-// (useful for grouping keys and result comparison; SQL three-valued logic
-// is handled in the expression evaluator, not here).
-func Equal(a, b Value) bool { return Compare(a, b) == 0 }
-
 // AppendKey appends v's equality key to dst: two cells' keys are equal
 // exactly when = holds between them, NULL equal to NULL and NaN to NaN.
 // After the Kind byte of its form, an int, a bool or an integral float in
