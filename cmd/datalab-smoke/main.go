@@ -147,7 +147,7 @@ func checkFields(where string, v any) {
 }
 
 // traceStages is the wire's stage vocabulary, in stage order.
-var traceStages = []string{"read", "queue", "plan", "scan_filter", "join", "project", "sort", "finish", "drain", "encode", "send"}
+var traceStages = []string{"read", "queue", "plan", "scan_filter", "join", "group", "window", "project", "sort", "finish", "drain", "encode", "send"}
 
 // checkTrace validates a terminal line's trace: an object whose stages are
 // known, in stage order, and sum to its duration_ms within a microsecond
@@ -286,8 +286,35 @@ func scenarioQueryStream() {
 	if seen != *rows {
 		failf("query: streamed %d rows, want %d", seen, *rows)
 	}
+	checkEntered("SELECT kind, COUNT(*) FROM events GROUP BY kind", "group")
+	checkEntered("SELECT id, SUM(value) OVER (PARTITION BY kind ORDER BY id) FROM events WHERE id < 1000", "window")
 	okf("query_stream", fmt.Sprintf(`,"rows_total":%d,"batches_total":%d,"duration_ms":%d`,
 		seen, batches, time.Since(start).Milliseconds()))
+}
+
+// checkEntered runs sql, whose trace decodeStream checks, and requires
+// the trace to have entered stage.
+func checkEntered(sql, stage string) {
+	where := "query_" + stage
+	resp, err := postJSON("/v1/query", map[string]any{"sql": sql})
+	if err != nil {
+		failf("%s: %v", where, err)
+		return
+	}
+	defer resp.Body.Close()
+	lines := decodeStream(where, resp.Body, true)
+	if len(lines) == 0 {
+		return
+	}
+	last := lines[len(lines)-1]
+	tr, _ := last["trace"].(map[string]any)
+	stages, _ := tr["stages"].([]any)
+	for _, v := range stages {
+		if st, _ := v.(map[string]any); st["stage"] == stage {
+			return
+		}
+	}
+	failf("%s: %v line's trace has no %s stage: %v", where, last["code"], stage, tr)
 }
 
 // scenarioIngest: stream rows in as JSONL, then prove they are visible.

@@ -19,10 +19,12 @@
 //
 // # Execution model
 //
-// The vectorized executor works on vrel relations — zero-copy references
-// to catalog column storage, addressed by the column indexes the plan's
-// references carry. WHERE produces a
-// table.Selection (range spans or dense indices) instead of copying rows;
+// One loop walks the plan's stage list (plan.stages: scan_filter, joins,
+// group or window, project, sort, finish), marking each stage on the
+// trace. The stages work on vrel relations — zero-copy references to
+// catalog column storage, addressed by the column indexes the plan's
+// references carry. WHERE produces a table.Selection (range spans or
+// dense indices) instead of copying rows;
 // joins run the parallel selection-aware pair pipeline in join.go;
 // grouping gives every selected row its group's id and folds each
 // aggregate by id (vgroups), and a join grouped by a dimension column

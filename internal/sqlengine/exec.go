@@ -63,25 +63,14 @@ func (c *Catalog) RegisterErr(t *table.Table) error {
 			return err
 		}
 	}
-	return c.registerAppender(app)
+	c.RegisterAppender(app)
+	return nil
 }
 
 // RegisterAppender adopts an existing write head under its own name —
 // the recovery path: WAL replay rebuilds appenders at their recovered
 // snapshot versions and hands them to the catalog without re-logging.
 func (c *Catalog) RegisterAppender(app *table.Appender) {
-	c.registerAppender(app) //nolint:errcheck // always nil today; signature shared with RegisterErr
-}
-
-// SetRegisterHook installs (or, with nil, removes) the durability hook
-// called by every subsequent Register/RegisterErr.
-func (c *Catalog) SetRegisterHook(h RegisterHook) {
-	c.mu.Lock()
-	c.reg = h
-	c.mu.Unlock()
-}
-
-func (c *Catalog) registerAppender(app *table.Appender) error {
 	c.mu.Lock()
 	key := strings.ToLower(app.Name())
 	prev, exists := c.tables[key]
@@ -93,7 +82,14 @@ func (c *Catalog) registerAppender(app *table.Appender) error {
 	if exists && !sameSchema(prev.Snapshot(), app.Snapshot()) {
 		c.plans.invalidate()
 	}
-	return nil
+}
+
+// SetRegisterHook installs (or, with nil, removes) the durability hook
+// called by every subsequent Register/RegisterErr.
+func (c *Catalog) SetRegisterHook(h RegisterHook) {
+	c.mu.Lock()
+	c.reg = h
+	c.mu.Unlock()
 }
 
 func sameSchema(a, b *table.Snapshot) bool {
@@ -110,9 +106,11 @@ func sameSchema(a, b *table.Snapshot) bool {
 	return true
 }
 
-// appender looks up a table's write head case-insensitively, also
-// accepting a trailing "db." qualifier.
-func (c *Catalog) appender(name string) (*table.Appender, bool) {
+// Appender returns the table's ingest write head, looked up
+// case-insensitively, a trailing "db." qualifier accepted: Append batches
+// rows into the pending chunk, Publish makes them visible to subsequent
+// queries in one atomic snapshot swap.
+func (c *Catalog) Appender(name string) (*table.Appender, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	key := strings.ToLower(name)
@@ -127,20 +125,13 @@ func (c *Catalog) appender(name string) (*table.Appender, bool) {
 	return nil, false
 }
 
-// Appender returns the table's ingest write head for streaming use:
-// Append batches rows into the pending chunk, Publish makes them visible
-// to subsequent queries in one atomic snapshot swap.
-func (c *Catalog) Appender(name string) (*table.Appender, bool) {
-	return c.appender(name)
-}
-
 // Snapshot returns the table's current published snapshot. This is the
 // read-side entry point both executors use: acquiring the snapshot is one
 // atomic load, and everything derived from it (column views, selections,
 // Result cursors) stays consistent with that snapshot regardless of
 // concurrent ingest.
 func (c *Catalog) Snapshot(name string) (*table.Snapshot, bool) {
-	a, ok := c.appender(name)
+	a, ok := c.Appender(name)
 	if !ok {
 		return nil, false
 	}
@@ -199,10 +190,10 @@ type vrel struct {
 	x     *execArgs
 	// win holds the precomputed window-function columns for the current
 	// projection, by the call's slot and indexed by selection position. Set
-	// by executePlainVec before item evaluation.
+	// by the window stage.
 	win []table.Column
 	// grp makes this a relation of groups, with no cols of its own: row g
-	// is group g of grp.base. Set by executeGroupedVec.
+	// is group g of grp.base. Set by the group stage.
 	grp *vgroups
 	// late holds, by column index, the columns a join left as its pairs
 	// (plan.late); their cols entries are placeholders. nil when none.
@@ -227,10 +218,8 @@ func vrelFrom(t *table.Table, x *execArgs) *vrel {
 
 // executeResultBound is the shared execution core behind QueryCtx and
 // Prepared.Exec: it runs a plan with the execution's parameter bindings,
-// marking its stages on t (nil: untraced). ctx is observed between
-// pipeline stages and between worker-pool chunks, so a cancelled context
-// stops a large scan, sort, or aggregation within one chunk's worth of
-// work and returns ctx.Err().
+// marking its stages on t (nil: untraced). A cancelled ctx stops a large
+// scan, sort or aggregation within one worker-pool chunk's work.
 func executeResultBound(ctx context.Context, p *plan, binds []table.Value, t *Trace) (*Result, error) {
 	x, err := start(ctx, p, binds, t, executePlan)
 	if err != nil {
@@ -239,144 +228,188 @@ func executeResultBound(ctx context.Context, p *plan, binds []table.Value, t *Tr
 	return executePlan(ctx, p, x)
 }
 
-// executePlan is the vectorized execution body once the execution's
-// arguments are known — the executor the engine's subqueries run with.
-// After scanFilter, a projection of bare columns stays lazy: its columns
-// are the relation's own under the WHERE selection, zero-copy. Grouped and
-// every other plain projection evaluate output columns of their own. Every
-// execution then ends in finish.
-//
-// Each stage is marked on the execution's trace as it ends. A stage whose
-// evaluation fails is marked with no rows, so a failed statement's time is
-// charged to the stage it came from; a cancellation leaves the trace at its
-// last mark. A lazy projection does no work of its own and is not marked.
+// executePlan is the vectorized executor, the engine's subqueries' too. It
+// walks the plan's stage list, threading one execState through it, and
+// marks each stage on the trace as it ends, here and nowhere else: with
+// the rows the stage hands on, or with none when it fails. ctx is checked
+// after every stage, so a cancellation fails the stage it ended, and a
+// failed statement's time is charged to the stage it came from.
 func executePlan(ctx context.Context, p *plan, x *execArgs) (*Result, error) {
-	rel, sel, err := scanFilter(ctx, p, x)
-	if err != nil {
-		return nil, err
-	}
-	var cols []table.Column
-	if p.grouped {
-		cols, err = executeGroupedVec(ctx, p, rel, sel)
-		sel = nil
-	} else if cols = bareColumns(p, rel); cols == nil {
-		cols, err = executePlainVec(ctx, p, rel, sel)
-		sel = nil
-	}
-	if err != nil {
-		x.trace.Mark(StageProject, 0)
-		return nil, err
-	}
-	return finish(ctx, p, x, cols, sel)
-}
-
-// scanFilter runs the shared pipeline prefix: scan, joins, WHERE filtering,
-// and LIMIT pushdown. It returns the working relation and the selection of
-// surviving rows (nil = all).
-func scanFilter(ctx context.Context, p *plan, x *execArgs) (*vrel, *table.Selection, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
 	// Snapshot acquisition happens here, once per referenced table: a
 	// single atomic load pins the rows this execution (and any Result
 	// cursor it hands out) will ever see.
-	stmt := p.stmt
-	rel := vrelFrom(p.apps[0].Snapshot().Table(), x)
-
-	where := stmt.Where
-	if len(stmt.Joins) > 0 {
-		rights := make([]*vrel, len(stmt.Joins))
-		for i := range rights {
-			rights[i] = vrelFrom(p.apps[i+1].Snapshot().Table(), x)
-		}
-		keep := p.keep
-		if where != nil && p.earlyFilter {
-			early, rest, err := filterBeforeJoins(ctx, rel, where)
-			x.trace.Mark(StageScanFilter, 0)
-			if err != nil {
-				return nil, nil, err
-			}
-			if early != nil {
-				// Comparisons that already ran observe no column any more.
-				where, keep = rest, p.observedAfter(rest)
-				rel = restrictRel(rel, early, p.withOn(keep, 0))
-			}
-		}
-		for i, j := range stmt.Joins {
-			var late []bool
-			if i == len(stmt.Joins)-1 {
-				late = p.late
-			}
-			var err error
-			rel, err = joinVRel(ctx, rel, rights[i], j, p.withOn(keep, i+1), late)
-			if err != nil {
-				x.trace.Mark(StageJoin, 0)
-				return nil, nil, err
-			}
-		}
-		// The join's output rows are the last join's pairs.
-		x.trace.Mark(StageJoin, rel.nrows)
+	s := execState{p: p, rel: vrelFrom(p.apps[0].Snapshot().Table(), x), where: p.stmt.Where, keep: p.keep}
+	s.rights = make([]*vrel, 0, len(p.apps)-1)
+	for _, app := range p.apps[1:] {
+		s.rights = append(s.rights, vrelFrom(app.Snapshot().Table(), x))
 	}
-
-	var sel *table.Selection // nil = all rows
-	if where != nil {
-		var err error
-		sel, err = filterWhere(ctx, rel, where)
+	for i := range p.stages {
+		st := &p.stages[i]
+		rows, err := s.run(ctx, st)
+		if err == nil {
+			err = ctx.Err()
+		}
 		if err != nil {
-			x.trace.Mark(StageScanFilter, 0)
-			return nil, nil, err
+			rows = 0
+		}
+		x.trace.Mark(st.stage, rows)
+		if err != nil {
+			return nil, err
 		}
 	}
+	return s.res, nil
+}
 
-	// LIMIT pushdown: without grouping, ordering, or DISTINCT, only the
-	// first OFFSET+LIMIT selected rows can reach the output, so truncate
-	// the selection before projecting: a computed column is evaluated on
-	// those rows only. Span-form selections truncate without copying. Window
-	// functions disable the pushdown: their frames span the full filtered
-	// set, so truncating first would change their values.
-	if keep, bounded := x.limitReach(); bounded && !p.grouped && len(stmt.OrderBy) == 0 && !stmt.Distinct && len(p.wins) == 0 {
-		if sel == nil {
-			if keep > rel.nrows {
-				keep = rel.nrows
-			}
-			sel = table.NewSpanSelection(table.Span{Lo: 0, Hi: keep})
+// execState is what an execution's stages hand each other: the working
+// relation and its selected rows (nil: all), of groups after the group
+// stage; then cols, the select list's columns and the ORDER BY keys, one
+// cell per output row, and the Result.
+type execState struct {
+	p      *plan
+	rel    *vrel // its x is the execution's arguments
+	sel    *table.Selection
+	rights []*vrel // each JOIN's table
+	where  Expr    // what of the WHERE is still to run
+	keep   []bool  // the columns observed after the joins
+	cols   []table.Column
+	res    *Result
+}
+
+// run runs one stage and returns the rows it hands on.
+func (s *execState) run(ctx context.Context, st *step) (int, error) {
+	switch st.stage {
+	case StageScanFilter:
+		if !st.ahead {
+			return s.filter(ctx, st)
+		}
+		// The WHERE's leading comparisons run ahead of the joins
+		// (filterBeforeJoins). The rows they keep are the joins' input, not
+		// the filtered relation's, so the stage hands on none.
+		early, rest, err := filterBeforeJoins(ctx, s.rel, s.where)
+		if early != nil {
+			// Comparisons that already ran observe no column any more.
+			s.where, s.keep = rest, s.p.observedAfter(rest)
+			s.rel = restrictRel(s.rel, early, s.p.withOn(s.keep, 0))
+		}
+		return 0, err
+	case StageJoin:
+		rel, err := joinVRel(ctx, s.rel, s.rights[st.join], s.p.stmt.Joins[st.join], s.p.withOn(s.keep, st.join+1), st.late)
+		if err != nil {
+			return 0, err
+		}
+		s.rel = rel
+		return rel.nrows, nil
+	case StageGroup:
+		return s.group(ctx, st)
+	case StageWindow:
+		// Item and ORDER BY expressions read the columns through rel.win.
+		win, err := computeWindowsVec(ctx, st.wins, s.rel, s.sel)
+		s.rel.win = win
+		return selLen(s.rel, s.sel), err
+	case StageProject:
+		n := selLen(s.rel, s.sel)
+		cols, err := evalVecs(st.exprs, s.rel, s.sel)
+		s.cols, s.sel = cols, nil
+		return n, err
+	case StageSort:
+		return s.sort(ctx, st)
+	}
+	return s.finish(ctx, st)
+}
+
+// filter runs what is left of the WHERE, then the LIMIT pushdown: without
+// grouping, ordering, DISTINCT or windows (step.pushdown), only the first
+// OFFSET+LIMIT selected rows can reach the output, so the selection is
+// truncated, without a copy when in span form, and a computed column is
+// evaluated on those rows only. Window frames span the full filtered set,
+// so truncating first would change their values.
+func (s *execState) filter(ctx context.Context, st *step) (int, error) {
+	if s.where != nil {
+		sel, err := filterWhere(ctx, s.rel, s.where)
+		if err != nil {
+			return 0, err
+		}
+		s.sel = sel
+	}
+	if keep, bounded := s.rel.x.limitReach(); bounded && st.pushdown {
+		if s.sel == nil {
+			s.sel = table.NewSpanSelection(table.Span{Lo: 0, Hi: min(keep, s.rel.nrows)})
 		} else {
-			sel = sel.Truncate(keep)
+			s.sel = s.sel.Truncate(keep)
 		}
 	}
-	n := rel.nrows
-	if sel != nil {
-		n = sel.Len()
-	}
-	x.trace.Mark(StageScanFilter, n)
-	return rel, sel, ctx.Err()
+	return selLen(s.rel, s.sel), nil
 }
 
-// bareColumns returns the relation's columns an ungrouped projection of
-// bare column references reads, zero-copy, or nil when the plan orders its
-// rows or selects anything else.
-func bareColumns(p *plan, rel *vrel) []table.Column {
-	if len(p.order) > 0 {
-		return nil
-	}
-	cols := make([]table.Column, len(p.items))
-	for i, it := range p.items {
-		ref, ok := it.Expr.(*ColumnRef)
-		if !ok {
-			return nil
+// group gives each selected row its group's id, through the build rows
+// when the sole key is a column the join left as its pairs (groupThrough),
+// and makes the working relation the relation of groups (vrel.grp) with
+// the groups HAVING keeps selected. An aggregate folds when an expression
+// over that relation reads it.
+func (s *execState) group(ctx context.Context, st *step) (int, error) {
+	var groups *vgroups
+	var err error
+	if st.pairKey >= 0 {
+		groups, err = groupThrough(ctx, s.rel.lateCol(st.pairKey), s.rel, s.sel)
+	} else {
+		var keyCols []table.Column
+		if keyCols, err = evalVecs(st.exprs, s.rel, s.sel); err == nil {
+			groups, err = groupRows(ctx, keyCols, s.rel, s.sel)
 		}
-		cols[i] = rel.cols[ref.idx]
 	}
-	return cols
+	if err != nil {
+		return 0, err
+	}
+	s.rel, s.sel = &vrel{nrows: len(groups.counts), x: s.rel.x, grp: groups}, nil
+	if st.having != nil {
+		hv, err := evalVec(st.having, s.rel, nil)
+		if err != nil {
+			return 0, err
+		}
+		s.sel = passSelection(&hv, nil)
+	}
+	return selLen(s.rel, s.sel), nil
 }
 
-// finish is every execution's one tail. sel selects the output rows of cols
-// (every row when sel is nil): the relation's own columns under the WHERE
-// selection for a lazy projection, output columns otherwise. DISTINCT keeps
-// the first row of each groupKeys group of the output rows — the groups
-// come in first-appearance order, so those rows ascend — and OFFSET/LIMIT
-// drop and truncate the selection. No output column is copied.
-func finish(ctx context.Context, p *plan, x *execArgs, cols []table.Column, sel *table.Selection) (*Result, error) {
+// sort orders the output columns by the ORDER BY key columns after them,
+// through rowOrder's comparator. Only the first LIMIT+OFFSET rows of the
+// order can reach the output, so only those are ordered (the heap must
+// retain the OFFSET rows too — finish drops them). DISTINCT disables the
+// bound: deduplication runs after ordering, and dropped duplicates would
+// pull rows from beyond it.
+func (s *execState) sort(ctx context.Context, st *step) (int, error) {
+	out, keys := s.cols[:len(s.cols)-len(st.order)], s.cols[len(s.cols)-len(st.order):]
+	n := keys[0].Len()
+	keep, bounded := s.rel.x.limitReach()
+	if !bounded || s.p.stmt.Distinct {
+		keep = n
+	}
+	perm, err := topKPerm(ctx, keys, st.order, n, keep)
+	if err != nil {
+		return 0, err
+	}
+	for i := range out {
+		out[i] = out[i].Gather(perm, nil)
+	}
+	s.cols = out
+	return n, nil
+}
+
+// finish is every execution's one tail. The output rows are the rows sel
+// selects of cols (every row when sel is nil): the projection's columns,
+// or, with no project stage, the relation's own columns the bare items
+// name under the WHERE selection, zero-copy. DISTINCT keeps the first row
+// of each groupKeys group of the output rows — the groups come in
+// first-appearance order, so those rows ascend — and OFFSET/LIMIT drop and
+// truncate the selection. No output column is copied.
+func (s *execState) finish(ctx context.Context, st *step) (int, error) {
+	p, x, cols, sel := s.p, s.rel.x, s.cols, s.sel
+	if st.lazy {
+		cols = make([]table.Column, len(p.items))
+		for i, it := range p.items {
+			cols[i] = s.rel.cols[it.Expr.(*ColumnRef).idx]
+		}
+	}
 	for i, name := range p.names {
 		if cols[i].Kind == table.KindNull { // a column no operand typed is TEXT, its NULLs in string storage
 			cols[i] = nullColumn(table.KindString, cols[i].Len())
@@ -397,7 +430,7 @@ func finish(ctx context.Context, p *plan, x *execArgs, cols []table.Column, sel 
 		}
 		gr, err := groupKeys(ctx, keys, n)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		rowsOf(sel, gr.firsts)
 		sel, n = table.NewIndexSelection(gr.firsts), len(gr.firsts)
@@ -412,9 +445,8 @@ func finish(ctx context.Context, p *plan, x *execArgs, cols []table.Column, sel 
 		}
 	}
 	// The Result's name list is the caller's to keep; the plan's is shared.
-	res := newResult(append([]string(nil), p.names...), cols, sel)
-	x.trace.Mark(StageFinish, res.NumRows())
-	return res, nil
+	s.res = newResult(append([]string(nil), p.names...), cols, sel)
+	return s.res.NumRows(), nil
 }
 
 func iotaInts(n int) []int {
@@ -424,8 +456,6 @@ func iotaInts(n int) []int {
 	}
 	return idx
 }
-
-// --- projection ---
 
 func selectHasAggregate(stmt *SelectStmt) bool {
 	for _, it := range stmt.Items {
@@ -448,34 +478,6 @@ func exprHasAggregate(e Expr) bool {
 	})
 }
 
-// executePlainVec projects the selected rows column-at-a-time: one value
-// per selected row in each output column, in ORDER BY order. A bare column
-// over a single-range selection stays a view of the relation's storage.
-func executePlainVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selection) ([]table.Column, error) {
-	// Window columns are computed once over the full selection before any
-	// item evaluation; item and ORDER BY expressions then read them via
-	// rel.win (evalVec's FuncCall case).
-	if len(p.wins) > 0 {
-		win, err := computeWindowsVec(ctx, p.wins, rel, sel)
-		if err != nil {
-			return nil, err
-		}
-		rel.win = win
-	}
-	exprs := make([]Expr, 0, len(p.items)+len(p.order))
-	for _, it := range p.items {
-		exprs = append(exprs, it.Expr)
-	}
-	for _, o := range p.order {
-		exprs = append(exprs, o.Expr)
-	}
-	cols, err := evalVecs(exprs, rel, sel)
-	if err != nil {
-		return nil, err
-	}
-	return orderOutput(ctx, p, rel.x, cols[:len(p.items)], cols[len(p.items):])
-}
-
 // evalVecs evaluates each of exprs over the selected rows of rel.
 func evalVecs(exprs []Expr, rel *vrel, sel *table.Selection) ([]table.Column, error) {
 	cols := make([]table.Column, len(exprs))
@@ -489,43 +491,6 @@ func evalVecs(exprs []Expr, rel *vrel, sel *table.Selection) ([]table.Column, er
 	return cols, nil
 }
 
-// orderOutput orders the output columns by the ORDER BY key columns (one
-// key per output row) — the plain and grouped projections' shared step
-// before finish, where the projection's stage ends. sortPerm and topKPerm
-// order positions by rowOrder's comparator over the key columns.
-func orderOutput(ctx context.Context, p *plan, x *execArgs, outCols, keyCols []table.Column) ([]table.Column, error) {
-	if len(outCols) > 0 {
-		x.trace.Mark(StageProject, outCols[0].Len())
-	}
-	if len(p.order) == 0 {
-		return outCols, nil
-	}
-	n := keyCols[0].Len()
-	var perm []int
-	var err error
-	// Only the first LIMIT+OFFSET rows of the order can reach the output
-	// (the heap must retain the OFFSET rows too — finish drops them after
-	// the sort). DISTINCT disables the bound: deduplication runs after
-	// ordering, and dropped duplicates would pull rows from beyond it into
-	// the window.
-	if keep, bounded := x.limitReach(); bounded && !p.stmt.Distinct && keep < n {
-		perm, err = topKPerm(ctx, keyCols, p.order, n, keep)
-	} else {
-		perm, err = sortPerm(ctx, keyCols, p.order, n)
-	}
-	if err == nil {
-		err = ctx.Err()
-	}
-	if err != nil {
-		return nil, err
-	}
-	for i := range outCols {
-		outCols[i] = outCols[i].Gather(perm, nil)
-	}
-	x.trace.Mark(StageSort, n)
-	return outCols, nil
-}
-
 // limitReach returns how many leading rows LIMIT k OFFSET m lets reach the
 // output, k+m, and whether that bounds anything: it does not without a
 // LIMIT, nor when the sum overflows (no relation holds that many rows).
@@ -535,59 +500,4 @@ func (x *execArgs) limitReach() (int, bool) {
 	}
 	keep := x.limit + x.offset
 	return keep, keep >= 0
-}
-
-// executeGroupedVec gives each selected row its group's id, then evaluates
-// HAVING over the relation of groups and the select list and ORDER BY keys
-// over the groups it kept, and ordering runs through orderOutput like a
-// plain projection's.
-func executeGroupedVec(ctx context.Context, p *plan, rel *vrel, sel *table.Selection) ([]table.Column, error) {
-	var groups *vgroups
-	if key := lateKey(p, rel); key != nil {
-		var err error
-		if groups, err = groupThrough(ctx, key, rel, sel); err != nil {
-			return nil, err
-		}
-	} else {
-		groupCols, err := evalVecs(p.groupBy, rel, sel)
-		if err != nil {
-			return nil, err
-		}
-		if groups, err = groupRows(ctx, groupCols, rel, sel); err != nil {
-			return nil, err
-		}
-	}
-	grel := &vrel{nrows: len(groups.counts), x: rel.x, grp: groups}
-	var kept *table.Selection // nil: every group
-	if p.having != nil {
-		hv, err := evalVec(p.having, grel, nil)
-		if err != nil {
-			return nil, err
-		}
-		kept = passSelection(&hv, nil)
-	}
-	exprs := make([]Expr, 0, len(p.items)+len(p.order))
-	for _, it := range p.items {
-		exprs = append(exprs, it.Expr)
-	}
-	for _, o := range p.order {
-		exprs = append(exprs, o.Expr)
-	}
-	cols, err := evalVecs(exprs, grel, kept)
-	if err != nil {
-		return nil, err
-	}
-	return orderOutput(ctx, p, rel.x, cols[:len(p.items)], cols[len(p.items):])
-}
-
-// lateKey returns the pairs of the statement's GROUP BY key when it is one
-// column the join left as them, else nil.
-func lateKey(p *plan, rel *vrel) *pairCol {
-	if len(p.groupBy) == 0 {
-		return nil
-	}
-	if ref, ok := p.groupBy[0].(*ColumnRef); ok {
-		return rel.lateCol(ref.idx)
-	}
-	return nil
 }

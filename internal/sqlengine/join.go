@@ -35,7 +35,7 @@ import (
 // outer-join padding is the per-side pad mask handed to Gather. A build
 // column a grouped statement reads only as its sole GROUP BY key or at
 // group level (plan.late) stays as the pairs themselves, a pairCol, which
-// the groupjoin (groupThrough, exec.go) groups through the build rows.
+// the groupjoin (groupThrough, group.go) groups through the build rows.
 
 // serialJoinProbe is a test hook: when set, the join probe runs as a
 // single chunk on the calling goroutine instead of partitioning the probe

@@ -602,6 +602,7 @@ func TestGroupJoinMatchesGathered(t *testing.T) {
 		}
 		gathered := *p
 		gathered.late = nil
+		gathered.stages = gathered.stageList()
 		var dumps [2]string
 		for i, plan := range []*plan{p, &gathered} {
 			res, err := executeResultBound(ctx, plan, binds, nil)

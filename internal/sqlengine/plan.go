@@ -57,6 +57,7 @@ type plan struct {
 	onFrom              [][]bool
 	late                []bool
 	earlyFilter         bool
+	stages              []step // what an execution runs, in order (stageList)
 }
 
 // tableRef returns the name and qualifier of the statement's i-th table:
@@ -77,7 +78,7 @@ func (s *SelectStmt) tableRef(i int) (name, qual string) {
 func (c *Catalog) current(p *plan) bool {
 	for i, app := range p.apps {
 		name, _ := p.stmt.tableRef(i)
-		if cur, _ := c.appender(name); cur != app {
+		if cur, _ := c.Appender(name); cur != app {
 			return false
 		}
 	}
@@ -155,7 +156,7 @@ func (c *Catalog) resolve(stmt *SelectStmt) (*plan, error) {
 	p := &plan{stmt: stmt}
 	for i := 0; i <= len(stmt.Joins); i++ {
 		name, _ := stmt.tableRef(i)
-		app, ok := c.appender(name)
+		app, ok := c.Appender(name)
 		if !ok {
 			return nil, fmt.Errorf("sql: unknown table %q", name)
 		}
@@ -225,7 +226,80 @@ func (c *Catalog) resolve(stmt *SelectStmt) (*plan, error) {
 		return nil, r.err
 	}
 	p.late = lateColumns(p, widths)
+	p.stages = p.stageList()
 	return p, nil
+}
+
+// step is one entry of a plan's stage list: the trace stage it is charged
+// to and what it reads of the plan. Like the plan, the list is shared by
+// every execution.
+type step struct {
+	stage Stage
+	// scan_filter: ahead marks the one before the joins, which runs the
+	// WHERE conjuncts that can go first (plan.earlyFilter); the one after
+	// them runs the rest, then the LIMIT pushdown where pushdown allows.
+	ahead, pushdown bool
+	join            int    // join: the clause's index
+	late            []bool // the last join: the columns it hands on as its pairs (plan.late)
+	// group: the GROUP BY keys, the column of a sole key the last join
+	// hands on as its pairs (the groupjoin; -1 for none) and HAVING.
+	// project: the select list's expressions, then the ORDER BY keys.
+	exprs   []Expr
+	pairKey int
+	having  Expr
+	wins    []*FuncCall // window: the calls by slot
+	order   []OrderItem // sort
+	lazy    bool        // finish with no project stage: the items are bare columns
+}
+
+// stageList lays out the plan's execution: the WHERE conjuncts that run
+// ahead of the joins, each join, the WHERE, grouping or windows (never
+// both: the parser rejects windows in a grouped statement), the
+// projection, ORDER BY and finish. An ungrouped, unordered select list of
+// bare columns has no project stage.
+func (p *plan) stageList() []step {
+	stmt := p.stmt
+	var list []step
+	if p.earlyFilter && stmt.Where != nil {
+		list = append(list, step{stage: StageScanFilter, ahead: true})
+	}
+	for i := range stmt.Joins {
+		list = append(list, step{stage: StageJoin, join: i})
+	}
+	if len(stmt.Joins) > 0 {
+		list[len(list)-1].late = p.late
+	}
+	list = append(list, step{stage: StageScanFilter,
+		pushdown: !p.grouped && len(p.order) == 0 && !stmt.Distinct && len(p.wins) == 0})
+	if p.grouped {
+		st := step{stage: StageGroup, exprs: p.groupBy, having: p.having, pairKey: -1}
+		if len(p.groupBy) == 1 && p.late != nil {
+			if ref, ok := p.groupBy[0].(*ColumnRef); ok && p.late[ref.idx] {
+				st.pairKey = ref.idx
+			}
+		}
+		list = append(list, st)
+	}
+	if len(p.wins) > 0 {
+		list = append(list, step{stage: StageWindow, wins: p.wins})
+	}
+	lazy := !p.grouped && len(p.order) == 0
+	exprs := make([]Expr, 0, len(p.items)+len(p.order))
+	for _, it := range p.items {
+		_, bare := it.Expr.(*ColumnRef)
+		lazy = lazy && bare
+		exprs = append(exprs, it.Expr)
+	}
+	if !lazy {
+		for _, o := range p.order {
+			exprs = append(exprs, o.Expr)
+		}
+		list = append(list, step{stage: StageProject, exprs: exprs})
+	}
+	if len(p.order) > 0 {
+		list = append(list, step{stage: StageSort, order: p.order})
+	}
+	return append(list, step{stage: StageFinish, lazy: lazy})
 }
 
 // orMasks returns a new mask marking what a or b marks; b may be nil.

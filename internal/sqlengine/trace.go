@@ -15,8 +15,10 @@ const (
 	StageQueue                   // waiting for admission
 	StagePlan                    // fingerprint, plan-cache lookup, parse and resolve
 	StageScanFilter              // snapshot scan and WHERE, the filter before the joins included
-	StageJoin                    // the joins' pairs and gathers
-	StageProject                 // projection, windows, grouping and aggregates
+	StageJoin                    // each join's pairs and gathers
+	StageGroup                   // GROUP BY keys, grouping and HAVING
+	StageWindow                  // window functions
+	StageProject                 // the select list and ORDER BY keys; an aggregate folds here, where an item reads it
 	StageSort                    // ORDER BY
 	StageFinish                  // DISTINCT, OFFSET/LIMIT and the Result
 	StageDrain                   // Result.Next
@@ -25,7 +27,7 @@ const (
 	NumStages
 )
 
-var stageNames = [NumStages]string{"read", "queue", "plan", "scan_filter", "join", "project", "sort", "finish", "drain", "encode", "send"}
+var stageNames = [NumStages]string{"read", "queue", "plan", "scan_filter", "join", "group", "window", "project", "sort", "finish", "drain", "encode", "send"}
 
 func (s Stage) String() string { return stageNames[s] }
 

@@ -20,7 +20,7 @@ import (
 // rows the left leaves undecided, each CASE arm on the rows no earlier arm
 // took, IN candidates on the rows not yet matched — so a child that raises
 // on some rows raises exactly when a row walk would. Grouped statements
-// evaluate over a relation of groups (vgroups, exec.go). The differential
+// evaluate over a relation of groups (vgroups, group.go). The differential
 // tests check evalVec against a row-at-a-time oracle kept in the package's
 // test files; the deliberate divergences are listed in docs/ARCHITECTURE.md.
 
@@ -87,7 +87,7 @@ func evalVec(e Expr, rel *vrel, sel *table.Selection) (table.Column, error) {
 			if rel.win == nil {
 				return raiseOnRows(n, errWindowContext(x))
 			}
-			// Precomputed by executePlainVec over this same selection;
+			// Precomputed by the window stage over this same selection;
 			// already positional, so it is the node's value column.
 			return rel.win[x.slot], nil
 		case isAggregate(x.Name):
