@@ -303,7 +303,7 @@ func (s *execState) run(ctx context.Context, st *step) (int, error) {
 		return s.group(ctx, st)
 	case StageWindow:
 		// Item and ORDER BY expressions read the columns through rel.win.
-		win, err := computeWindowsVec(ctx, st.wins, s.rel, s.sel)
+		win, err := computeWindowsVec(ctx, s.p.wins, s.rel, s.sel)
 		s.rel.win = win
 		return selLen(s.rel, s.sel), err
 	case StageProject:
@@ -312,7 +312,7 @@ func (s *execState) run(ctx context.Context, st *step) (int, error) {
 		s.cols, s.sel = cols, nil
 		return n, err
 	case StageSort:
-		return s.sort(ctx, st)
+		return s.sort(ctx)
 	}
 	return s.finish(ctx, st)
 }
@@ -377,14 +377,15 @@ func (s *execState) group(ctx context.Context, st *step) (int, error) {
 // retain the OFFSET rows too — finish drops them). DISTINCT disables the
 // bound: deduplication runs after ordering, and dropped duplicates would
 // pull rows from beyond it.
-func (s *execState) sort(ctx context.Context, st *step) (int, error) {
-	out, keys := s.cols[:len(s.cols)-len(st.order)], s.cols[len(s.cols)-len(st.order):]
+func (s *execState) sort(ctx context.Context) (int, error) {
+	order := s.p.order
+	out, keys := s.cols[:len(s.cols)-len(order)], s.cols[len(s.cols)-len(order):]
 	n := keys[0].Len()
 	keep, bounded := s.rel.x.limitReach()
 	if !bounded || s.p.stmt.Distinct {
 		keep = n
 	}
-	perm, err := topKPerm(ctx, keys, st.order, n, keep)
+	perm, err := topKPerm(ctx, keys, order, n, keep)
 	if err != nil {
 		return 0, err
 	}

@@ -231,14 +231,15 @@ func (c *Catalog) resolve(stmt *SelectStmt) (*plan, error) {
 }
 
 // step is one entry of a plan's stage list: the trace stage it is charged
-// to and what it reads of the plan. Like the plan, the list is shared by
-// every execution.
+// to and what the layout decided for it; window reads plan.wins and sort
+// plan.order. Like the plan, the list is shared by every execution.
 type step struct {
 	stage Stage
 	// scan_filter: ahead marks the one before the joins, which runs the
 	// WHERE conjuncts that can go first (plan.earlyFilter); the one after
 	// them runs the rest, then the LIMIT pushdown where pushdown allows.
 	ahead, pushdown bool
+	lazy            bool   // finish with no project stage: the items are bare columns
 	join            int    // join: the clause's index
 	late            []bool // the last join: the columns it hands on as its pairs (plan.late)
 	// group: the GROUP BY keys, the column of a sole key the last join
@@ -247,9 +248,6 @@ type step struct {
 	exprs   []Expr
 	pairKey int
 	having  Expr
-	wins    []*FuncCall // window: the calls by slot
-	order   []OrderItem // sort
-	lazy    bool        // finish with no project stage: the items are bare columns
 }
 
 // stageList lays out the plan's execution: the WHERE conjuncts that run
@@ -259,7 +257,7 @@ type step struct {
 // bare columns has no project stage.
 func (p *plan) stageList() []step {
 	stmt := p.stmt
-	var list []step
+	list := make([]step, 0, len(stmt.Joins)+6)
 	if p.earlyFilter && stmt.Where != nil {
 		list = append(list, step{stage: StageScanFilter, ahead: true})
 	}
@@ -281,7 +279,7 @@ func (p *plan) stageList() []step {
 		list = append(list, st)
 	}
 	if len(p.wins) > 0 {
-		list = append(list, step{stage: StageWindow, wins: p.wins})
+		list = append(list, step{stage: StageWindow})
 	}
 	lazy := !p.grouped && len(p.order) == 0
 	exprs := make([]Expr, 0, len(p.items)+len(p.order))
@@ -297,7 +295,7 @@ func (p *plan) stageList() []step {
 		list = append(list, step{stage: StageProject, exprs: exprs})
 	}
 	if len(p.order) > 0 {
-		list = append(list, step{stage: StageSort, order: p.order})
+		list = append(list, step{stage: StageSort})
 	}
 	return append(list, step{stage: StageFinish, lazy: lazy})
 }

@@ -6,8 +6,9 @@ import (
 )
 
 // Stage names one span of a request's time. The stages run in this order;
-// a request enters a subset of them, some more than once (drain, encode and
-// send once per batch or page).
+// a request enters a subset of them, some more than once (join once per
+// JOIN, scan_filter also ahead of the joins, drain, encode and send once
+// per batch or page).
 type Stage uint8
 
 const (
