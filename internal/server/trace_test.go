@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -188,4 +190,34 @@ func has(rows map[string]int, names ...string) bool {
 		}
 	}
 	return true
+}
+
+// TestTraceRoomFollowsEnteredStages: addTrace reserves room for the stages
+// a trace entered, not for every stage. A one-stage trace added to a short
+// line allocates fewer bytes than the 80 a stage the reservation once made
+// for all of them.
+func TestTraceRoomFollowsEnteredStages(t *testing.T) {
+	tr := sqlengine.NewTrace()
+	tr.Mark(sqlengine.StageRead, 0)
+	const runs = 100
+	lws := make([]*lineWriter, runs)
+	for i := range lws {
+		lws[i] = &lineWriter{w: io.Discard, flush: func() {}}
+		lws[i].buf.WriteString(`{"code":"ok"`)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, lw := range lws {
+		lw.addTrace(tr)
+	}
+	runtime.ReadMemStats(&after)
+	old := 80 * uint64(sqlengine.NumStages)
+	perLine := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perLine >= old {
+		t.Errorf("a one-stage trace allocated %d bytes a line, want under %d", perLine, old)
+	}
+	t.Logf("a one-stage trace allocated %d bytes a line", perLine)
+	if got := lws[0].buf.String(); !strings.HasPrefix(got, `{"code":"ok","trace":{"duration_ms":`) || !strings.HasSuffix(got, `"output_rows":0}]}`) {
+		t.Errorf("line = %s", got)
+	}
 }

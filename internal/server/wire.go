@@ -197,9 +197,16 @@ func (lw *lineWriter) reopen() {
 }
 
 // addTrace appends t's member (appendTrace) to the line in buf, in place:
-// buf grows once, to room for every stage, before it is written into.
+// buf grows once, to room for the head and the stages t entered, before it
+// is written into.
 func (lw *lineWriter) addTrace(t *sqlengine.Trace) {
-	lw.buf.Grow(80 * int(sqlengine.NumStages))
+	room := 64
+	for s := range sqlengine.NumStages {
+		if _, _, entered := t.Span(s); entered {
+			room += 80
+		}
+	}
+	lw.buf.Grow(room)
 	lw.buf.Write(appendTrace(lw.buf.AvailableBuffer(), t))
 }
 

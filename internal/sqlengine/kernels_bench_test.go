@@ -22,6 +22,9 @@ var kernelQueries = []struct{ name, sql string }{
 	{"Selectivity50", "SELECT id, v FROM probe WHERE id < 50000"},
 	{"Selectivity99", "SELECT id, v FROM probe WHERE id < 99000"},
 	{"Selectivity100", "SELECT id, v FROM probe WHERE id >= 0"},
+	// A range whose ends fall mid-block: two boundary blocks are read cell
+	// by cell, the zones decide the rest.
+	{"RangeMidBlock", "SELECT id, v FROM probe WHERE id >= 1500 AND id < 70300"},
 	// The same rates spread periodically: dense indices and the selection merge.
 	{"Selectivity1Scattered", "SELECT id, v FROM probe WHERE id % 100 = 0"},
 	{"Selectivity50Scattered", "SELECT id, v FROM probe WHERE id % 2 = 0"},

@@ -26,6 +26,9 @@ type Column struct {
 	// strs (see Codes). One pointer, not two slice headers: a Column is
 	// copied into every view, snapshot and result.
 	coding *coding
+	// zones holds an Appender-published int or time column's per-block
+	// min/max (see zoneMap), shared by every prefix view of it.
+	zones *zoneMap
 }
 
 // coding is a string column's dictionary encoding: dict[codes[i]] is cell
@@ -228,12 +231,12 @@ func (c *Column) AppendColumn(src *Column) {
 }
 
 // Set overwrites cell i with NULL or a value of the column's kind,
-// dropping the column's codes.
+// dropping the column's codes and zones.
 func (c *Column) Set(i int, v Value) {
 	if !v.IsNull() && v.Kind != c.Kind {
 		c.refuse(v)
 	}
-	c.coding = nil
+	c.coding, c.zones = nil, nil
 	c.nulls[i] = v.IsNull()
 	switch c.Kind {
 	case KindInt, KindTime:
@@ -353,13 +356,18 @@ func copyTypedSpans[T any](vals []T, spans []Span, n int) []T {
 // storage with c. Views are strictly read-only — appending to or setting a
 // cell of a view would clobber (or race with) the parent column — and are
 // only handed to code that treats relation columns as immutable. A coded
-// column's view carries the codes of its cells.
+// column's view carries the codes of its cells, and a prefix view (lo 0)
+// of a zoned column shares its zones, which a reader bounds by its own
+// length.
 func (c *Column) View(lo, hi int) Column {
 	out := Column{Name: c.Name, Kind: c.Kind, length: hi - lo}
 	out.nulls = c.nulls[lo:hi:hi]
 	switch c.Kind {
 	case KindInt, KindTime:
 		out.ints = c.ints[lo:hi:hi]
+		if lo == 0 {
+			out.zones = c.zones
+		}
 	case KindFloat:
 		out.floats = c.floats[lo:hi:hi]
 	case KindString:

@@ -85,7 +85,9 @@ func (c *Column) ComparesTyped(k Value) bool {
 // in: an int column whose constants are all ints and whose operators exclude
 // <> tests one interval per cell; every other run tests each comparison's
 // three-way result (an int column's run that mixes a float constant with an
-// int one past ±2^53 takes two passes, see scanIntRun). The representation of the result follows the density
+// int one past ±2^53 takes two passes, see scanIntRun). An interval over
+// span input reads a published column's zone map (zone.go) to skip or take
+// whole blocks. The representation of the result follows the density
 // rule of SelectionFromBools. It panics on an empty run and unless
 // c.ComparesTyped(K) for every comparison.
 func (c *Column) SelectCompare(run []Cmp, in *Selection) (out *Selection, sawNull bool) {
@@ -104,9 +106,12 @@ func (c *Column) SelectCompare(run []Cmp, in *Selection) (out *Selection, sawNul
 	switch c.Kind {
 	case KindInt:
 		a, z, ok := intInterval(run)
+		zones := c.zoneBlocks()
 		switch {
 		case ok && a > z:
 			b.sawNull = hasNull(c.nulls, in)
+		case ok && in.idx == nil && len(zones) > 0:
+			scanZoned(&b, c.ints, c.nulls, zones, a, z, in.spans)
 		case ok:
 			scanInterval(&b, c.ints, c.nulls, a, uint64(z-a), in)
 		default:
@@ -174,9 +179,7 @@ func intInterval(run []Cmp) (a, z int64, ok bool) {
 }
 
 // scanInterval feeds b the rows of in whose cell is non-NULL and lies in
-// [a, a+w]: one unsigned comparison per cell, x-a wrapping below a. Over
-// spans it alternates between skipping failing rows and extending a stretch
-// of passing ones, which it appends as one run.
+// [a, a+w]: one unsigned comparison per cell, x-a wrapping below a.
 func scanInterval(b *spanBuilder, vals []int64, nulls []bool, a int64, w uint64, in *Selection) {
 	sawNull := false
 	for _, r := range in.idx {
@@ -187,23 +190,65 @@ func scanInterval(b *spanBuilder, vals []int64, nulls []bool, a int64, w uint64,
 		}
 	}
 	for _, sp := range in.spans {
-		v := vals[sp.Lo:sp.Hi]
-		nl := nulls[sp.Lo:sp.Hi]
-		nl = nl[:len(v)]
-		for i := 0; i < len(v); {
-			if nl[i] {
-				sawNull = true
-				i++
-				continue
+		sawNull = scanIntervalSpan(b, vals, nulls, a, w, sp.Lo, sp.Hi) || sawNull
+	}
+	b.sawNull = b.sawNull || sawNull
+}
+
+// scanIntervalSpan is scanInterval over rows [lo, hi), reporting whether
+// one was NULL. It alternates between skipping failing rows and extending a
+// stretch of passing ones, which it appends as one run.
+func scanIntervalSpan(b *spanBuilder, vals []int64, nulls []bool, a int64, w uint64, lo, hi int) (sawNull bool) {
+	v := vals[lo:hi]
+	nl := nulls[lo:hi]
+	nl = nl[:len(v)]
+	for i := 0; i < len(v); {
+		if nl[i] {
+			sawNull = true
+			i++
+			continue
+		}
+		if uint64(v[i]-a) > w {
+			i++
+			continue
+		}
+		s := i
+		for i++; i < len(v) && !nl[i] && uint64(v[i]-a) <= w; i++ {
+		}
+		b.addRun(lo+s, lo+i)
+	}
+	return sawNull
+}
+
+// scanZoned is scanInterval over span input for a column with zones: the
+// rows of each span within a full block are skipped when the block's zone
+// lies wholly outside [a, z], taken as one run when it lies wholly inside
+// and the block holds no NULL, and scanned cell by cell otherwise, as are
+// the rows past the last full block.
+func scanZoned(b *spanBuilder, vals []int64, nulls []bool, zones []zone, a, z int64, spans []Span) {
+	w := uint64(z - a)
+	zoned := len(zones) * zoneRows
+	sawNull := false
+	for _, sp := range spans {
+		lo := sp.Lo
+		for lo < min(sp.Hi, zoned) {
+			zn := zones[lo/zoneRows]
+			hi := min(sp.Hi, (lo/zoneRows+1)*zoneRows)
+			switch {
+			case zn.max < a || zn.min > z:
+				// A NULL in the block may lie outside a partial span.
+				if zn.null && !sawNull {
+					sawNull = hi-lo == zoneRows || slices.Contains(nulls[lo:hi], true)
+				}
+			case zn.min >= a && zn.max <= z && !zn.null:
+				b.addRun(lo, hi)
+			default:
+				sawNull = scanIntervalSpan(b, vals, nulls, a, w, lo, hi) || sawNull
 			}
-			if uint64(v[i]-a) > w {
-				i++
-				continue
-			}
-			s := i
-			for i++; i < len(v) && !nl[i] && uint64(v[i]-a) <= w; i++ {
-			}
-			b.addRun(sp.Lo+s, sp.Lo+i)
+			lo = hi
+		}
+		if lo < sp.Hi {
+			sawNull = scanIntervalSpan(b, vals, nulls, a, w, lo, sp.Hi) || sawNull
 		}
 	}
 	b.sawNull = b.sawNull || sawNull

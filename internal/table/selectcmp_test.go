@@ -127,8 +127,11 @@ func TestSelectCompareMatchesCompare(t *testing.T) {
 
 // FuzzSelectCompare holds SelectCompare to its definition over cells, NULLs,
 // one or two comparisons and a span or dense input all drawn from the fuzz
-// bytes; the seeds carry the constants where the interval's strict bounds
-// move by one.
+// bytes, and over the same int cells stretched past two blocks through an
+// Appender, so that the zones decide whole blocks; the seeds carry the
+// constants where the interval's strict bounds move by one, and cell counts
+// whose stretched cells end one row before, at and one row after a block
+// edge.
 func FuzzSelectCompare(f *testing.F) {
 	edges := []struct {
 		k     int64
@@ -139,6 +142,23 @@ func FuzzSelectCompare(f *testing.F) {
 		for op := range uint8(len(allCmpOps)) {
 			f.Add(cells, op, e.k, e.float, uint8(0), int64(0), false)
 			f.Add(cells, op|0x10, e.k, e.float, uint8(128+i), int64(1), false)
+		}
+	}
+	for _, edge := range []int{zoneRows - 1, zoneRows, zoneRows + 1} {
+		for n := 2; n <= 512; n++ {
+			if k := stretchOf(n); edge%k != 0 || edge/k >= n {
+				continue
+			}
+			// Four runs of odd bytes (cells 1, 3, 2^53+5 and 7) and a NULL
+			// (0x84) last: the ranges below take, skip and split blocks.
+			edgeCells := make([]byte, n)
+			for j := range edgeCells {
+				edgeCells[j] = 0x81 + byte(2*(j*4/n))
+			}
+			edgeCells[n-1] = 0x84
+			f.Add(edgeCells, uint8(5), int64(1), false, uint8(128+1), int64(3), false) // >= 1 AND <= 3
+			f.Add(edgeCells, uint8(2), int64(2), false, uint8(0), int64(0), false)     // < 2
+			break
 		}
 	}
 	f.Fuzz(func(t *testing.T, cells []byte, op1 uint8, k1 int64, float1 bool, op2 uint8, k2 int64, float2 bool) {
@@ -193,8 +213,39 @@ func FuzzSelectCompare(f *testing.F) {
 		}
 		checkRun(t, &ints, run, in)
 		checkRun(t, &floats, run, in)
+		if len(cells) == 0 {
+			return
+		}
+		// The int cells again, each repeated over stretchOf rows and then
+		// once more each as a tail past the last full block, published by an
+		// Appender: over the odd bytes' rows, over the stretched rows and
+		// over all of them.
+		k := stretchOf(len(cells))
+		stretched := NewColumn("i", KindInt)
+		var zspans []Span
+		for j, c := range cells {
+			for range k {
+				stretched.Append(ints.Value(j))
+			}
+			if c%2 == 1 {
+				zspans = append(zspans, Span{j * k, (j + 1) * k}, Span{len(cells)*k + j, len(cells)*k + j + 1})
+			}
+		}
+		stretched.AppendColumn(&ints)
+		app := NewAppender(&Table{Name: "z", Columns: []Column{stretched}})
+		zoned := &app.Snapshot().Table().Columns[0]
+		if len(zoned.zoneBlocks()) < 2 {
+			t.Fatalf("%d rows carry %d zones", zoned.Len(), len(zoned.zoneBlocks()))
+		}
+		checkRun(t, zoned, run, NewSpanSelection(zspans...))
+		checkRun(t, zoned, run, NewSpanSelection(Span{0, len(cells) * k}))
+		checkRun(t, zoned, run, NewSpanSelection(Span{0, zoned.Len()}))
 	})
 }
+
+// stretchOf is how many rows FuzzSelectCompare's zoned column repeats each
+// of n cells over: enough for n of them to fill two blocks.
+func stretchOf(n int) int { return (2*zoneRows + n - 1) / n }
 
 // TestSelectCompareRunAllocations pins "a stretch is one append": a
 // two-comparison run over a 100k-row span input whose passing rows form one
@@ -208,13 +259,25 @@ func TestSelectCompareRunAllocations(t *testing.T) {
 	c := ColumnFromInts("id", vals, nil)
 	in := NewSpanSelection(Span{0, n / 2}, Span{n/2 + 1, n})
 	run := []Cmp{{CmpGe, Int(25_000)}, {CmpLt, Int(45_000)}}
-	allocs := testing.AllocsPerRun(20, func() {
-		if out, _ := c.SelectCompare(run, in); out.Len() != 20_000 {
-			t.Fatalf("selected %d rows, want 20000", out.Len())
-		}
-	})
+	allocsOf := func(c *Column) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if out, _ := c.SelectCompare(run, in); out.Len() != 20_000 {
+				t.Fatalf("selected %d rows, want 20000", out.Len())
+			}
+		})
+	}
+	allocs := allocsOf(&c)
 	if allocs > 2 {
 		t.Errorf("a two-comparison run allocates %v objects, want at most 2", allocs)
+	}
+	// The same cells through an Appender carry zones: taking and skipping
+	// whole blocks allocates nothing the cell scan does not.
+	zoned := &NewAppender(&Table{Name: "t", Columns: []Column{c}}).Snapshot().Table().Columns[0]
+	if len(zoned.zoneBlocks()) == 0 {
+		t.Fatal("the published column has no zones")
+	}
+	if z := allocsOf(zoned); z > allocs {
+		t.Errorf("the zoned run allocates %v objects, the cell scan %v", z, allocs)
 	}
 }
 

@@ -111,6 +111,10 @@ type Appender struct {
 	// coders parallels arena once the table reaches codeMinRows rows:
 	// each column's code index (see code).
 	coders []coder
+	// zoned parallels arena once the table holds a full block: each int
+	// or time column's zones, of which the column holds a capped prefix
+	// (see zone).
+	zoned [][]zone
 	// scratch holds the row AppendText is parsing, reused across rows.
 	scratch []Value
 
@@ -128,7 +132,8 @@ type Appender struct {
 func NewAppender(t *Table) *Appender {
 	a := &Appender{name: t.Name, arena: append([]Column(nil), t.Columns...)}
 	for i := range a.arena {
-		a.arena[i].coding = nil // the arena's codes are its own, assigned at publish
+		// The arena's codes and zones are its own, computed at publish.
+		a.arena[i].coding, a.arena[i].zones = nil, nil
 	}
 	a.publishLocked()
 	return a
@@ -246,6 +251,7 @@ func (a *Appender) publishLocked() (*Snapshot, error) {
 	}
 	if n > a.sealed {
 		a.code(n)
+		a.zone(n)
 		ck := Chunk{lo: a.sealed, hi: n, cols: make([]Column, len(a.arena))}
 		for i := range a.arena {
 			ck.cols[i] = a.arena[i].View(a.sealed, n)
