@@ -26,7 +26,7 @@ type Column struct {
 	// strs (see Codes). One pointer, not two slice headers: a Column is
 	// copied into every view, snapshot and result.
 	coding *coding
-	// zones holds an Appender-published int or time column's per-block
+	// zones holds an Appender-published int column's per-block
 	// min/max (see zoneMap), shared by every prefix view of it.
 	zones *zoneMap
 }

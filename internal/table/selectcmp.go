@@ -106,14 +106,11 @@ func (c *Column) SelectCompare(run []Cmp, in *Selection) (out *Selection, sawNul
 	switch c.Kind {
 	case KindInt:
 		a, z, ok := intInterval(run)
-		zones := c.zoneBlocks()
 		switch {
 		case ok && a > z:
 			b.sawNull = hasNull(c.nulls, in)
-		case ok && in.idx == nil && len(zones) > 0:
-			scanZoned(&b, c.ints, c.nulls, zones, a, z, in.spans)
 		case ok:
-			scanInterval(&b, c.ints, c.nulls, a, uint64(z-a), in)
+			scanInterval(&b, c.ints, c.nulls, c.zoneBlocks(), a, z, in)
 		default:
 			scanIntRun(&b, c.ints, c.nulls, run, in)
 		}
@@ -179,8 +176,13 @@ func intInterval(run []Cmp) (a, z int64, ok bool) {
 }
 
 // scanInterval feeds b the rows of in whose cell is non-NULL and lies in
-// [a, a+w]: one unsigned comparison per cell, x-a wrapping below a.
-func scanInterval(b *spanBuilder, vals []int64, nulls []bool, a int64, w uint64, in *Selection) {
+// [a, z]: one unsigned comparison per cell, x-a wrapping below a. Over
+// spans, the rows of a full block that zones covers are skipped when the
+// block's zone lies wholly outside [a, z], taken as one run when it lies
+// wholly inside and the block holds no NULL, and read cell by cell
+// otherwise, as are the rows past the last zone.
+func scanInterval(b *spanBuilder, vals []int64, nulls []bool, zones []zone, a, z int64, in *Selection) {
+	w := uint64(z - a)
 	sawNull := false
 	for _, r := range in.idx {
 		if nulls[r] {
@@ -189,47 +191,8 @@ func scanInterval(b *spanBuilder, vals []int64, nulls []bool, a int64, w uint64,
 			b.add(r)
 		}
 	}
-	for _, sp := range in.spans {
-		sawNull = scanIntervalSpan(b, vals, nulls, a, w, sp.Lo, sp.Hi) || sawNull
-	}
-	b.sawNull = b.sawNull || sawNull
-}
-
-// scanIntervalSpan is scanInterval over rows [lo, hi), reporting whether
-// one was NULL. It alternates between skipping failing rows and extending a
-// stretch of passing ones, which it appends as one run.
-func scanIntervalSpan(b *spanBuilder, vals []int64, nulls []bool, a int64, w uint64, lo, hi int) (sawNull bool) {
-	v := vals[lo:hi]
-	nl := nulls[lo:hi]
-	nl = nl[:len(v)]
-	for i := 0; i < len(v); {
-		if nl[i] {
-			sawNull = true
-			i++
-			continue
-		}
-		if uint64(v[i]-a) > w {
-			i++
-			continue
-		}
-		s := i
-		for i++; i < len(v) && !nl[i] && uint64(v[i]-a) <= w; i++ {
-		}
-		b.addRun(lo+s, lo+i)
-	}
-	return sawNull
-}
-
-// scanZoned is scanInterval over span input for a column with zones: the
-// rows of each span within a full block are skipped when the block's zone
-// lies wholly outside [a, z], taken as one run when it lies wholly inside
-// and the block holds no NULL, and scanned cell by cell otherwise, as are
-// the rows past the last full block.
-func scanZoned(b *spanBuilder, vals []int64, nulls []bool, zones []zone, a, z int64, spans []Span) {
-	w := uint64(z - a)
 	zoned := len(zones) * zoneRows
-	sawNull := false
-	for _, sp := range spans {
+	for _, sp := range in.spans {
 		lo := sp.Lo
 		for lo < min(sp.Hi, zoned) {
 			zn := zones[lo/zoneRows]
@@ -252,6 +215,31 @@ func scanZoned(b *spanBuilder, vals []int64, nulls []bool, zones []zone, a, z in
 		}
 	}
 	b.sawNull = b.sawNull || sawNull
+}
+
+// scanIntervalSpan is scanInterval over rows [lo, hi) cell by cell,
+// reporting whether one was NULL. It alternates between skipping failing
+// rows and extending a stretch of passing ones, which it appends as one run.
+func scanIntervalSpan(b *spanBuilder, vals []int64, nulls []bool, a int64, w uint64, lo, hi int) (sawNull bool) {
+	v := vals[lo:hi]
+	nl := nulls[lo:hi]
+	nl = nl[:len(v)]
+	for i := 0; i < len(v); {
+		if nl[i] {
+			sawNull = true
+			i++
+			continue
+		}
+		if uint64(v[i]-a) > w {
+			i++
+			continue
+		}
+		s := i
+		for i++; i < len(v) && !nl[i] && uint64(v[i]-a) <= w; i++ {
+		}
+		b.addRun(lo+s, lo+i)
+	}
+	return sawNull
 }
 
 // hasNull reports whether any row of in is NULL: all an empty interval has

@@ -112,8 +112,8 @@ type Appender struct {
 	// each column's code index (see code).
 	coders []coder
 	// zoned parallels arena once the table holds a full block: each int
-	// or time column's zones, of which the column holds a capped prefix
-	// (see zone).
+	// column's zones, of which the column holds a capped prefix (see
+	// zone).
 	zoned [][]zone
 	// scratch holds the row AppendText is parsing, reused across rows.
 	scratch []Value

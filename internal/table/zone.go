@@ -2,8 +2,8 @@ package table
 
 import "math"
 
-// Zone maps, Moerkotte's small materialized aggregates: an int or time
-// column an Appender published keeps, for each full block of zoneRows rows
+// Zone maps, Moerkotte's small materialized aggregates: an int column an
+// Appender published keeps, for each full block of zoneRows rows
 // counted from row 0, the min and max of the block's non-NULL cells and
 // whether the block holds a NULL. SelectCompare's interval scan reads them
 // to skip a block wholly outside its interval and to take one wholly inside
@@ -57,7 +57,7 @@ func zoneOf(vals []int64, nulls []bool) zone {
 	return z
 }
 
-// zone extends the zones of every int and time column of the arena over
+// zone extends the zones of every int column of the arena over
 // the full blocks of rows [0, n), and hangs a fresh map of them on each
 // column that gained one.
 func (a *Appender) zone(n int) {
@@ -70,7 +70,7 @@ func (a *Appender) zone(n int) {
 	}
 	for i := range a.arena {
 		col, blocks := &a.arena[i], a.zoned[i]
-		if (col.Kind != KindInt && col.Kind != KindTime) || len(blocks) == full {
+		if col.Kind != KindInt || len(blocks) == full {
 			continue
 		}
 		for b := len(blocks); b < full; b++ {
